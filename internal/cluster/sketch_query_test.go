@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"net/http/httptest"
+	"sort"
 	"testing"
 )
 
@@ -94,6 +95,79 @@ func TestRouterSketchQueryMerge(t *testing.T) {
 		}
 		if body["kind"] != "param" {
 			t.Fatalf("GET %s kind = %v, want param", q, body["kind"])
+		}
+	}
+}
+
+// TestRouterExactQueryOverCertifiedLegs: ?sketch=false passes through to
+// instances that now answer it from their published views ("certified":
+// true plus an epoch the router does not know about), and the fleet
+// answer is unchanged by that — approx:false, no error_bound, no
+// max_err, and rows that are exactly the per-PC sums of the legs' rows
+// in (samples desc, pc asc) order.
+func TestRouterExactQueryOverCertifiedLegs(t *testing.T) {
+	instances, rt := newTier(t, 16, "c0", "c1", "c2")
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	for i := 0; i < 12; i++ {
+		if res := submitVia(t, front.URL, shardName(i), synthShard(uint64(i), 40)); res.status != 202 {
+			t.Fatalf("submit %d: %+v", i, res)
+		}
+	}
+	type sum struct{ samples, est float64 }
+	want := make(map[string]*sum)
+	for _, in := range instances {
+		if err := in.svc.Flush(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		// The router over-fetches 4n from every leg.
+		status, leg := getJSON(t, in.ts.URL+"/v1/hotpcs?n=40&sketch=false")
+		if status != 200 || leg["approx"] != false {
+			t.Fatalf("%s leg: %d %v", in.id, status, leg)
+		}
+		if in.svc.Aggregate().Samples() > 0 && leg["certified"] != true {
+			t.Fatalf("%s: under-capacity sketch did not certify its exact answer: %v", in.id, leg)
+		}
+		for _, r := range leg["pcs"].([]any) {
+			row := r.(map[string]any)
+			pc := row["pc"].(string)
+			if want[pc] == nil {
+				want[pc] = &sum{}
+			}
+			want[pc].samples += row["samples"].(float64)
+			want[pc].est += row["est_count"].(float64)
+		}
+	}
+	order := make([]string, 0, len(want))
+	for pc := range want {
+		order = append(order, pc)
+	}
+	sort.Slice(order, func(i, j int) bool {
+		if a, b := want[order[i]].samples, want[order[j]].samples; a != b {
+			return a > b
+		}
+		return order[i] < order[j]
+	})
+
+	status, body := getJSON(t, front.URL+"/v1/hotpcs?n=10&sketch=false")
+	if status != 200 || body["approx"] != false {
+		t.Fatalf("fleet exact answer: %d approx=%v", status, body["approx"])
+	}
+	if _, has := body["error_bound"]; has {
+		t.Fatalf("exact fleet answer carries an error_bound: %v", body)
+	}
+	rows := body["pcs"].([]any)
+	if len(rows) != 10 {
+		t.Fatalf("got %d rows, want 10", len(rows))
+	}
+	for i, r := range rows {
+		row, pc := r.(map[string]any), order[i]
+		if row["pc"] != pc || row["samples"] != want[pc].samples || row["est_count"] != want[pc].est {
+			t.Fatalf("row %d = %v, want %s with %+v", i, row, pc, *want[pc])
+		}
+		if _, has := row["max_err"]; has {
+			t.Fatalf("exact row %d carries max_err: %v", i, row)
 		}
 	}
 }

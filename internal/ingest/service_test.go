@@ -386,3 +386,54 @@ func TestServiceClosedQueueRefusesAsDraining(t *testing.T) {
 		t.Fatalf("retry-then-503 double-counted: lost %d, want %d", got, s1.Captured())
 	}
 }
+
+// TestServiceStatsDuringMerges is the regression test for the
+// SafeDB.publishes race: Stats() reads the sketch layer's publish count
+// lock-free while the aggregator loop republishes views, so the counter
+// must be atomic on both sides. Fails under -race when it is not.
+func TestServiceStatsDuringMerges(t *testing.T) {
+	const shards = 200
+	cfg := testServiceConfig(t.TempDir())
+	cfg.QueueDepth = shards // never full: every submit is admitted first time
+	svc, err := NewService(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Start()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var last uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st := svc.Stats()
+			if st.Sketch.Publishes < last {
+				t.Errorf("publishes went backwards: %d after %d", st.Sketch.Publishes, last)
+				return
+			}
+			last = st.Sketch.Publishes
+		}
+	}()
+
+	for i := 0; i < shards; i++ {
+		if err := svc.Submit(sub(fmt.Sprintf("s%03d", i), uint64(i), 20)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	wg.Wait()
+	// One row-rebuilding publish at construction plus one per merge.
+	if st := svc.Stats(); st.Merged != shards || st.Sketch.Publishes != shards+1 {
+		t.Fatalf("merged %d, publishes %d; want %d and %d", st.Merged, st.Sketch.Publishes, shards, shards+1)
+	}
+}

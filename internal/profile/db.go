@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
@@ -463,26 +464,71 @@ func (db *DB) NeighborhoodIPC(pc uint64) (ipc float64, ok bool) {
 	return float64(db.W) * frac / float64(db.TNear), true
 }
 
+// hotter is the hot-PC order: more samples first, ties toward the lower
+// PC. Every ranked read (DB.HotPCs, View.ExactTop) uses it, which is
+// what lets a view-served answer equal the scan's row for row.
+func hotter(a, b *PCAccum) bool {
+	if a.Samples != b.Samples {
+		return a.Samples > b.Samples
+	}
+	return a.PC < b.PC
+}
+
+// coldestFirst is a min-heap of accumulators in hot order: the root is
+// the coldest.
+type coldestFirst []*PCAccum
+
+func (h coldestFirst) Len() int           { return len(h) }
+func (h coldestFirst) Less(i, j int) bool { return hotter(h[j], h[i]) }
+func (h coldestFirst) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *coldestFirst) Push(x any)        { *h = append(*h, x.(*PCAccum)) }
+func (h *coldestFirst) Pop() any {
+	old := *h
+	a := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return a
+}
+
+// topAccums selects the n hottest accumulators offered to it in O(log n)
+// per offer: a bounded heap whose root is the coldest row kept, so an
+// accumulator that cannot enter the top n costs one comparison.
+type topAccums struct {
+	n    int
+	heap coldestFirst
+}
+
+func (t *topAccums) offer(a *PCAccum) {
+	switch {
+	case len(t.heap) < t.n:
+		heap.Push(&t.heap, a)
+	case t.n > 0 && hotter(a, t.heap[0]):
+		t.heap[0] = a
+		heap.Fix(&t.heap, 0)
+	}
+}
+
+// sorted returns the kept accumulators hottest first. The selector must
+// not be offered to afterwards.
+func (t *topAccums) sorted() []*PCAccum {
+	sort.Slice(t.heap, func(i, j int) bool { return hotter(t.heap[i], t.heap[j]) })
+	return t.heap
+}
+
 // HotPCs returns the n PCs with the most samples, descending (ties
-// break toward the lower PC). It walks and sorts the whole per-PC map:
-// O(DB log DB), the exact path. The returned pointers ALIAS live
+// break toward the lower PC); n <= 0 means all of them. It walks the
+// whole per-PC map but keeps only the best n in a bounded heap:
+// O(DB log n), the exact scan. The returned pointers ALIAS live
 // database state, like Get; SafeDB.HotPCs serves the same question from
 // its published sketch view in O(n) with deep-copied rows.
 func (db *DB) HotPCs(n int) []*PCAccum {
-	accs := make([]*PCAccum, 0, len(db.byPC))
+	if n <= 0 || n > len(db.byPC) {
+		n = len(db.byPC)
+	}
+	top := topAccums{n: n, heap: make(coldestFirst, 0, n)}
 	for _, a := range db.byPC {
-		accs = append(accs, a)
+		top.offer(a)
 	}
-	sort.Slice(accs, func(i, j int) bool {
-		if accs[i].Samples != accs[j].Samples {
-			return accs[i].Samples > accs[j].Samples
-		}
-		return accs[i].PC < accs[j].PC
-	})
-	if n > 0 && len(accs) > n {
-		accs = accs[:n]
-	}
-	return accs
+	return top.sorted()
 }
 
 // Report renders a hot-instruction table. prog may be nil; when given it

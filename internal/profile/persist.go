@@ -67,7 +67,9 @@ func (db *DB) Save(w io.Writer) error {
 		Lost: db.lost, CorruptRej: db.corruptRejected,
 		MetricNames: db.metricNames,
 	}
-	for _, pc := range db.PCs() {
+	pcs := db.PCs()
+	img.Accums = make([]PCAccum, 0, len(pcs))
+	for _, pc := range pcs {
 		img.Accums = append(img.Accums, *db.byPC[pc])
 	}
 	var payload bytes.Buffer

@@ -15,9 +15,10 @@ import (
 // (counters, top-K sketch rows, latency quantile summaries) that readers
 // load with a single atomic pointer read. The hot query path —
 // /v1/hotpcs, /v1/stats, windowed "last N seconds" queries — therefore
-// takes NO lock that contends with the merge loop; only the exact
-// fallbacks (HotPCsExact, Get, PCs, Save, per-PC estimators) still take
-// the read lock and pay the deep-copy cost.
+// takes NO lock that contends with the merge loop, and an exact top-N
+// is lock-free too whenever the view can certify it (View.ExactTop);
+// only the scan fallbacks (HotPCsExact, Get, PCs, Save, per-PC
+// estimators) still take the read lock and pay the deep-copy cost.
 //
 // It is the concurrency boundary the pmsimd service builds on: a plain
 // DB stays single-owner (see the DB doc comment), and the moment two
@@ -40,7 +41,7 @@ type SafeDB struct {
 	inprog *QuantileSketch
 
 	epoch     uint64
-	publishes uint64
+	publishes atomic.Uint64 // read lock-free by SketchStats
 	sinceRows int
 	view      atomic.Pointer[View]
 }
@@ -113,11 +114,13 @@ func (s *SafeDB) publishLocked(rows bool) {
 		Floor:    s.topk.MinCount(),
 	}
 	if prev := s.view.Load(); !rows && prev != nil {
+		v.RowsEpoch = prev.RowsEpoch
 		v.TopK = prev.TopK
 		v.Latencies = prev.Latencies
 		v.byPC = prev.byPC
 	} else {
-		s.publishes++
+		s.publishes.Add(1)
+		v.RowsEpoch = s.epoch
 		items := s.topk.Items()
 		v.TopK = make([]HotView, 0, len(items))
 		v.byPC = make(map[uint64]*HotView, len(items))
@@ -276,7 +279,7 @@ func (s *SafeDB) SketchStats() SketchStats {
 	v := s.View()
 	return SketchStats{
 		Epoch:           v.Epoch,
-		Publishes:       atomic.LoadUint64(&s.publishes),
+		Publishes:       s.publishes.Load(),
 		TopK:            v.TopKCap,
 		TrackedPCs:      len(v.TopK),
 		SketchN:         v.SketchN,
@@ -348,9 +351,10 @@ func (s *SafeDB) HotPCs(n int) []PCAccum {
 }
 
 // HotPCsExact returns deep copies of the n hottest accumulators from the
-// live database: the exact fallback path. It takes the read lock and
-// pays an O(DB log DB) sort plus n deep copies — the cost the sketch
-// path exists to avoid.
+// live database: the scan fallback, for when View.ExactTop cannot
+// certify an exact answer from published state. It takes the read lock
+// and pays an O(DB log n) selection over every accumulator plus n deep
+// copies — the cost the view-served paths exist to avoid.
 func (s *SafeDB) HotPCsExact(n int) []PCAccum {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -363,10 +367,12 @@ func (s *SafeDB) HotPCsExact(n int) []PCAccum {
 }
 
 // WindowHotPCs answers "hot PCs in the last `window`" from the ring of
-// time-bucketed sketches: O(K * buckets), never O(DB), and no SafeDB
-// lock (the ring has its own bucket-granular lock with O(log K) writer
-// hold times). Rows are sketch estimates only — per-bucket rings keep no
-// accumulators.
+// time-bucketed sketches: never O(DB), and no SafeDB lock (the ring has
+// its own bucket-granular lock with O(log K) writer hold times). The
+// ring reuses its last merged row set until a write or a bucket boundary
+// changes the answer, so a steady poll costs O(buckets + n) and only the
+// first query after a change pays the O(K * buckets) merge. Rows are
+// sketch estimates only — per-bucket rings keep no accumulators.
 func (s *SafeDB) WindowHotPCs(window time.Duration, n int) WindowResult {
 	return s.window.Query(s.cfg.Now(), window, n)
 }

@@ -18,8 +18,12 @@ import (
 // touching this one.
 type View struct {
 	// Epoch increments with every published view; readers can use it to
-	// detect progress and order snapshots.
-	Epoch uint64
+	// detect progress and order snapshots. RowsEpoch is the epoch at
+	// which TopK and Latencies were last rebuilt: counter-only
+	// republishes share the previous rows, so RowsEpoch <= Epoch, and an
+	// answer built from rows is as of RowsEpoch.
+	Epoch     uint64
+	RowsEpoch uint64
 	// When is the publish time.
 	When time.Time
 
@@ -77,6 +81,40 @@ func (v *View) Get(pc uint64) *HotView {
 		return nil
 	}
 	return v.byPC[pc]
+}
+
+// ExactTop returns the n hottest accumulators in DB.HotPCs order
+// (samples descending, ties toward the lower PC; n <= 0 means all) when
+// the view can certify that they ARE the database's exact top n as of
+// RowsEpoch, and ok=false when it cannot. O(K log n), no lock.
+//
+// The certificate: rows hold exact accumulator copies of every tracked
+// PC, and space-saving guarantees any untracked PC a true count of at
+// most the sketch floor. So if the sketch never filled (every PC is
+// tracked), or the n-th largest exact count among the rows is strictly
+// above Floor, no untracked PC can enter or tie into the top n. Floor is
+// read at Epoch and only grows, so it also covers the older rows. A flat
+// distribution (n-th row at or below the floor) or n > K refuses, and
+// the caller falls back to the scan (SafeDB.HotPCsExact).
+//
+// The returned accumulators are the view's own rows: shared, read-only.
+func (v *View) ExactTop(n int) (top []*PCAccum, ok bool) {
+	complete := len(v.TopK) < v.TopKCap
+	if n <= 0 || n > len(v.TopK) {
+		if !complete {
+			return nil, false
+		}
+		n = len(v.TopK)
+	}
+	sel := topAccums{n: n, heap: make(coldestFirst, 0, n)}
+	for i := range v.TopK {
+		sel.offer(&v.TopK[i].Acc)
+	}
+	top = sel.sorted()
+	if !complete && top[n-1].Samples <= v.Floor {
+		return nil, false
+	}
+	return top, true
 }
 
 // SketchStats is the observability rollup for the sketch layer, served

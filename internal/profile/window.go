@@ -2,14 +2,17 @@ package profile
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// WindowRing answers "hot PCs in the last N seconds" in O(K * buckets)
-// instead of O(DB): a fixed ring of time buckets, each holding its own
-// small space-saving sketch plus exact per-bucket sample counters. The
-// ring advances lazily on writes; queries merge the buckets overlapping
-// the requested window.
+// WindowRing answers "hot PCs in the last N seconds" without touching
+// the O(DB) aggregate: a fixed ring of time buckets, each holding its
+// own small space-saving sketch plus exact per-bucket sample counters.
+// The ring advances lazily on writes; a query merges the buckets
+// overlapping the requested window (O(K * buckets)) and the ring keeps
+// that merge, so repeated polls reuse it (O(buckets + n)) until a write
+// or a bucket boundary changes which answer is correct.
 //
 // Concurrency: the ring has its own RWMutex, separate from SafeDB's. A
 // write (O(log K)) takes the write lock for the sketch update only — it
@@ -25,6 +28,24 @@ type WindowRing struct {
 	head      int       // current bucket
 	headStart time.Time // start of the current bucket's interval
 	started   bool
+
+	// gen counts writes: every Add (and so every advance, lap and reset)
+	// bumps it under mu. cache is the last merge a query performed, valid
+	// for exactly the ring contents (gen) and contributing buckets it was
+	// built from.
+	gen   uint64
+	cache atomic.Pointer[windowMerge]
+}
+
+// windowMerge is the merged state of one set of contributing buckets at
+// one ring generation. Immutable once stored: queries copy rows out.
+type windowMerge struct {
+	gen      uint64
+	from, to time.Time // starts of the oldest and newest contributing bucket
+	buckets  int
+	samples  uint64
+	rows     []SSEntry // every merged row (at most K), descending
+	floor    uint64
 }
 
 type windowBucket struct {
@@ -60,6 +81,7 @@ func (r *WindowRing) BucketDur() time.Duration { return r.bucketDur }
 // Add folds weight w for pc into the bucket covering now.
 func (r *WindowRing) Add(now time.Time, pc uint64, w uint64) {
 	r.mu.Lock()
+	r.gen++
 	r.advanceLocked(now)
 	b := &r.buckets[r.head]
 	b.sk.Add(pc, w)
@@ -116,8 +138,23 @@ type WindowResult struct {
 	Floor uint64
 }
 
+// contributes reports whether b holds samples inside [cutoff, now]: any
+// part of [start, start+dur) is in the window and the bucket is not a
+// leftover from a previous ring lap.
+func (r *WindowRing) contributes(b *windowBucket, cutoff, now time.Time) bool {
+	if b.sk.N() == 0 && b.samples == 0 {
+		return false
+	}
+	return !b.start.Add(r.bucketDur).Before(cutoff) && !b.start.After(now)
+}
+
 // Query merges the buckets overlapping [now-window, now] and returns the
-// top n rows. O(K * buckets); takes the ring's read lock only.
+// top n rows. It takes the ring's read lock only. The merge is O(K *
+// buckets); its result depends only on the ring's contents and on which
+// buckets contribute, so it is kept and reused — O(buckets + n) — until
+// an Add (which also covers a lap or a long-gap reset) or a bucket
+// boundary changes either. A reused answer is exactly what merging again
+// at that instant would return.
 func (r *WindowRing) Query(now time.Time, window time.Duration, n int) WindowResult {
 	res := WindowResult{Window: window}
 	if window <= 0 {
@@ -129,33 +166,64 @@ func (r *WindowRing) Query(now time.Time, window time.Duration, n int) WindowRes
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	cutoff := now.Add(-res.Window)
+	// At a fixed generation the contributing set is every non-empty
+	// bucket starting between the oldest and the newest contributing
+	// start, so those two times identify it.
+	var from, to time.Time
+	contributing := 0
+	for i := range r.buckets {
+		b := &r.buckets[i]
+		if !r.contributes(b, cutoff, now) {
+			continue
+		}
+		if contributing == 0 || b.start.Before(from) {
+			from = b.start
+		}
+		if contributing == 0 || b.start.After(to) {
+			to = b.start
+		}
+		contributing++
+	}
+	if contributing == 0 {
+		return res
+	}
+	m := r.cache.Load()
+	if m == nil || m.gen != r.gen || !m.from.Equal(from) || !m.to.Equal(to) {
+		m = r.mergeLocked(cutoff, now)
+		m.from, m.to = from, to
+		r.cache.Store(m)
+	}
+	rows := m.rows
+	if n > 0 && len(rows) > n {
+		rows = rows[:n]
+	}
+	res.Buckets = m.buckets
+	res.Samples = m.samples
+	res.Rows = append([]SSEntry(nil), rows...)
+	res.Floor = m.floor
+	return res
+}
+
+// mergeLocked merges every contributing bucket's sketch, in ring order.
+// Caller holds mu (read suffices: gen cannot move under it) and has
+// established that at least one bucket contributes.
+func (r *WindowRing) mergeLocked(cutoff, now time.Time) *windowMerge {
+	m := &windowMerge{gen: r.gen}
 	var merged *SpaceSaving
 	for i := range r.buckets {
 		b := &r.buckets[i]
-		if b.sk.N() == 0 && b.samples == 0 {
+		if !r.contributes(b, cutoff, now) {
 			continue
 		}
-		// A bucket contributes if any part of [start, start+dur) is
-		// inside the window and it is not from a previous ring lap.
-		if b.start.Add(r.bucketDur).Before(cutoff) || b.start.After(now) {
-			continue
-		}
-		res.Buckets++
-		res.Samples += b.samples
+		m.buckets++
+		m.samples += b.samples
 		if merged == nil {
 			merged = Merge(b.sk, NewSpaceSaving(r.k))
 		} else {
 			merged = Merge(merged, b.sk)
 		}
 	}
-	if merged == nil {
-		return res
-	}
-	rows := merged.Items()
-	if n > 0 && len(rows) > n {
-		rows = rows[:n]
-	}
-	res.Rows = rows
-	res.Floor = merged.MinCount()
-	return res
+	m.rows = merged.Items()
+	m.floor = merged.MinCount()
+	return m
 }

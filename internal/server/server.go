@@ -523,7 +523,8 @@ func accRow(a *profile.PCAccum, estCount float64) hotPC {
 	return row
 }
 
-// handleHotPCs serves the top-N hot PCs three ways:
+// handleHotPCs serves the top-N hot PCs, every shape from published
+// state wherever that state can answer:
 //
 //   - default: O(n) from the aggregate's published sketch view — no
 //     lock, "approx": true, with "error_bound" (the sketch floor: the
@@ -531,10 +532,19 @@ func accRow(a *profile.PCAccum, estCount float64) hotPC {
 //     (the row estimate's maximum overcount; 0 whenever the aggregate
 //     has fewer distinct PCs than the sketch capacity, in which case
 //     the answer equals the exact one)
-//   - ?window=30s: O(K) from the time-bucketed ring — only samples
-//     merged in the last 30s count; always approximate
-//   - ?sketch=false: the exact deep-copy path under the read lock —
-//     O(DB), contends with the merge loop; "approx": false
+//   - ?window=30s: from the time-bucketed ring — only samples merged in
+//     the last 30s count; always approximate. The ring keeps its last
+//     merge, so a poll pays the O(K * buckets) merge only after a write
+//     or a bucket boundary
+//   - ?sketch=false: the exact top n, "approx": false. When the view
+//     certifies it (View.ExactTop: the n-th exact count among the
+//     tracked rows is strictly above the sketch floor, so no untracked
+//     PC can enter or tie) it is served lock-free in O(K) with
+//     "certified": true and "epoch" = the epoch the rows were built at;
+//     otherwise (flat distributions, n above the sketch capacity) it is
+//     the O(DB log n) scan under the read lock, which contends with the
+//     merge loop. Both produce the same rows for the same aggregate
+//     state
 func (s *Server) handleHotPCs(w http.ResponseWriter, r *http.Request) {
 	n, err := intQueryParam(r, "n", 10, 1, 1000)
 	if err != nil {
@@ -608,6 +618,24 @@ func (s *Server) handleHotPCs(w http.ResponseWriter, r *http.Request) {
 			"approx":      true,
 			"error_bound": v.Floor,
 			"epoch":       v.Epoch,
+		})
+		return
+	}
+
+	v := agg.View()
+	if top, ok := v.ExactTop(n); ok {
+		rows := make([]hotPC, 0, len(top))
+		for _, a := range top {
+			rows = append(rows, accRow(a, float64(a.Samples)*v.S*v.LossCorr))
+		}
+		writeJSON(w, http.StatusOK, map[string]any{
+			"samples":   v.Counters.Samples,
+			"lost":      v.Counters.Lost,
+			"loss_rate": v.Counters.LossRate,
+			"pcs":       rows,
+			"approx":    false,
+			"certified": true,
+			"epoch":     v.RowsEpoch,
 		})
 		return
 	}
