@@ -1,0 +1,130 @@
+package frame_test
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"reflect"
+	"testing"
+
+	"profileme/internal/frame"
+)
+
+// fuzzLimit is the declared-length cap the fuzzed readers run under: high
+// enough that a hostile length passes the cap and has to be stopped by
+// the bytes-present bound instead.
+const fuzzLimit = 1 << 28
+
+// readAllShapes runs every frame reader over r(data) — each of the four
+// formats' layouts from a header, and each bare shape from byte 0 — and
+// returns the payloads delivered and the errors that ended each pass.
+func readAllShapes(t *testing.T, r func([]byte) io.Reader, data []byte) (payloads [][]byte, errs []error) {
+	keep := func(p []byte, err error) bool {
+		if err != nil && err != io.EOF && !typed(err) {
+			t.Fatalf("untyped error: %v", err)
+		}
+		if err == nil {
+			payloads = append(payloads, bytes.Clone(p))
+		}
+		errs = append(errs, err)
+		return err == nil
+	}
+	records := func(src io.Reader) {
+		var buf []byte
+		for ok := true; ok; {
+			var err error
+			buf, err = frame.ReadRecord(src, buf, fuzzLimit)
+			ok = keep(buf, err)
+		}
+	}
+	for _, magic := range []string{"PMDB", "PMCK"} {
+		keep(frame.ReadEnvelope(r(data), magic, 1, fuzzLimit))
+	}
+	src := r(data)
+	if _, err := frame.ReadHeader(src, "PMWS", 1); keep(nil, err) {
+		if _, err := frame.ReadUint64(src); keep(nil, err) {
+			records(src)
+		}
+	}
+	src = r(data)
+	if _, err := frame.ReadHeader(src, "PMTF", 1); keep(nil, err) {
+		if keep(frame.ReadBlock(src, fuzzLimit)) {
+			records(src)
+		}
+	}
+	keep(frame.ReadEnvelopeBody(r(data), fuzzLimit))
+	keep(frame.ReadBlock(r(data), fuzzLimit))
+	records(r(data))
+	return payloads, errs
+}
+
+// FuzzFrame holds the framing core to its contract on arbitrary bytes:
+// every reader ends in a clean decode, io.EOF on a record boundary, or
+// one of the three typed errors — never a panic — and allocates no more
+// than the input's size plus a constant per pass (a small multiple of it
+// for a reader that cannot say how much it holds), whatever lengths the
+// input declares. Sized and unsized readers must agree on every payload
+// and every error class, and a cleanly decoded envelope re-frames to
+// exactly the bytes it was read from.
+func FuzzFrame(f *testing.F) {
+	for _, fixture := range golden {
+		f.Add(fixture)
+		f.Add(fixture[:len(fixture)-3])
+		f.Add(fixture[frame.HeaderLen:]) // the bare shapes: envelope body, block + records
+		f.Add(fixture[16:])              // past PMWS's 16-byte segment header: records alone
+	}
+	f.Add([]byte{})
+	// Hostile lengths inside the cap, nothing behind them.
+	f.Add(frame.AppendUint64(frame.AppendHeader(nil, "PMCK", 1), fuzzLimit))
+	f.Add([]byte{0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0})
+
+	const passes, slack = 7, 128 << 10 // readAllShapes makes seven passes over the input
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sized, unsizedP [][]byte
+		var sizedErrs, unsizedErrs []error
+		got := allocated(func() {
+			sized, sizedErrs = readAllShapes(t, func(b []byte) io.Reader { return bytes.NewReader(b) }, data)
+		})
+		// Each pass holds at most one payload buffer and keeps a copy of
+		// what it delivered: two input sizes per pass.
+		if bound := uint64(passes * (2*len(data) + slack)); got > bound {
+			t.Fatalf("sized readers allocated %d bytes over a %d-byte input (bound %d)", got, len(data), bound)
+		}
+		got = allocated(func() {
+			unsizedP, unsizedErrs = readAllShapes(t, func(b []byte) io.Reader { return unsized{bytes.NewReader(b)} }, data)
+		})
+		if bound := uint64(passes * (6*len(data) + slack)); got > bound {
+			t.Fatalf("unsized readers allocated %d bytes over a %d-byte input (bound %d)", got, len(data), bound)
+		}
+		if !reflect.DeepEqual(sized, unsizedP) || len(sizedErrs) != len(unsizedErrs) {
+			t.Fatalf("sized and unsized readers disagree: %d/%d payloads, %d/%d results",
+				len(sized), len(unsizedP), len(sizedErrs), len(unsizedErrs))
+		}
+		for i := range sizedErrs {
+			if class(sizedErrs[i]) != class(unsizedErrs[i]) {
+				t.Fatalf("result %d: sized %v, unsized %v", i, sizedErrs[i], unsizedErrs[i])
+			}
+		}
+		for _, magic := range []string{"PMDB", "PMCK"} {
+			if payload, err := frame.ReadEnvelope(bytes.NewReader(data), magic, 1, fuzzLimit); err == nil {
+				var again bytes.Buffer
+				if err := frame.WriteEnvelope(&again, magic, 1, payload); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.HasPrefix(data, again.Bytes()) {
+					t.Fatalf("%s envelope does not re-frame to its own bytes", magic)
+				}
+			}
+		}
+	})
+}
+
+// class folds an error to the taxonomy member it wraps.
+func class(err error) error {
+	for _, c := range []error{frame.ErrCorrupt, frame.ErrTruncated, frame.ErrVersionSkew} {
+		if errors.Is(err, c) {
+			return c
+		}
+	}
+	return err
+}

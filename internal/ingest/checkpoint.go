@@ -2,13 +2,12 @@ package ingest
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 
+	"profileme/internal/frame"
 	"profileme/internal/profile"
 	"profileme/internal/wal"
 )
@@ -19,24 +18,20 @@ import (
 // the ledger already covers and re-applies the rest, so the 202 sent
 // after a WAL fsync survives a crash at any instruction.
 //
-// The envelope reuses the §7 conventions (magic, version, payload
-// length, gob payload, CRC32-C trailer) with its own magic so a
-// checkpoint can never be confused with a bare profile database. Legacy
-// bare-PMDB checkpoints (pre-WAL) still load, with an empty ledger.
+// On disk it is a frame envelope (DESIGN.md §7 "Framing") around a gob
+// payload, with its own magic so a checkpoint can never be confused with
+// a bare profile database. A bare PMDB (what a WAL-less pmsimd
+// -checkpoint writes) also loads, with an empty ledger.
 const (
 	ckptMagic   = "PMCK"
 	ckptVersion = 1
-	// ckptMaxBytes caps the declared payload against forged length
-	// fields, like profile.LoadDB's cap plus ledger headroom.
-	ckptMaxBytes   = 1<<28 + 1<<24
-	ckptHeaderLen  = 16 // magic[4] + version u32 + payload length u64
-	legacyDBMagic  = "PMDB"
-	corruptSuffix  = ".corrupt"
-	handedSuffix   = ".handedoff"
-	ckptCRCTrailer = 4
+	// ckptMaxBytes caps the declared payload: profile.LoadDB's cap plus
+	// ledger headroom.
+	ckptMaxBytes  = 1<<28 + 1<<24
+	bareDBMagic   = "PMDB"
+	corruptSuffix = ".corrupt"
+	handedSuffix  = ".handedoff"
 )
-
-var ckptCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Checkpoint is the durable snapshot: the aggregate (a profile.Save
 // image, CRC-protected on its own) plus the admission ledger and the
@@ -78,54 +73,19 @@ func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
 	if err := gob.NewEncoder(&payload).Encode(ck); err != nil {
 		return fmt.Errorf("ingest: checkpoint encode: %w", err)
 	}
-	var hdr [ckptHeaderLen]byte
-	copy(hdr[0:4], ckptMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], ckptVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(payload.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("ingest: checkpoint write: %w", err)
-	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
-		return fmt.Errorf("ingest: checkpoint write: %w", err)
-	}
-	var crc [ckptCRCTrailer]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload.Bytes(), ckptCRCTable))
-	if _, err := w.Write(crc[:]); err != nil {
+	if err := frame.WriteEnvelope(w, ckptMagic, ckptVersion, payload.Bytes()); err != nil {
 		return fmt.Errorf("ingest: checkpoint write: %w", err)
 	}
 	return nil
 }
 
 // ReadCheckpoint reads a PMCK envelope. Failures are typed with the
-// profile package's persistence errors (ErrCorrupt / ErrTruncated /
-// ErrVersionSkew) so callers classify damage the same way everywhere.
+// framing taxonomy (profile.ErrCorrupt / ErrTruncated / ErrVersionSkew)
+// so callers classify damage the same way everywhere.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var hdr [ckptHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("ingest: checkpoint header: %w", profile.ErrTruncated)
-	}
-	if string(hdr[0:4]) != ckptMagic {
-		return nil, fmt.Errorf("ingest: checkpoint bad magic: %w", profile.ErrCorrupt)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != ckptVersion {
-		return nil, fmt.Errorf("ingest: checkpoint format v%d, this build reads v%d: %w",
-			v, ckptVersion, profile.ErrVersionSkew)
-	}
-	n := binary.LittleEndian.Uint64(hdr[8:16])
-	if n > ckptMaxBytes {
-		return nil, fmt.Errorf("ingest: checkpoint declared payload %d exceeds %d: %w",
-			n, ckptMaxBytes, profile.ErrCorrupt)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("ingest: checkpoint payload: %w", profile.ErrTruncated)
-	}
-	var crcBuf [ckptCRCTrailer]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return nil, fmt.Errorf("ingest: checkpoint checksum: %w", profile.ErrTruncated)
-	}
-	if got, want := crc32.Checksum(payload, ckptCRCTable), binary.LittleEndian.Uint32(crcBuf[:]); got != want {
-		return nil, fmt.Errorf("ingest: checkpoint checksum %08x != %08x: %w", got, want, profile.ErrCorrupt)
+	payload, err := frame.ReadEnvelope(r, ckptMagic, ckptVersion, ckptMaxBytes)
+	if err != nil {
+		return nil, fmt.Errorf("ingest: checkpoint: %w", err)
 	}
 	var ck Checkpoint
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
@@ -135,7 +95,7 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 }
 
 // LoadCheckpointFile loads a checkpoint from disk, accepting both the
-// PMCK envelope and a legacy bare profile database (pre-WAL pmsimd
+// PMCK envelope and a bare profile database (WAL-less pmsimd
 // checkpoints), which loads with an empty ledger. A missing file
 // returns (nil, nil): a fresh start, not an error.
 func LoadCheckpointFile(path string) (*Checkpoint, error) {
@@ -146,10 +106,10 @@ func LoadCheckpointFile(path string) (*Checkpoint, error) {
 		}
 		return nil, fmt.Errorf("ingest: load checkpoint: %w", err)
 	}
-	if len(raw) >= 4 && string(raw[0:4]) == legacyDBMagic {
+	if len(raw) >= 4 && string(raw[0:4]) == bareDBMagic {
 		// Validate eagerly so damage surfaces here, typed, not later.
 		if _, err := profile.LoadDB(bytes.NewReader(raw)); err != nil {
-			return nil, fmt.Errorf("ingest: load legacy checkpoint %s: %w", path, err)
+			return nil, fmt.Errorf("ingest: load bare-database checkpoint %s: %w", path, err)
 		}
 		return &Checkpoint{Profile: raw}, nil
 	}

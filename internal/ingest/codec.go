@@ -29,10 +29,69 @@ import (
 // ErrTruncated / ErrVersionSkew instead.
 var ErrBadSubmit = errors.New("ingest: malformed submission")
 
-// submitEnvelope is the JSON wire format ([]byte marshals as base64).
-type submitEnvelope struct {
-	Shard   string `json:"shard"`
-	Profile []byte `json:"profile"`
+// record is the one JSON wrapper ([]byte marshals as base64) around a
+// profile envelope: submission and handoff bodies on the wire, and every
+// WAL record payload (walrec.go). Only WAL records carry Kind — a wire
+// body's kind is implied by its endpoint. Declaration order is wire
+// order, and pins a submission to exactly {"shard":…,"profile":…}.
+type record struct {
+	Kind    string   `json:"kind,omitempty"`
+	Shard   string   `json:"shard,omitempty"`   // admit: shard id
+	From    string   `json:"from,omitempty"`    // handoff, adopt: donor instance id
+	Profile []byte   `json:"profile,omitempty"` // admit, handoff: profile.Save bytes
+	Shards  []string `json:"shards,omitempty"`  // handoff, adopt: the donor's admitted shard ids
+	Key     string   `json:"key,omitempty"`     // WAL handoff: envelope content digest
+}
+
+// encodeRecord serializes rec, with save's output (when non-nil) as its
+// profile payload.
+func encodeRecord(rec record, save func(io.Writer) error) ([]byte, error) {
+	if save != nil {
+		var buf bytes.Buffer
+		if err := save(&buf); err != nil {
+			return nil, err
+		}
+		rec.Profile = buf.Bytes()
+	}
+	return json.Marshal(rec)
+}
+
+// decodeRecord parses body as a record of the given kind ("" for the
+// kind the record names itself), requires the fields that kind needs and
+// loads its profile payload (db is nil for an adopt record, which has
+// none). what names the body in messages; structural failures wrap bad,
+// payload damage keeps its profile.Err* type.
+func decodeRecord(body []byte, kind, what string, bad error) (rec record, db *profile.DB, err error) {
+	if err := json.Unmarshal(body, &rec); err != nil {
+		return rec, nil, fmt.Errorf("ingest: %s envelope: %v: %w", what, err, bad)
+	}
+	if kind != "" {
+		rec.Kind = kind
+	}
+	id := rec.From
+	switch rec.Kind {
+	case walKindAdmit:
+		id = rec.Shard
+	case walKindHandoff, walKindAdopt:
+	default:
+		return rec, nil, fmt.Errorf("ingest: %s kind %q: %w", what, rec.Kind, bad)
+	}
+	if id == "" {
+		return rec, nil, fmt.Errorf("ingest: %s without a shard or donor instance id: %w", what, bad)
+	}
+	if rec.Kind == walKindAdopt {
+		if len(rec.Shards) == 0 {
+			return rec, nil, fmt.Errorf("ingest: %s from %q adopts no shards: %w", what, id, bad)
+		}
+		return rec, nil, nil
+	}
+	if len(rec.Profile) == 0 {
+		return rec, nil, fmt.Errorf("ingest: %s %q without a profile payload: %w", what, id, bad)
+	}
+	if db, err = profile.LoadDB(bytes.NewReader(rec.Profile)); err != nil {
+		return rec, nil, fmt.Errorf("ingest: %s %q: %w", what, id, err)
+	}
+	return rec, db, nil
 }
 
 // EncodeSubmit serializes one shard database as a submission body.
@@ -40,35 +99,21 @@ func EncodeSubmit(shard string, db *profile.DB) ([]byte, error) {
 	if shard == "" {
 		return nil, fmt.Errorf("ingest: encode: empty shard id: %w", ErrBadSubmit)
 	}
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		return nil, err
-	}
-	return json.Marshal(submitEnvelope{Shard: shard, Profile: buf.Bytes()})
+	return encodeRecord(record{Shard: shard}, db.Save)
 }
 
 // DecodeSubmit parses a submission body. Every failure is typed —
 // ErrBadSubmit for envelope problems, profile.ErrCorrupt/ErrTruncated/
 // ErrVersionSkew for payload problems — and never a panic, whatever the
 // bytes; FuzzDecodeSubmit holds it to that. The caller bounds the body
-// size (http.MaxBytesReader); the inner decoder additionally caps the
-// declared payload allocation on its own.
+// size (http.MaxBytesReader); the framing layer allocates no more than
+// the bytes present, whatever length the payload declares.
 func DecodeSubmit(body []byte) (Submission, error) {
-	var env submitEnvelope
-	if err := json.Unmarshal(body, &env); err != nil {
-		return Submission{}, fmt.Errorf("ingest: submission envelope: %v: %w", err, ErrBadSubmit)
-	}
-	if env.Shard == "" {
-		return Submission{}, fmt.Errorf("ingest: submission without a shard id: %w", ErrBadSubmit)
-	}
-	if len(env.Profile) == 0 {
-		return Submission{}, fmt.Errorf("ingest: submission %q without a profile payload: %w", env.Shard, ErrBadSubmit)
-	}
-	db, err := profile.LoadDB(bytes.NewReader(env.Profile))
+	rec, db, err := decodeRecord(body, walKindAdmit, "submission", ErrBadSubmit)
 	if err != nil {
-		return Submission{}, fmt.Errorf("ingest: submission %q: %w", env.Shard, err)
+		return Submission{}, err
 	}
-	return Submission{Shard: env.Shard, DB: db}, nil
+	return Submission{Shard: rec.Shard, DB: db}, nil
 }
 
 // The drain-handoff wire format reuses the same double-envelope layering
@@ -78,11 +123,6 @@ func DecodeSubmit(body []byte) (Submission, error) {
 // ledger is what keeps the tier's dedupe honest across a drain: a client
 // retrying a shard the donor already merged hits the successor next, and
 // the successor must answer "duplicate", not merge it twice.
-type handoffEnvelope struct {
-	From    string   `json:"from"`
-	Profile []byte   `json:"profile"`
-	Shards  []string `json:"shards"`
-}
 
 // Handoff is one decoded drain handoff: a donor instance's full
 // aggregate plus its admitted-shard ledger.
@@ -128,34 +168,20 @@ func EncodeHandoff(from string, save func(io.Writer) error, shards []string) ([]
 	if from == "" {
 		return nil, fmt.Errorf("ingest: encode handoff: empty instance id: %w", ErrBadSubmit)
 	}
-	var buf bytes.Buffer
-	if err := save(&buf); err != nil {
-		return nil, err
-	}
-	return json.Marshal(handoffEnvelope{From: from, Profile: buf.Bytes(), Shards: shards})
+	return encodeRecord(record{From: from, Shards: shards}, save)
 }
 
 // DecodeHandoff parses a handoff body with the same typed-failure
 // contract as DecodeSubmit.
 func DecodeHandoff(body []byte) (Handoff, error) {
-	var env handoffEnvelope
-	if err := json.Unmarshal(body, &env); err != nil {
-		return Handoff{}, fmt.Errorf("ingest: handoff envelope: %v: %w", err, ErrBadSubmit)
-	}
-	if env.From == "" {
-		return Handoff{}, fmt.Errorf("ingest: handoff without a donor instance id: %w", ErrBadSubmit)
-	}
-	if len(env.Profile) == 0 {
-		return Handoff{}, fmt.Errorf("ingest: handoff from %q without a profile payload: %w", env.From, ErrBadSubmit)
-	}
-	db, err := profile.LoadDB(bytes.NewReader(env.Profile))
+	rec, db, err := decodeRecord(body, walKindHandoff, "handoff", ErrBadSubmit)
 	if err != nil {
-		return Handoff{}, fmt.Errorf("ingest: handoff from %q: %w", env.From, err)
+		return Handoff{}, err
 	}
 	return Handoff{
-		From:   env.From,
+		From:   rec.From,
 		DB:     db,
-		Shards: env.Shards,
-		Key:    HandoffKey(env.From, env.Profile, env.Shards),
+		Shards: rec.Shards,
+		Key:    HandoffKey(rec.From, rec.Profile, rec.Shards),
 	}, nil
 }

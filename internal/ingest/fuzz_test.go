@@ -9,35 +9,30 @@ import (
 	"profileme/internal/profile"
 )
 
-// FuzzDecodeSubmit feeds the HTTP submission decoder arbitrary bytes —
-// the same contract FuzzLoadDB pins for the disk envelope, lifted to the
-// wire: every rejection is typed (ErrBadSubmit for envelope damage,
-// profile.ErrCorrupt/ErrTruncated/ErrVersionSkew for payload damage),
-// never a panic or an unbounded allocation, and an accepted submission is
-// immediately usable for queries and loss accounting.
+// FuzzDecodeSubmit feeds the HTTP submission decoder arbitrary bytes.
+// The framing inside the profile payload is internal/frame's to fuzz
+// (FuzzFrame) and the payload's decoding profile's (FuzzLoadDB); the
+// contract here is the JSON wrapper's: every rejection is typed
+// (ErrBadSubmit for wrapper damage, profile.ErrCorrupt/ErrTruncated/
+// ErrVersionSkew passed through for payload damage), never a panic, a
+// body cannot smuggle in another record kind, and an accepted submission
+// is immediately usable for queries and loss accounting.
 func FuzzDecodeSubmit(f *testing.F) {
-	// Seed deep inside the grammar: a valid submission plus structured
-	// mutants (truncated inner envelope, flipped payload byte, wrong JSON
-	// shapes, oversized length claims).
-	db := testShard(7, 25)
-	valid, err := EncodeSubmit("compress/s003", db)
+	valid, err := EncodeSubmit("compress/s003", testShard(7, 25))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid)
-
-	var env submitEnvelope
-	if err := json.Unmarshal(valid, &env); err != nil {
+	var rec record
+	if err := json.Unmarshal(valid, &rec); err != nil {
 		f.Fatal(err)
 	}
-	trunc, _ := json.Marshal(submitEnvelope{Shard: env.Shard, Profile: env.Profile[:len(env.Profile)/2]})
-	f.Add(trunc)
-	flipped := append([]byte(nil), env.Profile...)
-	flipped[len(flipped)/2] ^= 0x20
-	mut, _ := json.Marshal(submitEnvelope{Shard: env.Shard, Profile: flipped})
-	f.Add(mut)
-	noShard, _ := json.Marshal(submitEnvelope{Profile: env.Profile})
+	noShard, _ := json.Marshal(record{Profile: rec.Profile})
 	f.Add(noShard)
+	adopt, _ := json.Marshal(record{Kind: walKindAdopt, Shard: "x", From: "c1", Shards: []string{"x"}})
+	f.Add(adopt)
+	handoff, _ := EncodeHandoff("c0", testShard(7, 25).Save, []string{"x"})
+	f.Add(handoff)
 	f.Add([]byte(`{"shard":"x","profile":""}`))
 	f.Add([]byte(`{"shard":"x","profile":"AAAA"}`))
 	f.Add([]byte(`{"shard":123}`))

@@ -1,13 +1,6 @@
 package ingest
 
-import (
-	"bytes"
-	"encoding/json"
-	"errors"
-	"fmt"
-
-	"profileme/internal/profile"
-)
+import "errors"
 
 // WAL record payloads reuse the submission codec's double-envelope
 // layering: a small JSON frame naming the record kind, wrapped around
@@ -37,26 +30,12 @@ const (
 // so replay treats it as a torn record (stop, don't crash).
 var ErrBadWALRecord = errors.New("ingest: malformed wal record")
 
-// walEnvelope is the JSON frame ([]byte marshals as base64).
-type walEnvelope struct {
-	Kind    string   `json:"kind"`
-	Shard   string   `json:"shard,omitempty"`  // admit
-	From    string   `json:"from,omitempty"`   // handoff/adopt: donor instance
-	Shards  []string `json:"shards,omitempty"` // handoff/adopt: shard ids
-	Key     string   `json:"key,omitempty"`    // handoff: envelope content digest
-	Profile []byte   `json:"profile,omitempty"`
-}
-
 // encodeAdmitRecord serializes a submission for the WAL. The shard DB
 // is re-encoded rather than reusing the wire bytes because Submit's
 // callers may construct Submissions in-process (tests, replay of
 // witness copies) with no wire form at hand.
 func encodeAdmitRecord(sub Submission) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := sub.DB.Save(&buf); err != nil {
-		return nil, err
-	}
-	return json.Marshal(walEnvelope{Kind: walKindAdmit, Shard: sub.Shard, Profile: buf.Bytes()})
+	return encodeRecord(record{Kind: walKindAdmit, Shard: sub.Shard}, sub.DB.Save)
 }
 
 // encodeHandoffRecord serializes an accepted drain handoff for the WAL.
@@ -64,51 +43,24 @@ func encodeAdmitRecord(sub Submission) ([]byte, error) {
 // re-serialized profile bytes need not match the wire bytes the key was
 // digested over.
 func encodeHandoffRecord(h Handoff) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := h.DB.Save(&buf); err != nil {
-		return nil, err
-	}
-	return json.Marshal(walEnvelope{Kind: walKindHandoff, From: h.From, Shards: h.Shards, Key: h.Key, Profile: buf.Bytes()})
+	return encodeRecord(record{Kind: walKindHandoff, From: h.From, Shards: h.Shards, Key: h.Key}, h.DB.Save)
 }
 
 // encodeAdoptRecord serializes a ledger adoption (no profile payload:
 // adoption moves dedupe obligations, not samples).
 func encodeAdoptRecord(from string, shards []string) ([]byte, error) {
-	return json.Marshal(walEnvelope{Kind: walKindAdopt, From: from, Shards: shards})
+	return encodeRecord(record{Kind: walKindAdopt, From: from, Shards: shards}, nil)
 }
 
 // decodeWALRecord parses one WAL record payload. Exactly one of sub or
 // h is meaningful, selected by kind.
 func decodeWALRecord(payload []byte) (kind string, sub Submission, h Handoff, err error) {
-	var env walEnvelope
-	if err := json.Unmarshal(payload, &env); err != nil {
-		return "", Submission{}, Handoff{}, fmt.Errorf("ingest: wal record envelope: %v: %w", err, ErrBadWALRecord)
-	}
-	if env.Kind == walKindAdopt {
-		// Adoption records are profile-free by design.
-		if env.From == "" || len(env.Shards) == 0 {
-			return "", Submission{}, Handoff{}, fmt.Errorf("ingest: wal adopt record without donor or shards: %w", ErrBadWALRecord)
-		}
-		return walKindAdopt, Submission{}, Handoff{From: env.From, Shards: env.Shards}, nil
-	}
-	if len(env.Profile) == 0 {
-		return "", Submission{}, Handoff{}, fmt.Errorf("ingest: wal %s record without a profile payload: %w", env.Kind, ErrBadWALRecord)
-	}
-	db, err := profile.LoadDB(bytes.NewReader(env.Profile))
+	rec, db, err := decodeRecord(payload, "", "wal record", ErrBadWALRecord)
 	if err != nil {
-		return "", Submission{}, Handoff{}, fmt.Errorf("ingest: wal %s record: %w", env.Kind, err)
+		return "", Submission{}, Handoff{}, err
 	}
-	switch env.Kind {
-	case walKindAdmit:
-		if env.Shard == "" {
-			return "", Submission{}, Handoff{}, fmt.Errorf("ingest: wal admit record without a shard id: %w", ErrBadWALRecord)
-		}
-		return walKindAdmit, Submission{Shard: env.Shard, DB: db}, Handoff{}, nil
-	case walKindHandoff:
-		if env.From == "" {
-			return "", Submission{}, Handoff{}, fmt.Errorf("ingest: wal handoff record without a donor id: %w", ErrBadWALRecord)
-		}
-		return walKindHandoff, Submission{}, Handoff{From: env.From, DB: db, Shards: env.Shards, Key: env.Key}, nil
+	if rec.Kind == walKindAdmit {
+		return rec.Kind, Submission{Shard: rec.Shard, DB: db}, Handoff{}, nil
 	}
-	return "", Submission{}, Handoff{}, fmt.Errorf("ingest: wal record kind %q: %w", env.Kind, ErrBadWALRecord)
+	return rec.Kind, Submission{}, Handoff{From: rec.From, DB: db, Shards: rec.Shards, Key: rec.Key}, nil
 }

@@ -2,44 +2,41 @@ package profile
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"profileme/internal/frame"
 )
 
-// Typed persistence failures. LoadDB wraps every failure in exactly one of
-// these, so callers can distinguish a damaged file from a stale format
-// with errors.Is and react (retry, re-collect, run a migration) instead of
+// Typed persistence failures: the repository-wide framing taxonomy
+// (internal/frame), under the names callers of this package have always
+// classified with. LoadDB wraps every failure in exactly one of these,
+// so callers can distinguish a damaged file from a stale format with
+// errors.Is and react (retry, re-collect, run a migration) instead of
 // parsing message text.
 var (
 	// ErrCorrupt: the bytes are not a profile database — bad magic,
 	// checksum mismatch, or an undecodable payload.
-	ErrCorrupt = errors.New("profile: database corrupt")
+	ErrCorrupt = frame.ErrCorrupt
 	// ErrTruncated: the stream ended before the envelope said it would
 	// (interrupted Save, partial copy).
-	ErrTruncated = errors.New("profile: database truncated")
+	ErrTruncated = frame.ErrTruncated
 	// ErrVersionSkew: a well-formed database written by a different
 	// format version, including pre-envelope (naked gob) files.
-	ErrVersionSkew = errors.New("profile: database version skew")
+	ErrVersionSkew = frame.ErrVersionSkew
 )
 
-// The on-disk envelope: magic, format version, payload length, gob
-// payload, CRC32-C of the payload. The checksum turns silent bit rot and
-// truncation into typed load errors instead of garbage decodes.
+// The on-disk format is a frame envelope (DESIGN.md §7 "Framing") around
+// a gob payload.
 const (
 	dbMagic   = "PMDB"
 	dbVersion = 1
-	// maxImageBytes caps the declared payload so a forged length field
-	// cannot drive allocation (a compact per-PC image is megabytes, not
-	// gigabytes).
+	// maxImageBytes caps the declared payload (a compact per-PC image is
+	// megabytes, not gigabytes).
 	maxImageBytes = 1 << 28
-	headerBytes   = 16 // magic[4] + version u32 + payload length u64
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // dbImage is the serialized form of a DB (the DCPI-style on-disk profile:
 // counts and sums only, no raw samples). Custom pair-metric functions are
@@ -76,19 +73,7 @@ func (db *DB) Save(w io.Writer) error {
 	if err := gob.NewEncoder(&payload).Encode(img); err != nil {
 		return fmt.Errorf("profile: save: %w", err)
 	}
-	var hdr [headerBytes]byte
-	copy(hdr[0:4], dbMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], dbVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(payload.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("profile: save: %w", err)
-	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
-		return fmt.Errorf("profile: save: %w", err)
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload.Bytes(), crcTable))
-	if _, err := w.Write(crc[:]); err != nil {
+	if err := frame.WriteEnvelope(w, dbMagic, dbVersion, payload.Bytes()); err != nil {
 		return fmt.Errorf("profile: save: %w", err)
 	}
 	return nil
@@ -100,40 +85,20 @@ func (db *DB) Save(w io.Writer) error {
 // ErrVersionSkew — never a panic, a garbage database, or an unbounded
 // allocation.
 func LoadDB(r io.Reader) (*DB, error) {
-	var hdr [headerBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("profile: load: header: %w", ErrTruncated)
-	}
-	if string(hdr[0:4]) != dbMagic {
-		// Pre-envelope databases were naked gob streams. If the bytes
-		// decode as one, this is an old format, not damage.
+	hdr, err := frame.ReadHeader(r, dbMagic, dbVersion)
+	if err != nil {
+		// Pre-envelope databases were naked gob streams. If a foreign
+		// magic is the start of one, this is an old format, not damage.
 		legacy := io.MultiReader(bytes.NewReader(hdr[:]), io.LimitReader(r, maxImageBytes))
-		var img dbImage
-		if gob.NewDecoder(legacy).Decode(&img) == nil {
+		if errors.Is(err, ErrCorrupt) && gob.NewDecoder(legacy).Decode(new(dbImage)) == nil {
 			return nil, fmt.Errorf("profile: load: unversioned pre-v%d database: %w",
 				dbVersion, ErrVersionSkew)
 		}
-		return nil, fmt.Errorf("profile: load: bad magic: %w", ErrCorrupt)
+		return nil, fmt.Errorf("profile: load: %w", err)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != dbVersion {
-		return nil, fmt.Errorf("profile: load: format v%d, this build reads v%d: %w",
-			v, dbVersion, ErrVersionSkew)
-	}
-	n := binary.LittleEndian.Uint64(hdr[8:16])
-	if n > maxImageBytes {
-		return nil, fmt.Errorf("profile: load: declared payload %d exceeds %d: %w",
-			n, maxImageBytes, ErrCorrupt)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("profile: load: payload: %w", ErrTruncated)
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return nil, fmt.Errorf("profile: load: checksum: %w", ErrTruncated)
-	}
-	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(crcBuf[:]); got != want {
-		return nil, fmt.Errorf("profile: load: checksum %08x != %08x: %w", got, want, ErrCorrupt)
+	payload, err := frame.ReadEnvelopeBody(r, maxImageBytes)
+	if err != nil {
+		return nil, fmt.Errorf("profile: load: %w", err)
 	}
 	var img dbImage
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&img); err != nil {

@@ -7,7 +7,12 @@ import (
 	"testing"
 
 	"profileme/internal/core"
+	"profileme/internal/frame"
 )
+
+// headerBytes is where the payload starts in a saved image: the frame
+// header plus the u64 payload length.
+const headerBytes = frame.HeaderLen + 8
 
 // saveImage returns a freshly saved database image with addrs, a pair
 // metric, and recorded loss — every serialized feature exercised.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"time"
 
+	"profileme/internal/frame"
 	"profileme/internal/ingest"
 	"profileme/internal/runner"
 )
@@ -149,7 +150,7 @@ func deliver(ctx context.Context, recs []Record, sink runner.Sink, opts Options)
 		}
 		if sub.Shard != rec.Shard {
 			return rep, fmt.Errorf("traffic: record %d: frame says shard %q, body says %q: %w",
-				i, rec.Shard, sub.Shard, ErrTraceCorrupt)
+				i, rec.Shard, sub.Shard, frame.ErrCorrupt)
 		}
 		if err := pace(ctx, start, rec.OffsetUS, opts.Speed); err != nil {
 			return rep, err

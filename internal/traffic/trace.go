@@ -1,56 +1,33 @@
 package traffic
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"profileme/internal/frame"
 )
 
-// The trace file rides the repo's envelope conventions (DESIGN.md §7,
-// §9, §12): a magic+version header, length-prefixed CRC32-C-framed
-// records, typed decode errors, and allocation caps on every declared
-// length.
-//
-//	header: "PMTF" | version u32 | meta len u32 | meta JSON | crc32c(meta) u32
-//	record: payload len u32 | crc32c(payload) u32 | payload JSON
+// The trace file is built from internal/frame's pieces (DESIGN.md §7
+// "Framing"): a "PMTF" header, one checksummed block of meta JSON, then
+// stream records of record JSON. Decode failures are frame's ErrCorrupt /
+// ErrTruncated / ErrVersionSkew.
 //
 // The meta block carries the generating Spec (nil for live captures), so
 // a trace is self-describing: describe/replay need no side files. A
 // clean end of file falls exactly on a record boundary; anything else —
-// a torn tail from a crashed recorder — reads back as ErrTruncated after
-// every complete record has been delivered, never as a panic or a
+// a torn tail from a crashed recorder — reads back as frame.ErrTruncated
+// after every complete record has been delivered, never as a panic or a
 // garbage record.
 const (
 	traceMagic   = "PMTF"
 	traceVersion = 1
-	// traceHeaderBytes: magic[4] + version u32 + meta len u32.
-	traceHeaderBytes = 12
-	// recFrameBytes: payload len u32 + payload CRC32-C u32.
-	recFrameBytes = 8
-	// maxMetaBytes / maxRecordBytes cap declared lengths so a forged
-	// field cannot drive allocation (a submission is bounded by the
-	// collector's 8 MiB body cap; 64 MiB leaves headroom).
+	// maxMetaBytes / maxRecordBytes cap declared lengths (a submission
+	// is bounded by the collector's 8 MiB body cap; 64 MiB leaves
+	// headroom).
 	maxMetaBytes   = 1 << 20
 	maxRecordBytes = 1 << 26
 )
-
-// Typed trace-decode failures, mirroring profile.Err* semantics.
-var (
-	// ErrTraceCorrupt: the bytes are not a trace — bad magic, checksum
-	// mismatch, undecodable record, or an impossible declared length.
-	ErrTraceCorrupt = errors.New("traffic: trace corrupt")
-	// ErrTraceTruncated: the stream ended inside a header or record (a
-	// torn tail); records before the tear were delivered intact.
-	ErrTraceTruncated = errors.New("traffic: trace truncated")
-	// ErrTraceVersionSkew: a well-formed trace written by a different
-	// format version.
-	ErrTraceVersionSkew = errors.New("traffic: trace version skew")
-)
-
-var traceCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // Meta is the trace header block.
 type Meta struct {
@@ -98,20 +75,11 @@ func NewWriter(w io.Writer, meta Meta) (*Writer, error) {
 	if len(metaJSON) > maxMetaBytes {
 		return nil, fmt.Errorf("traffic: trace meta %d bytes exceeds %d", len(metaJSON), maxMetaBytes)
 	}
-	var hdr [traceHeaderBytes]byte
-	copy(hdr[0:4], traceMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], traceVersion)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(metaJSON)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(frame.AppendHeader(nil, traceMagic, traceVersion)); err != nil {
 		return nil, fmt.Errorf("traffic: write trace header: %w", err)
 	}
-	if _, err := w.Write(metaJSON); err != nil {
+	if err := frame.WriteBlock(w, metaJSON); err != nil {
 		return nil, fmt.Errorf("traffic: write trace meta: %w", err)
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(metaJSON, traceCRC))
-	if _, err := w.Write(crc[:]); err != nil {
-		return nil, fmt.Errorf("traffic: write trace meta checksum: %w", err)
 	}
 	return &Writer{w: w}, nil
 }
@@ -125,13 +93,7 @@ func (tw *Writer) Append(rec Record) error {
 	if len(payload) > maxRecordBytes {
 		return fmt.Errorf("traffic: trace record %d bytes exceeds %d", len(payload), maxRecordBytes)
 	}
-	var frame [recFrameBytes]byte
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, traceCRC))
-	if _, err := tw.w.Write(frame[:]); err != nil {
-		return fmt.Errorf("traffic: write trace record frame: %w", err)
-	}
-	if _, err := tw.w.Write(payload); err != nil {
+	if err := frame.WriteRecord(tw.w, payload); err != nil {
 		return fmt.Errorf("traffic: write trace record: %w", err)
 	}
 	tw.n++
@@ -145,45 +107,27 @@ func (tw *Writer) Count() int { return tw.n }
 type Reader struct {
 	r    io.Reader
 	meta Meta
+	buf  []byte // record payload buffer, reused across Next calls
 }
 
-// NewReader parses the trace header. Failures are typed: ErrTraceCorrupt
-// (bad magic, bad meta), ErrTraceTruncated (stream ends inside the
-// header), ErrTraceVersionSkew (other format version).
+// NewReader parses the trace header. Failures are typed: frame.ErrCorrupt
+// (bad magic, bad meta), frame.ErrTruncated (stream ends inside the
+// header), frame.ErrVersionSkew (other format version).
 func NewReader(r io.Reader) (*Reader, error) {
-	var hdr [traceHeaderBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("traffic: trace header: %w", ErrTraceTruncated)
+	if _, err := frame.ReadHeader(r, traceMagic, traceVersion); err != nil {
+		return nil, fmt.Errorf("traffic: trace: %w", err)
 	}
-	if string(hdr[0:4]) != traceMagic {
-		return nil, fmt.Errorf("traffic: trace magic %q: %w", hdr[0:4], ErrTraceCorrupt)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != traceVersion {
-		return nil, fmt.Errorf("traffic: trace format v%d, this build reads v%d: %w",
-			v, traceVersion, ErrTraceVersionSkew)
-	}
-	n := binary.LittleEndian.Uint32(hdr[8:12])
-	if n > maxMetaBytes {
-		return nil, fmt.Errorf("traffic: declared meta %d bytes exceeds %d: %w", n, maxMetaBytes, ErrTraceCorrupt)
-	}
-	metaJSON := make([]byte, n)
-	if _, err := io.ReadFull(r, metaJSON); err != nil {
-		return nil, fmt.Errorf("traffic: trace meta: %w", ErrTraceTruncated)
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return nil, fmt.Errorf("traffic: trace meta checksum: %w", ErrTraceTruncated)
-	}
-	if got, want := crc32.Checksum(metaJSON, traceCRC), binary.LittleEndian.Uint32(crcBuf[:]); got != want {
-		return nil, fmt.Errorf("traffic: trace meta checksum %08x != %08x: %w", got, want, ErrTraceCorrupt)
+	metaJSON, err := frame.ReadBlock(r, maxMetaBytes)
+	if err != nil {
+		return nil, fmt.Errorf("traffic: trace meta: %w", err)
 	}
 	tr := &Reader{r: r}
 	if err := json.Unmarshal(metaJSON, &tr.meta); err != nil {
-		return nil, fmt.Errorf("traffic: trace meta: %v: %w", err, ErrTraceCorrupt)
+		return nil, fmt.Errorf("traffic: trace meta: %v: %w", err, frame.ErrCorrupt)
 	}
 	if tr.meta.Spec != nil {
 		if err := tr.meta.Spec.Validate(); err != nil {
-			return nil, fmt.Errorf("traffic: trace meta spec: %v: %w", err, ErrTraceCorrupt)
+			return nil, fmt.Errorf("traffic: trace meta spec: %v: %w", err, frame.ErrCorrupt)
 		}
 	}
 	return tr, nil
@@ -193,33 +137,23 @@ func NewReader(r io.Reader) (*Reader, error) {
 func (tr *Reader) Meta() Meta { return tr.meta }
 
 // Next returns the next record. io.EOF means a clean end (the stream
-// ended exactly on a record boundary); ErrTraceTruncated means a torn
-// tail; ErrTraceCorrupt means checksum or decode failure.
+// ended exactly on a record boundary); frame.ErrTruncated means a torn
+// tail; frame.ErrCorrupt means checksum or decode failure.
 func (tr *Reader) Next() (Record, error) {
-	var frame [recFrameBytes]byte
-	if _, err := io.ReadFull(tr.r, frame[:]); err != nil {
-		if err == io.EOF {
-			return Record{}, io.EOF
-		}
-		return Record{}, fmt.Errorf("traffic: trace record frame: %w", ErrTraceTruncated)
+	payload, err := frame.ReadRecord(tr.r, tr.buf, maxRecordBytes)
+	if err == io.EOF {
+		return Record{}, io.EOF
 	}
-	n := binary.LittleEndian.Uint32(frame[0:4])
-	if n > maxRecordBytes {
-		return Record{}, fmt.Errorf("traffic: declared record %d bytes exceeds %d: %w", n, maxRecordBytes, ErrTraceCorrupt)
+	if err != nil {
+		return Record{}, fmt.Errorf("traffic: trace: %w", err)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(tr.r, payload); err != nil {
-		return Record{}, fmt.Errorf("traffic: trace record payload: %w", ErrTraceTruncated)
-	}
-	if got, want := crc32.Checksum(payload, traceCRC), binary.LittleEndian.Uint32(frame[4:8]); got != want {
-		return Record{}, fmt.Errorf("traffic: trace record checksum %08x != %08x: %w", got, want, ErrTraceCorrupt)
-	}
+	tr.buf = payload
 	var rec Record
 	if err := json.Unmarshal(payload, &rec); err != nil {
-		return Record{}, fmt.Errorf("traffic: trace record: %v: %w", err, ErrTraceCorrupt)
+		return Record{}, fmt.Errorf("traffic: trace record: %v: %w", err, frame.ErrCorrupt)
 	}
 	if rec.Shard == "" || len(rec.Body) == 0 {
-		return Record{}, fmt.Errorf("traffic: trace record missing shard or body: %w", ErrTraceCorrupt)
+		return Record{}, fmt.Errorf("traffic: trace record missing shard or body: %w", frame.ErrCorrupt)
 	}
 	return rec, nil
 }

@@ -3,9 +3,12 @@ package traffic
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"testing"
+
+	"profileme/internal/frame"
 )
 
 // driveTrace materializes the test spec and writes its trace to a
@@ -79,8 +82,8 @@ func TestTraceTornTail(t *testing.T) {
 	// come back intact, then the typed truncation error.
 	torn := full[:len(full)-7]
 	meta, recs, err := ReadAll(bytes.NewReader(torn))
-	if !errors.Is(err, ErrTraceTruncated) {
-		t.Fatalf("torn tail: want ErrTraceTruncated, got %v", err)
+	if !errors.Is(err, frame.ErrTruncated) {
+		t.Fatalf("torn tail: want frame.ErrTruncated, got %v", err)
 	}
 	if meta.Spec == nil {
 		t.Fatal("torn tail lost the meta block")
@@ -93,12 +96,12 @@ func TestTraceTornTail(t *testing.T) {
 func TestTraceBitFlip(t *testing.T) {
 	full := driveTrace(t, smallSpec())
 	// Flip one bit inside the last record's payload (well past the
-	// header): the reader must answer ErrTraceCorrupt, not garbage.
+	// header): the reader must answer frame.ErrCorrupt, not garbage.
 	flipped := append([]byte(nil), full...)
 	flipped[len(flipped)-20] ^= 0x40
 	_, _, err := ReadAll(bytes.NewReader(flipped))
-	if !errors.Is(err, ErrTraceCorrupt) {
-		t.Fatalf("bit flip: want ErrTraceCorrupt, got %v", err)
+	if !errors.Is(err, frame.ErrCorrupt) {
+		t.Fatalf("bit flip: want frame.ErrCorrupt, got %v", err)
 	}
 }
 
@@ -106,57 +109,55 @@ func TestTraceVersionSkewAndBadMagic(t *testing.T) {
 	full := driveTrace(t, smallSpec())
 	skewed := append([]byte(nil), full...)
 	skewed[4] = 99 // version field
-	if _, err := NewReader(bytes.NewReader(skewed)); !errors.Is(err, ErrTraceVersionSkew) {
-		t.Fatalf("version skew: want ErrTraceVersionSkew, got %v", err)
+	if _, err := NewReader(bytes.NewReader(skewed)); !errors.Is(err, frame.ErrVersionSkew) {
+		t.Fatalf("version skew: want frame.ErrVersionSkew, got %v", err)
 	}
 	notTrace := []byte("PMDBxxxxxxxxxxxxxxxx")
-	if _, err := NewReader(bytes.NewReader(notTrace)); !errors.Is(err, ErrTraceCorrupt) {
-		t.Fatalf("bad magic: want ErrTraceCorrupt, got %v", err)
+	if _, err := NewReader(bytes.NewReader(notTrace)); !errors.Is(err, frame.ErrCorrupt) {
+		t.Fatalf("bad magic: want frame.ErrCorrupt, got %v", err)
 	}
-	if _, err := NewReader(bytes.NewReader(full[:6])); !errors.Is(err, ErrTraceTruncated) {
-		t.Fatalf("short header: want ErrTraceTruncated, got %v", err)
+	if _, err := NewReader(bytes.NewReader(full[:6])); !errors.Is(err, frame.ErrTruncated) {
+		t.Fatalf("short header: want frame.ErrTruncated, got %v", err)
 	}
 }
 
-// FuzzTraceDecode holds the reader to its contract on arbitrary bytes:
-// typed errors or clean decode, never a panic, never unbounded
-// allocation.
+// FuzzTraceDecode feeds the reader arbitrary meta and record payloads
+// inside well-formed frames. What damaged framing decodes to is
+// internal/frame's contract (FuzzFrame); the contract here is the
+// payloads': one the frame vouches for but JSON or the field checks
+// refuse is ErrCorrupt, never a panic, and an accepted record is
+// complete.
 func FuzzTraceDecode(f *testing.F) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, Meta{Source: "fuzz"})
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := w.Append(Record{OffsetUS: 10, Cohort: "c", Shard: "c/s000", Body: []byte("xx")}); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)-3])
-	f.Add([]byte("PMTF"))
-	f.Add([]byte{})
-	mut := append([]byte(nil), valid...)
-	mut[9] = 0xff
-	f.Add(mut)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := NewReader(bytes.NewReader(data))
+	meta, _ := json.Marshal(Meta{Spec: smallSpec(), Source: "fuzz"})
+	rec, _ := json.Marshal(Record{OffsetUS: 10, Cohort: "c", Shard: "c/s000", Body: []byte("xx")})
+	f.Add(meta, rec)
+	f.Add([]byte(`{"source":"live"}`), rec)
+	f.Add([]byte(`{"spec":{"version":9}}`), rec)
+	f.Add(meta, []byte(`{"shard":"c/s000"}`))
+	f.Add([]byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, meta, rec []byte) {
+		buf := bytes.NewBuffer(frame.AppendHeader(nil, traceMagic, traceVersion))
+		frame.WriteBlock(buf, meta)
+		frame.WriteRecord(buf, rec)
+		tr, err := NewReader(buf)
 		if err != nil {
-			if !errors.Is(err, ErrTraceCorrupt) && !errors.Is(err, ErrTraceTruncated) && !errors.Is(err, ErrTraceVersionSkew) {
-				t.Fatalf("untyped header error: %v", err)
+			if !errors.Is(err, frame.ErrCorrupt) {
+				t.Fatalf("intact frames, bad meta: want ErrCorrupt, got %v", err)
 			}
 			return
 		}
-		for {
-			_, err := tr.Next()
-			if err == io.EOF {
-				return
+		got, err := tr.Next()
+		if err != nil {
+			if !errors.Is(err, frame.ErrCorrupt) {
+				t.Fatalf("intact frames, bad record: want ErrCorrupt, got %v", err)
 			}
-			if err != nil {
-				if !errors.Is(err, ErrTraceCorrupt) && !errors.Is(err, ErrTraceTruncated) {
-					t.Fatalf("untyped record error: %v", err)
-				}
-				return
-			}
+			return
+		}
+		if got.Shard == "" || len(got.Body) == 0 {
+			t.Fatalf("accepted record incomplete: %+v", got)
+		}
+		if _, err := tr.Next(); err != io.EOF {
+			t.Fatalf("after the only record: want io.EOF, got %v", err)
 		}
 	})
 }

@@ -2,37 +2,30 @@ package wal
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"profileme/internal/frame"
 )
 
 // buildSegment assembles a syntactically valid segment image from
 // payloads, for use as fuzz seed corpus.
 func buildSegment(seq uint64, payloads ...[]byte) []byte {
-	var buf bytes.Buffer
-	var hdr [segHeaderBytes]byte
-	copy(hdr[0:4], segMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], segVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], seq)
-	buf.Write(hdr[:])
+	buf := bytes.NewBuffer(frame.AppendUint64(frame.AppendHeader(nil, segMagic, segVersion), seq))
 	for _, p := range payloads {
-		var rec [recHeaderBytes]byte
-		binary.LittleEndian.PutUint32(rec[0:4], uint32(len(p)))
-		binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(p, crcTable))
-		buf.Write(rec[:])
-		buf.Write(p)
+		frame.WriteRecord(buf, p)
 	}
 	return buf.Bytes()
 }
 
 // FuzzReplay feeds arbitrary bytes to the segment scanner as segment 1.
-// Whatever the mutation — truncation, torn frames, bit flips, hostile
-// length fields — replay must not panic, must not return an error (a
-// damaged tail is data, not failure), and must be idempotent: two scans
-// of the same bytes yield identical records and truncation points.
+// What the bytes decode to is frame's contract (FuzzFrame); this target
+// holds the log's: whatever the damage, replay must not panic, must not
+// return an error (a damaged tail is data, not failure), must be
+// idempotent — two scans of the same bytes yield identical records and
+// truncation points — and open-with-repair must leave a log that
+// replays the same intact prefix and accepts appends.
 func FuzzReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(buildSegment(1))
@@ -41,11 +34,10 @@ func FuzzReplay(f *testing.F) {
 	f.Add(append(buildSegment(1, []byte("intact")), 0x07, 0x00))
 	// Wrong sequence number in the header.
 	f.Add(buildSegment(42, []byte("misfiled")))
-	// Hostile length field: claims 4 GiB.
-	hostile := buildSegment(1)
-	var rec [recHeaderBytes]byte
-	binary.LittleEndian.PutUint32(rec[0:4], 0xfffffff0)
-	f.Add(append(hostile, rec[:]...))
+	// Rot in the first record: the intact one behind it must not replay.
+	rotted := buildSegment(1, []byte("rotted"), []byte("suspect"))
+	rotted[segHeaderBytes+recHeaderBytes] ^= 0x01
+	f.Add(rotted)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -2,14 +2,13 @@ package wal
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"time"
+
+	"profileme/internal/frame"
 )
 
 // ReplayInfo reports what a replay found and what it had to repair.
@@ -100,10 +99,10 @@ func replay(cfg Config, apply func(pos Pos, payload []byte) error, repair bool) 
 }
 
 // replaySegment scans one segment, applying intact records. It returns
-// the offset of the first byte past the last intact record. A torn or
-// invalid frame sets info.Truncated/TruncatedAt and stops the scan; an
-// unreadable or foreign header counts as invalid at the header itself
-// (the whole segment is suspect).
+// the offset of the first byte past the last intact record. Any frame
+// error — torn, rotted, over the record cap — sets info.Truncated/
+// TruncatedAt and stops the scan; an unreadable or foreign header counts
+// as invalid at the header itself (the whole segment is suspect).
 func replaySegment(cfg Config, path string, seq uint64, apply func(Pos, []byte) error, info *ReplayInfo) (int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -111,58 +110,36 @@ func replaySegment(cfg Config, path string, seq uint64, apply func(Pos, []byte) 
 	}
 	defer f.Close()
 	r := bufio.NewReader(f)
-	var hdr [segHeaderBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	cutAt := func(off int64) (int64, error) {
 		info.Truncated = true
-		info.TruncatedAt = Pos{Seg: seq, Off: 0}
-		return 0, nil
+		info.TruncatedAt = Pos{Seg: seq, Off: off}
+		return off, nil
 	}
-	if string(hdr[0:4]) != segMagic ||
-		binary.LittleEndian.Uint32(hdr[4:8]) != segVersion ||
-		binary.LittleEndian.Uint64(hdr[8:16]) != seq {
-		info.Truncated = true
-		info.TruncatedAt = Pos{Seg: seq, Off: 0}
-		return 0, nil
+	if _, err := frame.ReadHeader(r, segMagic, segVersion); err != nil {
+		return cutAt(0)
+	}
+	if got, err := frame.ReadUint64(r); err != nil || got != seq {
+		return cutAt(0)
 	}
 	goodOff := int64(segHeaderBytes)
-	var rec [recHeaderBytes]byte
-	var payload bytes.Buffer
+	var payload []byte // one buffer, reused across the segment's records
 	for {
-		pos := Pos{Seg: seq, Off: goodOff}
-		if _, err := io.ReadFull(r, rec[:]); err != nil {
-			if err == io.EOF {
-				return goodOff, nil // clean end of segment
-			}
-			// Torn record header.
-			info.Truncated = true
-			info.TruncatedAt = pos
-			return goodOff, nil
+		payload, err = frame.ReadRecord(r, payload, cfg.MaxRecordBytes)
+		if err == io.EOF {
+			return goodOff, nil // clean end of segment
 		}
-		n := binary.LittleEndian.Uint32(rec[0:4])
-		want := binary.LittleEndian.Uint32(rec[4:8])
-		if int64(n) > cfg.MaxRecordBytes {
-			info.Truncated = true
-			info.TruncatedAt = pos
-			return goodOff, nil
-		}
-		payload.Reset()
-		if _, err := io.CopyN(&payload, r, int64(n)); err != nil {
-			info.Truncated = true
-			info.TruncatedAt = pos
-			return goodOff, nil
-		}
-		if crc32.Checksum(payload.Bytes(), crcTable) != want {
-			info.Truncated = true
-			info.TruncatedAt = pos
-			return goodOff, nil
+		if err != nil {
+			return cutAt(goodOff)
 		}
 		if apply != nil {
-			if err := apply(pos, payload.Bytes()); err != nil {
+			pos := Pos{Seg: seq, Off: goodOff}
+			if err := apply(pos, payload); err != nil {
 				return goodOff, fmt.Errorf("wal: replay %s at %v: apply: %w", path, pos, err)
 			}
 		}
-		goodOff += int64(recHeaderBytes) + int64(n)
+		n := int64(recHeaderBytes + len(payload))
+		goodOff += n
 		info.Records++
-		info.Bytes += int64(recHeaderBytes) + int64(n)
+		info.Bytes += n
 	}
 }

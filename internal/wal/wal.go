@@ -2,17 +2,15 @@
 // of CRC-framed records spread across rotated segment files, with group
 // commit so hot-path appenders share fsyncs instead of paying one each.
 //
-// The durability contract mirrors the rest of the stack's envelope
-// conventions (DESIGN.md §7/§9): every record is length-prefixed and
-// CRC32-C framed, every segment opens with a versioned header, and a
-// reader can always distinguish "the writer crashed mid-record" (torn
-// tail, truncate and continue) from "the bytes rotted" (checksum
-// mismatch, also truncate — everything after an invalid record is
-// suspect). Replay applies records in append order and stops at the
-// first invalid frame, which is exactly the prefix the writer could
-// have acknowledged: a record is only acknowledged (Append returns)
-// after an fsync covered it, so a torn record was never promised to
-// anyone.
+// Framing is internal/frame's (DESIGN.md §7 "Framing"): every segment
+// opens with a versioned header plus its sequence number, and every
+// record is a frame stream record. A torn tail (the writer crashed
+// mid-record) and rotted bytes (checksum mismatch) are treated alike:
+// replay applies records in append order and stops at the first invalid
+// frame — everything after it is suspect — which is exactly the prefix
+// the writer could have acknowledged: a record is only acknowledged
+// (Append returns) after an fsync covered it, so a torn record was never
+// promised to anyone.
 //
 // Rotation is directory-fsync-correct: a new segment file is created,
 // its header written and synced, and the parent directory synced before
@@ -28,29 +26,26 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"profileme/internal/frame"
 )
 
 // Segment and record framing.
 const (
 	segMagic   = "PMWS"
 	segVersion = 1
-	// segHeaderBytes: magic[4] + version u32 + seq u64.
-	segHeaderBytes = 16
-	// recHeaderBytes: payload length u32 + CRC32-C u32.
-	recHeaderBytes = 8
+	// segHeaderBytes: the frame header + the segment's seq u64.
+	segHeaderBytes = frame.HeaderLen + 8
+	recHeaderBytes = frame.RecordHeaderLen
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Typed failures.
 var (
@@ -404,14 +399,11 @@ func (l *Log) newSegmentLocked(seq uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: create segment %d: %w", seq, err)
 	}
-	var hdr [segHeaderBytes]byte
-	copy(hdr[0:4], segMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], segVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], seq)
+	hdr := frame.AppendUint64(frame.AppendHeader(nil, segMagic, segVersion), seq)
 	// On any failure past this point the half-created file must go away:
 	// rotation retries the same seq, and a leftover would turn one
 	// transient create error into a permanent "file exists".
-	if _, err := f.Write(hdr[:]); err != nil {
+	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		os.Remove(path)
 		return fmt.Errorf("wal: segment %d header: %w", seq, err)
@@ -473,9 +465,7 @@ func (l *Log) Stage(payload []byte) (Pos, *Ticket, error) {
 			return Pos{}, nil, err
 		}
 	}
-	var hdr [recHeaderBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
+	hdr := frame.RecordHeader(payload)
 	pos := Pos{Seg: l.seq, Off: l.off}
 	if _, err := l.f.Write(hdr[:]); err != nil {
 		l.wedged = err
