@@ -59,8 +59,9 @@ func encodeRecord(rec record, save func(io.Writer) error) ([]byte, error) {
 // decodeRecord parses body as a record of the given kind ("" for the
 // kind the record names itself), requires the fields that kind needs and
 // loads its profile payload (db is nil for an adopt record, which has
-// none). what names the body in messages; structural failures wrap bad,
-// payload damage keeps its profile.Err* type.
+// none), leaving rec.Profile cut to the envelope that load verified.
+// what names the body in messages; structural failures wrap bad, payload
+// damage keeps its profile.Err* type.
 func decodeRecord(body []byte, kind, what string, bad error) (rec record, db *profile.DB, err error) {
 	if err := json.Unmarshal(body, &rec); err != nil {
 		return rec, nil, fmt.Errorf("ingest: %s envelope: %v: %w", what, err, bad)
@@ -88,9 +89,11 @@ func decodeRecord(body []byte, kind, what string, bad error) (rec record, db *pr
 	if len(rec.Profile) == 0 {
 		return rec, nil, fmt.Errorf("ingest: %s %q without a profile payload: %w", what, id, bad)
 	}
-	if db, err = profile.LoadDB(bytes.NewReader(rec.Profile)); err != nil {
+	r := bytes.NewReader(rec.Profile)
+	if db, err = profile.LoadDB(r); err != nil {
 		return rec, nil, fmt.Errorf("ingest: %s %q: %w", what, id, err)
 	}
+	rec.Profile = rec.Profile[:len(rec.Profile)-r.Len()]
 	return rec, db, nil
 }
 
@@ -107,13 +110,15 @@ func EncodeSubmit(shard string, db *profile.DB) ([]byte, error) {
 // ErrVersionSkew for payload problems — and never a panic, whatever the
 // bytes; FuzzDecodeSubmit holds it to that. The caller bounds the body
 // size (http.MaxBytesReader); the framing layer allocates no more than
-// the bytes present, whatever length the payload declares.
+// the bytes present, whatever length the payload declares. The
+// submission keeps the verified profile envelope, so the WAL can log the
+// client's bytes instead of re-encoding the decoded database.
 func DecodeSubmit(body []byte) (Submission, error) {
 	rec, db, err := decodeRecord(body, walKindAdmit, "submission", ErrBadSubmit)
 	if err != nil {
 		return Submission{}, err
 	}
-	return Submission{Shard: rec.Shard, DB: db}, nil
+	return Submission{Shard: rec.Shard, DB: db, wire: rec.Profile}, nil
 }
 
 // The drain-handoff wire format reuses the same double-envelope layering

@@ -72,6 +72,11 @@ type Submission struct {
 	// DB is the decoded shard database; the queue takes ownership.
 	DB *profile.DB
 
+	// wire is the profile envelope DB was decoded from, verified by that
+	// decode; nil when the submission was built in-process. It exists for
+	// the WAL admit record alone: Submit drops it once the record is
+	// staged, so a queued shard holds only its decoded form.
+	wire []byte
 	// walPos is where Submit staged this submission's admit record
 	// (zero when the WAL is disabled). It rides through the queue so
 	// the aggregator can release the position from the checkpoint

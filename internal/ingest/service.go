@@ -254,7 +254,29 @@ type Service struct {
 	handedOff atomic.Bool
 	done      chan struct{}
 
-	mu          sync.Mutex
+	// Two locks split the state along one seam: what admission needs to
+	// answer a submission, and what must change together with the
+	// aggregate. Lock order is handoffMu -> res -> led; never acquire
+	// leftwards.
+	//
+	// res, the resolution lock, serialises every step that changes the
+	// aggregate together with the durable ledger: merge (reversal of a
+	// standing refusal + merge + applied mark + pending release), refuse
+	// (+ RecordLoss), handoff apply, ledger adoption, and the checkpoint
+	// snapshot, which holds res for its whole encode so that the aggregate
+	// image, the ledger and the barrier come from one instant. The
+	// checkpointed books — applied, refusedLoss, handoffFrom,
+	// appliedHandoffs, handoffSeen — are WRITTEN under both locks, so a
+	// holder of either may read them.
+	//
+	// led, the ledger lock, guards the admission books — admitted,
+	// inflight, pending — and every counter below. It is held for map
+	// operations (and the buffered wal.Stage that must be atomic with its
+	// pending entry) only: never across SafeDB.Merge, a Save, or an fsync,
+	// so a Submit never waits for a merge or a snapshot.
+	res sync.Mutex
+	led sync.Mutex
+
 	merged      uint64
 	mergeFail   uint64
 	rejected    uint64
@@ -269,15 +291,15 @@ type Service struct {
 	handoffCapt uint64
 	sinceCkpt   int
 
-	// Shard admission ledger (guarded by mu). admitted holds shard ids
-	// that are queued or merged — a resubmission dedupes to ErrDuplicate
-	// instead of merging twice (a lost 202 makes honest clients retry
-	// delivered shards). refusedLoss maps shard ids whose captured
-	// samples sit in the aggregate's loss ledger (429/503 refusals,
-	// DropOldest evictions) to the exact count recorded, so a repeat
-	// refusal accounts nothing new and an accepted retry reverses
-	// precisely what was recorded. Memory grows with distinct shard ids,
-	// which a campaign bounds by benchmarks × shards.
+	// Shard admission ledger. admitted holds shard ids that are queued or
+	// merged — a resubmission dedupes to ErrDuplicate instead of merging
+	// twice (a lost 202 makes honest clients retry delivered shards).
+	// refusedLoss maps shard ids whose captured samples sit in the
+	// aggregate's loss ledger (429/503 refusals, DropOldest evictions) to
+	// the exact count recorded, so a repeat refusal accounts nothing new
+	// and the merge of an accepted retry reverses precisely what was
+	// recorded. Memory grows with distinct shard ids, which a campaign
+	// bounds by benchmarks × shards.
 	admitted    map[string]bool
 	refusedLoss map[string]uint64
 	// inflight maps a reserved shard id to the WAL ticket its original
@@ -305,24 +327,23 @@ type Service struct {
 	// live elsewhere in the fleet.
 	adopted uint64
 
-	// WAL state (all guarded by mu except the log itself, which has its
-	// own locking). applied holds shard ids the aggregator has RESOLVED
-	// (merged or merge-failed-and-accounted) — the set a checkpoint
-	// snapshots so replay can skip covered admit records; admitted minus
-	// applied is "reserved or queued". pending maps staged WAL positions
-	// to their unresolved records: the checkpoint barrier is min(pending)
-	// so reclaim can never outrun an acknowledged-but-unmerged record.
-	// appliedHandoffs keys applied handoff records by Pos.String() —
-	// stable across replays — so a replayed handoff never double-merges.
 	// handoffMu serializes AcceptHandoff calls end to end, making the
 	// envelope dedupe check-then-apply atomic against a concurrent
 	// delivery of the same envelope (netchaos duplicates requests in the
 	// background, so this is a real interleaving, not a theoretical
 	// one). Handoffs are rare control-plane events; coarse serialization
-	// costs nothing. Ordered BEFORE mu (never acquire handoffMu while
-	// holding mu).
+	// costs nothing.
 	handoffMu sync.Mutex
 
+	// WAL state (the log itself has its own locking). applied holds shard
+	// ids the aggregator has RESOLVED (merged or merge-failed-and-
+	// accounted) — the set a checkpoint snapshots so replay can skip
+	// covered admit records; admitted minus applied is "reserved or
+	// queued". pending maps staged WAL positions to their unresolved
+	// records: the checkpoint barrier is min(pending) so reclaim can never
+	// outrun an acknowledged-but-unmerged record. appliedHandoffs keys
+	// applied handoff records by Pos.String() — stable across replays — so
+	// a replayed handoff never double-merges.
 	wal             *wal.Log
 	walReplay       wal.ReplayInfo
 	applied         map[string]bool
@@ -516,25 +537,31 @@ func (s *Service) Start() {
 //   - a shard already queued or merged dedupes to ErrDuplicate, never
 //     merging or accounting twice, even mid-drain;
 //   - a shard refused more than once is loss-accounted exactly once;
-//   - a previously refused shard that is now accepted has its recorded
-//     loss reversed before it merges.
+//   - a previously refused shard that is now accepted keeps its recorded
+//     loss until the aggregator merges it, and loses it in that same
+//     step (see resolve) — so Samples + Lost never dips while it queues,
+//     and a shard evicted after being accepted has nothing to take back.
 //
 // A config-mismatched shard is refused WITHOUT loss accounting —
 // checked before everything else, draining included: its samples were
 // never part of this aggregate's population.
+//
+// The accepted path takes only the ledger lock, so it never waits for a
+// merge or a checkpoint snapshot; refusals take the resolution lock too
+// (they change the aggregate).
 func (s *Service) Submit(sub Submission) error {
 	if err := s.compatible(sub.DB); err != nil {
 		return err
 	}
-	// Cheap duplicate pre-check before paying for WAL encoding (retries
-	// of delivered shards are the common case under a flaky network).
-	s.mu.Lock()
+	// Cheap duplicate pre-check before building a WAL record (retries of
+	// delivered shards are the common case under a flaky network).
+	s.led.Lock()
 	if s.admitted[sub.Shard] {
 		t := s.inflight[sub.Shard]
-		s.mu.Unlock()
+		s.led.Unlock()
 		return s.awaitDuplicate(t)
 	}
-	s.mu.Unlock()
+	s.led.Unlock()
 	// A sealed service (handoff export in progress) refuses NEW shards
 	// with zero side effects — no WAL record, no reservation, no loss
 	// accounting. The export snapshot is the last word on this
@@ -546,8 +573,7 @@ func (s *Service) Submit(sub Submission) error {
 	if s.sealed.Load() {
 		return ErrDraining
 	}
-	// Serialize the WAL record outside any lock: gob encoding is the
-	// expensive part and needs nothing shared.
+	// Build the WAL record outside any lock: it needs nothing shared.
 	var rec []byte
 	if s.wal != nil {
 		var err error
@@ -555,6 +581,8 @@ func (s *Service) Submit(sub Submission) error {
 			return fmt.Errorf("%w: encode: %v", ErrWAL, err)
 		}
 	}
+	// The record holds the wire bytes now; the queue must not pin them.
+	sub.wire = nil
 	// Reserve the shard id before touching the queue so two racing
 	// submissions of the same shard cannot both merge; the reservation is
 	// released again on refusal. The WAL record is staged in the same
@@ -563,16 +591,16 @@ func (s *Service) Submit(sub Submission) error {
 	// reclaim racing this Submit could erase an acknowledged record
 	// before the aggregator resolves it.
 	var ticket *wal.Ticket
-	s.mu.Lock()
+	s.led.Lock()
 	if s.admitted[sub.Shard] {
 		t := s.inflight[sub.Shard]
-		s.mu.Unlock()
+		s.led.Unlock()
 		return s.awaitDuplicate(t)
 	}
 	if s.wal != nil {
 		pos, t, err := s.wal.Stage(rec)
 		if err != nil {
-			s.mu.Unlock()
+			s.led.Unlock()
 			return fmt.Errorf("%w: %v", ErrWAL, err)
 		}
 		sub.walPos = pos
@@ -581,7 +609,7 @@ func (s *Service) Submit(sub Submission) error {
 		ticket = t
 	}
 	s.admitted[sub.Shard] = true
-	s.mu.Unlock()
+	s.led.Unlock()
 	// Group commit: wait for the batched fsync. Only after this returns
 	// is the record durable and the 202 honest. On sync failure nothing
 	// was acknowledged, so back the reservation out and send the client
@@ -589,17 +617,17 @@ func (s *Service) Submit(sub Submission) error {
 	// ErrWAL too, never a false receipt).
 	if ticket != nil {
 		err := ticket.Wait()
-		s.mu.Lock()
+		s.led.Lock()
 		if s.inflight[sub.Shard] == ticket {
 			delete(s.inflight, sub.Shard)
 		}
 		if err != nil {
 			delete(s.admitted, sub.Shard)
 			delete(s.pending, sub.walPos)
-			s.mu.Unlock()
+			s.led.Unlock()
 			return fmt.Errorf("%w: fsync: %v", ErrWAL, err)
 		}
-		s.mu.Unlock()
+		s.led.Unlock()
 	}
 	if s.draining.Load() {
 		s.refuse(sub, &s.rejected)
@@ -621,22 +649,6 @@ func (s *Service) Submit(sub Submission) error {
 		s.refuse(sub, &s.rejected)
 		return ErrQueueFull
 	}
-	// Accepted: if an earlier refusal of this shard was accounted as
-	// loss, the samples are back in the pipeline — reverse the ledger.
-	// Ledger and aggregate move together under mu so a checkpoint
-	// snapshot can never see one without the other.
-	s.mu.Lock()
-	reversed, wasRefused := s.refusedLoss[sub.Shard]
-	if wasRefused {
-		delete(s.refusedLoss, sub.Shard)
-		s.lostSamp -= reversed
-		s.lostRev += reversed
-		s.agg.ReverseLoss(reversed)
-	}
-	s.mu.Unlock()
-	if wasRefused {
-		s.logf("shard %s accepted on retry: %d previously accounted samples reversed out of the loss ledger", sub.Shard, reversed)
-	}
 	return nil
 }
 
@@ -654,9 +666,9 @@ func (s *Service) awaitDuplicate(t *wal.Ticket) error {
 			return fmt.Errorf("%w: original submission's fsync failed: %v", ErrWAL, err)
 		}
 	}
-	s.mu.Lock()
+	s.led.Lock()
 	s.dupes++
-	s.mu.Unlock()
+	s.led.Unlock()
 	return ErrDuplicate
 }
 
@@ -674,9 +686,13 @@ func (s *Service) compatible(db *profile.DB) error {
 // by DropOldest): the reservation is released, the refusal counter
 // bumped, and — only the first time this shard id is refused — its
 // captured samples recorded as aggregate loss under its ledger entry.
+// Until refuse runs the shard's reservation stands, so no other
+// submission of the same id can be in flight.
 func (s *Service) refuse(sub Submission, counter *uint64) {
 	n := sub.Captured()
-	s.mu.Lock()
+	s.res.Lock()
+	defer s.res.Unlock()
+	s.led.Lock()
 	delete(s.admitted, sub.Shard)
 	// The refusal resolves the staged WAL record: it leaves the pending
 	// set (the barrier may pass it once the refusal itself is in a
@@ -694,14 +710,17 @@ func (s *Service) refuse(sub Submission, counter *uint64) {
 	// after it would stand in books that are about to be quarantined —
 	// vanishing from the fleet sum. The client got a 503 and retries
 	// elsewhere; the pair gets recorded wherever the shard finally lands.
-	if !seen && !s.sealed.Load() {
+	record := !seen && !s.sealed.Load()
+	if record {
 		s.refusedLoss[sub.Shard] = n
 		s.lostSamp += n
-		// Ledger entry and aggregate loss move in one critical section so
-		// a checkpoint snapshot sees both or neither.
+	}
+	s.led.Unlock()
+	if record {
+		// Still under res: a checkpoint snapshot sees the ledger entry and
+		// the aggregate loss together or not at all.
 		s.agg.RecordLoss(n)
 	}
-	s.mu.Unlock()
 }
 
 // run is the aggregator loop: single consumer, so the merge path itself
@@ -718,37 +737,21 @@ func (s *Service) run() {
 }
 
 // merge folds one submission into the aggregate and checkpoints through
-// the breaker on the configured cadence. The merge (or merge-failure
-// loss accounting), the applied-ledger mark, and the pending-position
-// release happen in one critical section: a checkpoint snapshot either
-// sees the shard fully resolved or not at all, never half-applied.
+// the breaker on the configured cadence.
 func (s *Service) merge(sub Submission) {
 	if s.cfg.mergeHook != nil {
 		s.cfg.mergeHook(sub)
 	}
-	s.mu.Lock()
-	err := s.agg.Merge(sub.DB)
-	if err != nil {
-		// Admission screens configurations, so this is rare (e.g. metric
-		// registration skew) — but it still must be accounted, not lost.
-		// The shard still joins the applied set: the failure is permanent
-		// and deterministic, so a retry must dedupe and a replay must
-		// skip (replaying would fail-and-account identically, but only
-		// when the checkpoint predates the resolution).
-		n := sub.Captured()
-		s.agg.RecordLoss(n)
-		s.mergeFail++
-		s.lostSamp += n
-	} else {
-		s.merged++
-	}
-	s.applied[sub.Shard] = true
-	if !sub.walPos.IsZero() {
-		delete(s.pending, sub.walPos)
-	}
+	s.res.Lock()
+	reversed, err := s.resolve(sub)
+	s.led.Lock()
 	s.sinceCkpt++
 	due := s.cfg.CheckpointPath != "" && s.sinceCkpt >= s.cfg.CheckpointEvery
-	s.mu.Unlock()
+	s.led.Unlock()
+	s.res.Unlock()
+	if reversed > 0 {
+		s.logf("shard %s merged on retry: %d previously accounted samples reversed out of the loss ledger", sub.Shard, reversed)
+	}
 	if err != nil {
 		s.logf("merge failed for shard %s: %v (accounted as loss)", sub.Shard, err)
 	}
@@ -757,12 +760,58 @@ func (s *Service) merge(sub Submission) {
 	}
 }
 
+// resolve is the one step that turns an admitted shard into aggregate
+// state, shared by the live merge and WAL replay: reverse the shard's
+// standing refusal loss if it has one, merge it (or account its captured
+// samples as loss when it cannot merge), mark it applied and release its
+// WAL position. The caller holds res, so a checkpoint snapshot sees the
+// shard fully resolved or not at all; led is taken only for the ledger
+// marks, after the aggregate work.
+//
+// The reversal belongs here and nowhere earlier: an accepted retry can
+// still be evicted from the queue (DropOldest), and a loss taken back
+// at acceptance would then be owed for samples that never merge.
+func (s *Service) resolve(sub Submission) (reversed uint64, err error) {
+	reversed, wasRefused := s.refusedLoss[sub.Shard]
+	if wasRefused {
+		s.agg.ReverseLoss(reversed)
+	}
+	captured := sub.Captured()
+	if err = s.agg.Merge(sub.DB); err != nil {
+		// Admission screens configurations, so this is rare (e.g. metric
+		// registration skew) — but it still must be accounted, not lost.
+		// The shard still joins the applied set: the failure is permanent
+		// and deterministic, so a retry must dedupe and a replay must
+		// skip (replaying would fail-and-account identically, but only
+		// when the checkpoint predates the resolution).
+		s.agg.RecordLoss(captured)
+	}
+	s.led.Lock()
+	if wasRefused {
+		delete(s.refusedLoss, sub.Shard)
+		s.lostSamp -= reversed
+		s.lostRev += reversed
+	}
+	if err != nil {
+		s.mergeFail++
+		s.lostSamp += captured
+	} else {
+		s.merged++
+	}
+	s.applied[sub.Shard] = true
+	if !sub.walPos.IsZero() {
+		delete(s.pending, sub.walPos)
+	}
+	s.led.Unlock()
+	return reversed, err
+}
+
 // checkpoint persists the aggregate through the circuit breaker: an open
 // breaker skips the write (counted, retried next cadence) instead of
 // stalling ingest on a dead disk.
 func (s *Service) checkpoint() {
 	err := s.brk.Do(s.cfg.persist)
-	s.mu.Lock()
+	s.led.Lock()
 	switch {
 	case errors.Is(err, ErrBreakerOpen):
 		s.ckptShort++
@@ -772,31 +821,41 @@ func (s *Service) checkpoint() {
 		s.ckptOK++
 		s.sinceCkpt = 0
 	}
-	s.mu.Unlock()
+	s.led.Unlock()
 	if err != nil && !errors.Is(err, ErrBreakerOpen) {
 		s.logf("checkpoint failed: %v", err)
 	}
 }
 
-// snapshotCheckpoint captures a consistent checkpoint under mu: the
+// snapshotCheckpoint captures a consistent checkpoint under res: the
 // serialized aggregate, the full ledger, and the WAL barrier (the
 // lowest pending position, or the head when nothing is in flight).
-// Every state transition elsewhere is atomic under the same mutex, so
+// Every step that changes the aggregate or a checkpointed book holds
+// res, so for the length of the encode they are frozen together and
 // the snapshot can never catch a ledger entry without its aggregate
-// delta or vice versa. The file write happens outside the lock.
+// delta or vice versa. Admission carries on under led meanwhile: what
+// it stages lands at or above the head read here, and the barrier
+// stays at or below every position still unresolved. The file write
+// happens outside both locks.
 func (s *Service) snapshotCheckpoint() (*Checkpoint, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var buf bytes.Buffer
-	if err := s.agg.Save(&buf); err != nil {
-		return nil, err
-	}
+	s.res.Lock()
+	defer s.res.Unlock()
 	ck := &Checkpoint{
-		Profile:         buf.Bytes(),
 		Applied:         make([]string, 0, len(s.applied)),
 		RefusedLoss:     make(map[string]uint64, len(s.refusedLoss)),
 		HandoffFrom:     make(map[string]string, len(s.handoffFrom)),
 		AppliedHandoffs: make([]string, 0, len(s.appliedHandoffs)),
+		HandoffKeys:     make(map[string]uint64, len(s.handoffSeen)),
+	}
+	if s.wal != nil {
+		s.led.Lock()
+		ck.Barrier = s.wal.Head()
+		for pos := range s.pending {
+			if pos.Before(ck.Barrier) {
+				ck.Barrier = pos
+			}
+		}
+		s.led.Unlock()
 	}
 	for sh := range s.applied {
 		ck.Applied = append(ck.Applied, sh)
@@ -812,18 +871,14 @@ func (s *Service) snapshotCheckpoint() (*Checkpoint, error) {
 		ck.AppliedHandoffs = append(ck.AppliedHandoffs, key)
 	}
 	sort.Strings(ck.AppliedHandoffs)
-	ck.HandoffKeys = make(map[string]uint64, len(s.handoffSeen))
 	for key, captured := range s.handoffSeen {
 		ck.HandoffKeys[key] = captured
 	}
-	if s.wal != nil {
-		ck.Barrier = s.wal.Head()
-		for pos := range s.pending {
-			if pos.Before(ck.Barrier) {
-				ck.Barrier = pos
-			}
-		}
+	var buf bytes.Buffer
+	if err := s.agg.Save(&buf); err != nil {
+		return nil, err
 	}
+	ck.Profile = buf.Bytes()
 	return ck, nil
 }
 
@@ -910,9 +965,9 @@ func (s *Service) FinalCheckpoint() error {
 	if err := s.cfg.persist(); err != nil {
 		return fmt.Errorf("ingest: final checkpoint: %w", err)
 	}
-	s.mu.Lock()
+	s.led.Lock()
 	s.ckptOK++
-	s.mu.Unlock()
+	s.led.Unlock()
 	return nil
 }
 
@@ -957,13 +1012,13 @@ func (s *Service) AcceptHandoff(h Handoff) (captured uint64, err error) {
 	// donor's whole aggregate twice. Checked before the config screen so
 	// even a sender whose retry raced a local config change dedupes.
 	if h.Key != "" {
-		s.mu.Lock()
+		s.led.Lock()
 		if prev, seen := s.handoffSeen[h.Key]; seen {
 			s.dupes++
-			s.mu.Unlock()
+			s.led.Unlock()
 			return prev, ErrDuplicate
 		}
-		s.mu.Unlock()
+		s.led.Unlock()
 	}
 	if err := s.compatible(h.DB); err != nil {
 		return 0, err
@@ -975,37 +1030,21 @@ func (s *Service) AcceptHandoff(h Handoff) (captured uint64, err error) {
 	// by its WAL position (stable across replays) so a replay after a
 	// crash applies it exactly once.
 	var pos wal.Pos
-	var ticket *wal.Ticket
 	if s.wal != nil {
 		rec, err := encodeHandoffRecord(h)
 		if err != nil {
 			return 0, fmt.Errorf("%w: encode handoff: %v", ErrWAL, err)
 		}
-		s.mu.Lock()
-		var t *wal.Ticket
-		pos, t, err = s.wal.Stage(rec)
-		if err != nil {
-			s.mu.Unlock()
-			return 0, fmt.Errorf("%w: %v", ErrWAL, err)
-		}
-		s.pending[pos] = struct{}{}
-		ticket = t
-		s.mu.Unlock()
-		if err := ticket.Wait(); err != nil {
-			s.mu.Lock()
-			delete(s.pending, pos)
-			s.mu.Unlock()
-			return 0, fmt.Errorf("%w: fsync: %v", ErrWAL, err)
+		if pos, err = s.stageAndWait(rec); err != nil {
+			return 0, err
 		}
 	}
-	s.mu.Lock()
-	mergeErr := s.applyHandoffLocked(h, captured)
-	if !pos.IsZero() {
-		s.appliedHandoffs[pos.String()] = true
-		delete(s.pending, pos)
-	}
+	s.res.Lock()
+	mergeErr := s.applyHandoff(h, captured, pos)
+	s.led.Lock()
 	due := mergeErr == nil && s.cfg.CheckpointPath != "" && s.sinceCkpt >= s.cfg.CheckpointEvery
-	s.mu.Unlock()
+	s.led.Unlock()
+	s.res.Unlock()
 	if mergeErr != nil {
 		return 0, fmt.Errorf("ingest: handoff from %s unmergeable (accounted as loss): %w", h.From, mergeErr)
 	}
@@ -1016,10 +1055,39 @@ func (s *Service) AcceptHandoff(h Handoff) (captured uint64, err error) {
 	return captured, nil
 }
 
-// applyHandoffLocked folds a handoff into ledger and aggregate in one
-// atomic step — shared verbatim by the live path and WAL replay so a
-// replayed handoff reconstructs the identical state. Caller holds mu.
-func (s *Service) applyHandoffLocked(h Handoff, captured uint64) error {
+// stageAndWait makes one control-plane WAL record (handoff, adoption)
+// durable: staged with its position entering the pending set in the
+// same critical section, then the group commit awaited outside any
+// lock. The position stays pending — holding the checkpoint barrier —
+// until the caller applies the record; a failed commit releases it.
+func (s *Service) stageAndWait(rec []byte) (wal.Pos, error) {
+	s.led.Lock()
+	pos, ticket, err := s.wal.Stage(rec)
+	if err != nil {
+		s.led.Unlock()
+		return wal.Pos{}, fmt.Errorf("%w: %v", ErrWAL, err)
+	}
+	s.pending[pos] = struct{}{}
+	s.led.Unlock()
+	if err := ticket.Wait(); err != nil {
+		s.led.Lock()
+		delete(s.pending, pos)
+		s.led.Unlock()
+		return wal.Pos{}, fmt.Errorf("%w: fsync: %v", ErrWAL, err)
+	}
+	return pos, nil
+}
+
+// applyHandoff folds a handoff into ledger and aggregate — shared
+// verbatim by the live path and WAL replay so a replayed handoff
+// reconstructs the identical state. The caller holds res, which makes
+// the whole fold one step to a checkpoint snapshot; the donor's shard
+// ids join the admitted ledger BEFORE the merge, so a client retry
+// racing the handoff dedupes instead of double-merging. pos is the
+// handoff's WAL record (zero without a WAL): it is marked applied and
+// leaves the pending set with the rest of the fold.
+func (s *Service) applyHandoff(h Handoff, captured uint64, pos wal.Pos) error {
+	s.led.Lock()
 	for _, sh := range h.Shards {
 		if !s.admitted[sh] {
 			s.admitted[sh] = true
@@ -1031,17 +1099,27 @@ func (s *Service) applyHandoffLocked(h Handoff, captured uint64) error {
 	}
 	s.handoffsIn++
 	s.handoffCapt += captured
-	if err := s.agg.Merge(h.DB); err != nil {
+	s.led.Unlock()
+	err := s.agg.Merge(h.DB)
+	if err != nil {
 		// Past the config screen a merge failure is metric-set skew:
 		// conserve by accounting the donor's whole captured population as
 		// loss rather than silently dropping it from the fleet sum.
 		s.agg.RecordLoss(captured)
+	}
+	s.led.Lock()
+	if err != nil {
 		s.mergeFail++
 		s.lostSamp += captured
-		return err
+	} else {
+		s.sinceCkpt++
 	}
-	s.sinceCkpt++
-	return nil
+	if !pos.IsZero() {
+		s.appliedHandoffs[pos.String()] = true
+		delete(s.pending, pos)
+	}
+	s.led.Unlock()
+	return err
 }
 
 // AdoptShards takes over dedupe obligations for shards whose ring
@@ -1063,44 +1141,46 @@ func (s *Service) AdoptShards(from string, shards []string) (int, error) {
 	// Filter to the unseen ids first so the WAL record holds exactly
 	// what this call changes (replay then reconstructs the same state
 	// whether or not earlier records already admitted some of them).
-	s.mu.Lock()
+	s.led.Lock()
 	fresh := make([]string, 0, len(shards))
 	for _, sh := range shards {
 		if !s.admitted[sh] {
 			fresh = append(fresh, sh)
 		}
 	}
-	s.mu.Unlock()
+	s.led.Unlock()
 	if len(fresh) == 0 {
 		return 0, nil
 	}
 	var pos wal.Pos
-	var ticket *wal.Ticket
 	if s.wal != nil {
 		rec, err := encodeAdoptRecord(from, fresh)
 		if err != nil {
 			return 0, fmt.Errorf("%w: encode adopt: %v", ErrWAL, err)
 		}
-		s.mu.Lock()
-		var t *wal.Ticket
-		pos, t, err = s.wal.Stage(rec)
-		if err != nil {
-			s.mu.Unlock()
-			return 0, fmt.Errorf("%w: %v", ErrWAL, err)
-		}
-		s.pending[pos] = struct{}{}
-		ticket = t
-		s.mu.Unlock()
-		if err := ticket.Wait(); err != nil {
-			s.mu.Lock()
-			delete(s.pending, pos)
-			s.mu.Unlock()
-			return 0, fmt.Errorf("%w: fsync: %v", ErrWAL, err)
+		if pos, err = s.stageAndWait(rec); err != nil {
+			return 0, err
 		}
 	}
-	s.mu.Lock()
+	s.res.Lock()
+	n := s.adopt(from, fresh, pos)
+	s.res.Unlock()
+	if n > 0 {
+		s.logf("adopted %d shard ids from %s (ledger only; their samples live elsewhere)", n, from)
+	}
+	return n, nil
+}
+
+// adopt installs the not-yet-admitted ids of shards with provenance
+// from and releases the adoption's WAL position — shared by the live
+// path and WAL replay. Naturally idempotent: an already-admitted shard
+// keeps its standing entry. The caller holds res (handoffFrom is a
+// checkpointed book).
+func (s *Service) adopt(from string, shards []string, pos wal.Pos) int {
+	s.led.Lock()
+	defer s.led.Unlock()
 	n := 0
-	for _, sh := range fresh {
+	for _, sh := range shards {
 		if !s.admitted[sh] {
 			s.admitted[sh] = true
 			s.handoffFrom[sh] = from
@@ -1111,11 +1191,7 @@ func (s *Service) AdoptShards(from string, shards []string) (int, error) {
 	if !pos.IsZero() {
 		delete(s.pending, pos)
 	}
-	s.mu.Unlock()
-	if n > 0 {
-		s.logf("adopted %d shard ids from %s (ledger only; their samples live elsewhere)", n, from)
-	}
-	return n, nil
+	return n
 }
 
 // MarkHandedOff records that this instance's aggregate has been shipped
@@ -1131,8 +1207,8 @@ func (s *Service) HandedOff() bool { return s.handedOff.Load() }
 // merged), sorted — the ledger a drain handoff ships so the successor
 // keeps deduping the donor's shards.
 func (s *Service) AdmittedShards() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.led.Lock()
+	defer s.led.Unlock()
 	out := make([]string, 0, len(s.admitted))
 	for sh := range s.admitted {
 		out = append(out, sh)
@@ -1145,8 +1221,8 @@ func (s *Service) AdmittedShards() []string {
 // from via drain handoff ("" when the shard was submitted directly or
 // is unknown).
 func (s *Service) HandoffProvenance(shard string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.led.Lock()
+	defer s.led.Unlock()
 	return s.handoffFrom[shard]
 }
 
@@ -1157,8 +1233,8 @@ func (s *Service) HandoffProvenance(shard string) string {
 //
 //	Σ captured(applied) + Σ refusedLoss + handoffCaptured == Samples + Lost
 func (s *Service) AppliedShards() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.led.Lock()
+	defer s.led.Unlock()
 	out := make([]string, 0, len(s.applied))
 	for sh := range s.applied {
 		out = append(out, sh)
@@ -1170,8 +1246,8 @@ func (s *Service) AppliedShards() []string {
 // RefusedLosses returns a copy of the standing-refusal ledger: shard id
 // -> captured samples recorded as loss here and not (yet) reversed.
 func (s *Service) RefusedLosses() map[string]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.led.Lock()
+	defer s.led.Unlock()
 	out := make(map[string]uint64, len(s.refusedLoss))
 	for sh, n := range s.refusedLoss {
 		out[sh] = n
@@ -1182,8 +1258,8 @@ func (s *Service) RefusedLosses() map[string]uint64 {
 // AdoptedFrom returns a copy of the handoff-provenance map (shard id ->
 // donor) for the ledger endpoint's disposition section.
 func (s *Service) AdoptedFrom() map[string]string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.led.Lock()
+	defer s.led.Unlock()
 	out := make(map[string]string, len(s.handoffFrom))
 	for sh, from := range s.handoffFrom {
 		out[sh] = from
@@ -1193,7 +1269,7 @@ func (s *Service) AdoptedFrom() map[string]string {
 
 // Stats returns a snapshot of every counter the service keeps.
 func (s *Service) Stats() Stats {
-	s.mu.Lock()
+	s.led.Lock()
 	st := Stats{
 		Merged:             s.merged,
 		MergeFailed:        s.mergeFail,
@@ -1209,7 +1285,7 @@ func (s *Service) Stats() Stats {
 		HandoffCaptured:    s.handoffCapt,
 		AdoptedShards:      s.adopted,
 	}
-	s.mu.Unlock()
+	s.led.Unlock()
 	st.Queue = s.q.Stats()
 	st.Breaker = s.brk.Stats()
 	st.Draining = s.draining.Load()
@@ -1229,56 +1305,47 @@ func (s *Service) Stats() Stats {
 
 // replayRecord is the wal.Open apply callback: reconstruct one record's
 // effect through the ledger's skip logic. It runs single-threaded
-// during construction, before Start; mu is still taken so the shared
-// apply helpers stay uniform. An undecodable-but-CRC-valid record is an
-// encoder bug or format skew — recovery fails loudly rather than
-// guessing at acknowledged data.
+// during construction, before Start; the locks are still taken so the
+// apply helpers shared with the live path stay uniform. An
+// undecodable-but-CRC-valid record is an encoder bug or format skew —
+// recovery fails loudly rather than guessing at acknowledged data.
 func (s *Service) replayRecord(pos wal.Pos, payload []byte) error {
 	kind, sub, h, err := decodeWALRecord(payload)
 	if err != nil {
 		return err
 	}
+	s.res.Lock()
+	defer s.res.Unlock()
 	switch kind {
 	case walKindAdmit:
 		s.replayAdmit(sub)
 	case walKindHandoff:
 		s.replayHandoff(pos, h)
 	case walKindAdopt:
-		s.replayAdopt(h)
+		// An adoption that raced the checkpoint barrier replays to the
+		// same state (see adopt).
+		s.adopt(h.From, h.Shards, wal.Pos{})
+		s.replayedRecords++
 	}
 	return nil
 }
 
 // replayAdmit re-applies one admit record. Skip rules keep replay
-// idempotent against the checkpoint and against duplicate records:
-// an already-resolved shard is covered by the checkpoint image; a
-// standing refusal is reversed exactly as a live accepted retry would
-// reverse it, then the payload merges. A submission that was refused
+// idempotent against the checkpoint and against duplicate records: an
+// already-resolved shard is covered by the checkpoint image; anything
+// else resolves exactly as a live merge would (a standing refusal is
+// reversed, then the payload merges). A submission that was refused
 // pre-crash therefore replays as a merge — its captured samples count
-// once either way, as Samples instead of Lost.
+// once either way, as Samples instead of Lost. Caller holds res.
 func (s *Service) replayAdmit(sub Submission) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.applied[sub.Shard] {
-		s.admitted[sub.Shard] = true
+	s.led.Lock()
+	s.admitted[sub.Shard] = true
+	resolved := s.applied[sub.Shard]
+	s.led.Unlock()
+	if resolved {
 		return
 	}
-	s.admitted[sub.Shard] = true
-	if n, wasRefused := s.refusedLoss[sub.Shard]; wasRefused {
-		delete(s.refusedLoss, sub.Shard)
-		s.lostSamp -= n
-		s.lostRev += n
-		s.agg.ReverseLoss(n)
-	}
-	if err := s.agg.Merge(sub.DB); err != nil {
-		n := sub.Captured()
-		s.agg.RecordLoss(n)
-		s.mergeFail++
-		s.lostSamp += n
-	} else {
-		s.merged++
-	}
-	s.applied[sub.Shard] = true
+	s.resolve(sub) // merge failure is accounted inside
 	s.replayedRecords++
 }
 
@@ -1286,38 +1353,21 @@ func (s *Service) replayAdmit(sub Submission) {
 // already in the checkpoint's applied-handoffs set. The content-key
 // check covers the other crash window: a duplicate delivery whose FIRST
 // copy is in the checkpoint but whose second copy's WAL record survived
-// the barrier — the positions differ, the keys do not.
+// the barrier — the positions differ, the keys do not. Caller holds res.
 func (s *Service) replayHandoff(pos wal.Pos, h Handoff) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.appliedHandoffs[pos.String()] {
 		return
 	}
 	if h.Key != "" {
 		if _, seen := s.handoffSeen[h.Key]; seen {
+			s.led.Lock()
 			s.appliedHandoffs[pos.String()] = true
+			s.led.Unlock()
 			return
 		}
 	}
 	captured := h.DB.Samples() + h.DB.Lost()
-	_ = s.applyHandoffLocked(h, captured) // merge failure is accounted inside
-	s.appliedHandoffs[pos.String()] = true
-	s.replayedRecords++
-}
-
-// replayAdopt re-applies one ledger-adoption record. Naturally
-// idempotent: an already-admitted shard keeps its standing entry, so a
-// record that raced the checkpoint barrier replays to the same state.
-func (s *Service) replayAdopt(h Handoff) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sh := range h.Shards {
-		if !s.admitted[sh] {
-			s.admitted[sh] = true
-			s.handoffFrom[sh] = h.From
-			s.adopted++
-		}
-	}
+	_ = s.applyHandoff(h, captured, pos) // merge failure is accounted inside
 	s.replayedRecords++
 }
 
@@ -1327,9 +1377,9 @@ func (s *Service) WALHealth() *WALHealth {
 		return nil
 	}
 	st := s.wal.Stats()
-	s.mu.Lock()
+	s.led.Lock()
 	pending := len(s.pending)
-	s.mu.Unlock()
+	s.led.Unlock()
 	return &WALHealth{
 		Segments:           st.Segments,
 		SegmentSeq:         st.SegmentSeq,

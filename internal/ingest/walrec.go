@@ -1,6 +1,9 @@
 package ingest
 
-import "errors"
+import (
+	"errors"
+	"io"
+)
 
 // WAL record payloads reuse the submission codec's double-envelope
 // layering: a small JSON frame naming the record kind, wrapped around
@@ -30,12 +33,18 @@ const (
 // so replay treats it as a torn record (stop, don't crash).
 var ErrBadWALRecord = errors.New("ingest: malformed wal record")
 
-// encodeAdmitRecord serializes a submission for the WAL. The shard DB
-// is re-encoded rather than reusing the wire bytes because Submit's
-// callers may construct Submissions in-process (tests, replay of
-// witness copies) with no wire form at hand.
+// encodeAdmitRecord serializes a submission for the WAL. A submission
+// decoded off the wire is logged as received: its profile envelope was
+// CRC-verified and loaded by DecodeSubmit, and replay loads the same
+// bytes through the same decoder, so the shard replay merges is the
+// shard that merged live. Only a Submission built in-process (no wire
+// form) is encoded here.
 func encodeAdmitRecord(sub Submission) ([]byte, error) {
-	return encodeRecord(record{Kind: walKindAdmit, Shard: sub.Shard}, sub.DB.Save)
+	var save func(io.Writer) error
+	if sub.wire == nil {
+		save = sub.DB.Save
+	}
+	return encodeRecord(record{Kind: walKindAdmit, Shard: sub.Shard, Profile: sub.wire}, save)
 }
 
 // encodeHandoffRecord serializes an accepted drain handoff for the WAL.

@@ -3,6 +3,7 @@ package profile
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -400,7 +401,7 @@ func (db *DB) PCs() []uint64 {
 	for pc := range db.byPC {
 		pcs = append(pcs, pc)
 	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
+	slices.Sort(pcs)
 	return pcs
 }
 

@@ -36,6 +36,9 @@ const (
 	// maxImageBytes caps the declared payload (a compact per-PC image is
 	// megabytes, not gigabytes).
 	maxImageBytes = 1 << 28
+	// envelopeOverhead is what the envelope adds around a payload: the
+	// header and a u64 length before it, the u32 checksum after.
+	envelopeOverhead = frame.HeaderLen + 8 + 4
 )
 
 // dbImage is the serialized form of a DB (the DCPI-style on-disk profile:
@@ -58,20 +61,42 @@ type dbImage struct {
 
 // Save writes the database as a versioned, checksummed envelope.
 func (db *DB) Save(w io.Writer) error {
+	return db.save(w, db.sortedAccums())
+}
+
+// sortedAccums returns the accumulators in ascending PC order, the order
+// the image lists them in.
+func (db *DB) sortedAccums() []*PCAccum {
+	pcs := db.PCs()
+	accs := make([]*PCAccum, len(pcs))
+	for i, pc := range pcs {
+		accs[i] = db.byPC[pc]
+	}
+	return accs
+}
+
+// save is Save given sortedAccums, for a caller that keeps the list
+// between saves of the same database (SafeDB).
+func (db *DB) save(w io.Writer, accs []*PCAccum) error {
 	img := dbImage{
 		S: db.S, W: db.W, C: db.C, TNear: db.TNear, RetainAddrs: db.RetainAddrs,
 		Samples: db.samples, Pairs: db.pairs,
 		Lost: db.lost, CorruptRej: db.corruptRejected,
 		MetricNames: db.metricNames,
+		Accums:      make([]PCAccum, len(accs)),
 	}
-	pcs := db.PCs()
-	img.Accums = make([]PCAccum, 0, len(pcs))
-	for _, pc := range pcs {
-		img.Accums = append(img.Accums, *db.byPC[pc])
+	for i, a := range accs {
+		img.Accums[i] = *a
 	}
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(img); err != nil {
 		return fmt.Errorf("profile: save: %w", err)
+	}
+	// A destination that can grow (a bytes.Buffer holding the image for a
+	// checkpoint or a wire body) takes the envelope in one allocation of
+	// the exact size, not whatever its three writes grow it to.
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(envelopeOverhead + payload.Len())
 	}
 	if err := frame.WriteEnvelope(w, dbMagic, dbVersion, payload.Bytes()); err != nil {
 		return fmt.Errorf("profile: save: %w", err)

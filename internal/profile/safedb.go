@@ -42,6 +42,9 @@ type SafeDB struct {
 
 	epoch     uint64
 	publishes atomic.Uint64 // read lock-free by SketchStats
+	// saveOrder is Save's sorted accumulator list, kept between calls
+	// (atomic: Saves share the read lock).
+	saveOrder atomic.Pointer[[]*PCAccum]
 	sinceRows int
 	view      atomic.Pointer[View]
 }
@@ -166,9 +169,9 @@ func (s *SafeDB) Merge(other *DB) error {
 	if err := s.db.Merge(other); err != nil {
 		return err
 	}
+	s.window.AddDB(now, other)
 	for pc, a := range other.byPC {
 		s.topk.Add(pc, a.Samples)
-		s.window.Add(now, pc, a.Samples)
 		for i := 0; i < NumLatencyKinds; i++ {
 			if a.LatCount[i] > 0 {
 				s.lat[i].AddN(float64(a.LatSum[i])/float64(a.LatCount[i]), a.LatCount[i])
@@ -380,10 +383,21 @@ func (s *SafeDB) WindowHotPCs(window time.Duration, n int) WindowResult {
 // Save writes the aggregate as a versioned, checksummed envelope (read
 // lock: serialization does not mutate the database). Sketch state is
 // derived and NOT persisted; a reload reseeds it (NewSafeDBWith).
+//
+// Repeated saves of a large aggregate (the collector's checkpoints) keep
+// the sorted accumulator list between them: a DB only ever gains PCs and
+// an accumulator never moves, so a list as long as the database is still
+// the right list.
 func (s *SafeDB) Save(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.db.Save(w)
+	accs := s.saveOrder.Load()
+	if accs == nil || len(*accs) != len(s.db.byPC) {
+		fresh := s.db.sortedAccums()
+		accs = &fresh
+		s.saveOrder.Store(accs)
+	}
+	return s.db.save(w, *accs)
 }
 
 // Report renders the hot-instruction table (read lock; exact path).

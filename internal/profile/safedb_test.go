@@ -24,6 +24,38 @@ func safeShard(seed uint64) *DB {
 	return db
 }
 
+// TestSafeDBSaveMatchesDBSave: the sorted accumulator list SafeDB.Save
+// keeps between calls never shows in its output. After every merge — ones that add PCs and ones that only
+// grow counts — concurrent Saves write exactly the bytes a fresh DB.Save
+// of the same database writes.
+func TestSafeDBSaveMatchesDBSave(t *testing.T) {
+	db := NewDB(16, 0, 4)
+	agg := NewSafeDB(db)
+	for _, seed := range []uint64{0, 0, 3, 3, 11, 4} {
+		if err := agg.Merge(safeShard(seed)); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := db.Save(&want); err != nil { // no writer is running: reading db directly is safe
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 3; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var got bytes.Buffer
+				if err := agg.Save(&got); err != nil {
+					t.Error(err)
+				} else if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Errorf("after merging shard %d: SafeDB.Save wrote %d bytes that differ from DB.Save's %d", seed, got.Len(), want.Len())
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
 // TestSafeDBConcurrentMergeAndQuery is the wrapper's contract test: many
 // goroutines merging shards and recording losses while many others run
 // estimator queries, hot-PC scans, and envelope saves. It must pass under

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -260,6 +261,30 @@ func TestWindowRing(t *testing.T) {
 	res = r.Query(base.Add(time.Hour), 4*time.Second, 10)
 	if res.Samples != 1 || len(res.Rows) != 1 || res.Rows[0].PC != 0xD {
 		t.Fatalf("post-gap: %+v", res)
+	}
+}
+
+// TestWindowRingAddDB: folding a shard in one AddDB leaves the ring
+// exactly where one Add per PC would (same buckets, samples and rows),
+// across a bucket boundary, and invalidates a cached answer once.
+func TestWindowRingAddDB(t *testing.T) {
+	base := time.Unix(1000, 0)
+	batched, single := NewWindowRing(4, time.Second, 32), NewWindowRing(4, time.Second, 32)
+	for i, shard := range []*DB{safeShard(1), safeShard(2), safeShard(9)} {
+		now := base.Add(time.Duration(i) * 700 * time.Millisecond)
+		before := batched.Query(now, 4*time.Second, 0)
+		batched.AddDB(now, shard)
+		for _, pc := range shard.PCs() {
+			single.Add(now, pc, shard.Get(pc).Samples)
+		}
+		got, want := batched.Query(now, 4*time.Second, 0), single.Query(now, 4*time.Second, 0)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("shard %d: AddDB left %+v, per-PC Adds %+v", i, got, want)
+		}
+		if got.Samples != before.Samples+shard.Samples() {
+			t.Fatalf("shard %d: window holds %d samples after AddDB, want %d (a cached answer survived the write?)",
+				i, got.Samples, before.Samples+shard.Samples())
+		}
 	}
 }
 

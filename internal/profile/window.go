@@ -15,8 +15,9 @@ import (
 // or a bucket boundary changes which answer is correct.
 //
 // Concurrency: the ring has its own RWMutex, separate from SafeDB's. A
-// write (O(log K)) takes the write lock for the sketch update only — it
-// never holds the lock for anything proportional to the database — and
+// write (O(log K) per PC) takes the write lock for the sketch update
+// only — it never holds the lock for anything proportional to the
+// database — and
 // queries take the read lock, so windowed queries contend with the merge
 // loop only for these O(log K) critical sections, never for an O(DB)
 // copy. The unwindowed sketch path is fully lock-free (see View).
@@ -29,8 +30,8 @@ type WindowRing struct {
 	headStart time.Time // start of the current bucket's interval
 	started   bool
 
-	// gen counts writes: every Add (and so every advance, lap and reset)
-	// bumps it under mu. cache is the last merge a query performed, valid
+	// gen counts writes: every Add or AddDB (and so every advance, lap and
+	// reset) bumps it under mu. cache is the last merge a query performed, valid
 	// for exactly the ring contents (gen) and contributing buckets it was
 	// built from.
 	gen   uint64
@@ -87,6 +88,22 @@ func (r *WindowRing) Add(now time.Time, pc uint64, w uint64) {
 	b.sk.Add(pc, w)
 	b.samples += w
 	r.mu.Unlock()
+}
+
+// AddDB folds every PC of db, weighted by its sample count, into the
+// bucket covering now: a merged shard's worth of Adds under one lock
+// acquisition and one advance, so the lock is held in proportion to the
+// shard, never to the aggregate.
+func (r *WindowRing) AddDB(now time.Time, db *DB) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gen++
+	r.advanceLocked(now)
+	b := &r.buckets[r.head]
+	for pc, a := range db.byPC {
+		b.sk.Add(pc, a.Samples)
+		b.samples += a.Samples
+	}
 }
 
 // advanceLocked rotates the ring so the head bucket covers now. A long
