@@ -39,7 +39,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -52,7 +51,6 @@ import (
 
 	"profileme/internal/cluster"
 	"profileme/internal/ingest"
-	"profileme/internal/profile"
 	"profileme/internal/server"
 	"profileme/internal/traffic"
 )
@@ -147,56 +145,25 @@ func run() int {
 		Log:                 logw,
 	}
 
-	var svc *ingest.Service
-	if *walDir != "" {
-		// WAL mode: Recover owns the whole restart story — it loads the
-		// checkpoint (quarantining a damaged one), replays the WAL tail
-		// past the barrier, truncates a torn tail, and rebuilds both the
-		// aggregate and the admission ledger so post-crash retries dedupe.
-		var rinfo ingest.RecoveryInfo
-		svc, rinfo, err = ingest.Recover(icfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmsimd:", err)
-			return 1
-		}
-		if rinfo.CheckpointQuarantined {
-			fmt.Fprintf(os.Stderr, "pmsimd: checkpoint unusable; quarantined to %s.corrupt, recovering from WAL alone\n", *ckpt)
-		}
-		st := svc.Stats()
-		fmt.Printf("pmsimd: recovered: checkpoint=%v, %d WAL records replayed in %s (%d segments, truncated=%v); aggregate %d samples, %d lost\n",
-			rinfo.CheckpointLoaded, rinfo.Replayed, rinfo.Replay.Duration.Round(time.Millisecond),
-			rinfo.Replay.Segments, rinfo.Replay.Truncated, st.Samples, st.Lost)
-	} else {
-		// A previous aggregate at the checkpoint path is the seed — restart
-		// continues the campaign. A damaged one is quarantined, never merged.
-		var seed *profile.DB
-		if *ckpt != "" {
-			switch db, err := profile.LoadFile(*ckpt); {
-			case err == nil:
-				seed = db
-				fmt.Fprintf(os.Stderr, "pmsimd: resumed aggregate from %s (%d samples, %d lost)\n",
-					*ckpt, db.Samples(), db.Lost())
-			case os.IsNotExist(errors.Unwrap(err)) || errors.Is(err, os.ErrNotExist):
-				// Fresh start.
-			case errors.Is(err, profile.ErrCorrupt) || errors.Is(err, profile.ErrTruncated) ||
-				errors.Is(err, profile.ErrVersionSkew):
-				quarantine := *ckpt + ".corrupt"
-				if rerr := os.Rename(*ckpt, quarantine); rerr == nil {
-					fmt.Fprintf(os.Stderr, "pmsimd: checkpoint unusable (%v); quarantined to %s, starting fresh\n", err, quarantine)
-				} else {
-					fmt.Fprintf(os.Stderr, "pmsimd: checkpoint unusable (%v) and quarantine failed (%v); starting fresh\n", err, rerr)
-				}
-			default:
-				fmt.Fprintln(os.Stderr, "pmsimd:", err)
-				return 1
-			}
-		}
-		svc, err = ingest.NewService(icfg, seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmsimd:", err)
-			return 2
-		}
+	// Recover owns the whole restart story, with or without -wal-dir: it
+	// loads the checkpoint (a PMCK envelope, or the bare database a
+	// WAL-less run writes), quarantines a damaged one, refuses to start
+	// over a version-skewed one — an older binary must not quietly discard
+	// a newer one's file — replays the WAL tail past the barrier,
+	// truncates a torn tail, and rebuilds both the aggregate and the
+	// admission ledger so post-crash retries dedupe.
+	svc, rinfo, err := ingest.Recover(icfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pmsimd:", err)
+		return 1
 	}
+	if rinfo.CheckpointQuarantined {
+		fmt.Fprintf(os.Stderr, "pmsimd: checkpoint unusable; quarantined to %s.corrupt, recovering from the WAL alone\n", *ckpt)
+	}
+	st := svc.Stats()
+	fmt.Printf("pmsimd: recovered: checkpoint=%v, %d WAL records replayed in %s (%d segments, truncated=%v); aggregate %d samples, %d lost\n",
+		rinfo.CheckpointLoaded, rinfo.Replayed, rinfo.Replay.Duration.Round(time.Millisecond),
+		rinfo.Replay.Segments, rinfo.Replay.Truncated, st.Samples, st.Lost)
 	svc.Start()
 
 	scfg := server.Config{
@@ -243,6 +210,10 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "pmsimd:", err)
 		return 1
 	}
+	// Signals are caught before the banner goes out: a script that scrapes
+	// it and SIGTERMs at once must get a drain, not the default action.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	// Printed to stdout so scripts (and the smoke test) can scrape the
 	// bound port when -addr uses :0.
 	fmt.Printf("pmsimd: listening on %s\n", ln.Addr())
@@ -251,8 +222,6 @@ func run() int {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case <-ctx.Done():
 	case err := <-serveErr:
@@ -328,7 +297,7 @@ func run() int {
 	if err := svc.CloseWAL(); err != nil {
 		fmt.Fprintln(os.Stderr, "pmsimd: wal close:", err)
 	}
-	st := svc.Stats()
+	st = svc.Stats()
 	fmt.Printf("pmsimd: drained cleanly: %d shards merged, %d rejected, %d dropped; %d samples aggregated, %d lost (%.1f%% loss)\n",
 		st.Merged, st.OverloadRejected, st.OverloadDropped, st.Samples, st.Lost, 100*st.LossRate)
 	if *ckpt != "" {

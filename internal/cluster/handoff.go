@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -24,27 +23,12 @@ type HandoffResult struct {
 // retiring (the caller should walk to the next successor); anything
 // else is an error with the receiver's typed body folded in.
 func SendHandoff(ctx context.Context, client *http.Client, baseURL string, body []byte) (uint64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/handoff", bytes.NewReader(body))
-	if err != nil {
+	status, raw, err := roundTrip(ctx, client, http.MethodPost, baseURL+"/v1/handoff", body, 0, 1<<20)
+	if status == 0 {
 		return 0, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusAccepted {
-		var e struct {
-			Error string `json:"error"`
-			Kind  string `json:"kind"`
-		}
-		json.Unmarshal(raw, &e)
-		return 0, fmt.Errorf("handoff refused: %d %s (%s)", resp.StatusCode, e.Kind, e.Error)
+	if status != http.StatusAccepted {
+		return 0, answered("handoff receiver", status, raw)
 	}
 	var ack struct {
 		Captured uint64 `json:"captured"`
@@ -78,7 +62,7 @@ func DrainHandoff(ctx context.Context, svc *ingest.Service, client *http.Client,
 	if !ok {
 		return HandoffResult{}, fmt.Errorf("cluster: no ring successor for %s", self)
 	}
-	body, err := ingest.EncodeHandoff(self, svc.Aggregate().Save, svc.AdmittedShards())
+	body, err := ingest.EncodeHandoff(self, svc.Aggregate().Save, svc.Ledger().Shards)
 	if err != nil {
 		return HandoffResult{}, fmt.Errorf("cluster: encode handoff: %w", err)
 	}

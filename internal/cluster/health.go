@@ -161,21 +161,16 @@ func (h *health) snapshot() map[string]InstanceState {
 // tests call it directly after killing or reviving an instance.
 func (rt *Router) Probe(ctx context.Context) {
 	for id, base := range rt.instanceURLs() {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/readyz", nil)
-		if err != nil {
-			continue
-		}
-		resp, err := rt.client.Do(req)
-		if err != nil {
+		status, raw, err := roundTrip(ctx, rt.client, http.MethodGet, base+"/readyz", nil, 0, 4096)
+		if status == 0 {
 			if rt.health.reportFailure(id) == StateDown {
 				rt.logf("probe: instance %s down (%v)", id, err)
 			}
 			continue
 		}
-		kind := drainKind(resp)
-		resp.Body.Close()
+		kind := errorKind(raw)
 		switch {
-		case resp.StatusCode == http.StatusOK:
+		case status == http.StatusOK:
 			rt.health.reportSuccess(id)
 		case kind == "draining":
 			rt.health.reportDraining(id)

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -234,21 +233,12 @@ func (rt *Router) postAdopt(ctx context.Context, ownerID, from string, shards []
 	if err != nil {
 		return 0, err
 	}
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.SubmitDeadline)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/ledger/adopt", bytes.NewReader(body))
-	if err != nil {
+	status, raw, err := roundTrip(ctx, rt.client, http.MethodPost, base+"/v1/ledger/adopt", body, rt.cfg.SubmitDeadline, 1<<20)
+	if status == 0 {
 		return 0, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("adopt at %s answered %d: %s", ownerID, resp.StatusCode, raw)
+	if status != http.StatusOK {
+		return 0, answered("adopt at "+ownerID, status, raw)
 	}
 	var ack struct {
 		Adopted int `json:"adopted"`
@@ -403,50 +393,28 @@ func (rt *Router) removeInstanceLocked(ctx context.Context, id string) (*Migrati
 // exportHandoff POSTs a donor's export endpoint and returns the
 // serialized envelope bytes (byte-identical across retries).
 func (rt *Router) exportHandoff(ctx context.Context, base string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/handoff/export", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
 	// A handoff envelope is a whole aggregate: bound generously (the
 	// receiving side's MaxHandoffBytes is the real limit).
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+	status, raw, err := roundTrip(ctx, rt.client, http.MethodPost, base+"/v1/handoff/export", nil, 0, 256<<20)
+	if err == nil && status != http.StatusOK {
+		err = answered("export", status, raw)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("export answered %d: %s", resp.StatusCode, firstN(raw, 256))
 	}
 	return raw, nil
 }
 
 // confirmHandoff POSTs a donor's confirm endpoint (idempotent).
 func (rt *Router) confirmHandoff(ctx context.Context, base string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/handoff/confirm", nil)
-	if err != nil {
+	status, raw, err := roundTrip(ctx, rt.client, http.MethodPost, base+"/v1/handoff/confirm", nil, 0, 4096)
+	switch {
+	case status == 0:
 		return err
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("confirm answered %d: %s", resp.StatusCode, firstN(raw, 256))
+	case status != http.StatusOK:
+		return answered("confirm", status, raw)
 	}
 	return nil
-}
-
-func firstN(b []byte, n int) string {
-	if len(b) > n {
-		b = b[:n]
-	}
-	return string(b)
 }
 
 // ---- membership HTTP surface ----

@@ -420,7 +420,7 @@ func TestNemesisSoak(t *testing.T) {
 	refusedTotal := func() uint64 {
 		var sum uint64
 		for _, in := range live {
-			for _, loss := range in.svc.RefusedLosses() {
+			for _, loss := range in.svc.Ledger().Refused {
 				sum += loss
 			}
 		}
@@ -472,7 +472,7 @@ func TestNemesisSoak(t *testing.T) {
 	// duplicate, never a second merge.
 	admittedUnion := make(map[string]bool, nShards)
 	for _, in := range live {
-		for _, sh := range in.svc.AdmittedShards() {
+		for _, sh := range in.svc.Ledger().Shards {
 			admittedUnion[sh] = true
 		}
 	}

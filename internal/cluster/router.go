@@ -430,23 +430,53 @@ func (rt *Router) forwardSubmit(ctx context.Context, id string, body []byte) (in
 	if base == "" {
 		return 0, nil, fmt.Errorf("no URL for instance %s", id)
 	}
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.SubmitDeadline)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/submit", bytes.NewReader(body))
+	return roundTrip(ctx, rt.client, http.MethodPost, base+"/v1/submit", body, rt.cfg.SubmitDeadline, 1<<20)
+}
+
+// roundTrip is the package's one HTTP exchange: method on url, with body
+// (JSON, when non-nil), under deadline when it is positive, keeping at
+// most limit bytes of the response. A nil client is the default one.
+// An error with status 0 means no answer arrived; an error beside a
+// status means the answer's body was cut short, and raw is what was read
+// of it — so a caller that acts on the status alone tests status == 0,
+// and one that needs the body tests err. Callers read the status their
+// own way; answered spells the error for one they did not want.
+func roundTrip(ctx context.Context, client *http.Client, method, url string, body []byte, deadline time.Duration, limit int64) (int, []byte, error) {
+	if deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, deadline)
+		defer cancel()
+	}
+	var payload io.Reader
+	if body != nil {
+		payload = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, payload)
 	if err != nil {
 		return 0, nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.client.Do(req)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if client == nil {
+		client = http.DefaultClient
+	}
+	resp, err := client.Do(req)
 	if err != nil {
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return 0, nil, err
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	return resp.StatusCode, raw, err
+}
+
+// answered is the error for a reply whose status the caller did not
+// want, with the start of its body (instances answer typed JSON errors).
+func answered(what string, status int, raw []byte) error {
+	if len(raw) > 256 {
+		raw = raw[:256]
 	}
-	return resp.StatusCode, respBody, nil
+	return fmt.Errorf("%s answered %d: %s", what, status, raw)
 }
 
 // respondAugmented relays an instance response with routing provenance
@@ -469,12 +499,8 @@ func (rt *Router) respondAugmented(w http.ResponseWriter, status int, body []byt
 	writeJSON(w, status, m)
 }
 
-// drainKind extracts the "kind" of a JSON error response (best effort).
-func drainKind(resp *http.Response) string {
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if err != nil {
-		return ""
-	}
+// errorKind extracts the "kind" of a JSON error body (best effort).
+func errorKind(raw []byte) string {
 	var e struct {
 		Kind string `json:"kind"`
 	}
@@ -572,20 +598,8 @@ func (rt *Router) fetchHedged(ctx context.Context, id, url string) leg {
 }
 
 func (rt *Router) fetchOne(ctx context.Context, id, url string) leg {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return leg{id: id, err: err}
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return leg{id: id, err: err}
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return leg{id: id, err: err}
-	}
-	return leg{id: id, status: resp.StatusCode, body: body}
+	status, body, err := roundTrip(ctx, rt.client, http.MethodGet, url, nil, 0, 8<<20)
+	return leg{id: id, status: status, body: body, err: err}
 }
 
 // partialFields annotates a merged response with the degradation

@@ -484,7 +484,7 @@ func TestRouterHandoffLedgerDedup(t *testing.T) {
 	if got := succ.svc.Stats().HandoffsIn; got != 1 {
 		t.Fatalf("successor handoffs_in %d, want 1", got)
 	}
-	if from := succ.svc.HandoffProvenance(shardOf["c0"]); from != "c0" {
+	if from := succ.svc.Ledger().AdoptedFrom[shardOf["c0"]]; from != "c0" {
 		t.Fatalf("shard %s provenance %q at successor, want c0", shardOf["c0"], from)
 	}
 
@@ -518,5 +518,40 @@ func TestRouterHandoffLedgerDedup(t *testing.T) {
 	succ.svc.BeginDrain()
 	if _, err := succ.svc.AcceptHandoff(ingest.Handoff{From: "cX", DB: synthShard(5, 10)}); err == nil {
 		t.Fatal("draining successor accepted a handoff")
+	}
+}
+
+// TestRoundTripCutBody: an answer whose body is cut short still reports
+// its status. Callers that act on the status alone (witness send, confirm,
+// adopt, prune, handoff send, the /readyz probe) must not mistake a 2xx
+// with a torn body for an unreachable peer; callers that need the body
+// (query legs, export, submit relay) see the read error.
+func TestRoundTripCutBody(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", "100")
+		w.WriteHeader(http.StatusOK)
+		w.Write([]byte(`{"status":`))
+		w.(http.Flusher).Flush()
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err == nil {
+			conn.Close()
+		}
+	}))
+	defer srv.Close()
+
+	status, raw, err := roundTrip(context.Background(), nil, http.MethodGet, srv.URL, nil, 0, 4096)
+	if status != http.StatusOK || err == nil || string(raw) != `{"status":` {
+		t.Fatalf("cut body: status %d raw %q err %v, want 200, the bytes sent and a read error", status, raw, err)
+	}
+	rt := &Router{client: srv.Client()}
+	if err := rt.confirmHandoff(context.Background(), srv.URL); err != nil {
+		t.Fatalf("confirm classifies by status, yet a cut 200 failed it: %v", err)
+	}
+	if _, err := rt.getJSON(context.Background(), srv.URL); err == nil {
+		t.Fatal("getJSON returned a cut body as if it were whole")
+	}
+	srv.Close()
+	if status, _, err := roundTrip(context.Background(), nil, http.MethodGet, srv.URL, nil, 0, 4096); status != 0 || err == nil {
+		t.Fatalf("no answer: status %d err %v, want 0 and an error", status, err)
 	}
 }

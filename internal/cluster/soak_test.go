@@ -374,7 +374,7 @@ func TestTierSaturationSoak(t *testing.T) {
 	}
 	mu.Unlock()
 	recLedger := make(map[string]bool)
-	for _, sh := range c2rec.AdmittedShards() {
+	for _, sh := range c2rec.Ledger().Shards {
 		recLedger[sh] = true
 	}
 	for s := range c2Shards {

@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
@@ -82,25 +79,15 @@ func (rt *Router) sendWitness(ctx context.Context, target, shard, origin string,
 		rt.witnessFailed.Add(1)
 		return
 	}
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.SubmitDeadline)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/witness", bytes.NewReader(payload))
-	if err != nil {
-		rt.witnessFailed.Add(1)
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.client.Do(req)
-	if err != nil {
+	status, _, err := roundTrip(ctx, rt.client, http.MethodPost, base+"/v1/witness", payload, rt.cfg.SubmitDeadline, 4096)
+	if status == 0 {
 		rt.witnessFailed.Add(1)
 		rt.logf("witness shard %s: holder %s unreachable (%v)", shard, target, err)
 		return
 	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
+	if status != http.StatusAccepted {
 		rt.witnessFailed.Add(1)
-		rt.logf("witness shard %s: holder %s refused (%d)", shard, target, resp.StatusCode)
+		rt.logf("witness shard %s: holder %s refused (%d)", shard, target, status)
 		return
 	}
 	rt.witnessSent.Add(1)
@@ -242,21 +229,12 @@ func (rt *Router) resubmitWitness(ctx context.Context, holderBase, ownerBase, or
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.SubmitDeadline)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ownerBase+"/v1/submit", bytes.NewReader(body))
-	if err != nil {
+	status, raw, err := roundTrip(ctx, rt.client, http.MethodPost, ownerBase+"/v1/submit", body, rt.cfg.SubmitDeadline, 4096)
+	switch {
+	case status == 0:
 		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return fmt.Errorf("owner answered %d", resp.StatusCode)
+	case status != http.StatusAccepted:
+		return answered("owner", status, raw)
 	}
 	return nil
 }
@@ -266,21 +244,12 @@ func (rt *Router) pruneWitness(ctx context.Context, holderBase, origin string, s
 	if err != nil {
 		return 0, err
 	}
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.SubmitDeadline)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, holderBase+"/v1/witness/prune", bytes.NewReader(payload))
-	if err != nil {
+	status, body, err := roundTrip(ctx, rt.client, http.MethodPost, holderBase+"/v1/witness/prune", payload, rt.cfg.SubmitDeadline, 4096)
+	if status == 0 {
 		return 0, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("prune answered %d", resp.StatusCode)
+	if status != http.StatusOK {
+		return 0, answered("prune", status, body)
 	}
 	var pr struct {
 		Pruned int `json:"pruned"`
@@ -294,23 +263,12 @@ func (rt *Router) pruneWitness(ctx context.Context, holderBase, origin string, s
 // getJSON fetches one URL under the query deadline and returns the body
 // on any 200; non-200 is an error.
 func (rt *Router) getJSON(ctx context.Context, u string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.QueryDeadline)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	status, body, err := roundTrip(ctx, rt.client, http.MethodGet, u, nil, rt.cfg.QueryDeadline, 8<<20)
+	if err == nil && status != http.StatusOK {
+		err = answered("GET "+u, status, body)
+	}
 	if err != nil {
 		return nil, err
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: %d", u, resp.StatusCode)
 	}
 	return body, nil
 }

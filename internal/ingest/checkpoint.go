@@ -30,7 +30,6 @@ const (
 	ckptMaxBytes  = 1<<28 + 1<<24
 	bareDBMagic   = "PMDB"
 	corruptSuffix = ".corrupt"
-	handedSuffix  = ".handedoff"
 )
 
 // Checkpoint is the durable snapshot: the aggregate (a profile.Save
@@ -45,10 +44,11 @@ type Checkpoint struct {
 	// Replay skips their admit records; a queued-but-unresolved shard is
 	// deliberately absent so its record replays.
 	Applied []string
-	// RefusedLoss mirrors Service.refusedLoss: shard id -> captured
+	// RefusedLoss maps shard ids under a standing refusal to the captured
 	// samples standing in the aggregate's loss ledger.
 	RefusedLoss map[string]uint64
-	// HandoffFrom mirrors Service.handoffFrom (ledger provenance).
+	// HandoffFrom maps shard ids admitted by handoff or adoption to their
+	// donor (ledger provenance).
 	HandoffFrom map[string]string
 	// AppliedHandoffs holds the WAL positions (Pos.String) of handoff
 	// records already folded in; replay skips them.
@@ -65,6 +65,8 @@ type Checkpoint struct {
 	// below it is either in Applied/RefusedLoss/AppliedHandoffs or was
 	// never acknowledged. Segments wholly below it are reclaimable.
 	Barrier wal.Pos
+
+	db *profile.DB // Profile decoded, set by LoadCheckpointFile (gob skips it)
 }
 
 // WriteCheckpoint writes ck as a PMCK envelope.
@@ -96,8 +98,9 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 
 // LoadCheckpointFile loads a checkpoint from disk, accepting both the
 // PMCK envelope and a bare profile database (WAL-less pmsimd
-// checkpoints), which loads with an empty ledger. A missing file
-// returns (nil, nil): a fresh start, not an error.
+// checkpoints), which loads with an empty ledger. The aggregate is
+// decoded here, once, so damage surfaces typed and Recover has its seed.
+// A missing file returns (nil, nil): a fresh start, not an error.
 func LoadCheckpointFile(path string) (*Checkpoint, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -107,23 +110,29 @@ func LoadCheckpointFile(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("ingest: load checkpoint: %w", err)
 	}
 	if len(raw) >= 4 && string(raw[0:4]) == bareDBMagic {
-		// Validate eagerly so damage surfaces here, typed, not later.
-		if _, err := profile.LoadDB(bytes.NewReader(raw)); err != nil {
+		db, err := profile.LoadDB(bytes.NewReader(raw))
+		if err != nil {
 			return nil, fmt.Errorf("ingest: load bare-database checkpoint %s: %w", path, err)
 		}
-		return &Checkpoint{Profile: raw}, nil
+		return &Checkpoint{Profile: raw, db: db}, nil
 	}
 	ck, err := ReadCheckpoint(bytes.NewReader(raw))
 	if err != nil {
 		return nil, fmt.Errorf("ingest: load checkpoint %s: %w", path, err)
+	}
+	if len(ck.Profile) > 0 {
+		// The envelope's CRC passed, so a bad image inside it is not disk
+		// damage to set aside: untyped, it stops the boot.
+		if ck.db, err = profile.LoadDB(bytes.NewReader(ck.Profile)); err != nil {
+			return nil, fmt.Errorf("ingest: load checkpoint %s: aggregate: %v", path, err)
+		}
 	}
 	return ck, nil
 }
 
 // QuarantineCheckpoint renames a damaged checkpoint aside (path +
 // ".corrupt") so a restart proceeds empty instead of crash-looping,
-// keeping the bytes for forensics. Used by the daemon when
-// LoadCheckpointFile reports corruption.
+// keeping the bytes for forensics.
 func QuarantineCheckpoint(path string) error {
 	return os.Rename(path, path+corruptSuffix)
 }

@@ -48,7 +48,7 @@ func TestAcceptHandoffDuplicateDelivery(t *testing.T) {
 		t.Fatalf("first delivery: got %d err %v, want %d nil", got, err, captured)
 	}
 	digest := aggDigest(t, svc)
-	ledger := len(svc.AdmittedShards())
+	ledger := len(svc.Ledger().Shards)
 
 	// Byte-identical redelivery: decode the same wire bytes again (the
 	// sender reuses its encoded body, as the export cache does).
@@ -69,7 +69,7 @@ func TestAcceptHandoffDuplicateDelivery(t *testing.T) {
 	if d2 := aggDigest(t, svc); string(d2) != string(digest) {
 		t.Fatal("redelivery changed the aggregate (double-merge)")
 	}
-	if n := len(svc.AdmittedShards()); n != ledger {
+	if n := len(svc.Ledger().Shards); n != ledger {
 		t.Fatalf("redelivery grew the ledger: %d -> %d", ledger, n)
 	}
 	conserve(t, svc, captured, "after duplicate delivery")
@@ -190,7 +190,7 @@ func TestAdoptShards(t *testing.T) {
 	if err := s1.Submit(sub("moved/a", 1, 10)); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("submit of adopted shard: err=%v, want ErrDuplicate", err)
 	}
-	if s1.HandoffProvenance("moved/b") != "old-owner" {
+	if s1.Ledger().AdoptedFrom["moved/b"] != "old-owner" {
 		t.Fatal("adoption provenance missing")
 	}
 	// Idempotent: re-adoption installs nothing new.

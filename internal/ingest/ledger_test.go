@@ -1,0 +1,443 @@
+package ingest
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"testing"
+
+	"profileme/internal/wal"
+)
+
+// ledgerModel is the property test's independent account of what the
+// ledger must hold: plain sets and sums, updated by the rules in
+// DESIGN.md §9, never by reading the ledger back.
+type ledgerModel struct {
+	admitted map[string]bool
+	applied  map[string]bool
+	refused  map[string]uint64
+	from     map[string]string
+	// reserved: stage done, commit not settled. queued: durable, waiting
+	// for the aggregator. Both hold a staged position.
+	reserved map[string]*wal.Ticket
+	pos      map[string]wal.Pos
+	queued   map[string]bool
+
+	pending     map[wal.Pos]bool
+	keys        map[string]uint64
+	handoffs    map[string]bool
+	failedLoss  uint64 // loss booked by merge failures: it never stands under a shard
+	want        counters
+	sinceCkpt   int
+	stagedSoFar int64
+}
+
+// fakeStage hands out increasing positions and fresh tickets, failing
+// when told to: the ledger never waits on a ticket, so no WAL is needed.
+func (m *ledgerModel) fakeStage(fail *bool) func([]byte) (wal.Pos, *wal.Ticket, error) {
+	return func([]byte) (wal.Pos, *wal.Ticket, error) {
+		if *fail {
+			return wal.Pos{}, nil, errors.New("disk on fire")
+		}
+		m.stagedSoFar++
+		return wal.Pos{Seg: 1, Off: 16 * m.stagedSoFar}, new(wal.Ticket), nil
+	}
+}
+
+func (m *ledgerModel) head() wal.Pos { return wal.Pos{Seg: 1, Off: 16 * (m.stagedSoFar + 1)} }
+
+// check compares the ledger against the model after one step.
+func (m *ledgerModel) check(t *testing.T, l *ledger, step string) {
+	t.Helper()
+	// applied ⇒ admitted: an applied id has a record, and records are the
+	// admitted ids (the view comparison below pins them to the model's).
+	for _, sh := range l.appliedLog {
+		if e := l.shards[sh]; e == nil || !e.applied {
+			t.Fatalf("%s: shard %s is in the applied log but its record says %+v", step, sh, e)
+		}
+	}
+	for sh, e := range l.shards {
+		if want := m.reserved[sh]; e.ticket != want {
+			t.Fatalf("%s: shard %s holds ticket %p, want %p (a settled entry holds none)", step, sh, e.ticket, want)
+		}
+	}
+	v := l.view()
+	wantShards, wantApplied := sortedKeys(m.admitted), sortedKeys(m.applied)
+	if !reflect.DeepEqual(v.Shards, wantShards) || !reflect.DeepEqual(v.Applied, wantApplied) {
+		t.Fatalf("%s: view shards %v applied %v, want %v / %v", step, v.Shards, v.Applied, wantShards, wantApplied)
+	}
+	if !reflect.DeepEqual(v.Refused, m.refused) || !reflect.DeepEqual(v.AdoptedFrom, m.from) {
+		t.Fatalf("%s: view refused %v from %v, want %v / %v", step, v.Refused, v.AdoptedFrom, m.refused, m.from)
+	}
+	if len(l.pending) != len(m.pending) {
+		t.Fatalf("%s: %d pending positions, want %d", step, len(l.pending), len(m.pending))
+	}
+	var ck Checkpoint
+	l.snapshot(&ck, m.head())
+	wantBarrier := m.head()
+	for pos := range m.pending {
+		if _, ok := l.pending[pos]; !ok {
+			t.Fatalf("%s: unresolved position %v is not pending", step, pos)
+		}
+		if pos.Before(wantBarrier) {
+			wantBarrier = pos
+		}
+	}
+	// The snapshot and the view read the same books.
+	if !reflect.DeepEqual(ck.Applied, v.Applied) || !reflect.DeepEqual(ck.RefusedLoss, v.Refused) || !reflect.DeepEqual(ck.HandoffFrom, v.AdoptedFrom) {
+		t.Fatalf("%s: snapshot books %v %v %v differ from the view's %v %v %v", step,
+			ck.Applied, ck.RefusedLoss, ck.HandoffFrom, v.Applied, v.Refused, v.AdoptedFrom)
+	}
+	if ck.Barrier != wantBarrier {
+		t.Fatalf("%s: barrier %v, want %v", step, ck.Barrier, wantBarrier)
+	}
+	var standing uint64
+	for _, n := range m.refused {
+		standing += n
+	}
+	c, pending := l.counts()
+	if pending != len(m.pending) {
+		t.Fatalf("%s: counts reports %d pending, want %d", step, pending, len(m.pending))
+	}
+	if standing != c.SamplesLost-m.failedLoss {
+		t.Fatalf("%s: standing loss %d != SamplesLost %d - merge-failed %d", step, standing, c.SamplesLost, m.failedLoss)
+	}
+	m.want.SamplesLost = standing + m.failedLoss
+	if c != m.want {
+		t.Fatalf("%s: counters\n got %+v\nwant %+v", step, c, m.want)
+	}
+	if l.sinceCkpt != m.sinceCkpt {
+		t.Fatalf("%s: sinceCkpt %d, want %d", step, l.sinceCkpt, m.sinceCkpt)
+	}
+	if !reflect.DeepEqual(ck.HandoffKeys, m.keys) || !reflect.DeepEqual(ck.AppliedHandoffs, sortedKeys(m.handoffs)) {
+		t.Fatalf("%s: handoff books keys %v applied %v, want %v / %v", step, ck.HandoffKeys, ck.AppliedHandoffs, m.keys, sortedKeys(m.handoffs))
+	}
+	// restore(snapshot) reproduces the checkpointed books: the restored
+	// ledger's own snapshot is the same checkpoint (it has nothing in
+	// flight, so its barrier is the head).
+	restored := newLedger()
+	restored.restore(&ck)
+	var again Checkpoint
+	restored.snapshot(&again, ck.Barrier)
+	if !reflect.DeepEqual(ck, again) {
+		t.Fatalf("%s: restore(snapshot) drifted\n first %+v\nsecond %+v", step, ck, again)
+	}
+	if rc, _ := restored.counts(); rc.SamplesLost != standing {
+		t.Fatalf("%s: restored SamplesLost %d, want the standing loss %d", step, rc.SamplesLost, standing)
+	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// pick returns a random key of m, "" when it is empty.
+func pick[V any](rng *rand.Rand, m map[string]V) string {
+	keys := sortedKeys(m)
+	if len(keys) == 0 {
+		return ""
+	}
+	return keys[rng.Intn(len(keys))]
+}
+
+// TestLedgerProperty drives the ledger alone — no WAL files, no
+// goroutines — through seeded random legal transition sequences and
+// checks every book against an independent model after every step.
+func TestLedgerProperty(t *testing.T) {
+	for seed := int64(1); seed <= 16; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := &ledgerModel{
+			admitted: map[string]bool{}, applied: map[string]bool{}, refused: map[string]uint64{},
+			from: map[string]string{}, reserved: map[string]*wal.Ticket{}, pos: map[string]wal.Pos{},
+			queued: map[string]bool{}, pending: map[wal.Pos]bool{}, keys: map[string]uint64{}, handoffs: map[string]bool{},
+		}
+		l := newLedger()
+		failStage := false
+		if seed%4 != 0 { // every fourth seed runs WAL-less: all positions zero
+			l.stage = m.fakeStage(&failStage)
+		}
+		release := func(sh string) {
+			delete(m.pending, m.pos[sh])
+			delete(m.pos, sh)
+		}
+		for step := 0; step < 300; step++ {
+			var what string
+			switch op := rng.Intn(12); op {
+			case 0, 1, 2: // reserve: a retry of a refused id, else any id, known or new
+				sh := fmt.Sprintf("s%03d", rng.Intn(300))
+				if retry := pick(rng, m.refused); retry != "" && rng.Intn(2) == 0 {
+					sh = retry
+				}
+				failStage = l.stage != nil && rng.Intn(8) == 0
+				what = fmt.Sprintf("reserve %s (stage fails: %v)", sh, failStage)
+				pos, tk, dup, err := l.reserve(sh, nil)
+				switch {
+				case m.admitted[sh]:
+					if !dup || err != nil || tk != m.reserved[sh] {
+						t.Fatalf("seed %d %s: admitted shard got dup=%v err=%v ticket=%p, want the original's ticket %p", seed, what, dup, err, tk, m.reserved[sh])
+					}
+				case failStage:
+					if dup || !errors.Is(err, ErrWAL) {
+						t.Fatalf("seed %d %s: dup=%v err=%v, want ErrWAL", seed, what, dup, err)
+					}
+				default:
+					if dup || err != nil || (l.stage != nil) != (tk != nil) {
+						t.Fatalf("seed %d %s: dup=%v err=%v ticket=%p", seed, what, dup, err, tk)
+					}
+					m.admitted[sh] = true
+					m.pos[sh] = pos
+					if tk != nil {
+						m.reserved[sh], m.pending[pos] = tk, true
+					} else {
+						m.queued[sh] = true // no WAL: nothing to settle
+					}
+				}
+				failStage = false
+			case 3, 4: // settle, mostly durable
+				sh := pick(rng, m.reserved)
+				if sh == "" {
+					continue
+				}
+				durable := rng.Intn(5) != 0
+				what = fmt.Sprintf("settle %s durable=%v", sh, durable)
+				l.settle(sh, m.pos[sh], m.reserved[sh], durable)
+				delete(m.reserved, sh)
+				if durable {
+					m.queued[sh] = true
+				} else {
+					delete(m.admitted, sh)
+					release(sh)
+				}
+			case 5: // refuse a queued shard (at the door, or evicted), sometimes sealed
+				sh := pick(rng, m.queued)
+				if sh == "" {
+					continue
+				}
+				n, evicted, sealed := uint64(rng.Intn(50)), rng.Intn(2) == 0, rng.Intn(6) == 0
+				what = fmt.Sprintf("refuse %s n=%d evicted=%v sealed=%v", sh, n, evicted, sealed)
+				_, stood := m.refused[sh]
+				if got := l.refuse(sh, m.pos[sh], n, evicted, sealed); got != (!stood && !sealed) {
+					t.Fatalf("seed %d %s: recorded=%v with a standing refusal=%v", seed, what, got, stood)
+				}
+				if !stood && !sealed {
+					m.refused[sh] = n
+				}
+				if evicted {
+					m.want.OverloadDropped++
+				} else {
+					m.want.OverloadRejected++
+				}
+				delete(m.queued, sh)
+				delete(m.admitted, sh)
+				release(sh)
+			case 6, 7: // resolve a queued shard; the merge fails now and then
+				sh := pick(rng, m.queued)
+				if sh == "" {
+					continue
+				}
+				captured, merged := uint64(rng.Intn(50)), rng.Intn(7) != 0
+				what = fmt.Sprintf("resolve %s captured=%d merged=%v", sh, captured, merged)
+				if got := l.standingLoss(sh); got != m.refused[sh] {
+					t.Fatalf("seed %d %s: standing loss %d, model refusals %v", seed, what, got, m.refused)
+				}
+				l.resolve(sh, m.pos[sh], captured, merged)
+				m.want.LossReversed += m.refused[sh]
+				delete(m.refused, sh)
+				if merged {
+					m.want.Merged++
+				} else {
+					m.want.MergeFailed++
+					m.failedLoss += captured
+				}
+				m.applied[sh] = true
+				delete(m.queued, sh)
+				release(sh)
+			case 8: // a handoff: stage, commit (rarely failing), install, finish
+				from := fmt.Sprintf("c%d", rng.Intn(3))
+				ids := []string{fmt.Sprintf("s%03d", rng.Intn(300)), fmt.Sprintf("h%02d", rng.Intn(12))}
+				key := fmt.Sprintf("key-%d-%d", seed, step)
+				captured, merged := uint64(rng.Intn(500)), rng.Intn(7) != 0
+				what = fmt.Sprintf("handoff from %s %v merged=%v", from, ids, merged)
+				pos, tk, err := l.stageRecord(nil)
+				if err != nil {
+					t.Fatalf("seed %d %s: %v", seed, what, err)
+				}
+				if tk != nil {
+					m.pending[pos] = true
+				}
+				if rng.Intn(6) == 0 {
+					l.settle("", pos, tk, false)
+					delete(m.pending, pos)
+					break
+				}
+				l.settle("", pos, tk, true)
+				l.installHandoff(from, ids, key, captured)
+				l.finishHandoff(pos, captured, merged)
+				for _, sh := range ids {
+					if !m.admitted[sh] {
+						m.admitted[sh], m.from[sh] = true, from
+					}
+				}
+				m.keys[key] = captured
+				m.want.HandoffsIn++
+				m.want.HandoffCaptured += captured
+				if merged {
+					m.sinceCkpt++
+				} else {
+					m.want.MergeFailed++
+					m.failedLoss += captured
+				}
+				if !pos.IsZero() {
+					m.handoffs[pos.String()] = true
+					delete(m.pending, pos)
+					if !l.handoffCovered(pos, "") {
+						t.Fatalf("seed %d %s: applied handoff at %v is not covered on replay", seed, what, pos)
+					}
+				}
+				if prev, seen := l.handoffDuplicate(key); !seen || prev != captured {
+					t.Fatalf("seed %d %s: redelivery answered (%d, %v), want (%d, true)", seed, what, prev, seen, captured)
+				}
+				m.want.Duplicates++
+			case 9: // an adoption
+				from := fmt.Sprintf("c%d", rng.Intn(3))
+				ids := []string{fmt.Sprintf("s%03d", rng.Intn(300)), fmt.Sprintf("a%02d", rng.Intn(12))}
+				what = fmt.Sprintf("adopt from %s %v", from, ids)
+				fresh := l.unadmitted(ids)
+				pos, tk, _ := l.stageRecord(nil)
+				l.settle("", pos, tk, true)
+				n := l.adopt(from, fresh, pos)
+				want := 0
+				for _, sh := range ids {
+					if !m.admitted[sh] {
+						m.admitted[sh], m.from[sh] = true, from
+						want++
+					}
+				}
+				if n != want || len(fresh) != want {
+					t.Fatalf("seed %d %s: adopted %d (fresh %v), want %d", seed, what, n, fresh, want)
+				}
+				m.want.AdoptedShards += uint64(want)
+			case 10: // a duplicate answered
+				what = "duplicate"
+				l.duplicate()
+				m.want.Duplicates++
+			case 11: // the checkpoint cadence
+				what = "cadence"
+				m.sinceCkpt += 2
+				if got := l.sinceCheckpoint(2); got != m.sinceCkpt {
+					t.Fatalf("seed %d: sinceCheckpoint %d, want %d", seed, got, m.sinceCkpt)
+				}
+				switch rng.Intn(3) {
+				case 0:
+					l.checkpointed(nil)
+					m.want.Checkpoints++
+					m.sinceCkpt = 0
+				case 1:
+					l.checkpointed(ErrBreakerOpen)
+					m.want.CheckpointShorted++
+				default:
+					l.checkpointed(errors.New("disk full"))
+					m.want.CheckpointFailures++
+				}
+			}
+			m.check(t, l, fmt.Sprintf("seed %d step %d: %s", seed, step, what))
+		}
+		if len(m.applied) == 0 || m.want.LossReversed == 0 || m.want.MergeFailed == 0 || len(m.from) == 0 {
+			t.Fatalf("seed %d never exercised merge, reversal, merge failure and provenance: %+v", seed, m.want)
+		}
+	}
+}
+
+// TestLedgerSnapshotBytes pins the checkpoint's ledger half to the
+// fixture the parent of the framing change wrote: restoring it and
+// snapshotting again must encode to the bytes a plain re-encode of the
+// decoded fixture gives (gob numbers types per process, so the
+// comparison is within this one).
+func TestLedgerSnapshotBytes(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "frame", "testdata", "small.pmck"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixture, err := ReadCheckpoint(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := newLedger()
+	l.restore(fixture)
+	got := Checkpoint{Profile: fixture.Profile}
+	l.snapshot(&got, fixture.Barrier)
+	var want, have bytes.Buffer
+	if err := WriteCheckpoint(&want, fixture); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteCheckpoint(&have, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), have.Bytes()) {
+		t.Fatalf("snapshot(restore(fixture)) encodes differently from the fixture:\n fixture %+v\nsnapshot %+v", fixture, got)
+	}
+	if v := l.view(); !reflect.DeepEqual(v.Shards, []string{"a/s000", "a/s001", "a/s003"}) {
+		t.Fatalf("restored ledger admits %v", v.Shards)
+	}
+}
+
+// TestLedgerBoundary keeps the books behind their methods: outside
+// ledger.go and this file, nothing in the package may select a ledger
+// field — which includes taking its lock.
+func TestLedgerBoundary(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := map[string]bool{}
+	for _, pkg := range pkgs {
+		ast.Inspect(pkg.Files["ledger.go"], func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || ts.Name.Name != "ledger" {
+				return true
+			}
+			for _, f := range ts.Type.(*ast.StructType).Fields.List {
+				for _, name := range f.Names {
+					fields[name.Name] = true
+				}
+			}
+			return false
+		})
+	}
+	if !fields["mu"] || !fields["shards"] || !fields["pending"] {
+		t.Fatalf("did not find the ledger struct's fields: %v", fields)
+	}
+	for _, pkg := range pkgs {
+		for name, file := range pkg.Files {
+			if name == "ledger.go" || name == "ledger_test.go" {
+				continue
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok || !fields[sel.Sel.Name] {
+					return true
+				}
+				// Everything else reaches the ledger as <service>.led.
+				if x, ok := sel.X.(*ast.SelectorExpr); ok && x.Sel.Name == "led" {
+					t.Errorf("%s: led.%s reaches into the ledger; add or use a ledger method",
+						fset.Position(sel.Pos()), sel.Sel.Name)
+				}
+				return true
+			})
+		}
+	}
+}

@@ -234,7 +234,7 @@ func TestRecoverHandoffRecord(t *testing.T) {
 	if err := s2.Submit(Submission{Shard: "donor/s1", DB: testShard(7, 10)}); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("donor shard after recovery: err=%v, want ErrDuplicate", err)
 	}
-	if s2.HandoffProvenance("donor/s2") != "collector-9" {
+	if s2.Ledger().AdoptedFrom["donor/s2"] != "collector-9" {
 		t.Fatal("handoff provenance lost through recovery")
 	}
 	digest := aggDigest(t, s2)

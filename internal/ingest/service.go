@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,10 +69,9 @@ type Config struct {
 	BreakerCooldown  time.Duration
 	// WALDir enables crash durability: every submission is appended to a
 	// write-ahead log there and fsynced BEFORE Submit returns, so the 202
-	// is a durability contract, not a hope. "" disables the WAL (the
-	// pre-WAL behavior: a crash loses everything since the last
-	// checkpoint). Checkpoints become WAL barriers; segments wholly
-	// covered by a checkpoint are reclaimed.
+	// is a durability contract, not a hope. "" disables the WAL: a crash
+	// loses everything since the last checkpoint. Checkpoints become WAL
+	// barriers; segments wholly covered by a checkpoint are reclaimed.
 	WALDir string
 	// FsyncWindow is the group-commit coalescing window (see wal.Config;
 	// default 0 = natural batching, where concurrent submits share
@@ -100,7 +98,7 @@ type Config struct {
 	// Log receives progress and degradation lines (nil = silent).
 	Log io.Writer
 
-	persist   func() error         // test seam; nil = WriteAtomic of the aggregate
+	persist   func() error         // test seam; nil = Service.persistCheckpoint
 	mergeHook func(Submission)     // test seam; called before each merge
 	walFsync  func(*os.File) error // test seam; threaded to wal.Config.fsync
 }
@@ -148,39 +146,13 @@ type Stats struct {
 	Queue   QueueStats   `json:"queue"`
 	Breaker BreakerStats `json:"breaker"`
 
-	Merged      uint64 `json:"merged"`       // submissions folded into the aggregate
-	MergeFailed uint64 `json:"merge_failed"` // accepted but unmergeable (accounted as loss)
+	// The ledger's counters (ledger.go): merged, refusals, duplicates,
+	// loss, checkpoints, handoffs in, adoptions — copied in one read.
+	counters
 
-	OverloadRejected uint64 `json:"overload_rejected"`     // refusal responses (429/503), retries included
-	OverloadDropped  uint64 `json:"overload_dropped"`      // evicted by DropOldest
-	Duplicates       uint64 `json:"duplicate_submissions"` // resubmissions of admitted shards (deduped)
-
-	// SamplesLost mirrors the aggregate's overload/drain loss ledger: it
-	// counts each refused shard's captured samples once, no matter how
-	// many times the shard was refused, and goes back DOWN when a refused
-	// shard is later accepted on retry (the loss is reversed).
-	SamplesLost uint64 `json:"samples_lost"`
-	// LossReversed totals the reversals, so SamplesLost + LossReversed is
-	// the high-water mark of loss ever recorded.
-	LossReversed uint64 `json:"samples_loss_reversed"`
-
-	Checkpoints        uint64 `json:"checkpoints"`
-	CheckpointFailures uint64 `json:"checkpoint_failures"`
-	CheckpointShorted  uint64 `json:"checkpoint_short_circuited"`
-
-	// Handoff accounting: HandoffsIn counts donor aggregates merged into
-	// this instance during peer drains, HandoffCaptured their total
-	// captured samples (delivered + lost) — the amount of fleet-wide
-	// accounting that migrated here. HandedOff flips when THIS instance
-	// shipped its aggregate away.
-	HandoffsIn      uint64 `json:"handoffs_in"`
-	HandoffCaptured uint64 `json:"handoff_captured"`
-	HandedOff       bool   `json:"handed_off"`
-	// AdoptedShards counts shard ids taken over via ledger adoption
-	// during membership changes — dedupe obligations, not samples.
-	AdoptedShards uint64 `json:"adopted_shards"`
-
-	Draining bool `json:"draining"`
+	// HandedOff flips when THIS instance shipped its aggregate away.
+	HandedOff bool `json:"handed_off"`
+	Draining  bool `json:"draining"`
 	// Sealed means admission is closed for a handoff export: refusals no
 	// longer record loss (nothing after the export snapshot may mutate
 	// the books this instance will ship).
@@ -237,12 +209,15 @@ type WALHealth struct {
 // Service owns the ingest pipeline: HTTP handlers Submit, one aggregator
 // goroutine merges, the breaker guards persistence, Drain flushes and
 // writes the final checkpoint. The aggregate lives behind a
-// profile.SafeDB, so queries run concurrently with ingest.
+// profile.SafeDB, so queries run concurrently with ingest. Service is
+// wiring: every book and counter lives in the ledger, and the methods
+// here compose its transitions with aggregate calls.
 type Service struct {
 	cfg Config
 	agg *profile.SafeDB
 	q   *Queue
 	brk *Breaker
+	led *ledger
 
 	wantS        float64
 	wantW, wantC int
@@ -254,79 +229,12 @@ type Service struct {
 	handedOff atomic.Bool
 	done      chan struct{}
 
-	// Two locks split the state along one seam: what admission needs to
-	// answer a submission, and what must change together with the
-	// aggregate. Lock order is handoffMu -> res -> led; never acquire
-	// leftwards.
-	//
-	// res, the resolution lock, serialises every step that changes the
-	// aggregate together with the durable ledger: merge (reversal of a
-	// standing refusal + merge + applied mark + pending release), refuse
-	// (+ RecordLoss), handoff apply, ledger adoption, and the checkpoint
-	// snapshot, which holds res for its whole encode so that the aggregate
-	// image, the ledger and the barrier come from one instant. The
-	// checkpointed books — applied, refusedLoss, handoffFrom,
-	// appliedHandoffs, handoffSeen — are WRITTEN under both locks, so a
-	// holder of either may read them.
-	//
-	// led, the ledger lock, guards the admission books — admitted,
-	// inflight, pending — and every counter below. It is held for map
-	// operations (and the buffered wal.Stage that must be atomic with its
-	// pending entry) only: never across SafeDB.Merge, a Save, or an fsync,
-	// so a Submit never waits for a merge or a snapshot.
+	// res, the resolution lock, makes each step that changes the
+	// aggregate together with the ledger — merge, refusal, handoff apply,
+	// adoption — one step to a checkpoint snapshot, which holds res for
+	// its whole encode. Lock order is handoffMu -> res -> the ledger's
+	// own lock; never acquire leftwards.
 	res sync.Mutex
-	led sync.Mutex
-
-	merged      uint64
-	mergeFail   uint64
-	rejected    uint64
-	dropped     uint64
-	dupes       uint64
-	lostSamp    uint64
-	lostRev     uint64
-	ckptOK      uint64
-	ckptFail    uint64
-	ckptShort   uint64
-	handoffsIn  uint64
-	handoffCapt uint64
-	sinceCkpt   int
-
-	// Shard admission ledger. admitted holds shard ids that are queued or
-	// merged — a resubmission dedupes to ErrDuplicate instead of merging
-	// twice (a lost 202 makes honest clients retry delivered shards).
-	// refusedLoss maps shard ids whose captured samples sit in the
-	// aggregate's loss ledger (429/503 refusals, DropOldest evictions) to
-	// the exact count recorded, so a repeat refusal accounts nothing new
-	// and the merge of an accepted retry reverses precisely what was
-	// recorded. Memory grows with distinct shard ids, which a campaign
-	// bounds by benchmarks × shards.
-	admitted    map[string]bool
-	refusedLoss map[string]uint64
-	// inflight maps a reserved shard id to the WAL ticket its original
-	// submission is still waiting on. A resubmission that finds its shard
-	// admitted must NOT answer "duplicate" off the reservation alone —
-	// the 202+duplicate is a durability receipt too, so the duplicate
-	// path blocks on the same ticket and fails with ErrWAL if the
-	// original's group commit fails. Entries exist only between Stage and
-	// Wait; a shard with no entry is either durably logged or WAL-less.
-	inflight map[string]*wal.Ticket
-	// handoffFrom records ledger provenance: shard ids admitted here not
-	// by direct submission but because a draining peer handed its ledger
-	// over — the reason a retry of a donor-merged shard dedupes at the
-	// successor instead of double-merging across a drain failover.
-	handoffFrom map[string]string
-	// handoffSeen maps applied handoff envelopes' content digests to the
-	// captured total each acknowledged. A byte-identical redelivery (the
-	// sender retrying after a lost ack) answers ErrDuplicate with the
-	// original captured count instead of merging the donor's aggregate a
-	// second time — the envelope-level twin of the per-shard admission
-	// dedupe. Persisted in checkpoints and reconstructed by WAL replay.
-	handoffSeen map[string]uint64
-	// adopted counts shard ids this instance took over via ledger
-	// adoption (membership changes): dedupe obligations whose samples
-	// live elsewhere in the fleet.
-	adopted uint64
-
 	// handoffMu serializes AcceptHandoff calls end to end, making the
 	// envelope dedupe check-then-apply atomic against a concurrent
 	// delivery of the same envelope (netchaos duplicates requests in the
@@ -335,20 +243,8 @@ type Service struct {
 	// costs nothing.
 	handoffMu sync.Mutex
 
-	// WAL state (the log itself has its own locking). applied holds shard
-	// ids the aggregator has RESOLVED (merged or merge-failed-and-
-	// accounted) — the set a checkpoint snapshots so replay can skip
-	// covered admit records; admitted minus applied is "reserved or
-	// queued". pending maps staged WAL positions to their unresolved
-	// records: the checkpoint barrier is min(pending) so reclaim can never
-	// outrun an acknowledged-but-unmerged record. appliedHandoffs keys
-	// applied handoff records by Pos.String() — stable across replays — so
-	// a replayed handoff never double-merges.
-	wal             *wal.Log
+	wal             *wal.Log // nil when disabled; has its own locking
 	walReplay       wal.ReplayInfo
-	applied         map[string]bool
-	pending         map[wal.Pos]struct{}
-	appliedHandoffs map[string]bool
 	replayedRecords int
 }
 
@@ -358,7 +254,7 @@ type Service struct {
 // cfg.WALDir set, any existing WAL tail there is replayed into the seed
 // (with an empty ledger — use Recover to restart from checkpoint + WAL).
 func NewService(cfg Config, seed *profile.DB) (*Service, error) {
-	return newService(cfg, seed, nil)
+	return newService(cfg, &Checkpoint{db: seed})
 }
 
 // RecoveryInfo reports what Recover reconstructed.
@@ -368,9 +264,6 @@ type RecoveryInfo struct {
 	// and recovery proceeded from the WAL alone.
 	CheckpointLoaded      bool
 	CheckpointQuarantined bool
-	// LegacyCheckpoint is true when the checkpoint was a pre-WAL bare
-	// profile database (no ledger, no barrier).
-	LegacyCheckpoint bool
 	// Replay is the WAL scan: records re-applied or skipped, repairs.
 	Replay wal.ReplayInfo
 	// Replayed counts records actually applied (not skipped as covered
@@ -379,40 +272,33 @@ type RecoveryInfo struct {
 }
 
 // Recover restarts a service from its durable state: the checkpoint (if
-// any) seeds the aggregate and the admission ledger, then the WAL tail
-// is replayed on top, truncating at the first torn record. A corrupt
-// checkpoint is quarantined (.corrupt) and recovery proceeds from the
-// WAL alone — conservation then rests on whatever the WAL retains.
+// any; a PMCK envelope, or the bare profile database a WAL-less service
+// writes) seeds the aggregate and the admission ledger, then the WAL
+// tail is replayed on top, truncating at the first torn record. A
+// corrupt or truncated checkpoint is quarantined (.corrupt) and recovery
+// proceeds from the WAL alone — conservation then rests on whatever the
+// WAL retains. A version-skewed one is an error and is left untouched:
+// an older binary must not quietly discard a newer binary's file.
 // cfg.WALDir may be "" (plain checkpoint restart, no WAL).
 func Recover(cfg Config) (*Service, RecoveryInfo, error) {
 	var info RecoveryInfo
-	var ck *Checkpoint
+	ck := new(Checkpoint) // nothing to restore, unless a file says otherwise
 	if cfg.CheckpointPath != "" {
-		var err error
-		ck, err = LoadCheckpointFile(cfg.CheckpointPath)
+		loaded, err := LoadCheckpointFile(cfg.CheckpointPath)
 		switch {
-		case err == nil:
-			info.CheckpointLoaded = ck != nil
+		case loaded != nil:
+			info.CheckpointLoaded, ck = true, loaded
+		case err == nil: // no file: a fresh start
 		case errors.Is(err, profile.ErrCorrupt) || errors.Is(err, profile.ErrTruncated):
 			if qerr := QuarantineCheckpoint(cfg.CheckpointPath); qerr != nil {
 				return nil, info, fmt.Errorf("ingest: recover: quarantine damaged checkpoint: %v (load error: %w)", qerr, err)
 			}
 			info.CheckpointQuarantined = true
-			ck = nil
 		default:
 			return nil, info, err
 		}
 	}
-	var seed *profile.DB
-	if ck != nil && len(ck.Profile) > 0 {
-		db, err := profile.LoadDB(bytes.NewReader(ck.Profile))
-		if err != nil {
-			return nil, info, fmt.Errorf("ingest: recover: checkpoint profile: %w", err)
-		}
-		seed = db
-		info.LegacyCheckpoint = ck.Applied == nil && ck.RefusedLoss == nil && ck.Barrier.IsZero()
-	}
-	s, err := newService(cfg, seed, ck)
+	s, err := newService(cfg, ck)
 	if err != nil {
 		return nil, info, err
 	}
@@ -421,10 +307,11 @@ func Recover(cfg Config) (*Service, RecoveryInfo, error) {
 	return s, info, nil
 }
 
-// newService is the shared constructor: build the service, install the
-// checkpoint ledger, then open the WAL (replaying its tail into the
-// service through the ledger's skip logic).
-func newService(cfg Config, seed *profile.DB, ck *Checkpoint) (*Service, error) {
+// newService is the shared constructor: build the service on ck's
+// aggregate (an empty one when it has none), install ck's ledger, then
+// open the WAL (replaying its tail into the service through the ledger's
+// skip logic).
+func newService(cfg Config, ck *Checkpoint) (*Service, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -432,6 +319,7 @@ func newService(cfg Config, seed *profile.DB, ck *Checkpoint) (*Service, error) 
 	if err != nil {
 		return nil, err
 	}
+	seed := ck.db
 	if seed == nil {
 		seed = profile.NewDB(cfg.Interval, cfg.Window, cfg.Width)
 	}
@@ -442,39 +330,13 @@ func newService(cfg Config, seed *profile.DB, ck *Checkpoint) (*Service, error) 
 			WindowBuckets: cfg.SketchWindowBuckets,
 			BucketDur:     cfg.SketchWindowBucket,
 		}),
-		q:               q,
-		brk:             NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		done:            make(chan struct{}),
-		admitted:        make(map[string]bool),
-		refusedLoss:     make(map[string]uint64),
-		inflight:        make(map[string]*wal.Ticket),
-		handoffFrom:     make(map[string]string),
-		handoffSeen:     make(map[string]uint64),
-		applied:         make(map[string]bool),
-		pending:         make(map[wal.Pos]struct{}),
-		appliedHandoffs: make(map[string]bool),
+		q:    q,
+		brk:  NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		led:  newLedger(),
+		done: make(chan struct{}),
 	}
 	s.wantS, s.wantW, s.wantC, s.wantTNear = s.agg.SamplingConfig()
-	if ck != nil {
-		for _, sh := range ck.Applied {
-			s.admitted[sh] = true
-			s.applied[sh] = true
-		}
-		for sh, n := range ck.RefusedLoss {
-			s.refusedLoss[sh] = n
-			s.lostSamp += n
-		}
-		for sh, from := range ck.HandoffFrom {
-			s.handoffFrom[sh] = from
-			s.admitted[sh] = true
-		}
-		for _, key := range ck.AppliedHandoffs {
-			s.appliedHandoffs[key] = true
-		}
-		for key, captured := range ck.HandoffKeys {
-			s.handoffSeen[key] = captured
-		}
-	}
+	s.led.restore(ck)
 	if cfg.WALDir != "" {
 		l, rinfo, err := wal.Open(wal.Config{
 			Dir:          cfg.WALDir,
@@ -486,22 +348,19 @@ func newService(cfg Config, seed *profile.DB, ck *Checkpoint) (*Service, error) 
 		if err != nil {
 			return nil, fmt.Errorf("ingest: wal: %w", err)
 		}
-		s.wal = l
-		s.walReplay = rinfo
+		s.wal, s.walReplay = l, rinfo
+		s.led.attachWAL(l.Stage)
 		if rinfo.Records > 0 || rinfo.Truncated {
+			truncated := ""
+			if rinfo.Truncated {
+				truncated = fmt.Sprintf(", truncated at %v (%d segments quarantined)", rinfo.TruncatedAt, rinfo.Quarantined)
+			}
 			s.logf("wal replay: %d records (%d applied) from %d segments in %s%s",
-				rinfo.Records, s.replayedRecords, rinfo.Segments, rinfo.Duration.Round(time.Millisecond),
-				map[bool]string{true: fmt.Sprintf(", truncated at %v (%d segments quarantined)", rinfo.TruncatedAt, rinfo.Quarantined), false: ""}[rinfo.Truncated])
+				rinfo.Records, s.replayedRecords, rinfo.Segments, rinfo.Duration.Round(time.Millisecond), truncated)
 		}
 	}
 	if s.cfg.persist == nil {
-		if s.wal != nil {
-			s.cfg.persist = s.persistCheckpoint
-		} else {
-			s.cfg.persist = func() error {
-				return profile.WriteAtomic(s.cfg.CheckpointPath, s.agg.Save)
-			}
-		}
+		s.cfg.persist = s.persistCheckpoint
 	}
 	return s, nil
 }
@@ -521,10 +380,9 @@ func (s *Service) Draining() bool { return s.draining.Load() }
 
 // Start launches the aggregator goroutine.
 func (s *Service) Start() {
-	if !s.started.CompareAndSwap(false, true) {
-		return
+	if s.started.CompareAndSwap(false, true) {
+		go s.run()
 	}
-	go s.run()
 }
 
 // Submit admits one decoded submission into the queue. On refusal the
@@ -546,22 +404,18 @@ func (s *Service) Start() {
 // checked before everything else, draining included: its samples were
 // never part of this aggregate's population.
 //
-// The accepted path takes only the ledger lock, so it never waits for a
-// merge or a checkpoint snapshot; refusals take the resolution lock too
-// (they change the aggregate).
+// The accepted path takes only the ledger's lock, so it never waits for
+// a merge or a checkpoint snapshot; refusals take the resolution lock
+// too (they change the aggregate).
 func (s *Service) Submit(sub Submission) error {
 	if err := s.compatible(sub.DB); err != nil {
 		return err
 	}
 	// Cheap duplicate pre-check before building a WAL record (retries of
 	// delivered shards are the common case under a flaky network).
-	s.led.Lock()
-	if s.admitted[sub.Shard] {
-		t := s.inflight[sub.Shard]
-		s.led.Unlock()
-		return s.awaitDuplicate(t)
+	if e, admitted := s.led.lookup(sub.Shard); admitted {
+		return s.awaitDuplicate(e.ticket)
 	}
-	s.led.Unlock()
 	// A sealed service (handoff export in progress) refuses NEW shards
 	// with zero side effects — no WAL record, no reservation, no loss
 	// accounting. The export snapshot is the last word on this
@@ -583,59 +437,24 @@ func (s *Service) Submit(sub Submission) error {
 	}
 	// The record holds the wire bytes now; the queue must not pin them.
 	sub.wire = nil
-	// Reserve the shard id before touching the queue so two racing
-	// submissions of the same shard cannot both merge; the reservation is
-	// released again on refusal. The WAL record is staged in the same
-	// critical section so its position is registered in the pending set
-	// before any checkpoint can compute a barrier past it — otherwise a
-	// reclaim racing this Submit could erase an acknowledged record
-	// before the aggregator resolves it.
-	var ticket *wal.Ticket
-	s.led.Lock()
-	if s.admitted[sub.Shard] {
-		t := s.inflight[sub.Shard]
-		s.led.Unlock()
+	pos, t, dup, err := s.led.reserve(sub.Shard, rec)
+	switch {
+	case dup:
 		return s.awaitDuplicate(t)
+	case err != nil:
+		return err
 	}
-	if s.wal != nil {
-		pos, t, err := s.wal.Stage(rec)
-		if err != nil {
-			s.led.Unlock()
-			return fmt.Errorf("%w: %v", ErrWAL, err)
-		}
-		sub.walPos = pos
-		s.pending[pos] = struct{}{}
-		s.inflight[sub.Shard] = t
-		ticket = t
+	if err := s.awaitCommit(sub.Shard, pos, t); err != nil {
+		return err
 	}
-	s.admitted[sub.Shard] = true
-	s.led.Unlock()
-	// Group commit: wait for the batched fsync. Only after this returns
-	// is the record durable and the 202 honest. On sync failure nothing
-	// was acknowledged, so back the reservation out and send the client
-	// elsewhere (any duplicate that waited on the same ticket answers
-	// ErrWAL too, never a false receipt).
-	if ticket != nil {
-		err := ticket.Wait()
-		s.led.Lock()
-		if s.inflight[sub.Shard] == ticket {
-			delete(s.inflight, sub.Shard)
-		}
-		if err != nil {
-			delete(s.admitted, sub.Shard)
-			delete(s.pending, sub.walPos)
-			s.led.Unlock()
-			return fmt.Errorf("%w: fsync: %v", ErrWAL, err)
-		}
-		s.led.Unlock()
-	}
+	sub.walPos = pos
 	if s.draining.Load() {
-		s.refuse(sub, &s.rejected)
+		s.refuse(sub, false)
 		return ErrDraining
 	}
 	dropped, res := s.q.Offer(sub)
 	for _, d := range dropped {
-		s.refuse(d, &s.dropped)
+		s.refuse(d, true)
 		s.logf("overflow: dropped oldest shard %s (%d captured samples accounted as loss)", d.Shard, d.Captured())
 	}
 	switch res {
@@ -643,13 +462,51 @@ func (s *Service) Submit(sub Submission) error {
 		// BeginDrain raced with this Submit: same contract as draining —
 		// 503, not 429, so the client goes elsewhere instead of retrying
 		// a shutting-down instance.
-		s.refuse(sub, &s.rejected)
+		s.refuse(sub, false)
 		return ErrDraining
 	case OfferFull:
-		s.refuse(sub, &s.rejected)
+		s.refuse(sub, false)
 		return ErrQueueFull
 	}
 	return nil
+}
+
+// awaitCommit finishes what a ledger stage call began: wait for the
+// batched fsync — only after it returns is the record durable and the
+// 202 honest — then settle. On a sync failure nothing was acknowledged,
+// so the ledger backs the reservation and the position out and the
+// client is sent elsewhere (a duplicate that waited on the same ticket
+// answers ErrWAL too, never a false receipt). Without a WAL t is nil and
+// there is nothing to wait for.
+func (s *Service) awaitCommit(shard string, pos wal.Pos, t *wal.Ticket) error {
+	if t == nil {
+		return nil
+	}
+	err := t.Wait()
+	s.led.settle(shard, pos, t, err == nil)
+	if err != nil {
+		return fmt.Errorf("%w: fsync: %v", ErrWAL, err)
+	}
+	return nil
+}
+
+// stageAndWait makes one control-plane WAL record (handoff, adoption)
+// durable; without a WAL there is nothing to do. The position stays
+// pending — holding the checkpoint barrier — until the caller applies
+// the record.
+func (s *Service) stageAndWait(rec record, save func(io.Writer) error) (wal.Pos, error) {
+	if s.wal == nil {
+		return wal.Pos{}, nil
+	}
+	payload, err := encodeRecord(rec, save)
+	if err != nil {
+		return wal.Pos{}, fmt.Errorf("%w: encode %s: %v", ErrWAL, rec.Kind, err)
+	}
+	pos, t, err := s.led.stageRecord(payload)
+	if err != nil {
+		return wal.Pos{}, err
+	}
+	return pos, s.awaitCommit("", pos, t)
 }
 
 // awaitDuplicate resolves a resubmission of a reserved shard. The 202
@@ -666,9 +523,7 @@ func (s *Service) awaitDuplicate(t *wal.Ticket) error {
 			return fmt.Errorf("%w: original submission's fsync failed: %v", ErrWAL, err)
 		}
 	}
-	s.led.Lock()
-	s.dupes++
-	s.led.Unlock()
+	s.led.duplicate()
 	return ErrDuplicate
 }
 
@@ -682,43 +537,19 @@ func (s *Service) compatible(db *profile.DB) error {
 	return nil
 }
 
-// refuse backs a shard out of admission (refused at the door or evicted
-// by DropOldest): the reservation is released, the refusal counter
-// bumped, and — only the first time this shard id is refused — its
-// captured samples recorded as aggregate loss under its ledger entry.
-// Until refuse runs the shard's reservation stands, so no other
-// submission of the same id can be in flight.
-func (s *Service) refuse(sub Submission, counter *uint64) {
+// refuse backs a shard out of admission (refused at the door, or
+// evicted by DropOldest) and, the first time its id is refused, records
+// its captured samples as aggregate loss — ledger entry and aggregate
+// loss under one hold of res. Until refuse runs the shard's reservation
+// stands, so no other submission of the same id can be in flight. A
+// refusal racing a seal (the submit slipped past the sealed check, then
+// found the queue closed) records nothing: the client got a 503 and
+// retries elsewhere, and the loss is recorded wherever the shard lands.
+func (s *Service) refuse(sub Submission, evicted bool) {
 	n := sub.Captured()
 	s.res.Lock()
 	defer s.res.Unlock()
-	s.led.Lock()
-	delete(s.admitted, sub.Shard)
-	// The refusal resolves the staged WAL record: it leaves the pending
-	// set (the barrier may pass it once the refusal itself is in a
-	// checkpoint's ledger). No refusal record is written — on a crash the
-	// retained admit record replays as a merge, which conserves the same
-	// captured samples as Samples instead of Lost.
-	if !sub.walPos.IsZero() {
-		delete(s.pending, sub.walPos)
-	}
-	*counter++
-	_, seen := s.refusedLoss[sub.Shard]
-	// A refusal racing a seal (the submit slipped past the sealed check
-	// before Seal, then found the queue closed) must NOT record loss:
-	// the export snapshot may already be encoded, and a loss recorded
-	// after it would stand in books that are about to be quarantined —
-	// vanishing from the fleet sum. The client got a 503 and retries
-	// elsewhere; the pair gets recorded wherever the shard finally lands.
-	record := !seen && !s.sealed.Load()
-	if record {
-		s.refusedLoss[sub.Shard] = n
-		s.lostSamp += n
-	}
-	s.led.Unlock()
-	if record {
-		// Still under res: a checkpoint snapshot sees the ledger entry and
-		// the aggregate loss together or not at all.
+	if s.led.refuse(sub.Shard, sub.walPos, n, evicted, s.sealed.Load()) {
 		s.agg.RecordLoss(n)
 	}
 }
@@ -744,10 +575,7 @@ func (s *Service) merge(sub Submission) {
 	}
 	s.res.Lock()
 	reversed, err := s.resolve(sub)
-	s.led.Lock()
-	s.sinceCkpt++
-	due := s.cfg.CheckpointPath != "" && s.sinceCkpt >= s.cfg.CheckpointEvery
-	s.led.Unlock()
+	due := s.checkpointDue(1)
 	s.res.Unlock()
 	if reversed > 0 {
 		s.logf("shard %s merged on retry: %d previously accounted samples reversed out of the loss ledger", sub.Shard, reversed)
@@ -763,47 +591,32 @@ func (s *Service) merge(sub Submission) {
 // resolve is the one step that turns an admitted shard into aggregate
 // state, shared by the live merge and WAL replay: reverse the shard's
 // standing refusal loss if it has one, merge it (or account its captured
-// samples as loss when it cannot merge), mark it applied and release its
-// WAL position. The caller holds res, so a checkpoint snapshot sees the
-// shard fully resolved or not at all; led is taken only for the ledger
-// marks, after the aggregate work.
+// samples as loss when it cannot merge), and book the resolution. The
+// caller holds res, so a checkpoint snapshot sees the shard fully
+// resolved or not at all.
 //
 // The reversal belongs here and nowhere earlier: an accepted retry can
 // still be evicted from the queue (DropOldest), and a loss taken back
 // at acceptance would then be owed for samples that never merge.
 func (s *Service) resolve(sub Submission) (reversed uint64, err error) {
-	reversed, wasRefused := s.refusedLoss[sub.Shard]
-	if wasRefused {
+	if reversed = s.led.standingLoss(sub.Shard); reversed > 0 {
 		s.agg.ReverseLoss(reversed)
 	}
 	captured := sub.Captured()
 	if err = s.agg.Merge(sub.DB); err != nil {
 		// Admission screens configurations, so this is rare (e.g. metric
 		// registration skew) — but it still must be accounted, not lost.
-		// The shard still joins the applied set: the failure is permanent
-		// and deterministic, so a retry must dedupe and a replay must
-		// skip (replaying would fail-and-account identically, but only
-		// when the checkpoint predates the resolution).
 		s.agg.RecordLoss(captured)
 	}
-	s.led.Lock()
-	if wasRefused {
-		delete(s.refusedLoss, sub.Shard)
-		s.lostSamp -= reversed
-		s.lostRev += reversed
-	}
-	if err != nil {
-		s.mergeFail++
-		s.lostSamp += captured
-	} else {
-		s.merged++
-	}
-	s.applied[sub.Shard] = true
-	if !sub.walPos.IsZero() {
-		delete(s.pending, sub.walPos)
-	}
-	s.led.Unlock()
+	s.led.resolve(sub.Shard, sub.walPos, captured, err == nil)
 	return reversed, err
+}
+
+// checkpointDue adds merged aggregate changes to the ledger's tally and
+// reports whether the checkpoint cadence has come round. Called under
+// res, so two steps cannot both see the same cadence boundary.
+func (s *Service) checkpointDue(merged int) bool {
+	return s.cfg.CheckpointPath != "" && s.led.sinceCheckpoint(merged) >= s.cfg.CheckpointEvery
 }
 
 // checkpoint persists the aggregate through the circuit breaker: an open
@@ -811,93 +624,44 @@ func (s *Service) resolve(sub Submission) (reversed uint64, err error) {
 // stalling ingest on a dead disk.
 func (s *Service) checkpoint() {
 	err := s.brk.Do(s.cfg.persist)
-	s.led.Lock()
-	switch {
-	case errors.Is(err, ErrBreakerOpen):
-		s.ckptShort++
-	case err != nil:
-		s.ckptFail++
-	default:
-		s.ckptOK++
-		s.sinceCkpt = 0
-	}
-	s.led.Unlock()
+	s.led.checkpointed(err)
 	if err != nil && !errors.Is(err, ErrBreakerOpen) {
 		s.logf("checkpoint failed: %v", err)
 	}
 }
 
-// snapshotCheckpoint captures a consistent checkpoint under res: the
-// serialized aggregate, the full ledger, and the WAL barrier (the
-// lowest pending position, or the head when nothing is in flight).
-// Every step that changes the aggregate or a checkpointed book holds
-// res, so for the length of the encode they are frozen together and
-// the snapshot can never catch a ledger entry without its aggregate
-// delta or vice versa. Admission carries on under led meanwhile: what
-// it stages lands at or above the head read here, and the barrier
-// stays at or below every position still unresolved. The file write
-// happens outside both locks.
-func (s *Service) snapshotCheckpoint() (*Checkpoint, error) {
-	s.res.Lock()
-	defer s.res.Unlock()
-	ck := &Checkpoint{
-		Applied:         make([]string, 0, len(s.applied)),
-		RefusedLoss:     make(map[string]uint64, len(s.refusedLoss)),
-		HandoffFrom:     make(map[string]string, len(s.handoffFrom)),
-		AppliedHandoffs: make([]string, 0, len(s.appliedHandoffs)),
-		HandoffKeys:     make(map[string]uint64, len(s.handoffSeen)),
-	}
-	if s.wal != nil {
-		s.led.Lock()
-		ck.Barrier = s.wal.Head()
-		for pos := range s.pending {
-			if pos.Before(ck.Barrier) {
-				ck.Barrier = pos
-			}
-		}
-		s.led.Unlock()
-	}
-	for sh := range s.applied {
-		ck.Applied = append(ck.Applied, sh)
-	}
-	sort.Strings(ck.Applied)
-	for sh, n := range s.refusedLoss {
-		ck.RefusedLoss[sh] = n
-	}
-	for sh, from := range s.handoffFrom {
-		ck.HandoffFrom[sh] = from
-	}
-	for key := range s.appliedHandoffs {
-		ck.AppliedHandoffs = append(ck.AppliedHandoffs, key)
-	}
-	sort.Strings(ck.AppliedHandoffs)
-	for key, captured := range s.handoffSeen {
-		ck.HandoffKeys[key] = captured
-	}
-	var buf bytes.Buffer
-	if err := s.agg.Save(&buf); err != nil {
-		return nil, err
-	}
-	ck.Profile = buf.Bytes()
-	return ck, nil
-}
-
-// persistCheckpoint is the WAL-mode persist function: write the PMCK
-// envelope atomically, then advance the WAL barrier and reclaim the
-// segments the checkpoint now covers. Reclaim failure is logged, not
-// fatal — the records are merely redundant, and the next checkpoint
-// retries.
+// persistCheckpoint is the default persist function. Without a WAL no
+// 202 promised durability, so there is no ledger worth keeping and the
+// file is the bare aggregate. With one it is a PMCK envelope: the
+// serialized aggregate, the ledger and the WAL barrier, captured under
+// res. Every step that changes the aggregate together with a
+// checkpointed book holds res, so for the length of the encode they are
+// frozen together and the snapshot can never catch a ledger entry
+// without its aggregate delta or vice versa (ledger.snapshot says why
+// admission may carry on meanwhile). The file write happens outside the
+// lock; then the WAL barrier advances and the segments the checkpoint
+// now covers are reclaimed — failure there is logged, not fatal: the
+// records are merely redundant, and the next checkpoint retries.
 func (s *Service) persistCheckpoint() error {
-	ck, err := s.snapshotCheckpoint()
+	if s.wal == nil {
+		return profile.WriteAtomic(s.cfg.CheckpointPath, s.agg.Save)
+	}
+	var ck Checkpoint
+	var image bytes.Buffer
+	s.res.Lock()
+	s.led.snapshot(&ck, s.wal.Head())
+	err := s.agg.Save(&image)
+	s.res.Unlock()
 	if err != nil {
 		return err
 	}
+	ck.Profile = image.Bytes()
 	if err := profile.WriteAtomic(s.cfg.CheckpointPath, func(w io.Writer) error {
-		return WriteCheckpoint(w, ck)
+		return WriteCheckpoint(w, &ck)
 	}); err != nil {
 		return err
 	}
-	if s.wal != nil && !ck.Barrier.IsZero() {
+	if !ck.Barrier.IsZero() {
 		if _, err := s.wal.ReclaimBefore(ck.Barrier); err != nil {
 			s.logf("wal reclaim below %v failed: %v", ck.Barrier, err)
 		}
@@ -965,9 +729,7 @@ func (s *Service) FinalCheckpoint() error {
 	if err := s.cfg.persist(); err != nil {
 		return fmt.Errorf("ingest: final checkpoint: %w", err)
 	}
-	s.led.Lock()
-	s.ckptOK++
-	s.led.Unlock()
+	s.led.checkpointed(nil)
 	return nil
 }
 
@@ -991,8 +753,8 @@ func (s *Service) Drain(ctx context.Context) error {
 
 // AcceptHandoff merges a draining peer's aggregate and admission ledger
 // into this instance — the tier's zero-loss rolling-restart path. The
-// donor's shard ids join the admitted ledger (with provenance) BEFORE
-// the merge, so a client retry racing the handoff dedupes instead of
+// donor's shard ids join the ledger (with provenance) BEFORE the merge,
+// so a client retry racing the handoff dedupes instead of
 // double-merging; the donor's loss ledger rides inside its DB, keeping
 // the fleet-wide conservation sum intact. Returns the captured total
 // (delivered + lost) that migrated. A draining or already-handed-off
@@ -1011,14 +773,8 @@ func (s *Service) AcceptHandoff(h Handoff) (captured uint64, err error) {
 	// count the original acknowledged — merging it again would count the
 	// donor's whole aggregate twice. Checked before the config screen so
 	// even a sender whose retry raced a local config change dedupes.
-	if h.Key != "" {
-		s.led.Lock()
-		if prev, seen := s.handoffSeen[h.Key]; seen {
-			s.dupes++
-			s.led.Unlock()
-			return prev, ErrDuplicate
-		}
-		s.led.Unlock()
+	if prev, seen := s.led.handoffDuplicate(h.Key); seen {
+		return prev, ErrDuplicate
 	}
 	if err := s.compatible(h.DB); err != nil {
 		return 0, err
@@ -1028,22 +784,16 @@ func (s *Service) AcceptHandoff(h Handoff) (captured uint64, err error) {
 	// only quarantines its own durable state after our 200, so the
 	// migrated samples must be durable here first. The record is keyed
 	// by its WAL position (stable across replays) so a replay after a
-	// crash applies it exactly once.
-	var pos wal.Pos
-	if s.wal != nil {
-		rec, err := encodeHandoffRecord(h)
-		if err != nil {
-			return 0, fmt.Errorf("%w: encode handoff: %v", ErrWAL, err)
-		}
-		if pos, err = s.stageAndWait(rec); err != nil {
-			return 0, err
-		}
+	// crash applies it exactly once. The content key is carried rather
+	// than recomputed: the re-serialized profile bytes need not match the
+	// wire bytes the key was digested over.
+	pos, err := s.stageAndWait(record{Kind: walKindHandoff, From: h.From, Shards: h.Shards, Key: h.Key}, h.DB.Save)
+	if err != nil {
+		return 0, err
 	}
 	s.res.Lock()
 	mergeErr := s.applyHandoff(h, captured, pos)
-	s.led.Lock()
-	due := mergeErr == nil && s.cfg.CheckpointPath != "" && s.sinceCkpt >= s.cfg.CheckpointEvery
-	s.led.Unlock()
+	due := mergeErr == nil && s.checkpointDue(0)
 	s.res.Unlock()
 	if mergeErr != nil {
 		return 0, fmt.Errorf("ingest: handoff from %s unmergeable (accounted as loss): %w", h.From, mergeErr)
@@ -1055,51 +805,13 @@ func (s *Service) AcceptHandoff(h Handoff) (captured uint64, err error) {
 	return captured, nil
 }
 
-// stageAndWait makes one control-plane WAL record (handoff, adoption)
-// durable: staged with its position entering the pending set in the
-// same critical section, then the group commit awaited outside any
-// lock. The position stays pending — holding the checkpoint barrier —
-// until the caller applies the record; a failed commit releases it.
-func (s *Service) stageAndWait(rec []byte) (wal.Pos, error) {
-	s.led.Lock()
-	pos, ticket, err := s.wal.Stage(rec)
-	if err != nil {
-		s.led.Unlock()
-		return wal.Pos{}, fmt.Errorf("%w: %v", ErrWAL, err)
-	}
-	s.pending[pos] = struct{}{}
-	s.led.Unlock()
-	if err := ticket.Wait(); err != nil {
-		s.led.Lock()
-		delete(s.pending, pos)
-		s.led.Unlock()
-		return wal.Pos{}, fmt.Errorf("%w: fsync: %v", ErrWAL, err)
-	}
-	return pos, nil
-}
-
 // applyHandoff folds a handoff into ledger and aggregate — shared
 // verbatim by the live path and WAL replay so a replayed handoff
 // reconstructs the identical state. The caller holds res, which makes
-// the whole fold one step to a checkpoint snapshot; the donor's shard
-// ids join the admitted ledger BEFORE the merge, so a client retry
-// racing the handoff dedupes instead of double-merging. pos is the
-// handoff's WAL record (zero without a WAL): it is marked applied and
-// leaves the pending set with the rest of the fold.
+// the whole fold one step to a checkpoint snapshot. pos is the
+// handoff's WAL record (zero without a WAL).
 func (s *Service) applyHandoff(h Handoff, captured uint64, pos wal.Pos) error {
-	s.led.Lock()
-	for _, sh := range h.Shards {
-		if !s.admitted[sh] {
-			s.admitted[sh] = true
-			s.handoffFrom[sh] = h.From
-		}
-	}
-	if h.Key != "" {
-		s.handoffSeen[h.Key] = captured
-	}
-	s.handoffsIn++
-	s.handoffCapt += captured
-	s.led.Unlock()
+	s.led.installHandoff(h.From, h.Shards, h.Key, captured)
 	err := s.agg.Merge(h.DB)
 	if err != nil {
 		// Past the config screen a merge failure is metric-set skew:
@@ -1107,30 +819,19 @@ func (s *Service) applyHandoff(h Handoff, captured uint64, pos wal.Pos) error {
 		// loss rather than silently dropping it from the fleet sum.
 		s.agg.RecordLoss(captured)
 	}
-	s.led.Lock()
-	if err != nil {
-		s.mergeFail++
-		s.lostSamp += captured
-	} else {
-		s.sinceCkpt++
-	}
-	if !pos.IsZero() {
-		s.appliedHandoffs[pos.String()] = true
-		delete(s.pending, pos)
-	}
-	s.led.Unlock()
+	s.led.finishHandoff(pos, captured, err == nil)
 	return err
 }
 
 // AdoptShards takes over dedupe obligations for shards whose ring
 // ownership moved here during a membership change: each previously
-// unknown shard id joins the admitted ledger with provenance `from`, so
-// a client retry of a shard the old owner already merged answers
-// 202+duplicate here instead of double-merging. No samples move —
-// adoption is pure ledger. The adoption is WAL-durable before it
-// returns (the router commits the ring change only after every adoption
-// acked, so the ack must survive a crash). Returns how many ids were
-// newly adopted; already-admitted ids are skipped silently.
+// unknown shard id joins the ledger with provenance `from`, so a client
+// retry of a shard the old owner already merged answers 202+duplicate
+// here instead of double-merging. No samples move — adoption is pure
+// ledger. The adoption is WAL-durable before it returns (the router
+// commits the ring change only after every adoption acked, so the ack
+// must survive a crash). Returns how many ids were newly adopted;
+// already-admitted ids are skipped silently.
 func (s *Service) AdoptShards(from string, shards []string) (int, error) {
 	if s.handedOff.Load() {
 		return 0, ErrHandedOff
@@ -1141,57 +842,21 @@ func (s *Service) AdoptShards(from string, shards []string) (int, error) {
 	// Filter to the unseen ids first so the WAL record holds exactly
 	// what this call changes (replay then reconstructs the same state
 	// whether or not earlier records already admitted some of them).
-	s.led.Lock()
-	fresh := make([]string, 0, len(shards))
-	for _, sh := range shards {
-		if !s.admitted[sh] {
-			fresh = append(fresh, sh)
-		}
-	}
-	s.led.Unlock()
+	fresh := s.led.unadmitted(shards)
 	if len(fresh) == 0 {
 		return 0, nil
 	}
-	var pos wal.Pos
-	if s.wal != nil {
-		rec, err := encodeAdoptRecord(from, fresh)
-		if err != nil {
-			return 0, fmt.Errorf("%w: encode adopt: %v", ErrWAL, err)
-		}
-		if pos, err = s.stageAndWait(rec); err != nil {
-			return 0, err
-		}
+	pos, err := s.stageAndWait(record{Kind: walKindAdopt, From: from, Shards: fresh}, nil)
+	if err != nil {
+		return 0, err
 	}
 	s.res.Lock()
-	n := s.adopt(from, fresh, pos)
+	n := s.led.adopt(from, fresh, pos)
 	s.res.Unlock()
 	if n > 0 {
 		s.logf("adopted %d shard ids from %s (ledger only; their samples live elsewhere)", n, from)
 	}
 	return n, nil
-}
-
-// adopt installs the not-yet-admitted ids of shards with provenance
-// from and releases the adoption's WAL position — shared by the live
-// path and WAL replay. Naturally idempotent: an already-admitted shard
-// keeps its standing entry. The caller holds res (handoffFrom is a
-// checkpointed book).
-func (s *Service) adopt(from string, shards []string, pos wal.Pos) int {
-	s.led.Lock()
-	defer s.led.Unlock()
-	n := 0
-	for _, sh := range shards {
-		if !s.admitted[sh] {
-			s.admitted[sh] = true
-			s.handoffFrom[sh] = from
-			n++
-		}
-	}
-	s.adopted += uint64(n)
-	if !pos.IsZero() {
-		delete(s.pending, pos)
-	}
-	return n
 }
 
 // MarkHandedOff records that this instance's aggregate has been shipped
@@ -1203,112 +868,46 @@ func (s *Service) MarkHandedOff() { s.handedOff.Store(true) }
 // HandedOff reports whether the aggregate has been handed off.
 func (s *Service) HandedOff() bool { return s.handedOff.Load() }
 
-// AdmittedShards returns the shard ids currently admitted (queued or
-// merged), sorted — the ledger a drain handoff ships so the successor
-// keeps deduping the donor's shards.
-func (s *Service) AdmittedShards() []string {
-	s.led.Lock()
-	defer s.led.Unlock()
-	out := make([]string, 0, len(s.admitted))
-	for sh := range s.admitted {
-		out = append(out, sh)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// HandoffProvenance reports which donor instance a shard id arrived
-// from via drain handoff ("" when the shard was submitted directly or
-// is unknown).
-func (s *Service) HandoffProvenance(shard string) string {
-	s.led.Lock()
-	defer s.led.Unlock()
-	return s.handoffFrom[shard]
-}
-
-// AppliedShards returns the shard ids the aggregator has RESOLVED here
-// (merged, or merge-failed with loss accounted), sorted. Together with
-// RefusedLosses and the handoff-captured counter this is one side of
-// the per-instance conservation equation the nemesis audits:
-//
-//	Σ captured(applied) + Σ refusedLoss + handoffCaptured == Samples + Lost
-func (s *Service) AppliedShards() []string {
-	s.led.Lock()
-	defer s.led.Unlock()
-	out := make([]string, 0, len(s.applied))
-	for sh := range s.applied {
-		out = append(out, sh)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// RefusedLosses returns a copy of the standing-refusal ledger: shard id
-// -> captured samples recorded as loss here and not (yet) reversed.
-func (s *Service) RefusedLosses() map[string]uint64 {
-	s.led.Lock()
-	defer s.led.Unlock()
-	out := make(map[string]uint64, len(s.refusedLoss))
-	for sh, n := range s.refusedLoss {
-		out[sh] = n
-	}
-	return out
-}
-
-// AdoptedFrom returns a copy of the handoff-provenance map (shard id ->
-// donor) for the ledger endpoint's disposition section.
-func (s *Service) AdoptedFrom() map[string]string {
-	s.led.Lock()
-	defer s.led.Unlock()
-	out := make(map[string]string, len(s.handoffFrom))
-	for sh, from := range s.handoffFrom {
-		out[sh] = from
-	}
-	return out
-}
+// Ledger returns one consistent read of the per-shard books: admitted
+// and applied ids, standing refusals, donor provenance.
+func (s *Service) Ledger() Ledger { return s.led.view() }
 
 // Stats returns a snapshot of every counter the service keeps.
 func (s *Service) Stats() Stats {
-	s.led.Lock()
+	c, pending := s.led.counts()
 	st := Stats{
-		Merged:             s.merged,
-		MergeFailed:        s.mergeFail,
-		OverloadRejected:   s.rejected,
-		OverloadDropped:    s.dropped,
-		Duplicates:         s.dupes,
-		SamplesLost:        s.lostSamp,
-		LossReversed:       s.lostRev,
-		Checkpoints:        s.ckptOK,
-		CheckpointFailures: s.ckptFail,
-		CheckpointShorted:  s.ckptShort,
-		HandoffsIn:         s.handoffsIn,
-		HandoffCaptured:    s.handoffCapt,
-		AdoptedShards:      s.adopted,
+		counters:  c,
+		Queue:     s.q.Stats(),
+		Breaker:   s.brk.Stats(),
+		Draining:  s.draining.Load(),
+		Sealed:    s.sealed.Load(),
+		HandedOff: s.handedOff.Load(),
+		WAL:       s.walHealth(pending),
+		Sketch:    s.agg.SketchStats(),
 	}
-	s.led.Unlock()
-	st.Queue = s.q.Stats()
-	st.Breaker = s.brk.Stats()
-	st.Draining = s.draining.Load()
-	st.Sealed = s.sealed.Load()
-	st.HandedOff = s.handedOff.Load()
-	st.WAL = s.WALHealth()
 	// One lock-free counters snapshot (an atomic view load, no lock at
 	// all) instead of three separate aggregate reads: stats polls never
 	// contend with merges under flood.
-	c := s.agg.CountersSnapshot()
-	st.Samples = c.Samples
-	st.Lost = c.Lost
-	st.LossRate = c.LossRate
-	st.Sketch = s.agg.SketchStats()
+	agg := s.agg.CountersSnapshot()
+	st.Samples, st.Lost, st.LossRate = agg.Samples, agg.Lost, agg.LossRate
 	return st
 }
 
 // replayRecord is the wal.Open apply callback: reconstruct one record's
 // effect through the ledger's skip logic. It runs single-threaded
-// during construction, before Start; the locks are still taken so the
-// apply helpers shared with the live path stay uniform. An
+// during construction, before Start; res is still taken so the apply
+// helpers shared with the live path stay uniform. An
 // undecodable-but-CRC-valid record is an encoder bug or format skew —
 // recovery fails loudly rather than guessing at acknowledged data.
+//
+// Skip rules keep replay idempotent against the checkpoint and against
+// duplicate records: an admit whose shard is already resolved is covered
+// by the checkpoint image, and anything else resolves exactly as a live
+// merge would — so a submission refused before the crash replays as a
+// merge, its captured samples counted once either way, as Samples
+// instead of Lost; a handoff is skipped when the ledger says it is
+// covered (ledger.handoffCovered); an adoption that raced the
+// checkpoint barrier replays to the same state (ledger.adopt).
 func (s *Service) replayRecord(pos wal.Pos, payload []byte) error {
 	kind, sub, h, err := decodeWALRecord(payload)
 	if err != nil {
@@ -1318,68 +917,28 @@ func (s *Service) replayRecord(pos wal.Pos, payload []byte) error {
 	defer s.res.Unlock()
 	switch kind {
 	case walKindAdmit:
-		s.replayAdmit(sub)
+		if e, _ := s.led.lookup(sub.Shard); e.applied {
+			return nil
+		}
+		s.resolve(sub) // merge failure is accounted inside
 	case walKindHandoff:
-		s.replayHandoff(pos, h)
+		if s.led.handoffCovered(pos, h.Key) {
+			return nil
+		}
+		_ = s.applyHandoff(h, h.DB.Samples()+h.DB.Lost(), pos) // merge failure is accounted inside
 	case walKindAdopt:
-		// An adoption that raced the checkpoint barrier replays to the
-		// same state (see adopt).
-		s.adopt(h.From, h.Shards, wal.Pos{})
-		s.replayedRecords++
+		s.led.adopt(h.From, h.Shards, wal.Pos{})
 	}
+	s.replayedRecords++
 	return nil
 }
 
-// replayAdmit re-applies one admit record. Skip rules keep replay
-// idempotent against the checkpoint and against duplicate records: an
-// already-resolved shard is covered by the checkpoint image; anything
-// else resolves exactly as a live merge would (a standing refusal is
-// reversed, then the payload merges). A submission that was refused
-// pre-crash therefore replays as a merge — its captured samples count
-// once either way, as Samples instead of Lost. Caller holds res.
-func (s *Service) replayAdmit(sub Submission) {
-	s.led.Lock()
-	s.admitted[sub.Shard] = true
-	resolved := s.applied[sub.Shard]
-	s.led.Unlock()
-	if resolved {
-		return
-	}
-	s.resolve(sub) // merge failure is accounted inside
-	s.replayedRecords++
-}
-
-// replayHandoff re-applies one handoff record unless its position is
-// already in the checkpoint's applied-handoffs set. The content-key
-// check covers the other crash window: a duplicate delivery whose FIRST
-// copy is in the checkpoint but whose second copy's WAL record survived
-// the barrier — the positions differ, the keys do not. Caller holds res.
-func (s *Service) replayHandoff(pos wal.Pos, h Handoff) {
-	if s.appliedHandoffs[pos.String()] {
-		return
-	}
-	if h.Key != "" {
-		if _, seen := s.handoffSeen[h.Key]; seen {
-			s.led.Lock()
-			s.appliedHandoffs[pos.String()] = true
-			s.led.Unlock()
-			return
-		}
-	}
-	captured := h.DB.Samples() + h.DB.Lost()
-	_ = s.applyHandoff(h, captured, pos) // merge failure is accounted inside
-	s.replayedRecords++
-}
-
-// WALHealth snapshots the WAL's health section, nil when disabled.
-func (s *Service) WALHealth() *WALHealth {
+// walHealth builds the WAL's health section, nil when disabled.
+func (s *Service) walHealth(pending int) *WALHealth {
 	if s.wal == nil {
 		return nil
 	}
 	st := s.wal.Stats()
-	s.led.Lock()
-	pending := len(s.pending)
-	s.led.Unlock()
 	return &WALHealth{
 		Segments:           st.Segments,
 		SegmentSeq:         st.SegmentSeq,
@@ -1403,10 +962,7 @@ func (s *Service) WALHealth() *WALHealth {
 // past Config.WALStallAfter — the readiness probe's degrade signal.
 // Always false with the WAL disabled.
 func (s *Service) WALStalled() bool {
-	if s.wal == nil {
-		return false
-	}
-	return s.wal.Stats().OldestPendingAge > s.cfg.WALStallAfter
+	return s.wal != nil && s.wal.Stats().OldestPendingAge > s.cfg.WALStallAfter
 }
 
 // WALWedged reports whether the WAL has wedged on a write or fsync
@@ -1415,10 +971,7 @@ func (s *Service) WALStalled() bool {
 // submissions to its ring successors. Always false with the WAL
 // disabled.
 func (s *Service) WALWedged() bool {
-	if s.wal == nil {
-		return false
-	}
-	return s.wal.Stats().Wedged
+	return s.wal != nil && s.wal.Stats().Wedged
 }
 
 // CloseWAL syncs and closes the write-ahead log (no-op when disabled).

@@ -257,7 +257,7 @@ func TestNonCanonicalEnvelopeLoggedAsReceived(t *testing.T) {
 
 // TestSubmitProceedsDuringSnapshot pins cut (2): while a checkpoint
 // snapshot holds the resolution lock — the persist seam below holds it
-// exactly as snapshotCheckpoint does for the length of its encode — a
+// exactly as persistCheckpoint does for the length of its encode — a
 // fresh submission, a duplicate and a stats poll all complete. Before
 // the lock was split all three queued behind the snapshot.
 func TestSubmitProceedsDuringSnapshot(t *testing.T) {
@@ -558,13 +558,13 @@ func runCrashRecoveryTrial(t *testing.T, seed int64) {
 	}
 	conserve(t, s2, want, "after recovery")
 	applied := map[string]bool{}
-	for _, sh := range s2.AppliedShards() {
+	for _, sh := range s2.Ledger().Applied {
 		if applied[sh] {
 			t.Errorf("%s applied twice", sh)
 		}
 		applied[sh] = true
 	}
-	refused := s2.RefusedLosses()
+	refused := s2.Ledger().Refused
 	var booked uint64
 	for idx := range shards {
 		sh := shards[idx].Shard

@@ -47,20 +47,6 @@ func encodeAdmitRecord(sub Submission) ([]byte, error) {
 	return encodeRecord(record{Kind: walKindAdmit, Shard: sub.Shard, Profile: sub.wire}, save)
 }
 
-// encodeHandoffRecord serializes an accepted drain handoff for the WAL.
-// The content key is carried explicitly rather than recomputed: the
-// re-serialized profile bytes need not match the wire bytes the key was
-// digested over.
-func encodeHandoffRecord(h Handoff) ([]byte, error) {
-	return encodeRecord(record{Kind: walKindHandoff, From: h.From, Shards: h.Shards, Key: h.Key}, h.DB.Save)
-}
-
-// encodeAdoptRecord serializes a ledger adoption (no profile payload:
-// adoption moves dedupe obligations, not samples).
-func encodeAdoptRecord(from string, shards []string) ([]byte, error) {
-	return encodeRecord(record{Kind: walKindAdopt, From: from, Shards: shards}, nil)
-}
-
 // decodeWALRecord parses one WAL record payload. Exactly one of sub or
 // h is meaningful, selected by kind.
 func decodeWALRecord(payload []byte) (kind string, sub Submission, h Handoff, err error) {

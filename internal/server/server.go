@@ -167,22 +167,67 @@ func (s *Server) writeErr(w http.ResponseWriter, status int, kind, msg string) {
 	writeJSON(w, status, apiError{Error: msg, Kind: kind})
 }
 
-// readBounded reads a request body up to max bytes. On failure it writes
-// the error response itself (413 oversized, 400 otherwise) and returns a
-// non-nil error so the handler can just return.
-func (s *Server) readBounded(w http.ResponseWriter, r *http.Request, max int64) ([]byte, error) {
+// readBounded reads a request body (what names it: "submission",
+// "handoff", "request") up to max bytes. On failure it writes the error
+// response itself (413 oversized, 400 otherwise) and returns a non-nil
+// error so the handler can just return.
+func (s *Server) readBounded(w http.ResponseWriter, r *http.Request, what string, max int64) ([]byte, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, max))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.writeErr(w, http.StatusRequestEntityTooLarge, "oversized",
-				fmt.Sprintf("request body exceeds %d bytes", max))
+				fmt.Sprintf("%s body exceeds %d bytes", what, max))
 			return nil, err
 		}
 		s.writeErr(w, http.StatusBadRequest, "body", err.Error())
 		return nil, err
 	}
 	return body, nil
+}
+
+// decodeKind names the damage in a body the ingest codec refused: the
+// payload's framing taxonomy, or "malformed" for the JSON around it.
+func decodeKind(err error) string {
+	switch {
+	case errors.Is(err, profile.ErrCorrupt):
+		return "corrupt"
+	case errors.Is(err, profile.ErrTruncated):
+		return "truncated"
+	case errors.Is(err, profile.ErrVersionSkew):
+		return "version-skew"
+	}
+	return "malformed"
+}
+
+// refusal maps a typed ingest failure to its response: 429 queue full
+// (backpressure), 503 draining, retiring or WAL unavailable — refusing
+// is honest there: the log could not make the 202 promise, and the
+// client retries against an instance whose WAL works — 409 unmergeable
+// configuration, 500 for anything untyped.
+func refusal(err error) (status int, kind string) {
+	switch {
+	case errors.Is(err, ingest.ErrQueueFull):
+		return http.StatusTooManyRequests, "queue-full"
+	case errors.Is(err, ingest.ErrDraining), errors.Is(err, ingest.ErrHandedOff):
+		return http.StatusServiceUnavailable, "draining"
+	case errors.Is(err, ingest.ErrWAL):
+		return http.StatusServiceUnavailable, "wal"
+	case errors.Is(err, ingest.ErrConfigMismatch):
+		return http.StatusConflict, "config-mismatch"
+	}
+	return http.StatusInternalServerError, "internal"
+}
+
+// refuse answers a typed ingest failure on what ("shard c/s003 (57
+// captured samples)" — accounted as loss unless the kind is wal —
+// "handoff from c1"), logging the transient ones an operator acts on.
+func (s *Server) refuse(w http.ResponseWriter, what string, err error) {
+	status, kind := refusal(err)
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		s.logf("%d %s: %s (%v)", status, what, kind, err)
+	}
+	s.writeErr(w, status, kind, err.Error())
 }
 
 // handleSubmit is the ingest edge. Every failure is typed and
@@ -200,70 +245,34 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.submits.Add(1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := s.readBounded(w, r, "submission", s.cfg.MaxBodyBytes)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeErr(w, http.StatusRequestEntityTooLarge, "oversized",
-				fmt.Sprintf("submission body exceeds %d bytes", s.cfg.MaxBodyBytes))
-			return
-		}
-		s.writeErr(w, http.StatusBadRequest, "body", err.Error())
 		return
 	}
 	sub, err := ingest.DecodeSubmit(body)
 	if err != nil {
-		kind := "malformed"
-		switch {
-		case errors.Is(err, profile.ErrCorrupt):
-			kind = "corrupt"
-		case errors.Is(err, profile.ErrTruncated):
-			kind = "truncated"
-		case errors.Is(err, profile.ErrVersionSkew):
-			kind = "version-skew"
-		}
-		s.writeErr(w, http.StatusBadRequest, kind, err.Error())
+		s.writeErr(w, http.StatusBadRequest, decodeKind(err), err.Error())
 		return
 	}
 	if s.cfg.Capture != nil {
 		s.cfg.Capture(sub.Shard, body)
 	}
-	captured := sub.Captured()
+	// "captured" (Samples+Lost) is the shard's weight in the fleet
+	// conservation sum; the router copies it into the witness ledger.
+	ack := map[string]any{"shard": sub.Shard, "captured": sub.Captured()}
 	switch err := s.svc.Submit(sub); {
-	case errors.Is(err, ingest.ErrQueueFull):
-		s.logf("429 shard %s: queue full (%d captured samples accounted as loss)", sub.Shard, captured)
-		s.writeErr(w, http.StatusTooManyRequests, "queue-full", err.Error())
-	case errors.Is(err, ingest.ErrDraining):
-		s.logf("503 shard %s: draining (%d captured samples accounted as loss)", sub.Shard, captured)
-		s.writeErr(w, http.StatusServiceUnavailable, "draining", err.Error())
-	case errors.Is(err, ingest.ErrConfigMismatch):
-		s.writeErr(w, http.StatusConflict, "config-mismatch", err.Error())
-	case errors.Is(err, ingest.ErrWAL):
-		// The durability log could not make the 202 promise; refusing is
-		// honest — the client retries against an instance whose WAL works.
-		s.logf("503 shard %s: WAL append failed (%v)", sub.Shard, err)
-		s.writeErr(w, http.StatusServiceUnavailable, "wal", err.Error())
 	case errors.Is(err, ingest.ErrDuplicate):
 		// The shard is already in the pipeline; acknowledge so the client
 		// stops retrying, and say it was a duplicate for observability.
-		writeJSON(w, http.StatusAccepted, map[string]any{
-			"shard":       sub.Shard,
-			"duplicate":   true,
-			"captured":    captured,
-			"queue_depth": s.svc.QueueDepth(),
-		})
+		ack["duplicate"] = true
 	case err != nil:
-		s.writeErr(w, http.StatusInternalServerError, "internal", err.Error())
+		s.refuse(w, fmt.Sprintf("shard %s (%d captured samples)", sub.Shard, ack["captured"]), err)
+		return
 	default:
-		// "captured" (Samples+Lost) is the shard's weight in the fleet
-		// conservation sum; the router copies it into the witness ledger.
-		writeJSON(w, http.StatusAccepted, map[string]any{
-			"shard":       sub.Shard,
-			"samples":     sub.DB.Samples(),
-			"captured":    captured,
-			"queue_depth": s.svc.QueueDepth(),
-		})
+		ack["samples"] = sub.DB.Samples()
 	}
+	ack["queue_depth"] = s.svc.QueueDepth()
+	writeJSON(w, http.StatusAccepted, ack)
 }
 
 // handleHandoff is the drain-handoff edge: a draining peer ships its
@@ -279,62 +288,32 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.handoffs.Add(1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxHandoffBytes))
+	body, err := s.readBounded(w, r, "handoff", s.cfg.MaxHandoffBytes)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeErr(w, http.StatusRequestEntityTooLarge, "oversized",
-				fmt.Sprintf("handoff body exceeds %d bytes", s.cfg.MaxHandoffBytes))
-			return
-		}
-		s.writeErr(w, http.StatusBadRequest, "body", err.Error())
 		return
 	}
 	h, err := ingest.DecodeHandoff(body)
 	if err != nil {
-		kind := "malformed"
-		switch {
-		case errors.Is(err, profile.ErrCorrupt):
-			kind = "corrupt"
-		case errors.Is(err, profile.ErrTruncated):
-			kind = "truncated"
-		case errors.Is(err, profile.ErrVersionSkew):
-			kind = "version-skew"
-		}
-		s.writeErr(w, http.StatusBadRequest, kind, err.Error())
+		s.writeErr(w, http.StatusBadRequest, decodeKind(err), err.Error())
 		return
 	}
-	switch captured, err := s.svc.AcceptHandoff(h); {
-	case errors.Is(err, ingest.ErrDraining), errors.Is(err, ingest.ErrHandedOff):
-		s.logf("503 handoff from %s: this instance is retiring too (%v)", h.From, err)
-		s.writeErr(w, http.StatusServiceUnavailable, "draining", err.Error())
-	case errors.Is(err, ingest.ErrWAL):
-		s.logf("503 handoff from %s: WAL append failed (%v)", h.From, err)
-		s.writeErr(w, http.StatusServiceUnavailable, "wal", err.Error())
-	case errors.Is(err, ingest.ErrConfigMismatch):
-		s.writeErr(w, http.StatusConflict, "config-mismatch", err.Error())
-	case errors.Is(err, ingest.ErrDuplicate):
+	ack := map[string]any{"from": h.From, "shards": len(h.Shards)}
+	captured, err := s.svc.AcceptHandoff(h)
+	if errors.Is(err, ingest.ErrDuplicate) {
 		// Byte-identical redelivery (sender retried after a lost ack):
 		// acknowledge with the captured count the original merge reported,
 		// exactly like a duplicate shard submission — the sender's retry
 		// loop treats 202 as done either way.
 		s.logf("handoff from %s deduped: envelope already applied (%d captured)", h.From, captured)
-		writeJSON(w, http.StatusAccepted, map[string]any{
-			"from":      h.From,
-			"captured":  captured,
-			"shards":    len(h.Shards),
-			"duplicate": true,
-		})
-	case err != nil:
-		s.writeErr(w, http.StatusInternalServerError, "internal", err.Error())
-	default:
+		ack["duplicate"] = true
+	} else if err != nil {
+		s.refuse(w, "handoff from "+h.From, err)
+		return
+	} else {
 		s.logf("handoff from %s accepted: %d captured samples, %d ledger shards", h.From, captured, len(h.Shards))
-		writeJSON(w, http.StatusAccepted, map[string]any{
-			"from":     h.From,
-			"captured": captured,
-			"shards":   len(h.Shards),
-		})
 	}
+	ack["captured"] = captured
+	writeJSON(w, http.StatusAccepted, ack)
 }
 
 // handleHandoffExport is the scale-in donor's side of a migration: seal
@@ -362,7 +341,7 @@ func (s *Server) handleHandoffExport(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, http.StatusServiceUnavailable, "flush", err.Error())
 			return
 		}
-		body, err := ingest.EncodeHandoff(s.cfg.Instance, s.svc.Aggregate().Save, s.svc.AdmittedShards())
+		body, err := ingest.EncodeHandoff(s.cfg.Instance, s.svc.Aggregate().Save, s.svc.Ledger().Shards)
 		if err != nil {
 			s.writeErr(w, http.StatusInternalServerError, "internal", err.Error())
 			return
@@ -429,7 +408,7 @@ func (s *Server) handleLedgerAdopt(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusMethodNotAllowed, "method", "POST only")
 		return
 	}
-	body, err := s.readBounded(w, r, s.cfg.MaxBodyBytes)
+	body, err := s.readBounded(w, r, "request", s.cfg.MaxBodyBytes)
 	if err != nil {
 		return
 	}
@@ -442,23 +421,18 @@ func (s *Server) handleLedgerAdopt(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, "malformed", "adopt needs a donor instance and at least one shard id")
 		return
 	}
-	switch adopted, err := s.svc.AdoptShards(req.From, req.Shards); {
-	case errors.Is(err, ingest.ErrDraining), errors.Is(err, ingest.ErrHandedOff):
-		s.writeErr(w, http.StatusServiceUnavailable, "draining", err.Error())
-	case errors.Is(err, ingest.ErrWAL):
-		s.logf("503 ledger adopt from %s: WAL append failed (%v)", req.From, err)
-		s.writeErr(w, http.StatusServiceUnavailable, "wal", err.Error())
-	case err != nil:
-		s.writeErr(w, http.StatusInternalServerError, "internal", err.Error())
-	default:
-		s.logf("adopted %d/%d shard ids from %s", adopted, len(req.Shards), req.From)
-		writeJSON(w, http.StatusOK, map[string]any{
-			"instance": s.cfg.Instance,
-			"from":     req.From,
-			"adopted":  adopted,
-			"total":    len(req.Shards),
-		})
+	adopted, err := s.svc.AdoptShards(req.From, req.Shards)
+	if err != nil {
+		s.refuse(w, "ledger adopt from "+req.From, err)
+		return
 	}
+	s.logf("adopted %d/%d shard ids from %s", adopted, len(req.Shards), req.From)
+	writeJSON(w, http.StatusOK, map[string]any{
+		"instance": s.cfg.Instance,
+		"from":     req.From,
+		"adopted":  adopted,
+		"total":    len(req.Shards),
+	})
 }
 
 // query wraps a read handler with the overload controls: shed above the
@@ -806,14 +780,16 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // "adopted_from" (dedupe-only ids whose samples live at the named
 // donor or arrived with its handoff).
 func (s *Server) handleLedger(w http.ResponseWriter, r *http.Request) {
-	shards := s.svc.AdmittedShards()
+	// One ledger read: the router classifies ids from this payload, so
+	// its sections must describe the same instant.
+	led := s.svc.Ledger()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"instance":     s.cfg.Instance,
-		"shards":       shards,
-		"count":        len(shards),
-		"applied":      s.svc.AppliedShards(),
-		"refused":      s.svc.RefusedLosses(),
-		"adopted_from": s.svc.AdoptedFrom(),
+		"shards":       led.Shards,
+		"count":        len(led.Shards),
+		"applied":      led.Applied,
+		"refused":      led.Refused,
+		"adopted_from": led.AdoptedFrom,
 	})
 }
 
