@@ -112,11 +112,13 @@ func (m *migration) snapshot() MigrationStatus {
 //
 //  1. compute the would-be ring and the shard ids that move to the new
 //     instance (every current instance's admitted ledger is consulted);
-//  2. adopt those ids at the new instance (WAL-durable there) while the
-//     OLD ring still routes — the new instance takes no traffic yet;
-//  3. commit the ring (epoch bump): submits now route to the new owner,
-//     queries fan to everyone, and retries of moved shards dedupe
-//     against the adopted ledger;
+//  2. adopt those ids at the new instance (WAL-durable there) while it is
+//     still a stranger to the membership table: only this migration knows
+//     its URL, so no submit, query leg, probe or /v1/membership answer
+//     can reach or name it;
+//  3. commit (epoch bump): the instance becomes a member in one step —
+//     submits now route to it, queries fan to it, and retries of moved
+//     shards dedupe against the adopted ledger;
 //  4. one post-commit sweep re-reads the donors' ledgers and adopts
 //     anything admitted during the fetch-to-commit window (placement
 //     pins already cover those shards' retries; the sweep makes the
@@ -129,52 +131,41 @@ func (rt *Router) AddInstance(ctx context.Context, id, baseURL string) (*Migrati
 	}
 	rt.memMu.Lock()
 	defer rt.memMu.Unlock()
-	if rt.ring.has(id) {
-		rt.SetInstance(id, baseURL)
-		return &MigrationReport{Kind: "add", Instance: id, Epoch: rt.ring.epoch()}, nil
+	oldRing, urls := rt.members.plan()
+	if rt.members.reregister(id, baseURL) {
+		return &MigrationReport{Kind: "add", Instance: id, Epoch: oldRing.Epoch()}, nil
 	}
 	rt.migration.begin("add", id)
-	rep, err := rt.addInstanceLocked(ctx, id, baseURL)
+	rep, err := rt.addInstanceLocked(ctx, id, baseURL, oldRing, urls)
 	rt.migration.end(err)
 	return rep, err
 }
 
-func (rt *Router) addInstanceLocked(ctx context.Context, id, baseURL string) (*MigrationReport, error) {
-	oldRing := rt.ring.clone()
+func (rt *Router) addInstanceLocked(ctx context.Context, id, baseURL string, oldRing *Ring, urls map[string]string) (*MigrationReport, error) {
+	donors := oldRing.Instances()
 	newRing := oldRing.Clone()
 	newRing.Add(id)
-	// Register the URL early so adoption can reach the newcomer; it is
-	// not in the ring yet, so no submit or query routes to it.
-	rt.urlMu.Lock()
-	rt.urls[id] = baseURL
-	rt.urlMu.Unlock()
+	urls[id] = baseURL // in this migration's copy only
 	rep := &MigrationReport{Kind: "add", Instance: id}
 
 	rt.migration.phase("adopt")
-	moved, adopted, err := rt.adoptMoved(ctx, oldRing, newRing, oldRing.Instances())
+	moved, adopted, err := rt.adoptMoved(ctx, oldRing, newRing, donors, urls)
 	if err != nil {
-		// Nothing committed: drop the URL again and let the operator
-		// retry (adoption already installed is idempotent on re-run).
-		rt.urlMu.Lock()
-		delete(rt.urls, id)
-		rt.urlMu.Unlock()
+		// Nothing committed, nothing to undo: the operator retries
+		// (adoption already installed is idempotent on re-run).
 		return nil, fmt.Errorf("cluster: add %s: %w", id, err)
 	}
 	rep.ShardsMoved, rep.Adopted = moved, adopted
 
 	rt.migration.phase("commit")
-	rt.ring.mu.Lock()
-	rt.ring.r.Add(id)
-	rep.Epoch = rt.ring.r.Epoch()
-	rt.ring.mu.Unlock()
-	rt.health.ensure(id)
+	rep.Epoch = rt.members.commitAdd(id, baseURL)
 	rt.logf("membership: added %s at %s (epoch %d, %d shard ids adopted)", id, baseURL, rep.Epoch, adopted)
 
 	// Post-commit sweep for the fetch-to-commit window. Failure here is
 	// logged, not fatal: the pins cover those shards' retries, and the
 	// next membership operation (or a manual adopt) closes the gap.
 	rt.migration.phase("sweep")
-	if _, n, err := rt.adoptMoved(ctx, oldRing, newRing, oldRing.Instances()); err != nil {
+	if _, n, err := rt.adoptMoved(ctx, oldRing, newRing, donors, urls); err != nil {
 		rt.logf("membership: post-commit adoption sweep for %s failed: %v (retries stay safe via placement pins)", id, err)
 	} else if n > 0 {
 		rep.Adopted += n
@@ -185,15 +176,12 @@ func (rt *Router) addInstanceLocked(ctx context.Context, id, baseURL string) (*M
 
 // adoptMoved reads each donor's admitted ledger, computes the shard ids
 // whose owner differs between the two rings, and installs each moved
-// id's dedupe obligation at its NEW owner. Returns (moved, adopted):
-// ids whose ownership changed, and adoption acks actually installed.
-func (rt *Router) adoptMoved(ctx context.Context, oldRing, newRing *Ring, donors []string) (moved, adopted int, err error) {
+// id's dedupe obligation at its NEW owner. urls locates every instance of
+// either ring. Returns (moved, adopted): ids whose ownership changed, and
+// adoption acks actually installed.
+func (rt *Router) adoptMoved(ctx context.Context, oldRing, newRing *Ring, donors []string, urls map[string]string) (moved, adopted int, err error) {
 	for _, donor := range donors {
-		base := rt.urlOf(donor)
-		if base == "" {
-			return moved, adopted, fmt.Errorf("no URL for instance %s", donor)
-		}
-		admitted, err := rt.fetchAdmitted(ctx, base)
+		admitted, err := rt.fetchAdmitted(ctx, urls[donor])
 		if err != nil {
 			return moved, adopted, fmt.Errorf("read ledger of %s: %w", donor, err)
 		}
@@ -212,7 +200,7 @@ func (rt *Router) adoptMoved(ctx context.Context, oldRing, newRing *Ring, donors
 		for owner, batch := range byOwner {
 			sort.Strings(batch)
 			moved += len(batch)
-			n, err := rt.postAdopt(ctx, owner, donor, batch)
+			n, err := rt.postAdopt(ctx, hop{owner, urls[owner]}, donor, batch)
 			if err != nil {
 				return moved, adopted, fmt.Errorf("adopt %d ids at %s: %w", len(batch), owner, err)
 			}
@@ -224,21 +212,17 @@ func (rt *Router) adoptMoved(ctx context.Context, oldRing, newRing *Ring, donors
 
 // postAdopt installs a batch of shard ids at an instance's adoption
 // endpoint and returns how many were newly adopted there.
-func (rt *Router) postAdopt(ctx context.Context, ownerID, from string, shards []string) (int, error) {
-	base := rt.urlOf(ownerID)
-	if base == "" {
-		return 0, fmt.Errorf("no URL for instance %s", ownerID)
-	}
+func (rt *Router) postAdopt(ctx context.Context, owner hop, from string, shards []string) (int, error) {
 	body, err := json.Marshal(map[string]any{"from": from, "shards": shards})
 	if err != nil {
 		return 0, err
 	}
-	status, raw, err := roundTrip(ctx, rt.client, http.MethodPost, base+"/v1/ledger/adopt", body, rt.cfg.SubmitDeadline, 1<<20)
+	status, raw, err := roundTrip(ctx, rt.client, http.MethodPost, owner.url+"/v1/ledger/adopt", body, rt.cfg.SubmitDeadline, 1<<20)
 	if status == 0 {
 		return 0, err
 	}
 	if status != http.StatusOK {
-		return 0, answered("adopt at "+ownerID, status, raw)
+		return 0, answered("adopt at "+owner.id, status, raw)
 	}
 	var ack struct {
 		Adopted int `json:"adopted"`
@@ -258,14 +242,16 @@ func (rt *Router) postAdopt(ctx context.Context, ownerID, from string, shards []
 //     serialized aggregate + ledger (cached, byte-identical on retry);
 //  2. deliver the envelope along the post-removal ring order until a
 //     receiver's /v1/handoff acks it WAL-durably (redelivery after a
-//     lost ack dedupes by content digest);
+//     lost ack dedupes by content digest). From that ack the donor's
+//     samples exist twice, so the table marks it delivered: no longer a
+//     query leg, still offered the retries of shards pinned to it;
 //  3. adopt the donor's shard ids at their NEW ring owners (those not
 //     already covered by the receiver's handoff ledger), so retries
 //     following the new placement dedupe wherever they land;
 //  4. POST the donor's /v1/handoff/confirm — it marks handed off and
 //     quarantines its WAL (a restart over it would double-count);
-//  5. commit: remove from the ring (epoch bump), forget URL and health,
-//     repoint the donor's placement pins at the receiver.
+//  5. commit, in one step: off the ring (epoch bump), URL and health
+//     forgotten, the donor's placement pins repointed at the receiver.
 //
 // An unreachable donor refuses the removal: its books cannot be
 // exported, and silently dropping them would break the conservation
@@ -274,31 +260,28 @@ func (rt *Router) postAdopt(ctx context.Context, ownerID, from string, shards []
 func (rt *Router) RemoveInstance(ctx context.Context, id string) (*MigrationReport, error) {
 	rt.memMu.Lock()
 	defer rt.memMu.Unlock()
-	if !rt.ring.has(id) {
+	ring, urls := rt.members.plan()
+	if urls[id] == "" {
 		return nil, fmt.Errorf("cluster: remove %s: not a member", id)
 	}
-	if rt.ring.size() <= 1 {
+	if ring.Size() <= 1 {
 		return nil, errors.New("cluster: refusing to remove the last instance")
 	}
 	rt.migration.begin("remove", id)
-	rep, err := rt.removeInstanceLocked(ctx, id)
+	rep, err := rt.removeInstanceLocked(ctx, id, ring, urls)
 	rt.migration.end(err)
 	return rep, err
 }
 
-func (rt *Router) removeInstanceLocked(ctx context.Context, id string) (*MigrationReport, error) {
-	base := rt.urlOf(id)
-	if base == "" {
-		return nil, fmt.Errorf("cluster: remove %s: no URL", id)
-	}
-	oldRing := rt.ring.clone()
-	newRing := oldRing.Clone()
+// removeInstanceLocked takes the planning snapshot: the ring (its own
+// copy, which it turns into the post-removal ring) and the members' URLs.
+func (rt *Router) removeInstanceLocked(ctx context.Context, id string, newRing *Ring, urls map[string]string) (*MigrationReport, error) {
 	newRing.Remove(id)
 	rep := &MigrationReport{Kind: "remove", Instance: id}
 
 	rt.migration.phase("export")
-	rt.health.reportDraining(id)
-	envelope, err := rt.exportHandoff(ctx, base)
+	rt.members.draining(id)
+	envelope, err := rt.exportHandoff(ctx, urls[id])
 	if err != nil {
 		return nil, fmt.Errorf("cluster: remove %s: export: %w (donor unchanged, retry or restart it to roll back)", id, err)
 	}
@@ -316,13 +299,9 @@ func (rt *Router) removeInstanceLocked(ctx context.Context, id string) (*Migrati
 	// the receiver-side dedupe contract.
 	rt.migration.phase("deliver")
 	var receiver string
-	var lastErr error
+	lastErr := errors.New("no reachable receiver")
 	for _, cand := range newRing.Successors(id, newRing.Size()) {
-		candBase := rt.urlOf(cand)
-		if candBase == "" {
-			continue
-		}
-		captured, err := SendHandoff(ctx, rt.client, candBase, envelope)
+		captured, err := SendHandoff(ctx, rt.client, urls[cand], envelope)
 		if err != nil {
 			lastErr = err
 			rt.logf("membership: handoff of %s to %s failed: %v", id, cand, err)
@@ -332,11 +311,9 @@ func (rt *Router) removeInstanceLocked(ctx context.Context, id string) (*Migrati
 		break
 	}
 	if receiver == "" {
-		if lastErr == nil {
-			lastErr = errors.New("no reachable receiver")
-		}
 		return nil, fmt.Errorf("cluster: remove %s: deliver: %w (donor sealed; retry, or restart the donor to roll back)", id, lastErr)
 	}
+	rt.members.delivered(id)
 
 	// The receiver's handoff installed every donor shard in ITS ledger;
 	// ids whose new ring owner is a different instance need adoption
@@ -352,7 +329,7 @@ func (rt *Router) removeInstanceLocked(ctx context.Context, id string) (*Migrati
 	}
 	for owner, batch := range byOwner {
 		sort.Strings(batch)
-		n, err := rt.postAdopt(ctx, owner, id, batch)
+		n, err := rt.postAdopt(ctx, hop{owner, urls[owner]}, id, batch)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: remove %s: adopt at %s: %w (retry the removal; every step so far is idempotent)", id, owner, err)
 		}
@@ -360,31 +337,13 @@ func (rt *Router) removeInstanceLocked(ctx context.Context, id string) (*Migrati
 	}
 
 	rt.migration.phase("confirm")
-	if err := rt.confirmHandoff(ctx, base); err != nil {
+	if err := rt.confirmHandoff(ctx, urls[id]); err != nil {
 		return nil, fmt.Errorf("cluster: remove %s: confirm: %w (retry the removal; delivery and adoption dedupe)", id, err)
 	}
 
 	rt.migration.phase("commit")
-	rt.ring.mu.Lock()
-	rt.ring.r.Remove(id)
-	rep.Epoch = rt.ring.r.Epoch()
-	rt.ring.mu.Unlock()
-	rt.urlMu.Lock()
-	delete(rt.urls, id)
-	rt.urlMu.Unlock()
-	rt.health.forget(id)
-	// Repoint the donor's pins at the receiver: it holds the donor's
-	// ledger (and samples), so retries of donor-acknowledged shards keep
-	// deduping without a 503 detour through a dead URL.
-	rt.placedMu.Lock()
-	repointed := 0
-	for sh, inst := range rt.placed {
-		if inst == id {
-			rt.placed[sh] = receiver
-			repointed++
-		}
-	}
-	rt.placedMu.Unlock()
+	var repointed int
+	rep.Epoch, repointed = rt.members.commitRemove(id, receiver)
 	rt.logf("membership: removed %s (epoch %d): %d captured samples migrated to %s, %d shard ids moved (%d adopted elsewhere, %d pins repointed)",
 		id, rep.Epoch, rep.CapturedMoved, receiver, rep.ShardsMoved, rep.Adopted, repointed)
 	return rep, nil
@@ -419,68 +378,50 @@ func (rt *Router) confirmHandoff(ctx context.Context, base string) error {
 
 // ---- membership HTTP surface ----
 
-// handleMembership serves the current membership view: epoch, each
-// member's URL and health state, and migration progress.
+// handleMembership serves the current membership view: the epoch, each
+// member of that epoch with its URL and health state, and migration
+// progress.
 func (rt *Router) handleMembership(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		rt.writeErr(w, http.StatusMethodNotAllowed, "method", "GET only", nil)
 		return
 	}
-	states := rt.health.snapshot()
-	members := make(map[string]map[string]any)
-	for id, base := range rt.instanceURLs() {
-		members[id] = map[string]any{"url": base, "state": states[id].String()}
+	members, epoch := rt.members.view()
+	instances := make(map[string]map[string]any, len(members))
+	for _, m := range members {
+		instances[m.id] = map[string]any{"url": m.url, "state": m.state.String()}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"epoch":     rt.ring.epoch(),
-		"instances": members,
+	rt.writeJSON(w, http.StatusOK, map[string]any{
+		"epoch":     epoch,
+		"instances": instances,
 		"migration": rt.migration.snapshot(),
 	})
 }
 
-// handleMembershipAdd: POST {"id": "c5", "url": "http://..."} runs
-// AddInstance and returns its report.
-func (rt *Router) handleMembershipAdd(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		rt.writeErr(w, http.StatusMethodNotAllowed, "method", "POST only", nil)
-		return
+// handleMembershipChange serves a membership POST: {"id": "c5", "url":
+// "http://..."} for /v1/membership/add (AddInstance), {"id": "c2"} for
+// /v1/membership/remove (RemoveInstance); the answer is the report.
+func (rt *Router) handleMembershipChange(run func(ctx context.Context, id, url string) (*MigrationReport, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			rt.writeErr(w, http.StatusMethodNotAllowed, "method", "POST only", nil)
+			return
+		}
+		var req struct {
+			ID  string `json:"id"`
+			URL string `json:"url"`
+		}
+		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
+			rt.writeErr(w, http.StatusBadRequest, "malformed", err.Error(), nil)
+			return
+		}
+		rep, err := run(r.Context(), req.ID, req.URL)
+		if err != nil {
+			rt.writeErr(w, http.StatusServiceUnavailable, "migration-failed", err.Error(), nil)
+			return
+		}
+		rt.writeJSON(w, http.StatusOK, rep)
 	}
-	var req struct {
-		ID  string `json:"id"`
-		URL string `json:"url"`
-	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		rt.writeErr(w, http.StatusBadRequest, "malformed", err.Error(), nil)
-		return
-	}
-	rep, err := rt.AddInstance(r.Context(), req.ID, req.URL)
-	if err != nil {
-		rt.writeErr(w, http.StatusServiceUnavailable, "migration-failed", err.Error(), nil)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
-}
-
-// handleMembershipRemove: POST {"id": "c2"} runs RemoveInstance and
-// returns its report.
-func (rt *Router) handleMembershipRemove(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		rt.writeErr(w, http.StatusMethodNotAllowed, "method", "POST only", nil)
-		return
-	}
-	var req struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		rt.writeErr(w, http.StatusBadRequest, "malformed", err.Error(), nil)
-		return
-	}
-	rep, err := rt.RemoveInstance(r.Context(), req.ID)
-	if err != nil {
-		rt.writeErr(w, http.StatusServiceUnavailable, "migration-failed", err.Error(), nil)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
 }
 
 // handleResolve answers where a shard's submission would be routed right
@@ -493,23 +434,16 @@ func (rt *Router) handleResolve(w http.ResponseWriter, r *http.Request) {
 		rt.writeErr(w, http.StatusBadRequest, "param", "shard parameter required", nil)
 		return
 	}
-	owner, ok := rt.ring.owner(shard)
+	owner, pinned, epoch, ok := rt.members.resolve(shard)
 	if !ok {
 		rt.writeErr(w, http.StatusServiceUnavailable, "no-instances", "ring is empty", nil)
 		return
 	}
-	resp := map[string]any{
-		"shard": shard,
-		"epoch": rt.ring.epoch(),
-	}
-	if pinned := rt.placedInstance(shard); pinned != "" && rt.urlOf(pinned) != "" {
-		resp["instance"] = pinned
-		resp["url"] = rt.urlOf(pinned)
+	resp := map[string]any{"shard": shard, "epoch": epoch, "instance": owner.id, "url": owner.url}
+	if pinned.id != "" {
+		resp["instance"], resp["url"] = pinned.id, pinned.url
 		resp["pinned"] = true
-		resp["ring_owner"] = owner
-	} else {
-		resp["instance"] = owner
-		resp["url"] = rt.urlOf(owner)
+		resp["ring_owner"] = owner.id
 	}
-	writeJSON(w, http.StatusOK, resp)
+	rt.writeJSON(w, http.StatusOK, resp)
 }

@@ -7,10 +7,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -396,13 +400,13 @@ func TestGatherClientDisconnect(t *testing.T) {
 			t.Fatal("slow leg not canceled by client disconnect")
 		}
 	}
-	if st := rt.health.get("slow"); st == StateDown {
+	if st := memberState(t, rt, "slow"); st == StateDown {
 		t.Fatal("client disconnect marked the slow instance Down")
 	}
 	// A real straggler (no client disconnect) still gets charged: the
 	// health machinery itself is intact.
-	rt.health.reportFailure("slow")
-	if st := rt.health.get("slow"); st != StateDown {
+	rt.members.failed("slow")
+	if st := memberState(t, rt, "slow"); st != StateDown {
 		t.Fatalf("control: direct failure left state %v, want Down (threshold 1)", st)
 	}
 }
@@ -440,14 +444,14 @@ func TestMembershipChurnNoLeak(t *testing.T) {
 	// Health tracks exactly the surviving membership; a probe sweep does
 	// not resurrect any removed instance.
 	rt.Probe(context.Background())
-	tracked := rt.health.tracked()
+	tracked, _ := rt.members.view()
 	want := map[string]bool{"c0": true, "c1": true}
 	if len(tracked) != len(want) {
 		t.Fatalf("health tracks %v, want exactly c0 and c1", tracked)
 	}
-	for _, id := range tracked {
-		if !want[id] {
-			t.Fatalf("health still tracks removed instance %q", id)
+	for _, m := range tracked {
+		if !want[m.id] {
+			t.Fatalf("health still tracks removed instance %q", m.id)
 		}
 	}
 
@@ -570,4 +574,361 @@ func TestMembershipSubmitRaceProperty(t *testing.T) {
 			}
 		})
 	}
+}
+
+// frontInstance puts a hook in front of a real instance: before runs on
+// every request (it may count it, or block to stall it) and the request
+// then goes through to backend() untouched.
+func frontInstance(t *testing.T, backend func() string, before func(r *http.Request)) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		before(r)
+		target, err := url.Parse(backend())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		httputil.NewSingleHostReverseProxy(target).ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// stallingFront fronts backend with a hook that parks every request for
+// path, announcing each on stalled, until release is called — by the test,
+// or at its end so that a failing test still unwinds. Requests for any
+// other path are counted in others.
+func stallingFront(t *testing.T, backend, path string) (ts *httptest.Server, stalled <-chan struct{}, release func(), others *atomic.Int64) {
+	t.Helper()
+	parked, gate, others := make(chan struct{}, 8), make(chan struct{}), new(atomic.Int64)
+	ts = frontInstance(t, func() string { return backend }, func(r *http.Request) {
+		if r.URL.Path != path {
+			others.Add(1)
+			return
+		}
+		parked <- struct{}{}
+		<-gate
+	})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release) // registered after ts.Close, so it runs before it
+	return ts, parked, release, others
+}
+
+// ownedBy returns the first shard id of the form prefix/sNNN, counting
+// from start, that a ring over ids places on owner.
+func ownedBy(owner, prefix string, start int, ids ...string) string {
+	ring := NewRing(0, 0)
+	for _, id := range ids {
+		ring.Add(id)
+	}
+	for i := start; ; i++ {
+		s := fmt.Sprintf("%s/s%03d", prefix, i)
+		if got, _ := ring.Owner(s); got == owner {
+			return s
+		}
+	}
+}
+
+// fleetTotals reads the three fleet sums a double count would inflate:
+// /v1/stats samples+lost, the /v1/hotpcs samples total, and one PC's
+// /v1/estimate samples and est_count.
+func fleetTotals(t *testing.T, frontURL, pc string) [4]float64 {
+	t.Helper()
+	_, hot := getJSON(t, frontURL+"/v1/hotpcs?n=5")
+	status, est := getJSON(t, frontURL+"/v1/estimate?pc="+pc)
+	if status != http.StatusOK {
+		t.Fatalf("estimate %s: %d %v", pc, status, est)
+	}
+	return [4]float64{float64(fleetCaptured(t, frontURL)), hot["samples"].(float64),
+		est["samples"].(float64), est["est_count"].(float64)}
+}
+
+// TestRemovalNeverDoubleCounts: from the receiver's handoff ack until
+// the commit the donor's samples exist twice in the tier. The donor is
+// marked delivered at the ack and stops being a query leg, so every fleet
+// sum equals the captured total THROUGH the adopt and confirm phases —
+// held open here by a donor whose /v1/handoff/confirm stalls — and after.
+func TestRemovalNeverDoubleCounts(t *testing.T) {
+	c0, donor, c2 := newTierInstance(t, "c0", 64), newTierInstance(t, "c1", 64), newTierInstance(t, "c2", 64)
+	donorFront, stalled, release, _ := stallingFront(t, donor.ts.URL, "/v1/handoff/confirm")
+	rt, err := NewRouter(RouterConfig{FailureThreshold: 2, HedgeDelay: -1, Instances: []Instance{
+		{ID: "c0", BaseURL: c0.ts.URL}, {ID: "c1", BaseURL: donorFront.URL}, {ID: "c2", BaseURL: c2.ts.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	const nShards = 18
+	for i := 0; i < nShards; i++ {
+		if got := submitVia(t, front.URL, fmt.Sprintf("dbl/s%03d", i), synthShard(uint64(i)+3, 30+i)); got.status != http.StatusAccepted {
+			t.Fatalf("seed shard %d: %d", i, got.status)
+		}
+	}
+	waitForMerge(t, []*tierInstance{c0, donor, c2}, nShards)
+	if donor.svc.Stats().Samples == 0 {
+		t.Fatal("donor c1 holds no samples; the migration would be vacuous")
+	}
+	_, hot := getJSON(t, front.URL+"/v1/hotpcs?n=1")
+	pc := hot["pcs"].([]any)[0].(map[string]any)["pc"].(string)
+	want := fleetTotals(t, front.URL, pc)
+
+	removed := make(chan error, 1)
+	go func() {
+		_, err := rt.RemoveInstance(context.Background(), "c1")
+		removed <- err
+	}()
+	select {
+	case <-stalled:
+	case err := <-removed:
+		t.Fatalf("removal finished without reaching confirm: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("removal never reached the donor's confirm")
+	}
+	if _, mem := getJSON(t, front.URL+"/v1/membership"); mem["migration"].(map[string]any)["phase"] != "confirm" {
+		t.Fatalf("migration %v, want phase confirm", mem["migration"])
+	}
+	for i := 0; i < 3; i++ { // more than one: the first query must not change what the next sees
+		if got := fleetTotals(t, front.URL, pc); got != want {
+			t.Fatalf("fleet totals %v between the receiver's ack and the commit (read %d), want %v: the donor's samples count twice", got, i, want)
+		}
+	}
+	release()
+	if err := <-removed; err != nil {
+		t.Fatalf("removal: %v", err)
+	}
+	if got := fleetTotals(t, front.URL, pc); got != want {
+		t.Fatalf("fleet totals %v after the commit, want %v", got, want)
+	}
+}
+
+// TestQueryLegDoesNotReviveDraining: a successful query leg proves an
+// instance alive, not that it admits submissions. A Draining instance
+// stays Draining across queries — so it is not offered, and does not
+// refuse and loss-account, the next new shard it owns — until something
+// that speaks for admission (here a 200 /readyz from the replacement
+// process at its address) says otherwise.
+func TestQueryLegDoesNotReviveDraining(t *testing.T) {
+	c0, c1, c2 := newTierInstance(t, "c0", 64), newTierInstance(t, "c1", 64), newTierInstance(t, "c2", 64)
+	var backend atomic.Pointer[tierInstance]
+	backend.Store(c1)
+	c1Front := frontInstance(t, func() string { return backend.Load().ts.URL }, func(*http.Request) {})
+	rt, err := NewRouter(RouterConfig{FailureThreshold: 2, HedgeDelay: -1, Instances: []Instance{
+		{ID: "c0", BaseURL: c0.ts.URL}, {ID: "c1", BaseURL: c1Front.URL}, {ID: "c2", BaseURL: c2.ts.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	c1.svc.BeginDrain()
+	first := submitVia(t, front.URL, ownedBy("c1", "qleg", 0, "c0", "c1", "c2"), synthShard(5, 40))
+	if first.status != http.StatusAccepted || len(first.RefusedBy) != 1 || first.RefusedBy[0] != "c1" {
+		t.Fatalf("first c1-owned shard: status %d refused_by %v, want 202 refused by c1", first.status, first.RefusedBy)
+	}
+	lostBefore := c1.svc.Stats().SamplesLost
+
+	if status, resp := getJSON(t, front.URL+"/v1/hotpcs"); status != http.StatusOK || resp["partial"].(bool) {
+		t.Fatalf("hotpcs over a draining instance: %d %v (its query leg must still answer)", status, resp)
+	}
+	second := submitVia(t, front.URL, ownedBy("c1", "qleg", 1000, "c0", "c1", "c2"), synthShard(6, 40))
+	if second.status != http.StatusAccepted || len(second.RefusedBy) != 0 || second.Instance == "c1" {
+		t.Fatalf("second c1-owned shard: status %d at %s refused_by %v, want 202 elsewhere with nobody asked in vain",
+			second.status, second.Instance, second.RefusedBy)
+	}
+	if lost := c1.svc.Stats().SamplesLost; lost != lostBefore {
+		t.Fatalf("c1 samples_lost moved %d -> %d: a query leg re-opened admission to a draining instance", lostBefore, lost)
+	}
+	if st := memberState(t, rt, "c1"); st != StateDraining {
+		t.Fatalf("c1 is %v after a query leg, want still draining", st)
+	}
+
+	// The drain ends: a fresh process answers at c1's address. Its 200
+	// /readyz is what re-opens admission.
+	backend.Store(newTierInstance(t, "c1", 64))
+	rt.Probe(context.Background())
+	if st := memberState(t, rt, "c1"); st != StateHealthy {
+		t.Fatalf("c1 is %v after a 200 /readyz, want healthy", st)
+	}
+	if third := submitVia(t, front.URL, ownedBy("c1", "qleg", 2000, "c0", "c1", "c2"), synthShard(7, 40)); third.Instance != "c1" {
+		t.Fatalf("revived owner not offered its shard: landed at %s", third.Instance)
+	}
+}
+
+// TestJoiningInstanceTakesNoTraffic: until AddInstance commits, the
+// newcomer is a stranger — /v1/membership shows the old members at the
+// old epoch, and no fan-out leg or probe reaches it. Its adopt endpoint
+// stalls here to hold the window open; every other request it receives is
+// counted.
+func TestJoiningInstanceTakesNoTraffic(t *testing.T) {
+	instances, rt := newTier(t, 64, "c0", "c1")
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	const nShards = 24
+	for i := 0; i < nShards; i++ {
+		if got := submitVia(t, front.URL, fmt.Sprintf("join/s%03d", i), synthShard(uint64(i)+1, 20)); got.status != http.StatusAccepted {
+			t.Fatalf("seed shard %d: %d", i, got.status)
+		}
+	}
+	waitForMerge(t, instances, nShards)
+	epoch0 := membershipEpoch(t, front.URL)
+
+	newcomer := newTierInstance(t, "c2", 64)
+	newcomerFront, stalled, release, others := stallingFront(t, newcomer.ts.URL, "/v1/ledger/adopt")
+	added := make(chan error, 1)
+	go func() {
+		_, err := rt.AddInstance(context.Background(), "c2", newcomerFront.URL)
+		added <- err
+	}()
+	select {
+	case <-stalled:
+	case err := <-added:
+		t.Fatalf("add finished without adopting anything at the newcomer: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("add never reached the newcomer's adopt endpoint")
+	}
+
+	_, mem := getJSON(t, front.URL+"/v1/membership")
+	members := mem["instances"].(map[string]any)
+	if _, listed := members["c2"]; listed || len(members) != 2 || uint64(mem["epoch"].(float64)) != epoch0 {
+		t.Fatalf("membership mid-adopt: epoch %v instances %v, want c0 and c1 at epoch %d", mem["epoch"], members, epoch0)
+	}
+	_, stats := getJSON(t, front.URL+"/v1/stats")
+	if n := stats["fleet"].(map[string]any)["instances"].(float64); n != 2 || stats["partial"].(bool) {
+		t.Fatalf("fleet.instances %v partial %v mid-adopt, want 2 and whole", n, stats["partial"])
+	}
+	rt.Probe(context.Background())
+	getJSON(t, front.URL+"/v1/hotpcs")
+	if _, ready := getJSON(t, front.URL+"/readyz"); len(ready["instances"].(map[string]any)) != 2 {
+		t.Fatalf("readyz mid-adopt names %v", ready["instances"])
+	}
+	if n := others.Load(); n != 0 {
+		t.Fatalf("the joining instance received %d requests besides its adoption", n)
+	}
+
+	release()
+	if err := <-added; err != nil {
+		t.Fatalf("add: %v", err)
+	}
+	_, mem = getJSON(t, front.URL+"/v1/membership")
+	if _, listed := mem["instances"].(map[string]any)["c2"]; !listed || uint64(mem["epoch"].(float64)) != epoch0+1 {
+		t.Fatalf("membership after commit: %v", mem)
+	}
+	getJSON(t, front.URL+"/v1/hotpcs")
+	if others.Load() == 0 {
+		t.Fatal("the committed member is still not a query leg")
+	}
+}
+
+// TestMembershipEndpointIsOneSnapshot: every /v1/membership body is one
+// instant — its instance set is the membership OF the epoch it carries,
+// and every member it names has a URL. Add/remove churn runs against a
+// poller; the first body seen at an epoch fixes that epoch's set, and
+// since the churn is sequential the set is also known outright.
+func TestMembershipEndpointIsOneSnapshot(t *testing.T) {
+	_, rt := newTier(t, 32, "c0", "c1")
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	if got := submitVia(t, front.URL, "snap/s0", synthShard(1, 10)); got.status != http.StatusAccepted {
+		t.Fatalf("seed submit: %d", got.status)
+	}
+	epoch0 := membershipEpoch(t, front.URL)
+
+	stop, polled := make(chan struct{}), make(chan int, 1)
+	go func() {
+		seen := map[uint64]string{}
+		n := 0
+		defer func() { polled <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Get(front.URL + "/v1/membership")
+			if err != nil {
+				t.Errorf("poll: %v", err)
+				return
+			}
+			var body struct {
+				Epoch     uint64 `json:"epoch"`
+				Instances map[string]struct {
+					URL string `json:"url"`
+				} `json:"instances"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&body)
+			resp.Body.Close()
+			if err != nil {
+				t.Errorf("poll: %v", err)
+				return
+			}
+			n++
+			ids := make([]string, 0, len(body.Instances))
+			for id, in := range body.Instances {
+				if in.URL == "" {
+					t.Errorf("epoch %d names member %s without a URL", body.Epoch, id)
+				}
+				ids = append(ids, id)
+			}
+			sort.Strings(ids)
+			set := strings.Join(ids, ",")
+			if first, ok := seen[body.Epoch]; ok && first != set {
+				t.Errorf("epoch %d answered as {%s} and as {%s}", body.Epoch, first, set)
+			}
+			seen[body.Epoch] = set
+			// Epoch epoch0+2k is {c0,c1}; epoch0+2k+1 also holds churn-k.
+			want := "c0,c1"
+			if d := body.Epoch - epoch0; d%2 == 1 {
+				want = fmt.Sprintf("c0,c1,churn-%d", d/2)
+			}
+			if set != want {
+				t.Errorf("epoch %d answered as {%s}, its membership is {%s}", body.Epoch, set, want)
+			}
+			if t.Failed() {
+				return
+			}
+		}
+	}()
+
+	for i := 0; i < 6; i++ {
+		id := fmt.Sprintf("churn-%d", i)
+		in := newTierInstance(t, id, 32)
+		if _, err := rt.AddInstance(context.Background(), id, in.ts.URL); err != nil {
+			t.Fatalf("cycle %d add: %v", i, err)
+		}
+		if _, err := rt.RemoveInstance(context.Background(), id); err != nil {
+			t.Fatalf("cycle %d remove: %v", i, err)
+		}
+	}
+	close(stop)
+	if n := <-polled; n < 10 {
+		t.Fatalf("only %d membership bodies polled across the churn", n)
+	}
+}
+
+// TestSetInstanceKnownIDsOnly: SetInstance re-registers a member; it is
+// not a way to become one. An unknown id changes nothing — no ring
+// position, no epoch, no traffic.
+func TestSetInstanceKnownIDsOnly(t *testing.T) {
+	instances, rt := newTier(t, 16, "c0", "c1")
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	epoch0 := membershipEpoch(t, front.URL)
+
+	rt.SetInstance("ghost", "http://127.0.0.1:1")
+	_, mem := getJSON(t, front.URL+"/v1/membership")
+	if _, listed := mem["instances"].(map[string]any)["ghost"]; listed || uint64(mem["epoch"].(float64)) != epoch0 {
+		t.Fatalf("SetInstance of an unknown id changed the membership: %v", mem)
+	}
+	if _, stats := getJSON(t, front.URL+"/v1/stats"); stats["partial"].(bool) {
+		t.Fatalf("a fan-out leg went to the unknown id: %v", stats["missing"])
+	}
+
+	rt.SetInstance("c1", "http://127.0.0.1:1")
+	_, mem = getJSON(t, front.URL+"/v1/membership")
+	if got := mem["instances"].(map[string]any)["c1"].(map[string]any)["url"]; got != "http://127.0.0.1:1" || uint64(mem["epoch"].(float64)) != epoch0 {
+		t.Fatalf("SetInstance of a member: url %v epoch %v, want the new URL at epoch %d", got, mem["epoch"], epoch0)
+	}
+	rt.SetInstance("c1", instances[1].ts.URL)
 }

@@ -436,7 +436,7 @@ func TestNemesisSoak(t *testing.T) {
 		if time.Now().After(deadline) {
 			_, raw := getJSON(t, front.URL+"/v1/stats")
 			t.Fatalf("fleet captured %d, want exactly %d (distinct %d + refused %d): chaos lost or double-counted samples\nhealth: %v\nstats: %v",
-				got, want, wantCaptured, refusedTotal(), rt.health.snapshot(), raw)
+				got, want, wantCaptured, refusedTotal(), memberStates(rt), raw)
 		}
 		time.Sleep(25 * time.Millisecond)
 	}

@@ -1,0 +1,258 @@
+package cluster
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/url"
+	"sort"
+	"strconv"
+	"time"
+)
+
+// Every fleet query is gather → decode → merge: fan the GET out to the
+// live members, classify and decode what came back, and hand the typed
+// legs to a pure merge (merge.go). Losing legs never fails the query; it
+// degrades it to an explicit partial result.
+
+// leg is one instance's answer to a scatter-gather query.
+type leg struct {
+	id     string
+	status int
+	body   []byte
+	err    error
+}
+
+// fanout is one gather's outcome, all of it relative to the one
+// membership snapshot the gather started from.
+type fanout struct {
+	oks     []leg    // answered (any status), by id
+	missing []string // asked, no answer; sorted
+	down    []string // not asked: members known Down
+	epoch   uint64
+}
+
+// gather fans a GET out to every live member with a per-leg deadline and
+// hedged stragglers. It never fails as a whole: losing legs is the
+// partial-result degradation the caller reports explicitly. A leg that
+// answers proves its instance alive — not that it admits submissions, so
+// a Draining member stays Draining.
+func (rt *Router) gather(ctx context.Context, pathAndQuery string) fanout {
+	live, down, epoch := rt.members.targets()
+	f := fanout{epoch: epoch}
+	for _, h := range down {
+		f.down = append(f.down, h.id)
+	}
+	results := make(chan leg, len(live))
+	for _, h := range live {
+		go func(h hop) {
+			results <- rt.fetchHedged(ctx, h.id, h.url+pathAndQuery)
+		}(h)
+	}
+	for range live {
+		l := <-results
+		if l.err != nil {
+			rt.n.legsFailed.Add(1)
+			// A leg that died because the CLIENT disconnected (the parent
+			// request context canceled, which cancels every derived per-leg
+			// context) says nothing about the instance's health — charging
+			// it a failure would let one impatient client mark the whole
+			// tier Down.
+			if ctx.Err() == nil && rt.members.failed(l.id) == StateDown {
+				rt.logf("gather %s: instance %s marked down (%v)", pathAndQuery, l.id, l.err)
+			}
+			f.missing = append(f.missing, l.id)
+			continue
+		}
+		rt.members.alive(l.id)
+		f.oks = append(f.oks, l)
+	}
+	sort.Slice(f.oks, func(i, j int) bool { return f.oks[i].id < f.oks[j].id })
+	sort.Strings(f.missing)
+	return f
+}
+
+// fetchHedged races the instance against its own straggling: if the
+// first request has not answered within HedgeDelay, an identical
+// duplicate fires and the first response (from either) wins. Both run
+// under the same per-leg deadline, so a dead instance costs exactly
+// QueryDeadline, never more.
+func (rt *Router) fetchHedged(ctx context.Context, id, url string) leg {
+	ctx, cancel := context.WithTimeout(ctx, rt.cfg.QueryDeadline)
+	defer cancel()
+	first := make(chan leg, 1)
+	go func() { first <- rt.fetchOne(ctx, id, url) }()
+	if rt.cfg.HedgeDelay < 0 {
+		return <-first
+	}
+	timer := time.NewTimer(rt.cfg.HedgeDelay)
+	defer timer.Stop()
+	select {
+	case l := <-first:
+		return l
+	case <-timer.C:
+	}
+	rt.n.hedges.Add(1)
+	hedge := make(chan leg, 1)
+	go func() { hedge <- rt.fetchOne(ctx, id, url) }()
+	select {
+	case l := <-first:
+		return l
+	case l := <-hedge:
+		if l.err == nil {
+			rt.n.hedgeWins.Add(1)
+		}
+		return l
+	}
+}
+
+func (rt *Router) fetchOne(ctx context.Context, id, url string) leg {
+	status, body, err := roundTrip(ctx, rt.client, http.MethodGet, url, nil, 0, 8<<20)
+	return leg{id: id, status: status, body: body, err: err}
+}
+
+// decoded is a fan-out's answers sorted into what a merge can use.
+type decoded[T any] struct {
+	from []leg // from[i] is the 200 answer legs[i] was decoded from
+	legs []T
+	// bad is one instance's typed 400: the request itself is malformed (a
+	// bad window, an unknown event), and every instance says the same.
+	bad []byte
+	// missing adds to the fan-out's the legs that answered something
+	// unusable: an undecodable 200, or a status that is none of 200, 400
+	// and quiet. down is the fan-out's.
+	missing, down []string
+}
+
+// decodeLegs classifies a fan-out's answers. quiet is a status that just
+// means "nothing here" (404 from /v1/estimate: the instance holds no
+// samples for the PC) and is neither an answer nor a loss; 0 for none.
+func decodeLegs[T any](f fanout, quiet int) decoded[T] {
+	d := decoded[T]{missing: f.missing, down: f.down}
+	for _, l := range f.oks {
+		var one T
+		switch {
+		case l.status == http.StatusBadRequest:
+			d.bad = l.body
+		case l.status == quiet:
+		case l.status != http.StatusOK || json.Unmarshal(l.body, &one) != nil:
+			d.missing = append(d.missing, l.id)
+		default:
+			d.from = append(d.from, l)
+			d.legs = append(d.legs, one)
+		}
+	}
+	return d
+}
+
+// askFleet is the head every merged query shares: gather and decode, and
+// answer for the merge when there is nothing to merge — 503 when no
+// instance answered at all, an instance's own 400 relayed when that is
+// all anyone said. ok is false when it has answered.
+func askFleet[T any](rt *Router, w http.ResponseWriter, r *http.Request, pathAndQuery string, quiet int) (d decoded[T], ok bool) {
+	f := rt.gather(r.Context(), pathAndQuery)
+	if len(f.oks) == 0 {
+		rt.writeErr(w, http.StatusServiceUnavailable, "no-instances",
+			"no collector instance answered", map[string]any{"missing": f.missing})
+		return d, false
+	}
+	d = decodeLegs[T](f, quiet)
+	if len(d.legs) == 0 && d.bad != nil {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusBadRequest)
+		w.Write(d.bad)
+		return d, false
+	}
+	return d, true
+}
+
+// writeMerged serves a merged answer with the degradation contract:
+// "partial" is true when any member's data is not in it, and
+// "instances_missing" counts them. Members already known Down were not
+// asked and count too — a reader must be able to see that the fleet view
+// is incomplete.
+func (rt *Router) writeMerged(w http.ResponseWriter, resp map[string]any, missing, down []string) {
+	missing = append(missing, down...)
+	sort.Strings(missing)
+	resp["partial"] = len(missing) > 0
+	resp["instances_missing"] = len(missing)
+	if len(missing) > 0 {
+		rt.n.partialsServed.Add(1)
+		resp["missing"] = missing
+	}
+	rt.writeJSON(w, http.StatusOK, resp)
+}
+
+// handleHotPCs serves the fleet's top n. Each instance is asked for an
+// over-fetch (4× n, capped) so a PC hot fleet-wide but trailing locally
+// still surfaces; ?sketch= and ?window= pass through to the instances.
+func (rt *Router) handleHotPCs(w http.ResponseWriter, r *http.Request) {
+	n, perr := intQueryParam(r, "n", 10, 1, 1000)
+	if perr != "" {
+		rt.writeErr(w, http.StatusBadRequest, "param", perr, nil)
+		return
+	}
+	q := "/v1/hotpcs?n=" + strconv.Itoa(min(n*4, 1000))
+	if v := r.URL.Query().Get("sketch"); v != "" {
+		q += "&sketch=" + url.QueryEscape(v)
+	}
+	window := r.URL.Query().Get("window")
+	if window != "" {
+		q += "&window=" + url.QueryEscape(window)
+	}
+	if d, ok := askFleet[instanceHotPCs](rt, w, r, q, 0); ok {
+		rt.writeMerged(w, mergeHotPCs(d.legs, n, window != ""), d.missing, d.down)
+	}
+}
+
+// handleEstimate serves one PC's fleet estimate. An instance answering
+// 404 simply holds no samples for the PC.
+func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
+	pc := r.URL.Query().Get("pc")
+	if pc == "" {
+		rt.writeErr(w, http.StatusBadRequest, "param", "pc parameter required", nil)
+		return
+	}
+	d, ok := askFleet[instanceEstimate](rt, w, r, "/v1/estimate?"+r.URL.RawQuery, http.StatusNotFound)
+	if !ok {
+		return
+	}
+	if len(d.legs) == 0 {
+		rt.writeErr(w, http.StatusNotFound, "unknown-pc",
+			fmt.Sprintf("pc %s has no samples on any reachable instance", pc),
+			map[string]any{"missing": d.missing})
+		return
+	}
+	rt.writeMerged(w, mergeEstimate(pc, d.legs), d.missing, d.down)
+}
+
+// handleStats serves the fleet rollup plus the router's own counters. It
+// answers even when no instance does: the router's side is still news.
+func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
+	f := rt.gather(r.Context(), "/v1/stats")
+	d := decodeLegs[instanceStats](f, 0)
+	resp := mergeStats(d.from, d.legs)
+	resp["router"] = rt.Stats()
+	resp["epoch"] = f.epoch
+	resp["migration"] = rt.migration.snapshot()
+	rt.writeMerged(w, resp, d.missing, d.down)
+}
+
+// intQueryParam parses an integer query parameter with an inclusive
+// range; a non-empty second return is the typed-400 message (matching
+// the collector's own parameter contract).
+func intQueryParam(r *http.Request, name string, def, lo, hi int) (int, string) {
+	v := r.URL.Query().Get(name)
+	if v == "" {
+		return def, ""
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil {
+		return 0, fmt.Sprintf("parameter %q: %q is not an integer", name, v)
+	}
+	if n < lo || n > hi {
+		return 0, fmt.Sprintf("parameter %q: %d out of range [%d,%d]", name, n, lo, hi)
+	}
+	return n, ""
+}

@@ -20,7 +20,6 @@ package cluster
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // fnv1a64 hashes key with a seed folded in first, so a deployment can
@@ -70,7 +69,7 @@ type ringPoint struct {
 // vnodes, instance set) — no randomness, no insertion-order dependence —
 // so a restarted router re-derives the identical layout and a retried
 // shard lands on the same owner. Not safe for concurrent use; the
-// Router guards its ring with a mutex.
+// router's ring lives in its membership table, under that table's mutex.
 type Ring struct {
 	vnodes    int
 	seed      uint64
@@ -254,54 +253,4 @@ func (r *Ring) Successor(instance string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// lockedRing is the Router's concurrency wrapper: membership changes
-// (SetInstance at recovery) race with per-request owner lookups.
-type lockedRing struct {
-	mu sync.Mutex
-	r  *Ring
-}
-
-func (l *lockedRing) successors(key string, max int) []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.r.Successors(key, max)
-}
-
-func (l *lockedRing) size() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.r.Size()
-}
-
-func (l *lockedRing) epoch() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.r.Epoch()
-}
-
-func (l *lockedRing) owner(key string) (string, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.r.Owner(key)
-}
-
-func (l *lockedRing) instances() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.r.Instances()
-}
-
-func (l *lockedRing) has(id string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.r.instances[id]
-}
-
-// clone snapshots the ring for membership planning.
-func (l *lockedRing) clone() *Ring {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.r.Clone()
 }

@@ -29,46 +29,25 @@ import (
 // holder for (shard, origin), tagged with the shard's captured-sample
 // total from the owner's 202. Asynchronous unless cfg.WitnessSync.
 func (rt *Router) forwardWitness(shard, origin string, captured uint64, body []byte) {
-	target := rt.witnessTarget(shard, origin)
-	if target == "" {
+	holder, ok := rt.members.witness(shard, origin)
+	if !ok {
 		return // single-instance tier: nobody to witness
 	}
 	if rt.cfg.WitnessSync {
-		rt.sendWitness(context.Background(), target, shard, origin, captured, body)
+		rt.sendWitness(context.Background(), holder, shard, origin, captured, body)
 		return
 	}
 	rt.witnessWG.Add(1)
 	go func() {
 		defer rt.witnessWG.Done()
-		rt.sendWitness(context.Background(), target, shard, origin, captured, body)
+		rt.sendWitness(context.Background(), holder, shard, origin, captured, body)
 	}()
-}
-
-// witnessTarget picks the witness holder: the first instance after the
-// origin in the shard's ring order that is not the origin and not Down.
-// Per-shard ring order (rather than a fixed per-instance successor)
-// spreads one origin's witness set across the tier and keeps the choice
-// stable across router restarts (the ring is seed-derived).
-func (rt *Router) witnessTarget(shard, origin string) string {
-	ringOrder := rt.ring.successors(shard, rt.ring.size())
-	for _, id := range ringOrder {
-		if id == origin || rt.health.get(id) == StateDown {
-			continue
-		}
-		return id
-	}
-	return ""
 }
 
 // WitnessFlush waits for every in-flight asynchronous witness forward.
 func (rt *Router) WitnessFlush() { rt.witnessWG.Wait() }
 
-func (rt *Router) sendWitness(ctx context.Context, target, shard, origin string, captured uint64, body []byte) {
-	base := rt.urlOf(target)
-	if base == "" {
-		rt.witnessFailed.Add(1)
-		return
-	}
+func (rt *Router) sendWitness(ctx context.Context, holder hop, shard, origin string, captured uint64, body []byte) {
 	payload, err := json.Marshal(map[string]any{
 		"origin":   origin,
 		"shard":    shard,
@@ -76,21 +55,21 @@ func (rt *Router) sendWitness(ctx context.Context, target, shard, origin string,
 		"body":     body, // []byte marshals as base64
 	})
 	if err != nil {
-		rt.witnessFailed.Add(1)
+		rt.n.witnessFailed.Add(1)
 		return
 	}
-	status, _, err := roundTrip(ctx, rt.client, http.MethodPost, base+"/v1/witness", payload, rt.cfg.SubmitDeadline, 4096)
+	status, _, err := roundTrip(ctx, rt.client, http.MethodPost, holder.url+"/v1/witness", payload, rt.cfg.SubmitDeadline, 4096)
 	if status == 0 {
-		rt.witnessFailed.Add(1)
-		rt.logf("witness shard %s: holder %s unreachable (%v)", shard, target, err)
+		rt.n.witnessFailed.Add(1)
+		rt.logf("witness shard %s: holder %s unreachable (%v)", shard, holder.id, err)
 		return
 	}
 	if status != http.StatusAccepted {
-		rt.witnessFailed.Add(1)
-		rt.logf("witness shard %s: holder %s refused (%d)", shard, target, status)
+		rt.n.witnessFailed.Add(1)
+		rt.logf("witness shard %s: holder %s refused (%d)", shard, holder.id, status)
 		return
 	}
-	rt.witnessSent.Add(1)
+	rt.n.witnessSent.Add(1)
 }
 
 // AntiEntropyReport summarizes one reconciliation sweep.
@@ -118,11 +97,13 @@ type AntiEntropyReport struct {
 // a second sweep over a converged tier does nothing.
 func (rt *Router) AntiEntropy(ctx context.Context) AntiEntropyReport {
 	var rep AntiEntropyReport
-	for holder, base := range rt.instanceURLs() {
-		if rt.health.get(holder) == StateDown {
-			continue
-		}
-		ledger, err := rt.fetchWitnessLedger(ctx, base)
+	live, _, _ := rt.members.targets()
+	urls := make(map[string]string, len(live))
+	for _, h := range live {
+		urls[h.id] = h.url
+	}
+	for _, holder := range live {
+		ledger, err := rt.fetchWitnessLedger(ctx, holder.url)
 		if err != nil {
 			rep.Errors++
 			continue
@@ -134,8 +115,8 @@ func (rt *Router) AntiEntropy(ctx context.Context) AntiEntropyReport {
 		}
 		sort.Strings(origins)
 		for _, origin := range origins {
-			ownerBase := rt.urlOf(origin)
-			if ownerBase == "" || rt.health.get(origin) == StateDown {
+			ownerBase := urls[origin]
+			if ownerBase == "" {
 				continue // owner absent: keep the copies, retry next sweep
 			}
 			rep.OriginsChecked++
@@ -146,20 +127,20 @@ func (rt *Router) AntiEntropy(ctx context.Context) AntiEntropyReport {
 			}
 			var prune []string
 			for _, row := range ledger[origin] {
-				if admitted[row.shard] {
-					prune = append(prune, row.shard)
+				if admitted[row.Shard] {
+					prune = append(prune, row.Shard)
 					continue
 				}
-				if err := rt.resubmitWitness(ctx, base, ownerBase, origin, row.shard); err != nil {
+				if err := rt.resubmitWitness(ctx, holder.url, ownerBase, origin, row.Shard); err != nil {
 					rep.Errors++
-					rt.logf("anti-entropy: resubmit %s/%s to %s failed (%v)", origin, row.shard, origin, err)
+					rt.logf("anti-entropy: resubmit %s/%s to %s failed (%v)", origin, row.Shard, origin, err)
 					continue
 				}
 				rep.Resubmitted++
-				prune = append(prune, row.shard)
+				prune = append(prune, row.Shard)
 			}
 			if len(prune) > 0 {
-				n, err := rt.pruneWitness(ctx, base, origin, prune)
+				n, err := rt.pruneWitness(ctx, holder.url, origin, prune)
 				if err != nil {
 					rep.Errors++
 					continue
@@ -168,38 +149,29 @@ func (rt *Router) AntiEntropy(ctx context.Context) AntiEntropyReport {
 			}
 		}
 	}
-	rt.antiEntropyRuns.Add(1)
-	rt.antiEntropyResub.Add(uint64(rep.Resubmitted))
+	rt.n.antiEntropyRuns.Add(1)
+	rt.n.antiEntropyResub.Add(uint64(rep.Resubmitted))
 	return rep
 }
 
-// witnessRow mirrors one /v1/witness/ledger entry.
+// witnessRow is the part of one /v1/witness/ledger entry a sweep reads.
 type witnessRow struct {
-	shard    string
-	captured uint64
+	Shard string `json:"shard"`
 }
 
+// fetchWitnessLedger reads a holder's witness ledger: origin → rows.
 func (rt *Router) fetchWitnessLedger(ctx context.Context, base string) (map[string][]witnessRow, error) {
 	body, err := rt.getJSON(ctx, base+"/v1/witness/ledger")
 	if err != nil {
 		return nil, err
 	}
 	var resp struct {
-		Witness map[string][]struct {
-			Shard    string `json:"shard"`
-			Captured uint64 `json:"captured"`
-		} `json:"witness"`
+		Witness map[string][]witnessRow `json:"witness"`
 	}
 	if err := json.Unmarshal(body, &resp); err != nil {
 		return nil, err
 	}
-	out := make(map[string][]witnessRow, len(resp.Witness))
-	for origin, rows := range resp.Witness {
-		for _, r := range rows {
-			out[origin] = append(out[origin], witnessRow{shard: r.Shard, captured: r.Captured})
-		}
-	}
-	return out, nil
+	return resp.Witness, nil
 }
 
 func (rt *Router) fetchAdmitted(ctx context.Context, base string) (map[string]bool, error) {

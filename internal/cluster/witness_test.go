@@ -77,17 +77,18 @@ func TestWitnessDiskLossRebuild(t *testing.T) {
 	// (copied from the owner's 202 body) — the conservation audit reads
 	// these numbers, so an omitted field would zero the whole check.
 	var witnessed uint64
-	for _, base := range rt.instanceURLs() {
-		ledger, err := rt.fetchWitnessLedger(context.Background(), base)
-		if err != nil {
-			t.Fatal(err)
+	for _, in := range instances {
+		status, ledger := getJSON(t, in.ts.URL+"/v1/witness/ledger")
+		if status != 200 {
+			t.Fatalf("witness ledger on %s: status %d", in.id, status)
 		}
-		for origin, rows := range ledger {
-			for _, r := range rows {
-				if r.captured == 0 {
-					t.Fatalf("witness ledger for %s/%s has captured=0", origin, r.shard)
+		for origin, rows := range ledger["witness"].(map[string]any) {
+			for _, r := range rows.([]any) {
+				row := r.(map[string]any)
+				if row["captured"].(float64) == 0 {
+					t.Fatalf("witness ledger for %s/%s has captured=0", origin, row["shard"])
 				}
-				witnessed += r.captured
+				witnessed += uint64(row["captured"].(float64))
 			}
 		}
 	}
@@ -209,7 +210,7 @@ func TestProbeMarksWALStalledDraining(t *testing.T) {
 
 	// Healthy first: no pending records, probe keeps it routable.
 	rt.Probe(context.Background())
-	if st := rt.health.get("c0"); st != StateHealthy {
+	if st := memberState(t, rt, "c0"); st != StateHealthy {
 		t.Fatalf("state before stall: %v", st)
 	}
 
@@ -231,7 +232,7 @@ func TestProbeMarksWALStalledDraining(t *testing.T) {
 		done <- resp.StatusCode
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for rt.health.get("c0") != StateDraining {
+	for memberState(t, rt, "c0") != StateDraining {
 		if time.Now().After(deadline) {
 			t.Fatal("probe never marked the stalled instance draining")
 		}
