@@ -1,19 +1,22 @@
 // Command pmbench measures the timing simulator's hot-path performance —
-// ns/op, allocs/op, and simulated cycles and instructions per wall-clock
-// second for one pipeline run per suite workload — and maintains the
-// checked-in BENCH_hotpath.json baseline the CI smoke checks against.
+// ns/op, allocs/op, bytes/op, and simulated cycles and instructions per
+// wall-clock second for one pipeline run per suite workload — and
+// maintains the checked-in BENCH_hotpath.json baseline the CI smoke checks
+// against.
 //
 //	pmbench                    # measure and print a table
 //	pmbench -update            # measure and rewrite BENCH_hotpath.json
 //	pmbench -check             # measure and fail on regression vs baseline
 //	pmbench -queries [...]     # benchmark the query path instead (BENCH_query.json)
 //
-// Check mode compares allocs/op directly (it is machine-independent) and
-// ns/op after rescaling by the calibration ratio: the baseline records the
+// Check mode compares allocs/op and bytes/op directly (they are
+// machine-independent; the count alone once recorded a pass that traded
+// 525,782 small allocations for 2,006 large ones as a pure win) and ns/op
+// after rescaling by the calibration ratio: the baseline records the
 // functional simulator's ns/op on the same machine that produced it, so a
 // slower CI runner raises both numbers together and the comparison stays
-// about the code, not the hardware. Either metric regressing beyond -tol
-// (default 15%) fails the run.
+// about the code, not the hardware. Any of the three regressing beyond
+// -tol (default 15%) fails the run.
 //
 // -queries switches to the collector query-path benchmark (see query.go):
 // exact vs sketch hot-PC serving on a 1M-PC aggregate under merge flood,
@@ -38,10 +41,9 @@ import (
 // BenchmarkPipeline in bench_test.go so the two report comparable numbers.
 const benchScale = 100_000
 
-// benchWorkloads are the suite members the baseline tracks: the same four
-// BenchmarkPipeline exercises (a mix of loopy, branchy, and pointer-chasing
-// kernels that covers the pipeline's hot paths).
-var benchWorkloads = []string{"compress", "ijpeg", "li", "perl"}
+// benchWorkloads are the suite members the baseline tracks: all of them,
+// since every one runs in BENCHMARK.json's sim workloads.
+var benchWorkloads = workload.Names()
 
 // Measurement is one workload's pipeline-loop performance.
 type Measurement struct {
@@ -79,7 +81,7 @@ func main() {
 		file    = flag.String("file", "BENCH_hotpath.json", "baseline file")
 		update  = flag.Bool("update", false, "rewrite the baseline file with fresh measurements")
 		check   = flag.Bool("check", false, "compare fresh measurements against the baseline; nonzero exit on regression")
-		tol     = flag.Float64("tol", 0.15, "allowed fractional regression in ns/op (calibrated) and allocs/op")
+		tol     = flag.Float64("tol", 0.15, "allowed fractional regression in ns/op (calibrated), allocs/op and bytes/op")
 		queries = flag.Bool("queries", false, "benchmark the collector query path (exact vs sketch) against BENCH_query.json")
 		quick   = flag.Duration("queryfor", time.Second, "minimum measurement duration per query path in -queries mode")
 	)
@@ -103,8 +105,8 @@ func main() {
 	for _, name := range benchWorkloads {
 		m := measureWorkload(name)
 		ms = append(ms, m)
-		fmt.Printf("%-10s %8.1f ms/op  %10.0f allocs/op  %12.3e cycles/s  %12.3e inst/s\n",
-			m.Name, m.NsPerOp/1e6, m.AllocsPerOp, m.CyclesPerSec, m.InstPerSec)
+		fmt.Printf("%-10s %8.1f ms/op  %10.0f allocs/op  %12.0f bytes/op  %12.3e cycles/s  %12.3e inst/s\n",
+			m.Name, m.NsPerOp/1e6, m.AllocsPerOp, m.BytesPerOp, m.CyclesPerSec, m.InstPerSec)
 	}
 
 	switch {
@@ -198,9 +200,9 @@ func measureWorkload(name string) Measurement {
 	}
 }
 
-// checkAgainst fails if any workload's allocs/op or calibrated ns/op
-// regressed beyond tol, or if the simulated cycle count changed at all
-// (that is a determinism break, not a perf regression).
+// checkAgainst fails if any workload's allocs/op, bytes/op or calibrated
+// ns/op regressed beyond tol, or if the simulated cycle count changed at
+// all (that is a determinism break, not a perf regression).
 func checkAgainst(base *Baseline, ms []Measurement, calib, tol float64) error {
 	if base.CalibNsPerOp <= 0 {
 		return fmt.Errorf("baseline has no calibration measurement; regenerate with -update")
@@ -222,6 +224,10 @@ func checkAgainst(base *Baseline, ms []Measurement, calib, tol float64) error {
 		if limit := want.AllocsPerOp * (1 + tol); m.AllocsPerOp > limit {
 			return fmt.Errorf("%s: allocs/op %.0f exceeds baseline %.0f by more than %.0f%%",
 				m.Name, m.AllocsPerOp, want.AllocsPerOp, tol*100)
+		}
+		if limit := want.BytesPerOp * (1 + tol); m.BytesPerOp > limit {
+			return fmt.Errorf("%s: bytes/op %.0f exceeds baseline %.0f by more than %.0f%%",
+				m.Name, m.BytesPerOp, want.BytesPerOp, tol*100)
 		}
 		if limit := want.NsPerOp * scale * (1 + tol); m.NsPerOp > limit {
 			return fmt.Errorf("%s: ns/op %.3e exceeds calibrated baseline %.3e (raw %.3e x machine ratio %.2f) by more than %.0f%%",

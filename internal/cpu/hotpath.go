@@ -5,10 +5,11 @@ import "sort"
 // This file holds the allocation-free machinery behind the per-cycle hot
 // path: a ring-buffer event scheduler (replacing map[int64][]*uop for
 // completion and load-value wakeup events), an allocation-free seq sort
-// (replacing sort.Slice and its reflect-based swapper), and a chunked uop
-// arena (replacing one heap object per fetched instruction). None of these
-// change simulated behavior — the differential golden suite in
-// internal/difftest pins that.
+// (replacing sort.Slice and its reflect-based swapper), and a recycling
+// uop arena (a free list in front of chunked allocation, so a run
+// allocates its peak in-flight window once instead of one uop per fetched
+// instruction). None of these change simulated behavior — the
+// differential golden suite in internal/difftest pins that.
 
 // eventRing schedules uops for future cycles. Nearly every event lands
 // within a bounded horizon — functional-unit latencies and worst-case
@@ -34,7 +35,10 @@ func newEventRing(span int) *eventRing {
 
 // add schedules u for cycle cyc (now is the current cycle; cyc must be
 // >= now, which holds for all pipeline events — latencies are positive).
+// The entry pins u (see Pipeline.release) until completeStage has visited
+// it.
 func (r *eventRing) add(now, cyc int64, u *uop) {
+	u.pending++
 	if cyc-now >= int64(len(r.slots)) {
 		if r.far == nil {
 			r.far = make(map[int64][]*uop)
@@ -107,16 +111,22 @@ func sortBySeq(cs []*uop) {
 	}
 }
 
-// uopChunk is the arena granularity: uops are carved from chunks this
-// large, so the allocator runs once per uopChunk fetches instead of once
-// per fetch (one heap object per fetched instruction was half of all
-// simulator allocations). A chunk is collected when every uop in it is
-// dead; the pipeline never recycles individual uops, so no liveness
-// tracking is needed.
+// uopChunk is the arena granularity: when the free list is empty, uops are
+// carved from chunks this large, so the allocator runs once per uopChunk
+// of in-flight growth. A run's chunks total its peak in-flight window
+// (fetch buffer + ROB + squashed uops still pinned by a ring event) and
+// die with the Pipeline.
 const uopChunk = 1024
 
-// newUop returns a zeroed uop from the arena.
+// newUop returns a zeroed uop: a recycled one if any is free, else the
+// next arena slot.
 func (p *Pipeline) newUop() *uop {
+	if n := len(p.free); n > 0 {
+		u := p.free[n-1]
+		p.free = p.free[:n-1]
+		*u = uop{}
+		return u
+	}
 	if p.arenaN == len(p.arena) {
 		p.arena = make([]uop, uopChunk)
 		p.arenaN = 0
@@ -124,4 +134,19 @@ func (p *Pipeline) newUop() *uop {
 	u := &p.arena[p.arenaN]
 	p.arenaN++
 	return u
+}
+
+// release recycles u once nothing can reach it. A *uop is held in exactly
+// four places — fetchBuf/rob, an issue queue, and the two event rings
+// (slots and far) — so u is free at the last of three events: it reached a
+// terminal state (retireStage pops it retired, killUop squashes it and its
+// holder drops it), completeStage has visited its last ring entry, and
+// compactQueue has dropped it from its issue queue. Each of those
+// handlers updates its own piece and then calls release; whichever comes
+// last frees. A retired load whose value is still in flight stays pinned
+// by its wakeups entry (the §4.1.4 deferred completion).
+func (p *Pipeline) release(u *uop) {
+	if (u.state == stRetired || u.state == stSquashed) && u.pending == 0 && !u.inQueue {
+		p.free = append(p.free, u)
+	}
 }

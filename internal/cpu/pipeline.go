@@ -62,6 +62,10 @@ type uop struct {
 	eaOK   bool
 
 	robIdx int32 // ring slot in Pipeline.rob, valid while mapped or later
+
+	// Recycling state (see Pipeline.release).
+	pending uint8 // event-ring entries completeStage has not yet visited
+	inQueue bool  // held by iqInt or iqFP
 }
 
 // Pipeline is the timing simulator for one program run.
@@ -86,9 +90,11 @@ type Pipeline struct {
 	fetchBuf  []*uop
 	fetchHead int
 
-	// arena carves uops out of uopChunk-sized blocks (see newUop).
+	// arena carves uops out of uopChunk-sized blocks; free holds the ones
+	// release handed back, which newUop reuses first.
 	arena  []uop
 	arenaN int
+	free   []*uop
 
 	// Fetch state.
 	nextSeq         uint64
@@ -501,9 +507,9 @@ func (p *Pipeline) fetchOne(pc uint64, rec sim.Record) *uop {
 		inst, _ = p.prog.At(pc)
 	}
 
-	// Arena uops come back zeroed, so only non-zero fields are written —
-	// a composite literal here would build the 200-byte struct on the
-	// stack and copy it over memory that is already zero.
+	// newUop's result is zeroed, so only non-zero fields are written — a
+	// composite literal here would build the 200-byte struct on the stack
+	// and copy it over memory that is already zero.
 	u := p.newUop()
 	u.seq, u.pc, u.inst, u.class = p.seqCounter, pc, inst, inst.Op.Class()
 	u.onPath, u.rec, u.tag = onPath, rec, core.NoTag
@@ -653,6 +659,7 @@ func (p *Pipeline) mapStage() {
 			p.fetchHead = 0
 		}
 		*queue = append(*queue, u)
+		u.inQueue = true
 		if p.iid != nil {
 			p.iid.onMap((p.robHead+p.robCount)%len(p.rob), u.seq)
 		}
@@ -833,6 +840,9 @@ func (p *Pipeline) compactQueue(q *[]*uop) {
 	for _, u := range *q {
 		if u.state == stMapped {
 			kept = append(kept, u)
+		} else {
+			u.inQueue = false
+			p.release(u)
 		}
 	}
 	*q = kept
@@ -841,24 +851,14 @@ func (p *Pipeline) compactQueue(q *[]*uop) {
 // ------------------------------------------------------------- complete --
 
 func (p *Pipeline) completeStage() {
-	// Load values arriving this cycle wake consumers.
+	// Load values arriving this cycle wake consumers. An entry stops
+	// pinning its uop once it has been visited — not when take empties the
+	// slot, because handling an earlier member of the same slice
+	// (resolveControl, checkReplay) can squash a later one.
 	for _, u := range p.wakeups.take(p.cycle) {
-		if u.state == stSquashed {
-			continue
-		}
-		u.valueCyc = p.cycle
-		p.ren.markReadyIfCurrent(u.dst, u.dstGen, p.cycle)
-		if p.prof != nil && u.tag != core.NoTag {
-			p.prof.SetLoadComplete(u.tag, p.cycle)
-			// A load that already retired (the Alpha lets loads
-			// retire before the value returns) could not finish its
-			// sample at retirement: the interrupt is delayed until
-			// all signals reach the Profile Registers (§4.1.4).
-			if u.state == stRetired {
-				p.prof.Complete(u.tag, true, core.TrapNone, u.retireCyc)
-				u.tag = core.NoTag
-			}
-		}
+		p.wakeLoad(u)
+		u.pending--
+		p.release(u)
 	}
 
 	cs := p.completing.take(p.cycle)
@@ -867,26 +867,53 @@ func (p *Pipeline) completeStage() {
 	}
 	sortBySeq(cs)
 	for _, u := range cs {
+		p.completeUop(u)
+		u.pending--
+		p.release(u)
+	}
+}
+
+// wakeLoad handles a load's value arriving this cycle.
+func (p *Pipeline) wakeLoad(u *uop) {
+	if u.state == stSquashed {
+		return
+	}
+	u.valueCyc = p.cycle
+	p.ren.markReadyIfCurrent(u.dst, u.dstGen, p.cycle)
+	if p.prof != nil && u.tag != core.NoTag {
+		p.prof.SetLoadComplete(u.tag, p.cycle)
+		// A load that already retired (the Alpha lets loads retire before
+		// the value returns) could not finish its sample at retirement:
+		// the interrupt is delayed until all signals reach the Profile
+		// Registers (§4.1.4).
+		if u.state == stRetired {
+			p.prof.Complete(u.tag, true, core.TrapNone, u.retireCyc)
+			u.tag = core.NoTag
+		}
+	}
+}
+
+// completeUop handles u leaving its functional unit this cycle.
+func (p *Pipeline) completeUop(u *uop) {
+	if u.state == stSquashed {
+		return
+	}
+	u.state = stCompleted
+	u.completeCyc = p.cycle
+	if p.prof != nil && u.tag != core.NoTag {
+		p.prof.SetStage(u.tag, core.StageRetireReady, p.cycle)
+	}
+	if u.dst != noPreg && u.class != isa.ClassLoad {
+		p.ren.markReady(u.dst, p.cycle)
+	}
+	if u.inst.Op.IsControl() && u.onPath {
+		p.resolveControl(u)
 		if u.state == stSquashed {
-			continue
+			return // a replay on this very cycle squashed it; defensive
 		}
-		u.state = stCompleted
-		u.completeCyc = p.cycle
-		if p.prof != nil && u.tag != core.NoTag {
-			p.prof.SetStage(u.tag, core.StageRetireReady, p.cycle)
-		}
-		if u.dst != noPreg && u.class != isa.ClassLoad {
-			p.ren.markReady(u.dst, p.cycle)
-		}
-		if u.inst.Op.IsControl() && u.onPath {
-			p.resolveControl(u)
-			if u.state == stSquashed {
-				continue // a replay on this very cycle squashed it; defensive
-			}
-		}
-		if u.class == isa.ClassStore && u.onPath && p.cfg.ReplayTraps {
-			p.checkReplay(u)
-		}
+	}
+	if u.class == isa.ClassStore && u.onPath && p.cfg.ReplayTraps {
+		p.checkReplay(u)
 	}
 }
 
@@ -1004,7 +1031,9 @@ func (p *Pipeline) squashYounger(seq uint64, reason core.TrapReason) {
 
 // squashFrom kills every in-flight uop with sequence number >= seq:
 // fetch-buffer entries (not yet renamed) and ROB entries (rename undone
-// youngest-first).
+// youngest-first). Both hold uops in fetch order, so every victim is
+// dropped from its holder as it is killed: a squashed uop is never left
+// in the fetch buffer or the ROB.
 func (p *Pipeline) squashFrom(seq uint64, reason core.TrapReason) {
 	// Fetch buffer: all entries are younger than anything in the ROB;
 	// drop the tail with seq >= seq. Survivors compact to the front of the
@@ -1027,11 +1056,10 @@ func (p *Pipeline) squashFrom(seq uint64, reason core.TrapReason) {
 		if tail.seq < seq {
 			break
 		}
-		if tail.state != stSquashed {
-			p.ren.undo(tail.archDst, tail.dst, tail.oldDst)
-			p.killUop(tail, reason)
-		}
 		p.robCount--
+		p.rob[(p.robHead+p.robCount)%len(p.rob)] = nil
+		p.ren.undo(tail.archDst, tail.dst, tail.oldDst)
+		p.killUop(tail, reason)
 	}
 }
 
@@ -1056,7 +1084,9 @@ func (p *Pipeline) killUop(u *uop, reason core.TrapReason) {
 		p.iid.onSquash(u.seq)
 	}
 	// Squashed entries remain in the issue queues until compaction and in
-	// the completion ring until their cycle arrives; state checks skip them.
+	// the event rings until their cycle arrives; state checks skip them,
+	// and release recycles u only once it has left both.
+	p.release(u)
 }
 
 // ---------------------------------------------------------------- retire --
@@ -1065,11 +1095,6 @@ func (p *Pipeline) retireStage() {
 	retired := 0
 	for p.robCount > 0 {
 		u := p.rob[p.robHead]
-		if u.state == stSquashed {
-			p.robPop()
-			p.lastProgress = p.cycle // draining squashed entries is progress
-			continue
-		}
 		if u.state != stCompleted || retired >= p.cfg.RetireWidth {
 			break
 		}
@@ -1103,6 +1128,7 @@ func (p *Pipeline) retireStage() {
 		p.recordRetired(u)
 		p.win.trim(u.rec.Seq + 1)
 		p.robPop()
+		p.release(u)
 	}
 }
 

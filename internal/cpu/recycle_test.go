@@ -1,0 +1,259 @@
+package cpu
+
+import (
+	"runtime"
+	"testing"
+
+	"profileme/internal/core"
+	"profileme/internal/counters"
+	"profileme/internal/faultinject"
+	"profileme/internal/isa"
+	"profileme/internal/mem"
+	"profileme/internal/sim"
+	"profileme/internal/workload"
+)
+
+// recycleScale keeps the matrix (11 kernels x 8 variants, every cycle
+// checked) inside a few seconds.
+const recycleScale = 2000
+
+// recycleVariants are the pipeline flavours whose uop lifetimes differ:
+// issue order, wrong-path fetch, replay squashes, tags that outlive
+// retirement, held interrupts, per-cycle attribution, and events beyond
+// the ring horizon.
+var recycleVariants = []struct {
+	name  string
+	build func(prog *isa.Program, src sim.Source) (*Pipeline, error)
+}{
+	{"default", func(prog *isa.Program, src sim.Source) (*Pipeline, error) {
+		return New(prog, src, DefaultConfig())
+	}},
+	{"inorder", func(prog *isa.Program, src sim.Source) (*Pipeline, error) {
+		return New(prog, src, InOrderConfig())
+	}},
+	{"nowrongpath", func(prog *isa.Program, src sim.Source) (*Pipeline, error) {
+		cfg := DefaultConfig()
+		cfg.NoWrongPath = true
+		return New(prog, src, cfg)
+	}},
+	{"noreplay", func(prog *isa.Program, src sim.Source) (*Pipeline, error) {
+		cfg := DefaultConfig()
+		cfg.ReplayTraps = false
+		return New(prog, src, cfg)
+	}},
+	{"paired", func(prog *isa.Program, src sim.Source) (*Pipeline, error) {
+		p, err := New(prog, src, DefaultConfig())
+		if err == nil {
+			p.AttachProfileMe(recycleUnit(), nil)
+		}
+		return p, err
+	}},
+	{"faults", func(prog *isa.Program, src sim.Source) (*Pipeline, error) {
+		p, err := New(prog, src, DefaultConfig())
+		if err == nil {
+			unit, plan := recycleUnit(), faultinject.MustNewPlan(5, faultinject.Uniform(0.2))
+			unit.AttachFaults(plan)
+			p.AttachProfileMe(unit, nil)
+			p.AttachFaults(plan)
+		}
+		return p, err
+	}},
+	{"counters", func(prog *isa.Program, src sim.Source) (*Pipeline, error) {
+		p, err := New(prog, src, DefaultConfig())
+		if err == nil {
+			p.AttachCounters(counters.New(counters.Config{
+				Monitor: counters.EventRetired, Period: 200, Skid: 6, SkidJitter: 4, Seed: 9,
+			}, nil))
+		}
+		return p, err
+	}},
+	// The rings are sized from cfg.Mem; an external hierarchy slower than
+	// that is the only way production code schedules into eventRing.far.
+	{"slowhier", func(prog *isa.Program, src sim.Source) (*Pipeline, error) {
+		slow := mem.DefaultConfig()
+		slow.MemLatency = 400
+		return NewWithHierarchy(prog, src, DefaultConfig(), mem.NewHierarchy(slow))
+	}},
+}
+
+func recycleUnit() *core.Unit {
+	return core.MustNewUnit(core.Config{
+		Paired: true, MeanInterval: 40, Window: 80, BufferDepth: 4,
+		CountMode: core.CountInstructions, IntervalMode: core.IntervalGeometric, Seed: 3,
+	})
+}
+
+// recycleGolden is {cycles, retired} per kernel per variant (variant order
+// as in recycleVariants), recorded at the commit before uops were recycled
+// by stepping that pipeline over the same matrix.
+var recycleGolden = map[string][8][2]int64{
+	"compress": {{4389, 1417}, {11973, 1417}, {4487, 1417}, {4389, 1417}, {4417, 1417}, {4417, 1417}, {4389, 1417}, {16229, 1417}},
+	"gcc":      {{11618, 3783}, {19616, 3783}, {11189, 3783}, {11630, 3783}, {11751, 3783}, {11730, 3783}, {11618, 3783}, {36363, 3783}},
+	"go":       {{17938, 11406}, {25158, 11406}, {17950, 11406}, {17938, 11406}, {18534, 11406}, {18398, 11406}, {17938, 11406}, {35467, 11406}},
+	"ijpeg":    {{2937, 2115}, {5397, 2115}, {2937, 2115}, {2937, 2115}, {2960, 2115}, {2977, 2115}, {2937, 2115}, {11257, 2115}},
+	"li":       {{27208, 3025}, {46519, 3025}, {26128, 3025}, {27208, 3025}, {27267, 3025}, {27236, 3025}, {27208, 3025}, {96328, 3025}},
+	"perl":     {{4660, 2220}, {5987, 2220}, {4753, 2220}, {4555, 2220}, {4744, 2220}, {4708, 2220}, {4660, 2220}, {12020, 2220}},
+	"povray":   {{2735, 1904}, {5588, 1904}, {2787, 1904}, {2735, 1904}, {2822, 1904}, {2793, 1904}, {2735, 1904}, {9135, 1904}},
+	"vortex":   {{7077, 1881}, {11492, 1881}, {7170, 1881}, {7077, 1881}, {7132, 1881}, {7089, 1881}, {7077, 1881}, {22117, 1881}},
+	"m88ksim":  {{3878, 2059}, {5433, 2059}, {3958, 2059}, {3892, 2059}, {3957, 2059}, {3943, 2059}, {3878, 2059}, {10278, 2059}},
+	"swim":     {{3852, 2130}, {5333, 2130}, {4034, 2130}, {2653, 2130}, {4114, 2130}, {3973, 2130}, {3852, 2130}, {5772, 2130}},
+	"eqntott":  {{15743, 9027}, {16836, 9027}, {15050, 9027}, {10095, 9027}, {16286, 9027}, {16121, 9027}, {15743, 9027}, {22663, 9027}},
+}
+
+// TestUopRecycleInvariant steps every kernel through every variant and,
+// after each cycle, checks that nothing reachable is on the free list.
+func TestUopRecycleInvariant(t *testing.T) {
+	for _, b := range workload.Suite() {
+		prog := b.Build(recycleScale)
+		for vi, v := range recycleVariants {
+			p, err := v.build(prog, sim.NewMachineSource(sim.New(prog), 0))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", b.Name, v.name, err)
+			}
+			var check recycleChecker
+			sawFar := false
+			for !p.done() {
+				if p.cycle > 1_000_000 {
+					t.Fatalf("%s/%s: not drained after %d cycles", b.Name, v.name, p.cycle)
+				}
+				p.step()
+				sawFar = sawFar || len(p.wakeups.far) > 0
+				if msg := check.violation(p); msg != "" {
+					t.Fatalf("%s/%s cycle %d: %s", b.Name, v.name, p.cycle, msg)
+				}
+			}
+			res := p.Finish()
+			if got, want := [2]int64{res.Cycles, int64(res.Retired)}, recycleGolden[b.Name][vi]; got != want {
+				t.Errorf("%s/%s: {cycles, retired} = %v, parent commit had %v", b.Name, v.name, got, want)
+			}
+			if v.name == "slowhier" && !sawFar {
+				t.Errorf("%s/slowhier never scheduled beyond the ring horizon", b.Name)
+			}
+		}
+	}
+}
+
+// recycleChecker finds disagreements between a pipeline's free list and
+// its live holders without a map per cycle. Every uop object that was ever
+// fetched carries a seq no other object carries (a recycled one keeps its
+// old seq until newUop hands it out again), so seq indexes the scratch
+// slices: free and queued hold the stamp (cycle) at which the uop was
+// last seen there, ringRefs counts its ring entries this cycle.
+type recycleChecker struct {
+	free, queued []int64
+	ringRefs     []uint8
+	live         []*uop
+}
+
+// violation reports the first inconsistency, or "": the free list has no
+// duplicate and only releasable uops; no holder (ROB, fetch buffer, issue
+// queues, event-ring slots and far maps) reaches a free uop; the ROB's
+// dead region is nil and its live region holds nothing squashed; and each
+// reachable uop's recycling state matches where it actually sits.
+func (c *recycleChecker) violation(p *Pipeline) string {
+	for uint64(len(c.free)) < p.seqCounter {
+		c.free, c.queued, c.ringRefs = append(c.free, 0), append(c.queued, 0), append(c.ringRefs, 0)
+	}
+	stamp := p.cycle + 1
+	for _, u := range p.free {
+		if c.free[u.seq] == stamp {
+			return "uop is on the free list twice"
+		}
+		c.free[u.seq] = stamp
+		if (u.state != stRetired && u.state != stSquashed) || u.pending != 0 || u.inQueue {
+			return "free uop is not releasable"
+		}
+	}
+	c.live = c.live[:0]
+	hold := func(where string, us []*uop) string {
+		for _, u := range us {
+			if u == nil {
+				return "nil uop in " + where
+			}
+			if c.free[u.seq] == stamp {
+				return "free uop reachable from " + where
+			}
+			c.live = append(c.live, u)
+		}
+		return ""
+	}
+	for i := 0; i < len(p.rob); i++ {
+		slot := (p.robHead + i) % len(p.rob)
+		if i >= p.robCount {
+			if p.rob[slot] != nil {
+				return "dead ROB slot still holds a uop"
+			}
+			continue
+		}
+		if msg := hold("rob", p.rob[slot:slot+1]); msg != "" {
+			return msg
+		}
+		if p.rob[slot].state == stSquashed {
+			return "squashed uop left in the ROB"
+		}
+	}
+	if msg := hold("fetchBuf", p.fetchBuf[p.fetchHead:]); msg != "" {
+		return msg
+	}
+	for _, q := range [][]*uop{p.iqInt, p.iqFP} {
+		if msg := hold("issue queue", q); msg != "" {
+			return msg
+		}
+		for _, u := range q {
+			c.queued[u.seq] = stamp
+		}
+	}
+	ring := func(us []*uop) string {
+		if msg := hold("event ring", us); msg != "" {
+			return msg
+		}
+		for _, u := range us {
+			c.ringRefs[u.seq]++
+		}
+		return ""
+	}
+	for _, r := range []*eventRing{p.completing, p.wakeups} {
+		for _, us := range r.slots {
+			if msg := ring(us); msg != "" {
+				return msg
+			}
+		}
+		for _, us := range r.far {
+			if msg := ring(us); msg != "" {
+				return msg
+			}
+		}
+	}
+	for _, u := range c.live {
+		if u.pending != c.ringRefs[u.seq] {
+			return "pending count disagrees with the ring entries"
+		}
+		if u.inQueue != (c.queued[u.seq] == stamp) {
+			return "inQueue disagrees with the issue queues"
+		}
+	}
+	for _, u := range c.live { // every ring entry is in live: counts back to zero
+		c.ringRefs[u.seq] = 0
+	}
+	return ""
+}
+
+// TestPipelineSteadyStateAlloc pins the recycling itself: a run allocates
+// its peak window, the functional machine's pages and the trace window —
+// not one uop per fetched instruction (283 B each before recycling).
+func TestPipelineSteadyStateAlloc(t *testing.T) {
+	var bytes, fetched uint64
+	for _, prog := range []*isa.Program{workload.Li(100_000), workload.Compress(100_000)} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, _ := runProgram(t, prog, DefaultConfig())
+		runtime.ReadMemStats(&after)
+		bytes += after.TotalAlloc - before.TotalAlloc
+		fetched += res.FetchedOnPath + res.FetchedOffPath
+	}
+	per := float64(bytes) / float64(fetched)
+	t.Logf("%.1f B allocated per fetched uop (%d B over %d uops)", per, bytes, fetched)
+	if per > 32 {
+		t.Fatalf("%.1f B allocated per fetched uop, want <= 32", per)
+	}
+}
