@@ -34,9 +34,9 @@
 //
 // Example (3-instance tier):
 //
-//	pmsimd -addr :7070 -instance c0 -peers c1=http://localhost:7071,c2=http://localhost:7072
-//	pmsimd -addr :7071 -instance c1 -peers c0=http://localhost:7070,c2=http://localhost:7072
-//	pmsimd -addr :7072 -instance c2 -peers c0=http://localhost:7070,c1=http://localhost:7071
+//	pmsimd -addr :7070 -instance c0
+//	pmsimd -addr :7071 -instance c1
+//	pmsimd -addr :7072 -instance c2
 //	pmrouter -addr :7000 -instances c0=http://localhost:7070,c1=http://localhost:7071,c2=http://localhost:7072
 //	pmsim -bench compress -fleet 4 -shards 16 -submit http://localhost:7000
 package main

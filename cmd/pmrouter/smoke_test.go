@@ -31,8 +31,9 @@ import (
 // retries of its shards dedupe to 202+duplicate, and the final fleet
 // rollup reproduces Σ captured over every distinct shard exactly — the
 // kill is not allowed to destroy a single acknowledged sample. Finally
-// the surviving peer is SIGTERMed and must hand its aggregate to the
-// restarted instance, losing zero samples.
+// the surviving peer leaves the tier the one way there is — the router
+// removes it, then it is SIGTERMed — and its aggregate must live on at
+// the restarted instance, zero samples lost, nothing written back.
 
 const (
 	smokeHelperEnv = "PMROUTER_SMOKE_HELPER"
@@ -101,6 +102,24 @@ func startDaemon(t *testing.T, banner string, env []string, argv ...string) *dae
 		t.Fatalf("%s never announced its listen address", argv[0])
 	}
 	return d
+}
+
+// terminate SIGTERMs the daemon and requires exit status 0 within budget.
+func (d *daemon) terminate(t *testing.T, name string, budget time.Duration) {
+	t.Helper()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	waited := make(chan error, 1)
+	go func() { waited <- d.cmd.Wait() }()
+	select {
+	case err := <-waited:
+		if err != nil {
+			t.Fatalf("%s did not exit cleanly after SIGTERM: %v\n%s", name, err, d.output())
+		}
+	case <-time.After(budget):
+		t.Fatalf("%s did not exit within %v of SIGTERM", name, budget)
+	}
 }
 
 // smokeShard builds a tier-compatible shard (interval 16, width 4).
@@ -181,10 +200,12 @@ func TestTierSmoke(t *testing.T) {
 	d0 := startDaemon(t, "pmsimd: listening on ", env, append([]string{pmsimd}, c0Args...)...)
 	url0 := "http://" + d0.addr
 
-	// Process 2: collector c1, with c0 as its drain-handoff peer.
+	// Process 2: collector c1 (will be removed from the tier, then
+	// SIGTERMed). It knows its id, not its peers.
 	d1 := startDaemon(t, "pmsimd: listening on ", env, pmsimd,
 		"-addr", "127.0.0.1:0", "-instance", "c1", "-interval", "16", "-queue", "64",
-		"-peers", "c0="+url0)
+		"-wal-dir", filepath.Join(dir, "wal1"),
+		"-checkpoint", filepath.Join(dir, "agg1.db"), "-checkpoint-every", "2")
 	url1 := "http://" + d1.addr
 
 	// Process 3: the router (this test binary re-execed as pmrouter),
@@ -278,8 +299,8 @@ func TestTierSmoke(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	// Recovery: restart c0 at the SAME address (its ring identity and its
-	// peers' -peers flags both point there) with the SAME WAL dir and
+	// Recovery: restart c0 at the SAME address (the router's table points
+	// its ring identity there) with the SAME WAL dir and
 	// checkpoint, so everything it acknowledged before the kill is
 	// replayed; the probe loop revives it.
 	restartArgs := append([]string{}, c0Args...)
@@ -308,61 +329,50 @@ func TestTierSmoke(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	// Graceful drain of c1: SIGTERM → flush → handoff to its ring peer
-	// c0 → clean exit, no samples lost. After the drain the fleet is c0
-	// alone, holding its own WAL-recovered shards plus everything c1
-	// migrated — i.e. every sample ever acknowledged by the tier. The
-	// conservation check is exact: the SIGKILL destroyed nothing.
+	// Scale-in of c1: the router's removal migrates its books to c0 —
+	// "remove until 200" — and only then is the process SIGTERMed. It
+	// must exit 0 having written nothing back: the fleet is c0 alone,
+	// holding its own WAL-recovered shards plus everything c1 migrated —
+	// i.e. every sample ever acknowledged by the tier. The conservation
+	// check is exact: the SIGKILL destroyed nothing.
 	var wantTotal uint64
 	for _, c := range captured {
 		wantTotal += c
 	}
-	if err := d1.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	waited := make(chan error, 1)
-	go func() { waited <- d1.cmd.Wait() }()
-	select {
-	case err := <-waited:
-		if err != nil {
-			t.Fatalf("c1 did not exit cleanly after SIGTERM: %v\n%s", err, d1.output())
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("c1 did not exit within the drain budget")
-	}
-	if out := d1.output(); !strings.Contains(out, "handed off to c0") {
-		t.Fatalf("c1 drain did not hand off to c0:\n%s", out)
-	}
-
-	// The restarted c0 now carries its own recovered shards plus c1's
-	// whole aggregate; the router's fleet rollup (partial: c1 is gone)
-	// must reproduce Σ captured over every distinct shard exactly.
 	for {
-		status, stats, err := smokeGet(t, front+"/v1/stats")
-		if err == nil && status == http.StatusOK {
-			fleet := stats["fleet"].(map[string]any)
-			if uint64(fleet["handoffs_in"].(float64)) == 1 &&
-				uint64(fleet["samples"].(float64)+fleet["lost"].(float64)) == wantTotal {
+		resp, err := http.Post(front+"/v1/membership/remove", "application/json", strings.NewReader(`{"id":"c1"}`))
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
 				break
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("fleet rollup never reached exact conservation (want %d captured)", wantTotal)
+			t.Fatalf("removal of c1 never answered 200 (last: %v)", err)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+	d1.terminate(t, "c1", 30*time.Second)
+	if out := d1.output(); !strings.Contains(out, "pmsimd: retired") || strings.Contains(out, "final checkpoint at") {
+		t.Fatalf("removed c1 did not exit as a retired instance:\n%s", out)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "agg1.db")); !os.IsNotExist(err) {
+		t.Fatalf("removed c1 left a live checkpoint behind (stat: %v)", err)
+	}
+
+	// The restarted c0 now carries its own recovered shards plus c1's
+	// whole aggregate; the router's fleet rollup — whole again, c1 is no
+	// longer a member — must reproduce Σ captured over every distinct
+	// shard exactly.
+	status, stats, err := smokeGet(t, front+"/v1/stats")
+	if err != nil || status != http.StatusOK || stats["partial"].(bool) {
+		t.Fatalf("stats after the scale-in: %v status %d %v", err, status, stats)
+	}
+	fleet := stats["fleet"].(map[string]any)
+	if in, got := uint64(fleet["handoffs_in"].(float64)), uint64(fleet["samples"].(float64)+fleet["lost"].(float64)); in != 1 || got != wantTotal {
+		t.Fatalf("fleet after the scale-in: handoffs_in %d, captured %d, want 1 and exactly %d", in, got, wantTotal)
+	}
 
 	// The router itself drains cleanly.
-	if err := router.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	go func() { waited <- router.cmd.Wait() }()
-	select {
-	case err := <-waited:
-		if err != nil {
-			t.Fatalf("router did not exit cleanly: %v\n%s", err, router.output())
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("router did not exit after SIGTERM")
-	}
+	router.terminate(t, "router", 15*time.Second)
 }

@@ -17,7 +17,9 @@
 //     mark; excess load is shed with 503 + Retry-After.
 //   - SIGINT/SIGTERM starts a graceful drain: readiness flips, new
 //     submissions get 503 (accounted), in-flight requests finish, the
-//     queue is flushed, and a final atomic checkpoint is written.
+//     queue is flushed, and a final atomic checkpoint is written. The
+//     books stay with their owner, tier member or not: a restart reloads
+//     them. Leaving a tier for good is the router's job (see next item).
 //   - With -wal-dir, the 202 is a durability contract: the submission is
 //     group-committed to a write-ahead log BEFORE it is acknowledged,
 //     and a restart after kill -9 replays checkpoint+WAL so nothing
@@ -28,7 +30,11 @@
 //     /v1/handoff (accept) merges a peer's envelope exactly once, and
 //     /v1/ledger/adopt installs dedupe obligations for shard ids whose ring
 //     ownership moved here — all idempotent, all WAL-durable, so a
-//     membership change interrupted at any point is safe to retry.
+//     membership change interrupted at any point is safe to retry. The
+//     instance knows its id and never the ring. Once the router's removal
+//     is confirmed (/v1/handoff/confirm) the instance has retired: WAL
+//     and checkpoint are set aside as *.handedoff and SIGTERM writes
+//     nothing back.
 //
 // Example:
 //
@@ -45,11 +51,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"profileme/internal/cluster"
 	"profileme/internal/ingest"
 	"profileme/internal/server"
 	"profileme/internal/traffic"
@@ -87,31 +91,9 @@ func run() int {
 		winBucketDur = flag.Duration("sketch-window-bucket", time.Second, "windowed-query ring bucket duration")
 
 		record   = flag.String("record", "", "tee every decodable submission body into this trace file (offered load, pre-admission; replayable with pmtraffic replay)")
-		instance = flag.String("instance", "", "tier instance id (ring identity; enables clustered drain handoff with -peers)")
-		peers    = flag.String("peers", "", "ring peers as id=url,id=url,... — a graceful drain hands the aggregate to the ring successor")
-		vnodes   = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per instance on the placement ring (must match the router)")
-		ringSeed = flag.Uint64("ring-seed", 0, "virtual-node layout seed (must match the router)")
+		instance = flag.String("instance", "", "tier instance id: names this collector in logs, /v1/stats and handoff envelopes")
 	)
 	flag.Parse()
-
-	peerURLs := make(map[string]string)
-	if *peers != "" {
-		if *instance == "" {
-			fmt.Fprintln(os.Stderr, "pmsimd: -peers requires -instance")
-			return 2
-		}
-		for _, part := range strings.Split(*peers, ",") {
-			id, url, ok := strings.Cut(strings.TrimSpace(part), "=")
-			if !ok || id == "" || url == "" {
-				fmt.Fprintf(os.Stderr, "pmsimd: bad peer %q (want id=url)\n", part)
-				return 2
-			}
-			if id == *instance {
-				continue // tolerate self in a shared peer list
-			}
-			peerURLs[id] = strings.TrimRight(url, "/")
-		}
-	}
 
 	policy, err := ingest.ParsePolicy(*overflow)
 	if err != nil {
@@ -232,63 +214,16 @@ func run() int {
 
 	// Graceful drain: refuse new work first (readiness flips, late
 	// submissions are 503'd WITH loss accounting), let in-flight requests
-	// finish, flush the queue — then either hand the aggregate to the
-	// ring successor (clustered: a rolling restart loses zero samples) or
-	// write the final atomic checkpoint (standalone durability).
-	fmt.Fprintln(os.Stderr, "pmsimd: signal received, draining (stop accepting → flush queue → handoff or final checkpoint)")
+	// finish, flush the queue, write the final atomic checkpoint. A
+	// retired instance writes none: its books live at the receiver.
+	fmt.Fprintln(os.Stderr, "pmsimd: signal received, draining (stop accepting → flush queue → final checkpoint)")
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
 	svc.BeginDrain()
 	if err := httpSrv.Shutdown(drainCtx); err != nil {
 		fmt.Fprintln(os.Stderr, "pmsimd: http shutdown:", err)
 	}
-	if err := svc.Flush(drainCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "pmsimd:", err)
-		return 1
-	}
-	if len(peerURLs) > 0 {
-		// A transiently unreachable successor (restarting, mid-probe) must
-		// not demote a clean handoff to a local checkpoint, so the ring
-		// walk retries briefly inside the drain budget before giving up.
-		var res cluster.HandoffResult
-		var err error
-		for attempt := 0; ; attempt++ {
-			res, err = cluster.DrainHandoff(drainCtx, svc, nil, *instance, peerURLs, *vnodes, *ringSeed, logw)
-			if err == nil || attempt >= 2 || drainCtx.Err() != nil {
-				break
-			}
-			select {
-			case <-drainCtx.Done():
-			case <-time.After(250 * time.Millisecond):
-			}
-		}
-		if err != nil {
-			// Every peer refused or was unreachable: fall back to local
-			// durability — the checkpoint keeps the aggregate recoverable.
-			fmt.Fprintf(os.Stderr, "pmsimd: %v; falling back to local checkpoint\n", err)
-		} else {
-			// The samples now live exactly once, at the successor. A
-			// checkpoint or WAL left behind would double-count them on
-			// restart; quarantine both instead of deleting history.
-			if *ckpt != "" {
-				if _, statErr := os.Stat(*ckpt); statErr == nil {
-					if err := os.Rename(*ckpt, *ckpt+".handedoff"); err != nil {
-						fmt.Fprintf(os.Stderr, "pmsimd: could not retire checkpoint after handoff: %v\n", err)
-					}
-				}
-			}
-			if *walDir != "" {
-				if err := svc.QuarantineWALDir(".handedoff"); err != nil {
-					fmt.Fprintf(os.Stderr, "pmsimd: could not retire WAL after handoff: %v\n", err)
-				}
-			}
-			st := svc.Stats()
-			fmt.Printf("pmsimd: drained cleanly: %d shards merged; aggregate (%d samples, %d lost) handed off to %s\n",
-				st.Merged, st.Samples, st.Lost, res.Instance)
-			return 0
-		}
-	}
-	if err := svc.FinalCheckpoint(); err != nil {
+	if err := svc.Drain(drainCtx); err != nil {
 		fmt.Fprintln(os.Stderr, "pmsimd:", err)
 		return 1
 	}
@@ -300,7 +235,10 @@ func run() int {
 	st = svc.Stats()
 	fmt.Printf("pmsimd: drained cleanly: %d shards merged, %d rejected, %d dropped; %d samples aggregated, %d lost (%.1f%% loss)\n",
 		st.Merged, st.OverloadRejected, st.OverloadDropped, st.Samples, st.Lost, 100*st.LossRate)
-	if *ckpt != "" {
+	switch {
+	case st.HandedOff:
+		fmt.Println("pmsimd: retired: the aggregate lives at its receiver; WAL and checkpoint left as *.handedoff")
+	case *ckpt != "":
 		fmt.Printf("pmsimd: final checkpoint at %s\n", *ckpt)
 	}
 	return 0

@@ -35,18 +35,18 @@ type member struct {
 	url   string
 	state InstanceState
 	fails int // consecutive transport failures
-	// delivered: a receiver holds this member's whole aggregate and ledger
-	// (a removal is between the receiver's ack and the commit). Its samples
-	// would count twice if it stayed a query leg, so it is none; it stays a
-	// submit candidate only for shards pinned to it, whose retries its
-	// sealed ledger dedupes. Set by the removal, cleared by reregister;
-	// health signals never touch it.
-	delivered bool
+	// deliveredTo: the receiver that holds this member's whole aggregate
+	// and ledger (a removal is between the receiver's ack and the commit);
+	// "" otherwise. Its samples would count twice if it stayed a query
+	// leg, so it is none; it stays a submit candidate only for shards
+	// pinned to it, whose retries its sealed ledger dedupes. Set by the
+	// removal, cleared by reregister; health signals never touch it.
+	deliveredTo string
 }
 
 // serving: the member takes fan-out traffic (query legs, probes of the
 // live set, witness copies, anti-entropy).
-func (m *member) serving() bool { return m.state != StateDown && !m.delivered }
+func (m *member) serving() bool { return m.state != StateDown && m.deliveredTo == "" }
 
 // hop is one place a request may be sent.
 type hop struct{ id, url string }
@@ -144,13 +144,24 @@ func (ms *members) reregister(id, url string) bool {
 	return m != nil
 }
 
-// delivered records that a receiver acknowledged id's handoff envelope.
-func (ms *members) delivered(id string) {
+// delivered records that receiver acknowledged id's handoff envelope.
+func (ms *members) delivered(id, receiver string) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	if m := ms.byID[id]; m != nil {
-		m.delivered = true
+		m.deliveredTo = receiver
 	}
+}
+
+// deliveredTo returns the receiver an earlier removal attempt delivered
+// id's envelope to, "" when none did.
+func (ms *members) deliveredTo(id string) string {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	if m := ms.byID[id]; m != nil {
+		return m.deliveredTo
+	}
+	return ""
 }
 
 // alive: id answered something (a query leg, a probe). Clears the failure
@@ -229,7 +240,7 @@ func (ms *members) route(shard string) ([]hop, uint64) {
 		hops = append(hops, hop{pinned, m.url})
 	}
 	for _, id := range order {
-		if m := ms.byID[id]; id != pinned && m.state == StateHealthy && !m.delivered {
+		if m := ms.byID[id]; id != pinned && m.state == StateHealthy && m.deliveredTo == "" {
 			hops = append(hops, hop{id, m.url})
 		}
 	}
@@ -279,7 +290,7 @@ func (ms *members) targets() (live, down []hop, epoch uint64) {
 		switch {
 		case m.serving():
 			live = append(live, hop{id, m.url})
-		case !m.delivered:
+		case m.deliveredTo == "":
 			down = append(down, hop{id, m.url})
 		}
 	}

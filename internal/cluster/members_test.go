@@ -151,9 +151,13 @@ func TestMembersProperty(t *testing.T) {
 				}
 			case 3:
 				op = "delivered " + a
-				ms.delivered(a)
+				to, want := id(), ""
+				ms.delivered(a, to)
 				if am != nil {
-					am.delivered = true
+					am.deliveredTo, want = to, to
+				}
+				if got := ms.deliveredTo(a); got != want {
+					t.Fatalf("seed %d step %d %s: deliveredTo %q, want %q", seed, step, op, got, want)
 				}
 			case 4:
 				op = "alive " + a
@@ -229,7 +233,7 @@ func TestMembersProperty(t *testing.T) {
 			var wantLive, wantDown []string
 			for _, id := range model.ids() {
 				switch m := model.members[id]; {
-				case m.delivered:
+				case m.deliveredTo != "":
 				case m.state == StateDown:
 					wantDown = append(wantDown, id)
 				default:
@@ -260,10 +264,10 @@ func TestMembersProperty(t *testing.T) {
 				var wantWitness hop
 				for _, id := range ring.Successors(s, ring.Size()) {
 					m := model.members[id]
-					if id != pinned && m.state == StateHealthy && !m.delivered {
+					if id != pinned && m.state == StateHealthy && m.deliveredTo == "" {
 						wantRoute = append(wantRoute, hop{id, m.url})
 					}
-					if wantWitness.id == "" && id != a && m.state != StateDown && !m.delivered {
+					if wantWitness.id == "" && id != a && m.state != StateDown && m.deliveredTo == "" {
 						wantWitness = hop{id, m.url}
 					}
 				}
@@ -273,7 +277,7 @@ func TestMembersProperty(t *testing.T) {
 				}
 				for _, h := range hops {
 					m := model.members[h.id]
-					if m == nil || m.state == StateDown || ((m.state == StateDraining || m.delivered) && h.id != pinned) {
+					if m == nil || m.state == StateDown || ((m.state == StateDraining || m.deliveredTo != "") && h.id != pinned) {
 						t.Fatalf("%s: route(%s) offers %s (%+v, pinned %q)", at, s, h.id, m, pinned)
 					}
 				}

@@ -24,9 +24,9 @@ import (
 //     first whatever the ring says, covering the fetch-to-commit window
 //     where a shard was admitted at the old owner after the adoption
 //     sweep read its ledger;
-//   - the handoff envelope (PR 6/7): a scale-in ships the donor's whole
+//   - the handoff envelope: a scale-in ships the donor's whole
 //     aggregate + ledger to one receiver, WAL-durable there before the
-//     donor quarantines its own books, deduped by content digest against
+//     donor retires its own books, deduped by content digest against
 //     redelivery.
 //
 // Both operations are serialized (memMu) and crash-safe by idempotence:
@@ -248,8 +248,9 @@ func (rt *Router) postAdopt(ctx context.Context, owner hop, from string, shards 
 //  3. adopt the donor's shard ids at their NEW ring owners (those not
 //     already covered by the receiver's handoff ledger), so retries
 //     following the new placement dedupe wherever they land;
-//  4. POST the donor's /v1/handoff/confirm — it marks handed off and
-//     quarantines its WAL (a restart over it would double-count);
+//  4. POST the donor's /v1/handoff/confirm — it retires: WAL directory
+//     and checkpoint file set aside as *.handedoff (a restart over either
+//     would double-count), final checkpoint disabled;
 //  5. commit, in one step: off the ring (epoch bump), URL and health
 //     forgotten, the donor's placement pins repointed at the receiver.
 //
@@ -296,12 +297,19 @@ func (rt *Router) removeInstanceLocked(ctx context.Context, id string, newRing *
 	// Deliver along the post-removal ring order: the new owner of the
 	// donor's key range first, then the rest as fallbacks. The SAME
 	// bytes are sent to every candidate and on every retry — that is
-	// the receiver-side dedupe contract.
+	// the receiver-side dedupe contract, and it holds per receiver: once
+	// one has acked, a retried removal redelivers to it and to nobody
+	// else, or a candidate that was down the first time would merge the
+	// donor's samples a second time.
 	rt.migration.phase("deliver")
+	cands := newRing.Successors(id, newRing.Size())
+	if prev := rt.members.deliveredTo(id); prev != "" {
+		cands = []string{prev}
+	}
 	var receiver string
 	lastErr := errors.New("no reachable receiver")
-	for _, cand := range newRing.Successors(id, newRing.Size()) {
-		captured, err := SendHandoff(ctx, rt.client, urls[cand], envelope)
+	for _, cand := range cands {
+		captured, err := rt.sendHandoff(ctx, urls[cand], envelope)
 		if err != nil {
 			lastErr = err
 			rt.logf("membership: handoff of %s to %s failed: %v", id, cand, err)
@@ -313,7 +321,7 @@ func (rt *Router) removeInstanceLocked(ctx context.Context, id string, newRing *
 	if receiver == "" {
 		return nil, fmt.Errorf("cluster: remove %s: deliver: %w (donor sealed; retry, or restart the donor to roll back)", id, lastErr)
 	}
-	rt.members.delivered(id)
+	rt.members.delivered(id, receiver)
 
 	// The receiver's handoff installed every donor shard in ITS ledger;
 	// ids whose new ring owner is a different instance need adoption
@@ -362,6 +370,26 @@ func (rt *Router) exportHandoff(ctx context.Context, base string) ([]byte, error
 		return nil, err
 	}
 	return raw, nil
+}
+
+// sendHandoff ships the exported envelope to a receiver's /v1/handoff
+// and returns the captured total it acknowledged. Only a 202 succeeds: a
+// 503 receiver is itself draining or retired, and the walk moves on.
+func (rt *Router) sendHandoff(ctx context.Context, base string, envelope []byte) (uint64, error) {
+	status, raw, err := roundTrip(ctx, rt.client, http.MethodPost, base+"/v1/handoff", envelope, 0, 1<<20)
+	if status == 0 {
+		return 0, err
+	}
+	if status != http.StatusAccepted {
+		return 0, answered("handoff receiver", status, raw)
+	}
+	var ack struct {
+		Captured uint64 `json:"captured"`
+	}
+	if err := json.Unmarshal(raw, &ack); err != nil {
+		return 0, fmt.Errorf("handoff ack unparseable: %w", err)
+	}
+	return ack.Captured, nil
 }
 
 // confirmHandoff POSTs a donor's confirm endpoint (idempotent).

@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -113,16 +115,7 @@ func TestMembershipAddLive(t *testing.T) {
 	// The adoption proof: a restarted router loses every pin. Retries now
 	// follow pure ring order — moved shards land on the newcomer, whose
 	// adopted ledger must dedupe them.
-	cfg := RouterConfig{FailureThreshold: 2, HedgeDelay: -1}
-	for _, in := range instances {
-		cfg.Instances = append(cfg.Instances, Instance{ID: in.id, BaseURL: in.ts.URL})
-	}
-	cfg.Instances = append(cfg.Instances, Instance{ID: "c3", BaseURL: newcomer.ts.URL})
-	rt2, err := NewRouter(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	front2 := httptest.NewServer(rt2.Handler())
+	front2 := httptest.NewServer(routerOver(t, append(instances, newcomer)...).Handler())
 	defer front2.Close()
 	landedOnNewcomer := 0
 	for i := 0; i < nShards; i++ {
@@ -146,16 +139,31 @@ func TestMembershipAddLive(t *testing.T) {
 	}
 }
 
-// TestMembershipRemoveLive shrinks a live tier: the donor's whole
-// aggregate and ledger migrate before the ring forgets it, retries of
-// its shards dedupe at the receiver, and the conservation sum survives
-// the move exactly.
+// TestMembershipRemoveLive shrinks a live, WAL- and checkpoint-backed
+// tier: the donor's whole aggregate and ledger migrate before the ring
+// forgets it, retries of its shards dedupe at the receiver, and the
+// conservation sum survives the move exactly — and survives the removed
+// process's exit and restart, which find its books retired.
 func TestMembershipRemoveLive(t *testing.T) {
-	instances, rt := newTier(t, 64, "c0", "c1", "c2")
-	front := httptest.NewServer(rt.Handler())
+	dir := t.TempDir()
+	cfgOf := func(id string) ingest.Config {
+		return ingest.Config{QueueDepth: 64, Interval: 16, Width: 4, CheckpointEvery: 2,
+			CheckpointPath: filepath.Join(dir, id, "agg.db"), WALDir: filepath.Join(dir, id, "wal")}
+	}
+	instances := make([]*tierInstance, 3)
+	for i, id := range []string{"c0", "c1", "c2"} {
+		svc, _, err := ingest.Recover(cfgOf(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.CloseWAL()
+		svc.Start()
+		instances[i] = serveInstance(t, id, svc)
+	}
+	front := httptest.NewServer(routerOver(t, instances...).Handler())
 	defer front.Close()
 
-	const nShards = 18
+	const nShards = 30
 	var wantCaptured uint64
 	donorShards := map[string]bool{}
 	for i := 0; i < nShards; i++ {
@@ -174,6 +182,9 @@ func TestMembershipRemoveLive(t *testing.T) {
 	if len(donorShards) == 0 {
 		t.Fatal("donor c1 holds no shards; the migration would be vacuous")
 	}
+	if _, err := os.Stat(cfgOf("c1").CheckpointPath); err != nil {
+		t.Fatalf("donor c1 wrote no checkpoint (%v); its restart would be vacuous", err)
+	}
 	epoch0 := membershipEpoch(t, front.URL)
 
 	status, rep := postJSON(t, front.URL+"/v1/membership/remove", `{"id":"c1"}`)
@@ -190,14 +201,22 @@ func TestMembershipRemoveLive(t *testing.T) {
 	if got := uint64(rep["captured_moved"].(float64)); got == 0 {
 		t.Fatal("remove migrated zero captured samples from a donor that held shards")
 	}
-	var donor *tierInstance
-	for _, in := range instances {
-		if in.id == "c1" {
-			donor = in
-		}
-	}
-	if !donor.svc.HandedOff() {
+	donor := instances[1]
+	if !donor.svc.Stats().HandedOff {
 		t.Fatal("donor not marked handed off after confirmed removal")
+	}
+	// The receiver took c1's books over in one handoff, and its ledger
+	// names c1 as the source of every shard that came with them.
+	for _, in := range instances {
+		if in.id != receiver {
+			continue
+		}
+		from, handoffs := in.svc.Ledger().AdoptedFrom, in.svc.Stats().HandoffsIn
+		for shard := range donorShards {
+			if from[shard] != "c1" || handoffs != 1 {
+				t.Fatalf("shard %s provenance %q after %d handoffs at receiver %s, want c1 after 1", shard, from[shard], handoffs, receiver)
+			}
+		}
 	}
 
 	// Membership no longer lists the donor.
@@ -234,18 +253,7 @@ func TestMembershipRemoveLive(t *testing.T) {
 
 	// Pinless-router proof for scale-in: handoff ledger + adoption cover
 	// dedupe without the original router's memory.
-	cfg := RouterConfig{FailureThreshold: 2, HedgeDelay: -1}
-	for _, in := range instances {
-		if in.id == "c1" {
-			continue
-		}
-		cfg.Instances = append(cfg.Instances, Instance{ID: in.id, BaseURL: in.ts.URL})
-	}
-	rt2, err := NewRouter(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	front2 := httptest.NewServer(rt2.Handler())
+	front2 := httptest.NewServer(routerOver(t, instances[0], instances[2]).Handler())
 	defer front2.Close()
 	for i := 0; i < nShards; i++ {
 		shard := fmt.Sprintf("shrink/s%03d", i)
@@ -254,6 +262,72 @@ func TestMembershipRemoveLive(t *testing.T) {
 			t.Fatalf("shard %s retry via pinless router after remove: status %d duplicate %v",
 				shard, got.status, got.Duplicate)
 		}
+	}
+
+	// The operator SIGTERMs the removed instance — the daemon's shutdown
+	// tail — and someone restarts it with the same flags. Confirm retired
+	// the WAL directory AND the checkpoint file, so the exit writes nothing
+	// back and the restart finds nothing: the samples live at the receiver.
+	wantCaptured = fleetCaptured(t, front.URL)
+	donor.svc.BeginDrain()
+	donor.ts.Close()
+	if err := donor.svc.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := donor.svc.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	left, err := os.ReadDir(filepath.Join(dir, "c1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		if !strings.HasSuffix(e.Name(), ".handedoff") {
+			t.Errorf("retired donor left %s behind, want only *.handedoff", e.Name())
+		}
+	}
+	again, info, err := ingest.Recover(cfgOf("c1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.CloseWAL()
+	if st := again.Stats(); info.CheckpointLoaded || info.Replayed != 0 || st.Samples != 0 || st.Lost != 0 {
+		t.Fatalf("restarted donor recovered checkpoint=%v, %d WAL records, %d samples, %d lost — all of which live at the receiver",
+			info.CheckpointLoaded, info.Replayed, st.Samples, st.Lost)
+	}
+	if got := fleetCaptured(t, front.URL); got != wantCaptured {
+		t.Fatalf("fleet captured %d after the donor's exit, want %d", got, wantCaptured)
+	}
+}
+
+// TestRemovalRetryKeepsItsReceiver: a removal whose envelope was delivered
+// and which then failed redelivers, on retry, to the receiver that holds
+// it — not to a better-placed candidate that was down the first time,
+// where it would merge the donor's samples a second time.
+func TestRemovalRetryKeepsItsReceiver(t *testing.T) {
+	instances, rt := newTier(t, 64, "c0", "c1", "c2")
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	for i := 0; i < 30; i++ {
+		if got := submitVia(t, front.URL, fmt.Sprintf("redo/s%03d", i), synthShard(uint64(i)+1, 40)); got.status != http.StatusAccepted {
+			t.Fatalf("shard %d: status %d", i, got.status)
+		}
+	}
+	waitForMerge(t, instances, 30)
+	want := fleetCaptured(t, front.URL)
+
+	// c0 is the first candidate for c1's envelope and the new owner of some
+	// of its shards. With c0 dead, c2 receives and the adoption at c0 fails.
+	instances[0].ts.Close()
+	if rep, err := rt.RemoveInstance(context.Background(), "c1"); err == nil || rt.members.deliveredTo("c1") != "c2" {
+		t.Fatalf("removal with c0 dead: report %+v err %v delivered to %q, want a failure after delivery to c2", rep, err, rt.members.deliveredTo("c1"))
+	}
+	rt.SetInstance("c0", serveInstance(t, "c0", instances[0].svc).ts.URL)
+	if rep, err := rt.RemoveInstance(context.Background(), "c1"); err != nil || rep.Receiver != "c2" {
+		t.Fatalf("reissued removal: report %+v err %v, want success at receiver c2", rep, err)
+	}
+	if got := fleetCaptured(t, front.URL); got != want {
+		t.Fatalf("fleet captured %d after the retried removal, want %d: the envelope merged twice", got, want)
 	}
 }
 
@@ -652,11 +726,7 @@ func fleetTotals(t *testing.T, frontURL, pc string) [4]float64 {
 func TestRemovalNeverDoubleCounts(t *testing.T) {
 	c0, donor, c2 := newTierInstance(t, "c0", 64), newTierInstance(t, "c1", 64), newTierInstance(t, "c2", 64)
 	donorFront, stalled, release, _ := stallingFront(t, donor.ts.URL, "/v1/handoff/confirm")
-	rt, err := NewRouter(RouterConfig{FailureThreshold: 2, HedgeDelay: -1, Instances: []Instance{
-		{ID: "c0", BaseURL: c0.ts.URL}, {ID: "c1", BaseURL: donorFront.URL}, {ID: "c2", BaseURL: c2.ts.URL}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := routerOver(t, c0, &tierInstance{id: "c1", ts: donorFront}, c2)
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 
@@ -714,11 +784,7 @@ func TestQueryLegDoesNotReviveDraining(t *testing.T) {
 	var backend atomic.Pointer[tierInstance]
 	backend.Store(c1)
 	c1Front := frontInstance(t, func() string { return backend.Load().ts.URL }, func(*http.Request) {})
-	rt, err := NewRouter(RouterConfig{FailureThreshold: 2, HedgeDelay: -1, Instances: []Instance{
-		{ID: "c0", BaseURL: c0.ts.URL}, {ID: "c1", BaseURL: c1Front.URL}, {ID: "c2", BaseURL: c2.ts.URL}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := routerOver(t, c0, &tierInstance{id: "c1", ts: c1Front}, c2)
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 

@@ -19,7 +19,6 @@ import (
 	"profileme/internal/ingest"
 	"profileme/internal/netchaos"
 	"profileme/internal/profile"
-	"profileme/internal/server"
 )
 
 // defaultNemesisSeed pins the CI nemesis run; override with
@@ -46,26 +45,19 @@ func nemesisSeed(t *testing.T) uint64 {
 // recovers from the same directory behind a fresh listener (the new
 // process, at a new address — exactly what a rescheduled container does).
 type walInstance struct {
-	id  string
-	dir string
+	*tierInstance
 	cfg ingest.Config
-	svc *ingest.Service
-	ts  *httptest.Server
 }
 
 func newWALInstance(t *testing.T, id string, root string) *walInstance {
 	t.Helper()
-	dir := filepath.Join(root, id, "wal")
-	cfg := ingest.Config{QueueDepth: 256, Interval: 16, Width: 4, WALDir: dir}
+	cfg := ingest.Config{QueueDepth: 256, Interval: 16, Width: 4, WALDir: filepath.Join(root, id, "wal")}
 	svc, err := ingest.NewService(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	svc.Start()
-	in := &walInstance{id: id, dir: dir, cfg: cfg, svc: svc}
-	in.ts = httptest.NewServer(server.New(server.Config{Instance: id}, svc).Handler())
-	t.Cleanup(func() { in.ts.Close() })
-	return in
+	return &walInstance{serveInstance(t, id, svc), cfg}
 }
 
 func (in *walInstance) kill(t *testing.T) {
@@ -83,9 +75,7 @@ func (in *walInstance) restart(t *testing.T) {
 		t.Fatalf("restart %s: %v", in.id, err)
 	}
 	svc.Start()
-	in.svc = svc
-	in.ts = httptest.NewServer(server.New(server.Config{Instance: in.id}, svc).Handler())
-	t.Cleanup(func() { in.ts.Close() })
+	in.tierInstance = serveInstance(t, in.id, svc)
 }
 
 func hostOf(rawURL string) string {

@@ -1,9 +1,9 @@
 // Package cluster is the multi-instance collector tier in front of the
 // pmsimd stack: consistent-hash shard placement over N instances, a
 // scatter-gather router that degrades to explicit partial results when
-// instances are down, a passive/active health tracker, and the drain
-// handoff that moves a retiring instance's aggregate to its ring
-// successor so a rolling restart loses zero accumulated samples.
+// instances are down, a passive/active health tracker, and the elastic
+// membership that moves a removed instance's aggregate and ledger to a
+// receiver so a scale-in loses zero accumulated samples.
 //
 // The tier-level contract extends the single-instance conservation
 // invariant of internal/ingest fleet-wide:
@@ -12,9 +12,9 @@
 //
 // where a (instance, shard) pair is "recorded" when the shard finally
 // merged at that instance or its refusal loss still stands there, and a
-// handed-off aggregate carries its recorder's pairs to the successor.
+// handed-off aggregate carries its recorder's pairs to the receiver.
 // The tier saturation soak pins this down under a 4× flood with a
-// SIGKILL and a graceful drain mid-flood.
+// SIGKILL and a removal mid-flood.
 package cluster
 
 import (
@@ -227,30 +227,4 @@ func (r *Ring) Successors(key string, max int) []string {
 		}
 	}
 	return out
-}
-
-// Successor returns the distinct instance that follows instance on the
-// ring — the drain-handoff recipient: the instance that inherits most of
-// the drainer's key space. ok is false when instance is not a member or
-// is the only member.
-func (r *Ring) Successor(instance string) (string, bool) {
-	if !r.instances[instance] || len(r.instances) < 2 {
-		return "", false
-	}
-	// Walk clockwise from the instance's first virtual node; the first
-	// point owned by someone else is the successor. Deterministic because
-	// the point order is.
-	start := -1
-	for i, p := range r.points {
-		if p.instance == instance {
-			start = i
-			break
-		}
-	}
-	for i, n := (start+1)%len(r.points), 0; n < len(r.points); i, n = (i+1)%len(r.points), n+1 {
-		if r.points[i].instance != instance {
-			return r.points[i].instance, true
-		}
-	}
-	return "", false
 }

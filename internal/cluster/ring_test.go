@@ -168,29 +168,3 @@ func TestRingSuccessors(t *testing.T) {
 		t.Fatalf("successors beyond membership: %d, want clamped to 3", len(got))
 	}
 }
-
-// TestRingSuccessor: the drain-handoff recipient is deterministic, never
-// the drainer itself, and absent on a singleton ring.
-func TestRingSuccessor(t *testing.T) {
-	r := buildRing(0, 3, "c0", "c1", "c2")
-	for _, id := range r.Instances() {
-		succ, ok := r.Successor(id)
-		if !ok {
-			t.Fatalf("no successor for %s", id)
-		}
-		if succ == id {
-			t.Fatalf("instance %s is its own successor", id)
-		}
-		again, _ := r.Successor(id)
-		if again != succ {
-			t.Fatalf("successor of %s not deterministic: %s vs %s", id, succ, again)
-		}
-	}
-	solo := buildRing(0, 3, "c0")
-	if _, ok := solo.Successor("c0"); ok {
-		t.Fatal("singleton ring produced a successor")
-	}
-	if _, ok := r.Successor("stranger"); ok {
-		t.Fatal("non-member produced a successor")
-	}
-}

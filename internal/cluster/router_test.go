@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -37,24 +36,39 @@ func newTierInstance(t *testing.T, id string, queueDepth int) *tierInstance {
 		t.Fatal(err)
 	}
 	svc.Start()
+	return serveInstance(t, id, svc)
+}
+
+// serveInstance puts the real HTTP layer in front of svc until the test ends.
+func serveInstance(t *testing.T, id string, svc *ingest.Service) *tierInstance {
+	t.Helper()
 	ts := httptest.NewServer(server.New(server.Config{Instance: id}, svc).Handler())
 	t.Cleanup(ts.Close)
 	return &tierInstance{id: id, svc: svc, ts: ts}
 }
 
-func newTier(t *testing.T, queueDepth int, ids ...string) ([]*tierInstance, *Router) {
+// routerOver builds the tests' usual router — down after two failures, no
+// hedging — over instances, of which it reads the id and the URL.
+func routerOver(t *testing.T, instances ...*tierInstance) *Router {
 	t.Helper()
-	instances := make([]*tierInstance, len(ids))
 	cfg := RouterConfig{FailureThreshold: 2, HedgeDelay: -1}
-	for i, id := range ids {
-		instances[i] = newTierInstance(t, id, queueDepth)
-		cfg.Instances = append(cfg.Instances, Instance{ID: id, BaseURL: instances[i].ts.URL})
+	for _, in := range instances {
+		cfg.Instances = append(cfg.Instances, Instance{ID: in.id, BaseURL: in.ts.URL})
 	}
 	rt, err := NewRouter(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return instances, rt
+	return rt
+}
+
+func newTier(t *testing.T, queueDepth int, ids ...string) ([]*tierInstance, *Router) {
+	t.Helper()
+	instances := make([]*tierInstance, len(ids))
+	for i, id := range ids {
+		instances[i] = newTierInstance(t, id, queueDepth)
+	}
+	return instances, routerOver(t, instances...)
 }
 
 // synthShard builds a deterministic tier-compatible shard (interval 16,
@@ -88,18 +102,9 @@ type submitResp struct {
 
 func submitVia(t *testing.T, url, shard string, db *profile.DB) submitResp {
 	t.Helper()
-	body, err := ingest.EncodeSubmit(shard, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url+"/v1/submit", "application/json", bytes.NewReader(body))
+	out, err := trySubmit(url, shard, db)
 	if err != nil {
 		t.Fatalf("submit %s: %v", shard, err)
-	}
-	defer resp.Body.Close()
-	out := submitResp{status: resp.StatusCode}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("submit %s: undecodable response: %v", shard, err)
 	}
 	return out
 }
@@ -412,112 +417,6 @@ func TestRouterHedgedStraggler(t *testing.T) {
 	st := rt.Stats()
 	if st.Hedges == 0 || st.HedgeWins == 0 {
 		t.Fatalf("hedge counters %+v, want a fired and won hedge", st)
-	}
-}
-
-// TestRouterHandoffLedgerDedup: a drained instance's aggregate AND
-// admission ledger migrate to the ring successor; a client retry of a
-// donor-merged shard dedupes at the successor instead of double-merging,
-// and the migrated samples conserve exactly.
-func TestRouterHandoffLedgerDedup(t *testing.T) {
-	instances, rt := newTier(t, 64, "c0", "c1", "c2")
-	front := httptest.NewServer(rt.Handler())
-	defer front.Close()
-	byID := map[string]*tierInstance{}
-	peers := map[string]string{}
-	for _, in := range instances {
-		byID[in.id] = in
-		peers[in.id] = in.ts.URL
-	}
-
-	// Land one shard on each instance (walk ids until each owner shows
-	// up), remembering c0's shard for the post-handoff retry.
-	ring := NewRing(0, 0)
-	for _, in := range instances {
-		ring.Add(in.id)
-	}
-	shardOf := map[string]string{}
-	for i := 0; len(shardOf) < 3; i++ {
-		s := fmt.Sprintf("hand/s%03d", i)
-		owner, _ := ring.Owner(s)
-		if shardOf[owner] != "" {
-			continue
-		}
-		shardOf[owner] = s
-		got := submitVia(t, front.URL, s, synthShard(uint64(i)+1, 40))
-		if got.status != http.StatusAccepted || got.Instance != owner {
-			t.Fatalf("shard %s: status %d instance %s, want 202 at %s", s, got.status, got.Instance, owner)
-		}
-	}
-	waitForMerge(t, instances, 3)
-
-	// Graceful drain of c0: flush, then hand the aggregate to the ring
-	// successor, exactly the daemon's SIGTERM sequence.
-	donor := byID["c0"]
-	donorStats := donor.svc.Stats()
-	wantMigrated := donorStats.Samples + donorStats.Lost
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := donor.svc.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	delete(peers, "c0")
-	res, err := DrainHandoff(ctx, donor.svc, nil, "c0", peers, 0, 0, nil)
-	if err != nil {
-		t.Fatalf("drain handoff: %v", err)
-	}
-	wantSucc, _ := ring.Successor("c0")
-	if res.Instance != wantSucc {
-		t.Fatalf("handoff landed on %s, ring successor is %s", res.Instance, wantSucc)
-	}
-	if res.Captured != wantMigrated {
-		t.Fatalf("handoff ack %d captured, donor held %d — drain lost samples", res.Captured, wantMigrated)
-	}
-	if !donor.svc.HandedOff() {
-		t.Fatal("donor not marked handed off")
-	}
-	donor.ts.Close() // the daemon exits after a successful handoff
-
-	// The successor carries the migrated samples and the donor's ledger
-	// with provenance.
-	succ := byID[res.Instance]
-	if got := succ.svc.Stats().HandoffsIn; got != 1 {
-		t.Fatalf("successor handoffs_in %d, want 1", got)
-	}
-	if from := succ.svc.Ledger().AdoptedFrom[shardOf["c0"]]; from != "c0" {
-		t.Fatalf("shard %s provenance %q at successor, want c0", shardOf["c0"], from)
-	}
-
-	// A client retry of the donor-merged shard (its 202 was lost) now
-	// goes through the router: the pinned instance is gone, the ring owner
-	// refuses nothing — the successor's inherited ledger answers
-	// "duplicate" rather than merging the shard a second time.
-	succBefore := succ.svc.Stats()
-	deadline := time.Now().Add(10 * time.Second)
-	var retry submitResp
-	for {
-		retry = submitVia(t, front.URL, shardOf["c0"], synthShard(1, 40))
-		if retry.status == http.StatusAccepted || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if retry.status != http.StatusAccepted || !retry.Duplicate {
-		t.Fatalf("post-handoff retry: status %d duplicate %v, want 202 duplicate", retry.status, retry.Duplicate)
-	}
-	if retry.Instance != res.Instance {
-		t.Fatalf("post-handoff retry deduped at %s, ledger lives at %s", retry.Instance, res.Instance)
-	}
-	succAfter := succ.svc.Stats()
-	if succAfter.Samples != succBefore.Samples || succAfter.Merged != succBefore.Merged {
-		t.Fatal("post-handoff retry re-merged the donor's shard")
-	}
-
-	// A second drain on the successor must refuse a handoff if IT is
-	// draining (the donor walks on) — here just the service-level refusal.
-	succ.svc.BeginDrain()
-	if _, err := succ.svc.AcceptHandoff(ingest.Handoff{From: "cX", DB: synthShard(5, 10)}); err == nil {
-		t.Fatal("draining successor accepted a handoff")
 	}
 }
 

@@ -120,8 +120,7 @@ func TestWitnessDiskLossRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	freshSvc.Start()
-	freshTS := httptest.NewServer(server.New(server.Config{Instance: victim}, freshSvc).Handler())
-	t.Cleanup(freshTS.Close)
+	freshTS := serveInstance(t, victim, freshSvc).ts
 	rt.SetInstance(victim, freshTS.URL)
 
 	rep := rt.AntiEntropy(context.Background())

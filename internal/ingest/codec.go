@@ -121,15 +121,15 @@ func DecodeSubmit(body []byte) (Submission, error) {
 	return Submission{Shard: rec.Shard, DB: db, wire: rec.Profile}, nil
 }
 
-// The drain-handoff wire format reuses the same double-envelope layering
+// The handoff wire format reuses the same double-envelope layering
 // as submissions: the donor's whole aggregate rides as profile.Save
 // bytes (inner CRC32-C, version field), wrapped in JSON naming the donor
 // instance and the shard ids its admission ledger holds. Shipping the
-// ledger is what keeps the tier's dedupe honest across a drain: a client
-// retrying a shard the donor already merged hits the successor next, and
-// the successor must answer "duplicate", not merge it twice.
+// ledger is what keeps the tier's dedupe honest across a removal: a client
+// retrying a shard the donor already merged hits the receiver next, and
+// the receiver must answer "duplicate", not merge it twice.
 
-// Handoff is one decoded drain handoff: a donor instance's full
+// Handoff is one decoded handoff: a donor instance's full
 // aggregate plus its admitted-shard ledger.
 type Handoff struct {
 	// From is the donor's instance id (ledger provenance).
@@ -141,13 +141,13 @@ type Handoff struct {
 	Shards []string
 	// Key is the envelope's content digest (set by DecodeHandoff over
 	// the wire bytes, and carried through WAL records). A redelivery of
-	// the SAME serialized envelope — a donor or router retrying after a
-	// lost 202 — carries the same key, so AcceptHandoff dedupes it to a
+	// the SAME serialized envelope — the router retrying after a lost
+	// 202 — carries the same key, so AcceptHandoff dedupes it to a
 	// duplicate ack instead of double-merging the donor's samples. A
-	// donor that re-ENCODES (crash and re-drain) gets a fresh key; only
-	// byte-identical retries dedupe, which is exactly the retry contract
-	// (the sender must reuse the encoded body, as the export cache and
-	// DrainHandoff both do).
+	// donor that re-ENCODES (restart and re-export) gets a fresh key;
+	// only byte-identical retries dedupe, which is exactly the retry
+	// contract (the sender must reuse the encoded body, as the export
+	// cache does).
 	Key string
 }
 
@@ -166,8 +166,8 @@ func HandoffKey(from string, profileBytes []byte, shards []string) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// EncodeHandoff serializes a donor aggregate for shipment to the ring
-// successor. save is the donor's serializer (SafeDB.Save) so the CRC
+// EncodeHandoff serializes a donor aggregate for shipment to its
+// receiver. save is the donor's serializer (SafeDB.Save) so the CRC
 // envelope is written under the aggregate's own lock.
 func EncodeHandoff(from string, save func(io.Writer) error, shards []string) ([]byte, error) {
 	if from == "" {

@@ -249,3 +249,25 @@ func TestSealRefusesWithoutLoss(t *testing.T) {
 		t.Fatalf("duplicate of pre-seal shard: err=%v, want ErrDuplicate (its samples ride in the envelope)", err)
 	}
 }
+
+// TestDrainingRefusesHandoff: an instance that is itself on its way out
+// must not take over a peer's books — draining answers ErrDraining,
+// retired answers ErrHandedOff — and neither refusal merges anything.
+func TestDrainingRefusesHandoff(t *testing.T) {
+	h := Handoff{From: "donor-1", DB: testShard(5, 10), Shards: []string{"donor/s1"}}
+	svc, err := NewService(Config{QueueDepth: 8, Interval: 16}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.BeginDrain()
+	if _, err := svc.AcceptHandoff(h); !errors.Is(err, ErrDraining) {
+		t.Fatalf("draining receiver: err=%v, want ErrDraining", err)
+	}
+	if err := svc.Retire(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.AcceptHandoff(h); !errors.Is(err, ErrHandedOff) {
+		t.Fatalf("retired receiver: err=%v, want ErrHandedOff", err)
+	}
+	conserve(t, svc, 0, "after two refused handoffs")
+}

@@ -137,8 +137,8 @@ type counters struct {
 //	Σ captured(Applied) + Σ Refused + HandoffCaptured == Samples + Lost
 type Ledger struct {
 	// Shards are the admitted ids (reserved, queued, applied or taken
-	// over from a donor), sorted: what a drain handoff ships so the
-	// successor keeps deduping this instance's shards.
+	// over from a donor), sorted: what a handoff export ships so the
+	// receiver keeps deduping this instance's shards.
 	Shards []string
 	// Applied are the ids the aggregator has resolved here, sorted.
 	Applied []string

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -32,9 +33,9 @@ var (
 	// duplicate marker), so a client retrying after a lost response
 	// cannot double-count its samples.
 	ErrDuplicate = errors.New("ingest: duplicate shard submission")
-	// ErrHandedOff: this instance already shipped its aggregate to its
-	// ring successor; accepting anything afterwards would strand samples
-	// outside the fleet-wide conservation sum.
+	// ErrHandedOff: this instance was removed from the tier and a receiver
+	// holds its aggregate; accepting anything afterwards would strand
+	// samples outside the fleet-wide conservation sum.
 	ErrHandedOff = errors.New("ingest: aggregate already handed off")
 	// ErrWAL: the write-ahead log could not make the submission durable
 	// (append or fsync failure). Transient from the client's view — the
@@ -150,7 +151,7 @@ type Stats struct {
 	// loss, checkpoints, handoffs in, adoptions — copied in one read.
 	counters
 
-	// HandedOff flips when THIS instance shipped its aggregate away.
+	// HandedOff flips when THIS instance was removed and retired its books.
 	HandedOff bool `json:"handed_off"`
 	Draining  bool `json:"draining"`
 	// Sealed means admission is closed for a handoff export: refusals no
@@ -623,6 +624,9 @@ func (s *Service) checkpointDue(merged int) bool {
 // breaker skips the write (counted, retried next cadence) instead of
 // stalling ingest on a dead disk.
 func (s *Service) checkpoint() {
+	if s.handedOff.Load() {
+		return // retired: the books live at the receiver (see Retire)
+	}
 	err := s.brk.Do(s.cfg.persist)
 	s.led.checkpointed(err)
 	if err != nil && !errors.Is(err, ErrBreakerOpen) {
@@ -693,10 +697,8 @@ func (s *Service) Sealed() bool { return s.sealed.Load() }
 
 // Flush is the first half of the graceful-shutdown sequence: stop
 // admission and run the queued backlog through the aggregator, without
-// persisting. It exists as its own step because a clustered drain must
-// interpose between flush and final checkpoint: the fully-merged
-// aggregate is handed to the ring successor, and only if that fails is
-// the local FinalCheckpoint the fallback durability path.
+// persisting. It is its own step because a handoff export flushes and
+// then serializes the aggregate instead of checkpointing it.
 func (s *Service) Flush(ctx context.Context) error {
 	s.BeginDrain()
 	s.q.Close()
@@ -721,9 +723,10 @@ func (s *Service) Flush(ctx context.Context) error {
 
 // FinalCheckpoint writes the last persist of a drain, bypassing the
 // breaker: at shutdown durability outranks availability and a stale
-// open state must not discard the run. No-op without a checkpoint path.
+// open state must not discard the run. No-op without a checkpoint path,
+// and after Retire.
 func (s *Service) FinalCheckpoint() error {
-	if s.cfg.CheckpointPath == "" {
+	if s.cfg.CheckpointPath == "" || s.handedOff.Load() {
 		return nil
 	}
 	if err := s.cfg.persist(); err != nil {
@@ -744,21 +747,21 @@ func (s *Service) Drain(ctx context.Context) error {
 	if err := s.FinalCheckpoint(); err != nil {
 		return err
 	}
-	if s.cfg.CheckpointPath != "" {
+	if s.cfg.CheckpointPath != "" && !s.handedOff.Load() {
 		s.logf("drained: %d samples aggregated, %d lost (%.1f%% loss), final checkpoint at %s",
 			s.agg.Samples(), s.agg.Lost(), 100*s.agg.LossRate(), s.cfg.CheckpointPath)
 	}
 	return nil
 }
 
-// AcceptHandoff merges a draining peer's aggregate and admission ledger
-// into this instance — the tier's zero-loss rolling-restart path. The
+// AcceptHandoff merges a removed peer's aggregate and admission ledger
+// into this instance — the receiving half of the router's scale-in. The
 // donor's shard ids join the ledger (with provenance) BEFORE the merge,
 // so a client retry racing the handoff dedupes instead of
 // double-merging; the donor's loss ledger rides inside its DB, keeping
 // the fleet-wide conservation sum intact. Returns the captured total
-// (delivered + lost) that migrated. A draining or already-handed-off
-// receiver refuses: the donor must walk to the next ring successor.
+// (delivered + lost) that migrated. A draining or retired receiver
+// refuses: the router walks to the next candidate.
 func (s *Service) AcceptHandoff(h Handoff) (captured uint64, err error) {
 	s.handoffMu.Lock()
 	defer s.handoffMu.Unlock()
@@ -781,7 +784,7 @@ func (s *Service) AcceptHandoff(h Handoff) (captured uint64, err error) {
 	}
 	captured = h.DB.Samples() + h.DB.Lost()
 	// WAL the whole handoff before applying it, like Submit: the donor
-	// only quarantines its own durable state after our 200, so the
+	// only retires its own durable state after our 202, so the
 	// migrated samples must be durable here first. The record is keyed
 	// by its WAL position (stable across replays) so a replay after a
 	// crash applies it exactly once. The content key is carried rather
@@ -859,14 +862,36 @@ func (s *Service) AdoptShards(from string, shards []string) (int, error) {
 	return n, nil
 }
 
-// MarkHandedOff records that this instance's aggregate has been shipped
-// to its ring successor; Stats report it and the daemon skips the final
-// checkpoint (a restart from it would double-count the migrated
-// samples).
-func (s *Service) MarkHandedOff() { s.handedOff.Store(true) }
+// Retire sets this instance's durable state aside once a receiver holds
+// its whole aggregate and ledger (the caller sealed and flushed: the
+// export did). The WAL is closed and its directory and the checkpoint
+// file are renamed *.handedoff — a restart over either would count the
+// migrated samples a second time — and from here FinalCheckpoint and the
+// periodic checkpoint are no-ops, so nothing writes them back. The only
+// writer of handedOff; every step is idempotent, so a failed Retire is
+// simply called again.
+func (s *Service) Retire() error {
+	s.handoffMu.Lock() // an AcceptHandoff in flight may still be checkpointing
+	defer s.handoffMu.Unlock()
+	s.handedOff.Store(true)
+	var errs []error
+	if s.wal != nil {
+		errs = append(errs, s.wal.Close(), setAside(s.wal.Dir()))
+	}
+	if s.cfg.CheckpointPath != "" {
+		errs = append(errs, setAside(s.cfg.CheckpointPath))
+	}
+	return errors.Join(errs...)
+}
 
-// HandedOff reports whether the aggregate has been handed off.
-func (s *Service) HandedOff() bool { return s.handedOff.Load() }
+// setAside renames path to path.handedoff; nothing there is nothing to do.
+func setAside(path string) error {
+	err := os.Rename(path, path+".handedoff")
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	return err
+}
 
 // Ledger returns one consistent read of the per-shard books: admitted
 // and applied ids, standing refusals, donor provenance.
@@ -981,22 +1006,6 @@ func (s *Service) CloseWAL() error {
 		return nil
 	}
 	return s.wal.Close()
-}
-
-// QuarantineWALDir closes the WAL and renames its directory aside with
-// the given suffix (e.g. ".handedoff"). After a successful drain
-// handoff the migrated samples live at the successor; a restart that
-// replayed this WAL would double-count them, so the whole log is set
-// aside exactly like the checkpoint.
-func (s *Service) QuarantineWALDir(suffix string) error {
-	if s.wal == nil {
-		return nil
-	}
-	dir := s.wal.Dir()
-	if err := s.wal.Close(); err != nil {
-		return err
-	}
-	return os.Rename(dir, dir+suffix)
 }
 
 func (s *Service) logf(format string, args ...any) {

@@ -22,8 +22,8 @@
 //	POST /v1/handoff/export seal + flush + serialize the aggregate for a
 //	                       scale-in migration (idempotent: retries get the
 //	                       byte-identical cached envelope)
-//	POST /v1/handoff/confirm mark handed off and quarantine the WAL after
-//	                       the receiver's durable ack
+//	POST /v1/handoff/confirm retire: set the WAL and checkpoint aside
+//	                       after the receiver's durable ack
 //	POST /v1/witness       witness-copy store (see witness.go)
 //	GET  /healthz          liveness (200 while the process serves)
 //	GET  /readyz           readiness (503 when draining, breaker open, or WAL stalled/wedged)
@@ -55,7 +55,7 @@ type Config struct {
 	// MaxBodyBytes bounds a submission body (default 8 MiB); larger
 	// bodies get 413 before the decoder sees them.
 	MaxBodyBytes int64
-	// MaxHandoffBytes bounds a drain-handoff body (default 8×
+	// MaxHandoffBytes bounds a handoff body (default 8×
 	// MaxBodyBytes): a donor ships its whole aggregate, not one shard.
 	MaxHandoffBytes int64
 	// QueryDeadline bounds each query's handling time (default 2s).
@@ -275,13 +275,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, ack)
 }
 
-// handleHandoff is the drain-handoff edge: a draining peer ships its
-// whole aggregate (CRC envelope) plus its admission ledger, and this
-// instance inherits both, so a rolling restart loses zero accumulated
-// samples and retries of the donor's shards keep deduping here. The
-// refusal taxonomy mirrors submission: 400 damaged, 409 unmergeable
-// configuration, 503 when this instance is itself draining or already
-// handed off (the donor walks on to the next ring successor).
+// handleHandoff is the receiving edge of a scale-in: the router delivers
+// a removed peer's whole aggregate (CRC envelope) plus its admission
+// ledger, and this instance inherits both, so the removal loses zero
+// accumulated samples and retries of the donor's shards keep deduping
+// here. The refusal taxonomy mirrors submission: 400 damaged, 409
+// unmergeable configuration, 503 when this instance is itself draining
+// or retired (the router walks on to the next candidate).
 func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeErr(w, http.StatusMethodNotAllowed, "method", "POST only")
@@ -356,11 +356,11 @@ func (s *Server) handleHandoffExport(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHandoffConfirm completes a scale-in migration after the receiver
-// durably acked the exported envelope: mark handed off (submissions and
-// further handoffs refuse) and quarantine the WAL directory — a restart
-// that replayed it would double-count the migrated samples, which now
-// live at the receiver. Idempotent: a confirm retry after a lost
-// response answers 200 without re-quarantining.
+// durably acked the exported envelope: the service retires — submissions
+// and further handoffs refuse, and the WAL directory and checkpoint file
+// are set aside as *.handedoff, because a restart over either would
+// count the migrated samples a second time. Idempotent: a confirm retry
+// finds nothing left to rename and answers 200 again.
 func (s *Server) handleHandoffConfirm(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeErr(w, http.StatusMethodNotAllowed, "method", "POST only")
@@ -373,23 +373,16 @@ func (s *Server) handleHandoffConfirm(w http.ResponseWriter, r *http.Request) {
 			"nothing to confirm: no handoff export was taken from this instance")
 		return
 	}
-	if !s.svc.HandedOff() {
-		s.svc.MarkHandedOff()
-		if err := s.svc.QuarantineWALDir(".handedoff"); err != nil {
-			// Handed-off already stands (refusing new work is correct either
-			// way); the un-quarantined WAL is the operator's cleanup, flagged
-			// loudly because a restart over it would double-count.
-			s.logf("handoff confirm: WAL quarantine failed: %v (do NOT restart over this WAL dir)", err)
-			writeJSON(w, http.StatusOK, map[string]any{
-				"instance": s.cfg.Instance, "handed_off": true, "wal_quarantined": false,
-			})
-			return
-		}
-		s.logf("handoff confirmed: WAL quarantined, instance retired")
+	if err := s.svc.Retire(); err != nil {
+		// Retired already stands (refusing new work is correct either way);
+		// the removal does not commit until the files are out of a
+		// restart's way, so the router's retry comes back here.
+		s.logf("500 handoff confirm: %v (do NOT restart over these files)", err)
+		s.writeErr(w, http.StatusInternalServerError, "retire", err.Error())
+		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"instance": s.cfg.Instance, "handed_off": true, "wal_quarantined": true,
-	})
+	s.logf("handoff confirmed: WAL and checkpoint set aside, instance retired")
+	writeJSON(w, http.StatusOK, map[string]any{"instance": s.cfg.Instance, "handed_off": true})
 }
 
 // adoptRequest is the /v1/ledger/adopt body: shard ids whose ring
