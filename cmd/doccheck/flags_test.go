@@ -5,6 +5,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -70,6 +71,39 @@ func TestFlagTables(t *testing.T) {
 		}
 		for name := range built {
 			t.Errorf("%s -%s has no row in OPERATIONS.md", cmd, name)
+		}
+	}
+}
+
+// TestDaemonImportClosure holds the collector daemons to what they are
+// for: the router places opaque bytes and the instance admits, logs and
+// merges profiles, so neither links the simulator or the traffic tooling.
+// The import graph enforces it: pmrouter reaches internal/cluster and
+// nothing else of this module; pmsimd reaches exactly the eight packages
+// under the ingest path.
+func TestDaemonImportClosure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs go list")
+	}
+	const internal = "profileme/internal/"
+	want := map[string][]string{
+		"pmrouter": {"cluster"},
+		"pmsimd":   {"core", "frame", "ingest", "isa", "profile", "server", "stats", "wal"},
+	}
+	for cmd, allowed := range want {
+		out, err := exec.Command("go", "list", "-deps", "profileme/cmd/"+cmd).CombinedOutput()
+		if err != nil {
+			t.Fatalf("go list -deps %s: %v\n%s", cmd, err, out)
+		}
+		var got []string
+		for _, pkg := range strings.Fields(string(out)) {
+			if name, ok := strings.CutPrefix(pkg, internal); ok {
+				got = append(got, name)
+			}
+		}
+		sort.Strings(got)
+		if strings.Join(got, " ") != strings.Join(allowed, " ") {
+			t.Errorf("%s links internal packages %v, want exactly %v", cmd, got, allowed)
 		}
 	}
 }

@@ -32,6 +32,11 @@
 //     wrong-owner carrying the current epoch, and the retry dedupes to
 //     202+duplicate. Migration progress is exposed in /v1/stats.
 //
+// The router places opaque bytes: it reads a body's shard id and nothing
+// else, and links no package of this module but internal/cluster. The
+// tier's offered load is captured from outside, by putting the pmtraffic
+// record relay in front of it.
+//
 // Example (3-instance tier):
 //
 //	pmsimd -addr :7070 -instance c0
@@ -54,8 +59,6 @@ import (
 	"time"
 
 	"profileme/internal/cluster"
-	"profileme/internal/ingest"
-	"profileme/internal/traffic"
 )
 
 func main() { os.Exit(run()) }
@@ -90,7 +93,6 @@ func run() int {
 
 		witness = flag.Bool("witness", false, "replicate accepted submissions to the shard's ring successor as witness copies")
 		aeEach  = flag.Duration("anti-entropy-every", 0, "witness anti-entropy sweep period (0 disables; requires -witness)")
-		record  = flag.String("record", "", "tee every routed submission body into this trace file (tier offered load; replayable with pmtraffic replay)")
 	)
 	flag.Parse()
 
@@ -99,7 +101,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	logw := ingest.NewSyncWriter(os.Stderr)
 	rcfg := cluster.RouterConfig{
 		Instances:        ins,
 		VNodes:           *vnodes,
@@ -109,36 +110,7 @@ func run() int {
 		FailureThreshold: *failures,
 		MaxBodyBytes:     *maxBody,
 		Witness:          *witness,
-		Log:              logw,
-	}
-	if *record != "" {
-		// The router sees the whole tier's offered load in one place, so
-		// a trace captured here replays an entire multi-fleet campaign.
-		f, err := os.Create(*record)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmrouter: -record:", err)
-			return 2
-		}
-		w, err := traffic.NewWriter(f, traffic.Meta{Source: "pmrouter -record"})
-		if err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "pmrouter: -record:", err)
-			return 2
-		}
-		cw := traffic.NewCaptureWriter(w)
-		rcfg.Capture = cw.Capture
-		defer func() {
-			if err := cw.Err(); err != nil {
-				fmt.Fprintln(os.Stderr, "pmrouter: -record capture:", err)
-			}
-			if err := f.Sync(); err != nil {
-				fmt.Fprintln(os.Stderr, "pmrouter: -record sync:", err)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "pmrouter: -record close:", err)
-			}
-			fmt.Printf("pmrouter: %d submissions recorded to %s\n", cw.Count(), *record)
-		}()
+		Log:              os.Stderr,
 	}
 	rt, err := cluster.NewRouter(rcfg)
 	if err != nil {
@@ -189,7 +161,7 @@ func run() int {
 				case <-ticker.C:
 					rep := rt.AntiEntropy(ctx)
 					if rep.Resubmitted > 0 || rep.Errors > 0 {
-						fmt.Fprintf(logw, "pmrouter: anti-entropy: %d resubmitted, %d pruned, %d errors\n",
+						fmt.Fprintf(os.Stderr, "pmrouter: anti-entropy: %d resubmitted, %d pruned, %d errors\n",
 							rep.Resubmitted, rep.Pruned, rep.Errors)
 					}
 				}

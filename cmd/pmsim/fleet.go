@@ -12,7 +12,6 @@ import (
 	"profileme/internal/cpu"
 	"profileme/internal/profile"
 	"profileme/internal/runner"
-	"profileme/internal/traffic"
 	"profileme/internal/workload"
 )
 
@@ -35,7 +34,6 @@ type fleetOptions struct {
 	top        int
 	saveTo     string
 	submitURL  string
-	recordPath string
 	quiet      bool
 }
 
@@ -106,37 +104,6 @@ func runFleet(o fleetOptions) int {
 		// tier, different frontend.
 		urls := splitSubmitURLs(o.submitURL)
 		cfg.Sink = runner.NewHTTPSink(urls[0], urls[1:]...)
-	}
-	if o.recordPath != "" {
-		// -record tees every shard submission into a trace (wall-clock
-		// offsets, cohort = benchmark list) that pmtraffic replay can
-		// re-run later. With no -submit the fleet records without
-		// delivering anywhere.
-		f, err := os.Create(o.recordPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmsim: -record:", err)
-			return 2
-		}
-		w, err := traffic.NewWriter(f, traffic.Meta{Source: "pmsim -record"})
-		if err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "pmsim: -record:", err)
-			return 2
-		}
-		cohort := strings.Join(o.benches, ",")
-		if cohort == "" {
-			cohort = fmt.Sprintf("gen%d", o.genSeed)
-		}
-		cfg.Sink = traffic.NewRecordingSink(cfg.Sink, w, cohort)
-		defer func() {
-			if err := f.Sync(); err != nil {
-				fmt.Fprintln(os.Stderr, "pmsim: -record sync:", err)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "pmsim: -record close:", err)
-			}
-			fmt.Printf("pmsim: %d shard submissions recorded to %s\n", w.Count(), o.recordPath)
-		}()
 	}
 	jobs := fleetJobs(o)
 

@@ -16,6 +16,10 @@
 //
 //	pmsim -bench compress -fleet 4 -shards 16 -checkpoint /tmp/camp
 //	pmsim -bench compress -fleet 4 -shards 16 -checkpoint /tmp/camp -resume
+//
+// With -submit each completed shard is also POSTed to a collector. To
+// keep what a fleet offered as a replayable trace, point -submit at a
+// pmtraffic record relay.
 package main
 
 import (
@@ -61,7 +65,6 @@ func main() {
 
 		fleetN     = flag.Int("fleet", 0, "fleet mode: run a supervised campaign across this many workers")
 		submitURL  = flag.String("submit", "", "fleet mode: also POST each completed shard profile to this collector; comma-separated URLs add transport-failover fallbacks (e.g. http://localhost:7000)")
-		recordPath = flag.String("record", "", "fleet mode: tee every shard submission into this trace file (replayable with pmtraffic replay; works with or without -submit)")
 		shards     = flag.Int("shards", 4, "fleet mode: sampling shards per benchmark")
 		checkpoint = flag.String("checkpoint", "", "fleet mode: checkpoint directory for crash-safe campaign state")
 		resume     = flag.Bool("resume", false, "fleet mode: resume the campaign in -checkpoint instead of starting fresh")
@@ -92,7 +95,6 @@ func main() {
 		resume:   *resume,
 		ckptDir:  *checkpoint,
 		submit:   *submitURL,
-		record:   *recordPath,
 		set:      set,
 	}
 	if err := fv.validate(); err != nil {
@@ -137,7 +139,6 @@ func main() {
 			top:        *top,
 			saveTo:     *saveTo,
 			submitURL:  *submitURL,
-			recordPath: *recordPath,
 		}))
 	}
 

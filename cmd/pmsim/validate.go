@@ -22,7 +22,6 @@ type flagValues struct {
 	resume   bool
 	ckptDir  string
 	submit   string
-	record   string
 	set      map[string]bool
 }
 
@@ -55,8 +54,6 @@ func (v flagValues) validate() error {
 		return fmt.Errorf("pmsim: -resume needs -checkpoint <dir> pointing at the campaign to continue")
 	case v.submit != "" && v.fleet < 1 && !v.resume:
 		return fmt.Errorf("pmsim: -submit delivers fleet shards; combine it with -fleet <workers> (or -resume)")
-	case v.record != "" && v.fleet < 1 && !v.resume:
-		return fmt.Errorf("pmsim: -record captures fleet shard submissions; combine it with -fleet <workers> (or -resume)")
 	}
 	if v.submit != "" {
 		// -submit accepts a comma-separated list: primary collector (or

@@ -36,6 +36,10 @@
 //     and checkpoint are set aside as *.handedoff and SIGTERM writes
 //     nothing back.
 //
+// What an instance is offered is captured from outside, by putting the
+// pmtraffic record relay in front of it: pmsimd has no capture hook and
+// links neither the simulator nor the traffic tooling.
+//
 // Example:
 //
 //	pmsimd -addr :7070 -checkpoint /var/lib/pmsim/agg.db -interval 512
@@ -56,7 +60,6 @@ import (
 
 	"profileme/internal/ingest"
 	"profileme/internal/server"
-	"profileme/internal/traffic"
 )
 
 func main() { os.Exit(run()) }
@@ -90,7 +93,6 @@ func run() int {
 		winBuckets   = flag.Int("sketch-window-buckets", 60, "windowed-query ring buckets (horizon = buckets x bucket duration)")
 		winBucketDur = flag.Duration("sketch-window-bucket", time.Second, "windowed-query ring bucket duration")
 
-		record   = flag.String("record", "", "tee every decodable submission body into this trace file (offered load, pre-admission; replayable with pmtraffic replay)")
 		instance = flag.String("instance", "", "tier instance id: names this collector in logs, /v1/stats and handoff envelopes")
 	)
 	flag.Parse()
@@ -154,36 +156,6 @@ func run() int {
 		QueryDeadline: *queryDeadline,
 		MaxQueries:    *maxQueries,
 		Log:           logw,
-	}
-	if *record != "" {
-		// Capture sees every decodable submission before admission — the
-		// trace is the collector's offered load, duplicates and refused
-		// shards included, which is exactly what a faithful replay needs.
-		f, err := os.Create(*record)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmsimd: -record:", err)
-			return 2
-		}
-		w, err := traffic.NewWriter(f, traffic.Meta{Source: "pmsimd -record"})
-		if err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "pmsimd: -record:", err)
-			return 2
-		}
-		cw := traffic.NewCaptureWriter(w)
-		scfg.Capture = cw.Capture
-		defer func() {
-			if err := cw.Err(); err != nil {
-				fmt.Fprintln(os.Stderr, "pmsimd: -record capture:", err)
-			}
-			if err := f.Sync(); err != nil {
-				fmt.Fprintln(os.Stderr, "pmsimd: -record sync:", err)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "pmsimd: -record close:", err)
-			}
-			fmt.Printf("pmsimd: %d submissions recorded to %s\n", cw.Count(), *record)
-		}()
 	}
 	srv := server.New(scfg, svc)
 

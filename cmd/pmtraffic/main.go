@@ -6,7 +6,8 @@
 // deterministic submission schedule and either writes it to a versioned
 // CRC-framed trace file, drives it at a live collector, or both. A
 // captured trace replays bit-for-bit: the same trace against the same
-// build yields the same final aggregate.
+// build puts the same bytes on the wire and yields the same final
+// aggregate.
 //
 //	pmtraffic gen -spec load.json -out run.pmtf                 # record only
 //	pmtraffic gen -spec load.json -submit http://localhost:7000 # drive live
@@ -14,15 +15,19 @@
 //	pmtraffic describe -trace run.pmtf
 //	pmtraffic record -listen :7001 -to http://localhost:7000 -out cap.pmtf
 //
-// The record subcommand is a capturing relay: it forwards every request
-// to the upstream collector or router untouched and tees /v1/submit
-// bodies into a trace, so any existing fleet can be captured by pointing
-// its -submit at the relay.
+// The record subcommand is the one live capture point: a relay that
+// forwards every request to the upstream collector or router untouched
+// and tees the /v1/submit bodies the collector's decoder accepts into a
+// trace. Put it in front of a fleet's -submit, a router, or one instance;
+// no daemon carries a capture flag or hook of its own. A replayed record
+// travels as its bytes: the collector receives exactly what was captured.
 package main
 
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -375,28 +380,6 @@ func runRecord(args []string) int {
 	}
 	cw := traffic.NewCaptureWriter(w)
 
-	// The relay is a plain reverse proxy with one extra behaviour: a
-	// decodable POST /v1/submit body is teed into the trace before the
-	// upstream sees it. Undecodable bodies are forwarded untouched — the
-	// upstream's 400 is authoritative, and a trace must hold only
-	// replayable records.
-	proxy := httputil.NewSingleHostReverseProxy(target)
-	handler := http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && r.URL.Path == "/v1/submit" {
-			body, err := readBody(r, *maxBody)
-			if err != nil {
-				http.Error(rw, err.Error(), http.StatusRequestEntityTooLarge)
-				return
-			}
-			if sub, err := ingest.DecodeSubmit(body); err == nil {
-				cw.Capture(sub.Shard, body)
-			}
-			r.Body = io.NopCloser(bytes.NewReader(body))
-			r.ContentLength = int64(len(body))
-		}
-		proxy.ServeHTTP(rw, r)
-	})
-
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pmtraffic record:", err)
@@ -404,7 +387,7 @@ func runRecord(args []string) int {
 	}
 	fmt.Printf("pmtraffic: recording relay on %s -> %s, trace %s\n", ln.Addr(), target, *out)
 
-	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
+	httpSrv := &http.Server{Handler: relayHandler(target, cw, *maxBody), ReadHeaderTimeout: 5 * time.Second}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
@@ -436,14 +419,37 @@ func runRecord(args []string) int {
 	return code
 }
 
-func readBody(r *http.Request, limit int64) ([]byte, error) {
-	defer r.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(body)) > limit {
-		return nil, fmt.Errorf("submission body exceeds %d bytes", limit)
-	}
-	return body, nil
+// relayHandler is the capturing relay: a plain reverse proxy to target
+// with one extra behaviour — a POST /v1/submit body that
+// ingest.DecodeSubmit accepts is teed into the trace before the upstream
+// sees it. An undecodable body is forwarded untouched and not recorded:
+// the upstream's 400 is authoritative, and a trace must hold only
+// replayable records. The relay's own refusals (a body over maxBody, a
+// body that cannot be read) carry the collector's JSON error shape, so a
+// fleet behind the relay logs the same kind it would without it.
+func relayHandler(target *url.URL, cw *traffic.CaptureWriter, maxBody int64) http.Handler {
+	proxy := httputil.NewSingleHostReverseProxy(target)
+	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/submit" {
+			body, err := io.ReadAll(http.MaxBytesReader(rw, r.Body, maxBody))
+			if err != nil {
+				status, kind, msg := http.StatusBadRequest, "body", err.Error()
+				var tooBig *http.MaxBytesError
+				if errors.As(err, &tooBig) {
+					status, kind = http.StatusRequestEntityTooLarge, "oversized"
+					msg = fmt.Sprintf("submission body exceeds %d bytes", maxBody)
+				}
+				rw.Header().Set("Content-Type", "application/json")
+				rw.WriteHeader(status)
+				json.NewEncoder(rw).Encode(map[string]string{"error": msg, "kind": kind})
+				return
+			}
+			if sub, err := ingest.DecodeSubmit(body); err == nil {
+				cw.Capture(sub.Shard, body)
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			r.ContentLength = int64(len(body))
+		}
+		proxy.ServeHTTP(rw, r)
+	})
 }

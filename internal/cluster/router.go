@@ -65,11 +65,6 @@ type RouterConfig struct {
 	// serialized by the router's own mutex and carry the instance id
 	// they concern, so concurrent soak output stays attributable.
 	Log io.Writer
-	// Capture, when set, receives every well-formed submission (shard
-	// id + verbatim body) before placement — the tier's offered load,
-	// whatever individual instances went on to answer. Must be fast and
-	// must not panic (traffic.CaptureWriter satisfies both).
-	Capture func(shard string, body []byte)
 }
 
 func (c *RouterConfig) normalize() error {
@@ -266,9 +261,6 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		rt.writeErr(w, http.StatusBadRequest, "malformed", err.Error(), nil)
 		return
-	}
-	if rt.cfg.Capture != nil {
-		rt.cfg.Capture(shard, body)
 	}
 	// One read of the table: where to offer the shard, and the epoch that
 	// order belongs to.

@@ -160,6 +160,7 @@ type Plan struct {
 	mu     sync.Mutex
 	links  map[string]*link // "src|dst" -> state
 	hosts  map[string]string
+	quiet  bool // Quiesce was called: nothing is injected any more
 	counts Counts
 	wg     sync.WaitGroup // in-flight background duplicate deliveries
 }
@@ -240,6 +241,17 @@ func (p *Plan) HealAll() {
 	}
 }
 
+// Quiesce stops the plan injecting for good: every later request passes
+// through untouched — no cut, no per-request draw. HealAll only ends the
+// partitions; a check that must see the network behave (a post-chaos
+// retry whose answer is asserted exactly) calls this first, or a drawn
+// reset can still turn the request into a legitimate failover.
+func (p *Plan) Quiesce() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.quiet = true
+}
+
 // Counts returns a snapshot of the injected-fault ledger.
 func (p *Plan) Counts() Counts {
 	p.mu.Lock()
@@ -272,6 +284,9 @@ func (p *Plan) draw(src, dst string) decision {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.counts.Requests++
+	if p.quiet {
+		return decision{}
+	}
 	l := p.linkFor(src, dst)
 	var d decision
 	d.cut = l.cut

@@ -164,6 +164,18 @@ func TestResetBefore(t *testing.T) {
 	if hits.Load() != 0 {
 		t.Fatalf("reset-before request reached the server")
 	}
+	// Quiesce ends per-request faults and cuts alike: the same certain
+	// reset, over a cut link, now goes through untouched.
+	p.Partition("router", ts.Listener.Addr().String())
+	p.Quiesce()
+	resp, err := client.Get(ts.URL)
+	if err != nil {
+		t.Fatalf("request after Quiesce: %v", err)
+	}
+	resp.Body.Close()
+	if c := p.Counts(); hits.Load() != 1 || c.ResetsBefore != 1 || c.Partitioned != 0 || c.Requests != 2 {
+		t.Fatalf("after Quiesce: %d hits, counts %+v", hits.Load(), c)
+	}
 }
 
 // TestDuplicateDelivery: a POST with a replayable body is delivered

@@ -16,12 +16,15 @@ import (
 	"profileme/internal/profile"
 )
 
-// Sink receives each completed job's shard profile. A fleet with a sink
-// still merges every shard into its local aggregate — the sink is an
-// additional destination (a pmsimd collector), and a shard that cannot
-// be delivered degrades to local-only instead of failing the job.
+// Sink receives each completed job's shard profile as its encoded
+// /v1/submit body (ingest.EncodeSubmit): a submission travels as its
+// bytes, so a retry, a relay and a trace replay all put the same bytes
+// on the wire. A fleet with a sink still merges every shard into its
+// local aggregate — the sink is an additional destination (a pmsimd
+// collector), and a shard that cannot be delivered degrades to
+// local-only instead of failing the job.
 type Sink interface {
-	Submit(ctx context.Context, shard string, db *profile.DB) error
+	Submit(ctx context.Context, shard string, body []byte) error
 }
 
 // SubmitError is a typed shard-submission failure carrying the
@@ -102,14 +105,10 @@ func NewHTTPSink(baseURL string, fallbacks ...string) *HTTPSink {
 	}
 }
 
-// Submit posts one shard, failing over across BaseURLs on transport
-// errors. Non-202 responses come back as *SubmitError with the
-// collector's status and error kind.
-func (s *HTTPSink) Submit(ctx context.Context, shard string, db *profile.DB) error {
-	body, err := ingest.EncodeSubmit(shard, db)
-	if err != nil {
-		return fmt.Errorf("runner: encode shard %s: %w", shard, err)
-	}
+// Submit posts one shard's encoded body verbatim, failing over across
+// BaseURLs on transport errors. Non-202 responses come back as
+// *SubmitError with the collector's status and error kind.
+func (s *HTTPSink) Submit(ctx context.Context, shard string, body []byte) error {
 	client := s.Client
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
@@ -172,28 +171,45 @@ func (s *HTTPSink) submitTo(ctx context.Context, client *http.Client, baseURL st
 	return se
 }
 
-// submitShard delivers one completed shard to the configured sink with
-// the fleet's retry/backoff machinery: transient refusals (429/503/5xx/
-// transport) retry up to the attempt budget, permanent ones bail out
-// immediately. Failure never fails the job — the shard is already merged
+// SubmitWithRetry delivers one encoded shard to sink under the
+// collector's retry taxonomy: a transient refusal (429/503/5xx/
+// transport) is retried until maxAttempts deliveries have been made, a
+// permanent one (any other 4xx) or a done ctx ends the loop at once.
+// backoff is called once per retry, with the number of the attempt that
+// just failed and its error, and returns the sleep before the next —
+// the place for a caller to count or log retries. The last delivery
+// error is returned.
+func SubmitWithRetry(ctx context.Context, sink Sink, shard string, body []byte, maxAttempts int, backoff func(attempt int, err error) time.Duration) error {
+	for attempt := 1; ; attempt++ {
+		err := sink.Submit(ctx, shard, body)
+		if err == nil {
+			return nil
+		}
+		if ctx.Err() != nil || !transientErr(err) || attempt >= maxAttempts {
+			return err
+		}
+		select {
+		case <-time.After(backoff(attempt, err)):
+		case <-ctx.Done():
+			return err
+		}
+	}
+}
+
+// submitShard delivers one completed shard to the configured sink,
+// encoded once whatever its attempt count, on the fleet's seeded backoff
+// schedule. Failure never fails the job — the shard is already merged
 // locally — it is reported as degradation.
 func (f *Fleet) submitShard(ctx context.Context, id string, db *profile.DB) error {
 	if f.cfg.Sink == nil {
 		return nil
 	}
-	for attempt := 1; ; attempt++ {
-		err := f.cfg.Sink.Submit(ctx, id, db)
-		if err == nil {
-			return nil
-		}
-		if ctx.Err() != nil || !transientErr(err) || attempt >= f.cfg.MaxAttempts {
-			return err
-		}
-		f.logf("job %s shard submission attempt %d failed: %v", id, attempt, err)
-		select {
-		case <-time.After(f.backoff(id+"#submit", attempt)):
-		case <-ctx.Done():
-			return err
-		}
+	body, err := ingest.EncodeSubmit(id, db)
+	if err != nil {
+		return fmt.Errorf("runner: encode shard %s: %w", id, err)
 	}
+	return SubmitWithRetry(ctx, f.cfg.Sink, id, body, f.cfg.MaxAttempts, func(attempt int, err error) time.Duration {
+		f.logf("job %s shard submission attempt %d failed: %v", id, attempt, err)
+		return f.backoff(id+"#submit", attempt)
+	})
 }

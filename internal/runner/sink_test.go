@@ -40,21 +40,22 @@ func TestSubmitErrorTaxonomy(t *testing.T) {
 }
 
 // fakeSink scripts per-shard outcomes: each Submit pops the next error
-// from the shard's queue (empty queue = success).
+// from the shard's queue (empty queue = success), and keeps the body
+// slice each attempt was handed.
 type fakeSink struct {
 	mu      sync.Mutex
 	scripts map[string][]error
-	got     map[string]int
+	got     map[string][][]byte
 }
 
 func newFakeSink() *fakeSink {
-	return &fakeSink{scripts: make(map[string][]error), got: make(map[string]int)}
+	return &fakeSink{scripts: make(map[string][]error), got: make(map[string][][]byte)}
 }
 
-func (s *fakeSink) Submit(ctx context.Context, shard string, db *profile.DB) error {
+func (s *fakeSink) Submit(ctx context.Context, shard string, body []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.got[shard]++
+	s.got[shard] = append(s.got[shard], body)
 	if q := s.scripts[shard]; len(q) > 0 {
 		err := q[0]
 		s.scripts[shard] = q[1:]
@@ -66,7 +67,7 @@ func (s *fakeSink) Submit(ctx context.Context, shard string, db *profile.DB) err
 func (s *fakeSink) calls(shard string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.got[shard]
+	return len(s.got[shard])
 }
 
 // TestFleetSubmitsEveryCompletedShard: with a healthy sink, each
@@ -133,6 +134,17 @@ func TestFleetSubmitRetryTaxonomy(t *testing.T) {
 	if got := sink.calls("flaky"); got != 3 {
 		t.Fatalf("flaky submitted %d times, want 3 (two backoffs then success)", got)
 	}
+	// One encode per shard, whatever its attempt count: every attempt is
+	// handed the very same slice, and it decodes to the shard.
+	first := sink.got["flaky"][0]
+	for i, b := range sink.got["flaky"] {
+		if len(b) == 0 || &b[0] != &first[0] || len(b) != len(first) {
+			t.Fatalf("flaky attempt %d was handed a different body: the shard was encoded again", i+1)
+		}
+	}
+	if sub, err := ingest.DecodeSubmit(first); err != nil || sub.Shard != "flaky" {
+		t.Fatalf("flaky body decodes to %q, %v", sub.Shard, err)
+	}
 	if got := sink.calls("skewed"); got != 1 {
 		t.Fatalf("skewed submitted %d times, want 1 (409 is permanent)", got)
 	}
@@ -183,7 +195,11 @@ func TestHTTPSinkAgainstService(t *testing.T) {
 
 	// A sink pointed at a draining collector reports the refusal as a
 	// typed 503 SubmitError.
-	err = cfg.Sink.Submit(context.Background(), "late", profile.NewDB(512, 0, cpu.DefaultConfig().SustainedIssueWidth))
+	late, err := ingest.EncodeSubmit("late", profile.NewDB(512, 0, cpu.DefaultConfig().SustainedIssueWidth))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = cfg.Sink.Submit(context.Background(), "late", late)
 	var se *SubmitError
 	if !errors.As(err, &se) || se.Status != http.StatusServiceUnavailable {
 		t.Fatalf("draining collector: %v, want 503 SubmitError", err)
@@ -194,7 +210,7 @@ func TestHTTPSinkAgainstService(t *testing.T) {
 
 	// A sink pointed at nothing reports a transient transport failure.
 	downed := NewHTTPSink("http://127.0.0.1:1")
-	err = downed.Submit(context.Background(), "x", profile.NewDB(512, 0, cpu.DefaultConfig().SustainedIssueWidth))
+	err = downed.Submit(context.Background(), "late", late)
 	if !errors.As(err, &se) || se.Status != 0 || !se.Transient() {
 		t.Fatalf("unreachable collector: %v, want transient transport SubmitError", err)
 	}
@@ -206,7 +222,8 @@ func TestHTTPSinkAgainstService(t *testing.T) {
 // (429/503/4xx) are the collector's admission policy and must stay with
 // the endpoint that issued them.
 func TestHTTPSinkTransportFailover(t *testing.T) {
-	db := profile.NewDB(512, 0, cpu.DefaultConfig().SustainedIssueWidth)
+	// The handlers below never decode: any bytes stand in for a shard.
+	body := []byte(`{"shard":"x"}`)
 	accept := func(hits *int) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			*hits++
@@ -224,7 +241,7 @@ func TestHTTPSinkTransportFailover(t *testing.T) {
 	defer fallback.Close()
 
 	sink := NewHTTPSink(deadURL, fallback.URL)
-	if err := sink.Submit(context.Background(), "a", db); err != nil {
+	if err := sink.Submit(context.Background(), "a", body); err != nil {
 		t.Fatalf("submit with live fallback: %v", err)
 	}
 	if fallbackHits != 1 {
@@ -232,7 +249,7 @@ func TestHTTPSinkTransportFailover(t *testing.T) {
 	}
 	// Sticky: the next submit goes straight to the endpoint that worked
 	// instead of re-dialing the dead primary every call.
-	if err := sink.Submit(context.Background(), "b", db); err != nil {
+	if err := sink.Submit(context.Background(), "b", body); err != nil {
 		t.Fatalf("second submit: %v", err)
 	}
 	if fallbackHits != 2 {
@@ -257,7 +274,7 @@ func TestHTTPSinkTransportFailover(t *testing.T) {
 	defer healthy.Close()
 
 	refused := NewHTTPSink(refusing.URL, healthy.URL)
-	err := refused.Submit(context.Background(), "c", db)
+	err := refused.Submit(context.Background(), "c", body)
 	var se *SubmitError
 	if !errors.As(err, &se) || se.Status != http.StatusTooManyRequests || se.Kind != "queue-full" {
 		t.Fatalf("backpressured submit: %v, want 429 queue-full SubmitError", err)
@@ -269,7 +286,7 @@ func TestHTTPSinkTransportFailover(t *testing.T) {
 	// Every endpoint unreachable: the transport error surfaces as
 	// transient, so the fleet's backoff loop retries the whole list.
 	allDead := NewHTTPSink(deadURL, "http://127.0.0.1:1")
-	err = allDead.Submit(context.Background(), "d", db)
+	err = allDead.Submit(context.Background(), "d", body)
 	if !errors.As(err, &se) || se.Status != 0 || !se.Transient() {
 		t.Fatalf("all endpoints dead: %v, want transient transport SubmitError", err)
 	}

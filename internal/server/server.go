@@ -71,12 +71,6 @@ type Config struct {
 	// time; share one ingest.SyncWriter with the service when both log
 	// to the same stream.
 	Log io.Writer
-	// Capture, when set, receives every structurally valid submission
-	// (shard id + verbatim body) before admission — offered load, not
-	// accepted load, which is what a traffic replay needs to reproduce.
-	// The hook runs on the request path; it must be fast and must not
-	// panic (traffic.CaptureWriter satisfies both).
-	Capture func(shard string, body []byte)
 }
 
 func (c *Config) normalize() {
@@ -253,9 +247,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, decodeKind(err), err.Error())
 		return
-	}
-	if s.cfg.Capture != nil {
-		s.cfg.Capture(sub.Shard, body)
 	}
 	// "captured" (Samples+Lost) is the shard's weight in the fleet
 	// conservation sum; the router copies it into the witness ledger.

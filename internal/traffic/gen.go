@@ -75,10 +75,10 @@ func (sp *Spec) Schedule() ([]Arrival, error) {
 type Payload struct {
 	// Shard is the tier-wide shard id ("<cohort>/s<idx>").
 	Shard string
-	// DB is the shard's profile database (what HTTPSink submits).
+	// DB is the shard's profile database, decoded.
 	DB *profile.DB
 	// Body is ingest.EncodeSubmit(Shard, DB) — the bytes a trace
-	// records, identical to what the sink puts on the wire.
+	// records and the bytes the sink puts on the wire.
 	Body []byte
 	// Captured is DB.Samples()+DB.Lost(): the shard's weight in the
 	// tier's conservation sum.

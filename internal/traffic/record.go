@@ -1,71 +1,15 @@
 package traffic
 
 import (
-	"context"
 	"sync"
 	"time"
-
-	"profileme/internal/ingest"
-	"profileme/internal/profile"
-	"profileme/internal/runner"
 )
 
-// RecordingSink tees a fleet's shard submissions into a trace while
-// forwarding them to an inner sink. It implements runner.Sink, so
-// `pmsim -record` wraps its HTTPSink with one and the fleet machinery
-// is none the wiser. Offsets are wall-clock since the first submission
-// (live captures have no modeled schedule). A nil inner sink records
-// without delivering.
-//
-// The record is appended before the inner Submit, and kept even when
-// delivery fails: a trace captures offered load, and replay's own retry
-// loop re-litigates delivery.
-type RecordingSink struct {
-	inner  runner.Sink
-	cohort string
-
-	mu    sync.Mutex
-	w     *Writer
-	start time.Time
-}
-
-// NewRecordingSink wraps inner (which may be nil), tagging every record
-// with cohort.
-func NewRecordingSink(inner runner.Sink, w *Writer, cohort string) *RecordingSink {
-	return &RecordingSink{inner: inner, w: w, cohort: cohort}
-}
-
-// Submit records the submission and forwards it.
-func (rs *RecordingSink) Submit(ctx context.Context, shard string, db *profile.DB) error {
-	body, err := ingest.EncodeSubmit(shard, db)
-	if err != nil {
-		return err
-	}
-	rs.mu.Lock()
-	if rs.start.IsZero() {
-		rs.start = time.Now()
-	}
-	err = rs.w.Append(Record{
-		OffsetUS: time.Since(rs.start).Microseconds(),
-		Cohort:   rs.cohort,
-		Shard:    shard,
-		Body:     body,
-	})
-	rs.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if rs.inner == nil {
-		return nil
-	}
-	return rs.inner.Submit(ctx, shard, db)
-}
-
-// CaptureWriter adapts a trace Writer into the capture hook the
-// collector and router configs accept (func(shard string, body []byte)):
-// it serializes concurrent captures and stamps offsets from the first
-// one. Capture errors are remembered (first wins) rather than surfaced
-// per-request — a capture problem must not fail ingest.
+// CaptureWriter is the live-capture side of a trace Writer, used by the
+// pmtraffic record relay (the one live capture point): it serializes
+// concurrent captures and stamps wall-clock offsets from the first one.
+// Capture errors are remembered (first wins) rather than surfaced
+// per-request — a capture problem must not fail the relayed submit.
 type CaptureWriter struct {
 	mu    sync.Mutex
 	w     *Writer
@@ -76,8 +20,8 @@ type CaptureWriter struct {
 // NewCaptureWriter wraps w.
 func NewCaptureWriter(w *Writer) *CaptureWriter { return &CaptureWriter{w: w} }
 
-// Capture records one submission body; pass this method as the Capture
-// hook.
+// Capture records one submission body (copied: the caller keeps its
+// slice).
 func (cw *CaptureWriter) Capture(shard string, body []byte) {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()

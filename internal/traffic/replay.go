@@ -2,7 +2,6 @@ package traffic
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -50,8 +49,7 @@ type Report struct {
 	// DistinctShards is the number of unique shard ids offered.
 	DistinctShards int
 	// CapturedSum is Σ(Samples+Lost) over distinct shards — the offered
-	// side of the tier's conservation invariant. Valid when every
-	// record's body decodes (always, for generated and replayed runs).
+	// side of the tier's conservation invariant.
 	CapturedSum uint64
 }
 
@@ -88,60 +86,56 @@ func Drive(ctx context.Context, sp *Spec, sink runner.Sink, rec *Writer, opts Op
 	}
 	if sink == nil {
 		// Record-only run: report the offered load without delivering.
-		rep := newReport(recs)
-		if err := tallyCaptured(recs, rep); err != nil {
-			return nil, err
-		}
-		return rep, nil
+		return offered(recs)
 	}
-	return deliver(ctx, recs, sink, opts)
+	return Replay(ctx, recs, sink, opts)
 }
 
 // Replay re-runs a captured trace against the sink, pacing inter-arrival
-// gaps by opts.Speed. Each record's body is decoded (validating it) and
-// resubmitted under its recorded shard id; transient refusals retry, so
-// when Replay returns with Failed == 0 every record was accepted and —
-// because the collector's merge is order-independent and deduped by
-// shard id — the final aggregate bytes are a pure function of the trace.
+// gaps by opts.Speed. Every record is validated up front — a trace with
+// an undecodable record is refused before anything is delivered — and
+// then travels as its bytes: the collector receives exactly Record.Body,
+// under the fleet's retry taxonomy (runner.SubmitWithRetry) with capped
+// exponential backoff. Transient refusals retry, so when Replay returns
+// with Failed == 0 every record was accepted and — because the
+// collector's merge is order-independent and deduped by shard id — the
+// final aggregate bytes are a pure function of the trace.
 func Replay(ctx context.Context, recs []Record, sink runner.Sink, opts Options) (*Report, error) {
-	return deliver(ctx, recs, sink, opts)
-}
-
-func newReport(recs []Record) *Report {
-	rep := &Report{Records: len(recs), ByCohort: make(map[string]int)}
-	seen := make(map[string]bool)
-	for i := range recs {
-		rep.ByCohort[recs[i].Cohort]++
-		if !seen[recs[i].Shard] {
-			seen[recs[i].Shard] = true
-			rep.DistinctShards++
-		}
+	rep, err := offered(recs)
+	if err != nil {
+		return rep, err
 	}
-	return rep
-}
-
-// tallyCaptured decodes each distinct shard's body once and sums its
-// captured weight.
-func tallyCaptured(recs []Record, rep *Report) error {
-	seen := make(map[string]bool)
+	opts.normalize()
+	backoff := func(attempt int, _ error) time.Duration {
+		rep.Retries++
+		return min(opts.Backoff<<(attempt-1), opts.Backoff*32)
+	}
+	start := time.Now()
 	for i := range recs {
-		if seen[recs[i].Shard] {
+		rec := &recs[i]
+		if err := pace(ctx, start, rec.OffsetUS, opts.Speed); err != nil {
+			return rep, err
+		}
+		if err := runner.SubmitWithRetry(ctx, sink, rec.Shard, rec.Body, opts.MaxAttempts, backoff); err != nil {
+			rep.Failed++
+			logf(opts.Log, "traffic: record %d (%s) failed: %v", i, rec.Shard, err)
+			if ctx.Err() != nil {
+				return rep, ctx.Err()
+			}
 			continue
 		}
-		seen[recs[i].Shard] = true
-		sub, err := ingest.DecodeSubmit(recs[i].Body)
-		if err != nil {
-			return fmt.Errorf("traffic: record %d (%s): %w", i, recs[i].Shard, err)
-		}
-		rep.CapturedSum += sub.Captured()
+		rep.Accepted++
 	}
-	return nil
+	return rep, nil
 }
 
-func deliver(ctx context.Context, recs []Record, sink runner.Sink, opts Options) (*Report, error) {
-	opts.normalize()
-	rep := newReport(recs)
-	start := time.Now()
+// offered validates a record list and tallies the load it offers. Each
+// record's body is decoded exactly once: that one decode is the
+// replayability check, the shard-id cross-check against the frame, and
+// (for the first record of each shard) the CapturedSum contribution.
+func offered(recs []Record) (*Report, error) {
+	rep := &Report{Records: len(recs), ByCohort: make(map[string]int)}
+	seen := make(map[string]bool)
 	for i := range recs {
 		rec := &recs[i]
 		sub, err := ingest.DecodeSubmit(rec.Body)
@@ -152,21 +146,12 @@ func deliver(ctx context.Context, recs []Record, sink runner.Sink, opts Options)
 			return rep, fmt.Errorf("traffic: record %d: frame says shard %q, body says %q: %w",
 				i, rec.Shard, sub.Shard, frame.ErrCorrupt)
 		}
-		if err := pace(ctx, start, rec.OffsetUS, opts.Speed); err != nil {
-			return rep, err
+		rep.ByCohort[rec.Cohort]++
+		if !seen[rec.Shard] {
+			seen[rec.Shard] = true
+			rep.DistinctShards++
+			rep.CapturedSum += sub.Captured()
 		}
-		if err := submitWithRetry(ctx, sink, sub, opts, rep); err != nil {
-			rep.Failed++
-			logf(opts.Log, "traffic: record %d (%s) failed: %v", i, rec.Shard, err)
-			if ctx.Err() != nil {
-				return rep, ctx.Err()
-			}
-			continue
-		}
-		rep.Accepted++
-	}
-	if err := tallyCaptured(recs, rep); err != nil {
-		return rep, err
 	}
 	return rep, nil
 }
@@ -188,33 +173,6 @@ func pace(ctx context.Context, start time.Time, offsetUS int64, speed float64) e
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	}
-}
-
-// submitWithRetry applies the fleet's retry taxonomy: transient refusals
-// (429/503/5xx/transport) back off and retry within the attempt budget,
-// permanent refusals fail immediately.
-func submitWithRetry(ctx context.Context, sink runner.Sink, sub ingest.Submission, opts Options, rep *Report) error {
-	for attempt := 1; ; attempt++ {
-		err := sink.Submit(ctx, sub.Shard, sub.DB)
-		if err == nil {
-			return nil
-		}
-		var se *runner.SubmitError
-		transient := errors.As(err, &se) && se.Transient()
-		if ctx.Err() != nil || !transient || attempt >= opts.MaxAttempts {
-			return err
-		}
-		rep.Retries++
-		delay := opts.Backoff << (attempt - 1)
-		if max := opts.Backoff * 32; delay > max {
-			delay = max
-		}
-		select {
-		case <-time.After(delay):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
 	}
 }
 

@@ -3,12 +3,20 @@ package traffic
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
 	"profileme/internal/cpu"
+	"profileme/internal/frame"
 	"profileme/internal/ingest"
+	"profileme/internal/profile"
 	"profileme/internal/runner"
 	"profileme/internal/server"
 )
@@ -16,6 +24,7 @@ import (
 // collector is one fresh in-process pmsimd: service + HTTP edge.
 type collector struct {
 	svc *ingest.Service
+	h   http.Handler
 	ts  *httptest.Server
 }
 
@@ -30,9 +39,10 @@ func newCollector(t *testing.T, interval float64) *collector {
 		t.Fatal(err)
 	}
 	svc.Start()
-	ts := httptest.NewServer(server.New(server.Config{Instance: "c0"}, svc).Handler())
+	h := server.New(server.Config{Instance: "c0"}, svc).Handler()
+	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
-	return &collector{svc: svc, ts: ts}
+	return &collector{svc: svc, h: h, ts: ts}
 }
 
 // aggregateBytes drains the collector and serializes its aggregate.
@@ -178,42 +188,101 @@ func TestReplaySpeedWarp(t *testing.T) {
 	}
 }
 
-// TestRecordingSinkCapturesOfferedLoad exercises the pmsim -record path:
-// submissions tee into a trace and still reach the inner sink; the
-// captured bodies replay cleanly.
-func TestRecordingSinkCapturesOfferedLoad(t *testing.T) {
+// reorderedBody wraps db in a valid but non-canonical submission: the
+// profile envelope lists its accumulators in reverse of Save's order
+// (the shape ingest's TestNonCanonicalEnvelopeLoggedAsReceived uses) and
+// the JSON names "profile" before "shard". Decoding and re-encoding it
+// yields different bytes, so only a driver that sends what it recorded
+// delivers it unchanged.
+func reorderedBody(t *testing.T, shard string, db *profile.DB) []byte {
+	t.Helper()
+	// Mirrors profile.dbImage; gob matches fields by name.
+	type dbImage struct {
+		S           float64
+		W, C        int
+		TNear       int64
+		RetainAddrs int
+		Samples     uint64
+		Pairs       uint64
+		Lost        uint64
+		CorruptRej  uint64
+		MetricNames []string
+		Accums      []profile.PCAccum
+	}
+	img := dbImage{S: db.S, W: db.W, C: db.C, TNear: db.TNear, Samples: db.Samples(), Lost: db.Lost()}
+	pcs := db.PCs()
+	for i := len(pcs) - 1; i >= 0; i-- {
+		img.Accums = append(img.Accums, *db.Get(pcs[i]))
+	}
+	var payload, env bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(img); err != nil {
+		t.Fatal(err)
+	}
+	if err := frame.WriteEnvelope(&env, "PMDB", 1, payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	b64, err := json.Marshal(env.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []byte(fmt.Sprintf(`{ "profile": %s, "shard": %q }`, b64, shard))
+}
+
+// TestReplaySendsRecordedBytes: a submission travels as its bytes. A
+// recorded non-canonical body — one the driver could not reproduce by
+// decoding and re-encoding — reaches the collector byte-identical to
+// Record.Body, and merges like its canonical form.
+func TestReplaySendsRecordedBytes(t *testing.T) {
 	sp := smallSpec()
 	pools, err := sp.Materialize()
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := pools["steady"][0]
+	odd := reorderedBody(t, p.Shard, p.DB)
+	if canonical, err := ingest.EncodeSubmit(p.Shard, p.DB); err != nil || bytes.Equal(odd, canonical) {
+		t.Fatalf("test body is canonical (err %v); it needs at least two PCs", err)
+	}
+	recs := []Record{{Cohort: "steady", Shard: p.Shard, Body: odd}}
+
 	c := newCollector(t, sp.Interval)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, Meta{Source: "pmsim"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := NewRecordingSink(runner.NewHTTPSink(c.ts.URL), w, "steady")
-	ctx := context.Background()
-	for _, p := range pools["steady"] {
-		if err := rs.Submit(ctx, p.Shard, p.DB); err != nil {
-			t.Fatal(err)
+	var (
+		mu       sync.Mutex
+		received [][]byte
+	)
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
 		}
-	}
-	meta, recs, err := ReadAll(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Source != "pmsim" || len(recs) != len(pools["steady"]) {
-		t.Fatalf("capture: source %q, %d records", meta.Source, len(recs))
-	}
-	c2 := newCollector(t, sp.Interval)
-	rep, err := Replay(ctx, recs, runner.NewHTTPSink(c2.ts.URL),
+		mu.Lock()
+		received = append(received, body)
+		mu.Unlock()
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		c.h.ServeHTTP(w, r)
+	}))
+	defer front.Close()
+
+	rep, err := Replay(context.Background(), recs, runner.NewHTTPSink(front.URL),
 		Options{Speed: 0, MaxAttempts: 20, Backoff: 5 * time.Millisecond})
-	if err != nil {
+	if err != nil || rep.Failed != 0 || rep.Accepted != 1 {
+		t.Fatalf("replay: %+v, %v", rep, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(received) != 1 || !bytes.Equal(received[0], odd) {
+		t.Fatalf("collector received %d bodies; the first is not Record.Body verbatim", len(received))
+	}
+	if want := p.DB.Samples() + p.DB.Lost(); rep.CapturedSum != want {
+		t.Fatalf("CapturedSum %d, want %d", rep.CapturedSum, want)
+	}
+	// The collector holds the shard's samples, neither lost nor doubled.
+	c2 := newCollector(t, sp.Interval)
+	recs[0].Body = p.Body
+	if _, err := Replay(context.Background(), recs, runner.NewHTTPSink(c2.ts.URL), Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Failed != 0 {
-		t.Fatalf("replay of captured trace: %+v", rep)
+	if !bytes.Equal(c.aggregateBytes(t), c2.aggregateBytes(t)) {
+		t.Fatal("the reordered body merged to a different aggregate than its canonical form")
 	}
 }

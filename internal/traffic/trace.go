@@ -31,11 +31,13 @@ const (
 
 // Meta is the trace header block.
 type Meta struct {
-	// Spec is the generating spec; nil for live captures (pmsim -record,
-	// collector/router -record), which have no declarative source.
+	// Spec is the generating spec; nil for live captures (the pmtraffic
+	// record relay), which have no declarative source.
 	Spec *Spec `json:"spec,omitempty"`
-	// Source names the producer: "pmtraffic", "pmsim", "pmsimd",
-	// "pmrouter", "pmtraffic-record".
+	// Source names the producer: "pmtraffic gen" or "pmtraffic record".
+	// It is descriptive only — nothing branches on it — so a trace from
+	// an older build whose source says "pmsim -record", "pmsimd -record"
+	// or "pmrouter -record" still describes and replays.
 	Source string `json:"source"`
 }
 
@@ -55,7 +57,7 @@ type Record struct {
 }
 
 // Writer appends records to a trace stream. Not safe for concurrent use;
-// wrap with CaptureWriter for hook-driven capture.
+// wrap with CaptureWriter for live capture.
 type Writer struct {
 	w io.Writer
 	n int
