@@ -122,7 +122,8 @@ func runFleet(o fleetOptions) int {
 	}
 
 	// SIGINT/SIGTERM starts a graceful drain: dispatch stops, in-flight
-	// jobs get the grace period, and a final checkpoint is written.
+	// jobs get the grace period, and what they leave unfinished is
+	// journaled for -resume.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

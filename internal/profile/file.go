@@ -33,7 +33,7 @@ func LoadFile(path string) (*DB, error) {
 }
 
 // WriteAtomic writes a file via the temp-file + fsync + rename pattern
-// shared by SaveFile and the fleet checkpointer: write writes the content
+// shared by SaveFile and the collector's checkpoint: write writes the content
 // to the temporary, and only a fully synced temporary is renamed onto
 // path. On error the temporary is removed and path is left as it was.
 func WriteAtomic(path string, write func(io.Writer) error) (err error) {

@@ -2,21 +2,19 @@ package runner
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"testing"
 	"time"
 )
 
 // The crash-recovery smoke uses the helper-process pattern: the parent
 // re-execs this test binary with RUNNER_CRASH_HELPER set, the child runs
-// a checkpointed campaign, and the parent SIGKILLs it once the manifest
-// shows partial progress — a real kill -9, no cooperative shutdown —
-// then resumes the campaign in-process and compares the aggregate
-// against an uninterrupted run.
+// a journaled campaign, and the parent SIGKILLs it once the journal shows
+// partial progress — a real kill -9, no cooperative shutdown — then
+// resumes the campaign in-process and requires the aggregate of an
+// uninterrupted run, byte for byte.
 
 const (
 	crashHelperEnv = "RUNNER_CRASH_HELPER"
@@ -25,20 +23,13 @@ const (
 	crashScale     = 3000
 )
 
-func crashConfig(dir string) Config {
-	cfg := testConfig(1)
-	cfg.Interval = 128
-	cfg.CheckpointDir = dir
-	return cfg
-}
-
 // TestCrashRecoveryHelperProcess is the child side: it only does work
 // when re-execed by TestCrashRecoveryAfterKill.
 func TestCrashRecoveryHelperProcess(t *testing.T) {
 	if os.Getenv(crashHelperEnv) != "1" {
 		t.Skip("helper process; driven by TestCrashRecoveryAfterKill")
 	}
-	f, err := New(crashConfig(os.Getenv(crashDirEnv)), campaignJobs(crashShards, crashScale))
+	f, err := New(campaignConfig(1, os.Getenv(crashDirEnv)), campaignJobs(crashShards, crashScale))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -48,24 +39,6 @@ func TestCrashRecoveryHelperProcess(t *testing.T) {
 		os.Exit(1)
 	}
 	os.Exit(0)
-}
-
-// peekCompleted reads the newest manifest's completed count without the
-// quarantine side effects of loadCheckpoint — the child is still writing.
-func peekCompleted(dir string) int {
-	gens, err := manifestGens(dir)
-	if err != nil || len(gens) == 0 {
-		return 0
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, manifestFileName(gens[0])))
-	if err != nil {
-		return 0
-	}
-	var m Manifest
-	if json.Unmarshal(raw, &m) != nil {
-		return 0
-	}
-	return len(m.Completed)
 }
 
 func TestCrashRecoveryAfterKill(t *testing.T) {
@@ -90,12 +63,11 @@ poll:
 	for {
 		select {
 		case err := <-exited:
-			t.Fatalf("helper exited before the kill (completed %d/%d): %v",
-				peekCompleted(dir), crashShards, err)
+			t.Fatalf("helper exited before the kill (completed %d/%d): %v", journaled(dir), crashShards, err)
 		case <-deadline:
 			t.Fatal("helper made no checkpoint progress within 60s")
 		case <-time.After(2 * time.Millisecond):
-			if n := peekCompleted(dir); n >= 2 && n < crashShards {
+			if n := journaled(dir); n >= 2 && n < crashShards {
 				cmd.Process.Kill()
 				killedAt = n
 				break poll
@@ -104,63 +76,15 @@ poll:
 	}
 	<-exited // reap; exit status is the kill signal, not an error here
 
-	// The campaign must be resumable from whatever the kill left behind.
+	// Every record the kill left behind survives, and the campaign
+	// finishes to the uninterrupted run's aggregate with identical seeds.
 	jobs := campaignJobs(crashShards, crashScale)
-	f, err := Resume(crashConfig(dir), jobs)
-	if err != nil {
-		t.Fatalf("resume after kill -9: %v", err)
+	if n := journaled(dir); n < killedAt {
+		t.Fatalf("journal holds %d records after the kill, held %d before it", n, killedAt)
 	}
-	if n := len(f.Records()); n != crashShards {
-		t.Fatalf("resumed ledger has %d jobs, want %d", n, crashShards)
-	}
-	rep, err := f.Run(context.Background())
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	if rep.Completed != crashShards || rep.Pending != 0 || rep.DeadLettered != 0 {
-		t.Fatalf("resumed campaign incomplete: %+v", rep)
-	}
-
-	// Manifest integrity: zero duplicated job IDs.
-	m, _, err := loadCheckpoint(dir, t.Logf)
-	if err != nil || m == nil {
-		t.Fatalf("final checkpoint unreadable: %v", err)
-	}
-	seen := map[string]bool{}
-	for _, id := range m.Completed {
-		if seen[id] {
-			t.Fatalf("job %s appears twice in the manifest", id)
-		}
-		seen[id] = true
-	}
-	if len(seen) != crashShards {
-		t.Fatalf("manifest completed %d distinct jobs, want %d", len(seen), crashShards)
-	}
-
-	// Uninterrupted reference with identical seeds: the recovered
-	// aggregate's top-10 hot-PC ranking must overlap ≥ 8/10.
-	refCfg := testConfig(2)
-	refCfg.Interval = 128
-	ref, err := New(refCfg, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := mustRun(t, ref); rep.Completed != crashShards {
-		t.Fatalf("reference completed %d/%d", rep.Completed, crashShards)
-	}
-	if a, b := ref.Profile().Samples(), f.Profile().Samples(); a != b {
-		t.Fatalf("sample totals differ from uninterrupted run: %d vs %d", b, a)
-	}
-	refHot, gotHot := hotSet(t, ref, 10), hotSet(t, f, 10)
-	overlap := 0
-	for pc := range refHot {
-		if gotHot[pc] {
-			overlap++
-		}
-	}
-	if overlap < 8 {
-		t.Fatalf("top-10 hot-PC overlap %d/10 after crash recovery", overlap)
-	}
-	t.Logf("killed at %d/%d jobs; recovered aggregate matches reference (overlap %d/10, %d samples)",
-		killedAt, crashShards, overlap, f.Profile().Samples())
+	want := image(t, runCampaign(t, campaignConfig(2, ""), jobs))
+	f := finish(t, campaignConfig(1, dir), jobs, want, "kill -9")
+	requireEachDoneOnce(t, dir, jobs)
+	t.Logf("killed at %d/%d jobs; recovered aggregate is the reference image (%d samples)",
+		killedAt, crashShards, f.Profile().Samples())
 }

@@ -22,7 +22,7 @@ import (
 // paper's aggregation argument assumes.
 type Job struct {
 	// ID names the job uniquely within the campaign (e.g. "compress/s003");
-	// the checkpoint manifest tracks completion by ID.
+	// the checkpoint journal tracks outcomes by ID.
 	ID string `json:"id"`
 	// Bench is a workload suite benchmark name; empty means a generated
 	// program from GenSeed.
@@ -36,16 +36,16 @@ type Job struct {
 	ChaosRate float64 `json:"chaos_rate,omitempty"`
 }
 
-// Job status values recorded in the manifest.
+// Job status values recorded in the journal.
 const (
 	StatusPending = "pending" // not yet finished (fresh, or interrupted by a drain)
 	StatusDone    = "done"    // profile merged into the aggregate
 	StatusDead    = "dead"    // attempt budget exhausted or permanent failure
 )
 
-// JobRecord is the manifest's per-job ledger: everything Resume needs to
-// re-enqueue only unfinished work and to keep retry budgets across
-// crashes.
+// JobRecord is the per-job ledger entry, journaled with each outcome:
+// everything Resume needs to re-enqueue only unfinished work and to keep
+// retry budgets across drains.
 type JobRecord struct {
 	Job      Job    `json:"job"`
 	Status   string `json:"status"`

@@ -34,18 +34,13 @@ type Report struct {
 	ShardsSubmitted    uint64 `json:"shards_submitted,omitempty"`
 	ShardsSubmitFailed uint64 `json:"shards_submit_failed,omitempty"`
 
-	Drained              bool     `json:"drained"` // a graceful drain cut the campaign short
-	DeadLetters          []string `json:"dead_letters,omitempty"`
-	CheckpointGeneration uint64   `json:"checkpoint_generation,omitempty"`
+	Drained     bool     `json:"drained"` // a graceful drain cut the campaign short
+	DeadLetters []string `json:"dead_letters,omitempty"`
 }
 
 // buildReport derives the report from the job ledger and the aggregate.
 func (f *Fleet) buildReport() *Report {
-	r := &Report{
-		JobsTotal:            len(f.records),
-		Drained:              f.drained,
-		CheckpointGeneration: f.gen,
-	}
+	r := &Report{JobsTotal: len(f.records), Drained: f.drained}
 	for _, rec := range f.records {
 		r.Attempts += rec.Attempts
 		switch rec.Status {

@@ -17,14 +17,16 @@
 //   - Retry with exponential backoff + deterministic jitter and seed
 //     perturbation for transient failures (livelock, deadline, cycle
 //     budget); a bounded attempt budget dead-letters the incurable.
-//   - Crash-safe checkpointing: after every merged job the aggregate
-//     database and a JSON manifest (completed IDs, per-job seeds and
-//     attempts) are written atomically; Resume re-verifies the database
-//     CRC envelope, quarantines corrupt checkpoints, and re-enqueues only
-//     unfinished jobs — kill -9 loses at most one job of work.
+//   - Crash-safe checkpointing: the checkpoint directory is a journal
+//     (internal/wal) with one record per job outcome — the job's status,
+//     attempts and seed, and a completed job's shard image — appended and
+//     fsynced before the next result is taken; Resume replays the intact
+//     prefix and re-enqueues only jobs without a record, so kill -9 loses
+//     no merged job and damage only ever costs re-running what it hit.
 //   - Graceful drain: cancel the Run context (pmsim wires SIGINT/SIGTERM
 //     to it) and in-flight jobs get a grace period, then hard
-//     cancellation, then a final checkpoint and a degradation report.
+//     cancellation, each interrupted job's attempt count is journaled,
+//     and a degradation report says what is left.
 package runner
 
 import (
@@ -40,6 +42,7 @@ import (
 	"profileme/internal/cpu"
 	"profileme/internal/profile"
 	"profileme/internal/stats"
+	"profileme/internal/wal"
 )
 
 // executeFunc runs one attempt of one job. The default is
@@ -92,7 +95,8 @@ type Config struct {
 	// Log receives progress lines (nil = silent).
 	Log io.Writer
 
-	execute executeFunc // test seam; nil = simulate
+	execute executeFunc          // test seam; nil = simulate
+	fsync   func(*os.File) error // test seam for the journal; nil = (*os.File).Sync
 }
 
 // normalize fills defaults and validates.
@@ -148,18 +152,18 @@ func (c *Config) normalize() error {
 	return c.CPU.Validate()
 }
 
-// Fleet is one campaign: a job ledger, an aggregate profile, and the
-// checkpoint state. Build with New or Resume, run once with Run.
+// Fleet is one campaign: a job ledger, an aggregate profile, and — while
+// Run is executing — the open journal. Build with New or Resume, run once
+// with Run.
 type Fleet struct {
-	cfg       Config
-	records   []*JobRecord
-	byID      map[string]*JobRecord
-	agg       *profile.DB
-	gen       uint64
-	completed []string
-	totals    Totals
-	drained   bool
-	ran       bool
+	cfg     Config
+	records []*JobRecord
+	byID    map[string]*JobRecord
+	agg     *profile.DB
+	totals  Totals
+	log     *wal.Log // the journal; opened and closed by Run, nil without a checkpoint directory
+	drained bool
+	ran     bool
 }
 
 // New builds a fresh fleet. If a checkpoint directory is configured it
@@ -171,24 +175,25 @@ func New(cfg Config, jobs []Job) (*Fleet, error) {
 		return nil, err
 	}
 	if dir := f.cfg.CheckpointDir; dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("runner: checkpoint dir: %w", err)
-		}
-		if gens, err := manifestGens(dir); err != nil {
+		if err := checkpointDir(dir); err != nil {
 			return nil, err
-		} else if len(gens) > 0 {
-			return nil, fmt.Errorf("runner: checkpoint directory %s already holds a campaign (generation %d): resume it or point at a clean directory", dir, gens[0])
+		}
+		if info, err := wal.Replay(dir, nil); err != nil {
+			return nil, err
+		} else if info.Records > 0 {
+			return nil, fmt.Errorf("runner: checkpoint directory %s already holds a campaign (%d journal records): resume it or point at a clean directory", dir, info.Records)
 		}
 	}
 	return f, nil
 }
 
-// Resume rebuilds a fleet from the newest good checkpoint in
-// cfg.CheckpointDir: the manifest is reloaded, the aggregate database's
-// CRC envelope re-verified (a corrupt checkpoint is quarantined to
-// *.corrupt and the previous one used), completed and dead-lettered jobs
-// are kept as-is, and only unfinished jobs are re-enqueued. With no
-// usable checkpoint the campaign starts fresh.
+// Resume rebuilds a fleet from the journal in cfg.CheckpointDir: every
+// intact record is replayed in order — shard images re-merged, completed
+// and dead-lettered jobs kept as-is, interrupted jobs given back their
+// attempt count — and only jobs without a terminal record are re-enqueued.
+// A journal written under another fleet seed or sampling configuration is
+// refused. Resume only reads; Run repairs a damaged tail when it opens the
+// journal for writing. An empty directory starts a fresh campaign.
 func Resume(cfg Config, jobs []Job) (*Fleet, error) {
 	f, err := build(cfg, jobs)
 	if err != nil {
@@ -197,33 +202,26 @@ func Resume(cfg Config, jobs []Job) (*Fleet, error) {
 	if f.cfg.CheckpointDir == "" {
 		return nil, errors.New("runner: resume needs a checkpoint directory")
 	}
-	if err := os.MkdirAll(f.cfg.CheckpointDir, 0o755); err != nil {
-		return nil, fmt.Errorf("runner: checkpoint dir: %w", err)
-	}
-	m, db, err := loadCheckpoint(f.cfg.CheckpointDir, f.logf)
-	if err != nil {
+	if err := checkpointDir(f.cfg.CheckpointDir); err != nil {
 		return nil, err
 	}
-	if m == nil {
-		return f, nil // nothing (usable) to resume: fresh campaign
+	var refused error // a record's own verdict, without the WAL's position wrapping
+	info, err := wal.Replay(f.cfg.CheckpointDir, func(_ wal.Pos, payload []byte) error {
+		refused = f.replay(payload)
+		return refused
+	})
+	if refused != nil {
+		return nil, refused
+	} else if err != nil {
+		return nil, err
 	}
-	if m.FleetSeed != f.cfg.Seed {
-		return nil, fmt.Errorf("runner: checkpoint fleet seed %d does not match configured seed %d (wrong campaign?)", m.FleetSeed, f.cfg.Seed)
+	rep := f.buildReport()
+	damage := ""
+	if info.Truncated {
+		damage = fmt.Sprintf("; journal damaged at %v, the records from there on are dropped and their jobs re-run", info.TruncatedAt)
 	}
-	for i := range m.Jobs {
-		rec, ok := f.byID[m.Jobs[i].Job.ID]
-		if !ok {
-			continue // job no longer in the campaign; its samples stay merged
-		}
-		rec.Status = m.Jobs[i].Status
-		rec.Attempts = m.Jobs[i].Attempts
-		rec.Seed = m.Jobs[i].Seed
-		rec.Error = m.Jobs[i].Error
-	}
-	f.agg = db
-	f.gen = m.Generation
-	f.completed = m.Completed
-	f.totals = m.Totals
+	f.logf("resumed: %d done, %d dead, %d pending from %d journal records%s",
+		rep.Completed, rep.DeadLettered, rep.Pending, info.Records, damage)
 	return f, nil
 }
 
@@ -261,9 +259,6 @@ func (f *Fleet) Records() []JobRecord {
 	return out
 }
 
-// Generation returns the current checkpoint generation.
-func (f *Fleet) Generation() uint64 { return f.gen }
-
 type outKind int
 
 const (
@@ -273,7 +268,7 @@ const (
 )
 
 // outcome is what a worker reports back for one job. attempts and seed
-// are absolute (post-resume) values for the manifest.
+// are absolute (post-resume) values for the journal.
 type outcome struct {
 	rec      *JobRecord
 	kind     outKind
@@ -293,9 +288,9 @@ var errGraceExpired = errors.New("runner: drain grace period expired")
 // Run executes the campaign until every job is done or dead, or until ctx
 // is canceled — then it drains: dispatch stops, in-flight jobs get
 // cfg.Grace to finish, stragglers are hard-canceled (their attempt is not
-// charged), a final checkpoint is written, and the report says what was
-// completed, retried, dead-lettered, and lost. Run may be called once per
-// Fleet.
+// charged, their attempt count is journaled), and the report says what
+// was completed, retried, dead-lettered, and lost. The journal is open
+// only while Run executes. Run may be called once per Fleet.
 func (f *Fleet) Run(ctx context.Context) (*Report, error) {
 	if f.ran {
 		return nil, errors.New("runner: fleet already ran; build a new one (or Resume)")
@@ -309,7 +304,17 @@ func (f *Fleet) Run(ctx context.Context) (*Report, error) {
 		}
 	}
 	if len(pending) == 0 {
-		return f.buildReport(), f.checkpoint()
+		return f.buildReport(), nil
+	}
+	if dir := f.cfg.CheckpointDir; dir != "" {
+		log, _, err := wal.Open(wal.Config{Dir: dir, Fsync: f.cfg.fsync}, nil)
+		if err != nil {
+			return f.buildReport(), fmt.Errorf("runner: journal: %w", err)
+		}
+		// Every record was fsynced by its own Append; Close has nothing
+		// left to lose.
+		defer log.Close()
+		f.log = log
 	}
 
 	hardCtx, hardCancel := context.WithCancelCause(context.Background())
@@ -366,20 +371,24 @@ func (f *Fleet) Run(ctx context.Context) (*Report, error) {
 		rec := out.rec
 		rec.Attempts = out.attempts
 		rec.Seed = out.seed
-		switch out.kind {
-		case outDone:
-			f.absorb(out)
-			f.logf("job %s done (attempt %d)", rec.Job.ID, out.attempts)
-		case outDead:
-			rec.Status = StatusDead
-			rec.Error = out.err.Error()
-			f.logf("job %s dead-lettered after %d attempts: %v", rec.Job.ID, out.attempts, out.err)
-		case outInterrupted:
+		err := out.err
+		if out.kind == outDone {
+			err = f.absorb(out)
+		}
+		var shard *profile.DB // journaled with the record of a merged job
+		switch {
+		case out.kind == outInterrupted:
 			// Stays pending; a resumed campaign re-runs it.
 			f.logf("job %s interrupted by drain", rec.Job.ID)
-			continue
+		case err != nil:
+			rec.Status = StatusDead
+			rec.Error = err.Error()
+			f.logf("job %s dead-lettered after %d attempts: %v", rec.Job.ID, out.attempts, err)
+		default:
+			shard = out.art.db
+			f.logf("job %s done (attempt %d)", rec.Job.ID, out.attempts)
 		}
-		if err := f.checkpoint(); err != nil && firstErr == nil {
+		if err := f.journal(rec, shard); err != nil && firstErr == nil {
 			// Progress can no longer be persisted: stop the campaign
 			// rather than burn work that a crash would lose wholesale.
 			firstErr = err
@@ -390,28 +399,24 @@ func (f *Fleet) Run(ctx context.Context) (*Report, error) {
 	if ctx.Err() != nil {
 		f.drained = true
 	}
-	if err := f.checkpoint(); err != nil && firstErr == nil {
-		firstErr = err
-	}
 	return f.buildReport(), firstErr
 }
 
 // absorb merges a completed job's shard database into the aggregate and
-// rolls its run totals into the campaign ledger.
-func (f *Fleet) absorb(out outcome) {
+// rolls its run totals into the campaign ledger. A shard that cannot
+// merge (config drift, self-handoff bug) is a permanent failure of that
+// job, not of the fleet.
+func (f *Fleet) absorb(out outcome) error {
 	rec := out.rec
 	if f.agg == nil {
+		// The aggregate starts as the first shard itself; that shard's
+		// record is journaled before the next merge touches it.
 		f.agg = out.art.db
 	} else if err := f.agg.Merge(out.art.db); err != nil {
-		// A shard that cannot merge (config drift, self-handoff bug) is a
-		// permanent failure of that job, not of the fleet.
-		rec.Status = StatusDead
-		rec.Error = err.Error()
-		return
+		return err
 	}
 	rec.Status = StatusDone
 	rec.Error = ""
-	f.completed = append(f.completed, rec.Job.ID)
 	if f.cfg.Sink != nil {
 		if out.submitErr == nil {
 			f.totals.ShardsSubmitted++
@@ -426,6 +431,7 @@ func (f *Fleet) absorb(out outcome) {
 	f.totals.SamplesCaptured += out.art.stats.Captured()
 	f.totals.InterruptsDropped += out.art.faults.InterruptsDropped
 	f.totals.SamplesCorrupted += out.art.faults.SamplesCorrupted
+	return nil
 }
 
 // runJob drives one job to a terminal outcome: attempt, classify, back

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -170,6 +171,30 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 	rep := mustRun(t, f)
 	if rep.DeadLettered != 1 || rep.Attempts != 1 {
 		t.Fatalf("dead %d, attempts %d; permanent errors get one attempt", rep.DeadLettered, rep.Attempts)
+	}
+}
+
+// TestUnmergeableShardLoggedDeadNotDone: the verdict is logged once the
+// merge has decided it — a shard that cannot merge (config drift) is
+// never announced "done" and then reported dead.
+func TestUnmergeableShardLoggedDeadNotDone(t *testing.T) {
+	var log bytes.Buffer
+	cfg := testConfig(1)
+	cfg.Log = &log
+	cfg.execute = func(ctx context.Context, job Job, seed uint64) (*jobArtifacts, error) {
+		if job.ID == "drifted" {
+			return stubArtifacts(64, cpu.DefaultConfig().SustainedIssueWidth), nil
+		}
+		return stubArtifacts(512, cpu.DefaultConfig().SustainedIssueWidth), nil
+	}
+	f, err := New(cfg, testJobs("a", "drifted"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := mustRun(t, f)
+	if rep.Completed != 1 || rep.DeadLettered != 1 ||
+		strings.Contains(log.String(), "job drifted done") || !strings.Contains(log.String(), "job drifted dead-lettered") {
+		t.Fatalf("completed %d, dead %d, log:\n%s", rep.Completed, rep.DeadLettered, log.String())
 	}
 }
 
