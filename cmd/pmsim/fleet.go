@@ -7,34 +7,25 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
-	"profileme/internal/cpu"
 	"profileme/internal/profile"
 	"profileme/internal/runner"
 	"profileme/internal/workload"
 )
 
-// fleetOptions is everything fleet mode needs, assembled from flags that
-// already passed validate.
+// fleetOptions is what fleet mode needs beside the runner's own
+// configuration — the shape of the job list and where the aggregate goes —
+// assembled from flags that already passed validate.
 type fleetOptions struct {
-	benches    []string // suite benchmarks; empty means a generated program
-	genSeed    uint64
-	scale      int
-	shards     int
-	workers    int
-	interval   float64
-	buffer     int
-	chaos      float64
-	seed       uint64
-	deadline   time.Duration
-	checkpoint string
-	resume     bool
-	ccfg       cpu.Config
-	top        int
-	saveTo     string
-	submitURL  string
-	quiet      bool
+	benches   []string // suite benchmarks; {""} is the program -gen generates
+	genSeed   uint64
+	scale     int
+	shards    int
+	chaos     float64
+	resume    bool
+	top       int
+	saveTo    string
+	submitURL string
 }
 
 // splitSubmitURLs expands the -submit value: a comma-separated list of
@@ -55,22 +46,16 @@ func splitSubmitURLs(s string) []string {
 // runs setup the profile merge assumes.
 func fleetJobs(o fleetOptions) []runner.Job {
 	var jobs []runner.Job
-	if len(o.benches) == 0 {
-		for s := 0; s < o.shards; s++ {
-			jobs = append(jobs, runner.Job{
-				ID:        fmt.Sprintf("gen%d/s%03d", o.genSeed, s),
-				GenSeed:   o.genSeed,
-				Scale:     o.scale,
-				ChaosRate: o.chaos,
-			})
-		}
-		return jobs
-	}
 	for _, b := range o.benches {
+		name := b
+		if b == "" {
+			name = fmt.Sprintf("gen%d", o.genSeed)
+		}
 		for s := 0; s < o.shards; s++ {
 			jobs = append(jobs, runner.Job{
-				ID:        fmt.Sprintf("%s/s%03d", b, s),
+				ID:        fmt.Sprintf("%s/s%03d", name, s),
 				Bench:     b,
+				GenSeed:   o.genSeed,
 				Scale:     o.scale,
 				ChaosRate: o.chaos,
 			})
@@ -83,19 +68,7 @@ func fleetJobs(o fleetOptions) []runner.Job {
 // process exit code: 0 when every job completed, 1 when jobs were
 // dead-lettered, the campaign was drained early, or the fleet itself
 // failed.
-func runFleet(o fleetOptions) int {
-	cfg := runner.Config{
-		Workers:       o.workers,
-		Deadline:      o.deadline,
-		Interval:      o.interval,
-		BufferDepth:   o.buffer,
-		Seed:          o.seed,
-		CheckpointDir: o.checkpoint,
-		CPU:           o.ccfg,
-	}
-	if !o.quiet {
-		cfg.Log = os.Stderr
-	}
+func runFleet(cfg runner.Config, o fleetOptions) int {
 	if o.submitURL != "" {
 		// Each completed shard is also POSTed to the collector (a pmsimd
 		// or a pmrouter); undeliverable shards stay in the local aggregate
@@ -136,8 +109,8 @@ func runFleet(o fleetOptions) int {
 	if db := f.Profile(); db != nil {
 		// Per-instruction attribution needs one program image; with a
 		// multi-benchmark campaign the aggregate spans several.
-		if len(o.benches) <= 1 {
-			prog, _, err := pickProgram(firstBench(o.benches), o.genSeed, o.scale)
+		if len(o.benches) == 1 {
+			prog, err := workload.Program(o.benches[0], o.genSeed, o.scale)
 			if err == nil {
 				fmt.Println()
 				fmt.Print(db.Report(prog, o.top))
@@ -165,18 +138,11 @@ func runFleet(o fleetOptions) int {
 	}
 }
 
-func firstBench(benches []string) string {
-	if len(benches) == 0 {
-		return ""
-	}
-	return benches[0]
-}
-
 // parseBenches splits and validates a comma-separated -bench list for
-// fleet mode ("" is fine when -gen selects a generated program).
+// fleet mode; "" (validate saw a -gen) is the one generated program.
 func parseBenches(arg string) ([]string, error) {
 	if arg == "" {
-		return nil, nil
+		return []string{""}, nil
 	}
 	var benches []string
 	for _, b := range strings.Split(arg, ",") {

@@ -5,10 +5,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
+	"profileme/internal/profile"
 	"profileme/internal/wal"
 )
 
@@ -121,8 +124,15 @@ func TestFleetKillResumeAndRefusals(t *testing.T) {
 	}{
 		{"resume at another seed", camp, "fleet seed 1 does not match configured seed 9", []string{"-resume", "-seed", "9"}},
 		{"resume at another interval", camp, "sampling configuration S=512", []string{"-resume", "-interval", "64"}},
+		{"resume paired", camp, "does not match configured S=512 W=80", []string{"-resume", "-paired"}},
 		{"fresh campaign over a held directory", camp, "already holds a campaign", nil},
 		{"pre-journal manifest", old, "manifest-00000001.json", nil},
+		// Flags the fleet cannot honour are refused, not dropped.
+		{"edges with -fleet", camp, "-edges reports on a single run", []string{"-resume", "-edges"}},
+		{"proc with -fleet", camp, "-proc reports on a single run", []string{"-resume", "-proc"}},
+		{"disasm with -fleet", camp, "-disasm reports on a single run", []string{"-resume", "-disasm"}},
+		{"chaos-seed with -fleet", camp, "-chaos-seed reports on a single run", []string{"-resume", "-chaos-seed", "3"}},
+		{"unknown -randomize", camp, "-randomize \"poisson\"", []string{"-resume", "-randomize", "poisson"}},
 	} {
 		before, unsaved := dirImage(t, tc.dir), filepath.Join(tmp, "refused.db")
 		out, err := pmsimCmd(with(append(tc.extra, "-checkpoint", tc.dir, "-save", unsaved)...)...).CombinedOutput()
@@ -132,5 +142,75 @@ func TestFleetKillResumeAndRefusals(t *testing.T) {
 		if _, err := os.Stat(unsaved); err == nil || dirImage(t, tc.dir) != before {
 			t.Errorf("%s: the refused run wrote something", tc.name)
 		}
+	}
+}
+
+// TestSingleRunRefusesFleetFlags: the other direction — a single run is
+// not handed campaign flags it would drop.
+func TestSingleRunRefusesFleetFlags(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "d")
+	for _, tc := range []struct {
+		msg  string
+		args []string
+	}{
+		{"-shards shapes a campaign", []string{"-bench", "compress", "-shards", "3"}},
+		{"-checkpoint shapes a campaign", []string{"-bench", "compress", "-checkpoint", dir}},
+		{"both name the program", []string{"-bench", "compress", "-gen", "3"}},
+	} {
+		out, err := pmsimCmd(tc.args...).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), tc.msg) {
+			t.Errorf("%v: want exit 2 naming %q, got %v\n%s", tc.args, tc.msg, err, out)
+		}
+	}
+	if _, err := os.Stat(dir); err == nil {
+		t.Error("the refused run created its -checkpoint directory")
+	}
+}
+
+// TestGenScale: -gen N -scale s terminates for a scale below one driver
+// iteration (MainIters never 0, which wraps the countdown), and both modes
+// build the same program for it.
+func TestGenScale(t *testing.T) {
+	retired := regexp.MustCompile(`(\d+) instructions retired`)
+	var counts []string
+	for _, mode := range [][]string{nil, {"-fleet", "1", "-shards", "1"}} {
+		out, err := pmsimCmd(append([]string{"-gen", "3", "-scale", "100"}, mode...)...).CombinedOutput()
+		m := retired.FindSubmatch(out)
+		if err != nil || m == nil {
+			t.Fatalf("pmsim -gen 3 -scale 100 %v: %v\n%s", mode, err, out)
+		}
+		counts = append(counts, string(m[1]))
+	}
+	if counts[0] != counts[1] {
+		t.Fatalf("single run retired %s instructions, one fleet shard %s: the modes built different programs", counts[0], counts[1])
+	}
+}
+
+// TestModesSampleAlike: the sampling flags mean the same thing in both
+// modes. A -paired fleet produces paired shards at W = -window, and a
+// single unpaired run saves W = 0 like a fleet's, so the files can meet
+// at one collector.
+func TestModesSampleAlike(t *testing.T) {
+	tmp := t.TempDir()
+	load := func(args ...string) *profile.DB {
+		t.Helper()
+		path := filepath.Join(tmp, "p.db")
+		if out, err := pmsimCmd(append(args, "-bench", "compress", "-scale", "20000", "-interval", "64", "-save", path)...).CombinedOutput(); err != nil {
+			t.Fatalf("pmsim %v: %v\n%s", args, err, out)
+		}
+		db, err := profile.LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	if db := load("-fleet", "1", "-shards", "1", "-paired", "-window", "40"); db.W != 40 || db.Pairs() == 0 {
+		t.Errorf("-fleet -paired -window 40 saved W=%d with %d pairs", db.W, db.Pairs())
+	}
+	if single, fleet := load(), load("-fleet", "1", "-shards", "1"); single.W != 0 || fleet.W != 0 {
+		t.Errorf("unpaired runs saved W=%d (single) and W=%d (fleet), want 0 and 0", single.W, fleet.W)
+	}
+	if a, b := load("-seed", "1"), load("-seed", "7"); a.Samples() == 0 || reflect.DeepEqual(a.PCs(), b.PCs()) && a.Samples() == b.Samples() {
+		t.Errorf("-seed 7 sampled exactly like -seed 1 (%d samples): the single run dropped the flag", a.Samples())
 	}
 }

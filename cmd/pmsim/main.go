@@ -17,6 +17,10 @@
 //	pmsim -bench compress -fleet 4 -shards 16 -checkpoint /tmp/camp
 //	pmsim -bench compress -fleet 4 -shards 16 -checkpoint /tmp/camp -resume
 //
+// Both modes make a shard with runner.RunShard, so the program and
+// sampling flags mean the same in each; a flag a mode cannot honour
+// (-edges with -fleet, -shards without it) exits 2.
+//
 // With -submit each completed shard is also POSTed to a collector. To
 // keep what a fleet offered as a replayable trace, point -submit at a
 // pmtraffic record relay.
@@ -37,7 +41,7 @@ import (
 	"profileme/internal/faultinject"
 	"profileme/internal/isa"
 	"profileme/internal/profile"
-	"profileme/internal/sim"
+	"profileme/internal/runner"
 	"profileme/internal/workload"
 )
 
@@ -69,7 +73,7 @@ func main() {
 		checkpoint = flag.String("checkpoint", "", "fleet mode: checkpoint directory for crash-safe campaign state")
 		resume     = flag.Bool("resume", false, "fleet mode: resume the campaign in -checkpoint instead of starting fresh")
 		deadline   = flag.Duration("deadline", 0, "per-job wall-clock deadline, enforced as real cancellation (0 = none)")
-		fleetSeed  = flag.Uint64("seed", 1, "fleet mode: campaign seed; per-shard sampling seeds derive from it")
+		seed       = flag.Uint64("seed", 1, "sampling seed; in fleet mode the campaign seed per-shard sampling seeds derive from")
 		watchdog   = flag.Int("watchdog", cpu.DefaultWatchdogCycles, "retire-progress watchdog bound in cycles (0 disables livelock detection)")
 	)
 	flag.Parse()
@@ -83,122 +87,87 @@ func main() {
 		*paired = true
 	}
 
-	set := explicitFlags(flag.CommandLine)
 	fv := flagValues{
-		chaos:    *chaos,
-		fleet:    *fleetN,
-		shards:   *shards,
-		deadline: *deadline,
-		watchdog: *watchdog,
-		interval: *interval,
-		scale:    *scale,
-		resume:   *resume,
-		ckptDir:  *checkpoint,
-		submit:   *submitURL,
-		set:      set,
+		bench:     *benchName,
+		gen:       *genSeed,
+		chaos:     *chaos,
+		fleet:     *fleetN,
+		shards:    *shards,
+		deadline:  *deadline,
+		watchdog:  *watchdog,
+		interval:  *interval,
+		scale:     *scale,
+		count:     *countMode,
+		randomize: *intMode,
+		resume:    *resume,
+		ckptDir:   *checkpoint,
+		submit:    *submitURL,
+		set:       explicitFlags(flag.CommandLine),
 	}
 	if err := fv.validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	if *fleetN > 0 || *resume {
-		benches, err := parseBenches(*benchName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if len(benches) == 0 && *genSeed == 0 {
-			fmt.Fprintf(os.Stderr, "pmsim: fleet mode needs -bench <name[,name...]> or -gen <seed>; benchmarks: %s\n",
-				strings.Join(workload.Names(), ", "))
-			os.Exit(2)
-		}
-		ccfg := cpu.DefaultConfig()
-		if *inorder {
-			ccfg = cpu.InOrderConfig()
-		}
-		ccfg.WatchdogCycles = *watchdog
-		workers := *fleetN
-		if workers == 0 {
-			workers = 1 // -resume without -fleet
-		}
-		os.Exit(runFleet(fleetOptions{
-			benches:    benches,
-			genSeed:    *genSeed,
-			scale:      *scale,
-			shards:     *shards,
-			workers:    workers,
-			interval:   *interval,
-			buffer:     *buffer,
-			chaos:      *chaos,
-			seed:       *fleetSeed,
-			deadline:   *deadline,
-			checkpoint: *checkpoint,
-			resume:     *resume,
-			ccfg:       ccfg,
-			top:        *top,
-			saveTo:     *saveTo,
-			submitURL:  *submitURL,
-		}))
-	}
-
-	prog, name, err := pickProgram(*benchName, *genSeed, *scale)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *disasm {
-		fmt.Print(prog.Disassemble())
-	}
-
-	ccfg := cpu.DefaultConfig()
-	if *inorder {
-		ccfg = cpu.InOrderConfig()
-	}
-	ccfg.WatchdogCycles = *watchdog
-	cm := core.CountInstructions
-	if *countMode == "opportunities" {
-		cm = core.CountFetchOpportunities
-	}
-	im := core.IntervalGeometric
-	switch *intMode {
-	case "uniform":
-		im = core.IntervalUniform
-	case "fixed":
-		im = core.IntervalFixed
-	}
+	// Both modes sample the way these flags say: one core.Config, made here.
 	ucfg := core.Config{
 		Paired:       *paired,
 		Ways:         *ways,
 		MeanInterval: *interval,
 		Window:       *window,
 		BufferDepth:  *buffer,
-		CountMode:    cm,
-		IntervalMode: im,
-		Seed:         1,
+		CountMode:    countModes[*countMode],
+		IntervalMode: intervalModes[*intMode],
+		Seed:         *seed,
 	}
-	unit, err := core.NewUnit(ucfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if err := ucfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "pmsim: %v\n", err)
 		os.Exit(2)
 	}
-	db := profile.NewDB(*interval, *window, ccfg.SustainedIssueWidth)
-	edgeDB := profile.NewEdgeProfile(*interval, *window)
+	ccfg := cpu.DefaultConfig()
+	if *inorder {
+		ccfg = cpu.InOrderConfig()
+	}
+	ccfg.WatchdogCycles = *watchdog
 
-	src := sim.NewMachineSource(sim.New(prog), 0)
-	pipe, err := cpu.New(prog, src, ccfg)
+	if fv.fleetMode() {
+		benches, err := parseBenches(*benchName)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		os.Exit(runFleet(runner.Config{
+			Workers:       max(*fleetN, 1), // -resume without -fleet
+			Deadline:      *deadline,
+			Sampling:      ucfg,
+			Seed:          *seed,
+			CheckpointDir: *checkpoint,
+			CPU:           ccfg,
+			Log:           os.Stderr,
+		}, fleetOptions{
+			benches:   benches,
+			genSeed:   *genSeed,
+			scale:     *scale,
+			shards:    *shards,
+			chaos:     *chaos,
+			resume:    *resume,
+			top:       *top,
+			saveTo:    *saveTo,
+			submitURL: *submitURL,
+		}))
+	}
+
+	prog, err := workload.Program(*benchName, *genSeed, *scale)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintf(os.Stderr, "pmsim: %v\n", err)
 		os.Exit(2)
 	}
-	dbHandler := db.Handler()
-	edgeHandler := edgeDB.Handler()
-	pipe.AttachProfileMe(unit, func(ss []core.Sample) {
-		dbHandler(ss)
-		if *edges {
-			edgeHandler(ss)
-		}
-	})
+	name := *benchName
+	if name == "" {
+		name = fmt.Sprintf("generated(seed=%d)", *genSeed)
+	}
+	if *disasm {
+		fmt.Print(prog.Disassemble())
+	}
 	var plan *faultinject.Plan
 	if *chaos != 0 {
 		plan, err = faultinject.NewPlan(*chaosSeed, faultinject.Uniform(*chaos))
@@ -206,8 +175,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		unit.AttachFaults(plan)
-		pipe.AttachFaults(plan)
+	}
+	// -edges needs the samples as they arrive, beside the database.
+	var edgeDB *profile.EdgeProfile
+	var also func([]core.Sample)
+	if *edges {
+		edgeDB = profile.NewEdgeProfile(*interval, *window)
+		also = edgeDB.Handler()
 	}
 	// Ctrl-C / SIGTERM cancels the run through the same context machinery
 	// the fleet uses: the pipeline finalizes at the next cycle batch and
@@ -222,14 +196,10 @@ func main() {
 			fmt.Errorf("pmsim: -deadline %v expired", *deadline))
 		defer cancel()
 	}
-	res, err := pipe.RunContext(ctx, 0)
+	sh, err := runner.RunShard(ctx, prog, ccfg, ucfg, plan, 0, also)
+	stop() // a second signal now kills the process the default way
 	interrupted := errors.Is(err, cpu.ErrCanceled)
 	if err != nil && !interrupted {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	stop() // a second signal now kills the process the default way
-	if err := src.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -238,20 +208,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pmsim: interrupted — the report and any saved database cover only the completed portion of the run")
 	}
 
-	printSummary(name, res, pipe, unit)
+	db, res := sh.DB, sh.Result
+	printSummary(name, res, sh.Pipeline, sh.Stats)
+	// Report-time step, after the shard is made: scale this one run's
+	// estimates by its realized interval, computed over everything the
+	// hardware captured so loss-corrected estimates re-center on the truth.
+	// (Fleet shards keep the configured S instead, so they merge.)
+	if captured := sh.Stats.Captured(); captured > 0 {
+		db.S = float64(res.FetchedOnPath) / float64(captured)
+	}
 	if plan != nil {
-		// Hardware-side losses feed the database's loss correction; the
-		// realized interval is then computed over everything the hardware
-		// captured, so loss-corrected estimates re-center on the truth.
-		st := unit.Stats()
-		db.RecordLoss(st.SamplesDropped + st.SamplesOverwritten)
-		if captured := st.Captured(); captured > 0 {
-			db.S = float64(res.FetchedOnPath) / float64(captured)
-		}
-		printDegradation(plan, db, res, st)
-	} else if db.Samples() > 0 {
-		// Scale estimates by the realized interval.
-		db.S = float64(res.FetchedOnPath) / float64(db.Samples())
+		printDegradation(plan, db, res, sh.Stats)
 	}
 	fmt.Println()
 	fmt.Print(db.Report(prog, *top))
@@ -292,25 +259,7 @@ func printDegradation(plan *faultinject.Plan, db *profile.DB, res cpu.Result, st
 		res.InterruptHoldCycles, c.SamplesCorrupted)
 }
 
-func pickProgram(bench string, genSeed uint64, scale int) (*isa.Program, string, error) {
-	if genSeed != 0 {
-		gc := workload.DefaultGenConfig()
-		gc.Seed = genSeed
-		gc.MainIters = scale / 250
-		return workload.Generate(gc), fmt.Sprintf("generated(seed=%d)", genSeed), nil
-	}
-	if bench == "" {
-		return nil, "", fmt.Errorf("pmsim: pass -bench <name> or -gen <seed>; benchmarks: %s",
-			strings.Join(workload.Names(), ", "))
-	}
-	b, ok := workload.ByName(bench)
-	if !ok {
-		return nil, "", fmt.Errorf("pmsim: unknown benchmark %q", bench)
-	}
-	return b.Build(scale), bench, nil
-}
-
-func printSummary(name string, res cpu.Result, pipe *cpu.Pipeline, unit *core.Unit) {
+func printSummary(name string, res cpu.Result, pipe *cpu.Pipeline, st core.Stats) {
 	fmt.Printf("%s: %d instructions retired in %d cycles (IPC %.2f, CPI %.2f)\n",
 		name, res.Retired, res.Cycles, res.IPC(), res.CPI())
 	fmt.Printf("fetched: %d on-path, %d wrong-path, %d empty slots\n",
@@ -324,7 +273,6 @@ func printSummary(name string, res cpu.Result, pipe *cpu.Pipeline, unit *core.Un
 	if acc, miss := dc.Stats(); acc > 0 {
 		fmt.Printf("dcache: %d accesses, %.2f%% miss\n", acc, 100*float64(miss)/float64(acc))
 	}
-	st := unit.Stats()
 	fmt.Printf("profileme: %d samples (%d off-path, %d empty), %d interrupts, %d stall cycles (%.2f%% of run)\n",
 		st.SamplesBuffered, st.OffPath, st.EmptySelected, res.Interrupts, res.InterruptStall,
 		100*float64(res.InterruptStall)/float64(res.Cycles))

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"profileme/internal/core"
+	"profileme/internal/workload"
 )
 
 // flagValues carries the parsed flags that validate checks up front, plus
@@ -12,18 +15,38 @@ import (
 // -shards and -deadline have meaningful zero defaults, so only explicit
 // nonsense is rejected for them.
 type flagValues struct {
-	chaos    float64
-	fleet    int
-	shards   int
-	deadline time.Duration
-	watchdog int
-	interval float64
-	scale    int
-	resume   bool
-	ckptDir  string
-	submit   string
-	set      map[string]bool
+	bench     string
+	gen       uint64
+	chaos     float64
+	fleet     int
+	shards    int
+	deadline  time.Duration
+	watchdog  int
+	interval  float64
+	scale     int
+	count     string
+	randomize string
+	resume    bool
+	ckptDir   string
+	submit    string
+	set       map[string]bool
 }
+
+// The -count and -randomize names.
+var (
+	countModes = map[string]core.CountMode{
+		"instructions":  core.CountInstructions,
+		"opportunities": core.CountFetchOpportunities,
+	}
+	intervalModes = map[string]core.IntervalMode{
+		"geometric": core.IntervalGeometric,
+		"uniform":   core.IntervalUniform,
+		"fixed":     core.IntervalFixed,
+	}
+)
+
+// fleetMode reports whether these flags select a campaign, not a single run.
+func (v flagValues) fleetMode() bool { return v.fleet >= 1 || v.resume }
 
 func explicitFlags(fs *flag.FlagSet) map[string]bool {
 	set := make(map[string]bool)
@@ -35,7 +58,13 @@ func explicitFlags(fs *flag.FlagSet) map[string]bool {
 // built, so misuse fails fast with a clear message instead of surfacing
 // as a confusing mid-run error.
 func (v flagValues) validate() error {
+	fleetMode := v.fleetMode()
 	switch {
+	case v.bench == "" && v.gen == 0:
+		return fmt.Errorf("pmsim: pass -bench <name> (fleet mode: <name[,name...]>) or -gen <seed>; benchmarks: %s",
+			strings.Join(workload.Names(), ", "))
+	case v.bench != "" && v.gen != 0:
+		return fmt.Errorf("pmsim: -bench %s and -gen %d both name the program; pass one", v.bench, v.gen)
 	case v.chaos < 0 || v.chaos > 1:
 		return fmt.Errorf("pmsim: -chaos %g out of range: fault rate must be in [0,1]", v.chaos)
 	case v.set["fleet"] && v.fleet < 1:
@@ -52,8 +81,25 @@ func (v flagValues) validate() error {
 		return fmt.Errorf("pmsim: -scale %d: instruction budget must be ≥ 1", v.scale)
 	case v.resume && v.ckptDir == "":
 		return fmt.Errorf("pmsim: -resume needs -checkpoint <dir> pointing at the campaign to continue")
-	case v.submit != "" && v.fleet < 1 && !v.resume:
+	case v.submit != "" && !fleetMode:
 		return fmt.Errorf("pmsim: -submit delivers fleet shards; combine it with -fleet <workers> (or -resume)")
+	}
+	if _, ok := countModes[v.count]; !ok {
+		return fmt.Errorf("pmsim: -count %q: selection counting is instructions or opportunities", v.count)
+	}
+	if _, ok := intervalModes[v.randomize]; !ok {
+		return fmt.Errorf("pmsim: -randomize %q: interval randomization is geometric, uniform or fixed", v.randomize)
+	}
+	// A flag only one mode can honour is refused in the other, never ignored.
+	for _, name := range []string{"edges", "proc", "disasm", "chaos-seed"} {
+		if fleetMode && v.set[name] {
+			return fmt.Errorf("pmsim: -%s reports on a single run; drop it or drop -fleet / -resume", name)
+		}
+	}
+	for _, name := range []string{"shards", "checkpoint"} {
+		if !fleetMode && v.set[name] {
+			return fmt.Errorf("pmsim: -%s shapes a campaign; combine it with -fleet <workers> (or -resume)", name)
+		}
 	}
 	if v.submit != "" {
 		// -submit accepts a comma-separated list: primary collector (or

@@ -9,12 +9,15 @@ import (
 // okFlags is a baseline that must validate; each case perturbs it.
 func okFlags() flagValues {
 	return flagValues{
-		chaos:    0,
-		fleet:    0,
-		shards:   4,
-		interval: 512,
-		scale:    200_000,
-		set:      map[string]bool{},
+		bench:     "compress",
+		chaos:     0,
+		fleet:     0,
+		shards:    4,
+		interval:  512,
+		scale:     200_000,
+		count:     "instructions",
+		randomize: "geometric",
+		set:       map[string]bool{},
 	}
 }
 
@@ -44,6 +47,26 @@ func TestValidateFlags(t *testing.T) {
 		{"scale zero", func(v *flagValues) { v.scale = 0 }, "-scale"},
 		{"resume without checkpoint", func(v *flagValues) { v.resume = true }, "-resume"},
 		{"resume with checkpoint", func(v *flagValues) { v.resume = true; v.ckptDir = "/tmp/c" }, ""},
+		{"no program", func(v *flagValues) { v.bench = "" }, "-bench <name>"},
+		{"generated program", func(v *flagValues) { v.bench, v.gen = "", 3 }, ""},
+		{"bench and gen", func(v *flagValues) { v.gen = 3 }, "both name the program"},
+		{"count unknown", func(v *flagValues) { v.count = "cycles" }, "-count"},
+		{"count opportunities", func(v *flagValues) { v.count = "opportunities" }, ""},
+		{"randomize unknown", func(v *flagValues) { v.randomize = "poisson" }, "-randomize"},
+		{"randomize fixed", func(v *flagValues) { v.randomize = "fixed" }, ""},
+		// A flag is honoured or refused, never ignored.
+		{"edges in fleet mode", func(v *flagValues) { v.fleet = 2; v.set["edges"] = true }, "-edges"},
+		{"proc in fleet mode", func(v *flagValues) { v.fleet = 2; v.set["proc"] = true }, "-proc"},
+		{"disasm on resume", func(v *flagValues) { v.resume = true; v.ckptDir = "/tmp/c"; v.set["disasm"] = true }, "-disasm"},
+		{"chaos-seed in fleet mode", func(v *flagValues) { v.fleet = 2; v.set["chaos-seed"] = true }, "-chaos-seed"},
+		{"edges on a single run", func(v *flagValues) { v.set["edges"] = true }, ""},
+		{"shards without fleet", func(v *flagValues) { v.shards = 3; v.set["shards"] = true }, "-shards"},
+		{"checkpoint without fleet", func(v *flagValues) { v.ckptDir = "/tmp/c"; v.set["checkpoint"] = true }, "-checkpoint"},
+		{"shards and checkpoint in fleet mode", func(v *flagValues) {
+			v.fleet, v.ckptDir = 2, "/tmp/c"
+			v.set["fleet"], v.set["shards"], v.set["checkpoint"] = true, true, true
+		}, ""},
+		{"checkpoint on resume", func(v *flagValues) { v.resume = true; v.ckptDir = "/tmp/c"; v.set["checkpoint"] = true }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

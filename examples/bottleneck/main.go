@@ -43,8 +43,7 @@ func main() {
 	})
 	db := profile.NewDB(40, 80, ccfg.SustainedIssueWidth)
 
-	src := sim.NewMachineSource(sim.New(prog), 0)
-	pipe, err := cpu.New(prog, src, ccfg)
+	pipe, err := cpu.New(prog, sim.NewMachineSource(sim.New(prog), 0), ccfg)
 	if err != nil {
 		log.Fatal(err)
 	}

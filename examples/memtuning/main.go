@@ -39,8 +39,7 @@ func main() {
 	}
 	var misses []missInfo
 	var memSamples int
-	src := sim.NewMachineSource(sim.New(prog), 0)
-	pipe, err := cpu.New(prog, src, ccfg)
+	pipe, err := cpu.New(prog, sim.NewMachineSource(sim.New(prog), 0), ccfg)
 	if err != nil {
 		log.Fatal(err)
 	}

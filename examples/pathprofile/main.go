@@ -35,8 +35,7 @@ func main() {
 	var samples []core.Sample
 	ccfg := cpu.DefaultConfig()
 	ccfg.InterruptCost = 0
-	src := sim.NewMachineSource(sim.New(prog), 0)
-	pipe, err := cpu.New(prog, src, ccfg)
+	pipe, err := cpu.New(prog, sim.NewMachineSource(sim.New(prog), 0), ccfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,8 +51,7 @@ func main() {
 		Paired: true, MeanInterval: 37, Window: 30, BufferDepth: 32,
 		CountMode: core.CountInstructions, IntervalMode: core.IntervalGeometric, Seed: 8,
 	})
-	src2 := sim.NewMachineSource(sim.New(prog), 0)
-	pipe2, err := cpu.New(prog, src2, ccfg)
+	pipe2, err := cpu.New(prog, sim.NewMachineSource(sim.New(prog), 0), ccfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -46,8 +46,7 @@ func buildKernel(iters int) *isa.Program {
 func run(p *isa.Program, db *profile.DB) cpu.Result {
 	ccfg := cpu.DefaultConfig()
 	ccfg.InterruptCost = 0
-	src := sim.NewMachineSource(sim.New(p), 0)
-	pipe, err := cpu.New(p, src, ccfg)
+	pipe, err := cpu.New(p, sim.NewMachineSource(sim.New(p), 0), ccfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -275,6 +275,12 @@ const ctxCheckCycles = 1024
 
 // Run simulates until the instruction stream is exhausted and the pipeline
 // has drained, or maxCycles elapse (maxCycles <= 0 means no limit).
+//
+// A stream that ended because execution failed (sim.Source.Err: a runaway
+// PC) is an error here too: the pipeline drains what it fetched, finalizes,
+// and returns the partial Result with the stream's error wrapped, so a
+// truncated run cannot pass for a clean one. RunFor / Finish callers drive
+// the loop themselves and ask the source.
 func (p *Pipeline) Run(maxCycles int64) (Result, error) {
 	return p.RunContext(context.Background(), maxCycles)
 }
@@ -326,6 +332,9 @@ func (p *Pipeline) RunContext(ctx context.Context, maxCycles int64) (Result, err
 		}
 	}
 	p.finish()
+	if err := p.win.src.Err(); err != nil {
+		return p.res, fmt.Errorf("cpu: instruction stream ended early: %w", err)
+	}
 	return p.res, nil
 }
 

@@ -15,17 +15,13 @@ import (
 // returns the result.
 func runProgram(t *testing.T, prog *isa.Program, cfg Config) (Result, *Pipeline) {
 	t.Helper()
-	src := sim.NewMachineSource(sim.New(prog), 0)
-	p, err := New(prog, src, cfg)
+	p, err := New(prog, sim.NewMachineSource(sim.New(prog), 0), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := p.Run(50_000_000)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if srcErr := src.Err(); srcErr != nil {
-		t.Fatal(srcErr)
 	}
 	return res, p
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -407,22 +408,18 @@ func mustPipeline(t *testing.T, src string, cfg Config) *Pipeline {
 
 func TestSourceErrorDrains(t *testing.T) {
 	// A program that runs off the image ends the trace stream with an
-	// error; the pipeline must drain what it has and stop.
+	// error; the pipeline must drain what it has, stop, and say so.
 	prog, err := asmAssemble(".proc main\n add r2, r2, #1\n nop\n.endp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := sim.NewMachineSource(sim.New(prog), 0)
-	p, err := New(prog, src, DefaultConfig())
+	p, err := New(prog, sim.NewMachineSource(sim.New(prog), 0), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := p.Run(100000)
-	if err != nil {
-		t.Fatalf("pipeline error: %v", err)
-	}
-	if src.Err() == nil {
-		t.Fatal("source should report the runaway PC")
+	if !errors.Is(err, sim.ErrNoInst) {
+		t.Fatalf("Run over a runaway PC returned %v, want sim.ErrNoInst wrapped", err)
 	}
 	if res.Retired != 2 {
 		t.Fatalf("retired %d of the 2 valid instructions", res.Retired)

@@ -107,8 +107,7 @@ func Run(spec Spec) (Digest, error) {
 	db := profile.NewDB(spec.Interval, 0, 4)
 
 	machine := sim.New(prog)
-	src := sim.NewMachineSource(machine, 0)
-	pipe, err := cpu.New(prog, src, cpu.DefaultConfig())
+	pipe, err := cpu.New(prog, sim.NewMachineSource(machine, 0), cpu.DefaultConfig())
 	if err != nil {
 		return Digest{}, fmt.Errorf("difftest: pipeline: %w", err)
 	}
@@ -129,9 +128,6 @@ func Run(spec Spec) (Digest, error) {
 	res, err := pipe.Run(0)
 	if err != nil {
 		return Digest{}, fmt.Errorf("difftest: pipeline run: %w", err)
-	}
-	if serr := src.Err(); serr != nil {
-		return Digest{}, fmt.Errorf("difftest: pipeline source: %w", serr)
 	}
 	if streamErr != nil {
 		return Digest{}, streamErr

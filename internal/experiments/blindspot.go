@@ -124,8 +124,7 @@ func BlindSpot(cfg BlindSpotConfig) (*BlindSpotResult, error) {
 				ctrAfter++
 			}
 		})
-	src := sim.NewMachineSource(sim.New(prog), 0)
-	pipe, err := cpu.New(prog, src, ccfg)
+	pipe, err := cpu.New(prog, sim.NewMachineSource(sim.New(prog), 0), ccfg)
 	if err != nil {
 		return nil, err
 	}
@@ -154,12 +153,7 @@ func BlindSpot(cfg BlindSpotConfig) (*BlindSpotResult, error) {
 	ucfg.BufferDepth = 16
 	unit := core.MustNewUnit(ucfg)
 	var pmIn, pmTotal uint64
-	src2 := sim.NewMachineSource(sim.New(prog), 0)
-	pipe2, err := cpu.New(prog, src2, ccfg)
-	if err != nil {
-		return nil, err
-	}
-	pipe2.AttachProfileMe(unit, func(ss []core.Sample) {
+	_, _, err = runPipeline(prog, ccfg, unit, func(ss []core.Sample) {
 		for _, s := range ss {
 			if !s.First.Retired() {
 				continue
@@ -170,7 +164,7 @@ func BlindSpot(cfg BlindSpotConfig) (*BlindSpotResult, error) {
 			}
 		}
 	})
-	if _, err := pipe2.Run(0); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	if pmTotal == 0 {

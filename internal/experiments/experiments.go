@@ -18,8 +18,7 @@ import (
 // runPipeline wires a program, a ProfileMe unit (may be nil) and a config
 // together and runs to completion.
 func runPipeline(prog *isa.Program, cfg cpu.Config, unit *core.Unit, handler func([]core.Sample)) (cpu.Result, *cpu.Pipeline, error) {
-	src := sim.NewMachineSource(sim.New(prog), 0)
-	p, err := cpu.New(prog, src, cfg)
+	p, err := cpu.New(prog, sim.NewMachineSource(sim.New(prog), 0), cfg)
 	if err != nil {
 		return cpu.Result{}, nil, err
 	}
@@ -27,13 +26,7 @@ func runPipeline(prog *isa.Program, cfg cpu.Config, unit *core.Unit, handler fun
 		p.AttachProfileMe(unit, handler)
 	}
 	res, err := p.Run(0)
-	if err != nil {
-		return res, p, err
-	}
-	if serr := src.Err(); serr != nil {
-		return res, p, serr
-	}
-	return res, p, nil
+	return res, p, err
 }
 
 // checkf returns an error when cond is false.

@@ -64,8 +64,7 @@ func Figure2(cfg Figure2Config) (*Figure2Result, error) {
 				off = ((off % loopLen) + loopLen) % loopLen // fold into the loop body
 				h.Add(off)
 			})
-		src := sim.NewMachineSource(sim.New(prog), 0)
-		p, err := cpu.New(prog, src, ccfg)
+		p, err := cpu.New(prog, sim.NewMachineSource(sim.New(prog), 0), ccfg)
 		if err != nil {
 			return nil, err
 		}

@@ -108,8 +108,7 @@ func WW(cfg WWConfig) (*WWResult, error) {
 	// Run 1: IID sampling.
 	ccfg := cpu.DefaultConfig()
 	iid := cpu.NewIIDSampler(cfg.Slot, cfg.Period)
-	src := sim.NewMachineSource(sim.New(prog), 0)
-	pipe, err := cpu.New(prog, src, ccfg)
+	pipe, err := cpu.New(prog, sim.NewMachineSource(sim.New(prog), 0), ccfg)
 	if err != nil {
 		return nil, err
 	}
@@ -178,12 +177,7 @@ func WW(cfg WWConfig) (*WWResult, error) {
 	var pmRetired, pmAborted uint64
 	ccfg2 := cpu.DefaultConfig()
 	ccfg2.InterruptCost = 0
-	src2 := sim.NewMachineSource(sim.New(prog), 0)
-	pipe2, err := cpu.New(prog, src2, ccfg2)
-	if err != nil {
-		return nil, err
-	}
-	pipe2.AttachProfileMe(unit, func(ss []core.Sample) {
+	r2, _, err := runPipeline(prog, ccfg2, unit, func(ss []core.Sample) {
 		for _, s := range ss {
 			if s.First.Events.Has(core.EvNoInstruction) {
 				continue
@@ -196,7 +190,6 @@ func WW(cfg WWConfig) (*WWResult, error) {
 			}
 		}
 	})
-	r2, err := pipe2.Run(0)
 	if err != nil {
 		return nil, err
 	}

@@ -9,9 +9,7 @@ import (
 	"profileme/internal/core"
 	"profileme/internal/cpu"
 	"profileme/internal/faultinject"
-	"profileme/internal/isa"
 	"profileme/internal/profile"
-	"profileme/internal/sim"
 	"profileme/internal/workload"
 )
 
@@ -117,78 +115,30 @@ type jobArtifacts struct {
 	faults faultinject.Counts
 }
 
-// buildProgram materializes the job's program. Rebuilt per attempt so
-// concurrent workers never share mutable workload state.
-func buildProgram(job Job) (*isa.Program, error) {
-	if job.Bench == "" {
-		gc := workload.DefaultGenConfig()
-		gc.Seed = job.GenSeed
-		if gc.Seed == 0 {
-			gc.Seed = 1
-		}
-		if iters := job.Scale / 250; iters > 0 {
-			gc.MainIters = iters
-		}
-		return workload.Generate(gc), nil
-	}
-	b, ok := workload.ByName(job.Bench)
-	if !ok {
-		return nil, fmt.Errorf("runner: unknown benchmark %q", job.Bench)
-	}
-	return b.Build(job.Scale), nil
-}
-
-// simulate runs one attempt of a job end to end: program, pipeline,
-// ProfileMe unit, optional chaos plan, RunContext with the fleet's cycle
-// budget, and loss accounting folded into the shard database. The shard
-// DB keeps S at the configured mean interval (not the realized one) so
-// every shard of a campaign stays merge-compatible; loss correction
-// handles the thinning instead.
+// simulate runs one attempt of a job: the job's program (rebuilt per
+// attempt, so concurrent workers never share mutable workload state)
+// through RunShard under the fleet's pipeline and sampling configuration,
+// with the attempt's seed and the fleet's cycle budget. Every shard of a
+// campaign so carries the same (S, W, C) and stays merge-compatible; loss
+// correction handles whatever a fault plan thins out.
 func (f *Fleet) simulate(ctx context.Context, job Job, seed uint64) (*jobArtifacts, error) {
-	prog, err := buildProgram(job)
+	prog, err := workload.Program(job.Bench, job.GenSeed, job.Scale)
 	if err != nil {
 		return nil, err
 	}
-	ucfg := core.Config{
-		MeanInterval: f.cfg.Interval,
-		BufferDepth:  f.cfg.BufferDepth,
-		CountMode:    core.CountInstructions,
-		IntervalMode: core.IntervalGeometric,
-		Seed:         seed,
-	}
-	unit, err := core.NewUnit(ucfg)
-	if err != nil {
-		return nil, err
-	}
-	db := profile.NewDB(f.cfg.Interval, 0, f.cfg.CPU.SustainedIssueWidth)
-	src := sim.NewMachineSource(sim.New(prog), 0)
-	pipe, err := cpu.New(prog, src, f.cfg.CPU)
-	if err != nil {
-		return nil, err
-	}
-	pipe.AttachProfileMe(unit, db.Handler())
 	var plan *faultinject.Plan
 	if job.ChaosRate > 0 {
 		plan, err = faultinject.NewPlan(mix64(seed^0xc4a05), faultinject.Uniform(job.ChaosRate))
 		if err != nil {
 			return nil, err
 		}
-		unit.AttachFaults(plan)
-		pipe.AttachFaults(plan)
 	}
-
-	res, runErr := pipe.RunContext(ctx, f.cfg.MaxCycles)
-	st := unit.Stats()
-	db.RecordLoss(st.SamplesDropped + st.SamplesOverwritten)
-	art := &jobArtifacts{db: db, res: res, stats: st}
+	ucfg := f.cfg.Sampling
+	ucfg.Seed = seed
+	sh, err := RunShard(ctx, prog, f.cfg.CPU, ucfg, plan, f.cfg.MaxCycles, nil)
+	art := &jobArtifacts{db: sh.DB, res: sh.Result, stats: sh.Stats}
 	if plan != nil {
 		art.faults = plan.Counts()
 	}
-	if runErr != nil {
-		return art, runErr
-	}
-	if err := src.Err(); err != nil {
-		return art, err
-	}
-	return art, nil
+	return art, err
 }

@@ -108,9 +108,9 @@ func (f *Fleet) replay(payload []byte) error {
 		if err != nil {
 			return fmt.Errorf("runner: journal record of job %s: %w", e.Job.ID, err)
 		}
-		if s, c := f.cfg.Interval, f.cfg.CPU.SustainedIssueWidth; shard.S != s || shard.W != 0 || shard.C != c {
-			return fmt.Errorf("runner: checkpoint sampling configuration S=%v W=%d C=%d does not match configured S=%v W=0 C=%d (wrong campaign?)",
-				shard.S, shard.W, shard.C, s, c)
+		if s, w, c := dbParams(f.cfg.CPU, f.cfg.Sampling); shard.S != s || shard.W != w || shard.C != c {
+			return fmt.Errorf("runner: checkpoint sampling configuration S=%v W=%d C=%d does not match configured S=%v W=%d C=%d (wrong campaign?)",
+				shard.S, shard.W, shard.C, s, w, c)
 		}
 		if rec != nil && rec.Status == StatusDone {
 			return fmt.Errorf("runner: journal completes job %s twice", e.Job.ID)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"profileme/internal/core"
 	"profileme/internal/wal"
 )
 
@@ -26,7 +27,7 @@ func campaignJobs(n, scale int) []Job {
 // in this file and crash_test.go share.
 func campaignConfig(workers int, dir string) Config {
 	cfg := testConfig(workers)
-	cfg.Interval = 128
+	cfg.Sampling.MeanInterval = 128
 	cfg.CheckpointDir = dir
 	return cfg
 }
@@ -271,21 +272,32 @@ func TestResumeSeedMismatchRefused(t *testing.T) {
 }
 
 // TestResumeIntervalMismatchRefused: the sampling configuration is pinned
-// like the seed. A resume at another interval is refused before dispatch
-// (not simulated and dead-lettered on "configurations differ", which a
-// corrected resume could never undo), the journal is untouched, and the
-// corrected resume completes everything.
+// like the seed, against the (S, W, C) RunShard derives — the campaign here
+// is paired, so its shards carry W = the pairing window. A resume at
+// another interval, unpaired, or at another window is refused before
+// dispatch (not simulated and dead-lettered on "configurations differ",
+// which a corrected resume could never undo), the journal is untouched,
+// and the corrected resume completes everything.
 func TestResumeIntervalMismatchRefused(t *testing.T) {
 	cfg := campaignConfig(1, t.TempDir())
-	cfg.Interval = 0 // the default, 512
-	runCampaign(t, cfg, campaignJobs(3, 1000))
+	cfg.Sampling.MeanInterval = 0 // the default, 512
+	cfg.Sampling.Paired, cfg.Sampling.Window = true, 40
+	if db := runCampaign(t, cfg, campaignJobs(3, 4000)).Profile(); db.W != 40 || db.Pairs() == 0 {
+		t.Fatalf("paired campaign aggregate has W=%d, %d pairs", db.W, db.Pairs())
+	}
 	_, before := segment(t, cfg.CheckpointDir)
 
-	jobs := campaignJobs(6, 1000)
-	wrong := cfg
-	wrong.Interval = 64
-	if _, err := Resume(wrong, jobs); err == nil || !strings.Contains(err.Error(), "sampling configuration S=512") {
-		t.Fatalf("interval-mismatched resume: %v", err)
+	jobs := campaignJobs(6, 4000)
+	for name, mutate := range map[string]func(*core.Config){
+		"interval": func(c *core.Config) { c.MeanInterval = 64 },
+		"unpaired": func(c *core.Config) { c.Paired = false },
+		"window":   func(c *core.Config) { c.Window = 80 },
+	} {
+		wrong := cfg
+		mutate(&wrong.Sampling)
+		if _, err := Resume(wrong, jobs); err == nil || !strings.Contains(err.Error(), "sampling configuration S=512 W=40") {
+			t.Fatalf("%s-mismatched resume: %v", name, err)
+		}
 	}
 	if _, after := segment(t, cfg.CheckpointDir); !bytes.Equal(before, after) {
 		t.Fatal("refused resume changed the journal")

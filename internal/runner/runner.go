@@ -39,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"profileme/internal/core"
 	"profileme/internal/cpu"
 	"profileme/internal/profile"
 	"profileme/internal/stats"
@@ -71,12 +72,12 @@ type Config struct {
 	BackoffMax  time.Duration
 	// MaxCycles bounds each attempt's simulated cycles (0 = none).
 	MaxCycles int64
-	// Interval is the mean sampling interval in fetched instructions
-	// (default 512). Every shard uses it, keeping the shard databases
-	// merge-compatible.
-	Interval float64
-	// BufferDepth is samples buffered per profiling interrupt (default 8).
-	BufferDepth int
+	// Sampling is the ProfileMe unit configuration every shard runs under
+	// — pmsim builds it from the same flags as its single run — which is
+	// what keeps the shard databases merge-compatible. MeanInterval
+	// defaults to 512 and BufferDepth to 8; Seed is overwritten per attempt
+	// with the seed derived from the fleet's.
+	Sampling core.Config
 	// Seed is the fleet seed: per-job, per-attempt sampling seeds are
 	// pure functions of it, so campaigns replay exactly (default 1).
 	Seed uint64
@@ -119,11 +120,11 @@ func (c *Config) normalize() error {
 	if c.BackoffMax < c.BackoffBase {
 		c.BackoffMax = c.BackoffBase
 	}
-	if c.Interval == 0 {
-		c.Interval = 512
+	if c.Sampling.MeanInterval == 0 {
+		c.Sampling.MeanInterval = 512
 	}
-	if c.BufferDepth == 0 {
-		c.BufferDepth = 8
+	if c.Sampling.BufferDepth == 0 {
+		c.Sampling.BufferDepth = 8
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -144,10 +145,9 @@ func (c *Config) normalize() error {
 		return fmt.Errorf("runner: negative backoff %v", c.BackoffBase)
 	case c.MaxCycles < 0:
 		return fmt.Errorf("runner: negative cycle budget %d", c.MaxCycles)
-	case c.Interval < 1:
-		return fmt.Errorf("runner: sampling interval %v < 1", c.Interval)
-	case c.BufferDepth < 1:
-		return fmt.Errorf("runner: buffer depth %d", c.BufferDepth)
+	}
+	if err := c.Sampling.Validate(); err != nil {
+		return fmt.Errorf("runner: %w", err)
 	}
 	return c.CPU.Validate()
 }

@@ -316,7 +316,7 @@ func TestBuildRejectsBadInput(t *testing.T) {
 // loss accounting consistent.
 func TestSimulatedFleetEndToEnd(t *testing.T) {
 	cfg := testConfig(4)
-	cfg.Interval = 128
+	cfg.Sampling.MeanInterval = 128
 	jobs := make([]Job, 6)
 	for i := range jobs {
 		jobs[i] = Job{ID: fmt.Sprintf("compress/s%03d", i), Bench: "compress", Scale: 4000}
@@ -347,7 +347,7 @@ func TestSimulatedFleetEndToEnd(t *testing.T) {
 // and keep the loss ledger.
 func TestChaosFleetRetriesAndSurvives(t *testing.T) {
 	cfg := testConfig(4)
-	cfg.Interval = 128
+	cfg.Sampling.MeanInterval = 128
 	cfg.MaxAttempts = 4
 	jobs := make([]Job, 4)
 	for i := range jobs {

@@ -1,0 +1,74 @@
+package runner
+
+import (
+	"context"
+
+	"profileme/internal/core"
+	"profileme/internal/cpu"
+	"profileme/internal/faultinject"
+	"profileme/internal/isa"
+	"profileme/internal/profile"
+	"profileme/internal/sim"
+)
+
+// Shard is one profiled simulation: the sample database a run fed (hardware
+// losses already recorded, so Samples()+Lost() is everything the unit
+// captured), the pipeline's result, the unit's counters, and the pipeline
+// itself for reports that read its predictor and caches.
+type Shard struct {
+	DB       *profile.DB
+	Result   cpu.Result
+	Stats    core.Stats
+	Pipeline *cpu.Pipeline
+}
+
+// dbParams derives a shard database's (S, W, C) from the two configurations
+// that produced it: S is the configured mean interval (never the realized
+// one — shards of one campaign must agree on it to merge), W the pairing
+// window when samples carry more than one record and 0 otherwise, C the
+// machine's sustained issue width. RunShard stamps them and the journal's
+// resume check compares against them; nothing else restates them.
+func dbParams(ccfg cpu.Config, ucfg core.Config) (s float64, w, c int) {
+	if ucfg.Paired || ucfg.Ways > 1 {
+		w = ucfg.Window
+	}
+	return ucfg.MeanInterval, w, ccfg.SustainedIssueWidth
+}
+
+// RunShard is the one way a shard is made: pmsim's single run, every fleet
+// job and every pmtraffic gen payload call it. It runs prog on a ccfg
+// pipeline with a ucfg ProfileMe unit feeding a fresh database, under plan
+// (nil = no fault injection) attached to both unit and pipeline, for at
+// most maxCycles cycles (0 = no budget) or until ctx is done. also, when
+// non-nil, sees each delivered sample batch after the database has.
+//
+// A configuration error returns the zero Shard. A run that ended early —
+// canceled, out of cycles, livelocked, or a stream that died of a runaway
+// PC — returns the partial Shard with cpu.Pipeline.RunContext's error: an
+// interrupted run degrades to a shorter one, loss accounting included.
+func RunShard(ctx context.Context, prog *isa.Program, ccfg cpu.Config, ucfg core.Config,
+	plan *faultinject.Plan, maxCycles int64, also func([]core.Sample)) (Shard, error) {
+	unit, err := core.NewUnit(ucfg)
+	if err != nil {
+		return Shard{}, err
+	}
+	pipe, err := cpu.New(prog, sim.NewMachineSource(sim.New(prog), 0), ccfg)
+	if err != nil {
+		return Shard{}, err
+	}
+	db := profile.NewDB(dbParams(ccfg, ucfg))
+	handler := db.Handler()
+	if also != nil {
+		add := handler
+		handler = func(ss []core.Sample) { add(ss); also(ss) }
+	}
+	pipe.AttachProfileMe(unit, handler)
+	if plan != nil {
+		unit.AttachFaults(plan)
+		pipe.AttachFaults(plan)
+	}
+	res, err := pipe.RunContext(ctx, maxCycles)
+	st := unit.Stats()
+	db.RecordLoss(st.SamplesDropped + st.SamplesOverwritten)
+	return Shard{DB: db, Result: res, Stats: st, Pipeline: pipe}, err
+}

@@ -319,9 +319,17 @@ func Trace(prog *isa.Program, max uint64) ([]Record, error) {
 // Source yields the dynamic instruction stream one record at a time. The
 // timing pipeline consumes this interface so it can run against a live
 // machine, a pre-recorded slice, or a transformed stream.
+//
+// A stream ends one of two ways, and Next's ok is false for both: the
+// program halted (or the budget ran out), or execution failed — a runaway
+// PC. Err tells them apart, and cpu.Pipeline.Run reports it, so a caller
+// that runs a pipeline to completion never has to ask the source itself.
 type Source interface {
 	// Next returns the next record; ok is false at end of stream.
 	Next() (r Record, ok bool)
+	// Err returns the error that ended the stream, nil for a clean end
+	// (and before the end).
+	Err() error
 }
 
 // MachineSource adapts a Machine to a Source with an instruction budget.
@@ -337,8 +345,8 @@ func NewMachineSource(m *Machine, max uint64) *MachineSource {
 	return &MachineSource{m: m, max: max}
 }
 
-// Next implements Source. Errors (e.g. a runaway PC) end the stream; check
-// Err after draining.
+// Next implements Source. Errors (e.g. a runaway PC) end the stream; Err
+// then holds the cause.
 func (s *MachineSource) Next() (Record, bool) {
 	if s.err != nil || s.m.Halted() || (s.max > 0 && s.n >= s.max) {
 		return Record{}, false
@@ -355,7 +363,7 @@ func (s *MachineSource) Next() (Record, bool) {
 	return r, true
 }
 
-// Err returns the error that ended the stream, if any.
+// Err implements Source.
 func (s *MachineSource) Err() error { return s.err }
 
 // SliceSource adapts a pre-recorded trace to a Source.
@@ -376,3 +384,6 @@ func (s *SliceSource) Next() (Record, bool) {
 	s.i++
 	return r, true
 }
+
+// Err implements Source: a recorded slice always ends cleanly.
+func (s *SliceSource) Err() error { return nil }

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -9,7 +10,7 @@ import (
 	"profileme/internal/cpu"
 	"profileme/internal/ingest"
 	"profileme/internal/profile"
-	"profileme/internal/sim"
+	"profileme/internal/runner"
 	"profileme/internal/stats"
 	"profileme/internal/workload"
 )
@@ -123,38 +124,22 @@ func (sp *Spec) Materialize() (map[string][]Payload, error) {
 	return pools, nil
 }
 
-// buildShard runs one simulated fleet member: pipeline + ProfileMe unit,
-// loss recorded for conservation, exactly the wiring pmsim uses.
+// buildShard runs one simulated fleet member through runner.RunShard —
+// the function pmsim and the fleet make their shards with — at the
+// default pipeline, with data layout and sampling seed derived from
+// (Spec.Seed, cohort, shard).
 func buildShard(sp *Spec, c *Cohort, bench workload.Benchmark, ci, si int) (*profile.DB, error) {
-	dataSeed := mixSeed(sp.Seed, uint64(ci), uint64(si)*2+1)
-	prog := bench.BuildSeeded(c.Scale, dataSeed)
-	ccfg := cpu.DefaultConfig()
+	prog := bench.BuildSeeded(c.Scale, mixSeed(sp.Seed, uint64(ci), uint64(si)*2+1))
 	depth := c.BufferDepth
 	if depth == 0 {
 		depth = 8
 	}
-	unit, err := core.NewUnit(core.Config{
+	sh, err := runner.RunShard(context.TODO(), prog, cpu.DefaultConfig(), core.Config{
 		MeanInterval: sp.Interval,
 		BufferDepth:  depth,
-		CountMode:    core.CountInstructions,
-		IntervalMode: core.IntervalGeometric,
 		Seed:         mixSeed(sp.Seed, uint64(ci), uint64(si)*2+2),
-	})
-	if err != nil {
-		return nil, err
-	}
-	db := profile.NewDB(sp.Interval, 0, ccfg.SustainedIssueWidth)
-	pipe, err := cpu.New(prog, sim.NewMachineSource(sim.New(prog), 0), ccfg)
-	if err != nil {
-		return nil, err
-	}
-	pipe.AttachProfileMe(unit, db.Handler())
-	if _, err := pipe.Run(0); err != nil {
-		return nil, err
-	}
-	st := unit.Stats()
-	db.RecordLoss(st.SamplesDropped + st.SamplesOverwritten)
-	return db, nil
+	}, nil, 0, nil)
+	return sh.DB, err
 }
 
 // mixSeed derives an independent stream seed from the master seed and

@@ -1,6 +1,8 @@
 package traffic
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"testing"
@@ -155,5 +157,28 @@ func TestMaterializeDeterministicPayloads(t *testing.T) {
 	// seeds and sampling seeds).
 	if string(pool1[0].Body) == string(pool1[1].Body) {
 		t.Fatal("distinct shards produced identical payloads")
+	}
+}
+
+// TestMaterializePinnedBytes pins the payload bodies of a two-cohort spec
+// (one at the default buffer depth, one at 4) to the digest recorded at
+// the commit before buildShard became a runner.RunShard caller: a change
+// to how a shard is made must not move a PMTF byte for a fixed seed.
+func TestMaterializePinnedBytes(t *testing.T) {
+	sp := testSpec()
+	sp.Cohorts[1].BufferDepth = 4
+	pools, err := sp.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, c := range sp.Cohorts {
+		for _, p := range pools[c.Name] {
+			h.Write(p.Body)
+		}
+	}
+	const want = "ed3a81a73e252885427089f249ccb5d12b4615c1a6bfa738d2c6993d17b17f50"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("materialized payload bodies moved: sha256 %s, pinned %s", got, want)
 	}
 }

@@ -69,6 +69,25 @@ func ByName(name string) (Benchmark, bool) {
 	return Benchmark{}, false
 }
 
+// Program builds the program a (benchmark, generator seed, scale) triple
+// names — the one job→program mapping pmsim's single run and every fleet
+// job share. A non-empty bench selects the suite kernel at scale; otherwise
+// the program is generated from genSeed (0 means 1), its driver loop sized
+// at one iteration per ~250 instructions of scale and never below one.
+func Program(bench string, genSeed uint64, scale int) (*isa.Program, error) {
+	if bench == "" {
+		gc := DefaultGenConfig()
+		gc.Seed = max(genSeed, 1)
+		gc.MainIters = max(scale/250, 1)
+		return Generate(gc), nil
+	}
+	b, ok := ByName(bench)
+	if !ok {
+		return nil, fmt.Errorf("workload: unknown benchmark %q", bench)
+	}
+	return b.Build(scale), nil
+}
+
 // Names returns the suite benchmark names in order.
 func Names() []string {
 	s := Suite()
