@@ -597,24 +597,6 @@ func BenchmarkAblationPairWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkPrefetchPGO runs the §7 profile-guided prefetching loop end to
-// end (profile -> stride detection -> rewrite -> rerun). Metric: speedup
-// of the rewritten program.
-func BenchmarkPrefetchPGO(b *testing.B) {
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.PrefetchSpeedup(8000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		speedup = s
-	}
-	if speedup < 1.5 {
-		b.Fatalf("speedup %.2f", speedup)
-	}
-	b.ReportMetric(speedup, "speedup-x")
-}
-
 // BenchmarkWWComparison runs the §8 comparison against Westcott & White's
 // IID-restricted sampling. Metrics: each sampler's hot-instruction
 // coverage and worst per-PC bias at matched sample budgets.

@@ -111,6 +111,10 @@ func parse(path string) (*doc, error) {
 }
 
 func main() {
+	if len(os.Args) == 2 && os.Args[1] == "-surface" {
+		exitOn(surfaceProblems())
+		return
+	}
 	files := os.Args[1:]
 	if len(files) == 0 {
 		files = []string{"README.md", "DESIGN.md", "OPERATIONS.md"}
@@ -183,14 +187,20 @@ func main() {
 		}
 	}
 
-	if len(problems) > 0 {
-		for _, p := range problems {
-			fmt.Fprintln(os.Stderr, p)
-		}
-		fmt.Fprintf(os.Stderr, "doccheck: %d problem(s)\n", len(problems))
-		os.Exit(1)
-	}
+	exitOn(problems)
 	fmt.Printf("doccheck: %d file(s) clean\n", len(files))
+}
+
+// exitOn prints one line per problem and exits 1 when there is any.
+func exitOn(problems []string) {
+	if len(problems) == 0 {
+		return
+	}
+	for _, p := range problems {
+		fmt.Fprintln(os.Stderr, p)
+	}
+	fmt.Fprintf(os.Stderr, "doccheck: %d problem(s)\n", len(problems))
+	os.Exit(1)
 }
 
 func orSelf(path, self string) string {

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"profileme/internal/core"
@@ -18,68 +19,69 @@ import (
 )
 
 func main() {
-	var (
-		top   = flag.Int("top", 20, "hot instructions to print")
-		merge = flag.Bool("merge", false, "merge all argument databases before reporting")
-	)
-	flag.Parse()
-	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: pmdump [-top n] [-merge] profile.db [more.db ...]")
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is pmdump: it returns the exit status (2 for usage, 1 for a file
+// that cannot be loaded or merged — the message names the file).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pmdump", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	top := fs.Int("top", 20, "hot instructions to print")
+	merge := fs.Bool("merge", false, "merge all argument databases before reporting")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() < 1 {
+		fmt.Fprintln(stderr, "usage: pmdump [-top n] [-merge] profile.db [more.db ...]")
+		return 2
+	}
+	if fs.NArg() > 1 && !*merge {
+		fmt.Fprintln(stderr, "pmdump: multiple databases need -merge")
+		return 2
 	}
 
-	db, err := load(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	for _, path := range flag.Args()[1:] {
-		if !*merge {
-			fmt.Fprintln(os.Stderr, "pmdump: multiple databases need -merge")
-			os.Exit(2)
-		}
-		other, err := load(path)
+	var db *profile.DB
+	for _, path := range fs.Args() {
+		other, err := profile.LoadFile(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "pmdump:", err)
+			return 1
 		}
-		if err := db.Merge(other); err != nil {
-			fmt.Fprintf(os.Stderr, "pmdump: %s: %v\n", path, err)
-			os.Exit(1)
+		if db == nil {
+			db = other
+		} else if err := db.Merge(other); err != nil {
+			fmt.Fprintf(stderr, "pmdump: %s: %v\n", path, err)
+			return 1
 		}
 	}
 
-	fmt.Printf("profile: %d samples (%d paired), interval %.1f, window %d\n",
-		db.Samples(), db.Pairs(), db.S, db.W)
+	fmt.Fprintf(stdout, "profile: %d samples (%d paired), %d lost, interval %.1f, window %d\n",
+		db.Samples(), db.Pairs(), db.Lost(), db.S, db.W)
 	if names := db.PairMetricNames(); len(names) > 0 {
-		fmt.Printf("custom pair metrics: %v\n", names)
+		fmt.Fprintf(stdout, "custom pair metrics: %v\n", names)
 	}
-	fmt.Println()
-	fmt.Print(db.Report(nil, *top))
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, db.Report(nil, *top))
 
-	// Event totals across all PCs.
+	// Event totals across all PCs. The instruction estimate goes through
+	// the DB's loss-corrected per-PC estimator, like the report's rows.
 	var retired, dmiss, mispred uint64
+	var insts float64
 	for _, pc := range db.PCs() {
 		a := db.Get(pc)
 		retired += a.Retired()
 		dmiss += a.EventCount(core.EvDCacheMiss)
 		mispred += a.EventCount(core.EvMispredict)
+		insts += db.EstimatedEventCount(pc, core.EvRetired)
 	}
-	fmt.Printf("\ntotals: %d retired samples, %d D-cache-miss samples, %d mispredict samples\n",
+	fmt.Fprintf(stdout, "\ntotals: %d retired samples, %d D-cache-miss samples, %d mispredict samples\n",
 		retired, dmiss, mispred)
-	fmt.Printf("estimated instructions: %.0f (95%% CI half-width %.0f)\n",
-		profile.EstimateCount(retired, db.S),
-		func() float64 {
-			lo, hi := profile.ConfidenceInterval(retired, db.S, 1.96)
-			return (hi - lo) / 2
-		}())
-}
-
-func load(path string) (*profile.DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+	half := 0.0
+	if retired > 0 {
+		lo, hi := profile.ConfidenceInterval(retired, insts/float64(retired), 1.96)
+		half = (hi - lo) / 2
 	}
-	defer f.Close()
-	return profile.LoadDB(f)
+	fmt.Fprintf(stdout, "estimated instructions: %.0f (95%% CI half-width %.0f)\n", insts, half)
+	return 0
 }

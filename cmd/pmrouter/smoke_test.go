@@ -56,6 +56,7 @@ type daemon struct {
 	addr  string
 	mu    sync.Mutex
 	lines []string
+	eof   chan struct{} // closed once stdout is read to its end
 }
 
 func (d *daemon) output() string {
@@ -78,10 +79,11 @@ func startDaemon(t *testing.T, banner string, env []string, argv ...string) *dae
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	d := &daemon{cmd: cmd}
+	d := &daemon{cmd: cmd, eof: make(chan struct{})}
 	t.Cleanup(func() { cmd.Process.Kill() })
 	addrCh := make(chan string, 1)
 	go func() {
+		defer close(d.eof)
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
 			line := sc.Text()
@@ -110,8 +112,9 @@ func (d *daemon) terminate(t *testing.T, name string, budget time.Duration) {
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
+	// Wait closes the pipe: read the last lines (the exit report) first.
 	waited := make(chan error, 1)
-	go func() { waited <- d.cmd.Wait() }()
+	go func() { <-d.eof; waited <- d.cmd.Wait() }()
 	select {
 	case err := <-waited:
 		if err != nil {

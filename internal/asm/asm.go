@@ -128,7 +128,7 @@ func (a *assembler) directive(dir, rest string) error {
 		if !isIdent(rest) {
 			return a.errf(".entry needs a label")
 		}
-		a.b.Entry(rest)
+		a.b.entry = rest
 	case ".data":
 		a.inData = true
 	case ".text":
@@ -144,7 +144,7 @@ func (a *assembler) directive(dir, rest string) error {
 			if v, err := a.number(f); err == nil {
 				a.b.Word(uint64(v))
 			} else if isIdent(f) {
-				a.b.WordLabel(f)
+				a.b.wordLabel(f)
 			} else {
 				return err
 			}
@@ -233,7 +233,7 @@ func (a *assembler) instruction(op, rest string) error {
 			return err
 		}
 		if v, err := a.number(immStr); err == nil {
-			a.b.Lda(rc, rb, v)
+			a.b.lda(rc, rb, v)
 		} else if isIdent(immStr) && rb == isa.RegZero {
 			a.b.LdaLabel(rc, immStr)
 		} else {
@@ -293,7 +293,7 @@ func (a *assembler) instruction(op, rest string) error {
 		if !isIdent(fs[1]) {
 			return a.errf("%s needs a label target", op)
 		}
-		a.b.CondBr(brOps[op], ra, fs[1])
+		a.b.condBr(brOps[op], ra, fs[1])
 
 	case op == "jsr":
 		if len(fs) != 2 {
@@ -306,7 +306,7 @@ func (a *assembler) instruction(op, rest string) error {
 		if !isIdent(fs[1]) {
 			return a.errf("jsr needs a label target")
 		}
-		a.b.EmitTo(isa.Inst{Op: isa.OpJsr, Rc: rc}, fs[1])
+		a.b.emitTo(isa.Inst{Op: isa.OpJsr, Rc: rc}, fs[1])
 
 	case op == "jmp":
 		if len(fs) != 1 {
@@ -316,7 +316,7 @@ func (a *assembler) instruction(op, rest string) error {
 		if err != nil {
 			return err
 		}
-		a.b.Jmp(rb)
+		a.b.Emit(isa.Inst{Op: isa.OpJmp, Rb: rb})
 
 	case op == "ret":
 		rb := isa.RegRA

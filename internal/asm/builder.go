@@ -26,7 +26,7 @@ type Builder struct {
 	procFrom   uint64
 	fixups     []fixup
 	dataFixups []dataFixup
-	entry      string
+	entry      string // label execution starts at; "" means "main" when defined, else PC 0
 	errs       []error
 }
 
@@ -42,18 +42,18 @@ type fixup struct {
 }
 
 // NewBuilder returns an empty Builder. The data cursor starts at
-// DefaultDataBase so that data addresses never collide with code PCs.
+// defaultDataBase so that data addresses never collide with code PCs.
 func NewBuilder() *Builder {
 	return &Builder{
 		labels:   make(map[string]uint64),
 		data:     make(map[uint64]uint64),
-		dataAddr: DefaultDataBase,
+		dataAddr: defaultDataBase,
 	}
 }
 
-// DefaultDataBase is the address where the data segment starts unless
+// defaultDataBase is the address where the data segment starts unless
 // overridden with Org.
-const DefaultDataBase uint64 = 0x1_0000
+const defaultDataBase uint64 = 0x1_0000
 
 // PC returns the address the next emitted instruction will occupy.
 func (b *Builder) PC() uint64 { return uint64(len(b.insts)) * isa.InstBytes }
@@ -83,13 +83,6 @@ func (b *Builder) DataLabel(name string) *Builder {
 	return b
 }
 
-// LabelValue returns the value bound to a label so far, for callers that
-// interleave emission and address computation.
-func (b *Builder) LabelValue(name string) (uint64, bool) {
-	v, ok := b.labels[name]
-	return v, ok
-}
-
 // Proc opens a procedure. Procedures must not nest; an open procedure is
 // closed by EndProc. A label with the procedure's name is bound as well.
 func (b *Builder) Proc(name string) *Builder {
@@ -114,13 +107,6 @@ func (b *Builder) EndProc() *Builder {
 	return b
 }
 
-// Entry selects the label execution starts at. The default is "main" when
-// defined, else PC 0.
-func (b *Builder) Entry(label string) *Builder {
-	b.entry = label
-	return b
-}
-
 // Org moves the data cursor.
 func (b *Builder) Org(addr uint64) *Builder {
 	b.dataAddr = addr
@@ -136,9 +122,9 @@ func (b *Builder) Word(vs ...uint64) *Builder {
 	return b
 }
 
-// WordLabel emits one 64-bit data word holding the value of a label
+// wordLabel emits one 64-bit data word holding the value of a label
 // (resolved at Build), e.g. a code address for a jump table.
-func (b *Builder) WordLabel(label string) *Builder {
+func (b *Builder) wordLabel(label string) *Builder {
 	b.dataFixups = append(b.dataFixups, dataFixup{addr: b.dataAddr, label: label})
 	b.data[b.dataAddr] = 0
 	b.dataAddr += 8
@@ -151,18 +137,15 @@ func (b *Builder) Space(n uint64) *Builder {
 	return b
 }
 
-// DataAddr returns the current data cursor.
-func (b *Builder) DataAddr() uint64 { return b.dataAddr }
-
 // Emit appends a raw instruction.
 func (b *Builder) Emit(in isa.Inst) *Builder {
 	b.insts = append(b.insts, in)
 	return b
 }
 
-// EmitTo appends a control-flow instruction whose Target will be resolved
+// emitTo appends a control-flow instruction whose Target will be resolved
 // to label by Build.
-func (b *Builder) EmitTo(in isa.Inst, label string) *Builder {
+func (b *Builder) emitTo(in isa.Inst, label string) *Builder {
 	b.fixups = append(b.fixups, fixup{inst: len(b.insts), label: label,
 		where: fmt.Sprintf("pc 0x%x (%s)", b.PC(), in.Op)})
 	b.insts = append(b.insts, in)
@@ -188,17 +171,11 @@ func (b *Builder) Add(rc, ra, rb isa.Reg) *Builder { return b.Op3(isa.OpAdd, rc,
 // AddI emits rc = ra + imm.
 func (b *Builder) AddI(rc, ra isa.Reg, imm int64) *Builder { return b.OpI(isa.OpAdd, rc, ra, imm) }
 
-// Sub emits rc = ra - rb.
-func (b *Builder) Sub(rc, ra, rb isa.Reg) *Builder { return b.Op3(isa.OpSub, rc, ra, rb) }
-
 // SubI emits rc = ra - imm.
 func (b *Builder) SubI(rc, ra isa.Reg, imm int64) *Builder { return b.OpI(isa.OpSub, rc, ra, imm) }
 
-// Mul emits rc = ra * rb (long latency).
-func (b *Builder) Mul(rc, ra, rb isa.Reg) *Builder { return b.Op3(isa.OpMul, rc, ra, rb) }
-
-// Lda emits rc = rb + imm.
-func (b *Builder) Lda(rc, rb isa.Reg, imm int64) *Builder {
+// lda emits rc = rb + imm.
+func (b *Builder) lda(rc, rb isa.Reg, imm int64) *Builder {
 	return b.Emit(isa.Inst{Op: isa.OpLda, Rb: rb, Rc: rc, Imm: imm})
 }
 
@@ -210,16 +187,11 @@ func (b *Builder) LdaLabel(rc isa.Reg, label string) *Builder {
 }
 
 // LdI emits rc = constant via lda off zero.
-func (b *Builder) LdI(rc isa.Reg, v int64) *Builder { return b.Lda(rc, isa.RegZero, v) }
+func (b *Builder) LdI(rc isa.Reg, v int64) *Builder { return b.lda(rc, isa.RegZero, v) }
 
 // Ld emits rc = mem[rb+off].
 func (b *Builder) Ld(rc, rb isa.Reg, off int64) *Builder {
 	return b.Emit(isa.Inst{Op: isa.OpLd, Rb: rb, Rc: rc, Imm: off})
-}
-
-// Pref emits a data-cache prefetch of mem[rb+off].
-func (b *Builder) Pref(rb isa.Reg, off int64) *Builder {
-	return b.Emit(isa.Inst{Op: isa.OpPref, Rb: rb, Imm: off})
 }
 
 // St emits mem[rb+off] = ra.
@@ -229,43 +201,32 @@ func (b *Builder) St(ra, rb isa.Reg, off int64) *Builder {
 
 // Br emits an unconditional branch to label.
 func (b *Builder) Br(label string) *Builder {
-	return b.EmitTo(isa.Inst{Op: isa.OpBr}, label)
+	return b.emitTo(isa.Inst{Op: isa.OpBr}, label)
 }
 
-// CondBr emits a conditional branch testing ra against zero.
-func (b *Builder) CondBr(op isa.Op, ra isa.Reg, label string) *Builder {
+// condBr emits a conditional branch testing ra against zero.
+func (b *Builder) condBr(op isa.Op, ra isa.Reg, label string) *Builder {
 	if op.Class() != isa.ClassBranch {
 		b.errf("CondBr with non-branch op %v", op)
 		return b
 	}
-	return b.EmitTo(isa.Inst{Op: op, Ra: ra}, label)
+	return b.emitTo(isa.Inst{Op: op, Ra: ra}, label)
 }
 
 // Beq emits a branch to label when ra == 0.
-func (b *Builder) Beq(ra isa.Reg, label string) *Builder { return b.CondBr(isa.OpBeq, ra, label) }
+func (b *Builder) Beq(ra isa.Reg, label string) *Builder { return b.condBr(isa.OpBeq, ra, label) }
 
 // Bne emits a branch to label when ra != 0.
-func (b *Builder) Bne(ra isa.Reg, label string) *Builder { return b.CondBr(isa.OpBne, ra, label) }
-
-// Blt emits a branch to label when ra < 0.
-func (b *Builder) Blt(ra isa.Reg, label string) *Builder { return b.CondBr(isa.OpBlt, ra, label) }
-
-// Bge emits a branch to label when ra >= 0.
-func (b *Builder) Bge(ra isa.Reg, label string) *Builder { return b.CondBr(isa.OpBge, ra, label) }
+func (b *Builder) Bne(ra isa.Reg, label string) *Builder { return b.condBr(isa.OpBne, ra, label) }
 
 // Jsr emits a direct call to label, linking in RegRA.
 func (b *Builder) Jsr(label string) *Builder {
-	return b.EmitTo(isa.Inst{Op: isa.OpJsr, Rc: isa.RegRA}, label)
+	return b.emitTo(isa.Inst{Op: isa.OpJsr, Rc: isa.RegRA}, label)
 }
 
 // Ret emits a return through RegRA.
 func (b *Builder) Ret() *Builder {
 	return b.Emit(isa.Inst{Op: isa.OpRet, Rb: isa.RegRA})
-}
-
-// Jmp emits an indirect jump through rb.
-func (b *Builder) Jmp(rb isa.Reg) *Builder {
-	return b.Emit(isa.Inst{Op: isa.OpJmp, Rb: rb})
 }
 
 // Build resolves fixups and returns the validated program image.

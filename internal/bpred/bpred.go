@@ -65,8 +65,8 @@ type btbEntry struct {
 	valid  bool
 }
 
-// New returns a predictor with all counters weakly not-taken.
-func New(cfg Config) (*Predictor, error) {
+// newPredictor returns a predictor with all counters weakly not-taken.
+func newPredictor(cfg Config) (*Predictor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -85,17 +85,14 @@ func New(cfg Config) (*Predictor, error) {
 	return p, nil
 }
 
-// MustNew is New, panicking on error; for static configurations.
+// MustNew builds a predictor, panicking on error; for static configurations.
 func MustNew(cfg Config) *Predictor {
-	p, err := New(cfg)
+	p, err := newPredictor(cfg)
 	if err != nil {
 		panic(err)
 	}
 	return p
 }
-
-// Config returns the predictor's configuration.
-func (p *Predictor) Config() Config { return p.cfg }
 
 // History returns the current (speculative) global branch history register.
 // Bit 0 is the direction of the most recent conditional branch; bit k the

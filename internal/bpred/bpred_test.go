@@ -7,7 +7,7 @@ import (
 
 func newP(t *testing.T) *Predictor {
 	t.Helper()
-	p, err := New(DefaultConfig())
+	p, err := newPredictor(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,11 +23,11 @@ func TestConfigValidation(t *testing.T) {
 		{HistoryBits: 8, TableBits: 10, BTBEntries: 16, RASEntries: 0},
 	}
 	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
+		if _, err := newPredictor(cfg); err == nil {
 			t.Errorf("case %d: bad config accepted", i)
 		}
 	}
-	if _, err := New(DefaultConfig()); err != nil {
+	if _, err := newPredictor(DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -16,7 +16,7 @@ func (rt *Router) Probe(ctx context.Context) {
 	for _, h := range append(live, down...) {
 		status, raw, err := roundTrip(ctx, rt.client, http.MethodGet, h.url+"/readyz", nil, 0, 4096)
 		if status == 0 {
-			if rt.members.failed(h.id) == StateDown {
+			if rt.members.failed(h.id) == stateDown {
 				rt.logf("probe: instance %s down (%v)", h.id, err)
 			}
 			continue

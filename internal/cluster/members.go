@@ -2,29 +2,29 @@ package cluster
 
 import "sync"
 
-// InstanceState is the router's view of one collector instance.
-type InstanceState int
+// instanceState is the router's view of one collector instance.
+type instanceState int
 
 const (
-	// StateHealthy: the instance answers and admits work.
-	StateHealthy InstanceState = iota
-	// StateDraining: the instance answered 503 draining — it still
+	// stateHealthy: the instance answers and admits work.
+	stateHealthy instanceState = iota
+	// stateDraining: the instance answered 503 draining — it still
 	// serves queries for a grace period but refuses new submissions, so
 	// the router fails submissions over to its ring successor.
-	StateDraining
-	// StateDown: consecutive transport failures crossed the threshold —
+	stateDraining
+	// stateDown: consecutive transport failures crossed the threshold —
 	// the instance gets no traffic until a probe or success revives it.
-	StateDown
+	stateDown
 )
 
 // String returns the wire spelling of the state.
-func (s InstanceState) String() string {
+func (s instanceState) String() string {
 	switch s {
-	case StateHealthy:
+	case stateHealthy:
 		return "healthy"
-	case StateDraining:
+	case stateDraining:
 		return "draining"
-	case StateDown:
+	case stateDown:
 		return "down"
 	}
 	return "unknown"
@@ -33,7 +33,7 @@ func (s InstanceState) String() string {
 // member is one committed instance's row in the membership table.
 type member struct {
 	url   string
-	state InstanceState
+	state instanceState
 	fails int // consecutive transport failures
 	// deliveredTo: the receiver that holds this member's whole aggregate
 	// and ledger (a removal is between the receiver's ack and the commit);
@@ -46,7 +46,7 @@ type member struct {
 
 // serving: the member takes fan-out traffic (query legs, probes of the
 // live set, witness copies, anti-entropy).
-func (m *member) serving() bool { return m.state != StateDown && m.deliveredTo == "" }
+func (m *member) serving() bool { return m.state != stateDown && m.deliveredTo == "" }
 
 // hop is one place a request may be sent.
 type hop struct{ id, url string }
@@ -54,7 +54,7 @@ type hop struct{ id, url string }
 // memberView is one member as /v1/membership and /readyz show it.
 type memberView struct {
 	hop
-	state InstanceState
+	state instanceState
 }
 
 // members is the router's membership table: who is a member, where, in
@@ -64,7 +64,7 @@ type memberView struct {
 // below take it, each is one critical section, and none calls out while
 // holding it, so every read is one instant's answer. An instance that is
 // still being adopted into is not here: its URL is known only to the
-// migration (see AddInstance), and commitAdd is the one way in.
+// migration (see addInstance), and commitAdd is the one way in.
 //
 // Lifecycle of an id: (joining, outside the table) → commitAdd → healthy
 // ⇄ draining / down → delivered → commitRemove → gone. Signals that name
@@ -109,7 +109,7 @@ func (ms *members) commitAdd(id, url string) uint64 {
 		ms.byID[id] = &member{url: url}
 		ms.ring.Add(id)
 	}
-	return ms.ring.Epoch()
+	return ms.ring.epoch
 }
 
 // commitRemove forgets id — ring position, URL, health — and repoints
@@ -121,7 +121,7 @@ func (ms *members) commitRemove(id, receiver string) (epoch uint64, repointed in
 	defer ms.mu.Unlock()
 	if ms.byID[id] != nil {
 		delete(ms.byID, id)
-		ms.ring.Remove(id)
+		ms.ring.remove(id)
 		for sh, at := range ms.pins {
 			if at == id {
 				ms.pins[sh] = receiver
@@ -129,7 +129,7 @@ func (ms *members) commitRemove(id, receiver string) (epoch uint64, repointed in
 			}
 		}
 	}
-	return ms.ring.Epoch(), repointed
+	return ms.ring.epoch, repointed
 }
 
 // reregister points a KNOWN id at a replacement process: same ring
@@ -171,8 +171,8 @@ func (ms *members) alive(id string) {
 	defer ms.mu.Unlock()
 	if m := ms.byID[id]; m != nil {
 		m.fails = 0
-		if m.state == StateDown {
-			m.state = StateHealthy
+		if m.state == stateDown {
+			m.state = stateHealthy
 		}
 	}
 }
@@ -183,23 +183,23 @@ func (ms *members) admits(id string) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	if m := ms.byID[id]; m != nil {
-		m.fails, m.state = 0, StateHealthy
+		m.fails, m.state = 0, stateHealthy
 	}
 }
 
 // failed counts one transport failure; crossing the threshold marks the
 // member Down. Returns the resulting state (Down for a non-member: a
 // removed instance takes no traffic).
-func (ms *members) failed(id string) InstanceState {
+func (ms *members) failed(id string) instanceState {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	m := ms.byID[id]
 	if m == nil {
-		return StateDown
+		return stateDown
 	}
 	m.fails++
 	if m.fails >= ms.threshold {
-		m.state = StateDown
+		m.state = stateDown
 	}
 	return m.state
 }
@@ -210,7 +210,7 @@ func (ms *members) draining(id string) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	if m := ms.byID[id]; m != nil {
-		m.fails, m.state = 0, StateDraining
+		m.fails, m.state = 0, stateDraining
 	}
 }
 
@@ -234,17 +234,17 @@ func (ms *members) route(shard string) ([]hop, uint64) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	pinned := ms.pins[shard]
-	order := ms.ring.Successors(shard, ms.ring.Size())
+	order := ms.ring.successors(shard, len(ms.ring.instances))
 	hops := make([]hop, 0, len(order))
-	if m := ms.byID[pinned]; m != nil && m.state != StateDown {
+	if m := ms.byID[pinned]; m != nil && m.state != stateDown {
 		hops = append(hops, hop{pinned, m.url})
 	}
 	for _, id := range order {
-		if m := ms.byID[id]; id != pinned && m.state == StateHealthy && m.deliveredTo == "" {
+		if m := ms.byID[id]; id != pinned && m.state == stateHealthy && m.deliveredTo == "" {
 			hops = append(hops, hop{id, m.url})
 		}
 	}
-	return hops, ms.ring.Epoch()
+	return hops, ms.ring.epoch
 }
 
 // resolve answers /v1/resolve: shard's ring owner and, when one exists,
@@ -255,13 +255,13 @@ func (ms *members) resolve(shard string) (owner, pinned hop, epoch uint64, ok bo
 	defer ms.mu.Unlock()
 	id, ok := ms.ring.Owner(shard)
 	if !ok {
-		return hop{}, hop{}, ms.ring.Epoch(), false
+		return hop{}, hop{}, ms.ring.epoch, false
 	}
 	owner = hop{id, ms.byID[id].url}
 	if m := ms.byID[ms.pins[shard]]; m != nil {
 		pinned = hop{ms.pins[shard], m.url}
 	}
-	return owner, pinned, ms.ring.Epoch(), true
+	return owner, pinned, ms.ring.epoch, true
 }
 
 // witness picks the holder of shard's witness copy: the first serving
@@ -272,7 +272,7 @@ func (ms *members) resolve(shard string) (owner, pinned hop, epoch uint64, ok bo
 func (ms *members) witness(shard, origin string) (hop, bool) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	for _, id := range ms.ring.Successors(shard, ms.ring.Size()) {
+	for _, id := range ms.ring.successors(shard, len(ms.ring.instances)) {
 		if m := ms.byID[id]; id != origin && m.serving() {
 			return hop{id, m.url}, true
 		}
@@ -294,7 +294,7 @@ func (ms *members) targets() (live, down []hop, epoch uint64) {
 			down = append(down, hop{id, m.url})
 		}
 	}
-	return live, down, ms.ring.Epoch()
+	return live, down, ms.ring.epoch
 }
 
 // view returns every member and the epoch they are the membership of.
@@ -305,7 +305,7 @@ func (ms *members) view() ([]memberView, uint64) {
 	for id, m := range ms.byID {
 		out = append(out, memberView{hop{id, m.url}, m.state})
 	}
-	return out, ms.ring.Epoch()
+	return out, ms.ring.epoch
 }
 
 // plan snapshots the ring and every member's URL for a migration to plan
@@ -317,5 +317,5 @@ func (ms *members) plan() (*Ring, map[string]string) {
 	for id, m := range ms.byID {
 		urls[id] = m.url
 	}
-	return ms.ring.Clone(), urls
+	return ms.ring.clone(), urls
 }

@@ -12,9 +12,9 @@ import (
 )
 
 // memberStates reads every member's health off the table.
-func memberStates(rt *Router) map[string]InstanceState {
+func memberStates(rt *Router) map[string]instanceState {
 	vs, _ := rt.members.view()
-	out := make(map[string]InstanceState, len(vs))
+	out := make(map[string]instanceState, len(vs))
 	for _, v := range vs {
 		out[v.id] = v.state
 	}
@@ -22,7 +22,7 @@ func memberStates(rt *Router) map[string]InstanceState {
 }
 
 // memberState reads one member's health; a non-member fails the test.
-func memberState(t *testing.T, rt *Router, id string) InstanceState {
+func memberState(t *testing.T, rt *Router, id string) instanceState {
 	t.Helper()
 	st, ok := memberStates(rt)[id]
 	if !ok {
@@ -164,22 +164,22 @@ func TestMembersProperty(t *testing.T) {
 				ms.alive(a)
 				if am != nil {
 					am.fails = 0
-					if am.state == StateDown {
-						am.state = StateHealthy
+					if am.state == stateDown {
+						am.state = stateHealthy
 					}
 				}
 			case 5:
 				op = "admits " + a
 				ms.admits(a)
 				if am != nil {
-					am.fails, am.state = 0, StateHealthy
+					am.fails, am.state = 0, stateHealthy
 				}
 			case 6, 7:
 				op = "failed " + a
-				want := StateDown
+				want := stateDown
 				if am != nil {
 					if am.fails++; am.fails >= model.threshold {
-						am.state = StateDown
+						am.state = stateDown
 					}
 					want = am.state
 				}
@@ -190,7 +190,7 @@ func TestMembersProperty(t *testing.T) {
 				op = "draining " + a
 				ms.draining(a)
 				if am != nil {
-					am.fails, am.state = 0, StateDraining
+					am.fails, am.state = 0, stateDraining
 				}
 			case 9:
 				op = fmt.Sprintf("pin %s@%s", sh, a)
@@ -217,7 +217,7 @@ func TestMembersProperty(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: view %v, want %v", at, got, want)
 			}
-			if ringIDs := ms.ring.Instances(); !reflect.DeepEqual(ringIDs, model.ids()) {
+			if ringIDs := ms.ring.ids(); !reflect.DeepEqual(ringIDs, model.ids()) {
 				t.Fatalf("%s: ring holds %v, table %v", at, ringIDs, model.ids())
 			}
 			if !reflect.DeepEqual(ms.pins, model.pins) {
@@ -234,7 +234,7 @@ func TestMembersProperty(t *testing.T) {
 			for _, id := range model.ids() {
 				switch m := model.members[id]; {
 				case m.deliveredTo != "":
-				case m.state == StateDown:
+				case m.state == stateDown:
 					wantDown = append(wantDown, id)
 				default:
 					wantLive = append(wantLive, id)
@@ -258,16 +258,16 @@ func TestMembersProperty(t *testing.T) {
 				s := fmt.Sprintf("s%d", i)
 				pinned := model.pins[s]
 				var wantRoute []hop
-				if m := model.members[pinned]; m != nil && m.state != StateDown {
+				if m := model.members[pinned]; m != nil && m.state != stateDown {
 					wantRoute = append(wantRoute, hop{pinned, m.url})
 				}
 				var wantWitness hop
-				for _, id := range ring.Successors(s, ring.Size()) {
+				for _, id := range ring.successors(s, len(ring.instances)) {
 					m := model.members[id]
-					if id != pinned && m.state == StateHealthy && m.deliveredTo == "" {
+					if id != pinned && m.state == stateHealthy && m.deliveredTo == "" {
 						wantRoute = append(wantRoute, hop{id, m.url})
 					}
-					if wantWitness.id == "" && id != a && m.state != StateDown && m.deliveredTo == "" {
+					if wantWitness.id == "" && id != a && m.state != stateDown && m.deliveredTo == "" {
 						wantWitness = hop{id, m.url}
 					}
 				}
@@ -277,7 +277,7 @@ func TestMembersProperty(t *testing.T) {
 				}
 				for _, h := range hops {
 					m := model.members[h.id]
-					if m == nil || m.state == StateDown || ((m.state == StateDraining || m.deliveredTo != "") && h.id != pinned) {
+					if m == nil || m.state == stateDown || ((m.state == stateDraining || m.deliveredTo != "") && h.id != pinned) {
 						t.Fatalf("%s: route(%s) offers %s (%+v, pinned %q)", at, s, h.id, m, pinned)
 					}
 				}

@@ -35,7 +35,7 @@ import (
 // envelope, handoff delivery dedupes by digest, confirm is a no-op the
 // second time. A membership call that failed mid-way is simply retried;
 // the ring (and thus the epoch clients see) changes only at the end.
-type MigrationReport struct {
+type migrationReport struct {
 	// Kind is "add" or "remove"; Instance the subject id.
 	Kind     string `json:"kind"`
 	Instance string `json:"instance"`
@@ -53,9 +53,9 @@ type MigrationReport struct {
 	Epoch uint64 `json:"epoch"`
 }
 
-// MigrationStatus is the /v1/stats "migration" section: what the
+// migrationStatus is the /v1/stats "migration" section: what the
 // membership engine is doing right now and what it last did.
-type MigrationStatus struct {
+type migrationStatus struct {
 	Active   bool   `json:"active"`
 	Kind     string `json:"kind,omitempty"`
 	Instance string `json:"instance,omitempty"`
@@ -71,14 +71,14 @@ type MigrationStatus struct {
 // migration is the router's mutable migration-progress state.
 type migration struct {
 	mu        sync.Mutex
-	status    MigrationStatus
+	status    migrationStatus
 	completed uint64
 }
 
 func (m *migration) begin(kind, instance string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.status = MigrationStatus{Active: true, Kind: kind, Instance: instance, Completed: m.completed}
+	m.status = migrationStatus{Active: true, Kind: kind, Instance: instance, Completed: m.completed}
 }
 
 func (m *migration) phase(p string) {
@@ -101,13 +101,13 @@ func (m *migration) end(err error) {
 	m.status.Completed = m.completed
 }
 
-func (m *migration) snapshot() MigrationStatus {
+func (m *migration) snapshot() migrationStatus {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.status
 }
 
-// AddInstance grows the tier by one instance without restarting
+// addInstance grows the tier by one instance without restarting
 // anything. Sequence:
 //
 //  1. compute the would-be ring and the shard ids that move to the new
@@ -125,7 +125,7 @@ func (m *migration) snapshot() MigrationStatus {
 //     dedupe survive a router restart that loses the pins).
 //
 // Re-registering a known id just updates its URL (a replaced process).
-func (rt *Router) AddInstance(ctx context.Context, id, baseURL string) (*MigrationReport, error) {
+func (rt *Router) addInstance(ctx context.Context, id, baseURL string) (*migrationReport, error) {
 	if id == "" || baseURL == "" {
 		return nil, errors.New("cluster: add needs an instance id and url")
 	}
@@ -133,7 +133,7 @@ func (rt *Router) AddInstance(ctx context.Context, id, baseURL string) (*Migrati
 	defer rt.memMu.Unlock()
 	oldRing, urls := rt.members.plan()
 	if rt.members.reregister(id, baseURL) {
-		return &MigrationReport{Kind: "add", Instance: id, Epoch: oldRing.Epoch()}, nil
+		return &migrationReport{Kind: "add", Instance: id, Epoch: oldRing.epoch}, nil
 	}
 	rt.migration.begin("add", id)
 	rep, err := rt.addInstanceLocked(ctx, id, baseURL, oldRing, urls)
@@ -141,12 +141,12 @@ func (rt *Router) AddInstance(ctx context.Context, id, baseURL string) (*Migrati
 	return rep, err
 }
 
-func (rt *Router) addInstanceLocked(ctx context.Context, id, baseURL string, oldRing *Ring, urls map[string]string) (*MigrationReport, error) {
-	donors := oldRing.Instances()
-	newRing := oldRing.Clone()
+func (rt *Router) addInstanceLocked(ctx context.Context, id, baseURL string, oldRing *Ring, urls map[string]string) (*migrationReport, error) {
+	donors := oldRing.ids()
+	newRing := oldRing.clone()
 	newRing.Add(id)
 	urls[id] = baseURL // in this migration's copy only
-	rep := &MigrationReport{Kind: "add", Instance: id}
+	rep := &migrationReport{Kind: "add", Instance: id}
 
 	rt.migration.phase("adopt")
 	moved, adopted, err := rt.adoptMoved(ctx, oldRing, newRing, donors, urls)
@@ -191,7 +191,7 @@ func (rt *Router) adoptMoved(ctx context.Context, oldRing, newRing *Ring, donors
 		}
 		sort.Strings(shards)
 		byOwner := make(map[string][]string)
-		for sh, owner := range MovedKeys(oldRing, newRing, shards) {
+		for sh, owner := range movedKeys(oldRing, newRing, shards) {
 			// Only ids this donor actually holds move FROM it; a shard in
 			// its ledger by adoption keeps its original provenance at the
 			// new owner regardless — dedupe is what matters, not lineage.
@@ -233,7 +233,7 @@ func (rt *Router) postAdopt(ctx context.Context, owner hop, from string, shards 
 	return ack.Adopted, nil
 }
 
-// RemoveInstance shrinks the tier by one instance, migrating its whole
+// removeInstance shrinks the tier by one instance, migrating its whole
 // aggregate and ledger before the ring forgets it. Sequence:
 //
 //  1. mark the donor draining (new submits steer to successors; pinned
@@ -258,14 +258,14 @@ func (rt *Router) postAdopt(ctx context.Context, owner hop, from string, shards 
 // exported, and silently dropping them would break the conservation
 // sum. The disaster path (dead disk, no export possible) is witness
 // anti-entropy, not membership — see OPERATIONS.md.
-func (rt *Router) RemoveInstance(ctx context.Context, id string) (*MigrationReport, error) {
+func (rt *Router) removeInstance(ctx context.Context, id string) (*migrationReport, error) {
 	rt.memMu.Lock()
 	defer rt.memMu.Unlock()
 	ring, urls := rt.members.plan()
 	if urls[id] == "" {
 		return nil, fmt.Errorf("cluster: remove %s: not a member", id)
 	}
-	if ring.Size() <= 1 {
+	if len(ring.instances) <= 1 {
 		return nil, errors.New("cluster: refusing to remove the last instance")
 	}
 	rt.migration.begin("remove", id)
@@ -276,9 +276,9 @@ func (rt *Router) RemoveInstance(ctx context.Context, id string) (*MigrationRepo
 
 // removeInstanceLocked takes the planning snapshot: the ring (its own
 // copy, which it turns into the post-removal ring) and the members' URLs.
-func (rt *Router) removeInstanceLocked(ctx context.Context, id string, newRing *Ring, urls map[string]string) (*MigrationReport, error) {
-	newRing.Remove(id)
-	rep := &MigrationReport{Kind: "remove", Instance: id}
+func (rt *Router) removeInstanceLocked(ctx context.Context, id string, newRing *Ring, urls map[string]string) (*migrationReport, error) {
+	newRing.remove(id)
+	rep := &migrationReport{Kind: "remove", Instance: id}
 
 	rt.migration.phase("export")
 	rt.members.draining(id)
@@ -302,7 +302,7 @@ func (rt *Router) removeInstanceLocked(ctx context.Context, id string, newRing *
 	// else, or a candidate that was down the first time would merge the
 	// donor's samples a second time.
 	rt.migration.phase("deliver")
-	cands := newRing.Successors(id, newRing.Size())
+	cands := newRing.successors(id, len(newRing.instances))
 	if prev := rt.members.deliveredTo(id); prev != "" {
 		cands = []string{prev}
 	}
@@ -427,9 +427,9 @@ func (rt *Router) handleMembership(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMembershipChange serves a membership POST: {"id": "c5", "url":
-// "http://..."} for /v1/membership/add (AddInstance), {"id": "c2"} for
-// /v1/membership/remove (RemoveInstance); the answer is the report.
-func (rt *Router) handleMembershipChange(run func(ctx context.Context, id, url string) (*MigrationReport, error)) http.HandlerFunc {
+// "http://..."} for /v1/membership/add (addInstance), {"id": "c2"} for
+// /v1/membership/remove (removeInstance); the answer is the report.
+func (rt *Router) handleMembershipChange(run func(ctx context.Context, id, url string) (*migrationReport, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			rt.writeErr(w, http.StatusMethodNotAllowed, "method", "POST only", nil)

@@ -319,11 +319,11 @@ func TestRemovalRetryKeepsItsReceiver(t *testing.T) {
 	// c0 is the first candidate for c1's envelope and the new owner of some
 	// of its shards. With c0 dead, c2 receives and the adoption at c0 fails.
 	instances[0].ts.Close()
-	if rep, err := rt.RemoveInstance(context.Background(), "c1"); err == nil || rt.members.deliveredTo("c1") != "c2" {
+	if rep, err := rt.removeInstance(context.Background(), "c1"); err == nil || rt.members.deliveredTo("c1") != "c2" {
 		t.Fatalf("removal with c0 dead: report %+v err %v delivered to %q, want a failure after delivery to c2", rep, err, rt.members.deliveredTo("c1"))
 	}
 	rt.SetInstance("c0", serveInstance(t, "c0", instances[0].svc).ts.URL)
-	if rep, err := rt.RemoveInstance(context.Background(), "c1"); err != nil || rep.Receiver != "c2" {
+	if rep, err := rt.removeInstance(context.Background(), "c1"); err != nil || rep.Receiver != "c2" {
 		t.Fatalf("reissued removal: report %+v err %v, want success at receiver c2", rep, err)
 	}
 	if got := fleetCaptured(t, front.URL); got != want {
@@ -474,13 +474,13 @@ func TestGatherClientDisconnect(t *testing.T) {
 			t.Fatal("slow leg not canceled by client disconnect")
 		}
 	}
-	if st := memberState(t, rt, "slow"); st == StateDown {
+	if st := memberState(t, rt, "slow"); st == stateDown {
 		t.Fatal("client disconnect marked the slow instance Down")
 	}
 	// A real straggler (no client disconnect) still gets charged: the
 	// health machinery itself is intact.
 	rt.members.failed("slow")
-	if st := memberState(t, rt, "slow"); st != StateDown {
+	if st := memberState(t, rt, "slow"); st != stateDown {
 		t.Fatalf("control: direct failure left state %v, want Down (threshold 1)", st)
 	}
 }
@@ -746,7 +746,7 @@ func TestRemovalNeverDoubleCounts(t *testing.T) {
 
 	removed := make(chan error, 1)
 	go func() {
-		_, err := rt.RemoveInstance(context.Background(), "c1")
+		_, err := rt.removeInstance(context.Background(), "c1")
 		removed <- err
 	}()
 	select {
@@ -806,7 +806,7 @@ func TestQueryLegDoesNotReviveDraining(t *testing.T) {
 	if lost := c1.svc.Stats().SamplesLost; lost != lostBefore {
 		t.Fatalf("c1 samples_lost moved %d -> %d: a query leg re-opened admission to a draining instance", lostBefore, lost)
 	}
-	if st := memberState(t, rt, "c1"); st != StateDraining {
+	if st := memberState(t, rt, "c1"); st != stateDraining {
 		t.Fatalf("c1 is %v after a query leg, want still draining", st)
 	}
 
@@ -814,7 +814,7 @@ func TestQueryLegDoesNotReviveDraining(t *testing.T) {
 	// /readyz is what re-opens admission.
 	backend.Store(newTierInstance(t, "c1", 64))
 	rt.Probe(context.Background())
-	if st := memberState(t, rt, "c1"); st != StateHealthy {
+	if st := memberState(t, rt, "c1"); st != stateHealthy {
 		t.Fatalf("c1 is %v after a 200 /readyz, want healthy", st)
 	}
 	if third := submitVia(t, front.URL, ownedBy("c1", "qleg", 2000, "c0", "c1", "c2"), synthShard(7, 40)); third.Instance != "c1" {
@@ -822,7 +822,7 @@ func TestQueryLegDoesNotReviveDraining(t *testing.T) {
 	}
 }
 
-// TestJoiningInstanceTakesNoTraffic: until AddInstance commits, the
+// TestJoiningInstanceTakesNoTraffic: until addInstance commits, the
 // newcomer is a stranger — /v1/membership shows the old members at the
 // old epoch, and no fan-out leg or probe reaches it. Its adopt endpoint
 // stalls here to hold the window open; every other request it receives is
@@ -844,7 +844,7 @@ func TestJoiningInstanceTakesNoTraffic(t *testing.T) {
 	newcomerFront, stalled, release, others := stallingFront(t, newcomer.ts.URL, "/v1/ledger/adopt")
 	added := make(chan error, 1)
 	go func() {
-		_, err := rt.AddInstance(context.Background(), "c2", newcomerFront.URL)
+		_, err := rt.addInstance(context.Background(), "c2", newcomerFront.URL)
 		added <- err
 	}()
 	select {
@@ -960,10 +960,10 @@ func TestMembershipEndpointIsOneSnapshot(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		id := fmt.Sprintf("churn-%d", i)
 		in := newTierInstance(t, id, 32)
-		if _, err := rt.AddInstance(context.Background(), id, in.ts.URL); err != nil {
+		if _, err := rt.addInstance(context.Background(), id, in.ts.URL); err != nil {
 			t.Fatalf("cycle %d add: %v", i, err)
 		}
-		if _, err := rt.RemoveInstance(context.Background(), id); err != nil {
+		if _, err := rt.removeInstance(context.Background(), id); err != nil {
 			t.Fatalf("cycle %d remove: %v", i, err)
 		}
 	}

@@ -451,7 +451,7 @@ func TestNemesisSoak(t *testing.T) {
 			lhs += uint64(loss.(float64))
 		}
 		lhs += in.svc.Stats().HandoffCaptured
-		rhs := in.svc.Aggregate().Samples() + in.svc.Aggregate().Lost()
+		rhs := in.svc.Aggregate().CountersSnapshot().Samples + in.svc.Aggregate().CountersSnapshot().Lost
 		if lhs != rhs {
 			t.Fatalf("%s books do not balance: applied+refused+handoff %d, samples+lost %d", in.id, lhs, rhs)
 		}

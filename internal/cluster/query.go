@@ -59,7 +59,7 @@ func (rt *Router) gather(ctx context.Context, pathAndQuery string) fanout {
 			// context) says nothing about the instance's health — charging
 			// it a failure would let one impatient client mark the whole
 			// tier Down.
-			if ctx.Err() == nil && rt.members.failed(l.id) == StateDown {
+			if ctx.Err() == nil && rt.members.failed(l.id) == stateDown {
 				rt.logf("gather %s: instance %s marked down (%v)", pathAndQuery, l.id, l.err)
 			}
 			f.missing = append(f.missing, l.id)

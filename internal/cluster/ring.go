@@ -119,9 +119,9 @@ func (r *Ring) Add(instance string) {
 	})
 }
 
-// Remove takes instance's virtual nodes off the ring; its keys fall to
+// remove takes instance's virtual nodes off the ring; its keys fall to
 // their ring successors and no other key moves.
-func (r *Ring) Remove(instance string) {
+func (r *Ring) remove(instance string) {
 	if !r.instances[instance] {
 		return
 	}
@@ -136,14 +136,10 @@ func (r *Ring) Remove(instance string) {
 	r.points = kept
 }
 
-// Epoch returns the membership version: the count of effective Add and
-// Remove operations applied to this ring (clones inherit it).
-func (r *Ring) Epoch() uint64 { return r.epoch }
-
-// Clone returns an independent copy: membership planning computes the
+// clone returns an independent copy: membership planning computes the
 // post-change layout on a clone, derives the moved key ranges against
 // the live ring, migrates, and only then commits the change.
-func (r *Ring) Clone() *Ring {
+func (r *Ring) clone() *Ring {
 	c := &Ring{
 		vnodes:    r.vnodes,
 		seed:      r.seed,
@@ -157,13 +153,13 @@ func (r *Ring) Clone() *Ring {
 	return c
 }
 
-// MovedKeys reports, for each key whose owner differs between old and
+// movedKeys reports, for each key whose owner differs between old and
 // new, the (oldOwner -> newOwner) transfer as key -> newOwner. This is
 // the migration work list for a membership change; the consistent-hash
 // property (only keys adjacent to the changed instance's virtual nodes
 // move, ≤ 1/N + ε of the key space per the rebalance property test)
 // keeps it small.
-func MovedKeys(oldRing, newRing *Ring, keys []string) map[string]string {
+func movedKeys(oldRing, newRing *Ring, keys []string) map[string]string {
 	moved := make(map[string]string)
 	for _, k := range keys {
 		was, okOld := oldRing.Owner(k)
@@ -175,8 +171,8 @@ func MovedKeys(oldRing, newRing *Ring, keys []string) map[string]string {
 	return moved
 }
 
-// Instances returns the member instances in sorted order.
-func (r *Ring) Instances() []string {
+// ids returns the member instances in sorted order.
+func (r *Ring) ids() []string {
 	out := make([]string, 0, len(r.instances))
 	for id := range r.instances {
 		out = append(out, id)
@@ -184,9 +180,6 @@ func (r *Ring) Instances() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Size returns the number of member instances.
-func (r *Ring) Size() int { return len(r.instances) }
 
 // Owner returns the instance owning key — the first virtual node at or
 // clockwise after the key's hash. ok is false on an empty ring.
@@ -208,9 +201,9 @@ func (r *Ring) at(key string) int {
 	return i
 }
 
-// Successors returns up to max distinct instances in ring order starting
+// successors returns up to max distinct instances in ring order starting
 // at key's owner — the failover candidate list for a submission.
-func (r *Ring) Successors(key string, max int) []string {
+func (r *Ring) successors(key string, max int) []string {
 	if len(r.points) == 0 || max <= 0 {
 		return nil
 	}

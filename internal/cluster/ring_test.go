@@ -122,7 +122,7 @@ func TestRingRebalanceBound(t *testing.T) {
 		// Remove one instance: only ITS keys move, and they are at most
 		// (1/N + ε) of the population.
 		removed := buildRing(0, 42, instances...)
-		removed.Remove(instances[n-1])
+		removed.remove(instances[n-1])
 		moved = 0
 		for _, k := range keys {
 			now, _ := removed.Owner(k)
@@ -149,7 +149,7 @@ func TestRingSuccessors(t *testing.T) {
 	r := buildRing(0, 1, "c0", "c1", "c2")
 	for _, k := range shardKeys(200) {
 		owner, _ := r.Owner(k)
-		succ := r.Successors(k, 3)
+		succ := r.successors(k, 3)
 		if len(succ) != 3 {
 			t.Fatalf("key %s: %d successors, want 3", k, len(succ))
 		}
@@ -164,7 +164,7 @@ func TestRingSuccessors(t *testing.T) {
 			seen[id] = true
 		}
 	}
-	if got := r.Successors("any", 10); len(got) != 3 {
+	if got := r.successors("any", 10); len(got) != 3 {
 		t.Fatalf("successors beyond membership: %d, want clamped to 3", len(got))
 	}
 }

@@ -119,8 +119,8 @@ type Router struct {
 	members *members
 	client  *http.Client
 
-	// memMu serializes membership operations (AddInstance /
-	// RemoveInstance) end to end; migration is their progress state,
+	// memMu serializes membership operations (addInstance /
+	// removeInstance) end to end; migration is their progress state,
 	// surfaced under /v1/stats and /v1/membership.
 	memMu     sync.Mutex
 	migration migration
@@ -152,18 +152,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}, nil
 }
 
-// SetInstance re-registers a KNOWN instance id: a replacement process
-// keeps the id's ring position but may live at a new URL. The instance
-// starts Healthy; the next probe or request corrects that if it is wrong.
-// An id that is not a member is refused (and logged) — AddInstance, which
-// moves the ledger obligations a new ring position inherits before it
-// takes traffic, is the one way to become a member.
-func (rt *Router) SetInstance(id, baseURL string) {
-	if !rt.members.reregister(id, baseURL) {
-		rt.logf("set instance %s: not a member (add it through /v1/membership/add)", id)
-	}
-}
-
 // Handler returns the route table — the same paths pmsimd serves, so a
 // fleet points its sink at the router unchanged.
 func (rt *Router) Handler() http.Handler {
@@ -173,9 +161,9 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("/v1/estimate", rt.handleEstimate)
 	mux.HandleFunc("/v1/stats", rt.handleStats)
 	mux.HandleFunc("/v1/membership", rt.handleMembership)
-	mux.HandleFunc("/v1/membership/add", rt.handleMembershipChange(rt.AddInstance))
+	mux.HandleFunc("/v1/membership/add", rt.handleMembershipChange(rt.addInstance))
 	mux.HandleFunc("/v1/membership/remove", rt.handleMembershipChange(
-		func(ctx context.Context, id, _ string) (*MigrationReport, error) { return rt.RemoveInstance(ctx, id) }))
+		func(ctx context.Context, id, _ string) (*migrationReport, error) { return rt.removeInstance(ctx, id) }))
 	mux.HandleFunc("/v1/resolve", rt.handleResolve)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		rt.writeJSON(w, http.StatusOK, map[string]any{"ok": true})
@@ -297,7 +285,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case err != nil:
 			rt.n.legsFailed.Add(1)
-			if rt.members.failed(h.id) == StateDown {
+			if rt.members.failed(h.id) == stateDown {
 				rt.logf("submit shard %s: instance %s marked down (%v)", shard, h.id, err)
 			} else {
 				rt.logf("submit shard %s: instance %s unreachable (%v), failing over", shard, h.id, err)
@@ -416,7 +404,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	byState := make(map[string]string, len(members))
 	for _, m := range members {
 		byState[m.id] = m.state.String()
-		if m.state != StateDown {
+		if m.state != stateDown {
 			up++
 		}
 	}

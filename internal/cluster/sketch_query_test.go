@@ -126,7 +126,7 @@ func TestRouterExactQueryOverCertifiedLegs(t *testing.T) {
 		if status != 200 || leg["approx"] != false {
 			t.Fatalf("%s leg: %d %v", in.id, status, leg)
 		}
-		if in.svc.Aggregate().Samples() > 0 && leg["certified"] != true {
+		if in.svc.Aggregate().CountersSnapshot().Samples > 0 && leg["certified"] != true {
 			t.Fatalf("%s: under-capacity sketch did not certify its exact answer: %v", in.id, leg)
 		}
 		for _, r := range leg["pcs"].([]any) {

@@ -339,7 +339,7 @@ func TestTierSaturationSoak(t *testing.T) {
 			t.Errorf("shard %s acknowledged by c2 but missing from the recovered ledger", s)
 		}
 	}
-	if lost := c2rec.Aggregate().Lost(); lost != 0 {
+	if lost := c2rec.Aggregate().CountersSnapshot().Lost; lost != 0 {
 		t.Fatalf("crash-attributed loss after recovery: %d (want 0)", lost)
 	}
 	if t.Failed() {
@@ -367,7 +367,7 @@ func TestTierSaturationSoak(t *testing.T) {
 	}
 	if !bytes.Equal(gotC2.Bytes(), wantC2.Bytes()) {
 		t.Fatalf("recovered c2 aggregate diverged from exact expectation: samples %d want %d, lost %d want %d",
-			c2rec.Aggregate().Samples(), expect.Samples(), c2rec.Aggregate().Lost(), expect.Lost())
+			c2rec.Aggregate().CountersSnapshot().Samples, expect.Samples(), c2rec.Aggregate().CountersSnapshot().Lost, expect.Lost())
 	}
 
 	// ---- c1 leaves the tier ----
@@ -380,7 +380,7 @@ func TestTierSaturationSoak(t *testing.T) {
 	rt.SetInstance("c2", serveInstance(t, "c2", c2rec).ts.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	rep, err := rt.RemoveInstance(ctx, "c1")
+	rep, err := rt.removeInstance(ctx, "c1")
 	if err != nil {
 		t.Fatalf("removal of c1: %v", err)
 	}
@@ -416,7 +416,7 @@ func TestTierSaturationSoak(t *testing.T) {
 	}
 	mu.Unlock()
 	agg := byID["c0"].svc.Aggregate()
-	got := agg.Samples() + agg.Lost() + c2rec.Aggregate().Samples() + c2rec.Aggregate().Lost()
+	got := agg.CountersSnapshot().Samples + agg.CountersSnapshot().Lost + c2rec.Aggregate().CountersSnapshot().Samples + c2rec.Aggregate().CountersSnapshot().Lost
 	if got != wantSum {
 		t.Fatalf("fleet conservation violated: Samples+Lost (c0 + recovered c2) = %d, Σ captured over recorded (instance,shard) = %d",
 			got, wantSum)

@@ -137,7 +137,7 @@ func TestWitnessDiskLossRebuild(t *testing.T) {
 	gotDigest := svcDigest(t, freshSvc)
 	if !bytes.Equal(gotDigest, wantDigest) {
 		t.Fatalf("rebuilt aggregate diverged: %d bytes vs %d bytes (samples %d vs %d)",
-			len(gotDigest), len(wantDigest), freshSvc.Aggregate().Samples(), instances[victim].svc.Aggregate().Samples())
+			len(gotDigest), len(wantDigest), freshSvc.Aggregate().CountersSnapshot().Samples, instances[victim].svc.Aggregate().CountersSnapshot().Samples)
 	}
 
 	// Fleet-wide conservation survives the loss+rebuild: every captured
@@ -149,7 +149,7 @@ func TestWitnessDiskLossRebuild(t *testing.T) {
 			svc = freshSvc
 		}
 		flush(t, svc)
-		total += svc.Aggregate().Samples() + svc.Aggregate().Lost()
+		total += svc.Aggregate().CountersSnapshot().Samples + svc.Aggregate().CountersSnapshot().Lost
 	}
 	if total != captured {
 		t.Fatalf("fleet conservation violated after rebuild: samples+lost %d, want %d", total, captured)
@@ -209,7 +209,7 @@ func TestProbeMarksWALStalledDraining(t *testing.T) {
 
 	// Healthy first: no pending records, probe keeps it routable.
 	rt.Probe(context.Background())
-	if st := memberState(t, rt, "c0"); st != StateHealthy {
+	if st := memberState(t, rt, "c0"); st != stateHealthy {
 		t.Fatalf("state before stall: %v", st)
 	}
 
@@ -231,7 +231,7 @@ func TestProbeMarksWALStalledDraining(t *testing.T) {
 		done <- resp.StatusCode
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for memberState(t, rt, "c0") != StateDraining {
+	for memberState(t, rt, "c0") != stateDraining {
 		if time.Now().After(deadline) {
 			t.Fatal("probe never marked the stalled instance draining")
 		}

@@ -101,13 +101,13 @@ const (
 	TrapNone      TrapReason = iota // retired normally
 	TrapBadPath                     // squashed: fetched down a mispredicted path
 	TrapReplay                      // squashed by a memory-order replay trap
-	TrapDrain                       // squashed by a pipeline drain (end of run, interrupt)
+	trapDrain                       // squashed by a pipeline drain (end of run, interrupt)
 	TrapNeverDone                   // sample flushed before the instruction finished
 )
 
 var trapNames = [...]string{
 	TrapNone: "none", TrapBadPath: "bad-path", TrapReplay: "replay",
-	TrapDrain: "drain", TrapNeverDone: "never-done",
+	trapDrain: "drain", TrapNeverDone: "never-done",
 }
 
 // Known reports whether t is a defined trap reason; unknown values in a
@@ -259,24 +259,4 @@ type Sample struct {
 	Rest          []Record
 	RestDistances []uint64
 	RestLatencies []int64
-}
-
-// Records returns all records of the sample in selection order.
-func (s *Sample) Records() []Record {
-	out := make([]Record, 0, 2+len(s.Rest))
-	out = append(out, s.First)
-	if s.Paired {
-		out = append(out, s.Second)
-	}
-	out = append(out, s.Rest...)
-	return out
-}
-
-// Ways returns the number of records in the sample.
-func (s *Sample) Ways() int {
-	n := 1
-	if s.Paired {
-		n++
-	}
-	return n + len(s.Rest)
 }

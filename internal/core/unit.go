@@ -120,9 +120,9 @@ func (c Config) ways() int {
 	return w
 }
 
-// MaxWays bounds N-way sampling: the hardware cost is Ways register sets,
+// maxWays bounds N-way sampling: the hardware cost is Ways register sets,
 // so implementations keep it tiny (the paper builds one or two).
-const MaxWays = 8
+const maxWays = 8
 
 // Validate reports a configuration problem, or nil.
 func (c Config) Validate() error {
@@ -135,8 +135,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: negative ways %d", c.Ways)
 	case c.Window < 0:
 		return fmt.Errorf("core: negative window %d", c.Window)
-	case c.ways() > MaxWays:
-		return fmt.Errorf("core: %d-way sampling exceeds the %d-way hardware bound", c.ways(), MaxWays)
+	case c.ways() > maxWays:
+		return fmt.Errorf("core: %d-way sampling exceeds the %d-way hardware bound", c.ways(), maxWays)
 	case c.ways() > 1 && c.Window < 1:
 		return fmt.Errorf("core: multi-way sampling needs a positive window")
 	}
@@ -246,9 +246,6 @@ func MustNewUnit(cfg Config) *Unit {
 	}
 	return u
 }
-
-// Config returns the Unit's configuration.
-func (u *Unit) Config() Config { return u.cfg }
 
 // Stats returns the Unit's counters.
 func (u *Unit) Stats() Stats { return u.stats }

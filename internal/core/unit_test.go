@@ -448,10 +448,10 @@ func TestNWaySampling(t *testing.T) {
 		}
 	}
 	s := u.Drain()[0]
-	if !s.Paired || s.Ways() != 4 || len(s.Rest) != 2 {
-		t.Fatalf("sample ways=%d rest=%d paired=%v", s.Ways(), len(s.Rest), s.Paired)
+	if !s.Paired || len(s.records()) != 4 || len(s.Rest) != 2 {
+		t.Fatalf("sample ways=%d rest=%d paired=%v", len(s.records()), len(s.Rest), s.Paired)
 	}
-	recs := s.Records()
+	recs := s.records()
 	if len(recs) != 4 {
 		t.Fatalf("records = %d", len(recs))
 	}
@@ -512,14 +512,14 @@ func TestNWayFlushPartialChain(t *testing.T) {
 	u.Complete(tag, true, TrapNone, 3)
 	u.FlushInFlight(10) // second and third never selected
 	s := u.Drain()
-	if len(s) != 1 || s[0].Ways() != 1 {
-		t.Fatalf("flush delivered %d samples, ways=%d", len(s), s[0].Ways())
+	if len(s) != 1 || len(s[0].records()) != 1 {
+		t.Fatalf("flush delivered %d samples, ways=%d", len(s), len(s[0].records()))
 	}
 }
 
 func TestWaysValidation(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Ways = MaxWays + 1
+	cfg.Ways = maxWays + 1
 	if _, err := NewUnit(cfg); err == nil {
 		t.Fatal("excessive ways accepted")
 	}
@@ -606,4 +606,13 @@ func TestPropertySelectionRate(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// records returns all records of the sample in selection order.
+func (s *Sample) records() []Record {
+	out := []Record{s.First}
+	if s.Paired {
+		out = append(out, s.Second)
+	}
+	return append(out, s.Rest...)
 }

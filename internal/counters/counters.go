@@ -23,7 +23,7 @@ const (
 	EventICacheMiss
 	EventBranchMispredict
 	EventRetired
-	NumEventTypes = iota
+	numEventTypes = iota
 )
 
 var eventTypeNames = [...]string{
@@ -66,7 +66,7 @@ type Config struct {
 // for one monitored event.
 type Unit struct {
 	cfg      Config
-	counts   [NumEventTypes]uint64
+	counts   [numEventTypes]uint64
 	since    uint64
 	pendAt   int64 // cycle at which a pending interrupt is recognized; -1 none
 	handler  func(pc uint64)
@@ -118,6 +118,3 @@ func (u *Unit) Count(t EventType) uint64 { return u.counts[t] }
 
 // Delivered returns the number of overflow interrupts delivered.
 func (u *Unit) Delivered() uint64 { return u.delivers }
-
-// Config returns the unit's configuration.
-func (u *Unit) Config() Config { return u.cfg }

@@ -18,10 +18,10 @@ import (
 	"profileme/internal/mem"
 )
 
-// Latencies gives execution latencies per operation class, in cycles from
+// latencies gives execution latencies per operation class, in cycles from
 // issue to completion (loads take their latency from the memory
 // hierarchy instead).
-type Latencies struct {
+type latencies struct {
 	IntALU int
 	IntMul int
 	FAdd   int // pipelined FP add/mul
@@ -30,9 +30,9 @@ type Latencies struct {
 	Store  int
 }
 
-// DefaultLatencies returns 21264-flavoured execution latencies.
-func DefaultLatencies() Latencies {
-	return Latencies{IntALU: 1, IntMul: 7, FAdd: 4, FDiv: 12, Branch: 1, Store: 1}
+// defaultLatencies returns 21264-flavoured execution latencies.
+func defaultLatencies() latencies {
+	return latencies{IntALU: 1, IntMul: 7, FAdd: 4, FDiv: 12, Branch: 1, Store: 1}
 }
 
 // Config parameterizes the pipeline. The zero value is not usable; start
@@ -112,7 +112,7 @@ type Config struct {
 	TrackWindowedIPC bool
 	IPCWindowCycles  int // window size for windowed-IPC tracking (§6: 30)
 
-	Lat   Latencies
+	Lat   latencies
 	Mem   mem.Config
 	Bpred bpred.Config
 }
@@ -140,7 +140,7 @@ func DefaultConfig() Config {
 		WatchdogCycles:      DefaultWatchdogCycles,
 		IPCWindowCycles:     30,
 		TrackPerPC:          true,
-		Lat:                 DefaultLatencies(),
+		Lat:                 defaultLatencies(),
 		Mem:                 mem.DefaultConfig(),
 		Bpred:               bpred.DefaultConfig(),
 	}

@@ -76,9 +76,5 @@ func (s *IIDSampler) Retired() map[uint64]uint64 {
 	return out
 }
 
-// Stats returns (selected, discarded-aborted) counts. The log itself never
-// shows the aborted ones.
-func (s *IIDSampler) Stats() (selected, aborted uint64) { return s.selected, s.aborted }
-
 // AttachIIDSampler plugs the W&W-style sampler into the pipeline.
 func (p *Pipeline) AttachIIDSampler(s *IIDSampler) { p.iid = s }

@@ -49,9 +49,13 @@ var recycleVariants = []struct {
 		return p, err
 	}},
 	{"faults", func(prog *isa.Program, src sim.Source) (*Pipeline, error) {
+		plan, err := faultinject.NewPlan(5, faultinject.Uniform(0.2))
+		if err != nil {
+			return nil, err
+		}
 		p, err := New(prog, src, DefaultConfig())
 		if err == nil {
-			unit, plan := recycleUnit(), faultinject.MustNewPlan(5, faultinject.Uniform(0.2))
+			unit := recycleUnit()
 			unit.AttachFaults(plan)
 			p.AttachProfileMe(unit, nil)
 			p.AttachFaults(plan)

@@ -103,7 +103,11 @@ func TestConfigSweepWithSampling(t *testing.T) {
 		}
 		p.AttachProfileMe(unit, func(ss []core.Sample) {
 			for _, s := range ss {
-				for _, r := range s.Records() {
+				recs := []core.Record{s.First}
+				if s.Paired {
+					recs = append(recs, s.Second)
+				}
+				for _, r := range recs {
 					if !r.Retired() {
 						continue
 					}
@@ -259,8 +263,8 @@ func TestTraceWindow(t *testing.T) {
 		t.Fatal("rewind")
 	}
 	w.trim(5)
-	if w.buffered() != 3 { // seqs 5, 6, 7
-		t.Fatalf("buffered = %d", w.buffered())
+	if len(w.buf)-w.head != 3 { // seqs 5, 6, 7
+		t.Fatalf("buffered = %d", len(w.buf)-w.head)
 	}
 	if _, ok := w.at(19); !ok {
 		t.Fatal("at(19)")
@@ -269,7 +273,7 @@ func TestTraceWindow(t *testing.T) {
 		t.Fatal("past end")
 	}
 	w.trim(100)
-	if w.buffered() != 0 {
+	if len(w.buf)-w.head != 0 {
 		t.Fatal("trim past end")
 	}
 	// Rewinding below the trimmed base is a simulator bug: must panic.

@@ -69,6 +69,3 @@ func (w *traceWindow) trim(seq uint64) {
 	}
 	w.base = seq
 }
-
-// buffered returns the number of buffered records (tests/debug).
-func (w *traceWindow) buffered() int { return len(w.buf) - w.head }

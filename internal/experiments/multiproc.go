@@ -33,26 +33,6 @@ func DefaultMultiprocessConfig() MultiprocessConfig {
 	}
 }
 
-// MultiprocessScenarios returns named co-run pairings covering the suite's
-// behavioural corners, including the extension kernels: an interpreter
-// fighting a record store for the D-cache, a regular FP stencil sharing
-// with a pointer chaser, and a mispredict-heavy kernel beside the dense
-// block transform. Each entry is a complete config runnable as-is.
-func MultiprocessScenarios() map[string]MultiprocessConfig {
-	base := DefaultMultiprocessConfig()
-	mk := func(a, b string) MultiprocessConfig {
-		c := base
-		c.BenchA, c.BenchB = a, b
-		return c
-	}
-	return map[string]MultiprocessConfig{
-		"compress-vortex": base,
-		"m88ksim-vortex":  mk("m88ksim", "vortex"),
-		"swim-li":         mk("swim", "li"),
-		"eqntott-ijpeg":   mk("eqntott", "ijpeg"),
-	}
-}
-
 // MultiprocessResult reports sample demultiplexing and cache interference.
 type MultiprocessResult struct {
 	Config MultiprocessConfig

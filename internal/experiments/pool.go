@@ -9,14 +9,14 @@ import (
 	"profileme/internal/runner"
 )
 
-// Parallelism caps the experiment worker pool. Zero (the default) means
+// parallelism caps the experiment worker pool. Zero (the default) means
 // one worker per CPU. Experiments fan independent benchmark×config cells
 // across the pool; set 1 to force the sequential order (debugging) — the
 // results are identical either way, see parallelMap.
-var Parallelism int
+var parallelism int
 
 func poolWorkers(n int) int {
-	w := Parallelism
+	w := parallelism
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}

@@ -15,9 +15,9 @@ import (
 func TestParallelMapOrderAndCoverage(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 0} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			old := Parallelism
-			Parallelism = workers
-			defer func() { Parallelism = old }()
+			old := parallelism
+			parallelism = workers
+			defer func() { parallelism = old }()
 
 			const n = 97
 			var ran [n]int32
@@ -84,7 +84,7 @@ func TestParallelMapPanicIsolation(t *testing.T) {
 
 // TestExperimentsParallelDeterminism locks in the harness's central
 // contract: running an experiment on the full worker pool yields results
-// identical to the forced-sequential order (Parallelism=1). Uses small
+// identical to the forced-sequential order (parallelism=1). Uses small
 // configs of the three fan-out experiments.
 func TestExperimentsParallelDeterminism(t *testing.T) {
 	if testing.Short() {
@@ -115,12 +115,12 @@ func TestExperimentsParallelDeterminism(t *testing.T) {
 		return f3, s6, t1
 	}
 
-	old := Parallelism
-	defer func() { Parallelism = old }()
+	old := parallelism
+	defer func() { parallelism = old }()
 
-	Parallelism = 1
+	parallelism = 1
 	f3seq, s6seq, t1seq := runAll()
-	Parallelism = 0 // full pool
+	parallelism = 0 // full pool
 	f3par, s6par, t1par := runAll()
 
 	if !reflect.DeepEqual(f3seq, f3par) {

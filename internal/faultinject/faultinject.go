@@ -69,8 +69,8 @@ func Uniform(rate float64) Rates {
 	}
 }
 
-// Validate reports a Rates problem, or nil.
-func (r Rates) Validate() error {
+// validate reports a Rates problem, or nil.
+func (r Rates) validate() error {
 	probs := []struct {
 		name string
 		p    float64
@@ -117,23 +117,11 @@ type Plan struct {
 
 // NewPlan returns a Plan drawing from seed.
 func NewPlan(seed uint64, r Rates) (*Plan, error) {
-	if err := r.Validate(); err != nil {
+	if err := r.validate(); err != nil {
 		return nil, err
 	}
 	return &Plan{rng: stats.NewRNG(seed), rates: r}, nil
 }
-
-// MustNewPlan is NewPlan, panicking on error.
-func MustNewPlan(seed uint64, r Rates) *Plan {
-	p, err := NewPlan(seed, r)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// Rates returns the plan's configured rates.
-func (p *Plan) Rates() Rates { return p.rates }
 
 // Counts returns what the plan has injected so far.
 func (p *Plan) Counts() Counts { return p.counts }

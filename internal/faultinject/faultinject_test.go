@@ -6,6 +6,15 @@ import (
 	"profileme/internal/core"
 )
 
+// mustNewPlan is NewPlan, panicking on error.
+func mustNewPlan(seed uint64, r Rates) *Plan {
+	p, err := NewPlan(seed, r)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 func TestRatesValidate(t *testing.T) {
 	bad := []Rates{
 		{DropInterrupt: -0.1},
@@ -21,7 +30,7 @@ func TestRatesValidate(t *testing.T) {
 	if _, err := NewPlan(1, Uniform(0.3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := Uniform(1).Validate(); err != nil {
+	if err := Uniform(1).validate(); err != nil {
 		t.Fatalf("full-rate plan rejected: %v", err)
 	}
 }
@@ -45,8 +54,8 @@ func drive(p *Plan) []int64 {
 }
 
 func TestPlanDeterministic(t *testing.T) {
-	a := MustNewPlan(42, Uniform(0.3))
-	b := MustNewPlan(42, Uniform(0.3))
+	a := mustNewPlan(42, Uniform(0.3))
+	b := mustNewPlan(42, Uniform(0.3))
 	ta, tb := drive(a), drive(b)
 	for i := range ta {
 		if ta[i] != tb[i] {
@@ -56,7 +65,7 @@ func TestPlanDeterministic(t *testing.T) {
 	if a.Counts() != b.Counts() {
 		t.Fatalf("counts diverged: %+v vs %+v", a.Counts(), b.Counts())
 	}
-	c := MustNewPlan(43, Uniform(0.3))
+	c := mustNewPlan(43, Uniform(0.3))
 	tc := drive(c)
 	same := true
 	for i := range ta {
@@ -71,7 +80,7 @@ func TestPlanDeterministic(t *testing.T) {
 }
 
 func TestZeroRatePlanIsTransparent(t *testing.T) {
-	p := MustNewPlan(7, Rates{})
+	p := mustNewPlan(7, Rates{})
 	ss := []core.Sample{{}, {}}
 	for i := 0; i < 100; i++ {
 		if p.SuppressInterrupt() || p.OverwriteOnFull() || p.HoldInterrupt() != 0 ||
@@ -85,7 +94,7 @@ func TestZeroRatePlanIsTransparent(t *testing.T) {
 }
 
 func TestFullRatePlan(t *testing.T) {
-	p := MustNewPlan(7, Uniform(1))
+	p := mustNewPlan(7, Uniform(1))
 	if !p.SuppressInterrupt() || !p.OverwriteOnFull() {
 		t.Fatal("full-rate plan skipped a fault")
 	}
@@ -108,7 +117,7 @@ func TestFullRatePlan(t *testing.T) {
 // in a single field: software must face point damage, not wholesale
 // garbage.
 func TestCorruptFlipsExactlyOneBit(t *testing.T) {
-	p := MustNewPlan(11, Rates{CorruptSample: 1})
+	p := mustNewPlan(11, Rates{CorruptSample: 1})
 	for i := 0; i < 500; i++ {
 		// Zero-valued records make flipped bits visible as popcounts.
 		ss := []core.Sample{{}}

@@ -10,35 +10,35 @@ import (
 type BreakerState int
 
 const (
-	// BreakerClosed: calls flow through; consecutive failures are counted.
-	BreakerClosed BreakerState = iota
-	// BreakerOpen: calls are short-circuited with ErrBreakerOpen until the
+	// breakerClosed: calls flow through; consecutive failures are counted.
+	breakerClosed BreakerState = iota
+	// BreakerOpen: calls are short-circuited with errBreakerOpen until the
 	// cooldown elapses.
 	BreakerOpen
-	// BreakerHalfOpen: the cooldown elapsed; exactly one probe call is let
+	// breakerHalfOpen: the cooldown elapsed; exactly one probe call is let
 	// through. Success closes the breaker, failure re-opens it.
-	BreakerHalfOpen
+	breakerHalfOpen
 )
 
 // String returns the conventional state name.
 func (s BreakerState) String() string {
 	switch s {
-	case BreakerClosed:
+	case breakerClosed:
 		return "closed"
 	case BreakerOpen:
 		return "open"
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		return "half-open"
 	}
 	return "unknown"
 }
 
-// ErrBreakerOpen reports a call short-circuited because the breaker is
+// errBreakerOpen reports a call short-circuited because the breaker is
 // open (or a half-open probe is already in flight).
-var ErrBreakerOpen = errors.New("ingest: circuit breaker open")
+var errBreakerOpen = errors.New("ingest: circuit breaker open")
 
-// BreakerStats is a snapshot of a breaker's counters.
-type BreakerStats struct {
+// breakerStats is a snapshot of a breaker's counters.
+type breakerStats struct {
 	State     string `json:"state"`
 	Successes uint64 `json:"successes"`
 	Failures  uint64 `json:"failures"`
@@ -62,12 +62,12 @@ type Breaker struct {
 	cooldown  time.Duration
 	now       func() time.Time
 
-	stats BreakerStats
+	stats breakerStats
 }
 
-// NewBreaker builds a closed breaker that opens after threshold
+// newBreaker builds a closed breaker that opens after threshold
 // consecutive failures and probes again after cooldown.
-func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
+func newBreaker(threshold int, cooldown time.Duration) *Breaker {
 	if threshold < 1 {
 		threshold = 1
 	}
@@ -77,28 +77,28 @@ func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
 	return &Breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
 }
 
-// Do runs f under the breaker's admission rules and returns f's error,
-// or ErrBreakerOpen when the call was short-circuited.
-func (b *Breaker) Do(f func() error) error {
+// do runs f under the breaker's admission rules and returns f's error,
+// or errBreakerOpen when the call was short-circuited.
+func (b *Breaker) do(f func() error) error {
 	b.mu.Lock()
 	switch b.state {
 	case BreakerOpen:
 		if b.now().Sub(b.openedAt) < b.cooldown {
 			b.stats.Shorted++
 			b.mu.Unlock()
-			return ErrBreakerOpen
+			return errBreakerOpen
 		}
-		b.state = BreakerHalfOpen
+		b.state = breakerHalfOpen
 		b.probing = true
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		if b.probing {
 			b.stats.Shorted++
 			b.mu.Unlock()
-			return ErrBreakerOpen
+			return errBreakerOpen
 		}
 		b.probing = true
 	}
-	wasHalfOpen := b.state == BreakerHalfOpen
+	wasHalfOpen := b.state == breakerHalfOpen
 	b.mu.Unlock()
 
 	err := f()
@@ -120,7 +120,7 @@ func (b *Breaker) Do(f func() error) error {
 	}
 	b.stats.Successes++
 	b.consecFails = 0
-	b.state = BreakerClosed
+	b.state = breakerClosed
 	return nil
 }
 
@@ -131,14 +131,14 @@ func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == BreakerOpen && b.now().Sub(b.openedAt) >= b.cooldown {
-		return BreakerHalfOpen
+		return breakerHalfOpen
 	}
 	return b.state
 }
 
-// Stats returns a snapshot of the counters.
-func (b *Breaker) Stats() BreakerStats {
-	st := func() BreakerStats {
+// snapshot returns a snapshot of the counters.
+func (b *Breaker) snapshot() breakerStats {
+	st := func() breakerStats {
 		b.mu.Lock()
 		defer b.mu.Unlock()
 		return b.stats

@@ -15,7 +15,7 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 var errDisk = errors.New("disk on fire")
 
 func newTestBreaker(threshold int, cooldown time.Duration) (*Breaker, *fakeClock) {
-	b := NewBreaker(threshold, cooldown)
+	b := newBreaker(threshold, cooldown)
 	c := &fakeClock{t: time.Unix(1000, 0)}
 	b.now = c.now
 	return b, c
@@ -26,14 +26,14 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 	fail := func() error { return errDisk }
 
 	for i := 0; i < 2; i++ {
-		if err := b.Do(fail); !errors.Is(err, errDisk) {
+		if err := b.do(fail); !errors.Is(err, errDisk) {
 			t.Fatalf("call %d: %v", i, err)
 		}
-		if st := b.State(); st != BreakerClosed {
+		if st := b.State(); st != breakerClosed {
 			t.Fatalf("state after %d failures: %v", i+1, st)
 		}
 	}
-	if err := b.Do(fail); !errors.Is(err, errDisk) {
+	if err := b.do(fail); !errors.Is(err, errDisk) {
 		t.Fatal(err)
 	}
 	if st := b.State(); st != BreakerOpen {
@@ -41,11 +41,11 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 	}
 	// Short-circuited while open: the dependency is not called.
 	called := false
-	err := b.Do(func() error { called = true; return nil })
-	if !errors.Is(err, ErrBreakerOpen) || called {
+	err := b.do(func() error { called = true; return nil })
+	if !errors.Is(err, errBreakerOpen) || called {
 		t.Fatalf("open breaker let a call through: err=%v called=%v", err, called)
 	}
-	st := b.Stats()
+	st := b.snapshot()
 	if st.Trips != 1 || st.Failures != 3 || st.Shorted != 1 {
 		t.Fatalf("stats %+v", st)
 	}
@@ -53,7 +53,7 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 
 func TestBreakerHalfOpenProbe(t *testing.T) {
 	b, clk := newTestBreaker(1, time.Minute)
-	if err := b.Do(func() error { return errDisk }); !errors.Is(err, errDisk) {
+	if err := b.do(func() error { return errDisk }); !errors.Is(err, errDisk) {
 		t.Fatal(err)
 	}
 	if b.State() != BreakerOpen {
@@ -62,31 +62,31 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 
 	// Probe fails → re-open, cooldown restarts.
 	clk.advance(time.Minute)
-	if b.State() != BreakerHalfOpen {
+	if b.State() != breakerHalfOpen {
 		t.Fatalf("state after cooldown: %v", b.State())
 	}
-	if err := b.Do(func() error { return errDisk }); !errors.Is(err, errDisk) {
+	if err := b.do(func() error { return errDisk }); !errors.Is(err, errDisk) {
 		t.Fatal(err)
 	}
 	if b.State() != BreakerOpen {
 		t.Fatal("failed probe did not re-open the breaker")
 	}
-	if err := b.Do(func() error { return nil }); !errors.Is(err, ErrBreakerOpen) {
+	if err := b.do(func() error { return nil }); !errors.Is(err, errBreakerOpen) {
 		t.Fatalf("re-opened breaker admitted a call: %v", err)
 	}
 
 	// Probe succeeds → closed, calls flow again.
 	clk.advance(time.Minute)
-	if err := b.Do(func() error { return nil }); err != nil {
+	if err := b.do(func() error { return nil }); err != nil {
 		t.Fatalf("successful probe: %v", err)
 	}
-	if b.State() != BreakerClosed {
+	if b.State() != breakerClosed {
 		t.Fatalf("state after successful probe: %v", b.State())
 	}
-	if err := b.Do(func() error { return nil }); err != nil {
+	if err := b.do(func() error { return nil }); err != nil {
 		t.Fatalf("closed breaker refused a call: %v", err)
 	}
-	st := b.Stats()
+	st := b.snapshot()
 	if st.Trips != 2 || st.Successes != 2 {
 		t.Fatalf("stats %+v", st)
 	}
@@ -96,13 +96,13 @@ func TestBreakerSuccessResetsConsecutiveFailures(t *testing.T) {
 	b, _ := newTestBreaker(3, time.Minute)
 	seq := []error{errDisk, errDisk, nil, errDisk, errDisk}
 	for i, e := range seq {
-		err := b.Do(func() error { return e })
+		err := b.do(func() error { return e })
 		if !errors.Is(err, e) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
 	// 2 failures, success, 2 failures: never 3 consecutive, still closed.
-	if st := b.State(); st != BreakerClosed {
+	if st := b.State(); st != breakerClosed {
 		t.Fatalf("state %v after interleaved successes", st)
 	}
 }

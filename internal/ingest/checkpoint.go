@@ -130,9 +130,9 @@ func LoadCheckpointFile(path string) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// QuarantineCheckpoint renames a damaged checkpoint aside (path +
+// quarantineCheckpoint renames a damaged checkpoint aside (path +
 // ".corrupt") so a restart proceeds empty instead of crash-looping,
 // keeping the bytes for forensics.
-func QuarantineCheckpoint(path string) error {
+func quarantineCheckpoint(path string) error {
 	return os.Rename(path, path+corruptSuffix)
 }

@@ -23,11 +23,11 @@ import (
 // and both decode failures surface as the same typed profile.Err*
 // errors callers already know how to classify.
 
-// ErrBadSubmit reports a submission whose JSON envelope is malformed:
+// errBadSubmit reports a submission whose JSON envelope is malformed:
 // undecodable JSON, a missing shard id, or an empty profile payload.
 // Damage *inside* the payload surfaces as profile.ErrCorrupt /
 // ErrTruncated / ErrVersionSkew instead.
-var ErrBadSubmit = errors.New("ingest: malformed submission")
+var errBadSubmit = errors.New("ingest: malformed submission")
 
 // record is the one JSON wrapper ([]byte marshals as base64) around a
 // profile envelope: submission and handoff bodies on the wire, and every
@@ -100,13 +100,13 @@ func decodeRecord(body []byte, kind, what string, bad error) (rec record, db *pr
 // EncodeSubmit serializes one shard database as a submission body.
 func EncodeSubmit(shard string, db *profile.DB) ([]byte, error) {
 	if shard == "" {
-		return nil, fmt.Errorf("ingest: encode: empty shard id: %w", ErrBadSubmit)
+		return nil, fmt.Errorf("ingest: encode: empty shard id: %w", errBadSubmit)
 	}
 	return encodeRecord(record{Shard: shard}, db.Save)
 }
 
 // DecodeSubmit parses a submission body. Every failure is typed —
-// ErrBadSubmit for envelope problems, profile.ErrCorrupt/ErrTruncated/
+// errBadSubmit for envelope problems, profile.ErrCorrupt/ErrTruncated/
 // ErrVersionSkew for payload problems — and never a panic, whatever the
 // bytes; FuzzDecodeSubmit holds it to that. The caller bounds the body
 // size (http.MaxBytesReader); the framing layer allocates no more than
@@ -114,7 +114,7 @@ func EncodeSubmit(shard string, db *profile.DB) ([]byte, error) {
 // submission keeps the verified profile envelope, so the WAL can log the
 // client's bytes instead of re-encoding the decoded database.
 func DecodeSubmit(body []byte) (Submission, error) {
-	rec, db, err := decodeRecord(body, walKindAdmit, "submission", ErrBadSubmit)
+	rec, db, err := decodeRecord(body, walKindAdmit, "submission", errBadSubmit)
 	if err != nil {
 		return Submission{}, err
 	}
@@ -151,10 +151,10 @@ type Handoff struct {
 	Key string
 }
 
-// HandoffKey digests a handoff envelope's content. Deterministic over
+// handoffKey digests a handoff envelope's content. Deterministic over
 // the serialized fields, not the JSON framing, so the key survives a
 // WAL round trip.
-func HandoffKey(from string, profileBytes []byte, shards []string) string {
+func handoffKey(from string, profileBytes []byte, shards []string) string {
 	h := sha256.New()
 	io.WriteString(h, from)
 	h.Write([]byte{0})
@@ -171,7 +171,7 @@ func HandoffKey(from string, profileBytes []byte, shards []string) string {
 // envelope is written under the aggregate's own lock.
 func EncodeHandoff(from string, save func(io.Writer) error, shards []string) ([]byte, error) {
 	if from == "" {
-		return nil, fmt.Errorf("ingest: encode handoff: empty instance id: %w", ErrBadSubmit)
+		return nil, fmt.Errorf("ingest: encode handoff: empty instance id: %w", errBadSubmit)
 	}
 	return encodeRecord(record{From: from, Shards: shards}, save)
 }
@@ -179,7 +179,7 @@ func EncodeHandoff(from string, save func(io.Writer) error, shards []string) ([]
 // DecodeHandoff parses a handoff body with the same typed-failure
 // contract as DecodeSubmit.
 func DecodeHandoff(body []byte) (Handoff, error) {
-	rec, db, err := decodeRecord(body, walKindHandoff, "handoff", ErrBadSubmit)
+	rec, db, err := decodeRecord(body, walKindHandoff, "handoff", errBadSubmit)
 	if err != nil {
 		return Handoff{}, err
 	}
@@ -187,6 +187,6 @@ func DecodeHandoff(body []byte) (Handoff, error) {
 		From:   rec.From,
 		DB:     db,
 		Shards: rec.Shards,
-		Key:    HandoffKey(rec.From, rec.Profile, rec.Shards),
+		Key:    handoffKey(rec.From, rec.Profile, rec.Shards),
 	}, nil
 }

@@ -22,7 +22,7 @@ import (
 //	    == Aggregate.Samples() + Aggregate.Lost()
 //
 // no matter how submissions, duplicates, refusals (429 full / 503
-// draining / DropOldest evictions), retries, and the drain interleave.
+// draining / dropOldest evictions), retries, and the drain interleave.
 // Each seed builds a random service shape (queue depth, overflow policy,
 // aggregator speed, drain timing) and a random concurrent client schedule,
 // then checks the ledger. Config-mismatched shards are refused without
@@ -47,7 +47,7 @@ func runConservationTrial(t *testing.T, seed int64) {
 		Width:      4,
 	}
 	if rng.Intn(2) == 0 {
-		cfg.Policy = DropOldest
+		cfg.Policy = dropOldest
 	}
 	// A randomly slowed aggregator varies how much of the schedule runs
 	// against a full queue vs an empty one.
@@ -156,10 +156,10 @@ func runConservationTrial(t *testing.T, seed int64) {
 		}
 	}
 	agg := svc.Aggregate()
-	got := agg.Samples() + agg.Lost()
+	got := agg.CountersSnapshot().Samples + agg.CountersSnapshot().Lost
 	if got != want {
 		t.Fatalf("conservation violated: samples %d + lost %d = %d, want Σ captured over %d distinct shards = %d",
-			agg.Samples(), agg.Lost(), got, len(submitted), want)
+			agg.CountersSnapshot().Samples, agg.CountersSnapshot().Lost, got, len(submitted), want)
 	}
 
 	// Ledger cross-checks: the service-level loss counter covers exactly
@@ -167,8 +167,8 @@ func runConservationTrial(t *testing.T, seed int64) {
 	// loss is carried by Merge, not the refusal ledger), and reversals
 	// never exceed what was ever recorded.
 	st := svc.Stats()
-	if st.SamplesLost > agg.Lost() {
-		t.Fatalf("service loss ledger %d exceeds aggregate loss %d", st.SamplesLost, agg.Lost())
+	if st.SamplesLost > agg.CountersSnapshot().Lost {
+		t.Fatalf("service loss ledger %d exceeds aggregate loss %d", st.SamplesLost, agg.CountersSnapshot().Lost)
 	}
 	if st.Merged+st.MergeFailed > uint64(len(submitted)) {
 		t.Fatalf("merged %d + merge-failed %d exceeds %d distinct shards",

@@ -13,7 +13,7 @@ import (
 // The framing inside the profile payload is internal/frame's to fuzz
 // (FuzzFrame) and the payload's decoding profile's (FuzzLoadDB); the
 // contract here is the JSON wrapper's: every rejection is typed
-// (ErrBadSubmit for wrapper damage, profile.ErrCorrupt/ErrTruncated/
+// (errBadSubmit for wrapper damage, profile.ErrCorrupt/ErrTruncated/
 // ErrVersionSkew passed through for payload damage), never a panic, a
 // body cannot smuggle in another record kind, and an accepted submission
 // is immediately usable for queries and loss accounting.
@@ -42,7 +42,7 @@ func FuzzDecodeSubmit(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeSubmit(data)
 		if err != nil {
-			if !errors.Is(err, ErrBadSubmit) &&
+			if !errors.Is(err, errBadSubmit) &&
 				!errors.Is(err, profile.ErrCorrupt) &&
 				!errors.Is(err, profile.ErrTruncated) &&
 				!errors.Is(err, profile.ErrVersionSkew) {

@@ -183,7 +183,7 @@ func TestAdoptShards(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Fatalf("adopt: n=%d err=%v, want 2 nil", n, err)
 	}
-	if got := s1.Aggregate().Samples() + s1.Aggregate().Lost(); got != 0 {
+	if got := s1.Aggregate().CountersSnapshot().Samples + s1.Aggregate().CountersSnapshot().Lost; got != 0 {
 		t.Fatalf("adoption moved samples: %d captured appeared from nowhere", got)
 	}
 	// A retry of a shard the old owner already merged dedupes here now.
@@ -214,7 +214,7 @@ func TestAdoptShards(t *testing.T) {
 	if err := s2.Submit(sub("moved/b", 2, 10)); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("submit of adopted shard after recovery: err=%v, want ErrDuplicate", err)
 	}
-	if got := s2.Aggregate().Samples() + s2.Aggregate().Lost(); got != 0 {
+	if got := s2.Aggregate().CountersSnapshot().Samples + s2.Aggregate().CountersSnapshot().Lost; got != 0 {
 		t.Fatalf("recovery invented %d captured samples from an adopt record", got)
 	}
 }
@@ -239,7 +239,7 @@ func TestSealRefusesWithoutLoss(t *testing.T) {
 	if err := svc.Submit(sub("post-seal", 4, 30)); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-seal submit: err=%v, want ErrDraining", err)
 	}
-	if lost := svc.Aggregate().Lost(); lost != 0 {
+	if lost := svc.Aggregate().CountersSnapshot().Lost; lost != 0 {
 		t.Fatalf("post-seal refusal recorded %d loss; the export envelope could never carry it", lost)
 	}
 	if st := svc.Stats(); st.SamplesLost != 0 || !st.Sealed {

@@ -50,7 +50,7 @@ type ledger struct {
 	// shards holds the admitted ids — reserved, queued, applied, or taken
 	// over from a donor; presence is admission.
 	shards map[string]*shardEntry
-	// refused maps an id under a standing refusal (429/503, DropOldest
+	// refused maps an id under a standing refusal (429/503, dropOldest
 	// eviction) to the exact loss recorded for it, so a repeat refusal
 	// accounts nothing new and the merge of an accepted retry reverses
 	// precisely what was recorded. Kept beside shards, not in its records,
@@ -104,7 +104,7 @@ type counters struct {
 	MergeFailed uint64 `json:"merge_failed"` // accepted but unmergeable (accounted as loss)
 
 	OverloadRejected uint64 `json:"overload_rejected"`     // refusal responses (429/503), retries included
-	OverloadDropped  uint64 `json:"overload_dropped"`      // evicted by DropOldest
+	OverloadDropped  uint64 `json:"overload_dropped"`      // evicted by dropOldest
 	Duplicates       uint64 `json:"duplicate_submissions"` // resubmissions of admitted shards (deduped)
 
 	// SamplesLost mirrors the aggregate's overload/drain loss ledger: it
@@ -268,7 +268,7 @@ func (l *ledger) duplicate() {
 }
 
 // refuse backs shard out of admission (refused at the door, or evicted
-// by DropOldest): the reservation and the staged position are released —
+// by dropOldest): the reservation and the staged position are released —
 // no refusal record is written; on a crash the retained admit record
 // replays as a merge, which conserves the same captured samples as
 // Samples instead of Lost — and, the first time this id is refused
@@ -334,7 +334,7 @@ func (l *ledger) checkpointed(err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	switch {
-	case errors.Is(err, ErrBreakerOpen):
+	case errors.Is(err, errBreakerOpen):
 		l.c.CheckpointShorted++
 	case err != nil:
 		l.c.CheckpointFailures++

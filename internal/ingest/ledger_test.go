@@ -346,7 +346,7 @@ func TestLedgerProperty(t *testing.T) {
 					m.want.Checkpoints++
 					m.sinceCkpt = 0
 				case 1:
-					l.checkpointed(ErrBreakerOpen)
+					l.checkpointed(errBreakerOpen)
 					m.want.CheckpointShorted++
 				default:
 					l.checkpointed(errors.New("disk full"))

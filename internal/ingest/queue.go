@@ -15,7 +15,7 @@
 // a per-shard admission ledger: a resubmission of an admitted shard is
 // acknowledged without re-merging, a repeat refusal accounts nothing
 // new, and a refused shard that is later accepted has its recorded loss
-// reversed (DB.ReverseLoss). The conservation invariant the soak tests
+// reversed (SafeDB.ReverseLoss). The conservation invariant the soak tests
 // pin down therefore ranges over distinct shards, however many times
 // each was submitted:
 //
@@ -37,10 +37,10 @@ const (
 	// RejectNew refuses the incoming submission (the HTTP layer turns
 	// this into 429 Too Many Requests — backpressure to the worker).
 	RejectNew Policy = iota
-	// DropOldest evicts the oldest queued submission to admit the new
+	// dropOldest evicts the oldest queued submission to admit the new
 	// one — freshness over fairness; the evicted shard is accounted as
 	// loss.
-	DropOldest
+	dropOldest
 )
 
 // String returns the flag spelling of the policy.
@@ -48,7 +48,7 @@ func (p Policy) String() string {
 	switch p {
 	case RejectNew:
 		return "reject"
-	case DropOldest:
+	case dropOldest:
 		return "drop-oldest"
 	}
 	return fmt.Sprintf("policy(%d)", int(p))
@@ -60,7 +60,7 @@ func ParsePolicy(s string) (Policy, error) {
 	case "reject":
 		return RejectNew, nil
 	case "drop-oldest":
-		return DropOldest, nil
+		return dropOldest, nil
 	}
 	return 0, fmt.Errorf("ingest: unknown overflow policy %q (want reject or drop-oldest)", s)
 }
@@ -89,21 +89,21 @@ type Submission struct {
 // this submission never merges.
 func (s Submission) Captured() uint64 { return s.DB.Samples() + s.DB.Lost() }
 
-// QueueStats is a snapshot of the queue's counters.
-type QueueStats struct {
+// queueStats is a snapshot of the queue's counters.
+type queueStats struct {
 	Capacity  int    `json:"capacity"`
 	Depth     int    `json:"depth"`
 	HighWater int    `json:"high_water"` // max depth ever observed
 	Accepted  uint64 `json:"accepted"`
 	Rejected  uint64 `json:"rejected"` // refused at admission (full or closed)
-	Dropped   uint64 `json:"dropped"`  // accepted earlier, evicted by DropOldest
+	Dropped   uint64 `json:"dropped"`  // accepted earlier, evicted by dropOldest
 }
 
-// Queue is a bounded MPSC submission queue: many HTTP handlers Offer,
+// queue is a bounded MPSC submission queue: many HTTP handlers Offer,
 // one aggregator goroutine Waits. Overflow behavior is the configured
 // Policy; Close starts the drain (Offer refuses, Wait hands out the
 // backlog then reports exhaustion).
-type Queue struct {
+type queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	buf    []Submission
@@ -111,54 +111,54 @@ type Queue struct {
 	count  int
 	policy Policy
 	closed bool
-	stats  QueueStats
+	stats  queueStats
 }
 
-// NewQueue builds a queue with the given capacity and overflow policy.
-func NewQueue(capacity int, policy Policy) (*Queue, error) {
+// newQueue builds a queue with the given capacity and overflow policy.
+func newQueue(capacity int, policy Policy) (*queue, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("ingest: queue capacity %d < 1", capacity)
 	}
-	if policy != RejectNew && policy != DropOldest {
+	if policy != RejectNew && policy != dropOldest {
 		return nil, fmt.Errorf("ingest: unknown overflow policy %d", int(policy))
 	}
-	q := &Queue{buf: make([]Submission, capacity), policy: policy}
+	q := &queue{buf: make([]Submission, capacity), policy: policy}
 	q.cond = sync.NewCond(&q.mu)
 	return q, nil
 }
 
-// OfferResult says how Offer disposed of a submission. Full and Closed
+// offerResult says how Offer disposed of a submission. Full and Closed
 // are distinct on purpose: full means "retry soon" (429), closed means
 // "this instance is draining, go elsewhere" (503) — collapsing them
 // would send retry-soon advice from a server that is shutting down.
-type OfferResult int
+type offerResult int
 
 const (
-	// OfferAccepted: the submission was enqueued.
-	OfferAccepted OfferResult = iota
-	// OfferFull: refused, queue at capacity under RejectNew.
-	OfferFull
-	// OfferClosed: refused, the queue is closed (drain in progress).
-	OfferClosed
+	// offerAccepted: the submission was enqueued.
+	offerAccepted offerResult = iota
+	// offerFull: refused, queue at capacity under RejectNew.
+	offerFull
+	// offerClosed: refused, the queue is closed (drain in progress).
+	offerClosed
 )
 
-// Offer tries to enqueue s. res says whether s was admitted and, if
+// offer tries to enqueue s. res says whether s was admitted and, if
 // not, why; dropped holds any older submission evicted to make room
-// (DropOldest only). The caller owns accounting for both refusals and
+// (dropOldest only). The caller owns accounting for both refusals and
 // evictions — Queue counts them but does not know about the aggregate.
-func (q *Queue) Offer(s Submission) (dropped []Submission, res OfferResult) {
+func (q *queue) offer(s Submission) (dropped []Submission, res offerResult) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		q.stats.Rejected++
-		return nil, OfferClosed
+		return nil, offerClosed
 	}
 	if q.count == len(q.buf) {
 		if q.policy == RejectNew {
 			q.stats.Rejected++
-			return nil, OfferFull
+			return nil, offerFull
 		}
-		// DropOldest: evict the head.
+		// dropOldest: evict the head.
 		old := q.buf[q.head]
 		q.buf[q.head] = Submission{}
 		q.head = (q.head + 1) % len(q.buf)
@@ -173,13 +173,13 @@ func (q *Queue) Offer(s Submission) (dropped []Submission, res OfferResult) {
 		q.stats.HighWater = q.count
 	}
 	q.cond.Signal()
-	return dropped, OfferAccepted
+	return dropped, offerAccepted
 }
 
-// Wait blocks until a submission is available and returns it; ok is
+// wait blocks until a submission is available and returns it; ok is
 // false once the queue is closed AND fully drained — the aggregator's
 // signal to write the final checkpoint and exit.
-func (q *Queue) Wait() (s Submission, ok bool) {
+func (q *queue) wait() (s Submission, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.count == 0 && !q.closed {
@@ -195,9 +195,9 @@ func (q *Queue) Wait() (s Submission, ok bool) {
 	return s, true
 }
 
-// Close starts the drain: subsequent Offers are refused, queued
+// close starts the drain: subsequent Offers are refused, queued
 // submissions keep flowing out of Wait until the backlog is empty.
-func (q *Queue) Close() {
+func (q *queue) close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true
@@ -205,14 +205,14 @@ func (q *Queue) Close() {
 }
 
 // Len returns the current depth.
-func (q *Queue) Len() int {
+func (q *queue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.count
 }
 
-// Stats returns a snapshot of the counters.
-func (q *Queue) Stats() QueueStats {
+// snapshot returns a snapshot of the counters.
+func (q *queue) snapshot() queueStats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	st := q.stats

@@ -32,10 +32,10 @@ func aggDigest(t *testing.T, s *Service) []byte {
 // Σ captured(distinct shards) == Samples + Lost.
 func conserve(t *testing.T, s *Service, want uint64, label string) {
 	t.Helper()
-	got := s.Aggregate().Samples() + s.Aggregate().Lost()
+	got := s.Aggregate().CountersSnapshot().Samples + s.Aggregate().CountersSnapshot().Lost
 	if got != want {
 		t.Fatalf("%s: conservation violated: samples %d + lost %d = %d, want %d",
-			label, s.Aggregate().Samples(), s.Aggregate().Lost(), got, want)
+			label, s.Aggregate().CountersSnapshot().Samples, s.Aggregate().CountersSnapshot().Lost, got, want)
 	}
 }
 
@@ -74,7 +74,7 @@ func TestRecoverWALOnly(t *testing.T) {
 		t.Fatalf("recovery info %+v, want 5 replayed and no checkpoint", info)
 	}
 	conserve(t, s2, want, "after recovery")
-	if lost := s2.Aggregate().Lost(); lost != 0 {
+	if lost := s2.Aggregate().CountersSnapshot().Lost; lost != 0 {
 		t.Fatalf("crash-attributed loss: %d lost samples after recovery", lost)
 	}
 	// The 202s promised these shards are in: retries must dedupe.
@@ -138,7 +138,7 @@ func TestRecoverCheckpointPlusTail(t *testing.T) {
 		t.Fatalf("replayed %d records; checkpoint coverage not honored", info.Replayed)
 	}
 	conserve(t, s2, want, "checkpoint+tail recovery")
-	if lost := s2.Aggregate().Lost(); lost != 0 {
+	if lost := s2.Aggregate().CountersSnapshot().Lost; lost != 0 {
 		t.Fatalf("crash-attributed loss: %d", lost)
 	}
 	for i := 0; i < 6; i++ {
@@ -169,7 +169,7 @@ func TestRecoverRefusedShardReplaysAsMerge(t *testing.T) {
 		t.Fatalf("second submit: err=%v, want ErrQueueFull", err)
 	}
 	// Pre-crash the refusal stands as loss.
-	if got := s1.Aggregate().Lost(); got != b.Captured() {
+	if got := s1.Aggregate().CountersSnapshot().Lost; got != b.Captured() {
 		t.Fatalf("pre-crash lost %d, want %d", got, b.Captured())
 	}
 	if err := s1.CloseWAL(); err != nil {
@@ -182,7 +182,7 @@ func TestRecoverRefusedShardReplaysAsMerge(t *testing.T) {
 	}
 	defer s2.CloseWAL()
 	conserve(t, s2, a.Captured()+b.Captured(), "refused-shard recovery")
-	if lost := s2.Aggregate().Lost(); lost != 0 {
+	if lost := s2.Aggregate().CountersSnapshot().Lost; lost != 0 {
 		t.Fatalf("refused shard still accounted as loss (%d) though its payload was durable", lost)
 	}
 	if err := s2.Submit(Submission{Shard: "shard-b", DB: testShard(2, 40)}); !errors.Is(err, ErrDuplicate) {

@@ -144,8 +144,8 @@ func (c *Config) normalize() error {
 // Stats is a full snapshot of the service's health counters — the
 // /v1/stats payload.
 type Stats struct {
-	Queue   QueueStats   `json:"queue"`
-	Breaker BreakerStats `json:"breaker"`
+	Queue   queueStats   `json:"queue"`
+	Breaker breakerStats `json:"breaker"`
 
 	// The ledger's counters (ledger.go): merged, refusals, duplicates,
 	// loss, checkpoints, handoffs in, adoptions — copied in one read.
@@ -216,7 +216,7 @@ type WALHealth struct {
 type Service struct {
 	cfg Config
 	agg *profile.SafeDB
-	q   *Queue
+	q   *queue
 	brk *Breaker
 	led *ledger
 
@@ -291,7 +291,7 @@ func Recover(cfg Config) (*Service, RecoveryInfo, error) {
 			info.CheckpointLoaded, ck = true, loaded
 		case err == nil: // no file: a fresh start
 		case errors.Is(err, profile.ErrCorrupt) || errors.Is(err, profile.ErrTruncated):
-			if qerr := QuarantineCheckpoint(cfg.CheckpointPath); qerr != nil {
+			if qerr := quarantineCheckpoint(cfg.CheckpointPath); qerr != nil {
 				return nil, info, fmt.Errorf("ingest: recover: quarantine damaged checkpoint: %v (load error: %w)", qerr, err)
 			}
 			info.CheckpointQuarantined = true
@@ -316,7 +316,7 @@ func newService(cfg Config, ck *Checkpoint) (*Service, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	q, err := NewQueue(cfg.QueueDepth, cfg.Policy)
+	q, err := newQueue(cfg.QueueDepth, cfg.Policy)
 	if err != nil {
 		return nil, err
 	}
@@ -332,7 +332,7 @@ func newService(cfg Config, ck *Checkpoint) (*Service, error) {
 			BucketDur:     cfg.SketchWindowBucket,
 		}),
 		q:    q,
-		brk:  NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		brk:  newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		led:  newLedger(),
 		done: make(chan struct{}),
 	}
@@ -453,19 +453,19 @@ func (s *Service) Submit(sub Submission) error {
 		s.refuse(sub, false)
 		return ErrDraining
 	}
-	dropped, res := s.q.Offer(sub)
+	dropped, res := s.q.offer(sub)
 	for _, d := range dropped {
 		s.refuse(d, true)
 		s.logf("overflow: dropped oldest shard %s (%d captured samples accounted as loss)", d.Shard, d.Captured())
 	}
 	switch res {
-	case OfferClosed:
+	case offerClosed:
 		// BeginDrain raced with this Submit: same contract as draining —
 		// 503, not 429, so the client goes elsewhere instead of retrying
 		// a shutting-down instance.
 		s.refuse(sub, false)
 		return ErrDraining
-	case OfferFull:
+	case offerFull:
 		s.refuse(sub, false)
 		return ErrQueueFull
 	}
@@ -539,7 +539,7 @@ func (s *Service) compatible(db *profile.DB) error {
 }
 
 // refuse backs a shard out of admission (refused at the door, or
-// evicted by DropOldest) and, the first time its id is refused, records
+// evicted by dropOldest) and, the first time its id is refused, records
 // its captured samples as aggregate loss — ledger entry and aggregate
 // loss under one hold of res. Until refuse runs the shard's reservation
 // stands, so no other submission of the same id can be in flight. A
@@ -560,7 +560,7 @@ func (s *Service) refuse(sub Submission, evicted bool) {
 func (s *Service) run() {
 	defer close(s.done)
 	for {
-		sub, ok := s.q.Wait()
+		sub, ok := s.q.wait()
 		if !ok {
 			return
 		}
@@ -597,7 +597,7 @@ func (s *Service) merge(sub Submission) {
 // resolved or not at all.
 //
 // The reversal belongs here and nowhere earlier: an accepted retry can
-// still be evicted from the queue (DropOldest), and a loss taken back
+// still be evicted from the queue (dropOldest), and a loss taken back
 // at acceptance would then be owed for samples that never merge.
 func (s *Service) resolve(sub Submission) (reversed uint64, err error) {
 	if reversed = s.led.standingLoss(sub.Shard); reversed > 0 {
@@ -627,9 +627,9 @@ func (s *Service) checkpoint() {
 	if s.handedOff.Load() {
 		return // retired: the books live at the receiver (see Retire)
 	}
-	err := s.brk.Do(s.cfg.persist)
+	err := s.brk.do(s.cfg.persist)
 	s.led.checkpointed(err)
-	if err != nil && !errors.Is(err, ErrBreakerOpen) {
+	if err != nil && !errors.Is(err, errBreakerOpen) {
 		s.logf("checkpoint failed: %v", err)
 	}
 }
@@ -692,16 +692,13 @@ func (s *Service) Seal() {
 	s.draining.Store(true)
 }
 
-// Sealed reports whether admission is closed for export.
-func (s *Service) Sealed() bool { return s.sealed.Load() }
-
 // Flush is the first half of the graceful-shutdown sequence: stop
 // admission and run the queued backlog through the aggregator, without
 // persisting. It is its own step because a handoff export flushes and
 // then serializes the aggregate instead of checkpointing it.
 func (s *Service) Flush(ctx context.Context) error {
 	s.BeginDrain()
-	s.q.Close()
+	s.q.close()
 	if s.started.Load() {
 		select {
 		case <-s.done:
@@ -711,7 +708,7 @@ func (s *Service) Flush(ctx context.Context) error {
 	} else {
 		// Never started: flush the backlog inline.
 		for {
-			sub, ok := s.q.Wait()
+			sub, ok := s.q.wait()
 			if !ok {
 				break
 			}
@@ -748,8 +745,9 @@ func (s *Service) Drain(ctx context.Context) error {
 		return err
 	}
 	if s.cfg.CheckpointPath != "" && !s.handedOff.Load() {
+		c := s.agg.CountersSnapshot()
 		s.logf("drained: %d samples aggregated, %d lost (%.1f%% loss), final checkpoint at %s",
-			s.agg.Samples(), s.agg.Lost(), 100*s.agg.LossRate(), s.cfg.CheckpointPath)
+			c.Samples, c.Lost, 100*c.LossRate, s.cfg.CheckpointPath)
 	}
 	return nil
 }
@@ -902,8 +900,8 @@ func (s *Service) Stats() Stats {
 	c, pending := s.led.counts()
 	st := Stats{
 		counters:  c,
-		Queue:     s.q.Stats(),
-		Breaker:   s.brk.Stats(),
+		Queue:     s.q.snapshot(),
+		Breaker:   s.brk.snapshot(),
 		Draining:  s.draining.Load(),
 		Sealed:    s.sealed.Load(),
 		HandedOff: s.handedOff.Load(),

@@ -57,10 +57,10 @@ func TestServiceOverflowAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := svc.Aggregate()
-	if got := agg.Samples(); got != wantMerged {
+	if got := agg.CountersSnapshot().Samples; got != wantMerged {
 		t.Fatalf("aggregate samples %d, want %d", got, wantMerged)
 	}
-	if got := agg.Lost(); got != wantLost {
+	if got := agg.CountersSnapshot().Lost; got != wantLost {
 		t.Fatalf("aggregate lost %d, want %d (reconciliation must be exact)", got, wantLost)
 	}
 	st := svc.Stats()
@@ -79,11 +79,11 @@ func TestServiceOverflowAccounting(t *testing.T) {
 	}
 }
 
-// TestServiceDropOldestAccounting: with DropOldest, the newest burst
+// TestServiceDropOldestAccounting: with dropOldest, the newest burst
 // survives and evicted shards are accounted as loss.
 func TestServiceDropOldestAccounting(t *testing.T) {
 	cfg := testServiceConfig(t.TempDir())
-	cfg.Policy = DropOldest
+	cfg.Policy = dropOldest
 	cfg.QueueDepth = 2
 	svc, err := NewService(cfg, nil)
 	if err != nil {
@@ -110,8 +110,8 @@ func TestServiceDropOldestAccounting(t *testing.T) {
 		wantMerged += s.Captured()
 	}
 	agg := svc.Aggregate()
-	if agg.Samples() != wantMerged || agg.Lost() != wantLost {
-		t.Fatalf("samples/lost %d/%d, want %d/%d", agg.Samples(), agg.Lost(), wantMerged, wantLost)
+	if agg.CountersSnapshot().Samples != wantMerged || agg.CountersSnapshot().Lost != wantLost {
+		t.Fatalf("samples/lost %d/%d, want %d/%d", agg.CountersSnapshot().Samples, agg.CountersSnapshot().Lost, wantMerged, wantLost)
 	}
 	if st := svc.Stats(); st.OverloadDropped != 3 {
 		t.Fatalf("dropped %d, want 3", st.OverloadDropped)
@@ -127,7 +127,7 @@ func TestServiceConfigMismatchRejectedWithoutLoss(t *testing.T) {
 	if err := svc.Submit(bad); !errors.Is(err, ErrConfigMismatch) {
 		t.Fatalf("mismatched shard: %v", err)
 	}
-	if got := svc.Aggregate().Lost(); got != 0 {
+	if got := svc.Aggregate().CountersSnapshot().Lost; got != 0 {
 		t.Fatalf("mismatch accounted as loss (%d): those samples were never in this population", got)
 	}
 }
@@ -222,11 +222,11 @@ func TestServiceDrainWaitsForBacklog(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := svc.Aggregate()
-	if agg.Samples() != want {
-		t.Fatalf("drained samples %d, want %d", agg.Samples(), want)
+	if agg.CountersSnapshot().Samples != want {
+		t.Fatalf("drained samples %d, want %d", agg.CountersSnapshot().Samples, want)
 	}
-	if agg.Lost() != late.Captured() {
-		t.Fatalf("drain-refused shard not accounted: lost %d, want %d", agg.Lost(), late.Captured())
+	if agg.CountersSnapshot().Lost != late.Captured() {
+		t.Fatalf("drain-refused shard not accounted: lost %d, want %d", agg.CountersSnapshot().Lost, late.Captured())
 	}
 }
 
@@ -254,14 +254,14 @@ func TestServiceRetryAfterRefusalReversesLoss(t *testing.T) {
 	if err := svc.Submit(s2); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("full queue: %v, want ErrQueueFull", err)
 	}
-	if got := svc.Aggregate().Lost(); got != s2.Captured() {
+	if got := svc.Aggregate().CountersSnapshot().Lost; got != s2.Captured() {
 		t.Fatalf("refusal not accounted: lost %d, want %d", got, s2.Captured())
 	}
 	// Second refusal of the same shard: a retry, not new loss.
 	if err := svc.Submit(s2); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("retry against full queue: %v, want ErrQueueFull", err)
 	}
-	if got := svc.Aggregate().Lost(); got != s2.Captured() {
+	if got := svc.Aggregate().CountersSnapshot().Lost; got != s2.Captured() {
 		t.Fatalf("repeat refusal double-counted: lost %d, want %d", got, s2.Captured())
 	}
 	if st := svc.Stats(); st.OverloadRejected != 2 || st.SamplesLost != s2.Captured() {
@@ -292,12 +292,12 @@ func TestServiceRetryAfterRefusalReversesLoss(t *testing.T) {
 
 	agg := svc.Aggregate()
 	want := s1.Captured() + s2.Captured()
-	if got := agg.Samples() + agg.Lost(); got != want {
+	if got := agg.CountersSnapshot().Samples + agg.CountersSnapshot().Lost; got != want {
 		t.Fatalf("conservation violated: samples %d + lost %d = %d, distinct shards captured %d",
-			agg.Samples(), agg.Lost(), got, want)
+			agg.CountersSnapshot().Samples, agg.CountersSnapshot().Lost, got, want)
 	}
-	if agg.Lost() != 0 {
-		t.Fatalf("accepted retry left %d samples in the loss ledger", agg.Lost())
+	if agg.CountersSnapshot().Lost != 0 {
+		t.Fatalf("accepted retry left %d samples in the loss ledger", agg.CountersSnapshot().Lost)
 	}
 	st := svc.Stats()
 	if st.SamplesLost != 0 || st.LossReversed != s2.Captured() || st.Merged != 2 {
@@ -334,9 +334,9 @@ func TestServiceDuplicateSubmission(t *testing.T) {
 		t.Fatalf("post-drain duplicate: %v, want ErrDuplicate", err)
 	}
 	agg := svc.Aggregate()
-	if agg.Samples() != s1.Captured() || agg.Lost() != 0 {
+	if agg.CountersSnapshot().Samples != s1.Captured() || agg.CountersSnapshot().Lost != 0 {
 		t.Fatalf("duplicates changed accounting: samples %d lost %d, want %d/0",
-			agg.Samples(), agg.Lost(), s1.Captured())
+			agg.CountersSnapshot().Samples, agg.CountersSnapshot().Lost, s1.Captured())
 	}
 	if st := svc.Stats(); st.Duplicates != 2 || st.Merged != 1 {
 		t.Fatalf("stats %+v, want 2 duplicates / 1 merged", st)
@@ -355,7 +355,7 @@ func TestServiceConfigMismatchDuringDrain(t *testing.T) {
 	if err := svc.Submit(bad); !errors.Is(err, ErrConfigMismatch) {
 		t.Fatalf("mismatched shard during drain: %v, want ErrConfigMismatch", err)
 	}
-	if got := svc.Aggregate().Lost(); got != 0 {
+	if got := svc.Aggregate().CountersSnapshot().Lost; got != 0 {
 		t.Fatalf("foreign-population shard accounted as loss during drain (%d)", got)
 	}
 }
@@ -370,19 +370,19 @@ func TestServiceClosedQueueRefusesAsDraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.q.Close() // the race window: queue closed, draining flag not yet observed
+	svc.q.close() // the race window: queue closed, draining flag not yet observed
 	s1 := sub("s001", 1, 10)
 	if err := svc.Submit(s1); !errors.Is(err, ErrDraining) {
 		t.Fatalf("closed queue: %v, want ErrDraining", err)
 	}
-	if got := svc.Aggregate().Lost(); got != s1.Captured() {
+	if got := svc.Aggregate().CountersSnapshot().Lost; got != s1.Captured() {
 		t.Fatalf("closed-queue refusal not accounted: lost %d, want %d", got, s1.Captured())
 	}
 	svc.BeginDrain()
 	if err := svc.Submit(s1); !errors.Is(err, ErrDraining) {
 		t.Fatalf("draining retry: %v, want ErrDraining", err)
 	}
-	if got := svc.Aggregate().Lost(); got != s1.Captured() {
+	if got := svc.Aggregate().CountersSnapshot().Lost; got != s1.Captured() {
 		t.Fatalf("retry-then-503 double-counted: lost %d, want %d", got, s1.Captured())
 	}
 }

@@ -322,14 +322,14 @@ func TestSubmitProceedsDuringSnapshot(t *testing.T) {
 
 // TestEvictedRetryKeepsItsLoss is the deterministic form of the
 // TestConservationProperty flake. A refused shard accepted on retry used
-// to have its loss taken back at acceptance; under DropOldest a later
+// to have its loss taken back at acceptance; under dropOldest a later
 // offer could evict it again, and the books then owed samples that would
 // never merge (the concurrent form: eviction landing between the offer
 // and the reversal). The loss now stands until the merge that replaces
 // it, so with the aggregator stopped Samples + Lost covers every shard
 // submitted so far after every single step.
 func TestEvictedRetryKeepsItsLoss(t *testing.T) {
-	svc, err := NewService(Config{QueueDepth: 1, Policy: DropOldest, Interval: 16}, nil)
+	svc, err := NewService(Config{QueueDepth: 1, Policy: dropOldest, Interval: 16}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestEvictedRetryKeepsItsLoss(t *testing.T) {
 		if err := svc.Submit(step.sub); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
-		if got := svc.Aggregate().Samples() + svc.Aggregate().Lost(); got != step.want {
+		if got := svc.Aggregate().CountersSnapshot().Samples + svc.Aggregate().CountersSnapshot().Lost; got != step.want {
 			t.Fatalf("step %d (submit %s): samples + lost = %d, want %d", i, step.sub.Shard, got, step.want)
 		}
 	}
@@ -364,7 +364,7 @@ func TestEvictedRetryKeepsItsLoss(t *testing.T) {
 
 // TestCrashRecoveryConservationProperty checkpoints after every merge
 // while concurrent clients submit, duplicate, retry 429s and (under
-// DropOldest) evict one another, "crashes" the instance at a random
+// dropOldest) evict one another, "crashes" the instance at a random
 // operation, and recovers from what is on disk. Each seed must show
 // exact conservation over every shard that reached the WAL, every
 // acknowledged shard accounted for exactly once, and a checkpoint barrier
@@ -425,7 +425,7 @@ func runCrashRecoveryTrial(t *testing.T, seed int64) {
 		},
 	}
 	if rng.Intn(2) == 0 {
-		cfg.Policy = DropOldest
+		cfg.Policy = dropOldest
 	}
 	if delay := rng.Intn(3); delay > 0 {
 		d := time.Duration(delay*50) * time.Microsecond

@@ -28,10 +28,10 @@ const (
 	walKindAdopt   = "adopt"
 )
 
-// ErrBadWALRecord reports a structurally invalid WAL record payload —
+// errBadWALRecord reports a structurally invalid WAL record payload —
 // possible only through an encoder bug or post-CRC memory corruption,
 // so replay treats it as a torn record (stop, don't crash).
-var ErrBadWALRecord = errors.New("ingest: malformed wal record")
+var errBadWALRecord = errors.New("ingest: malformed wal record")
 
 // encodeAdmitRecord serializes a submission for the WAL. A submission
 // decoded off the wire is logged as received: its profile envelope was
@@ -50,7 +50,7 @@ func encodeAdmitRecord(sub Submission) ([]byte, error) {
 // decodeWALRecord parses one WAL record payload. Exactly one of sub or
 // h is meaningful, selected by kind.
 func decodeWALRecord(payload []byte) (kind string, sub Submission, h Handoff, err error) {
-	rec, db, err := decodeRecord(payload, "", "wal record", ErrBadWALRecord)
+	rec, db, err := decodeRecord(payload, "", "wal record", errBadWALRecord)
 	if err != nil {
 		return "", Submission{}, Handoff{}, err
 	}

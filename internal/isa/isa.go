@@ -45,8 +45,8 @@ func (r Reg) String() string {
 	}
 }
 
-// Valid reports whether r names an architectural register.
-func (r Reg) Valid() bool { return r < NumRegs }
+// valid reports whether r names an architectural register.
+func (r Reg) valid() bool { return r < NumRegs }
 
 // Op is an operation code.
 type Op uint8
@@ -99,12 +99,7 @@ const (
 	OpJsr // direct call: Rc = PC+4 (link), jump to Target
 	OpJmp // indirect jump to the address in Rb
 	OpRet // indirect return to the address in Rb (conventionally ra)
-
-	opCount // sentinel; keep last
 )
-
-// NumOps is the number of defined operation codes.
-const NumOps = int(opCount)
 
 var opNames = [...]string{
 	OpNop: "nop", OpAdd: "add", OpSub: "sub", OpAnd: "and", OpOr: "or",
@@ -142,7 +137,6 @@ const (
 	ClassCall   // direct call (writes link register)
 	ClassJmpInd // indirect jump
 	ClassRet    // indirect return
-	NumClasses  = iota
 )
 
 var classNames = [...]string{

@@ -7,7 +7,7 @@ import (
 )
 
 func TestOpStrings(t *testing.T) {
-	for op := Op(0); int(op) < NumOps; op++ {
+	for op := Op(0); int(op) < len(opNames); op++ {
 		s := op.String()
 		if s == "" || strings.HasPrefix(s, "op(") {
 			t.Errorf("op %d has no mnemonic", op)
@@ -17,7 +17,7 @@ func TestOpStrings(t *testing.T) {
 
 func TestClassCoverage(t *testing.T) {
 	// Every op has a class, and the class's predicates are consistent.
-	for op := Op(0); int(op) < NumOps; op++ {
+	for op := Op(0); int(op) < len(opNames); op++ {
 		c := op.Class()
 		if c.String() == "" {
 			t.Errorf("%v: empty class name", op)
@@ -106,15 +106,15 @@ func TestSrcsRules(t *testing.T) {
 func TestSrcsNeverIncludesZero(t *testing.T) {
 	f := func(op uint8, ra, rb, rc uint8, useImm bool) bool {
 		in := Inst{
-			Op: Op(op % uint8(NumOps)), Ra: Reg(ra % NumRegs),
+			Op: Op(op % uint8(len(opNames))), Ra: Reg(ra % NumRegs),
 			Rb: Reg(rb % NumRegs), Rc: Reg(rc % NumRegs), UseImm: useImm,
 		}
 		for _, s := range in.Srcs(nil) {
-			if s == RegZero || !s.Valid() {
+			if s == RegZero || !s.valid() {
 				return false
 			}
 		}
-		if d, ok := in.Dest(); ok && (d == RegZero || !d.Valid()) {
+		if d, ok := in.Dest(); ok && (d == RegZero || !d.valid()) {
 			return false
 		}
 		return true

@@ -108,7 +108,7 @@ func (p *Program) Disassemble() string {
 func (p *Program) Validate() error {
 	for i, in := range p.Insts {
 		pc := uint64(i) * InstBytes
-		if !in.Ra.Valid() || !in.Rb.Valid() || !in.Rc.Valid() {
+		if !in.Ra.valid() || !in.Rb.valid() || !in.Rc.valid() {
 			return fmt.Errorf("isa: pc 0x%x: register out of range in %v", pc, in)
 		}
 		if in.Op.IsControl() && !in.Op.IsIndirect() {

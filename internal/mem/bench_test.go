@@ -3,19 +3,19 @@ package mem
 import "testing"
 
 func BenchmarkCacheAccessHit(b *testing.B) {
-	c := NewCache(DefaultConfig().DCache)
-	c.Access(0x1000)
+	c := newCache(DefaultConfig().DCache)
+	c.access(0x1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Access(0x1000)
+		c.access(0x1000)
 	}
 }
 
 func BenchmarkCacheAccessMissStream(b *testing.B) {
-	c := NewCache(DefaultConfig().DCache)
+	c := newCache(DefaultConfig().DCache)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Access(uint64(i) * 64)
+		c.access(uint64(i) * 64)
 	}
 }
 

@@ -17,8 +17,8 @@ type CacheConfig struct {
 	HitLatency int // cycles charged on a hit at this level
 }
 
-// Validate reports a configuration problem, or nil.
-func (c CacheConfig) Validate() error {
+// validate reports a configuration problem, or nil.
+func (c CacheConfig) validate() error {
 	switch {
 	case c.SizeBytes <= 0 || c.LineBytes <= 0 || c.Assoc <= 0:
 		return fmt.Errorf("mem: %s: non-positive geometry", c.Name)
@@ -53,10 +53,10 @@ type Cache struct {
 	misses   uint64
 }
 
-// NewCache returns an empty cache. It panics on an invalid configuration
+// newCache returns an empty cache. It panics on an invalid configuration
 // (configurations are static program data, not runtime input).
-func NewCache(cfg CacheConfig) *Cache {
-	if err := cfg.Validate(); err != nil {
+func newCache(cfg CacheConfig) *Cache {
+	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
 	numSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Assoc)
@@ -80,9 +80,9 @@ func (c *Cache) set(addr uint64) ([]line, uint64) {
 	return c.sets[blk&c.setMask], blk
 }
 
-// Access looks up addr, filling the line on a miss (allocate-on-miss for
+// access looks up addr, filling the line on a miss (allocate-on-miss for
 // both reads and writes). It returns true on a hit.
-func (c *Cache) Access(addr uint64) bool {
+func (c *Cache) access(addr uint64) bool {
 	c.accesses++
 	c.stamp++
 	set, tag := c.set(addr)
@@ -108,46 +108,18 @@ func (c *Cache) Access(addr uint64) bool {
 	return false
 }
 
-// Probe reports whether addr currently hits, without updating any state.
-func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
 // SetIndex returns the set number addr maps to, for conflict analysis
 // (the examples/memtuning scenario groups sampled miss addresses by set).
 func (c *Cache) SetIndex(addr uint64) uint64 {
 	return (addr >> c.lineShift) & c.setMask
 }
 
-// InvalidateAll empties the cache.
-func (c *Cache) InvalidateAll() {
-	for _, s := range c.sets {
-		for i := range s {
-			s[i] = line{}
-		}
-	}
-}
-
 // Stats returns cumulative accesses and misses.
 func (c *Cache) Stats() (accesses, misses uint64) { return c.accesses, c.misses }
 
-// MissRate returns misses/accesses, or 0 when idle.
-func (c *Cache) MissRate() float64 {
-	if c.accesses == 0 {
-		return 0
-	}
-	return float64(c.misses) / float64(c.accesses)
-}
-
-// TLB is a fully-associative translation buffer with LRU replacement over
+// tlb is a fully-associative translation buffer with LRU replacement over
 // page numbers.
-type TLB struct {
+type tlb struct {
 	entries   []tlbEntry
 	pageShift uint
 	stamp     uint64
@@ -161,10 +133,10 @@ type tlbEntry struct {
 	lru   uint64
 }
 
-// NewTLB returns a TLB with the given number of entries and page size.
+// newTLB returns a TLB with the given number of entries and page size.
 // It panics when pageBytes is not a power of two or entries is not
 // positive.
-func NewTLB(entries int, pageBytes int) *TLB {
+func newTLB(entries int, pageBytes int) *tlb {
 	if entries <= 0 || pageBytes <= 0 || pageBytes&(pageBytes-1) != 0 {
 		panic(fmt.Sprintf("mem: bad TLB geometry: %d entries, %d-byte pages", entries, pageBytes))
 	}
@@ -172,11 +144,11 @@ func NewTLB(entries int, pageBytes int) *TLB {
 	for 1<<shift < pageBytes {
 		shift++
 	}
-	return &TLB{entries: make([]tlbEntry, entries), pageShift: shift}
+	return &tlb{entries: make([]tlbEntry, entries), pageShift: shift}
 }
 
-// Access translates addr, filling on a miss. It returns true on a hit.
-func (t *TLB) Access(addr uint64) bool {
+// access translates addr, filling on a miss. It returns true on a hit.
+func (t *tlb) access(addr uint64) bool {
 	t.accesses++
 	t.stamp++
 	page := addr >> t.pageShift
@@ -200,9 +172,3 @@ func (t *TLB) Access(addr uint64) bool {
 	t.entries[victim] = tlbEntry{page: page, valid: true, lru: t.stamp}
 	return false
 }
-
-// Page returns the page number of addr.
-func (t *TLB) Page(addr uint64) uint64 { return addr >> t.pageShift }
-
-// Stats returns cumulative accesses and misses.
-func (t *TLB) Stats() (accesses, misses uint64) { return t.accesses, t.misses }

@@ -47,24 +47,21 @@ type Hierarchy struct {
 	icache *Cache
 	dcache *Cache
 	l2     *Cache
-	itlb   *TLB
-	dtlb   *TLB
+	itlb   *tlb
+	dtlb   *tlb
 }
 
 // NewHierarchy builds the hierarchy described by cfg.
 func NewHierarchy(cfg Config) *Hierarchy {
 	return &Hierarchy{
 		cfg:    cfg,
-		icache: NewCache(cfg.ICache),
-		dcache: NewCache(cfg.DCache),
-		l2:     NewCache(cfg.L2),
-		itlb:   NewTLB(cfg.TLBEntries, cfg.PageBytes),
-		dtlb:   NewTLB(cfg.TLBEntries, cfg.PageBytes),
+		icache: newCache(cfg.ICache),
+		dcache: newCache(cfg.DCache),
+		l2:     newCache(cfg.L2),
+		itlb:   newTLB(cfg.TLBEntries, cfg.PageBytes),
+		dtlb:   newTLB(cfg.TLBEntries, cfg.PageBytes),
 	}
 }
-
-// Config returns the hierarchy's configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
 
 // ICache returns the instruction cache (read-only introspection).
 func (h *Hierarchy) ICache() *Cache { return h.icache }
@@ -86,19 +83,19 @@ func (h *Hierarchy) Data(addr uint64) Result {
 	return h.access(h.dtlb, h.dcache, addr)
 }
 
-func (h *Hierarchy) access(tlb *TLB, l1 *Cache, addr uint64) Result {
+func (h *Hierarchy) access(tb *tlb, l1 *Cache, addr uint64) Result {
 	var r Result
-	if !tlb.Access(addr) {
+	if !tb.access(addr) {
 		r.TLBMiss = true
 		r.Latency += h.cfg.TLBPenalty
 	}
 	r.Latency += l1.Config().HitLatency
-	if l1.Access(addr) {
+	if l1.access(addr) {
 		return r
 	}
 	r.L1Miss = true
 	r.Latency += h.cfg.L2Latency
-	if h.l2.Access(addr) {
+	if h.l2.access(addr) {
 		return r
 	}
 	r.L2Miss = true

@@ -8,21 +8,21 @@ import (
 )
 
 func smallCache() *Cache {
-	return NewCache(CacheConfig{Name: "t", SizeBytes: 1024, LineBytes: 64, Assoc: 2, HitLatency: 1})
+	return newCache(CacheConfig{Name: "t", SizeBytes: 1024, LineBytes: 64, Assoc: 2, HitLatency: 1})
 }
 
 func TestCacheColdMissThenHit(t *testing.T) {
 	c := smallCache()
-	if c.Access(0x100) {
+	if c.access(0x100) {
 		t.Fatal("cold access hit")
 	}
-	if !c.Access(0x100) {
+	if !c.access(0x100) {
 		t.Fatal("second access missed")
 	}
-	if !c.Access(0x13f) {
+	if !c.access(0x13f) {
 		t.Fatal("same-line access missed")
 	}
-	if c.Access(0x140) {
+	if c.access(0x140) {
 		t.Fatal("next line should miss")
 	}
 	acc, miss := c.Stats()
@@ -36,37 +36,40 @@ func TestCacheLRUEviction(t *testing.T) {
 	c := smallCache()
 	const stride = 512
 	a, b, d := uint64(0), uint64(stride), uint64(2*stride)
-	c.Access(a) // miss, fill way0
-	c.Access(b) // miss, fill way1
-	c.Access(a) // hit, a most recent
-	c.Access(d) // miss, evicts b (LRU)
-	if !c.Access(a) {
+	c.access(a) // miss, fill way0
+	c.access(b) // miss, fill way1
+	c.access(a) // hit, a most recent
+	c.access(d) // miss, evicts b (LRU)
+	if !c.access(a) {
 		t.Fatal("a should still be resident")
 	}
-	if c.Access(b) {
+	if c.access(b) {
 		t.Fatal("b should have been evicted")
 	}
 }
 
-func TestCacheProbeDoesNotFill(t *testing.T) {
-	c := smallCache()
-	if c.Probe(0x40) {
-		t.Fatal("probe hit on empty cache")
+// probe reports whether addr currently hits, without updating any state:
+// the tests' side-effect-free oracle for what Access left behind.
+func (c *Cache) probe(addr uint64) bool {
+	set, tag := c.set(addr)
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			return true
+		}
 	}
-	if c.Access(0x40) {
-		t.Fatal("access after probe should still miss")
-	}
-	if !c.Probe(0x40) {
-		t.Fatal("probe should hit after fill")
-	}
+	return false
 }
 
-func TestCacheInvalidateAll(t *testing.T) {
+func TestCacheProbeDoesNotFill(t *testing.T) {
 	c := smallCache()
-	c.Access(0x80)
-	c.InvalidateAll()
-	if c.Probe(0x80) {
-		t.Fatal("line survived invalidate")
+	if c.probe(0x40) {
+		t.Fatal("probe hit on empty cache")
+	}
+	if c.access(0x40) {
+		t.Fatal("access after probe should still miss")
+	}
+	if !c.probe(0x40) {
+		t.Fatal("probe should hit after fill")
 	}
 }
 
@@ -85,12 +88,12 @@ func TestCacheConfigValidation(t *testing.T) {
 		{Name: "d", SizeBytes: 64 * 2 * 3, LineBytes: 64, Assoc: 2}, // 3 sets
 	}
 	for _, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Errorf("%s: invalid config accepted", cfg.Name)
 		}
 	}
 	good := CacheConfig{Name: "g", SizeBytes: 64 << 10, LineBytes: 64, Assoc: 2, HitLatency: 1}
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }
@@ -99,20 +102,20 @@ func TestCacheWorkingSetFits(t *testing.T) {
 	// A working set smaller than the cache reaches a 100% steady-state
 	// hit rate; one larger than the cache with a marching access pattern
 	// misses every line.
-	c := NewCache(CacheConfig{Name: "t", SizeBytes: 4096, LineBytes: 64, Assoc: 4, HitLatency: 1})
+	c := newCache(CacheConfig{Name: "t", SizeBytes: 4096, LineBytes: 64, Assoc: 4, HitLatency: 1})
 	for pass := 0; pass < 4; pass++ {
 		for addr := uint64(0); addr < 4096; addr += 64 {
-			hit := c.Access(addr)
+			hit := c.access(addr)
 			if pass > 0 && !hit {
 				t.Fatalf("pass %d: addr %#x missed in fitting working set", pass, addr)
 			}
 		}
 	}
 
-	big := NewCache(CacheConfig{Name: "t2", SizeBytes: 1024, LineBytes: 64, Assoc: 2, HitLatency: 1})
+	big := newCache(CacheConfig{Name: "t2", SizeBytes: 1024, LineBytes: 64, Assoc: 2, HitLatency: 1})
 	for pass := 0; pass < 3; pass++ {
 		for addr := uint64(0); addr < 4096; addr += 64 {
-			if big.Access(addr) && pass > 0 {
+			if big.access(addr) && pass > 0 {
 				// LRU with a sequential sweep over 4x capacity never hits.
 				t.Fatalf("pass %d: addr %#x unexpectedly hit", pass, addr)
 			}
@@ -122,13 +125,13 @@ func TestCacheWorkingSetFits(t *testing.T) {
 
 func TestCacheMissRate(t *testing.T) {
 	c := smallCache()
-	if c.MissRate() != 0 {
-		t.Fatal("idle miss rate nonzero")
+	if a, m := c.Stats(); a != 0 || m != 0 {
+		t.Fatalf("idle cache counts %d accesses, %d misses", a, m)
 	}
-	c.Access(0x0)
-	c.Access(0x0)
-	if got := c.MissRate(); got != 0.5 {
-		t.Fatalf("miss rate = %v", got)
+	c.access(0x0)
+	c.access(0x0)
+	if a, m := c.Stats(); a != 2 || m != 1 {
+		t.Fatalf("a miss then a hit count %d accesses, %d misses", a, m)
 	}
 }
 
@@ -143,8 +146,8 @@ func TestCachePropertyProbeConsistentWithAccess(t *testing.T) {
 			addrs[i] = uint64(r.Intn(1 << 14))
 		}
 		for _, a := range addrs {
-			c.Access(a)
-			if !c.Probe(a) {
+			c.access(a)
+			if !c.probe(a) {
 				return false
 			}
 		}
@@ -156,31 +159,28 @@ func TestCachePropertyProbeConsistentWithAccess(t *testing.T) {
 }
 
 func TestTLBBasics(t *testing.T) {
-	tlb := NewTLB(4, 8192)
-	if tlb.Access(0) {
+	tlb := newTLB(4, 8192)
+	if tlb.access(0) {
 		t.Fatal("cold TLB hit")
 	}
-	if !tlb.Access(8191) {
+	if !tlb.access(8191) {
 		t.Fatal("same page missed")
 	}
-	if tlb.Access(8192) {
+	if tlb.access(8192) {
 		t.Fatal("next page hit")
-	}
-	if tlb.Page(8192) != 1 {
-		t.Fatal("page number wrong")
 	}
 }
 
 func TestTLBLRU(t *testing.T) {
-	tlb := NewTLB(2, 4096)
-	tlb.Access(0 * 4096)
-	tlb.Access(1 * 4096)
-	tlb.Access(0 * 4096) // page 0 most recent
-	tlb.Access(2 * 4096) // evicts page 1
-	if !tlb.Access(0) {
+	tlb := newTLB(2, 4096)
+	tlb.access(0 * 4096)
+	tlb.access(1 * 4096)
+	tlb.access(0 * 4096) // page 0 most recent
+	tlb.access(2 * 4096) // evicts page 1
+	if !tlb.access(0) {
 		t.Fatal("page 0 evicted")
 	}
-	if tlb.Access(1 * 4096) {
+	if tlb.access(1 * 4096) {
 		t.Fatal("page 1 survived")
 	}
 }
@@ -191,7 +191,7 @@ func TestTLBPanicsOnBadGeometry(t *testing.T) {
 			t.Fatal("bad TLB geometry accepted")
 		}
 	}()
-	NewTLB(4, 3000)
+	newTLB(4, 3000)
 }
 
 func TestHierarchyLatencies(t *testing.T) {
@@ -254,7 +254,7 @@ func TestHierarchyFetchSeparateFromData(t *testing.T) {
 func TestHierarchyDefaultConfigValid(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, cc := range []CacheConfig{cfg.ICache, cfg.DCache, cfg.L2} {
-		if err := cc.Validate(); err != nil {
+		if err := cc.validate(); err != nil {
 			t.Errorf("default %s invalid: %v", cc.Name, err)
 		}
 	}

@@ -12,7 +12,7 @@
 // "client") and injects, per (src, dst) link:
 //
 //   - partitions: symmetric or asymmetric link cuts, installed and
-//     healed explicitly (Partition/Heal/ApplyPhase) — the nemesis
+//     healed explicitly (ApplyPhase) — the nemesis
 //     schedule, not per-request chance, decides these;
 //   - latency and jitter: a seeded delay before the request is sent;
 //   - reordering: a longer seeded hold that lets later requests pass;
@@ -48,7 +48,7 @@ import (
 
 // Rates parameterizes a Plan: per-request probabilities in [0, 1] plus
 // the durations the timing faults insert. Partitions are NOT here —
-// they are schedule-driven (Partition/Heal/ApplyPhase), because a
+// they are schedule-driven (ApplyPhase), because a
 // partition is a state, not a per-request coin flip.
 type Rates struct {
 	// Latency is the probability a request is delayed before sending;
@@ -97,8 +97,8 @@ func Light() Rates {
 	}
 }
 
-// Validate reports a Rates problem, or nil.
-func (r Rates) Validate() error {
+// validate reports a Rates problem, or nil.
+func (r Rates) validate() error {
 	probs := []struct {
 		name string
 		p    float64
@@ -137,12 +137,12 @@ type Counts struct {
 	Dripped      uint64
 }
 
-// ErrPartitioned is the transport error a cut link returns; it unwraps
+// errPartitioned is the transport error a cut link returns; it unwraps
 // so tests can assert the failure class.
-var ErrPartitioned = errors.New("netchaos: link partitioned")
+var errPartitioned = errors.New("netchaos: link partitioned")
 
-// ErrReset is the transport error injected resets return.
-var ErrReset = errors.New("netchaos: connection reset")
+// errReset is the transport error injected resets return.
+var errReset = errors.New("netchaos: connection reset")
 
 // link is one directed (src, dst) edge's fault state.
 type link struct {
@@ -165,9 +165,9 @@ type Plan struct {
 	wg     sync.WaitGroup // in-flight background duplicate deliveries
 }
 
-// NewPlan builds a plan drawing from seed.
-func NewPlan(seed uint64, r Rates) (*Plan, error) {
-	if err := r.Validate(); err != nil {
+// newPlan builds a plan drawing from seed.
+func newPlan(seed uint64, r Rates) (*Plan, error) {
+	if err := r.validate(); err != nil {
 		return nil, err
 	}
 	return &Plan{
@@ -178,9 +178,9 @@ func NewPlan(seed uint64, r Rates) (*Plan, error) {
 	}, nil
 }
 
-// MustNewPlan is NewPlan for static rates that cannot fail.
+// MustNewPlan is newPlan for static rates that cannot fail.
 func MustNewPlan(seed uint64, r Rates) *Plan {
-	p, err := NewPlan(seed, r)
+	p, err := newPlan(seed, r)
 	if err != nil {
 		panic(err)
 	}
@@ -190,7 +190,7 @@ func MustNewPlan(seed uint64, r Rates) *Plan {
 // RegisterHost names a destination: requests to hostport (the URL's
 // Host) count as the link (src, name). Unregistered hosts fall back to
 // the raw hostport as the link name — still deterministic, just less
-// readable and not addressable by Partition.
+// readable and not addressable by partition.
 func (p *Plan) RegisterHost(hostport, name string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -216,17 +216,17 @@ func (p *Plan) linkFor(src, dst string) *link {
 	return l
 }
 
-// Partition cuts the directed link src->dst. Cut both directions for a
+// partition cuts the directed link src->dst. Cut both directions for a
 // symmetric partition; one for an asymmetric one (requests die, the
 // reverse path still works).
-func (p *Plan) Partition(src, dst string) {
+func (p *Plan) partition(src, dst string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.linkFor(src, dst).cut = true
 }
 
-// Heal restores the directed link src->dst.
-func (p *Plan) Heal(src, dst string) {
+// heal restores the directed link src->dst.
+func (p *Plan) heal(src, dst string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.linkFor(src, dst).cut = false
@@ -262,9 +262,6 @@ func (p *Plan) Counts() Counts {
 // Wait blocks until background duplicate deliveries finish — call
 // before asserting fleet state, or a late duplicate can race the check.
 func (p *Plan) Wait() { p.wg.Wait() }
-
-// Seed returns the plan seed, for failure banners.
-func (p *Plan) Seed() uint64 { return p.seed }
 
 // decision is one request's drawn fault set.
 type decision struct {
@@ -362,13 +359,13 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		if req.Body != nil {
 			req.Body.Close()
 		}
-		return nil, fmt.Errorf("%w: %s -> %s", ErrPartitioned, t.src, dst)
+		return nil, fmt.Errorf("%w: %s -> %s", errPartitioned, t.src, dst)
 	}
 	if d.resetPre {
 		if req.Body != nil {
 			req.Body.Close()
 		}
-		return nil, fmt.Errorf("%w before delivery: %s -> %s", ErrReset, t.src, dst)
+		return nil, fmt.Errorf("%w before delivery: %s -> %s", errReset, t.src, dst)
 	}
 	hold := d.delay
 	if d.reorder {
@@ -410,7 +407,7 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		// The server processed the request; the client never learns.
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 		resp.Body.Close()
-		return nil, fmt.Errorf("%w after delivery: %s -> %s", ErrReset, t.src, dst)
+		return nil, fmt.Errorf("%w after delivery: %s -> %s", errReset, t.src, dst)
 	}
 	if d.drip {
 		chunk := p.rates.DripChunk
@@ -491,6 +488,6 @@ func Schedule(seed uint64, srcs, dsts []string, n int) []Phase {
 func (p *Plan) ApplyPhase(ph Phase) {
 	p.HealAll()
 	for _, c := range ph.Cuts {
-		p.Partition(c[0], c[1])
+		p.partition(c[0], c[1])
 	}
 }

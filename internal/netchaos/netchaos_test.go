@@ -64,16 +64,16 @@ func TestValidate(t *testing.T) {
 		{DripChunk: -1},
 	}
 	for i, r := range bad {
-		if _, err := NewPlan(1, r); err == nil {
+		if _, err := newPlan(1, r); err == nil {
 			t.Errorf("rates %d: invalid Rates accepted", i)
 		}
 	}
-	if _, err := NewPlan(1, Light()); err != nil {
+	if _, err := newPlan(1, Light()); err != nil {
 		t.Fatalf("Light rates rejected: %v", err)
 	}
 }
 
-// TestPartition: a cut directed link fails with ErrPartitioned without
+// TestPartition: a cut directed link fails with errPartitioned without
 // the server seeing the request; healing restores it; an asymmetric cut
 // leaves the other source's path up.
 func TestPartition(t *testing.T) {
@@ -88,9 +88,9 @@ func TestPartition(t *testing.T) {
 	router := &http.Client{Transport: p.Transport("router", nil)}
 	other := &http.Client{Transport: p.Transport("witness", nil)}
 
-	p.Partition("router", "c0")
+	p.partition("router", "c0")
 	_, err := router.Get(ts.URL)
-	if err == nil || !errors.Is(urlErr(t, err), ErrPartitioned) {
+	if err == nil || !errors.Is(urlErr(t, err), errPartitioned) {
 		t.Fatalf("cut link: got err %v, want ErrPartitioned", err)
 	}
 	if hits.Load() != 0 {
@@ -102,7 +102,7 @@ func TestPartition(t *testing.T) {
 	} else {
 		resp.Body.Close()
 	}
-	p.Heal("router", "c0")
+	p.heal("router", "c0")
 	if resp, err := router.Get(ts.URL); err != nil {
 		t.Fatalf("healed link failed: %v", err)
 	} else {
@@ -138,7 +138,7 @@ func TestResetAfterDelivery(t *testing.T) {
 	client := &http.Client{Transport: p.Transport("router", nil)}
 	if _, err := client.Get(ts.URL); err == nil {
 		t.Fatalf("reset-after delivery returned no error")
-	} else if !errors.Is(urlErr(t, err), ErrReset) {
+	} else if !errors.Is(urlErr(t, err), errReset) {
 		t.Fatalf("got %v, want ErrReset", err)
 	}
 	if hits.Load() != 1 {
@@ -166,7 +166,7 @@ func TestResetBefore(t *testing.T) {
 	}
 	// Quiesce ends per-request faults and cuts alike: the same certain
 	// reset, over a cut link, now goes through untouched.
-	p.Partition("router", ts.Listener.Addr().String())
+	p.partition("router", ts.Listener.Addr().String())
 	p.Quiesce()
 	resp, err := client.Get(ts.URL)
 	if err != nil {

@@ -11,45 +11,45 @@ import (
 	"profileme/internal/isa"
 )
 
-// PredKind classifies how control flowed from a predecessor instruction to
+// predKind classifies how control flowed from a predecessor instruction to
 // the current one in the dynamic fetch stream.
-type PredKind uint8
+type predKind uint8
 
 // Predecessor kinds.
 const (
-	// PredFall: the previous instruction fell through (non-control, or a
-	// call returning... no — calls are PredRet sites; this is plain
+	// predFall: the previous instruction fell through (non-control, or a
+	// call returning... no — calls are predRet sites; this is plain
 	// sequential flow).
-	PredFall PredKind = iota
-	// PredCondNotTaken: the previous instruction is a conditional branch
+	predFall predKind = iota
+	// predCondNotTaken: the previous instruction is a conditional branch
 	// that fell through (consumes a history bit, value 0).
-	PredCondNotTaken
-	// PredCondTaken: a conditional branch jumped here (consumes a history
+	predCondNotTaken
+	// predCondTaken: a conditional branch jumped here (consumes a history
 	// bit, value 1).
-	PredCondTaken
-	// PredJump: an unconditional direct branch jumped here.
-	PredJump
-	// PredCall: a call instruction jumped here (this PC is a procedure
+	predCondTaken
+	// predJump: an unconditional direct branch jumped here.
+	predJump
+	// predCall: a call instruction jumped here (this PC is a procedure
 	// entry).
-	PredCall
-	// PredRet: a return instruction jumped here (this PC is a return
+	predCall
+	// predRet: a return instruction jumped here (this PC is a return
 	// site; the predecessor is a ret in the called procedure).
-	PredRet
-	// PredIndirect: an indirect jump observed (dynamically) to land here.
-	PredIndirect
+	predRet
+	// predIndirect: an indirect jump observed (dynamically) to land here.
+	predIndirect
 )
 
-// Pred is one backward-step candidate.
-type Pred struct {
+// pred is one backward-step candidate.
+type pred struct {
 	PC       uint64 // predecessor instruction
-	Kind     PredKind
+	Kind     predKind
 	TakesBit bool // consumes a history bit
 	BitValue bool // required value of that bit (taken = true)
 }
 
-// Edge is a dynamic control-flow edge (from the instruction at From to the
+// edge is a dynamic control-flow edge (from the instruction at From to the
 // instruction at To, in fetch order).
-type Edge struct{ From, To uint64 }
+type edge struct{ From, To uint64 }
 
 // CFG holds the static control-flow structure of a program plus observed
 // dynamic edges for indirect transfers, preprocessed for backward walking.
@@ -57,7 +57,7 @@ type CFG struct {
 	prog *isa.Program
 	// preds[pc/4] lists dynamic-stream predecessors of each instruction,
 	// excluding interprocedural edges, which are resolved per mode.
-	preds [][]Pred
+	preds [][]pred
 	// callPreds[pc/4] lists call instructions targeting this PC.
 	callPreds [][]uint64
 	// retPreds[pc/4] lists the return instructions that can precede this
@@ -65,7 +65,7 @@ type CFG struct {
 	retPreds [][]uint64
 	// edgeCount holds dynamic edge execution counts (for the
 	// execution-counts scheme); populated by AddEdgeCounts.
-	edgeCount map[Edge]uint64
+	edgeCount map[edge]uint64
 }
 
 // NewCFG builds the static CFG for prog.
@@ -73,10 +73,10 @@ func NewCFG(prog *isa.Program) *CFG {
 	n := prog.Len()
 	g := &CFG{
 		prog:      prog,
-		preds:     make([][]Pred, n),
+		preds:     make([][]pred, n),
 		callPreds: make([][]uint64, n),
 		retPreds:  make([][]uint64, n),
-		edgeCount: make(map[Edge]uint64),
+		edgeCount: make(map[edge]uint64),
 	}
 
 	// Collect the return instructions of each procedure.
@@ -102,7 +102,7 @@ func NewCFG(prog *isa.Program) *CFG {
 			switch in.Op.Class() {
 			case isa.ClassBranch:
 				g.preds[j] = append(g.preds[j],
-					Pred{PC: pc, Kind: PredCondNotTaken, TakesBit: true, BitValue: false})
+					pred{PC: pc, Kind: predCondNotTaken, TakesBit: true, BitValue: false})
 			case isa.ClassJump, isa.ClassJmpInd, isa.ClassRet:
 				// No fallthrough.
 			case isa.ClassCall:
@@ -114,7 +114,7 @@ func NewCFG(prog *isa.Program) *CFG {
 					}
 				}
 			default:
-				g.preds[j] = append(g.preds[j], Pred{PC: pc, Kind: PredFall})
+				g.preds[j] = append(g.preds[j], pred{PC: pc, Kind: predFall})
 			}
 		}
 
@@ -123,10 +123,10 @@ func NewCFG(prog *isa.Program) *CFG {
 		case isa.ClassBranch:
 			j := idx(in.Target)
 			g.preds[j] = append(g.preds[j],
-				Pred{PC: pc, Kind: PredCondTaken, TakesBit: true, BitValue: true})
+				pred{PC: pc, Kind: predCondTaken, TakesBit: true, BitValue: true})
 		case isa.ClassJump:
 			j := idx(in.Target)
-			g.preds[j] = append(g.preds[j], Pred{PC: pc, Kind: PredJump})
+			g.preds[j] = append(g.preds[j], pred{PC: pc, Kind: predJump})
 		case isa.ClassCall:
 			j := idx(in.Target)
 			g.callPreds[j] = append(g.callPreds[j], pc)
@@ -135,40 +135,37 @@ func NewCFG(prog *isa.Program) *CFG {
 	return g
 }
 
-// AddIndirectEdge registers an observed indirect-jump edge (a static tool
+// addIndirectEdge registers an observed indirect-jump edge (a static tool
 // would get these from relocation info or a BTB dump; the experiment
 // harvests them from the trace). Return edges are handled structurally and
 // must not be added here.
-func (g *CFG) AddIndirectEdge(from, to uint64) {
+func (g *CFG) addIndirectEdge(from, to uint64) {
 	j := int(to / isa.InstBytes)
 	if j >= len(g.preds) {
 		return
 	}
 	for _, p := range g.preds[j] {
-		if p.PC == from && p.Kind == PredIndirect {
+		if p.PC == from && p.Kind == predIndirect {
 			return
 		}
 	}
-	g.preds[j] = append(g.preds[j], Pred{PC: from, Kind: PredIndirect})
+	g.preds[j] = append(g.preds[j], pred{PC: from, Kind: predIndirect})
 }
 
-// AddEdgeCount accumulates a dynamic edge execution count for the
+// addEdgeCount accumulates a dynamic edge execution count for the
 // execution-counts reconstruction scheme.
-func (g *CFG) AddEdgeCount(from, to uint64, n uint64) {
-	g.edgeCount[Edge{From: from, To: to}] += n
+func (g *CFG) addEdgeCount(from, to uint64, n uint64) {
+	g.edgeCount[edge{From: from, To: to}] += n
 }
 
-// EdgeCount returns the recorded dynamic count of an edge.
-func (g *CFG) EdgeCount(from, to uint64) uint64 {
-	return g.edgeCount[Edge{From: from, To: to}]
+// edgeCountOf returns the recorded dynamic count of an edge.
+func (g *CFG) edgeCountOf(from, to uint64) uint64 {
+	return g.edgeCount[edge{From: from, To: to}]
 }
 
-// Program returns the program the CFG was built from.
-func (g *CFG) Program() *isa.Program { return g.prog }
-
-// Preds returns the intraprocedural-stream predecessors of pc (falls,
+// predsOf returns the intraprocedural-stream predecessors of pc (falls,
 // conditional edges, direct jumps, observed indirect jumps).
-func (g *CFG) Preds(pc uint64) []Pred {
+func (g *CFG) predsOf(pc uint64) []pred {
 	i := int(pc / isa.InstBytes)
 	if i >= len(g.preds) {
 		return nil
@@ -176,8 +173,8 @@ func (g *CFG) Preds(pc uint64) []Pred {
 	return g.preds[i]
 }
 
-// CallPreds returns the call instructions targeting pc.
-func (g *CFG) CallPreds(pc uint64) []uint64 {
+// callPredsOf returns the call instructions targeting pc.
+func (g *CFG) callPredsOf(pc uint64) []uint64 {
 	i := int(pc / isa.InstBytes)
 	if i >= len(g.callPreds) {
 		return nil
@@ -185,18 +182,12 @@ func (g *CFG) CallPreds(pc uint64) []uint64 {
 	return g.callPreds[i]
 }
 
-// RetPreds returns the return instructions that can dynamically precede pc
+// retPredsOf returns the return instructions that can dynamically precede pc
 // (pc is a return site).
-func (g *CFG) RetPreds(pc uint64) []uint64 {
+func (g *CFG) retPredsOf(pc uint64) []uint64 {
 	i := int(pc / isa.InstBytes)
 	if i >= len(g.retPreds) {
 		return nil
 	}
 	return g.retPreds[i]
-}
-
-// IsProcEntry reports whether pc is the entry of a procedure.
-func (g *CFG) IsProcEntry(pc uint64) bool {
-	pr := g.prog.ProcAt(pc)
-	return pr != nil && pr.Start == pc
 }

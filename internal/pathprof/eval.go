@@ -63,7 +63,7 @@ func DefaultEvalConfig() EvalConfig {
 		SampleInterval: 500,
 		PairWindow:     50,
 		HistoryLens:    []int{1, 2, 4, 6, 8, 10, 12, 14, 16},
-		Modes:          []Mode{Intraproc, Interproc},
+		Modes:          []Mode{Intraproc, interproc},
 		Seed:           1,
 		Limits:         Limits{MaxPaths: 8, MaxSteps: 50_000, MaxLen: 4096},
 	}
@@ -76,9 +76,6 @@ type ModeResult struct {
 	HistoryLens []int
 	Cells       [NumSchemes][]Cell
 }
-
-// Rate returns the success rate for a scheme at history length index i.
-func (r *ModeResult) Rate(s Scheme, i int) float64 { return r.Cells[s][i].Rate() }
 
 type evalSample struct {
 	pc          uint64
@@ -136,15 +133,15 @@ func Evaluate(prog *isa.Program, cfg EvalConfig) ([]*ModeResult, error) {
 		executed++
 
 		if prevValid {
-			g.AddEdgeCount(prevPC, rec.PC, 1)
+			g.addEdgeCount(prevPC, rec.PC, 1)
 			if prevClass == isa.ClassJmpInd {
-				g.AddIndirectEdge(prevPC, rec.PC)
+				g.addIndirectEdge(prevPC, rec.PC)
 			}
 			// Track call returns so the intraprocedural greedy walk has
 			// jsr -> return-site edge counts.
 			if prevClass == isa.ClassRet && len(callStack) > 0 &&
 				rec.PC == callStack[len(callStack)-1]+isa.InstBytes {
-				g.AddEdgeCount(callStack[len(callStack)-1], rec.PC, 1)
+				g.addEdgeCount(callStack[len(callStack)-1], rec.PC, 1)
 				callStack = callStack[:len(callStack)-1]
 			}
 		}
@@ -203,7 +200,7 @@ func Evaluate(prog *isa.Program, cfg EvalConfig) ([]*ModeResult, error) {
 
 				// Execution counts.
 				res.Cells[SchemeExecCounts][li].Total++
-				if got, ok := rc.MostLikely(s.pc, hl, mode); ok && got.Equal(want) {
+				if got, ok := rc.mostLikely(s.pc, hl, mode); ok && got.equal(want) {
 					res.Cells[SchemeExecCounts][li].Success++
 				}
 
@@ -211,7 +208,7 @@ func Evaluate(prog *isa.Program, cfg EvalConfig) ([]*ModeResult, error) {
 				// schemes; the pair filter applies post hoc).
 				paths, truncated := rc.Consistent(s.pc, s.hist, hl, mode, nil)
 				res.Cells[SchemeHistory][li].Total++
-				if !truncated && len(paths) == 1 && paths[0].Equal(want) {
+				if !truncated && len(paths) == 1 && paths[0].equal(want) {
 					res.Cells[SchemeHistory][li].Success++
 				}
 
@@ -222,7 +219,7 @@ func Evaluate(prog *isa.Program, cfg EvalConfig) ([]*ModeResult, error) {
 						pair := &PairConstraint{PartnerPC: s.partnerPC, Distance: s.partnerDist}
 						filtered = filterPair(paths, pair, mode)
 					}
-					if len(filtered) == 1 && filtered[0].Equal(want) {
+					if len(filtered) == 1 && filtered[0].equal(want) {
 						res.Cells[SchemeHistoryPair][li].Success++
 					}
 				}
@@ -236,7 +233,7 @@ func Evaluate(prog *isa.Program, cfg EvalConfig) ([]*ModeResult, error) {
 // intraprocedural mode the partner must be in the same procedure (paths
 // never contain other procedures' PCs).
 func pairApplicable(prog *isa.Program, mode Mode, samplePC, partnerPC uint64) bool {
-	if mode == Interproc {
+	if mode == interproc {
 		return true
 	}
 	a, b := prog.ProcAt(samplePC), prog.ProcAt(partnerPC)
@@ -251,7 +248,7 @@ func pairApplicable(prog *isa.Program, mode Mode, samplePC, partnerPC uint64) bo
 func filterPair(paths []Path, pair *PairConstraint, mode Mode) []Path {
 	var out []Path
 	for _, p := range paths {
-		if mode == Interproc {
+		if mode == interproc {
 			if pair.Distance < len(p) && p[pair.Distance] != pair.PartnerPC {
 				continue
 			}

@@ -12,9 +12,9 @@ const (
 	// Intraproc stops at the enclosing procedure's entry and treats calls
 	// as opaque sequential instructions (the trace-scheduling view).
 	Intraproc Mode = iota
-	// Interproc walks through call sites and callee returns; a path is
+	// interproc walks through call sites and callee returns; a path is
 	// complete only when it has consumed the full branch history.
-	Interproc
+	interproc
 )
 
 // String returns the mode name.
@@ -42,8 +42,8 @@ func DefaultLimits() Limits {
 // so on.
 type Path []uint64
 
-// Equal reports whether two paths are identical.
-func (p Path) Equal(q Path) bool {
+// equal reports whether two paths are identical.
+func (p Path) equal(q Path) bool {
 	if len(p) != len(q) {
 		return false
 	}
@@ -90,7 +90,7 @@ type state struct {
 // or — in Intraproc mode — when the walk reaches the start of the
 // procedure containing pc.
 func (r *Reconstructor) Consistent(pc uint64, hist uint64, histLen int, mode Mode, pair *PairConstraint) (paths []Path, truncated bool) {
-	proc := r.g.Program().ProcAt(pc)
+	proc := r.g.prog.ProcAt(pc)
 	steps := 0
 	stack := []state{{pc: pc, path: Path{pc}}}
 
@@ -139,14 +139,14 @@ func (r *Reconstructor) Consistent(pc uint64, hist uint64, histLen int, mode Mod
 }
 
 // expand lists the backward-step candidates of pc under the given mode.
-func (r *Reconstructor) expand(pc uint64, mode Mode, proc *isa.Proc) []Pred {
-	var out []Pred
-	out = append(out, r.g.Preds(pc)...)
+func (r *Reconstructor) expand(pc uint64, mode Mode, proc *isa.Proc) []pred {
+	var out []pred
+	out = append(out, r.g.predsOf(pc)...)
 
 	prevPC := pc - isa.InstBytes
 	prevIsCall := false
 	if pc >= isa.InstBytes {
-		if in, ok := r.g.Program().At(prevPC); ok && in.Op.Class() == isa.ClassCall {
+		if in, ok := r.g.prog.At(prevPC); ok && in.Op.Class() == isa.ClassCall {
 			prevIsCall = true
 		}
 	}
@@ -155,7 +155,7 @@ func (r *Reconstructor) expand(pc uint64, mode Mode, proc *isa.Proc) []Pred {
 	case Intraproc:
 		// Calls are opaque: step straight back over the jsr.
 		if prevIsCall {
-			out = append(out, Pred{PC: prevPC, Kind: PredFall})
+			out = append(out, pred{PC: prevPC, Kind: predFall})
 		}
 		// Stay within the procedure.
 		if proc != nil {
@@ -167,14 +167,14 @@ func (r *Reconstructor) expand(pc uint64, mode Mode, proc *isa.Proc) []Pred {
 			}
 			out = kept
 		}
-	case Interproc:
+	case interproc:
 		// Return sites continue inside the callee.
-		for _, retPC := range r.g.RetPreds(pc) {
-			out = append(out, Pred{PC: retPC, Kind: PredRet})
+		for _, retPC := range r.g.retPredsOf(pc) {
+			out = append(out, pred{PC: retPC, Kind: predRet})
 		}
 		// Procedure entries continue at their callers.
-		for _, callPC := range r.g.CallPreds(pc) {
-			out = append(out, Pred{PC: callPC, Kind: PredCall})
+		for _, callPC := range r.g.callPredsOf(pc) {
+			out = append(out, pred{PC: callPC, Kind: predCall})
 		}
 	}
 	return out
@@ -189,13 +189,13 @@ func appendIfPairOK(paths []Path, p Path, pair *PairConstraint) []Path {
 	return append(paths, p)
 }
 
-// MostLikely reconstructs the single most likely path by greedily
+// mostLikely reconstructs the single most likely path by greedily
 // following the highest-execution-count predecessor at every step,
 // ignoring history bits (Figure 6's "Execution counts" scheme). It stops
 // under the same completion rules (branch budget, or procedure entry in
 // Intraproc mode). ok is false when the walk dead-ends first.
-func (r *Reconstructor) MostLikely(pc uint64, histLen int, mode Mode) (Path, bool) {
-	proc := r.g.Program().ProcAt(pc)
+func (r *Reconstructor) mostLikely(pc uint64, histLen int, mode Mode) (Path, bool) {
+	proc := r.g.prog.ProcAt(pc)
 	path := Path{pc}
 	bits := 0
 	cur := pc
@@ -206,11 +206,11 @@ func (r *Reconstructor) MostLikely(pc uint64, histLen int, mode Mode) (Path, boo
 		if len(path) >= r.lim.MaxLen {
 			return path, false
 		}
-		var best *Pred
+		var best *pred
 		var bestCount uint64
 		for _, pr := range r.expand(cur, mode, proc) {
 			pr := pr
-			c := r.g.EdgeCount(pr.PC, cur)
+			c := r.g.edgeCountOf(pr.PC, cur)
 			if best == nil || c > bestCount || (c == bestCount && pr.PC < best.PC) {
 				best, bestCount = &pr, c
 			}

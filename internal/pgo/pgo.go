@@ -61,7 +61,7 @@ func Analyze(db *profile.DB, prog *isa.Program, opts AnalyzeOptions) []Candidate
 		if missRate < opts.MinMissRate || meanLat < opts.MinMeanLat {
 			continue
 		}
-		stride := DetectStride(a.Addrs)
+		stride := detectStride(a.Addrs)
 		out = append(out, Candidate{
 			PC: pc, Samples: a.Samples, MissRate: missRate, MeanLat: meanLat, Stride: stride,
 		})
@@ -80,12 +80,12 @@ func Analyze(db *profile.DB, prog *isa.Program, opts AnalyzeOptions) []Candidate
 	return out
 }
 
-// DetectStride infers a constant address stride from sampled effective
+// detectStride infers a constant address stride from sampled effective
 // addresses taken at random execution distances: every pairwise difference
 // is then an integer multiple of the stride, so their GCD recovers it.
 // It returns 0 when no consistent positive stride emerges (e.g. pointer
 // chasing or hash probing).
-func DetectStride(addrs []uint64) int64 {
+func detectStride(addrs []uint64) int64 {
 	if len(addrs) < 3 {
 		return 0
 	}

@@ -27,7 +27,7 @@ func TestDetectStride(t *testing.T) {
 		{"descending mix", []uint64{0x2000, 0x1f00, 0x2100, 0x1e00}, 256},
 	}
 	for _, c := range cases {
-		if got := DetectStride(c.addrs); got != c.want {
+		if got := detectStride(c.addrs); got != c.want {
 			t.Errorf("%s: stride = %d, want %d", c.name, got, c.want)
 		}
 	}

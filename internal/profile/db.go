@@ -134,7 +134,7 @@ type DB struct {
 	// C is the machine's sustained issue width (§5.2.3's C).
 	C int
 	// TNear is the cycle radius for the neighborhood-IPC estimate
-	// (§5.2.4); DefaultTNear unless changed before adding samples.
+	// (§5.2.4); defaultTNear unless changed before adding samples.
 	TNear int64
 	// RetainAddrs caps how many sampled effective addresses are kept per
 	// PC (0 = none). Memory-feedback analyses (§7) need a handful.
@@ -157,13 +157,13 @@ type DB struct {
 	metricFns   []OverlapFunc
 }
 
-// DefaultTNear is the default neighborhood radius, matching the paper's
+// defaultTNear is the default neighborhood radius, matching the paper's
 // 30-cycle windowed-IPC measurements (§6).
-const DefaultTNear = 30
+const defaultTNear = 30
 
 // NewDB returns an empty database for a sampling configuration.
 func NewDB(s float64, w, c int) *DB {
-	return &DB{S: s, W: w, C: c, TNear: DefaultTNear, byPC: make(map[uint64]*PCAccum)}
+	return &DB{S: s, W: w, C: c, TNear: defaultTNear, byPC: make(map[uint64]*PCAccum)}
 }
 
 // Handler adapts the database to a Pipeline.AttachProfileMe interrupt
@@ -188,13 +188,13 @@ func (db *DB) Pairs() uint64 { return db.pairs }
 // the resulting loss rate.
 func (db *DB) RecordLoss(n uint64) { db.lost += n }
 
-// ReverseLoss retracts n samples previously reported via RecordLoss.
+// reverseLoss retracts n samples previously reported via RecordLoss.
 // The ingest service uses it when a shard that was refused at admission
 // (and therefore loss-accounted) is retried and accepted later: the
 // shard's captured samples move from the loss ledger into the delivered
 // counts, and counting them in both would inflate the loss-correction
 // factor. Reversing more than was recorded clamps at zero.
-func (db *DB) ReverseLoss(n uint64) {
+func (db *DB) reverseLoss(n uint64) {
 	if n > db.lost {
 		n = db.lost
 	}

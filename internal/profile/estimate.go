@@ -10,8 +10,8 @@
 // pointers that alias live state. SafeDB is the concurrent serving
 // layer: writers go through its lock while readers get immutable,
 // atomically-published snapshots (View) backed by streaming summaries —
-// a space-saving top-K sketch (SpaceSaving), log-bucketed quantile
-// sketches (QuantileSketch), and a time-windowed ring (WindowRing) — so
+// a space-saving top-K sketch (spaceSaving), log-bucketed quantile
+// sketches (quantileSketch), and a time-windowed ring (windowRing) — so
 // hot-PC and percentile queries are O(K), never O(DB). DESIGN.md §13
 // specifies the query & summary model; every approximate answer carries
 // its error bound.
@@ -28,10 +28,10 @@ import (
 // property estimate k*S occurrences (§5.1: E[kS] = fN).
 func EstimateCount(k uint64, s float64) float64 { return float64(k) * s }
 
-// RelativeError returns the expected coefficient of variation of an
+// relativeError returns the expected coefficient of variation of an
 // estimate built from k property-samples: ≈ sqrt(1/k) (§5.1). It returns
 // +Inf for k == 0.
-func RelativeError(k uint64) float64 {
+func relativeError(k uint64) float64 {
 	if k == 0 {
 		return math.Inf(1)
 	}
@@ -45,7 +45,7 @@ func ConfidenceInterval(k uint64, s, z float64) (lo, hi float64) {
 	if k == 0 {
 		return 0, z * s // zero samples still bound the count below ~zS
 	}
-	half := z * est * RelativeError(k)
+	half := z * est * relativeError(k)
 	lo = est - half
 	if lo < 0 {
 		lo = 0

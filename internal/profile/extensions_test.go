@@ -140,11 +140,11 @@ func TestByProcAggregation(t *testing.T) {
 	db.Add(core.Sample{First: r})
 	db.Add(core.Sample{First: rec(0, true, 0, 1, 2, 3, 4, 5)})
 
-	procs := ByProc(db, prog)
+	procs := byProc(db, prog)
 	if len(procs) != 2 {
 		t.Fatalf("procs = %+v", procs)
 	}
-	var leaf *ProcAccum
+	var leaf *procAccum
 	for i := range procs {
 		if procs[i].Name == "leaf" {
 			leaf = &procs[i]
@@ -153,8 +153,8 @@ func TestByProcAggregation(t *testing.T) {
 	if leaf == nil || leaf.Samples != 1 || leaf.DMiss != 1 {
 		t.Fatalf("leaf = %+v", leaf)
 	}
-	if leaf.MeanLatency() != 8 {
-		t.Fatalf("leaf latency = %v", leaf.MeanLatency())
+	if leaf.meanLatency() != 8 {
+		t.Fatalf("leaf latency = %v", leaf.meanLatency())
 	}
 	out := ProcReport(db, prog)
 	if !strings.Contains(out, "leaf") || !strings.Contains(out, "main") {

@@ -8,11 +8,11 @@ import "testing"
 func TestReverseLoss(t *testing.T) {
 	db := NewDB(16, 0, 4)
 	db.RecordLoss(10)
-	db.ReverseLoss(4)
+	db.reverseLoss(4)
 	if got := db.Lost(); got != 6 {
 		t.Fatalf("lost %d after reversing 4 of 10, want 6", got)
 	}
-	db.ReverseLoss(100)
+	db.reverseLoss(100)
 	if got := db.Lost(); got != 0 {
 		t.Fatalf("lost %d after over-reversal, want 0 (clamped)", got)
 	}
@@ -22,10 +22,10 @@ func TestReverseLoss(t *testing.T) {
 }
 
 func TestSafeDBReverseLoss(t *testing.T) {
-	db := NewSafeDB(NewDB(16, 0, 4))
+	db := NewSafeDBWith(NewDB(16, 0, 4), SketchConfig{})
 	db.RecordLoss(8)
 	db.ReverseLoss(8)
-	if got := db.Lost(); got != 0 {
+	if got := db.CountersSnapshot().Lost; got != 0 {
 		t.Fatalf("lost %d, want 0", got)
 	}
 }

@@ -9,10 +9,10 @@ import (
 	"profileme/internal/isa"
 )
 
-// ProcAccum aggregates a procedure's samples (the paper's §3 "aggregate
+// procAccum aggregates a procedure's samples (the paper's §3 "aggregate
 // information ... over a procedure, or a smaller unit such as a loop" —
 // per-instruction data rolls up for free).
-type ProcAccum struct {
+type procAccum struct {
 	Name    string
 	Samples uint64
 	Retired uint64
@@ -27,23 +27,23 @@ type ProcAccum struct {
 	EstRetired float64
 }
 
-// MeanLatency returns the procedure's mean fetch->retire-ready latency.
-func (p *ProcAccum) MeanLatency() float64 {
+// meanLatency returns the procedure's mean fetch->retire-ready latency.
+func (p *procAccum) meanLatency() float64 {
 	if p.InProgressCount == 0 {
 		return 0
 	}
 	return float64(p.InProgressSum) / float64(p.InProgressCount)
 }
 
-// ByProc rolls the per-PC database up to procedure granularity using the
+// byProc rolls the per-PC database up to procedure granularity using the
 // program's procedure table; PCs outside any procedure aggregate under
 // "(none)". Results are ordered by sample count, descending.
-func ByProc(db *DB, prog *isa.Program) []ProcAccum {
-	accs := make(map[string]*ProcAccum)
-	get := func(name string) *ProcAccum {
+func byProc(db *DB, prog *isa.Program) []procAccum {
+	accs := make(map[string]*procAccum)
+	get := func(name string) *procAccum {
 		a, ok := accs[name]
 		if !ok {
-			a = &ProcAccum{Name: name}
+			a = &procAccum{Name: name}
 			accs[name] = a
 		}
 		return a
@@ -63,7 +63,7 @@ func ByProc(db *DB, prog *isa.Program) []ProcAccum {
 		a.InProgressSum += src.InProgressSum
 		a.InProgressCount += src.InProgressCount
 	}
-	out := make([]ProcAccum, 0, len(accs))
+	out := make([]procAccum, 0, len(accs))
 	for _, a := range accs {
 		a.EstRetired = EstimateCount(a.Retired, db.S)
 		out = append(out, *a)
@@ -82,13 +82,13 @@ func ProcReport(db *DB, prog *isa.Program) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-14s %8s %9s %7s %7s %7s %9s\n",
 		"procedure", "samples", "est.ret", "ret%", "dmiss%", "mispr%", "avg-lat")
-	for _, a := range ByProc(db, prog) {
+	for _, a := range byProc(db, prog) {
 		fmt.Fprintf(&b, "%-14s %8d %9.0f %6.1f%% %6.1f%% %6.1f%% %9.1f\n",
 			a.Name, a.Samples, a.EstRetired,
 			100*RateEstimate(a.Retired, a.Samples),
 			100*RateEstimate(a.DMiss, a.Samples),
 			100*RateEstimate(a.Mispred, a.Samples),
-			a.MeanLatency())
+			a.meanLatency())
 	}
 	return b.String()
 }

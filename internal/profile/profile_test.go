@@ -38,7 +38,7 @@ func TestEstimateCountUnbiased(t *testing.T) {
 		if k == 0 {
 			return true
 		}
-		sigma := est * RelativeError(k)
+		sigma := est * relativeError(k)
 		diff := math.Abs(est - float64(actual))
 		return diff < 5*sigma+s
 	}
@@ -48,13 +48,13 @@ func TestEstimateCountUnbiased(t *testing.T) {
 }
 
 func TestRelativeError(t *testing.T) {
-	if !math.IsInf(RelativeError(0), 1) {
+	if !math.IsInf(relativeError(0), 1) {
 		t.Fatal("k=0 should be infinite error")
 	}
-	if got := RelativeError(100); math.Abs(got-0.1) > 1e-12 {
+	if got := relativeError(100); math.Abs(got-0.1) > 1e-12 {
 		t.Fatalf("RelativeError(100) = %v", got)
 	}
-	if RelativeError(4) <= RelativeError(16) {
+	if relativeError(4) <= relativeError(16) {
 		t.Fatal("error must shrink with more samples")
 	}
 }

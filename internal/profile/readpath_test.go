@@ -113,8 +113,8 @@ func exactTopStream(rng *stats.RNG, k int) []uint64 {
 }
 
 // TestExactTopEqualsScanWhenCertified is the certificate's property
-// test: over skewed, flat and tie-at-floor streams fed through both
-// write paths, whenever View.ExactTop(n) certifies, it deep-equals
+// test: over skewed, flat and tie-at-floor streams fed as one-sample and
+// 64-sample shards, whenever View.ExactTop(n) certifies, it deep-equals
 // DB.HotPCs(n) on the live database — same PCs, same order, same
 // accumulator contents. Both outcomes must occur, or the test is vacuous.
 func TestExactTopEqualsScanWhenCertified(t *testing.T) {
@@ -135,7 +135,7 @@ func TestExactTopEqualsScanWhenCertified(t *testing.T) {
 		for i, pc := range exactTopStream(rng, k) {
 			smp := core.Sample{First: rec(pc, i%3 != 0, 0, 1, 2, 3, 5, int64(9+i%7))}
 			if i%2 == 0 {
-				agg.Add(smp)
+				mergeOne(t, agg, smp)
 				continue
 			}
 			shard.Add(smp)
@@ -187,10 +187,10 @@ func TestExactTopEqualsScanWhenCertified(t *testing.T) {
 // row's and whose lower address would rank it first. The view must
 // refuse; serving its own best row would be wrong.
 func TestExactTopRefusesWhenUntrackedCouldTie(t *testing.T) {
-	agg := NewSafeDBWith(NewDB(16, 0, 4), SketchConfig{TopK: 4, PublishEvery: 1})
+	agg := NewSafeDBWith(NewDB(16, 0, 4), SketchConfig{TopK: 4})
 	add := func(pc uint64, times int) {
 		for i := 0; i < times; i++ {
-			agg.Add(core.Sample{First: rec(pc, true, 0, 1, 2, 3, 5, 9)})
+			mergeOne(t, agg, core.Sample{First: rec(pc, true, 0, 1, 2, 3, 5, 9)})
 		}
 	}
 	for pc := uint64(0x100); pc < 0x140; pc += 0x10 { // four PCs, three samples each: sketch full
@@ -245,7 +245,7 @@ func TestExactTopRefusesWhenUntrackedCouldTie(t *testing.T) {
 // but share rows, so a certified answer is as of RowsEpoch — the live
 // database's answer at the moment those rows were built.
 func TestExactTopRowsEpochStaleness(t *testing.T) {
-	agg := NewSafeDBWith(NewDB(16, 0, 4), SketchConfig{PublishEvery: 8})
+	agg := NewSafeDBWith(NewDB(16, 0, 4), SketchConfig{})
 	if err := agg.Merge(safeShard(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestExactTopRowsEpochStaleness(t *testing.T) {
 	want := agg.HotPCsExact(3)
 
 	agg.RecordLoss(2)
-	agg.Add(core.Sample{First: rec(0x400, true, 0, 1, 2, 3, 5, 9)})
+	agg.ReverseLoss(1)
 	v := agg.View()
 	if v.RowsEpoch != built.RowsEpoch || v.Epoch != built.Epoch+2 {
 		t.Fatalf("counter-only publishes: rows epoch %d (want %d), epoch %d (want %d)",
@@ -275,9 +275,9 @@ func TestExactTopRowsEpochStaleness(t *testing.T) {
 
 // queryUncached answers from a fresh merge, leaving the ring's kept
 // merge exactly as the cached path left it.
-func queryUncached(r *WindowRing, now time.Time, window time.Duration, n int) WindowResult {
+func queryUncached(r *windowRing, now time.Time, window time.Duration, n int) WindowResult {
 	kept := r.cache.Swap(nil)
-	res := r.Query(now, window, n)
+	res := r.query(now, window, n)
 	r.cache.Store(kept)
 	return res
 }
@@ -295,18 +295,18 @@ func TestWindowCacheEqualsFreshMerge(t *testing.T) {
 		buckets := rng.IntRange(2, 8)
 		dur := time.Duration(rng.IntRange(1, 4)) * 250 * time.Millisecond
 		k := rng.IntRange(2, 12)
-		r := NewWindowRing(buckets, dur, k)
+		r := newWindowRing(buckets, dur, k)
 		now := time.Unix(5000, 0)
 		for op := 0; op < 400; op++ {
 			switch x := rng.Intn(20); {
 			case x < 6:
-				r.Add(now, 0x400+8*uint64(rng.Intn(3*k)), uint64(rng.IntRange(1, 5)))
+				addPC(r, now, 0x400+8*uint64(rng.Intn(3*k)), uint64(rng.IntRange(1, 5)))
 			case x < 9: // within a bucket, or just across a boundary
 				now = now.Add(time.Duration(rng.Intn(int(dur))))
 			case x == 9: // several buckets: laps the ring when repeated
 				now = now.Add(time.Duration(rng.IntRange(1, buckets)) * dur)
 			case x == 10 && rng.Intn(4) == 0: // beyond the horizon: reset on the next Add
-				now = now.Add(r.Horizon() + time.Duration(rng.Intn(int(3*dur))))
+				now = now.Add(r.horizon() + time.Duration(rng.Intn(int(3*dur))))
 			case x == 11 && rng.Intn(4) == 0: // a clock that steps back
 				now = now.Add(-time.Duration(rng.Intn(int(2 * dur))))
 			default:
@@ -316,7 +316,7 @@ func TestWindowCacheEqualsFreshMerge(t *testing.T) {
 				}
 				n := rng.Intn(k + 3) // 0 = all rows
 				before := r.cache.Load()
-				got := r.Query(now, window, n)
+				got := r.query(now, window, n)
 				if after := r.cache.Load(); after == before && after != nil && got.Buckets > 0 {
 					hits++
 				} else if got.Buckets > 0 {
@@ -344,29 +344,29 @@ func TestWindowCacheEqualsFreshMerge(t *testing.T) {
 // leaving the window, replaces it; a different n does not.
 func TestWindowCacheReusedUntilInvalidated(t *testing.T) {
 	base := time.Unix(1000, 0)
-	r := NewWindowRing(4, time.Second, 8)
-	r.Add(base, 0xA, 3)
-	r.Add(base.Add(time.Second), 0xB, 2)
+	r := newWindowRing(4, time.Second, 8)
+	addPC(r, base, 0xA, 3)
+	addPC(r, base.Add(time.Second), 0xB, 2)
 
 	now := base.Add(1500 * time.Millisecond)
-	r.Query(now, 2*time.Second, 10)
+	r.query(now, 2*time.Second, 10)
 	kept := r.cache.Load()
 	if kept == nil {
 		t.Fatal("first query kept no merge")
 	}
-	if r.Query(now.Add(100*time.Millisecond), 2*time.Second, 1); r.cache.Load() != kept {
+	if r.query(now.Add(100*time.Millisecond), 2*time.Second, 1); r.cache.Load() != kept {
 		t.Fatal("same buckets, same generation, different n: merge not reused")
 	}
-	if r.Query(now, time.Minute, 10); r.cache.Load() != kept {
+	if r.query(now, time.Minute, 10); r.cache.Load() != kept {
 		t.Fatal("clamped window over the same buckets: merge not reused")
 	}
 	// 3.5s later a 2s window no longer reaches the first bucket.
-	if res := r.Query(base.Add(3500*time.Millisecond), 2*time.Second, 10); r.cache.Load() == kept || res.Samples != 2 {
+	if res := r.query(base.Add(3500*time.Millisecond), 2*time.Second, 10); r.cache.Load() == kept || res.Samples != 2 {
 		t.Fatalf("bucket left the window: merge reused or wrong answer %+v", res)
 	}
 	kept = r.cache.Load()
-	r.Add(base.Add(3500*time.Millisecond), 0xC, 1)
-	if res := r.Query(base.Add(3500*time.Millisecond), 2*time.Second, 10); r.cache.Load() == kept || res.Samples != 3 {
+	addPC(r, base.Add(3500*time.Millisecond), 0xC, 1)
+	if res := r.query(base.Add(3500*time.Millisecond), 2*time.Second, 10); r.cache.Load() == kept || res.Samples != 3 {
 		t.Fatalf("after Add: merge reused or wrong answer %+v", res)
 	}
 }
@@ -443,7 +443,7 @@ func TestPublishedReadsSingleEpochUnderRace(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
-	if got, want := agg.Samples(), merges*shard.Samples(); got != want {
+	if got, want := agg.CountersSnapshot().Samples, merges*shard.Samples(); got != want {
 		t.Fatalf("samples = %d, want %d", got, want)
 	}
 }

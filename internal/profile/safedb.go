@@ -17,7 +17,7 @@ import (
 // /v1/hotpcs, /v1/stats, windowed "last N seconds" queries — therefore
 // takes NO lock that contends with the merge loop, and an exact top-N
 // is lock-free too whenever the view can certify it (View.ExactTop);
-// only the scan fallbacks (HotPCsExact, Get, PCs, Save, per-PC
+// only the scan fallbacks (HotPCsExact, Get, Save, per-PC
 // estimators) still take the read lock and pay the deep-copy cost.
 //
 // It is the concurrency boundary the pmsimd service builds on: a plain
@@ -35,57 +35,59 @@ type SafeDB struct {
 	db *DB
 
 	cfg    SketchConfig
-	topk   *SpaceSaving
-	window *WindowRing
-	lat    [NumLatencyKinds]*QuantileSketch
-	inprog *QuantileSketch
+	topk   *spaceSaving
+	window *windowRing
+	lat    [NumLatencyKinds]*quantileSketch
+	inprog *quantileSketch
 
 	epoch     uint64
 	publishes atomic.Uint64 // read lock-free by SketchStats
 	// saveOrder is Save's sorted accumulator list, kept between calls
 	// (atomic: Saves share the read lock).
 	saveOrder atomic.Pointer[[]*PCAccum]
-	sinceRows int
 	view      atomic.Pointer[View]
 }
 
-// NewSafeDB wraps db with default sketch parameters (SketchConfig zero
-// values). The caller must hand over ownership: after this call, all
-// access to db goes through the wrapper.
-func NewSafeDB(db *DB) *SafeDB { return NewSafeDBWith(db, SketchConfig{}) }
-
-// NewSafeDBWith wraps db with explicit sketch parameters, seeding the
-// top-K and quantile sketches from db's existing contents (one O(DB)
-// pass — the restart-from-checkpoint path) and publishing the initial
-// view. The windowed ring starts empty: historical samples carry no
-// arrival timestamps.
+// NewSafeDBWith wraps db with the given sketch parameters (zero values
+// take their defaults), seeding the top-K and quantile sketches from db's
+// existing contents (one O(DB) pass — the restart-from-checkpoint path)
+// and publishing the initial view. The caller hands over ownership: after
+// this call, all access to db goes through the wrapper. The windowed ring
+// starts empty: historical samples carry no arrival timestamps.
 func NewSafeDBWith(db *DB, cfg SketchConfig) *SafeDB {
 	cfg.normalize()
 	s := &SafeDB{
 		db:     db,
 		cfg:    cfg,
-		topk:   NewSpaceSaving(cfg.TopK),
-		window: NewWindowRing(cfg.WindowBuckets, cfg.BucketDur, cfg.TopK),
-		inprog: NewQuantileSketch(cfg.Alpha),
+		topk:   newSpaceSaving(cfg.TopK),
+		window: newWindowRing(cfg.WindowBuckets, cfg.BucketDur, cfg.TopK),
+		inprog: newQuantileSketch(cfg.Alpha),
 	}
 	for i := range s.lat {
-		s.lat[i] = NewQuantileSketch(cfg.Alpha)
+		s.lat[i] = newQuantileSketch(cfg.Alpha)
 	}
-	for pc, a := range db.byPC {
-		s.topk.Add(pc, a.Samples)
-		for i := 0; i < NumLatencyKinds; i++ {
-			if a.LatCount[i] > 0 {
-				s.lat[i].AddN(float64(a.LatSum[i])/float64(a.LatCount[i]), a.LatCount[i])
-			}
-		}
-		if a.InProgressCount > 0 {
-			s.inprog.AddN(float64(a.InProgressSum)/float64(a.InProgressCount), a.InProgressCount)
-		}
-	}
+	s.feedSketches(db)
 	s.mu.Lock()
 	s.publishLocked(true)
 	s.mu.Unlock()
 	return s
+}
+
+// feedSketches folds db's per-PC totals into the top-K and quantile
+// sketches: each PC's samples, and its mean latencies weighted by the
+// samples that carried them. Caller holds mu (write) or owns s outright.
+func (s *SafeDB) feedSketches(db *DB) {
+	for pc, a := range db.byPC {
+		s.topk.add(pc, a.Samples)
+		for i := 0; i < NumLatencyKinds; i++ {
+			if a.LatCount[i] > 0 {
+				s.lat[i].addN(float64(a.LatSum[i])/float64(a.LatCount[i]), a.LatCount[i])
+			}
+		}
+		if a.InProgressCount > 0 {
+			s.inprog.addN(float64(a.InProgressSum)/float64(a.InProgressCount), a.InProgressCount)
+		}
+	}
 }
 
 // View returns the latest published snapshot: one atomic load, no lock,
@@ -113,8 +115,8 @@ func (s *SafeDB) publishLocked(rows bool) {
 		S:        s.db.S,
 		LossCorr: s.db.lossCorrection(),
 		TopKCap:  s.cfg.TopK,
-		SketchN:  s.topk.N(),
-		Floor:    s.topk.MinCount(),
+		SketchN:  s.topk.n,
+		Floor:    s.topk.minCount(),
 	}
 	if prev := s.view.Load(); !rows && prev != nil {
 		v.RowsEpoch = prev.RowsEpoch
@@ -124,7 +126,7 @@ func (s *SafeDB) publishLocked(rows bool) {
 	} else {
 		s.publishes.Add(1)
 		v.RowsEpoch = s.epoch
-		items := s.topk.Items()
+		items := s.topk.items()
 		v.TopK = make([]HotView, 0, len(items))
 		v.byPC = make(map[uint64]*HotView, len(items))
 		for _, e := range items {
@@ -139,12 +141,11 @@ func (s *SafeDB) publishLocked(rows bool) {
 		for i := range v.TopK {
 			v.byPC[v.TopK[i].Acc.PC] = &v.TopK[i]
 		}
-		v.Latencies = make([]QuantileSummary, 0, NumLatencyKinds+1)
+		v.Latencies = make([]quantileSummary, 0, NumLatencyKinds+1)
 		for i := 0; i < NumLatencyKinds; i++ {
 			v.Latencies = append(v.Latencies, s.lat[i].summarize(LatencyKindName(i)))
 		}
 		v.Latencies = append(v.Latencies, s.inprog.summarize("inprogress"))
-		s.sinceRows = 0
 	}
 	s.view.Store(v)
 }
@@ -169,58 +170,10 @@ func (s *SafeDB) Merge(other *DB) error {
 	if err := s.db.Merge(other); err != nil {
 		return err
 	}
-	s.window.AddDB(now, other)
-	for pc, a := range other.byPC {
-		s.topk.Add(pc, a.Samples)
-		for i := 0; i < NumLatencyKinds; i++ {
-			if a.LatCount[i] > 0 {
-				s.lat[i].AddN(float64(a.LatSum[i])/float64(a.LatCount[i]), a.LatCount[i])
-			}
-		}
-		if a.InProgressCount > 0 {
-			s.inprog.AddN(float64(a.InProgressSum)/float64(a.InProgressCount), a.InProgressCount)
-		}
-	}
+	s.window.addDB(now, other)
+	s.feedSketches(other)
 	s.publishLocked(true)
 	return nil
-}
-
-// Add folds one sample into the aggregate (write lock) and the
-// summaries. Counters republish on every Add; sketch rows are rebuilt
-// every SketchConfig.PublishEvery adds (the view's row staleness bound
-// on the per-sample path).
-func (s *SafeDB) Add(smp core.Sample) {
-	now := s.cfg.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	before := s.db.corruptRejected
-	s.db.Add(smp)
-	if s.db.corruptRejected == before {
-		s.addRecordSketch(now, &smp.First)
-		if smp.Paired {
-			s.addRecordSketch(now, &smp.Second)
-		}
-	}
-	s.sinceRows++
-	s.publishLocked(s.sinceRows >= s.cfg.PublishEvery)
-}
-
-// addRecordSketch mirrors DB.addRecord for the sketch layer. Caller
-// holds mu (write).
-func (s *SafeDB) addRecordSketch(now time.Time, r *core.Record) {
-	if r.Events.Has(core.EvNoInstruction) {
-		return
-	}
-	s.topk.Add(r.PC, 1)
-	s.window.Add(now, r.PC, 1)
-	for i, lk := range latencyKinds {
-		if lat, ok := r.Latency(lk.From, lk.To); ok {
-			s.lat[i].Add(float64(lat))
-		}
-	}
-	if from, to, ok := r.InProgress(); ok {
-		s.inprog.Add(float64(to - from))
-	}
 }
 
 // RecordLoss notes n captured-but-never-delivered samples (write lock)
@@ -233,32 +186,13 @@ func (s *SafeDB) RecordLoss(n uint64) {
 }
 
 // ReverseLoss retracts n samples previously recorded as loss (write
-// lock) — see DB.ReverseLoss — and republishes counters.
+// lock) — see DB.reverseLoss — and republishes counters.
 func (s *SafeDB) ReverseLoss(n uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.db.ReverseLoss(n)
+	s.db.reverseLoss(n)
 	s.publishLocked(false)
 }
-
-// Samples returns the number of delivered samples (lock-free, from the
-// published view).
-func (s *SafeDB) Samples() uint64 { return s.View().Counters.Samples }
-
-// Pairs returns the number of paired samples (lock-free).
-func (s *SafeDB) Pairs() uint64 { return s.View().Counters.Pairs }
-
-// Lost returns the total samples known lost before aggregation
-// (lock-free).
-func (s *SafeDB) Lost() uint64 { return s.View().Counters.Lost }
-
-// CorruptRejected returns the count of delivered samples rejected as
-// damaged (lock-free).
-func (s *SafeDB) CorruptRejected() uint64 { return s.View().Counters.CorruptRejected }
-
-// LossRate returns the fraction of captured samples that never made it
-// into the aggregate (lock-free).
-func (s *SafeDB) LossRate() float64 { return s.View().Counters.LossRate }
 
 // Counters is the cheap whole-aggregate rollup: plain totals, no per-PC
 // state. It is a value type — snapshots never alias live state.
@@ -288,8 +222,8 @@ func (s *SafeDB) SketchStats() SketchStats {
 		SketchN:         v.SketchN,
 		Floor:           v.Floor,
 		WindowBuckets:   s.cfg.WindowBuckets,
-		WindowBucketMS:  s.window.BucketDur().Milliseconds(),
-		WindowHorizonMS: s.window.Horizon().Milliseconds(),
+		WindowBucketMS:  s.window.bucketDur.Milliseconds(),
+		WindowHorizonMS: s.window.horizon().Milliseconds(),
 		Latencies:       v.Latencies,
 	}
 }
@@ -308,14 +242,6 @@ func (s *SafeDB) EstimatedEventCount(pc uint64, ev core.Event) float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.db.EstimatedEventCount(pc, ev)
-}
-
-// PCs returns all profiled PCs in ascending order (read lock; O(DB) —
-// an inherently exact, whole-database scan).
-func (s *SafeDB) PCs() []uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.db.PCs()
 }
 
 // Get returns a deep copy of the accumulator for pc; ok is false when the
@@ -377,7 +303,7 @@ func (s *SafeDB) HotPCsExact(n int) []PCAccum {
 // first query after a change pays the O(K * buckets) merge. Rows are
 // sketch estimates only — per-bucket rings keep no accumulators.
 func (s *SafeDB) WindowHotPCs(window time.Duration, n int) WindowResult {
-	return s.window.Query(s.cfg.Now(), window, n)
+	return s.window.query(s.cfg.Now(), window, n)
 }
 
 // Save writes the aggregate as a versioned, checksummed envelope (read

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+	"time"
 
 	"profileme/internal/core"
 )
@@ -24,13 +25,32 @@ func safeShard(seed uint64) *DB {
 	return db
 }
 
+// mergeOne feeds agg one sample the way every caller does: as a shard.
+// It reports with t.Error, so writer goroutines may call it.
+func mergeOne(t testing.TB, agg *SafeDB, smp core.Sample) {
+	t.Helper()
+	shard := NewDB(16, 0, 4)
+	shard.Add(smp)
+	if err := agg.Merge(shard); err != nil {
+		t.Error(err)
+	}
+}
+
+// addPC folds weight w for one PC into the ring through addDB, its only
+// writer: a one-PC shard.
+func addPC(r *windowRing, now time.Time, pc, w uint64) {
+	shard := NewDB(16, 0, 4)
+	shard.byPC[pc] = &PCAccum{PC: pc, Samples: w}
+	r.addDB(now, shard)
+}
+
 // TestSafeDBSaveMatchesDBSave: the sorted accumulator list SafeDB.Save
 // keeps between calls never shows in its output. After every merge — ones that add PCs and ones that only
 // grow counts — concurrent Saves write exactly the bytes a fresh DB.Save
 // of the same database writes.
 func TestSafeDBSaveMatchesDBSave(t *testing.T) {
 	db := NewDB(16, 0, 4)
-	agg := NewSafeDB(db)
+	agg := NewSafeDBWith(db, SketchConfig{})
 	for _, seed := range []uint64{0, 0, 3, 3, 11, 4} {
 		if err := agg.Merge(safeShard(seed)); err != nil {
 			t.Fatal(err)
@@ -63,7 +83,7 @@ func TestSafeDBSaveMatchesDBSave(t *testing.T) {
 // totals must be exact — concurrency may reorder merges but never lose
 // or double-count samples.
 func TestSafeDBConcurrentMergeAndQuery(t *testing.T) {
-	agg := NewSafeDB(NewDB(16, 0, 4))
+	agg := NewSafeDBWith(NewDB(16, 0, 4), SketchConfig{})
 
 	const (
 		writers = 8
@@ -99,7 +119,7 @@ func TestSafeDBConcurrentMergeAndQuery(t *testing.T) {
 					agg.EstimatedCount(a.PC)
 					agg.EstimatedEventCount(a.PC, core.EvDCacheMiss)
 				}
-				agg.LossRate()
+				_ = agg.CountersSnapshot().LossRate
 				if r == 0 {
 					var buf bytes.Buffer
 					if err := agg.Save(&buf); err != nil {
@@ -130,12 +150,12 @@ func TestSafeDBConcurrentMergeAndQuery(t *testing.T) {
 	close(stop)
 	readerWG.Wait()
 
-	if got := agg.Samples(); got != wantSamples {
+	if got := agg.CountersSnapshot().Samples; got != wantSamples {
 		t.Fatalf("samples %d after concurrent merges, want %d", got, wantSamples)
 	}
 	// Each shard's loss was counted twice on purpose: once via Merge, once
 	// via RecordLoss, to exercise both write paths.
-	if got := agg.Lost(); got != 2*wantLost {
+	if got := agg.CountersSnapshot().Lost; got != 2*wantLost {
 		t.Fatalf("lost %d after concurrent merges, want %d", got, 2*wantLost)
 	}
 }
@@ -148,7 +168,7 @@ func TestSafeDBCopiesDoNotAlias(t *testing.T) {
 	r := rec(0x400, true, 0, 1, 2, 3, 5, 9)
 	r.Addr, r.AddrValid = 0x1000, true
 	base.Add(core.Sample{First: r})
-	agg := NewSafeDB(base)
+	agg := NewSafeDBWith(base, SketchConfig{})
 
 	got, ok := agg.Get(0x400)
 	if !ok || len(got.Addrs) != 1 {

@@ -20,7 +20,7 @@ import (
 //
 //	Count - Err <= true count <= Count
 //
-// and Err is at most the sketch floor (MinCount), itself at most N/K for
+// and Err is at most the sketch floor (minCount), itself at most N/K for
 // N total observations over K counters. SSEntry is a value type; rows
 // returned by Items/TopK alias nothing inside the sketch.
 type SSEntry struct {
@@ -29,54 +29,48 @@ type SSEntry struct {
 	Err   uint64 // maximum overcount folded into Count
 }
 
-// SpaceSaving is the bounded-memory heavy-hitters sketch. It is NOT safe
+// spaceSaving is the bounded-memory heavy-hitters sketch. It is NOT safe
 // for concurrent use; SafeDB owns one under its write lock and publishes
 // immutable row snapshots for readers.
 //
 // Weighted updates are supported (Add with w > 1), which is what merge-
 // time maintenance needs: a shard merge contributes each PC's whole
 // sample delta in one update.
-type SpaceSaving struct {
+type spaceSaving struct {
 	k     int
 	n     uint64         // total weight observed
 	heap  []SSEntry      // min-heap by Count (ties broken arbitrarily)
 	index map[uint64]int // PC -> heap position
 }
 
-// NewSpaceSaving returns an empty sketch with k counters. Any item whose
+// newSpaceSaving returns an empty sketch with k counters. Any item whose
 // true count exceeds N/k is guaranteed to be tracked; estimates overcount
-// by at most MinCount() <= N/k.
-func NewSpaceSaving(k int) *SpaceSaving {
+// by at most minCount() <= N/k.
+func newSpaceSaving(k int) *spaceSaving {
 	if k < 1 {
 		k = 1
 	}
-	return &SpaceSaving{k: k, index: make(map[uint64]int, k)}
+	return &spaceSaving{k: k, index: make(map[uint64]int, k)}
 }
 
-// K returns the sketch capacity.
-func (s *SpaceSaving) K() int { return s.k }
-
-// N returns the total weight the sketch has observed.
-func (s *SpaceSaving) N() uint64 { return s.n }
-
 // Len returns the number of tracked PCs (at most K).
-func (s *SpaceSaving) Len() int { return len(s.heap) }
+func (s *spaceSaving) Len() int { return len(s.heap) }
 
-// MinCount returns the sketch floor: the smallest tracked count once the
+// minCount returns the sketch floor: the smallest tracked count once the
 // sketch is full, 0 before that. It bounds two things at once — the
 // maximum overcount of any reported estimate, and the maximum true count
 // of any PC the sketch is NOT tracking.
-func (s *SpaceSaving) MinCount() uint64 {
+func (s *spaceSaving) minCount() uint64 {
 	if len(s.heap) < s.k {
 		return 0
 	}
 	return s.heap[0].Count
 }
 
-// Add folds weight w for pc into the sketch: O(log K). If the sketch is
+// add folds weight w for pc into the sketch: O(log K). If the sketch is
 // full and pc is untracked, the minimum counter is evicted and its count
 // becomes pc's inherited overcount (the space-saving step).
-func (s *SpaceSaving) Add(pc uint64, w uint64) {
+func (s *spaceSaving) add(pc uint64, w uint64) {
 	if w == 0 {
 		return
 	}
@@ -98,21 +92,11 @@ func (s *SpaceSaving) Add(pc uint64, w uint64) {
 	s.siftDown(0)
 }
 
-// Get returns the entry for pc and whether it is tracked. The returned
-// entry is a copy.
-func (s *SpaceSaving) Get(pc uint64) (SSEntry, bool) {
-	i, ok := s.index[pc]
-	if !ok {
-		return SSEntry{}, false
-	}
-	return s.heap[i], true
-}
-
-// Items returns every tracked entry, descending by Count with PC as the
+// items returns every tracked entry, descending by Count with PC as the
 // tie-break (matching DB.HotPCs ordering, so the sketch and the exact
 // path agree whenever the sketch has seen fewer than K distinct PCs and
 // is therefore exact). The slice and entries are copies.
-func (s *SpaceSaving) Items() []SSEntry {
+func (s *spaceSaving) items() []SSEntry {
 	out := make([]SSEntry, len(s.heap))
 	copy(out, s.heap)
 	sort.Slice(out, func(i, j int) bool {
@@ -124,21 +108,21 @@ func (s *SpaceSaving) Items() []SSEntry {
 	return out
 }
 
-// Merge returns a new sketch summarizing the union stream of a and b —
+// mergeSketches returns a new sketch summarizing the union stream of a and b —
 // the property that lets per-instance partials combine into a fleet
 // answer. For a PC tracked in only one input, the other input may have
 // seen it up to its floor times; that floor is added to both the count
 // and the error so the merged estimate keeps the never-undercount
 // guarantee. The merged floor (and so the error bound) is at most
 // floor(a) + floor(b).
-func Merge(a, b *SpaceSaving) *SpaceSaving {
+func mergeSketches(a, b *spaceSaving) *spaceSaving {
 	k := a.k
 	if b.k < k {
 		k = b.k
 	}
 	type pair struct{ count, err uint64 }
 	union := make(map[uint64]pair, len(a.heap)+len(b.heap))
-	fa, fb := a.MinCount(), b.MinCount()
+	fa, fb := a.minCount(), b.minCount()
 	for _, e := range a.heap {
 		union[e.PC] = pair{e.Count, e.Err}
 	}
@@ -170,7 +154,7 @@ func Merge(a, b *SpaceSaving) *SpaceSaving {
 	if len(entries) > k {
 		entries = entries[:k]
 	}
-	m := NewSpaceSaving(k)
+	m := newSpaceSaving(k)
 	m.n = a.n + b.n
 	for _, e := range entries {
 		m.heap = append(m.heap, e)
@@ -186,15 +170,15 @@ func Merge(a, b *SpaceSaving) *SpaceSaving {
 	return m
 }
 
-func (s *SpaceSaving) less(i, j int) bool { return s.heap[i].Count < s.heap[j].Count }
+func (s *spaceSaving) less(i, j int) bool { return s.heap[i].Count < s.heap[j].Count }
 
-func (s *SpaceSaving) swap(i, j int) {
+func (s *spaceSaving) swap(i, j int) {
 	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
 	s.index[s.heap[i].PC] = i
 	s.index[s.heap[j].PC] = j
 }
 
-func (s *SpaceSaving) siftUp(i int) {
+func (s *spaceSaving) siftUp(i int) {
 	s.index[s.heap[i].PC] = i
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -206,7 +190,7 @@ func (s *SpaceSaving) siftUp(i int) {
 	}
 }
 
-func (s *SpaceSaving) siftDown(i int) {
+func (s *spaceSaving) siftDown(i int) {
 	s.index[s.heap[i].PC] = i
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -225,11 +209,11 @@ func (s *SpaceSaving) siftDown(i int) {
 	}
 }
 
-// DefaultQuantileAlpha is the default relative-error target for quantile
+// defaultQuantileAlpha is the default relative-error target for quantile
 // sketches: a reported quantile is within ±5% of the exact value.
-const DefaultQuantileAlpha = 0.05
+const defaultQuantileAlpha = 0.05
 
-// QuantileSketch is a DDSketch-style log-bucketed histogram over
+// quantileSketch is a DDSketch-style log-bucketed histogram over
 // non-negative values (cycle latencies here): bucket i covers
 // (gamma^(i-1), gamma^i] with gamma = (1+alpha)/(1-alpha), so the bucket
 // midpoint estimate of any quantile is within alpha relative error of
@@ -239,7 +223,7 @@ const DefaultQuantileAlpha = 0.05
 // The sketch is deterministic and mergeable (bucket counts add); it is
 // NOT safe for concurrent use — SafeDB owns its sketches under the write
 // lock and publishes computed summaries into the read view.
-type QuantileSketch struct {
+type quantileSketch struct {
 	alpha  float64
 	gamma  float64
 	lgamma float64
@@ -248,31 +232,21 @@ type QuantileSketch struct {
 	bkt    map[int]uint64
 }
 
-// NewQuantileSketch returns an empty sketch with the given relative-
-// error target (DefaultQuantileAlpha when alpha <= 0 or >= 1).
-func NewQuantileSketch(alpha float64) *QuantileSketch {
+// newQuantileSketch returns an empty sketch with the given relative-
+// error target (defaultQuantileAlpha when alpha <= 0 or >= 1).
+func newQuantileSketch(alpha float64) *quantileSketch {
 	if alpha <= 0 || alpha >= 1 {
-		alpha = DefaultQuantileAlpha
+		alpha = defaultQuantileAlpha
 	}
 	gamma := (1 + alpha) / (1 - alpha)
-	return &QuantileSketch{alpha: alpha, gamma: gamma, lgamma: math.Log(gamma), bkt: make(map[int]uint64)}
+	return &quantileSketch{alpha: alpha, gamma: gamma, lgamma: math.Log(gamma), bkt: make(map[int]uint64)}
 }
 
-// Alpha returns the sketch's relative-error bound.
-func (q *QuantileSketch) Alpha() float64 { return q.alpha }
-
-// Count returns the number of observations folded in.
-func (q *QuantileSketch) Count() uint64 { return q.count }
-
-// Add folds one observation into the sketch. Negative values are
-// clamped to the zero bucket (they violate the latency domain but must
-// not corrupt the histogram).
-func (q *QuantileSketch) Add(v float64) { q.AddN(v, 1) }
-
-// AddN folds n identical observations in one O(1) update — the merge-
-// time path, where a shard contributes a per-PC mean weighted by its
-// contributing-sample count.
-func (q *QuantileSketch) AddN(v float64, n uint64) {
+// addN folds n identical observations in one O(1) update: a merged shard
+// contributes a per-PC mean weighted by its contributing-sample count.
+// Values at or below 1 (and negative ones, which violate the latency
+// domain but must not corrupt the histogram) land in the zero bucket.
+func (q *quantileSketch) addN(v float64, n uint64) {
 	if n == 0 {
 		return
 	}
@@ -285,10 +259,10 @@ func (q *QuantileSketch) AddN(v float64, n uint64) {
 	q.bkt[i] += n
 }
 
-// Quantile returns the estimated q-quantile (q in [0,1]), within Alpha
+// quantile returns the estimated q-quantile (q in [0,1]), within Alpha
 // relative error of the exact quantile of the observed stream. With no
 // observations it returns 0.
-func (q *QuantileSketch) Quantile(p float64) float64 {
+func (q *quantileSketch) quantile(p float64) float64 {
 	if q.count == 0 {
 		return 0
 	}
@@ -319,26 +293,12 @@ func (q *QuantileSketch) Quantile(p float64) float64 {
 	return 2 * math.Pow(q.gamma, float64(idxs[len(idxs)-1])) / (q.gamma + 1)
 }
 
-// MergeFrom folds another sketch's buckets into q. Both must share the
-// same alpha (same bucket boundaries); mismatches are a programming
-// error and panic.
-func (q *QuantileSketch) MergeFrom(o *QuantileSketch) {
-	if q.alpha != o.alpha {
-		panic("profile: merging quantile sketches with different alphas")
-	}
-	q.zero += o.zero
-	q.count += o.count
-	for i, n := range o.bkt {
-		q.bkt[i] += n
-	}
-}
-
-// QuantileSummary is the published form of one latency distribution:
+// quantileSummary is the published form of one latency distribution:
 // fixed percentiles computed at view-publish time so readers never touch
 // the live sketch. RelError is the sketch's alpha: each percentile is
 // within ±RelError (relative) of the exact value over the observed
 // stream.
-type QuantileSummary struct {
+type quantileSummary struct {
 	Kind     string  `json:"kind"`
 	Count    uint64  `json:"count"`
 	P50      float64 `json:"p50"`
@@ -348,13 +308,13 @@ type QuantileSummary struct {
 }
 
 // summarize computes the published percentiles for one sketch.
-func (q *QuantileSketch) summarize(kind string) QuantileSummary {
-	return QuantileSummary{
+func (q *quantileSketch) summarize(kind string) quantileSummary {
+	return quantileSummary{
 		Kind:     kind,
 		Count:    q.count,
-		P50:      q.Quantile(0.50),
-		P90:      q.Quantile(0.90),
-		P99:      q.Quantile(0.99),
+		P50:      q.quantile(0.50),
+		P90:      q.quantile(0.90),
+		P99:      q.quantile(0.99),
 		RelError: q.alpha,
 	}
 }

@@ -45,27 +45,27 @@ func TestSpaceSavingBounds(t *testing.T) {
 		k := rng.IntRange(8, 64)
 		distinct := rng.IntRange(k/2, 8*k)
 		draws := rng.IntRange(1000, 20000)
-		sk := NewSpaceSaving(k)
+		sk := newSpaceSaving(k)
 		truth := make(map[uint64]uint64)
 		for _, pc := range zipfStream(rng, distinct, draws) {
 			w := uint64(rng.IntRange(1, 4))
-			sk.Add(pc, w)
+			sk.add(pc, w)
 			truth[pc] += w
 		}
 		var n uint64
 		for _, c := range truth {
 			n += c
 		}
-		if sk.N() != n {
-			t.Errorf("seed %d: N=%d want %d", seed, sk.N(), n)
+		if sk.n != n {
+			t.Errorf("seed %d: N=%d want %d", seed, sk.n, n)
 			return false
 		}
-		floor := sk.MinCount()
+		floor := sk.minCount()
 		if floor > n/uint64(k) {
 			t.Errorf("seed %d: floor %d exceeds N/K=%d", seed, floor, n/uint64(k))
 			return false
 		}
-		for _, e := range sk.Items() {
+		for _, e := range sk.items() {
 			tc := truth[e.PC]
 			if e.Count < tc || e.Count-e.Err > tc {
 				t.Errorf("seed %d: pc %#x est %d err %d true %d", seed, e.PC, e.Count, e.Err, tc)
@@ -78,7 +78,7 @@ func TestSpaceSavingBounds(t *testing.T) {
 		}
 		for pc, tc := range truth {
 			if tc > floor {
-				if _, ok := sk.Get(pc); !ok {
+				if _, ok := sk.index[pc]; !ok {
 					t.Errorf("seed %d: heavy hitter %#x (true %d > floor %d) untracked", seed, pc, tc, floor)
 					return false
 				}
@@ -95,14 +95,14 @@ func TestSpaceSavingBounds(t *testing.T) {
 // path relies on: with at most K distinct PCs the sketch IS the exact
 // answer, in DB.HotPCs order, with zero error.
 func TestSpaceSavingExactWhenSmall(t *testing.T) {
-	sk := NewSpaceSaving(16)
+	sk := newSpaceSaving(16)
 	truth := map[uint64]uint64{0x10: 5, 0x20: 9, 0x30: 9, 0x40: 1, 0x50: 3}
 	for pc, c := range truth {
 		for i := uint64(0); i < c; i++ {
-			sk.Add(pc, 1)
+			sk.add(pc, 1)
 		}
 	}
-	items := sk.Items()
+	items := sk.items()
 	want := []uint64{0x20, 0x30, 0x10, 0x50, 0x40} // count desc, PC asc
 	if len(items) != len(want) {
 		t.Fatalf("got %d items, want %d", len(items), len(want))
@@ -112,8 +112,8 @@ func TestSpaceSavingExactWhenSmall(t *testing.T) {
 			t.Fatalf("item %d = %+v, want pc %#x count %d err 0", i, e, want[i], truth[want[i]])
 		}
 	}
-	if sk.MinCount() != 0 {
-		t.Fatalf("non-full sketch floor = %d, want 0", sk.MinCount())
+	if sk.minCount() != 0 {
+		t.Fatalf("non-full sketch floor = %d, want 0", sk.minCount())
 	}
 }
 
@@ -125,22 +125,22 @@ func TestSpaceSavingMergeBounds(t *testing.T) {
 		rng := stats.NewRNG(seed)
 		k := rng.IntRange(8, 48)
 		truth := make(map[uint64]uint64)
-		build := func() *SpaceSaving {
-			sk := NewSpaceSaving(k)
+		build := func() *spaceSaving {
+			sk := newSpaceSaving(k)
 			distinct := rng.IntRange(k/2, 6*k)
 			for _, pc := range zipfStream(rng, distinct, rng.IntRange(500, 8000)) {
-				sk.Add(pc, 1)
+				sk.add(pc, 1)
 				truth[pc]++
 			}
 			return sk
 		}
 		a, b := build(), build()
-		m := Merge(a, b)
-		if m.N() != a.N()+b.N() {
-			t.Errorf("seed %d: merged N=%d want %d", seed, m.N(), a.N()+b.N())
+		m := mergeSketches(a, b)
+		if m.n != a.n+b.n {
+			t.Errorf("seed %d: merged N=%d want %d", seed, m.n, a.n+b.n)
 			return false
 		}
-		for _, e := range m.Items() {
+		for _, e := range m.items() {
 			tc := truth[e.PC]
 			if e.Count < tc || e.Count-e.Err > tc {
 				t.Errorf("seed %d: merged pc %#x est %d err %d true %d", seed, e.PC, e.Count, e.Err, tc)
@@ -160,7 +160,7 @@ func TestSpaceSavingMergeBounds(t *testing.T) {
 func TestQuantileSketchRelativeError(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
-		q := NewQuantileSketch(DefaultQuantileAlpha)
+		q := newQuantileSketch(defaultQuantileAlpha)
 		n := rng.IntRange(500, 10000)
 		vals := make([]float64, n)
 		for i := range vals {
@@ -170,15 +170,15 @@ func TestQuantileSketchRelativeError(t *testing.T) {
 				v *= float64(rng.IntRange(10, 100))
 			}
 			vals[i] = v
-			q.Add(v)
+			q.addN(v, 1)
 		}
 		sort.Float64s(vals)
 		for _, p := range []float64{0.5, 0.9, 0.99} {
 			exact := vals[int(p*float64(n-1))]
-			got := q.Quantile(p)
-			if rel := math.Abs(got-exact) / exact; rel > q.Alpha()+1e-9 {
+			got := q.quantile(p)
+			if rel := math.Abs(got-exact) / exact; rel > q.alpha+1e-9 {
 				t.Errorf("seed %d: p%.0f = %g, exact %g, rel err %.4f > alpha %.4f",
-					seed, p*100, got, exact, rel, q.Alpha())
+					seed, p*100, got, exact, rel, q.alpha)
 				return false
 			}
 		}
@@ -189,44 +189,19 @@ func TestQuantileSketchRelativeError(t *testing.T) {
 	}
 }
 
-// TestQuantileSketchMerge: bucket-wise merging must equal having fed one
-// sketch the concatenated stream (identical buckets, identical answers).
-func TestQuantileSketchMerge(t *testing.T) {
-	rng := stats.NewRNG(7)
-	a, b, both := NewQuantileSketch(0), NewQuantileSketch(0), NewQuantileSketch(0)
-	for i := 0; i < 3000; i++ {
-		v := float64(rng.IntRange(1, 500))
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-		both.Add(v)
-	}
-	a.MergeFrom(b)
-	if a.Count() != both.Count() {
-		t.Fatalf("merged count %d want %d", a.Count(), both.Count())
-	}
-	for _, p := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-		if a.Quantile(p) != both.Quantile(p) {
-			t.Fatalf("p=%v: merged %g, combined %g", p, a.Quantile(p), both.Quantile(p))
-		}
-	}
-}
-
 // TestWindowRing drives the time-bucketed ring with an explicit clock:
 // in-window buckets count, out-of-window buckets expire, oversized
 // requests clamp to the horizon, and long idle gaps reset cleanly.
 func TestWindowRing(t *testing.T) {
 	base := time.Unix(1000, 0)
-	r := NewWindowRing(4, time.Second, 8)
+	r := newWindowRing(4, time.Second, 8)
 
-	r.Add(base, 0xA, 3)
-	r.Add(base.Add(1*time.Second), 0xB, 2)
-	r.Add(base.Add(2*time.Second), 0xA, 1)
+	addPC(r, base, 0xA, 3)
+	addPC(r, base.Add(1*time.Second), 0xB, 2)
+	addPC(r, base.Add(2*time.Second), 0xA, 1)
 
 	now := base.Add(2500 * time.Millisecond)
-	res := r.Query(now, 3*time.Second, 10)
+	res := r.query(now, 3*time.Second, 10)
 	if res.Samples != 6 || res.Buckets != 3 || res.Clamped {
 		t.Fatalf("full window: %+v", res)
 	}
@@ -237,49 +212,49 @@ func TestWindowRing(t *testing.T) {
 	// A 1s lookback from base+2.5s covers [base+1.5s, base+2.5s]: the
 	// base+2s bucket fully, and the base+1s bucket partially — bucket
 	// granularity means a partially-overlapped bucket contributes whole.
-	res = r.Query(now, time.Second, 10)
+	res = r.query(now, time.Second, 10)
 	if res.Samples != 3 || res.Buckets != 2 || res.Rows[0].PC != 0xB || res.Rows[0].Count != 2 {
 		t.Fatalf("short window: %+v", res)
 	}
 
 	// Requests beyond the horizon clamp.
-	res = r.Query(now, time.Minute, 10)
+	res = r.query(now, time.Minute, 10)
 	if !res.Clamped || res.Window != 4*time.Second {
 		t.Fatalf("clamp: %+v", res)
 	}
 
 	// Rotate to base+5s: the ring now covers [base+2s, base+6s), so the
 	// base and base+1s buckets have been reused and their data is gone.
-	r.Add(base.Add(5*time.Second), 0xC, 7)
-	res = r.Query(base.Add(5*time.Second), 4*time.Second, 10)
+	addPC(r, base.Add(5*time.Second), 0xC, 7)
+	res = r.query(base.Add(5*time.Second), 4*time.Second, 10)
 	if res.Samples != 7+1 || len(res.Rows) != 2 || res.Rows[0].PC != 0xC {
 		t.Fatalf("post-rotation: %+v", res)
 	}
 
 	// A gap longer than the whole ring resets it.
-	r.Add(base.Add(time.Hour), 0xD, 1)
-	res = r.Query(base.Add(time.Hour), 4*time.Second, 10)
+	addPC(r, base.Add(time.Hour), 0xD, 1)
+	res = r.query(base.Add(time.Hour), 4*time.Second, 10)
 	if res.Samples != 1 || len(res.Rows) != 1 || res.Rows[0].PC != 0xD {
 		t.Fatalf("post-gap: %+v", res)
 	}
 }
 
-// TestWindowRingAddDB: folding a shard in one AddDB leaves the ring
-// exactly where one Add per PC would (same buckets, samples and rows),
+// TestWindowRingAddDB: folding a shard in one addDB leaves the ring
+// exactly where one addDB per PC would (same buckets, samples and rows),
 // across a bucket boundary, and invalidates a cached answer once.
 func TestWindowRingAddDB(t *testing.T) {
 	base := time.Unix(1000, 0)
-	batched, single := NewWindowRing(4, time.Second, 32), NewWindowRing(4, time.Second, 32)
+	batched, single := newWindowRing(4, time.Second, 32), newWindowRing(4, time.Second, 32)
 	for i, shard := range []*DB{safeShard(1), safeShard(2), safeShard(9)} {
 		now := base.Add(time.Duration(i) * 700 * time.Millisecond)
-		before := batched.Query(now, 4*time.Second, 0)
-		batched.AddDB(now, shard)
+		before := batched.query(now, 4*time.Second, 0)
+		batched.addDB(now, shard)
 		for _, pc := range shard.PCs() {
-			single.Add(now, pc, shard.Get(pc).Samples)
+			addPC(single, now, pc, shard.Get(pc).Samples)
 		}
-		got, want := batched.Query(now, 4*time.Second, 0), single.Query(now, 4*time.Second, 0)
+		got, want := batched.query(now, 4*time.Second, 0), single.query(now, 4*time.Second, 0)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shard %d: AddDB left %+v, per-PC Adds %+v", i, got, want)
+			t.Fatalf("shard %d: AddDB left %+v, per-PC AddDBs %+v", i, got, want)
 		}
 		if got.Samples != before.Samples+shard.Samples() {
 			t.Fatalf("shard %d: window holds %d samples after AddDB, want %d (a cached answer survived the write?)",
@@ -293,9 +268,9 @@ func TestWindowRingAddDB(t *testing.T) {
 // (locked deep-copy scan) return identical rows, and the view's estimates
 // are exact with zero error.
 func TestSafeDBSketchMatchesExact(t *testing.T) {
-	// PublishEvery:1 rebuilds rows on every add, so the view is never
-	// stale relative to the live DB and the comparison below is exact.
-	agg := NewSafeDBWith(NewDB(16, 0, 4), SketchConfig{PublishEvery: 1})
+	// Every merge rebuilds rows, so the view is never stale relative to
+	// the live DB and the comparison below is exact.
+	agg := NewSafeDBWith(NewDB(16, 0, 4), SketchConfig{})
 	for seed := uint64(0); seed < 6; seed++ {
 		if err := agg.Merge(safeShard(seed)); err != nil {
 			t.Fatal(err)
@@ -304,7 +279,7 @@ func TestSafeDBSketchMatchesExact(t *testing.T) {
 	rng := stats.NewRNG(42)
 	for i := 0; i < 200; i++ {
 		pc := 0x400 + 8*uint64(rng.Intn(13))
-		agg.Add(core.Sample{First: rec(pc, true, 0, 1, 2, 3, 5, 9)})
+		mergeOne(t, agg, core.Sample{First: rec(pc, true, 0, 1, 2, 3, 5, 9)})
 	}
 
 	sketch := agg.HotPCs(10)
@@ -329,13 +304,12 @@ func TestSafeDBSketchMatchesExact(t *testing.T) {
 // TestSafeDBSketchBoundsUnderOverflow forces approximation (more distinct
 // PCs than K) and checks the published bounds hold against the live DB.
 func TestSafeDBSketchBoundsUnderOverflow(t *testing.T) {
-	// PublishEvery:1 keeps view rows in lockstep with the live DB: the
-	// bounds below compare published estimates against live truth, which
-	// is only valid when no adds have landed since the last row rebuild.
-	agg := NewSafeDBWith(NewDB(16, 0, 4), SketchConfig{TopK: 32, PublishEvery: 1})
+	// Every merge rebuilds rows: the bounds below compare published
+	// estimates against live truth as of the last merge.
+	agg := NewSafeDBWith(NewDB(16, 0, 4), SketchConfig{TopK: 32})
 	rng := stats.NewRNG(9)
 	for _, pc := range zipfStream(rng, 500, 4000) {
-		agg.Add(core.Sample{First: rec(pc, true, 0, 1, 2, 3, 5, 9)})
+		mergeOne(t, agg, core.Sample{First: rec(pc, true, 0, 1, 2, 3, 5, 9)})
 	}
 	v := agg.View()
 	if v.Floor == 0 || v.SketchN == 0 {
@@ -360,12 +334,12 @@ func TestSafeDBSketchBoundsUnderOverflow(t *testing.T) {
 }
 
 // TestSafeDBViewImmutableUnderRace is the race-hammered snapshot test:
-// readers grab views and windowed answers while writers merge and add at
+// readers grab views and windowed answers while writers merge at
 // full speed. Retained views must never change underneath the reader
 // (epochs stay self-consistent, counters monotonic), and the final state
 // is exact. Run with -race in CI.
 func TestSafeDBViewImmutableUnderRace(t *testing.T) {
-	agg := NewSafeDBWith(NewDB(16, 0, 4), SketchConfig{PublishEvery: 4})
+	agg := NewSafeDBWith(NewDB(16, 0, 4), SketchConfig{})
 
 	const writers, merges, readers = 4, 30, 6
 	var wg sync.WaitGroup
@@ -385,7 +359,7 @@ func TestSafeDBViewImmutableUnderRace(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				agg.Add(core.Sample{First: rec(0x999, true, 0, 1, 2, 3, 5, 9)})
+				mergeOne(t, agg, core.Sample{First: rec(0x999, true, 0, 1, 2, 3, 5, 9)})
 				agg.ReverseLoss(0) // exercise counter-only publishes
 			}
 		}(w)
@@ -434,7 +408,7 @@ func TestSafeDBViewImmutableUnderRace(t *testing.T) {
 	go func() { defer close(done); wg.Wait() }()
 	go func() {
 		for i := 0; i < writers*merges; i++ {
-			if agg.Samples() >= wantSamples+uint64(writers*merges) {
+			if agg.CountersSnapshot().Samples >= wantSamples+uint64(writers*merges) {
 				break
 			}
 			time.Sleep(time.Millisecond)
@@ -444,7 +418,7 @@ func TestSafeDBViewImmutableUnderRace(t *testing.T) {
 	<-done
 
 	got := agg.CountersSnapshot()
-	want := wantSamples + writers*merges // merged singles + direct Adds
+	want := wantSamples + writers*merges // fifty-sample shards + one-sample shards
 	if got.Samples != want {
 		t.Fatalf("final samples = %d, want %d", got.Samples, want)
 	}
@@ -455,11 +429,11 @@ func TestSafeDBViewImmutableUnderRace(t *testing.T) {
 
 // TestViewLatencySummaries checks that the published quantile summaries
 // cover every latency kind plus in-progress, with counts and bounded
-// error, after both Add- and Merge-path feeding.
+// error, fed one-sample shards and a fifty-sample one.
 func TestViewLatencySummaries(t *testing.T) {
-	agg := NewSafeDB(NewDB(16, 0, 4))
+	agg := NewSafeDBWith(NewDB(16, 0, 4), SketchConfig{})
 	for i := 0; i < 100; i++ {
-		agg.Add(core.Sample{First: rec(0x40, true, 0, 1, 2, 3, 50, 100)})
+		mergeOne(t, agg, core.Sample{First: rec(0x40, true, 0, 1, 2, 3, 50, 100)})
 	}
 	if err := agg.Merge(safeShard(3)); err != nil {
 		t.Fatal(err)
@@ -468,7 +442,7 @@ func TestViewLatencySummaries(t *testing.T) {
 	if len(v.Latencies) != NumLatencyKinds+1 {
 		t.Fatalf("got %d summaries, want %d", len(v.Latencies), NumLatencyKinds+1)
 	}
-	byKind := map[string]QuantileSummary{}
+	byKind := map[string]quantileSummary{}
 	for _, s := range v.Latencies {
 		byKind[s.Kind] = s
 	}
@@ -479,7 +453,7 @@ func TestViewLatencySummaries(t *testing.T) {
 	// The Add-path stream fed 100 identical fetch->retire-ready spans of
 	// 50 cycles plus the shard's; p50 must be within alpha of 50 or the
 	// shard's 5 — either way far from zero and positive.
-	if ip.P50 <= 0 || ip.RelError != DefaultQuantileAlpha {
+	if ip.P50 <= 0 || ip.RelError != defaultQuantileAlpha {
 		t.Fatalf("inprogress summary wrong: %+v", ip)
 	}
 }

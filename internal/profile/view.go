@@ -52,9 +52,8 @@ type View struct {
 	// Latencies are the published percentile summaries, one per
 	// adjacent-stage latency kind plus "inprogress" (fetch->retire) —
 	// each within its RelError of the exact quantile over the stream the
-	// sketch was fed (per-sample latencies on the Add path, sample-
-	// weighted per-PC means on the merge path).
-	Latencies []QuantileSummary
+	// sketch was fed: each merged shard's per-PC mean, sample-weighted.
+	Latencies []quantileSummary
 
 	byPC map[uint64]*HotView
 }
@@ -137,7 +136,7 @@ type SketchStats struct {
 	WindowHorizonMS int64 `json:"window_horizon_ms"`
 	// Latencies are the published percentile summaries (one per latency
 	// kind plus "inprogress"), straight from the current view.
-	Latencies []QuantileSummary `json:"latencies"`
+	Latencies []quantileSummary `json:"latencies"`
 }
 
 // SketchConfig parameterizes SafeDB's streaming summaries. Zero values
@@ -151,12 +150,8 @@ type SketchConfig struct {
 	WindowBuckets int
 	BucketDur     time.Duration
 	// Alpha is the quantile sketches' relative-error target (default
-	// DefaultQuantileAlpha).
+	// defaultQuantileAlpha).
 	Alpha float64
-	// PublishEvery batches row republication on the per-sample Add path:
-	// rows are rebuilt every PublishEvery adds (default 64) while
-	// counters republish on every write. Merges always rebuild rows.
-	PublishEvery int
 	// Now is the clock (default time.Now); tests inject a fake.
 	Now func() time.Time
 }
@@ -172,10 +167,7 @@ func (c *SketchConfig) normalize() {
 		c.BucketDur = time.Second
 	}
 	if c.Alpha <= 0 || c.Alpha >= 1 {
-		c.Alpha = DefaultQuantileAlpha
-	}
-	if c.PublishEvery <= 0 {
-		c.PublishEvery = 64
+		c.Alpha = defaultQuantileAlpha
 	}
 	if c.Now == nil {
 		c.Now = time.Now

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// WindowRing answers "hot PCs in the last N seconds" without touching
+// windowRing answers "hot PCs in the last N seconds" without touching
 // the O(DB) aggregate: a fixed ring of time buckets, each holding its
 // own small space-saving sketch plus exact per-bucket sample counters.
 // The ring advances lazily on writes; a query merges the buckets
@@ -21,7 +21,7 @@ import (
 // queries take the read lock, so windowed queries contend with the merge
 // loop only for these O(log K) critical sections, never for an O(DB)
 // copy. The unwindowed sketch path is fully lock-free (see View).
-type WindowRing struct {
+type windowRing struct {
 	mu        sync.RWMutex
 	bucketDur time.Duration
 	k         int
@@ -30,10 +30,10 @@ type WindowRing struct {
 	headStart time.Time // start of the current bucket's interval
 	started   bool
 
-	// gen counts writes: every Add or AddDB (and so every advance, lap and
-	// reset) bumps it under mu. cache is the last merge a query performed, valid
-	// for exactly the ring contents (gen) and contributing buckets it was
-	// built from.
+	// gen counts writes: every addDB (and so every advance, lap and
+	// reset) bumps it under mu. cache is the last merge a query performed,
+	// valid for exactly the ring contents (gen) and contributing buckets
+	// it was built from.
 	gen   uint64
 	cache atomic.Pointer[windowMerge]
 }
@@ -51,64 +51,49 @@ type windowMerge struct {
 
 type windowBucket struct {
 	start   time.Time
-	sk      *SpaceSaving
+	sk      *spaceSaving
 	samples uint64
 }
 
-// NewWindowRing builds a ring of n buckets of d each (horizon n*d),
+// newWindowRing builds a ring of n buckets of d each (horizon n*d),
 // tracking k counters per bucket.
-func NewWindowRing(n int, d time.Duration, k int) *WindowRing {
+func newWindowRing(n int, d time.Duration, k int) *windowRing {
 	if n < 1 {
 		n = 1
 	}
 	if d <= 0 {
 		d = time.Second
 	}
-	r := &WindowRing{bucketDur: d, k: k, buckets: make([]windowBucket, n)}
+	r := &windowRing{bucketDur: d, k: k, buckets: make([]windowBucket, n)}
 	for i := range r.buckets {
-		r.buckets[i].sk = NewSpaceSaving(k)
+		r.buckets[i].sk = newSpaceSaving(k)
 	}
 	return r
 }
 
-// Horizon returns the maximum lookback the ring can answer.
-func (r *WindowRing) Horizon() time.Duration {
+// horizon returns the maximum lookback the ring can answer.
+func (r *windowRing) horizon() time.Duration {
 	return time.Duration(len(r.buckets)) * r.bucketDur
 }
 
-// BucketDur returns the ring's bucket granularity.
-func (r *WindowRing) BucketDur() time.Duration { return r.bucketDur }
-
-// Add folds weight w for pc into the bucket covering now.
-func (r *WindowRing) Add(now time.Time, pc uint64, w uint64) {
-	r.mu.Lock()
-	r.gen++
-	r.advanceLocked(now)
-	b := &r.buckets[r.head]
-	b.sk.Add(pc, w)
-	b.samples += w
-	r.mu.Unlock()
-}
-
-// AddDB folds every PC of db, weighted by its sample count, into the
-// bucket covering now: a merged shard's worth of Adds under one lock
-// acquisition and one advance, so the lock is held in proportion to the
-// shard, never to the aggregate.
-func (r *WindowRing) AddDB(now time.Time, db *DB) {
+// addDB folds every PC of db, weighted by its sample count, into the
+// bucket covering now under one lock acquisition and one advance, so the
+// lock is held in proportion to the shard, never to the aggregate.
+func (r *windowRing) addDB(now time.Time, db *DB) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.gen++
 	r.advanceLocked(now)
 	b := &r.buckets[r.head]
 	for pc, a := range db.byPC {
-		b.sk.Add(pc, a.Samples)
+		b.sk.add(pc, a.Samples)
 		b.samples += a.Samples
 	}
 }
 
 // advanceLocked rotates the ring so the head bucket covers now. A long
 // idle gap resets stale buckets without looping once per elapsed bucket.
-func (r *WindowRing) advanceLocked(now time.Time) {
+func (r *windowRing) advanceLocked(now time.Time) {
 	if !r.started {
 		r.started = true
 		r.headStart = now.Truncate(r.bucketDur)
@@ -120,7 +105,7 @@ func (r *WindowRing) advanceLocked(now time.Time) {
 		if steps >= len(r.buckets) {
 			// Everything in the ring is stale: reset in place.
 			for i := range r.buckets {
-				r.buckets[i] = windowBucket{sk: NewSpaceSaving(r.k)}
+				r.buckets[i] = windowBucket{sk: newSpaceSaving(r.k)}
 			}
 			r.head = 0
 			r.headStart = now.Truncate(r.bucketDur)
@@ -129,14 +114,14 @@ func (r *WindowRing) advanceLocked(now time.Time) {
 		}
 		r.head = (r.head + 1) % len(r.buckets)
 		r.headStart = r.headStart.Add(r.bucketDur)
-		r.buckets[r.head] = windowBucket{start: r.headStart, sk: NewSpaceSaving(r.k)}
+		r.buckets[r.head] = windowBucket{start: r.headStart, sk: newSpaceSaving(r.k)}
 		steps++
 	}
 }
 
 // WindowResult is one windowed hot-PC answer. Rows carry sketch
 // estimates only (per-bucket rings keep no per-PC accumulators); Floor
-// bounds the estimate error exactly like SpaceSaving.MinCount, summed
+// bounds the estimate error exactly like spaceSaving.minCount, summed
 // over the merged buckets.
 type WindowResult struct {
 	// Window is the lookback actually served; Clamped is true when the
@@ -158,26 +143,26 @@ type WindowResult struct {
 // contributes reports whether b holds samples inside [cutoff, now]: any
 // part of [start, start+dur) is in the window and the bucket is not a
 // leftover from a previous ring lap.
-func (r *WindowRing) contributes(b *windowBucket, cutoff, now time.Time) bool {
-	if b.sk.N() == 0 && b.samples == 0 {
+func (r *windowRing) contributes(b *windowBucket, cutoff, now time.Time) bool {
+	if b.sk.n == 0 && b.samples == 0 {
 		return false
 	}
 	return !b.start.Add(r.bucketDur).Before(cutoff) && !b.start.After(now)
 }
 
-// Query merges the buckets overlapping [now-window, now] and returns the
+// query merges the buckets overlapping [now-window, now] and returns the
 // top n rows. It takes the ring's read lock only. The merge is O(K *
 // buckets); its result depends only on the ring's contents and on which
 // buckets contribute, so it is kept and reused — O(buckets + n) — until
-// an Add (which also covers a lap or a long-gap reset) or a bucket
+// an addDB (which also covers a lap or a long-gap reset) or a bucket
 // boundary changes either. A reused answer is exactly what merging again
 // at that instant would return.
-func (r *WindowRing) Query(now time.Time, window time.Duration, n int) WindowResult {
+func (r *windowRing) query(now time.Time, window time.Duration, n int) WindowResult {
 	res := WindowResult{Window: window}
 	if window <= 0 {
 		return res
 	}
-	if h := r.Horizon(); window > h {
+	if h := r.horizon(); window > h {
 		res.Window, res.Clamped = h, true
 	}
 	r.mu.RLock()
@@ -224,9 +209,9 @@ func (r *WindowRing) Query(now time.Time, window time.Duration, n int) WindowRes
 // mergeLocked merges every contributing bucket's sketch, in ring order.
 // Caller holds mu (read suffices: gen cannot move under it) and has
 // established that at least one bucket contributes.
-func (r *WindowRing) mergeLocked(cutoff, now time.Time) *windowMerge {
+func (r *windowRing) mergeLocked(cutoff, now time.Time) *windowMerge {
 	m := &windowMerge{gen: r.gen}
-	var merged *SpaceSaving
+	var merged *spaceSaving
 	for i := range r.buckets {
 		b := &r.buckets[i]
 		if !r.contributes(b, cutoff, now) {
@@ -235,12 +220,12 @@ func (r *WindowRing) mergeLocked(cutoff, now time.Time) *windowMerge {
 		m.buckets++
 		m.samples += b.samples
 		if merged == nil {
-			merged = Merge(b.sk, NewSpaceSaving(r.k))
+			merged = mergeSketches(b.sk, newSpaceSaving(r.k))
 		} else {
-			merged = Merge(merged, b.sk)
+			merged = mergeSketches(merged, b.sk)
 		}
 	}
-	m.rows = merged.Items()
-	m.floor = merged.MinCount()
+	m.rows = merged.items()
+	m.floor = merged.minCount()
 	return m
 }

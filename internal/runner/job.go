@@ -36,15 +36,15 @@ type Job struct {
 
 // Job status values recorded in the journal.
 const (
-	StatusPending = "pending" // not yet finished (fresh, or interrupted by a drain)
-	StatusDone    = "done"    // profile merged into the aggregate
-	StatusDead    = "dead"    // attempt budget exhausted or permanent failure
+	statusPending = "pending" // not yet finished (fresh, or interrupted by a drain)
+	statusDone    = "done"    // profile merged into the aggregate
+	statusDead    = "dead"    // attempt budget exhausted or permanent failure
 )
 
-// JobRecord is the per-job ledger entry, journaled with each outcome:
+// jobRecord is the per-job ledger entry, journaled with each outcome:
 // everything Resume needs to re-enqueue only unfinished work and to keep
 // retry budgets across drains.
-type JobRecord struct {
+type jobRecord struct {
 	Job      Job    `json:"job"`
 	Status   string `json:"status"`
 	Attempts int    `json:"attempts"`

@@ -26,9 +26,9 @@ import (
 // the intact prefix counts, what follows is truncated or set aside
 // (*.quarantined), and the jobs it held re-run (DESIGN.md §8).
 
-// Totals are the campaign counters that cannot be recomputed from the
+// totals are the campaign counters that cannot be recomputed from the
 // aggregate database alone.
-type Totals struct {
+type totals struct {
 	Retired            uint64 `json:"retired"`
 	Cycles             int64  `json:"cycles"`
 	SamplesCaptured    uint64 `json:"samples_captured"`
@@ -44,8 +44,8 @@ type journalEntry struct {
 	// FleetSeed pins every record to one campaign: Resume refuses a
 	// journal whose seed disagrees with the configuration.
 	FleetSeed uint64 `json:"fleet_seed"`
-	JobRecord
-	Totals Totals `json:"totals"`
+	jobRecord
+	Totals totals `json:"totals"`
 }
 
 // checkpointDir creates dir if needed and refuses one that still holds a
@@ -64,12 +64,12 @@ func checkpointDir(dir string) error {
 
 // journal appends rec's outcome — with the shard image when the job
 // completed — and returns once the record is on disk.
-func (f *Fleet) journal(rec *JobRecord, shard *profile.DB) error {
+func (f *Fleet) journal(rec *jobRecord, shard *profile.DB) error {
 	if f.log == nil {
 		return nil
 	}
 	var buf bytes.Buffer
-	err := json.NewEncoder(&buf).Encode(journalEntry{FleetSeed: f.cfg.Seed, JobRecord: *rec, Totals: f.totals})
+	err := json.NewEncoder(&buf).Encode(journalEntry{FleetSeed: f.cfg.Seed, jobRecord: *rec, Totals: f.totals})
 	if err == nil && shard != nil {
 		err = shard.Save(&buf)
 	}
@@ -103,7 +103,7 @@ func (f *Fleet) replay(payload []byte) error {
 		return fmt.Errorf("runner: checkpoint fleet seed %d does not match configured seed %d (wrong campaign?)", e.FleetSeed, f.cfg.Seed)
 	}
 	rec := f.byID[e.Job.ID] // nil: no longer in the campaign; its samples stay merged
-	if e.Status == StatusDone {
+	if e.Status == statusDone {
 		shard, err := profile.LoadDB(bytes.NewReader(image))
 		if err != nil {
 			return fmt.Errorf("runner: journal record of job %s: %w", e.Job.ID, err)
@@ -112,7 +112,7 @@ func (f *Fleet) replay(payload []byte) error {
 			return fmt.Errorf("runner: checkpoint sampling configuration S=%v W=%d C=%d does not match configured S=%v W=%d C=%d (wrong campaign?)",
 				shard.S, shard.W, shard.C, s, w, c)
 		}
-		if rec != nil && rec.Status == StatusDone {
+		if rec != nil && rec.Status == statusDone {
 			return fmt.Errorf("runner: journal completes job %s twice", e.Job.ID)
 		}
 		if f.agg == nil {

@@ -105,7 +105,7 @@ func requireEachDoneOnce(t *testing.T, dir string, jobs []Job) {
 	done := map[string]int{}
 	entries, _ := journalEntries(t, dir)
 	for _, e := range entries {
-		if e.Status == StatusDone {
+		if e.Status == statusDone {
 			done[e.Job.ID]++
 		}
 	}

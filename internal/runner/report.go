@@ -44,12 +44,12 @@ func (f *Fleet) buildReport() *Report {
 	for _, rec := range f.records {
 		r.Attempts += rec.Attempts
 		switch rec.Status {
-		case StatusDone:
+		case statusDone:
 			r.Completed++
 			if rec.Attempts > 1 {
 				r.Retried++
 			}
-		case StatusDead:
+		case statusDead:
 			r.DeadLettered++
 			r.DeadLetters = append(r.DeadLetters, rec.Job.ID)
 		default:

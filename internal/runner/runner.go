@@ -157,10 +157,10 @@ func (c *Config) normalize() error {
 // with Run.
 type Fleet struct {
 	cfg     Config
-	records []*JobRecord
-	byID    map[string]*JobRecord
+	records []*jobRecord
+	byID    map[string]*jobRecord
 	agg     *profile.DB
-	totals  Totals
+	totals  totals
 	log     *wal.Log // the journal; opened and closed by Run, nil without a checkpoint directory
 	drained bool
 	ran     bool
@@ -232,7 +232,7 @@ func build(cfg Config, jobs []Job) (*Fleet, error) {
 	if len(jobs) == 0 {
 		return nil, errors.New("runner: no jobs")
 	}
-	f := &Fleet{cfg: cfg, byID: make(map[string]*JobRecord, len(jobs))}
+	f := &Fleet{cfg: cfg, byID: make(map[string]*jobRecord, len(jobs))}
 	for _, job := range jobs {
 		if job.ID == "" {
 			return nil, errors.New("runner: job with empty ID")
@@ -240,7 +240,7 @@ func build(cfg Config, jobs []Job) (*Fleet, error) {
 		if _, dup := f.byID[job.ID]; dup {
 			return nil, fmt.Errorf("runner: duplicate job ID %q", job.ID)
 		}
-		rec := &JobRecord{Job: job, Status: StatusPending}
+		rec := &jobRecord{Job: job, Status: statusPending}
 		f.records = append(f.records, rec)
 		f.byID[job.ID] = rec
 	}
@@ -249,15 +249,6 @@ func build(cfg Config, jobs []Job) (*Fleet, error) {
 
 // Profile returns the aggregate database (nil until a job completes).
 func (f *Fleet) Profile() *profile.DB { return f.agg }
-
-// Records returns a snapshot of the per-job ledger.
-func (f *Fleet) Records() []JobRecord {
-	out := make([]JobRecord, len(f.records))
-	for i, rec := range f.records {
-		out[i] = *rec
-	}
-	return out
-}
 
 type outKind int
 
@@ -270,7 +261,7 @@ const (
 // outcome is what a worker reports back for one job. attempts and seed
 // are absolute (post-resume) values for the journal.
 type outcome struct {
-	rec      *JobRecord
+	rec      *jobRecord
 	kind     outKind
 	art      *jobArtifacts
 	err      error
@@ -297,9 +288,9 @@ func (f *Fleet) Run(ctx context.Context) (*Report, error) {
 	}
 	f.ran = true
 
-	var pending []*JobRecord
+	var pending []*jobRecord
 	for _, rec := range f.records {
-		if rec.Status == StatusPending {
+		if rec.Status == statusPending {
 			pending = append(pending, rec)
 		}
 	}
@@ -324,7 +315,7 @@ func (f *Fleet) Run(ctx context.Context) (*Report, error) {
 	if workers > len(pending) {
 		workers = len(pending)
 	}
-	queue := make(chan *JobRecord)
+	queue := make(chan *jobRecord)
 	results := make(chan outcome)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -381,7 +372,7 @@ func (f *Fleet) Run(ctx context.Context) (*Report, error) {
 			// Stays pending; a resumed campaign re-runs it.
 			f.logf("job %s interrupted by drain", rec.Job.ID)
 		case err != nil:
-			rec.Status = StatusDead
+			rec.Status = statusDead
 			rec.Error = err.Error()
 			f.logf("job %s dead-lettered after %d attempts: %v", rec.Job.ID, out.attempts, err)
 		default:
@@ -415,7 +406,7 @@ func (f *Fleet) absorb(out outcome) error {
 	} else if err := f.agg.Merge(out.art.db); err != nil {
 		return err
 	}
-	rec.Status = StatusDone
+	rec.Status = statusDone
 	rec.Error = ""
 	if f.cfg.Sink != nil {
 		if out.submitErr == nil {
@@ -437,7 +428,7 @@ func (f *Fleet) absorb(out outcome) error {
 // runJob drives one job to a terminal outcome: attempt, classify, back
 // off, retry with a perturbed seed — or bail out when the fleet is
 // hard-canceled (the chopped attempt is not charged to the budget).
-func (f *Fleet) runJob(hardCtx context.Context, rec *JobRecord) outcome {
+func (f *Fleet) runJob(hardCtx context.Context, rec *jobRecord) outcome {
 	attempts := rec.Attempts
 	seed := rec.Seed
 	for {

@@ -78,13 +78,13 @@ func TestPanicIsolation(t *testing.T) {
 	if rep.Completed != 3 || rep.DeadLettered != 1 {
 		t.Fatalf("completed %d, dead %d; want 3, 1", rep.Completed, rep.DeadLettered)
 	}
-	var boom JobRecord
-	for _, rec := range f.Records() {
+	var boom jobRecord
+	for _, rec := range f.records {
 		if rec.Job.ID == "boom" {
-			boom = rec
+			boom = *rec
 		}
 	}
-	if boom.Status != StatusDead {
+	if boom.Status != statusDead {
 		t.Fatalf("panicked job status %q", boom.Status)
 	}
 	if boom.Attempts != 1 {
@@ -264,7 +264,7 @@ func TestGracefulDrain(t *testing.T) {
 	if rep.Completed != 1 || rep.Pending != 3 {
 		t.Fatalf("completed %d, pending %d; want 1 completed, 3 pending", rep.Completed, rep.Pending)
 	}
-	for _, rec := range f.Records() {
+	for _, rec := range f.records {
 		if rec.Job.ID == "second" && rec.Attempts != 0 {
 			t.Fatalf("hard-canceled job charged %d attempts", rec.Attempts)
 		}

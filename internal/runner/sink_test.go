@@ -188,9 +188,9 @@ func TestHTTPSinkAgainstService(t *testing.T) {
 	}
 	agg := svc.Aggregate()
 	local := f.Profile()
-	if agg.Samples() != local.Samples() || agg.Lost() != local.Lost() {
+	if agg.CountersSnapshot().Samples != local.Samples() || agg.CountersSnapshot().Lost != local.Lost() {
 		t.Fatalf("collector aggregate %d/%d, local %d/%d",
-			agg.Samples(), agg.Lost(), local.Samples(), local.Lost())
+			agg.CountersSnapshot().Samples, agg.CountersSnapshot().Lost, local.Samples(), local.Lost())
 	}
 
 	// A sink pointed at a draining collector reports the refusal as a

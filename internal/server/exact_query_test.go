@@ -188,7 +188,7 @@ func TestHotPCsExactServedFromViewEqualsScan(t *testing.T) {
 		if want := scanRowsJSON(t, agg, 5); !bytes.Equal(cert.PCs, want) {
 			t.Fatalf("merge %d: certified rows differ from the scan\nview %s\nscan %s", i, cert.PCs, want)
 		}
-		if cert.Samples != agg.Samples() || cert.Lost != agg.Lost() || cert.LossRate != agg.LossRate() {
+		if cert.Samples != agg.CountersSnapshot().Samples || cert.Lost != agg.CountersSnapshot().Lost || cert.LossRate != agg.CountersSnapshot().LossRate {
 			t.Fatalf("merge %d: certified totals %+v differ from the aggregate", i, cert)
 		}
 
@@ -226,5 +226,70 @@ func TestHotPCsExactFallsBackOnFlatProfile(t *testing.T) {
 		if want := scanRowsJSON(t, svc.Aggregate(), n); !bytes.Equal(got.PCs, want) {
 			t.Fatalf("n=%d: fallback rows differ from the scan\ngot  %s\nscan %s", n, got.PCs, want)
 		}
+	}
+}
+
+// TestHotPCsExactCountersAreOneSnapshot: a ?sketch=false reply's samples,
+// lost and loss_rate come from one published snapshot, so loss_rate is
+// lost/(samples+lost) exactly however merges interleave with the query —
+// on the scan fallback too (a flat profile, so even n=1 cannot certify),
+// which used to load the three one after another. Run with -race.
+func TestHotPCsExactCountersAreOneSnapshot(t *testing.T) {
+	svc := testService(t, func(c *ingest.Config) { c.SketchTopK = 8; c.QueueDepth = 512 })
+	svc.Start()
+	t.Cleanup(func() {
+		if err := svc.Drain(context.Background()); err != nil {
+			t.Error(err)
+		}
+	})
+	h := New(Config{}, svc).Handler()
+
+	var stop atomic.Bool
+	var replies, scans atomic.Uint64
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/hotpcs?n=1&sketch=false", nil))
+				var r exactReply
+				if err := json.Unmarshal(rec.Body.Bytes(), &r); err != nil || rec.Code != http.StatusOK {
+					t.Errorf("GET: %d %v", rec.Code, err)
+					return
+				}
+				want := 0.0
+				if r.Lost > 0 {
+					want = float64(r.Lost) / float64(r.Samples+r.Lost)
+				}
+				if r.LossRate != want {
+					t.Errorf("torn reply: samples %d, lost %d, loss_rate %v, want %v", r.Samples, r.Lost, r.LossRate, want)
+					return
+				}
+				replies.Add(1)
+				if r.Certified == nil {
+					scans.Add(1)
+				}
+			}
+		}()
+	}
+
+	const shards = 400
+	for i := 0; i < shards; i++ {
+		db := profile.NewDB(16, 0, 4)
+		for j := 0; j < 40; j++ { // flat: every PC stays at the sketch floor
+			db.Add(core.Sample{First: retiredRecord(0x400+8*uint64(j), 0, 7)})
+		}
+		db.RecordLoss(uint64(i*7) % 11)
+		if status, body := postSubmit(t, h, fmt.Sprintf("flat/s%03d", i), db); status != http.StatusAccepted {
+			t.Fatalf("submit %d: %d %v", i, status, body)
+		}
+	}
+	waitMerged(t, svc, shards)
+	stop.Store(true)
+	wg.Wait()
+	if replies.Load() == 0 || scans.Load() == 0 {
+		t.Fatalf("vacuous: %d replies, %d from the scan", replies.Load(), scans.Load())
 	}
 }

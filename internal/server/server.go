@@ -95,7 +95,7 @@ func (c *Config) normalize() {
 type Server struct {
 	cfg     Config
 	svc     *ingest.Service
-	witness *WitnessStore
+	witness *witnessStore
 
 	logMu sync.Mutex
 
@@ -117,7 +117,7 @@ type Server struct {
 // New builds a Server over an ingest service.
 func New(cfg Config, svc *ingest.Service) *Server {
 	cfg.normalize()
-	return &Server{cfg: cfg, svc: svc, witness: NewWitnessStore(0)}
+	return &Server{cfg: cfg, svc: svc, witness: newWitnessStore(0)}
 }
 
 // Handler returns the route table.
@@ -338,8 +338,8 @@ func (s *Server) handleHandoffExport(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.exportBody = body
-		s.logf("handoff export sealed: %d bytes, %d samples (+%d lost)",
-			len(body), s.svc.Aggregate().Samples(), s.svc.Aggregate().Lost())
+		c := s.svc.Aggregate().CountersSnapshot()
+		s.logf("handoff export sealed: %d bytes, %d samples (+%d lost)", len(body), c.Samples, c.Lost)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
@@ -540,18 +540,13 @@ func (s *Server) handleHotPCs(w http.ResponseWriter, r *http.Request) {
 				EstCount: float64(e.Count) * v.S * v.LossCorr,
 			})
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"samples":        v.Counters.Samples,
-			"lost":           v.Counters.Lost,
-			"loss_rate":      v.Counters.LossRate,
-			"pcs":            rows,
-			"approx":         true,
-			"error_bound":    res.Floor,
-			"window_ms":      res.Window.Milliseconds(),
-			"window_clamped": res.Clamped,
-			"window_buckets": res.Buckets,
-			"window_samples": res.Samples,
-		})
+		reply := hotReply(v.Counters, rows, true)
+		reply["error_bound"] = res.Floor
+		reply["window_ms"] = res.Window.Milliseconds()
+		reply["window_clamped"] = res.Clamped
+		reply["window_buckets"] = res.Buckets
+		reply["window_samples"] = res.Samples
+		writeJSON(w, http.StatusOK, reply)
 		return
 	}
 
@@ -568,15 +563,9 @@ func (s *Server) handleHotPCs(w http.ResponseWriter, r *http.Request) {
 			row.MaxErr = hv.MaxErr
 			rows = append(rows, row)
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"samples":     v.Counters.Samples,
-			"lost":        v.Counters.Lost,
-			"loss_rate":   v.Counters.LossRate,
-			"pcs":         rows,
-			"approx":      true,
-			"error_bound": v.Floor,
-			"epoch":       v.Epoch,
-		})
+		reply := hotReply(v.Counters, rows, true)
+		reply["error_bound"], reply["epoch"] = v.Floor, v.Epoch
+		writeJSON(w, http.StatusOK, reply)
 		return
 	}
 
@@ -586,15 +575,9 @@ func (s *Server) handleHotPCs(w http.ResponseWriter, r *http.Request) {
 		for _, a := range top {
 			rows = append(rows, accRow(a, float64(a.Samples)*v.S*v.LossCorr))
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"samples":   v.Counters.Samples,
-			"lost":      v.Counters.Lost,
-			"loss_rate": v.Counters.LossRate,
-			"pcs":       rows,
-			"approx":    false,
-			"certified": true,
-			"epoch":     v.RowsEpoch,
-		})
+		reply := hotReply(v.Counters, rows, false)
+		reply["certified"], reply["epoch"] = true, v.RowsEpoch
+		writeJSON(w, http.StatusOK, reply)
 		return
 	}
 
@@ -603,13 +586,14 @@ func (s *Server) handleHotPCs(w http.ResponseWriter, r *http.Request) {
 	for i := range accs {
 		rows = append(rows, accRow(&accs[i], agg.EstimatedCount(accs[i].PC)))
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"samples":   agg.Samples(),
-		"lost":      agg.Lost(),
-		"loss_rate": agg.LossRate(),
-		"pcs":       rows,
-		"approx":    false,
-	})
+	writeJSON(w, http.StatusOK, hotReply(agg.CountersSnapshot(), rows, false))
+}
+
+// hotReply is what every /v1/hotpcs answer shares: the aggregate's
+// counters — from ONE snapshot, so loss_rate is lost/(samples+lost) —
+// the rows, and whether they are approximate.
+func hotReply(c profile.Counters, rows []hotPC, approx bool) map[string]any {
+	return map[string]any{"samples": c.Samples, "lost": c.Lost, "loss_rate": c.LossRate, "pcs": rows, "approx": approx}
 }
 
 // eventByName maps wire names ("dcache-miss") to event bits, built from
@@ -739,7 +723,7 @@ type serverStats struct {
 	Queries         uint64       `json:"queries"`
 	QueriesShed     uint64       `json:"queries_shed"`
 	InFlight        int64        `json:"queries_in_flight"`
-	Witness         WitnessStats `json:"witness"`
+	Witness         witnessStats `json:"witness"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -751,7 +735,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Queries:         s.queriesTotal.Load(),
 		QueriesShed:     s.queriesShed.Load(),
 		InFlight:        s.inFlight.Load(),
-		Witness:         s.witness.Stats(),
+		Witness:         s.witness.stats(),
 	})
 }
 

@@ -205,7 +205,7 @@ func TestSubmitTypedRejections(t *testing.T) {
 		t.Fatalf("mismatch: %d %v", status, body)
 	}
 	wantKind(t, body, "config-mismatch")
-	if lost := svc.Aggregate().Lost(); lost != 0 {
+	if lost := svc.Aggregate().CountersSnapshot().Lost; lost != 0 {
 		t.Fatalf("4xx refusals recorded %d lost samples; only admitted-population losses count", lost)
 	}
 }
@@ -233,9 +233,9 @@ func TestSubmitDuplicateIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := svc.Aggregate()
-	if agg.Samples() != db.Samples() || agg.Lost() != 0 {
+	if agg.CountersSnapshot().Samples != db.Samples() || agg.CountersSnapshot().Lost != 0 {
 		t.Fatalf("duplicate double-merged: samples %d lost %d, want %d/0",
-			agg.Samples(), agg.Lost(), db.Samples())
+			agg.CountersSnapshot().Samples, agg.CountersSnapshot().Lost, db.Samples())
 	}
 }
 
@@ -259,7 +259,7 @@ func TestSubmitBackpressureAndDrain(t *testing.T) {
 			wantLost += db.Samples()
 		}
 	}
-	if got := svc.Aggregate().Lost(); got != wantLost {
+	if got := svc.Aggregate().CountersSnapshot().Lost; got != wantLost {
 		t.Fatalf("lost %d after 429s, want %d", got, wantLost)
 	}
 
@@ -272,7 +272,7 @@ func TestSubmitBackpressureAndDrain(t *testing.T) {
 	}
 	wantKind(t, body, "draining")
 	wantLost += db.Samples()
-	if got := svc.Aggregate().Lost(); got != wantLost {
+	if got := svc.Aggregate().CountersSnapshot().Lost; got != wantLost {
 		t.Fatalf("lost %d after draining 503, want %d", got, wantLost)
 	}
 }
@@ -347,7 +347,7 @@ func TestQueryParamValidation(t *testing.T) {
 	if err := svc.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	pc := fmt.Sprintf("%#x", svc.Aggregate().PCs()[0])
+	pc := fmt.Sprintf("%#x", svc.Aggregate().HotPCs(1)[0].PC)
 	if status, body := get(t, h, "/v1/estimate?pc="+pc+"&event=nonsense"); status != http.StatusBadRequest {
 		t.Fatalf("unknown event: %d %v, want 400", status, body)
 	}

@@ -107,7 +107,7 @@ func TestOverloadSoak(t *testing.T) {
 			t.Fatalf("baseline merge %d: %v", i, err)
 		}
 	}
-	baselineTop := topPCs(profile.NewSafeDB(baseline), 10)
+	baselineTop := topPCs(profile.NewSafeDBWith(baseline, profile.SketchConfig{}), 10)
 	if len(baselineTop) < 10 {
 		t.Fatalf("baseline has only %d hot PCs", len(baselineTop))
 	}
@@ -276,9 +276,9 @@ func TestOverloadSoak(t *testing.T) {
 	// retried-to-success shards count once (loss reversed), duplicates
 	// count once (deduped).
 	agg := svc.Aggregate()
-	if got := agg.Samples() + agg.Lost(); got != capturedAll {
+	if got := agg.CountersSnapshot().Samples + agg.CountersSnapshot().Lost; got != capturedAll {
 		t.Fatalf("conservation violated: aggregate %d + lost = %d, distinct shards captured %d",
-			agg.Samples(), got, capturedAll)
+			agg.CountersSnapshot().Samples, got, capturedAll)
 	}
 	st := svc.Stats()
 	if st.MergeFailed != 0 {
@@ -291,9 +291,9 @@ func TestOverloadSoak(t *testing.T) {
 	if int(st.Merged) != mergedShards {
 		t.Fatalf("merged %d, accepted shards %d", st.Merged, mergedShards)
 	}
-	if st.SamplesLost != capturedLost || agg.Lost() != capturedLost {
+	if st.SamplesLost != capturedLost || agg.CountersSnapshot().Lost != capturedLost {
 		t.Fatalf("loss ledger %d (stats %d), finally-refused shards captured %d",
-			agg.Lost(), st.SamplesLost, capturedLost)
+			agg.CountersSnapshot().Lost, st.SamplesLost, capturedLost)
 	}
 	if st.LossReversed != reversedWant {
 		t.Fatalf("loss reversed %d, retried-to-success shards captured %d", st.LossReversed, reversedWant)
@@ -315,9 +315,9 @@ func TestOverloadSoak(t *testing.T) {
 	if err != nil {
 		t.Fatalf("final checkpoint: %v", err)
 	}
-	if loaded.Samples() != agg.Samples() || loaded.Lost() != agg.Lost() {
+	if loaded.Samples() != agg.CountersSnapshot().Samples || loaded.Lost() != agg.CountersSnapshot().Lost {
 		t.Fatalf("checkpoint totals %d/%d, aggregate %d/%d",
-			loaded.Samples(), loaded.Lost(), agg.Samples(), agg.Lost())
+			loaded.Samples(), loaded.Lost(), agg.CountersSnapshot().Samples, agg.CountersSnapshot().Lost)
 	}
 
 	// And the loss-corrected estimator still centres: total estimated

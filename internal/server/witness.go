@@ -32,8 +32,8 @@ import (
 // refuses new copies rather than evicting old ones — the refused
 // submission is still durable at its owner.
 
-// ErrWitnessFull reports a witness store at capacity.
-var ErrWitnessFull = errors.New("server: witness store full")
+// errWitnessFull reports a witness store at capacity.
+var errWitnessFull = errors.New("server: witness store full")
 
 // witnessEntry is one held submission body.
 type witnessEntry struct {
@@ -41,8 +41,8 @@ type witnessEntry struct {
 	captured uint64
 }
 
-// WitnessStore holds witness copies keyed by (origin instance, shard).
-type WitnessStore struct {
+// witnessStore holds witness copies keyed by (origin instance, shard).
+type witnessStore struct {
 	mu      sync.Mutex
 	cap     int
 	entries int
@@ -53,19 +53,19 @@ type WitnessStore struct {
 	pruned  uint64
 }
 
-// NewWitnessStore builds a store holding at most cap entries
+// newWitnessStore builds a store holding at most cap entries
 // (default 8192 when cap <= 0).
-func NewWitnessStore(cap int) *WitnessStore {
+func newWitnessStore(cap int) *witnessStore {
 	if cap <= 0 {
 		cap = 8192
 	}
-	return &WitnessStore{cap: cap, byOrig: make(map[string]map[string]witnessEntry)}
+	return &witnessStore{cap: cap, byOrig: make(map[string]map[string]witnessEntry)}
 }
 
-// Put stores one witness copy, idempotently per (origin, shard): a
+// put stores one witness copy, idempotently per (origin, shard): a
 // replacement body for a known key overwrites (the newest accepted copy
 // wins) without consuming new capacity.
-func (ws *WitnessStore) Put(origin, shard string, body []byte, captured uint64) error {
+func (ws *witnessStore) put(origin, shard string, body []byte, captured uint64) error {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	m := ws.byOrig[origin]
@@ -76,7 +76,7 @@ func (ws *WitnessStore) Put(origin, shard string, body []byte, captured uint64) 
 	if _, ok := m[shard]; !ok {
 		if ws.entries >= ws.cap {
 			ws.refused++
-			return fmt.Errorf("%w: %d entries", ErrWitnessFull, ws.entries)
+			return fmt.Errorf("%w: %d entries", errWitnessFull, ws.entries)
 		}
 		ws.entries++
 	}
@@ -85,8 +85,8 @@ func (ws *WitnessStore) Put(origin, shard string, body []byte, captured uint64) 
 	return nil
 }
 
-// Get returns one stored body.
-func (ws *WitnessStore) Get(origin, shard string) ([]byte, bool) {
+// get returns one stored body.
+func (ws *witnessStore) get(origin, shard string) ([]byte, bool) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	e, ok := ws.byOrig[origin][shard]
@@ -96,21 +96,21 @@ func (ws *WitnessStore) Get(origin, shard string) ([]byte, bool) {
 	return append([]byte(nil), e.body...), true
 }
 
-// WitnessShard is one ledger row.
-type WitnessShard struct {
+// witnessShard is one ledger row.
+type witnessShard struct {
 	Shard    string `json:"shard"`
 	Captured uint64 `json:"captured"`
 }
 
-// Ledger snapshots the full witness ledger, origin -> sorted rows.
-func (ws *WitnessStore) Ledger() map[string][]WitnessShard {
+// ledger snapshots the full witness ledger, origin -> sorted rows.
+func (ws *witnessStore) ledger() map[string][]witnessShard {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	out := make(map[string][]WitnessShard, len(ws.byOrig))
+	out := make(map[string][]witnessShard, len(ws.byOrig))
 	for origin, m := range ws.byOrig {
-		rows := make([]WitnessShard, 0, len(m))
+		rows := make([]witnessShard, 0, len(m))
 		for shard, e := range m {
-			rows = append(rows, WitnessShard{Shard: shard, Captured: e.captured})
+			rows = append(rows, witnessShard{Shard: shard, Captured: e.captured})
 		}
 		sort.Slice(rows, func(i, j int) bool { return rows[i].Shard < rows[j].Shard })
 		out[origin] = rows
@@ -118,8 +118,8 @@ func (ws *WitnessStore) Ledger() map[string][]WitnessShard {
 	return out
 }
 
-// Prune drops reconciled copies.
-func (ws *WitnessStore) Prune(origin string, shards []string) int {
+// prune drops reconciled copies.
+func (ws *witnessStore) prune(origin string, shards []string) int {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	m := ws.byOrig[origin]
@@ -138,8 +138,8 @@ func (ws *WitnessStore) Prune(origin string, shards []string) int {
 	return n
 }
 
-// WitnessStats is the /v1/stats "witness" section.
-type WitnessStats struct {
+// witnessStats is the /v1/stats "witness" section.
+type witnessStats struct {
 	Entries int    `json:"entries"`
 	Origins int    `json:"origins"`
 	Stored  uint64 `json:"stored"`
@@ -147,11 +147,11 @@ type WitnessStats struct {
 	Pruned  uint64 `json:"pruned"`
 }
 
-// Stats snapshots the counters.
-func (ws *WitnessStore) Stats() WitnessStats {
+// stats snapshots the counters.
+func (ws *witnessStore) stats() witnessStats {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	return WitnessStats{
+	return witnessStats{
 		Entries: ws.entries,
 		Origins: len(ws.byOrig),
 		Stored:  ws.stored,
@@ -186,7 +186,7 @@ func (s *Server) handleWitnessPut(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, "malformed", "origin, shard and body are required")
 		return
 	}
-	if err := s.witness.Put(p.Origin, p.Shard, p.Body, p.Captured); err != nil {
+	if err := s.witness.put(p.Origin, p.Shard, p.Body, p.Captured); err != nil {
 		s.writeErr(w, http.StatusTooManyRequests, "witness-full", err.Error())
 		return
 	}
@@ -194,7 +194,7 @@ func (s *Server) handleWitnessPut(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleWitnessLedger(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"witness": s.witness.Ledger()})
+	writeJSON(w, http.StatusOK, map[string]any{"witness": s.witness.ledger()})
 }
 
 func (s *Server) handleWitnessFetch(w http.ResponseWriter, r *http.Request) {
@@ -203,7 +203,7 @@ func (s *Server) handleWitnessFetch(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, "param", "origin and shard parameters required")
 		return
 	}
-	body, ok := s.witness.Get(origin, shard)
+	body, ok := s.witness.get(origin, shard)
 	if !ok {
 		s.writeErr(w, http.StatusNotFound, "unknown-witness", fmt.Sprintf("no witness copy for %s/%s", origin, shard))
 		return
@@ -232,5 +232,5 @@ func (s *Server) handleWitnessPrune(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, "malformed", "origin and shards required")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"pruned": s.witness.Prune(p.Origin, p.Shards)})
+	writeJSON(w, http.StatusOK, map[string]any{"pruned": s.witness.prune(p.Origin, p.Shards)})
 }

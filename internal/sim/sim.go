@@ -14,9 +14,9 @@ import (
 	"profileme/internal/isa"
 )
 
-// HaltPC is the sentinel return address installed in the link register at
+// haltPC is the sentinel return address installed in the link register at
 // startup; a control transfer to it ends the program (a "return from main").
-const HaltPC uint64 = 0xffff_ffff_ffff_fff0
+const haltPC uint64 = 0xffff_ffff_ffff_fff0
 
 // Record describes one dynamically executed (correct-path) instruction.
 type Record struct {
@@ -59,7 +59,7 @@ type Machine struct {
 var ErrNoInst = errors.New("sim: PC outside program image")
 
 // New returns a machine loaded with prog: PC at the entry point, data
-// memory initialized from the image, the link register set to HaltPC and
+// memory initialized from the image, the link register set to haltPC and
 // the stack pointer parked above the data segment.
 func New(prog *isa.Program) *Machine {
 	m := &Machine{prog: prog, pages: make(map[uint64]*memPage, len(prog.Data)/memPageWords+16)}
@@ -67,7 +67,7 @@ func New(prog *isa.Program) *Machine {
 		m.store(a, v)
 	}
 	m.pc = prog.Entry
-	m.regs[isa.RegRA] = HaltPC
+	m.regs[isa.RegRA] = haltPC
 	m.regs[isa.RegSP] = 0x7f_0000
 	return m
 }
@@ -101,14 +101,8 @@ func (m *Machine) store(addr, v uint64) {
 	pg[addr&memPageMask] = v
 }
 
-// PC returns the current program counter.
-func (m *Machine) PC() uint64 { return m.pc }
-
 // Halted reports whether the program has ended.
 func (m *Machine) Halted() bool { return m.halted }
-
-// Executed returns the number of instructions executed so far.
-func (m *Machine) Executed() uint64 { return m.seq }
 
 // Reg returns the value of architectural register r.
 func (m *Machine) Reg(r isa.Reg) uint64 {
@@ -118,19 +112,13 @@ func (m *Machine) Reg(r isa.Reg) uint64 {
 	return m.regs[r]
 }
 
-// SetReg writes architectural register r (writes to the zero register are
+// setReg writes architectural register r (writes to the zero register are
 // discarded).
-func (m *Machine) SetReg(r isa.Reg, v uint64) {
+func (m *Machine) setReg(r isa.Reg, v uint64) {
 	if r != isa.RegZero {
 		m.regs[r] = v
 	}
 }
-
-// Load reads data memory (uninitialized locations read as zero).
-func (m *Machine) Load(addr uint64) uint64 { return m.load(addr) }
-
-// Store writes data memory.
-func (m *Machine) Store(addr, v uint64) { m.store(addr, v) }
 
 // MemWord is one (address, value) pair of a memory snapshot.
 type MemWord struct {
@@ -182,48 +170,48 @@ func (m *Machine) Step() (Record, bool, error) {
 	switch in.Op {
 	case isa.OpNop:
 	case isa.OpAdd:
-		m.SetReg(in.Rc, m.Reg(in.Ra)+src2())
+		m.setReg(in.Rc, m.Reg(in.Ra)+src2())
 	case isa.OpSub:
-		m.SetReg(in.Rc, m.Reg(in.Ra)-src2())
+		m.setReg(in.Rc, m.Reg(in.Ra)-src2())
 	case isa.OpAnd:
-		m.SetReg(in.Rc, m.Reg(in.Ra)&src2())
+		m.setReg(in.Rc, m.Reg(in.Ra)&src2())
 	case isa.OpOr:
-		m.SetReg(in.Rc, m.Reg(in.Ra)|src2())
+		m.setReg(in.Rc, m.Reg(in.Ra)|src2())
 	case isa.OpXor:
-		m.SetReg(in.Rc, m.Reg(in.Ra)^src2())
+		m.setReg(in.Rc, m.Reg(in.Ra)^src2())
 	case isa.OpSll:
-		m.SetReg(in.Rc, m.Reg(in.Ra)<<(src2()&63))
+		m.setReg(in.Rc, m.Reg(in.Ra)<<(src2()&63))
 	case isa.OpSrl:
-		m.SetReg(in.Rc, m.Reg(in.Ra)>>(src2()&63))
+		m.setReg(in.Rc, m.Reg(in.Ra)>>(src2()&63))
 	case isa.OpSra:
-		m.SetReg(in.Rc, uint64(int64(m.Reg(in.Ra))>>(src2()&63)))
+		m.setReg(in.Rc, uint64(int64(m.Reg(in.Ra))>>(src2()&63)))
 	case isa.OpCmpEq:
-		m.SetReg(in.Rc, b2u(m.Reg(in.Ra) == src2()))
+		m.setReg(in.Rc, b2u(m.Reg(in.Ra) == src2()))
 	case isa.OpCmpLt:
-		m.SetReg(in.Rc, b2u(int64(m.Reg(in.Ra)) < int64(src2())))
+		m.setReg(in.Rc, b2u(int64(m.Reg(in.Ra)) < int64(src2())))
 	case isa.OpCmpLe:
-		m.SetReg(in.Rc, b2u(int64(m.Reg(in.Ra)) <= int64(src2())))
+		m.setReg(in.Rc, b2u(int64(m.Reg(in.Ra)) <= int64(src2())))
 	case isa.OpCmpULt:
-		m.SetReg(in.Rc, b2u(m.Reg(in.Ra) < src2()))
+		m.setReg(in.Rc, b2u(m.Reg(in.Ra) < src2()))
 	case isa.OpLda:
-		m.SetReg(in.Rc, m.Reg(in.Rb)+uint64(in.Imm))
+		m.setReg(in.Rc, m.Reg(in.Rb)+uint64(in.Imm))
 	case isa.OpMul:
-		m.SetReg(in.Rc, m.Reg(in.Ra)*src2())
+		m.setReg(in.Rc, m.Reg(in.Ra)*src2())
 	case isa.OpFAdd:
-		m.SetReg(in.Rc, m.Reg(in.Ra)+src2())
+		m.setReg(in.Rc, m.Reg(in.Ra)+src2())
 	case isa.OpFMul:
-		m.SetReg(in.Rc, m.Reg(in.Ra)*src2())
+		m.setReg(in.Rc, m.Reg(in.Ra)*src2())
 	case isa.OpFDiv:
 		d := src2()
 		if d == 0 {
-			m.SetReg(in.Rc, 0)
+			m.setReg(in.Rc, 0)
 		} else {
-			m.SetReg(in.Rc, m.Reg(in.Ra)/d)
+			m.setReg(in.Rc, m.Reg(in.Ra)/d)
 		}
 
 	case isa.OpLd:
 		r.EA = m.Reg(in.Rb) + uint64(in.Imm)
-		m.SetReg(in.Rc, m.load(r.EA))
+		m.setReg(in.Rc, m.load(r.EA))
 	case isa.OpPref:
 		r.EA = m.Reg(in.Rb) + uint64(in.Imm) // cache touch only
 	case isa.OpSt:
@@ -257,7 +245,7 @@ func (m *Machine) Step() (Record, bool, error) {
 			r.Taken, next = true, in.Target
 		}
 	case isa.OpJsr:
-		m.SetReg(in.Rc, m.pc+isa.InstBytes)
+		m.setReg(in.Rc, m.pc+isa.InstBytes)
 		r.Taken, next = true, in.Target
 	case isa.OpJmp:
 		r.Taken, next = true, m.Reg(in.Rb)
@@ -270,7 +258,7 @@ func (m *Machine) Step() (Record, bool, error) {
 
 	r.Target = next
 	m.seq++
-	if next == HaltPC {
+	if next == haltPC {
 		m.halted = true
 	} else {
 		m.pc = next

@@ -114,8 +114,8 @@ vec: .word 11, 31, 0
 	if m.Reg(5) != 42 {
 		t.Fatalf("r5 = %d", m.Reg(5))
 	}
-	if m.Load(0x4010) != 42 {
-		t.Fatalf("mem = %d", m.Load(0x4010))
+	if m.load(0x4010) != 42 {
+		t.Fatalf("mem = %d", m.load(0x4010))
 	}
 }
 
@@ -194,7 +194,7 @@ skip:
 		t.Fatalf("store EA = %#x", st.EA)
 	}
 	ret := recs[4]
-	if !ret.Taken || ret.Target != HaltPC {
+	if !ret.Taken || ret.Target != haltPC {
 		t.Fatalf("ret record = %+v", ret)
 	}
 	for i, r := range recs {

@@ -123,11 +123,3 @@ func (r *RNG) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle pseudo-randomly permutes the first n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

@@ -7,61 +7,21 @@ import (
 	"strings"
 )
 
-// Running accumulates streaming first and second moments plus extrema.
-// The zero value is an empty accumulator ready for use.
+// Running accumulates a streaming mean. The zero value is an empty
+// accumulator ready for use.
 type Running struct {
-	n          int64
-	mean, m2   float64
-	min, max   float64
-	hasExtrema bool
+	n    int64
+	mean float64
 }
 
-// Add folds x into the accumulator (Welford's algorithm).
+// Add folds x into the accumulator.
 func (a *Running) Add(x float64) {
 	a.n++
-	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
-	if !a.hasExtrema || x < a.min {
-		a.min = x
-	}
-	if !a.hasExtrema || x > a.max {
-		a.max = x
-	}
-	a.hasExtrema = true
+	a.mean += (x - a.mean) / float64(a.n)
 }
-
-// N returns the number of samples added.
-func (a *Running) N() int64 { return a.n }
 
 // Mean returns the sample mean, or 0 when empty.
 func (a *Running) Mean() float64 { return a.mean }
-
-// Variance returns the (population) variance, or 0 for fewer than 2 samples.
-func (a *Running) Variance() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return a.m2 / float64(a.n)
-}
-
-// StdDev returns the population standard deviation.
-func (a *Running) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// Min returns the smallest sample, or 0 when empty.
-func (a *Running) Min() float64 { return a.min }
-
-// Max returns the largest sample, or 0 when empty.
-func (a *Running) Max() float64 { return a.max }
-
-// CoV returns the coefficient of variation (stddev/mean), or 0 when the
-// mean is 0.
-func (a *Running) CoV() float64 {
-	if a.mean == 0 {
-		return 0
-	}
-	return a.StdDev() / a.mean
-}
 
 // Weighted accumulates weighted first and second moments. The paper's §6
 // reports the standard deviation of windowed IPC "weighted by retire count";
@@ -82,14 +42,11 @@ func (a *Weighted) Add(x, w float64) {
 	a.m2 += w * d * (x - a.mean)
 }
 
-// WeightSum returns the total weight added.
-func (a *Weighted) WeightSum() float64 { return a.wsum }
-
 // Mean returns the weighted mean.
 func (a *Weighted) Mean() float64 { return a.mean }
 
-// Variance returns the weighted population variance.
-func (a *Weighted) Variance() float64 {
+// variance returns the weighted population variance.
+func (a *Weighted) variance() float64 {
 	if a.wsum == 0 {
 		return 0
 	}
@@ -97,7 +54,7 @@ func (a *Weighted) Variance() float64 {
 }
 
 // StdDev returns the weighted population standard deviation.
-func (a *Weighted) StdDev() float64 { return math.Sqrt(a.Variance()) }
+func (a *Weighted) StdDev() float64 { return math.Sqrt(a.variance()) }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation. It sorts a copy; xs is not modified.
@@ -120,18 +77,6 @@ func Quantile(xs []float64, q float64) float64 {
 		return s[i]
 	}
 	return s[i]*(1-frac) + s[i+1]*frac
-}
-
-// Mean returns the arithmetic mean of xs, or 0 when empty.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }
 
 // Histogram is a fixed-bin-width histogram over int64 keys. It is used for

@@ -153,27 +153,15 @@ func TestRunningMoments(t *testing.T) {
 	for _, x := range xs {
 		a.Add(x)
 	}
-	if a.N() != 8 {
-		t.Fatalf("N = %d", a.N())
-	}
 	if math.Abs(a.Mean()-5) > 1e-12 {
 		t.Fatalf("mean = %v", a.Mean())
-	}
-	if math.Abs(a.StdDev()-2) > 1e-12 {
-		t.Fatalf("stddev = %v", a.StdDev())
-	}
-	if a.Min() != 2 || a.Max() != 9 {
-		t.Fatalf("extrema = %v..%v", a.Min(), a.Max())
-	}
-	if math.Abs(a.CoV()-0.4) > 1e-12 {
-		t.Fatalf("CoV = %v", a.CoV())
 	}
 }
 
 func TestRunningEmpty(t *testing.T) {
 	var a Running
-	if a.Mean() != 0 || a.Variance() != 0 || a.CoV() != 0 {
-		t.Fatal("empty accumulator should report zeros")
+	if a.Mean() != 0 {
+		t.Fatal("empty accumulator should report a zero mean")
 	}
 }
 
@@ -192,13 +180,11 @@ func TestRunningMatchesBatch(t *testing.T) {
 		for _, x := range clean {
 			a.Add(x)
 		}
-		mean := Mean(clean)
-		v := 0.0
+		sum := 0.0
 		for _, x := range clean {
-			v += (x - mean) * (x - mean)
+			sum += x
 		}
-		v /= float64(len(clean))
-		return math.Abs(a.Mean()-mean) < 1e-6 && math.Abs(a.Variance()-v) < 1e-4*(1+v)
+		return math.Abs(a.Mean()-sum/float64(len(clean))) < 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -208,17 +194,23 @@ func TestRunningMatchesBatch(t *testing.T) {
 func TestWeightedReducesToUnweighted(t *testing.T) {
 	var w Weighted
 	var u Running
+	var xs []float64
 	r := NewRNG(23)
 	for i := 0; i < 1000; i++ {
 		x := r.Float64() * 10
 		w.Add(x, 1)
 		u.Add(x)
+		xs = append(xs, x)
 	}
 	if math.Abs(w.Mean()-u.Mean()) > 1e-9 {
 		t.Fatalf("weighted mean %v != unweighted %v", w.Mean(), u.Mean())
 	}
-	if math.Abs(w.StdDev()-u.StdDev()) > 1e-9 {
-		t.Fatalf("weighted stddev %v != unweighted %v", w.StdDev(), u.StdDev())
+	v := 0.0
+	for _, x := range xs {
+		v += (x - u.Mean()) * (x - u.Mean())
+	}
+	if sd := math.Sqrt(v / float64(len(xs))); math.Abs(w.StdDev()-sd) > 1e-9 {
+		t.Fatalf("weighted stddev %v != unweighted %v", w.StdDev(), sd)
 	}
 }
 
@@ -227,8 +219,8 @@ func TestWeightedIgnoresZeroWeight(t *testing.T) {
 	w.Add(5, 2)
 	w.Add(1e9, 0)
 	w.Add(-1e9, -3)
-	if w.Mean() != 5 || w.WeightSum() != 2 {
-		t.Fatalf("mean=%v wsum=%v", w.Mean(), w.WeightSum())
+	if w.Mean() != 5 || w.wsum != 2 {
+		t.Fatalf("mean=%v wsum=%v", w.Mean(), w.wsum)
 	}
 }
 
@@ -243,7 +235,7 @@ func TestWeightedScaleInvariance(t *testing.T) {
 			a.Add(x, w)
 			b.Add(x, w*7)
 		}
-		return math.Abs(a.Mean()-b.Mean()) < 1e-6 && math.Abs(a.Variance()-b.Variance()) < 1e-4*(1+a.Variance())
+		return math.Abs(a.Mean()-b.Mean()) < 1e-6 && math.Abs(a.variance()-b.variance()) < 1e-4*(1+a.variance())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -348,27 +340,5 @@ func TestEnvelopeFraction(t *testing.T) {
 func TestEnvelopeFractionSkipsZeroX(t *testing.T) {
 	if got := EnvelopeFraction([]float64{0, 0}, []float64{1, 1}); got != 0 {
 		t.Fatalf("got %v", got)
-	}
-}
-
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) != 0")
-	}
-	if got := Mean([]float64{1, 2, 3}); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("Mean = %v", got)
-	}
-}
-
-func TestShuffleIsPermutation(t *testing.T) {
-	r := NewRNG(31)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make(map[int]bool)
-	for _, x := range xs {
-		seen[x] = true
-	}
-	if len(seen) != 8 {
-		t.Fatalf("shuffle lost elements: %v", xs)
 	}
 }

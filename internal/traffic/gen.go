@@ -29,7 +29,7 @@ type Arrival struct {
 // accepted with probability rate(t)/peak. All randomness derives from
 // Spec.Seed, so the same spec always yields the identical schedule.
 func (sp *Spec) Schedule() ([]Arrival, error) {
-	if err := sp.Validate(); err != nil {
+	if err := sp.validate(); err != nil {
 		return nil, err
 	}
 	var all []Arrival
@@ -94,7 +94,7 @@ type Payload struct {
 // Cost scales with Σ cohorts(Shards × Scale); specs meant for quick
 // tests should keep scales small.
 func (sp *Spec) Materialize() (map[string][]Payload, error) {
-	if err := sp.Validate(); err != nil {
+	if err := sp.validate(); err != nil {
 		return nil, err
 	}
 	pools := make(map[string][]Payload, len(sp.Cohorts))

@@ -51,5 +51,5 @@ func (cw *CaptureWriter) Err() error {
 func (cw *CaptureWriter) Count() int {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
-	return cw.w.Count()
+	return cw.w.n
 }

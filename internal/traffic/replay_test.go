@@ -116,7 +116,7 @@ func TestReplayDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := c3.svc.Aggregate()
-	got := agg.Samples() + agg.Lost()
+	got := agg.CountersSnapshot().Samples + agg.CountersSnapshot().Lost
 	if got != rep3.CapturedSum {
 		t.Fatalf("aggregate captured %d != offered distinct-shard sum %d", got, rep3.CapturedSum)
 	}
@@ -140,8 +140,8 @@ func TestDriveSubmitsAndRecords(t *testing.T) {
 	if rep.Failed != 0 || rep.Accepted != rep.Records {
 		t.Fatalf("drive: %+v", rep)
 	}
-	if w.Count() != rep.Records {
-		t.Fatalf("recorded %d of %d submissions", w.Count(), rep.Records)
+	if w.n != rep.Records {
+		t.Fatalf("recorded %d of %d submissions", w.n, rep.Records)
 	}
 	// The trace must be exactly the record-only trace: recording with a
 	// live sink must not perturb the captured bytes.

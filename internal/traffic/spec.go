@@ -25,9 +25,9 @@ import (
 // writes.
 const SpecVersion = 1
 
-// ErrBadSpec reports a spec that fails validation; the message names the
+// errBadSpec reports a spec that fails validation; the message names the
 // offending field.
-var ErrBadSpec = errors.New("traffic: bad spec")
+var errBadSpec = errors.New("traffic: bad spec")
 
 // Spec declares a multi-period arrival process: one seeded RNG drives
 // every cohort's thinned Poisson schedule, every payload's data layout,
@@ -94,11 +94,11 @@ type Burst struct {
 	RatePerS float64 `json:"rate_per_s"`
 }
 
-// Validate checks the spec against the schema and the collector's merge
-// constraints. Every failure wraps ErrBadSpec.
-func (sp *Spec) Validate() error {
+// validate checks the spec against the schema and the collector's merge
+// constraints. Every failure wraps errBadSpec.
+func (sp *Spec) validate() error {
 	bad := func(format string, args ...any) error {
-		return fmt.Errorf("%w: %s", ErrBadSpec, fmt.Sprintf(format, args...))
+		return fmt.Errorf("%w: %s", errBadSpec, fmt.Sprintf(format, args...))
 	}
 	if sp.Version != SpecVersion {
 		return bad("version %d (this build reads v%d)", sp.Version, SpecVersion)
@@ -196,19 +196,10 @@ func ParseSpec(data []byte) (*Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sp); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)
+		return nil, fmt.Errorf("%w: %v", errBadSpec, err)
 	}
-	if err := sp.Validate(); err != nil {
+	if err := sp.validate(); err != nil {
 		return nil, err
 	}
 	return &sp, nil
-}
-
-// EncodeSpec renders the spec as canonical indented JSON — the byte
-// representation stored in trace headers, stable for a given Spec value.
-func EncodeSpec(sp *Spec) ([]byte, error) {
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(sp, "", "  ")
 }

@@ -57,11 +57,11 @@ func TestSpecValidation(t *testing.T) {
 		})},
 	}
 	for _, tc := range bad {
-		if err := tc.sp.Validate(); !errors.Is(err, ErrBadSpec) {
+		if err := tc.sp.validate(); !errors.Is(err, errBadSpec) {
 			t.Errorf("%s: want ErrBadSpec, got %v", tc.name, err)
 		}
 	}
-	if err := testSpec().Validate(); err != nil {
+	if err := testSpec().validate(); err != nil {
 		t.Fatalf("good spec rejected: %v", err)
 	}
 }
@@ -69,7 +69,7 @@ func TestSpecValidation(t *testing.T) {
 func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	_, err := ParseSpec([]byte(`{"version":1,"seed":1,"duration_s":1,"interval":64,
 		"cohorts":[{"name":"a","bench":"compress","scale":1000,"shards":1,"base_rte":1}]}`))
-	if !errors.Is(err, ErrBadSpec) {
+	if !errors.Is(err, errBadSpec) {
 		t.Fatalf("typo'd field: want ErrBadSpec, got %v", err)
 	}
 }

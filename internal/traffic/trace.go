@@ -66,7 +66,7 @@ type Writer struct {
 // NewWriter writes the trace header and returns an appender.
 func NewWriter(w io.Writer, meta Meta) (*Writer, error) {
 	if meta.Spec != nil {
-		if err := meta.Spec.Validate(); err != nil {
+		if err := meta.Spec.validate(); err != nil {
 			return nil, err
 		}
 	}
@@ -102,20 +102,17 @@ func (tw *Writer) Append(rec Record) error {
 	return nil
 }
 
-// Count returns how many records have been appended.
-func (tw *Writer) Count() int { return tw.n }
-
-// Reader decodes a trace stream.
-type Reader struct {
+// reader decodes a trace stream.
+type reader struct {
 	r    io.Reader
 	meta Meta
 	buf  []byte // record payload buffer, reused across Next calls
 }
 
-// NewReader parses the trace header. Failures are typed: frame.ErrCorrupt
+// newReader parses the trace header. Failures are typed: frame.ErrCorrupt
 // (bad magic, bad meta), frame.ErrTruncated (stream ends inside the
 // header), frame.ErrVersionSkew (other format version).
-func NewReader(r io.Reader) (*Reader, error) {
+func newReader(r io.Reader) (*reader, error) {
 	if _, err := frame.ReadHeader(r, traceMagic, traceVersion); err != nil {
 		return nil, fmt.Errorf("traffic: trace: %w", err)
 	}
@@ -123,25 +120,22 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("traffic: trace meta: %w", err)
 	}
-	tr := &Reader{r: r}
+	tr := &reader{r: r}
 	if err := json.Unmarshal(metaJSON, &tr.meta); err != nil {
 		return nil, fmt.Errorf("traffic: trace meta: %v: %w", err, frame.ErrCorrupt)
 	}
 	if tr.meta.Spec != nil {
-		if err := tr.meta.Spec.Validate(); err != nil {
+		if err := tr.meta.Spec.validate(); err != nil {
 			return nil, fmt.Errorf("traffic: trace meta spec: %v: %w", err, frame.ErrCorrupt)
 		}
 	}
 	return tr, nil
 }
 
-// Meta returns the header block.
-func (tr *Reader) Meta() Meta { return tr.meta }
-
-// Next returns the next record. io.EOF means a clean end (the stream
+// next returns the next record. io.EOF means a clean end (the stream
 // ended exactly on a record boundary); frame.ErrTruncated means a torn
 // tail; frame.ErrCorrupt means checksum or decode failure.
-func (tr *Reader) Next() (Record, error) {
+func (tr *reader) next() (Record, error) {
 	payload, err := frame.ReadRecord(tr.r, tr.buf, maxRecordBytes)
 	if err == io.EOF {
 		return Record{}, io.EOF
@@ -164,13 +158,13 @@ func (tr *Reader) Next() (Record, error) {
 // recovered before the tear alongside the typed error, so a replayer can
 // choose to proceed with what survived.
 func ReadAll(r io.Reader) (Meta, []Record, error) {
-	tr, err := NewReader(r)
+	tr, err := newReader(r)
 	if err != nil {
 		return Meta{}, nil, err
 	}
 	var recs []Record
 	for {
-		rec, err := tr.Next()
+		rec, err := tr.next()
 		if err == io.EOF {
 			return tr.meta, recs, nil
 		}

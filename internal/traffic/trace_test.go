@@ -23,7 +23,7 @@ func driveTrace(t *testing.T, sp *Spec) []byte {
 	if _, err := Drive(context.Background(), sp, nil, w, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if w.Count() == 0 {
+	if w.n == 0 {
 		t.Fatal("trace has no records")
 	}
 	return buf.Bytes()
@@ -109,14 +109,14 @@ func TestTraceVersionSkewAndBadMagic(t *testing.T) {
 	full := driveTrace(t, smallSpec())
 	skewed := append([]byte(nil), full...)
 	skewed[4] = 99 // version field
-	if _, err := NewReader(bytes.NewReader(skewed)); !errors.Is(err, frame.ErrVersionSkew) {
+	if _, err := newReader(bytes.NewReader(skewed)); !errors.Is(err, frame.ErrVersionSkew) {
 		t.Fatalf("version skew: want frame.ErrVersionSkew, got %v", err)
 	}
 	notTrace := []byte("PMDBxxxxxxxxxxxxxxxx")
-	if _, err := NewReader(bytes.NewReader(notTrace)); !errors.Is(err, frame.ErrCorrupt) {
+	if _, err := newReader(bytes.NewReader(notTrace)); !errors.Is(err, frame.ErrCorrupt) {
 		t.Fatalf("bad magic: want frame.ErrCorrupt, got %v", err)
 	}
-	if _, err := NewReader(bytes.NewReader(full[:6])); !errors.Is(err, frame.ErrTruncated) {
+	if _, err := newReader(bytes.NewReader(full[:6])); !errors.Is(err, frame.ErrTruncated) {
 		t.Fatalf("short header: want frame.ErrTruncated, got %v", err)
 	}
 }
@@ -139,14 +139,14 @@ func FuzzTraceDecode(f *testing.F) {
 		buf := bytes.NewBuffer(frame.AppendHeader(nil, traceMagic, traceVersion))
 		frame.WriteBlock(buf, meta)
 		frame.WriteRecord(buf, rec)
-		tr, err := NewReader(buf)
+		tr, err := newReader(buf)
 		if err != nil {
 			if !errors.Is(err, frame.ErrCorrupt) {
 				t.Fatalf("intact frames, bad meta: want ErrCorrupt, got %v", err)
 			}
 			return
 		}
-		got, err := tr.Next()
+		got, err := tr.next()
 		if err != nil {
 			if !errors.Is(err, frame.ErrCorrupt) {
 				t.Fatalf("intact frames, bad record: want ErrCorrupt, got %v", err)
@@ -156,7 +156,7 @@ func FuzzTraceDecode(f *testing.F) {
 		if got.Shard == "" || len(got.Body) == 0 {
 			t.Fatalf("accepted record incomplete: %+v", got)
 		}
-		if _, err := tr.Next(); err != io.EOF {
+		if _, err := tr.next(); err != io.EOF {
 			t.Fatalf("after the only record: want io.EOF, got %v", err)
 		}
 	})

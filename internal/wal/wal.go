@@ -49,10 +49,10 @@ const (
 
 // Typed failures.
 var (
-	// ErrClosed: the log was closed; no further appends are accepted.
-	ErrClosed = errors.New("wal: log closed")
-	// ErrTooLarge: one record exceeds the configured record cap.
-	ErrTooLarge = errors.New("wal: record exceeds size cap")
+	// errClosed: the log was closed; no further appends are accepted.
+	errClosed = errors.New("wal: log closed")
+	// errTooLarge: one record exceeds the configured record cap.
+	errTooLarge = errors.New("wal: record exceeds size cap")
 )
 
 // Pos addresses one record: the segment sequence number it lives in and
@@ -449,12 +449,12 @@ func (l *Log) rotateLocked() error {
 // record is NOT durable until Wait returns nil.
 func (l *Log) Stage(payload []byte) (Pos, *Ticket, error) {
 	if int64(len(payload)) > l.cfg.MaxRecordBytes {
-		return Pos{}, nil, fmt.Errorf("%w: %d > %d", ErrTooLarge, len(payload), l.cfg.MaxRecordBytes)
+		return Pos{}, nil, fmt.Errorf("%w: %d > %d", errTooLarge, len(payload), l.cfg.MaxRecordBytes)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return Pos{}, nil, ErrClosed
+		return Pos{}, nil, errClosed
 	}
 	if l.wedged != nil {
 		return Pos{}, nil, fmt.Errorf("wal: wedged by earlier failure: %w", l.wedged)
@@ -588,7 +588,7 @@ func (l *Log) syncAll() error {
 	if err != nil {
 		l.syncErrs++
 		l.lastHealth = err
-		// ErrClosed can only mean a Sync raced Close's teardown (segments
+		// os.ErrClosed can only mean a sync raced Close's teardown (segments
 		// are otherwise closed solely here, under syncMu, after detach):
 		// the batch still fails, but a shut log is not a wedged one.
 		if l.wedged == nil && !errors.Is(err, os.ErrClosed) {
@@ -608,34 +608,12 @@ func (l *Log) syncAll() error {
 	return err
 }
 
-// Sync forces an immediate flush + fsync of everything staged so far
-// (the final-drain path: durability now, no coalescing).
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	b := l.cur
-	l.cur = nil
-	l.mu.Unlock()
-	err := l.syncAll()
-	if b != nil {
-		b.err = err
-		close(b.done)
-	}
-	return err
-}
-
 // Head returns the position the NEXT record would be staged at. Every
 // already-staged record's position is strictly before Head.
 func (l *Log) Head() Pos {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return Pos{Seg: l.seq, Off: l.off}
-}
-
-// Barrier returns the current reclaim barrier.
-func (l *Log) Barrier() Pos {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.barrier
 }
 
 // ReclaimBefore advances the barrier to p and deletes every segment
@@ -703,7 +681,7 @@ func (l *Log) Stats() Stats {
 
 // Close syncs everything staged, releases any waiting batch, stops the
 // syncer, and closes the active segment. Further Stage/Append calls
-// fail with ErrClosed.
+// fail with errClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {

@@ -46,11 +46,11 @@ func Figure2Program(nops, iters int) *isa.Program {
 // Ranking instructions by total latency therefore names loop C the
 // bottleneck, while the wasted-slot metric correctly names loop A — the
 // paper's argument for measuring useful concurrency via paired sampling.
-func Figure7Program(iters int) *isa.Program { return Figure7ProgramSeeded(iters, 0) }
+func Figure7Program(iters int) *isa.Program { return figure7ProgramSeeded(iters, 0) }
 
-// Figure7ProgramSeeded is Figure7Program with an explicit pointer-ring
+// figure7ProgramSeeded is Figure7Program with an explicit pointer-ring
 // seed (0 = canonical).
-func Figure7ProgramSeeded(iters int, dataSeed uint64) *isa.Program {
+func figure7ProgramSeeded(iters int, dataSeed uint64) *isa.Program {
 	src := fmt.Sprintf(`
 .equ ITERS, %d
 .equ ITERSB, %d
@@ -142,11 +142,11 @@ func Figure7Loops(p *isa.Program) map[string][2]uint64 {
 // Table1Programs returns one stress kernel per Table 1 latency row, each
 // engineered so that its named pipeline-stage latency dominates. The keys
 // are stable identifiers used by the table harness.
-func Table1Programs(iters int) map[string]*isa.Program { return Table1ProgramsSeeded(iters, 0) }
+func Table1Programs(iters int) map[string]*isa.Program { return table1ProgramsSeeded(iters, 0) }
 
-// Table1ProgramsSeeded is Table1Programs with an explicit pointer-ring
+// table1ProgramsSeeded is Table1Programs with an explicit pointer-ring
 // seed (0 = canonical).
-func Table1ProgramsSeeded(iters int, dataSeed uint64) map[string]*isa.Program {
+func table1ProgramsSeeded(iters int, dataSeed uint64) map[string]*isa.Program {
 	progs := make(map[string]*isa.Program)
 
 	// fetch->map: the mapper stalls because the issue queue is full

@@ -13,11 +13,11 @@ import (
 // table with one linear reprobe, inserting on miss. Data-dependent
 // hit/miss branches and a table larger than the L1 working set give it the
 // cache and mispredict profile of the original.
-func Compress(scale int) *isa.Program { return CompressSeeded(scale, 0) }
+func Compress(scale int) *isa.Program { return compressSeeded(scale, 0) }
 
-// CompressSeeded is Compress with an explicit input-stream seed
+// compressSeeded is Compress with an explicit input-stream seed
 // (0 = canonical).
-func CompressSeeded(scale int, dataSeed uint64) *isa.Program {
+func compressSeeded(scale int, dataSeed uint64) *isa.Program {
 	iters := clampScale(scale/20, 16, 0)
 	src := fmt.Sprintf(`
 .equ ITERS, %d
@@ -78,10 +78,10 @@ htab:
 // folding: recursive evaluation over binary trees stored in memory, with a
 // branchy operator dispatch at every inner node. Call-heavy, branchy, and
 // full of dependent pointer loads.
-func GCC(scale int) *isa.Program { return GCCSeeded(scale, 0) }
+func GCC(scale int) *isa.Program { return gccSeeded(scale, 0) }
 
-// GCCSeeded is GCC with an explicit tree-shape seed (0 = canonical).
-func GCCSeeded(scale int, dataSeed uint64) *isa.Program {
+// gccSeeded is GCC with an explicit tree-shape seed (0 = canonical).
+func gccSeeded(scale int, dataSeed uint64) *isa.Program {
 	const (
 		nodeBase  = 0x30000
 		roots     = 16
@@ -189,10 +189,10 @@ nodes:
 // a 19x19 board with padding, classifying each point with data-dependent
 // branches and probing its neighbours. The classification rotates with the
 // pass number so branch directions do not settle.
-func Go(scale int) *isa.Program { return GoSeeded(scale, 0) }
+func Go(scale int) *isa.Program { return goSeeded(scale, 0) }
 
-// GoSeeded is Go with an explicit board seed (0 = canonical).
-func GoSeeded(scale int, dataSeed uint64) *isa.Program {
+// goSeeded is Go with an explicit board seed (0 = canonical).
+func goSeeded(scale int, dataSeed uint64) *isa.Program {
 	passes := clampScale(scale/9500, 2, 0)
 	src := fmt.Sprintf(`
 .equ PASSES, %d

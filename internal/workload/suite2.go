@@ -12,10 +12,10 @@ import (
 // transforms: unrolled butterfly arithmetic over 8-word blocks with
 // integer multiplies, regular strided memory and almost no branches. The
 // high-ILP member of the suite.
-func Ijpeg(scale int) *isa.Program { return IjpegSeeded(scale, 0) }
+func Ijpeg(scale int) *isa.Program { return ijpegSeeded(scale, 0) }
 
-// IjpegSeeded is Ijpeg with an explicit pixel seed (0 = canonical).
-func IjpegSeeded(scale int, dataSeed uint64) *isa.Program {
+// ijpegSeeded is Ijpeg with an explicit pixel seed (0 = canonical).
+func ijpegSeeded(scale int, dataSeed uint64) *isa.Program {
 	blocks := clampScale(scale/45, 8, 0)
 	src := fmt.Sprintf(`
 .equ BLOCKS, %d
@@ -85,10 +85,10 @@ pixels:
 // Li is a list-interpreter kernel in the style of SPEC LI: serial pointer
 // chasing through scattered cons cells, summing cars and branching on
 // their parity. The low-ILP, cache-hostile member of the suite.
-func Li(scale int) *isa.Program { return LiSeeded(scale, 0) }
+func Li(scale int) *isa.Program { return liSeeded(scale, 0) }
 
-// LiSeeded is Li with an explicit heap-scatter seed (0 = canonical).
-func LiSeeded(scale int, dataSeed uint64) *isa.Program {
+// liSeeded is Li with an explicit heap-scatter seed (0 = canonical).
+func liSeeded(scale int, dataSeed uint64) *isa.Program {
 	const (
 		lists    = 64
 		cells    = 200
@@ -157,10 +157,10 @@ cellheap:
 // a dispatch loop that indirect-jumps through a handler table, with VM
 // stack traffic and a hash-lookup opcode. The indirect-branch-hostile
 // member of the suite.
-func Perl(scale int) *isa.Program { return PerlSeeded(scale, 0) }
+func Perl(scale int) *isa.Program { return perlSeeded(scale, 0) }
 
-// PerlSeeded is Perl with an explicit bytecode seed (0 = canonical).
-func PerlSeeded(scale int, dataSeed uint64) *isa.Program {
+// perlSeeded is Perl with an explicit bytecode seed (0 = canonical).
+func perlSeeded(scale int, dataSeed uint64) *isa.Program {
 	const codeWords = 1024
 	steps := clampScale(scale/16, 32, 0)
 	src := fmt.Sprintf(`

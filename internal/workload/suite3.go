@@ -8,14 +8,14 @@ import (
 	"profileme/internal/stats"
 )
 
-// Povray is a ray-sphere intersection kernel in the style of SPEC POVRAY:
+// povray is a ray-sphere intersection kernel in the style of SPEC POVRAY:
 // "floating point" dot products and rotations per ray, a sign-test branch
 // on the discriminant, and an expensive divide on the hit path. The
 // FP-heavy member of the suite.
-func Povray(scale int) *isa.Program { return PovraySeeded(scale, 0) }
+func povray(scale int) *isa.Program { return povraySeeded(scale, 0) }
 
-// PovraySeeded is Povray with an explicit scene seed (0 = canonical).
-func PovraySeeded(scale int, dataSeed uint64) *isa.Program {
+// povraySeeded is Povray with an explicit scene seed (0 = canonical).
+func povraySeeded(scale int, dataSeed uint64) *isa.Program {
 	rays := clampScale(scale/26, 8, 0)
 	src := fmt.Sprintf(`
 .equ RAYS, %d
@@ -79,11 +79,11 @@ spheres:
 // lookups into a 256 KB open-addressed record table with bounded probing,
 // field updates on hit and insert-with-eviction on miss, behind a
 // procedure-call interface. The store-heavy member of the suite.
-func Vortex(scale int) *isa.Program { return VortexSeeded(scale, 0) }
+func Vortex(scale int) *isa.Program { return vortexSeeded(scale, 0) }
 
-// VortexSeeded is Vortex with an explicit record-prefill seed
+// vortexSeeded is Vortex with an explicit record-prefill seed
 // (0 = canonical).
-func VortexSeeded(scale int, dataSeed uint64) *isa.Program {
+func vortexSeeded(scale int, dataSeed uint64) *isa.Program {
 	const (
 		slots    = 8192
 		recBase  = 0x90000

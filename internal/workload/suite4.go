@@ -18,18 +18,18 @@ import (
 // strided FP with near-total spatial locality, and eqntott keeps its swap
 // branch near 50% taken forever.
 
-// M88ksim is a CPU-simulator kernel in the style of SPEC M88KSIM: a
+// m88ksim is a CPU-simulator kernel in the style of SPEC M88KSIM: a
 // fetch/decode/dispatch interpreter over a synthetic target instruction
 // image, indirect-jumping through a handler table. Unlike perl's stack
 // VM, the virtual machine state is a 16-entry register file held in
 // memory, so every target instruction loads and stores architectural
 // state, and the target's own conditional branches steer the virtual PC
 // data-dependently.
-func M88ksim(scale int) *isa.Program { return M88ksimSeeded(scale, 0) }
+func m88ksim(scale int) *isa.Program { return m88ksimSeeded(scale, 0) }
 
-// M88ksimSeeded is M88ksim with an explicit target-image seed
+// m88ksimSeeded is M88ksim with an explicit target-image seed
 // (0 = canonical).
-func M88ksimSeeded(scale int, dataSeed uint64) *isa.Program {
+func m88ksimSeeded(scale int, dataSeed uint64) *isa.Program {
 	const imemWords = 512
 	steps := clampScale(scale/27, 32, 0)
 	src := fmt.Sprintf(`
@@ -167,15 +167,15 @@ vmem:
 	return p
 }
 
-// Swim is a shallow-water relaxation kernel in the style of SPEC SWIM:
+// swim is a shallow-water relaxation kernel in the style of SPEC SWIM:
 // in-place 5-point stencil sweeps over a 64x64 grid with a source term,
 // row by row. Strided FP loads with near-perfect spatial locality and a
 // branch structure that is pure loop control — the prefetch-friendly,
 // regular-memory member of the suite, the opposite corner from li.
-func Swim(scale int) *isa.Program { return SwimSeeded(scale, 0) }
+func swim(scale int) *isa.Program { return swimSeeded(scale, 0) }
 
-// SwimSeeded is Swim with an explicit initial-grid seed (0 = canonical).
-func SwimSeeded(scale int, dataSeed uint64) *isa.Program {
+// swimSeeded is Swim with an explicit initial-grid seed (0 = canonical).
+func swimSeeded(scale int, dataSeed uint64) *isa.Program {
 	rows := clampScale(scale/940, 2, 0)
 	src := fmt.Sprintf(`
 .equ ROWS, %d
@@ -228,17 +228,17 @@ grid:
 	return p
 }
 
-// Eqntott is a truth-table kernel in the style of SPEC EQNTOTT's cmppt:
+// eqntott is a truth-table kernel in the style of SPEC EQNTOTT's cmppt:
 // exchange passes over an array of term vectors, swapping adjacent terms
 // when a compare says they are out of order. A per-element perturbation
 // stream keeps the array from ever settling into sorted order, so the
 // swap branch stays near 50% taken — the mispredict-heavy member of the
 // suite.
-func Eqntott(scale int) *isa.Program { return EqntottSeeded(scale, 0) }
+func eqntott(scale int) *isa.Program { return eqntottSeeded(scale, 0) }
 
-// EqntottSeeded is Eqntott with an explicit term-array seed
+// eqntottSeeded is Eqntott with an explicit term-array seed
 // (0 = canonical).
-func EqntottSeeded(scale int, dataSeed uint64) *isa.Program {
+func eqntottSeeded(scale int, dataSeed uint64) *isa.Program {
 	terms := 256
 	passes := clampScale(scale/4400, 2, 0)
 	src := fmt.Sprintf(`

@@ -19,7 +19,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"profileme/internal/isa"
 	"profileme/internal/stats"
@@ -45,17 +44,17 @@ type Benchmark struct {
 // kernels in the paper's order, then the extension kernels.
 func Suite() []Benchmark {
 	return []Benchmark{
-		{"compress", "hash-table stream compression: data-dependent branches, table misses", Compress, CompressSeeded},
-		{"gcc", "expression-tree evaluation: call-heavy, branchy, pointer loads", GCC, GCCSeeded},
-		{"go", "board scanning: irregular data-dependent branches", Go, GoSeeded},
-		{"ijpeg", "dense block arithmetic: high ILP, regular memory", Ijpeg, IjpegSeeded},
-		{"li", "cons-cell list interpreter: serial pointer chasing", Li, LiSeeded},
-		{"perl", "bytecode interpreter: indirect-jump dispatch, stack traffic", Perl, PerlSeeded},
-		{"povray", "ray-sphere arithmetic: FP-heavy with divides", Povray, PovraySeeded},
-		{"vortex", "record store: hashed lookups, stores, call chains", Vortex, VortexSeeded},
-		{"m88ksim", "CPU-simulator interpreter: indirect dispatch over a memory register file", M88ksim, M88ksimSeeded},
-		{"swim", "shallow-water relaxation: 5-point FP stencil, regular strides", Swim, SwimSeeded},
-		{"eqntott", "truth-table term exchange: compare-driven swaps, mispredict-heavy", Eqntott, EqntottSeeded},
+		{"compress", "hash-table stream compression: data-dependent branches, table misses", Compress, compressSeeded},
+		{"gcc", "expression-tree evaluation: call-heavy, branchy, pointer loads", GCC, gccSeeded},
+		{"go", "board scanning: irregular data-dependent branches", Go, goSeeded},
+		{"ijpeg", "dense block arithmetic: high ILP, regular memory", Ijpeg, ijpegSeeded},
+		{"li", "cons-cell list interpreter: serial pointer chasing", Li, liSeeded},
+		{"perl", "bytecode interpreter: indirect-jump dispatch, stack traffic", Perl, perlSeeded},
+		{"povray", "ray-sphere arithmetic: FP-heavy with divides", povray, povraySeeded},
+		{"vortex", "record store: hashed lookups, stores, call chains", Vortex, vortexSeeded},
+		{"m88ksim", "CPU-simulator interpreter: indirect dispatch over a memory register file", m88ksim, m88ksimSeeded},
+		{"swim", "shallow-water relaxation: 5-point FP stencil, regular strides", swim, swimSeeded},
+		{"eqntott", "truth-table term exchange: compare-driven swaps, mispredict-heavy", eqntott, eqntottSeeded},
 	}
 }
 
@@ -145,17 +144,4 @@ func clampScale(scale, lo, hi int) int {
 		return hi
 	}
 	return scale
-}
-
-// DataLabels returns the sorted data labels of a program (debug helper
-// for workload tests).
-func DataLabels(p *isa.Program) []string {
-	var names []string
-	for name, addr := range p.Labels {
-		if addr >= 0x1_0000 {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }
