@@ -139,7 +139,7 @@ func TestExportSurface(t *testing.T) {
 		"internal/counters":    {14, 0},
 		"internal/cpu":         {34, 1},
 		"internal/difftest":    {5, 5},
-		"internal/experiments": {71, 0},
+		"internal/experiments": {6, 0},
 		"internal/faultinject": {10, 0},
 		"internal/frame":       {17, 0},
 		"internal/ingest":      {56, 0},
@@ -148,7 +148,7 @@ func TestExportSurface(t *testing.T) {
 		"internal/netchaos":    {14, 0},
 		"internal/pathprof":    {24, 0},
 		"internal/pgo":         {7, 0},
-		"internal/profile":     {102, 29},
+		"internal/profile":     {99, 27},
 		"internal/runner":      {22, 1},
 		"internal/server":      {4, 0},
 		"internal/sim":         {22, 0},

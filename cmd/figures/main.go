@@ -1,153 +1,92 @@
 // Command figures regenerates every table and figure of the paper's
 // evaluation from the reproduction's own simulator and workloads:
 //
-//	figures fig2    — event-counter PC attribution (in-order vs OoO)
-//	figures table1  — pipeline-stage latencies per stress kernel
-//	figures fig3    — convergence of sampled estimates
-//	figures fig6    — path reconstruction success rates
-//	figures fig7    — latency vs wasted issue slots
-//	figures sec6    — windowed IPC statistics
-//	figures all     — everything above, in order
+//	figures [-quick] [-csv] <experiment>|all
 //
-// Each experiment prints the paper's rows/series and then reports whether
-// the paper's qualitative claims hold on this run ("shape check").
+// `figures -h` lists the experiments (internal/experiments.All). Each
+// prints the paper's rows/series and then reports whether the paper's
+// qualitative claims hold on this run ("shape check").
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"profileme/internal/experiments"
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "run smaller configurations (~10x faster)")
-	csv := flag.Bool("csv", false, "emit the figure's data series as CSV instead of text")
-	flag.Usage = usage
-	flag.Parse()
-	csvOut = *csv
-	if flag.NArg() != 1 {
-		usage()
-		os.Exit(2)
-	}
-
-	which := flag.Arg(0)
-	var failures int
-	runOne := func(name string) {
-		if err := run(name, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			failures++
-		}
-	}
-	if which == "all" {
-		for _, name := range []string{"fig2", "table1", "fig3", "fig6", "fig7", "sec6", "blindspot", "ww", "multiproc"} {
-			runOne(name)
-			fmt.Println()
-		}
-	} else {
-		runOne(which)
-	}
-	if failures > 0 {
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, "usage: figures [-quick] {fig2|fig3|fig6|fig7|table1|sec6|blindspot|ww|multiproc|all}\n")
-	flag.PrintDefaults()
-}
-
-// checker is the common surface of all experiment results.
-type checker interface {
-	Check() error
-	Render() string
-	CSV() string
-}
-
-// csvOut selects CSV output (set from the -csv flag).
-var csvOut bool
-
-func run(name string, quick bool) error {
-	var (
-		res checker
-		err error
-	)
-	switch name {
-	case "fig2":
-		cfg := experiments.DefaultFigure2Config()
-		if quick {
-			cfg.Iters, cfg.Nops = 1500, 120
+// run is figures: it returns the exit status (2 for usage or an unknown
+// experiment, 1 when an experiment fails or its shape check does).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "run the reduced configurations (~10x faster)")
+	csv := fs.Bool("csv", false, "emit the figure's data series as CSV instead of text")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: figures [-quick] [-csv] <experiment>|all")
+		for _, e := range experiments.All {
+			fmt.Fprintf(stderr, "  %-10s %s\n", e.Name, e.About)
 		}
-		res, err = experiments.Figure2(cfg)
-	case "fig3":
-		cfg := experiments.DefaultFigure3Config()
-		if quick {
-			cfg.Scale = 300_000
-			cfg.Intervals = []float64{50, 500}
-		}
-		res, err = experiments.Figure3(cfg)
-	case "fig6":
-		cfg := experiments.DefaultFigure6Config()
-		if quick {
-			cfg.Scale = 120_000
-			cfg.Eval.MaxInst = 120_000
-			cfg.Benchmarks = []string{"compress", "gcc"}
-			cfg.GeneratedSeeds = []uint64{11}
-		}
-		res, err = experiments.Figure6(cfg)
-	case "fig7":
-		cfg := experiments.DefaultFigure7Config()
-		if quick {
-			cfg.Iters = 6000
-		}
-		res, err = experiments.Figure7(cfg)
-	case "table1":
-		cfg := experiments.DefaultTable1Config()
-		if quick {
-			cfg.Iters = 6000
-		}
-		res, err = experiments.Table1(cfg)
-	case "sec6":
-		cfg := experiments.DefaultSection6Config()
-		if quick {
-			cfg.Scale = 120_000
-		}
-		res, err = experiments.Section6(cfg)
-	case "blindspot":
-		cfg := experiments.DefaultBlindSpotConfig()
-		if quick {
-			cfg.Iters = 8000
-		}
-		res, err = experiments.BlindSpot(cfg)
-	case "ww":
-		cfg := experiments.DefaultWWConfig()
-		if quick {
-			cfg.Scale = 600_000
-			cfg.Period = 4
-		}
-		res, err = experiments.WW(cfg)
-	case "multiproc":
-		cfg := experiments.DefaultMultiprocessConfig()
-		if quick {
-			cfg.Scale = 120_000
-		}
-		res, err = experiments.Multiprocess(cfg)
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
+		fmt.Fprintf(stderr, "  %-10s %s\n", "all", "everything above, in order")
+		fs.PrintDefaults()
 	}
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
+	}
+	todo := experiments.All
+	if name := fs.Arg(0); name != "all" {
+		todo = nil
+		for _, e := range experiments.All {
+			if e.Name == name {
+				todo = append(todo, e)
+			}
+		}
+		if todo == nil {
+			fmt.Fprintf(stderr, "figures: unknown experiment %q\n", name)
+			fs.Usage()
+			return 2
+		}
+	}
+
+	status := 0
+	for i, e := range todo {
+		if i > 0 {
+			fmt.Fprintln(stdout)
+		}
+		if err := runOne(e, *quick, *csv, stdout); err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", e.Name, err)
+			status = 1
+		}
+	}
+	return status
+}
+
+// runOne runs one experiment and prints its rendering and shape check, or
+// its CSV.
+func runOne(e experiments.Experiment, quick, csv bool, stdout io.Writer) error {
+	res, err := e.Run(quick)
 	if err != nil {
 		return err
 	}
-	if csvOut {
-		fmt.Print(res.CSV())
+	if csv {
+		fmt.Fprint(stdout, res.CSV())
 		return res.Check()
 	}
-	fmt.Print(res.Render())
+	fmt.Fprint(stdout, res.Render())
 	if err := res.Check(); err != nil {
-		fmt.Printf("shape check: FAILED: %v\n", err)
+		fmt.Fprintf(stdout, "shape check: FAILED: %v\n", err)
 		return err
 	}
-	fmt.Printf("shape check: ok\n")
+	fmt.Fprintln(stdout, "shape check: ok")
 	return nil
 }

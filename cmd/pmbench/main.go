@@ -39,8 +39,7 @@ import (
 	"profileme/internal/workload"
 )
 
-// benchScale is the per-workload dynamic instruction count. It matches
-// BenchmarkPipeline in bench_test.go so the two report comparable numbers.
+// benchScale is the per-workload dynamic instruction count.
 const benchScale = 100_000
 
 // benchWorkloads are the suite members the baseline tracks: all of them,

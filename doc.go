@@ -20,8 +20,9 @@
 //
 // The executables are cmd/pmsim (run a workload under the profiler) and
 // cmd/figures (regenerate every table and figure). Runnable walkthroughs
-// live in examples/. The benchmarks in bench_test.go regenerate each
-// experiment under `go test -bench`.
+// live in examples/. `go test ./internal/experiments` runs every
+// experiment at its reduced configuration and asserts the DESIGN.md §5
+// ablations (TestAblations).
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.

@@ -12,22 +12,21 @@ import (
 	"profileme/internal/sim"
 )
 
-// BlindSpotConfig parameterizes the §2.2 blind-spot experiment.
-type BlindSpotConfig struct {
+// blindSpotConfig parameterizes the §2.2 blind-spot experiment.
+type blindSpotConfig struct {
 	Iters        int
 	Period       uint64  // counter overflow period
 	MeanInterval float64 // ProfileMe sampling interval
 }
 
-// DefaultBlindSpotConfig returns the standard run.
-func DefaultBlindSpotConfig() BlindSpotConfig {
-	return BlindSpotConfig{Iters: 20_000, Period: 37, MeanInterval: 41}
+// defaultBlindSpotConfig returns the standard run.
+func defaultBlindSpotConfig(quick bool) blindSpotConfig {
+	return blindSpotConfig{Iters: pick(quick, 20_000, 8000), Period: 37, MeanInterval: 41}
 }
 
-// BlindSpotResult compares how the two profiling approaches attribute
+// blindSpotResult compares how the two profiling approaches attribute
 // samples to an uninterruptible code region.
-type BlindSpotResult struct {
-	Config BlindSpotConfig
+type blindSpotResult struct {
 	// TrueShare is the fraction of retired instructions that lie inside
 	// the uninterruptible procedure (ground truth).
 	TrueShare float64
@@ -87,12 +86,12 @@ buf:
     .word 1, 0, 2, 0
 `
 
-// BlindSpot reproduces the §2.2 blind-spot limitation: performance-counter
+// blindSpot reproduces the §2.2 blind-spot limitation: performance-counter
 // interrupts are deferred while high-priority (PALcode-like) code runs, so
 // its events are misattributed to the code that follows; ProfileMe records
 // the sampled instruction's PC in hardware at selection time and has no
 // blind spot.
-func BlindSpot(cfg BlindSpotConfig) (*BlindSpotResult, error) {
+func blindSpot(cfg blindSpotConfig) (*blindSpotResult, error) {
 	prog, err := asm.Assemble(fmt.Sprintf(blindSpotSrc, cfg.Iters))
 	if err != nil {
 		return nil, fmt.Errorf("blindspot: %w", err)
@@ -109,7 +108,7 @@ func BlindSpot(cfg BlindSpotConfig) (*BlindSpotResult, error) {
 	ccfg.UninterruptibleStart, ccfg.UninterruptibleEnd = pal.Start, pal.End
 	ccfg.InterruptCost = 0
 
-	res := &BlindSpotResult{Config: cfg}
+	res := &blindSpotResult{}
 
 	// Run 1: event counters monitoring retired instructions.
 	var ctrIn, ctrAfter, ctrTotal uint64
@@ -179,7 +178,7 @@ func BlindSpot(cfg BlindSpotConfig) (*BlindSpotResult, error) {
 // over the uninterruptible code (large under-attribution, with the
 // deferred interrupts piling up just after the region), while ProfileMe
 // attributes the region close to its true share.
-func (r *BlindSpotResult) Check() error {
+func (r *blindSpotResult) Check() error {
 	if err := checkf(r.TrueShare > 0.15,
 		"blindspot: region share %.2f too small to measure", r.TrueShare); err != nil {
 		return err
@@ -199,7 +198,7 @@ func (r *BlindSpotResult) Check() error {
 }
 
 // Render prints the comparison.
-func (r *BlindSpotResult) Render() string {
+func (r *blindSpotResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Blind spots (§2.2) — attribution of samples to uninterruptible code\n")
 	fmt.Fprintf(&b, "true share of retired instructions in the region: %5.1f%%\n", 100*r.TrueShare)

@@ -9,7 +9,7 @@ import (
 
 // CSV renders the Figure 2 histograms as rows of
 // machine,offset,count,fraction.
-func (r *Figure2Result) CSV() string {
+func (r *figure2Result) CSV() string {
 	var b strings.Builder
 	b.WriteString("machine,offset,count,fraction\n")
 	for _, k := range r.InOrder.Keys() {
@@ -24,7 +24,7 @@ func (r *Figure2Result) CSV() string {
 // CSV renders every Figure 3 point as
 // benchmark,interval,metric,pc,samples,ratio — the scatter the figure
 // plots (x = samples, y = ratio).
-func (r *Figure3Result) CSV() string {
+func (r *figure3Result) CSV() string {
 	var b strings.Builder
 	b.WriteString("benchmark,interval,metric,pc,samples,ratio\n")
 	for _, s := range r.Series {
@@ -39,7 +39,7 @@ func (r *Figure3Result) CSV() string {
 }
 
 // CSV renders the Figure 6 curves as mode,scheme,history_length,rate.
-func (r *Figure6Result) CSV() string {
+func (r *figure6Result) CSV() string {
 	var b strings.Builder
 	b.WriteString("mode,scheme,history_length,success,total,rate\n")
 	for mi, mode := range r.Modes {
@@ -55,7 +55,7 @@ func (r *Figure6Result) CSV() string {
 
 // CSV renders the Figure 7 scatter as
 // loop,pc,latency,wasted_true,wasted_est.
-func (r *Figure7Result) CSV() string {
+func (r *figure7Result) CSV() string {
 	var b strings.Builder
 	b.WriteString("loop,pc,latency,wasted_true,wasted_est\n")
 	for _, p := range r.Points {
@@ -69,7 +69,7 @@ func (r *Figure7Result) CSV() string {
 }
 
 // CSV renders the §6 table as benchmark rows.
-func (r *Section6Result) CSV() string {
+func (r *section6Result) CSV() string {
 	var b strings.Builder
 	b.WriteString("benchmark,windows,mean_ipc,min_ipc,max_ipc,maxmin_ratio,weighted_cov\n")
 	for _, row := range r.Rows {
@@ -81,7 +81,7 @@ func (r *Section6Result) CSV() string {
 }
 
 // CSV renders the Table 1 matrix as kernel rows.
-func (r *Table1Result) CSV() string {
+func (r *table1Result) CSV() string {
 	var b strings.Builder
 	b.WriteString("kernel,fetch_map,map_dataready,dataready_issue,issue_retireready,retireready_retire,load_completion,samples\n")
 	for _, row := range r.Rows {
@@ -93,7 +93,7 @@ func (r *Table1Result) CSV() string {
 }
 
 // CSV renders the blind-spot comparison as one row per profiler.
-func (r *BlindSpotResult) CSV() string {
+func (r *blindSpotResult) CSV() string {
 	var b strings.Builder
 	b.WriteString("profiler,samples,share_inside,share_after,true_share\n")
 	fmt.Fprintf(&b, "counters,%d,%.4f,%.4f,%.4f\n",

@@ -1,163 +1,61 @@
 package experiments
 
 import (
+	"encoding/csv"
 	"strings"
 	"testing"
 )
 
-func TestFigure2(t *testing.T) {
-	cfg := DefaultFigure2Config()
-	cfg.Iters = 1200
-	cfg.Nops = 120
-	res, err := Figure2(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestExperiments runs every experiment of All at its reduced
+// configuration — the runs `figures -quick` prints: the shape check must
+// hold, the rendering must be non-empty, and the CSV must be a header plus
+// at least one row, every row as wide as the header.
+func TestExperiments(t *testing.T) {
+	for _, e := range All {
+		t.Run(e.Name, func(t *testing.T) {
+			res, err := e.Run(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := res.Render()
+			if err := res.Check(); err != nil {
+				t.Fatalf("%v\n%s", err, out)
+			}
+			if strings.TrimSpace(out) == "" {
+				t.Error("empty rendering")
+			}
+			rows, err := csv.NewReader(strings.NewReader(res.CSV())).ReadAll()
+			if err != nil || len(rows) < 2 {
+				t.Errorf("CSV: %d records (%v), want a header and at least one row of its width", len(rows), err)
+			}
+			t.Logf("\n%s", out)
+		})
 	}
-	if err := res.Check(); err != nil {
-		t.Fatalf("%v\n%s", err, res.Render())
-	}
-	out := res.Render()
-	if !strings.Contains(out, "in-order") || !strings.Contains(out, "out-of-order") {
-		t.Fatalf("render:\n%s", out)
-	}
-	t.Logf("\n%s", out)
-}
-
-func TestFigure3(t *testing.T) {
-	cfg := DefaultFigure3Config()
-	cfg.Benchmarks = []string{"compress", "ijpeg", "li"}
-	cfg.Scale = 300_000
-	cfg.Intervals = []float64{50, 500}
-	res, err := Figure3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Check(); err != nil {
-		t.Fatalf("%v\n%s", err, res.Render())
-	}
-	t.Logf("\n%s", res.Render())
-}
-
-func TestFigure6(t *testing.T) {
-	cfg := DefaultFigure6Config()
-	cfg.Benchmarks = []string{"compress", "gcc"}
-	cfg.GeneratedSeeds = []uint64{11}
-	cfg.Scale = 120_000
-	cfg.Eval.MaxInst = 120_000
-	cfg.Eval.SampleInterval = 149
-	cfg.Eval.HistoryLens = []int{1, 4, 8, 12}
-	res, err := Figure6(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Check(); err != nil {
-		t.Fatalf("%v\n%s", err, res.Render())
-	}
-	t.Logf("\n%s", res.Render())
-}
-
-func TestFigure7(t *testing.T) {
-	cfg := DefaultFigure7Config()
-	cfg.Iters = 25_000
-	res, err := Figure7(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Check(); err != nil {
-		t.Fatalf("%v\n%s", err, res.Render())
-	}
-	t.Logf("\n%s", res.Render())
-}
-
-func TestTable1(t *testing.T) {
-	cfg := DefaultTable1Config()
-	cfg.Iters = 8000
-	res, err := Table1(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Check(); err != nil {
-		t.Fatalf("%v\n%s", err, res.Render())
-	}
-	t.Logf("\n%s", res.Render())
-}
-
-func TestSection6(t *testing.T) {
-	cfg := DefaultSection6Config()
-	cfg.Scale = 120_000
-	res, err := Section6(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Check(); err != nil {
-		t.Fatalf("%v\n%s", err, res.Render())
-	}
-	t.Logf("\n%s", res.Render())
-}
-
-func TestBlindSpot(t *testing.T) {
-	cfg := DefaultBlindSpotConfig()
-	cfg.Iters = 8000
-	res, err := BlindSpot(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Check(); err != nil {
-		t.Fatalf("%v\n%s", err, res.Render())
-	}
-	t.Logf("\n%s", res.Render())
-}
-
-func TestWWComparison(t *testing.T) {
-	cfg := DefaultWWConfig()
-	cfg.Scale = 3_000_000
-	cfg.Period = 15
-	res, err := WW(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Check(); err != nil {
-		t.Fatalf("%v\n%s", err, res.Render())
-	}
-	t.Logf("\n%s", res.Render())
-}
-
-func TestMultiprocess(t *testing.T) {
-	cfg := DefaultMultiprocessConfig()
-	cfg.Scale = 150_000
-	res, err := Multiprocess(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Check(); err != nil {
-		t.Fatalf("%v\n%s", err, res.Render())
-	}
-	t.Logf("\n%s", res.Render())
 }
 
 func TestFigure3TimingModeAgrees(t *testing.T) {
 	// The fast functional sampler (the documented substitution for the
 	// paper's cycle-accurate runs) and the full timing pipeline with the
 	// real ProfileMe unit must show the same convergence behaviour.
-	base := Figure3Config{
+	base := figure3Config{
 		Benchmarks: []string{"compress"},
 		Scale:      250_000,
 		Intervals:  []float64{100},
 		Seed:       7,
 	}
-	fast, err := Figure3(base)
+	fast, err := figure3(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	timing := base
 	timing.UseTiming = true
-	slow, err := Figure3(timing)
+	slow, err := figure3(timing)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, res := range map[string]*Figure3Result{"fast": fast, "timing": slow} {
+	for name, res := range map[string]*figure3Result{"fast": fast, "timing": slow} {
 		pts := res.Series[0].Retire
-		var strong []Figure3Point
+		var strong []figure3Point
 		for _, p := range pts {
 			if p.Samples >= 16 {
 				strong = append(strong, p)
@@ -166,11 +64,11 @@ func TestFigure3TimingModeAgrees(t *testing.T) {
 		if len(strong) < 8 {
 			t.Fatalf("%s: only %d strong points", name, len(strong))
 		}
-		frac := EnvelopeFraction(strong)
+		frac := envelopeFraction(strong)
 		if frac < 0.45 || frac > 0.95 {
 			t.Fatalf("%s: envelope fraction %.2f", name, frac)
 		}
-		med := MedianAbsError(strong)
+		med := medianAbsError(strong)
 		if med > 0.2 {
 			t.Fatalf("%s: median error %.3f", name, med)
 		}

@@ -12,8 +12,8 @@ import (
 	"profileme/internal/workload"
 )
 
-// Figure2Config parameterizes the event-counter attribution experiment.
-type Figure2Config struct {
+// figure2Config parameterizes the event-counter attribution experiment.
+type figure2Config struct {
 	Nops   int    // nops between the load and the loop branch
 	Iters  int    // loop iterations
 	Period uint64 // counter overflow period (D-cache references)
@@ -25,26 +25,25 @@ type Figure2Config struct {
 	OoOJitter int64
 }
 
-// DefaultFigure2Config mirrors the paper's setup: one load followed by
+// defaultFigure2Config mirrors the paper's setup: one load followed by
 // hundreds of nops, sampling D-cache-reference events.
-func DefaultFigure2Config() Figure2Config {
-	return Figure2Config{Nops: 300, Iters: 4000, Period: 61, Skid: 6, OoOJitter: 8}
+func defaultFigure2Config(quick bool) figure2Config {
+	return figure2Config{Nops: pick(quick, 300, 120), Iters: pick(quick, 4000, 1500), Period: 61, Skid: 6, OoOJitter: 8}
 }
 
-// Figure2Result holds the PC histograms of delivered interrupts, keyed by
+// figure2Result holds the PC histograms of delivered interrupts, keyed by
 // the instruction offset from the load within the loop body.
-type Figure2Result struct {
-	Config     Figure2Config
+type figure2Result struct {
 	LoopLen    int64 // loop length in instructions
 	InOrder    *stats.Histogram
 	OutOfOrder *stats.Histogram
 }
 
-// Figure2 reproduces Figure 2: run the load+nops loop on an in-order and
+// figure2 reproduces Figure 2: run the load+nops loop on an in-order and
 // an out-of-order configuration with overflow-interrupt event counters
 // monitoring D-cache references, and histogram the PC delivered to the
 // interrupt handler relative to the load.
-func Figure2(cfg Figure2Config) (*Figure2Result, error) {
+func figure2(cfg figure2Config) (*figure2Result, error) {
 	prog := workload.Figure2Program(cfg.Nops, cfg.Iters)
 	loadPC, ok := prog.Label("theload")
 	if !ok {
@@ -86,14 +85,14 @@ func Figure2(cfg Figure2Config) (*Figure2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Figure2Result{Config: cfg, LoopLen: loopLen, InOrder: inOrder, OutOfOrder: outOfOrder}, nil
+	return &figure2Result{LoopLen: loopLen, InOrder: inOrder, OutOfOrder: outOfOrder}, nil
 }
 
 // Check verifies the paper's qualitative claims: the in-order machine
 // attributes almost all events to one fixed instruction offset (a single
 // displaced peak), while the out-of-order machine smears them over many
 // instructions.
-func (r *Figure2Result) Check() error {
+func (r *figure2Result) Check() error {
 	inSpread := r.InOrder.Spread(0.9)
 	oooSpread := r.OutOfOrder.Spread(0.9)
 	if err := checkf(inSpread <= 3,
@@ -110,7 +109,7 @@ func (r *Figure2Result) Check() error {
 }
 
 // Render returns the two histograms as text, offsets relative to the load.
-func (r *Figure2Result) Render() string {
+func (r *figure2Result) Render() string {
 	var b strings.Builder
 	label := func(k int64) string { return fmt.Sprintf("load%+d", k) }
 	fmt.Fprintf(&b, "Figure 2 — PC delivered to D-cache-reference counter interrupts\n")

@@ -15,8 +15,8 @@ import (
 	"profileme/internal/workload"
 )
 
-// Figure3Config parameterizes the convergence experiment.
-type Figure3Config struct {
+// figure3Config parameterizes the convergence experiment.
+type figure3Config struct {
 	Benchmarks []string // suite subset (empty = whole suite)
 	Scale      int      // workload scale (dynamic instructions per program)
 	Intervals  []float64
@@ -28,38 +28,42 @@ type Figure3Config struct {
 	UseTiming bool
 }
 
-// DefaultFigure3Config scales the paper's runs down proportionally: the
+// defaultFigure3Config scales the paper's runs down proportionally: the
 // paper sampled every 10^3-10^5 instructions of 10^8-10^9 traces; we sample
 // every 10^2-10^4 of ~10^6-10^7, keeping the expected per-PC sample counts
 // — the quantity convergence depends on — in the same range.
-func DefaultFigure3Config() Figure3Config {
-	return Figure3Config{
-		Scale:     2_000_000,
-		Intervals: []float64{100, 1000, 10000},
-		Seed:      7,
+func defaultFigure3Config(quick bool) figure3Config {
+	if quick {
+		return figure3Config{Scale: 300_000, Intervals: []float64{50, 500}, Seed: 7}
 	}
+	return figure3Config{Scale: 2_000_000, Intervals: []float64{100, 1000, 10000}, Seed: 7}
 }
 
-// Figure3Point is one static instruction at one sampling interval: the
+// figure3Point is one static instruction at one sampling interval: the
 // number of samples with the property and the ratio of the estimated to
 // the actual count.
-type Figure3Point struct {
+type figure3Point struct {
 	PC      uint64
 	Samples uint64
 	Ratio   float64
 }
 
-// Figure3Series holds all points for one metric at one interval.
-type Figure3Series struct {
+// expected returns the samples the point's true count implies
+// (executions / interval). Selecting points on it, unlike on the observed
+// count, does not favour the PCs that happened to be oversampled.
+func (p figure3Point) expected() float64 { return float64(p.Samples) / p.Ratio }
+
+// figure3Series holds all points for one metric at one interval.
+type figure3Series struct {
 	Benchmark string
 	Interval  float64
-	Retire    []Figure3Point // retire-count estimates
-	DMiss     []Figure3Point // D-cache-miss-count estimates
+	Retire    []figure3Point // retire-count estimates
+	DMiss     []figure3Point // D-cache-miss-count estimates
 }
 
-// EnvelopeFraction returns the fraction of points inside the 1 ± 1/sqrt(x)
+// envelopeFraction returns the fraction of points inside the 1 ± 1/sqrt(x)
 // envelope for the given metric points.
-func EnvelopeFraction(points []Figure3Point) float64 {
+func envelopeFraction(points []figure3Point) float64 {
 	xs := make([]float64, len(points))
 	rs := make([]float64, len(points))
 	for i, p := range points {
@@ -68,8 +72,8 @@ func EnvelopeFraction(points []Figure3Point) float64 {
 	return stats.EnvelopeFraction(xs, rs)
 }
 
-// MedianAbsError returns the median |ratio - 1| over the points.
-func MedianAbsError(points []Figure3Point) float64 {
+// medianAbsError returns the median |ratio - 1| over the points.
+func medianAbsError(points []figure3Point) float64 {
 	if len(points) == 0 {
 		return 0
 	}
@@ -80,13 +84,12 @@ func MedianAbsError(points []Figure3Point) float64 {
 	return stats.Quantile(devs, 0.5)
 }
 
-// Figure3Result aggregates all series.
-type Figure3Result struct {
-	Config Figure3Config
-	Series []Figure3Series
+// figure3Result aggregates all series.
+type figure3Result struct {
+	Series []figure3Series
 }
 
-// Figure3 reproduces the convergence experiment (§5.1, Figure 3): sample
+// figure3 reproduces the convergence experiment (§5.1, Figure 3): sample
 // the instruction stream of each benchmark at each interval, estimate
 // per-PC retire and D-cache-miss counts as (samples × interval), and
 // compare against the simulator's exact counts.
@@ -97,7 +100,7 @@ type Figure3Result struct {
 // and this keeps the paper's trace lengths tractable. Set UseTiming to run
 // the full pipeline with the real ProfileMe unit instead; the two modes
 // are cross-validated in the experiment tests.
-func Figure3(cfg Figure3Config) (*Figure3Result, error) {
+func figure3(cfg figure3Config) (*figure3Result, error) {
 	names := cfg.Benchmarks
 	if len(names) == 0 {
 		names = workload.Names()
@@ -130,9 +133,9 @@ func Figure3(cfg Figure3Config) (*Figure3Result, error) {
 		}
 	}
 
-	series, err := parallelMap(len(cells), func(i int) (Figure3Series, error) {
+	series, err := parallelMap(len(cells), func(i int) (figure3Series, error) {
 		c := cells[i]
-		var s Figure3Series
+		var s figure3Series
 		var err error
 		if cfg.UseTiming {
 			s, err = convergenceRunTiming(c.bench, cfg.Scale, c.interval, c.seed)
@@ -140,14 +143,14 @@ func Figure3(cfg Figure3Config) (*Figure3Result, error) {
 			s, err = convergenceRun(c.bench, cfg.Scale, c.interval, c.rng)
 		}
 		if err != nil {
-			return Figure3Series{}, fmt.Errorf("fig3: %s: %w", c.bench.Name, err)
+			return figure3Series{}, fmt.Errorf("fig3: %s: %w", c.bench.Name, err)
 		}
 		return s, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Figure3Result{Config: cfg, Series: series}, nil
+	return &figure3Result{Series: series}, nil
 }
 
 type pcCounts struct {
@@ -157,7 +160,7 @@ type pcCounts struct {
 	sampledMisses uint64
 }
 
-func convergenceRun(bench workload.Benchmark, scale int, interval float64, rng *stats.RNG) (Figure3Series, error) {
+func convergenceRun(bench workload.Benchmark, scale int, interval float64, rng *stats.RNG) (figure3Series, error) {
 	prog := bench.Build(scale)
 	hier := mem.NewHierarchy(mem.DefaultConfig())
 	counts := make([]pcCounts, prog.Len())
@@ -167,7 +170,7 @@ func convergenceRun(bench workload.Benchmark, scale int, interval float64, rng *
 	for !m.Halted() {
 		rec, ok, err := m.Step()
 		if err != nil {
-			return Figure3Series{}, err
+			return figure3Series{}, err
 		}
 		if !ok {
 			break
@@ -191,7 +194,7 @@ func convergenceRun(bench workload.Benchmark, scale int, interval float64, rng *
 		}
 	}
 
-	series := Figure3Series{Benchmark: bench.Name, Interval: interval}
+	series := figure3Series{Benchmark: bench.Name, Interval: interval}
 	for i := range counts {
 		c := &counts[i]
 		if c.executed == 0 {
@@ -199,13 +202,13 @@ func convergenceRun(bench workload.Benchmark, scale int, interval float64, rng *
 		}
 		pc := uint64(i) * isa.InstBytes
 		if c.sampled > 0 {
-			series.Retire = append(series.Retire, Figure3Point{
+			series.Retire = append(series.Retire, figure3Point{
 				PC: pc, Samples: c.sampled,
 				Ratio: float64(c.sampled) * interval / float64(c.executed),
 			})
 		}
 		if c.misses > 0 && c.sampledMisses > 0 {
-			series.DMiss = append(series.DMiss, Figure3Point{
+			series.DMiss = append(series.DMiss, figure3Point{
 				PC: pc, Samples: c.sampledMisses,
 				Ratio: float64(c.sampledMisses) * interval / float64(c.misses),
 			})
@@ -217,7 +220,7 @@ func convergenceRun(bench workload.Benchmark, scale int, interval float64, rng *
 // convergenceRunTiming is convergenceRun on the full timing pipeline with
 // the real ProfileMe hardware: per-PC sample counts come from delivered
 // records, actual counts from the pipeline's omniscient ground truth.
-func convergenceRunTiming(bench workload.Benchmark, scale int, interval float64, seed uint64) (Figure3Series, error) {
+func convergenceRunTiming(bench workload.Benchmark, scale int, interval float64, seed uint64) (figure3Series, error) {
 	prog := bench.Build(scale)
 	ccfg := cpu.DefaultConfig()
 	ccfg.InterruptCost = 0
@@ -243,7 +246,7 @@ func convergenceRunTiming(bench workload.Benchmark, scale int, interval float64,
 	}
 	res, pipe, err := runPipeline(prog, ccfg, unit, handler)
 	if err != nil {
-		return Figure3Series{}, err
+		return figure3Series{}, err
 	}
 	// Scale by the realized interval (retired samples per retired
 	// instruction), as the profiling software would.
@@ -252,23 +255,23 @@ func convergenceRunTiming(bench workload.Benchmark, scale int, interval float64,
 		totalSamples += n
 	}
 	if totalSamples == 0 {
-		return Figure3Series{}, fmt.Errorf("no samples")
+		return figure3Series{}, fmt.Errorf("no samples")
 	}
 	realizedS := float64(res.Retired) / float64(totalSamples)
 
-	series := Figure3Series{Benchmark: bench.Name, Interval: interval}
+	series := figure3Series{Benchmark: bench.Name, Interval: interval}
 	for _, st := range pipe.PerPC() {
 		if st.Retired == 0 {
 			continue
 		}
 		if k := sampled[st.PC]; k > 0 {
-			series.Retire = append(series.Retire, Figure3Point{
+			series.Retire = append(series.Retire, figure3Point{
 				PC: st.PC, Samples: k,
 				Ratio: float64(k) * realizedS / float64(st.Retired),
 			})
 		}
 		if k := sampledMiss[st.PC]; k > 0 && st.DCacheMiss > 0 {
-			series.DMiss = append(series.DMiss, Figure3Point{
+			series.DMiss = append(series.DMiss, figure3Point{
 				PC: st.PC, Samples: k,
 				Ratio: float64(k) * realizedS / float64(st.DCacheMiss),
 			})
@@ -281,9 +284,9 @@ func convergenceRunTiming(bench workload.Benchmark, scale int, interval float64,
 // near 1), relative error shrinks as 1/sqrt(samples) — the ±1 stddev
 // envelope holds roughly two-thirds of the points — and shorter sampling
 // intervals converge tighter on the same workload.
-func (r *Figure3Result) Check() error {
+func (r *figure3Result) Check() error {
 	// Pool points across benchmarks per interval.
-	byInterval := map[float64][]Figure3Point{}
+	byInterval := map[float64][]figure3Point{}
 	for _, s := range r.Series {
 		byInterval[s.Interval] = append(byInterval[s.Interval], s.Retire...)
 	}
@@ -295,12 +298,12 @@ func (r *Figure3Result) Check() error {
 	prevErr := -1.0
 	for _, iv := range intervals {
 		points := byInterval[iv]
-		// Restrict the envelope check to PCs with a meaningful number of
-		// samples; tiny-count points are dominated by discreteness.
-		var strong []Figure3Point
+		// Restrict the checks to PCs expected to draw a meaningful number
+		// of samples; tiny-count points are dominated by discreteness.
+		var strong []figure3Point
 		var ratioSum float64
 		for _, p := range points {
-			if p.Samples >= 16 {
+			if p.expected() >= 16 {
 				strong = append(strong, p)
 				ratioSum += p.Ratio
 			}
@@ -313,12 +316,12 @@ func (r *Figure3Result) Check() error {
 			"fig3: interval %.0f: mean ratio %.3f biased", iv, meanRatio); err != nil {
 			return err
 		}
-		frac := EnvelopeFraction(strong)
+		frac := envelopeFraction(strong)
 		if err := checkf(frac > 0.45 && frac < 0.95,
 			"fig3: interval %.0f: envelope holds %.2f of points, want ~2/3", iv, frac); err != nil {
 			return err
 		}
-		medErr := MedianAbsError(strong)
+		medErr := medianAbsError(strong)
 		if prevErr >= 0 {
 			if err := checkf(medErr >= prevErr*0.8,
 				"fig3: error did not grow with interval: %.4f then %.4f", prevErr, medErr); err != nil {
@@ -331,7 +334,7 @@ func (r *Figure3Result) Check() error {
 }
 
 // Render summarizes the series like the figure's panels.
-func (r *Figure3Result) Render() string {
+func (r *figure3Result) Render() string {
 	var b strings.Builder
 	b.WriteString("Figure 3 — convergence of sampled estimates (ratio estimated/actual)\n")
 	fmt.Fprintf(&b, "%-10s %9s | %7s %9s %9s | %7s %9s %9s\n",
@@ -339,8 +342,8 @@ func (r *Figure3Result) Render() string {
 	for _, s := range r.Series {
 		fmt.Fprintf(&b, "%-10s %9.0f | %7d %9.4f %9.2f | %7d %9.4f %9.2f\n",
 			s.Benchmark, s.Interval,
-			len(s.Retire), MedianAbsError(s.Retire), EnvelopeFraction(s.Retire),
-			len(s.DMiss), MedianAbsError(s.DMiss), EnvelopeFraction(s.DMiss))
+			len(s.Retire), medianAbsError(s.Retire), envelopeFraction(s.Retire),
+			len(s.DMiss), medianAbsError(s.DMiss), envelopeFraction(s.DMiss))
 	}
 	b.WriteString("\n(medE = median |ratio-1|; env = fraction inside the 1±1/sqrt(x) envelope, expected ~2/3)\n")
 	return b.String()

@@ -9,44 +9,48 @@ import (
 	"profileme/internal/workload"
 )
 
-// Figure6Config parameterizes the path-reconstruction experiment.
-type Figure6Config struct {
+// figure6Config parameterizes the path-reconstruction experiment.
+type figure6Config struct {
 	Benchmarks     []string // suite subset (empty = branchy members + generated programs)
 	Scale          int
 	GeneratedSeeds []uint64 // extra procedurally-generated programs
 	Eval           pathprof.EvalConfig
 }
 
-// DefaultFigure6Config evaluates the branchy suite members plus two
+// defaultFigure6Config evaluates the branchy suite members plus two
 // generated programs at the paper's history lengths (hardware of the era
 // kept 8-12 bits; we sweep 1-16 like the figure's X axis).
-func DefaultFigure6Config() Figure6Config {
+func defaultFigure6Config(quick bool) figure6Config {
 	eval := pathprof.DefaultEvalConfig()
 	eval.MaxInst = 400_000
 	eval.SampleInterval = 229
-	return Figure6Config{
+	cfg := figure6Config{
 		Benchmarks:     []string{"compress", "gcc", "go", "perl", "vortex"},
 		Scale:          400_000,
 		GeneratedSeeds: []uint64{11, 23},
 		Eval:           eval,
 	}
+	if quick {
+		cfg.Benchmarks, cfg.GeneratedSeeds = []string{"compress", "gcc"}, []uint64{11}
+		cfg.Scale, cfg.Eval.MaxInst = 120_000, 120_000
+	}
+	return cfg
 }
 
-// Figure6Result aggregates reconstruction success over all programs:
+// figure6Result aggregates reconstruction success over all programs:
 // Cells[mode][scheme][lenIdx].
-type Figure6Result struct {
-	Config      Figure6Config
+type figure6Result struct {
 	HistoryLens []int
 	Modes       []pathprof.Mode
 	Cells       [][]([]pathprof.Cell) // [mode][scheme][len]
 	PerProgram  map[string][]*pathprof.ModeResult
 }
 
-// Figure6 reproduces the §5.3 experiment: for each program, sample
+// figure6 reproduces the §5.3 experiment: for each program, sample
 // instructions with their global branch history and reconstruct the
 // execution path backward through the CFG under the three schemes, in both
 // intra- and inter-procedural modes.
-func Figure6(cfg Figure6Config) (*Figure6Result, error) {
+func figure6(cfg figure6Config) (*figure6Result, error) {
 	type namedProg struct {
 		name string
 		prog *isa.Program
@@ -66,8 +70,7 @@ func Figure6(cfg Figure6Config) (*Figure6Result, error) {
 		progs = append(progs, namedProg{fmt.Sprintf("gen-%d", seed), workload.Generate(gc)})
 	}
 
-	res := &Figure6Result{
-		Config:      cfg,
+	res := &figure6Result{
 		HistoryLens: cfg.Eval.HistoryLens,
 		Modes:       cfg.Eval.Modes,
 		PerProgram:  make(map[string][]*pathprof.ModeResult),
@@ -108,8 +111,8 @@ func Figure6(cfg Figure6Config) (*Figure6Result, error) {
 	return res, nil
 }
 
-// Rate returns the pooled success rate.
-func (r *Figure6Result) Rate(mode int, s pathprof.Scheme, lenIdx int) float64 {
+// rate returns the pooled success rate.
+func (r *figure6Result) rate(mode int, s pathprof.Scheme, lenIdx int) float64 {
 	return r.Cells[mode][int(s)][lenIdx].Rate()
 }
 
@@ -117,16 +120,16 @@ func (r *Figure6Result) Rate(mode int, s pathprof.Scheme, lenIdx int) float64 {
 // counts, paired samples improve on history alone, interprocedural paths
 // are harder than intraprocedural ones, and accuracy falls as the history
 // grows.
-func (r *Figure6Result) Check() error {
+func (r *figure6Result) Check() error {
 	for mi := range r.Modes {
 		// Compare at a mid-range history length (8, the era's hardware).
 		li := indexOf(r.HistoryLens, 8)
 		if li < 0 {
 			li = len(r.HistoryLens) / 2
 		}
-		hist := r.Rate(mi, pathprof.SchemeHistory, li)
-		exec := r.Rate(mi, pathprof.SchemeExecCounts, li)
-		pair := r.Rate(mi, pathprof.SchemeHistoryPair, li)
+		hist := r.rate(mi, pathprof.SchemeHistory, li)
+		exec := r.rate(mi, pathprof.SchemeExecCounts, li)
+		pair := r.rate(mi, pathprof.SchemeHistoryPair, li)
 		if err := checkf(hist > exec,
 			"fig6: %v: history %.3f not above exec-counts %.3f", r.Modes[mi], hist, exec); err != nil {
 			return err
@@ -136,8 +139,8 @@ func (r *Figure6Result) Check() error {
 			return err
 		}
 		// Accuracy decreases with history length (first vs last).
-		first := r.Rate(mi, pathprof.SchemeHistory, 0)
-		last := r.Rate(mi, pathprof.SchemeHistory, len(r.HistoryLens)-1)
+		first := r.rate(mi, pathprof.SchemeHistory, 0)
+		last := r.rate(mi, pathprof.SchemeHistory, len(r.HistoryLens)-1)
 		if err := checkf(last <= first+0.02,
 			"fig6: %v: accuracy rose with history length (%.3f -> %.3f)", r.Modes[mi], first, last); err != nil {
 			return err
@@ -147,8 +150,8 @@ func (r *Figure6Result) Check() error {
 	// length (paths must consume the full history through call chains).
 	if len(r.Modes) == 2 {
 		li := len(r.HistoryLens) - 1
-		intra := r.Rate(0, pathprof.SchemeHistory, li)
-		inter := r.Rate(1, pathprof.SchemeHistory, li)
+		intra := r.rate(0, pathprof.SchemeHistory, li)
+		inter := r.rate(1, pathprof.SchemeHistory, li)
 		if err := checkf(inter <= intra+0.05,
 			"fig6: interprocedural %.3f above intraprocedural %.3f", inter, intra); err != nil {
 			return err
@@ -158,7 +161,7 @@ func (r *Figure6Result) Check() error {
 }
 
 // Render prints the pooled success-rate curves, one block per mode.
-func (r *Figure6Result) Render() string {
+func (r *figure6Result) Render() string {
 	var b strings.Builder
 	b.WriteString("Figure 6 — path reconstruction success rate vs branch-history length\n")
 	for mi, mode := range r.Modes {
@@ -170,7 +173,7 @@ func (r *Figure6Result) Render() string {
 		for li, hl := range r.HistoryLens {
 			fmt.Fprintf(&b, "%-8d", hl)
 			for s := pathprof.Scheme(0); int(s) < pathprof.NumSchemes; s++ {
-				fmt.Fprintf(&b, " %13.1f%%", 100*r.Rate(mi, s, li))
+				fmt.Fprintf(&b, " %13.1f%%", 100*r.rate(mi, s, li))
 			}
 			b.WriteString("\n")
 		}

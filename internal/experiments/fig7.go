@@ -11,23 +11,23 @@ import (
 	"profileme/internal/workload"
 )
 
-// Figure7Config parameterizes the wasted-issue-slots experiment.
-type Figure7Config struct {
+// figure7Config parameterizes the wasted-issue-slots experiment.
+type figure7Config struct {
 	Iters        int     // iterations per loop
 	MeanInterval float64 // paired-sampling interval
 	Window       int     // paired-sampling window W
 	Seed         uint64
 }
 
-// DefaultFigure7Config samples densely enough for per-instruction
+// defaultFigure7Config samples densely enough for per-instruction
 // estimates on the three-loop program (~5M dynamic instructions; loop C
 // runs 16x the base iteration count).
-func DefaultFigure7Config() Figure7Config {
-	return Figure7Config{Iters: 12_000, MeanInterval: 40, Window: 80, Seed: 3}
+func defaultFigure7Config(quick bool) figure7Config {
+	return figure7Config{Iters: pick(quick, 12_000, 6000), MeanInterval: 40, Window: 80, Seed: 3}
 }
 
-// Figure7Point is one static instruction of the three-loop program.
-type Figure7Point struct {
+// figure7Point is one static instruction of the three-loop program.
+type figure7Point struct {
 	PC        uint64
 	Loop      string  // A-serial, B-memory, C-parallel
 	Latency   int64   // total fetch -> retire-ready cycles (ground truth)
@@ -36,19 +36,18 @@ type Figure7Point struct {
 	EstOK     bool
 }
 
-// Figure7Result holds all loop-body points.
-type Figure7Result struct {
-	Config Figure7Config
-	Points []Figure7Point
+// figure7Result holds all loop-body points.
+type figure7Result struct {
+	Points []figure7Point
 	Result cpu.Result
 }
 
-// Figure7 reproduces the §6 experiment (Figure 7): run the three-loop
+// figure7 reproduces the §6 experiment (Figure 7): run the three-loop
 // program with paired sampling and, for every static instruction, compare
 // its total latency against the issue slots wasted while it was in
 // progress — measured exactly by the omniscient simulator and estimated
 // statistically from the paired samples (§5.2.3).
-func Figure7(cfg Figure7Config) (*Figure7Result, error) {
+func figure7(cfg figure7Config) (*figure7Result, error) {
 	prog := workload.Figure7Program(cfg.Iters)
 	loops := workload.Figure7Loops(prog)
 
@@ -83,7 +82,7 @@ func Figure7(cfg Figure7Config) (*Figure7Result, error) {
 		db.S = float64(res.FetchedOnPath) / float64(db.Samples())
 	}
 
-	out := &Figure7Result{Config: cfg, Result: res}
+	out := &figure7Result{Result: res}
 	for _, st := range pipe.PerPC() {
 		if st.Retired < uint64(cfg.Iters)/2 {
 			continue // only loop-body instructions
@@ -98,7 +97,7 @@ func Figure7(cfg Figure7Config) (*Figure7Result, error) {
 		if loop == "" {
 			continue
 		}
-		pt := Figure7Point{
+		pt := figure7Point{
 			PC: st.PC, Loop: loop,
 			Latency: st.LatInProgress, Wasted: st.WastedSlots,
 		}
@@ -115,8 +114,8 @@ func Figure7(cfg Figure7Config) (*Figure7Result, error) {
 }
 
 // byLoop groups points.
-func (r *Figure7Result) byLoop() map[string][]Figure7Point {
-	m := make(map[string][]Figure7Point)
+func (r *figure7Result) byLoop() map[string][]figure7Point {
+	m := make(map[string][]figure7Point)
 	for _, p := range r.Points {
 		m[p.Loop] = append(m[p.Loop], p)
 	}
@@ -128,9 +127,9 @@ func (r *Figure7Result) byLoop() map[string][]Figure7Point {
 // has higher total latency yet fewer wasted slots than instructions in the
 // serial loop — while within a loop the two are positively related; and
 // the paired-sampling estimate tracks the ground truth.
-func (r *Figure7Result) Check() error {
+func (r *figure7Result) Check() error {
 	groups := r.byLoop()
-	maxLat := func(ps []Figure7Point) (best Figure7Point) {
+	maxLat := func(ps []figure7Point) (best figure7Point) {
 		for _, p := range ps {
 			if p.Latency > best.Latency {
 				best = p
@@ -154,7 +153,7 @@ func (r *Figure7Result) Check() error {
 	}
 
 	// Waste per issue slot available: serial should be far less efficient.
-	wasteRate := func(ps []Figure7Point) float64 {
+	wasteRate := func(ps []figure7Point) float64 {
 		var w, l int64
 		for _, p := range ps {
 			w += p.Wasted
@@ -196,7 +195,7 @@ func (r *Figure7Result) Check() error {
 	if err := checkf(checked >= 3, "fig7: only %d high-waste estimable points", checked); err != nil {
 		return err
 	}
-	meanEst := func(ps []Figure7Point) float64 {
+	meanEst := func(ps []figure7Point) float64 {
 		var sum float64
 		var n int
 		for _, p := range ps {
@@ -216,7 +215,7 @@ func (r *Figure7Result) Check() error {
 }
 
 // Render prints the scatter as a table, one row per static instruction.
-func (r *Figure7Result) Render() string {
+func (r *figure7Result) Render() string {
 	var b strings.Builder
 	b.WriteString("Figure 7 — total latency vs wasted issue slots per static instruction\n")
 	fmt.Fprintf(&b, "%-12s %-10s %12s %14s %14s %8s\n",

@@ -13,29 +13,29 @@ import (
 	"profileme/internal/workload"
 )
 
-// MultiprocessConfig parameterizes the context-register demonstration:
+// multiprocessConfig parameterizes the context-register demonstration:
 // two processes time-sliced on one core, sharing the memory hierarchy and
 // one ProfileMe unit.
-type MultiprocessConfig struct {
+type multiprocessConfig struct {
 	BenchA, BenchB string
 	Scale          int
 	Quantum        int64 // cycles per scheduling quantum
 	MeanInterval   float64
 }
 
-// DefaultMultiprocessConfig co-runs compress (whose 64 KB working set
+// defaultMultiprocessConfig co-runs compress (whose 64 KB working set
 // exactly fits the D-cache alone) with vortex (a 256 KB record store), so
 // the shared D-cache genuinely thrashes across quanta.
-func DefaultMultiprocessConfig() MultiprocessConfig {
-	return MultiprocessConfig{
+func defaultMultiprocessConfig(quick bool) multiprocessConfig {
+	return multiprocessConfig{
 		BenchA: "compress", BenchB: "vortex",
-		Scale: 250_000, Quantum: 2_000, MeanInterval: 300,
+		Scale: pick(quick, 250_000, 120_000), Quantum: 2_000, MeanInterval: 300,
 	}
 }
 
-// MultiprocessResult reports sample demultiplexing and cache interference.
-type MultiprocessResult struct {
-	Config MultiprocessConfig
+// multiprocessResult reports sample demultiplexing and cache interference.
+type multiprocessResult struct {
+	Config multiprocessConfig
 	// SamplesA/B: samples routed to each context by the Profiled Context
 	// Register. Stray counts samples with any other context value.
 	SamplesA, SamplesB, Stray uint64
@@ -51,12 +51,12 @@ type MultiprocessResult struct {
 	SoloCPIB, CoCPIB             float64
 }
 
-// Multiprocess reproduces the §4.1.3 context-register story: samples from
+// multiprocess reproduces the §4.1.3 context-register story: samples from
 // a time-sliced system carry the address-space number of the process that
 // executed the instruction, so one sample stream demultiplexes cleanly
 // into per-process profiles, even though the processes' PC spaces overlap
 // completely.
-func Multiprocess(cfg MultiprocessConfig) (*MultiprocessResult, error) {
+func multiprocess(cfg multiprocessConfig) (*multiprocessResult, error) {
 	benchA, ok := workload.ByName(cfg.BenchA)
 	if !ok {
 		return nil, fmt.Errorf("multiproc: unknown benchmark %q", cfg.BenchA)
@@ -69,7 +69,7 @@ func Multiprocess(cfg MultiprocessConfig) (*MultiprocessResult, error) {
 		asnA = 101
 		asnB = 202
 	)
-	res := &MultiprocessResult{Config: cfg}
+	res := &multiprocessResult{Config: cfg}
 
 	// Solo runs for the interference baseline.
 	solo := func(b workload.Benchmark, asn uint64) (cpu.Result, error) {
@@ -183,7 +183,7 @@ func Multiprocess(cfg MultiprocessConfig) (*MultiprocessResult, error) {
 // Check verifies: every sample carries one of the two context values, the
 // demultiplexed profile matches its process's ground truth, and the
 // shared caches produce measurable interference.
-func (r *MultiprocessResult) Check() error {
+func (r *multiprocessResult) Check() error {
 	if err := checkf(r.Stray == 0,
 		"multiproc: %d samples with stray context values", r.Stray); err != nil {
 		return err
@@ -201,7 +201,7 @@ func (r *MultiprocessResult) Check() error {
 }
 
 // Render prints the demultiplexing and interference summary.
-func (r *MultiprocessResult) Render() string {
+func (r *multiprocessResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Multiprocess profiling (§4.1.3 Profiled Context Register)\n")
 	fmt.Fprintf(&b, "samples: %s=%d, %s=%d, stray=%d\n",
@@ -216,7 +216,7 @@ func (r *MultiprocessResult) Render() string {
 }
 
 // CSV renders the comparison rows.
-func (r *MultiprocessResult) CSV() string {
+func (r *multiprocessResult) CSV() string {
 	var b strings.Builder
 	b.WriteString("process,samples,solo_cpi,co_cpi,interference\n")
 	fmt.Fprintf(&b, "%s,%d,%.4f,%.4f,%.4f\n", r.Config.BenchA, r.SamplesA, r.SoloCPIA, r.CoCPIA, r.InterferenceA)

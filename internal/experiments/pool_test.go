@@ -90,25 +90,25 @@ func TestExperimentsParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment comparison")
 	}
-	runAll := func() (*Figure3Result, *Section6Result, *Table1Result) {
-		f3cfg := DefaultFigure3Config()
+	runAll := func() (*figure3Result, *section6Result, *table1Result) {
+		f3cfg := defaultFigure3Config(true)
 		f3cfg.Benchmarks = []string{"compress", "ijpeg", "perl"}
 		f3cfg.Scale = 60_000
 		f3cfg.Intervals = []float64{50, 500}
-		f3, err := Figure3(f3cfg)
+		f3, err := figure3(f3cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s6cfg := DefaultSection6Config()
+		s6cfg := defaultSection6Config(true)
 		s6cfg.Benchmarks = []string{"compress", "li", "perl"}
 		s6cfg.Scale = 30_000
-		s6, err := Section6(s6cfg)
+		s6, err := section6(s6cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t1cfg := DefaultTable1Config()
+		t1cfg := defaultTable1Config(true)
 		t1cfg.Iters = 2_000
-		t1, err := Table1(t1cfg)
+		t1, err := table1(t1cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,20 +9,20 @@ import (
 	"profileme/internal/workload"
 )
 
-// Section6Config parameterizes the windowed-IPC study.
-type Section6Config struct {
+// section6Config parameterizes the windowed-IPC study.
+type section6Config struct {
 	Benchmarks   []string // empty = whole suite
 	Scale        int
 	WindowCycles int
 }
 
-// DefaultSection6Config matches the paper's 30-cycle windows.
-func DefaultSection6Config() Section6Config {
-	return Section6Config{Scale: 300_000, WindowCycles: 30}
+// defaultSection6Config matches the paper's 30-cycle windows.
+func defaultSection6Config(quick bool) section6Config {
+	return section6Config{Scale: pick(quick, 300_000, 120_000), WindowCycles: 30}
 }
 
-// Section6Row is one benchmark's windowed-IPC statistics.
-type Section6Row struct {
+// section6Row is one benchmark's windowed-IPC statistics.
+type section6Row struct {
 	Benchmark   string
 	Windows     int
 	MeanIPC     float64
@@ -34,31 +34,31 @@ type Section6Row struct {
 	WeightedCoV float64
 }
 
-// Section6Result holds per-benchmark rows plus the pooled statistic.
-type Section6Result struct {
-	Config     Section6Config
-	Rows       []Section6Row
+// section6Result holds per-benchmark rows plus the pooled statistic.
+type section6Result struct {
+	Config     section6Config
+	Rows       []section6Row
 	OverallCoV float64
 }
 
-// Section6 reproduces the paper's §6 measurements: run each benchmark on
+// section6 reproduces the paper's §6 measurements: run each benchmark on
 // the timing pipeline, count retired instructions per fixed 30-cycle
 // window, and report the max/min windowed-IPC ratio and the retire-weighted
 // standard deviation of windowed IPC (paper: ratios 3-30; weighted stddev
 // 20-42% of the mean, ~31% overall).
-func Section6(cfg Section6Config) (*Section6Result, error) {
+func section6(cfg section6Config) (*section6Result, error) {
 	names := cfg.Benchmarks
 	if len(names) == 0 {
 		names = workload.Names()
 	}
-	res := &Section6Result{Config: cfg}
+	res := &section6Result{Config: cfg}
 
 	// Benchmarks are independent timing runs: fan them out, keeping each
 	// cell's window counts so the pooled statistic can be folded
 	// afterwards in benchmark order (same accumulation order — and
 	// therefore bit-identical floating point — as the sequential loop).
 	type cellOut struct {
-		row  Section6Row
+		row  section6Row
 		wins []uint32
 	}
 	cells, err := parallelMap(len(names), func(i int) (cellOut, error) {
@@ -80,7 +80,7 @@ func Section6(cfg Section6Config) (*Section6Result, error) {
 		if len(wins) > 1 {
 			wins = wins[:len(wins)-1] // drop the final partial window
 		}
-		row := Section6Row{Benchmark: name}
+		row := section6Row{Benchmark: name}
 		var weighted stats.Weighted
 		var meanAcc stats.Running
 		first := true
@@ -133,7 +133,7 @@ func Section6(cfg Section6Config) (*Section6Result, error) {
 // substantially within every benchmark (max/min well above 1), the
 // variation differs across benchmarks, and the pooled weighted CoV falls
 // in a broad band around the paper's 31%.
-func (r *Section6Result) Check() error {
+func (r *section6Result) Check() error {
 	if len(r.Rows) == 0 {
 		return fmt.Errorf("sec6: no rows")
 	}
@@ -159,7 +159,7 @@ func (r *Section6Result) Check() error {
 }
 
 // Render prints the per-benchmark table.
-func (r *Section6Result) Render() string {
+func (r *section6Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Section 6 — windowed IPC over %d-cycle windows\n", r.Config.WindowCycles)
 	fmt.Fprintf(&b, "%-10s %8s %8s %8s %8s %9s %10s\n",

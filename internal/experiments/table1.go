@@ -10,47 +10,46 @@ import (
 	"profileme/internal/workload"
 )
 
-// Table1Config parameterizes the latency-diagnosis experiment.
-type Table1Config struct {
+// table1Config parameterizes the latency-diagnosis experiment.
+type table1Config struct {
 	Iters        int
 	MeanInterval float64
 	Seed         uint64
 }
 
-// DefaultTable1Config samples each stress kernel densely.
-func DefaultTable1Config() Table1Config {
-	return Table1Config{Iters: 20_000, MeanInterval: 25, Seed: 5}
+// defaultTable1Config samples each stress kernel densely.
+func defaultTable1Config(quick bool) table1Config {
+	return table1Config{Iters: pick(quick, 20_000, 6000), MeanInterval: 25, Seed: 5}
 }
 
-// Table1Row holds the sampled mean latencies of one kernel: the five
+// table1Row holds the sampled mean latencies of one kernel: the five
 // adjacent-stage latencies plus load issue->completion.
-type Table1Row struct {
+type table1Row struct {
 	Kernel  string
 	Lat     [profile.NumLatencyKinds]float64
 	MemLat  float64
 	Samples uint64
 }
 
-// Table1Result holds one row per stress kernel.
-type Table1Result struct {
-	Config Table1Config
-	Rows   []Table1Row
+// table1Result holds one row per stress kernel.
+type table1Result struct {
+	Rows []table1Row
 }
 
-// Table1 reproduces Table 1 behaviourally: each stress kernel is built to
+// table1 reproduces Table 1 behaviourally: each stress kernel is built to
 // inflate one pipeline-stage latency, and the ProfileMe latency registers
 // — read purely from samples — must attribute the stall to that stage. A
 // balanced baseline kernel anchors the comparison.
-func Table1(cfg Table1Config) (*Table1Result, error) {
+func table1(cfg table1Config) (*table1Result, error) {
 	progs := workload.Table1Programs(cfg.Iters)
 	progs["balanced"] = workload.Table1Baseline(cfg.Iters)
-	res := &Table1Result{Config: cfg}
+	res := &table1Result{}
 
 	// Every kernel runs with the same configured seed (cells share no
 	// state at all), so the rows fan out directly; row order is the
 	// kernel list order regardless of scheduling.
 	names := append([]string{"balanced"}, workload.Table1Order()...)
-	rows, err := parallelMap(len(names), func(i int) (Table1Row, error) {
+	rows, err := parallelMap(len(names), func(i int) (table1Row, error) {
 		name := names[i]
 		prog := progs[name]
 		ccfg := cpu.DefaultConfig()
@@ -62,10 +61,10 @@ func Table1(cfg Table1Config) (*Table1Result, error) {
 		unit := core.MustNewUnit(ucfg)
 		db := profile.NewDB(cfg.MeanInterval, 0, ccfg.SustainedIssueWidth)
 		if _, _, err := runPipeline(prog, ccfg, unit, db.Handler()); err != nil {
-			return Table1Row{}, fmt.Errorf("table1: %s: %w", name, err)
+			return table1Row{}, fmt.Errorf("table1: %s: %w", name, err)
 		}
 
-		row := Table1Row{Kernel: name}
+		row := table1Row{Kernel: name}
 		var latSum [profile.NumLatencyKinds]int64
 		var latCnt [profile.NumLatencyKinds]uint64
 		var memSum int64
@@ -116,14 +115,14 @@ var kernelTarget = map[string]int{
 // meaningful reference; Table 1 in the paper likewise maps each latency to
 // the stall it diagnoses rather than claiming the latencies are
 // independent.)
-func (r *Table1Result) Check() error {
-	get := func(row Table1Row, target int) float64 {
+func (r *table1Result) Check() error {
+	get := func(row table1Row, target int) float64 {
 		if target < 0 {
 			return row.MemLat
 		}
 		return row.Lat[target]
 	}
-	var base *Table1Row
+	var base *table1Row
 	for i := range r.Rows {
 		if r.Rows[i].Kernel == "balanced" {
 			base = &r.Rows[i]
@@ -149,7 +148,7 @@ func (r *Table1Result) Check() error {
 }
 
 // Render prints the kernel-by-latency matrix.
-func (r *Table1Result) Render() string {
+func (r *table1Result) Render() string {
 	var b strings.Builder
 	b.WriteString("Table 1 — sampled mean pipeline-stage latencies per stress kernel (cycles)\n")
 	fmt.Fprintf(&b, "%-14s", "kernel")

@@ -11,22 +11,22 @@ import (
 	"profileme/internal/sim"
 )
 
-// WWConfig parameterizes the §8 related-work comparison against Westcott &
+// wwConfig parameterizes the §8 related-work comparison against Westcott &
 // White's IID-restricted instruction sampling.
-type WWConfig struct {
+type wwConfig struct {
 	Scale  int
 	Slot   int // profiled ROB slot for the IID sampler
 	Period int // IID log period (also sets the ProfileMe interval for parity)
 }
 
-// DefaultWWConfig returns the standard comparison, run at realistic
+// defaultWWConfig returns the standard comparison, run at realistic
 // sampling intervals: ProfileMe's selection pauses while a sample is in
 // flight, so very short intervals would add a dead-time bias of its own
 // (the paper's intervals, 2^10 and up, keep it negligible — ours do too).
 // Sampling noise shrinks with budget; the IID sampler's structural slot
 // bias does not — that is the point.
-func DefaultWWConfig() WWConfig {
-	return WWConfig{Scale: 2_000_000, Slot: 5, Period: 8}
+func defaultWWConfig(quick bool) wwConfig {
+	return wwConfig{Scale: pick(quick, 2_000_000, 600_000), Slot: 5, Period: pick(quick, 8, 4)}
 }
 
 // wwProgram builds the comparison workload: a regular, well-predicted
@@ -79,9 +79,8 @@ func wwProgram(scale int) *isa.Program {
 	return prog
 }
 
-// WWResult compares the two samplers' per-PC coverage and bias.
-type WWResult struct {
-	Config WWConfig
+// wwResult compares the two samplers' per-PC coverage and bias.
+type wwResult struct {
 	// Coverage: fraction of hot static instructions (>=1% of retires)
 	// that received at least one sample.
 	IIDCoverage, PMCoverage float64
@@ -94,16 +93,16 @@ type WWResult struct {
 	IIDSamples, PMSamples           uint64
 }
 
-// WW runs the comparison: the W&W sampler profiles one ROB slot of the
+// ww runs the comparison: the W&W sampler profiles one ROB slot of the
 // two-phase workload (a regular loop plus a branchy one), ProfileMe
 // samples fetched instructions at a matched rate.
 //
 // Unlike the other experiments, WW's two runs cannot fan out across the
 // worker pool: run 2's sampling interval is derived from run 1's realized
 // sample rate, so the runs are sequentially dependent by design.
-func WW(cfg WWConfig) (*WWResult, error) {
+func ww(cfg wwConfig) (*wwResult, error) {
 	prog := wwProgram(cfg.Scale)
-	res := &WWResult{Config: cfg}
+	res := &wwResult{}
 
 	// Run 1: IID sampling.
 	ccfg := cpu.DefaultConfig()
@@ -224,7 +223,7 @@ func WW(cfg WWConfig) (*WWResult, error) {
 // sampling shows structural bias (slot assignment correlates with the
 // loops), and its log contains no aborted instructions while ProfileMe's
 // does.
-func (r *WWResult) Check() error {
+func (r *wwResult) Check() error {
 	if err := checkf(r.PMCoverage > 0.95,
 		"ww: ProfileMe covered only %.2f of hot instructions", r.PMCoverage); err != nil {
 		return err
@@ -246,7 +245,7 @@ func (r *WWResult) Check() error {
 }
 
 // Render prints the comparison.
-func (r *WWResult) Render() string {
+func (r *wwResult) Render() string {
 	var b strings.Builder
 	b.WriteString("§8 comparison — ProfileMe vs Westcott & White IID-restricted sampling\n")
 	fmt.Fprintf(&b, "%-22s %12s %12s\n", "", "W&W (IID)", "ProfileMe")
@@ -258,7 +257,7 @@ func (r *WWResult) Render() string {
 }
 
 // CSV renders the comparison as two rows.
-func (r *WWResult) CSV() string {
+func (r *wwResult) CSV() string {
 	var b strings.Builder
 	b.WriteString("sampler,samples,hot_coverage,worst_bias,abort_visible\n")
 	fmt.Fprintf(&b, "ww-iid,%d,%.4f,%.4f,%.4f\n", r.IIDSamples, r.IIDCoverage, r.IIDWorstBias, r.IIDAbortVisible)

@@ -22,18 +22,18 @@ type EdgeProfile struct {
 	S float64
 	W int
 
-	edges map[Edge]uint64
+	edges map[edge]uint64
 	pairs uint64 // pairs seen (any distance)
 	hits  uint64 // pairs at distance 1
 }
 
-// Edge is one observed control-flow transition in fetch order.
-type Edge struct{ From, To uint64 }
+// edge is one observed control-flow transition in fetch order.
+type edge struct{ From, To uint64 }
 
 // NewEdgeProfile returns an empty edge profile for a sampling
 // configuration.
 func NewEdgeProfile(s float64, w int) *EdgeProfile {
-	return &EdgeProfile{S: s, W: w, edges: make(map[Edge]uint64)}
+	return &EdgeProfile{S: s, W: w, edges: make(map[edge]uint64)}
 }
 
 // Add folds a sample into the profile. Only paired samples at fetch
@@ -50,7 +50,7 @@ func (e *EdgeProfile) Add(s core.Sample) {
 		return
 	}
 	e.hits++
-	e.edges[Edge{From: s.First.PC, To: s.Second.PC}]++
+	e.edges[edge{From: s.First.PC, To: s.Second.PC}]++
 }
 
 // Handler adapts the profile to a Pipeline.AttachProfileMe handler.
@@ -64,30 +64,30 @@ func (e *EdgeProfile) Handler() func([]core.Sample) {
 
 // Observations returns the raw distance-1 observation count for an edge.
 func (e *EdgeProfile) Observations(from, to uint64) uint64 {
-	return e.edges[Edge{From: from, To: to}]
+	return e.edges[edge{From: from, To: to}]
 }
 
 // Estimate returns the estimated execution count of the edge.
 func (e *EdgeProfile) Estimate(from, to uint64) float64 {
-	return float64(e.edges[Edge{From: from, To: to}]) * e.S * float64(e.W)
+	return float64(e.edges[edge{From: from, To: to}]) * e.S * float64(e.W)
 }
 
 // Pairs returns the number of paired samples consumed and how many were
 // at distance 1.
 func (e *EdgeProfile) Pairs() (pairs, distanceOne uint64) { return e.pairs, e.hits }
 
-// EdgeCount is one profiled edge with its estimate.
-type EdgeCount struct {
-	Edge     Edge
+// edgeCount is one profiled edge with its estimate.
+type edgeCount struct {
+	Edge     edge
 	Observed uint64
 	Estimate float64
 }
 
-// Hot returns the n most-observed edges, descending.
-func (e *EdgeProfile) Hot(n int) []EdgeCount {
-	out := make([]EdgeCount, 0, len(e.edges))
+// hot returns the n most-observed edges, descending.
+func (e *EdgeProfile) hot(n int) []edgeCount {
+	out := make([]edgeCount, 0, len(e.edges))
 	for edge, k := range e.edges {
-		out = append(out, EdgeCount{Edge: edge, Observed: k, Estimate: float64(k) * e.S * float64(e.W)})
+		out = append(out, edgeCount{Edge: edge, Observed: k, Estimate: float64(k) * e.S * float64(e.W)})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Observed != out[j].Observed {
@@ -108,8 +108,8 @@ func (e *EdgeProfile) Hot(n int) []EdgeCount {
 // pc from the two outgoing edges' observations. ok is false when the
 // branch was never observed at distance 1.
 func (e *EdgeProfile) BranchBias(pc, takenTarget uint64) (takenFrac float64, ok bool) {
-	taken := e.edges[Edge{From: pc, To: takenTarget}]
-	fall := e.edges[Edge{From: pc, To: pc + isa.InstBytes}]
+	taken := e.edges[edge{From: pc, To: takenTarget}]
+	fall := e.edges[edge{From: pc, To: pc + isa.InstBytes}]
 	if taken+fall == 0 {
 		return 0, false
 	}
@@ -175,7 +175,7 @@ func (e *EdgeProfile) Report(prog *isa.Program, n int) string {
 		}
 		return fmt.Sprintf("%#x", pc)
 	}
-	for _, ec := range e.Hot(n) {
+	for _, ec := range e.hot(n) {
 		fmt.Fprintf(&b, "  %-16s -> %-16s %6d obs  ~%.0f executions\n",
 			sym(ec.Edge.From), sym(ec.Edge.To), ec.Observed, ec.Estimate)
 	}

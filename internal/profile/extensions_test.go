@@ -38,8 +38,8 @@ func TestEdgeProfileBasics(t *testing.T) {
 	if pairs != 4 || ones != 3 {
 		t.Fatalf("pairs=%d ones=%d", pairs, ones)
 	}
-	hot := e.Hot(10)
-	if len(hot) != 2 || hot[0].Edge != (Edge{0x10, 0x14}) {
+	hot := e.hot(10)
+	if len(hot) != 2 || hot[0].Edge != (edge{0x10, 0x14}) {
 		t.Fatalf("hot = %+v", hot)
 	}
 	frac, ok := e.BranchBias(0x10, 0x40)
