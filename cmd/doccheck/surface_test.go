@@ -155,7 +155,7 @@ func TestExportSurface(t *testing.T) {
 		"internal/stats":       {31, 0},
 		"internal/traffic":     {25, 0},
 		"internal/wal":         {19, 0},
-		"internal/workload":    {21, 0},
+		"internal/workload":    {20, 0},
 	}
 	root := filepath.Join("..", "..")
 	s, err := loadSurface(root)

@@ -47,9 +47,13 @@ func main() {
 		log.Fatal(err)
 	}
 	for i := uint64(0); i < 1024; i++ {
-		// Mix the index so element parities are unpredictable (a plain
-		// odd multiplier would alternate and the predictor would learn it).
-		prog.Data[0x20000+i*8] = (i * 0x9e3779b97f4a7c15) >> 31
+		// Mix the index through splitmix64's finalizer so element
+		// parities are unpredictable: any one bit of a plain i*odd
+		// sequence is periodic, and the predictor learns it.
+		z := i * 0x9e3779b97f4a7c15
+		z ^= z >> 31
+		z *= 0xbf58476d1ce4e5b9
+		prog.Data[0x20000+i*8] = z >> 63
 	}
 
 	// 2. Configure the machine (4-wide out-of-order, 21264-flavoured) and

@@ -1,7 +1,9 @@
 package cpu
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"profileme/internal/core"
@@ -317,22 +319,72 @@ func (c *recycleChecker) issueViolation(p *Pipeline, stamp int64) string {
 	return ""
 }
 
+// steadyStateAlloc is {allocations, bytes} for one unsampled
+// DefaultConfig run of each kernel at scale 100,000, machine and pipeline
+// construction included. Both repeat to within a few runtime allocations,
+// with or without -race; lower a row when a change allocates less.
+var steadyStateAlloc = map[string][2]uint64{
+	"compress": {1827, 1476768},
+	"gcc":      {1555, 1224064},
+	"go":       {835, 906672},
+	"ijpeg":    {1437, 5675776},
+	"li":       {13774, 8017840},
+	"perl":     {1199, 1111744},
+	"povray":   {799, 892352},
+	"vortex":   {4626, 3104496},
+	"m88ksim":  {1431, 1217184},
+	"swim":     {1336, 1174432},
+	"eqntott":  {879, 876736},
+}
+
+// allocExcess names what a run allocated beyond want by more than 15%,
+// or returns "". Both counts are gated: the count alone once let a change
+// that traded 525,782 small allocations for 2,006 arena chunks of 290 KB
+// each read as a win.
+func allocExcess(allocs, bytes uint64, want [2]uint64) string {
+	switch {
+	case float64(allocs) > 1.15*float64(want[0]):
+		return fmt.Sprintf("%d allocations, want <= %d + 15%%", allocs, want[0])
+	case float64(bytes) > 1.15*float64(want[1]):
+		return fmt.Sprintf("%d bytes, want <= %d + 15%%", bytes, want[1])
+	}
+	return ""
+}
+
+// TestAllocExcessGatesBytes checks the gate itself: an unchanged run
+// passes, and fewer but far larger allocations fail on bytes.
+func TestAllocExcessGatesBytes(t *testing.T) {
+	want := [2]uint64{1000, 5_000_000}
+	if msg := allocExcess(want[0], want[1], want); msg != "" {
+		t.Fatalf("unchanged run rejected: %s", msg)
+	}
+	if msg := allocExcess(10, 50_000_000, want); !strings.Contains(msg, "bytes") {
+		t.Fatalf("fewer, far larger allocations passed the gate: %q", msg)
+	}
+}
+
 // TestPipelineSteadyStateAlloc pins the recycling itself: a run allocates
 // its peak window, the functional machine's pages and the trace window —
 // not one uop per fetched instruction (283 B each before recycling).
 func TestPipelineSteadyStateAlloc(t *testing.T) {
-	var bytes, fetched uint64
-	for _, prog := range []*isa.Program{workload.Li(100_000), workload.Compress(100_000)} {
+	var pairBytes, pairFetched uint64 // li and compress keep the per-uop bound
+	for _, b := range workload.Suite() {
+		prog := b.Build(100_000)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		res, _ := runProgram(t, prog, DefaultConfig())
 		runtime.ReadMemStats(&after)
-		bytes += after.TotalAlloc - before.TotalAlloc
-		fetched += res.FetchedOnPath + res.FetchedOffPath
+		allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		t.Logf("%-8s %6d allocations %9d B", b.Name, allocs, bytes)
+		if msg := allocExcess(allocs, bytes, steadyStateAlloc[b.Name]); msg != "" {
+			t.Errorf("%s: %s", b.Name, msg)
+		}
+		if b.Name == "li" || b.Name == "compress" {
+			pairBytes += bytes
+			pairFetched += res.FetchedOnPath + res.FetchedOffPath
+		}
 	}
-	per := float64(bytes) / float64(fetched)
-	t.Logf("%.1f B allocated per fetched uop (%d B over %d uops)", per, bytes, fetched)
-	if per > 32 {
-		t.Fatalf("%.1f B allocated per fetched uop, want <= 32", per)
+	if per := float64(pairBytes) / float64(pairFetched); per > 32 {
+		t.Fatalf("li+compress: %.1f B allocated per fetched uop, want <= 32", per)
 	}
 }

@@ -82,12 +82,12 @@ pixels:
 	return p
 }
 
-// Li is a list-interpreter kernel in the style of SPEC LI: serial pointer
+// li is a list-interpreter kernel in the style of SPEC LI: serial pointer
 // chasing through scattered cons cells, summing cars and branching on
 // their parity. The low-ILP, cache-hostile member of the suite.
-func Li(scale int) *isa.Program { return liSeeded(scale, 0) }
+func li(scale int) *isa.Program { return liSeeded(scale, 0) }
 
-// liSeeded is Li with an explicit heap-scatter seed (0 = canonical).
+// liSeeded is li with an explicit heap-scatter seed (0 = canonical).
 func liSeeded(scale int, dataSeed uint64) *isa.Program {
 	const (
 		lists    = 64

@@ -48,7 +48,7 @@ func Suite() []Benchmark {
 		{"gcc", "expression-tree evaluation: call-heavy, branchy, pointer loads", GCC, gccSeeded},
 		{"go", "board scanning: irregular data-dependent branches", Go, goSeeded},
 		{"ijpeg", "dense block arithmetic: high ILP, regular memory", Ijpeg, ijpegSeeded},
-		{"li", "cons-cell list interpreter: serial pointer chasing", Li, liSeeded},
+		{"li", "cons-cell list interpreter: serial pointer chasing", li, liSeeded},
 		{"perl", "bytecode interpreter: indirect-jump dispatch, stack traffic", Perl, perlSeeded},
 		{"povray", "ray-sphere arithmetic: FP-heavy with divides", povray, povraySeeded},
 		{"vortex", "record store: hashed lookups, stores, call chains", Vortex, vortexSeeded},
