@@ -1,11 +1,12 @@
-// Command pmdump loads a profile database saved by pmsim -save and prints
-// its reports — the offline half of the DCPI-style collect-then-analyze
-// workflow. Since the database stores only counts and sums, dumps are
-// cheap to ship and merge.
+// Command pmdump loads a profile database saved by pmsim -save, or the
+// aggregate in a pmsimd -checkpoint file, and prints its reports — the
+// offline half of the DCPI-style collect-then-analyze workflow. Since the
+// database stores only counts and sums, dumps are cheap to ship and merge.
 //
 //	pmsim -bench vortex -save v.prof
 //	pmdump v.prof
 //	pmdump -merge a.prof b.prof c.prof
+//	pmdump /var/lib/pmsim/agg.db
 package main
 
 import (
@@ -15,6 +16,7 @@ import (
 	"os"
 
 	"profileme/internal/core"
+	"profileme/internal/ingest"
 	"profileme/internal/profile"
 )
 
@@ -43,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var db *profile.DB
 	for _, path := range fs.Args() {
-		other, err := profile.LoadFile(path)
+		other, err := load(path)
 		if err != nil {
 			fmt.Fprintln(stderr, "pmdump:", err)
 			return 1
@@ -84,4 +86,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "estimated instructions: %.0f (95%% CI half-width %.0f)\n", insts, half)
 	return 0
+}
+
+// load reads a profile database, or the aggregate in a collector
+// checkpoint (ingest.LoadCheckpointFile tells the two apart).
+func load(path string) (*profile.DB, error) {
+	ck, err := ingest.LoadCheckpointFile(path)
+	switch {
+	case err != nil:
+		return nil, err
+	case ck == nil:
+		return nil, fmt.Errorf("%s: %w", path, os.ErrNotExist)
+	case ck.Aggregate() == nil:
+		return nil, fmt.Errorf("%s: checkpoint holds no aggregate", path)
+	}
+	return ck.Aggregate(), nil
 }

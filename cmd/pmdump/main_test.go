@@ -8,13 +8,15 @@ import (
 	"testing"
 
 	"profileme/internal/core"
+	"profileme/internal/ingest"
 	"profileme/internal/profile"
 )
 
-// TestRun drives pmdump over a clean profile, a lossy one, a truncated
-// file among good ones and two files without -merge. The lossy case pins
-// the report to itself: the last line's total is loss-corrected like the
-// rows above it, not delivered samples x interval.
+// TestRun drives pmdump over a clean profile, a lossy one, a collector
+// checkpoint, a truncated file among good ones and two files without
+// -merge. The lossy case pins the report to itself: the last line's total
+// is loss-corrected like the rows above it, not delivered samples x
+// interval.
 func TestRun(t *testing.T) {
 	dir := t.TempDir()
 	save := func(name string, samples int, lost uint64) string {
@@ -34,6 +36,19 @@ func TestRun(t *testing.T) {
 		return path
 	}
 	clean, lossy := save("clean.prof", 300, 0), save("lossy.prof", 300, 100)
+	// A collector's checkpoint (PMCK) holding the lossy profile.
+	seed, err := profile.LoadFile(lossy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(dir, "agg.db")
+	svc, err := ingest.NewService(ingest.Config{CheckpointPath: ckpt}, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.FinalCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
 	whole, err := os.ReadFile(clean)
 	if err != nil {
 		t.Fatal(err)
@@ -54,6 +69,10 @@ func TestRun(t *testing.T) {
 		{"lossy", []string{lossy}, 0,
 			[]string{"profile: 300 samples (0 paired), 100 lost,", "estimates loss-corrected", "estimated instructions: 40000 "}, nil},
 		{"merged", []string{"-merge", clean, lossy}, 0,
+			[]string{"profile: 600 samples (0 paired), 100 lost,", "estimated instructions: 70000 "}, nil},
+		{"collector checkpoint", []string{ckpt}, 0,
+			[]string{"profile: 300 samples (0 paired), 100 lost,", "estimated instructions: 40000 "}, nil},
+		{"checkpoint merged with a profile", []string{"-merge", clean, ckpt}, 0,
 			[]string{"profile: 600 samples (0 paired), 100 lost,", "estimated instructions: 70000 "}, nil},
 		{"truncated names its file", []string{"-merge", clean, torn, lossy}, 1,
 			nil, []string{torn, "truncated data"}},

@@ -327,13 +327,10 @@ func finishKillLoop(t *testing.T, d *killDaemon, dir string, payloads map[string
 		t.Fatal("daemon did not exit within the drain budget")
 	}
 	ck, err := ingest.LoadCheckpointFile(filepath.Join(dir, "agg.db"))
-	if err != nil {
+	if err != nil || ck == nil {
 		t.Fatalf("final checkpoint unreadable: %v", err)
 	}
-	db, err := profile.LoadDB(bytes.NewReader(ck.Profile))
-	if err != nil {
-		t.Fatalf("final checkpoint profile: %v", err)
-	}
+	db := ck.Aggregate()
 	if got := db.Samples() + db.Lost(); got != wantTotal || db.Lost() != 0 {
 		t.Fatalf("final checkpoint samples=%d lost=%d, want samples+lost=%d lost=0", db.Samples(), db.Lost(), wantTotal)
 	}

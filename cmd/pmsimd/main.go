@@ -6,11 +6,10 @@
 //
 // Robustness is the headline, not a feature flag:
 //
-//   - Ingest goes through a bounded queue with an explicit overflow
-//     policy (-overflow reject → 429 backpressure; drop-oldest →
-//     freshness under overload). Either way the refused shard's captured
-//     samples are recorded as aggregate loss, so overload degrades the
-//     estimates' precision — never their centring.
+//   - Ingest goes through a bounded queue that answers 429 when full
+//     (backpressure). The refused shard's captured samples are recorded
+//     as aggregate loss, so overload degrades the estimates' precision —
+//     never their centring.
 //   - Persistence sits behind a circuit breaker: a dying disk suspends
 //     checkpoints (and flips /readyz) instead of stalling ingest.
 //   - Queries carry per-request deadlines and a concurrency high-water
@@ -68,7 +67,6 @@ func run() int {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7070", "listen address")
 		queue     = flag.Int("queue", 64, "ingest queue depth (bounded admission)")
-		overflow  = flag.String("overflow", "reject", "queue overflow policy: reject (429) | drop-oldest")
 		ckpt      = flag.String("checkpoint", "", "aggregate checkpoint file (atomic writes; reloaded on restart)")
 		ckptEvery = flag.Int("checkpoint-every", 8, "checkpoint after this many merged submissions")
 		interval  = flag.Float64("interval", 512, "aggregate mean sampling interval (must match submitting shards)")
@@ -97,12 +95,6 @@ func run() int {
 	)
 	flag.Parse()
 
-	policy, err := ingest.ParsePolicy(*overflow)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmsimd:", err)
-		return 2
-	}
-
 	// One mutex'd writer for every component's log lines: under a tier
 	// soak several instances share one stderr, and attribution requires
 	// whole, instance-tagged lines.
@@ -110,7 +102,6 @@ func run() int {
 
 	icfg := ingest.Config{
 		QueueDepth:          *queue,
-		Policy:              policy,
 		Interval:            *interval,
 		Window:              *window,
 		Width:               *width,
@@ -130,12 +121,12 @@ func run() int {
 	}
 
 	// Recover owns the whole restart story, with or without -wal-dir: it
-	// loads the checkpoint (a PMCK envelope, or the bare database a
-	// WAL-less run writes), quarantines a damaged one, refuses to start
-	// over a version-skewed one — an older binary must not quietly discard
-	// a newer one's file — replays the WAL tail past the barrier,
-	// truncates a torn tail, and rebuilds both the aggregate and the
-	// admission ledger so post-crash retries dedupe.
+	// loads the checkpoint (a PMCK envelope carrying the aggregate and the
+	// admission ledger, or a bare database), quarantines a damaged one,
+	// refuses to start over a version-skewed one — an older binary must
+	// not quietly discard a newer one's file — replays the WAL tail past
+	// the barrier, truncates a torn tail, and rebuilds both the aggregate
+	// and the admission ledger so post-crash retries dedupe.
 	svc, rinfo, err := ingest.Recover(icfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pmsimd:", err)
@@ -205,8 +196,8 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "pmsimd: wal close:", err)
 	}
 	st = svc.Stats()
-	fmt.Printf("pmsimd: drained cleanly: %d shards merged, %d rejected, %d dropped; %d samples aggregated, %d lost (%.1f%% loss)\n",
-		st.Merged, st.OverloadRejected, st.OverloadDropped, st.Samples, st.Lost, 100*st.LossRate)
+	fmt.Printf("pmsimd: drained cleanly: %d shards merged, %d rejected; %d samples aggregated, %d lost (%.1f%% loss)\n",
+		st.Merged, st.OverloadRejected, st.Samples, st.Lost, 100*st.LossRate)
 	switch {
 	case st.HandedOff:
 		fmt.Println("pmsimd: retired: the aggregate lives at its receiver; WAL and checkpoint left as *.handedoff")

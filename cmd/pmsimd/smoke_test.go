@@ -82,9 +82,11 @@ func TestPmsimdSmoke(t *testing.T) {
 	// Scrape the bound address from the daemon's banner; keep collecting
 	// the rest of stdout for the drain assertions.
 	addrCh := make(chan string, 1)
+	scanned := make(chan struct{}) // closed at EOF: the daemon's stdout is fully read
 	var outMu sync.Mutex
 	var outLines []string
 	go func() {
+		defer close(scanned)
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
 			line := sc.Text()
@@ -145,8 +147,9 @@ func TestPmsimdSmoke(t *testing.T) {
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
+	// Wait closes the pipe, so it runs only after the last line is read.
 	waited := make(chan error, 1)
-	go func() { waited <- cmd.Wait() }()
+	go func() { <-scanned; waited <- cmd.Wait() }()
 	select {
 	case err := <-waited:
 		if err != nil {
@@ -163,10 +166,11 @@ func TestPmsimdSmoke(t *testing.T) {
 	}
 
 	// The final checkpoint is CRC-valid and carries both shards.
-	loaded, err := profile.LoadFile(filepath.Join(dir, "agg.db"))
-	if err != nil {
+	ck, err := ingest.LoadCheckpointFile(filepath.Join(dir, "agg.db"))
+	if err != nil || ck == nil {
 		t.Fatalf("final checkpoint: %v", err)
 	}
+	loaded := ck.Aggregate()
 	if loaded.Samples() != wantSamples {
 		t.Fatalf("checkpoint samples %d, want %d", loaded.Samples(), wantSamples)
 	}

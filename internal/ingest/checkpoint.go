@@ -20,8 +20,10 @@ import (
 //
 // On disk it is a frame envelope (DESIGN.md §7 "Framing") around a gob
 // payload, with its own magic so a checkpoint can never be confused with
-// a bare profile database. A bare PMDB (what a WAL-less pmsimd
-// -checkpoint writes) also loads, with an empty ledger.
+// a bare profile database. The service writes nothing else, WAL or not
+// (the barrier is zero without one). A bare PMDB — a pmsim -save file, or
+// what a WAL-less collector wrote before its checkpoints carried the
+// ledger — still loads, with an empty ledger.
 const (
 	ckptMagic   = "PMCK"
 	ckptVersion = 1
@@ -69,6 +71,10 @@ type Checkpoint struct {
 	db *profile.DB // Profile decoded, set by LoadCheckpointFile (gob skips it)
 }
 
+// Aggregate returns the aggregate LoadCheckpointFile decoded, nil when
+// the checkpoint holds none.
+func (ck *Checkpoint) Aggregate() *profile.DB { return ck.db }
+
 // WriteCheckpoint writes ck as a PMCK envelope.
 func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
 	var payload bytes.Buffer
@@ -97,9 +103,9 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 }
 
 // LoadCheckpointFile loads a checkpoint from disk, accepting both the
-// PMCK envelope and a bare profile database (WAL-less pmsimd
-// checkpoints), which loads with an empty ledger. The aggregate is
-// decoded here, once, so damage surfaces typed and Recover has its seed.
+// PMCK envelope and a bare profile database, which loads with an empty
+// ledger. The aggregate is decoded here, once, so damage surfaces typed
+// and Recover has its seed.
 // A missing file returns (nil, nil): a fresh start, not an error.
 func LoadCheckpointFile(path string) (*Checkpoint, error) {
 	raw, err := os.ReadFile(path)
@@ -112,7 +118,7 @@ func LoadCheckpointFile(path string) (*Checkpoint, error) {
 	if len(raw) >= 4 && string(raw[0:4]) == bareDBMagic {
 		db, err := profile.LoadDB(bytes.NewReader(raw))
 		if err != nil {
-			return nil, fmt.Errorf("ingest: load bare-database checkpoint %s: %w", path, err)
+			return nil, fmt.Errorf("ingest: load %s: %w", path, err)
 		}
 		return &Checkpoint{Profile: raw, db: db}, nil
 	}

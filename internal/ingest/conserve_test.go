@@ -22,12 +22,12 @@ import (
 //	    == Aggregate.Samples() + Aggregate.Lost()
 //
 // no matter how submissions, duplicates, refusals (429 full / 503
-// draining / dropOldest evictions), retries, and the drain interleave.
-// Each seed builds a random service shape (queue depth, overflow policy,
-// aggregator speed, drain timing) and a random concurrent client schedule,
-// then checks the ledger. Config-mismatched shards are refused without
-// accounting — they are never part of this aggregate's population — and so
-// contribute nothing to either side.
+// draining), retries, and the drain interleave. Each seed builds a random
+// service shape (queue depth, aggregator speed, drain timing) and a
+// random concurrent client schedule, then checks the ledger.
+// Config-mismatched shards are refused without accounting — they are
+// never part of this aggregate's population — and so contribute nothing
+// to either side.
 func TestConservationProperty(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		seed := seed
@@ -46,9 +46,6 @@ func runConservationTrial(t *testing.T, seed int64) {
 		Interval:   16,
 		Width:      4,
 	}
-	if rng.Intn(2) == 0 {
-		cfg.Policy = dropOldest
-	}
 	// A randomly slowed aggregator varies how much of the schedule runs
 	// against a full queue vs an empty one.
 	if delay := rng.Intn(3); delay > 0 {
@@ -60,7 +57,7 @@ func runConservationTrial(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	// Occasionally leave the aggregator stopped: everything beyond the
-	// queue is refused and the whole backlog flushes inline at drain.
+	// queue is refused and the whole backlog merges once Drain starts it.
 	if rng.Intn(4) != 0 {
 		svc.Start()
 	}

@@ -50,11 +50,11 @@ type ledger struct {
 	// shards holds the admitted ids — reserved, queued, applied, or taken
 	// over from a donor; presence is admission.
 	shards map[string]*shardEntry
-	// refused maps an id under a standing refusal (429/503, dropOldest
-	// eviction) to the exact loss recorded for it, so a repeat refusal
-	// accounts nothing new and the merge of an accepted retry reverses
-	// precisely what was recorded. Kept beside shards, not in its records,
-	// because a refusal stands whether or not the id is admitted.
+	// refused maps an id under a standing refusal (429/503) to the exact
+	// loss recorded for it, so a repeat refusal accounts nothing new and
+	// the merge of an accepted retry reverses precisely what was recorded.
+	// Kept beside shards, not in its records, because a refusal stands
+	// whether or not the id is admitted.
 	refused map[string]uint64
 	// appliedLog lists the applied ids in resolution order, and adopted the
 	// ids admitted by handoff or adoption rather than by submission, each
@@ -104,7 +104,6 @@ type counters struct {
 	MergeFailed uint64 `json:"merge_failed"` // accepted but unmergeable (accounted as loss)
 
 	OverloadRejected uint64 `json:"overload_rejected"`     // refusal responses (429/503), retries included
-	OverloadDropped  uint64 `json:"overload_dropped"`      // evicted by dropOldest
 	Duplicates       uint64 `json:"duplicate_submissions"` // resubmissions of admitted shards (deduped)
 
 	// SamplesLost mirrors the aggregate's overload/drain loss ledger: it
@@ -267,26 +266,21 @@ func (l *ledger) duplicate() {
 	l.mu.Unlock()
 }
 
-// refuse backs shard out of admission (refused at the door, or evicted
-// by dropOldest): the reservation and the staged position are released —
-// no refusal record is written; on a crash the retained admit record
-// replays as a merge, which conserves the same captured samples as
-// Samples instead of Lost — and, the first time this id is refused
-// only, n is booked as its standing loss. It reports whether it was, in
-// which case the caller, holding res, records n in the aggregate too,
-// so a snapshot sees the entry and the aggregate loss together or not
-// at all. A sealed service books nothing: the export snapshot may
+// refuse backs shard out of admission: the reservation and the staged
+// position are released — no refusal record is written; on a crash the
+// retained admit record replays as a merge, which conserves the same
+// captured samples as Samples instead of Lost — and, the first time
+// this id is refused only, n is booked as its standing loss. It reports
+// whether it was, in which case the caller, holding res, records n in the
+// aggregate too, so a snapshot sees the entry and the aggregate loss
+// together or not at all. A sealed service books nothing: the export snapshot may
 // already be encoded, and a loss recorded after it would stand in books
 // about to be quarantined, vanishing from the fleet sum.
-func (l *ledger) refuse(shard string, pos wal.Pos, n uint64, evicted, sealed bool) (recorded bool) {
+func (l *ledger) refuse(shard string, pos wal.Pos, n uint64, sealed bool) (recorded bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	delete(l.pending, pos)
-	if evicted {
-		l.c.OverloadDropped++
-	} else {
-		l.c.OverloadRejected++
-	}
+	l.c.OverloadRejected++
 	if _, stands := l.refused[shard]; !stands && !sealed {
 		l.refused[shard] = n
 		l.c.SamplesLost += n

@@ -173,7 +173,7 @@ func TestLedgerProperty(t *testing.T) {
 			delete(m.pending, m.pos[sh])
 			delete(m.pos, sh)
 		}
-		for step := 0; step < 300; step++ {
+		for step := 0; step < 500; step++ {
 			var what string
 			switch op := rng.Intn(12); op {
 			case 0, 1, 2: // reserve: a retry of a refused id, else any id, known or new
@@ -221,25 +221,21 @@ func TestLedgerProperty(t *testing.T) {
 					delete(m.admitted, sh)
 					release(sh)
 				}
-			case 5: // refuse a queued shard (at the door, or evicted), sometimes sealed
+			case 5: // refuse a queued shard, sometimes sealed
 				sh := pick(rng, m.queued)
 				if sh == "" {
 					continue
 				}
-				n, evicted, sealed := uint64(rng.Intn(50)), rng.Intn(2) == 0, rng.Intn(6) == 0
-				what = fmt.Sprintf("refuse %s n=%d evicted=%v sealed=%v", sh, n, evicted, sealed)
+				n, sealed := uint64(rng.Intn(50)), rng.Intn(6) == 0
+				what = fmt.Sprintf("refuse %s n=%d sealed=%v", sh, n, sealed)
 				_, stood := m.refused[sh]
-				if got := l.refuse(sh, m.pos[sh], n, evicted, sealed); got != (!stood && !sealed) {
+				if got := l.refuse(sh, m.pos[sh], n, sealed); got != (!stood && !sealed) {
 					t.Fatalf("seed %d %s: recorded=%v with a standing refusal=%v", seed, what, got, stood)
 				}
 				if !stood && !sealed {
 					m.refused[sh] = n
 				}
-				if evicted {
-					m.want.OverloadDropped++
-				} else {
-					m.want.OverloadRejected++
-				}
+				m.want.OverloadRejected++
 				delete(m.queued, sh)
 				delete(m.admitted, sh)
 				release(sh)

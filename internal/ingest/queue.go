@@ -1,8 +1,7 @@
 // Package ingest is the server-side admission layer of the profile
-// collection pipeline: a bounded submission queue with explicit overflow
-// policies, a circuit breaker guarding persistence, and an aggregator
-// service that folds accepted shard databases into one loss-corrected
-// aggregate.
+// collection pipeline: a bounded submission queue that refuses when full,
+// a circuit breaker guarding persistence, and an aggregator service that
+// folds accepted shard databases into one loss-corrected aggregate.
 //
 // The design carries the paper's degradation contract across the network
 // boundary: like ProfileMe's saturating counters and accounted
@@ -23,47 +22,19 @@
 package ingest
 
 import (
-	"fmt"
 	"sync"
 
 	"profileme/internal/profile"
 	"profileme/internal/wal"
 )
 
-// Policy says what Offer does when the queue is full.
+// Policy says what the queue does when it is full. RejectNew is the only
+// one; Config.Policy names it for callers that spell it out.
 type Policy int
 
-const (
-	// RejectNew refuses the incoming submission (the HTTP layer turns
-	// this into 429 Too Many Requests — backpressure to the worker).
-	RejectNew Policy = iota
-	// dropOldest evicts the oldest queued submission to admit the new
-	// one — freshness over fairness; the evicted shard is accounted as
-	// loss.
-	dropOldest
-)
-
-// String returns the flag spelling of the policy.
-func (p Policy) String() string {
-	switch p {
-	case RejectNew:
-		return "reject"
-	case dropOldest:
-		return "drop-oldest"
-	}
-	return fmt.Sprintf("policy(%d)", int(p))
-}
-
-// ParsePolicy parses the flag spelling of a policy.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "reject":
-		return RejectNew, nil
-	case "drop-oldest":
-		return dropOldest, nil
-	}
-	return 0, fmt.Errorf("ingest: unknown overflow policy %q (want reject or drop-oldest)", s)
-}
+// RejectNew refuses the incoming submission (the HTTP layer turns this
+// into 429 Too Many Requests — backpressure to the worker).
+const RejectNew Policy = 0
 
 // Submission is one decoded shard profile waiting to be merged.
 type Submission struct {
@@ -96,35 +67,27 @@ type queueStats struct {
 	HighWater int    `json:"high_water"` // max depth ever observed
 	Accepted  uint64 `json:"accepted"`
 	Rejected  uint64 `json:"rejected"` // refused at admission (full or closed)
-	Dropped   uint64 `json:"dropped"`  // accepted earlier, evicted by dropOldest
 }
 
 // queue is a bounded MPSC submission queue: many HTTP handlers Offer,
-// one aggregator goroutine Waits. Overflow behavior is the configured
-// Policy; Close starts the drain (Offer refuses, Wait hands out the
-// backlog then reports exhaustion).
+// one aggregator goroutine Waits. A full queue refuses; Close starts the
+// drain (Offer refuses, Wait hands out the backlog then reports
+// exhaustion).
 type queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	buf    []Submission
 	head   int
 	count  int
-	policy Policy
 	closed bool
 	stats  queueStats
 }
 
-// newQueue builds a queue with the given capacity and overflow policy.
-func newQueue(capacity int, policy Policy) (*queue, error) {
-	if capacity < 1 {
-		return nil, fmt.Errorf("ingest: queue capacity %d < 1", capacity)
-	}
-	if policy != RejectNew && policy != dropOldest {
-		return nil, fmt.Errorf("ingest: unknown overflow policy %d", int(policy))
-	}
-	q := &queue{buf: make([]Submission, capacity), policy: policy}
+// newQueue builds a queue with the given capacity (at least 1).
+func newQueue(capacity int) *queue {
+	q := &queue{buf: make([]Submission, capacity)}
 	q.cond = sync.NewCond(&q.mu)
-	return q, nil
+	return q
 }
 
 // offerResult says how Offer disposed of a submission. Full and Closed
@@ -136,35 +99,25 @@ type offerResult int
 const (
 	// offerAccepted: the submission was enqueued.
 	offerAccepted offerResult = iota
-	// offerFull: refused, queue at capacity under RejectNew.
+	// offerFull: refused, queue at capacity.
 	offerFull
 	// offerClosed: refused, the queue is closed (drain in progress).
 	offerClosed
 )
 
-// offer tries to enqueue s. res says whether s was admitted and, if
-// not, why; dropped holds any older submission evicted to make room
-// (dropOldest only). The caller owns accounting for both refusals and
-// evictions — Queue counts them but does not know about the aggregate.
-func (q *queue) offer(s Submission) (dropped []Submission, res offerResult) {
+// offer tries to enqueue s and says whether it was admitted and, if not,
+// why. The caller owns accounting for refusals — the queue counts them
+// but does not know about the aggregate.
+func (q *queue) offer(s Submission) offerResult {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed {
+	switch {
+	case q.closed:
 		q.stats.Rejected++
-		return nil, offerClosed
-	}
-	if q.count == len(q.buf) {
-		if q.policy == RejectNew {
-			q.stats.Rejected++
-			return nil, offerFull
-		}
-		// dropOldest: evict the head.
-		old := q.buf[q.head]
-		q.buf[q.head] = Submission{}
-		q.head = (q.head + 1) % len(q.buf)
-		q.count--
-		q.stats.Dropped++
-		dropped = append(dropped, old)
+		return offerClosed
+	case q.count == len(q.buf):
+		q.stats.Rejected++
+		return offerFull
 	}
 	q.buf[(q.head+q.count)%len(q.buf)] = s
 	q.count++
@@ -173,7 +126,7 @@ func (q *queue) offer(s Submission) (dropped []Submission, res offerResult) {
 		q.stats.HighWater = q.count
 	}
 	q.cond.Signal()
-	return dropped, offerAccepted
+	return offerAccepted
 }
 
 // wait blocks until a submission is available and returns it; ok is

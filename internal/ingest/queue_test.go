@@ -33,56 +33,29 @@ func sub(shard string, seed uint64, samples int) Submission {
 }
 
 func TestQueueRejectNew(t *testing.T) {
-	q, err := newQueue(2, RejectNew)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := newQueue(2)
 	for i := 0; i < 2; i++ {
-		if dropped, res := q.offer(sub("a", uint64(i), 5)); res != offerAccepted || len(dropped) != 0 {
-			t.Fatalf("offer %d: res=%v dropped=%d", i, res, len(dropped))
+		if res := q.offer(sub("a", uint64(i), 5)); res != offerAccepted {
+			t.Fatalf("offer %d: res=%v", i, res)
 		}
 	}
 	// Full and closed must be distinguishable: full means retry-soon
 	// (429), closed means draining (503).
-	if _, res := q.offer(sub("overflow", 9, 5)); res != offerFull {
-		t.Fatalf("full RejectNew queue: res=%v, want OfferFull", res)
+	if res := q.offer(sub("overflow", 9, 5)); res != offerFull {
+		t.Fatalf("full queue: res=%v, want OfferFull", res)
 	}
 	st := q.snapshot()
-	if st.Accepted != 2 || st.Rejected != 1 || st.Dropped != 0 || st.Depth != 2 || st.HighWater != 2 {
-		t.Fatalf("stats %+v", st)
-	}
-}
-
-func TestQueueDropOldest(t *testing.T) {
-	q, err := newQueue(2, dropOldest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.offer(Submission{Shard: "first", DB: testShard(1, 5)})
-	q.offer(Submission{Shard: "second", DB: testShard(2, 5)})
-	dropped, res := q.offer(Submission{Shard: "third", DB: testShard(3, 5)})
-	if res != offerAccepted || len(dropped) != 1 || dropped[0].Shard != "first" {
-		t.Fatalf("drop-oldest: res=%v dropped=%v", res, dropped)
-	}
-	// FIFO order of the survivors.
-	if s, ok := q.wait(); !ok || s.Shard != "second" {
-		t.Fatalf("head = %q, want second", s.Shard)
-	}
-	if s, ok := q.wait(); !ok || s.Shard != "third" {
-		t.Fatalf("next = %q, want third", s.Shard)
-	}
-	st := q.snapshot()
-	if st.Accepted != 3 || st.Dropped != 1 || st.Rejected != 0 {
+	if st.Accepted != 2 || st.Rejected != 1 || st.Depth != 2 || st.HighWater != 2 {
 		t.Fatalf("stats %+v", st)
 	}
 }
 
 func TestQueueCloseDrainsBacklog(t *testing.T) {
-	q, _ := newQueue(4, RejectNew)
+	q := newQueue(4)
 	q.offer(sub("a", 1, 3))
 	q.offer(sub("b", 2, 3))
 	q.close()
-	if _, res := q.offer(sub("late", 3, 3)); res != offerClosed {
+	if res := q.offer(sub("late", 3, 3)); res != offerClosed {
 		t.Fatalf("closed queue: res=%v, want OfferClosed", res)
 	}
 	var got []string
@@ -101,7 +74,7 @@ func TestQueueCloseDrainsBacklog(t *testing.T) {
 // TestQueueConcurrentOfferWait hammers the queue from many producers and
 // one consumer; every accepted submission must come out exactly once.
 func TestQueueConcurrentOfferWait(t *testing.T) {
-	q, _ := newQueue(8, RejectNew)
+	q := newQueue(8)
 	const producers, perProducer = 8, 200
 
 	seen := make(map[string]int)
@@ -125,7 +98,7 @@ func TestQueueConcurrentOfferWait(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
 				name := string(rune('A'+p)) + "-" + string(rune('0'+i%10)) + string(rune('a'+(i/10)%26)) + string(rune('a'+i/260))
-				if _, res := q.offer(Submission{Shard: name, DB: testShard(uint64(i), 1)}); res == offerAccepted {
+				if res := q.offer(Submission{Shard: name, DB: testShard(uint64(i), 1)}); res == offerAccepted {
 					accepted.Store(name, true)
 				}
 			}

@@ -19,8 +19,8 @@ import (
 // Typed admission failures. The HTTP layer maps each to a status code;
 // the remote-submit sink maps the statuses back to its retry taxonomy.
 var (
-	// ErrQueueFull: the bounded queue refused the submission (RejectNew
-	// policy). Transient — back off and retry (HTTP 429).
+	// ErrQueueFull: the bounded queue was full and refused the
+	// submission. Transient — back off and retry (HTTP 429).
 	ErrQueueFull = errors.New("ingest: queue full")
 	// ErrDraining: the service is shutting down and no longer admits
 	// work. Transient — retry against a healthy replica (HTTP 503).
@@ -48,7 +48,8 @@ var (
 type Config struct {
 	// QueueDepth bounds the ingest queue (default 64).
 	QueueDepth int
-	// Policy is the queue overflow policy (default RejectNew).
+	// Policy is the queue overflow policy; RejectNew, the default, is
+	// the only one.
 	Policy Policy
 	// Interval/Window/Width define the aggregate's sampling configuration
 	// when starting empty (defaults 512 / 0 / 4); ignored when a seed
@@ -137,6 +138,8 @@ func (c *Config) normalize() error {
 		return fmt.Errorf("ingest: issue width %d", c.Width)
 	case c.CheckpointEvery < 1:
 		return fmt.Errorf("ingest: checkpoint every %d", c.CheckpointEvery)
+	case c.Policy != RejectNew:
+		return fmt.Errorf("ingest: unknown overflow policy %d", int(c.Policy))
 	}
 	return nil
 }
@@ -151,13 +154,12 @@ type Stats struct {
 	// loss, checkpoints, handoffs in, adoptions — copied in one read.
 	counters
 
-	// HandedOff flips when THIS instance was removed and retired its books.
+	// The lifecycle phase as three flags that only turn on (see phase):
+	// once Sealed, refusals no longer record loss; HandedOff means THIS
+	// instance was removed and retired its books.
 	HandedOff bool `json:"handed_off"`
 	Draining  bool `json:"draining"`
-	// Sealed means admission is closed for a handoff export: refusals no
-	// longer record loss (nothing after the export snapshot may mutate
-	// the books this instance will ship).
-	Sealed bool `json:"sealed"`
+	Sealed    bool `json:"sealed"`
 
 	// WAL is the write-ahead log's health section, nil when the WAL is
 	// disabled. The Router's health tracker reads Stalled to degrade an
@@ -207,6 +209,24 @@ type WALHealth struct {
 	Wedged bool `json:"wedged"`
 }
 
+// phase is a service's place in its lifecycle. It only rises — open →
+// draining → sealed → retired; a call that would lower it changes
+// nothing — and every entry point decides from it alone:
+//
+//	           new submit         duplicate     AcceptHandoff  AdoptShards   checkpoint
+//	open       queued (or 429)    ErrDuplicate  merged         adopted       written
+//	draining   503, loss booked   ErrDuplicate  ErrDraining    adopted       written
+//	sealed     503, nothing kept  ErrDuplicate  ErrDraining    ErrDraining   written
+//	retired    503, nothing kept  ErrDuplicate  ErrHandedOff   ErrHandedOff  skipped
+type phase int32
+
+// The zero phase is open.
+const (
+	phaseDraining phase = 1 + iota // BeginDrain: the backlog still merges; refusals book their loss
+	phaseSealed                    // Seal: a handoff export's snapshot is the last word on the books
+	phaseRetired                   // Retire: a receiver holds the books; nothing is written back
+)
+
 // Service owns the ingest pipeline: HTTP handlers Submit, one aggregator
 // goroutine merges, the breaker guards persistence, Drain flushes and
 // writes the final checkpoint. The aggregate lives behind a
@@ -224,10 +244,8 @@ type Service struct {
 	wantW, wantC int
 	wantTNear    int64
 
-	draining  atomic.Bool
-	sealed    atomic.Bool
+	lifecycle atomic.Int32 // a phase; read with phase, raised with enter
 	started   atomic.Bool
-	handedOff atomic.Bool
 	done      chan struct{}
 
 	// res, the resolution lock, makes each step that changes the
@@ -273,8 +291,8 @@ type RecoveryInfo struct {
 }
 
 // Recover restarts a service from its durable state: the checkpoint (if
-// any; a PMCK envelope, or the bare profile database a WAL-less service
-// writes) seeds the aggregate and the admission ledger, then the WAL
+// any; a PMCK envelope, or a bare profile database, which seeds an empty
+// ledger) seeds the aggregate and the admission ledger, then the WAL
 // tail is replayed on top, truncating at the first torn record. A
 // corrupt or truncated checkpoint is quarantined (.corrupt) and recovery
 // proceeds from the WAL alone — conservation then rests on whatever the
@@ -316,10 +334,6 @@ func newService(cfg Config, ck *Checkpoint) (*Service, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	q, err := newQueue(cfg.QueueDepth, cfg.Policy)
-	if err != nil {
-		return nil, err
-	}
 	seed := ck.db
 	if seed == nil {
 		seed = profile.NewDB(cfg.Interval, cfg.Window, cfg.Width)
@@ -331,7 +345,7 @@ func newService(cfg Config, ck *Checkpoint) (*Service, error) {
 			WindowBuckets: cfg.SketchWindowBuckets,
 			BucketDur:     cfg.SketchWindowBucket,
 		}),
-		q:    q,
+		q:    newQueue(cfg.QueueDepth),
 		brk:  newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		led:  newLedger(),
 		done: make(chan struct{}),
@@ -377,7 +391,19 @@ func (s *Service) Breaker() *Breaker { return s.brk }
 func (s *Service) QueueDepth() int { return s.q.Len() }
 
 // Draining reports whether a drain has begun.
-func (s *Service) Draining() bool { return s.draining.Load() }
+func (s *Service) Draining() bool { return s.phase() >= phaseDraining }
+
+// phase reads the lifecycle word.
+func (s *Service) phase() phase { return phase(s.lifecycle.Load()) }
+
+// enter raises the lifecycle word to p; a service already at or past p
+// stays where it is.
+func (s *Service) enter(p phase) {
+	cur := s.lifecycle.Load()
+	for cur < int32(p) && !s.lifecycle.CompareAndSwap(cur, int32(p)) {
+		cur = s.lifecycle.Load()
+	}
+}
 
 // Start launches the aggregator goroutine.
 func (s *Service) Start() {
@@ -398,8 +424,7 @@ func (s *Service) Start() {
 //   - a shard refused more than once is loss-accounted exactly once;
 //   - a previously refused shard that is now accepted keeps its recorded
 //     loss until the aggregator merges it, and loses it in that same
-//     step (see resolve) — so Samples + Lost never dips while it queues,
-//     and a shard evicted after being accepted has nothing to take back.
+//     step (see resolve) — so Samples + Lost never dips while it queues.
 //
 // A config-mismatched shard is refused WITHOUT loss accounting —
 // checked before everything else, draining included: its samples were
@@ -425,7 +450,7 @@ func (s *Service) Submit(sub Submission) error {
 	// when the donor's local state is later quarantined. Duplicates of
 	// already-admitted shards (above) still answer honestly: their
 	// samples are in the envelope and will live on at the receiver.
-	if s.sealed.Load() {
+	if s.phase() >= phaseSealed {
 		return ErrDraining
 	}
 	// Build the WAL record outside any lock: it needs nothing shared.
@@ -449,24 +474,19 @@ func (s *Service) Submit(sub Submission) error {
 		return err
 	}
 	sub.walPos = pos
-	if s.draining.Load() {
-		s.refuse(sub, false)
+	if s.Draining() {
+		s.refuse(sub)
 		return ErrDraining
 	}
-	dropped, res := s.q.offer(sub)
-	for _, d := range dropped {
-		s.refuse(d, true)
-		s.logf("overflow: dropped oldest shard %s (%d captured samples accounted as loss)", d.Shard, d.Captured())
-	}
-	switch res {
+	switch s.q.offer(sub) {
 	case offerClosed:
 		// BeginDrain raced with this Submit: same contract as draining —
 		// 503, not 429, so the client goes elsewhere instead of retrying
 		// a shutting-down instance.
-		s.refuse(sub, false)
+		s.refuse(sub)
 		return ErrDraining
 	case offerFull:
-		s.refuse(sub, false)
+		s.refuse(sub)
 		return ErrQueueFull
 	}
 	return nil
@@ -538,19 +558,19 @@ func (s *Service) compatible(db *profile.DB) error {
 	return nil
 }
 
-// refuse backs a shard out of admission (refused at the door, or
-// evicted by dropOldest) and, the first time its id is refused, records
-// its captured samples as aggregate loss — ledger entry and aggregate
-// loss under one hold of res. Until refuse runs the shard's reservation
-// stands, so no other submission of the same id can be in flight. A
-// refusal racing a seal (the submit slipped past the sealed check, then
-// found the queue closed) records nothing: the client got a 503 and
-// retries elsewhere, and the loss is recorded wherever the shard lands.
-func (s *Service) refuse(sub Submission, evicted bool) {
+// refuse backs a shard out of admission and, the first time its id is
+// refused, records its captured samples as aggregate loss — ledger entry
+// and aggregate loss under one hold of res. Until refuse runs the shard's
+// reservation stands, so no other submission of the same id can be in
+// flight. A refusal racing a seal (the submit slipped past the sealed
+// check, then found the queue closed) records nothing: the client got a
+// 503 and retries elsewhere, and the loss is recorded wherever the shard
+// lands.
+func (s *Service) refuse(sub Submission) {
 	n := sub.Captured()
 	s.res.Lock()
 	defer s.res.Unlock()
-	if s.led.refuse(sub.Shard, sub.walPos, n, evicted, s.sealed.Load()) {
+	if s.led.refuse(sub.Shard, sub.walPos, n, s.phase() >= phaseSealed) {
 		s.agg.RecordLoss(n)
 	}
 }
@@ -596,9 +616,9 @@ func (s *Service) merge(sub Submission) {
 // caller holds res, so a checkpoint snapshot sees the shard fully
 // resolved or not at all.
 //
-// The reversal belongs here and nowhere earlier: an accepted retry can
-// still be evicted from the queue (dropOldest), and a loss taken back
-// at acceptance would then be owed for samples that never merge.
+// The reversal belongs here and nowhere earlier: taken back at
+// acceptance, the loss would leave Samples + Lost short by the retry's
+// captured samples for as long as it queues.
 func (s *Service) resolve(sub Submission) (reversed uint64, err error) {
 	if reversed = s.led.standingLoss(sub.Shard); reversed > 0 {
 		s.agg.ReverseLoss(reversed)
@@ -624,8 +644,8 @@ func (s *Service) checkpointDue(merged int) bool {
 // breaker skips the write (counted, retried next cadence) instead of
 // stalling ingest on a dead disk.
 func (s *Service) checkpoint() {
-	if s.handedOff.Load() {
-		return // retired: the books live at the receiver (see Retire)
+	if s.phase() == phaseRetired {
+		return // the books live at the receiver (see Retire)
 	}
 	err := s.brk.do(s.cfg.persist)
 	s.led.checkpointed(err)
@@ -634,26 +654,23 @@ func (s *Service) checkpoint() {
 	}
 }
 
-// persistCheckpoint is the default persist function. Without a WAL no
-// 202 promised durability, so there is no ledger worth keeping and the
-// file is the bare aggregate. With one it is a PMCK envelope: the
-// serialized aggregate, the ledger and the WAL barrier, captured under
-// res. Every step that changes the aggregate together with a
-// checkpointed book holds res, so for the length of the encode they are
-// frozen together and the snapshot can never catch a ledger entry
-// without its aggregate delta or vice versa (ledger.snapshot says why
-// admission may carry on meanwhile). The file write happens outside the
-// lock; then the WAL barrier advances and the segments the checkpoint
-// now covers are reclaimed — failure there is logged, not fatal: the
-// records are merely redundant, and the next checkpoint retries.
+// persistCheckpoint is the default persist function. The file is always
+// a PMCK envelope: the serialized aggregate, the ledger and the WAL
+// barrier (zero without a WAL), captured under res — the ledger is what
+// lets a restart count a retried shard once, WAL or not. Every step that
+// changes the aggregate together with a checkpointed book holds res, so
+// for the length of the encode they are frozen together and the snapshot
+// can never catch a ledger entry without its aggregate delta or vice
+// versa (ledger.snapshot says why admission may carry on meanwhile). The
+// file write happens outside the lock; then the WAL barrier advances and
+// the segments the checkpoint now covers are reclaimed — failure there is
+// logged, not fatal: the records are merely redundant, and the next
+// checkpoint retries.
 func (s *Service) persistCheckpoint() error {
-	if s.wal == nil {
-		return profile.WriteAtomic(s.cfg.CheckpointPath, s.agg.Save)
-	}
 	var ck Checkpoint
 	var image bytes.Buffer
 	s.res.Lock()
-	s.led.snapshot(&ck, s.wal.Head())
+	s.led.snapshot(&ck, s.walHead())
 	err := s.agg.Save(&image)
 	s.res.Unlock()
 	if err != nil {
@@ -673,12 +690,19 @@ func (s *Service) persistCheckpoint() error {
 	return nil
 }
 
+// walHead is the WAL's head position, zero without a WAL: a WAL-less
+// checkpoint's barrier is zero and reclaims nothing.
+func (s *Service) walHead() wal.Pos {
+	if s.wal == nil {
+		return wal.Pos{}
+	}
+	return s.wal.Head()
+}
+
 // BeginDrain stops admission (Submit starts refusing with ErrDraining)
 // without waiting for the backlog. The HTTP layer calls this the moment
 // SIGTERM arrives so readiness flips immediately.
-func (s *Service) BeginDrain() {
-	s.draining.Store(true)
-}
+func (s *Service) BeginDrain() { s.enter(phaseDraining) }
 
 // Seal closes admission for a handoff export: new shards are refused
 // WITHOUT loss accounting (the export snapshot must be the final word
@@ -687,35 +711,23 @@ func (s *Service) BeginDrain() {
 // serializes the aggregate; see the export endpoint. Sealing is
 // one-way — a donor whose removal aborts restarts its process to
 // resume admission, which is the rollback path the runbook documents.
-func (s *Service) Seal() {
-	s.sealed.Store(true)
-	s.draining.Store(true)
-}
+func (s *Service) Seal() { s.enter(phaseSealed) }
 
 // Flush is the first half of the graceful-shutdown sequence: stop
 // admission and run the queued backlog through the aggregator, without
 // persisting. It is its own step because a handoff export flushes and
-// then serializes the aggregate instead of checkpointing it.
+// then serializes the aggregate instead of checkpointing it. A service
+// never started starts its aggregator here, so there is one merge loop.
 func (s *Service) Flush(ctx context.Context) error {
 	s.BeginDrain()
 	s.q.close()
-	if s.started.Load() {
-		select {
-		case <-s.done:
-		case <-ctx.Done():
-			return fmt.Errorf("ingest: drain: %w", context.Cause(ctx))
-		}
-	} else {
-		// Never started: flush the backlog inline.
-		for {
-			sub, ok := s.q.wait()
-			if !ok {
-				break
-			}
-			s.merge(sub)
-		}
+	s.Start()
+	select {
+	case <-s.done:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("ingest: drain: %w", context.Cause(ctx))
 	}
-	return nil
 }
 
 // FinalCheckpoint writes the last persist of a drain, bypassing the
@@ -723,7 +735,7 @@ func (s *Service) Flush(ctx context.Context) error {
 // open state must not discard the run. No-op without a checkpoint path,
 // and after Retire.
 func (s *Service) FinalCheckpoint() error {
-	if s.cfg.CheckpointPath == "" || s.handedOff.Load() {
+	if s.cfg.CheckpointPath == "" || s.phase() == phaseRetired {
 		return nil
 	}
 	if err := s.cfg.persist(); err != nil {
@@ -744,7 +756,7 @@ func (s *Service) Drain(ctx context.Context) error {
 	if err := s.FinalCheckpoint(); err != nil {
 		return err
 	}
-	if s.cfg.CheckpointPath != "" && !s.handedOff.Load() {
+	if s.cfg.CheckpointPath != "" && s.phase() != phaseRetired {
 		c := s.agg.CountersSnapshot()
 		s.logf("drained: %d samples aggregated, %d lost (%.1f%% loss), final checkpoint at %s",
 			c.Samples, c.Lost, 100*c.LossRate, s.cfg.CheckpointPath)
@@ -763,10 +775,10 @@ func (s *Service) Drain(ctx context.Context) error {
 func (s *Service) AcceptHandoff(h Handoff) (captured uint64, err error) {
 	s.handoffMu.Lock()
 	defer s.handoffMu.Unlock()
-	if s.handedOff.Load() {
+	switch p := s.phase(); {
+	case p == phaseRetired:
 		return 0, ErrHandedOff
-	}
-	if s.draining.Load() {
+	case p >= phaseDraining:
 		return 0, ErrDraining
 	}
 	// Envelope-level dedupe: a byte-identical redelivery (the sender
@@ -834,10 +846,10 @@ func (s *Service) applyHandoff(h Handoff, captured uint64, pos wal.Pos) error {
 // must survive a crash). Returns how many ids were newly adopted;
 // already-admitted ids are skipped silently.
 func (s *Service) AdoptShards(from string, shards []string) (int, error) {
-	if s.handedOff.Load() {
+	switch p := s.phase(); {
+	case p == phaseRetired:
 		return 0, ErrHandedOff
-	}
-	if s.sealed.Load() {
+	case p >= phaseSealed:
 		return 0, ErrDraining
 	}
 	// Filter to the unseen ids first so the WAL record holds exactly
@@ -866,12 +878,12 @@ func (s *Service) AdoptShards(from string, shards []string) (int, error) {
 // file are renamed *.handedoff — a restart over either would count the
 // migrated samples a second time — and from here FinalCheckpoint and the
 // periodic checkpoint are no-ops, so nothing writes them back. The only
-// writer of handedOff; every step is idempotent, so a failed Retire is
+// way into phaseRetired; every step is idempotent, so a failed Retire is
 // simply called again.
 func (s *Service) Retire() error {
 	s.handoffMu.Lock() // an AcceptHandoff in flight may still be checkpointing
 	defer s.handoffMu.Unlock()
-	s.handedOff.Store(true)
+	s.enter(phaseRetired)
 	var errs []error
 	if s.wal != nil {
 		errs = append(errs, s.wal.Close(), setAside(s.wal.Dir()))
@@ -898,13 +910,14 @@ func (s *Service) Ledger() Ledger { return s.led.view() }
 // Stats returns a snapshot of every counter the service keeps.
 func (s *Service) Stats() Stats {
 	c, pending := s.led.counts()
+	p := s.phase()
 	st := Stats{
 		counters:  c,
 		Queue:     s.q.snapshot(),
 		Breaker:   s.brk.snapshot(),
-		Draining:  s.draining.Load(),
-		Sealed:    s.sealed.Load(),
-		HandedOff: s.handedOff.Load(),
+		Draining:  p >= phaseDraining,
+		Sealed:    p >= phaseSealed,
+		HandedOff: p == phaseRetired,
 		WAL:       s.walHealth(pending),
 		Sketch:    s.agg.SketchStats(),
 	}

@@ -52,7 +52,8 @@ func TestServiceOverflowAccounting(t *testing.T) {
 		t.Fatalf("accepted %d rejected %d, want 4/12", accepted, rejected)
 	}
 
-	// Drain flushes the backlog inline and writes the final checkpoint.
+	// Drain starts the aggregator, flushes the backlog and writes the
+	// final checkpoint.
 	if err := svc.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -69,52 +70,14 @@ func TestServiceOverflowAccounting(t *testing.T) {
 	}
 
 	// The final checkpoint must be CRC-valid and carry the same totals.
-	loaded, err := profile.LoadFile(svc.cfg.CheckpointPath)
+	ck, err := LoadCheckpointFile(svc.cfg.CheckpointPath)
 	if err != nil {
 		t.Fatalf("final checkpoint: %v", err)
 	}
+	loaded := ck.Aggregate()
 	if loaded.Samples() != wantMerged || loaded.Lost() != wantLost {
 		t.Fatalf("checkpoint totals %d/%d, want %d/%d",
 			loaded.Samples(), loaded.Lost(), wantMerged, wantLost)
-	}
-}
-
-// TestServiceDropOldestAccounting: with dropOldest, the newest burst
-// survives and evicted shards are accounted as loss.
-func TestServiceDropOldestAccounting(t *testing.T) {
-	cfg := testServiceConfig(t.TempDir())
-	cfg.Policy = dropOldest
-	cfg.QueueDepth = 2
-	svc, err := NewService(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var all []Submission
-	for i := 0; i < 5; i++ {
-		s := sub(fmt.Sprintf("s%03d", i), uint64(i), 10)
-		all = append(all, s)
-		if err := svc.Submit(s); err != nil {
-			t.Fatalf("DropOldest submission %d refused: %v", i, err)
-		}
-	}
-	if err := svc.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// Last 2 merged; first 3 evicted.
-	var wantMerged, wantLost uint64
-	for _, s := range all[:3] {
-		wantLost += s.Captured()
-	}
-	for _, s := range all[3:] {
-		wantMerged += s.Captured()
-	}
-	agg := svc.Aggregate()
-	if agg.CountersSnapshot().Samples != wantMerged || agg.CountersSnapshot().Lost != wantLost {
-		t.Fatalf("samples/lost %d/%d, want %d/%d", agg.CountersSnapshot().Samples, agg.CountersSnapshot().Lost, wantMerged, wantLost)
-	}
-	if st := svc.Stats(); st.OverloadDropped != 3 {
-		t.Fatalf("dropped %d, want 3", st.OverloadDropped)
 	}
 }
 

@@ -320,51 +320,9 @@ func TestSubmitProceedsDuringSnapshot(t *testing.T) {
 	conserve(t, svc, s1.Captured()+s2.Captured(), "after drain")
 }
 
-// TestEvictedRetryKeepsItsLoss is the deterministic form of the
-// TestConservationProperty flake. A refused shard accepted on retry used
-// to have its loss taken back at acceptance; under dropOldest a later
-// offer could evict it again, and the books then owed samples that would
-// never merge (the concurrent form: eviction landing between the offer
-// and the reversal). The loss now stands until the merge that replaces
-// it, so with the aggregator stopped Samples + Lost covers every shard
-// submitted so far after every single step.
-func TestEvictedRetryKeepsItsLoss(t *testing.T) {
-	svc, err := NewService(Config{QueueDepth: 1, Policy: dropOldest, Interval: 16}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := sub("a", 1, 10), sub("b", 2, 20)
-	both := a.Captured() + b.Captured()
-	for i, step := range []struct {
-		sub  Submission
-		want uint64
-	}{
-		{a, 0},            // queued: nothing lost, nothing merged
-		{b, a.Captured()}, // evicts a
-		{a, both},         // retry accepted, evicts b; a's loss must stand while it queues
-		{b, both},         // retry accepted, evicts a again: nothing new to record
-	} {
-		if err := svc.Submit(step.sub); err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-		if got := svc.Aggregate().CountersSnapshot().Samples + svc.Aggregate().CountersSnapshot().Lost; got != step.want {
-			t.Fatalf("step %d (submit %s): samples + lost = %d, want %d", i, step.sub.Shard, got, step.want)
-		}
-	}
-	if err := svc.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	conserve(t, svc, both, "after drain")
-	st := svc.Stats()
-	if st.Merged != 1 || st.SamplesLost != a.Captured() || st.LossReversed != b.Captured() {
-		t.Fatalf("after drain: merged %d, lost %d, reversed %d; want b merged, a lost, b's loss reversed",
-			st.Merged, st.SamplesLost, st.LossReversed)
-	}
-}
-
 // TestCrashRecoveryConservationProperty checkpoints after every merge
-// while concurrent clients submit, duplicate, retry 429s and (under
-// dropOldest) evict one another, "crashes" the instance at a random
+// while concurrent clients submit, duplicate and retry 429s, "crashes"
+// the instance at a random
 // operation, and recovers from what is on disk. Each seed must show
 // exact conservation over every shard that reached the WAL, every
 // acknowledged shard accounted for exactly once, and a checkpoint barrier
@@ -423,9 +381,6 @@ func runCrashRecoveryTrial(t *testing.T, seed int64) {
 			defer ckpt.Unlock()
 			return s1.persistCheckpoint()
 		},
-	}
-	if rng.Intn(2) == 0 {
-		cfg.Policy = dropOldest
 	}
 	if delay := rng.Intn(3); delay > 0 {
 		d := time.Duration(delay*50) * time.Microsecond

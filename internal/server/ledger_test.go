@@ -108,7 +108,7 @@ func TestStatsAndLedgerKeySets(t *testing.T) {
 	for section, want := range map[string][]string{
 		"": {"breaker", "checkpoint_failures", "checkpoint_short_circuited", "checkpoints", "draining",
 			"duplicate_submissions", "handed_off", "handoff_captured", "handoff_requests", "handoffs_in",
-			"adopted_shards", "instance", "loss_rate", "lost", "merge_failed", "merged", "overload_dropped",
+			"adopted_shards", "instance", "loss_rate", "lost", "merge_failed", "merged",
 			"overload_rejected", "queries", "queries_in_flight", "queries_shed", "queue", "samples",
 			"samples_loss_reversed", "samples_lost", "sealed", "sketch", "submissions", "wal", "witness"},
 		"wal": {"appended_bytes", "appends", "bytes_since_barrier", "last_sync_age_ms", "oldest_pending_age_ms",

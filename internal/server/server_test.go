@@ -108,7 +108,7 @@ func TestSubmitAcceptedThenQueryable(t *testing.T) {
 			t.Fatalf("submit %d: status %d body %v", i, status, body)
 		}
 	}
-	// Drain flushes the backlog inline (service never started).
+	// Drain starts the aggregator (never started here) and flushes the backlog.
 	if err := svc.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}

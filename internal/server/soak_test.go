@@ -15,7 +15,7 @@ import (
 	"profileme/internal/cpu"
 	"profileme/internal/ingest"
 	"profileme/internal/profile"
-	"profileme/internal/sim"
+	"profileme/internal/runner"
 	"profileme/internal/workload"
 )
 
@@ -32,38 +32,25 @@ const (
 	soakInterval = 16
 )
 
-// soakShardDB runs one real simulated shard — same wiring as the fleet's
-// simulate() — with a shard-specific sampling seed.
+// soakShardDB runs one real simulated shard through runner.RunShard, the
+// one way a shard is made, with a shard-specific sampling seed.
 func soakShardDB(t *testing.T, seed uint64) *profile.DB {
 	t.Helper()
 	b, ok := workload.ByName("compress")
 	if !ok {
 		t.Fatal("no compress benchmark")
 	}
-	prog := b.Build(soakScale)
-	ccfg := cpu.DefaultConfig()
-	unit, err := core.NewUnit(core.Config{
+	sh, err := runner.RunShard(context.Background(), b.Build(soakScale), cpu.DefaultConfig(), core.Config{
 		MeanInterval: soakInterval,
 		BufferDepth:  8,
 		CountMode:    core.CountInstructions,
 		IntervalMode: core.IntervalGeometric,
 		Seed:         seed,
-	})
+	}, nil, 0, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	db := profile.NewDB(soakInterval, 0, ccfg.SustainedIssueWidth)
-	pipe, err := cpu.New(prog, sim.NewMachineSource(sim.New(prog), 0), ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe.AttachProfileMe(unit, db.Handler())
-	if _, err := pipe.Run(0); err != nil {
 		t.Fatalf("shard sim (seed %d): %v", seed, err)
 	}
-	st := unit.Stats()
-	db.RecordLoss(st.SamplesDropped + st.SamplesOverwritten)
-	return db
+	return sh.DB
 }
 
 func topPCs(db *profile.SafeDB, n int) []uint64 {
@@ -284,9 +271,8 @@ func TestOverloadSoak(t *testing.T) {
 	if st.MergeFailed != 0 {
 		t.Fatalf("%d accepted submissions failed to merge", st.MergeFailed)
 	}
-	if int(st.OverloadRejected+st.OverloadDropped) != refusedResponses {
-		t.Fatalf("refusal ledger %d+%d, HTTP refusals %d",
-			st.OverloadRejected, st.OverloadDropped, refusedResponses)
+	if int(st.OverloadRejected) != refusedResponses {
+		t.Fatalf("refusal ledger %d, HTTP refusals %d", st.OverloadRejected, refusedResponses)
 	}
 	if int(st.Merged) != mergedShards {
 		t.Fatalf("merged %d, accepted shards %d", st.Merged, mergedShards)
@@ -311,10 +297,11 @@ func TestOverloadSoak(t *testing.T) {
 
 	// The mid-flood drain ended in a CRC-valid checkpoint carrying the
 	// full accounting.
-	loaded, err := profile.LoadFile(ckptPath)
-	if err != nil {
+	ck, err := ingest.LoadCheckpointFile(ckptPath)
+	if err != nil || ck == nil {
 		t.Fatalf("final checkpoint: %v", err)
 	}
+	loaded := ck.Aggregate()
 	if loaded.Samples() != agg.CountersSnapshot().Samples || loaded.Lost() != agg.CountersSnapshot().Lost {
 		t.Fatalf("checkpoint totals %d/%d, aggregate %d/%d",
 			loaded.Samples(), loaded.Lost(), agg.CountersSnapshot().Samples, agg.CountersSnapshot().Lost)
