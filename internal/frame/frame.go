@@ -17,6 +17,7 @@
 package frame
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -91,10 +92,36 @@ func ReadUint64(r io.Reader) (uint64, error) {
 	return le.Uint64(b), nil
 }
 
-// WriteEnvelope writes payload as a whole-file envelope.
-func WriteEnvelope(w io.Writer, magic string, version uint32, payload []byte) error {
-	hdr := AppendUint64(AppendHeader(make([]byte, 0, HeaderLen+8), magic, version), uint64(len(payload)))
-	return writeAll(w, hdr, payload, le.AppendUint32(nil, checksum(payload)))
+// WriteEnvelope writes a whole-file envelope whose payload fill encodes
+// straight into the frame: the header and a length placeholder, then
+// fill's bytes, then the length is patched and the checksum appended, so
+// no payload buffer exists beside the envelope. A *bytes.Buffer
+// destination is framed in place; any other writer gets the envelope in
+// one Write from a buffer of its own. If fill fails nothing is written: a
+// buffer destination is cut back to what it held before.
+func WriteEnvelope(w io.Writer, magic string, version uint32, fill func(io.Writer) error) error {
+	buf, inPlace := w.(*bytes.Buffer)
+	if !inPlace {
+		buf = new(bytes.Buffer)
+	}
+	start := buf.Len()
+	var head [HeaderLen + 8]byte
+	buf.Write(AppendUint64(AppendHeader(head[:0], magic, version), 0))
+	if err := fill(buf); err != nil {
+		buf.Truncate(start)
+		return err
+	}
+	env := buf.Bytes()[start:]
+	payload := env[len(head):]
+	le.PutUint64(env[HeaderLen:], uint64(len(payload)))
+	var crc [4]byte
+	le.PutUint32(crc[:], checksum(payload))
+	buf.Write(crc[:])
+	if inPlace {
+		return nil
+	}
+	_, err := w.Write(buf.Bytes())
+	return err
 }
 
 // ReadEnvelope reads a whole-file envelope and returns its verified

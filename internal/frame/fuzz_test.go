@@ -2,7 +2,9 @@ package frame_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"reflect"
 	"testing"
@@ -65,7 +67,8 @@ func readAllShapes(t *testing.T, r func([]byte) io.Reader, data []byte) (payload
 // for a reader that cannot say how much it holds), whatever lengths the
 // input declares. Sized and unsized readers must agree on every payload
 // and every error class, and a cleanly decoded envelope re-frames to
-// exactly the bytes it was read from.
+// exactly the bytes it was read from. The input, taken as a payload, also
+// goes through the envelope writer (checkEnvelopeWriter).
 func FuzzFrame(f *testing.F) {
 	for _, fixture := range golden {
 		f.Add(fixture)
@@ -108,7 +111,7 @@ func FuzzFrame(f *testing.F) {
 		for _, magic := range []string{"PMDB", "PMCK"} {
 			if payload, err := frame.ReadEnvelope(bytes.NewReader(data), magic, 1, fuzzLimit); err == nil {
 				var again bytes.Buffer
-				if err := frame.WriteEnvelope(&again, magic, 1, payload); err != nil {
+				if err := frame.WriteEnvelope(&again, magic, 1, writes(payload)); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.HasPrefix(data, again.Bytes()) {
@@ -116,7 +119,63 @@ func FuzzFrame(f *testing.F) {
 				}
 			}
 		}
+		checkEnvelopeWriter(t, data)
 	})
+}
+
+// writes is a fill that writes payload as it is.
+func writes(payload []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(payload)
+		return err
+	}
+}
+
+// plainWriter hides a bytes.Buffer's type, forcing WriteEnvelope onto its
+// own buffer and one Write.
+type plainWriter struct{ io.Writer }
+
+var errFill = errors.New("fill failed")
+
+// checkEnvelopeWriter holds the one envelope writer to the layout with
+// payload as the payload: framed in place after whatever a buffer
+// already holds (part of it already read), and handed whole to any other
+// writer, the bytes are header | len | payload | crc32c as DESIGN.md §7
+// states it, assembled here by hand; a fill that fails part-way leaves
+// the buffer as it was and writes nothing to a plain writer.
+func checkEnvelopeWriter(t *testing.T, payload []byte) {
+	want := frame.AppendUint64(frame.AppendHeader(nil, "PMCK", 1), uint64(len(payload)))
+	want = append(want, payload...)
+	want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	failing := func(w io.Writer) error {
+		w.Write(payload[:len(payload)/2])
+		return errFill
+	}
+
+	prefix := payload[:len(payload)/3]
+	buf := bytes.NewBuffer(bytes.Clone(prefix))
+	buf.Next(len(prefix) / 2)
+	held := bytes.Clone(buf.Bytes())
+	if err := frame.WriteEnvelope(buf, "PMCK", 1, failing); err != errFill || !bytes.Equal(buf.Bytes(), held) {
+		t.Fatalf("failed fill in place: err %v, buffer %d bytes, want the %d it held", err, buf.Len(), len(held))
+	}
+	if err := frame.WriteEnvelope(buf, "PMCK", 1, writes(payload)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), append(held, want...)) {
+		t.Fatalf("in-place envelope of a %d-byte payload differs from the layout", len(payload))
+	}
+
+	var plain bytes.Buffer
+	if err := frame.WriteEnvelope(plainWriter{&plain}, "PMCK", 1, failing); err != errFill || plain.Len() != 0 {
+		t.Fatalf("failed fill to a plain writer: err %v, %d bytes written", err, plain.Len())
+	}
+	if err := frame.WriteEnvelope(plainWriter{&plain}, "PMCK", 1, writes(payload)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain.Bytes(), want) {
+		t.Fatalf("envelope of a %d-byte payload to a plain writer differs from the layout", len(payload))
+	}
 }
 
 // class folds an error to the taxonomy member it wraps.

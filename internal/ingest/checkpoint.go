@@ -77,11 +77,9 @@ func (ck *Checkpoint) Aggregate() *profile.DB { return ck.db }
 
 // WriteCheckpoint writes ck as a PMCK envelope.
 func WriteCheckpoint(w io.Writer, ck *Checkpoint) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(ck); err != nil {
-		return fmt.Errorf("ingest: checkpoint encode: %w", err)
-	}
-	if err := frame.WriteEnvelope(w, ckptMagic, ckptVersion, payload.Bytes()); err != nil {
+	if err := frame.WriteEnvelope(w, ckptMagic, ckptVersion, func(p io.Writer) error {
+		return gob.NewEncoder(p).Encode(ck)
+	}); err != nil {
 		return fmt.Errorf("ingest: checkpoint write: %w", err)
 	}
 	return nil

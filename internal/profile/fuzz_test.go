@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"io"
 	"testing"
 
 	"profileme/internal/core"
@@ -37,8 +38,9 @@ func FuzzLoadDB(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a profile database at all"))
 	// Well-formed gob that the sanity checks, not the decoder, must refuse
-	// (a negative window), and gob of some other type entirely.
-	for _, v := range []any{dbImage{S: 100, W: -80, C: 4}, struct{ Name string }{"other"}} {
+	// (a negative window), gob of some other type entirely, and an image
+	// that lists a PC twice.
+	for _, v := range []any{dbImage{S: 100, W: -80, C: 4}, struct{ Name string }{"other"}, duplicatePCImage()} {
 		var other bytes.Buffer
 		if err := gob.NewEncoder(&other).Encode(v); err != nil {
 			f.Fatal(err)
@@ -48,7 +50,10 @@ func FuzzLoadDB(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var img bytes.Buffer
-		if err := frame.WriteEnvelope(&img, dbMagic, dbVersion, payload); err != nil {
+		if err := frame.WriteEnvelope(&img, dbMagic, dbVersion, func(w io.Writer) error {
+			_, err := w.Write(payload)
+			return err
+		}); err != nil {
 			t.Fatal(err)
 		}
 		got, err := LoadDB(&img)

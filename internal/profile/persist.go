@@ -36,9 +36,6 @@ const (
 	// maxImageBytes caps the declared payload (a compact per-PC image is
 	// megabytes, not gigabytes).
 	maxImageBytes = 1 << 28
-	// envelopeOverhead is what the envelope adds around a payload: the
-	// header and a u64 length before it, the u32 checksum after.
-	envelopeOverhead = frame.HeaderLen + 8 + 4
 )
 
 // dbImage is the serialized form of a DB (the DCPI-style on-disk profile:
@@ -76,7 +73,9 @@ func (db *DB) sortedAccums() []*PCAccum {
 }
 
 // save is Save given sortedAccums, for a caller that keeps the list
-// between saves of the same database (SafeDB).
+// between saves of the same database (SafeDB). gob encodes the image
+// straight into the envelope — in place when w is a bytes.Buffer (a
+// checkpoint image, a wire body).
 func (db *DB) save(w io.Writer, accs []*PCAccum) error {
 	img := dbImage{
 		S: db.S, W: db.W, C: db.C, TNear: db.TNear, RetainAddrs: db.RetainAddrs,
@@ -88,17 +87,9 @@ func (db *DB) save(w io.Writer, accs []*PCAccum) error {
 	for i, a := range accs {
 		img.Accums[i] = *a
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(img); err != nil {
-		return fmt.Errorf("profile: save: %w", err)
-	}
-	// A destination that can grow (a bytes.Buffer holding the image for a
-	// checkpoint or a wire body) takes the envelope in one allocation of
-	// the exact size, not whatever its three writes grow it to.
-	if g, ok := w.(interface{ Grow(int) }); ok {
-		g.Grow(envelopeOverhead + payload.Len())
-	}
-	if err := frame.WriteEnvelope(w, dbMagic, dbVersion, payload.Bytes()); err != nil {
+	if err := frame.WriteEnvelope(w, dbMagic, dbVersion, func(p io.Writer) error {
+		return gob.NewEncoder(p).Encode(&img)
+	}); err != nil {
 		return fmt.Errorf("profile: save: %w", err)
 	}
 	return nil
@@ -108,7 +99,7 @@ func (db *DB) save(w io.Writer, accs []*PCAccum) error {
 // or truncated input and version skew (including pre-envelope naked-gob
 // databases) return errors matching ErrCorrupt, ErrTruncated or
 // ErrVersionSkew — never a panic, a garbage database, or an unbounded
-// allocation.
+// allocation. An image that lists a PC twice is ErrCorrupt.
 func LoadDB(r io.Reader) (*DB, error) {
 	hdr, err := frame.ReadHeader(r, dbMagic, dbVersion)
 	if err != nil {
@@ -125,27 +116,48 @@ func LoadDB(r io.Reader) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("profile: load: %w", err)
 	}
-	var img dbImage
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&img); err != nil {
+	img, err := decodeImage(payload)
+	if err != nil {
+		return nil, err
+	}
+	db := &DB{
+		S: img.S, W: img.W, C: img.C, TNear: img.TNear, RetainAddrs: img.RetainAddrs,
+		samples: img.Samples, pairs: img.Pairs,
+		lost: img.Lost, corruptRejected: img.CorruptRej,
+		metricNames: img.MetricNames,
+		metricFns:   make([]OverlapFunc, len(img.MetricNames)), // placeholders
+		byPC:        make(map[uint64]*PCAccum, len(img.Accums)),
+	}
+	// The accumulators stay where gob decoded them: byPC points into
+	// img.Accums, one allocation for the whole image.
+	for i := range img.Accums {
+		db.byPC[img.Accums[i].PC] = &img.Accums[i]
+	}
+	if len(db.byPC) != len(img.Accums) {
+		return nil, fmt.Errorf("profile: load: %d accumulators for %d distinct PCs: %w",
+			len(img.Accums), len(db.byPC), ErrCorrupt)
+	}
+	return db, nil
+}
+
+// decodeImage decodes and sanity-checks an envelope's payload. gob builds
+// a slice over 10 MB in chunks and leaves slack capacity behind; the
+// database keeps pointers into Accums for as long as it lives, so such a
+// slice is copied to its exact length first.
+func decodeImage(payload []byte) (*dbImage, error) {
+	img := new(dbImage)
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(img); err != nil {
 		return nil, fmt.Errorf("profile: load: decode: %v: %w", err, ErrCorrupt)
 	}
 	if !(img.S >= 0) || img.W < 0 || img.C < 0 || img.RetainAddrs < 0 {
 		return nil, fmt.Errorf("profile: load: impossible configuration: %w", ErrCorrupt)
 	}
-	db := NewDB(img.S, img.W, img.C)
-	db.TNear = img.TNear
-	db.RetainAddrs = img.RetainAddrs
-	db.samples = img.Samples
-	db.pairs = img.Pairs
-	db.lost = img.Lost
-	db.corruptRejected = img.CorruptRej
-	db.metricNames = img.MetricNames
-	db.metricFns = make([]OverlapFunc, len(img.MetricNames)) // placeholders
-	for i := range img.Accums {
-		a := img.Accums[i]
-		db.byPC[a.PC] = &a
+	if cap(img.Accums) > len(img.Accums) {
+		exact := make([]PCAccum, len(img.Accums))
+		copy(exact, img.Accums)
+		img.Accums = exact
 	}
-	return db, nil
+	return img, nil
 }
 
 // RestorePairMetrics re-binds custom metric functions after LoadDB; names
@@ -164,6 +176,17 @@ func (db *DB) RestorePairMetrics(fns map[string]OverlapFunc) error {
 // Merge folds other into db (multi-run aggregation; both databases must
 // share the sampling configuration and metric registrations).
 func (db *DB) Merge(other *DB) error {
+	if err := db.mergeable(other); err != nil {
+		return err
+	}
+	db.mergeWalk(other, nil)
+	return nil
+}
+
+// mergeable is the screen every merge passes before it touches anything:
+// a distinct database with the same sampling configuration and metric
+// registrations.
+func (db *DB) mergeable(other *DB) error {
 	if db == other {
 		// Iterating other.byPC while acc() mutates the same map is
 		// undefined; a fleet bug that hands the aggregate to itself must
@@ -182,6 +205,15 @@ func (db *DB) Merge(other *DB) error {
 				i, db.metricNames[i], other.metricNames[i])
 		}
 	}
+	return nil
+}
+
+// mergeWalk is the one merge loop, run after mergeable: it adds other's
+// totals to db and folds each of other's accumulators into db's. When
+// visit is non-nil it is handed each of other's accumulators (the
+// shard's per-PC delta) as it is folded, so summaries kept beside the
+// database (SafeDB's sketches and window ring) update in the same pass.
+func (db *DB) mergeWalk(other *DB, visit func(delta *PCAccum)) {
 	db.samples += other.samples
 	db.pairs += other.pairs
 	db.lost += other.lost
@@ -223,6 +255,8 @@ func (db *DB) Merge(other *DB) error {
 				dst.PairMetrics[i] += src.PairMetrics[i]
 			}
 		}
+		if visit != nil {
+			visit(src)
+		}
 	}
-	return nil
 }

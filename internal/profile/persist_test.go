@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"io"
 	"testing"
 
 	"profileme/internal/core"
@@ -118,6 +119,32 @@ func TestSaveLoadCarriesLossAccounting(t *testing.T) {
 	}
 	if got.EstimatedCount(0x40) != db.EstimatedCount(0x40) {
 		t.Fatal("loss-corrected estimate changed across save/load")
+	}
+}
+
+// duplicatePCImage lists PC 0x40 twice, with rows of 10 and 20 samples.
+func duplicatePCImage() dbImage {
+	return dbImage{S: 100, W: 80, C: 4, Samples: 30,
+		Accums: []PCAccum{{PC: 0x40, Samples: 10}, {PC: 0x40, Samples: 20}}}
+}
+
+// TestLoadDuplicatePCCorrupt: an image that lists a PC twice is damage.
+// It used to load with the second row silently replacing the first — a
+// database claiming 30 samples whose only row held 20.
+func TestLoadDuplicatePCCorrupt(t *testing.T) {
+	img := duplicatePCImage()
+	var buf bytes.Buffer
+	if err := frame.WriteEnvelope(&buf, dbMagic, dbVersion, func(w io.Writer) error {
+		return gob.NewEncoder(w).Encode(&img)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	db, err := LoadDB(&buf)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a PC listed twice: err %v, want ErrCorrupt", err)
+	}
+	if db != nil {
+		t.Fatalf("a PC listed twice loaded as %d samples over %d rows", db.Samples(), len(db.PCs()))
 	}
 }
 

@@ -66,27 +66,27 @@ func NewSafeDBWith(db *DB, cfg SketchConfig) *SafeDB {
 	for i := range s.lat {
 		s.lat[i] = newQuantileSketch(cfg.Alpha)
 	}
-	s.feedSketches(db)
+	for _, a := range db.byPC {
+		s.sketch(a)
+	}
 	s.mu.Lock()
 	s.publishLocked(true)
 	s.mu.Unlock()
 	return s
 }
 
-// feedSketches folds db's per-PC totals into the top-K and quantile
-// sketches: each PC's samples, and its mean latencies weighted by the
-// samples that carried them. Caller holds mu (write) or owns s outright.
-func (s *SafeDB) feedSketches(db *DB) {
-	for pc, a := range db.byPC {
-		s.topk.add(pc, a.Samples)
-		for i := 0; i < NumLatencyKinds; i++ {
-			if a.LatCount[i] > 0 {
-				s.lat[i].addN(float64(a.LatSum[i])/float64(a.LatCount[i]), a.LatCount[i])
-			}
+// sketch folds one accumulator into the top-K and quantile sketches: its
+// samples, and its mean latencies weighted by the samples that carried
+// them. Caller holds mu (write) or owns s outright.
+func (s *SafeDB) sketch(a *PCAccum) {
+	s.topk.add(a.PC, a.Samples)
+	for i := 0; i < NumLatencyKinds; i++ {
+		if a.LatCount[i] > 0 {
+			s.lat[i].addN(float64(a.LatSum[i])/float64(a.LatCount[i]), a.LatCount[i])
 		}
-		if a.InProgressCount > 0 {
-			s.inprog.addN(float64(a.InProgressSum)/float64(a.InProgressCount), a.InProgressCount)
-		}
+	}
+	if a.InProgressCount > 0 {
+		s.inprog.addN(float64(a.InProgressSum)/float64(a.InProgressCount), a.InProgressCount)
 	}
 }
 
@@ -158,20 +158,25 @@ func (s *SafeDB) SamplingConfig() (interval float64, window, width int, tNear in
 	return s.db.S, s.db.W, s.db.C, s.db.TNear
 }
 
-// Merge folds a shard database into the aggregate (write lock), updates
-// the streaming summaries with the shard's per-PC deltas, and publishes
-// a fresh view with rebuilt rows. The shard must not be accessed
-// concurrently by anyone else; ownership of its counts transfers to the
-// aggregate.
+// Merge folds a shard database into the aggregate (write lock) and
+// publishes a fresh view with rebuilt rows. After the configuration
+// screen, one walk over the shard folds each accumulator into the
+// database, the window ring's head bucket and the top-K and quantile
+// sketches. The shard must not be accessed concurrently by anyone else;
+// ownership of its counts transfers to the aggregate.
 func (s *SafeDB) Merge(other *DB) error {
 	now := s.cfg.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.db.Merge(other); err != nil {
+	if err := s.db.mergeable(other); err != nil {
 		return err
 	}
-	s.window.addDB(now, other)
-	s.feedSketches(other)
+	head := s.window.lockHead(now)
+	s.db.mergeWalk(other, func(delta *PCAccum) {
+		head.add(delta.PC, delta.Samples)
+		s.sketch(delta)
+	})
+	s.window.mu.Unlock()
 	s.publishLocked(true)
 	return nil
 }

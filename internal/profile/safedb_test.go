@@ -36,12 +36,11 @@ func mergeOne(t testing.TB, agg *SafeDB, smp core.Sample) {
 	}
 }
 
-// addPC folds weight w for one PC into the ring through addDB, its only
-// writer: a one-PC shard.
+// addPC folds weight w for one PC into the ring as one write, the way
+// SafeDB.Merge writes a one-PC shard.
 func addPC(r *windowRing, now time.Time, pc, w uint64) {
-	shard := NewDB(16, 0, 4)
-	shard.byPC[pc] = &PCAccum{PC: pc, Samples: w}
-	r.addDB(now, shard)
+	r.lockHead(now).add(pc, w)
+	r.mu.Unlock()
 }
 
 // TestSafeDBSaveMatchesDBSave: the sorted accumulator list SafeDB.Save

@@ -36,11 +36,18 @@ type SSEntry struct {
 // Weighted updates are supported (Add with w > 1), which is what merge-
 // time maintenance needs: a shard merge contributes each PC's whole
 // sample delta in one update.
+//
+// Entries live in stable slots. The min-heap orders slot ids and pos
+// says where each slot sits in it, so a sift step swaps two int32s and
+// the PC -> slot index is written only when a PC enters or leaves the
+// sketch, never inside siftUp/siftDown.
 type spaceSaving struct {
 	k     int
-	n     uint64         // total weight observed
-	heap  []SSEntry      // min-heap by Count (ties broken arbitrarily)
-	index map[uint64]int // PC -> heap position
+	n     uint64           // total weight observed
+	slots []SSEntry        // one per tracked PC; an evicting PC takes over its victim's slot
+	heap  []int32          // slot ids, min-heap by Count (ties broken arbitrarily)
+	pos   []int32          // slot id -> heap position
+	index map[uint64]int32 // PC -> slot id
 }
 
 // newSpaceSaving returns an empty sketch with k counters. Any item whose
@@ -50,21 +57,18 @@ func newSpaceSaving(k int) *spaceSaving {
 	if k < 1 {
 		k = 1
 	}
-	return &spaceSaving{k: k, index: make(map[uint64]int, k)}
+	return &spaceSaving{k: k, index: make(map[uint64]int32, k)}
 }
-
-// Len returns the number of tracked PCs (at most K).
-func (s *spaceSaving) Len() int { return len(s.heap) }
 
 // minCount returns the sketch floor: the smallest tracked count once the
 // sketch is full, 0 before that. It bounds two things at once — the
 // maximum overcount of any reported estimate, and the maximum true count
 // of any PC the sketch is NOT tracking.
 func (s *spaceSaving) minCount() uint64 {
-	if len(s.heap) < s.k {
+	if len(s.slots) < s.k {
 		return 0
 	}
-	return s.heap[0].Count
+	return s.slots[s.heap[0]].Count
 }
 
 // add folds weight w for pc into the sketch: O(log K). If the sketch is
@@ -75,21 +79,32 @@ func (s *spaceSaving) add(pc uint64, w uint64) {
 		return
 	}
 	s.n += w
-	if i, ok := s.index[pc]; ok {
-		s.heap[i].Count += w
-		s.siftDown(i)
+	if slot, ok := s.index[pc]; ok {
+		s.slots[slot].Count += w
+		s.siftDown(int(s.pos[slot]))
 		return
 	}
-	if len(s.heap) < s.k {
-		s.heap = append(s.heap, SSEntry{PC: pc, Count: w})
+	if len(s.slots) < s.k {
+		s.push(SSEntry{PC: pc, Count: w})
 		s.siftUp(len(s.heap) - 1)
 		return
 	}
-	evicted := s.heap[0]
+	slot := s.heap[0]
+	evicted := s.slots[slot]
 	delete(s.index, evicted.PC)
-	s.heap[0] = SSEntry{PC: pc, Count: evicted.Count + w, Err: evicted.Count}
-	s.index[pc] = 0
+	s.slots[slot] = SSEntry{PC: pc, Count: evicted.Count + w, Err: evicted.Count}
+	s.index[pc] = slot
 	s.siftDown(0)
+}
+
+// push appends e in a fresh slot at the end of the heap; the caller
+// restores the heap order.
+func (s *spaceSaving) push(e SSEntry) {
+	slot := int32(len(s.slots))
+	s.slots = append(s.slots, e)
+	s.heap = append(s.heap, slot)
+	s.pos = append(s.pos, slot)
+	s.index[e.PC] = slot
 }
 
 // items returns every tracked entry, descending by Count with PC as the
@@ -97,8 +112,8 @@ func (s *spaceSaving) add(pc uint64, w uint64) {
 // path agree whenever the sketch has seen fewer than K distinct PCs and
 // is therefore exact). The slice and entries are copies.
 func (s *spaceSaving) items() []SSEntry {
-	out := make([]SSEntry, len(s.heap))
-	copy(out, s.heap)
+	out := make([]SSEntry, len(s.slots))
+	copy(out, s.slots)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
 			return out[i].Count > out[j].Count
@@ -121,12 +136,12 @@ func mergeSketches(a, b *spaceSaving) *spaceSaving {
 		k = b.k
 	}
 	type pair struct{ count, err uint64 }
-	union := make(map[uint64]pair, len(a.heap)+len(b.heap))
+	union := make(map[uint64]pair, len(a.slots)+len(b.slots))
 	fa, fb := a.minCount(), b.minCount()
-	for _, e := range a.heap {
+	for _, e := range a.slots {
 		union[e.PC] = pair{e.Count, e.Err}
 	}
-	for _, e := range b.heap {
+	for _, e := range b.slots {
 		p, ok := union[e.PC]
 		if ok {
 			union[e.PC] = pair{p.count + e.Count, p.err + e.Err}
@@ -135,7 +150,7 @@ func mergeSketches(a, b *spaceSaving) *spaceSaving {
 			union[e.PC] = pair{e.Count + fa, e.Err + fa}
 		}
 	}
-	for _, e := range a.heap {
+	for _, e := range a.slots {
 		if _, tracked := b.index[e.PC]; !tracked {
 			p := union[e.PC]
 			union[e.PC] = pair{p.count + fb, p.err + fb}
@@ -157,29 +172,26 @@ func mergeSketches(a, b *spaceSaving) *spaceSaving {
 	m := newSpaceSaving(k)
 	m.n = a.n + b.n
 	for _, e := range entries {
-		m.heap = append(m.heap, e)
-		m.index[e.PC] = len(m.heap) - 1
+		m.push(e)
 	}
 	// Restore the min-heap invariant over the kept entries.
 	for i := len(m.heap)/2 - 1; i >= 0; i-- {
 		m.siftDown(i)
 	}
-	for i := range m.heap {
-		m.index[m.heap[i].PC] = i
-	}
 	return m
 }
 
-func (s *spaceSaving) less(i, j int) bool { return s.heap[i].Count < s.heap[j].Count }
+func (s *spaceSaving) less(i, j int) bool {
+	return s.slots[s.heap[i]].Count < s.slots[s.heap[j]].Count
+}
 
 func (s *spaceSaving) swap(i, j int) {
 	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-	s.index[s.heap[i].PC] = i
-	s.index[s.heap[j].PC] = j
+	s.pos[s.heap[i]] = int32(i)
+	s.pos[s.heap[j]] = int32(j)
 }
 
 func (s *spaceSaving) siftUp(i int) {
-	s.index[s.heap[i].PC] = i
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !s.less(i, parent) {
@@ -191,7 +203,6 @@ func (s *spaceSaving) siftUp(i int) {
 }
 
 func (s *spaceSaving) siftDown(i int) {
-	s.index[s.heap[i].PC] = i
 	for {
 		l, r := 2*i+1, 2*i+2
 		min := i

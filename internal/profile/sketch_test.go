@@ -1,8 +1,10 @@
 package profile
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -239,22 +241,28 @@ func TestWindowRing(t *testing.T) {
 	}
 }
 
-// TestWindowRingAddDB: folding a shard in one addDB leaves the ring
-// exactly where one addDB per PC would (same buckets, samples and rows),
+// TestMergeWalkFeedsWindowRing: the one merge walk leaves SafeDB's ring
+// exactly where one write per PC would (same buckets, samples and rows),
 // across a bucket boundary, and invalidates a cached answer once.
-func TestWindowRingAddDB(t *testing.T) {
+func TestMergeWalkFeedsWindowRing(t *testing.T) {
 	base := time.Unix(1000, 0)
-	batched, single := newWindowRing(4, time.Second, 32), newWindowRing(4, time.Second, 32)
+	now := base
+	agg := NewSafeDBWith(NewDB(16, 0, 4), SketchConfig{
+		TopK: 32, WindowBuckets: 4, BucketDur: time.Second, Now: func() time.Time { return now },
+	})
+	batched, single := agg.window, newWindowRing(4, time.Second, 32)
 	for i, shard := range []*DB{safeShard(1), safeShard(2), safeShard(9)} {
-		now := base.Add(time.Duration(i) * 700 * time.Millisecond)
+		now = base.Add(time.Duration(i) * 700 * time.Millisecond)
 		before := batched.query(now, 4*time.Second, 0)
-		batched.addDB(now, shard)
 		for _, pc := range shard.PCs() {
 			addPC(single, now, pc, shard.Get(pc).Samples)
 		}
+		if err := agg.Merge(shard); err != nil {
+			t.Fatal(err)
+		}
 		got, want := batched.query(now, 4*time.Second, 0), single.query(now, 4*time.Second, 0)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shard %d: AddDB left %+v, per-PC AddDBs %+v", i, got, want)
+			t.Fatalf("shard %d: the merge walk left %+v, per-PC writes %+v", i, got, want)
 		}
 		if got.Samples != before.Samples+shard.Samples() {
 			t.Fatalf("shard %d: window holds %d samples after AddDB, want %d (a cached answer survived the write?)",
@@ -455,5 +463,214 @@ func TestViewLatencySummaries(t *testing.T) {
 	// shard's 5 — either way far from zero and positive.
 	if ip.P50 <= 0 || ip.RelError != defaultQuantileAlpha {
 		t.Fatalf("inprogress summary wrong: %+v", ip)
+	}
+}
+
+// mapHeap is the space-saving sketch as it was before its heap went
+// slot-indexed: entries live in the heap itself and a PC -> position map
+// is rewritten on every swap. TestSpaceSavingMatchesMapHeap replays
+// streams through both.
+type mapHeap struct {
+	k     int
+	n     uint64
+	heap  []SSEntry
+	index map[uint64]int
+}
+
+func newMapHeap(k int) *mapHeap { return &mapHeap{k: k, index: make(map[uint64]int, k)} }
+
+func (s *mapHeap) minCount() uint64 {
+	if len(s.heap) < s.k {
+		return 0
+	}
+	return s.heap[0].Count
+}
+
+func (s *mapHeap) add(pc, w uint64) {
+	if w == 0 {
+		return
+	}
+	s.n += w
+	if i, ok := s.index[pc]; ok {
+		s.heap[i].Count += w
+		s.siftDown(i)
+		return
+	}
+	if len(s.heap) < s.k {
+		s.heap = append(s.heap, SSEntry{PC: pc, Count: w})
+		s.siftUp(len(s.heap) - 1)
+		return
+	}
+	evicted := s.heap[0]
+	delete(s.index, evicted.PC)
+	s.heap[0] = SSEntry{PC: pc, Count: evicted.Count + w, Err: evicted.Count}
+	s.index[pc] = 0
+	s.siftDown(0)
+}
+
+func (s *mapHeap) items() []SSEntry {
+	out := append([]SSEntry(nil), s.heap...)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Count != out[j].Count {
+			return out[i].Count > out[j].Count
+		}
+		return out[i].PC < out[j].PC
+	})
+	return out
+}
+
+func mergeMapHeaps(a, b *mapHeap) *mapHeap {
+	k := min(a.k, b.k)
+	type pair struct{ count, err uint64 }
+	union := make(map[uint64]pair)
+	fa, fb := a.minCount(), b.minCount()
+	for _, e := range a.heap {
+		union[e.PC] = pair{e.Count, e.Err}
+	}
+	for _, e := range b.heap {
+		if p, ok := union[e.PC]; ok {
+			union[e.PC] = pair{p.count + e.Count, p.err + e.Err}
+		} else {
+			union[e.PC] = pair{e.Count + fa, e.Err + fa}
+		}
+	}
+	for _, e := range a.heap {
+		if _, tracked := b.index[e.PC]; !tracked {
+			p := union[e.PC]
+			union[e.PC] = pair{p.count + fb, p.err + fb}
+		}
+	}
+	m := newMapHeap(k)
+	m.n = a.n + b.n
+	for pc, p := range union {
+		m.heap = append(m.heap, SSEntry{PC: pc, Count: p.count, Err: p.err})
+	}
+	m.heap = m.items()
+	if len(m.heap) > k {
+		m.heap = m.heap[:k]
+	}
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		m.siftDown(i)
+	}
+	for i := range m.heap {
+		m.index[m.heap[i].PC] = i
+	}
+	return m
+}
+
+func (s *mapHeap) swap(i, j int) {
+	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
+	s.index[s.heap[i].PC] = i
+	s.index[s.heap[j].PC] = j
+}
+
+func (s *mapHeap) siftUp(i int) {
+	s.index[s.heap[i].PC] = i
+	for i > 0 {
+		parent := (i - 1) / 2
+		if s.heap[i].Count >= s.heap[parent].Count {
+			return
+		}
+		s.swap(i, parent)
+		i = parent
+	}
+}
+
+func (s *mapHeap) siftDown(i int) {
+	s.index[s.heap[i].PC] = i
+	for {
+		l, r := 2*i+1, 2*i+2
+		min := i
+		if l < len(s.heap) && s.heap[l].Count < s.heap[min].Count {
+			min = l
+		}
+		if r < len(s.heap) && s.heap[r].Count < s.heap[min].Count {
+			min = r
+		}
+		if min == i {
+			return
+		}
+		s.swap(i, min)
+		i = min
+	}
+}
+
+// TestSpaceSavingMatchesMapHeap: the slot-indexed heap makes the same
+// comparisons and swaps as the map-indexed one it replaced, so for the
+// same add sequence it holds the same rows. Uniform, zipf and tie-heavy
+// weighted streams replay through both at K = 1, 7 and 512; after every
+// add, items(), minCount() and n must agree, and so must mergeSketches
+// of two such sketches and every add after the merge (the merged heap's
+// layout decides which tied row the next eviction takes).
+func TestSpaceSavingMatchesMapHeap(t *testing.T) {
+	type op struct{ pc, w uint64 }
+	streams := map[string]func(rng *stats.RNG, k int) []op{
+		"uniform": func(rng *stats.RNG, k int) []op {
+			ops := make([]op, 2*k+600)
+			for i := range ops {
+				ops[i] = op{0x400 + 8*uint64(rng.Intn(3*k+5)), uint64(rng.IntRange(1, 9))}
+			}
+			return ops
+		},
+		"zipf": func(rng *stats.RNG, k int) []op {
+			pcs := zipfStream(rng, 4*k+5, 2*k+600)
+			ops := make([]op, len(pcs))
+			for i, pc := range pcs {
+				ops[i] = op{pc, uint64(rng.IntRange(1, 4))}
+			}
+			return ops
+		},
+		// Weight 1 over twice K's population: the floor is nearly always
+		// tied, so which tied row sits at the root decides every eviction.
+		"ties": func(rng *stats.RNG, k int) []op {
+			ops := make([]op, 2*k+600)
+			for i := range ops {
+				ops[i] = op{0x400 + 8*uint64(rng.Intn(2*k+1)), 1}
+			}
+			return ops
+		},
+	}
+	same := func(got *spaceSaving, want *mapHeap) bool {
+		return got.n == want.n && got.minCount() == want.minCount() && slices.Equal(got.items(), want.items())
+	}
+	diff := func(t *testing.T, at string, got *spaceSaving, want *mapHeap) {
+		t.Helper()
+		g, w := got.items(), want.items()
+		row := 0
+		for row < min(len(g), len(w)) && g[row] == w[row] {
+			row++
+		}
+		t.Fatalf("%s: slot heap n=%d floor=%d, %d rows; map heap n=%d floor=%d, %d rows; first differing row %d",
+			at, got.n, got.minCount(), len(g), want.n, want.minCount(), len(w), row)
+	}
+	for name, stream := range streams {
+		for _, k := range []int{1, 7, 512} {
+			t.Run(fmt.Sprintf("%s/K=%d", name, k), func(t *testing.T) {
+				rng := stats.NewRNG(uint64(k)*31 + uint64(len(name)))
+				var got [2]*spaceSaving
+				var want [2]*mapHeap
+				for side := range got {
+					got[side], want[side] = newSpaceSaving(k), newMapHeap(k)
+					for i, o := range stream(rng, k) {
+						got[side].add(o.pc, o.w)
+						want[side].add(o.pc, o.w)
+						if !same(got[side], want[side]) {
+							diff(t, fmt.Sprintf("sketch %d, add %d (pc %#x w %d)", side, i, o.pc, o.w), got[side], want[side])
+						}
+					}
+				}
+				gm, wm := mergeSketches(got[0], got[1]), mergeMapHeaps(want[0], want[1])
+				if !same(gm, wm) {
+					diff(t, "merged", gm, wm)
+				}
+				for i, o := range stream(rng, k)[:k+50] {
+					gm.add(o.pc, o.w)
+					wm.add(o.pc, o.w)
+					if !same(gm, wm) {
+						diff(t, fmt.Sprintf("merged, add %d (pc %#x w %d)", i, o.pc, o.w), gm, wm)
+					}
+				}
+			})
+		}
 	}
 }

@@ -15,12 +15,12 @@ import (
 // or a bucket boundary changes which answer is correct.
 //
 // Concurrency: the ring has its own RWMutex, separate from SafeDB's. A
-// write (O(log K) per PC) takes the write lock for the sketch update
-// only — it never holds the lock for anything proportional to the
-// database — and
-// queries take the read lock, so windowed queries contend with the merge
-// loop only for these O(log K) critical sections, never for an O(DB)
-// copy. The unwindowed sketch path is fully lock-free (see View).
+// write holds the write lock for one shard's merge walk (SafeDB.Merge),
+// O(log K) per shard PC — never for anything proportional to the
+// database — and queries take the read lock, so windowed queries contend
+// with the merge loop only for those shard-sized critical sections,
+// never for an O(DB) copy. The unwindowed sketch path is fully lock-free
+// (see View).
 type windowRing struct {
 	mu        sync.RWMutex
 	bucketDur time.Duration
@@ -30,7 +30,7 @@ type windowRing struct {
 	headStart time.Time // start of the current bucket's interval
 	started   bool
 
-	// gen counts writes: every addDB (and so every advance, lap and
+	// gen counts writes: every lockHead (and so every advance, lap and
 	// reset) bumps it under mu. cache is the last merge a query performed,
 	// valid for exactly the ring contents (gen) and contributing buckets
 	// it was built from.
@@ -76,19 +76,23 @@ func (r *windowRing) horizon() time.Duration {
 	return time.Duration(len(r.buckets)) * r.bucketDur
 }
 
-// addDB folds every PC of db, weighted by its sample count, into the
-// bucket covering now under one lock acquisition and one advance, so the
-// lock is held in proportion to the shard, never to the aggregate.
-func (r *windowRing) addDB(now time.Time, db *DB) {
+// lockHead begins one write at now: it takes the write lock, bumps the
+// generation, advances the ring so the head bucket covers now, and
+// returns that bucket. The caller folds a shard in with add and then
+// calls r.mu.Unlock, so the lock is held in proportion to the shard,
+// never to the aggregate.
+func (r *windowRing) lockHead(now time.Time) *windowBucket {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.gen++
 	r.advanceLocked(now)
-	b := &r.buckets[r.head]
-	for pc, a := range db.byPC {
-		b.sk.add(pc, a.Samples)
-		b.samples += a.Samples
-	}
+	return &r.buckets[r.head]
+}
+
+// add folds weight w for pc into the bucket. Caller holds the ring's
+// write lock (lockHead).
+func (b *windowBucket) add(pc, w uint64) {
+	b.sk.add(pc, w)
+	b.samples += w
 }
 
 // advanceLocked rotates the ring so the head bucket covers now. A long
@@ -154,7 +158,7 @@ func (r *windowRing) contributes(b *windowBucket, cutoff, now time.Time) bool {
 // top n rows. It takes the ring's read lock only. The merge is O(K *
 // buckets); its result depends only on the ring's contents and on which
 // buckets contribute, so it is kept and reused — O(buckets + n) — until
-// an addDB (which also covers a lap or a long-gap reset) or a bucket
+// a write (which also covers a lap or a long-gap reset) or a bucket
 // boundary changes either. A reused answer is exactly what merging again
 // at that instant would return.
 func (r *windowRing) query(now time.Time, window time.Duration, n int) WindowResult {

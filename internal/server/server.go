@@ -30,6 +30,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -161,12 +162,17 @@ func (s *Server) writeErr(w http.ResponseWriter, status int, kind, msg string) {
 	writeJSON(w, status, apiError{Error: msg, Kind: kind})
 }
 
+// presizeCap bounds what readBounded allocates on a request's word: a
+// declared Content-Length is believed up to 1 MiB, and a body longer
+// than that grows as it arrives.
+const presizeCap = 1 << 20
+
 // readBounded reads a request body (what names it: "submission",
 // "handoff", "request") up to max bytes. On failure it writes the error
 // response itself (413 oversized, 400 otherwise) and returns a non-nil
 // error so the handler can just return.
 func (s *Server) readBounded(w http.ResponseWriter, r *http.Request, what string, max int64) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, max))
+	body, err := readPresized(http.MaxBytesReader(w, r.Body, max), min(r.ContentLength, max, presizeCap))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -178,6 +184,16 @@ func (s *Server) readBounded(w http.ResponseWriter, r *http.Request, what string
 		return nil, err
 	}
 	return body, nil
+}
+
+// readPresized reads r to the end into a buffer sized from hint (the
+// declared length; negative when unknown), with bytes.MinRead spare so
+// the read that finds the end of a body of exactly hint bytes does not
+// grow it.
+func readPresized(r io.Reader, hint int64) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, max(hint, 0)+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // decodeKind names the damage in a body the ingest codec refused: the

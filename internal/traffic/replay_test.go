@@ -214,11 +214,10 @@ func reorderedBody(t *testing.T, shard string, db *profile.DB) []byte {
 	for i := len(pcs) - 1; i >= 0; i-- {
 		img.Accums = append(img.Accums, *db.Get(pcs[i]))
 	}
-	var payload, env bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(img); err != nil {
-		t.Fatal(err)
-	}
-	if err := frame.WriteEnvelope(&env, "PMDB", 1, payload.Bytes()); err != nil {
+	var env bytes.Buffer
+	if err := frame.WriteEnvelope(&env, "PMDB", 1, func(w io.Writer) error {
+		return gob.NewEncoder(w).Encode(img)
+	}); err != nil {
 		t.Fatal(err)
 	}
 	b64, err := json.Marshal(env.Bytes())
