@@ -16,6 +16,8 @@ import (
 	"time"
 
 	"profileme/internal/ingest"
+	"profileme/internal/profile"
+	"profileme/internal/wal"
 )
 
 // The boot matrix: pmsimd starts one way — ingest.Recover — whatever it
@@ -84,6 +86,14 @@ func TestPmsimdBootMatrix(t *testing.T) {
 	if err := ingest.WriteCheckpoint(&pmck, &ingest.Checkpoint{Profile: pmdb.Bytes(), Applied: []string{"boot/s000"}}); err != nil {
 		t.Fatal(err)
 	}
+	// What a version-1 collector left behind: its checkpoint (the frame
+	// fixture, whose ledger covers a/s000) and a WAL tail admitting
+	// a/s000 again and a/s009, each with a version-1 profile.
+	v1pmck, v1pmdb := frameFixture(t, "small.pmck"), frameFixture(t, "small.pmdb")
+	v1db, err := profile.LoadDB(bytes.NewReader(v1pmdb))
+	if err != nil {
+		t.Fatal(err)
+	}
 	corrupt := bytes.Clone(pmdb.Bytes())
 	corrupt[len(corrupt)/2] ^= 0x40
 	skewed := bytes.Clone(pmdb.Bytes())
@@ -95,7 +105,9 @@ func TestPmsimdBootMatrix(t *testing.T) {
 		boots       bool
 		samples     uint64
 		quarantined bool
-		ledger      bool // the PMCK's applied shard must dedupe after the boot
+		ledger      bool   // the PMCK's applied shard must dedupe after the boot
+		tail        []byte // with a WAL: a/s000 and a/s009 admitted with this profile
+		tailSamples uint64 // what replaying the tail adds
 	}{
 		{name: "missing", boots: true},
 		{name: "bare-pmdb", file: pmdb.Bytes(), boots: true, samples: seed.Samples()},
@@ -104,6 +116,9 @@ func TestPmsimdBootMatrix(t *testing.T) {
 		// The one rule for both modes: an older binary must not quietly
 		// discard a newer binary's file.
 		{name: "version-skewed", file: skewed},
+		// An upgrade: the checkpoint and the WAL tail load through the
+		// version-1 reader, and the final checkpoint is version 2.
+		{name: "v1-pmck", file: v1pmck, boots: true, samples: v1db.Samples(), tail: v1pmdb, tailSamples: v1db.Samples()},
 	}
 	for _, c := range cases {
 		for _, withWAL := range []bool{false, true} {
@@ -117,8 +132,13 @@ func TestPmsimdBootMatrix(t *testing.T) {
 					}
 				}
 				args := []string{"-addr", "127.0.0.1:0", "-checkpoint", ckpt, "-interval", "16"}
+				want := c.samples
 				if withWAL {
 					args = append(args, "-wal-dir", filepath.Join(dir, "wal"))
+					if c.tail != nil {
+						writeAdmits(t, filepath.Join(dir, "wal"), c.tail, "a/s000", "a/s009")
+						want += c.tailSamples
+					}
 				}
 				cmd, base, waitErr := bootDaemon(t, args...)
 				_, qerr := os.Stat(ckpt + ".corrupt")
@@ -145,8 +165,8 @@ func TestPmsimdBootMatrix(t *testing.T) {
 				}
 				err = json.NewDecoder(resp.Body).Decode(&st)
 				resp.Body.Close()
-				if err != nil || st.Samples != c.samples {
-					t.Fatalf("serving %d samples (decode error %v), want %d", st.Samples, err, c.samples)
+				if err != nil || st.Samples != want {
+					t.Fatalf("serving %d samples (decode error %v), want %d", st.Samples, err, want)
 				}
 				if c.ledger {
 					body, err := ingest.EncodeSubmit("boot/s000", seed)
@@ -173,7 +193,46 @@ func TestPmsimdBootMatrix(t *testing.T) {
 				if err := cmd.Wait(); err != nil {
 					t.Fatalf("daemon did not drain cleanly: %v", err)
 				}
+				ck, err := ingest.LoadCheckpointFile(ckpt)
+				if err != nil || ck == nil {
+					t.Fatalf("final checkpoint: %v", err)
+				}
+				if v := binary.LittleEndian.Uint32(ck.Profile[4:8]); v != 2 || ck.Aggregate().Samples() != want {
+					t.Fatalf("final checkpoint holds a PMDB v%d of %d samples, want v2 of %d", v, ck.Aggregate().Samples(), want)
+				}
 			})
 		}
+	}
+}
+
+// frameFixture reads one of internal/frame's format fixtures.
+func frameFixture(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", "internal", "frame", "testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// writeAdmits writes a WAL in dir holding one admit record per shard,
+// each carrying profile.
+func writeAdmits(t *testing.T, dir string, profile []byte, shards ...string) {
+	t.Helper()
+	l, _, err := wal.Open(wal.Config{Dir: dir}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shard := range shards {
+		rec, err := json.Marshal(map[string]any{"kind": "admit", "shard": shard, "profile": profile})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -246,9 +246,18 @@ func TestMembershipRemoveLive(t *testing.T) {
 		t.Fatalf("fleet captured %d after scale-in, want %d (migration lost or double-counted samples)", got, wantCaptured)
 	}
 
-	// And the tier keeps accepting new work.
-	if got := submitVia(t, front.URL, "shrink/after", synthShard(99, 20)); got.status != http.StatusAccepted || got.Duplicate {
+	// And the tier keeps accepting new work. Its merge is asynchronous;
+	// wait for it, or the total read below could miss it and the final
+	// comparison would blame the donor's exit for the difference.
+	fresh := synthShard(99, 20)
+	if got := submitVia(t, front.URL, "shrink/after", fresh); got.status != http.StatusAccepted || got.Duplicate {
 		t.Fatalf("fresh submit after scale-in: status %d duplicate %v", got.status, got.Duplicate)
+	}
+	wantCaptured += fresh.Samples() + fresh.Lost()
+	for deadline := time.Now().Add(10 * time.Second); fleetCaptured(t, front.URL) != wantCaptured; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("fresh shard not merged: fleet captured %d, want %d", fleetCaptured(t, front.URL), wantCaptured)
+		}
 	}
 
 	// Pinless-router proof for scale-in: handoff ledger + adoption cover

@@ -12,12 +12,16 @@ import (
 	"profileme/internal/wal"
 )
 
-// Fixture file names under testdata/, one per on-disk format.
+// Fixture file names under testdata/, one per on-disk format, plus the
+// version-1 PMDB and the PMCK that wraps it: read-only goldens, written
+// by the last writer of that version, that today's readers must accept.
 const (
-	fixPMDB = "small.pmdb"
-	fixPMCK = "small.pmck"
-	fixPMWS = "two-records.pmws"
-	fixPMTF = "two-records.pmtf"
+	fixPMDB   = "small-v2.pmdb"
+	fixPMCK   = "small-v2.pmck"
+	fixPMWS   = "two-records.pmws"
+	fixPMTF   = "two-records.pmtf"
+	fixPMDBv1 = "small.pmdb"
+	fixPMCKv1 = "small.pmck"
 
 	// walSegment1 is the file name of a log's first segment.
 	walSegment1 = "wal-0000000000000001.log"
@@ -53,9 +57,9 @@ func fixtureDB() *profile.DB {
 }
 
 // buildFixtures writes one instance of each format through the
-// packages' own writers, scratch files under dir. The order is fixed
-// (PMDB before PMCK): gob numbers types in first-use order per process,
-// so the payload bytes depend on it.
+// packages' own writers, scratch files under dir. It runs before
+// anything else in the process: gob numbers types in first-use order per
+// process, so the PMCK payload bytes depend on it.
 func buildFixtures(dir string) (map[string][]byte, error) {
 	out := map[string][]byte{}
 

@@ -97,8 +97,10 @@ func ReadUint64(r io.Reader) (uint64, error) {
 // fill's bytes, then the length is patched and the checksum appended, so
 // no payload buffer exists beside the envelope. A *bytes.Buffer
 // destination is framed in place; any other writer gets the envelope in
-// one Write from a buffer of its own. If fill fails nothing is written: a
-// buffer destination is cut back to what it held before.
+// one Write from a buffer of its own. Either way fill is handed the
+// *bytes.Buffer the frame is built in, so it may append to it directly.
+// If fill fails nothing is written: a buffer destination is cut back to
+// what it held before.
 func WriteEnvelope(w io.Writer, magic string, version uint32, fill func(io.Writer) error) error {
 	buf, inPlace := w.(*bytes.Buffer)
 	if !inPlace {

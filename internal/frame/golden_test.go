@@ -20,9 +20,12 @@ import (
 
 // golden holds the testdata/ fixtures: one instance of each format,
 // written by the four packages' own framing code at the commit before
-// internal/frame replaced it. built holds the same four instances written
-// by today's writers. Both are filled once, in TestMain, because the
-// fixture build order is part of the bytes (see buildFixtures).
+// internal/frame replaced it — except the version-2 PMDB and its PMCK,
+// written when that version replaced the gob image, whose version-1
+// files stay as read-only goldens. built holds the four current-version
+// instances written by today's writers. Both are filled once, in
+// TestMain, because the fixture build order is part of the bytes (see
+// buildFixtures).
 var golden, built map[string][]byte
 
 func TestMain(m *testing.M) {
@@ -32,7 +35,7 @@ func TestMain(m *testing.M) {
 		os.RemoveAll(dir)
 	}
 	golden = map[string][]byte{}
-	for _, name := range []string{fixPMDB, fixPMCK, fixPMWS, fixPMTF} {
+	for _, name := range []string{fixPMDB, fixPMCK, fixPMWS, fixPMTF, fixPMDBv1, fixPMCKv1} {
 		if err == nil {
 			golden[name], err = os.ReadFile(filepath.Join("testdata", name))
 		}
@@ -45,10 +48,10 @@ func TestMain(m *testing.M) {
 }
 
 // TestWritersReproduceGolden: on-disk bytes of all four formats are what
-// they were before the framing moved.
+// their fixtures recorded.
 func TestWritersReproduceGolden(t *testing.T) {
-	for name, want := range golden {
-		if got := built[name]; !bytes.Equal(got, want) {
+	for name, got := range built {
+		if want := golden[name]; !bytes.Equal(got, want) {
 			t.Errorf("%s: writer output differs from the fixture (%d vs %d bytes)\n got %x\nwant %x",
 				name, len(got), len(want), got, want)
 		}
@@ -56,25 +59,35 @@ func TestWritersReproduceGolden(t *testing.T) {
 }
 
 // TestReadersDecodeGolden: today's readers recover exactly what the old
-// writers were given.
+// writers were given, from either PMDB version, and a version-1 image
+// loaded and saved again is the version-2 fixture byte for byte.
 func TestReadersDecodeGolden(t *testing.T) {
 	want := fixtureDB()
-	db, err := profile.LoadDB(bytes.NewReader(golden[fixPMDB]))
-	if err != nil {
-		t.Fatalf("PMDB: %v", err)
-	}
-	if db.Samples() != want.Samples() || db.Lost() != want.Lost() || !reflect.DeepEqual(db.PCs(), want.PCs()) {
-		t.Fatalf("PMDB: decoded %d samples / %d lost / PCs %v, want %d / %d / %v",
-			db.Samples(), db.Lost(), db.PCs(), want.Samples(), want.Lost(), want.PCs())
-	}
+	for _, fix := range []struct{ pmdb, pmck string }{{fixPMDB, fixPMCK}, {fixPMDBv1, fixPMCKv1}} {
+		db, err := profile.LoadDB(bytes.NewReader(golden[fix.pmdb]))
+		if err != nil {
+			t.Fatalf("%s: %v", fix.pmdb, err)
+		}
+		if db.Samples() != want.Samples() || db.Lost() != want.Lost() || !reflect.DeepEqual(db.PCs(), want.PCs()) {
+			t.Fatalf("%s: decoded %d samples / %d lost / PCs %v, want %d / %d / %v", fix.pmdb,
+				db.Samples(), db.Lost(), db.PCs(), want.Samples(), want.Lost(), want.PCs())
+		}
+		var again bytes.Buffer
+		if err := db.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), golden[fixPMDB]) {
+			t.Fatalf("%s: loaded and saved again, differs from %s", fix.pmdb, fixPMDB)
+		}
 
-	ck, err := ingest.ReadCheckpoint(bytes.NewReader(golden[fixPMCK]))
-	if err != nil {
-		t.Fatalf("PMCK: %v", err)
-	}
-	if !bytes.Equal(ck.Profile, golden[fixPMDB]) || !reflect.DeepEqual(ck.Applied, []string{"a/s000", "a/s001"}) ||
-		ck.RefusedLoss["a/s002"] != 7 || ck.HandoffFrom["a/s003"] != "c1" || ck.Barrier != (wal.Pos{Seg: 1, Off: 16}) {
-		t.Fatalf("PMCK: decoded %+v", ck)
+		ck, err := ingest.ReadCheckpoint(bytes.NewReader(golden[fix.pmck]))
+		if err != nil {
+			t.Fatalf("%s: %v", fix.pmck, err)
+		}
+		if !bytes.Equal(ck.Profile, golden[fix.pmdb]) || !reflect.DeepEqual(ck.Applied, []string{"a/s000", "a/s001"}) ||
+			ck.RefusedLoss["a/s002"] != 7 || ck.HandoffFrom["a/s003"] != "c1" || ck.Barrier != (wal.Pos{Seg: 1, Off: 16}) {
+			t.Fatalf("%s: decoded %+v", fix.pmck, ck)
+		}
 	}
 
 	if n, err := scanPMWS(t, golden[fixPMWS]); n != len(walPayloads) || err != nil {
@@ -152,10 +165,11 @@ type format struct {
 	decode  func([]byte) error
 }
 
-var wholeFileFormats = []format{
-	{fixPMDB, func(b []byte) error { _, err := profile.LoadDB(bytes.NewReader(b)); return err }},
-	{fixPMCK, func(b []byte) error { _, err := ingest.ReadCheckpoint(bytes.NewReader(b)); return err }},
-}
+var (
+	loadPMDB         = func(b []byte) error { _, err := profile.LoadDB(bytes.NewReader(b)); return err }
+	readPMCK         = func(b []byte) error { _, err := ingest.ReadCheckpoint(bytes.NewReader(b)); return err }
+	wholeFileFormats = []format{{fixPMDB, loadPMDB}, {fixPMCK, readPMCK}, {fixPMDBv1, loadPMDB}, {fixPMCKv1, readPMCK}}
+)
 
 // damaged is one table input: the fixture with a prefix cut or one bit
 // flipped.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -148,6 +149,55 @@ func TestRecoverCheckpointPlusTail(t *testing.T) {
 		}
 	}
 	conserve(t, s2, want, "after retries")
+}
+
+// TestReplayLoadsOnlyAppliedRecords: replay decides a record's skip on
+// its head alone, so the profile of an admit record the checkpoint
+// covers is never decoded — here it is not even a profile — while the
+// tail record is loaded and merged.
+func TestReplayLoadsOnlyAppliedRecords(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Interval: 16, WALDir: filepath.Join(dir, "wal"), CheckpointPath: filepath.Join(dir, "ckpt.db")}
+	var empty bytes.Buffer
+	if err := profile.NewDB(16, 0, 4).Save(&empty); err != nil {
+		t.Fatal(err)
+	}
+	if err := profile.WriteAtomic(cfg.CheckpointPath, func(w io.Writer) error {
+		return WriteCheckpoint(w, &Checkpoint{Profile: empty.Bytes(), Applied: []string{"covered"}})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := wal.Open(wal.Config{Dir: cfg.WALDir}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := testShard(1, 20)
+	covered, err := encodeRecord(record{Kind: walKindAdmit, Shard: "covered", Profile: []byte("not a profile")}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied, err := encodeRecord(record{Kind: walKindAdmit, Shard: "tail"}, tail.Save)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, payload := range [][]byte{covered, applied} {
+		if _, err := l.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, info, err := Recover(cfg)
+	if err != nil {
+		t.Fatalf("recover loaded a covered record: %v", err)
+	}
+	defer s.CloseWAL()
+	if info.Replayed != 1 {
+		t.Fatalf("replayed %d records, want the tail's 1", info.Replayed)
+	}
+	conserve(t, s, tail.Samples()+tail.Lost(), "after replay")
 }
 
 // TestRecoverRefusedShardReplaysAsMerge crashes with one shard refused

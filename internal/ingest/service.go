@@ -943,24 +943,34 @@ func (s *Service) Stats() Stats {
 // merge, its captured samples counted once either way, as Samples
 // instead of Lost; a handoff is skipped when the ledger says it is
 // covered (ledger.handoffCovered); an adoption that raced the
-// checkpoint barrier replays to the same state (ledger.adopt).
+// checkpoint barrier replays to the same state (ledger.adopt). The skip
+// is decided on the record's head (recordHead): a record replay skips
+// costs no base64 decode and no profile load.
 func (s *Service) replayRecord(pos wal.Pos, payload []byte) error {
-	kind, sub, h, err := decodeWALRecord(payload)
+	head, err := decodeRecordHead(payload)
 	if err != nil {
 		return err
 	}
 	s.res.Lock()
 	defer s.res.Unlock()
+	switch head.Kind {
+	case walKindAdmit:
+		if e, _ := s.led.lookup(head.Shard); e.applied {
+			return nil
+		}
+	case walKindHandoff:
+		if s.led.handoffCovered(pos, head.Key) {
+			return nil
+		}
+	}
+	kind, sub, h, err := decodeWALRecord(payload)
+	if err != nil {
+		return err
+	}
 	switch kind {
 	case walKindAdmit:
-		if e, _ := s.led.lookup(sub.Shard); e.applied {
-			return nil
-		}
 		s.resolve(sub) // merge failure is accounted inside
 	case walKindHandoff:
-		if s.led.handoffCovered(pos, h.Key) {
-			return nil
-		}
 		_ = s.applyHandoff(h, h.DB.Samples()+h.DB.Lost(), pos) // merge failure is accounted inside
 	case walKindAdopt:
 		s.led.adopt(h.From, h.Shards, wal.Pos{})

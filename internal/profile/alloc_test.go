@@ -2,7 +2,6 @@ package profile
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"runtime"
 	"testing"
@@ -12,48 +11,56 @@ import (
 	"profileme/internal/stats"
 )
 
-// The wide-merge shape: a collector aggregate of 2^16 PCs (the runbook's
-// sketch geometry) taking shards of 2048 PCs each, checkpointed every 8
-// merges.
+// A collector takes shards of two shapes, each checkpointed every 8
+// merges: wide shards of 2048 PCs into an aggregate of 2^16 (the
+// runbook's sketch geometry, ingest_wide), and narrow ones of 32 PCs
+// into an aggregate of 64 (a simulator kernel's shard, ingest_narrow).
 const (
 	wideAggPCs   = 1 << 16
 	wideShardPCs = 2048
 	wideCadence  = 8
 )
 
-// wideSubmitAlloc is what one wide submit allocates on the collector's
-// merge path — LoadDB of its shard, SafeDB.Merge into the warm aggregate,
-// and an eighth of one checkpoint image (SafeDB.Save) — as {allocations,
+// submitAlloc is what one submit allocates on the collector's merge
+// path — LoadDB of its shard, SafeDB.Merge into the warm aggregate, and
+// an eighth of one checkpoint image (SafeDB.Save) — as {allocations,
 // bytes}. A run may exceed neither by more than 15%; lower a value when
 // a change allocates less.
-var wideSubmitAlloc = [2]uint64{31067, 6436848}
+var submitAlloc = []struct {
+	shape           string
+	aggPCs, shardPC int
+	want            [2]uint64
+}{
+	{"wide", wideAggPCs, wideShardPCs, [2]uint64{34, 925728}},
+	{"narrow", 64, 32, [2]uint64{28, 38056}},
+}
 
-// wideRecord is one retired sample at pc with a latency that varies with
+// latRecord is one retired sample at pc with a latency that varies with
 // draw, so the quantile sketches see more than one bucket.
-func wideRecord(pc uint64, draw int) core.Record {
+func latRecord(pc uint64, draw int) core.Record {
 	lat := int64(5 + draw%40)
 	return rec(pc, true, 0, 1, 2, 3, 3+lat, 4+lat)
 }
 
-// wideAggregate holds one sample for every PC of the population.
-func wideAggregate() *DB {
+// aggregateOf holds one sample for every PC of a population of pcs.
+func aggregateOf(pcs int) *DB {
 	db := NewDB(64, 0, 4)
-	for i := 0; i < wideAggPCs; i++ {
-		db.Add(core.Sample{First: wideRecord(0x400000+4*uint64(i), i)})
+	for i := 0; i < pcs; i++ {
+		db.Add(core.Sample{First: latRecord(0x400000+4*uint64(i), i)})
 	}
 	return db
 }
 
-// wideShard draws skewed PCs from the population until it holds
-// wideShardPCs of them, and returns its Save image.
-func wideShard(t testing.TB, seed uint64) []byte {
+// shardOf draws skewed PCs from a population of popPCs until it holds
+// pcs of them, and returns its Save image.
+func shardOf(t testing.TB, seed uint64, pcs, popPCs int) []byte {
 	t.Helper()
 	rng := stats.NewRNG(seed)
 	db := NewDB(64, 0, 4)
-	for draw := 0; len(db.byPC) < wideShardPCs; draw++ {
+	for draw := 0; len(db.byPC) < pcs; draw++ {
 		// Squaring a uniform draw skews it toward the low PCs.
 		u := rng.Float64()
-		db.Add(core.Sample{First: wideRecord(0x400000+4*uint64(u*u*wideAggPCs), draw)})
+		db.Add(core.Sample{First: latRecord(0x400000+4*uint64(u*u*float64(popPCs)), draw)})
 	}
 	var buf bytes.Buffer
 	if err := db.Save(&buf); err != nil {
@@ -62,67 +69,81 @@ func wideShard(t testing.TB, seed uint64) []byte {
 	return buf.Bytes()
 }
 
-// TestWideMergeAlloc is the allocation gate of the collector's wide path
-// (one table row, in the style of TestPipelineSteadyStateAlloc), plus the
-// two properties that keep a decoded shard cheap: LoadDB allocates O(1)
-// beyond gob's own decode of the payload — the database points into the
-// decoded rows instead of copying each one — and a 2^16-PC image, which
-// gob builds in chunks, loads with no slack capacity behind it.
+// TestWideMergeAlloc is the allocation gate of the collector's merge
+// path (a table, in the style of TestPipelineSteadyStateAlloc), plus the
+// property that keeps a decoded image cheap: LoadDB allocates a constant
+// number of times whatever the image's size — the rows are one slice the
+// database points into, not one allocation per PC.
 func TestWideMergeAlloc(t *testing.T) {
 	now := time.Unix(1000, 0)
-	agg := NewSafeDBWith(wideAggregate(), SketchConfig{
-		TopK: 512, WindowBuckets: 60, BucketDur: time.Second, Now: func() time.Time { return now },
-	})
-	shards := make([][]byte, wideCadence)
-	for i := range shards {
-		shards[i] = wideShard(t, uint64(i+1))
-	}
-	var image bytes.Buffer
-	cycle := func() {
-		for _, shard := range shards {
-			db, err := LoadDB(bytes.NewReader(shard))
+	for _, row := range submitAlloc {
+		agg := NewSafeDBWith(aggregateOf(row.aggPCs), SketchConfig{
+			TopK: 512, WindowBuckets: 60, BucketDur: time.Second, Now: func() time.Time { return now },
+		})
+		shards := make([][]byte, wideCadence)
+		for i := range shards {
+			shards[i] = shardOf(t, uint64(i+1), row.shardPC, row.aggPCs)
+		}
+		var image bytes.Buffer
+		cycle := func() {
+			for _, shard := range shards {
+				db, err := LoadDB(bytes.NewReader(shard))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := agg.Merge(db); err != nil {
+					t.Fatal(err)
+				}
+			}
+			image.Reset()
+			if err := agg.Save(&image); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cycle() // warm: full sketches, Save's accumulator list, the image buffer
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cycle()
+		runtime.ReadMemStats(&after)
+		allocs := (after.Mallocs - before.Mallocs) / wideCadence
+		size := (after.TotalAlloc - before.TotalAlloc) / wideCadence
+		t.Logf("per %s submit: %d allocations, %d B", row.shape, allocs, size)
+		if msg := allocExcess(allocs, size, row.want); msg != "" {
+			t.Errorf("per %s submit: %s", row.shape, msg)
+		}
+
+		for what, img := range map[string][]byte{"shard": shards[0], "checkpoint image": image.Bytes()} {
+			db, err := LoadDB(bytes.NewReader(img))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := agg.Merge(db); err != nil {
-				t.Fatal(err)
+			rows := len(db.byPC)
+			index := testing.AllocsPerRun(5, func() { _ = make(map[uint64]*PCAccum, rows) })
+			load := testing.AllocsPerRun(5, func() {
+				if _, err := LoadDB(bytes.NewReader(img)); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if extra := load - index; extra > maxLoadAllocs {
+				t.Errorf("LoadDB of a %d-PC %s %s: %.0f allocations beyond its PC index's %.0f, want O(1) (<= %d)",
+					rows, row.shape, what, extra, index, maxLoadAllocs)
 			}
 		}
-		image.Reset()
-		if err := agg.Save(&image); err != nil {
-			t.Fatal(err)
-		}
 	}
-	cycle() // warm: gob's type caches, full sketches, Save's accumulator list
+}
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	cycle()
-	runtime.ReadMemStats(&after)
-	allocs := (after.Mallocs - before.Mallocs) / wideCadence
-	size := (after.TotalAlloc - before.TotalAlloc) / wideCadence
-	t.Logf("per wide submit: %d allocations, %d B", allocs, size)
-	if msg := allocExcess(allocs, size, wideSubmitAlloc); msg != "" {
-		t.Errorf("per wide submit: %s", msg)
+// TestGobImageDecodesWithoutSlack: a 2^16-PC version-1 image, which gob
+// builds in chunks, decodes with no slack capacity behind its rows. A
+// collector that boots from a version-1 checkpoint keeps those rows live
+// until its next restart.
+func TestGobImageDecodesWithoutSlack(t *testing.T) {
+	accs := make([]PCAccum, wideAggPCs)
+	for i := range accs {
+		accs[i] = PCAccum{PC: 0x400000 + 4*uint64(i), Samples: 1}
 	}
-
-	payload := shards[0][headerBytes : len(shards[0])-4]
-	decode := testing.AllocsPerRun(5, func() {
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(new(dbImage)); err != nil {
-			t.Fatal(err)
-		}
-	})
-	load := testing.AllocsPerRun(5, func() {
-		if _, err := LoadDB(bytes.NewReader(shards[0])); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if extra := load - decode; extra > 32 {
-		t.Errorf("LoadDB of a %d-PC shard: %.0f allocations beyond gob's %.0f, want O(1) (<= 32)",
-			wideShardPCs, extra, decode)
-	}
-
-	img, err := decodeImage(image.Bytes()[headerBytes : image.Len()-4])
+	v1 := gobImage(t, dbImage{S: 64, C: 4, Samples: wideAggPCs, Accums: accs})
+	img, err := decodeGob(v1[headerBytes : len(v1)-4])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,6 +152,12 @@ func TestWideMergeAlloc(t *testing.T) {
 			len(img.Accums), cap(img.Accums), wideAggPCs)
 	}
 }
+
+// maxLoadAllocs bounds what LoadDB allocates besides the byPC index for
+// an image without pair metrics or retained addresses, whatever its row
+// count: the framing reads, the payload, the rows, the database — 8, or
+// 10 under the race detector.
+const maxLoadAllocs = 12
 
 // allocExcess names what a run allocated beyond want by more than 15%,
 // or returns "". Both counts are gated: fewer but far larger allocations

@@ -2,10 +2,12 @@ package profile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"profileme/internal/frame"
 )
@@ -29,32 +31,36 @@ var (
 )
 
 // The on-disk format is a frame envelope (DESIGN.md §7 "Framing") around
-// a gob payload.
+// a row table: the DB header, then one row per accumulator in ascending
+// PC order. Integers are varints — zigzag for the signed ones — and each
+// PC is stored as its distance from the previous row's:
+//
+//	header  S f64 | W C TNear RetainAddrs zigzag | samples pairs lost
+//	        corruptRejected uvarint | metrics uvarint, each len | bytes |
+//	        rows uvarint
+//	row     pc-delta | Samples | Events[11] | LatSum[5] zigzag | LatCount[5] |
+//	        MemLatSum zigzag | MemLatCount | InProgressSum zigzag |
+//	        InProgressCount | UsefulOverlap | PairSamples | RetiredNear |
+//	        len | PairMetrics... | len | Addrs...
+//
+// It is the DCPI-style on-disk profile: counts and sums only, no raw
+// samples. Custom pair-metric functions are not serializable; their names
+// and counts survive, and a loaded database can be queried but
+// accumulates further custom metrics only after the functions are
+// re-registered via RestorePairMetrics. Version 1, a gob image, is still
+// read (loadGob) and never written.
 const (
-	dbMagic   = "PMDB"
-	dbVersion = 1
+	dbMagic      = "PMDB"
+	dbVersion    = 2
+	dbVersionGob = 1
 	// maxImageBytes caps the declared payload (a compact per-PC image is
 	// megabytes, not gigabytes).
 	maxImageBytes = 1 << 28
+	// minRowBytes is the smallest row: one byte for each of its 32
+	// fields. A declared row count is checked against it before the rows
+	// are allocated.
+	minRowBytes = 32
 )
-
-// dbImage is the serialized form of a DB (the DCPI-style on-disk profile:
-// counts and sums only, no raw samples). Custom pair-metric functions are
-// not serializable; their names and counts survive, and a loaded database
-// can be queried but accumulates further custom metrics only after the
-// functions are re-registered via RestorePairMetrics.
-type dbImage struct {
-	S           float64
-	W, C        int
-	TNear       int64
-	RetainAddrs int
-	Samples     uint64
-	Pairs       uint64
-	Lost        uint64
-	CorruptRej  uint64
-	MetricNames []string
-	Accums      []PCAccum
-}
 
 // Save writes the database as a versioned, checksummed envelope.
 func (db *DB) Save(w io.Writer) error {
@@ -73,42 +79,91 @@ func (db *DB) sortedAccums() []*PCAccum {
 }
 
 // save is Save given sortedAccums, for a caller that keeps the list
-// between saves of the same database (SafeDB). gob encodes the image
-// straight into the envelope — in place when w is a bytes.Buffer (a
-// checkpoint image, a wire body).
+// between saves of the same database (SafeDB). Each row is appended
+// straight into the envelope's buffer, grown once first: a caller that
+// keeps a saved image (a shard body, a trace record) keeps the buffer's
+// spare capacity with it, which doubling growth would leave at up to
+// the image's own size.
 func (db *DB) save(w io.Writer, accs []*PCAccum) error {
-	img := dbImage{
-		S: db.S, W: db.W, C: db.C, TNear: db.TNear, RetainAddrs: db.RetainAddrs,
-		Samples: db.samples, Pairs: db.pairs,
-		Lost: db.lost, CorruptRej: db.corruptRejected,
-		MetricNames: db.metricNames,
-		Accums:      make([]PCAccum, len(accs)),
-	}
-	for i, a := range accs {
-		img.Accums[i] = *a
-	}
 	if err := frame.WriteEnvelope(w, dbMagic, dbVersion, func(p io.Writer) error {
-		return gob.NewEncoder(p).Encode(&img)
+		buf := p.(*bytes.Buffer)
+		buf.Grow(256 + 40*len(accs)) // a row of small counts takes 32 bytes
+		buf.Write(db.appendHead(buf.AvailableBuffer(), len(accs)))
+		var prev uint64
+		for _, a := range accs {
+			buf.Write(appendRow(buf.AvailableBuffer(), a, a.PC-prev))
+			prev = a.PC
+		}
+		return nil
 	}); err != nil {
 		return fmt.Errorf("profile: save: %w", err)
 	}
 	return nil
 }
 
-// LoadDB reads a database written by Save. Any failure is typed: corrupt
-// or truncated input and version skew (including pre-envelope naked-gob
-// databases) return errors matching ErrCorrupt, ErrTruncated or
-// ErrVersionSkew — never a panic, a garbage database, or an unbounded
-// allocation. An image that lists a PC twice is ErrCorrupt.
+// appendHead appends the image header for a database of rows rows.
+func (db *DB) appendHead(b []byte, rows int) []byte {
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(db.S))
+	for _, v := range []int64{int64(db.W), int64(db.C), db.TNear, int64(db.RetainAddrs)} {
+		b = binary.AppendVarint(b, v)
+	}
+	for _, v := range []uint64{db.samples, db.pairs, db.lost, db.corruptRejected} {
+		b = binary.AppendUvarint(b, v)
+	}
+	b = binary.AppendUvarint(b, uint64(len(db.metricNames)))
+	for _, name := range db.metricNames {
+		b = binary.AppendUvarint(b, uint64(len(name)))
+		b = append(b, name...)
+	}
+	return binary.AppendUvarint(b, uint64(rows))
+}
+
+// appendRow appends one accumulator's row, its PC given as delta.
+func appendRow(b []byte, a *PCAccum, delta uint64) []byte {
+	b = binary.AppendUvarint(b, delta)
+	b = binary.AppendUvarint(b, a.Samples)
+	for _, v := range a.Events {
+		b = binary.AppendUvarint(b, v)
+	}
+	for _, v := range a.LatSum {
+		b = binary.AppendVarint(b, v)
+	}
+	for _, v := range a.LatCount {
+		b = binary.AppendUvarint(b, v)
+	}
+	b = binary.AppendVarint(b, a.MemLatSum)
+	b = binary.AppendUvarint(b, a.MemLatCount)
+	b = binary.AppendVarint(b, a.InProgressSum)
+	b = binary.AppendUvarint(b, a.InProgressCount)
+	b = binary.AppendUvarint(b, a.UsefulOverlap)
+	b = binary.AppendUvarint(b, a.PairSamples)
+	b = binary.AppendUvarint(b, a.RetiredNear)
+	for _, list := range [2][]uint64{a.PairMetrics, a.Addrs} {
+		b = binary.AppendUvarint(b, uint64(len(list)))
+		for _, v := range list {
+			b = binary.AppendUvarint(b, v)
+		}
+	}
+	return b
+}
+
+// LoadDB reads a database written by Save, or by a version-1 Save.
+// Any failure is typed: corrupt or truncated input and version skew
+// (including pre-envelope naked-gob databases) return errors matching
+// ErrCorrupt, ErrTruncated or ErrVersionSkew — never a panic, a garbage
+// database, or an unbounded allocation. An image that lists a PC twice,
+// a row whose pair metrics are not the database's metric set, and a row
+// that keeps more addresses than the database retains are ErrCorrupt.
 func LoadDB(r io.Reader) (*DB, error) {
 	hdr, err := frame.ReadHeader(r, dbMagic, dbVersion)
-	if err != nil {
+	gobImage := errors.Is(err, ErrVersionSkew) && binary.LittleEndian.Uint32(hdr[4:8]) == dbVersionGob
+	if err != nil && !gobImage {
 		// Pre-envelope databases were naked gob streams. If a foreign
 		// magic is the start of one, this is an old format, not damage.
 		legacy := io.MultiReader(bytes.NewReader(hdr[:]), io.LimitReader(r, maxImageBytes))
 		if errors.Is(err, ErrCorrupt) && gob.NewDecoder(legacy).Decode(new(dbImage)) == nil {
 			return nil, fmt.Errorf("profile: load: unversioned pre-v%d database: %w",
-				dbVersion, ErrVersionSkew)
+				dbVersionGob, ErrVersionSkew)
 		}
 		return nil, fmt.Errorf("profile: load: %w", err)
 	}
@@ -116,7 +171,225 @@ func LoadDB(r io.Reader) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("profile: load: %w", err)
 	}
-	img, err := decodeImage(payload)
+	var db *DB
+	if gobImage {
+		db, err = loadGob(payload)
+	} else {
+		db, err = loadRows(payload)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("profile: load: %w", err)
+	}
+	return db, nil
+}
+
+// sane is the configuration check both readers apply to a loaded header.
+func (db *DB) sane() error {
+	if !(db.S >= 0) || db.W < 0 || db.C < 0 || db.RetainAddrs < 0 {
+		return fmt.Errorf("impossible configuration: %w", ErrCorrupt)
+	}
+	return nil
+}
+
+// rowFits is the per-row check both readers apply: a row's pair metrics
+// are the database's metric set or absent, and it keeps no more addresses
+// than the database retains. mergeWalk indexes a row's pair metrics by
+// the first row it met for that PC, so a row that breaks this would crash
+// the merge that folds it.
+func (db *DB) rowFits(pairMetrics, addrs int) bool {
+	return (pairMetrics == 0 || pairMetrics == len(db.metricNames)) && addrs <= db.RetainAddrs
+}
+
+// loadRows decodes a version-2 payload. Every length is checked against
+// the bytes left before anything is allocated for it, and all rows live
+// in one slice that byPC points into.
+func loadRows(payload []byte) (*DB, error) {
+	d := rowDecoder{b: payload}
+	if len(d.b) < 8 {
+		return nil, fmt.Errorf("header: %w", ErrCorrupt)
+	}
+	db := &DB{S: math.Float64frombits(binary.LittleEndian.Uint64(d.b))}
+	d.i = 8
+	db.W, db.C, db.TNear, db.RetainAddrs = d.int(), d.int(), d.varint(), d.int()
+	db.samples, db.pairs, db.lost, db.corruptRejected = d.uvarint(), d.uvarint(), d.uvarint(), d.uvarint()
+	if n := d.count(1); n > 0 {
+		db.metricNames = make([]string, n)
+		db.metricFns = make([]OverlapFunc, n) // placeholders
+		for i := range db.metricNames {
+			db.metricNames[i] = string(d.take(d.count(1)))
+		}
+	}
+	rows := d.count(minRowBytes)
+	if d.err != nil {
+		return nil, d.err
+	}
+	if err := db.sane(); err != nil {
+		return nil, err
+	}
+	accs := make([]PCAccum, rows)
+	db.byPC = make(map[uint64]*PCAccum, rows)
+	var pc uint64
+	for i := range accs {
+		a := &accs[i]
+		delta := d.uvarint()
+		if i > 0 && (delta == 0 || pc+delta < pc) {
+			return nil, fmt.Errorf("row %d: PCs not strictly ascending: %w", i, ErrCorrupt)
+		}
+		pc += delta
+		a.PC = pc
+		a.Samples = d.uvarint()
+		for j := range a.Events {
+			a.Events[j] = d.uvarint()
+		}
+		for j := range a.LatSum {
+			a.LatSum[j] = d.varint()
+		}
+		for j := range a.LatCount {
+			a.LatCount[j] = d.uvarint()
+		}
+		a.MemLatSum, a.MemLatCount = d.varint(), d.uvarint()
+		a.InProgressSum, a.InProgressCount = d.varint(), d.uvarint()
+		a.UsefulOverlap, a.PairSamples, a.RetiredNear = d.uvarint(), d.uvarint(), d.uvarint()
+		metrics := d.count(1)
+		if metrics > 0 {
+			a.PairMetrics = d.uvarints(metrics)
+		}
+		addrs := d.count(1)
+		if addrs > 0 {
+			a.Addrs = d.uvarints(addrs)
+		}
+		if d.err != nil {
+			return nil, fmt.Errorf("row %d: %w", i, d.err)
+		}
+		if !db.rowFits(metrics, addrs) {
+			return nil, fmt.Errorf("row %d (PC %#x): %d pair metrics, %d addresses: %w", i, pc, metrics, addrs, ErrCorrupt)
+		}
+		db.byPC[pc] = a
+	}
+	if d.left() > 0 {
+		return nil, fmt.Errorf("%d bytes after the last row: %w", d.left(), ErrCorrupt)
+	}
+	return db, nil
+}
+
+// rowDecoder reads a version-2 payload field by field. The first
+// malformed field records err and skips the rest of the input, so every
+// later read returns zero and a caller checks err once per row. Reads
+// move an index, not the slice, so they store no pointer.
+type rowDecoder struct {
+	b   []byte
+	i   int // the next unread byte of b
+	err error
+}
+
+func (d *rowDecoder) left() int { return len(d.b) - d.i }
+
+func (d *rowDecoder) fail(what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%s: %w", what, ErrCorrupt)
+	}
+	d.i = len(d.b)
+}
+
+// uvarint reads an unsigned varint. Most fields of a row fit one byte,
+// so that case is tried before binary.Uvarint.
+func (d *rowDecoder) uvarint() uint64 {
+	if i := d.i; i < len(d.b) && d.b[i] < 0x80 {
+		d.i = i + 1
+		return uint64(d.b[i])
+	}
+	return d.longUvarint()
+}
+
+func (d *rowDecoder) longUvarint() uint64 {
+	v, n := binary.Uvarint(d.b[d.i:])
+	if n <= 0 {
+		d.fail("bad varint")
+		return 0
+	}
+	d.i += n
+	return v
+}
+
+// varint reads a zigzag-encoded signed integer.
+func (d *rowDecoder) varint() int64 {
+	u := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+func (d *rowDecoder) int() int {
+	v := d.varint()
+	if int64(int(v)) != v {
+		d.fail("integer overflows int")
+		return 0
+	}
+	return int(v)
+}
+
+// count reads a length whose items take at least size bytes each, and
+// fails it when the input left cannot hold that many.
+func (d *rowDecoder) count(size int) int {
+	n := d.uvarint()
+	if n > uint64(d.left()/size) {
+		d.fail(fmt.Sprintf("declared %d items in %d bytes", n, d.left()))
+		return 0
+	}
+	return int(n)
+}
+
+// take consumes n bytes (n already checked by count).
+func (d *rowDecoder) take(n int) []byte {
+	p := d.b[d.i : d.i+n]
+	d.i += n
+	return p
+}
+
+// uvarints reads n > 0 values (n already checked by count).
+func (d *rowDecoder) uvarints(n int) []uint64 {
+	vs := make([]uint64, n)
+	for i := range vs {
+		vs[i] = d.uvarint()
+	}
+	return vs
+}
+
+// dbImage is the version-1 image: a gob of the DB's header fields and a
+// copy of every accumulator. It is decoded, never encoded, so that
+// checkpoints, WAL records, traces and saved profiles written by a
+// version-1 collector stay readable.
+type dbImage struct {
+	S           float64
+	W, C        int
+	TNear       int64
+	RetainAddrs int
+	Samples     uint64
+	Pairs       uint64
+	Lost        uint64
+	CorruptRej  uint64
+	MetricNames []string
+	Accums      []PCAccum
+}
+
+// decodeGob decodes a version-1 payload. gob builds a slice over 10 MB in
+// chunks and leaves slack capacity behind; a database keeps pointers
+// into Accums for as long as it lives, so such a slice is copied to its
+// exact length first.
+func decodeGob(payload []byte) (*dbImage, error) {
+	img := new(dbImage)
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(img); err != nil {
+		return nil, fmt.Errorf("decode: %v: %w", err, ErrCorrupt)
+	}
+	if cap(img.Accums) > len(img.Accums) {
+		exact := make([]PCAccum, len(img.Accums))
+		copy(exact, img.Accums)
+		img.Accums = exact
+	}
+	return img, nil
+}
+
+// loadGob decodes a version-1 payload under the same checks as loadRows.
+func loadGob(payload []byte) (*DB, error) {
+	img, err := decodeGob(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -128,36 +401,22 @@ func LoadDB(r io.Reader) (*DB, error) {
 		metricFns:   make([]OverlapFunc, len(img.MetricNames)), // placeholders
 		byPC:        make(map[uint64]*PCAccum, len(img.Accums)),
 	}
-	// The accumulators stay where gob decoded them: byPC points into
-	// img.Accums, one allocation for the whole image.
+	if err := db.sane(); err != nil {
+		return nil, err
+	}
 	for i := range img.Accums {
-		db.byPC[img.Accums[i].PC] = &img.Accums[i]
+		a := &img.Accums[i]
+		if !db.rowFits(len(a.PairMetrics), len(a.Addrs)) {
+			return nil, fmt.Errorf("PC %#x: %d pair metrics, %d addresses: %w",
+				a.PC, len(a.PairMetrics), len(a.Addrs), ErrCorrupt)
+		}
+		db.byPC[a.PC] = a
 	}
 	if len(db.byPC) != len(img.Accums) {
-		return nil, fmt.Errorf("profile: load: %d accumulators for %d distinct PCs: %w",
+		return nil, fmt.Errorf("%d accumulators for %d distinct PCs: %w",
 			len(img.Accums), len(db.byPC), ErrCorrupt)
 	}
 	return db, nil
-}
-
-// decodeImage decodes and sanity-checks an envelope's payload. gob builds
-// a slice over 10 MB in chunks and leaves slack capacity behind; the
-// database keeps pointers into Accums for as long as it lives, so such a
-// slice is copied to its exact length first.
-func decodeImage(payload []byte) (*dbImage, error) {
-	img := new(dbImage)
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(img); err != nil {
-		return nil, fmt.Errorf("profile: load: decode: %v: %w", err, ErrCorrupt)
-	}
-	if !(img.S >= 0) || img.W < 0 || img.C < 0 || img.RetainAddrs < 0 {
-		return nil, fmt.Errorf("profile: load: impossible configuration: %w", ErrCorrupt)
-	}
-	if cap(img.Accums) > len(img.Accums) {
-		exact := make([]PCAccum, len(img.Accums))
-		copy(exact, img.Accums)
-		img.Accums = exact
-	}
-	return img, nil
 }
 
 // RestorePairMetrics re-binds custom metric functions after LoadDB; names

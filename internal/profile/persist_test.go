@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
+	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"profileme/internal/core"
 	"profileme/internal/frame"
+	"profileme/internal/stats"
 )
 
 // headerBytes is where the payload starts in a saved image: the frame
@@ -83,6 +88,20 @@ func TestLoadVersionSkewTyped(t *testing.T) {
 		t.Fatalf("future version: %v", err)
 	}
 
+	// The version is a u32, compared whole: a v1 image with a bit set in
+	// the version's upper bytes is skew, not v1.
+	v1 := gobImage(t, dbImage{S: 100, W: 80, C: 4})
+	if _, err := LoadDB(bytes.NewReader(v1)); err != nil {
+		t.Fatal(err)
+	}
+	for at := 5; at < 8; at++ {
+		bad := bytes.Clone(v1)
+		bad[at] ^= 0x01
+		if _, err := LoadDB(bytes.NewReader(bad)); !errors.Is(err, ErrVersionSkew) {
+			t.Errorf("v1 with byte %d flipped: %v, want ErrVersionSkew", at, err)
+		}
+	}
+
 	// A pre-envelope database: naked gob, as the original Save wrote.
 	legacy := dbImage{S: 100, W: 80, C: 4, Samples: 3}
 	var buf bytes.Buffer
@@ -128,23 +147,209 @@ func duplicatePCImage() dbImage {
 		Accums: []PCAccum{{PC: 0x40, Samples: 10}, {PC: 0x40, Samples: 20}}}
 }
 
-// TestLoadDuplicatePCCorrupt: an image that lists a PC twice is damage.
-// It used to load with the second row silently replacing the first — a
-// database claiming 30 samples whose only row held 20.
-func TestLoadDuplicatePCCorrupt(t *testing.T) {
-	img := duplicatePCImage()
+// envelope frames payload as a PMDB of the given version.
+func envelope(t testing.TB, version uint32, payload []byte) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := frame.WriteEnvelope(&buf, dbMagic, dbVersion, func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(&img)
+	if err := frame.WriteEnvelope(&buf, dbMagic, version, func(w io.Writer) error {
+		_, err := w.Write(payload)
+		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	db, err := LoadDB(&buf)
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("a PC listed twice: err %v, want ErrCorrupt", err)
+	return buf.Bytes()
+}
+
+// gobImage is img as the version-1 writer framed it.
+func gobImage(t testing.TB, img dbImage) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&img); err != nil {
+		t.Fatal(err)
 	}
-	if db != nil {
-		t.Fatalf("a PC listed twice loaded as %d samples over %d rows", db.Samples(), len(db.PCs()))
+	return envelope(t, dbVersionGob, buf.Bytes())
+}
+
+// rowImage is db saved with accs as its row list, in that order — what
+// no Save of a real database writes when accs repeats or reorders PCs.
+func rowImage(t testing.TB, db *DB, accs ...*PCAccum) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := db.save(&buf, accs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadDuplicatePCCorrupt: an image that lists a PC twice is damage,
+// in either version. It used to load with the second row silently
+// replacing the first — a database claiming 30 samples whose only row
+// held 20. Version 2 stores PCs as ascending deltas, so a repeated PC is
+// a zero delta and a descending one wraps.
+func TestLoadDuplicatePCCorrupt(t *testing.T) {
+	db := NewDB(100, 80, 4)
+	lo, hi := &PCAccum{PC: 0x40, Samples: 10}, &PCAccum{PC: 0x44, Samples: 20}
+	for what, img := range map[string][]byte{
+		"v1 repeated":   gobImage(t, duplicatePCImage()),
+		"v2 repeated":   rowImage(t, db, lo, lo),
+		"v2 descending": rowImage(t, db, hi, lo),
+	} {
+		got, err := LoadDB(bytes.NewReader(img))
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: err %v, want ErrCorrupt", what, err)
+		}
+		if got != nil {
+			t.Fatalf("%s: loaded as %d samples over %d rows", what, got.Samples(), len(got.PCs()))
+		}
+	}
+}
+
+// TestLoadRejectsMisfitRows: a CRC-valid image whose row carries pair
+// metrics other than the database's metric set, or more addresses than
+// it retains, is ErrCorrupt in both versions. Such rows used to load and
+// pass admission; merging two of them that gave one PC pair-metric
+// slices of lengths 1 and 3 panicked the merge with an index out of
+// range.
+func TestLoadRejectsMisfitRows(t *testing.T) {
+	metrics := func(n int) []uint64 { return make([]uint64, n) }
+	for _, c := range []struct {
+		what    string
+		names   []string
+		retain  int
+		acc     PCAccum
+		corrupt bool
+	}{
+		{"no metrics, 1 pair metric", nil, 0, PCAccum{PC: 0x40, PairMetrics: metrics(1)}, true},
+		{"no metrics, 3 pair metrics", nil, 0, PCAccum{PC: 0x40, PairMetrics: metrics(3)}, true},
+		{"2 metrics, 1 pair metric", []string{"a", "b"}, 0, PCAccum{PC: 0x40, PairMetrics: metrics(1)}, true},
+		{"2 metrics, 2 pair metrics", []string{"a", "b"}, 0, PCAccum{PC: 0x40, PairMetrics: metrics(2)}, false},
+		{"2 metrics, none", []string{"a", "b"}, 0, PCAccum{PC: 0x40}, false},
+		{"3 addresses, 2 retained", nil, 2, PCAccum{PC: 0x40, Addrs: []uint64{1, 2, 3}}, true},
+		{"2 addresses, 2 retained", nil, 2, PCAccum{PC: 0x40, Addrs: []uint64{1, 2}}, false},
+	} {
+		db := NewDB(100, 80, 4)
+		db.RetainAddrs = c.retain
+		db.metricNames, db.metricFns = c.names, make([]OverlapFunc, len(c.names))
+		acc := c.acc
+		v1 := gobImage(t, dbImage{S: 100, W: 80, C: 4, TNear: db.TNear, RetainAddrs: c.retain,
+			MetricNames: c.names, Accums: []PCAccum{acc}})
+		for version, img := range map[string][]byte{"v1": v1, "v2": rowImage(t, db, &acc)} {
+			_, err := LoadDB(bytes.NewReader(img))
+			if c.corrupt && !errors.Is(err, ErrCorrupt) || !c.corrupt && err != nil {
+				t.Errorf("%s, %s: err %v, want corrupt=%v", c.what, version, err, c.corrupt)
+			}
+		}
+	}
+}
+
+// TestLoadRowBounds: the v2 reader's structural checks. A row count the
+// bytes present cannot hold fails before the rows are allocated, a PC
+// delta that overflows is damage, and so are bytes after the last row.
+func TestLoadRowBounds(t *testing.T) {
+	db := NewDB(100, 80, 4)
+	head := db.appendHead(nil, 1<<40)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadDB(bytes.NewReader(envelope(t, dbVersion, head)))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("2^40 rows declared in %d bytes: %v", len(head), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("a declared row count allocated %d bytes", grew)
+	}
+
+	top := &PCAccum{PC: math.MaxUint64}
+	overflow := rowImage(t, db, top, &PCAccum{PC: 0x40})
+	if _, err := LoadDB(bytes.NewReader(overflow)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a PC delta past 2^64: %v", err)
+	}
+
+	good := rowImage(t, db, &PCAccum{PC: 0x40}, top)
+	if _, err := LoadDB(bytes.NewReader(good)); err != nil {
+		t.Fatal(err)
+	}
+	payload := good[headerBytes : len(good)-4]
+	trailing := envelope(t, dbVersion, append(bytes.Clone(payload), 0))
+	if _, err := LoadDB(bytes.NewReader(trailing)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a byte after the last row: %v", err)
+	}
+}
+
+// randomDB draws a database over every field the image carries: extreme
+// counters, negative latency sums, PC 0 and 2^64-1, pair metrics and
+// retained addresses.
+func randomDB(rng *stats.RNG) *DB {
+	db := NewDB(float64(rng.Intn(1<<12)), rng.Intn(200), 1+rng.Intn(8))
+	db.TNear = int64(rng.Intn(100)) - 10
+	db.RetainAddrs = rng.Intn(4)
+	u64 := func() uint64 {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return math.MaxUint64
+		case 2:
+			return uint64(rng.Intn(200))
+		}
+		return rng.Uint64()
+	}
+	i64 := func() int64 { return int64(u64()) }
+	db.samples, db.pairs, db.lost, db.corruptRejected = u64(), u64(), u64(), u64()
+	for i := rng.Intn(3); i > 0; i-- {
+		db.metricNames = append(db.metricNames, fmt.Sprintf("m%d", rng.Intn(1000)))
+		db.metricFns = append(db.metricFns, nil)
+	}
+	for i := rng.Intn(40); i > 0; i-- {
+		pc := u64()
+		a := &PCAccum{PC: pc, Samples: u64(), MemLatSum: i64(), MemLatCount: u64(),
+			InProgressSum: i64(), InProgressCount: u64(), UsefulOverlap: u64(),
+			PairSamples: u64(), RetiredNear: u64()}
+		for j := range a.Events {
+			a.Events[j] = u64()
+		}
+		for j := range a.LatSum {
+			a.LatSum[j], a.LatCount[j] = i64(), u64()
+		}
+		if len(db.metricNames) > 0 && rng.Bool(0.5) {
+			for range db.metricNames {
+				a.PairMetrics = append(a.PairMetrics, u64())
+			}
+		}
+		for j := rng.Intn(db.RetainAddrs + 1); j > 0; j-- {
+			a.Addrs = append(a.Addrs, u64())
+		}
+		db.byPC[pc] = a
+	}
+	return db
+}
+
+// TestSaveLoadRoundTripProperty: LoadDB(Save(db)) deep-equals db, and
+// Save is deterministic — twice, and again after the round trip.
+func TestSaveLoadRoundTripProperty(t *testing.T) {
+	rng := stats.NewRNG(34)
+	for i := 0; i < 300; i++ {
+		db := randomDB(rng)
+		var first, second, again bytes.Buffer
+		if err := db.Save(&first); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Save(&second); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadDB(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("db %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, db) {
+			t.Fatalf("db %d: round trip changed it:\n got %+v\nwant %+v", i, got, db)
+		}
+		if err := got.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) || !bytes.Equal(first.Bytes(), again.Bytes()) {
+			t.Fatalf("db %d: Save is not deterministic", i)
+		}
 	}
 }
 

@@ -59,16 +59,18 @@ func TestOneShardPath(t *testing.T) {
 
 // TestShardPinnedBytes pins one fleet shard's profile.Save image at fleet
 // seed 1 — a clean suite kernel, one under a fault plan, a generated
-// program — to the digests recorded at the commit before simulate became a
-// RunShard caller: the refactor must not move a PMDB byte.
+// program — to the images recorded at the commit before simulate became a
+// RunShard caller: a change to how a shard is made must not move a PMDB
+// byte. The digests are of those images as PMDB version 2: each recorded
+// version-1 image, loaded and saved again.
 func TestShardPinnedBytes(t *testing.T) {
 	for _, tc := range []struct {
 		job  Job
 		want string
 	}{
-		{Job{ID: "compress/s000", Bench: "compress", Scale: 20000}, "4a9fd4bb74e0cd1de5edd062410f6cd9eee78744d4d63170f5cd0aaaae0fd5b1"},
-		{Job{ID: "li/s000", Bench: "li", Scale: 20000, ChaosRate: 0.2}, "412813c94b2b7420dfcaabf5a67bbb9042d2953a7376e1b43150d020132eb69f"},
-		{Job{ID: "gen3/s000", GenSeed: 3, Scale: 20000}, "168ceb6483f4731cb06d5bce789ba8902d5686815632edd091f45877366aaae6"},
+		{Job{ID: "compress/s000", Bench: "compress", Scale: 20000}, "6d805db4c2143b644c2eba0fe685490063049d941a2324c1ba5f77acfc69d795"},
+		{Job{ID: "li/s000", Bench: "li", Scale: 20000, ChaosRate: 0.2}, "6aac96d2a610b10c7de400aeb8adcbb2b4e06bf8f10d78ccc96de41b5a78061d"},
+		{Job{ID: "gen3/s000", GenSeed: 3, Scale: 20000}, "0a36b548f8ed490f047857dc8c243d636503dd5f9cd1ba0aa2cae98d75ea1fb7"},
 	} {
 		sum := sha256.Sum256(image(t, runCampaign(t, Config{Seed: 1}, []Job{tc.job})))
 		if got := hex.EncodeToString(sum[:]); got != tc.want {

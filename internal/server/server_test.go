@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"profileme/internal/core"
+	"profileme/internal/frame"
 	"profileme/internal/ingest"
 	"profileme/internal/profile"
 )
@@ -149,6 +152,62 @@ func TestSubmitAcceptedThenQueryable(t *testing.T) {
 	status, body = get(t, h, "/v1/report?n=3")
 	if status != http.StatusOK || !strings.Contains(body["_text"].(string), "PC") {
 		t.Fatalf("report: %d %v", status, body)
+	}
+}
+
+// misfitBody is a submission whose CRC-valid profile (a version-1 gob
+// image, which collectors still read) gives PC 0x400 pairMetrics pair
+// metrics although the database registers none.
+func misfitBody(t *testing.T, shard string, pairMetrics int) []byte {
+	t.Helper()
+	// Mirrors profile's version-1 image; gob matches fields by name.
+	type dbImage struct {
+		S       float64
+		W, C    int
+		TNear   int64
+		Samples uint64
+		Accums  []profile.PCAccum
+	}
+	img := dbImage{S: 16, C: 4, TNear: 30, Samples: 1,
+		Accums: []profile.PCAccum{{PC: 0x400, Samples: 1, PairMetrics: make([]uint64, pairMetrics)}}}
+	var env bytes.Buffer
+	if err := frame.WriteEnvelope(&env, "PMDB", 1, func(w io.Writer) error {
+		return gob.NewEncoder(w).Encode(img)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(map[string]any{"shard": shard, "profile": env.Bytes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestSubmitMisfitRowsRejected: a shard whose row carries pair metrics
+// its database did not register is a corrupt payload, answered 400 and
+// never admitted. Two such shards, giving one PC pair-metric rows of
+// lengths 1 and 3, used to be admitted and then panic the merge
+// goroutine — and the WAL would replay them into the same panic.
+func TestSubmitMisfitRowsRejected(t *testing.T) {
+	svc := testService(t, nil)
+	svc.Start()
+	defer svc.Drain(context.Background())
+	h := New(Config{}, svc).Handler()
+	for i, n := range []int{1, 3} {
+		status, body := post(t, h, "/v1/submit", misfitBody(t, fmt.Sprintf("misfit/s%d", i), n))
+		if status != http.StatusBadRequest {
+			t.Fatalf("%d pair metrics: %d %v, want 400", n, status, body)
+		}
+		wantKind(t, body, "corrupt")
+	}
+	if status, body := postSubmit(t, h, "sane", testShard(1, 5)); status != http.StatusAccepted {
+		t.Fatalf("a sane shard after the misfits: %d %v", status, body)
+	}
+	if err := svc.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.Aggregate().CountersSnapshot().Samples; got != 5 {
+		t.Fatalf("aggregate holds %d samples, want the sane shard's 5", got)
 	}
 }
 

@@ -161,9 +161,11 @@ func TestMaterializeDeterministicPayloads(t *testing.T) {
 }
 
 // TestMaterializePinnedBytes pins the payload bodies of a two-cohort spec
-// (one at the default buffer depth, one at 4) to the digest recorded at
+// (one at the default buffer depth, one at 4) to the bodies recorded at
 // the commit before buildShard became a runner.RunShard caller: a change
-// to how a shard is made must not move a PMTF byte for a fixed seed.
+// to how a shard is made must not move a PMTF byte for a fixed seed. The
+// digest is of those bodies with each profile in PMDB version 2: the
+// recorded version-1 image, loaded and saved again.
 func TestMaterializePinnedBytes(t *testing.T) {
 	sp := testSpec()
 	sp.Cohorts[1].BufferDepth = 4
@@ -177,7 +179,7 @@ func TestMaterializePinnedBytes(t *testing.T) {
 			h.Write(p.Body)
 		}
 	}
-	const want = "ed3a81a73e252885427089f249ccb5d12b4615c1a6bfa738d2c6993d17b17f50"
+	const want = "d367c8289f93e652616c7be13c437fc48f15ceebca40afcf7063145a853b2a76"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("materialized payload bodies moved: sha256 %s, pinned %s", got, want)
 	}
