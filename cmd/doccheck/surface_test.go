@@ -141,8 +141,8 @@ func TestExportSurface(t *testing.T) {
 		"internal/difftest":    {5, 5},
 		"internal/experiments": {6, 0},
 		"internal/faultinject": {10, 0},
-		"internal/frame":       {17, 0},
-		"internal/ingest":      {55, 0},
+		"internal/frame":       {27, 0},
+		"internal/ingest":      {56, 0},
 		"internal/isa":         {75, 0},
 		"internal/mem":         {15, 0},
 		"internal/netchaos":    {14, 0},

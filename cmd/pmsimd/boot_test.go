@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -15,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"profileme/internal/frame"
 	"profileme/internal/ingest"
 	"profileme/internal/profile"
 	"profileme/internal/wal"
@@ -79,11 +82,21 @@ func TestPmsimdBootMatrix(t *testing.T) {
 		t.Skip("subprocess boot matrix skipped in -short mode")
 	}
 	seed := smokeShard(3, 40)
-	var pmdb, pmck bytes.Buffer
+	var pmdb, pmck, pmckV1 bytes.Buffer
 	if err := seed.Save(&pmdb); err != nil {
 		t.Fatal(err)
 	}
 	if err := ingest.WriteCheckpoint(&pmck, &ingest.Checkpoint{Profile: pmdb.Bytes(), Applied: []string{"boot/s000"}}); err != nil {
+		t.Fatal(err)
+	}
+	// The same checkpoint as the last version-1 collector wrote it: a gob
+	// payload, around today's image.
+	if err := frame.WriteEnvelope(&pmckV1, "PMCK", 1, func(w io.Writer) error {
+		return gob.NewEncoder(w).Encode(struct {
+			Profile []byte
+			Applied []string
+		}{pmdb.Bytes(), []string{"boot/s000"}})
+	}); err != nil {
 		t.Fatal(err)
 	}
 	// What a version-1 collector left behind: its checkpoint (the frame
@@ -96,7 +109,7 @@ func TestPmsimdBootMatrix(t *testing.T) {
 	}
 	corrupt := bytes.Clone(pmdb.Bytes())
 	corrupt[len(corrupt)/2] ^= 0x40
-	skewed := bytes.Clone(pmdb.Bytes())
+	skewed := bytes.Clone(pmck.Bytes())
 	binary.LittleEndian.PutUint32(skewed[4:8], binary.LittleEndian.Uint32(skewed[4:8])+1)
 
 	cases := []struct {
@@ -111,13 +124,15 @@ func TestPmsimdBootMatrix(t *testing.T) {
 	}{
 		{name: "missing", boots: true},
 		{name: "bare-pmdb", file: pmdb.Bytes(), boots: true, samples: seed.Samples()},
-		{name: "pmck", file: pmck.Bytes(), boots: true, samples: seed.Samples(), ledger: true},
+		{name: "pmck", file: pmckV1.Bytes(), boots: true, samples: seed.Samples(), ledger: true},
+		{name: "pmck-v2", file: pmck.Bytes(), boots: true, samples: seed.Samples(), ledger: true},
 		{name: "corrupt", file: corrupt, boots: true, quarantined: true},
 		// The one rule for both modes: an older binary must not quietly
-		// discard a newer binary's file.
+		// discard a newer binary's file (a PMCK v3 here).
 		{name: "version-skewed", file: skewed},
 		// An upgrade: the checkpoint and the WAL tail load through the
-		// version-1 reader, and the final checkpoint is version 2.
+		// version-1 readers, and the final checkpoint is PMCK v2 around
+		// PMDB v2.
 		{name: "v1-pmck", file: v1pmck, boots: true, samples: v1db.Samples(), tail: v1pmdb, tailSamples: v1db.Samples()},
 	}
 	for _, c := range cases {
@@ -199,6 +214,9 @@ func TestPmsimdBootMatrix(t *testing.T) {
 				}
 				if v := binary.LittleEndian.Uint32(ck.Profile[4:8]); v != 2 || ck.Aggregate().Samples() != want {
 					t.Fatalf("final checkpoint holds a PMDB v%d of %d samples, want v2 of %d", v, ck.Aggregate().Samples(), want)
+				}
+				if raw, err := os.ReadFile(ckpt); err != nil || string(raw[:4]) != "PMCK" || binary.LittleEndian.Uint32(raw[4:8]) != 2 {
+					t.Fatalf("final checkpoint is not a PMCK v2 (read error %v)", err)
 				}
 			})
 		}

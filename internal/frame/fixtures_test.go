@@ -13,15 +13,17 @@ import (
 )
 
 // Fixture file names under testdata/, one per on-disk format, plus the
-// version-1 PMDB and the PMCK that wraps it: read-only goldens, written
-// by the last writer of that version, that today's readers must accept.
+// version-1 PMDB and the two version-1 PMCKs, around a version-1 and a
+// version-2 image: read-only goldens, written by the last writer of that
+// version, that today's readers must accept.
 const (
-	fixPMDB   = "small-v2.pmdb"
-	fixPMCK   = "small-v2.pmck"
-	fixPMWS   = "two-records.pmws"
-	fixPMTF   = "two-records.pmtf"
-	fixPMDBv1 = "small.pmdb"
-	fixPMCKv1 = "small.pmck"
+	fixPMDB       = "small-v2.pmdb"
+	fixPMCK       = "small-ck2.pmck"
+	fixPMWS       = "two-records.pmws"
+	fixPMTF       = "two-records.pmtf"
+	fixPMDBv1     = "small.pmdb"
+	fixPMCKv1     = "small.pmck"
+	fixPMCKv1DBv2 = "small-v2.pmck"
 
 	// walSegment1 is the file name of a log's first segment.
 	walSegment1 = "wal-0000000000000001.log"
@@ -57,9 +59,7 @@ func fixtureDB() *profile.DB {
 }
 
 // buildFixtures writes one instance of each format through the
-// packages' own writers, scratch files under dir. It runs before
-// anything else in the process: gob numbers types in first-use order per
-// process, so the PMCK payload bytes depend on it.
+// packages' own writers, scratch files under dir.
 func buildFixtures(dir string) (map[string][]byte, error) {
 	out := map[string][]byte{}
 
@@ -69,12 +69,11 @@ func buildFixtures(dir string) (map[string][]byte, error) {
 	}
 	out[fixPMDB] = pmdb.Bytes()
 
-	// Single-entry maps: gob writes maps in iteration order.
 	ck := &ingest.Checkpoint{
 		Profile:         pmdb.Bytes(),
 		Applied:         []string{"a/s000", "a/s001"},
 		RefusedLoss:     map[string]uint64{"a/s002": 7},
-		HandoffFrom:     map[string]string{"a/s003": "c1"},
+		HandoffFrom:     []ingest.Provenance{{Shard: "a/s003", From: "c1"}},
 		AppliedHandoffs: []string{"1:16"},
 		HandoffKeys:     map[string]uint64{"00112233445566778899aabbccddeeff": 9},
 		Barrier:         wal.Pos{Seg: 1, Off: 16},

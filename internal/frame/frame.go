@@ -126,17 +126,29 @@ func WriteEnvelope(w io.Writer, magic string, version uint32, fill func(io.Write
 	return err
 }
 
-// ReadEnvelope reads a whole-file envelope and returns its verified
-// payload. limit caps the declared length.
-func ReadEnvelope(r io.Reader, magic string, version uint32, limit int64) ([]byte, error) {
-	if _, err := ReadHeader(r, magic, version); err != nil {
-		return nil, err
+// WriteEnvelopeParts writes a whole-file envelope whose payload is
+// parts, in order, already encoded: each goes to w as it is, so pieces
+// encoded apart are framed without a buffer that joins them.
+func WriteEnvelopeParts(w io.Writer, magic string, version uint32, parts ...[]byte) error {
+	n, crc := 0, uint32(0)
+	for _, p := range parts {
+		n += len(p)
+		crc = crc32.Update(crc, castagnoli, p)
 	}
-	return ReadEnvelopeBody(r, limit)
+	var head [HeaderLen + 8]byte
+	if err := writeAll(w, AppendUint64(AppendHeader(head[:0], magic, version), uint64(n))); err != nil {
+		return err
+	}
+	if err := writeAll(w, parts...); err != nil {
+		return err
+	}
+	return writeAll(w, le.AppendUint32(head[:0], crc))
 }
 
 // ReadEnvelopeBody reads the rest of an envelope whose header the caller
-// has already consumed and checked.
+// has already consumed and checked (ReadHeader; an owner that reads two
+// versions looks at the version a skew reports), and returns its
+// verified payload. limit caps the declared length.
 func ReadEnvelopeBody(r io.Reader, limit int64) ([]byte, error) {
 	n, err := ReadUint64(r)
 	if err != nil {

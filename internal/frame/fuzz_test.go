@@ -17,6 +17,22 @@ import (
 // the bytes-present bound instead.
 const fuzzLimit = 1 << 28
 
+// envelopes are the whole-file headers the readers accept: both versions
+// of PMDB and of PMCK.
+var envelopes = []struct {
+	magic   string
+	version uint32
+}{{"PMDB", 1}, {"PMDB", 2}, {"PMCK", 1}, {"PMCK", 2}}
+
+// readEnvelope reads a whole-file envelope as LoadDB and ReadCheckpoint
+// do: the header, then the body.
+func readEnvelope(r io.Reader, magic string, version uint32) ([]byte, error) {
+	if _, err := frame.ReadHeader(r, magic, version); err != nil {
+		return nil, err
+	}
+	return frame.ReadEnvelopeBody(r, fuzzLimit)
+}
+
 // readAllShapes runs every frame reader over r(data) — each of the four
 // formats' layouts from a header, and each bare shape from byte 0 — and
 // returns the payloads delivered and the errors that ended each pass.
@@ -39,8 +55,8 @@ func readAllShapes(t *testing.T, r func([]byte) io.Reader, data []byte) (payload
 			ok = keep(buf, err)
 		}
 	}
-	for _, magic := range []string{"PMDB", "PMCK"} {
-		keep(frame.ReadEnvelope(r(data), magic, 1, fuzzLimit))
+	for _, h := range envelopes {
+		keep(readEnvelope(r(data), h.magic, h.version))
 	}
 	src := r(data)
 	if _, err := frame.ReadHeader(src, "PMWS", 1); keep(nil, err) {
@@ -79,9 +95,10 @@ func FuzzFrame(f *testing.F) {
 	f.Add([]byte{})
 	// Hostile lengths inside the cap, nothing behind them.
 	f.Add(frame.AppendUint64(frame.AppendHeader(nil, "PMCK", 1), fuzzLimit))
+	f.Add(frame.AppendUint64(frame.AppendHeader(nil, "PMCK", 2), fuzzLimit))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0})
 
-	const passes, slack = 7, 128 << 10 // readAllShapes makes seven passes over the input
+	const passes, slack = 9, 128 << 10 // readAllShapes makes nine passes over the input
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sized, unsizedP [][]byte
 		var sizedErrs, unsizedErrs []error
@@ -108,14 +125,14 @@ func FuzzFrame(f *testing.F) {
 				t.Fatalf("result %d: sized %v, unsized %v", i, sizedErrs[i], unsizedErrs[i])
 			}
 		}
-		for _, magic := range []string{"PMDB", "PMCK"} {
-			if payload, err := frame.ReadEnvelope(bytes.NewReader(data), magic, 1, fuzzLimit); err == nil {
+		for _, h := range envelopes {
+			if payload, err := readEnvelope(bytes.NewReader(data), h.magic, h.version); err == nil {
 				var again bytes.Buffer
-				if err := frame.WriteEnvelope(&again, magic, 1, writes(payload)); err != nil {
+				if err := frame.WriteEnvelope(&again, h.magic, h.version, writes(payload)); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.HasPrefix(data, again.Bytes()) {
-					t.Fatalf("%s envelope does not re-frame to its own bytes", magic)
+					t.Fatalf("%s v%d envelope does not re-frame to its own bytes", h.magic, h.version)
 				}
 			}
 		}
@@ -137,12 +154,13 @@ type plainWriter struct{ io.Writer }
 
 var errFill = errors.New("fill failed")
 
-// checkEnvelopeWriter holds the one envelope writer to the layout with
+// checkEnvelopeWriter holds both envelope writers to the layout with
 // payload as the payload: framed in place after whatever a buffer
-// already holds (part of it already read), and handed whole to any other
-// writer, the bytes are header | len | payload | crc32c as DESIGN.md §7
-// states it, assembled here by hand; a fill that fails part-way leaves
-// the buffer as it was and writes nothing to a plain writer.
+// already holds (part of it already read), handed whole to any other
+// writer, or written from parts, the bytes are header | len | payload |
+// crc32c as DESIGN.md §7 states it, assembled here by hand; a fill that
+// fails part-way leaves the buffer as it was and writes nothing to a
+// plain writer.
 func checkEnvelopeWriter(t *testing.T, payload []byte) {
 	want := frame.AppendUint64(frame.AppendHeader(nil, "PMCK", 1), uint64(len(payload)))
 	want = append(want, payload...)
@@ -175,6 +193,15 @@ func checkEnvelopeWriter(t *testing.T, payload []byte) {
 	}
 	if !bytes.Equal(plain.Bytes(), want) {
 		t.Fatalf("envelope of a %d-byte payload to a plain writer differs from the layout", len(payload))
+	}
+
+	var parts bytes.Buffer
+	cut := len(payload) / 3
+	if err := frame.WriteEnvelopeParts(plainWriter{&parts}, "PMCK", 1, payload[:cut], nil, payload[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(parts.Bytes(), want) {
+		t.Fatalf("envelope of a %d-byte payload written in parts differs from the layout", len(payload))
 	}
 }
 

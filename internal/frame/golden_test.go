@@ -20,12 +20,12 @@ import (
 
 // golden holds the testdata/ fixtures: one instance of each format,
 // written by the four packages' own framing code at the commit before
-// internal/frame replaced it — except the version-2 PMDB and its PMCK,
-// written when that version replaced the gob image, whose version-1
-// files stay as read-only goldens. built holds the four current-version
+// internal/frame replaced it — except the version-2 PMDB, written when
+// that version replaced the gob image, and the version-2 PMCK, written
+// when the row table replaced the gob ledger; the files they replaced
+// stay as read-only goldens. built holds the four current-version
 // instances written by today's writers. Both are filled once, in
-// TestMain, because the fixture build order is part of the bytes (see
-// buildFixtures).
+// TestMain.
 var golden, built map[string][]byte
 
 func TestMain(m *testing.M) {
@@ -35,7 +35,7 @@ func TestMain(m *testing.M) {
 		os.RemoveAll(dir)
 	}
 	golden = map[string][]byte{}
-	for _, name := range []string{fixPMDB, fixPMCK, fixPMWS, fixPMTF, fixPMDBv1, fixPMCKv1} {
+	for _, name := range []string{fixPMDB, fixPMCK, fixPMWS, fixPMTF, fixPMDBv1, fixPMCKv1, fixPMCKv1DBv2} {
 		if err == nil {
 			golden[name], err = os.ReadFile(filepath.Join("testdata", name))
 		}
@@ -59,11 +59,12 @@ func TestWritersReproduceGolden(t *testing.T) {
 }
 
 // TestReadersDecodeGolden: today's readers recover exactly what the old
-// writers were given, from either PMDB version, and a version-1 image
-// loaded and saved again is the version-2 fixture byte for byte.
+// writers were given, from either PMDB version and either PMCK version,
+// and a version-1 image loaded and saved again is the version-2 fixture
+// byte for byte.
 func TestReadersDecodeGolden(t *testing.T) {
 	want := fixtureDB()
-	for _, fix := range []struct{ pmdb, pmck string }{{fixPMDB, fixPMCK}, {fixPMDBv1, fixPMCKv1}} {
+	for _, fix := range []struct{ pmdb, pmck string }{{fixPMDB, fixPMCK}, {fixPMDB, fixPMCKv1DBv2}, {fixPMDBv1, fixPMCKv1}} {
 		db, err := profile.LoadDB(bytes.NewReader(golden[fix.pmdb]))
 		if err != nil {
 			t.Fatalf("%s: %v", fix.pmdb, err)
@@ -85,7 +86,11 @@ func TestReadersDecodeGolden(t *testing.T) {
 			t.Fatalf("%s: %v", fix.pmck, err)
 		}
 		if !bytes.Equal(ck.Profile, golden[fix.pmdb]) || !reflect.DeepEqual(ck.Applied, []string{"a/s000", "a/s001"}) ||
-			ck.RefusedLoss["a/s002"] != 7 || ck.HandoffFrom["a/s003"] != "c1" || ck.Barrier != (wal.Pos{Seg: 1, Off: 16}) {
+			!reflect.DeepEqual(ck.RefusedLoss, map[string]uint64{"a/s002": 7}) ||
+			!reflect.DeepEqual(ck.HandoffFrom, []ingest.Provenance{{Shard: "a/s003", From: "c1"}}) ||
+			!reflect.DeepEqual(ck.AppliedHandoffs, []string{"1:16"}) ||
+			!reflect.DeepEqual(ck.HandoffKeys, map[string]uint64{"00112233445566778899aabbccddeeff": 9}) ||
+			ck.Barrier != (wal.Pos{Seg: 1, Off: 16}) {
 			t.Fatalf("%s: decoded %+v", fix.pmck, ck)
 		}
 	}
@@ -168,7 +173,7 @@ type format struct {
 var (
 	loadPMDB         = func(b []byte) error { _, err := profile.LoadDB(bytes.NewReader(b)); return err }
 	readPMCK         = func(b []byte) error { _, err := ingest.ReadCheckpoint(bytes.NewReader(b)); return err }
-	wholeFileFormats = []format{{fixPMDB, loadPMDB}, {fixPMCK, readPMCK}, {fixPMDBv1, loadPMDB}, {fixPMCKv1, readPMCK}}
+	wholeFileFormats = []format{{fixPMDB, loadPMDB}, {fixPMCK, readPMCK}, {fixPMDBv1, loadPMDB}, {fixPMCKv1, readPMCK}, {fixPMCKv1DBv2, readPMCK}}
 )
 
 // damaged is one table input: the fixture with a prefix cut or one bit

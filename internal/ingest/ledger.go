@@ -6,6 +6,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"profileme/internal/wal"
@@ -56,15 +57,16 @@ type ledger struct {
 	// Kept beside shards, not in its records, because a refusal stands
 	// whether or not the id is admitted.
 	refused map[string]uint64
-	// appliedLog lists the applied ids in resolution order, and adopted the
-	// ids admitted by handoff or adoption rather than by submission, each
-	// with its donor: the reason a retry of a donor-merged shard dedupes
-	// here instead of merging twice. Both only accumulate, so a snapshot
-	// takes them as they stand instead of scanning shards under the lock
-	// admission waits on; nothing else reads provenance, so the log is its
-	// only copy.
-	appliedLog []string
-	adopted    []provenance
+	// applied holds the applied ids, and adopted the ids admitted by
+	// handoff or adoption rather than by submission, each with its donor:
+	// the reason a retry of a donor-merged shard dedupes here instead of
+	// merging twice. Both only accumulate, so each is a folded set: a
+	// snapshot sorts what arrived since the last one and merges it in
+	// under res, instead of scanning shards or re-sorting every id under
+	// the lock admission waits on; nothing else reads provenance, so the
+	// set is its only copy.
+	applied folded[string]
+	adopted folded[Provenance]
 	// pending holds the staged WAL positions not yet resolved, refused or
 	// backed out. The checkpoint barrier is its minimum, so reclaim can
 	// never outrun an acknowledged-but-unmerged record.
@@ -83,8 +85,10 @@ type ledger struct {
 }
 
 // shardEntry is one admitted shard id's record; a resubmission of the id
-// dedupes while it exists. Memory grows with distinct shard ids, which a
-// campaign bounds by benchmarks × shards.
+// dedupes while it exists. Memory grows with distinct shard ids: 130–140
+// B of heap per applied id (map entry, record, id string and its two
+// folded-set slots) and about 3 B per id in a PMCK v2 checkpoint, as
+// TestCheckpointCostFlatInIDs measured at 10^5–10^6 ids.
 type shardEntry struct {
 	applied bool // resolved: merged, or merge-failed with the loss accounted
 	// ticket is the group commit the reserving submission still waits on.
@@ -94,8 +98,63 @@ type shardEntry struct {
 	ticket *wal.Ticket
 }
 
-// provenance records that shard was taken over from a donor.
-type provenance struct{ shard, from string }
+// Provenance records that Shard was taken over from the donor From.
+type Provenance struct{ Shard, From string }
+
+func byShard(a, b Provenance) int { return strings.Compare(a.Shard, b.Shard) }
+
+// folded is an append-only set kept sorted for checkpoints without
+// re-sorting what it already holds. set is sorted and never written once
+// installed; fresh lists what arrived since the last fold, in arrival
+// order; spare is the backing array the next fold merges into (the set
+// before last). The ledger's lock guards set and fresh; spare belongs to
+// the fold, which runs under res.
+type folded[T any] struct {
+	set, fresh, spare []T
+}
+
+// fold sorts fresh and merges it into set, writing spare — grown with
+// headroom when it is too small, so a steady stream of checkpoints
+// reuses two arrays — and returns the new set for install. Caller holds
+// res, not the ledger's lock: the set is never written, and no one else
+// touches spare.
+func (f *folded[T]) fold(set, fresh []T, cmp func(T, T) int) []T {
+	if len(fresh) == 0 {
+		return set
+	}
+	buf := f.spare[:0]
+	if need := len(set) + len(fresh); cap(buf) < need {
+		buf = make([]T, 0, need+need/4)
+	}
+	return mergeBack(append(buf, set...), fresh, cmp)
+}
+
+// install makes merged — fold's result over the first n fresh items —
+// the set, and the old set the next fold's spare. Caller holds the
+// ledger's lock and res; O(1) unless items arrived during the fold.
+func (f *folded[T]) install(merged []T, n int) {
+	if n == 0 {
+		return
+	}
+	f.set, f.spare = merged, f.set
+	f.fresh = append(f.fresh[:0], f.fresh[n:]...)
+}
+
+// mergeBack sorts b into a, a sorted slice with room for b after it,
+// from the back, and returns a extended by len(b).
+func mergeBack[T any](a, b []T, cmp func(T, T) int) []T {
+	slices.SortFunc(b, cmp)
+	i, j := len(a)-1, len(b)-1
+	a = a[:len(a)+len(b)]
+	for w := len(a) - 1; j >= 0; w-- {
+		if i >= 0 && cmp(a[i], b[j]) > 0 {
+			a[w], i = a[i], i-1
+		} else {
+			a[w], j = b[j], j-1
+		}
+	}
+	return a
+}
 
 // counters is the counted half of the books; Stats embeds it, so the
 // /v1/stats keys are these tags.
@@ -176,7 +235,7 @@ func (l *ledger) entry(shard string) *shardEntry {
 func (l *ledger) apply(shard string) {
 	if e := l.entry(shard); !e.applied {
 		e.applied = true
-		l.appliedLog = append(l.appliedLog, shard)
+		l.applied.fresh = append(l.applied.fresh, shard)
 	}
 }
 
@@ -376,7 +435,7 @@ func (l *ledger) admitFrom(from string, shards []string) int {
 	for _, sh := range shards {
 		if l.shards[sh] == nil {
 			l.entry(sh)
-			l.adopted = append(l.adopted, provenance{sh, from})
+			l.adopted.fresh = append(l.adopted.fresh, Provenance{sh, from})
 			n++
 		}
 	}
@@ -444,15 +503,21 @@ func (l *ledger) adopt(from string, shards []string, pos wal.Pos) int {
 
 // snapshot fills ck's ledger half and its barrier: the lowest pending
 // position, or head — the WAL's head, zero without one — when nothing
-// is in flight. Caller holds res for as long as it takes to save the
-// aggregate beside it, so image, books and barrier are one instant:
-// every record below the barrier is in these books or was never
-// acknowledged, and whatever admission stages meanwhile lands at or
-// above head.
+// is in flight. Caller holds res for as long as it takes to encode the
+// checkpoint, so image, books and barrier are one instant: every record
+// below the barrier is in these books or was never acknowledged, and
+// whatever admission stages meanwhile lands at or above head.
+//
+// ck.Applied and ck.HandoffFrom are the ledger's folded sets themselves,
+// valid until the next snapshot. The ledger's lock is held twice, each
+// time for as long as what is unresolved or new right now: to read the
+// small books and the ids that arrived since the last snapshot, and to
+// install the sets fold merged them into under res alone.
 func (l *ledger) snapshot(ck *Checkpoint, head wal.Pos) {
 	l.mu.Lock()
+	applied, newApplied := l.applied.set, slices.Clone(l.applied.fresh)
+	adopted, newAdopted := l.adopted.set, slices.Clone(l.adopted.fresh)
 	ck.RefusedLoss = maps.Clone(l.refused)
-	applied, adopted := l.appliedLog, l.adopted
 	ck.Barrier = head
 	for pos := range l.pending {
 		if pos.Before(ck.Barrier) {
@@ -462,59 +527,62 @@ func (l *ledger) snapshot(ck *Checkpoint, head wal.Pos) {
 	ck.AppliedHandoffs = append([]string{}, l.appliedHandoffs...)
 	ck.HandoffKeys = maps.Clone(l.handoffSeen)
 	l.mu.Unlock()
-	// Copying and sorting wait until admission has the lock back: the
-	// elements a log held at that instant are never written again.
-	ck.Applied = append(make([]string, 0, len(applied)), applied...)
-	sort.Strings(ck.Applied)
-	ck.HandoffFrom = donors(adopted)
-	sort.Strings(ck.AppliedHandoffs)
+	ck.Applied = l.applied.fold(applied, newApplied, strings.Compare)
+	ck.HandoffFrom = l.adopted.fold(adopted, newAdopted, byShard)
+	if len(newApplied)+len(newAdopted) > 0 {
+		l.mu.Lock()
+		l.applied.install(ck.Applied, len(newApplied))
+		l.adopted.install(ck.HandoffFrom, len(newAdopted))
+		l.mu.Unlock()
+	}
 }
 
 // restore installs a checkpoint's ledger half into an empty ledger — the
-// inverse of snapshot. A queued-but-unresolved shard is deliberately
-// absent from a checkpoint, so its WAL record replays.
+// inverse of snapshot. ReadCheckpoint hands over its ids sorted, so they
+// become the folded sets as they are: the ledger owns ck's slices from
+// here on. A queued-but-unresolved shard is deliberately absent from a
+// checkpoint, so its WAL record replays.
 func (l *ledger) restore(ck *Checkpoint) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, sh := range ck.Applied {
-		l.apply(sh)
+		l.entry(sh).applied = true
 	}
+	for _, p := range ck.HandoffFrom {
+		l.entry(p.Shard)
+	}
+	l.applied.set, l.adopted.set = ck.Applied, ck.HandoffFrom
 	for sh, n := range ck.RefusedLoss {
 		l.refused[sh] = n
 		l.c.SamplesLost += n
-	}
-	for sh, from := range ck.HandoffFrom {
-		l.entry(sh)
-		l.adopted = append(l.adopted, provenance{sh, from})
 	}
 	l.appliedHandoffs = append(l.appliedHandoffs, ck.AppliedHandoffs...)
 	maps.Copy(l.handoffSeen, ck.HandoffKeys)
 }
 
-// donors maps each taken-over id to its donor.
-func donors(adopted []provenance) map[string]string {
-	m := make(map[string]string, len(adopted))
-	for _, p := range adopted {
-		m[p.shard] = p.from
-	}
-	return m
-}
-
 // view is the one consistent read of the per-shard books.
 func (l *ledger) view() Ledger {
 	l.mu.Lock()
+	// The applied set is copied under the lock — a later fold may reuse
+	// its array — and only the fresh ids are sorted, after it.
+	applied, fresh := l.applied.set, slices.Clone(l.applied.fresh)
 	v := Ledger{
 		Shards:      make([]string, 0, len(l.shards)),
-		Applied:     append([]string{}, l.appliedLog...),
+		Applied:     append(make([]string, 0, len(applied)+len(fresh)), applied...),
 		Refused:     maps.Clone(l.refused),
-		AdoptedFrom: donors(l.adopted),
+		AdoptedFrom: make(map[string]string, len(l.adopted.set)+len(l.adopted.fresh)),
 	}
 	for sh := range l.shards {
 		v.Shards = append(v.Shards, sh)
 	}
+	for _, ps := range [2][]Provenance{l.adopted.set, l.adopted.fresh} {
+		for _, p := range ps {
+			v.AdoptedFrom[p.Shard] = p.From
+		}
+	}
 	l.mu.Unlock()
 	sort.Strings(v.Shards)
-	sort.Strings(v.Applied)
+	v.Applied = mergeBack(v.Applied, fresh, strings.Compare)
 	return v
 }
 

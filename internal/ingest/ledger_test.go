@@ -11,9 +11,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
+	"profileme/internal/profile"
 	"profileme/internal/wal"
 )
 
@@ -54,14 +55,15 @@ func (m *ledgerModel) fakeStage(fail *bool) func([]byte) (wal.Pos, *wal.Ticket, 
 
 func (m *ledgerModel) head() wal.Pos { return wal.Pos{Seg: 1, Off: 16 * (m.stagedSoFar + 1)} }
 
-// check compares the ledger against the model after one step.
-func (m *ledgerModel) check(t *testing.T, l *ledger, step string) {
+// check compares the ledger against the model after one step, and with
+// snap also what a checkpoint taken now restores.
+func (m *ledgerModel) check(t *testing.T, l *ledger, step string, snap bool) {
 	t.Helper()
 	// applied ⇒ admitted: an applied id has a record, and records are the
 	// admitted ids (the view comparison below pins them to the model's).
-	for _, sh := range l.appliedLog {
+	for _, sh := range slices.Concat(l.applied.set, l.applied.fresh) {
 		if e := l.shards[sh]; e == nil || !e.applied {
-			t.Fatalf("%s: shard %s is in the applied log but its record says %+v", step, sh, e)
+			t.Fatalf("%s: shard %s is in the applied set but its record says %+v", step, sh, e)
 		}
 	}
 	for sh, e := range l.shards {
@@ -79,25 +81,6 @@ func (m *ledgerModel) check(t *testing.T, l *ledger, step string) {
 	}
 	if len(l.pending) != len(m.pending) {
 		t.Fatalf("%s: %d pending positions, want %d", step, len(l.pending), len(m.pending))
-	}
-	var ck Checkpoint
-	l.snapshot(&ck, m.head())
-	wantBarrier := m.head()
-	for pos := range m.pending {
-		if _, ok := l.pending[pos]; !ok {
-			t.Fatalf("%s: unresolved position %v is not pending", step, pos)
-		}
-		if pos.Before(wantBarrier) {
-			wantBarrier = pos
-		}
-	}
-	// The snapshot and the view read the same books.
-	if !reflect.DeepEqual(ck.Applied, v.Applied) || !reflect.DeepEqual(ck.RefusedLoss, v.Refused) || !reflect.DeepEqual(ck.HandoffFrom, v.AdoptedFrom) {
-		t.Fatalf("%s: snapshot books %v %v %v differ from the view's %v %v %v", step,
-			ck.Applied, ck.RefusedLoss, ck.HandoffFrom, v.Applied, v.Refused, v.AdoptedFrom)
-	}
-	if ck.Barrier != wantBarrier {
-		t.Fatalf("%s: barrier %v, want %v", step, ck.Barrier, wantBarrier)
 	}
 	var standing uint64
 	for _, n := range m.refused {
@@ -117,31 +100,79 @@ func (m *ledgerModel) check(t *testing.T, l *ledger, step string) {
 	if l.sinceCkpt != m.sinceCkpt {
 		t.Fatalf("%s: sinceCkpt %d, want %d", step, l.sinceCkpt, m.sinceCkpt)
 	}
-	if !reflect.DeepEqual(ck.HandoffKeys, m.keys) || !reflect.DeepEqual(ck.AppliedHandoffs, sortedKeys(m.handoffs)) {
-		t.Fatalf("%s: handoff books keys %v applied %v, want %v / %v", step, ck.HandoffKeys, ck.AppliedHandoffs, m.keys, sortedKeys(m.handoffs))
+	wantBarrier := m.head()
+	for pos := range m.pending {
+		if _, ok := l.pending[pos]; !ok {
+			t.Fatalf("%s: unresolved position %v is not pending", step, pos)
+		}
+		if pos.Before(wantBarrier) {
+			wantBarrier = pos
+		}
 	}
-	// restore(snapshot) reproduces the checkpointed books: the restored
-	// ledger's own snapshot is the same checkpoint (it has nothing in
-	// flight, so its barrier is the head).
+	if !reflect.DeepEqual(l.handoffSeen, m.keys) || !slices.Equal(sorted(l.appliedHandoffs), sortedKeys(m.handoffs)) {
+		t.Fatalf("%s: handoff books keys %v applied %v, want %v / %v", step,
+			l.handoffSeen, l.appliedHandoffs, m.keys, sortedKeys(m.handoffs))
+	}
+	if !snap {
+		return
+	}
+
+	// The checkpoint, as a restart sees it: snapshot, written and read
+	// back as PMCK, restored into an empty ledger. Its view is the
+	// model's — so snapshot and view read the same books — and its own
+	// snapshot (nothing in flight, so the barrier is the head) writes
+	// the same bytes: restore(snapshot) does not drift.
+	var ck Checkpoint
+	l.snapshot(&ck, m.head())
+	var file bytes.Buffer
+	if err := WriteCheckpoint(&file, &ck); err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+	read, err := ReadCheckpoint(bytes.NewReader(file.Bytes()))
+	if err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+	if read.Barrier != wantBarrier {
+		t.Fatalf("%s: barrier %v, want %v", step, read.Barrier, wantBarrier)
+	}
 	restored := newLedger()
-	restored.restore(&ck)
-	var again Checkpoint
-	restored.snapshot(&again, ck.Barrier)
-	if !reflect.DeepEqual(ck, again) {
-		t.Fatalf("%s: restore(snapshot) drifted\n first %+v\nsecond %+v", step, ck, again)
+	restored.restore(read)
+	rv := restored.view()
+	if !reflect.DeepEqual(rv.Applied, wantApplied) || !reflect.DeepEqual(rv.Refused, m.refused) || !reflect.DeepEqual(rv.AdoptedFrom, m.from) {
+		t.Fatalf("%s: restored books applied %v refused %v from %v, want %v / %v / %v", step,
+			rv.Applied, rv.Refused, rv.AdoptedFrom, wantApplied, m.refused, m.from)
+	}
+	// A restart admits the applied and donor-provenance ids, not what was
+	// queued or reserved: those replay from the WAL.
+	wantRestored := map[string]bool{}
+	for _, sh := range append(wantApplied, sortedKeys(m.from)...) {
+		wantRestored[sh] = true
+	}
+	if !reflect.DeepEqual(rv.Shards, sortedKeys(wantRestored)) {
+		t.Fatalf("%s: restored ledger admits %v, want %v", step, rv.Shards, sortedKeys(wantRestored))
+	}
+	if !reflect.DeepEqual(restored.handoffSeen, m.keys) || !slices.Equal(sorted(restored.appliedHandoffs), sortedKeys(m.handoffs)) {
+		t.Fatalf("%s: restored handoff books keys %v applied %v, want %v / %v", step,
+			restored.handoffSeen, restored.appliedHandoffs, m.keys, sortedKeys(m.handoffs))
 	}
 	if rc, _ := restored.counts(); rc.SamplesLost != standing {
 		t.Fatalf("%s: restored SamplesLost %d, want the standing loss %d", step, rc.SamplesLost, standing)
 	}
+	var again Checkpoint
+	restored.snapshot(&again, read.Barrier)
+	var refile bytes.Buffer
+	if err := WriteCheckpoint(&refile, &again); err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+	if !bytes.Equal(file.Bytes(), refile.Bytes()) {
+		t.Fatalf("%s: restore(snapshot) drifted\n first %+v\nsecond %+v", step, ck, again)
+	}
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+func sorted(s []string) []string {
+	s = slices.Clone(s)
+	slices.Sort(s)
+	return s
 }
 
 // pick returns a random key of m, "" when it is empty.
@@ -156,8 +187,11 @@ func pick[V any](rng *rand.Rand, m map[string]V) string {
 // TestLedgerProperty drives the ledger alone — no WAL files, no
 // goroutines — through seeded random legal transition sequences and
 // checks every book against an independent model after every step.
+// Seeds 1–16 also checkpoint after every step, so each fold takes one
+// id; seeds 17–24 checkpoint after a random quarter of the steps, so
+// folds take batches.
 func TestLedgerProperty(t *testing.T) {
-	for seed := int64(1); seed <= 16; seed++ {
+	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m := &ledgerModel{
 			admitted: map[string]bool{}, applied: map[string]bool{}, refused: map[string]uint64{},
@@ -349,7 +383,7 @@ func TestLedgerProperty(t *testing.T) {
 					m.want.CheckpointFailures++
 				}
 			}
-			m.check(t, l, fmt.Sprintf("seed %d step %d: %s", seed, step, what))
+			m.check(t, l, fmt.Sprintf("seed %d step %d: %s", seed, step, what), seed <= 16 || rng.Intn(4) == 0)
 		}
 		if len(m.applied) == 0 || m.want.LossReversed == 0 || m.want.MergeFailed == 0 || len(m.from) == 0 {
 			t.Fatalf("seed %d never exercised merge, reversal, merge failure and provenance: %+v", seed, m.want)
@@ -357,33 +391,40 @@ func TestLedgerProperty(t *testing.T) {
 	}
 }
 
-// TestLedgerSnapshotBytes pins the checkpoint's ledger half to the
-// fixture the parent of the framing change wrote: restoring it and
-// snapshotting again must encode to the bytes a plain re-encode of the
-// decoded fixture gives (gob numbers types per process, so the
-// comparison is within this one).
+// TestLedgerSnapshotBytes pins the checkpoint's ledger half across the
+// format change: the version-1 fixture (a gob payload around a version-1
+// image), restored and snapshotted again beside its image re-saved, must
+// encode to the version-2 fixture byte for byte.
 func TestLedgerSnapshotBytes(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("..", "frame", "testdata", "small.pmck"))
+	fixture := func(name string) []byte {
+		raw, err := os.ReadFile(filepath.Join("..", "frame", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	v1, err := ReadCheckpoint(bytes.NewReader(fixture("small.pmck")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixture, err := ReadCheckpoint(bytes.NewReader(raw))
+	db, err := profile.LoadDB(bytes.NewReader(v1.Profile))
 	if err != nil {
+		t.Fatal(err)
+	}
+	var image bytes.Buffer
+	if err := db.Save(&image); err != nil {
 		t.Fatal(err)
 	}
 	l := newLedger()
-	l.restore(fixture)
-	got := Checkpoint{Profile: fixture.Profile}
-	l.snapshot(&got, fixture.Barrier)
-	var want, have bytes.Buffer
-	if err := WriteCheckpoint(&want, fixture); err != nil {
-		t.Fatal(err)
-	}
+	l.restore(v1)
+	got := Checkpoint{Profile: image.Bytes()}
+	l.snapshot(&got, v1.Barrier)
+	var have bytes.Buffer
 	if err := WriteCheckpoint(&have, &got); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(want.Bytes(), have.Bytes()) {
-		t.Fatalf("snapshot(restore(fixture)) encodes differently from the fixture:\n fixture %+v\nsnapshot %+v", fixture, got)
+	if want := fixture("small-ck2.pmck"); !bytes.Equal(have.Bytes(), want) {
+		t.Fatalf("snapshot(restore(small.pmck)) encodes differently from small-ck2.pmck:\n got %x\nwant %x", have.Bytes(), want)
 	}
 	if v := l.view(); !reflect.DeepEqual(v.Shards, []string{"a/s000", "a/s001", "a/s003"}) {
 		t.Fatalf("restored ledger admits %v", v.Shards)

@@ -265,7 +265,16 @@ type Service struct {
 	wal             *wal.Log // nil when disabled; has its own locking
 	walReplay       wal.ReplayInfo
 	replayedRecords int
+
+	// rowsLen is the length of the last checkpoint's ledger rows, guarded
+	// by res: the next checkpoint encodes into an array that size plus
+	// rowsSlack, one allocation however many ids the ledger holds.
+	rowsLen int
 }
+
+// rowsSlack is the room a checkpoint's rows get beyond the last one's:
+// the ids applied since take a few bytes each.
+const rowsSlack = 4 << 10
 
 // NewService builds a service. seed, when non-nil, becomes the aggregate
 // (e.g. a checkpoint reloaded at startup) and defines the sampling
@@ -655,30 +664,36 @@ func (s *Service) checkpoint() {
 }
 
 // persistCheckpoint is the default persist function. The file is always
-// a PMCK envelope: the serialized aggregate, the ledger and the WAL
-// barrier (zero without a WAL), captured under res — the ledger is what
-// lets a restart count a retried shard once, WAL or not. Every step that
-// changes the aggregate together with a checkpointed book holds res, so
-// for the length of the encode they are frozen together and the snapshot
-// can never catch a ledger entry without its aggregate delta or vice
-// versa (ledger.snapshot says why admission may carry on meanwhile). The
-// file write happens outside the lock; then the WAL barrier advances and
-// the segments the checkpoint now covers are reclaimed — failure there is
-// logged, not fatal: the records are merely redundant, and the next
-// checkpoint retries.
+// a PMCK envelope: the ledger, the WAL barrier (zero without a WAL) and
+// the serialized aggregate, encoded under res as two parts (the rows and
+// the image) that are written as they are — the ledger is what lets a
+// restart count a retried shard once, WAL or not.
+// Every step that changes the aggregate together with a checkpointed
+// book holds res, so for the length of the encode they are frozen
+// together and the snapshot can never catch a ledger entry without its
+// aggregate delta or vice versa (ledger.snapshot says why admission may
+// carry on meanwhile). The file write happens outside the lock; then the
+// WAL barrier advances and the segments the checkpoint now covers are
+// reclaimed — failure there is logged, not fatal: the records are merely
+// redundant, and the next checkpoint retries.
 func (s *Service) persistCheckpoint() error {
 	var ck Checkpoint
 	var image bytes.Buffer
+	var rows []byte
 	s.res.Lock()
 	s.led.snapshot(&ck, s.walHead())
 	err := s.agg.Save(&image)
+	if err == nil {
+		ck.Profile = image.Bytes()
+		rows, err = appendRows(make([]byte, 0, s.rowsLen+rowsSlack), &ck)
+		s.rowsLen = len(rows)
+	}
 	s.res.Unlock()
 	if err != nil {
 		return err
 	}
-	ck.Profile = image.Bytes()
 	if err := profile.WriteAtomic(s.cfg.CheckpointPath, func(w io.Writer) error {
-		return WriteCheckpoint(w, &ck)
+		return writeRows(w, rows, ck.Profile)
 	}); err != nil {
 		return err
 	}

@@ -200,28 +200,28 @@ func (db *DB) rowFits(pairMetrics, addrs int) bool {
 	return (pairMetrics == 0 || pairMetrics == len(db.metricNames)) && addrs <= db.RetainAddrs
 }
 
-// loadRows decodes a version-2 payload. Every length is checked against
-// the bytes left before anything is allocated for it, and all rows live
-// in one slice that byPC points into.
+// loadRows decodes a version-2 payload with the one row decoder
+// (frame.Rows). Every length is checked against the bytes left before
+// anything is allocated for it, and all rows live in one slice that byPC
+// points into.
 func loadRows(payload []byte) (*DB, error) {
-	d := rowDecoder{b: payload}
-	if len(d.b) < 8 {
+	if len(payload) < 8 {
 		return nil, fmt.Errorf("header: %w", ErrCorrupt)
 	}
-	db := &DB{S: math.Float64frombits(binary.LittleEndian.Uint64(d.b))}
-	d.i = 8
-	db.W, db.C, db.TNear, db.RetainAddrs = d.int(), d.int(), d.varint(), d.int()
-	db.samples, db.pairs, db.lost, db.corruptRejected = d.uvarint(), d.uvarint(), d.uvarint(), d.uvarint()
-	if n := d.count(1); n > 0 {
+	db := &DB{S: math.Float64frombits(binary.LittleEndian.Uint64(payload))}
+	d := frame.NewRows(payload[8:])
+	db.W, db.C, db.TNear, db.RetainAddrs = d.Int(), d.Int(), d.Varint(), d.Int()
+	db.samples, db.pairs, db.lost, db.corruptRejected = d.Uvarint(), d.Uvarint(), d.Uvarint(), d.Uvarint()
+	if n := d.Count(1); n > 0 {
 		db.metricNames = make([]string, n)
 		db.metricFns = make([]OverlapFunc, n) // placeholders
 		for i := range db.metricNames {
-			db.metricNames[i] = string(d.take(d.count(1)))
+			db.metricNames[i] = string(d.Take(d.Count(1)))
 		}
 	}
-	rows := d.count(minRowBytes)
-	if d.err != nil {
-		return nil, d.err
+	rows := d.Count(minRowBytes)
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	if err := db.sane(); err != nil {
 		return nil, err
@@ -231,126 +231,45 @@ func loadRows(payload []byte) (*DB, error) {
 	var pc uint64
 	for i := range accs {
 		a := &accs[i]
-		delta := d.uvarint()
+		delta := d.Uvarint()
 		if i > 0 && (delta == 0 || pc+delta < pc) {
 			return nil, fmt.Errorf("row %d: PCs not strictly ascending: %w", i, ErrCorrupt)
 		}
 		pc += delta
 		a.PC = pc
-		a.Samples = d.uvarint()
+		a.Samples = d.Uvarint()
 		for j := range a.Events {
-			a.Events[j] = d.uvarint()
+			a.Events[j] = d.Uvarint()
 		}
 		for j := range a.LatSum {
-			a.LatSum[j] = d.varint()
+			a.LatSum[j] = d.Varint()
 		}
 		for j := range a.LatCount {
-			a.LatCount[j] = d.uvarint()
+			a.LatCount[j] = d.Uvarint()
 		}
-		a.MemLatSum, a.MemLatCount = d.varint(), d.uvarint()
-		a.InProgressSum, a.InProgressCount = d.varint(), d.uvarint()
-		a.UsefulOverlap, a.PairSamples, a.RetiredNear = d.uvarint(), d.uvarint(), d.uvarint()
-		metrics := d.count(1)
+		a.MemLatSum, a.MemLatCount = d.Varint(), d.Uvarint()
+		a.InProgressSum, a.InProgressCount = d.Varint(), d.Uvarint()
+		a.UsefulOverlap, a.PairSamples, a.RetiredNear = d.Uvarint(), d.Uvarint(), d.Uvarint()
+		metrics := d.Count(1)
 		if metrics > 0 {
-			a.PairMetrics = d.uvarints(metrics)
+			a.PairMetrics = d.Uvarints(metrics)
 		}
-		addrs := d.count(1)
+		addrs := d.Count(1)
 		if addrs > 0 {
-			a.Addrs = d.uvarints(addrs)
+			a.Addrs = d.Uvarints(addrs)
 		}
-		if d.err != nil {
-			return nil, fmt.Errorf("row %d: %w", i, d.err)
+		if err := d.Err(); err != nil {
+			return nil, fmt.Errorf("row %d: %w", i, err)
 		}
 		if !db.rowFits(metrics, addrs) {
 			return nil, fmt.Errorf("row %d (PC %#x): %d pair metrics, %d addresses: %w", i, pc, metrics, addrs, ErrCorrupt)
 		}
 		db.byPC[pc] = a
 	}
-	if d.left() > 0 {
-		return nil, fmt.Errorf("%d bytes after the last row: %w", d.left(), ErrCorrupt)
+	if d.Left() > 0 {
+		return nil, fmt.Errorf("%d bytes after the last row: %w", d.Left(), ErrCorrupt)
 	}
 	return db, nil
-}
-
-// rowDecoder reads a version-2 payload field by field. The first
-// malformed field records err and skips the rest of the input, so every
-// later read returns zero and a caller checks err once per row. Reads
-// move an index, not the slice, so they store no pointer.
-type rowDecoder struct {
-	b   []byte
-	i   int // the next unread byte of b
-	err error
-}
-
-func (d *rowDecoder) left() int { return len(d.b) - d.i }
-
-func (d *rowDecoder) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%s: %w", what, ErrCorrupt)
-	}
-	d.i = len(d.b)
-}
-
-// uvarint reads an unsigned varint. Most fields of a row fit one byte,
-// so that case is tried before binary.Uvarint.
-func (d *rowDecoder) uvarint() uint64 {
-	if i := d.i; i < len(d.b) && d.b[i] < 0x80 {
-		d.i = i + 1
-		return uint64(d.b[i])
-	}
-	return d.longUvarint()
-}
-
-func (d *rowDecoder) longUvarint() uint64 {
-	v, n := binary.Uvarint(d.b[d.i:])
-	if n <= 0 {
-		d.fail("bad varint")
-		return 0
-	}
-	d.i += n
-	return v
-}
-
-// varint reads a zigzag-encoded signed integer.
-func (d *rowDecoder) varint() int64 {
-	u := d.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-func (d *rowDecoder) int() int {
-	v := d.varint()
-	if int64(int(v)) != v {
-		d.fail("integer overflows int")
-		return 0
-	}
-	return int(v)
-}
-
-// count reads a length whose items take at least size bytes each, and
-// fails it when the input left cannot hold that many.
-func (d *rowDecoder) count(size int) int {
-	n := d.uvarint()
-	if n > uint64(d.left()/size) {
-		d.fail(fmt.Sprintf("declared %d items in %d bytes", n, d.left()))
-		return 0
-	}
-	return int(n)
-}
-
-// take consumes n bytes (n already checked by count).
-func (d *rowDecoder) take(n int) []byte {
-	p := d.b[d.i : d.i+n]
-	d.i += n
-	return p
-}
-
-// uvarints reads n > 0 values (n already checked by count).
-func (d *rowDecoder) uvarints(n int) []uint64 {
-	vs := make([]uint64, n)
-	for i := range vs {
-		vs[i] = d.uvarint()
-	}
-	return vs
 }
 
 // dbImage is the version-1 image: a gob of the DB's header fields and a
