@@ -44,10 +44,11 @@ type Submission struct {
 	DB *profile.DB
 
 	// wire is the profile envelope DB was decoded from, verified by that
-	// decode; nil when the submission was built in-process. It exists for
-	// the WAL admit record alone: Submit drops it once the record is
-	// staged, so a queued shard holds only its decoded form.
-	wire []byte
+	// decode; nil when the submission was built in-process. b64 is wire's
+	// base64 as a canonical body carried it; nil for any other body. They
+	// exist for the WAL admit record alone: Submit drops them once the
+	// record is staged, so a queued shard holds only its decoded form.
+	wire, b64 []byte
 	// walPos is where Submit staged this submission's admit record
 	// (zero when the WAL is disabled). It rides through the queue so
 	// the aggregator can release the position from the checkpoint

@@ -471,7 +471,7 @@ func (s *Service) Submit(sub Submission) error {
 		}
 	}
 	// The record holds the wire bytes now; the queue must not pin them.
-	sub.wire = nil
+	sub.wire, sub.b64 = nil, nil
 	pos, t, dup, err := s.led.reserve(sub.Shard, rec)
 	switch {
 	case dup:

@@ -68,7 +68,7 @@ func reorderedEnvelope(t *testing.T, db *profile.DB) []byte {
 	return env.Bytes()
 }
 
-func saveBytes(t *testing.T, db *profile.DB) []byte {
+func saveBytes(t testing.TB, db *profile.DB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := db.Save(&buf); err != nil {

@@ -39,20 +39,26 @@ var errBadWALRecord = errors.New("ingest: malformed wal record")
 // decoded off the wire is logged as received: its profile envelope was
 // CRC-verified and loaded by DecodeSubmit, and replay loads the same
 // bytes through the same decoder, so the shard replay merges is the
-// shard that merged live. Only a Submission built in-process (no wire
-// form) is encoded here.
+// shard that merged live. A canonical body's base64 span is copied into
+// the record as it came, with no re-encode; the record's bytes are the
+// same either way. Only a Submission built in-process (no wire form) is
+// encoded from its database.
 func encodeAdmitRecord(sub Submission) ([]byte, error) {
+	rec := record{Kind: walKindAdmit, Shard: sub.Shard, Profile: sub.wire}
+	if len(sub.b64) > 0 {
+		return appendRecord(make([]byte, 0, recordCap(rec, len(sub.b64))), rec, sub.b64), nil
+	}
 	var save func(io.Writer) error
 	if sub.wire == nil {
 		save = sub.DB.Save
 	}
-	return encodeRecord(record{Kind: walKindAdmit, Shard: sub.Shard, Profile: sub.wire}, save)
+	return encodeRecord(rec, save)
 }
 
 // decodeWALRecord parses one WAL record payload. Exactly one of sub or
 // h is meaningful, selected by kind.
 func decodeWALRecord(payload []byte) (kind string, sub Submission, h Handoff, err error) {
-	rec, db, err := decodeRecord(payload, "", "wal record", errBadWALRecord)
+	rec, db, _, err := decodeRecord(payload, "", "wal record", errBadWALRecord)
 	if err != nil {
 		return "", Submission{}, Handoff{}, err
 	}
@@ -71,7 +77,13 @@ type recordHead struct {
 	Key   string `json:"key"`
 }
 
+// decodeRecordHead reads a canonical admit record's head in one scan
+// (scanCanonical; the profile span is left undecoded) and any other
+// record with encoding/json.
 func decodeRecordHead(payload []byte) (recordHead, error) {
+	if shard, _, ok := scanCanonical(payload, admitHead); ok {
+		return recordHead{Kind: walKindAdmit, Shard: string(shard)}, nil
+	}
 	var head recordHead
 	if err := json.Unmarshal(payload, &head); err != nil {
 		return head, fmt.Errorf("ingest: wal record envelope: %v: %w", err, errBadWALRecord)

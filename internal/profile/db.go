@@ -140,7 +140,10 @@ type DB struct {
 	// PC (0 = none). Memory-feedback analyses (§7) need a handful.
 	RetainAddrs int
 
-	byPC    map[uint64]*PCAccum
+	byPC map[uint64]*PCAccum
+	// rows is the row slice loadRows decoded, in ascending PC order; byPC
+	// points into it. It is the walk order while len(rows) == len(byPC).
+	rows    []PCAccum
 	samples uint64
 	pairs   uint64
 

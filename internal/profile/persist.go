@@ -122,14 +122,16 @@ func (db *DB) appendHead(b []byte, rows int) []byte {
 func appendRow(b []byte, a *PCAccum, delta uint64) []byte {
 	b = binary.AppendUvarint(b, delta)
 	b = binary.AppendUvarint(b, a.Samples)
-	for _, v := range a.Events {
-		b = binary.AppendUvarint(b, v)
+	// Indexed, not ranged by value: a range over an array field copies
+	// the array first.
+	for i := range a.Events {
+		b = binary.AppendUvarint(b, a.Events[i])
 	}
-	for _, v := range a.LatSum {
-		b = binary.AppendVarint(b, v)
+	for i := range a.LatSum {
+		b = binary.AppendVarint(b, a.LatSum[i])
 	}
-	for _, v := range a.LatCount {
-		b = binary.AppendUvarint(b, v)
+	for i := range a.LatCount {
+		b = binary.AppendUvarint(b, a.LatCount[i])
 	}
 	b = binary.AppendVarint(b, a.MemLatSum)
 	b = binary.AppendUvarint(b, a.MemLatCount)
@@ -203,7 +205,7 @@ func (db *DB) rowFits(pairMetrics, addrs int) bool {
 // loadRows decodes a version-2 payload with the one row decoder
 // (frame.Rows). Every length is checked against the bytes left before
 // anything is allocated for it, and all rows live in one slice that byPC
-// points into.
+// points into and the database keeps as its PC order (DB.rows).
 func loadRows(payload []byte) (*DB, error) {
 	if len(payload) < 8 {
 		return nil, fmt.Errorf("header: %w", ErrCorrupt)
@@ -269,6 +271,7 @@ func loadRows(payload []byte) (*DB, error) {
 	if d.Left() > 0 {
 		return nil, fmt.Errorf("%d bytes after the last row: %w", d.Left(), ErrCorrupt)
 	}
+	db.rows = accs
 	return db, nil
 }
 
@@ -391,50 +394,81 @@ func (db *DB) mergeable(other *DB) error {
 // visit is non-nil it is handed each of other's accumulators (the
 // shard's per-PC delta) as it is folded, so summaries kept beside the
 // database (SafeDB's sketches and window ring) update in the same pass.
+// Those summaries depend on the order they see PCs in, so a visited walk
+// goes in ascending PC order (eachAscending) and ends in the same state
+// every time; db's own sums do not, so an unvisited walk takes the map's
+// order and never sorts.
 func (db *DB) mergeWalk(other *DB, visit func(delta *PCAccum)) {
 	db.samples += other.samples
 	db.pairs += other.pairs
 	db.lost += other.lost
 	db.corruptRejected += other.corruptRejected
-	for pc, src := range other.byPC {
-		dst := db.acc(pc)
-		dst.Samples += src.Samples
-		for i := range dst.Events {
-			dst.Events[i] += src.Events[i]
+	if visit == nil {
+		for pc, src := range other.byPC {
+			// The PC comes from the map's key, not from src, so the
+			// lookup of dst need not wait for src to arrive from memory.
+			db.fold(db.acc(pc), src)
 		}
-		for i := range dst.LatSum {
-			dst.LatSum[i] += src.LatSum[i]
-			dst.LatCount[i] += src.LatCount[i]
+		return
+	}
+	other.eachAscending(func(src *PCAccum) {
+		db.fold(db.acc(src.PC), src)
+		visit(src)
+	})
+}
+
+// fold adds src, another database's accumulator, into dst, db's
+// accumulator for the same PC.
+func (db *DB) fold(dst, src *PCAccum) {
+	dst.Samples += src.Samples
+	for i := range dst.Events {
+		dst.Events[i] += src.Events[i]
+	}
+	for i := range dst.LatSum {
+		dst.LatSum[i] += src.LatSum[i]
+		dst.LatCount[i] += src.LatCount[i]
+	}
+	dst.MemLatSum += src.MemLatSum
+	dst.MemLatCount += src.MemLatCount
+	dst.InProgressSum += src.InProgressSum
+	dst.InProgressCount += src.InProgressCount
+	dst.UsefulOverlap += src.UsefulOverlap
+	dst.PairSamples += src.PairSamples
+	dst.RetiredNear += src.RetiredNear
+	if room := db.RetainAddrs - len(dst.Addrs); room > 0 && len(src.Addrs) > 0 {
+		// Copy before appending: the slice must not share the source
+		// database's backing array, or mutating one profile after a
+		// merge would silently rewrite the other.
+		take := src.Addrs
+		if len(take) > room {
+			take = take[:room]
 		}
-		dst.MemLatSum += src.MemLatSum
-		dst.MemLatCount += src.MemLatCount
-		dst.InProgressSum += src.InProgressSum
-		dst.InProgressCount += src.InProgressCount
-		dst.UsefulOverlap += src.UsefulOverlap
-		dst.PairSamples += src.PairSamples
-		dst.RetiredNear += src.RetiredNear
-		if room := db.RetainAddrs - len(dst.Addrs); room > 0 && len(src.Addrs) > 0 {
-			// Copy before appending: the slice must not share the source
-			// database's backing array, or mutating one profile after a
-			// merge would silently rewrite the other.
-			take := src.Addrs
-			if len(take) > room {
-				take = take[:room]
-			}
-			buf := make([]uint64, len(take))
-			copy(buf, take)
-			dst.Addrs = append(dst.Addrs, buf...)
+		buf := make([]uint64, len(take))
+		copy(buf, take)
+		dst.Addrs = append(dst.Addrs, buf...)
+	}
+	if len(src.PairMetrics) > 0 {
+		if dst.PairMetrics == nil {
+			dst.PairMetrics = make([]uint64, len(src.PairMetrics))
 		}
-		if len(src.PairMetrics) > 0 {
-			if dst.PairMetrics == nil {
-				dst.PairMetrics = make([]uint64, len(src.PairMetrics))
-			}
-			for i := range src.PairMetrics {
-				dst.PairMetrics[i] += src.PairMetrics[i]
-			}
+		for i := range src.PairMetrics {
+			dst.PairMetrics[i] += src.PairMetrics[i]
 		}
-		if visit != nil {
-			visit(src)
+	}
+}
+
+// eachAscending calls f on every accumulator in ascending PC order. A
+// database loaded from a version-2 image walks the image's row slice for
+// as long as it holds no PC the image lacked — a DB only ever gains PCs,
+// so equal lengths mean the same set; any other database sorts its PCs.
+func (db *DB) eachAscending(f func(*PCAccum)) {
+	if len(db.rows) == len(db.byPC) {
+		for i := range db.rows {
+			f(&db.rows[i])
 		}
+		return
+	}
+	for _, a := range db.sortedAccums() {
+		f(a)
 	}
 }

@@ -341,6 +341,19 @@ func TestSaveLoadRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("db %d: %v", i, err)
 		}
+		// A decoded database also keeps its rows as its walk order
+		// (DB.rows): exactly its accumulators, in ascending PC order.
+		// db was built in process and has none, so the order is checked
+		// here and left out of the comparison.
+		if len(got.rows) != len(got.byPC) {
+			t.Fatalf("db %d: %d rows for %d PCs", i, len(got.rows), len(got.byPC))
+		}
+		for j := range got.rows {
+			if a := &got.rows[j]; got.byPC[a.PC] != a || j > 0 && a.PC <= got.rows[j-1].PC {
+				t.Fatalf("db %d: row %d (PC %#x) is not the PC index's accumulator in ascending order", i, j, a.PC)
+			}
+		}
+		got.rows = nil
 		if !reflect.DeepEqual(got, db) {
 			t.Fatalf("db %d: round trip changed it:\n got %+v\nwant %+v", i, got, db)
 		}

@@ -66,9 +66,7 @@ func NewSafeDBWith(db *DB, cfg SketchConfig) *SafeDB {
 	for i := range s.lat {
 		s.lat[i] = newQuantileSketch(cfg.Alpha)
 	}
-	for _, a := range db.byPC {
-		s.sketch(a)
-	}
+	db.eachAscending(s.sketch)
 	s.mu.Lock()
 	s.publishLocked(true)
 	s.mu.Unlock()

@@ -8,10 +8,14 @@ import (
 // This file holds the two streaming summaries the query path serves from:
 // a space-saving heavy-hitters sketch (top-K hot PCs in O(K) memory) and
 // a DDSketch-style log-bucketed quantile sketch (latency percentiles with
-// a bounded relative error). Both are deterministic, mergeable, and
-// maintained incrementally at merge time, so a query never has to walk
-// the O(DB) per-PC map. The property tests in sketch_test.go pin the
-// error bounds stated here against exact answers.
+// a bounded relative error). Both are mergeable and maintained
+// incrementally at merge time, so a query never has to walk the O(DB)
+// per-PC map. Both are deterministic: the space-saving state depends on
+// the order updates arrive in, and a merge feeds them a shard's PCs in
+// ascending PC order (DB.eachAscending), never in map order, so the
+// same shards merged in the same order give the same rows and floor.
+// The property tests in sketch_test.go pin the error bounds stated here
+// against exact answers.
 
 // SSEntry is one space-saving counter: a tracked PC, its estimated
 // count, and the worst-case overcount the estimate carries. The sketch's

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -671,6 +672,71 @@ func TestSpaceSavingMatchesMapHeap(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestMergeIsDeterministic: the same six zipf shards merged in the same
+// order into fresh aggregates publish the same top-K rows, floor and
+// windowed answer every time — whether each shard arrives decoded from
+// its image (the row-slice walk) or built in process (the sorted walk).
+// A merge that fed the sketches in map order gives every aggregate its
+// own estimates and error bounds.
+func TestMergeIsDeterministic(t *testing.T) {
+	now := time.Unix(1000, 0)
+	rng := stats.NewRNG(17)
+	shards := make([]*DB, 6)
+	images := make([][]byte, len(shards))
+	for i := range shards {
+		shards[i] = NewDB(16, 0, 4)
+		for draw, pc := range zipfStream(rng, 3000, 4000) {
+			shards[i].Add(core.Sample{First: latRecord(pc, draw)})
+		}
+		var buf bytes.Buffer
+		if err := shards[i].Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		images[i] = buf.Bytes()
+	}
+	type outcome struct {
+		rows   []HotView
+		floor  uint64
+		window WindowResult
+	}
+	merged := func(decoded bool) outcome {
+		agg := NewSafeDBWith(NewDB(16, 0, 4), SketchConfig{
+			TopK: 64, WindowBuckets: 4, BucketDur: time.Second, Now: func() time.Time { return now },
+		})
+		for i, shard := range shards {
+			if decoded {
+				var err error
+				if shard, err = LoadDB(bytes.NewReader(images[i])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := agg.Merge(shard); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v := agg.View()
+		return outcome{v.TopK, v.Floor, agg.WindowHotPCs(4*time.Second, 64)}
+	}
+	want := merged(true)
+	if want.floor == 0 {
+		t.Fatal("the sketch never filled; the test needs more distinct PCs than TopK")
+	}
+	for trial := 0; trial < 3; trial++ {
+		for _, decoded := range []bool{true, false} {
+			got := merged(decoded)
+			if got.floor != want.floor {
+				t.Fatalf("trial %d (decoded %v): floor %d, first merge %d", trial, decoded, got.floor, want.floor)
+			}
+			if !reflect.DeepEqual(got.rows, want.rows) {
+				t.Fatalf("trial %d (decoded %v): top-K rows differ from the first merge's", trial, decoded)
+			}
+			if !reflect.DeepEqual(got.window, want.window) {
+				t.Fatalf("trial %d (decoded %v): windowed answer differs from the first merge's", trial, decoded)
+			}
 		}
 	}
 }
