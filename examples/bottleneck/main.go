@@ -4,14 +4,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
 
 	"profileme/internal/core"
 	"profileme/internal/cpu"
-	"profileme/internal/profile"
-	"profileme/internal/sim"
+	"profileme/internal/runner"
 	"profileme/internal/workload"
 )
 
@@ -32,7 +32,7 @@ func main() {
 
 	ccfg := cpu.DefaultConfig()
 	ccfg.InterruptCost = 0
-	unit := core.MustNewUnit(core.Config{
+	sh, err := runner.RunShard(context.Background(), prog, ccfg, core.Config{
 		Paired:       true,
 		MeanInterval: 40,
 		Window:       80,
@@ -40,20 +40,15 @@ func main() {
 		CountMode:    core.CountInstructions,
 		IntervalMode: core.IntervalGeometric,
 		Seed:         3,
-	})
-	db := profile.NewDB(40, 80, ccfg.SustainedIssueWidth)
-
-	pipe, err := cpu.New(prog, sim.NewMachineSource(sim.New(prog), 0), ccfg)
+	}, nil, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pipe.AttachProfileMe(unit, db.Handler())
-	res, err := pipe.Run(0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if db.Samples() > 0 {
-		db.S = float64(res.FetchedOnPath) / float64(db.Samples()) // realized interval
+	db, res := sh.DB, sh.Result
+	// Realized interval: fetched instructions per sample the hardware
+	// captured (the database corrects for the samples it never received).
+	if captured := sh.Stats.Captured(); captured > 0 {
+		db.S = float64(res.FetchedOnPath) / float64(captured)
 	}
 
 	var rows []row

@@ -5,13 +5,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
 
 	"profileme/internal/core"
 	"profileme/internal/cpu"
-	"profileme/internal/sim"
+	"profileme/internal/runner"
 	"profileme/internal/workload"
 )
 
@@ -22,14 +23,14 @@ func main() {
 
 	ccfg := cpu.DefaultConfig()
 	ccfg.InterruptCost = 0
-	unit := core.MustNewUnit(core.Config{
+	ucfg := core.Config{
 		MeanInterval: 128,
 		Window:       80,
 		BufferDepth:  32,
 		CountMode:    core.CountInstructions,
 		IntervalMode: core.IntervalGeometric,
 		Seed:         4,
-	})
+	}
 
 	// The handler keeps only what this analysis needs: miss addresses.
 	type missInfo struct {
@@ -39,11 +40,7 @@ func main() {
 	}
 	var misses []missInfo
 	var memSamples int
-	pipe, err := cpu.New(prog, sim.NewMachineSource(sim.New(prog), 0), ccfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	pipe.AttachProfileMe(unit, func(ss []core.Sample) {
+	sh, err := runner.RunShard(context.Background(), prog, ccfg, ucfg, nil, 0, func(ss []core.Sample) {
 		for _, s := range ss {
 			r := s.First
 			if !r.AddrValid {
@@ -55,10 +52,10 @@ func main() {
 			}
 		}
 	})
-	res, err := pipe.Run(0)
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := sh.Result
 
 	fmt.Printf("run: %d instructions, CPI %.2f\n", res.Retired, res.CPI())
 	fmt.Printf("%d memory-op samples, %d with D-cache misses (%.1f%%)\n\n",
@@ -66,7 +63,7 @@ func main() {
 
 	// Group sampled miss addresses by D-cache set: a few overloaded sets
 	// mean conflict misses that page recoloring could spread out.
-	dcache := pipe.Hierarchy().DCache()
+	dcache := sh.Pipeline.Hierarchy().DCache()
 	setCount := map[uint64]int{}
 	pageCount := map[uint64]int{}
 	for _, m := range misses {

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -14,7 +15,7 @@ import (
 	"profileme/internal/isa"
 	"profileme/internal/pathprof"
 	"profileme/internal/profile"
-	"profileme/internal/sim"
+	"profileme/internal/runner"
 	"profileme/internal/workload"
 )
 
@@ -24,39 +25,27 @@ func main() {
 
 	// Sample with ProfileMe; each record carries the branch history
 	// register captured at fetch.
-	unit := core.MustNewUnit(core.Config{
+	ccfg := cpu.DefaultConfig()
+	ccfg.InterruptCost = 0
+	var samples []core.Sample
+	if _, err := runner.RunShard(context.Background(), prog, ccfg, core.Config{
 		MeanInterval: 199,
 		Window:       80,
 		BufferDepth:  16,
 		CountMode:    core.CountInstructions,
 		IntervalMode: core.IntervalGeometric,
 		Seed:         2,
-	})
-	var samples []core.Sample
-	ccfg := cpu.DefaultConfig()
-	ccfg.InterruptCost = 0
-	pipe, err := cpu.New(prog, sim.NewMachineSource(sim.New(prog), 0), ccfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	pipe.AttachProfileMe(unit, func(ss []core.Sample) { samples = append(samples, ss...) })
-	if _, err := pipe.Run(0); err != nil {
+	}, nil, 0, func(ss []core.Sample) { samples = append(samples, ss...) }); err != nil {
 		log.Fatal(err)
 	}
 
 	// A second run with dense paired sampling feeds the §5.2 edge
 	// profile: pairs at fetch distance 1 observe CFG edges directly.
 	edges := profile.NewEdgeProfile(37, 30)
-	unit2 := core.MustNewUnit(core.Config{
+	if _, err := runner.RunShard(context.Background(), prog, ccfg, core.Config{
 		Paired: true, MeanInterval: 37, Window: 30, BufferDepth: 32,
 		CountMode: core.CountInstructions, IntervalMode: core.IntervalGeometric, Seed: 8,
-	})
-	pipe2, err := cpu.New(prog, sim.NewMachineSource(sim.New(prog), 0), ccfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	pipe2.AttachProfileMe(unit2, edges.Handler())
-	if _, err := pipe2.Run(0); err != nil {
+	}, nil, 0, edges.Handler()); err != nil {
 		log.Fatal(err)
 	}
 

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 	"profileme/internal/isa"
 	"profileme/internal/pgo"
 	"profileme/internal/profile"
+	"profileme/internal/runner"
 	"profileme/internal/sim"
 )
 
@@ -43,34 +45,25 @@ func buildKernel(iters int) *isa.Program {
 	return b.MustBuild()
 }
 
-func run(p *isa.Program, db *profile.DB) cpu.Result {
-	ccfg := cpu.DefaultConfig()
-	ccfg.InterruptCost = 0
-	pipe, err := cpu.New(p, sim.NewMachineSource(sim.New(p), 0), ccfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if db != nil {
-		unit := core.MustNewUnit(core.Config{
-			MeanInterval: 40, Window: 80, BufferDepth: 32,
-			CountMode: core.CountInstructions, IntervalMode: core.IntervalGeometric, Seed: 6,
-		})
-		pipe.AttachProfileMe(unit, db.Handler())
-	}
-	res, err := pipe.Run(0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return res
-}
-
 func main() {
 	prog := buildKernel(20000)
+	ccfg := cpu.DefaultConfig()
+	ccfg.InterruptCost = 0
 
-	// 1. Profile, retaining sampled effective addresses per PC.
-	db := profile.NewDB(40, 80, 4)
+	// 1. Profile, retaining sampled effective addresses per PC in a
+	// database of our own, with the shard's (S, W, C): unpaired, so W = 0.
+	ucfg := core.Config{
+		MeanInterval: 40, Window: 80, BufferDepth: 32,
+		CountMode: core.CountInstructions, IntervalMode: core.IntervalGeometric, Seed: 6,
+	}
+	db := profile.NewDB(ucfg.MeanInterval, 0, ccfg.SustainedIssueWidth)
 	db.RetainAddrs = 16
-	base := run(prog, db)
+	sh, err := runner.RunShard(context.Background(), prog, ccfg, ucfg, nil, 0, db.Handler())
+	if err != nil {
+		log.Fatal(err)
+	}
+	db.RecordLoss(sh.Stats.Lost())
+	base := sh.Result
 	fmt.Printf("baseline: %d cycles (CPI %.2f)\n", base.Cycles, base.CPI())
 
 	// 2. Analyze: miss-heavy loads with detectable strides.
@@ -101,7 +94,14 @@ func main() {
 	if m1.Reg(3) != m2.Reg(3) {
 		log.Fatal("rewritten program computes a different result")
 	}
-	opt := run(re, nil)
+	pipe, err := cpu.New(re, sim.NewMachineSource(sim.New(re), 0), ccfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	opt, err := pipe.Run(0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\noptimized: %d cycles (CPI %.2f)\n", opt.Cycles, opt.CPI())
 	fmt.Printf("speedup: %.2fx — same architectural result, verified\n",
 		float64(base.Cycles)/float64(opt.Cycles))

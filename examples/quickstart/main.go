@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,7 +12,7 @@ import (
 	"profileme/internal/core"
 	"profileme/internal/cpu"
 	"profileme/internal/profile"
-	"profileme/internal/sim"
+	"profileme/internal/runner"
 )
 
 // A toy kernel: sum an array, with an unpredictable branch on element
@@ -59,32 +60,24 @@ func main() {
 	// 2. Configure the machine (4-wide out-of-order, 21264-flavoured) and
 	// the ProfileMe unit: sample one instruction every ~256 fetched.
 	ccfg := cpu.DefaultConfig()
-	unit := core.MustNewUnit(core.Config{
+	ucfg := core.Config{
 		MeanInterval: 256,
 		Window:       80,
 		BufferDepth:  8,
 		CountMode:    core.CountInstructions,
 		IntervalMode: core.IntervalGeometric,
 		Seed:         1,
-	})
+	}
 
-	// 3. The profiling software: a per-PC aggregation database whose
-	// handler runs on each sampling interrupt.
-	db := profile.NewDB(256, 80, ccfg.SustainedIssueWidth)
-
-	// 4. Wire everything together and run.
-	src := sim.NewMachineSource(sim.New(prog), 0)
-	pipe, err := cpu.New(prog, src, ccfg)
+	// 3. Run: the unit's samples feed the shard's per-PC aggregation
+	// database, the profiling software's handler on each interrupt.
+	sh, err := runner.RunShard(context.Background(), prog, ccfg, ucfg, nil, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pipe.AttachProfileMe(unit, db.Handler())
-	res, err := pipe.Run(0)
-	if err != nil {
-		log.Fatal(err)
-	}
+	db, res := sh.DB, sh.Result
 
-	// 5. Report.
+	// 4. Report.
 	fmt.Printf("retired %d instructions in %d cycles (CPI %.2f), %d mispredicts\n",
 		res.Retired, res.Cycles, res.CPI(), res.Mispredicts)
 	fmt.Printf("%d profiling interrupts delivered %d samples\n\n",

@@ -96,6 +96,11 @@ func Run(spec Spec) (Digest, error) {
 	finalState := stateDigest(ref)
 
 	// Timing run with a seeded ProfileMe unit and a retire-stream observer.
+	// It is wired here rather than through runner.RunShard: the retire hook
+	// goes on before the run, and the final-state check below reads the
+	// machine that fed the pipeline. The database takes RunShard's
+	// (S, W, C): unpaired sampling, so W = 0.
+	ccfg := cpu.DefaultConfig()
 	ucfg := core.DefaultConfig()
 	ucfg.MeanInterval = spec.Interval
 	ucfg.BufferDepth = 4
@@ -104,10 +109,10 @@ func Run(spec Spec) (Digest, error) {
 	if err != nil {
 		return Digest{}, fmt.Errorf("difftest: unit: %w", err)
 	}
-	db := profile.NewDB(spec.Interval, 0, 4)
+	db := profile.NewDB(spec.Interval, 0, ccfg.SustainedIssueWidth)
 
 	machine := sim.New(prog)
-	pipe, err := cpu.New(prog, sim.NewMachineSource(machine, 0), cpu.DefaultConfig())
+	pipe, err := cpu.New(prog, sim.NewMachineSource(machine, 0), ccfg)
 	if err != nil {
 		return Digest{}, fmt.Errorf("difftest: pipeline: %w", err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"profileme/internal/core"
 	"profileme/internal/cpu"
+	"profileme/internal/faultinject"
 	"profileme/internal/isa"
 	"profileme/internal/profile"
 	"profileme/internal/runner"
@@ -49,9 +50,12 @@ func shard(prog *isa.Program, ccfg cpu.Config, ucfg core.Config, also func([]cor
 	return runner.RunShard(context.Background(), prog, ccfg, ucfg, nil, 0, also)
 }
 
-// realizeS rescales the shard's database by the realized sampling interval.
+// realizeS rescales the shard's database by the realized sampling
+// interval: fetched instructions per sample the hardware captured. The
+// database already scales by captured/delivered, so dividing by the
+// delivered count would correct for loss twice.
 func realizeS(sh runner.Shard) {
-	if n := sh.DB.Samples(); n > 0 {
+	if n := sh.Stats.Captured(); n > 0 {
 		sh.DB.S = float64(sh.Result.FetchedOnPath) / float64(n)
 	}
 }
@@ -161,7 +165,11 @@ func ablateWrongPath() (string, error) {
 // §4: "overhead may be decreased arbitrarily by reducing the sampling rate".
 func ablateSamplingOverhead() (string, error) {
 	prog := workload.Ijpeg(120_000)
-	base, _, err := runPipeline(prog, cpu.DefaultConfig(), nil, nil)
+	pipe, err := cpu.New(prog, sim.NewMachineSource(sim.New(prog), 0), cpu.DefaultConfig())
+	if err != nil {
+		return "", err
+	}
+	base, err := pipe.Run(0)
 	if err != nil {
 		return "", err
 	}
@@ -273,4 +281,34 @@ func strictlyFalling(xs []float64) bool {
 		}
 	}
 	return true
+}
+
+// TestRealizeSOnLossyShard holds realizeS to one loss correction. A shard
+// whose swallowed interrupts lost more than a tenth of the captured samples
+// is rescaled; its per-PC estimates must then sum to the fetched count
+// within 1%. Dividing by the delivered count instead overshoots by
+// captured/delivered, here about 23%.
+func TestRealizeSOnLossyShard(t *testing.T) {
+	plan, err := faultinject.NewPlan(1, faultinject.Rates{DropInterrupt: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ucfg := core.DefaultConfig()
+	ucfg.MeanInterval = 16
+	ucfg.BufferDepth = 4
+	sh, err := runner.RunShard(context.Background(), workload.Compress(100_000), cpu.DefaultConfig(), ucfg, plan, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lost, captured := sh.Stats.Lost(), sh.Stats.Captured(); lost*10 < captured {
+		t.Fatalf("lost %d of %d captured samples, want at least 10%%", lost, captured)
+	}
+	realizeS(sh)
+	var sum float64
+	for _, pc := range sh.DB.PCs() {
+		sum += sh.DB.EstimatedCount(pc)
+	}
+	if fetched := float64(sh.Result.FetchedOnPath); math.Abs(sum/fetched-1) > 0.01 {
+		t.Errorf("per-PC estimates sum to %.0f, fetched %.0f (%+.1f%%)", sum, fetched, 100*(sum/fetched-1))
+	}
 }

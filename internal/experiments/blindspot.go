@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -9,6 +10,7 @@ import (
 	"profileme/internal/counters"
 	"profileme/internal/cpu"
 	"profileme/internal/isa"
+	"profileme/internal/runner"
 	"profileme/internal/sim"
 )
 
@@ -150,21 +152,17 @@ func blindSpot(cfg blindSpotConfig) (*blindSpotResult, error) {
 	ucfg := core.DefaultConfig()
 	ucfg.MeanInterval = cfg.MeanInterval
 	ucfg.BufferDepth = 16
-	unit := core.MustNewUnit(ucfg)
-	var pmIn, pmTotal uint64
-	_, _, err = runPipeline(prog, ccfg, unit, func(ss []core.Sample) {
-		for _, s := range ss {
-			if !s.First.Retired() {
-				continue
-			}
-			pmTotal++
-			if inPal(s.First.PC) {
-				pmIn++
-			}
-		}
-	})
+	sh, err := runner.RunShard(context.TODO(), prog, ccfg, ucfg, nil, 0, nil)
 	if err != nil {
 		return nil, err
+	}
+	var pmIn, pmTotal uint64
+	for _, pc := range sh.DB.PCs() {
+		n := sh.DB.Get(pc).Retired()
+		pmTotal += n
+		if inPal(pc) {
+			pmIn += n
+		}
 	}
 	if pmTotal == 0 {
 		return nil, fmt.Errorf("blindspot: no ProfileMe samples")

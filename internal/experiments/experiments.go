@@ -7,14 +7,7 @@
 // holds.
 package experiments
 
-import (
-	"fmt"
-
-	"profileme/internal/core"
-	"profileme/internal/cpu"
-	"profileme/internal/isa"
-	"profileme/internal/sim"
-)
+import "fmt"
 
 // Result is what every experiment returns.
 type Result interface {
@@ -68,20 +61,6 @@ func pick[T any](quick bool, full, reduced T) T {
 		return reduced
 	}
 	return full
-}
-
-// runPipeline wires a program, a ProfileMe unit (may be nil) and a config
-// together and runs to completion.
-func runPipeline(prog *isa.Program, cfg cpu.Config, unit *core.Unit, handler func([]core.Sample)) (cpu.Result, *cpu.Pipeline, error) {
-	p, err := cpu.New(prog, sim.NewMachineSource(sim.New(prog), 0), cfg)
-	if err != nil {
-		return cpu.Result{}, nil, err
-	}
-	if unit != nil {
-		p.AttachProfileMe(unit, handler)
-	}
-	res, err := p.Run(0)
-	return res, p, err
 }
 
 // checkf returns an error when cond is false.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"profileme/internal/cpu"
 	"profileme/internal/isa"
 	"profileme/internal/mem"
+	"profileme/internal/runner"
 	"profileme/internal/sim"
 	"profileme/internal/stats"
 	"profileme/internal/workload"
@@ -228,43 +230,42 @@ func convergenceRunTiming(bench workload.Benchmark, scale int, interval float64,
 	ucfg.MeanInterval = interval
 	ucfg.BufferDepth = 64
 	ucfg.Seed = seed | 1
-	unit := core.MustNewUnit(ucfg)
-
-	sampled := make(map[uint64]uint64)
+	// The database counts retired samples per PC; a retired sample that
+	// also missed the D-cache has no database count of its own.
 	sampledMiss := make(map[uint64]uint64)
-	handler := func(ss []core.Sample) {
+	sh, err := runner.RunShard(context.TODO(), prog, ccfg, ucfg, nil, 0, func(ss []core.Sample) {
 		for _, s := range ss {
-			r := s.First
-			if !r.Retired() {
-				continue
-			}
-			sampled[r.PC]++
-			if r.Events.Has(core.EvDCacheMiss) {
+			if r := s.First; r.Retired() && r.Events.Has(core.EvDCacheMiss) {
 				sampledMiss[r.PC]++
 			}
 		}
-	}
-	res, pipe, err := runPipeline(prog, ccfg, unit, handler)
+	})
 	if err != nil {
 		return figure3Series{}, err
+	}
+	sampled := func(pc uint64) uint64 {
+		if a := sh.DB.Get(pc); a != nil {
+			return a.Retired()
+		}
+		return 0
 	}
 	// Scale by the realized interval (retired samples per retired
 	// instruction), as the profiling software would.
 	var totalSamples uint64
-	for _, n := range sampled {
-		totalSamples += n
+	for _, pc := range sh.DB.PCs() {
+		totalSamples += sampled(pc)
 	}
 	if totalSamples == 0 {
 		return figure3Series{}, fmt.Errorf("no samples")
 	}
-	realizedS := float64(res.Retired) / float64(totalSamples)
+	realizedS := float64(sh.Result.Retired) / float64(totalSamples)
 
 	series := figure3Series{Benchmark: bench.Name, Interval: interval}
-	for _, st := range pipe.PerPC() {
+	for _, st := range sh.Pipeline.PerPC() {
 		if st.Retired == 0 {
 			continue
 		}
-		if k := sampled[st.PC]; k > 0 {
+		if k := sampled(st.PC); k > 0 {
 			series.Retire = append(series.Retire, figure3Point{
 				PC: st.PC, Samples: k,
 				Ratio: float64(k) * realizedS / float64(st.Retired),

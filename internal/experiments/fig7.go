@@ -1,13 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"profileme/internal/core"
 	"profileme/internal/cpu"
-	"profileme/internal/profile"
+	"profileme/internal/runner"
 	"profileme/internal/workload"
 )
 
@@ -64,22 +65,21 @@ func figure7(cfg figure7Config) (*figure7Result, error) {
 		IntervalMode: core.IntervalGeometric,
 		Seed:         cfg.Seed,
 	}
-	unit := core.MustNewUnit(ucfg)
-	db := profile.NewDB(cfg.MeanInterval, cfg.Window, ccfg.SustainedIssueWidth)
-
-	res, pipe, err := runPipeline(prog, ccfg, unit, db.Handler())
+	sh, err := runner.RunShard(context.TODO(), prog, ccfg, ucfg, nil, 0, nil)
 	if err != nil {
 		return nil, fmt.Errorf("fig7: %w", err)
 	}
+	db, res, pipe := sh.DB, sh.Result, sh.Pipeline
 
 	// Scale estimates by the realized sampling interval rather than the
 	// nominal one: a pair occupies the hardware until both instructions
 	// complete, so at short nominal intervals the effective inter-pair
 	// interval is substantially longer. Profiling software knows the
 	// fetched-instruction count and the sample count (DCPI scaled its
-	// estimates the same way).
-	if db.Samples() > 0 {
-		db.S = float64(res.FetchedOnPath) / float64(db.Samples())
+	// estimates the same way). The count is what the hardware captured,
+	// not what it delivered: the database already corrects for loss.
+	if captured := sh.Stats.Captured(); captured > 0 {
+		db.S = float64(res.FetchedOnPath) / float64(captured)
 	}
 
 	out := &figure7Result{Result: res}

@@ -76,8 +76,11 @@ func multiprocess(cfg multiprocessConfig) (*multiprocessResult, error) {
 		prog := b.Build(cfg.Scale)
 		ccfg := cpu.DefaultConfig()
 		ccfg.Context = asn
-		r, _, err := runPipeline(prog, ccfg, nil, nil)
-		return r, err
+		pipe, err := cpu.New(prog, sim.NewMachineSource(sim.New(prog), 0), ccfg)
+		if err != nil {
+			return cpu.Result{}, err
+		}
+		return pipe.Run(0)
 	}
 	soloA, err := solo(benchA, asnA)
 	if err != nil {
@@ -90,14 +93,22 @@ func multiprocess(cfg multiprocessConfig) (*multiprocessResult, error) {
 	res.SoloCPIA, res.SoloCPIB = soloA.CPI(), soloB.CPI()
 
 	// Co-run: one shared hierarchy, one ProfileMe unit, two pipelines
-	// time-sliced by a round-robin scheduler.
+	// time-sliced by a round-robin scheduler — a wiring runner.RunShard (a
+	// unit per pipeline) cannot make. The per-process databases take
+	// RunShard's (S, W, C): unpaired, so W = 0.
+	ccfgA := cpu.DefaultConfig()
+	ccfgA.Context = asnA
+	ccfgA.InterruptCost = 0
+	ccfgB := ccfgA
+	ccfgB.Context = asnB
+	ccfgB.PhysBase = 0x4000_0000 // disjoint physical pages for process B
 	hier := mem.NewHierarchy(mem.DefaultConfig())
 	unit := core.MustNewUnit(core.Config{
 		MeanInterval: cfg.MeanInterval, Window: 80, BufferDepth: 16,
 		CountMode: core.CountInstructions, IntervalMode: core.IntervalGeometric, Seed: 12,
 	})
-	dbA := profile.NewDB(cfg.MeanInterval, 80, 4)
-	dbB := profile.NewDB(cfg.MeanInterval, 80, 4)
+	dbA := profile.NewDB(cfg.MeanInterval, 0, ccfgA.SustainedIssueWidth)
+	dbB := profile.NewDB(cfg.MeanInterval, 0, ccfgB.SustainedIssueWidth)
 	handler := func(ss []core.Sample) {
 		for _, s := range ss {
 			if s.First.Events.Has(core.EvNoInstruction) {
@@ -117,12 +128,6 @@ func multiprocess(cfg multiprocessConfig) (*multiprocessResult, error) {
 	}
 
 	progA, progB := benchA.Build(cfg.Scale), benchB.Build(cfg.Scale)
-	ccfgA := cpu.DefaultConfig()
-	ccfgA.Context = asnA
-	ccfgA.InterruptCost = 0
-	ccfgB := ccfgA
-	ccfgB.Context = asnB
-	ccfgB.PhysBase = 0x4000_0000 // disjoint physical pages for process B
 	pipeA, err := cpu.NewWithHierarchy(progA, sim.NewMachineSource(sim.New(progA), 0), ccfgA, hier)
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"profileme/internal/cpu"
+	"profileme/internal/sim"
 	"profileme/internal/stats"
 	"profileme/internal/workload"
 )
@@ -71,7 +72,10 @@ func section6(cfg section6Config) (*section6Result, error) {
 		ccfg := cpu.DefaultConfig()
 		ccfg.TrackWindowedIPC = true
 		ccfg.IPCWindowCycles = cfg.WindowCycles
-		_, pipe, err := runPipeline(prog, ccfg, nil, nil)
+		pipe, err := cpu.New(prog, sim.NewMachineSource(sim.New(prog), 0), ccfg)
+		if err == nil {
+			_, err = pipe.Run(0)
+		}
 		if err != nil {
 			return cellOut{}, fmt.Errorf("sec6: %s: %w", name, err)
 		}

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"profileme/internal/core"
 	"profileme/internal/cpu"
 	"profileme/internal/profile"
+	"profileme/internal/runner"
 	"profileme/internal/workload"
 )
 
@@ -58,11 +60,11 @@ func table1(cfg table1Config) (*table1Result, error) {
 		ucfg.MeanInterval = cfg.MeanInterval
 		ucfg.BufferDepth = 64
 		ucfg.Seed = cfg.Seed
-		unit := core.MustNewUnit(ucfg)
-		db := profile.NewDB(cfg.MeanInterval, 0, ccfg.SustainedIssueWidth)
-		if _, _, err := runPipeline(prog, ccfg, unit, db.Handler()); err != nil {
+		sh, err := runner.RunShard(context.TODO(), prog, ccfg, ucfg, nil, 0, nil)
+		if err != nil {
 			return table1Row{}, fmt.Errorf("table1: %s: %w", name, err)
 		}
+		db := sh.DB
 
 		row := table1Row{Kernel: name}
 		var latSum [profile.NumLatencyKinds]int64

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -8,6 +9,7 @@ import (
 	"profileme/internal/core"
 	"profileme/internal/cpu"
 	"profileme/internal/isa"
+	"profileme/internal/runner"
 	"profileme/internal/sim"
 )
 
@@ -168,40 +170,36 @@ func ww(cfg wwConfig) (*wwResult, error) {
 	if pmInterval < 2 {
 		pmInterval = 2
 	}
-	unit := core.MustNewUnit(core.Config{
-		MeanInterval: pmInterval, Window: 80, BufferDepth: 64,
-		CountMode: core.CountFetchOpportunities, IntervalMode: core.IntervalGeometric, Seed: 3,
-	})
-	pmCounts := make(map[uint64]uint64)
-	var pmRetired, pmAborted uint64
 	ccfg2 := cpu.DefaultConfig()
 	ccfg2.InterruptCost = 0
-	r2, _, err := runPipeline(prog, ccfg2, unit, func(ss []core.Sample) {
-		for _, s := range ss {
-			if s.First.Events.Has(core.EvNoInstruction) {
-				continue
-			}
-			if s.First.Retired() {
-				pmRetired++
-				pmCounts[s.First.PC]++
-			} else {
-				pmAborted++
-			}
-		}
-	})
+	sh, err := runner.RunShard(context.TODO(), prog, ccfg2, core.Config{
+		MeanInterval: pmInterval, Window: 80, BufferDepth: 64,
+		CountMode: core.CountFetchOpportunities, IntervalMode: core.IntervalGeometric, Seed: 3,
+	}, nil, 0, nil)
 	if err != nil {
 		return nil, err
+	}
+	// The database skips empty fetch slots, and an unpaired sample names
+	// one PC: every other sample it holds is an aborted instruction.
+	db := sh.DB
+	var pmRetired uint64
+	for _, pc := range db.PCs() {
+		a := db.Get(pc)
+		pmRetired += a.Retired()
+		res.PMSamples += a.Samples
 	}
 	if pmRetired == 0 {
 		return nil, fmt.Errorf("ww: ProfileMe collected nothing")
 	}
-	res.PMSamples = pmRetired + pmAborted
-	res.PMAbortVisible = float64(pmAborted) / float64(res.PMSamples)
+	res.PMAbortVisible = float64(res.PMSamples-pmRetired) / float64(res.PMSamples)
 
-	pmRate := float64(pmRetired) / float64(r2.Retired)
+	pmRate := float64(pmRetired) / float64(sh.Result.Retired)
 	covered = 0
 	for _, h := range hot {
-		k := pmCounts[h.pc]
+		var k uint64
+		if a := db.Get(h.pc); a != nil {
+			k = a.Retired()
+		}
 		if k > 0 {
 			covered++
 		}

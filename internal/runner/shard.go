@@ -35,12 +35,16 @@ func dbParams(ccfg cpu.Config, ucfg core.Config) (s float64, w, c int) {
 	return ucfg.MeanInterval, w, ccfg.SustainedIssueWidth
 }
 
-// RunShard is the one way a shard is made: pmsim's single run, every fleet
-// job and every pmtraffic gen payload call it. It runs prog on a ccfg
-// pipeline with a ucfg ProfileMe unit feeding a fresh database, under plan
-// (nil = no fault injection) attached to both unit and pipeline, for at
-// most maxCycles cycles (0 = no budget) or until ctx is done. also, when
-// non-nil, sees each delivered sample batch after the database has.
+// RunShard is the one way a profiled run is made: pmsim's single run, every
+// fleet job, every pmtraffic gen payload, each ProfileMe run of the
+// experiments and examples. It runs prog on a ccfg pipeline with a ucfg
+// ProfileMe unit feeding a fresh database, under plan (nil = no fault
+// injection) attached to both unit and pipeline, for at most maxCycles
+// cycles (0 = no budget) or until ctx is done. also, when non-nil, sees
+// each delivered sample batch after the database has; it is for what the
+// database does not keep, never for re-counting what it does. A run with
+// no ProfileMe unit is a plain cpu.New call. Outside this function only
+// two runs build a unit (TestOneShardPath names them and why).
 //
 // A configuration error returns the zero Shard. A run that ended early —
 // canceled, out of cycles, livelocked, or a stream that died of a runaway
@@ -69,6 +73,6 @@ func RunShard(ctx context.Context, prog *isa.Program, ccfg cpu.Config, ucfg core
 	}
 	res, err := pipe.RunContext(ctx, maxCycles)
 	st := unit.Stats()
-	db.RecordLoss(st.SamplesDropped + st.SamplesOverwritten)
+	db.RecordLoss(st.Lost())
 	return Shard{DB: db, Result: res, Stats: st, Pipeline: pipe}, err
 }

@@ -6,55 +6,136 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestOneShardPath keeps RunShard the only place a shard is made: in the
-// non-test files of cmd/pmsim, internal/runner and internal/traffic no
-// other function may build a machine source, a pipeline, a ProfileMe unit
-// or a profile database, or attach one to the other.
+// TestOneShardPath keeps RunShard the one way a profiled run is made. In
+// every non-test file of the module (bench/ is a module of its own) no
+// function but RunShard builds a ProfileMe unit or attaches one to a
+// pipeline, save the exceptions named below with their reasons; a run with
+// no unit is a plain cpu.New call. In cmd/pmsim, internal/runner and
+// internal/traffic no other function builds a machine source, a pipeline
+// or a profile database either. A selector is resolved through its file's
+// imports, so an aliased import is no way round the rule, and a dot import
+// of a guarded package fails outright.
 func TestOneShardPath(t *testing.T) {
-	parts := map[string]bool{
-		"sim.NewMachineSource": true, "cpu.New": true, "cpu.NewWithHierarchy": true,
-		"core.NewUnit": true, "profile.NewDB": true,
+	const internal = "profileme/internal/"
+	unit := map[string]bool{internal + "core.NewUnit": true, internal + "core.MustNewUnit": true}
+	shard := map[string]bool{
+		internal + "sim.NewMachineSource": true, internal + "cpu.New": true,
+		internal + "cpu.NewWithHierarchy": true, internal + "profile.NewDB": true,
 	}
-	fset := token.NewFileSet()
+	shardDirs := map[string]bool{"cmd/pmsim": true, "internal/runner": true, "internal/traffic": true}
+	// The runs RunShard cannot make. An exception that no longer builds a
+	// unit fails the test: delete it.
+	exceptions := map[string]string{
+		"internal/difftest.Run": "installs a retire hook before the run and " +
+			"hashes the final state of the machine that fed the pipeline",
+		"internal/experiments.multiprocess": "one unit samples two time-sliced " +
+			"pipelines over a shared hierarchy, which is what §4.1.3 measures",
+	}
+	used := map[string]bool{}
 	found := false
-	for _, dir := range []string{".", "../traffic", "../../cmd/pmsim"} {
-		pkgs, err := parser.ParseDir(fset, dir, nil, 0)
+	fset := token.NewFileSet()
+	root := filepath.Join("..", "..")
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		for _, pkg := range pkgs {
-			for name, file := range pkg.Files {
-				if strings.HasSuffix(name, "_test.go") {
-					continue
-				}
-				for _, decl := range file.Decls {
-					fn, _ := decl.(*ast.FuncDecl)
-					if dir == "." && fn != nil && fn.Recv == nil && fn.Name.Name == "RunShard" {
-						found = true
-						continue
-					}
-					ast.Inspect(decl, func(n ast.Node) bool {
-						sel, ok := n.(*ast.SelectorExpr)
-						if !ok {
-							return true
-						}
-						if x, ok := sel.X.(*ast.Ident); sel.Sel.Name == "AttachProfileMe" || ok && parts[x.Name+"."+sel.Sel.Name] {
-							t.Errorf("%s: %s outside runner.RunShard: make the shard through RunShard",
-								fset.Position(sel.Pos()), sel.Sel.Name)
-						}
-						return true
-					})
-				}
+		if d.IsDir() {
+			if path == root {
+				return nil
 			}
+			_, err := os.Stat(filepath.Join(path, "go.mod"))
+			if err == nil || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir // another module, fixtures, .git
+			}
+			return nil
 		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, filepath.Dir(path))
+		dir := filepath.ToSlash(rel)
+		imports := map[string]string{}
+		for _, imp := range file.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			if name == "." && strings.HasPrefix(p, internal) {
+				t.Errorf("%s: dot import of %s hides what a call builds", fset.Position(imp.Pos()), p)
+			}
+			imports[name] = p
+		}
+		for _, decl := range file.Decls {
+			fn := dir + "." + declName(decl)
+			if fn == "internal/runner.RunShard" {
+				found = true
+				continue
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				var target string
+				if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					target = imports[x.Name] + "." + sel.Sel.Name
+				}
+				banned := unit[target] || sel.Sel.Name == "AttachProfileMe"
+				if banned && exceptions[fn] != "" {
+					used[fn] = true
+				} else if banned || shardDirs[dir] && shard[target] {
+					t.Errorf("%s: %s in %s: make the run through runner.RunShard",
+						fset.Position(sel.Pos()), sel.Sel.Name, fn)
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !found {
-		t.Fatal("did not find func RunShard in this package")
+		t.Fatal("did not find func RunShard in internal/runner")
 	}
+	for fn, why := range exceptions {
+		if !used[fn] {
+			t.Errorf("stale exception %s (%s): it builds no unit any more, delete it", fn, why)
+		}
+	}
+}
+
+// declName names a top-level declaration as TestOneShardPath reports it:
+// a function, Type.Method for a method, or a placeholder for the
+// package-level var, const, type and import blocks.
+func declName(decl ast.Decl) string {
+	fn, ok := decl.(*ast.FuncDecl)
+	if !ok {
+		return "<package scope>"
+	}
+	if fn.Recv != nil {
+		typ := fn.Recv.List[0].Type
+		if star, ok := typ.(*ast.StarExpr); ok {
+			typ = star.X
+		}
+		if id, ok := typ.(*ast.Ident); ok {
+			return id.Name + "." + fn.Name.Name
+		}
+	}
+	return fn.Name.Name
 }
 
 // TestShardPinnedBytes pins one fleet shard's profile.Save image at fleet
