@@ -63,7 +63,7 @@ func TestOnePassReaderRefusesRawNewline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	admit, err := encodeAdmitRecord(Submission{Shard: "compress/s003", DB: db})
+	admit, err := encodeAdmitRecord(nil, Submission{Shard: "compress/s003", DB: db})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func FuzzDecodeSubmit(f *testing.F) {
 	f.Add(adopt)
 	handoff, _ := EncodeHandoff("c0", db.Save, []string{"x"})
 	f.Add(handoff)
-	admit, _ := encodeAdmitRecord(Submission{Shard: "compress/s003", DB: db})
+	admit, _ := encodeAdmitRecord(nil, Submission{Shard: "compress/s003", DB: db})
 	f.Add(admit)
 	f.Add([]byte(`{"shard":"x","profile":""}`))
 	f.Add([]byte(`{"shard":"x","profile":"AAAA"}`))
@@ -126,7 +126,7 @@ func FuzzDecodeSubmit(f *testing.F) {
 		// Its WAL record, spliced from the body or encoded, is the one
 		// json.Marshal writes around the verified envelope.
 		want, _ := json.Marshal(record{Kind: walKindAdmit, Shard: got.Shard, Profile: got.wire})
-		if rec, err := encodeAdmitRecord(got); err != nil || !bytes.Equal(rec, want) {
+		if rec, err := encodeAdmitRecord(nil, got); err != nil || !bytes.Equal(rec, want) {
 			t.Fatalf("admit record %q (%v), want %q", rec, err, want)
 		}
 	})

@@ -40,7 +40,9 @@ const RejectNew Policy = 0
 type Submission struct {
 	// Shard identifies the submitting worker/shard (e.g. "compress/s003").
 	Shard string
-	// DB is the decoded shard database; the queue takes ownership.
+	// DB is the decoded shard database; the queue takes ownership and
+	// the merge consumes it (SafeDB.Merge): after Submit accepts it, only
+	// its totals (Captured) may still be read.
 	DB *profile.DB
 
 	// wire is the profile envelope DB was decoded from, verified by that

@@ -464,15 +464,20 @@ func (s *Service) Submit(sub Submission) error {
 	}
 	// Build the WAL record outside any lock: it needs nothing shared.
 	var rec []byte
+	var buf *[]byte
 	if s.wal != nil {
+		buf = takeRecord()
 		var err error
-		if rec, err = encodeAdmitRecord(sub); err != nil {
+		if rec, err = encodeAdmitRecord(*buf, sub); err != nil {
 			return fmt.Errorf("%w: encode: %v", ErrWAL, err)
 		}
 	}
 	// The record holds the wire bytes now; the queue must not pin them.
 	sub.wire, sub.b64 = nil, nil
 	pos, t, dup, err := s.led.reserve(sub.Shard, rec)
+	// Staged or not, the record is done with: the log keeps no reference
+	// to a staged payload, so its buffer is the next submission's.
+	putRecord(buf, rec)
 	switch {
 	case dup:
 		return s.awaitDuplicate(t)

@@ -117,7 +117,7 @@ func TestAdmitRecordWrapsWireBytes(t *testing.T) {
 		{"wire submission", travelled},
 		{"in-process submission", Submission{Shard: travelled.Shard, DB: db}},
 	} {
-		got, err := encodeAdmitRecord(c.sub)
+		got, err := encodeAdmitRecord(nil, c.sub)
 		if err != nil {
 			t.Fatalf("%s: %v", c.what, err)
 		}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 )
 
 // WAL record payloads reuse the submission codec's double-envelope
@@ -40,19 +42,44 @@ var errBadWALRecord = errors.New("ingest: malformed wal record")
 // CRC-verified and loaded by DecodeSubmit, and replay loads the same
 // bytes through the same decoder, so the shard replay merges is the
 // shard that merged live. A canonical body's base64 span is copied into
-// the record as it came, with no re-encode; the record's bytes are the
-// same either way. Only a Submission built in-process (no wire form) is
-// encoded from its database.
-func encodeAdmitRecord(sub Submission) ([]byte, error) {
+// the record as it came, with no re-encode, into dst's array (grown as
+// needed; nil allocates); the record's bytes are the same either way.
+// Only a Submission built in-process (no wire form) is encoded from its
+// database.
+func encodeAdmitRecord(dst []byte, sub Submission) ([]byte, error) {
 	rec := record{Kind: walKindAdmit, Shard: sub.Shard, Profile: sub.wire}
 	if len(sub.b64) > 0 {
-		return appendRecord(make([]byte, 0, recordCap(rec, len(sub.b64))), rec, sub.b64), nil
+		return appendRecord(slices.Grow(dst[:0], recordCap(rec, len(sub.b64))), rec, sub.b64), nil
 	}
 	var save func(io.Writer) error
 	if sub.wire == nil {
 		save = sub.DB.Save
 	}
 	return encodeRecord(rec, save)
+}
+
+// Submit encodes each admit record into a buffer from records and puts
+// it back once the ledger has staged it: wal.Log.Stage keeps no
+// reference to a payload. A buffer over maxPooledRecord bytes is left to
+// the garbage collector.
+const maxPooledRecord = 1 << 20
+
+var records sync.Pool // *[]byte
+
+func takeRecord() *[]byte {
+	if p, ok := records.Get().(*[]byte); ok {
+		return p
+	}
+	return new([]byte)
+}
+
+// putRecord pools rec, the buffer last encoded into p's (nil: no
+// record was built).
+func putRecord(p *[]byte, rec []byte) {
+	if p != nil && cap(rec) <= maxPooledRecord {
+		*p = rec[:0]
+		records.Put(p)
+	}
 }
 
 // decodeWALRecord parses one WAL record payload. Exactly one of sub or

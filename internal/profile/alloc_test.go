@@ -24,15 +24,18 @@ const (
 // submitAlloc is what one submit allocates on the collector's merge
 // path — LoadDB of its shard, SafeDB.Merge into the warm aggregate, and
 // an eighth of one checkpoint image (SafeDB.Save) — as {allocations,
-// bytes}. A run may exceed neither by more than 15%; lower a value when
-// a change allocates less.
+// bytes}. Each merge hands its shard's rows back, so the next LoadDB
+// reuses them. A run may exceed neither by more than 15%; lower a value
+// when a change allocates less. Under the race detector sync.Pool drops
+// a random quarter of what is put back, so a race build is held to race:
+// the cost of the path before its rows were reused.
 var submitAlloc = []struct {
 	shape           string
 	aggPCs, shardPC int
-	want            [2]uint64
+	want, race      [2]uint64
 }{
-	{"wide", wideAggPCs, wideShardPCs, [2]uint64{34, 925728}},
-	{"narrow", 64, 32, [2]uint64{28, 38056}},
+	{"wide", wideAggPCs, wideShardPCs, [2]uint64{24, 262051}, [2]uint64{34, 925728}},
+	{"narrow", 64, 32, [2]uint64{24, 27408}, [2]uint64{28, 38056}},
 }
 
 // latRecord is one retired sample at pc with a latency that varies with
@@ -75,6 +78,10 @@ func shardOf(t testing.TB, seed uint64, pcs, popPCs int) []byte {
 // number of times whatever the image's size — the rows are one slice the
 // database points into, not one allocation per PC.
 func TestWideMergeAlloc(t *testing.T) {
+	// One P: a buffer sync.Pool holds in one P's private slot is not
+	// seen from another, so a goroutine that migrates would count a
+	// scheduling accident as an allocation.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	now := time.Unix(1000, 0)
 	for _, row := range submitAlloc {
 		agg := NewSafeDBWith(aggregateOf(row.aggPCs), SketchConfig{
@@ -109,7 +116,11 @@ func TestWideMergeAlloc(t *testing.T) {
 		allocs := (after.Mallocs - before.Mallocs) / wideCadence
 		size := (after.TotalAlloc - before.TotalAlloc) / wideCadence
 		t.Logf("per %s submit: %d allocations, %d B", row.shape, allocs, size)
-		if msg := allocExcess(allocs, size, row.want); msg != "" {
+		want := row.want
+		if raceEnabled {
+			want = row.race
+		}
+		if msg := allocExcess(allocs, size, want); msg != "" {
 			t.Errorf("per %s submit: %s", row.shape, msg)
 		}
 

@@ -125,7 +125,9 @@ func (a *PCAccum) MeanLatency(i int) float64 {
 // join). The moment two goroutines need the same database at once
 // (concurrent ingest plus live queries, as in the pmsimd service), wrap
 // it in a SafeDB instead; the race test in safedb_test.go pins that
-// wrapper's guarantee.
+// wrapper's guarantee. Handing a shard to SafeDB.Merge is the last use of
+// its rows: a successful merge consumes the shard, and a decoded shard's
+// rows are reused by the next LoadDB.
 type DB struct {
 	// S is the mean sampling interval, for scaling estimates.
 	S float64
@@ -143,7 +145,10 @@ type DB struct {
 	byPC map[uint64]*PCAccum
 	// rows is the row slice loadRows decoded, in ascending PC order; byPC
 	// points into it. It is the walk order while len(rows) == len(byPC).
+	// pooled says both go back to LoadDB's pool when a merge consumes
+	// the database (recycle).
 	rows    []PCAccum
+	pooled  bool
 	samples uint64
 	pairs   uint64
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"profileme/internal/frame"
 )
@@ -185,6 +186,51 @@ func LoadDB(r io.Reader) (*DB, error) {
 	return db, nil
 }
 
+// A decoded shard's rows and PC index are one slab, taken from a pool:
+// SafeDB.Merge consumes the shard and hands its slab back (DB.recycle),
+// so a collector that decodes and merges shard after shard reuses the
+// same memory instead of leaving it to the garbage collector. A slab of
+// more than maxPooledRows rows (a checkpoint image the size of the
+// aggregate) is never pooled. Databases built in process and version-1
+// images have no slab.
+const maxPooledRows = 1 << 13
+
+// rowSlab is a decoded database's storage as the pool holds it: its
+// rows and the PC index that pointed into them.
+type rowSlab struct {
+	rows []PCAccum
+	byPC map[uint64]*PCAccum
+}
+
+var slabs sync.Pool // *rowSlab
+
+// takeSlab returns n <= maxPooledRows rows and an empty index. A
+// recycled slab's rows still hold its last shard's values: the caller
+// writes every field of every row.
+func takeSlab(n int) ([]PCAccum, map[uint64]*PCAccum) {
+	sl, _ := slabs.Get().(*rowSlab)
+	if sl == nil {
+		return make([]PCAccum, n), make(map[uint64]*PCAccum, n)
+	}
+	clear(sl.byPC)
+	if cap(sl.rows) < n {
+		return make([]PCAccum, n), sl.byPC
+	}
+	return sl.rows[:n], sl.byPC
+}
+
+// recycle hands a decoded database's rows and index back to the pool.
+// The database keeps its totals but no rows, and a merge refuses it from
+// then on. The slab's header is allocated here, not in LoadDB, so a
+// decode that is never merged allocates no more than it did unpooled.
+func (db *DB) recycle() {
+	if !db.pooled {
+		return
+	}
+	slabs.Put(&rowSlab{rows: db.rows, byPC: db.byPC})
+	db.pooled, db.rows, db.byPC = false, nil, nil
+}
+
 // sane is the configuration check both readers apply to a loaded header.
 func (db *DB) sane() error {
 	if !(db.S >= 0) || db.W < 0 || db.C < 0 || db.RetainAddrs < 0 {
@@ -205,7 +251,8 @@ func (db *DB) rowFits(pairMetrics, addrs int) bool {
 // loadRows decodes a version-2 payload with the one row decoder
 // (frame.Rows). Every length is checked against the bytes left before
 // anything is allocated for it, and all rows live in one slice that byPC
-// points into and the database keeps as its PC order (DB.rows).
+// points into and the database keeps as its PC order (DB.rows) — a
+// pooled slab's unless the image has more than maxPooledRows rows.
 func loadRows(payload []byte) (*DB, error) {
 	if len(payload) < 8 {
 		return nil, fmt.Errorf("header: %w", ErrCorrupt)
@@ -228,8 +275,12 @@ func loadRows(payload []byte) (*DB, error) {
 	if err := db.sane(); err != nil {
 		return nil, err
 	}
-	accs := make([]PCAccum, rows)
-	db.byPC = make(map[uint64]*PCAccum, rows)
+	var accs []PCAccum
+	if db.pooled = rows <= maxPooledRows; db.pooled {
+		accs, db.byPC = takeSlab(rows)
+	} else {
+		accs, db.byPC = make([]PCAccum, rows), make(map[uint64]*PCAccum, rows)
+	}
 	var pc uint64
 	for i := range accs {
 		a := &accs[i]
@@ -252,6 +303,8 @@ func loadRows(payload []byte) (*DB, error) {
 		a.MemLatSum, a.MemLatCount = d.Varint(), d.Uvarint()
 		a.InProgressSum, a.InProgressCount = d.Varint(), d.Uvarint()
 		a.UsefulOverlap, a.PairSamples, a.RetiredNear = d.Uvarint(), d.Uvarint(), d.Uvarint()
+		// A pooled row still holds its last shard's lists.
+		a.PairMetrics, a.Addrs = nil, nil
 		metrics := d.Count(1)
 		if metrics > 0 {
 			a.PairMetrics = d.Uvarints(metrics)
@@ -373,6 +426,9 @@ func (db *DB) mergeable(other *DB) error {
 		// undefined; a fleet bug that hands the aggregate to itself must
 		// fail loudly, not double-count or corrupt the map.
 		return fmt.Errorf("profile: merge: cannot merge a database into itself")
+	}
+	if other.byPC == nil {
+		return fmt.Errorf("profile: merge: the database was already consumed by a SafeDB merge")
 	}
 	if db.S != other.S || db.W != other.W || db.C != other.C || db.TNear != other.TNear {
 		return fmt.Errorf("profile: merge: configurations differ")

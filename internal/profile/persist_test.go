@@ -342,9 +342,10 @@ func TestSaveLoadRoundTripProperty(t *testing.T) {
 			t.Fatalf("db %d: %v", i, err)
 		}
 		// A decoded database also keeps its rows as its walk order
-		// (DB.rows): exactly its accumulators, in ascending PC order.
-		// db was built in process and has none, so the order is checked
-		// here and left out of the comparison.
+		// (DB.rows): exactly its accumulators, in ascending PC order, in
+		// a pooled slab (DB.pooled). db was built in process and has
+		// neither, so the order is checked here and both are left out of
+		// the comparison.
 		if len(got.rows) != len(got.byPC) {
 			t.Fatalf("db %d: %d rows for %d PCs", i, len(got.rows), len(got.byPC))
 		}
@@ -353,7 +354,7 @@ func TestSaveLoadRoundTripProperty(t *testing.T) {
 				t.Fatalf("db %d: row %d (PC %#x) is not the PC index's accumulator in ascending order", i, j, a.PC)
 			}
 		}
-		got.rows = nil
+		got.rows, got.pooled = nil, false
 		if !reflect.DeepEqual(got, db) {
 			t.Fatalf("db %d: round trip changed it:\n got %+v\nwant %+v", i, got, db)
 		}

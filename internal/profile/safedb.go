@@ -161,7 +161,9 @@ func (s *SafeDB) SamplingConfig() (interval float64, window, width int, tNear in
 // screen, one walk over the shard folds each accumulator into the
 // database, the window ring's head bucket and the top-K and quantile
 // sketches. The shard must not be accessed concurrently by anyone else;
-// ownership of its counts transfers to the aggregate.
+// a successful merge consumes it: its counts belong to the aggregate, a
+// decoded shard's rows go back to LoadDB's pool, and only its totals
+// (Samples, Lost) may still be read.
 func (s *SafeDB) Merge(other *DB) error {
 	now := s.cfg.Now()
 	s.mu.Lock()
@@ -176,6 +178,7 @@ func (s *SafeDB) Merge(other *DB) error {
 	})
 	s.window.mu.Unlock()
 	s.publishLocked(true)
+	other.recycle()
 	return nil
 }
 

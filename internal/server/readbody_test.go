@@ -30,7 +30,7 @@ func TestReadBoundedPresized(t *testing.T) {
 	liar := readRequest([]byte("0123456789"), 8<<20)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	got, err := s.readBounded(httptest.NewRecorder(), liar, "submission", max)
+	got, err := s.readBounded(httptest.NewRecorder(), liar, "submission", max, nil)
 	runtime.ReadMemStats(&after)
 	if err != nil || string(got) != "0123456789" {
 		t.Fatalf("declared 8 MiB, sent 10 bytes: read %q, %v", got, err)
@@ -48,7 +48,7 @@ func TestReadBoundedPresized(t *testing.T) {
 		}
 		want, _ := io.ReadAll(bytes.NewReader(body))
 		for _, declared := range []int64{int64(n), -1, int64(n / 2)} {
-			got, err := s.readBounded(httptest.NewRecorder(), readRequest(body, declared), "submission", max)
+			got, err := s.readBounded(httptest.NewRecorder(), readRequest(body, declared), "submission", max, nil)
 			if err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("%d-byte body declared %d: read %d bytes (%v), io.ReadAll read %d",
 					n, declared, len(got), err, len(want))
@@ -62,7 +62,7 @@ func TestReadBoundedPresized(t *testing.T) {
 	// Oversized bodies are still refused, whatever they declare.
 	for _, declared := range []int64{2048, -1, 10} {
 		rec := httptest.NewRecorder()
-		if _, err := s.readBounded(rec, readRequest(make([]byte, 2048), declared), "submission", 1024); err == nil ||
+		if _, err := s.readBounded(rec, readRequest(make([]byte, 2048), declared), "submission", 1024, nil); err == nil ||
 			rec.Code != http.StatusRequestEntityTooLarge {
 			t.Fatalf("2048-byte body declared %d over a 1024 limit: %d, %v", declared, rec.Code, err)
 		}

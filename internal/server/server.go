@@ -168,11 +168,12 @@ func (s *Server) writeErr(w http.ResponseWriter, status int, kind, msg string) {
 const presizeCap = 1 << 20
 
 // readBounded reads a request body (what names it: "submission",
-// "handoff", "request") up to max bytes. On failure it writes the error
-// response itself (413 oversized, 400 otherwise) and returns a non-nil
-// error so the handler can just return.
-func (s *Server) readBounded(w http.ResponseWriter, r *http.Request, what string, max int64) ([]byte, error) {
-	body, err := readPresized(http.MaxBytesReader(w, r.Body, max), min(r.ContentLength, max, presizeCap))
+// "handoff", "request") up to max bytes into buf's array (grown as
+// needed; nil allocates). On failure it writes the error response itself
+// (413 oversized, 400 otherwise) and returns a non-nil error so the
+// handler can just return.
+func (s *Server) readBounded(w http.ResponseWriter, r *http.Request, what string, max int64, buf []byte) ([]byte, error) {
+	body, err := readPresized(http.MaxBytesReader(w, r.Body, max), min(r.ContentLength, max, presizeCap), buf)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -186,14 +187,39 @@ func (s *Server) readBounded(w http.ResponseWriter, r *http.Request, what string
 	return body, nil
 }
 
-// readPresized reads r to the end into a buffer sized from hint (the
-// declared length; negative when unknown), with bytes.MinRead spare so
-// the read that finds the end of a body of exactly hint bytes does not
-// grow it.
-func readPresized(r io.Reader, hint int64) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, 0, max(hint, 0)+bytes.MinRead))
-	_, err := buf.ReadFrom(r)
-	return buf.Bytes(), err
+// readPresized reads r to the end into buf's array, grown first to hold
+// hint bytes (the declared length; negative when unknown) with
+// bytes.MinRead spare, so the read that finds the end of a body of
+// exactly hint bytes does not grow it.
+func readPresized(r io.Reader, hint int64, buf []byte) ([]byte, error) {
+	if n := max(hint, 0) + bytes.MinRead; int64(cap(buf)) < n {
+		buf = make([]byte, 0, n)
+	}
+	b := bytes.NewBuffer(buf[:0])
+	_, err := b.ReadFrom(r)
+	return b.Bytes(), err
+}
+
+// handleSubmit reads each body into a buffer from bodies and puts it back
+// when the handler returns: nothing a submission keeps past Submit
+// aliases the body (Submit drops its base64 span once the WAL record is
+// staged). A buffer over presizeCap plus bytes.MinRead is left to the
+// garbage collector.
+var bodies sync.Pool // *[]byte
+
+func takeBody() *[]byte {
+	if p, ok := bodies.Get().(*[]byte); ok {
+		return p
+	}
+	return new([]byte)
+}
+
+// putBody pools body, the buffer last read into p's.
+func putBody(p *[]byte, body []byte) {
+	if cap(body) <= presizeCap+bytes.MinRead {
+		*p = body[:0]
+		bodies.Put(p)
+	}
 }
 
 // decodeKind names the damage in a body the ingest codec refused: the
@@ -255,10 +281,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.submits.Add(1)
-	body, err := s.readBounded(w, r, "submission", s.cfg.MaxBodyBytes)
+	buf := takeBody()
+	body, err := s.readBounded(w, r, "submission", s.cfg.MaxBodyBytes, *buf)
 	if err != nil {
 		return
 	}
+	defer putBody(buf, body)
 	sub, err := ingest.DecodeSubmit(body)
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, decodeKind(err), err.Error())
@@ -266,6 +294,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// "captured" (Samples+Lost) is the shard's weight in the fleet
 	// conservation sum; the router copies it into the witness ledger.
+	// Both counts are read before Submit hands the shard to the merge.
+	samples := sub.DB.Samples()
 	ack := map[string]any{"shard": sub.Shard, "captured": sub.Captured()}
 	switch err := s.svc.Submit(sub); {
 	case errors.Is(err, ingest.ErrDuplicate):
@@ -276,7 +306,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.refuse(w, fmt.Sprintf("shard %s (%d captured samples)", sub.Shard, ack["captured"]), err)
 		return
 	default:
-		ack["samples"] = sub.DB.Samples()
+		ack["samples"] = samples
 	}
 	ack["queue_depth"] = s.svc.QueueDepth()
 	writeJSON(w, http.StatusAccepted, ack)
@@ -295,7 +325,7 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.handoffs.Add(1)
-	body, err := s.readBounded(w, r, "handoff", s.cfg.MaxHandoffBytes)
+	body, err := s.readBounded(w, r, "handoff", s.cfg.MaxHandoffBytes, nil)
 	if err != nil {
 		return
 	}
@@ -408,7 +438,7 @@ func (s *Server) handleLedgerAdopt(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusMethodNotAllowed, "method", "POST only")
 		return
 	}
-	body, err := s.readBounded(w, r, "request", s.cfg.MaxBodyBytes)
+	body, err := s.readBounded(w, r, "request", s.cfg.MaxBodyBytes, nil)
 	if err != nil {
 		return
 	}

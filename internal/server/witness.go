@@ -173,7 +173,7 @@ func (s *Server) handleWitnessPut(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusMethodNotAllowed, "method", "POST only")
 		return
 	}
-	body, err := s.readBounded(w, r, "request", s.cfg.MaxBodyBytes*2)
+	body, err := s.readBounded(w, r, "request", s.cfg.MaxBodyBytes*2, nil)
 	if err != nil {
 		return // readBounded already replied
 	}
@@ -223,7 +223,7 @@ func (s *Server) handleWitnessPrune(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusMethodNotAllowed, "method", "POST only")
 		return
 	}
-	body, err := s.readBounded(w, r, "request", s.cfg.MaxBodyBytes)
+	body, err := s.readBounded(w, r, "request", s.cfg.MaxBodyBytes, nil)
 	if err != nil {
 		return
 	}

@@ -446,7 +446,10 @@ func (l *Log) rotateLocked() error {
 // returns its position plus a Ticket for the group commit that will
 // make it durable. Stage itself is fast (one buffered write); the
 // caller decides when to block on durability via Ticket.Wait. The
-// record is NOT durable until Wait returns nil.
+// record is NOT durable until Wait returns nil. Stage keeps no reference
+// to payload: its bytes are in the segment file when Stage returns, so
+// the caller may reuse the buffer at once, before Wait
+// (TestStageKeepsNoPayload).
 func (l *Log) Stage(payload []byte) (Pos, *Ticket, error) {
 	if int64(len(payload)) > l.cfg.MaxRecordBytes {
 		return Pos{}, nil, fmt.Errorf("%w: %d > %d", errTooLarge, len(payload), l.cfg.MaxRecordBytes)

@@ -369,6 +369,50 @@ func TestStageTicketDurability(t *testing.T) {
 	}
 }
 
+// TestStageKeepsNoPayload: a caller may overwrite a payload as soon as
+// Stage returns, before the group commit; the log holds the bytes it was
+// given, not the buffer.
+func TestStageKeepsNoPayload(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(Config{Dir: dir}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 4096)
+	var want [][]byte
+	var tickets []*Ticket
+	for i := 0; i < 20; i++ {
+		buf = append(buf[:0], fmt.Sprintf("record-%02d-", i)...)
+		buf = append(buf, bytes.Repeat([]byte{byte('a' + i)}, 100*i)...)
+		want = append(want, append([]byte(nil), buf...))
+		_, ticket, err := l.Stage(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range buf {
+			buf[j] = 0xFF
+		}
+		tickets = append(tickets, ticket)
+	}
+	for _, ticket := range tickets {
+		if err := ticket.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := collect(t, dir)
+	if len(got) != len(want) {
+		t.Fatalf("replayed %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i].payload, want[i]) {
+			t.Fatalf("record %d replayed %.20q..., staged %.20q...", i, got[i].payload, want[i])
+		}
+	}
+}
+
 func TestRecordCap(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(Config{Dir: dir, MaxRecordBytes: 16}, nil)
