@@ -107,3 +107,22 @@ func TestDaemonImportClosure(t *testing.T) {
 		}
 	}
 }
+
+// TestNoGob keeps encoding/gob out of the module, tests included: PMDB
+// and PMCK each have one row-table format and one reader (DESIGN.md §7),
+// and an image of any other version is refused as version skew, not
+// decoded by a second reader.
+func TestNoGob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs go list")
+	}
+	out, err := exec.Command("go", "list", "-deps", "-test", "profileme/...").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list -deps -test: %v\n%s", err, out)
+	}
+	for _, pkg := range strings.Fields(string(out)) {
+		if pkg == "encoding/gob" {
+			t.Fatal("the module links encoding/gob")
+		}
+	}
+}

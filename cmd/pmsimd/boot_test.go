@@ -4,22 +4,19 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
-	"profileme/internal/frame"
 	"profileme/internal/ingest"
-	"profileme/internal/profile"
 	"profileme/internal/wal"
 )
 
@@ -82,35 +79,29 @@ func TestPmsimdBootMatrix(t *testing.T) {
 		t.Skip("subprocess boot matrix skipped in -short mode")
 	}
 	seed := smokeShard(3, 40)
-	var pmdb, pmck, pmckV1 bytes.Buffer
+	var pmdb, pmck, covering bytes.Buffer
 	if err := seed.Save(&pmdb); err != nil {
 		t.Fatal(err)
 	}
 	if err := ingest.WriteCheckpoint(&pmck, &ingest.Checkpoint{Profile: pmdb.Bytes(), Applied: []string{"boot/s000"}}); err != nil {
 		t.Fatal(err)
 	}
-	// The same checkpoint as the last version-1 collector wrote it: a gob
-	// payload, around today's image.
-	if err := frame.WriteEnvelope(&pmckV1, "PMCK", 1, func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(struct {
-			Profile []byte
-			Applied []string
-		}{pmdb.Bytes(), []string{"boot/s000"}})
-	}); err != nil {
+	// A checkpoint whose ledger covers the WAL tail's two admits, as a
+	// drain on a build that still read version 1 leaves it.
+	if err := ingest.WriteCheckpoint(&covering, &ingest.Checkpoint{Profile: pmdb.Bytes(),
+		Applied: []string{"a/s000", "a/s009", "boot/s000"}}); err != nil {
 		t.Fatal(err)
 	}
-	// What a version-1 collector left behind: its checkpoint (the frame
-	// fixture, whose ledger covers a/s000) and a WAL tail admitting
-	// a/s000 again and a/s009, each with a version-1 profile.
-	v1pmck, v1pmdb := frameFixture(t, "small.pmck"), frameFixture(t, "small.pmdb")
-	v1db, err := profile.LoadDB(bytes.NewReader(v1pmdb))
-	if err != nil {
-		t.Fatal(err)
+	// relabel is b with its envelope's version set to v. Version 1 was
+	// the gob format, which this build no longer reads whatever the
+	// payload.
+	relabel := func(b []byte, v uint32) []byte {
+		b = bytes.Clone(b)
+		binary.LittleEndian.PutUint32(b[4:8], v)
+		return b
 	}
 	corrupt := bytes.Clone(pmdb.Bytes())
 	corrupt[len(corrupt)/2] ^= 0x40
-	skewed := bytes.Clone(pmck.Bytes())
-	binary.LittleEndian.PutUint32(skewed[4:8], binary.LittleEndian.Uint32(skewed[4:8])+1)
 
 	cases := []struct {
 		name        string
@@ -120,53 +111,67 @@ func TestPmsimdBootMatrix(t *testing.T) {
 		quarantined bool
 		ledger      bool   // the PMCK's applied shard must dedupe after the boot
 		tail        []byte // with a WAL: a/s000 and a/s009 admitted with this profile
-		tailSamples uint64 // what replaying the tail adds
+		tailRefused bool   // with a WAL, the tail refuses the boot
 	}{
 		{name: "missing", boots: true},
 		{name: "bare-pmdb", file: pmdb.Bytes(), boots: true, samples: seed.Samples()},
-		{name: "pmck", file: pmckV1.Bytes(), boots: true, samples: seed.Samples(), ledger: true},
 		{name: "pmck-v2", file: pmck.Bytes(), boots: true, samples: seed.Samples(), ledger: true},
 		{name: "corrupt", file: corrupt, boots: true, quarantined: true},
-		// The one rule for both modes: an older binary must not quietly
-		// discard a newer binary's file (a PMCK v3 here).
-		{name: "version-skewed", file: skewed},
-		// An upgrade: the checkpoint and the WAL tail load through the
-		// version-1 readers, and the final checkpoint is PMCK v2 around
-		// PMDB v2.
-		{name: "v1-pmck", file: v1pmck, boots: true, samples: v1db.Samples(), tail: v1pmdb, tailSamples: v1db.Samples()},
+		// The one rule for both modes: a binary must not quietly discard
+		// a file of a version it does not read — a newer binary's (a PMCK
+		// v3 here), or a version-1 one, bare PMDB or PMCK.
+		{name: "version-skewed", file: relabel(pmck.Bytes(), 3)},
+		{name: "bare-pmdb-v1", file: relabel(pmdb.Bytes(), 1)},
+		{name: "pmck", file: relabel(pmck.Bytes(), 1)},
+		// What a version-1 collector left undrained: its checkpoint and a
+		// WAL tail of version-1 profiles, both refused and both untouched.
+		{name: "v1-pmck", file: relabel(pmck.Bytes(), 1), tail: relabel(pmdb.Bytes(), 1)},
+		// A version-1 admit the checkpoint does not cover refuses the boot
+		// and leaves the segment as it was; without a WAL there is no tail.
+		{name: "v1-tail", file: pmck.Bytes(), boots: true, samples: seed.Samples(), ledger: true,
+			tail: relabel(pmdb.Bytes(), 1), tailRefused: true},
+		// One the ledger covers is skipped undecoded, and the boot writes
+		// PMCK v2 as every booting case does.
+		{name: "v1-tail-covered", file: covering.Bytes(), boots: true, samples: seed.Samples(), ledger: true,
+			tail: relabel(pmdb.Bytes(), 1)},
 	}
 	for _, c := range cases {
 		for _, withWAL := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/wal=%v", c.name, withWAL), func(t *testing.T) {
 				t.Parallel() // each case is mostly the daemon's one-second drain
 				dir := t.TempDir()
-				ckpt := filepath.Join(dir, "agg.db")
+				ckpt, walDir := filepath.Join(dir, "agg.db"), filepath.Join(dir, "wal")
 				if c.file != nil {
 					if err := os.WriteFile(ckpt, c.file, 0o644); err != nil {
 						t.Fatal(err)
 					}
 				}
 				args := []string{"-addr", "127.0.0.1:0", "-checkpoint", ckpt, "-interval", "16"}
-				want := c.samples
+				boots := c.boots
+				var segments map[string][]byte
 				if withWAL {
-					args = append(args, "-wal-dir", filepath.Join(dir, "wal"))
+					args = append(args, "-wal-dir", walDir)
 					if c.tail != nil {
-						writeAdmits(t, filepath.Join(dir, "wal"), c.tail, "a/s000", "a/s009")
-						want += c.tailSamples
+						writeAdmits(t, walDir, c.tail, "a/s000", "a/s009")
+						segments = readDir(t, walDir)
 					}
+					boots = boots && !c.tailRefused
 				}
 				cmd, base, waitErr := bootDaemon(t, args...)
 				_, qerr := os.Stat(ckpt + ".corrupt")
 				if quarantined := qerr == nil; quarantined != c.quarantined {
 					t.Fatalf("quarantined=%v, want %v", quarantined, c.quarantined)
 				}
-				if !c.boots {
+				if !boots {
 					exit, ok := waitErr.(*exec.ExitError)
 					if base != "" || !ok || exit.ExitCode() != 1 {
 						t.Fatalf("daemon listened at %q / exited %v, want exit status 1", base, waitErr)
 					}
 					if left, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(left, c.file) {
 						t.Fatalf("refused checkpoint was touched (read error %v)", err)
+					}
+					if segments != nil && !reflect.DeepEqual(readDir(t, walDir), segments) {
+						t.Fatal("refused boot touched the WAL directory")
 					}
 					return
 				}
@@ -180,8 +185,8 @@ func TestPmsimdBootMatrix(t *testing.T) {
 				}
 				err = json.NewDecoder(resp.Body).Decode(&st)
 				resp.Body.Close()
-				if err != nil || st.Samples != want {
-					t.Fatalf("serving %d samples (decode error %v), want %d", st.Samples, err, want)
+				if err != nil || st.Samples != c.samples {
+					t.Fatalf("serving %d samples (decode error %v), want %d", st.Samples, err, c.samples)
 				}
 				if c.ledger {
 					body, err := ingest.EncodeSubmit("boot/s000", seed)
@@ -212,8 +217,8 @@ func TestPmsimdBootMatrix(t *testing.T) {
 				if err != nil || ck == nil {
 					t.Fatalf("final checkpoint: %v", err)
 				}
-				if v := binary.LittleEndian.Uint32(ck.Profile[4:8]); v != 2 || ck.Aggregate().Samples() != want {
-					t.Fatalf("final checkpoint holds a PMDB v%d of %d samples, want v2 of %d", v, ck.Aggregate().Samples(), want)
+				if v := binary.LittleEndian.Uint32(ck.Profile[4:8]); v != 2 || ck.Aggregate().Samples() != c.samples {
+					t.Fatalf("final checkpoint holds a PMDB v%d of %d samples, want v2 of %d", v, ck.Aggregate().Samples(), c.samples)
 				}
 				if raw, err := os.ReadFile(ckpt); err != nil || string(raw[:4]) != "PMCK" || binary.LittleEndian.Uint32(raw[4:8]) != 2 {
 					t.Fatalf("final checkpoint is not a PMCK v2 (read error %v)", err)
@@ -223,14 +228,20 @@ func TestPmsimdBootMatrix(t *testing.T) {
 	}
 }
 
-// frameFixture reads one of internal/frame's format fixtures.
-func frameFixture(t *testing.T, name string) []byte {
+// readDir returns every file in dir by name.
+func readDir(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
-	b, err := os.ReadFile(filepath.Join("..", "..", "internal", "frame", "testdata", name))
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	files := map[string][]byte{}
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
 }
 
 // writeAdmits writes a WAL in dir holding one admit record per shard,

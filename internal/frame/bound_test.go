@@ -42,11 +42,11 @@ func TestForgedLengthAllocatesLittle(t *testing.T) {
 	forged := func(magic string, version uint32, declared uint64) []byte {
 		return frame.AppendUint64(frame.AppendHeader(nil, magic, version), declared)
 	}
-	submit, err := json.Marshal(map[string]any{"shard": "x/s0", "profile": forged("PMDB", 1, 1<<28)})
+	submit, err := json.Marshal(map[string]any{"shard": "x/s0", "profile": forged("PMDB", 2, 1<<28)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt, ckptV2 := forged("PMCK", 1, 1<<28+1<<24), forged("PMCK", 2, 1<<28+1<<24)
+	ckpt := forged("PMCK", 2, 1<<28+1<<24)
 	var trace bytes.Buffer
 	if _, err := traffic.NewWriter(&trace, traffic.Meta{Source: "forged"}); err != nil {
 		t.Fatal(err)
@@ -60,8 +60,6 @@ func TestForgedLengthAllocatesLittle(t *testing.T) {
 		{"submit body with a forged PMDB length", func() error { _, err := ingest.DecodeSubmit(submit); return err }},
 		{"forged PMCK length", func() error { _, err := ingest.ReadCheckpoint(bytes.NewReader(ckpt)); return err }},
 		{"forged PMCK length, unsized reader", func() error { _, err := ingest.ReadCheckpoint(unsized{bytes.NewReader(ckpt)}); return err }},
-		{"forged PMCK v2 length", func() error { _, err := ingest.ReadCheckpoint(bytes.NewReader(ckptV2)); return err }},
-		{"forged PMCK v2 length, unsized reader", func() error { _, err := ingest.ReadCheckpoint(unsized{bytes.NewReader(ckptV2)}); return err }},
 		{"forged PMTF record length", func() error { _, _, err := traffic.ReadAll(bytes.NewReader(trace.Bytes())); return err }},
 		{"forged PMTF record length, unsized reader", func() error { _, _, err := traffic.ReadAll(unsized{bytes.NewReader(trace.Bytes())}); return err }},
 	}

@@ -12,18 +12,12 @@ import (
 	"profileme/internal/wal"
 )
 
-// Fixture file names under testdata/, one per on-disk format, plus the
-// version-1 PMDB and the two version-1 PMCKs, around a version-1 and a
-// version-2 image: read-only goldens, written by the last writer of that
-// version, that today's readers must accept.
+// Fixture file names under testdata/, one per on-disk format.
 const (
-	fixPMDB       = "small-v2.pmdb"
-	fixPMCK       = "small-ck2.pmck"
-	fixPMWS       = "two-records.pmws"
-	fixPMTF       = "two-records.pmtf"
-	fixPMDBv1     = "small.pmdb"
-	fixPMCKv1     = "small.pmck"
-	fixPMCKv1DBv2 = "small-v2.pmck"
+	fixPMDB = "small-v2.pmdb"
+	fixPMCK = "small-ck2.pmck"
+	fixPMWS = "two-records.pmws"
+	fixPMTF = "two-records.pmtf"
 
 	// walSegment1 is the file name of a log's first segment.
 	walSegment1 = "wal-0000000000000001.log"

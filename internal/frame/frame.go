@@ -67,20 +67,19 @@ func AppendHeader(dst []byte, magic string, version uint32) []byte {
 func AppendUint64(dst []byte, v uint64) []byte { return le.AppendUint64(dst, v) }
 
 // ReadHeader consumes and validates a header: a foreign magic is
-// ErrCorrupt, another version ErrVersionSkew. The bytes consumed are
-// returned even on failure, so a caller can look at what a foreign file
-// starts with.
-func ReadHeader(r io.Reader, magic string, version uint32) (hdr [HeaderLen]byte, err error) {
+// ErrCorrupt, another version ErrVersionSkew.
+func ReadHeader(r io.Reader, magic string, version uint32) error {
+	var hdr [HeaderLen]byte
 	if _, err := readN(r, hdr[:0], HeaderLen); err != nil {
-		return hdr, truncated(magic+" header", err)
+		return truncated(magic+" header", err)
 	}
 	if string(hdr[:4]) != magic {
-		return hdr, fmt.Errorf("magic %q, want %q: %w", hdr[:4], magic, ErrCorrupt)
+		return fmt.Errorf("magic %q, want %q: %w", hdr[:4], magic, ErrCorrupt)
 	}
 	if v := le.Uint32(hdr[4:8]); v != version {
-		return hdr, fmt.Errorf("%s format v%d, this build reads v%d: %w", magic, v, version, ErrVersionSkew)
+		return fmt.Errorf("%s format v%d, this build reads v%d: %w", magic, v, version, ErrVersionSkew)
 	}
-	return hdr, nil
+	return nil
 }
 
 // ReadUint64 consumes a fixed-width integer field.
@@ -146,8 +145,7 @@ func WriteEnvelopeParts(w io.Writer, magic string, version uint32, parts ...[]by
 }
 
 // ReadEnvelopeBody reads the rest of an envelope whose header the caller
-// has already consumed and checked (ReadHeader; an owner that reads two
-// versions looks at the version a skew reports), and returns its
+// has already consumed and checked (ReadHeader), and returns its
 // verified payload. limit caps the declared length.
 func ReadEnvelopeBody(r io.Reader, limit int64) ([]byte, error) {
 	n, err := ReadUint64(r)

@@ -17,17 +17,17 @@ import (
 // the bytes-present bound instead.
 const fuzzLimit = 1 << 28
 
-// envelopes are the whole-file headers the readers accept: both versions
-// of PMDB and of PMCK.
+// envelopes are the whole-file headers the readers accept: PMDB v2 and
+// PMCK v2.
 var envelopes = []struct {
 	magic   string
 	version uint32
-}{{"PMDB", 1}, {"PMDB", 2}, {"PMCK", 1}, {"PMCK", 2}}
+}{{"PMDB", 2}, {"PMCK", 2}}
 
 // readEnvelope reads a whole-file envelope as LoadDB and ReadCheckpoint
 // do: the header, then the body.
 func readEnvelope(r io.Reader, magic string, version uint32) ([]byte, error) {
-	if _, err := frame.ReadHeader(r, magic, version); err != nil {
+	if err := frame.ReadHeader(r, magic, version); err != nil {
 		return nil, err
 	}
 	return frame.ReadEnvelopeBody(r, fuzzLimit)
@@ -59,13 +59,13 @@ func readAllShapes(t *testing.T, r func([]byte) io.Reader, data []byte) (payload
 		keep(readEnvelope(r(data), h.magic, h.version))
 	}
 	src := r(data)
-	if _, err := frame.ReadHeader(src, "PMWS", 1); keep(nil, err) {
+	if err := frame.ReadHeader(src, "PMWS", 1); keep(nil, err) {
 		if _, err := frame.ReadUint64(src); keep(nil, err) {
 			records(src)
 		}
 	}
 	src = r(data)
-	if _, err := frame.ReadHeader(src, "PMTF", 1); keep(nil, err) {
+	if err := frame.ReadHeader(src, "PMTF", 1); keep(nil, err) {
 		if keep(frame.ReadBlock(src, fuzzLimit)) {
 			records(src)
 		}
@@ -91,14 +91,21 @@ func FuzzFrame(f *testing.F) {
 		f.Add(fixture[:len(fixture)-3])
 		f.Add(fixture[frame.HeaderLen:]) // the bare shapes: envelope body, block + records
 		f.Add(fixture[16:])              // past PMWS's 16-byte segment header: records alone
+		// Another version (the retired v1 of PMDB and PMCK), a foreign
+		// magic, and a checksum or payload byte flipped at the end.
+		for at, to := range map[int]byte{4: fixture[4] ^ 3, 0: 'X', len(fixture) - 1: fixture[len(fixture)-1] ^ 1} {
+			damaged := bytes.Clone(fixture)
+			damaged[at] = to
+			f.Add(damaged)
+		}
 	}
 	f.Add([]byte{})
 	// Hostile lengths inside the cap, nothing behind them.
-	f.Add(frame.AppendUint64(frame.AppendHeader(nil, "PMCK", 1), fuzzLimit))
+	f.Add(frame.AppendUint64(frame.AppendHeader(nil, "PMDB", 2), fuzzLimit))
 	f.Add(frame.AppendUint64(frame.AppendHeader(nil, "PMCK", 2), fuzzLimit))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x0f, 0, 0, 0, 0})
 
-	const passes, slack = 9, 128 << 10 // readAllShapes makes nine passes over the input
+	const passes, slack = 7, 128 << 10 // readAllShapes makes seven passes over the input
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sized, unsizedP [][]byte
 		var sizedErrs, unsizedErrs []error

@@ -22,8 +22,7 @@ import (
 // written by the four packages' own framing code at the commit before
 // internal/frame replaced it — except the version-2 PMDB, written when
 // that version replaced the gob image, and the version-2 PMCK, written
-// when the row table replaced the gob ledger; the files they replaced
-// stay as read-only goldens. built holds the four current-version
+// when the row table replaced the gob ledger. built holds the same four
 // instances written by today's writers. Both are filled once, in
 // TestMain.
 var golden, built map[string][]byte
@@ -35,7 +34,7 @@ func TestMain(m *testing.M) {
 		os.RemoveAll(dir)
 	}
 	golden = map[string][]byte{}
-	for _, name := range []string{fixPMDB, fixPMCK, fixPMWS, fixPMTF, fixPMDBv1, fixPMCKv1, fixPMCKv1DBv2} {
+	for _, name := range []string{fixPMDB, fixPMCK, fixPMWS, fixPMTF} {
 		if err == nil {
 			golden[name], err = os.ReadFile(filepath.Join("testdata", name))
 		}
@@ -59,39 +58,45 @@ func TestWritersReproduceGolden(t *testing.T) {
 }
 
 // TestReadersDecodeGolden: today's readers recover exactly what the old
-// writers were given, from either PMDB version and either PMCK version,
-// and a version-1 image loaded and saved again is the version-2 fixture
-// byte for byte.
+// writers were given, a PMDB loaded and saved again is its fixture byte
+// for byte, and a PMDB or PMCK fixture relabelled version 1 (the retired
+// gob format) is version skew.
 func TestReadersDecodeGolden(t *testing.T) {
 	want := fixtureDB()
-	for _, fix := range []struct{ pmdb, pmck string }{{fixPMDB, fixPMCK}, {fixPMDB, fixPMCKv1DBv2}, {fixPMDBv1, fixPMCKv1}} {
-		db, err := profile.LoadDB(bytes.NewReader(golden[fix.pmdb]))
-		if err != nil {
-			t.Fatalf("%s: %v", fix.pmdb, err)
-		}
-		if db.Samples() != want.Samples() || db.Lost() != want.Lost() || !reflect.DeepEqual(db.PCs(), want.PCs()) {
-			t.Fatalf("%s: decoded %d samples / %d lost / PCs %v, want %d / %d / %v", fix.pmdb,
-				db.Samples(), db.Lost(), db.PCs(), want.Samples(), want.Lost(), want.PCs())
-		}
-		var again bytes.Buffer
-		if err := db.Save(&again); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again.Bytes(), golden[fixPMDB]) {
-			t.Fatalf("%s: loaded and saved again, differs from %s", fix.pmdb, fixPMDB)
-		}
+	db, err := profile.LoadDB(bytes.NewReader(golden[fixPMDB]))
+	if err != nil {
+		t.Fatalf("%s: %v", fixPMDB, err)
+	}
+	if db.Samples() != want.Samples() || db.Lost() != want.Lost() || !reflect.DeepEqual(db.PCs(), want.PCs()) {
+		t.Fatalf("%s: decoded %d samples / %d lost / PCs %v, want %d / %d / %v", fixPMDB,
+			db.Samples(), db.Lost(), db.PCs(), want.Samples(), want.Lost(), want.PCs())
+	}
+	var again bytes.Buffer
+	if err := db.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), golden[fixPMDB]) {
+		t.Fatalf("%s: loaded and saved again, differs", fixPMDB)
+	}
 
-		ck, err := ingest.ReadCheckpoint(bytes.NewReader(golden[fix.pmck]))
-		if err != nil {
-			t.Fatalf("%s: %v", fix.pmck, err)
-		}
-		if !bytes.Equal(ck.Profile, golden[fix.pmdb]) || !reflect.DeepEqual(ck.Applied, []string{"a/s000", "a/s001"}) ||
-			!reflect.DeepEqual(ck.RefusedLoss, map[string]uint64{"a/s002": 7}) ||
-			!reflect.DeepEqual(ck.HandoffFrom, []ingest.Provenance{{Shard: "a/s003", From: "c1"}}) ||
-			!reflect.DeepEqual(ck.AppliedHandoffs, []string{"1:16"}) ||
-			!reflect.DeepEqual(ck.HandoffKeys, map[string]uint64{"00112233445566778899aabbccddeeff": 9}) ||
-			ck.Barrier != (wal.Pos{Seg: 1, Off: 16}) {
-			t.Fatalf("%s: decoded %+v", fix.pmck, ck)
+	ck, err := ingest.ReadCheckpoint(bytes.NewReader(golden[fixPMCK]))
+	if err != nil {
+		t.Fatalf("%s: %v", fixPMCK, err)
+	}
+	if !bytes.Equal(ck.Profile, golden[fixPMDB]) || !reflect.DeepEqual(ck.Applied, []string{"a/s000", "a/s001"}) ||
+		!reflect.DeepEqual(ck.RefusedLoss, map[string]uint64{"a/s002": 7}) ||
+		!reflect.DeepEqual(ck.HandoffFrom, []ingest.Provenance{{Shard: "a/s003", From: "c1"}}) ||
+		!reflect.DeepEqual(ck.AppliedHandoffs, []string{"1:16"}) ||
+		!reflect.DeepEqual(ck.HandoffKeys, map[string]uint64{"00112233445566778899aabbccddeeff": 9}) ||
+		ck.Barrier != (wal.Pos{Seg: 1, Off: 16}) {
+		t.Fatalf("%s: decoded %+v", fixPMCK, ck)
+	}
+
+	for _, f := range wholeFileFormats {
+		v1 := bytes.Clone(golden[f.fixture])
+		v1[4] = 1
+		if err := f.decode(v1); !errors.Is(err, frame.ErrVersionSkew) {
+			t.Errorf("%s relabelled v1: %v, want ErrVersionSkew", f.fixture, err)
 		}
 	}
 
@@ -116,7 +121,7 @@ func TestReadersDecodeGolden(t *testing.T) {
 func scanPMWS(t *testing.T, seg []byte) (int, error) {
 	t.Helper()
 	r := bytes.NewReader(seg)
-	if _, err := frame.ReadHeader(r, "PMWS", 1); err != nil {
+	if err := frame.ReadHeader(r, "PMWS", 1); err != nil {
 		return 0, err
 	}
 	if seq, err := frame.ReadUint64(r); err != nil {
@@ -173,7 +178,7 @@ type format struct {
 var (
 	loadPMDB         = func(b []byte) error { _, err := profile.LoadDB(bytes.NewReader(b)); return err }
 	readPMCK         = func(b []byte) error { _, err := ingest.ReadCheckpoint(bytes.NewReader(b)); return err }
-	wholeFileFormats = []format{{fixPMDB, loadPMDB}, {fixPMCK, readPMCK}, {fixPMDBv1, loadPMDB}, {fixPMCKv1, readPMCK}, {fixPMCKv1DBv2, readPMCK}}
+	wholeFileFormats = []format{{fixPMDB, loadPMDB}, {fixPMCK, readPMCK}}
 )
 
 // damaged is one table input: the fixture with a prefix cut or one bit

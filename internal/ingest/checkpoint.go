@@ -3,8 +3,6 @@ package ingest
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -42,14 +40,13 @@ import (
 // few bytes each. It shares at most maxShared bytes, so what a reader
 // allocates for the keys stays within 33 times the payload's size. The
 // service writes nothing else, WAL or not (the barrier is zero without
-// one). Version 1, a gob payload, is still read (readGob) and never
-// written; a bare PMDB — a pmsim -save file, or what a WAL-less
+// one), and version 2 is the one version read: any other is
+// ErrVersionSkew. A bare PMDB — a pmsim -save file, or what a WAL-less
 // collector wrote before its checkpoints carried the ledger — still
 // loads, with an empty ledger.
 const (
-	ckptMagic      = "PMCK"
-	ckptVersion    = 2
-	ckptVersionGob = 1
+	ckptMagic   = "PMCK"
+	ckptVersion = 2
 	// ckptMaxBytes caps the declared payload: profile.LoadDB's cap plus
 	// ledger headroom.
 	ckptMaxBytes = 1<<28 + 1<<24
@@ -180,36 +177,29 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// ReadCheckpoint reads a PMCK envelope of either version. Failures are
-// typed with the framing taxonomy (profile.ErrCorrupt / ErrTruncated /
-// ErrVersionSkew) so callers classify damage the same way everywhere.
+// ReadCheckpoint reads a PMCK envelope. Failures are typed with the
+// framing taxonomy (profile.ErrCorrupt / ErrTruncated / ErrVersionSkew)
+// so callers classify damage the same way everywhere.
 // A returned checkpoint's Applied and HandoffFrom are strictly ascending.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	hdr, err := frame.ReadHeader(r, ckptMagic, ckptVersion)
-	gobPayload := errors.Is(err, profile.ErrVersionSkew) && binary.LittleEndian.Uint32(hdr[4:8]) == ckptVersionGob
-	if err != nil && !gobPayload {
+	if err := frame.ReadHeader(r, ckptMagic, ckptVersion); err != nil {
 		return nil, fmt.Errorf("ingest: checkpoint: %w", err)
 	}
 	payload, err := frame.ReadEnvelopeBody(r, ckptMaxBytes)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: checkpoint: %w", err)
 	}
-	var ck *Checkpoint
-	if gobPayload {
-		ck, err = readGob(payload)
-	} else {
-		ck, err = readRows(payload)
-	}
+	ck, err := readRows(payload)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: checkpoint decode: %w", err)
 	}
 	return ck, nil
 }
 
-// readRows decodes a version-2 payload with the one row decoder
-// (frame.Rows): every count is checked against the bytes left before
-// anything is allocated for it, every list must be strictly ascending,
-// and nothing may follow the image.
+// readRows decodes the payload with the one row decoder (frame.Rows):
+// every count is checked against the bytes left before anything is
+// allocated for it, every list must be strictly ascending, and nothing
+// may follow the image.
 func readRows(payload []byte) (*Checkpoint, error) {
 	d := frame.NewRows(payload)
 	ck := &Checkpoint{Barrier: wal.Pos{Seg: d.Uvarint(), Off: d.Varint()}}
@@ -301,36 +291,6 @@ func readKey(d *frame.Rows, prev string, i int) (string, error) {
 		return "", fmt.Errorf("row %d: keys not strictly ascending (%q after %q): %w", i, key, prev, profile.ErrCorrupt)
 	}
 	return key, nil
-}
-
-// checkpointV1 is the version-1 payload, a gob. It is decoded, never
-// encoded, so that a checkpoint a version-1 collector wrote still boots.
-type checkpointV1 struct {
-	Profile         []byte
-	Applied         []string
-	RefusedLoss     map[string]uint64
-	HandoffFrom     map[string]string
-	AppliedHandoffs []string
-	HandoffKeys     map[string]uint64
-	Barrier         wal.Pos
-}
-
-// readGob decodes a version-1 payload into today's shape: ids sorted and
-// distinct, provenance as ascending rows.
-func readGob(payload []byte) (*Checkpoint, error) {
-	var v1 checkpointV1
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&v1); err != nil {
-		return nil, fmt.Errorf("%v: %w", err, profile.ErrCorrupt)
-	}
-	slices.Sort(v1.Applied)
-	ck := &Checkpoint{
-		Profile: v1.Profile, Applied: slices.Compact(v1.Applied), RefusedLoss: v1.RefusedLoss,
-		AppliedHandoffs: v1.AppliedHandoffs, HandoffKeys: v1.HandoffKeys, Barrier: v1.Barrier,
-	}
-	for _, sh := range sortedKeys(v1.HandoffFrom) {
-		ck.HandoffFrom = append(ck.HandoffFrom, Provenance{sh, v1.HandoffFrom[sh]})
-	}
-	return ck, nil
 }
 
 // LoadCheckpointFile loads a checkpoint from disk, accepting both the

@@ -391,23 +391,19 @@ func TestLedgerProperty(t *testing.T) {
 	}
 }
 
-// TestLedgerSnapshotBytes pins the checkpoint's ledger half across the
-// format change: the version-1 fixture (a gob payload around a version-1
-// image), restored and snapshotted again beside its image re-saved, must
-// encode to the version-2 fixture byte for byte.
+// TestLedgerSnapshotBytes pins the checkpoint's ledger half: the PMCK
+// fixture, restored and snapshotted again beside its image re-saved, must
+// encode to the fixture byte for byte.
 func TestLedgerSnapshotBytes(t *testing.T) {
-	fixture := func(name string) []byte {
-		raw, err := os.ReadFile(filepath.Join("..", "frame", "testdata", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
-	}
-	v1, err := ReadCheckpoint(bytes.NewReader(fixture("small.pmck")))
+	want, err := os.ReadFile(filepath.Join("..", "frame", "testdata", "small-ck2.pmck"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := profile.LoadDB(bytes.NewReader(v1.Profile))
+	ck, err := ReadCheckpoint(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := profile.LoadDB(bytes.NewReader(ck.Profile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,15 +412,15 @@ func TestLedgerSnapshotBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := newLedger()
-	l.restore(v1)
+	l.restore(ck)
 	got := Checkpoint{Profile: image.Bytes()}
-	l.snapshot(&got, v1.Barrier)
+	l.snapshot(&got, ck.Barrier)
 	var have bytes.Buffer
 	if err := WriteCheckpoint(&have, &got); err != nil {
 		t.Fatal(err)
 	}
-	if want := fixture("small-ck2.pmck"); !bytes.Equal(have.Bytes(), want) {
-		t.Fatalf("snapshot(restore(small.pmck)) encodes differently from small-ck2.pmck:\n got %x\nwant %x", have.Bytes(), want)
+	if !bytes.Equal(have.Bytes(), want) {
+		t.Fatalf("snapshot(restore(small-ck2.pmck)) encodes differently:\n got %x\nwant %x", have.Bytes(), want)
 	}
 	if v := l.view(); !reflect.DeepEqual(v.Shards, []string{"a/s000", "a/s001", "a/s003"}) {
 		t.Fatalf("restored ledger admits %v", v.Shards)

@@ -3,7 +3,7 @@ package ingest
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -37,31 +38,20 @@ func wireSub(t *testing.T, shard string, db *profile.DB) Submission {
 	return s
 }
 
-// reorderedEnvelope is db as a valid PMDB envelope no Save would write:
-// the same image with its accumulators listed in descending PC order.
-func reorderedEnvelope(t *testing.T, db *profile.DB) []byte {
+// paddedEnvelope is db as a valid PMDB envelope no Save would write: the
+// same image with its window, the varint at payload[8], padded with a
+// zero group it does not need. It loads to the same database.
+func paddedEnvelope(t *testing.T, db *profile.DB) []byte {
 	t.Helper()
-	// Mirrors profile.dbImage; gob matches fields by name.
-	type dbImage struct {
-		S           float64
-		W, C        int
-		TNear       int64
-		RetainAddrs int
-		Samples     uint64
-		Pairs       uint64
-		Lost        uint64
-		CorruptRej  uint64
-		MetricNames []string
-		Accums      []profile.PCAccum
-	}
-	img := dbImage{S: db.S, W: db.W, C: db.C, TNear: db.TNear, Samples: db.Samples(), Lost: db.Lost()}
-	pcs := db.PCs()
-	for i := len(pcs) - 1; i >= 0; i-- {
-		img.Accums = append(img.Accums, *db.Get(pcs[i]))
-	}
+	img := saveBytes(t, db)
+	payload := img[frame.HeaderLen+8 : len(img)-4]
+	_, n := binary.Uvarint(payload[8:])
+	last := 8 + n - 1
+	padded := slices.Concat(payload[:last], []byte{payload[last] | 0x80, 0}, payload[last+1:])
 	var env bytes.Buffer
-	if err := frame.WriteEnvelope(&env, "PMDB", 1, func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(img)
+	if err := frame.WriteEnvelope(&env, "PMDB", 2, func(w io.Writer) error {
+		_, err := w.Write(padded)
+		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -197,22 +187,22 @@ func TestRecoverReproducesWireSubmissions(t *testing.T) {
 	}
 }
 
-// TestNonCanonicalEnvelopeLoggedAsReceived: a valid envelope whose
-// accumulators are not in Save's order is logged with the client's bytes,
-// not a re-encoding, and recovers to the same aggregate as the canonical
-// form of the same shard.
+// TestNonCanonicalEnvelopeLoggedAsReceived: a valid envelope that is not
+// Save's encoding of its database is logged with the client's bytes, not
+// a re-encoding, and recovers to the same aggregate as the canonical form
+// of the same shard.
 func TestNonCanonicalEnvelopeLoggedAsReceived(t *testing.T) {
 	db := testShard(5, 60)
-	odd := reorderedEnvelope(t, db)
+	odd := paddedEnvelope(t, db)
 	canonical := saveBytes(t, db)
 	if bytes.Equal(odd, canonical) {
-		t.Fatal("test envelope is canonical; it needs at least two PCs")
+		t.Fatal("test envelope is canonical")
 	}
 	recovered := map[string][]byte{}
 	for _, c := range []struct {
 		what    string
 		profile []byte
-	}{{"reordered", odd}, {"canonical", canonical}} {
+	}{{"padded", odd}, {"canonical", canonical}} {
 		body, err := json.Marshal(record{Shard: "li/s001", Profile: c.profile})
 		if err != nil {
 			t.Fatal(err)
@@ -250,8 +240,8 @@ func TestNonCanonicalEnvelopeLoggedAsReceived(t *testing.T) {
 			t.Fatalf("%s: recovered aggregate differs from the live one", c.what)
 		}
 	}
-	if !bytes.Equal(recovered["reordered"], recovered["canonical"]) {
-		t.Fatal("the reordered envelope recovers to a different aggregate than its canonical form")
+	if !bytes.Equal(recovered["padded"], recovered["canonical"]) {
+		t.Fatal("the padded envelope recovers to a different aggregate than its canonical form")
 	}
 }
 

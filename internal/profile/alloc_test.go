@@ -144,26 +144,6 @@ func TestWideMergeAlloc(t *testing.T) {
 	}
 }
 
-// TestGobImageDecodesWithoutSlack: a 2^16-PC version-1 image, which gob
-// builds in chunks, decodes with no slack capacity behind its rows. A
-// collector that boots from a version-1 checkpoint keeps those rows live
-// until its next restart.
-func TestGobImageDecodesWithoutSlack(t *testing.T) {
-	accs := make([]PCAccum, wideAggPCs)
-	for i := range accs {
-		accs[i] = PCAccum{PC: 0x400000 + 4*uint64(i), Samples: 1}
-	}
-	v1 := gobImage(t, dbImage{S: 64, C: 4, Samples: wideAggPCs, Accums: accs})
-	img, err := decodeGob(v1[headerBytes : len(v1)-4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(img.Accums) != wideAggPCs || cap(img.Accums) != len(img.Accums) {
-		t.Errorf("2^16-PC image decoded to len %d cap %d, want cap == len == %d",
-			len(img.Accums), cap(img.Accums), wideAggPCs)
-	}
-}
-
 // maxLoadAllocs bounds what LoadDB allocates besides the byPC index for
 // an image without pair metrics or retained addresses, whatever its row
 // count: the framing reads, the payload, the rows, the database — 8, or

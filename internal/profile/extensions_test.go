@@ -236,7 +236,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadGarbage(t *testing.T) {
-	if _, err := LoadDB(bytes.NewReader([]byte("not a gob"))); err == nil {
+	if _, err := LoadDB(bytes.NewReader([]byte("not a database"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }

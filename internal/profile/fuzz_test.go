@@ -2,21 +2,24 @@ package profile
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 
 	"profileme/internal/core"
 )
 
 // FuzzLoadDB feeds LoadDB arbitrary payloads inside a well-formed
-// envelope of either version (gob is true for version 1), and the same
-// bytes bare. What damaged framing decodes to is internal/frame's
-// contract (FuzzFrame); the contract here is the payload's: every
-// rejection is one of the three typed errors (never a panic), a payload
-// the envelope vouches for but the decoder or the sanity checks refuse
-// is ErrCorrupt, and an accepted database is immediately usable and
-// saves to an image that loads.
+// envelope, and the same bytes bare. What damaged framing decodes to is
+// internal/frame's contract (FuzzFrame); the contract here is the
+// payload's: every rejection is one of the three typed errors (never a
+// panic), a payload the envelope vouches for but the decoder or the
+// sanity checks refuse is ErrCorrupt, a bare PMDB header of any version
+// but the current one is ErrVersionSkew, and an accepted database is
+// immediately usable, saves to an image that loads, and merges
+// (mergesIntoAggregate) — LoadDB is the gate a submitted shard passes
+// before the collector merges it.
 func FuzzLoadDB(f *testing.F) {
 	db := NewDB(100, 80, 4)
 	db.RetainAddrs = 2
@@ -32,50 +35,47 @@ func FuzzLoadDB(f *testing.F) {
 	}
 	valid := buf.Bytes()[headerBytes : buf.Len()-4] // the row table alone
 
-	f.Add(false, valid)
-	f.Add(false, valid[:len(valid)/2])
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x40
-	f.Add(false, flipped)
-	f.Add(false, []byte{})
-	f.Add(false, []byte("not a profile database at all"))
+	f.Add(flipped)
+	f.Add([]byte{})
+	f.Add([]byte("not a profile database at all"))
+	f.Add(append(bytes.Clone(valid), 0)) // a byte after the last row
 	// Row tables the structural checks, not the varint reader, must
-	// refuse: a repeated PC, and a row with pair metrics for a database
-	// without metrics.
+	// refuse: a repeated PC, a row with pair metrics for a database
+	// without metrics, a row keeping more addresses than the database
+	// retains, and an impossible configuration (a negative window).
 	lo := &PCAccum{PC: 0x40}
+	negative := NewDB(100, 80, 4)
+	negative.W = -80
 	for _, img := range [][]byte{
 		rowImage(f, NewDB(100, 80, 4), lo, lo),
 		rowImage(f, NewDB(100, 80, 4), &PCAccum{PC: 0x40, PairMetrics: []uint64{1, 2, 3}}),
+		rowImage(f, NewDB(100, 80, 4), &PCAccum{PC: 0x40, Addrs: []uint64{1, 2, 3}}),
+		rowImage(f, negative, lo),
 	} {
-		f.Add(false, img[headerBytes:len(img)-4])
+		f.Add(img[headerBytes : len(img)-4])
 	}
-	// Version 1: a gob image, one the sanity checks must refuse (a
-	// negative window), gob of some other type entirely, and an image that
-	// lists a PC twice.
-	for _, v := range []any{dbImage{S: 100, W: 80, C: 4, Samples: 3}, dbImage{S: 100, W: -80, C: 4},
-		struct{ Name string }{"other"}, duplicatePCImage()} {
-		var other bytes.Buffer
-		if err := gob.NewEncoder(&other).Encode(v); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(true, other.Bytes())
-	}
+	// A whole version-1 image: bare, it is version skew.
+	f.Add(envelope(f, 1, valid))
 
-	f.Fuzz(func(t *testing.T, gobPayload bool, payload []byte) {
-		version := uint32(dbVersion)
-		if gobPayload {
-			version = dbVersionGob
-		}
-		img := envelope(t, version, payload)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		img := envelope(t, dbVersion, payload)
 		got, err := LoadDB(bytes.NewReader(img))
 		if err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("intact envelope, bad payload: want ErrCorrupt, got %v", err)
 		}
-		// Bare, the payload is a foreign file: damage, or (when it is a
-		// gob image) the pre-envelope format.
-		if _, err := LoadDB(bytes.NewReader(payload)); err == nil ||
-			(!errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrVersionSkew)) {
+		// Bare, the payload is a foreign file or damage — or, when it
+		// starts with a PMDB header of another version, version skew.
+		_, err = LoadDB(bytes.NewReader(payload))
+		if err == nil || (!errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrVersionSkew)) {
 			t.Fatalf("bare payload: want a typed error, got %v", err)
+		}
+		if len(payload) >= 8 && string(payload[:4]) == dbMagic &&
+			binary.LittleEndian.Uint32(payload[4:8]) != dbVersion && !errors.Is(err, ErrVersionSkew) {
+			t.Fatalf("bare PMDB v%d: want ErrVersionSkew, got %v", binary.LittleEndian.Uint32(payload[4:8]), err)
 		}
 		if got == nil {
 			return
@@ -93,5 +93,49 @@ func FuzzLoadDB(f *testing.F) {
 		if _, err := LoadDB(&again); err != nil {
 			t.Fatalf("an accepted database does not load back: %v", err)
 		}
+		mergesIntoAggregate(t, got)
 	})
+}
+
+// mergesIntoAggregate is the submit half of the admit-merge contract: a
+// shard LoadDB accepted merges through SafeDB.Merge, without a panic,
+// into an aggregate of the same configuration that already holds every
+// one of its PCs with other pair-metric, address and event shapes; the
+// aggregate's Samples+Lost grow by exactly the shard's, and every row it
+// holds still fits it, so the next merge is as safe as this one.
+func mergesIntoAggregate(t *testing.T, shard *DB) {
+	t.Helper()
+	agg := NewDB(shard.S, shard.W, shard.C)
+	// One address more than the shard retains, unless that overflows.
+	agg.TNear, agg.RetainAddrs = shard.TNear, max(shard.RetainAddrs, shard.RetainAddrs+1)
+	agg.metricNames = slices.Clone(shard.metricNames)
+	agg.metricFns = make([]OverlapFunc, len(agg.metricNames))
+	for _, pc := range shard.PCs() {
+		row, a := shard.Get(pc), agg.acc(pc)
+		a.Samples, a.Events[0] = 1, 1
+		agg.samples++
+		if len(row.PairMetrics) == 0 && len(agg.metricNames) > 0 {
+			a.PairMetrics = make([]uint64, len(agg.metricNames))
+		}
+		if len(row.Addrs) == 0 {
+			a.Addrs = []uint64{pc}
+		}
+	}
+	agg.RecordLoss(2)
+	sdb := NewSafeDBWith(agg, SketchConfig{})
+	before := sdb.CountersSnapshot()
+	captured := shard.Samples() + shard.Lost()
+	if err := sdb.Merge(shard); err != nil {
+		t.Fatalf("an accepted shard does not merge into an aggregate of its configuration: %v", err)
+	}
+	if after := sdb.CountersSnapshot(); after.Samples+after.Lost != before.Samples+before.Lost+captured {
+		t.Fatalf("Samples+Lost %d+%d -> %d+%d, want growth by the shard's %d",
+			before.Samples, before.Lost, after.Samples, after.Lost, captured)
+	}
+	for pc, a := range agg.byPC {
+		if n := len(a.PairMetrics); n != 0 && n != len(agg.metricNames) || len(a.Addrs) > agg.RetainAddrs {
+			t.Fatalf("merged row %#x holds %d pair metrics and %d addresses; the aggregate has %d metrics and retains %d",
+				pc, n, len(a.Addrs), len(agg.metricNames), agg.RetainAddrs)
+		}
+	}
 }

@@ -3,8 +3,6 @@ package profile
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -27,7 +25,7 @@ var (
 	// (interrupted Save, partial copy).
 	ErrTruncated = frame.ErrTruncated
 	// ErrVersionSkew: a well-formed database written by a different
-	// format version, including pre-envelope (naked gob) files.
+	// format version.
 	ErrVersionSkew = frame.ErrVersionSkew
 )
 
@@ -48,12 +46,11 @@ var (
 // samples. Custom pair-metric functions are not serializable; their names
 // and counts survive, and a loaded database can be queried but
 // accumulates further custom metrics only after the functions are
-// re-registered via RestorePairMetrics. Version 1, a gob image, is still
-// read (loadGob) and never written.
+// re-registered via RestorePairMetrics. Version 2 is the one version
+// read and written: an image of any other version is ErrVersionSkew.
 const (
-	dbMagic      = "PMDB"
-	dbVersion    = 2
-	dbVersionGob = 1
+	dbMagic   = "PMDB"
+	dbVersion = 2
 	// maxImageBytes caps the declared payload (a compact per-PC image is
 	// megabytes, not gigabytes).
 	maxImageBytes = 1 << 28
@@ -150,36 +147,21 @@ func appendRow(b []byte, a *PCAccum, delta uint64) []byte {
 	return b
 }
 
-// LoadDB reads a database written by Save, or by a version-1 Save.
-// Any failure is typed: corrupt or truncated input and version skew
-// (including pre-envelope naked-gob databases) return errors matching
+// LoadDB reads a database written by Save. Any failure is typed:
+// corrupt or truncated input and version skew return errors matching
 // ErrCorrupt, ErrTruncated or ErrVersionSkew — never a panic, a garbage
 // database, or an unbounded allocation. An image that lists a PC twice,
 // a row whose pair metrics are not the database's metric set, and a row
 // that keeps more addresses than the database retains are ErrCorrupt.
 func LoadDB(r io.Reader) (*DB, error) {
-	hdr, err := frame.ReadHeader(r, dbMagic, dbVersion)
-	gobImage := errors.Is(err, ErrVersionSkew) && binary.LittleEndian.Uint32(hdr[4:8]) == dbVersionGob
-	if err != nil && !gobImage {
-		// Pre-envelope databases were naked gob streams. If a foreign
-		// magic is the start of one, this is an old format, not damage.
-		legacy := io.MultiReader(bytes.NewReader(hdr[:]), io.LimitReader(r, maxImageBytes))
-		if errors.Is(err, ErrCorrupt) && gob.NewDecoder(legacy).Decode(new(dbImage)) == nil {
-			return nil, fmt.Errorf("profile: load: unversioned pre-v%d database: %w",
-				dbVersionGob, ErrVersionSkew)
-		}
+	if err := frame.ReadHeader(r, dbMagic, dbVersion); err != nil {
 		return nil, fmt.Errorf("profile: load: %w", err)
 	}
 	payload, err := frame.ReadEnvelopeBody(r, maxImageBytes)
 	if err != nil {
 		return nil, fmt.Errorf("profile: load: %w", err)
 	}
-	var db *DB
-	if gobImage {
-		db, err = loadGob(payload)
-	} else {
-		db, err = loadRows(payload)
-	}
+	db, err := loadRows(payload)
 	if err != nil {
 		return nil, fmt.Errorf("profile: load: %w", err)
 	}
@@ -191,8 +173,7 @@ func LoadDB(r io.Reader) (*DB, error) {
 // so a collector that decodes and merges shard after shard reuses the
 // same memory instead of leaving it to the garbage collector. A slab of
 // more than maxPooledRows rows (a checkpoint image the size of the
-// aggregate) is never pooled. Databases built in process and version-1
-// images have no slab.
+// aggregate) is never pooled. Databases built in process have no slab.
 const maxPooledRows = 1 << 13
 
 // rowSlab is a decoded database's storage as the pool holds it: its
@@ -231,28 +212,20 @@ func (db *DB) recycle() {
 	db.pooled, db.rows, db.byPC = false, nil, nil
 }
 
-// sane is the configuration check both readers apply to a loaded header.
-func (db *DB) sane() error {
-	if !(db.S >= 0) || db.W < 0 || db.C < 0 || db.RetainAddrs < 0 {
-		return fmt.Errorf("impossible configuration: %w", ErrCorrupt)
-	}
-	return nil
-}
-
-// rowFits is the per-row check both readers apply: a row's pair metrics
-// are the database's metric set or absent, and it keeps no more addresses
-// than the database retains. mergeWalk indexes a row's pair metrics by
-// the first row it met for that PC, so a row that breaks this would crash
+// rowFits is loadRows's per-row check: a row's pair metrics are the
+// database's metric set or absent, and it keeps no more addresses than
+// the database retains. mergeWalk indexes a row's pair metrics by the
+// first row it met for that PC, so a row that breaks this would crash
 // the merge that folds it.
 func (db *DB) rowFits(pairMetrics, addrs int) bool {
 	return (pairMetrics == 0 || pairMetrics == len(db.metricNames)) && addrs <= db.RetainAddrs
 }
 
-// loadRows decodes a version-2 payload with the one row decoder
-// (frame.Rows). Every length is checked against the bytes left before
-// anything is allocated for it, and all rows live in one slice that byPC
-// points into and the database keeps as its PC order (DB.rows) — a
-// pooled slab's unless the image has more than maxPooledRows rows.
+// loadRows decodes the payload with the one row decoder (frame.Rows).
+// Every length is checked against the bytes left before anything is
+// allocated for it, and all rows live in one slice that byPC points into
+// and the database keeps as its PC order (DB.rows) — a pooled slab's
+// unless the image has more than maxPooledRows rows.
 func loadRows(payload []byte) (*DB, error) {
 	if len(payload) < 8 {
 		return nil, fmt.Errorf("header: %w", ErrCorrupt)
@@ -272,8 +245,8 @@ func loadRows(payload []byte) (*DB, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if err := db.sane(); err != nil {
-		return nil, err
+	if !(db.S >= 0) || db.W < 0 || db.C < 0 || db.RetainAddrs < 0 {
+		return nil, fmt.Errorf("impossible configuration: %w", ErrCorrupt)
 	}
 	var accs []PCAccum
 	if db.pooled = rows <= maxPooledRows; db.pooled {
@@ -325,72 +298,6 @@ func loadRows(payload []byte) (*DB, error) {
 		return nil, fmt.Errorf("%d bytes after the last row: %w", d.Left(), ErrCorrupt)
 	}
 	db.rows = accs
-	return db, nil
-}
-
-// dbImage is the version-1 image: a gob of the DB's header fields and a
-// copy of every accumulator. It is decoded, never encoded, so that
-// checkpoints, WAL records, traces and saved profiles written by a
-// version-1 collector stay readable.
-type dbImage struct {
-	S           float64
-	W, C        int
-	TNear       int64
-	RetainAddrs int
-	Samples     uint64
-	Pairs       uint64
-	Lost        uint64
-	CorruptRej  uint64
-	MetricNames []string
-	Accums      []PCAccum
-}
-
-// decodeGob decodes a version-1 payload. gob builds a slice over 10 MB in
-// chunks and leaves slack capacity behind; a database keeps pointers
-// into Accums for as long as it lives, so such a slice is copied to its
-// exact length first.
-func decodeGob(payload []byte) (*dbImage, error) {
-	img := new(dbImage)
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(img); err != nil {
-		return nil, fmt.Errorf("decode: %v: %w", err, ErrCorrupt)
-	}
-	if cap(img.Accums) > len(img.Accums) {
-		exact := make([]PCAccum, len(img.Accums))
-		copy(exact, img.Accums)
-		img.Accums = exact
-	}
-	return img, nil
-}
-
-// loadGob decodes a version-1 payload under the same checks as loadRows.
-func loadGob(payload []byte) (*DB, error) {
-	img, err := decodeGob(payload)
-	if err != nil {
-		return nil, err
-	}
-	db := &DB{
-		S: img.S, W: img.W, C: img.C, TNear: img.TNear, RetainAddrs: img.RetainAddrs,
-		samples: img.Samples, pairs: img.Pairs,
-		lost: img.Lost, corruptRejected: img.CorruptRej,
-		metricNames: img.MetricNames,
-		metricFns:   make([]OverlapFunc, len(img.MetricNames)), // placeholders
-		byPC:        make(map[uint64]*PCAccum, len(img.Accums)),
-	}
-	if err := db.sane(); err != nil {
-		return nil, err
-	}
-	for i := range img.Accums {
-		a := &img.Accums[i]
-		if !db.rowFits(len(a.PairMetrics), len(a.Addrs)) {
-			return nil, fmt.Errorf("PC %#x: %d pair metrics, %d addresses: %w",
-				a.PC, len(a.PairMetrics), len(a.Addrs), ErrCorrupt)
-		}
-		db.byPC[a.PC] = a
-	}
-	if len(db.byPC) != len(img.Accums) {
-		return nil, fmt.Errorf("%d accumulators for %d distinct PCs: %w",
-			len(img.Accums), len(db.byPC), ErrCorrupt)
-	}
 	return db, nil
 }
 
@@ -514,7 +421,7 @@ func (db *DB) fold(dst, src *PCAccum) {
 }
 
 // eachAscending calls f on every accumulator in ascending PC order. A
-// database loaded from a version-2 image walks the image's row slice for
+// database loaded from an image walks the image's row slice for
 // as long as it holds no PC the image lacked — a DB only ever gains PCs,
 // so equal lengths mean the same set; any other database sorts its PCs.
 func (db *DB) eachAscending(f func(*PCAccum)) {

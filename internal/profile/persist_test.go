@@ -2,7 +2,6 @@ package profile
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -88,29 +87,28 @@ func TestLoadVersionSkewTyped(t *testing.T) {
 		t.Fatalf("future version: %v", err)
 	}
 
-	// The version is a u32, compared whole: a v1 image with a bit set in
-	// the version's upper bytes is skew, not v1.
-	v1 := gobImage(t, dbImage{S: 100, W: 80, C: 4})
-	if _, err := LoadDB(bytes.NewReader(v1)); err != nil {
-		t.Fatal(err)
+	// Version 1, the retired gob image, whatever its payload.
+	v1 := bytes.Clone(img)
+	v1[4] = 1
+	if _, err := LoadDB(bytes.NewReader(v1)); !errors.Is(err, ErrVersionSkew) {
+		t.Fatalf("version 1: %v, want ErrVersionSkew", err)
 	}
+
+	// The version is a u32, compared whole: a v2 image with a bit set in
+	// the version's upper bytes is skew, not v2.
 	for at := 5; at < 8; at++ {
-		bad := bytes.Clone(v1)
+		bad := bytes.Clone(img)
 		bad[at] ^= 0x01
 		if _, err := LoadDB(bytes.NewReader(bad)); !errors.Is(err, ErrVersionSkew) {
-			t.Errorf("v1 with byte %d flipped: %v, want ErrVersionSkew", at, err)
+			t.Errorf("v2 with byte %d flipped: %v, want ErrVersionSkew", at, err)
 		}
 	}
 
-	// A pre-envelope database: naked gob, as the original Save wrote.
-	legacy := dbImage{S: 100, W: 80, C: 4, Samples: 3}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
-		t.Fatal(err)
-	}
-	_, err = LoadDB(&buf)
-	if !errors.Is(err, ErrVersionSkew) {
-		t.Fatalf("legacy gob not reported as version skew: %v", err)
+	// A pre-envelope database, a naked gob stream as the original Save
+	// wrote it, has no magic: it is damage, not skew.
+	legacy := []byte("\xff\x8b\x7f\x03\x01\x01\adbImage\x01\xff\x80\x00\x01\v\x01\x01S\x01")
+	if _, err := LoadDB(bytes.NewReader(legacy)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("pre-envelope database: %v, want ErrCorrupt", err)
 	}
 }
 
@@ -141,12 +139,6 @@ func TestSaveLoadCarriesLossAccounting(t *testing.T) {
 	}
 }
 
-// duplicatePCImage lists PC 0x40 twice, with rows of 10 and 20 samples.
-func duplicatePCImage() dbImage {
-	return dbImage{S: 100, W: 80, C: 4, Samples: 30,
-		Accums: []PCAccum{{PC: 0x40, Samples: 10}, {PC: 0x40, Samples: 20}}}
-}
-
 // envelope frames payload as a PMDB of the given version.
 func envelope(t testing.TB, version uint32, payload []byte) []byte {
 	t.Helper()
@@ -160,16 +152,6 @@ func envelope(t testing.TB, version uint32, payload []byte) []byte {
 	return buf.Bytes()
 }
 
-// gobImage is img as the version-1 writer framed it.
-func gobImage(t testing.TB, img dbImage) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&img); err != nil {
-		t.Fatal(err)
-	}
-	return envelope(t, dbVersionGob, buf.Bytes())
-}
-
 // rowImage is db saved with accs as its row list, in that order — what
 // no Save of a real database writes when accs repeats or reorders PCs.
 func rowImage(t testing.TB, db *DB, accs ...*PCAccum) []byte {
@@ -181,18 +163,17 @@ func rowImage(t testing.TB, db *DB, accs ...*PCAccum) []byte {
 	return buf.Bytes()
 }
 
-// TestLoadDuplicatePCCorrupt: an image that lists a PC twice is damage,
-// in either version. It used to load with the second row silently
-// replacing the first — a database claiming 30 samples whose only row
-// held 20. Version 2 stores PCs as ascending deltas, so a repeated PC is
-// a zero delta and a descending one wraps.
+// TestLoadDuplicatePCCorrupt: an image that lists a PC twice is damage.
+// It used to load with the second row silently replacing the first — a
+// database claiming 30 samples whose only row held 20. The image stores
+// PCs as ascending deltas, so a repeated PC is a zero delta and a
+// descending one wraps.
 func TestLoadDuplicatePCCorrupt(t *testing.T) {
 	db := NewDB(100, 80, 4)
 	lo, hi := &PCAccum{PC: 0x40, Samples: 10}, &PCAccum{PC: 0x44, Samples: 20}
 	for what, img := range map[string][]byte{
-		"v1 repeated":   gobImage(t, duplicatePCImage()),
-		"v2 repeated":   rowImage(t, db, lo, lo),
-		"v2 descending": rowImage(t, db, hi, lo),
+		"repeated":   rowImage(t, db, lo, lo),
+		"descending": rowImage(t, db, hi, lo),
 	} {
 		got, err := LoadDB(bytes.NewReader(img))
 		if !errors.Is(err, ErrCorrupt) {
@@ -206,10 +187,9 @@ func TestLoadDuplicatePCCorrupt(t *testing.T) {
 
 // TestLoadRejectsMisfitRows: a CRC-valid image whose row carries pair
 // metrics other than the database's metric set, or more addresses than
-// it retains, is ErrCorrupt in both versions. Such rows used to load and
-// pass admission; merging two of them that gave one PC pair-metric
-// slices of lengths 1 and 3 panicked the merge with an index out of
-// range.
+// it retains, is ErrCorrupt. Such rows used to load and pass admission;
+// merging two of them that gave one PC pair-metric slices of lengths 1
+// and 3 panicked the merge with an index out of range.
 func TestLoadRejectsMisfitRows(t *testing.T) {
 	metrics := func(n int) []uint64 { return make([]uint64, n) }
 	for _, c := range []struct {
@@ -230,14 +210,9 @@ func TestLoadRejectsMisfitRows(t *testing.T) {
 		db := NewDB(100, 80, 4)
 		db.RetainAddrs = c.retain
 		db.metricNames, db.metricFns = c.names, make([]OverlapFunc, len(c.names))
-		acc := c.acc
-		v1 := gobImage(t, dbImage{S: 100, W: 80, C: 4, TNear: db.TNear, RetainAddrs: c.retain,
-			MetricNames: c.names, Accums: []PCAccum{acc}})
-		for version, img := range map[string][]byte{"v1": v1, "v2": rowImage(t, db, &acc)} {
-			_, err := LoadDB(bytes.NewReader(img))
-			if c.corrupt && !errors.Is(err, ErrCorrupt) || !c.corrupt && err != nil {
-				t.Errorf("%s, %s: err %v, want corrupt=%v", c.what, version, err, c.corrupt)
-			}
+		_, err := LoadDB(bytes.NewReader(rowImage(t, db, &c.acc)))
+		if c.corrupt && !errors.Is(err, ErrCorrupt) || !c.corrupt && err != nil {
+			t.Errorf("%s: err %v, want corrupt=%v", c.what, err, c.corrupt)
 		}
 	}
 }

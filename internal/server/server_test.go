@@ -3,10 +3,8 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -15,7 +13,6 @@ import (
 	"time"
 
 	"profileme/internal/core"
-	"profileme/internal/frame"
 	"profileme/internal/ingest"
 	"profileme/internal/profile"
 )
@@ -155,28 +152,13 @@ func TestSubmitAcceptedThenQueryable(t *testing.T) {
 	}
 }
 
-// misfitBody is a submission whose CRC-valid profile (a version-1 gob
-// image, which collectors still read) gives PC 0x400 pairMetrics pair
-// metrics although the database registers none.
+// misfitBody is a submission whose CRC-valid profile gives PC 0x400
+// pairMetrics pair metrics although the database registers none.
 func misfitBody(t *testing.T, shard string, pairMetrics int) []byte {
 	t.Helper()
-	// Mirrors profile's version-1 image; gob matches fields by name.
-	type dbImage struct {
-		S       float64
-		W, C    int
-		TNear   int64
-		Samples uint64
-		Accums  []profile.PCAccum
-	}
-	img := dbImage{S: 16, C: 4, TNear: 30, Samples: 1,
-		Accums: []profile.PCAccum{{PC: 0x400, Samples: 1, PairMetrics: make([]uint64, pairMetrics)}}}
-	var env bytes.Buffer
-	if err := frame.WriteEnvelope(&env, "PMDB", 1, func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(img)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	body, err := json.Marshal(map[string]any{"shard": shard, "profile": env.Bytes()})
+	db := testShard(0, 1) // one sample, at PC 0x400
+	db.Get(0x400).PairMetrics = make([]uint64, pairMetrics)
+	body, err := ingest.EncodeSubmit(shard, db)
 	if err != nil {
 		t.Fatal(err)
 	}

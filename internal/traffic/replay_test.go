@@ -3,12 +3,13 @@ package traffic
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -189,34 +190,26 @@ func TestReplaySpeedWarp(t *testing.T) {
 }
 
 // reorderedBody wraps db in a valid but non-canonical submission: the
-// profile envelope lists its accumulators in reverse of Save's order
-// (the shape ingest's TestNonCanonicalEnvelopeLoggedAsReceived uses) and
-// the JSON names "profile" before "shard". Decoding and re-encoding it
-// yields different bytes, so only a driver that sends what it recorded
-// delivers it unchanged.
+// profile envelope pads its window, the varint at payload[8], with a zero
+// group it does not need (the shape ingest's
+// TestNonCanonicalEnvelopeLoggedAsReceived uses) and the JSON names
+// "profile" before "shard". Decoding and re-encoding it yields different
+// bytes, so only a driver that sends what it recorded delivers it
+// unchanged.
 func reorderedBody(t *testing.T, shard string, db *profile.DB) []byte {
 	t.Helper()
-	// Mirrors profile.dbImage; gob matches fields by name.
-	type dbImage struct {
-		S           float64
-		W, C        int
-		TNear       int64
-		RetainAddrs int
-		Samples     uint64
-		Pairs       uint64
-		Lost        uint64
-		CorruptRej  uint64
-		MetricNames []string
-		Accums      []profile.PCAccum
+	var img bytes.Buffer
+	if err := db.Save(&img); err != nil {
+		t.Fatal(err)
 	}
-	img := dbImage{S: db.S, W: db.W, C: db.C, TNear: db.TNear, Samples: db.Samples(), Lost: db.Lost()}
-	pcs := db.PCs()
-	for i := len(pcs) - 1; i >= 0; i-- {
-		img.Accums = append(img.Accums, *db.Get(pcs[i]))
-	}
+	payload := img.Bytes()[frame.HeaderLen+8 : img.Len()-4]
+	_, n := binary.Uvarint(payload[8:])
+	last := 8 + n - 1
+	padded := slices.Concat(payload[:last], []byte{payload[last] | 0x80, 0}, payload[last+1:])
 	var env bytes.Buffer
-	if err := frame.WriteEnvelope(&env, "PMDB", 1, func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(img)
+	if err := frame.WriteEnvelope(&env, "PMDB", 2, func(w io.Writer) error {
+		_, err := w.Write(padded)
+		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +233,7 @@ func TestReplaySendsRecordedBytes(t *testing.T) {
 	p := pools["steady"][0]
 	odd := reorderedBody(t, p.Shard, p.DB)
 	if canonical, err := ingest.EncodeSubmit(p.Shard, p.DB); err != nil || bytes.Equal(odd, canonical) {
-		t.Fatalf("test body is canonical (err %v); it needs at least two PCs", err)
+		t.Fatalf("test body is canonical (err %v)", err)
 	}
 	recs := []Record{{Cohort: "steady", Shard: p.Shard, Body: odd}}
 

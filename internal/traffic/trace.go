@@ -113,7 +113,7 @@ type reader struct {
 // (bad magic, bad meta), frame.ErrTruncated (stream ends inside the
 // header), frame.ErrVersionSkew (other format version).
 func newReader(r io.Reader) (*reader, error) {
-	if _, err := frame.ReadHeader(r, traceMagic, traceVersion); err != nil {
+	if err := frame.ReadHeader(r, traceMagic, traceVersion); err != nil {
 		return nil, fmt.Errorf("traffic: trace: %w", err)
 	}
 	metaJSON, err := frame.ReadBlock(r, maxMetaBytes)

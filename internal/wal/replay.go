@@ -115,7 +115,7 @@ func replaySegment(cfg Config, path string, seq uint64, apply func(Pos, []byte) 
 		info.TruncatedAt = Pos{Seg: seq, Off: off}
 		return off, nil
 	}
-	if _, err := frame.ReadHeader(r, segMagic, segVersion); err != nil {
+	if err := frame.ReadHeader(r, segMagic, segVersion); err != nil {
 		return cutAt(0)
 	}
 	if got, err := frame.ReadUint64(r); err != nil || got != seq {
