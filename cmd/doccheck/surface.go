@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -32,6 +33,12 @@ import (
 // that the type satisfies: String, Less and ServeHTTP are called through
 // the interface. An exported type is used outside its package when
 // another package holds a value of it, whether or not it spells the name.
+//
+// It asks one more thing of the options: every exported field of an
+// exported *Config or *Options struct must be written by non-test code
+// other than the type's own methods (its normalize filling a default is
+// not a caller) — through a keyed literal, an assignment or a
+// multi-assignment. A nested module's code counts as a caller.
 
 // A unit is one directory of Go files, parsed once. The ways the go tool
 // compiles it — alone, with its in-package tests, its external tests —
@@ -71,6 +78,7 @@ type surface struct {
 	roots     []token.Pos               // main, init, `var _ =`, and all of a frozen unit
 	ifaces    map[*types.Interface]bool // interfaces in use
 	reachable map[token.Pos]bool
+	written   map[token.Pos][]token.Pos // field → the receiver type of each non-test write (NoPos outside a method)
 }
 
 var moduleLine = regexp.MustCompile(`(?m)^module\s+(\S+)`)
@@ -187,11 +195,46 @@ func (s *surface) check(u *unit, path string, files, record []*ast.File, declare
 				})
 				if declares {
 					s.declare(u, info, piece, named)
+					s.recordWrites(info, piece)
 				}
 			}
 		}
 	}
 	return pkg
+}
+
+// recordWrites notes each field piece writes through a keyed literal or
+// an assignment's left-hand side, with the receiver type of the method
+// piece is (NoPos when it is no method).
+func (s *surface) recordWrites(info *types.Info, piece ast.Node) {
+	recv := token.NoPos
+	if fd, ok := piece.(*ast.FuncDecl); ok && fd.Recv != nil {
+		t := info.Defs[fd.Name].Type().(*types.Signature).Recv().Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		recv = types.Unalias(t).(*types.Named).Obj().Pos()
+	}
+	write := func(id *ast.Ident) {
+		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+			s.written[v.Pos()] = append(s.written[v.Pos()], recv)
+		}
+	}
+	ast.Inspect(piece, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+					write(sel.Sel)
+				}
+			}
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok {
+				write(id)
+			}
+		}
+		return true
+	})
 }
 
 // tracked maps a used object onto the declaration the pass follows — a
@@ -299,6 +342,7 @@ func loadSurface(root string) (*surface, error) {
 	s := &surface{
 		fset: token.NewFileSet(), units: map[string]*unit{}, byPos: map[token.Pos]*decl{},
 		ifaces: map[*types.Interface]bool{}, outside: map[token.Pos]bool{}, edges: map[token.Pos][]token.Pos{}, reachable: map[token.Pos]bool{},
+		written: map[token.Pos][]token.Pos{},
 	}
 	s.std = importer.ForCompiler(s.fset, "source", nil)
 	if err := s.discover(root, false); err != nil {
@@ -508,6 +552,18 @@ func (s *surface) report(w io.Writer, allow map[string]string) (counts map[strin
 		}
 		counts[pkgOf(d)] = c
 	}
+	options, unset := 0, 0
+	fmt.Fprintln(w, "options no caller sets (a test or the type's own method is no caller):")
+	for _, d := range internal {
+		for _, f := range s.optionFields(d) {
+			options++
+			if !slices.ContainsFunc(s.written[f.Pos()], func(recv token.Pos) bool { return recv != d.pos }) {
+				unset++
+				line(&decl{pos: f.Pos(), unit: d.unit, name: d.name + "." + f.Name()},
+					"is an option no caller sets: delete it, unexport it or allowlist it")
+			}
+		}
+	}
 	for k := range allow {
 		if !excused[k] {
 			problems = append(problems, fmt.Sprintf("allowlist: %s excuses nothing (now used, or gone): drop the line", k))
@@ -515,9 +571,29 @@ func (s *surface) report(w io.Writer, allow map[string]string) (counts map[strin
 	}
 	sort.Strings(problems)
 
-	fmt.Fprintf(w, "surface: %d exported names and methods under internal/, %d with no use outside their package, %d unreachable declarations\n",
-		total.exported, total.unused, dead)
+	fmt.Fprintf(w, "surface: %d exported names and methods under internal/, %d with no use outside their package, %d unreachable declarations, %d exported option fields, %d that no caller sets\n",
+		total.exported, total.unused, dead, options, unset)
 	return counts, problems
+}
+
+// optionFields returns the exported fields of d when d declares an
+// exported struct type named *Config or *Options.
+func (s *surface) optionFields(d *decl) []*types.Var {
+	if !d.exported || !(strings.HasSuffix(d.name, "Config") || strings.HasSuffix(d.name, "Options")) {
+		return nil
+	}
+	tn, ok := d.unit.pkg.Scope().Lookup(d.name).(*types.TypeName) // a method's Type.Name finds nothing
+	if !ok {
+		return nil
+	}
+	st, _ := tn.Type().Underlying().(*types.Struct)
+	var fields []*types.Var
+	for i := 0; st != nil && i < st.NumFields(); i++ {
+		if st.Field(i).Exported() {
+			fields = append(fields, st.Field(i))
+		}
+	}
+	return fields
 }
 
 // surfaceProblems is `doccheck -surface`, run from the repository root:

@@ -13,8 +13,8 @@ import (
 
 // sections splits a report into the names each list holds, with the note
 // the report hung on each ("" when the entry is a problem).
-func sections(report string) (unreachable, unused map[string]string) {
-	unreachable, unused = map[string]string{}, map[string]string{}
+func sections(report string) (unreachable, unused, unset map[string]string) {
+	unreachable, unused, unset = map[string]string{}, map[string]string{}, map[string]string{}
 	var into map[string]string
 	for _, line := range strings.Split(report, "\n") {
 		switch {
@@ -22,6 +22,8 @@ func sections(report string) (unreachable, unused map[string]string) {
 			into = unreachable
 		case strings.HasPrefix(line, "exported,"):
 			into = unused
+		case strings.HasPrefix(line, "options"):
+			into = unset
 		case strings.HasPrefix(line, "per package"):
 			into = nil
 		case into != nil && strings.HasPrefix(line, "  "):
@@ -29,7 +31,7 @@ func sections(report string) (unreachable, unused map[string]string) {
 			into[f[1]] = strings.Join(f[2:], " ")
 		}
 	}
-	return unreachable, unused
+	return unreachable, unused, unset
 }
 
 // unpack writes the `-- path --` sections of a testdata archive under dir.
@@ -58,7 +60,10 @@ func unpack(t *testing.T, archive, dir string) {
 // interface calls (fmt.Stringer, and one the binary declares itself), a
 // type only held and a name only the nested module uses in neither; an
 // allowlisted entry listed but no problem; a stale allowlist line a
-// problem. Offline, and quick enough to run on every change.
+// problem. Of an option struct's fields, the one only a test sets and the
+// one only the type's own normalize sets are unset options; the one a
+// binary sets and the one only the nested module sets are not. Offline,
+// and quick enough to run on every change.
 func TestSurfaceFixture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the standard library from source")
@@ -79,7 +84,7 @@ func TestSurfaceFixture(t *testing.T) {
 	}
 	var out bytes.Buffer
 	counts, problems := s.report(&out, allow)
-	unreachable, unused := sections(out.String())
+	unreachable, unused, unset := sections(out.String())
 
 	keys := func(m map[string]string) string {
 		var ks []string
@@ -95,14 +100,18 @@ func TestSurfaceFixture(t *testing.T) {
 	if got, want := keys(unused), "Dead OnlyTested Parked Report.Unasked"; got != want {
 		t.Errorf("no-outside-use list = %q, want %q\n%s", got, want, out.String())
 	}
+	if got, want := keys(unset), "Config.Defaulted Config.Tested"; got != want {
+		t.Errorf("unset-option list = %q, want %q\n%s", got, want, out.String())
+	}
 	if note := unreachable["internal/lib.Parked"]; !strings.Contains(note, "allowlisted: kept on purpose") {
 		t.Errorf("the allowlisted entry carries %q, want its reason", note)
 	}
-	if got := counts["internal/lib"]; got != (pkgCount{exported: 11, unused: 4}) {
-		t.Errorf("internal/lib counts %+v, want 11 exported, 4 without outside use", got)
+	if got := counts["internal/lib"]; got != (pkgCount{exported: 13, unused: 4}) {
+		t.Errorf("internal/lib counts %+v, want 13 exported, 4 without outside use", got)
 	}
-	// Two problems each for Dead, OnlyTested and Unasked; none for Parked.
-	if len(problems) != 6 || strings.Contains(strings.Join(problems, "\n"), "Parked") {
+	// Two problems each for Dead, OnlyTested and Unasked, one each for the
+	// two unset options; none for Parked.
+	if len(problems) != 8 || strings.Contains(strings.Join(problems, "\n"), "Parked") {
 		t.Errorf("problems = %q", problems)
 	}
 
@@ -147,8 +156,8 @@ func TestExportSurface(t *testing.T) {
 		"internal/mem":         {15, 0},
 		"internal/netchaos":    {14, 0},
 		"internal/pathprof":    {24, 0},
-		"internal/pgo":         {7, 0},
-		"internal/profile":     {99, 27},
+		"internal/pgo":         {5, 0},
+		"internal/profile":     {98, 27},
 		"internal/runner":      {22, 1},
 		"internal/server":      {4, 0},
 		"internal/sim":         {22, 0},

@@ -196,7 +196,7 @@ func main() {
 			fmt.Errorf("pmsim: -deadline %v expired", *deadline))
 		defer cancel()
 	}
-	sh, err := runner.RunShard(ctx, prog, ccfg, ucfg, plan, 0, also)
+	sh, err := runner.RunShard(ctx, prog, ccfg, ucfg, plan, also)
 	stop() // a second signal now kills the process the default way
 	interrupted := errors.Is(err, cpu.ErrCanceled)
 	if err != nil && !interrupted {

@@ -40,7 +40,7 @@ func main() {
 		CountMode:    core.CountInstructions,
 		IntervalMode: core.IntervalGeometric,
 		Seed:         3,
-	}, nil, 0, nil)
+	}, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func main() {
 	}
 	var misses []missInfo
 	var memSamples int
-	sh, err := runner.RunShard(context.Background(), prog, ccfg, ucfg, nil, 0, func(ss []core.Sample) {
+	sh, err := runner.RunShard(context.Background(), prog, ccfg, ucfg, nil, func(ss []core.Sample) {
 		for _, s := range ss {
 			r := s.First
 			if !r.AddrValid {

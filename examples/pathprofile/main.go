@@ -35,7 +35,7 @@ func main() {
 		CountMode:    core.CountInstructions,
 		IntervalMode: core.IntervalGeometric,
 		Seed:         2,
-	}, nil, 0, func(ss []core.Sample) { samples = append(samples, ss...) }); err != nil {
+	}, nil, func(ss []core.Sample) { samples = append(samples, ss...) }); err != nil {
 		log.Fatal(err)
 	}
 
@@ -45,7 +45,7 @@ func main() {
 	if _, err := runner.RunShard(context.Background(), prog, ccfg, core.Config{
 		Paired: true, MeanInterval: 37, Window: 30, BufferDepth: 32,
 		CountMode: core.CountInstructions, IntervalMode: core.IntervalGeometric, Seed: 8,
-	}, nil, 0, edges.Handler()); err != nil {
+	}, nil, edges.Handler()); err != nil {
 		log.Fatal(err)
 	}
 

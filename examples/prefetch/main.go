@@ -58,7 +58,7 @@ func main() {
 	}
 	db := profile.NewDB(ucfg.MeanInterval, 0, ccfg.SustainedIssueWidth)
 	db.RetainAddrs = 16
-	sh, err := runner.RunShard(context.Background(), prog, ccfg, ucfg, nil, 0, db.Handler())
+	sh, err := runner.RunShard(context.Background(), prog, ccfg, ucfg, nil, db.Handler())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func main() {
 	fmt.Printf("baseline: %d cycles (CPI %.2f)\n", base.Cycles, base.CPI())
 
 	// 2. Analyze: miss-heavy loads with detectable strides.
-	cands := pgo.Analyze(db, prog, pgo.DefaultAnalyzeOptions())
+	cands := pgo.Analyze(db, prog)
 	if len(cands) == 0 {
 		log.Fatal("no prefetch candidates found")
 	}

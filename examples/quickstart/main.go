@@ -71,7 +71,7 @@ func main() {
 
 	// 3. Run: the unit's samples feed the shard's per-PC aggregation
 	// database, the profiling software's handler on each interrupt.
-	sh, err := runner.RunShard(context.Background(), prog, ccfg, ucfg, nil, 0, nil)
+	sh, err := runner.RunShard(context.Background(), prog, ccfg, ucfg, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -217,7 +217,7 @@ func (rt *Router) postAdopt(ctx context.Context, owner hop, from string, shards 
 	if err != nil {
 		return 0, err
 	}
-	status, raw, err := roundTrip(ctx, rt.client, http.MethodPost, owner.url+"/v1/ledger/adopt", body, rt.cfg.SubmitDeadline, 1<<20)
+	status, raw, err := roundTrip(ctx, rt.client, http.MethodPost, owner.url+"/v1/ledger/adopt", body, rt.cfg.submitDeadline, 1<<20)
 	if status == 0 {
 		return 0, err
 	}
@@ -361,7 +361,7 @@ func (rt *Router) removeInstanceLocked(ctx context.Context, id string, newRing *
 // serialized envelope bytes (byte-identical across retries).
 func (rt *Router) exportHandoff(ctx context.Context, base string) ([]byte, error) {
 	// A handoff envelope is a whole aggregate: bound generously (the
-	// receiving side's MaxHandoffBytes is the real limit).
+	// receiver caps it at 8 × its -max-body, the real limit).
 	status, raw, err := roundTrip(ctx, rt.client, http.MethodPost, base+"/v1/handoff/export", nil, 0, 256<<20)
 	if err == nil && status != http.StatusOK {
 		err = answered("export", status, raw)

@@ -180,10 +180,9 @@ func TestNemesisSoak(t *testing.T) {
 	cfg := RouterConfig{
 		FailureThreshold: 2,
 		HedgeDelay:       -1,
-		SubmitDeadline:   5 * time.Second,
+		submitDeadline:   5 * time.Second,
 		QueryDeadline:    2 * time.Second,
 		Witness:          true,
-		Client:           &http.Client{Timeout: 10 * time.Second, Transport: plan.Transport("router", nil)},
 	}
 	for _, id := range ids[:3] {
 		cfg.Instances = append(cfg.Instances, Instance{ID: id, BaseURL: fleet[id].ts.URL})
@@ -193,6 +192,7 @@ func TestNemesisSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.client = &http.Client{Timeout: 10 * time.Second, Transport: plan.Transport("router", nil)}
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 	epoch0 := membershipEpoch(t, front.URL)

@@ -40,15 +40,11 @@ type RouterConfig struct {
 	// duplicate request races it (default 250ms; the first response
 	// wins). 0 uses the default; negative disables hedging.
 	HedgeDelay time.Duration
-	// SubmitDeadline bounds one submission proxy attempt (default 15s).
-	SubmitDeadline time.Duration
 	// FailureThreshold consecutive transport failures mark an instance
 	// Down (default 3).
 	FailureThreshold int
 	// MaxBodyBytes bounds a proxied submission body (default 8 MiB).
 	MaxBodyBytes int64
-	// RetryAfter is the hint on 429/503 responses (default 1s).
-	RetryAfter time.Duration
 	// Witness enables witness replication: every acknowledged
 	// submission is forwarded to the ring successor of the acknowledging
 	// instance as a witness copy, and AntiEntropy can rebuild an
@@ -59,12 +55,12 @@ type RouterConfig struct {
 	// determinism; production leaves it false — witness copies are
 	// best-effort redundancy behind the WAL.
 	WitnessSync bool
-	// Client is the outbound HTTP client (default: 30s timeout).
-	Client *http.Client
 	// Log receives degradation lines (nil = silent). Writes are
 	// serialized by the router's own mutex and carry the instance id
 	// they concern, so concurrent soak output stays attributable.
 	Log io.Writer
+
+	submitDeadline time.Duration // test seam: one proxied submission attempt; 0 = 15s
 }
 
 func (c *RouterConfig) normalize() error {
@@ -87,20 +83,14 @@ func (c *RouterConfig) normalize() error {
 	if c.HedgeDelay == 0 {
 		c.HedgeDelay = 250 * time.Millisecond
 	}
-	if c.SubmitDeadline == 0 {
-		c.SubmitDeadline = 15 * time.Second
+	if c.submitDeadline == 0 {
+		c.submitDeadline = 15 * time.Second
 	}
 	if c.FailureThreshold == 0 {
 		c.FailureThreshold = 3
 	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 8 << 20
-	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: 30 * time.Second}
 	}
 	return nil
 }
@@ -148,7 +138,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	return &Router{
 		cfg:     cfg,
 		members: newMembers(cfg.FailureThreshold, cfg.VNodes, cfg.Seed, cfg.Instances),
-		client:  cfg.Client,
+		client:  &http.Client{Timeout: 30 * time.Second},
 	}, nil
 }
 
@@ -176,7 +166,7 @@ func (rt *Router) Handler() http.Handler {
 // its own or an instance's it relays, carries the Retry-After hint.
 func (rt *Router) writeJSON(w http.ResponseWriter, status int, v any) {
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(int(rt.cfg.RetryAfter.Seconds())))
+		w.Header().Set("Retry-After", "1")
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -319,7 +309,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) forwardSubmit(ctx context.Context, to hop, body []byte) (int, []byte, error) {
-	return roundTrip(ctx, rt.client, http.MethodPost, to.url+"/v1/submit", body, rt.cfg.SubmitDeadline, 1<<20)
+	return roundTrip(ctx, rt.client, http.MethodPost, to.url+"/v1/submit", body, rt.cfg.submitDeadline, 1<<20)
 }
 
 // roundTrip is the package's one HTTP exchange: method on url, with body

@@ -58,7 +58,7 @@ func (rt *Router) sendWitness(ctx context.Context, holder hop, shard, origin str
 		rt.n.witnessFailed.Add(1)
 		return
 	}
-	status, _, err := roundTrip(ctx, rt.client, http.MethodPost, holder.url+"/v1/witness", payload, rt.cfg.SubmitDeadline, 4096)
+	status, _, err := roundTrip(ctx, rt.client, http.MethodPost, holder.url+"/v1/witness", payload, rt.cfg.submitDeadline, 4096)
 	if status == 0 {
 		rt.n.witnessFailed.Add(1)
 		rt.logf("witness shard %s: holder %s unreachable (%v)", shard, holder.id, err)
@@ -201,7 +201,7 @@ func (rt *Router) resubmitWitness(ctx context.Context, holderBase, ownerBase, or
 	if err != nil {
 		return err
 	}
-	status, raw, err := roundTrip(ctx, rt.client, http.MethodPost, ownerBase+"/v1/submit", body, rt.cfg.SubmitDeadline, 4096)
+	status, raw, err := roundTrip(ctx, rt.client, http.MethodPost, ownerBase+"/v1/submit", body, rt.cfg.submitDeadline, 4096)
 	switch {
 	case status == 0:
 		return err
@@ -216,7 +216,7 @@ func (rt *Router) pruneWitness(ctx context.Context, holderBase, origin string, s
 	if err != nil {
 		return 0, err
 	}
-	status, body, err := roundTrip(ctx, rt.client, http.MethodPost, holderBase+"/v1/witness/prune", payload, rt.cfg.SubmitDeadline, 4096)
+	status, body, err := roundTrip(ctx, rt.client, http.MethodPost, holderBase+"/v1/witness/prune", payload, rt.cfg.submitDeadline, 4096)
 	if status == 0 {
 		return 0, err
 	}

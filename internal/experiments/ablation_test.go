@@ -47,7 +47,7 @@ func TestAblations(t *testing.T) {
 // shard is one profiled run: the unit's samples reach the shard's database
 // and also.
 func shard(prog *isa.Program, ccfg cpu.Config, ucfg core.Config, also func([]core.Sample)) (runner.Shard, error) {
-	return runner.RunShard(context.Background(), prog, ccfg, ucfg, nil, 0, also)
+	return runner.RunShard(context.Background(), prog, ccfg, ucfg, nil, also)
 }
 
 // realizeS rescales the shard's database by the realized sampling
@@ -296,7 +296,7 @@ func TestRealizeSOnLossyShard(t *testing.T) {
 	ucfg := core.DefaultConfig()
 	ucfg.MeanInterval = 16
 	ucfg.BufferDepth = 4
-	sh, err := runner.RunShard(context.Background(), workload.Compress(100_000), cpu.DefaultConfig(), ucfg, plan, 0, nil)
+	sh, err := runner.RunShard(context.Background(), workload.Compress(100_000), cpu.DefaultConfig(), ucfg, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,7 +152,7 @@ func blindSpot(cfg blindSpotConfig) (*blindSpotResult, error) {
 	ucfg := core.DefaultConfig()
 	ucfg.MeanInterval = cfg.MeanInterval
 	ucfg.BufferDepth = 16
-	sh, err := runner.RunShard(context.TODO(), prog, ccfg, ucfg, nil, 0, nil)
+	sh, err := runner.RunShard(context.TODO(), prog, ccfg, ucfg, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -233,7 +233,7 @@ func convergenceRunTiming(bench workload.Benchmark, scale int, interval float64,
 	// The database counts retired samples per PC; a retired sample that
 	// also missed the D-cache has no database count of its own.
 	sampledMiss := make(map[uint64]uint64)
-	sh, err := runner.RunShard(context.TODO(), prog, ccfg, ucfg, nil, 0, func(ss []core.Sample) {
+	sh, err := runner.RunShard(context.TODO(), prog, ccfg, ucfg, nil, func(ss []core.Sample) {
 		for _, s := range ss {
 			if r := s.First; r.Retired() && r.Events.Has(core.EvDCacheMiss) {
 				sampledMiss[r.PC]++

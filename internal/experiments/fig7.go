@@ -65,7 +65,7 @@ func figure7(cfg figure7Config) (*figure7Result, error) {
 		IntervalMode: core.IntervalGeometric,
 		Seed:         cfg.Seed,
 	}
-	sh, err := runner.RunShard(context.TODO(), prog, ccfg, ucfg, nil, 0, nil)
+	sh, err := runner.RunShard(context.TODO(), prog, ccfg, ucfg, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("fig7: %w", err)
 	}

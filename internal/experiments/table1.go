@@ -60,7 +60,7 @@ func table1(cfg table1Config) (*table1Result, error) {
 		ucfg.MeanInterval = cfg.MeanInterval
 		ucfg.BufferDepth = 64
 		ucfg.Seed = cfg.Seed
-		sh, err := runner.RunShard(context.TODO(), prog, ccfg, ucfg, nil, 0, nil)
+		sh, err := runner.RunShard(context.TODO(), prog, ccfg, ucfg, nil, nil)
 		if err != nil {
 			return table1Row{}, fmt.Errorf("table1: %s: %w", name, err)
 		}

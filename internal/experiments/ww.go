@@ -175,7 +175,7 @@ func ww(cfg wwConfig) (*wwResult, error) {
 	sh, err := runner.RunShard(context.TODO(), prog, ccfg2, core.Config{
 		MeanInterval: pmInterval, Window: 80, BufferDepth: 64,
 		CountMode: core.CountFetchOpportunities, IntervalMode: core.IntervalGeometric, Seed: 3,
-	}, nil, 0, nil)
+	}, nil, nil)
 	if err != nil {
 		return nil, err
 	}

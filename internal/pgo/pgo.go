@@ -29,23 +29,17 @@ type Candidate struct {
 	Stride   int64   // detected address stride per execution (0 = none)
 }
 
-// AnalyzeOptions tunes the candidate selection.
-type AnalyzeOptions struct {
-	MinSamples   uint64  // ignore PCs with fewer samples
-	MinMissRate  float64 // only miss-heavy loads are worth prefetching
-	MinMeanLat   float64 // cycles; skip loads the cache already serves
-	MaxCandidate int     // cap on returned candidates (0 = no cap)
-}
-
-// DefaultAnalyzeOptions returns sensible thresholds.
-func DefaultAnalyzeOptions() AnalyzeOptions {
-	return AnalyzeOptions{MinSamples: 8, MinMissRate: 0.3, MinMeanLat: 20}
-}
+// The candidate thresholds.
+const (
+	minSamples  = 8   // ignore PCs with fewer samples
+	minMissRate = 0.3 // only miss-heavy loads are worth prefetching
+	minMeanLat  = 20  // cycles; skip loads the cache already serves
+)
 
 // Analyze scans the profile database for miss-heavy strided loads. The
 // database must have been collected with RetainAddrs > 1 so stride
 // detection has addresses to work with.
-func Analyze(db *profile.DB, prog *isa.Program, opts AnalyzeOptions) []Candidate {
+func Analyze(db *profile.DB, prog *isa.Program) []Candidate {
 	var out []Candidate
 	for _, pc := range db.PCs() {
 		in, ok := prog.At(pc)
@@ -53,12 +47,12 @@ func Analyze(db *profile.DB, prog *isa.Program, opts AnalyzeOptions) []Candidate
 			continue
 		}
 		a := db.Get(pc)
-		if a.Samples < opts.MinSamples || a.MemLatCount == 0 {
+		if a.Samples < minSamples || a.MemLatCount == 0 {
 			continue
 		}
 		missRate := profile.RateEstimate(a.EventCount(core.EvDCacheMiss), a.Samples)
 		meanLat := float64(a.MemLatSum) / float64(a.MemLatCount)
-		if missRate < opts.MinMissRate || meanLat < opts.MinMeanLat {
+		if missRate < minMissRate || meanLat < minMeanLat {
 			continue
 		}
 		stride := detectStride(a.Addrs)
@@ -74,9 +68,6 @@ func Analyze(db *profile.DB, prog *isa.Program, opts AnalyzeOptions) []Candidate
 		}
 		return out[i].PC < out[j].PC
 	})
-	if opts.MaxCandidate > 0 && len(out) > opts.MaxCandidate {
-		out = out[:opts.MaxCandidate]
-	}
 	return out
 }
 

@@ -240,7 +240,7 @@ func TestEndToEndPrefetchSpeedup(t *testing.T) {
 	base := run(prog, db)
 
 	// 2. Analyze: the strided load must surface as the top candidate.
-	cands := Analyze(db, prog, DefaultAnalyzeOptions())
+	cands := Analyze(db, prog)
 	if len(cands) == 0 {
 		t.Fatal("no candidates found")
 	}

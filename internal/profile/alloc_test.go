@@ -85,7 +85,7 @@ func TestWideMergeAlloc(t *testing.T) {
 	now := time.Unix(1000, 0)
 	for _, row := range submitAlloc {
 		agg := NewSafeDBWith(aggregateOf(row.aggPCs), SketchConfig{
-			TopK: 512, WindowBuckets: 60, BucketDur: time.Second, Now: func() time.Time { return now },
+			TopK: 512, WindowBuckets: 60, BucketDur: time.Second, now: func() time.Time { return now },
 		})
 		shards := make([][]byte, wideCadence)
 		for i := range shards {

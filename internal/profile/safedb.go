@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"profileme/internal/core"
-	"profileme/internal/isa"
 )
 
 // SafeDB wraps a DB with an RWMutex for writers plus an epoch-based
@@ -61,10 +60,10 @@ func NewSafeDBWith(db *DB, cfg SketchConfig) *SafeDB {
 		cfg:    cfg,
 		topk:   newSpaceSaving(cfg.TopK),
 		window: newWindowRing(cfg.WindowBuckets, cfg.BucketDur, cfg.TopK),
-		inprog: newQuantileSketch(cfg.Alpha),
+		inprog: newQuantileSketch(),
 	}
 	for i := range s.lat {
-		s.lat[i] = newQuantileSketch(cfg.Alpha)
+		s.lat[i] = newQuantileSketch()
 	}
 	db.eachAscending(s.sketch)
 	s.mu.Lock()
@@ -102,7 +101,7 @@ func (s *SafeDB) publishLocked(rows bool) {
 	s.epoch++
 	v := &View{
 		Epoch: s.epoch,
-		When:  s.cfg.Now(),
+		When:  s.cfg.now(),
 		Counters: Counters{
 			Samples:         s.db.Samples(),
 			Pairs:           s.db.Pairs(),
@@ -165,7 +164,7 @@ func (s *SafeDB) SamplingConfig() (interval float64, window, width int, tNear in
 // decoded shard's rows go back to LoadDB's pool, and only its totals
 // (Samples, Lost) may still be read.
 func (s *SafeDB) Merge(other *DB) error {
-	now := s.cfg.Now()
+	now := s.cfg.now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.db.mergeable(other); err != nil {
@@ -309,7 +308,7 @@ func (s *SafeDB) HotPCsExact(n int) []PCAccum {
 // first query after a change pays the O(K * buckets) merge. Rows are
 // sketch estimates only — per-bucket rings keep no accumulators.
 func (s *SafeDB) WindowHotPCs(window time.Duration, n int) WindowResult {
-	return s.window.query(s.cfg.Now(), window, n)
+	return s.window.query(s.cfg.now(), window, n)
 }
 
 // Save writes the aggregate as a versioned, checksummed envelope (read
@@ -330,13 +329,6 @@ func (s *SafeDB) Save(w io.Writer) error {
 		s.saveOrder.Store(accs)
 	}
 	return s.db.save(w, *accs)
-}
-
-// Report renders the hot-instruction table (read lock; exact path).
-func (s *SafeDB) Report(prog *isa.Program, n int) string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.db.Report(prog, n)
 }
 
 // copyAccum deep-copies an accumulator so the result shares no slices

@@ -224,9 +224,9 @@ func (s *spaceSaving) siftDown(i int) {
 	}
 }
 
-// defaultQuantileAlpha is the default relative-error target for quantile
-// sketches: a reported quantile is within ±5% of the exact value.
-const defaultQuantileAlpha = 0.05
+// quantileAlpha is the quantile sketches' relative-error target: a
+// reported quantile is within ±5% of the exact value.
+const quantileAlpha = 0.05
 
 // quantileSketch is a DDSketch-style log-bucketed histogram over
 // non-negative values (cycle latencies here): bucket i covers
@@ -239,7 +239,6 @@ const defaultQuantileAlpha = 0.05
 // NOT safe for concurrent use — SafeDB owns its sketches under the write
 // lock and publishes computed summaries into the read view.
 type quantileSketch struct {
-	alpha  float64
 	gamma  float64
 	lgamma float64
 	zero   uint64
@@ -247,14 +246,11 @@ type quantileSketch struct {
 	bkt    map[int]uint64
 }
 
-// newQuantileSketch returns an empty sketch with the given relative-
-// error target (defaultQuantileAlpha when alpha <= 0 or >= 1).
-func newQuantileSketch(alpha float64) *quantileSketch {
-	if alpha <= 0 || alpha >= 1 {
-		alpha = defaultQuantileAlpha
-	}
+// newQuantileSketch returns an empty sketch.
+func newQuantileSketch() *quantileSketch {
+	alpha := float64(quantileAlpha) // a variable: gamma is float64 arithmetic, not an exact constant
 	gamma := (1 + alpha) / (1 - alpha)
-	return &quantileSketch{alpha: alpha, gamma: gamma, lgamma: math.Log(gamma), bkt: make(map[int]uint64)}
+	return &quantileSketch{gamma: gamma, lgamma: math.Log(gamma), bkt: make(map[int]uint64)}
 }
 
 // addN folds n identical observations in one O(1) update: a merged shard
@@ -274,7 +270,7 @@ func (q *quantileSketch) addN(v float64, n uint64) {
 	q.bkt[i] += n
 }
 
-// quantile returns the estimated q-quantile (q in [0,1]), within Alpha
+// quantile returns the estimated q-quantile (q in [0,1]), within alpha
 // relative error of the exact quantile of the observed stream. With no
 // observations it returns 0.
 func (q *quantileSketch) quantile(p float64) float64 {
@@ -330,6 +326,6 @@ func (q *quantileSketch) summarize(kind string) quantileSummary {
 		P50:      q.quantile(0.50),
 		P90:      q.quantile(0.90),
 		P99:      q.quantile(0.99),
-		RelError: q.alpha,
+		RelError: quantileAlpha,
 	}
 }

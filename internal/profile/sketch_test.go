@@ -163,7 +163,7 @@ func TestSpaceSavingMergeBounds(t *testing.T) {
 func TestQuantileSketchRelativeError(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
-		q := newQuantileSketch(defaultQuantileAlpha)
+		q := newQuantileSketch()
 		n := rng.IntRange(500, 10000)
 		vals := make([]float64, n)
 		for i := range vals {
@@ -179,9 +179,9 @@ func TestQuantileSketchRelativeError(t *testing.T) {
 		for _, p := range []float64{0.5, 0.9, 0.99} {
 			exact := vals[int(p*float64(n-1))]
 			got := q.quantile(p)
-			if rel := math.Abs(got-exact) / exact; rel > q.alpha+1e-9 {
+			if rel := math.Abs(got-exact) / exact; rel > quantileAlpha+1e-9 {
 				t.Errorf("seed %d: p%.0f = %g, exact %g, rel err %.4f > alpha %.4f",
-					seed, p*100, got, exact, rel, q.alpha)
+					seed, p*100, got, exact, rel, quantileAlpha)
 				return false
 			}
 		}
@@ -249,7 +249,7 @@ func TestMergeWalkFeedsWindowRing(t *testing.T) {
 	base := time.Unix(1000, 0)
 	now := base
 	agg := NewSafeDBWith(NewDB(16, 0, 4), SketchConfig{
-		TopK: 32, WindowBuckets: 4, BucketDur: time.Second, Now: func() time.Time { return now },
+		TopK: 32, WindowBuckets: 4, BucketDur: time.Second, now: func() time.Time { return now },
 	})
 	batched, single := agg.window, newWindowRing(4, time.Second, 32)
 	for i, shard := range []*DB{safeShard(1), safeShard(2), safeShard(9)} {
@@ -462,7 +462,7 @@ func TestViewLatencySummaries(t *testing.T) {
 	// The Add-path stream fed 100 identical fetch->retire-ready spans of
 	// 50 cycles plus the shard's; p50 must be within alpha of 50 or the
 	// shard's 5 — either way far from zero and positive.
-	if ip.P50 <= 0 || ip.RelError != defaultQuantileAlpha {
+	if ip.P50 <= 0 || ip.RelError != quantileAlpha {
 		t.Fatalf("inprogress summary wrong: %+v", ip)
 	}
 }
@@ -705,7 +705,7 @@ func TestMergeIsDeterministic(t *testing.T) {
 	}
 	merged := func(decoded bool) outcome {
 		agg := NewSafeDBWith(NewDB(16, 0, 4), SketchConfig{
-			TopK: 64, WindowBuckets: 4, BucketDur: time.Second, Now: func() time.Time { return now },
+			TopK: 64, WindowBuckets: 4, BucketDur: time.Second, now: func() time.Time { return now },
 		})
 		for i, shard := range shards {
 			if decoded {

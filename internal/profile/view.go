@@ -149,11 +149,8 @@ type SketchConfig struct {
 	// buckets of 1s: a one-minute horizon at second granularity).
 	WindowBuckets int
 	BucketDur     time.Duration
-	// Alpha is the quantile sketches' relative-error target (default
-	// defaultQuantileAlpha).
-	Alpha float64
-	// Now is the clock (default time.Now); tests inject a fake.
-	Now func() time.Time
+
+	now func() time.Time // test seam; nil = time.Now
 }
 
 func (c *SketchConfig) normalize() {
@@ -166,10 +163,7 @@ func (c *SketchConfig) normalize() {
 	if c.BucketDur <= 0 {
 		c.BucketDur = time.Second
 	}
-	if c.Alpha <= 0 || c.Alpha >= 1 {
-		c.Alpha = defaultQuantileAlpha
-	}
-	if c.Now == nil {
-		c.Now = time.Now
+	if c.now == nil {
+		c.now = time.Now
 	}
 }

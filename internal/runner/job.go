@@ -67,8 +67,8 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("runner: job panicked: %s\n%s", e.Value, e.Stack)
 }
 
-// transientErr reports whether a failure is worth retrying: livelocks,
-// cycle-budget and wall-clock deadline overruns are timing pathologies
+// transientErr reports whether a failure is worth retrying: livelocks
+// and wall-clock deadline overruns are timing pathologies
 // that a different sampling/fault stream usually avoids, and a
 // SubmitError consults the collector's own taxonomy (429/503/5xx/
 // transport transient, other 4xx permanent). Panics and
@@ -78,9 +78,7 @@ func transientErr(err error) bool {
 	if errors.As(err, &se) {
 		return se.Transient()
 	}
-	return errors.Is(err, cpu.ErrLivelock) ||
-		errors.Is(err, cpu.ErrCanceled) ||
-		errors.Is(err, cpu.ErrCycleLimit)
+	return errors.Is(err, cpu.ErrLivelock) || errors.Is(err, cpu.ErrCanceled)
 }
 
 // mix64 is a splitmix64-style finalizer for seed derivation.
@@ -135,7 +133,7 @@ func (f *Fleet) simulate(ctx context.Context, job Job, seed uint64) (*jobArtifac
 	}
 	ucfg := f.cfg.Sampling
 	ucfg.Seed = seed
-	sh, err := RunShard(ctx, prog, f.cfg.CPU, ucfg, plan, f.cfg.MaxCycles, nil)
+	sh, err := RunShard(ctx, prog, f.cfg.CPU, ucfg, plan, nil)
 	art := &jobArtifacts{db: sh.DB, res: sh.Result, stats: sh.Stats}
 	if plan != nil {
 		art.faults = plan.Counts()

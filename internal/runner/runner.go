@@ -57,21 +57,9 @@ type executeFunc func(ctx context.Context, job Job, seed uint64) (*jobArtifacts,
 type Config struct {
 	// Workers is the worker-pool bound (default 1).
 	Workers int
-	// MaxAttempts is the per-job attempt budget before dead-lettering
-	// (default 3).
-	MaxAttempts int
 	// Deadline bounds each attempt's wall-clock time (0 = none); it is
 	// enforced as real cancellation inside the pipeline.
 	Deadline time.Duration
-	// Grace is how long in-flight jobs may keep running after the Run
-	// context is canceled before they are hard-canceled (default 2s).
-	Grace time.Duration
-	// BackoffBase/BackoffMax shape the exponential retry backoff
-	// (defaults 100ms / 5s); jitter of ±50% is applied deterministically.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// MaxCycles bounds each attempt's simulated cycles (0 = none).
-	MaxCycles int64
 	// Sampling is the ProfileMe unit configuration every shard runs under
 	// — pmsim builds it from the same flags as its single run — which is
 	// what keeps the shard databases merge-compatible. MeanInterval
@@ -98,6 +86,15 @@ type Config struct {
 
 	execute executeFunc          // test seam; nil = simulate
 	fsync   func(*os.File) error // test seam for the journal; nil = (*os.File).Sync
+
+	// Test seams with their defaults: the per-job attempt budget before
+	// dead-lettering (3); how long in-flight jobs may keep running after
+	// the Run context is canceled before they are hard-canceled (2s); and
+	// the exponential retry backoff, 100ms doubling to at most 5s, with
+	// ±50% jitter applied deterministically.
+	maxAttempts             int
+	grace                   time.Duration
+	backoffBase, backoffMax time.Duration
 }
 
 // normalize fills defaults and validates.
@@ -105,20 +102,17 @@ func (c *Config) normalize() error {
 	if c.Workers == 0 {
 		c.Workers = 1
 	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 3
+	if c.maxAttempts == 0 {
+		c.maxAttempts = 3
 	}
-	if c.Grace == 0 {
-		c.Grace = 2 * time.Second
+	if c.grace == 0 {
+		c.grace = 2 * time.Second
 	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = 100 * time.Millisecond
+	if c.backoffBase == 0 {
+		c.backoffBase = 100 * time.Millisecond
 	}
-	if c.BackoffMax == 0 {
-		c.BackoffMax = 5 * time.Second
-	}
-	if c.BackoffMax < c.BackoffBase {
-		c.BackoffMax = c.BackoffBase
+	if c.backoffMax == 0 {
+		c.backoffMax = 5 * time.Second
 	}
 	if c.Sampling.MeanInterval == 0 {
 		c.Sampling.MeanInterval = 512
@@ -135,16 +129,8 @@ func (c *Config) normalize() error {
 	switch {
 	case c.Workers < 1:
 		return fmt.Errorf("runner: %d workers", c.Workers)
-	case c.MaxAttempts < 1:
-		return fmt.Errorf("runner: attempt budget %d", c.MaxAttempts)
 	case c.Deadline < 0:
 		return fmt.Errorf("runner: negative deadline %v", c.Deadline)
-	case c.Grace < 0:
-		return fmt.Errorf("runner: negative grace %v", c.Grace)
-	case c.BackoffBase < 0:
-		return fmt.Errorf("runner: negative backoff %v", c.BackoffBase)
-	case c.MaxCycles < 0:
-		return fmt.Errorf("runner: negative cycle budget %d", c.MaxCycles)
 	}
 	if err := c.Sampling.Validate(); err != nil {
 		return fmt.Errorf("runner: %w", err)
@@ -278,7 +264,7 @@ var errGraceExpired = errors.New("runner: drain grace period expired")
 
 // Run executes the campaign until every job is done or dead, or until ctx
 // is canceled — then it drains: dispatch stops, in-flight jobs get
-// cfg.Grace to finish, stragglers are hard-canceled (their attempt is not
+// cfg.grace to finish, stragglers are hard-canceled (their attempt is not
 // charged, their attempt count is journaled), and the report says what
 // was completed, retried, dead-lettered, and lost. The journal is open
 // only while Run executes. Run may be called once per Fleet.
@@ -348,7 +334,7 @@ func (f *Fleet) Run(ctx context.Context) (*Report, error) {
 			return
 		case <-ctx.Done():
 		}
-		t := time.NewTimer(f.cfg.Grace)
+		t := time.NewTimer(f.cfg.grace)
 		defer t.Stop()
 		select {
 		case <-t.C:
@@ -455,7 +441,7 @@ func (f *Fleet) runJob(hardCtx context.Context, rec *jobRecord) outcome {
 			return outcome{rec: rec, kind: outInterrupted, attempts: attempts - 1, seed: seed}
 		}
 		f.logf("job %s attempt %d failed: %v", rec.Job.ID, attempts, err)
-		if !transientErr(err) || attempts >= f.cfg.MaxAttempts {
+		if !transientErr(err) || attempts >= f.cfg.maxAttempts {
 			return outcome{rec: rec, kind: outDead, err: err, attempts: attempts, seed: seed}
 		}
 		select {
@@ -490,9 +476,9 @@ func (f *Fleet) backoff(id string, attempt int) time.Duration {
 	if shift > 16 {
 		shift = 16
 	}
-	d := f.cfg.BackoffBase << uint(shift)
-	if d <= 0 || d > f.cfg.BackoffMax {
-		d = f.cfg.BackoffMax
+	d := f.cfg.backoffBase << uint(shift)
+	if d <= 0 || d > f.cfg.backoffMax {
+		d = f.cfg.backoffMax
 	}
 	rng := stats.NewRNG(jobSeed(f.cfg.Seed, id, attempt) ^ 0xb0ff)
 	return time.Duration(float64(d) * (0.5 + rng.Float64()))

@@ -19,10 +19,10 @@ import (
 func testConfig(workers int) Config {
 	return Config{
 		Workers:     workers,
-		MaxAttempts: 3,
-		Grace:       5 * time.Millisecond,
-		BackoffBase: time.Microsecond,
-		BackoffMax:  10 * time.Microsecond,
+		maxAttempts: 3,
+		grace:       5 * time.Millisecond,
+		backoffBase: time.Microsecond,
+		backoffMax:  10 * time.Microsecond,
 		Seed:        7,
 	}
 }
@@ -140,7 +140,7 @@ func TestRetryBackoffAndSeedPerturbation(t *testing.T) {
 // attempt budget and lands in the dead-letter list.
 func TestDeadLetterAfterBudget(t *testing.T) {
 	cfg := testConfig(1)
-	cfg.MaxAttempts = 2
+	cfg.maxAttempts = 2
 	cfg.execute = func(ctx context.Context, job Job, seed uint64) (*jobArtifacts, error) {
 		return nil, fmt.Errorf("still wedged: %w", cpu.ErrLivelock)
 	}
@@ -203,7 +203,7 @@ func TestUnmergeableShardLoggedDeadNotDone(t *testing.T) {
 // and finally dead-lettered — with the deadline actually enforced.
 func TestAttemptDeadlineIsTransient(t *testing.T) {
 	cfg := testConfig(1)
-	cfg.MaxAttempts = 2
+	cfg.maxAttempts = 2
 	cfg.Deadline = 10 * time.Millisecond
 	cfg.execute = func(ctx context.Context, job Job, seed uint64) (*jobArtifacts, error) {
 		<-ctx.Done()
@@ -230,7 +230,7 @@ func TestGracefulDrain(t *testing.T) {
 	started := make(chan string, 16)
 	release := make(chan struct{})
 	cfg := testConfig(1)
-	cfg.Grace = time.Millisecond
+	cfg.grace = time.Millisecond
 	cfg.execute = func(ctx context.Context, job Job, seed uint64) (*jobArtifacts, error) {
 		started <- job.ID
 		if job.ID == "first" {
@@ -342,13 +342,12 @@ func TestSimulatedFleetEndToEnd(t *testing.T) {
 }
 
 // TestChaosFleetRetriesAndSurvives drives the retry path the way the
-// soak does: heavy chaos plus a tight simulated-cycle budget makes some
-// attempts fail transiently; the fleet must still converge with retries
+// soak does: heavy chaos makes some attempts fail transiently; the fleet must still converge with retries
 // and keep the loss ledger.
 func TestChaosFleetRetriesAndSurvives(t *testing.T) {
 	cfg := testConfig(4)
 	cfg.Sampling.MeanInterval = 128
-	cfg.MaxAttempts = 4
+	cfg.maxAttempts = 4
 	jobs := make([]Job, 4)
 	for i := range jobs {
 		jobs[i] = Job{ID: fmt.Sprintf("chaos/s%03d", i), Bench: "compress", Scale: 4000, ChaosRate: 0.3}

@@ -39,19 +39,19 @@ func dbParams(ccfg cpu.Config, ucfg core.Config) (s float64, w, c int) {
 // fleet job, every pmtraffic gen payload, each ProfileMe run of the
 // experiments and examples. It runs prog on a ccfg pipeline with a ucfg
 // ProfileMe unit feeding a fresh database, under plan (nil = no fault
-// injection) attached to both unit and pipeline, for at most maxCycles
-// cycles (0 = no budget) or until ctx is done. also, when non-nil, sees
+// injection) attached to both unit and pipeline, until the program ends
+// or ctx is done. also, when non-nil, sees
 // each delivered sample batch after the database has; it is for what the
 // database does not keep, never for re-counting what it does. A run with
 // no ProfileMe unit is a plain cpu.New call. Outside this function only
 // two runs build a unit (TestOneShardPath names them and why).
 //
 // A configuration error returns the zero Shard. A run that ended early —
-// canceled, out of cycles, livelocked, or a stream that died of a runaway
+// canceled, livelocked, or a stream that died of a runaway
 // PC — returns the partial Shard with cpu.Pipeline.RunContext's error: an
 // interrupted run degrades to a shorter one, loss accounting included.
 func RunShard(ctx context.Context, prog *isa.Program, ccfg cpu.Config, ucfg core.Config,
-	plan *faultinject.Plan, maxCycles int64, also func([]core.Sample)) (Shard, error) {
+	plan *faultinject.Plan, also func([]core.Sample)) (Shard, error) {
 	unit, err := core.NewUnit(ucfg)
 	if err != nil {
 		return Shard{}, err
@@ -71,7 +71,7 @@ func RunShard(ctx context.Context, prog *isa.Program, ccfg cpu.Config, ucfg core
 		unit.AttachFaults(plan)
 		pipe.AttachFaults(plan)
 	}
-	res, err := pipe.RunContext(ctx, maxCycles)
+	res, err := pipe.RunContext(ctx, 0)
 	st := unit.Stats()
 	db.RecordLoss(st.Lost())
 	return Shard{DB: db, Result: res, Stats: st, Pipeline: pipe}, err

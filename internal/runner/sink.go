@@ -208,7 +208,7 @@ func (f *Fleet) submitShard(ctx context.Context, id string, db *profile.DB) erro
 	if err != nil {
 		return fmt.Errorf("runner: encode shard %s: %w", id, err)
 	}
-	return SubmitWithRetry(ctx, f.cfg.Sink, id, body, f.cfg.MaxAttempts, func(attempt int, err error) time.Duration {
+	return SubmitWithRetry(ctx, f.cfg.Sink, id, body, f.cfg.maxAttempts, func(attempt int, err error) time.Duration {
 		f.logf("job %s shard submission attempt %d failed: %v", id, attempt, err)
 		return f.backoff(id+"#submit", attempt)
 	})

@@ -148,8 +148,8 @@ func TestFleetSubmitRetryTaxonomy(t *testing.T) {
 	if got := sink.calls("skewed"); got != 1 {
 		t.Fatalf("skewed submitted %d times, want 1 (409 is permanent)", got)
 	}
-	if got := sink.calls("dead"); got != cfg.MaxAttempts {
-		t.Fatalf("dead submitted %d times, want the %d-attempt budget", got, cfg.MaxAttempts)
+	if got := sink.calls("dead"); got != cfg.maxAttempts {
+		t.Fatalf("dead submitted %d times, want the %d-attempt budget", got, cfg.maxAttempts)
 	}
 }
 

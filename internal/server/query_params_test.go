@@ -28,8 +28,6 @@ func TestQueryParamRejection(t *testing.T) {
 		{"hotpcs window bare negative", "/v1/hotpcs?window=-2"},
 		{"hotpcs sketch garbage", "/v1/hotpcs?sketch=maybe"},
 		{"hotpcs window with exact", "/v1/hotpcs?window=30s&sketch=false"},
-		{"report n not a number", "/v1/report?n=ten"},
-		{"report n out of range", "/v1/report?n=5000"},
 		{"estimate pc missing", "/v1/estimate"},
 		{"estimate pc garbage", "/v1/estimate?pc=zz"},
 		{"estimate pc overflow", "/v1/estimate?pc=0xfffffffffffffffff"},
@@ -72,7 +70,6 @@ func TestQueryParamAccepted(t *testing.T) {
 		"/v1/hotpcs?window=30s",
 		"/v1/hotpcs?window=45",
 		"/v1/hotpcs?window=1m30s&n=3",
-		"/v1/report?n=5",
 	} {
 		if status, body := get(t, h, path); status != http.StatusOK {
 			t.Fatalf("GET %s = %d, want 200 (body %v)", path, status, body)

@@ -16,7 +16,6 @@
 //	GET  /v1/estimate?pc=  per-PC estimator rollup (optionally &event=;
 //	                       &sketch=false forces the exact path)
 //	GET  /v1/stats         ingest/queue/breaker/loss/WAL/witness/sketch counters
-//	GET  /v1/report?n=15   plain-text hot-instruction table
 //	GET  /v1/ledger        admission ledger (anti-entropy reads this)
 //	POST /v1/ledger/adopt  adopt shard ids from a peer (membership change)
 //	POST /v1/handoff/export seal + flush + serialize the aggregate for a
@@ -53,20 +52,16 @@ type Config struct {
 	// every log line (so interleaved tier soak output stays
 	// attributable) and rides in /v1/stats.
 	Instance string
-	// MaxBodyBytes bounds a submission body (default 8 MiB); larger
-	// bodies get 413 before the decoder sees them.
+	// MaxBodyBytes bounds a submission body (default 8 MiB), and eight
+	// times it a handoff body (a donor ships its whole aggregate, not one
+	// shard); larger bodies get 413 before the decoder sees them.
 	MaxBodyBytes int64
-	// MaxHandoffBytes bounds a handoff body (default 8×
-	// MaxBodyBytes): a donor ships its whole aggregate, not one shard.
-	MaxHandoffBytes int64
 	// QueryDeadline bounds each query's handling time (default 2s).
 	QueryDeadline time.Duration
 	// MaxQueries is the query concurrency high-water mark (default 32):
 	// queries beyond it are shed with 503 instead of queueing behind a
 	// saturated aggregate lock.
 	MaxQueries int
-	// RetryAfter is the hint returned with 429/503 (default 1s).
-	RetryAfter time.Duration
 	// Log receives request-level degradation lines (nil = silent).
 	// Writes go through the server's own mutex, one whole line at a
 	// time; share one ingest.SyncWriter with the service when both log
@@ -78,17 +73,11 @@ func (c *Config) normalize() {
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 8 << 20
 	}
-	if c.MaxHandoffBytes == 0 {
-		c.MaxHandoffBytes = 8 * c.MaxBodyBytes
-	}
 	if c.QueryDeadline == 0 {
 		c.QueryDeadline = 2 * time.Second
 	}
 	if c.MaxQueries == 0 {
 		c.MaxQueries = 32
-	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = time.Second
 	}
 }
 
@@ -131,7 +120,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/ledger/adopt", s.handleLedgerAdopt)
 	mux.HandleFunc("/v1/hotpcs", s.query(s.handleHotPCs))
 	mux.HandleFunc("/v1/estimate", s.query(s.handleEstimate))
-	mux.HandleFunc("/v1/report", s.query(s.handleReport))
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/v1/ledger", s.handleLedger)
 	mux.HandleFunc("/v1/witness", s.handleWitnessPut)
@@ -157,7 +145,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func (s *Server) writeErr(w http.ResponseWriter, status int, kind, msg string) {
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds())))
+		w.Header().Set("Retry-After", "1")
 	}
 	writeJSON(w, status, apiError{Error: msg, Kind: kind})
 }
@@ -325,7 +313,7 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.handoffs.Add(1)
-	body, err := s.readBounded(w, r, "handoff", s.cfg.MaxHandoffBytes, nil)
+	body, err := s.readBounded(w, r, "handoff", 8*s.cfg.MaxBodyBytes, nil)
 	if err != nil {
 		return
 	}
@@ -745,19 +733,6 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	resp["mean_latencies"] = lats
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	n, err := intQueryParam(r, "n", 15, 1, 1000)
-	if err != nil {
-		s.writeParamErr(w, err)
-		return
-	}
-	if s.deadlineExpired(w, r) {
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	io.WriteString(w, s.svc.Aggregate().Report(nil, n))
 }
 
 // serverStats augments the ingest stats with HTTP-layer counters.

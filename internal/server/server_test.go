@@ -145,11 +145,6 @@ func TestSubmitAcceptedThenQueryable(t *testing.T) {
 		t.Fatalf("estimate with event: %d %v", status, body)
 	}
 
-	// Plain-text report.
-	status, body = get(t, h, "/v1/report?n=3")
-	if status != http.StatusOK || !strings.Contains(body["_text"].(string), "PC") {
-		t.Fatalf("report: %d %v", status, body)
-	}
 }
 
 // misfitBody is a submission whose CRC-valid profile gives PC 0x400
@@ -318,9 +313,28 @@ func TestSubmitBackpressureAndDrain(t *testing.T) {
 	}
 }
 
+// TestHandoffBodyBound: a handoff body — a donor's whole aggregate — may
+// be eight times MaxBodyBytes. One byte over is refused 413 before the
+// decoder runs; a body at the bound reaches it (garbage, so 400).
+func TestHandoffBodyBound(t *testing.T) {
+	svc := testService(t, nil)
+	h := New(Config{MaxBodyBytes: 512}, svc).Handler()
+
+	status, body := post(t, h, "/v1/handoff", bytes.Repeat([]byte("x"), 8*512+1))
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("handoff one byte over the bound: %d %v", status, body)
+	}
+	wantKind(t, body, "oversized")
+
+	status, body = post(t, h, "/v1/handoff", bytes.Repeat([]byte("x"), 8*512))
+	if status != http.StatusBadRequest || body["kind"] == "oversized" {
+		t.Fatalf("handoff at the bound: %d %v, want 400 from the decoder", status, body)
+	}
+}
+
 func TestRetryAfterHeader(t *testing.T) {
 	svc := testService(t, func(c *ingest.Config) { c.QueueDepth = 1 })
-	srv := New(Config{RetryAfter: 3 * time.Second}, svc)
+	srv := New(Config{}, svc)
 	h := srv.Handler()
 	postSubmit(t, h, "fill", testShard(0, 5))
 
@@ -330,8 +344,8 @@ func TestRetryAfterHeader(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("status %d", rec.Code)
 	}
-	if got := rec.Header().Get("Retry-After"); got != "3" {
-		t.Fatalf("Retry-After %q, want 3", got)
+	if got := rec.Header().Get("Retry-After"); got != "1" {
+		t.Fatalf("Retry-After %q, want 1", got)
 	}
 }
 

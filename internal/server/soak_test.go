@@ -46,7 +46,7 @@ func soakShardDB(t *testing.T, seed uint64) *profile.DB {
 		CountMode:    core.CountInstructions,
 		IntervalMode: core.IntervalGeometric,
 		Seed:         seed,
-	}, nil, 0, nil)
+	}, nil, nil)
 	if err != nil {
 		t.Fatalf("shard sim (seed %d): %v", seed, err)
 	}

@@ -138,7 +138,7 @@ func buildShard(sp *Spec, c *Cohort, bench workload.Benchmark, ci, si int) (*pro
 		MeanInterval: sp.Interval,
 		BufferDepth:  depth,
 		Seed:         mixSeed(sp.Seed, uint64(ci), uint64(si)*2+2),
-	}, nil, 0, nil)
+	}, nil, nil)
 	return sh.DB, err
 }
 

@@ -124,7 +124,7 @@ func replaySegment(cfg Config, path string, seq uint64, apply func(Pos, []byte) 
 	goodOff := int64(segHeaderBytes)
 	var payload []byte // one buffer, reused across the segment's records
 	for {
-		payload, err = frame.ReadRecord(r, payload, cfg.MaxRecordBytes)
+		payload, err = frame.ReadRecord(r, payload, cfg.maxRecordBytes)
 		if err == io.EOF {
 			return goodOff, nil // clean end of segment
 		}

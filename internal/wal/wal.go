@@ -97,9 +97,6 @@ type Config struct {
 	// flight (commit pipelining), which is the right default on fast
 	// disks. Raise it on devices where fsync dominates.
 	FsyncWindow time.Duration
-	// MaxRecordBytes caps one record's payload (default 64 MiB) so a
-	// corrupt length field can never drive allocation on replay.
-	MaxRecordBytes int64
 
 	// Fsync overrides the file sync used for durability verdicts (nil =
 	// (*os.File).Sync). Tests inject fsync failures through it; leave it
@@ -107,6 +104,9 @@ type Config struct {
 	Fsync func(*os.File) error
 
 	now func() time.Time // test seam
+	// maxRecordBytes caps one record's payload (64 MiB; a test seam) so
+	// a corrupt length field can never drive allocation on replay.
+	maxRecordBytes int64
 }
 
 func (c *Config) normalize() error {
@@ -119,11 +119,8 @@ func (c *Config) normalize() error {
 	if c.SegmentBytes < segHeaderBytes+recHeaderBytes {
 		return fmt.Errorf("wal: segment size %d too small", c.SegmentBytes)
 	}
-	if c.MaxRecordBytes == 0 {
-		c.MaxRecordBytes = 64 << 20
-	}
-	if c.MaxRecordBytes < 1 {
-		return fmt.Errorf("wal: record cap %d < 1", c.MaxRecordBytes)
+	if c.maxRecordBytes == 0 {
+		c.maxRecordBytes = 64 << 20
 	}
 	if c.FsyncWindow < 0 {
 		c.FsyncWindow = 0
@@ -451,8 +448,8 @@ func (l *Log) rotateLocked() error {
 // the caller may reuse the buffer at once, before Wait
 // (TestStageKeepsNoPayload).
 func (l *Log) Stage(payload []byte) (Pos, *Ticket, error) {
-	if int64(len(payload)) > l.cfg.MaxRecordBytes {
-		return Pos{}, nil, fmt.Errorf("%w: %d > %d", errTooLarge, len(payload), l.cfg.MaxRecordBytes)
+	if int64(len(payload)) > l.cfg.maxRecordBytes {
+		return Pos{}, nil, fmt.Errorf("%w: %d > %d", errTooLarge, len(payload), l.cfg.maxRecordBytes)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()

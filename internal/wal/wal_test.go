@@ -415,7 +415,7 @@ func TestStageKeepsNoPayload(t *testing.T) {
 
 func TestRecordCap(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(Config{Dir: dir, MaxRecordBytes: 16}, nil)
+	l, _, err := Open(Config{Dir: dir, maxRecordBytes: 16}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
