@@ -157,7 +157,7 @@ func TestExportSurface(t *testing.T) {
 		"internal/netchaos":    {14, 0},
 		"internal/pathprof":    {24, 0},
 		"internal/pgo":         {5, 0},
-		"internal/profile":     {98, 27},
+		"internal/profile":     {89, 19},
 		"internal/runner":      {22, 1},
 		"internal/server":      {4, 0},
 		"internal/sim":         {22, 0},

@@ -60,9 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	fmt.Fprintf(stdout, "profile: %d samples (%d paired), %d lost, interval %.1f, window %d\n",
 		db.Samples(), db.Pairs(), db.Lost(), db.S, db.W)
-	if names := db.PairMetricNames(); len(names) > 0 {
-		fmt.Fprintf(stdout, "custom pair metrics: %v\n", names)
-	}
 	fmt.Fprintln(stdout)
 	fmt.Fprint(stdout, db.Report(nil, *top))
 

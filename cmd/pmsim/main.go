@@ -52,7 +52,6 @@ func main() {
 		scale     = flag.Int("scale", 200_000, "approximate dynamic instruction count")
 		interval  = flag.Float64("interval", 512, "mean sampling interval (fetched instructions)")
 		paired    = flag.Bool("paired", false, "enable paired sampling")
-		ways      = flag.Int("ways", 0, "N-way sampling (0/1 single; 2 = paired; up to 8)")
 		window    = flag.Int("window", 80, "paired-sampling window W")
 		buffer    = flag.Int("buffer", 8, "samples buffered per interrupt")
 		countMode = flag.String("count", "instructions", "selection counting: instructions | opportunities")
@@ -111,7 +110,6 @@ func main() {
 	// Both modes sample the way these flags say: one core.Config, made here.
 	ucfg := core.Config{
 		Paired:       *paired,
-		Ways:         *ways,
 		MeanInterval: *interval,
 		Window:       *window,
 		BufferDepth:  *buffer,

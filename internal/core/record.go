@@ -235,13 +235,12 @@ func (r *Record) InProgress() (from, to int64, ok bool) {
 }
 
 // Sample is what one interrupt delivers for one sampling window: one
-// profiled instruction, or — with paired (or in general N-way, §4.1.2)
-// sampling — several instructions plus the fetch distances and latencies
-// between consecutive selections (§4.2).
+// profiled instruction, or — with paired sampling — two, plus the fetch
+// distance and latency between them (§4.2).
 type Sample struct {
 	// First is always present.
 	First Record
-	// Second is present (Paired true) in paired and N-way modes.
+	// Second is present (Paired true) in paired mode.
 	Second Record
 	Paired bool
 	// FetchDistance is the number of fetch opportunities (or fetched
@@ -252,11 +251,4 @@ type Sample struct {
 	// (the "intra-pair fetch latency" the analysis uses to line up the
 	// two records' timestamps).
 	FetchLatency int64
-	// Rest holds the third and later records of an N-way sample (empty
-	// for single and paired sampling), with RestDistances[i] and
-	// RestLatencies[i] giving Rest[i]'s fetch distance and latency from
-	// the PREVIOUS record in the chain (Second for i == 0).
-	Rest          []Record
-	RestDistances []uint64
-	RestLatencies []int64
 }

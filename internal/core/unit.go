@@ -66,15 +66,10 @@ func (m IntervalMode) String() string {
 
 // Config parameterizes a ProfileMe Unit.
 type Config struct {
-	// Paired enables paired sampling (two register sets, §4.2).
+	// Paired enables paired sampling (two register sets, §4.2): each
+	// sample carries a second record selected Window fetches or fewer
+	// after the first. Unpaired samples carry one.
 	Paired bool
-	// Ways generalizes to N-way sampling (§4.1.2: the tag needs
-	// ceil(log2(N+1)) bits and N Profile Register sets): each sample
-	// carries Ways records, consecutive selections separated by
-	// independent uniform [1, Window] minor intervals. 0 and 1 mean
-	// single-instruction sampling; 2 is equivalent to Paired. Setting
-	// Paired with Ways <= 1 implies Ways = 2.
-	Ways int
 	// MeanInterval is the mean major sampling interval S, in fetched
 	// instructions (or fetch opportunities, per CountMode).
 	MeanInterval float64
@@ -108,22 +103,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// ways returns the normalized record count per sample.
-func (c Config) ways() int {
-	w := c.Ways
-	if w < 1 {
-		w = 1
-	}
-	if c.Paired && w < 2 {
-		w = 2
-	}
-	return w
-}
-
-// maxWays bounds N-way sampling: the hardware cost is Ways register sets,
-// so implementations keep it tiny (the paper builds one or two).
-const maxWays = 8
-
 // Validate reports a configuration problem, or nil.
 func (c Config) Validate() error {
 	switch {
@@ -131,14 +110,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: mean interval %v < 1", c.MeanInterval)
 	case c.BufferDepth < 1:
 		return fmt.Errorf("core: buffer depth %d < 1", c.BufferDepth)
-	case c.Ways < 0:
-		return fmt.Errorf("core: negative ways %d", c.Ways)
 	case c.Window < 0:
 		return fmt.Errorf("core: negative window %d", c.Window)
-	case c.ways() > maxWays:
-		return fmt.Errorf("core: %d-way sampling exceeds the %d-way hardware bound", c.ways(), maxWays)
-	case c.ways() > 1 && c.Window < 1:
-		return fmt.Errorf("core: multi-way sampling needs a positive window")
+	case c.Paired && c.Window < 1:
+		return fmt.Errorf("core: paired sampling needs a positive window")
 	}
 	return nil
 }
@@ -203,7 +178,7 @@ type FaultInjector interface {
 // clocked by a single simulated pipeline).
 type Unit struct {
 	cfg  Config
-	ways int
+	ways int // records per sample: the paper builds one or two register sets
 	rng  *stats.RNG
 
 	counter  int64 // fetched-instruction counter; selection at zero
@@ -211,9 +186,9 @@ type Unit struct {
 	nextSel  int   // index of the next tag to select; == ways when all selected
 	fetchSeq uint64
 
-	recs []Record
-	live []bool // tag selected
-	done []bool // tag complete (retired or aborted)
+	recs [2]Record
+	live [2]bool // tag selected
+	done [2]bool // tag complete (retired or aborted)
 
 	buffer    []Sample
 	interrupt bool
@@ -226,16 +201,15 @@ func NewUnit(cfg Config) (*Unit, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	w := cfg.ways()
-	u := &Unit{
-		cfg: cfg, ways: w, rng: stats.NewRNG(cfg.Seed),
-		recs: make([]Record, w), live: make([]bool, w), done: make([]bool, w),
+	u := &Unit{cfg: cfg, ways: 1, rng: stats.NewRNG(cfg.Seed)}
+	if cfg.Paired {
+		u.ways = 2
 	}
 	u.arm()
 	return u, nil
 }
 
-// Ways returns the number of records per sample.
+// Ways returns the number of records per sample: 2 when paired, else 1.
 func (u *Unit) Ways() int { return u.ways }
 
 // MustNewUnit is NewUnit, panicking on error.
@@ -446,16 +420,6 @@ func (u *Unit) capture() {
 		s.Second = u.recs[1]
 		s.FetchDistance = u.recs[1].FetchSeq - u.recs[0].FetchSeq
 		s.FetchLatency = u.recs[1].StageCycle[StageFetch] - u.recs[0].StageCycle[StageFetch]
-		for tag := 2; tag < u.ways; tag++ {
-			if !u.live[tag] {
-				break
-			}
-			prev := &u.recs[tag-1]
-			s.Rest = append(s.Rest, u.recs[tag])
-			s.RestDistances = append(s.RestDistances, u.recs[tag].FetchSeq-prev.FetchSeq)
-			s.RestLatencies = append(s.RestLatencies,
-				u.recs[tag].StageCycle[StageFetch]-prev.StageCycle[StageFetch])
-		}
 	}
 	if len(u.buffer) >= u.cfg.BufferDepth {
 		// Buffer full and software has not drained: hardware drops the
@@ -528,8 +492,7 @@ func (u *Unit) Drain() []Sample {
 // drain/refill cycle allocation-free. Only call it once the samples have
 // been fully consumed: after Recycle the slice's contents will be
 // overwritten by future captures. Callers that retain samples must copy
-// the Sample values out first (per-sample Rest/RestDistances backings are
-// freshly allocated each capture and are never reused).
+// the Sample values out first.
 func (u *Unit) Recycle(buf []Sample) {
 	if u.buffer == nil && cap(buf) > 0 {
 		u.buffer = buf[:0]

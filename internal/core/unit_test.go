@@ -419,117 +419,14 @@ func TestCountModeIntervalModeStrings(t *testing.T) {
 	}
 }
 
-func TestNWaySampling(t *testing.T) {
-	cfg := Config{
-		Ways: 4, MeanInterval: 6, Window: 3, BufferDepth: 1,
-		CountMode: CountInstructions, IntervalMode: IntervalFixed, Seed: 7,
-	}
-	u := MustNewUnit(cfg)
-	if u.Ways() != 4 {
-		t.Fatalf("ways = %d", u.Ways())
-	}
-	var selected []int
-	var pcs []uint64
-	for i := 0; i < 200 && !u.InterruptPending(); i++ {
-		pc := uint64(0x1000 + 4*i)
-		tag := u.OnFetch(int64(i), pc, true, true, 0, 12, 0)
-		if tag != NoTag {
-			selected = append(selected, tag)
-			pcs = append(pcs, pc)
-			u.Complete(tag, true, TrapNone, int64(i)+10)
-		}
-	}
-	if len(selected) != 4 {
-		t.Fatalf("selected tags %v", selected)
-	}
-	for i, tag := range selected {
-		if tag != i {
-			t.Fatalf("tags out of order: %v", selected)
-		}
-	}
-	s := u.Drain()[0]
-	if !s.Paired || len(s.records()) != 4 || len(s.Rest) != 2 {
-		t.Fatalf("sample ways=%d rest=%d paired=%v", len(s.records()), len(s.Rest), s.Paired)
-	}
-	recs := s.records()
-	if len(recs) != 4 {
-		t.Fatalf("records = %d", len(recs))
-	}
-	for i, r := range recs {
-		if r.PC != pcs[i] {
-			t.Fatalf("record %d pc %#x want %#x", i, r.PC, pcs[i])
-		}
-	}
-	// Chain distances must all be within the minor window.
-	if s.FetchDistance < 1 || s.FetchDistance > 3 {
-		t.Fatalf("first distance %d", s.FetchDistance)
-	}
-	for i, d := range s.RestDistances {
-		if d < 1 || d > 3 {
-			t.Fatalf("rest distance %d = %d", i, d)
-		}
-	}
-	// Latencies here are 1 cycle per fetch.
-	if s.RestLatencies[0] != int64(s.RestDistances[0]) {
-		t.Fatalf("rest latency %d vs distance %d", s.RestLatencies[0], s.RestDistances[0])
-	}
-}
-
-func TestNWayInterruptWaitsForAll(t *testing.T) {
-	cfg := Config{
-		Ways: 3, MeanInterval: 2, Window: 2, BufferDepth: 1,
-		CountMode: CountInstructions, IntervalMode: IntervalFixed, Seed: 1,
-	}
-	u := MustNewUnit(cfg)
-	var tags []int
-	for i := 0; len(tags) < 3; i++ {
-		if tag := u.OnFetch(int64(i), uint64(4*i), true, true, 0, 12, 0); tag != NoTag {
-			tags = append(tags, tag)
-		}
-	}
-	u.Complete(0, true, TrapNone, 50)
-	u.Complete(2, true, TrapNone, 51)
-	if u.InterruptPending() {
-		t.Fatal("interrupt before middle record completed")
-	}
-	u.Complete(1, false, TrapBadPath, 52)
-	if !u.InterruptPending() {
-		t.Fatal("interrupt missing after all records completed")
-	}
-	s := u.Drain()[0]
-	if s.Second.Retired() {
-		t.Fatal("aborted middle record lost its status")
-	}
-}
-
-func TestNWayFlushPartialChain(t *testing.T) {
-	cfg := Config{
-		Ways: 3, MeanInterval: 1, Window: 50, BufferDepth: 1,
-		CountMode: CountInstructions, IntervalMode: IntervalFixed, Seed: 1,
-	}
-	u := MustNewUnit(cfg)
-	tag := u.OnFetch(0, 0x100, true, true, 0, 12, 0)
-	u.Complete(tag, true, TrapNone, 3)
-	u.FlushInFlight(10) // second and third never selected
-	s := u.Drain()
-	if len(s) != 1 || len(s[0].records()) != 1 {
-		t.Fatalf("flush delivered %d samples, ways=%d", len(s), len(s[0].records()))
-	}
-}
-
 func TestWaysValidation(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Ways = maxWays + 1
-	if _, err := NewUnit(cfg); err == nil {
-		t.Fatal("excessive ways accepted")
-	}
-	cfg = DefaultConfig()
-	cfg.Ways = 3
+	cfg.Paired = true
 	cfg.Window = 0
 	if _, err := NewUnit(cfg); err == nil {
-		t.Fatal("multi-way without window accepted")
+		t.Fatal("paired without window accepted")
 	}
-	// Paired implies ways 2.
+	// Paired means two records per sample.
 	cfg = DefaultConfig()
 	cfg.Paired = true
 	u := MustNewUnit(cfg)
@@ -606,13 +503,4 @@ func TestPropertySelectionRate(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// records returns all records of the sample in selection order.
-func (s *Sample) records() []Record {
-	out := []Record{s.First}
-	if s.Paired {
-		out = append(out, s.Second)
-	}
-	return append(out, s.Rest...)
 }

@@ -639,8 +639,8 @@ func (s *Service) resolve(sub Submission) (reversed uint64, err error) {
 	}
 	captured := sub.Captured()
 	if err = s.agg.Merge(sub.DB); err != nil {
-		// Admission screens configurations, so this is rare (e.g. metric
-		// registration skew) — but it still must be accounted, not lost.
+		// Admission screens configurations, so only a bug fails here (a
+		// shard merged twice) — but it still must be accounted, not lost.
 		s.agg.RecordLoss(captured)
 	}
 	s.led.resolve(sub.Shard, sub.walPos, captured, err == nil)
@@ -847,9 +847,9 @@ func (s *Service) applyHandoff(h Handoff, captured uint64, pos wal.Pos) error {
 	s.led.installHandoff(h.From, h.Shards, h.Key, captured)
 	err := s.agg.Merge(h.DB)
 	if err != nil {
-		// Past the config screen a merge failure is metric-set skew:
-		// conserve by accounting the donor's whole captured population as
-		// loss rather than silently dropping it from the fleet sum.
+		// Past the config screen only a bug fails the merge: conserve by
+		// accounting the donor's whole captured population as loss
+		// rather than silently dropping it from the fleet sum.
 		s.agg.RecordLoss(captured)
 	}
 	s.led.finishHandoff(pos, captured, err == nil)

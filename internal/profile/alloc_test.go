@@ -34,8 +34,8 @@ var submitAlloc = []struct {
 	aggPCs, shardPC int
 	want, race      [2]uint64
 }{
-	{"wide", wideAggPCs, wideShardPCs, [2]uint64{24, 262051}, [2]uint64{34, 925728}},
-	{"narrow", 64, 32, [2]uint64{24, 27408}, [2]uint64{28, 38056}},
+	{"wide", wideAggPCs, wideShardPCs, [2]uint64{24, 253784}, [2]uint64{34, 925728}},
+	{"narrow", 64, 32, [2]uint64{24, 25304}, [2]uint64{28, 38056}},
 }
 
 // latRecord is one retired sample at pc with a latency that varies with

@@ -48,11 +48,10 @@ var eventKinds = [numEventKinds]core.Event{
 // PCAccum aggregates every sample seen for one static instruction:
 // the DCPI-style compact representation (counts and sums, no raw samples).
 //
-// Copy-vs-alias: PCAccum is mostly a value type, but Addrs and
-// PairMetrics are slices — a shallow copy of a live accumulator still
-// shares them with the database. DB.Get and DB.HotPCs return live
-// pointers (aliases); SafeDB.Get and SafeDB.HotPCs return deep copies
-// that share nothing.
+// Copy-vs-alias: PCAccum is mostly a value type, but Addrs is a slice —
+// a shallow copy of a live accumulator still shares it with the
+// database. DB.Get and DB.HotPCs return live pointers (aliases);
+// SafeDB.Get and SafeDB.HotPCs return deep copies that share nothing.
 type PCAccum struct {
 	PC      uint64
 	Samples uint64 // samples naming this PC (first or second of a pair)
@@ -80,11 +79,6 @@ type PCAccum struct {
 	// RetiredNear counts pair-partners that retired within the database's
 	// TNear cycles of this instruction (§5.2.4 neighborhood IPC).
 	RetiredNear uint64
-
-	// PairMetrics holds the counts of the database's registered custom
-	// overlap metrics (§5.2.4: "any function that can be expressed as
-	// f(I1, I2)"), indexed as registered.
-	PairMetrics []uint64
 
 	// Addrs retains up to DB.RetainAddrs sampled effective addresses in
 	// arrival order — the raw material for the §7 reference-pattern
@@ -160,9 +154,6 @@ type DB struct {
 	// random drops are acceptable, made operational).
 	lost            uint64
 	corruptRejected uint64
-
-	metricNames []string
-	metricFns   []OverlapFunc
 }
 
 // defaultTNear is the default neighborhood radius, matching the paper's
@@ -243,9 +234,7 @@ func (db *DB) lossCorrection() float64 {
 // handler's work: O(1) per sample, no retained raw data. Paired samples
 // are considered twice — once from each instruction's point of view — so
 // that partner samples are distributed over the window both before and
-// after each instruction (§5.2.2). For N-way samples (ways > 2) only the
-// first pair feeds the pair metrics; callers with chain analyses consume
-// Sample.Rest themselves.
+// after each instruction (§5.2.2).
 func (db *DB) Add(s core.Sample) {
 	if !recordSane(&s.First) || (s.Paired && !recordSane(&s.Second)) {
 		db.corruptRejected++
@@ -344,57 +333,13 @@ func (db *DB) addRecord(r *core.Record, partner *core.Record) {
 	}
 	if partner != nil {
 		a.PairSamples++
-		if UsefulOverlap(r, partner) {
+		if usefulOverlap(r, partner) {
 			a.UsefulOverlap++
 		}
-		if RetiredWithin(db.TNear)(r, partner) {
+		if retiredWithin(r, partner, db.TNear) {
 			a.RetiredNear++
 		}
-		if len(db.metricFns) > 0 {
-			if a.PairMetrics == nil {
-				a.PairMetrics = make([]uint64, len(db.metricFns))
-			}
-			for i, f := range db.metricFns {
-				if f(r, partner) {
-					a.PairMetrics[i]++
-				}
-			}
-		}
 	}
-}
-
-// RegisterPairMetric adds a custom pair metric — the §5.2.4 flexibility:
-// any predicate over the two records of a pair becomes a statistically
-// estimable per-instruction quantity. It returns the metric's index and
-// must be called before samples are added.
-func (db *DB) RegisterPairMetric(name string, f OverlapFunc) int {
-	if db.samples > 0 {
-		panic("profile: RegisterPairMetric after samples were added")
-	}
-	db.metricNames = append(db.metricNames, name)
-	db.metricFns = append(db.metricFns, f)
-	return len(db.metricFns) - 1
-}
-
-// PairMetricNames returns the registered metric names in index order.
-func (db *DB) PairMetricNames() []string {
-	return append([]string(nil), db.metricNames...)
-}
-
-// EstimatePairMetric estimates, for pc, the number of instructions in the
-// ±Window neighborhood of each execution satisfying metric idx, summed
-// over executions: count * W * S (the same scaling as useful overlap).
-// ok is false without paired samples for pc.
-func (db *DB) EstimatePairMetric(pc uint64, idx int) (est float64, ok bool) {
-	a := db.byPC[pc]
-	if a == nil || a.PairSamples == 0 || idx < 0 || idx >= len(db.metricFns) {
-		return 0, false
-	}
-	var k uint64
-	if idx < len(a.PairMetrics) {
-		k = a.PairMetrics[idx]
-	}
-	return float64(k) * float64(db.W) * db.S * db.lossCorrection(), true
 }
 
 // Get returns the accumulator for pc, or nil. The pointer ALIASES live

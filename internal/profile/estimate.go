@@ -64,15 +64,11 @@ func RateEstimate(kProperty, kTotal uint64) float64 {
 	return float64(kProperty) / float64(kTotal)
 }
 
-// OverlapFunc decides whether record b "overlaps" record a in whatever
-// sense an analysis needs; the paper (§5.2.2) stresses that the overlap
-// definition is a software choice, which is what makes paired sampling
-// flexible.
-type OverlapFunc func(a, b *core.Record) bool
-
-// UsefulOverlap is the §5.2.3 definition: while a is in progress (fetch to
-// retire-ready), b issues and subsequently retires.
-func UsefulOverlap(a, b *core.Record) bool {
+// usefulOverlap is the §5.2.3 definition of overlap: while a is in
+// progress (fetch to retire-ready), b issues and subsequently retires.
+// It and retiredWithin are the pair functions f(I1, I2) the database
+// counts per PC (§5.2.4).
+func usefulOverlap(a, b *core.Record) bool {
 	from, to, ok := a.InProgress()
 	if !ok {
 		return false
@@ -84,41 +80,15 @@ func UsefulOverlap(a, b *core.Record) bool {
 	return issue >= from && issue < to
 }
 
-// BothInFlight reports whether the two instructions were simultaneously in
-// the pipeline at any point (fetch to retire intervals intersect).
-func BothInFlight(a, b *core.Record) bool {
-	af, ar := a.StageCycle[core.StageFetch], a.StageCycle[core.StageRetire]
-	bf, br := b.StageCycle[core.StageFetch], b.StageCycle[core.StageRetire]
-	if af < 0 || ar < 0 || bf < 0 || br < 0 {
+// retiredWithin reports whether both instructions retired within t
+// cycles of each other (used by the neighborhood-IPC estimate).
+func retiredWithin(a, b *core.Record, t int64) bool {
+	if !a.Retired() || !b.Retired() {
 		return false
 	}
-	return af < br && bf < ar
-}
-
-// IssuedWhileWaiting reports whether b issued while a was sitting in the
-// issue queue (mapped but not yet issued) — one of the paper's alternate
-// overlap definitions.
-func IssuedWhileWaiting(a, b *core.Record) bool {
-	m, i := a.StageCycle[core.StageMap], a.StageCycle[core.StageIssue]
-	bi := b.StageCycle[core.StageIssue]
-	if m < 0 || i < 0 || bi < 0 {
-		return false
+	d := a.StageCycle[core.StageRetire] - b.StageCycle[core.StageRetire]
+	if d < 0 {
+		d = -d
 	}
-	return bi >= m && bi < i
-}
-
-// RetiredWithin returns an OverlapFunc that reports whether both
-// instructions retired within t cycles of each other (used by the
-// neighborhood-IPC estimate).
-func RetiredWithin(t int64) OverlapFunc {
-	return func(a, b *core.Record) bool {
-		if !a.Retired() || !b.Retired() {
-			return false
-		}
-		d := a.StageCycle[core.StageRetire] - b.StageCycle[core.StageRetire]
-		if d < 0 {
-			d = -d
-		}
-		return d <= t
-	}
+	return d <= t
 }

@@ -162,45 +162,8 @@ func TestByProcAggregation(t *testing.T) {
 	}
 }
 
-func TestCustomPairMetric(t *testing.T) {
-	db := NewDB(50, 10, 4)
-	idx := db.RegisterPairMetric("both-in-flight", BothInFlight)
-	a := rec(0x10, true, 0, 1, 2, 3, 20, 25)
-	b := rec(0x20, true, 5, 6, 7, 8, 9, 26)
-	db.Add(core.Sample{First: a, Second: b, Paired: true})
-	far := rec(0x30, true, 100, 101, 102, 103, 104, 105)
-	db.Add(core.Sample{First: a, Second: far, Paired: true})
-
-	if names := db.PairMetricNames(); len(names) != 1 || names[0] != "both-in-flight" {
-		t.Fatalf("names = %v", names)
-	}
-	est, ok := db.EstimatePairMetric(0x10, idx)
-	if !ok {
-		t.Fatal("no estimate")
-	}
-	// One of two partners overlapped: count 1, scaled by W*S = 500.
-	if est != 500 {
-		t.Fatalf("estimate = %v", est)
-	}
-	if _, ok := db.EstimatePairMetric(0x10, 99); ok {
-		t.Fatal("bogus index accepted")
-	}
-}
-
-func TestRegisterAfterSamplesPanics(t *testing.T) {
-	db := NewDB(10, 10, 4)
-	db.Add(core.Sample{First: rec(0x10, true, 0, 1, 2, 3, 4, 5)})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	db.RegisterPairMetric("late", BothInFlight)
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	db := NewDB(100, 80, 4)
-	db.RegisterPairMetric("near", RetiredWithin(10))
 	r := rec(0x40, true, 0, 2, 3, 5, 9, 12)
 	r.Events |= core.EvDCacheMiss
 	db.Add(core.Sample{First: r})
@@ -223,15 +186,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	a, b := db.Get(0x40), got.Get(0x40)
 	if a.Samples != b.Samples || a.EventCount(core.EvDCacheMiss) != b.EventCount(core.EvDCacheMiss) {
 		t.Fatalf("accums differ: %+v vs %+v", a, b)
-	}
-	if names := got.PairMetricNames(); len(names) != 1 || names[0] != "near" {
-		t.Fatalf("metric names lost: %v", names)
-	}
-	if err := got.RestorePairMetrics(map[string]OverlapFunc{"near": RetiredWithin(10)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := got.RestorePairMetrics(map[string]OverlapFunc{"wrong": BothInFlight}); err == nil {
-		t.Fatal("missing metric not caught")
 	}
 }
 
@@ -259,11 +213,6 @@ func TestMerge(t *testing.T) {
 	c := NewDB(999, 80, 4)
 	if err := a.Merge(c); err == nil {
 		t.Fatal("config mismatch not caught")
-	}
-	d := NewDB(100, 80, 4)
-	d.RegisterPairMetric("x", BothInFlight)
-	if err := a.Merge(d); err == nil {
-		t.Fatal("metric mismatch not caught")
 	}
 }
 

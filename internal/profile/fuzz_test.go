@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"slices"
 	"testing"
 
 	"profileme/internal/core"
@@ -23,7 +22,6 @@ import (
 func FuzzLoadDB(f *testing.F) {
 	db := NewDB(100, 80, 4)
 	db.RetainAddrs = 2
-	db.RegisterPairMetric("near", RetiredWithin(10))
 	r := rec(0x40, true, 0, 2, 3, 5, 9, 12)
 	r.Addr, r.AddrValid = 0xbeef, true
 	db.Add(core.Sample{First: r})
@@ -44,15 +42,15 @@ func FuzzLoadDB(f *testing.F) {
 	f.Add([]byte("not a profile database at all"))
 	f.Add(append(bytes.Clone(valid), 0)) // a byte after the last row
 	// Row tables the structural checks, not the varint reader, must
-	// refuse: a repeated PC, a row with pair metrics for a database
-	// without metrics, a row keeping more addresses than the database
-	// retains, and an impossible configuration (a negative window).
+	// refuse: a repeated PC, a row with pair metrics, a row keeping more
+	// addresses than the database retains, and an impossible
+	// configuration (a negative window).
 	lo := &PCAccum{PC: 0x40}
 	negative := NewDB(100, 80, 4)
 	negative.W = -80
 	for _, img := range [][]byte{
 		rowImage(f, NewDB(100, 80, 4), lo, lo),
-		rowImage(f, NewDB(100, 80, 4), &PCAccum{PC: 0x40, PairMetrics: []uint64{1, 2, 3}}),
+		pairMetricImage(f, 0, nil, 3),
 		rowImage(f, NewDB(100, 80, 4), &PCAccum{PC: 0x40, Addrs: []uint64{1, 2, 3}}),
 		rowImage(f, negative, lo),
 	} {
@@ -60,6 +58,9 @@ func FuzzLoadDB(f *testing.F) {
 	}
 	// A whole version-1 image: bare, it is version skew.
 	f.Add(envelope(f, 1, valid))
+	// A header naming a pair metric.
+	named := pairMetricImage(f, 0, []string{"near"}, 0)
+	f.Add(named[headerBytes : len(named)-4])
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		img := envelope(t, dbVersion, payload)
@@ -100,7 +101,7 @@ func FuzzLoadDB(f *testing.F) {
 // mergesIntoAggregate is the submit half of the admit-merge contract: a
 // shard LoadDB accepted merges through SafeDB.Merge, without a panic,
 // into an aggregate of the same configuration that already holds every
-// one of its PCs with other pair-metric, address and event shapes; the
+// one of its PCs with other address and event shapes; the
 // aggregate's Samples+Lost grow by exactly the shard's, and every row it
 // holds still fits it, so the next merge is as safe as this one.
 func mergesIntoAggregate(t *testing.T, shard *DB) {
@@ -108,15 +109,10 @@ func mergesIntoAggregate(t *testing.T, shard *DB) {
 	agg := NewDB(shard.S, shard.W, shard.C)
 	// One address more than the shard retains, unless that overflows.
 	agg.TNear, agg.RetainAddrs = shard.TNear, max(shard.RetainAddrs, shard.RetainAddrs+1)
-	agg.metricNames = slices.Clone(shard.metricNames)
-	agg.metricFns = make([]OverlapFunc, len(agg.metricNames))
 	for _, pc := range shard.PCs() {
 		row, a := shard.Get(pc), agg.acc(pc)
 		a.Samples, a.Events[0] = 1, 1
 		agg.samples++
-		if len(row.PairMetrics) == 0 && len(agg.metricNames) > 0 {
-			a.PairMetrics = make([]uint64, len(agg.metricNames))
-		}
 		if len(row.Addrs) == 0 {
 			a.Addrs = []uint64{pc}
 		}
@@ -133,9 +129,8 @@ func mergesIntoAggregate(t *testing.T, shard *DB) {
 			before.Samples, before.Lost, after.Samples, after.Lost, captured)
 	}
 	for pc, a := range agg.byPC {
-		if n := len(a.PairMetrics); n != 0 && n != len(agg.metricNames) || len(a.Addrs) > agg.RetainAddrs {
-			t.Fatalf("merged row %#x holds %d pair metrics and %d addresses; the aggregate has %d metrics and retains %d",
-				pc, n, len(a.Addrs), len(agg.metricNames), agg.RetainAddrs)
+		if len(a.Addrs) > agg.RetainAddrs {
+			t.Fatalf("merged row %#x holds %d addresses; the aggregate retains %d", pc, len(a.Addrs), agg.RetainAddrs)
 		}
 	}
 }

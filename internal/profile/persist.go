@@ -35,18 +35,16 @@ var (
 // PC is stored as its distance from the previous row's:
 //
 //	header  S f64 | W C TNear RetainAddrs zigzag | samples pairs lost
-//	        corruptRejected uvarint | metrics uvarint, each len | bytes |
-//	        rows uvarint
+//	        corruptRejected uvarint | 0 | rows uvarint
 //	row     pc-delta | Samples | Events[11] | LatSum[5] zigzag | LatCount[5] |
 //	        MemLatSum zigzag | MemLatCount | InProgressSum zigzag |
 //	        InProgressCount | UsefulOverlap | PairSamples | RetiredNear |
-//	        len | PairMetrics... | len | Addrs...
+//	        0 | len | Addrs...
 //
 // It is the DCPI-style on-disk profile: counts and sums only, no raw
-// samples. Custom pair-metric functions are not serializable; their names
-// and counts survive, and a loaded database can be queried but
-// accumulates further custom metrics only after the functions are
-// re-registered via RestorePairMetrics. Version 2 is the one version
+// samples. The two 0s are a pair-metric name count and a per-row
+// pair-metric length that no writer has ever made non-zero; a reader
+// refuses a non-zero one as ErrCorrupt. Version 2 is the one version
 // read and written: an image of any other version is ErrVersionSkew.
 const (
 	dbMagic   = "PMDB"
@@ -108,11 +106,7 @@ func (db *DB) appendHead(b []byte, rows int) []byte {
 	for _, v := range []uint64{db.samples, db.pairs, db.lost, db.corruptRejected} {
 		b = binary.AppendUvarint(b, v)
 	}
-	b = binary.AppendUvarint(b, uint64(len(db.metricNames)))
-	for _, name := range db.metricNames {
-		b = binary.AppendUvarint(b, uint64(len(name)))
-		b = append(b, name...)
-	}
+	b = append(b, 0) // no pair-metric names
 	return binary.AppendUvarint(b, uint64(rows))
 }
 
@@ -138,11 +132,10 @@ func appendRow(b []byte, a *PCAccum, delta uint64) []byte {
 	b = binary.AppendUvarint(b, a.UsefulOverlap)
 	b = binary.AppendUvarint(b, a.PairSamples)
 	b = binary.AppendUvarint(b, a.RetiredNear)
-	for _, list := range [2][]uint64{a.PairMetrics, a.Addrs} {
-		b = binary.AppendUvarint(b, uint64(len(list)))
-		for _, v := range list {
-			b = binary.AppendUvarint(b, v)
-		}
+	b = append(b, 0) // no pair metrics
+	b = binary.AppendUvarint(b, uint64(len(a.Addrs)))
+	for _, v := range a.Addrs {
+		b = binary.AppendUvarint(b, v)
 	}
 	return b
 }
@@ -151,8 +144,8 @@ func appendRow(b []byte, a *PCAccum, delta uint64) []byte {
 // corrupt or truncated input and version skew return errors matching
 // ErrCorrupt, ErrTruncated or ErrVersionSkew — never a panic, a garbage
 // database, or an unbounded allocation. An image that lists a PC twice,
-// a row whose pair metrics are not the database's metric set, and a row
-// that keeps more addresses than the database retains are ErrCorrupt.
+// names a pair metric, or has a row with pair metrics or with more
+// addresses than the database retains is ErrCorrupt.
 func LoadDB(r io.Reader) (*DB, error) {
 	if err := frame.ReadHeader(r, dbMagic, dbVersion); err != nil {
 		return nil, fmt.Errorf("profile: load: %w", err)
@@ -212,13 +205,10 @@ func (db *DB) recycle() {
 	db.pooled, db.rows, db.byPC = false, nil, nil
 }
 
-// rowFits is loadRows's per-row check: a row's pair metrics are the
-// database's metric set or absent, and it keeps no more addresses than
-// the database retains. mergeWalk indexes a row's pair metrics by the
-// first row it met for that PC, so a row that breaks this would crash
-// the merge that folds it.
+// rowFits is loadRows's per-row check: a row has no pair metrics and
+// keeps no more addresses than the database retains.
 func (db *DB) rowFits(pairMetrics, addrs int) bool {
-	return (pairMetrics == 0 || pairMetrics == len(db.metricNames)) && addrs <= db.RetainAddrs
+	return pairMetrics == 0 && addrs <= db.RetainAddrs
 }
 
 // loadRows decodes the payload with the one row decoder (frame.Rows).
@@ -234,12 +224,8 @@ func loadRows(payload []byte) (*DB, error) {
 	d := frame.NewRows(payload[8:])
 	db.W, db.C, db.TNear, db.RetainAddrs = d.Int(), d.Int(), d.Varint(), d.Int()
 	db.samples, db.pairs, db.lost, db.corruptRejected = d.Uvarint(), d.Uvarint(), d.Uvarint(), d.Uvarint()
-	if n := d.Count(1); n > 0 {
-		db.metricNames = make([]string, n)
-		db.metricFns = make([]OverlapFunc, n) // placeholders
-		for i := range db.metricNames {
-			db.metricNames[i] = string(d.Take(d.Count(1)))
-		}
+	if n := d.Uvarint(); n != 0 {
+		return nil, fmt.Errorf("%d pair-metric names: %w", n, ErrCorrupt)
 	}
 	rows := d.Count(minRowBytes)
 	if err := d.Err(); err != nil {
@@ -276,21 +262,17 @@ func loadRows(payload []byte) (*DB, error) {
 		a.MemLatSum, a.MemLatCount = d.Varint(), d.Uvarint()
 		a.InProgressSum, a.InProgressCount = d.Varint(), d.Uvarint()
 		a.UsefulOverlap, a.PairSamples, a.RetiredNear = d.Uvarint(), d.Uvarint(), d.Uvarint()
-		// A pooled row still holds its last shard's lists.
-		a.PairMetrics, a.Addrs = nil, nil
-		metrics := d.Count(1)
-		if metrics > 0 {
-			a.PairMetrics = d.Uvarints(metrics)
+		// A pooled row still holds its last shard's addresses.
+		a.Addrs = nil
+		metrics, addrs := d.Count(1), d.Count(1)
+		if !db.rowFits(metrics, addrs) {
+			return nil, fmt.Errorf("row %d (PC %#x): %d pair metrics, %d addresses: %w", i, pc, metrics, addrs, ErrCorrupt)
 		}
-		addrs := d.Count(1)
 		if addrs > 0 {
 			a.Addrs = d.Uvarints(addrs)
 		}
 		if err := d.Err(); err != nil {
 			return nil, fmt.Errorf("row %d: %w", i, err)
-		}
-		if !db.rowFits(metrics, addrs) {
-			return nil, fmt.Errorf("row %d (PC %#x): %d pair metrics, %d addresses: %w", i, pc, metrics, addrs, ErrCorrupt)
 		}
 		db.byPC[pc] = a
 	}
@@ -301,21 +283,8 @@ func loadRows(payload []byte) (*DB, error) {
 	return db, nil
 }
 
-// RestorePairMetrics re-binds custom metric functions after LoadDB; names
-// must match the registered order exactly.
-func (db *DB) RestorePairMetrics(fns map[string]OverlapFunc) error {
-	for i, name := range db.metricNames {
-		f, ok := fns[name]
-		if !ok {
-			return fmt.Errorf("profile: no function for metric %q", name)
-		}
-		db.metricFns[i] = f
-	}
-	return nil
-}
-
 // Merge folds other into db (multi-run aggregation; both databases must
-// share the sampling configuration and metric registrations).
+// share the sampling configuration).
 func (db *DB) Merge(other *DB) error {
 	if err := db.mergeable(other); err != nil {
 		return err
@@ -325,8 +294,7 @@ func (db *DB) Merge(other *DB) error {
 }
 
 // mergeable is the screen every merge passes before it touches anything:
-// a distinct database with the same sampling configuration and metric
-// registrations.
+// a distinct database with the same sampling configuration.
 func (db *DB) mergeable(other *DB) error {
 	if db == other {
 		// Iterating other.byPC while acc() mutates the same map is
@@ -339,15 +307,6 @@ func (db *DB) mergeable(other *DB) error {
 	}
 	if db.S != other.S || db.W != other.W || db.C != other.C || db.TNear != other.TNear {
 		return fmt.Errorf("profile: merge: configurations differ")
-	}
-	if len(db.metricNames) != len(other.metricNames) {
-		return fmt.Errorf("profile: merge: metric sets differ")
-	}
-	for i := range db.metricNames {
-		if db.metricNames[i] != other.metricNames[i] {
-			return fmt.Errorf("profile: merge: metric %d differs (%q vs %q)",
-				i, db.metricNames[i], other.metricNames[i])
-		}
 	}
 	return nil
 }
@@ -409,14 +368,6 @@ func (db *DB) fold(dst, src *PCAccum) {
 		buf := make([]uint64, len(take))
 		copy(buf, take)
 		dst.Addrs = append(dst.Addrs, buf...)
-	}
-	if len(src.PairMetrics) > 0 {
-		if dst.PairMetrics == nil {
-			dst.PairMetrics = make([]uint64, len(src.PairMetrics))
-		}
-		for i := range src.PairMetrics {
-			dst.PairMetrics[i] += src.PairMetrics[i]
-		}
 	}
 }
 

@@ -2,8 +2,8 @@ package profile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"reflect"
@@ -19,13 +19,12 @@ import (
 // header plus the u64 payload length.
 const headerBytes = frame.HeaderLen + 8
 
-// saveImage returns a freshly saved database image with addrs, a pair
-// metric, and recorded loss — every serialized feature exercised.
+// saveImage returns a freshly saved database image with addrs, a pair,
+// and recorded loss — every serialized feature exercised.
 func saveImage(t *testing.T) ([]byte, *DB) {
 	t.Helper()
 	db := NewDB(100, 80, 4)
 	db.RetainAddrs = 4
-	db.RegisterPairMetric("near", RetiredWithin(10))
 	r := rec(0x40, true, 0, 2, 3, 5, 9, 12)
 	r.Addr, r.AddrValid = 0xbeef, true
 	db.Add(core.Sample{First: r})
@@ -163,6 +162,34 @@ func rowImage(t testing.TB, db *DB, accs ...*PCAccum) []byte {
 	return buf.Bytes()
 }
 
+// pairMetricImage is an image of one row at PC 0x40 holding addrs, as a
+// writer that kept pair metrics would have written it: the header names
+// names, and the row carries metrics counts. Save writes a zero name
+// count and a zero row length in every image, and LoadDB refuses a
+// non-zero one as ErrCorrupt.
+func pairMetricImage(t testing.TB, retain int, names []string, metrics int, addrs ...uint64) []byte {
+	t.Helper()
+	db := NewDB(100, 80, 4)
+	db.RetainAddrs = retain
+	b := db.appendHead(nil, 1)
+	b = b[:len(b)-2] // the zero name count and the row count
+	b = binary.AppendUvarint(b, uint64(len(names)))
+	for _, name := range names {
+		b = binary.AppendUvarint(b, uint64(len(name)))
+		b = append(b, name...)
+	}
+	b = binary.AppendUvarint(b, 1)
+	row := appendRow(nil, &PCAccum{PC: 0x40}, 0x40)
+	b = append(b, row[:len(row)-2]...) // less the zero metric and address lengths
+	b = binary.AppendUvarint(b, uint64(metrics))
+	b = append(b, make([]byte, metrics)...) // zero counts
+	b = binary.AppendUvarint(b, uint64(len(addrs)))
+	for _, v := range addrs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return envelope(t, dbVersion, b)
+}
+
 // TestLoadDuplicatePCCorrupt: an image that lists a PC twice is damage.
 // It used to load with the second row silently replacing the first — a
 // database claiming 30 samples whose only row held 20. The image stores
@@ -185,32 +212,29 @@ func TestLoadDuplicatePCCorrupt(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsMisfitRows: a CRC-valid image whose row carries pair
-// metrics other than the database's metric set, or more addresses than
-// it retains, is ErrCorrupt. Such rows used to load and pass admission;
-// merging two of them that gave one PC pair-metric slices of lengths 1
-// and 3 panicked the merge with an index out of range.
+// TestLoadRejectsMisfitRows: a CRC-valid image that names a pair
+// metric, has a row with pair metrics, or has a row with more addresses
+// than the database retains is ErrCorrupt. No writer of this version
+// made a pair-metric count non-zero, and a row keeping more addresses
+// than its database would grow an aggregate's rows past what it retains.
 func TestLoadRejectsMisfitRows(t *testing.T) {
-	metrics := func(n int) []uint64 { return make([]uint64, n) }
 	for _, c := range []struct {
 		what    string
-		names   []string
 		retain  int
-		acc     PCAccum
+		names   []string
+		metrics int
+		addrs   []uint64
 		corrupt bool
 	}{
-		{"no metrics, 1 pair metric", nil, 0, PCAccum{PC: 0x40, PairMetrics: metrics(1)}, true},
-		{"no metrics, 3 pair metrics", nil, 0, PCAccum{PC: 0x40, PairMetrics: metrics(3)}, true},
-		{"2 metrics, 1 pair metric", []string{"a", "b"}, 0, PCAccum{PC: 0x40, PairMetrics: metrics(1)}, true},
-		{"2 metrics, 2 pair metrics", []string{"a", "b"}, 0, PCAccum{PC: 0x40, PairMetrics: metrics(2)}, false},
-		{"2 metrics, none", []string{"a", "b"}, 0, PCAccum{PC: 0x40}, false},
-		{"3 addresses, 2 retained", nil, 2, PCAccum{PC: 0x40, Addrs: []uint64{1, 2, 3}}, true},
-		{"2 addresses, 2 retained", nil, 2, PCAccum{PC: 0x40, Addrs: []uint64{1, 2}}, false},
+		{"1 pair-metric name", 0, []string{"near"}, 0, nil, true},
+		{"1 name, 1 pair metric", 0, []string{"near"}, 1, nil, true},
+		{"no names, 1 pair metric", 0, nil, 1, nil, true},
+		{"no names, 3 pair metrics", 0, nil, 3, nil, true},
+		{"no pair metrics", 0, nil, 0, nil, false},
+		{"3 addresses, 2 retained", 2, nil, 0, []uint64{1, 2, 3}, true},
+		{"2 addresses, 2 retained", 2, nil, 0, []uint64{1, 2}, false},
 	} {
-		db := NewDB(100, 80, 4)
-		db.RetainAddrs = c.retain
-		db.metricNames, db.metricFns = c.names, make([]OverlapFunc, len(c.names))
-		_, err := LoadDB(bytes.NewReader(rowImage(t, db, &c.acc)))
+		_, err := LoadDB(bytes.NewReader(pairMetricImage(t, c.retain, c.names, c.metrics, c.addrs...)))
 		if c.corrupt && !errors.Is(err, ErrCorrupt) || !c.corrupt && err != nil {
 			t.Errorf("%s: err %v, want corrupt=%v", c.what, err, c.corrupt)
 		}
@@ -252,8 +276,8 @@ func TestLoadRowBounds(t *testing.T) {
 }
 
 // randomDB draws a database over every field the image carries: extreme
-// counters, negative latency sums, PC 0 and 2^64-1, pair metrics and
-// retained addresses.
+// counters, negative latency sums, PC 0 and 2^64-1, and retained
+// addresses.
 func randomDB(rng *stats.RNG) *DB {
 	db := NewDB(float64(rng.Intn(1<<12)), rng.Intn(200), 1+rng.Intn(8))
 	db.TNear = int64(rng.Intn(100)) - 10
@@ -271,10 +295,6 @@ func randomDB(rng *stats.RNG) *DB {
 	}
 	i64 := func() int64 { return int64(u64()) }
 	db.samples, db.pairs, db.lost, db.corruptRejected = u64(), u64(), u64(), u64()
-	for i := rng.Intn(3); i > 0; i-- {
-		db.metricNames = append(db.metricNames, fmt.Sprintf("m%d", rng.Intn(1000)))
-		db.metricFns = append(db.metricFns, nil)
-	}
 	for i := rng.Intn(40); i > 0; i-- {
 		pc := u64()
 		a := &PCAccum{PC: pc, Samples: u64(), MemLatSum: i64(), MemLatCount: u64(),
@@ -285,11 +305,6 @@ func randomDB(rng *stats.RNG) *DB {
 		}
 		for j := range a.LatSum {
 			a.LatSum[j], a.LatCount[j] = i64(), u64()
-		}
-		if len(db.metricNames) > 0 && rng.Bool(0.5) {
-			for range db.metricNames {
-				a.PairMetrics = append(a.PairMetrics, u64())
-			}
 		}
 		for j := rng.Intn(db.RetainAddrs + 1); j > 0; j-- {
 			a.Addrs = append(a.Addrs, u64())

@@ -108,62 +108,37 @@ func TestUsefulOverlap(t *testing.T) {
 	a := rec(0x10, true, 0, 1, 2, 3, 20, 25)
 	// b issues inside a's [0,20) window and retires.
 	b := rec(0x20, true, 5, 6, 7, 8, 9, 26)
-	if !UsefulOverlap(&a, &b) {
+	if !usefulOverlap(&a, &b) {
 		t.Fatal("overlap not detected")
 	}
 	// b issues after a is retire-ready.
 	late := rec(0x20, true, 5, 6, 7, 21, 22, 27)
-	if UsefulOverlap(&a, &late) {
+	if usefulOverlap(&a, &late) {
 		t.Fatal("late issue counted as overlap")
 	}
 	// b aborted: not useful.
 	aborted := rec(0x20, false, 5, 6, 7, 8, 9, 26)
-	if UsefulOverlap(&a, &aborted) {
+	if usefulOverlap(&a, &aborted) {
 		t.Fatal("aborted partner counted as useful")
 	}
 	// a aborted (no retire-ready): no window.
 	noWindow := rec(0x10, false, 0, 1, -1, -1, -1, 9)
-	if UsefulOverlap(&noWindow, &b) {
+	if usefulOverlap(&noWindow, &b) {
 		t.Fatal("aborted instruction has no in-progress window")
-	}
-}
-
-func TestBothInFlight(t *testing.T) {
-	a := rec(0x10, true, 0, 1, 2, 3, 20, 25)
-	b := rec(0x20, true, 10, 11, 12, 13, 20, 30)
-	if !BothInFlight(&a, &b) {
-		t.Fatal("in-flight intersection missed")
-	}
-	c := rec(0x20, true, 26, 27, 28, 29, 30, 31)
-	if BothInFlight(&a, &c) {
-		t.Fatal("disjoint lifetimes overlapped")
-	}
-}
-
-func TestIssuedWhileWaiting(t *testing.T) {
-	// a waits in the queue cycles [1, 15).
-	a := rec(0x10, true, 0, 1, 2, 15, 20, 25)
-	b := rec(0x20, true, 3, 4, 5, 6, 7, 26)
-	if !IssuedWhileWaiting(&a, &b) {
-		t.Fatal("issue during wait missed")
-	}
-	c := rec(0x20, true, 3, 4, 5, 16, 17, 26)
-	if IssuedWhileWaiting(&a, &c) {
-		t.Fatal("issue after a's issue counted")
 	}
 }
 
 func TestRetiredWithin(t *testing.T) {
 	a := rec(0x10, true, 0, 1, 2, 3, 4, 100)
 	b := rec(0x20, true, 0, 1, 2, 3, 4, 120)
-	if !RetiredWithin(30)(&a, &b) || !RetiredWithin(30)(&b, &a) {
+	if !retiredWithin(&a, &b, 30) || !retiredWithin(&b, &a, 30) {
 		t.Fatal("within-30 missed")
 	}
-	if RetiredWithin(10)(&a, &b) {
+	if retiredWithin(&a, &b, 10) {
 		t.Fatal("within-10 false positive")
 	}
 	ab := rec(0x20, false, 0, 1, 2, 3, 4, 110)
-	if RetiredWithin(30)(&a, &ab) {
+	if retiredWithin(&a, &ab, 30) {
 		t.Fatal("aborted partner counted")
 	}
 }

@@ -9,22 +9,19 @@ import (
 	"profileme/internal/stats"
 )
 
-// recycleDB is an empty database of the paired (W=80, one custom pair
-// metric) or the unpaired (W=0, none) configuration.
+// recycleDB is an empty database of the paired (W=80) or the unpaired
+// (W=0) configuration.
 func recycleDB(paired bool, retain int) *DB {
 	db := NewDB(16, 0, 4)
 	if paired {
 		db.W = 80
-		db.RegisterPairMetric("both-retired", func(a, b *core.Record) bool {
-			return a.Events.Has(core.EvRetired) && b.Events.Has(core.EvRetired)
-		})
 	}
 	db.RetainAddrs = retain
 	return db
 }
 
 // recycleShard builds a shard of 20 to 200 PCs. A paired shard counts
-// its pair metric on the rows a pair touched. Only some samples carry an
+// its pair columns on the rows a pair touched. Only some samples carry an
 // address, so rows with and without addresses sit side by side.
 func recycleShard(rng *stats.RNG, paired bool, retain int) *DB {
 	db := recycleDB(paired, retain)
@@ -52,13 +49,13 @@ func recycleShard(rng *stats.RNG, paired bool, retain int) *DB {
 const recycleRetain = 8
 
 // TestRecycledSlabCarriesNothing: a shard decoded into a recycled slab
-// holds exactly what its image says. Paired shards with pair metrics and
-// unpaired ones without, with and without retained addresses, are
+// holds exactly what its image says. Paired shards and unpaired ones,
+// with and without retained addresses, are
 // decoded concurrently and merged in order into two SafeDBs, each
 // merge handing its shard's slab back for a later decode of the other
 // shape. Each aggregate's Save bytes must equal a plain DB.Merge of
 // fresh decodes of the same images. A row that kept its last shard's
-// pair metrics or addresses changes those bytes.
+// addresses changes those bytes.
 func TestRecycledSlabCarriesNothing(t *testing.T) {
 	const rounds, kinds, inFlight, workers = 8, 8, 2, 3
 	rng := stats.NewRNG(39)

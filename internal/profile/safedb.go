@@ -338,8 +338,5 @@ func copyAccum(a *PCAccum) PCAccum {
 	if a.Addrs != nil {
 		out.Addrs = append([]uint64(nil), a.Addrs...)
 	}
-	if a.PairMetrics != nil {
-		out.PairMetrics = append([]uint64(nil), a.PairMetrics...)
-	}
 	return out
 }

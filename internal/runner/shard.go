@@ -25,11 +25,11 @@ type Shard struct {
 // dbParams derives a shard database's (S, W, C) from the two configurations
 // that produced it: S is the configured mean interval (never the realized
 // one — shards of one campaign must agree on it to merge), W the pairing
-// window when samples carry more than one record and 0 otherwise, C the
+// window when samples are paired and 0 otherwise, C the
 // machine's sustained issue width. RunShard stamps them and the journal's
 // resume check compares against them; nothing else restates them.
 func dbParams(ccfg cpu.Config, ucfg core.Config) (s float64, w, c int) {
-	if ucfg.Paired || ucfg.Ways > 1 {
+	if ucfg.Paired {
 		w = ucfg.Window
 	}
 	return ucfg.MeanInterval, w, ccfg.SustainedIssueWidth

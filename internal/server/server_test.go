@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"profileme/internal/core"
+	"profileme/internal/frame"
 	"profileme/internal/ingest"
 	"profileme/internal/profile"
 )
@@ -147,35 +149,66 @@ func TestSubmitAcceptedThenQueryable(t *testing.T) {
 
 }
 
-// misfitBody is a submission whose CRC-valid profile gives PC 0x400
-// pairMetrics pair metrics although the database registers none.
-func misfitBody(t *testing.T, shard string, pairMetrics int) []byte {
+// misfitImages are CRC-valid PMDB v2 images of testShard(0, 1), whose
+// one row is PC 0x400, that carry a pair metric: "named" names one in
+// its header, "row" gives the row one count (of 0). Every writer
+// writes both lengths as zero.
+func misfitImages(t *testing.T) map[string][]byte {
 	t.Helper()
-	db := testShard(0, 1) // one sample, at PC 0x400
-	db.Get(0x400).PairMetrics = make([]uint64, pairMetrics)
-	body, err := ingest.EncodeSubmit(shard, db)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := testShard(0, 1).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return body
+	img := buf.Bytes()
+	payload := img[frame.HeaderLen+8 : len(img)-4]
+	// The header is S (8 bytes), then W C TNear RetainAddrs and samples
+	// pairs lost corruptRejected, a byte each here, then the zero name
+	// count and the row count 1. The row ends with its zero pair-metric
+	// length and zero address count.
+	const names = 16
+	if payload[names] != 0 || payload[names+1] != 1 || !bytes.HasSuffix(payload, []byte{0, 0}) {
+		t.Fatalf("testShard(0, 1)'s image is not laid out as this test expects: % x", payload)
+	}
+	named := append(append(bytes.Clone(payload[:names]), 1, 4, 'n', 'e', 'a', 'r'), payload[names+1:]...)
+	row := append(bytes.Clone(payload[:len(payload)-2]), 1, 0, 0)
+	out := make(map[string][]byte)
+	for what, p := range map[string][]byte{"named": named, "row": row} {
+		buf.Reset()
+		if err := frame.WriteEnvelopeParts(&buf, "PMDB", 2, p); err != nil {
+			t.Fatal(err)
+		}
+		out[what] = bytes.Clone(buf.Bytes())
+	}
+	return out
 }
 
-// TestSubmitMisfitRowsRejected: a shard whose row carries pair metrics
-// its database did not register is a corrupt payload, answered 400 and
-// never admitted. Two such shards, giving one PC pair-metric rows of
-// lengths 1 and 3, used to be admitted and then panic the merge
-// goroutine — and the WAL would replay them into the same panic.
+// TestSubmitMisfitRowsRejected: a shard whose image carries a pair
+// metric is a corrupt payload, answered 400 and never admitted, and
+// LoadDB refuses it as ErrCorrupt. Two shards that gave one PC
+// pair-metric rows of lengths 1 and 3 used to be admitted and then panic
+// the merge goroutine — and the WAL would replay them into the same
+// panic.
 func TestSubmitMisfitRowsRejected(t *testing.T) {
 	svc := testService(t, nil)
 	svc.Start()
 	defer svc.Drain(context.Background())
 	h := New(Config{}, svc).Handler()
-	for i, n := range []int{1, 3} {
-		status, body := post(t, h, "/v1/submit", misfitBody(t, fmt.Sprintf("misfit/s%d", i), n))
-		if status != http.StatusBadRequest {
-			t.Fatalf("%d pair metrics: %d %v, want 400", n, status, body)
+	for what, img := range misfitImages(t) {
+		if _, err := profile.LoadDB(bytes.NewReader(img)); !errors.Is(err, profile.ErrCorrupt) {
+			t.Fatalf("%s: LoadDB: %v, want ErrCorrupt", what, err)
 		}
-		wantKind(t, body, "corrupt")
+		body, err := json.Marshal(struct {
+			Shard   string `json:"shard"`
+			Profile []byte `json:"profile"`
+		}{"misfit/" + what, img})
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, resp := post(t, h, "/v1/submit", body)
+		if status != http.StatusBadRequest {
+			t.Fatalf("%s: %d %v, want 400", what, status, resp)
+		}
+		wantKind(t, resp, "corrupt")
 	}
 	if status, body := postSubmit(t, h, "sane", testShard(1, 5)); status != http.StatusAccepted {
 		t.Fatalf("a sane shard after the misfits: %d %v", status, body)
