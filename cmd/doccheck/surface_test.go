@@ -158,7 +158,7 @@ func TestExportSurface(t *testing.T) {
 		"internal/pathprof":    {24, 0},
 		"internal/pgo":         {5, 0},
 		"internal/profile":     {89, 19},
-		"internal/runner":      {22, 1},
+		"internal/runner":      {21, 1},
 		"internal/server":      {4, 0},
 		"internal/sim":         {22, 0},
 		"internal/stats":       {31, 0},

@@ -135,7 +135,7 @@ func figure3(cfg figure3Config) (*figure3Result, error) {
 		}
 	}
 
-	series, err := parallelMap(len(cells), func(i int) (figure3Series, error) {
+	series, err := runner.Map(len(cells), func(i int) (figure3Series, error) {
 		c := cells[i]
 		var s figure3Series
 		var err error

@@ -6,6 +6,7 @@ import (
 
 	"profileme/internal/isa"
 	"profileme/internal/pathprof"
+	"profileme/internal/runner"
 	"profileme/internal/workload"
 )
 
@@ -87,7 +88,7 @@ func figure6(cfg figure6Config) (*figure6Result, error) {
 	// randomness from cfg.Eval per program), so programs fan out across
 	// the worker pool; pooling happens afterwards in program order, so
 	// the totals match the sequential loop exactly.
-	perProg, err := parallelMap(len(progs), func(i int) ([]*pathprof.ModeResult, error) {
+	perProg, err := runner.Map(len(progs), func(i int) ([]*pathprof.ModeResult, error) {
 		results, err := pathprof.Evaluate(progs[i].prog, cfg.Eval)
 		if err != nil {
 			return nil, fmt.Errorf("fig6: %s: %w", progs[i].name, err)

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"profileme/internal/cpu"
+	"profileme/internal/runner"
 	"profileme/internal/sim"
 	"profileme/internal/stats"
 	"profileme/internal/workload"
@@ -62,7 +63,7 @@ func section6(cfg section6Config) (*section6Result, error) {
 		row  section6Row
 		wins []uint32
 	}
-	cells, err := parallelMap(len(names), func(i int) (cellOut, error) {
+	cells, err := runner.Map(len(names), func(i int) (cellOut, error) {
 		name := names[i]
 		bench, ok := workload.ByName(name)
 		if !ok {

@@ -51,7 +51,7 @@ func table1(cfg table1Config) (*table1Result, error) {
 	// state at all), so the rows fan out directly; row order is the
 	// kernel list order regardless of scheduling.
 	names := append([]string{"balanced"}, workload.Table1Order()...)
-	rows, err := parallelMap(len(names), func(i int) (table1Row, error) {
+	rows, err := runner.Map(len(names), func(i int) (table1Row, error) {
 		name := names[i]
 		prog := progs[name]
 		ccfg := cpu.DefaultConfig()

@@ -54,16 +54,16 @@ type jobRecord struct {
 	Error string `json:"error,omitempty"`
 }
 
-// PanicError is a worker panic converted into a value: the fleet isolates
+// panicError is a worker panic converted into a value: the fleet isolates
 // the panic, dead-letters the job, and keeps the campaign going. Panics
 // are treated as permanent (a deterministic simulator bug retries into
 // the same panic).
-type PanicError struct {
+type panicError struct {
 	Value string
 	Stack string
 }
 
-func (e *PanicError) Error() string {
+func (e *panicError) Error() string {
 	return fmt.Sprintf("runner: job panicked: %s\n%s", e.Value, e.Stack)
 }
 

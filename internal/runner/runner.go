@@ -8,7 +8,7 @@
 // package extends the same contract to software failures at fleet scale:
 //
 //   - Panic isolation: a worker panic is recovered, converted to a
-//     PanicError with the captured stack, and dead-letters only that job;
+//     panicError with the captured stack, and dead-letters only that job;
 //     the fleet keeps going.
 //   - Real cancellation: each attempt runs under a context with the
 //     configured wall-clock deadline, plumbed into
@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -453,18 +452,15 @@ func (f *Fleet) runJob(hardCtx context.Context, rec *jobRecord) outcome {
 }
 
 // exec runs one attempt with panic isolation: a panic anywhere below
-// (simulator bug, workload bug) becomes a PanicError carrying the stack,
+// (simulator bug, workload bug) becomes a panicError carrying the stack,
 // and only this job pays for it.
-func (f *Fleet) exec(ctx context.Context, job Job, seed uint64) (art *jobArtifacts, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			art, err = nil, &PanicError{Value: fmt.Sprint(r), Stack: string(debug.Stack())}
+func (f *Fleet) exec(ctx context.Context, job Job, seed uint64) (*jobArtifacts, error) {
+	return isolate(func() (*jobArtifacts, error) {
+		if f.cfg.execute != nil {
+			return f.cfg.execute(ctx, job, seed)
 		}
-	}()
-	if f.cfg.execute != nil {
-		return f.cfg.execute(ctx, job, seed)
-	}
-	return f.simulate(ctx, job, seed)
+		return f.simulate(ctx, job, seed)
+	})
 }
 
 // backoff returns the sleep before retry attempt+1: exponential in the

@@ -91,35 +91,42 @@ type Payload struct {
 // with a ProfileMe unit attached, data layout and sampling seeds derived
 // from (Spec.Seed, cohort, shard). Returns pools keyed by cohort name.
 //
-// Cost scales with Σ cohorts(Shards × Scale); specs meant for quick
-// tests should keep scales small.
+// The shards are independent runs on runner.Map's pool, one per core,
+// and each lands at its (cohort, shard) index, so the pools are a pure
+// function of the spec at any pool width. Cost scales with
+// Σ cohorts(Shards × Scale) ÷ cores; specs meant for quick tests should
+// keep scales small.
 func (sp *Spec) Materialize() (map[string][]Payload, error) {
 	if err := sp.validate(); err != nil {
 		return nil, err
 	}
-	pools := make(map[string][]Payload, len(sp.Cohorts))
-	for ci := range sp.Cohorts {
-		c := &sp.Cohorts[ci]
-		bench, _ := workload.ByName(c.Bench) // existence validated above
-		pool := make([]Payload, 0, c.Shards)
+	type cell struct{ ci, si int }
+	var cells []cell
+	for ci, c := range sp.Cohorts {
 		for si := 0; si < c.Shards; si++ {
-			db, err := buildShard(sp, c, bench, ci, si)
-			if err != nil {
-				return nil, fmt.Errorf("traffic: cohort %q shard %d: %w", c.Name, si, err)
-			}
-			shardID := fmt.Sprintf("%s/s%03d", c.Name, si)
-			body, err := ingest.EncodeSubmit(shardID, db)
-			if err != nil {
-				return nil, fmt.Errorf("traffic: cohort %q shard %d: %w", c.Name, si, err)
-			}
-			pool = append(pool, Payload{
-				Shard:    shardID,
-				DB:       db,
-				Body:     body,
-				Captured: db.Samples() + db.Lost(),
-			})
+			cells = append(cells, cell{ci, si})
 		}
-		pools[c.Name] = pool
+	}
+	payloads, err := runner.Map(len(cells), func(i int) (Payload, error) {
+		ci, si := cells[i].ci, cells[i].si
+		c := &sp.Cohorts[ci]
+		shardID := fmt.Sprintf("%s/s%03d", c.Name, si)
+		db, err := buildShard(sp, c, ci, si)
+		var body []byte
+		if err == nil {
+			body, err = ingest.EncodeSubmit(shardID, db)
+		}
+		if err != nil {
+			return Payload{}, fmt.Errorf("traffic: cohort %q shard %d: %w", c.Name, si, err)
+		}
+		return Payload{Shard: shardID, DB: db, Body: body, Captured: db.Samples() + db.Lost()}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	pools := make(map[string][]Payload, len(sp.Cohorts))
+	for _, c := range sp.Cohorts {
+		pools[c.Name], payloads = payloads[:c.Shards:c.Shards], payloads[c.Shards:]
 	}
 	return pools, nil
 }
@@ -128,7 +135,8 @@ func (sp *Spec) Materialize() (map[string][]Payload, error) {
 // the function pmsim and the fleet make their shards with — at the
 // default pipeline, with data layout and sampling seed derived from
 // (Spec.Seed, cohort, shard).
-func buildShard(sp *Spec, c *Cohort, bench workload.Benchmark, ci, si int) (*profile.DB, error) {
+func buildShard(sp *Spec, c *Cohort, ci, si int) (*profile.DB, error) {
+	bench, _ := workload.ByName(c.Bench) // existence validated by Materialize
 	prog := bench.BuildSeeded(c.Scale, mixSeed(sp.Seed, uint64(ci), uint64(si)*2+1))
 	depth := c.BufferDepth
 	if depth == 0 {

@@ -1,10 +1,13 @@
 package traffic
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -157,6 +160,63 @@ func TestMaterializeDeterministicPayloads(t *testing.T) {
 	// seeds and sampling seeds).
 	if string(pool1[0].Body) == string(pool1[1].Body) {
 		t.Fatal("distinct shards produced identical payloads")
+	}
+}
+
+// TestMaterializeAnyPoolWidth: Materialize's pools are a pure function of
+// the spec, not of how many workers ran its shards. Cohorts of unequal
+// cost — the heaviest first, so at width 4 later cells finish before
+// earlier ones — are materialized at GOMAXPROCS 1 and 4, and every
+// cohort key, pool order, shard id, body, saved image and captured count
+// must agree.
+func TestMaterializeAnyPoolWidth(t *testing.T) {
+	sp := &Spec{
+		Version: SpecVersion, Seed: 9, DurationS: 1, Interval: 64,
+		Cohorts: []Cohort{
+			{Name: "heavy", Bench: "compress", Scale: 40000, Shards: 3, BaseRate: 1},
+			{Name: "mid", Bench: "li", Scale: 12000, Shards: 3, BaseRate: 1},
+			{Name: "light", Bench: "m88ksim", Scale: 3000, Shards: 4, BaseRate: 1},
+		},
+	}
+	type shard struct {
+		ID, Body, Image string
+		Captured        uint64
+	}
+	at := func(procs int) map[string][]shard {
+		old := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(old)
+		pools, err := sp.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string][]shard{}
+		for name, pool := range pools {
+			for _, p := range pool {
+				var img bytes.Buffer
+				if err := p.DB.Save(&img); err != nil {
+					t.Fatal(err)
+				}
+				out[name] = append(out[name], shard{p.Shard, string(p.Body), img.String(), p.Captured})
+			}
+		}
+		return out
+	}
+	seq, par := at(1), at(4)
+	if len(seq) != len(sp.Cohorts) {
+		t.Fatalf("%d pools for %d cohorts", len(seq), len(sp.Cohorts))
+	}
+	for _, c := range sp.Cohorts {
+		if len(seq[c.Name]) != c.Shards {
+			t.Fatalf("cohort %s: %d payloads, want %d", c.Name, len(seq[c.Name]), c.Shards)
+		}
+		for si, p := range seq[c.Name] {
+			if want := fmt.Sprintf("%s/s%03d", c.Name, si); p.ID != want {
+				t.Fatalf("cohort %s position %d holds %s, want %s", c.Name, si, p.ID, want)
+			}
+		}
+	}
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatal("pools materialized at GOMAXPROCS 4 differ from those at GOMAXPROCS 1")
 	}
 }
 
