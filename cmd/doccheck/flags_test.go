@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,14 +12,34 @@ import (
 	"testing"
 )
 
-// TestFlagTables holds OPERATIONS.md's two flag tables to the binaries:
-// every flag `pmsimd -h` / `pmrouter -h` prints has a row, every row names
-// a flag that exists, and the defaults agree. The runbook spells some
-// defaults for people (`8 MiB`, `off`, `0 (= 10s)`); normalize maps both
-// sides onto what the flag package prints, where a zero default is absent.
+// TestFlagTables holds the docs' flags to the binaries. OPERATIONS.md's
+// two flag tables match what `pmsimd -h` / `pmrouter -h` print: every
+// flag has a row, every row names a flag that exists, and the defaults
+// agree. The runbook spells some defaults for people (`8 MiB`, `off`,
+// `0 (= 10s)`); normalize maps both sides onto what the flag package
+// prints, where a zero default is absent. And every backticked `-name`
+// in README.md, DESIGN.md and OPERATIONS.md is a flag that some
+// binary's -h prints (each pmtraffic subcommand's), or the go tool's.
 func TestFlagTables(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds the daemons")
+		t.Skip("builds the binaries")
+	}
+	bins := t.TempDir()
+	build := []string{"build", "-o", bins}
+	for _, cmd := range []string{"pmsim", "pmsimd", "pmrouter", "pmdump", "pmtraffic", "figures"} {
+		build = append(build, "profileme/cmd/"+cmd)
+	}
+	if out, err := exec.Command("go", build...).CombinedOutput(); err != nil {
+		t.Fatalf("building the binaries: %v\n%s", err, out)
+	}
+	help := func(cmd string, args ...string) string {
+		// -h exits 0, or 2 (usage) where the flag set continues on error.
+		out, err := exec.Command(filepath.Join(bins, cmd), append(args, "-h")...).CombinedOutput()
+		var exit *exec.ExitError
+		if (err != nil && !(errors.As(err, &exit) && exit.ExitCode() == 2)) || !strings.Contains(string(out), "\n  -") {
+			t.Fatalf("%s %v -h: %v\n%s", cmd, args, err, out)
+		}
+		return string(out)
 	}
 	ops, err := os.ReadFile("../../OPERATIONS.md")
 	if err != nil {
@@ -40,16 +61,8 @@ func TestFlagTables(t *testing.T) {
 		return s
 	}
 	for _, cmd := range []string{"pmsimd", "pmrouter"} {
-		bin := filepath.Join(t.TempDir(), cmd)
-		if out, err := exec.Command("go", "build", "-o", bin, "profileme/cmd/"+cmd).CombinedOutput(); err != nil {
-			t.Fatalf("building %s: %v\n%s", cmd, err, out)
-		}
-		help, err := exec.Command(bin, "-h").CombinedOutput()
-		if err != nil {
-			t.Fatalf("%s -h: %v\n%s", cmd, err, help)
-		}
 		built := map[string]string{}
-		for _, m := range helpFlag.FindAllStringSubmatch(string(help), -1) {
+		for _, m := range helpFlag.FindAllStringSubmatch(help(cmd), -1) {
 			built[m[1]] = normalize(m[2])
 		}
 		_, section, _ := strings.Cut(string(ops), "\n## "+cmd+" ")
@@ -71,6 +84,26 @@ func TestFlagTables(t *testing.T) {
 		}
 		for name := range built {
 			t.Errorf("%s -%s has no row in OPERATIONS.md", cmd, name)
+		}
+	}
+
+	flags := map[string]bool{"race": true, "update": true} // go test's
+	flagLine, backticked := regexp.MustCompile(`(?m)^  -(\S+)`), regexp.MustCompile("`-([a-z][a-z0-9-]*)")
+	for _, h := range []string{help("pmsim"), help("pmsimd"), help("pmrouter"), help("pmdump"), help("figures"),
+		help("pmtraffic", "gen"), help("pmtraffic", "replay"), help("pmtraffic", "describe"), help("pmtraffic", "record")} {
+		for _, m := range flagLine.FindAllStringSubmatch(h, -1) {
+			flags[m[1]] = true
+		}
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "OPERATIONS.md"} {
+		text, err := os.ReadFile("../../" + doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range backticked.FindAllStringSubmatch(string(text), -1) {
+			if !flags[m[1]] {
+				t.Errorf("%s names `-%s`, which no binary's -h prints", doc, m[1])
+			}
 		}
 	}
 }

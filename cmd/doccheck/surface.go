@@ -148,17 +148,52 @@ func (s *surface) Import(path string) (*types.Package, error) {
 		return s.std.Import(path)
 	}
 	if u.pkg == nil {
-		u.pkg = s.check(u, u.path, u.files, u.files, true)
+		u.pkg = s.check(u, s, u.path, u.files, u.files, true)
 	}
 	return u.pkg, nil
 }
 
-// check type-checks files as package path and records what the files in
-// record name. The check of a unit's non-test files also declares: it
-// adds the unit's decls, their edges and its roots.
-func (s *surface) check(u *unit, path string, files, record []*ast.File, declares bool) *types.Package {
+// testImporter resolves a unit's external tests the way go test builds
+// them: the unit is its package with its in-package test files, so an
+// export_test.go hook is in scope, and each unit that imports it,
+// directly or not, is checked again against that package.
+type testImporter struct {
+	s    *surface
+	unit string
+	pkgs map[string]*types.Package
+}
+
+func (ti *testImporter) Import(path string) (*types.Package, error) {
+	if p, ok := ti.pkgs[path]; ok {
+		return p, nil
+	}
+	p, err := ti.s.Import(path)
+	if err == nil && ti.dependsOn(p, map[string]bool{}) {
+		conf := types.Config{Importer: ti, Error: func(err error) { ti.s.errs = append(ti.s.errs, err.Error()) }}
+		p, _ = conf.Check(path, ti.s.fset, ti.s.units[path].files, nil)
+	}
+	ti.pkgs[path] = p
+	return p, err
+}
+
+// dependsOn reports whether p, a unit, imports the tested unit.
+func (ti *testImporter) dependsOn(p *types.Package, seen map[string]bool) bool {
+	for _, q := range p.Imports() {
+		if path := q.Path(); path == ti.unit || (ti.s.units[path] != nil && !seen[path] && ti.dependsOn(q, seen)) {
+			return true
+		}
+		seen[q.Path()] = true
+	}
+	return false
+}
+
+// check type-checks files as package path, importing through imp, and
+// records what the files in record name. The check of a unit's non-test
+// files also declares: it adds the unit's decls, their edges and its
+// roots.
+func (s *surface) check(u *unit, imp types.Importer, path string, files, record []*ast.File, declares bool) *types.Package {
 	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
-	conf := types.Config{Importer: s, Error: func(err error) { s.errs = append(s.errs, err.Error()) }}
+	conf := types.Config{Importer: imp, Error: func(err error) { s.errs = append(s.errs, err.Error()) }}
 	pkg, _ := conf.Check(path, s.fset, files, info)
 	for _, tv := range info.Types {
 		if it, ok := tv.Type.(*types.Interface); ok && tv.IsType() && it.NumMethods() > 0 {
@@ -358,11 +393,13 @@ func loadSurface(root string) (*surface, error) {
 		if _, err := s.Import(p); err != nil {
 			return nil, err
 		}
+		var imp types.Importer = s
 		if len(u.tests) > 0 {
-			s.check(u, u.path, append(append([]*ast.File{}, u.files...), u.tests...), u.tests, false)
+			tested := s.check(u, s, u.path, append(append([]*ast.File{}, u.files...), u.tests...), u.tests, false)
+			imp = &testImporter{s: s, unit: u.path, pkgs: map[string]*types.Package{u.path: tested}}
 		}
 		if len(u.xtests) > 0 {
-			s.check(u, u.path+"_test", u.xtests, u.xtests, false)
+			s.check(u, imp, u.path+"_test", u.xtests, u.xtests, false)
 		}
 	}
 

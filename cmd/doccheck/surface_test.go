@@ -62,8 +62,10 @@ func unpack(t *testing.T, archive, dir string) {
 // allowlisted entry listed but no problem; a stale allowlist line a
 // problem. Of an option struct's fields, the one only a test sets and the
 // one only the type's own normalize sets are unset options; the one a
-// binary sets and the one only the nested module sets are not. Offline,
-// and quick enough to run on every change.
+// binary sets and the one only the nested module sets are not. An
+// external test that calls an export_test.go hook and hands its value to
+// a unit importing lib type-checks as go test builds it. Offline, and
+// quick enough to run on every change.
 func TestSurfaceFixture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the standard library from source")

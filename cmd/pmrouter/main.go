@@ -17,7 +17,8 @@
 //   - A background probe loop watches each instance's /readyz, so a
 //     SIGKILL'd instance stops receiving traffic within a probe period
 //     and a recovered one rejoins automatically; an instance whose WAL
-//     has stalled reports 503 wal-stalled and is degraded the same way.
+//     has stalled or failed reports 503 wal-stalled or wal-failed and is
+//     degraded the same way.
 //   - With -witness, every accepted submission is also copied to the
 //     shard's ring successor as a witness; a periodic anti-entropy
 //     sweep (-anti-entropy-every) reconciles witness ledgers against
@@ -83,10 +84,7 @@ func run() int {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7000", "listen address")
 		instances = flag.String("instances", "", "collector instances as id=url,id=url,... (ring identity = id)")
-		vnodes    = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per instance on the placement ring")
 		seed      = flag.Uint64("seed", 0, "virtual-node layout seed (same seed re-derives the same ring)")
-		deadline  = flag.Duration("query-deadline", 2*time.Second, "per-instance query leg deadline")
-		hedge     = flag.Duration("hedge", 250*time.Millisecond, "straggler hedge delay (negative disables)")
 		failures  = flag.Int("failure-threshold", 3, "consecutive transport failures that mark an instance down")
 		probeEach = flag.Duration("probe-every", 2*time.Second, "active /readyz probe period (0 disables)")
 		maxBody   = flag.Int64("max-body", 8<<20, "submission body size limit in bytes")
@@ -103,10 +101,7 @@ func run() int {
 	}
 	rcfg := cluster.RouterConfig{
 		Instances:        ins,
-		VNodes:           *vnodes,
 		Seed:             *seed,
-		QueryDeadline:    *deadline,
-		HedgeDelay:       *hedge,
 		FailureThreshold: *failures,
 		MaxBodyBytes:     *maxBody,
 		Witness:          *witness,

@@ -73,23 +73,14 @@ func run() int {
 		window    = flag.Int("window", 0, "aggregate paired-sampling window W")
 		width     = flag.Int("width", 4, "aggregate sustained issue width C")
 
-		queryDeadline = flag.Duration("query-deadline", 2*time.Second, "per-query deadline")
-		maxQueries    = flag.Int("max-queries", 32, "query concurrency high-water mark (excess is shed with 503)")
-		maxBody       = flag.Int64("max-body", 8<<20, "submission body size limit in bytes")
-
-		brkFails    = flag.Int("breaker-failures", 3, "consecutive checkpoint failures that open the circuit breaker")
-		brkCooldown = flag.Duration("breaker-cooldown", 5*time.Second, "breaker open period before a half-open probe")
-		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget after SIGTERM")
+		maxBody   = flag.Int64("max-body", 8<<20, "submission body size limit in bytes")
+		drainWait = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget after SIGTERM")
 
 		walDir     = flag.String("wal-dir", "", "write-ahead log directory: every 202 is durable before it is sent, and restart replays checkpoint+WAL ('' = no WAL)")
-		fsyncWin   = flag.Duration("fsync-window", 0, "group-commit coalescing window (0 = natural batching: a submit joins the in-flight fsync)")
 		walSegSize = flag.Int64("wal-segment-bytes", 0, "WAL segment rotation size (0 = 8 MiB default)")
-		walSegAge  = flag.Duration("wal-segment-age", 0, "WAL segment rotation age (0 = size-only rotation)")
 		walStall   = flag.Duration("wal-stall", 0, "pending-fsync age after which /readyz reports wal-stalled (0 = 10s default)")
 
-		sketchTopK   = flag.Int("sketch-topk", 512, "hot-PC sketch capacity K: /v1/hotpcs serves n<=K lock-free from the published view")
-		winBuckets   = flag.Int("sketch-window-buckets", 60, "windowed-query ring buckets (horizon = buckets x bucket duration)")
-		winBucketDur = flag.Duration("sketch-window-bucket", time.Second, "windowed-query ring bucket duration")
+		sketchTopK = flag.Int("sketch-topk", 512, "hot-PC sketch capacity K: /v1/hotpcs serves n<=K lock-free from the published view")
 
 		instance = flag.String("instance", "", "tier instance id: names this collector in logs, /v1/stats and handoff envelopes")
 	)
@@ -101,23 +92,17 @@ func run() int {
 	logw := ingest.NewSyncWriter(os.Stderr)
 
 	icfg := ingest.Config{
-		QueueDepth:          *queue,
-		Interval:            *interval,
-		Window:              *window,
-		Width:               *width,
-		CheckpointPath:      *ckpt,
-		CheckpointEvery:     *ckptEvery,
-		BreakerThreshold:    *brkFails,
-		BreakerCooldown:     *brkCooldown,
-		WALDir:              *walDir,
-		FsyncWindow:         *fsyncWin,
-		WALSegmentBytes:     *walSegSize,
-		WALSegmentAge:       *walSegAge,
-		WALStallAfter:       *walStall,
-		SketchTopK:          *sketchTopK,
-		SketchWindowBuckets: *winBuckets,
-		SketchWindowBucket:  *winBucketDur,
-		Log:                 logw,
+		QueueDepth:      *queue,
+		Interval:        *interval,
+		Window:          *window,
+		Width:           *width,
+		CheckpointPath:  *ckpt,
+		CheckpointEvery: *ckptEvery,
+		WALDir:          *walDir,
+		WALSegmentBytes: *walSegSize,
+		WALStallAfter:   *walStall,
+		SketchTopK:      *sketchTopK,
+		Log:             logw,
 	}
 
 	// Recover owns the whole restart story, with or without -wal-dir: it
@@ -142,11 +127,9 @@ func run() int {
 	svc.Start()
 
 	scfg := server.Config{
-		Instance:      *instance,
-		MaxBodyBytes:  *maxBody,
-		QueryDeadline: *queryDeadline,
-		MaxQueries:    *maxQueries,
-		Log:           logw,
+		Instance:     *instance,
+		MaxBodyBytes: *maxBody,
+		Log:          logw,
 	}
 	srv := server.New(scfg, svc)
 

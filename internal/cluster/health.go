@@ -28,12 +28,13 @@ func (rt *Router) Probe(ctx context.Context) {
 		case kind == "draining":
 			rt.members.draining(h.id)
 			rt.logf("probe: instance %s draining", h.id)
-		case kind == "wal-stalled":
-			// A stalled WAL means every 202 would block on a sick disk:
+		case kind == "wal-stalled", kind == "wal-failed":
+			// A stalled WAL means every 202 would block on a sick disk, a
+			// failed one that none can be issued until a restart replays:
 			// treat like draining — steer new submissions to the ring
 			// successor while the instance still serves queries and dedupes.
 			rt.members.draining(h.id)
-			rt.logf("probe: instance %s degraded (WAL stalled)", h.id)
+			rt.logf("probe: instance %s degraded (%s)", h.id, kind)
 		default:
 			// Not ready for another reason (e.g. breaker open): the
 			// instance still serves queries and dedupes submissions, so

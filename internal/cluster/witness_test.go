@@ -3,14 +3,11 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"profileme/internal/ingest"
-	"profileme/internal/server"
 )
 
 // svcDigest returns the deterministic serialized bytes of a service's
@@ -178,72 +175,4 @@ func TestWitnessDiskLossRebuild(t *testing.T) {
 
 func shardName(i int) string {
 	return "wit/s" + string(rune('a'+i/10)) + string(rune('0'+i%10))
-}
-
-// TestProbeMarksWALStalledDraining: an instance whose WAL fsync is not
-// keeping up reports 503 wal-stalled on /readyz, and the router's probe
-// degrades it to draining so new submissions steer to the successor.
-func TestProbeMarksWALStalledDraining(t *testing.T) {
-	dir := t.TempDir()
-	svc, err := ingest.NewService(ingest.Config{
-		QueueDepth:    16,
-		Interval:      16,
-		Width:         4,
-		WALDir:        filepath.Join(dir, "wal"),
-		FsyncWindow:   time.Hour, // park the syncer: nothing commits
-		WALStallAfter: 20 * time.Millisecond,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.Start()
-	ts := httptest.NewServer(server.New(server.Config{Instance: "c0"}, svc).Handler())
-	t.Cleanup(ts.Close)
-	rt, err := NewRouter(RouterConfig{
-		Instances:  []Instance{{ID: "c0", BaseURL: ts.URL}},
-		HedgeDelay: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Healthy first: no pending records, probe keeps it routable.
-	rt.Probe(context.Background())
-	if st := memberState(t, rt, "c0"); st != stateHealthy {
-		t.Fatalf("state before stall: %v", st)
-	}
-
-	// Wedge a submission behind the parked syncer, let it age past the
-	// stall threshold, and probe again. Raw http.Post: test helpers must
-	// not Fatal off the test goroutine.
-	body, err := ingest.EncodeSubmit("stall/s0", synthShard(1, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan int, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/submit", "application/json", bytes.NewReader(body))
-		if err != nil {
-			done <- -1
-			return
-		}
-		resp.Body.Close()
-		done <- resp.StatusCode
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for memberState(t, rt, "c0") != stateDraining {
-		if time.Now().After(deadline) {
-			t.Fatal("probe never marked the stalled instance draining")
-		}
-		time.Sleep(10 * time.Millisecond)
-		rt.Probe(context.Background())
-	}
-
-	// Unwedge: Close flushes pending appends, so the parked commit either
-	// lands durably (202) or reports the WAL refusal (503) — never a
-	// silent hang, and never an unacknowledged-yet-durable limbo.
-	svc.CloseWAL()
-	if status := <-done; status != 202 && status != 503 {
-		t.Fatalf("wedged submit: status %d, want 202 or 503", status)
-	}
 }

@@ -437,20 +437,18 @@ func TestLedgerBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	fields := map[string]bool{}
-	for _, pkg := range pkgs {
-		ast.Inspect(pkg.Files["ledger.go"], func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok || ts.Name.Name != "ledger" {
-				return true
+	ast.Inspect(pkgs["ingest"].Files["ledger.go"], func(n ast.Node) bool {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok || ts.Name.Name != "ledger" {
+			return true
+		}
+		for _, f := range ts.Type.(*ast.StructType).Fields.List {
+			for _, name := range f.Names {
+				fields[name.Name] = true
 			}
-			for _, f := range ts.Type.(*ast.StructType).Fields.List {
-				for _, name := range f.Names {
-					fields[name.Name] = true
-				}
-			}
-			return false
-		})
-	}
+		}
+		return false
+	})
 	if !fields["mu"] || !fields["shards"] || !fields["pending"] {
 		t.Fatalf("did not find the ledger struct's fields: %v", fields)
 	}

@@ -547,37 +547,62 @@ func TestDuplicateWaitsForOriginalDurability(t *testing.T) {
 	}
 }
 
-// TestWALStallSignal wires a stalled fsync into the health section.
+// TestWALStallSignal holds one submission's fsync with nothing else
+// staged — a single client, or its retry deduped onto the same ticket —
+// and requires health to read the hung verdict as a stall, then clear
+// once the verdict lands.
 func TestWALStallSignal(t *testing.T) {
 	dir := t.TempDir()
+	var armed atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
 	cfg := Config{
 		QueueDepth:    8,
 		Interval:      16,
 		WALDir:        filepath.Join(dir, "wal"),
-		FsyncWindow:   time.Hour, // syncer sleeps: staged records age
 		WALStallAfter: 10 * time.Millisecond,
+		walFsync: func(f *os.File) error {
+			if armed.CompareAndSwap(true, false) {
+				entered <- struct{}{}
+				<-release
+			}
+			return f.Sync()
+		},
 	}
 	s, err := NewService(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.CloseWAL()
+	unhold := sync.OnceFunc(func() { close(release) })
+	defer unhold()
 	if s.WALStalled() {
 		t.Fatal("fresh WAL reported stalled")
 	}
+	armed.Store(true)
 	done := make(chan error, 1)
 	go func() { done <- s.Submit(sub("stall-1", 1, 5)) }()
-	deadline := time.After(5 * time.Second)
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("submit never reached fsync")
+	}
+	deadline := time.After(2 * time.Second)
 	for !s.WALStalled() {
 		select {
 		case <-deadline:
-			t.Fatal("WAL never reported stalled")
-		case err := <-done:
-			t.Fatalf("submit returned (%v) though fsync should be parked", err)
+			h := s.Stats().WAL
+			t.Fatalf("fsync held 2s: stalled=%v pending=%d oldest_pending_age_ms=%d", h.Stalled, h.PendingRecords, h.OldestPendingAgeMS)
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
-	if h := s.Stats().WAL; h == nil || !h.Stalled {
+	if h := s.Stats().WAL; h == nil || !h.Stalled || h.OldestPendingAgeMS < 10 {
 		t.Fatalf("stats WAL section %+v, want Stalled", h)
+	}
+	unhold()
+	if err := <-done; err != nil {
+		t.Fatalf("submit after the verdict: %v", err)
+	}
+	if s.WALStalled() {
+		t.Fatal("WAL still stalled after the verdict landed")
 	}
 }

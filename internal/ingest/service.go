@@ -75,18 +75,14 @@ type Config struct {
 	// loses everything since the last checkpoint. Checkpoints become WAL
 	// barriers; segments wholly covered by a checkpoint are reclaimed.
 	WALDir string
-	// FsyncWindow is the group-commit coalescing window (see wal.Config;
-	// default 0 = natural batching, where concurrent submits share
-	// whatever fsync is already in flight).
-	FsyncWindow time.Duration
-	// WALSegmentBytes / WALSegmentAge bound segment rotation (defaults
-	// from wal.Config: 8 MiB, no age limit).
+	// WALSegmentBytes rotates WAL segments by size (default from
+	// wal.Config: 8 MiB).
 	WALSegmentBytes int64
-	WALSegmentAge   time.Duration
 	// WALStallAfter marks the WAL stalled — readiness degrades — when
-	// the oldest staged-but-unsynced record is older than this (default
-	// 10s). A stalled WAL means fsync has stopped completing: the
-	// instance must go unready BEFORE it starts losing data.
+	// the oldest record without a durability verdict is older than this
+	// (default 10s), its fsync in flight included. A stalled WAL means
+	// fsync has stopped completing: the instance must go unready BEFORE
+	// it starts losing data.
 	WALStallAfter time.Duration
 	// SketchTopK sizes the aggregate's space-saving hot-PC sketch
 	// (default 512); hot-PC queries for n <= SketchTopK serve O(n) from
@@ -102,7 +98,7 @@ type Config struct {
 
 	persist   func() error         // test seam; nil = Service.persistCheckpoint
 	mergeHook func(Submission)     // test seam; called before each merge
-	walFsync  func(*os.File) error // test seam; threaded to wal.Config.fsync
+	walFsync  func(*os.File) error // test seam; threaded to wal.Config.Fsync
 }
 
 func (c *Config) normalize() error {
@@ -187,9 +183,10 @@ type WALHealth struct {
 	Syncs             uint64 `json:"syncs"`
 	SyncErrors        uint64 `json:"sync_errors"`
 	Rotations         uint64 `json:"rotations"`
-	// LastSyncAgeMS is how long ago the last successful fsync finished;
-	// OldestPendingAgeMS how long the oldest staged-but-unsynced record
-	// has been waiting (0 when nothing is pending).
+	// LastSyncAgeMS is how long ago the last successful fsync finished
+	// (since the log opened, before the first); OldestPendingAgeMS how
+	// long the oldest record without a verdict has been waiting, its
+	// fsync in flight included (0 when nothing is pending).
 	LastSyncAgeMS      int64 `json:"last_sync_age_ms"`
 	OldestPendingAgeMS int64 `json:"oldest_pending_age_ms"`
 	// PendingRecords counts admitted-but-unresolved WAL records (staged
@@ -200,8 +197,9 @@ type WALHealth struct {
 	// boot (the WAL's boot-latency cost).
 	ReplayRecords    int   `json:"replay_records"`
 	ReplayDurationMS int64 `json:"replay_duration_ms"`
-	// Stalled is true when OldestPendingAge exceeded Config.WALStallAfter
-	// — fsync has stopped completing and readiness must degrade.
+	// Stalled is true when OldestPendingAgeMS exceeded
+	// Config.WALStallAfter — fsync has stopped completing (or hangs) and
+	// readiness must degrade.
 	Stalled bool `json:"stalled"`
 	// Wedged is true when a write or fsync failure permanently stopped
 	// the log: every submission answers 503 until a restart replays what
@@ -365,8 +363,6 @@ func newService(cfg Config, ck *Checkpoint) (*Service, error) {
 		l, rinfo, err := wal.Open(wal.Config{
 			Dir:          cfg.WALDir,
 			SegmentBytes: cfg.WALSegmentBytes,
-			SegmentAge:   cfg.WALSegmentAge,
-			FsyncWindow:  cfg.FsyncWindow,
 			Fsync:        cfg.walFsync,
 		}, s.replayRecord)
 		if err != nil {
@@ -1024,8 +1020,9 @@ func (s *Service) walHealth(pending int) *WALHealth {
 	}
 }
 
-// WALStalled reports whether the WAL's oldest unsynced record has aged
-// past Config.WALStallAfter — the readiness probe's degrade signal.
+// WALStalled reports whether the WAL's oldest record without a verdict
+// has aged past Config.WALStallAfter — the readiness probe's degrade
+// signal.
 // Always false with the WAL disabled.
 func (s *Service) WALStalled() bool {
 	return s.wal != nil && s.wal.Stats().OldestPendingAge > s.cfg.WALStallAfter

@@ -10,12 +10,12 @@ import (
 	"time"
 )
 
-// The acceptance bar for the WAL: at the default fsync window, group
-// commit must keep p50 submit latency within 2× of the non-WAL
-// baseline. The shard databases are built OUTSIDE the timed region so
-// the benchmark measures Submit itself (admission + WAL append + group
-// commit), not profile construction; each reported op carries a
-// "p50-ns" metric computed from per-call wall times.
+// The acceptance bar for the WAL: group commit must keep p50 submit
+// latency within 2× of the non-WAL baseline. The shard databases are
+// built OUTSIDE the timed region so the benchmark measures Submit itself
+// (admission + WAL append + group commit), not profile construction;
+// each reported op carries a "p50-ns" metric computed from per-call
+// wall times.
 
 func benchmarkSubmit(b *testing.B, cfg Config) {
 	b.Helper()
@@ -121,16 +121,9 @@ func BenchmarkSubmitNoWALDurable(b *testing.B) {
 	}
 }
 
-// BenchmarkSubmitWALDefault measures the default fsync window (0 =
-// natural batching: a submit joins whatever fsync is already in
-// flight). This is the configuration the 2× acceptance bound holds on.
+// BenchmarkSubmitWALDefault measures group commit: a submit joins
+// whatever fsync is already in flight. This is the configuration the 2×
+// acceptance bound holds on.
 func BenchmarkSubmitWALDefault(b *testing.B) {
 	benchmarkSubmit(b, Config{WALDir: b.TempDir()})
-}
-
-// BenchmarkSubmitWALWindow2ms adds a 2ms coalescing window: higher p50
-// by construction (every commit waits out the window), fewer fsyncs —
-// the trade the -fsync-window flag exposes.
-func BenchmarkSubmitWALWindow2ms(b *testing.B) {
-	benchmarkSubmit(b, Config{WALDir: b.TempDir(), FsyncWindow: 2 * time.Millisecond})
 }

@@ -83,20 +83,9 @@ type Config struct {
 	// Dir is the segment directory (required; created if missing).
 	Dir string
 	// SegmentBytes rotates the active segment once it crosses this size
-	// (default 8 MiB).
+	// (default 8 MiB), which also bounds what one file holds past the
+	// last reclaim.
 	SegmentBytes int64
-	// SegmentAge rotates the active segment once it is this old and
-	// non-empty (0 = size-only rotation). Age rotation bounds how much
-	// history one file can hold, so barrier reclaim can actually free
-	// space on a slow trickle of appends.
-	SegmentAge time.Duration
-	// FsyncWindow is the group-commit coalescing window: how long the
-	// syncer waits after the first record of a batch before fsyncing, so
-	// concurrent appenders share the write. 0 means no added delay —
-	// batches still form naturally while the previous fsync is in
-	// flight (commit pipelining), which is the right default on fast
-	// disks. Raise it on devices where fsync dominates.
-	FsyncWindow time.Duration
 
 	// Fsync overrides the file sync used for durability verdicts (nil =
 	// (*os.File).Sync). Tests inject fsync failures through it; leave it
@@ -121,12 +110,6 @@ func (c *Config) normalize() error {
 	}
 	if c.maxRecordBytes == 0 {
 		c.maxRecordBytes = 64 << 20
-	}
-	if c.FsyncWindow < 0 {
-		c.FsyncWindow = 0
-	}
-	if c.SegmentAge < 0 {
-		c.SegmentAge = 0
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -157,11 +140,12 @@ type Stats struct {
 	Syncs      uint64 `json:"syncs"`
 	SyncErrors uint64 `json:"sync_errors"`
 	Rotations  uint64 `json:"rotations"`
-	// LastSyncAge is the time since the last successful fsync (negative
-	// means none yet). OldestPendingAge is how long the oldest staged-
-	// but-unsynced record has been waiting — the stall signal: a healthy
-	// group commit keeps it under the fsync window, a dead disk lets it
-	// grow without bound.
+	// LastSyncAge is the time since the last successful fsync, or since
+	// Open before the first. OldestPendingAge is how long the oldest
+	// staged record without a verdict has been waiting, its batch's
+	// fsync in flight included — the stall signal: a healthy group
+	// commit keeps it near one fsync, a hung or dead disk lets it grow
+	// without bound.
 	LastSyncAge      time.Duration `json:"last_sync_age_ns"`
 	OldestPendingAge time.Duration `json:"oldest_pending_age_ns"`
 	// Wedged is true when a write or fsync failure has permanently
@@ -194,14 +178,16 @@ func (t *Ticket) Wait() error {
 type Log struct {
 	cfg Config
 
-	mu        sync.Mutex
-	f         *os.File
-	seq       uint64 // active segment sequence
-	off       int64  // active segment size (bytes written, staged included)
-	segOpened time.Time
-	segments  int
-	cur       *batch // open batch collecting staged records (nil = none)
-	closed    bool
+	mu       sync.Mutex
+	f        *os.File
+	seq      uint64 // active segment sequence
+	off      int64  // active segment size (bytes written, staged included)
+	segments int
+	cur      *batch // open batch collecting staged records (nil = none)
+	// syncing is the batch whose verdict is in flight (nil = none); it
+	// is older than cur, so Stats ages it first.
+	syncing *batch
+	closed  bool
 	// wedged is the log's fatal-failure latch. A failed write leaves a
 	// partial frame on disk; a failed fsync leaves records whose
 	// durability is unknowable (after an fsync EIO the kernel may mark
@@ -213,23 +199,15 @@ type Log struct {
 	// sealed holds rotated-out segments awaiting their final fsync +
 	// close, which happen inside the next durability verdict (syncAll)
 	// rather than at rotation time — see rotateLocked.
-	sealed     []*os.File
-	barrier    Pos
-	barrierAt  int64 // AppendedBytes when the barrier was last advanced
-	appended   int64
-	appends    uint64
-	syncs      uint64
-	syncErrs   uint64
-	rotations  uint64
-	lastSync   time.Time
-	lastHealth error
-
-	// syncMu serializes durability verdicts (syncAll). The kernel
-	// reports a writeback error to only ONE of several concurrent fsyncs
-	// on the same file, so two racing commits could split an EIO — one
-	// wedging the log while the other falsely acknowledges its batch.
-	// One verdict at a time, and none after a wedge.
-	syncMu sync.Mutex
+	sealed    []*os.File
+	barrier   Pos
+	barrierAt int64 // AppendedBytes when the barrier was last advanced
+	appended  int64
+	appends   uint64
+	syncs     uint64
+	syncErrs  uint64
+	rotations uint64
+	lastSync  time.Time // Open, then each successful verdict
 
 	kick chan struct{}
 	quit chan struct{}
@@ -341,9 +319,10 @@ func Open(cfg Config, apply func(pos Pos, payload []byte) error) (*Log, ReplayIn
 		return nil, info, err
 	}
 	l := &Log{
-		cfg:  cfg,
-		kick: make(chan struct{}, 1),
-		quit: make(chan struct{}),
+		cfg:      cfg,
+		lastSync: cfg.now(),
+		kick:     make(chan struct{}, 1),
+		quit:     make(chan struct{}),
 	}
 	seqs, err := listSegments(cfg.Dir)
 	if err != nil {
@@ -373,7 +352,6 @@ func Open(cfg Config, apply func(pos Pos, payload []byte) error) (*Log, ReplayIn
 			return nil, info, fmt.Errorf("wal: open segment %d: %w", last, err)
 		}
 		l.f, l.seq, l.off = f, last, st.Size()
-		l.segOpened = cfg.now()
 	}
 	// Resume the barrier at the start of the oldest retained segment:
 	// everything below it was reclaimed by a previous incarnation.
@@ -416,7 +394,6 @@ func (l *Log) newSegmentLocked(seq uint64) error {
 		return fmt.Errorf("wal: segment %d dir sync: %w", seq, err)
 	}
 	l.f, l.seq, l.off = f, seq, segHeaderBytes
-	l.segOpened = l.cfg.now()
 	l.segments++
 	return nil
 }
@@ -426,7 +403,7 @@ func (l *Log) newSegmentLocked(seq uint64) error {
 // verdict (syncAll), not here — an fsync under l.mu would stall every
 // Stage behind the disk, and an fsync concurrent with an in-flight
 // group commit could split a writeback error between the two (see
-// syncMu). The new segment is created BEFORE the old one is given up,
+// syncAll). The new segment is created BEFORE the old one is given up,
 // so a failed create leaves the old segment open and active: the log
 // stays fully usable and rotation simply retries on the next Stage.
 func (l *Log) rotateLocked() error {
@@ -459,8 +436,7 @@ func (l *Log) Stage(payload []byte) (Pos, *Ticket, error) {
 	if l.wedged != nil {
 		return Pos{}, nil, fmt.Errorf("wal: wedged by earlier failure: %w", l.wedged)
 	}
-	if l.off >= l.cfg.SegmentBytes ||
-		(l.cfg.SegmentAge > 0 && l.off > segHeaderBytes && l.cfg.now().Sub(l.segOpened) >= l.cfg.SegmentAge) {
+	if l.off >= l.cfg.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			return Pos{}, nil, err
 		}
@@ -502,9 +478,10 @@ func (l *Log) Append(payload []byte) (Pos, error) {
 	return pos, t.Wait()
 }
 
-// syncLoop is the group-commit engine: each kick marks an open batch;
-// after the coalescing window, one fsync covers every record staged
-// into it, and the batch's waiters are released together.
+// syncLoop is the group-commit engine: each kick marks an open batch,
+// one fsync covers every record staged into it, and the batch's waiters
+// are released together. There is no timer: records staged while a
+// verdict is in flight form the next batch, so batches grow with load.
 func (l *Log) syncLoop() {
 	defer l.wg.Done()
 	for {
@@ -513,41 +490,30 @@ func (l *Log) syncLoop() {
 			return
 		case <-l.kick:
 		}
-		if w := l.cfg.FsyncWindow; w > 0 {
-			timer := time.NewTimer(w)
-			select {
-			case <-l.quit:
-				timer.Stop()
-				// Fall through to sync the final batch before exiting.
-			case <-timer.C:
-			}
-		}
-		l.commitOnce()
-		select {
-		case <-l.quit:
-			return
-		default:
+		if b := l.take(); b != nil {
+			b.err = l.syncAll()
+			close(b.done)
 		}
 	}
 }
 
-// commitOnce takes the open batch (if any), runs one durability
-// verdict, and releases the batch with the outcome.
-func (l *Log) commitOnce() {
+// take detaches the open batch (nil = none) for a verdict. It stays
+// visible to Stats as syncing until syncAll clears it.
+func (l *Log) take() *batch {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	b := l.cur
-	l.cur = nil
-	l.mu.Unlock()
-	if b == nil {
-		return
-	}
-	b.err = l.syncAll()
-	close(b.done)
+	l.cur, l.syncing = nil, b
+	return b
 }
 
 // syncAll is the single durability verdict: fsync every rotated-out
-// segment awaiting its seal, then the active one, under syncMu so no
-// two verdicts (and no verdict after a wedge) ever run concurrently.
+// segment awaiting its seal, then the active one. Verdicts never run
+// concurrently — the syncer runs them one at a time, and Close runs the
+// last only after the syncer has stopped — because the kernel reports a
+// writeback error to only ONE of several concurrent fsyncs on a file:
+// two racing verdicts could split an EIO, one wedging the log while the
+// other falsely acknowledges its batch. None runs after a wedge.
 // l.mu is NOT held across the fsyncs — appenders keep staging the next
 // batch while this one commits (commit pipelining), and a slow disk
 // never blocks Stage or the service mutexes above it.
@@ -560,11 +526,10 @@ func (l *Log) commitOnce() {
 // frame) would silently discard it. Nothing is acknowledged past a
 // failed verdict; the wedge clears only via restart + replay.
 func (l *Log) syncAll() error {
-	l.syncMu.Lock()
-	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	if werr := l.wedged; werr != nil {
 		l.syncErrs++
+		l.syncing = nil
 		l.mu.Unlock()
 		return fmt.Errorf("wal: wedged by earlier failure: %w", werr)
 	}
@@ -585,18 +550,14 @@ func (l *Log) syncAll() error {
 
 	l.mu.Lock()
 	l.syncs++
+	l.syncing = nil
 	if err != nil {
 		l.syncErrs++
-		l.lastHealth = err
-		// os.ErrClosed can only mean a sync raced Close's teardown (segments
-		// are otherwise closed solely here, under syncMu, after detach):
-		// the batch still fails, but a shut log is not a wedged one.
-		if l.wedged == nil && !errors.Is(err, os.ErrClosed) {
+		if l.wedged == nil {
 			l.wedged = err
 		}
 	} else {
 		l.lastSync = l.cfg.now()
-		l.lastHealth = nil
 	}
 	l.mu.Unlock()
 	// Sealed segments can close now: on success their records are
@@ -665,23 +626,23 @@ func (l *Log) Stats() Stats {
 		Syncs:             l.syncs,
 		SyncErrors:        l.syncErrs,
 		Rotations:         l.rotations,
-		LastSyncAge:       -1,
-		OldestPendingAge:  0,
 		Wedged:            l.wedged != nil,
 	}
 	now := l.cfg.now()
-	if !l.lastSync.IsZero() {
-		st.LastSyncAge = now.Sub(l.lastSync)
+	st.LastSyncAge = now.Sub(l.lastSync)
+	oldest := l.syncing
+	if oldest == nil {
+		oldest = l.cur
 	}
-	if l.cur != nil {
-		st.OldestPendingAge = now.Sub(l.cur.opened)
+	if oldest != nil {
+		st.OldestPendingAge = now.Sub(oldest.opened)
 	}
 	return st
 }
 
-// Close syncs everything staged, releases any waiting batch, stops the
-// syncer, and closes the active segment. Further Stage/Append calls
-// fail with errClosed.
+// Close stops the syncer, syncs everything staged, releases any waiting
+// batch, and closes the active segment. Further Stage/Append calls fail
+// with errClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -689,16 +650,15 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	b := l.cur
-	l.cur = nil
 	l.mu.Unlock()
+	close(l.quit)
+	l.wg.Wait()
+	b := l.take()
 	err := l.syncAll()
 	if b != nil {
 		b.err = err
 		close(b.done)
 	}
-	close(l.quit)
-	l.wg.Wait()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f != nil {

@@ -164,33 +164,6 @@ func TestSegmentRotationAndReclaim(t *testing.T) {
 	}
 }
 
-func TestAgeRotation(t *testing.T) {
-	dir := t.TempDir()
-	clock := time.Unix(1000, 0)
-	cfg := Config{Dir: dir, SegmentAge: time.Minute, now: func() time.Time { return clock }}
-	l, _, err := Open(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Append([]byte("young")); err != nil {
-		t.Fatal(err)
-	}
-	before := l.Stats().SegmentSeq
-	clock = clock.Add(2 * time.Minute)
-	if _, err := l.Append([]byte("old")); err != nil {
-		t.Fatal(err)
-	}
-	if after := l.Stats().SegmentSeq; after != before+1 {
-		t.Fatalf("age rotation did not advance the segment (seq %d -> %d)", before, after)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := collect(t, dir); len(got) != 2 {
-		t.Fatalf("replayed %d records after age rotation, want 2", len(got))
-	}
-}
-
 // TestTornTailTruncated crashes mid-record (simulated by appending junk
 // bytes to the active segment) and verifies Open repairs: the intact
 // prefix replays, the tail is truncated, and new appends land cleanly.
@@ -301,47 +274,74 @@ func TestBitFlipTruncatesAndQuarantines(t *testing.T) {
 	}
 }
 
-// TestGroupCommit runs concurrent appenders: every append must be
-// durable on return, and the batched fsync must actually batch (fewer
-// syncs than appends under a positive window).
+// holdFirstFsync returns an Fsync seam that passes through until armed,
+// then parks the first armed call — announcing it on entered — until
+// release closes, and passes through again after it.
+func holdFirstFsync() (fsync func(*os.File) error, armed *atomic.Bool, entered chan struct{}, release chan struct{}) {
+	armed = new(atomic.Bool)
+	entered, release = make(chan struct{}), make(chan struct{})
+	return func(f *os.File) error {
+		if armed.CompareAndSwap(true, false) {
+			entered <- struct{}{}
+			<-release
+		}
+		return f.Sync()
+	}, armed, entered, release
+}
+
+// waitEntered fails the test unless a held fsync is reached in time.
+func waitEntered(t *testing.T, entered chan struct{}) {
+	t.Helper()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no verdict reached fsync")
+	}
+}
+
+// TestGroupCommit proves batching without a timer: while the first
+// verdict is held in fsync, every other appender stages into the next
+// batch, and the whole set commits in exactly two verdicts.
 func TestGroupCommit(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(Config{Dir: dir, FsyncWindow: 2 * time.Millisecond}, nil)
+	fsync, armed, entered, release := holdFirstFsync()
+	l, _, err := Open(Config{Dir: dir, Fsync: fsync}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const workers, per = 8, 25
-	var wg sync.WaitGroup
-	errs := make(chan error, workers*per)
+	armed.Store(true)
+	const workers = 8
+	errs := make(chan error, workers)
+	appendOne := func(w int) {
+		_, err := l.Append([]byte(fmt.Sprintf("w%d", w)))
+		errs <- err
+	}
+	go appendOne(0)
+	waitEntered(t, entered)
+	for w := 1; w < workers; w++ {
+		go appendOne(w)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for l.Stats().Appends < workers {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d appenders staged", l.Stats().Appends, workers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				if _, err := l.Append([]byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(w)
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	st := l.Stats()
-	if st.Appends != workers*per {
-		t.Fatalf("appends %d, want %d", st.Appends, workers*per)
-	}
-	if st.Syncs >= st.Appends {
-		t.Fatalf("group commit did not batch: %d syncs for %d appends", st.Syncs, st.Appends)
+	if st := l.Stats(); st.Appends != workers || st.Syncs != 2 {
+		t.Fatalf("%d appends in %d verdicts, want %d in 2", st.Appends, st.Syncs, workers)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := collect(t, dir); len(got) != workers*per {
-		t.Fatalf("replayed %d records, want %d", len(got), workers*per)
+	if got, _ := collect(t, dir); len(got) != workers {
+		t.Fatalf("replayed %d records, want %d", len(got), workers)
 	}
 }
 
@@ -569,25 +569,42 @@ func TestReplayMissingDir(t *testing.T) {
 	}
 }
 
+// TestStatsStallSignal holds a verdict's fsync with nothing else staged
+// — one client, or its retry deduped onto the same ticket — and requires
+// the record under that verdict to age: a hung fsync is the stall the
+// signal exists for. Before the first verdict the last-sync age grows
+// from Open instead of reading "just synced".
 func TestStatsStallSignal(t *testing.T) {
 	dir := t.TempDir()
 	clock := time.Unix(5000, 0)
 	var mu sync.Mutex
 	now := func() time.Time { mu.Lock(); defer mu.Unlock(); return clock }
-	// A huge window keeps the syncer asleep so the staged batch ages.
-	l, _, err := Open(Config{Dir: dir, FsyncWindow: time.Hour, now: now}, nil)
+	advance := func(d time.Duration) { mu.Lock(); clock = clock.Add(d); mu.Unlock() }
+	fsync, armed, entered, release := holdFirstFsync()
+	l, _, err := Open(Config{Dir: dir, Fsync: fsync, now: now}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, _, err := l.Stage([]byte("pending")); err != nil {
+	armed.Store(true)
+	advance(5 * time.Second)
+	if st := l.Stats(); st.LastSyncAge != 5*time.Second || st.OldestPendingAge != 0 {
+		t.Errorf("before any record: last sync age %v, oldest pending %v; want 5s, 0", st.LastSyncAge, st.OldestPendingAge)
+	}
+	_, ticket, err := l.Stage([]byte("pending"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	clock = clock.Add(30 * time.Second)
-	mu.Unlock()
-	st := l.Stats()
-	if st.OldestPendingAge < 30*time.Second {
-		t.Fatalf("oldest pending age %v, want >= 30s", st.OldestPendingAge)
+	waitEntered(t, entered)
+	advance(30 * time.Second)
+	if st := l.Stats(); st.OldestPendingAge != 30*time.Second {
+		t.Errorf("fsync hung 30s: oldest pending age %v, want 30s", st.OldestPendingAge)
+	}
+	close(release)
+	if err := ticket.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.OldestPendingAge != 0 || st.LastSyncAge != 0 {
+		t.Errorf("after the verdict: oldest pending %v, last sync age %v; want 0, 0", st.OldestPendingAge, st.LastSyncAge)
 	}
 }
