@@ -7,6 +7,7 @@
 //
 //	doccheck                          # checks README.md DESIGN.md OPERATIONS.md
 //	doccheck README.md EXTRA.md       # explicit file list
+//	doccheck -surface                 # the export-surface pass (surface.go)
 //
 // Exit status 0 when clean, 1 with one line per problem otherwise.
 // Fenced code blocks are ignored entirely: a `# comment` inside a
@@ -14,6 +15,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -111,11 +113,13 @@ func parse(path string) (*doc, error) {
 }
 
 func main() {
-	if len(os.Args) == 2 && os.Args[1] == "-surface" {
+	surfacePass := flag.Bool("surface", false, "check internal/'s export surface instead of the markdown")
+	flag.Parse() // -h prints the flags and exits 0, a bad flag exits 2
+	if *surfacePass {
 		exitOn(surfaceProblems())
 		return
 	}
-	files := os.Args[1:]
+	files := flag.Args()
 	if len(files) == 0 {
 		files = []string{"README.md", "DESIGN.md", "OPERATIONS.md"}
 	}

@@ -21,8 +21,9 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is figures: it returns the exit status (2 for usage or an unknown
-// experiment, 1 when an experiment fails or its shape check does).
+// run is figures: it returns the exit status (0 for -h, 2 for usage or
+// an unknown experiment, 1 when an experiment fails or its shape check
+// does).
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -36,7 +37,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "  %-10s %s\n", "all", "everything above, in order")
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0 // -h asked for the usage it printed
+	} else if err != nil {
 		return 2
 	}
 	if fs.NArg() != 1 {

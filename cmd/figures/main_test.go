@@ -22,6 +22,7 @@ func TestRun(t *testing.T) {
 		{"no experiment", nil, 2, ""},
 		{"two experiments", []string{"fig2", "fig3"}, 2, ""},
 		{"unknown flag", []string{"-fast", "fig2"}, 2, ""},
+		{"help", []string{"-h"}, 0, ""},
 	} {
 		var stdout, stderr bytes.Buffer
 		if got := run(tc.args, &stdout, &stderr); got != tc.status {

@@ -24,14 +24,17 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is pmdump: it returns the exit status (2 for usage, 1 for a file
-// that cannot be loaded or merged — the message names the file).
+// run is pmdump: it returns the exit status (0 for -h, 2 for usage, 1
+// for a file that cannot be loaded or merged — the message names the
+// file).
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pmdump", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	top := fs.Int("top", 20, "hot instructions to print")
 	merge := fs.Bool("merge", false, "merge all argument databases before reporting")
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0 // -h asked for the usage it printed
+	} else if err != nil {
 		return 2
 	}
 	if fs.NArg() < 1 {

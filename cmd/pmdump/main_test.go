@@ -78,6 +78,7 @@ func TestRun(t *testing.T) {
 			nil, []string{torn, "truncated data"}},
 		{"two files need -merge", []string{clean, lossy}, 2,
 			nil, []string{"need -merge"}},
+		{"-h prints the flags", []string{"-h"}, 0, nil, []string{"-merge", "-top"}},
 	} {
 		var stdout, stderr bytes.Buffer
 		if got := run(tc.args, &stdout, &stderr); got != tc.status {

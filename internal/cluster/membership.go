@@ -70,15 +70,14 @@ type migrationStatus struct {
 
 // migration is the router's mutable migration-progress state.
 type migration struct {
-	mu        sync.Mutex
-	status    migrationStatus
-	completed uint64
+	mu     sync.Mutex
+	status migrationStatus
 }
 
 func (m *migration) begin(kind, instance string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.status = migrationStatus{Active: true, Kind: kind, Instance: instance, Completed: m.completed}
+	m.status = migrationStatus{Active: true, Kind: kind, Instance: instance, Completed: m.status.Completed}
 }
 
 func (m *migration) phase(p string) {
@@ -96,9 +95,8 @@ func (m *migration) end(err error) {
 		m.status.LastError = err.Error()
 	} else {
 		m.status.LastError = ""
-		m.completed++
+		m.status.Completed++
 	}
-	m.status.Completed = m.completed
 }
 
 func (m *migration) snapshot() migrationStatus {

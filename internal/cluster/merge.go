@@ -214,13 +214,16 @@ func mergeEstimate(pc string, legs []instanceEstimate) map[string]any {
 }
 
 // instanceStats is the subset of per-instance stats the fleet rollup
-// sums; the full per-instance payload rides alongside verbatim.
+// sums, and the rollup itself: served as "fleet", with Instances the
+// number of instances that answered. The full per-instance payload
+// rides alongside verbatim.
 type instanceStats struct {
 	Samples     uint64 `json:"samples"`
 	Lost        uint64 `json:"lost"`
 	Merged      uint64 `json:"merged"`
 	SamplesLost uint64 `json:"samples_lost"`
 	HandoffsIn  uint64 `json:"handoffs_in"`
+	Instances   int    `json:"instances"`
 }
 
 // mergeStats sums the fleet rollup — the fleet-wide conservation
@@ -229,7 +232,7 @@ type instanceStats struct {
 // legs[i], beside it.
 func mergeStats(from []leg, legs []instanceStats) map[string]any {
 	perInstance := make(map[string]json.RawMessage, len(legs))
-	var fleet instanceStats
+	fleet := instanceStats{Instances: len(legs)}
 	for i, one := range legs {
 		fleet.Samples += one.Samples
 		fleet.Lost += one.Lost
@@ -238,15 +241,5 @@ func mergeStats(from []leg, legs []instanceStats) map[string]any {
 		fleet.HandoffsIn += one.HandoffsIn
 		perInstance[from[i].id] = from[i].body
 	}
-	return map[string]any{
-		"fleet": map[string]any{
-			"samples":      fleet.Samples,
-			"lost":         fleet.Lost,
-			"merged":       fleet.Merged,
-			"samples_lost": fleet.SamplesLost,
-			"handoffs_in":  fleet.HandoffsIn,
-			"instances":    len(perInstance),
-		},
-		"instances": perInstance,
-	}
+	return map[string]any{"fleet": fleet, "instances": perInstance}
 }

@@ -53,7 +53,7 @@ func (rt *Router) gather(ctx context.Context, pathAndQuery string) fanout {
 	for range live {
 		l := <-results
 		if l.err != nil {
-			rt.n.legsFailed.Add(1)
+			rt.count(&rt.stats.LegsFailed)
 			// A leg that died because the CLIENT disconnected (the parent
 			// request context canceled, which cancels every derived per-leg
 			// context) says nothing about the instance's health — charging
@@ -93,7 +93,7 @@ func (rt *Router) fetchHedged(ctx context.Context, id, url string) leg {
 		return l
 	case <-timer.C:
 	}
-	rt.n.hedges.Add(1)
+	rt.count(&rt.stats.Hedges)
 	hedge := make(chan leg, 1)
 	go func() { hedge <- rt.fetchOne(ctx, id, url) }()
 	select {
@@ -101,7 +101,7 @@ func (rt *Router) fetchHedged(ctx context.Context, id, url string) leg {
 		return l
 	case l := <-hedge:
 		if l.err == nil {
-			rt.n.hedgeWins.Add(1)
+			rt.count(&rt.stats.HedgeWins)
 		}
 		return l
 	}
@@ -178,7 +178,7 @@ func (rt *Router) writeMerged(w http.ResponseWriter, resp map[string]any, missin
 	resp["partial"] = len(missing) > 0
 	resp["instances_missing"] = len(missing)
 	if len(missing) > 0 {
-		rt.n.partialsServed.Add(1)
+		rt.count(&rt.stats.PartialsServed)
 		resp["missing"] = missing
 	}
 	rt.writeJSON(w, http.StatusOK, resp)

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -115,19 +114,14 @@ type Router struct {
 	memMu     sync.Mutex
 	migration migration
 
-	n routerCounters
+	// statsMu guards stats, whose fields are the /v1/stats "router"
+	// counters themselves. No other lock is taken under it.
+	statsMu sync.Mutex
+	stats   RouterStats
 
 	logMu sync.Mutex
 
 	witnessWG sync.WaitGroup // in-flight async witness forwards
-}
-
-// routerCounters back RouterStats, field for field.
-type routerCounters struct {
-	submits, submitRetries, wrongOwner, failovers atomic.Uint64
-	hedges, hedgeWins, partialsServed, legsFailed atomic.Uint64
-	witnessSent, witnessFailed                    atomic.Uint64
-	antiEntropyRuns, antiEntropyResub             atomic.Uint64
 }
 
 // NewRouter builds the tier frontend over the configured instances.
@@ -223,7 +217,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		rt.writeErr(w, http.StatusMethodNotAllowed, "method", "POST only", nil)
 		return
 	}
-	rt.n.submits.Add(1)
+	rt.count(&rt.stats.Submits)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
@@ -251,7 +245,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// and never see this.
 	if hdr := r.Header.Get("X-Ring-Epoch"); hdr != "" {
 		if want, perr := strconv.ParseUint(hdr, 10, 64); perr != nil || want != epoch {
-			rt.n.wrongOwner.Add(1)
+			rt.count(&rt.stats.WrongOwnerConflicts)
 			rt.writeErr(w, http.StatusConflict, "wrong-owner",
 				fmt.Sprintf("ring epoch %q is stale (current %d): re-resolve and retry", hdr, epoch),
 				map[string]any{"epoch": epoch})
@@ -269,24 +263,24 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// to a second instance's books (a double-merge risk only the
 			// pinning discipline then contains). Skipped when the CLIENT
 			// disconnected — that isn't the instance's failure.
-			rt.n.submitRetries.Add(1)
+			rt.count(&rt.stats.SubmitRetries)
 			status, respBody, err = rt.forwardSubmit(r.Context(), h, body)
 		}
 		switch {
 		case err != nil:
-			rt.n.legsFailed.Add(1)
+			rt.count(&rt.stats.LegsFailed)
 			if rt.members.failed(h.id) == stateDown {
 				rt.logf("submit shard %s: instance %s marked down (%v)", shard, h.id, err)
 			} else {
 				rt.logf("submit shard %s: instance %s unreachable (%v), failing over", shard, h.id, err)
 			}
-			rt.n.failovers.Add(1)
+			rt.count(&rt.stats.Failovers)
 		case status == http.StatusServiceUnavailable:
 			// Draining (or a drain raced admission): the refusal was
 			// loss-accounted there; fail over to the ring successor.
 			rt.members.draining(h.id)
 			refusedBy = append(refusedBy, h.id)
-			rt.n.failovers.Add(1)
+			rt.count(&rt.stats.Failovers)
 			rt.logf("submit shard %s: instance %s draining, failing over", shard, h.id)
 		default:
 			// A 202; or 429 backpressure (retry the same owner later) or a
@@ -427,20 +421,16 @@ type RouterStats struct {
 
 // Stats returns a snapshot of the router counters.
 func (rt *Router) Stats() RouterStats {
-	return RouterStats{
-		Submits:              rt.n.submits.Load(),
-		SubmitRetries:        rt.n.submitRetries.Load(),
-		WrongOwnerConflicts:  rt.n.wrongOwner.Load(),
-		Failovers:            rt.n.failovers.Load(),
-		Hedges:               rt.n.hedges.Load(),
-		HedgeWins:            rt.n.hedgeWins.Load(),
-		PartialsServed:       rt.n.partialsServed.Load(),
-		LegsFailed:           rt.n.legsFailed.Load(),
-		WitnessSent:          rt.n.witnessSent.Load(),
-		WitnessFailed:        rt.n.witnessFailed.Load(),
-		AntiEntropyRuns:      rt.n.antiEntropyRuns.Load(),
-		AntiEntropyResubmits: rt.n.antiEntropyResub.Load(),
-	}
+	rt.statsMu.Lock()
+	defer rt.statsMu.Unlock()
+	return rt.stats
+}
+
+// count bumps one of rt.stats' counters.
+func (rt *Router) count(counter *uint64) {
+	rt.statsMu.Lock()
+	*counter++
+	rt.statsMu.Unlock()
 }
 
 // logf writes one attributable line under the router's log mutex, so

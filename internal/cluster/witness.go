@@ -55,21 +55,21 @@ func (rt *Router) sendWitness(ctx context.Context, holder hop, shard, origin str
 		"body":     body, // []byte marshals as base64
 	})
 	if err != nil {
-		rt.n.witnessFailed.Add(1)
+		rt.count(&rt.stats.WitnessFailed)
 		return
 	}
 	status, _, err := roundTrip(ctx, rt.client, http.MethodPost, holder.url+"/v1/witness", payload, rt.cfg.submitDeadline, 4096)
 	if status == 0 {
-		rt.n.witnessFailed.Add(1)
+		rt.count(&rt.stats.WitnessFailed)
 		rt.logf("witness shard %s: holder %s unreachable (%v)", shard, holder.id, err)
 		return
 	}
 	if status != http.StatusAccepted {
-		rt.n.witnessFailed.Add(1)
+		rt.count(&rt.stats.WitnessFailed)
 		rt.logf("witness shard %s: holder %s refused (%d)", shard, holder.id, status)
 		return
 	}
-	rt.n.witnessSent.Add(1)
+	rt.count(&rt.stats.WitnessSent)
 }
 
 // AntiEntropyReport summarizes one reconciliation sweep.
@@ -149,8 +149,10 @@ func (rt *Router) AntiEntropy(ctx context.Context) AntiEntropyReport {
 			}
 		}
 	}
-	rt.n.antiEntropyRuns.Add(1)
-	rt.n.antiEntropyResub.Add(uint64(rep.Resubmitted))
+	rt.statsMu.Lock()
+	rt.stats.AntiEntropyRuns++
+	rt.stats.AntiEntropyResubmits += uint64(rep.Resubmitted)
+	rt.statsMu.Unlock()
 	return rep
 }
 

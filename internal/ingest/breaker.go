@@ -138,11 +138,9 @@ func (b *Breaker) State() BreakerState {
 
 // snapshot returns a snapshot of the counters.
 func (b *Breaker) snapshot() breakerStats {
-	st := func() breakerStats {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return b.stats
-	}()
+	b.mu.Lock()
+	st := b.stats
+	b.mu.Unlock()
 	st.State = b.State().String()
 	return st
 }

@@ -162,31 +162,20 @@ type Stats struct {
 	// instance whose fsyncs have stopped completing.
 	WAL *WALHealth `json:"wal,omitempty"`
 
-	// Aggregate rollup.
-	Samples  uint64  `json:"samples"`
-	Lost     uint64  `json:"lost"`
-	LossRate float64 `json:"loss_rate"`
-
-	// Sketch is the streaming-summary layer's health: view epoch, top-K
-	// occupancy, error floor, window geometry (see profile.SketchStats).
+	// The aggregate rollup and the sketch layer's health (view epoch,
+	// top-K occupancy, error floor, window geometry), both read from one
+	// published view.
+	profile.Counters
 	Sketch profile.SketchStats `json:"sketch"`
 }
 
-// WALHealth is the /v1/stats "wal" section: the log's own counters plus
-// the service-level replay and pending figures the log cannot know.
+// WALHealth is the /v1/stats "wal" section: the log's own counters,
+// served as the log reports them, plus what the log cannot know — its
+// ages in milliseconds, the records pending a merge, the boot replay,
+// and the stall verdict against Config.WALStallAfter.
 type WALHealth struct {
-	Segments          int    `json:"segments"`
-	SegmentSeq        uint64 `json:"segment_seq"`
-	AppendedBytes     int64  `json:"appended_bytes"`
-	BytesSinceBarrier int64  `json:"bytes_since_barrier"`
-	Appends           uint64 `json:"appends"`
-	Syncs             uint64 `json:"syncs"`
-	SyncErrors        uint64 `json:"sync_errors"`
-	Rotations         uint64 `json:"rotations"`
-	// LastSyncAgeMS is how long ago the last successful fsync finished
-	// (since the log opened, before the first); OldestPendingAgeMS how
-	// long the oldest record without a verdict has been waiting, its
-	// fsync in flight included (0 when nothing is pending).
+	wal.Stats
+	// LastSyncAgeMS and OldestPendingAgeMS are wal.Stats' two ages in ms.
 	LastSyncAgeMS      int64 `json:"last_sync_age_ms"`
 	OldestPendingAgeMS int64 `json:"oldest_pending_age_ms"`
 	// PendingRecords counts admitted-but-unresolved WAL records (staged
@@ -199,12 +188,8 @@ type WALHealth struct {
 	ReplayDurationMS int64 `json:"replay_duration_ms"`
 	// Stalled is true when OldestPendingAgeMS exceeded
 	// Config.WALStallAfter — fsync has stopped completing (or hangs) and
-	// readiness must degrade.
+	// readiness must degrade. Wedged, the log's own, is strictly worse.
 	Stalled bool `json:"stalled"`
-	// Wedged is true when a write or fsync failure permanently stopped
-	// the log: every submission answers 503 until a restart replays what
-	// survived. Strictly worse than Stalled; readiness must degrade.
-	Wedged bool `json:"wedged"`
 }
 
 // phase is a service's place in its lifecycle. It only rises — open →
@@ -927,7 +912,10 @@ func (s *Service) Ledger() Ledger { return s.led.view() }
 func (s *Service) Stats() Stats {
 	c, pending := s.led.counts()
 	p := s.phase()
-	st := Stats{
+	// One load of the published view (no lock) serves the rollup and the
+	// sketch section alike, so both describe one epoch.
+	v := s.agg.View()
+	return Stats{
 		counters:  c,
 		Queue:     s.q.snapshot(),
 		Breaker:   s.brk.snapshot(),
@@ -935,14 +923,9 @@ func (s *Service) Stats() Stats {
 		Sealed:    p >= phaseSealed,
 		HandedOff: p == phaseRetired,
 		WAL:       s.walHealth(pending),
-		Sketch:    s.agg.SketchStats(),
+		Counters:  v.Counters,
+		Sketch:    s.agg.SketchStats(v),
 	}
-	// One lock-free counters snapshot (an atomic view load, no lock at
-	// all) instead of three separate aggregate reads: stats polls never
-	// contend with merges under flood.
-	agg := s.agg.CountersSnapshot()
-	st.Samples, st.Lost, st.LossRate = agg.Samples, agg.Lost, agg.LossRate
-	return st
 }
 
 // replayRecord is the wal.Open apply callback: reconstruct one record's
@@ -1002,39 +985,14 @@ func (s *Service) walHealth(pending int) *WALHealth {
 	}
 	st := s.wal.Stats()
 	return &WALHealth{
-		Segments:           st.Segments,
-		SegmentSeq:         st.SegmentSeq,
-		AppendedBytes:      st.AppendedBytes,
-		BytesSinceBarrier:  st.BytesSinceBarrier,
-		Appends:            st.Appends,
-		Syncs:              st.Syncs,
-		SyncErrors:         st.SyncErrors,
-		Rotations:          st.Rotations,
+		Stats:              st,
 		LastSyncAgeMS:      st.LastSyncAge.Milliseconds(),
 		OldestPendingAgeMS: st.OldestPendingAge.Milliseconds(),
 		PendingRecords:     pending,
 		ReplayRecords:      s.walReplay.Records,
 		ReplayDurationMS:   s.walReplay.Duration.Milliseconds(),
 		Stalled:            st.OldestPendingAge > s.cfg.WALStallAfter,
-		Wedged:             st.Wedged,
 	}
-}
-
-// WALStalled reports whether the WAL's oldest record without a verdict
-// has aged past Config.WALStallAfter — the readiness probe's degrade
-// signal.
-// Always false with the WAL disabled.
-func (s *Service) WALStalled() bool {
-	return s.wal != nil && s.wal.Stats().OldestPendingAge > s.cfg.WALStallAfter
-}
-
-// WALWedged reports whether the WAL has wedged on a write or fsync
-// failure: every submission answers ErrWAL until this process restarts
-// and replays. Readiness must degrade the instance so the router steers
-// submissions to its ring successors. Always false with the WAL
-// disabled.
-func (s *Service) WALWedged() bool {
-	return s.wal != nil && s.wal.Stats().Wedged
 }
 
 // CloseWAL syncs and closes the write-ahead log (no-op when disabled).

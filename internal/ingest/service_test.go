@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -350,14 +351,20 @@ func TestServiceClosedQueueRefusesAsDraining(t *testing.T) {
 	}
 }
 
-// TestServiceStatsDuringMerges is the regression test for the
-// SafeDB.publishes race: Stats() reads the sketch layer's publish count
-// lock-free while the aggregator loop republishes views, so the counter
-// must be atomic on both sides. Fails under -race when it is not.
+// TestServiceStatsDuringMerges polls Stats from two goroutines while
+// the aggregator merges. It is the regression test for two faults:
+// the SafeDB.publishes race (Stats reads the sketch layer's publish
+// count lock-free while the aggregator republishes views, so the
+// counter must be atomic on both sides; fails under -race when it is
+// not), and a torn reply: every merged sample is fed to the sketch, so
+// Sketch.SketchN == Samples in any one published view, and a Stats that
+// loads the view twice — once per section — lets a merge land between
+// the two loads (it failed 20 runs in 20 that way).
 func TestServiceStatsDuringMerges(t *testing.T) {
-	const shards = 200
+	const shards, pollers = 800, 2
 	cfg := testServiceConfig(t.TempDir())
 	cfg.QueueDepth = shards // never full: every submit is admitted first time
+	cfg.CheckpointPath = ""
 	svc, err := NewService(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -366,24 +373,31 @@ func TestServiceStatsDuringMerges(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var last uint64
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+	var polls, torn atomic.Uint64
+	for p := 0; p < pollers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last uint64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				st := svc.Stats()
+				polls.Add(1)
+				if st.Sketch.Publishes < last {
+					t.Errorf("publishes went backwards: %d after %d", st.Sketch.Publishes, last)
+					return
+				}
+				last = st.Sketch.Publishes
+				if st.Sketch.SketchN != st.Samples && torn.Add(1) == 1 {
+					t.Errorf("torn stats: sketch_n %d, samples %d", st.Sketch.SketchN, st.Samples)
+				}
 			}
-			st := svc.Stats()
-			if st.Sketch.Publishes < last {
-				t.Errorf("publishes went backwards: %d after %d", st.Sketch.Publishes, last)
-				return
-			}
-			last = st.Sketch.Publishes
-		}
-	}()
+		}()
+	}
 
 	for i := 0; i < shards; i++ {
 		if err := svc.Submit(sub(fmt.Sprintf("s%03d", i), uint64(i), 20)); err != nil {
@@ -395,6 +409,9 @@ func TestServiceStatsDuringMerges(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	if n := torn.Load(); n > 0 {
+		t.Errorf("%d of %d polls torn", n, polls.Load())
+	}
 	// One row-rebuilding publish at construction plus one per merge.
 	if st := svc.Stats(); st.Merged != shards || st.Sketch.Publishes != shards+1 {
 		t.Fatalf("merged %d, publishes %d; want %d and %d", st.Merged, st.Sketch.Publishes, shards, shards+1)

@@ -200,13 +200,15 @@ func (s *SafeDB) ReverseLoss(n uint64) {
 }
 
 // Counters is the cheap whole-aggregate rollup: plain totals, no per-PC
-// state. It is a value type — snapshots never alias live state.
+// state. It is a value type — snapshots never alias live state. Its
+// JSON names are /v1/stats' aggregate rollup, which serves neither
+// Pairs nor CorruptRejected.
 type Counters struct {
-	Samples         uint64
-	Pairs           uint64
-	Lost            uint64
-	CorruptRejected uint64
-	LossRate        float64
+	Samples         uint64  `json:"samples"`
+	Pairs           uint64  `json:"-"`
+	Lost            uint64  `json:"lost"`
+	CorruptRejected uint64  `json:"-"`
+	LossRate        float64 `json:"loss_rate"`
 }
 
 // CountersSnapshot returns every scalar counter from the published view
@@ -216,9 +218,10 @@ type Counters struct {
 // them, so a snapshot taken after a write completes reflects that write.
 func (s *SafeDB) CountersSnapshot() Counters { return s.View().Counters }
 
-// SketchStats reports the sketch layer's health for /v1/stats.
-func (s *SafeDB) SketchStats() SketchStats {
-	v := s.View()
+// SketchStats reports the sketch layer's health for /v1/stats as of v,
+// a view this SafeDB published: a caller that also serves v.Counters
+// describes one epoch in both.
+func (s *SafeDB) SketchStats(v *View) SketchStats {
 	return SketchStats{
 		Epoch:           v.Epoch,
 		Publishes:       s.publishes.Load(),

@@ -97,11 +97,19 @@ type Server struct {
 	exportMu   sync.Mutex
 	exportBody []byte
 
-	inFlight     atomic.Int64 // queries currently being served
-	queriesShed  atomic.Uint64
-	queriesTotal atomic.Uint64
-	submits      atomic.Uint64
-	handoffs     atomic.Uint64
+	inFlight atomic.Int64 // queries currently being served: the admission gauge
+
+	// statsMu guards stats, whose four HTTP counters are the /v1/stats
+	// fields themselves; handleStats fills in the rest of a copy.
+	statsMu sync.Mutex
+	stats   serverStats
+}
+
+// count bumps one of s.stats' counters.
+func (s *Server) count(counter *uint64) {
+	s.statsMu.Lock()
+	*counter++
+	s.statsMu.Unlock()
 }
 
 // New builds a Server over an ingest service.
@@ -268,7 +276,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusMethodNotAllowed, "method", "POST only")
 		return
 	}
-	s.submits.Add(1)
+	s.count(&s.stats.Submissions)
 	buf := takeBody()
 	body, err := s.readBounded(w, r, "submission", s.cfg.MaxBodyBytes, *buf)
 	if err != nil {
@@ -312,7 +320,7 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusMethodNotAllowed, "method", "POST only")
 		return
 	}
-	s.handoffs.Add(1)
+	s.count(&s.stats.HandoffRequests)
 	body, err := s.readBounded(w, r, "handoff", 8*s.cfg.MaxBodyBytes, nil)
 	if err != nil {
 		return
@@ -457,10 +465,10 @@ func (s *Server) handleLedgerAdopt(w http.ResponseWriter, r *http.Request) {
 // concurrency high-water mark, then run under a per-request deadline.
 func (s *Server) query(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.queriesTotal.Add(1)
+		s.count(&s.stats.Queries)
 		if n := s.inFlight.Add(1); n > int64(s.cfg.MaxQueries) {
 			s.inFlight.Add(-1)
-			s.queriesShed.Add(1)
+			s.count(&s.stats.QueriesShed)
 			s.writeErr(w, http.StatusServiceUnavailable, "overloaded",
 				fmt.Sprintf("query concurrency above high-water mark (%d in flight)", s.cfg.MaxQueries))
 			return
@@ -735,7 +743,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// serverStats augments the ingest stats with HTTP-layer counters.
+// serverStats is the /v1/stats payload: the ingest stats plus the HTTP
+// layer's own.
 type serverStats struct {
 	ingest.Stats
 	Instance        string       `json:"instance,omitempty"`
@@ -748,16 +757,12 @@ type serverStats struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, serverStats{
-		Stats:           s.svc.Stats(),
-		Instance:        s.cfg.Instance,
-		Submissions:     s.submits.Load(),
-		HandoffRequests: s.handoffs.Load(),
-		Queries:         s.queriesTotal.Load(),
-		QueriesShed:     s.queriesShed.Load(),
-		InFlight:        s.inFlight.Load(),
-		Witness:         s.witness.stats(),
-	})
+	s.statsMu.Lock()
+	st := s.stats
+	s.statsMu.Unlock()
+	st.Stats, st.Instance = s.svc.Stats(), s.cfg.Instance
+	st.InFlight, st.Witness = s.inFlight.Load(), s.witness.stats()
+	writeJSON(w, http.StatusOK, st)
 }
 
 // handleLedger publishes the admission ledger: the distinct shard ids
@@ -790,17 +795,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // breaker opens — load balancers stop routing new work while in-flight
 // requests finish.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	wal := s.svc.Stats().WAL // nil without a WAL
 	switch {
 	case s.svc.Draining():
 		s.writeErr(w, http.StatusServiceUnavailable, "draining", "shutting down: submissions refused, queue flushing")
 	case s.svc.Breaker().State() == ingest.BreakerOpen:
 		s.writeErr(w, http.StatusServiceUnavailable, "breaker-open", "checkpoint persistence suspended")
-	case s.svc.WALWedged():
+	case wal != nil && wal.Wedged:
 		// A write or fsync failure wedged the durability log: every
 		// submission 503s until a restart replays what survived. Routers
 		// treat this like draining and steer submissions away.
 		s.writeErr(w, http.StatusServiceUnavailable, "wal-failed", "WAL wedged by a write/fsync failure; restart required")
-	case s.svc.WALStalled():
+	case wal != nil && wal.Stalled:
 		// The durability log has records waiting on fsync for longer than
 		// the stall threshold — every 202 would block on a sick disk.
 		// Routers treat this like draining and steer submissions away.

@@ -400,8 +400,8 @@ func TestQuerySheddingAboveHighWater(t *testing.T) {
 	if status, body := get(t, h, "/v1/hotpcs"); status != http.StatusOK {
 		t.Fatalf("query after load cleared: %d %v", status, body)
 	}
-	if srv.queriesShed.Load() != 1 {
-		t.Fatalf("queries_shed %d, want 1", srv.queriesShed.Load())
+	if _, st := get(t, h, "/v1/stats"); st["queries_shed"] != 1.0 || st["queries"] != 2.0 {
+		t.Fatalf("queries_shed %v of %v queries, want 1 of 2", st["queries_shed"], st["queries"])
 	}
 }
 

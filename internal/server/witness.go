@@ -43,14 +43,10 @@ type witnessEntry struct {
 
 // witnessStore holds witness copies keyed by (origin instance, shard).
 type witnessStore struct {
-	mu      sync.Mutex
-	cap     int
-	entries int
-	byOrig  map[string]map[string]witnessEntry
-
-	stored  uint64
-	refused uint64
-	pruned  uint64
+	mu     sync.Mutex
+	cap    int
+	byOrig map[string]map[string]witnessEntry
+	st     witnessStats // the counters; stats fills in Origins
 }
 
 // newWitnessStore builds a store holding at most cap entries
@@ -74,14 +70,14 @@ func (ws *witnessStore) put(origin, shard string, body []byte, captured uint64) 
 		ws.byOrig[origin] = m
 	}
 	if _, ok := m[shard]; !ok {
-		if ws.entries >= ws.cap {
-			ws.refused++
-			return fmt.Errorf("%w: %d entries", errWitnessFull, ws.entries)
+		if ws.st.Entries >= ws.cap {
+			ws.st.Refused++
+			return fmt.Errorf("%w: %d entries", errWitnessFull, ws.st.Entries)
 		}
-		ws.entries++
+		ws.st.Entries++
 	}
 	m[shard] = witnessEntry{body: append([]byte(nil), body...), captured: captured}
-	ws.stored++
+	ws.st.Stored++
 	return nil
 }
 
@@ -127,8 +123,8 @@ func (ws *witnessStore) prune(origin string, shards []string) int {
 	for _, sh := range shards {
 		if _, ok := m[sh]; ok {
 			delete(m, sh)
-			ws.entries--
-			ws.pruned++
+			ws.st.Entries--
+			ws.st.Pruned++
 			n++
 		}
 	}
@@ -151,13 +147,9 @@ type witnessStats struct {
 func (ws *witnessStore) stats() witnessStats {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	return witnessStats{
-		Entries: ws.entries,
-		Origins: len(ws.byOrig),
-		Stored:  ws.stored,
-		Refused: ws.refused,
-		Pruned:  ws.pruned,
-	}
+	st := ws.st
+	st.Origins = len(ws.byOrig)
+	return st
 }
 
 // witnessPut is the POST /v1/witness body ([]byte as base64).

@@ -145,9 +145,10 @@ type Stats struct {
 	// staged record without a verdict has been waiting, its batch's
 	// fsync in flight included — the stall signal: a healthy group
 	// commit keeps it near one fsync, a hung or dead disk lets it grow
-	// without bound.
-	LastSyncAge      time.Duration `json:"last_sync_age_ns"`
-	OldestPendingAge time.Duration `json:"oldest_pending_age_ns"`
+	// without bound. Neither has a JSON name: /v1/stats serves both in
+	// milliseconds.
+	LastSyncAge      time.Duration `json:"-"`
+	OldestPendingAge time.Duration `json:"-"`
 	// Wedged is true when a write or fsync failure has permanently
 	// stopped the log: every Stage/Append fails until a restart replays
 	// what actually survived. A wedged instance must go unready.
@@ -201,13 +202,11 @@ type Log struct {
 	// rather than at rotation time — see rotateLocked.
 	sealed    []*os.File
 	barrier   Pos
-	barrierAt int64 // AppendedBytes when the barrier was last advanced
-	appended  int64
-	appends   uint64
-	syncs     uint64
-	syncErrs  uint64
-	rotations uint64
+	barrierAt int64     // AppendedBytes when the barrier was last advanced
 	lastSync  time.Time // Open, then each successful verdict
+	// stats keeps the counters (Segments, AppendedBytes, Appends, Syncs,
+	// SyncErrors, Rotations); Stats fills in the rest of a copy.
+	stats Stats
 
 	kick chan struct{}
 	quit chan struct{}
@@ -328,7 +327,7 @@ func Open(cfg Config, apply func(pos Pos, payload []byte) error) (*Log, ReplayIn
 	if err != nil {
 		return nil, info, fmt.Errorf("wal: open: %w", err)
 	}
-	l.segments = len(seqs)
+	l.stats.Segments = len(seqs)
 	if len(seqs) == 0 {
 		// Start past any quarantined segments so positions in records we
 		// acknowledge from here on never collide with positions a previous
@@ -394,7 +393,7 @@ func (l *Log) newSegmentLocked(seq uint64) error {
 		return fmt.Errorf("wal: segment %d dir sync: %w", seq, err)
 	}
 	l.f, l.seq, l.off = f, seq, segHeaderBytes
-	l.segments++
+	l.stats.Segments++
 	return nil
 }
 
@@ -412,7 +411,7 @@ func (l *Log) rotateLocked() error {
 		return err
 	}
 	l.sealed = append(l.sealed, old)
-	l.rotations++
+	l.stats.Rotations++
 	return nil
 }
 
@@ -456,8 +455,8 @@ func (l *Log) Stage(payload []byte) (Pos, *Ticket, error) {
 	}
 	n := int64(recHeaderBytes + len(payload))
 	l.off += n
-	l.appended += n
-	l.appends++
+	l.stats.AppendedBytes += n
+	l.stats.Appends++
 	if l.cur == nil {
 		l.cur = &batch{done: make(chan struct{}), opened: l.cfg.now()}
 		select {
@@ -528,7 +527,7 @@ func (l *Log) take() *batch {
 func (l *Log) syncAll() error {
 	l.mu.Lock()
 	if werr := l.wedged; werr != nil {
-		l.syncErrs++
+		l.stats.SyncErrors++
 		l.syncing = nil
 		l.mu.Unlock()
 		return fmt.Errorf("wal: wedged by earlier failure: %w", werr)
@@ -549,10 +548,10 @@ func (l *Log) syncAll() error {
 	}
 
 	l.mu.Lock()
-	l.syncs++
+	l.stats.Syncs++
 	l.syncing = nil
 	if err != nil {
-		l.syncErrs++
+		l.stats.SyncErrors++
 		if l.wedged == nil {
 			l.wedged = err
 		}
@@ -590,7 +589,7 @@ func (l *Log) ReclaimBefore(p Pos) (removed int, err error) {
 		return 0, nil // never move the barrier backwards
 	}
 	l.barrier = p
-	l.barrierAt = l.appended
+	l.barrierAt = l.stats.AppendedBytes
 	seqs, err := listSegments(l.cfg.Dir)
 	if err != nil {
 		return 0, fmt.Errorf("wal: reclaim: %w", err)
@@ -603,7 +602,7 @@ func (l *Log) ReclaimBefore(p Pos) (removed int, err error) {
 			return removed, fmt.Errorf("wal: reclaim segment %d: %w", seq, rerr)
 		}
 		removed++
-		l.segments--
+		l.stats.Segments--
 	}
 	if removed > 0 {
 		if derr := fsyncDir(l.cfg.Dir); derr != nil {
@@ -617,17 +616,10 @@ func (l *Log) ReclaimBefore(p Pos) (removed int, err error) {
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := Stats{
-		Segments:          l.segments,
-		SegmentSeq:        l.seq,
-		AppendedBytes:     l.appended,
-		BytesSinceBarrier: l.appended - l.barrierAt,
-		Appends:           l.appends,
-		Syncs:             l.syncs,
-		SyncErrors:        l.syncErrs,
-		Rotations:         l.rotations,
-		Wedged:            l.wedged != nil,
-	}
+	st := l.stats
+	st.SegmentSeq = l.seq
+	st.BytesSinceBarrier = st.AppendedBytes - l.barrierAt
+	st.Wedged = l.wedged != nil
 	now := l.cfg.now()
 	st.LastSyncAge = now.Sub(l.lastSync)
 	oldest := l.syncing
