@@ -42,6 +42,10 @@ type member struct {
 	// pinned to it, whose retries its sealed ledger dedupes. Set by the
 	// removal, cleared by reregister; health signals never touch it.
 	deliveredTo string
+	// offeredTo: the receiver that holds this member's envelope or may
+	// (it acked, or its answer was lost: see sendHandoff); a retried
+	// removal redelivers there alone. It changes no traffic.
+	offeredTo string
 }
 
 // serving: the member takes fan-out traffic (query legs, probes of the
@@ -149,17 +153,26 @@ func (ms *members) delivered(id, receiver string) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	if m := ms.byID[id]; m != nil {
-		m.deliveredTo = receiver
+		m.deliveredTo, m.offeredTo = receiver, receiver
+	}
+}
+
+// offered records that receiver may hold id's handoff envelope.
+func (ms *members) offered(id, receiver string) {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	if m := ms.byID[id]; m != nil {
+		m.offeredTo = receiver
 	}
 }
 
 // deliveredTo returns the receiver an earlier removal attempt delivered
-// id's envelope to, "" when none did.
+// id's envelope to, or may have; "" when none.
 func (ms *members) deliveredTo(id string) string {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	if m := ms.byID[id]; m != nil {
-		return m.deliveredTo
+		return m.offeredTo
 	}
 	return ""
 }

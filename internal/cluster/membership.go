@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sort"
 	"sync"
@@ -239,8 +240,9 @@ func (rt *Router) postAdopt(ctx context.Context, owner hop, from string, shards 
 //     /v1/handoff/export — the donor seals, flushes, and returns its
 //     serialized aggregate + ledger (cached, byte-identical on retry);
 //  2. deliver the envelope along the post-removal ring order until a
-//     receiver's /v1/handoff acks it WAL-durably (redelivery after a
-//     lost ack dedupes by content digest). From that ack the donor's
+//     receiver's /v1/handoff acks it WAL-durably, passing a candidate
+//     only on proof it did not apply it (redelivery to a candidate that
+//     may have dedupes by content digest). From that ack the donor's
 //     samples exist twice, so the table marks it delivered: no longer a
 //     query leg, still offered the retries of shards pinned to it;
 //  3. adopt the donor's shard ids at their NEW ring owners (those not
@@ -296,9 +298,9 @@ func (rt *Router) removeInstanceLocked(ctx context.Context, id string, newRing *
 	// donor's key range first, then the rest as fallbacks. The SAME
 	// bytes are sent to every candidate and on every retry — that is
 	// the receiver-side dedupe contract, and it holds per receiver: once
-	// one has acked, a retried removal redelivers to it and to nobody
-	// else, or a candidate that was down the first time would merge the
-	// donor's samples a second time.
+	// one may have applied them, a retried removal redelivers to it and
+	// to nobody else, or a second receiver would merge the donor's
+	// samples a second time.
 	rt.migration.phase("deliver")
 	cands := newRing.successors(id, len(newRing.instances))
 	if prev := rt.members.deliveredTo(id); prev != "" {
@@ -307,14 +309,17 @@ func (rt *Router) removeInstanceLocked(ctx context.Context, id string, newRing *
 	var receiver string
 	lastErr := errors.New("no reachable receiver")
 	for _, cand := range cands {
-		captured, err := rt.sendHandoff(ctx, urls[cand], envelope)
-		if err != nil {
-			lastErr = err
-			rt.logf("membership: handoff of %s to %s failed: %v", id, cand, err)
-			continue
+		captured, refused, err := rt.sendHandoff(ctx, urls[cand], envelope)
+		if err == nil {
+			receiver, rep.Receiver, rep.CapturedMoved = cand, cand, captured
+			break
 		}
-		receiver, rep.Receiver, rep.CapturedMoved = cand, cand, captured
-		break
+		rt.logf("membership: handoff of %s to %s failed: %v", id, cand, err)
+		if !refused {
+			rt.members.offered(id, cand)
+			return nil, fmt.Errorf("cluster: remove %s: deliver to %s: %w (it may hold the envelope; retry the removal, which redelivers there alone)", id, cand, err)
+		}
+		lastErr = err
 	}
 	if receiver == "" {
 		return nil, fmt.Errorf("cluster: remove %s: deliver: %w (donor sealed; retry, or restart the donor to roll back)", id, lastErr)
@@ -371,23 +376,30 @@ func (rt *Router) exportHandoff(ctx context.Context, base string) ([]byte, error
 }
 
 // sendHandoff ships the exported envelope to a receiver's /v1/handoff
-// and returns the captured total it acknowledged. Only a 202 succeeds: a
-// 503 receiver is itself draining or retired, and the walk moves on.
-func (rt *Router) sendHandoff(ctx context.Context, base string, envelope []byte) (uint64, error) {
+// and returns the captured total it acknowledged. Only a 202 succeeds.
+// refused reports a failure that proves the receiver did not apply the
+// envelope, so the walk may move on: the dial failed, or it answered 400
+// or 413 (refused the body), 409 (unmergeable) or 503 (itself draining
+// or retired). Any other failure may follow an applied envelope — a 202
+// lost on the way back, a 500 after a merge accounted as loss.
+func (rt *Router) sendHandoff(ctx context.Context, base string, envelope []byte) (captured uint64, refused bool, err error) {
 	status, raw, err := roundTrip(ctx, rt.client, http.MethodPost, base+"/v1/handoff", envelope, 0, 1<<20)
-	if status == 0 {
-		return 0, err
-	}
-	if status != http.StatusAccepted {
-		return 0, answered("handoff receiver", status, raw)
+	var op *net.OpError
+	switch {
+	case status == 0:
+		return 0, errors.As(err, &op) && op.Op == "dial", err
+	case status != http.StatusAccepted:
+		refused = status == http.StatusBadRequest || status == http.StatusRequestEntityTooLarge ||
+			status == http.StatusConflict || status == http.StatusServiceUnavailable
+		return 0, refused, answered("handoff receiver", status, raw)
 	}
 	var ack struct {
 		Captured uint64 `json:"captured"`
 	}
 	if err := json.Unmarshal(raw, &ack); err != nil {
-		return 0, fmt.Errorf("handoff ack unparseable: %w", err)
+		return 0, false, fmt.Errorf("handoff ack unparseable: %w", err)
 	}
-	return ack.Captured, nil
+	return ack.Captured, false, nil
 }
 
 // confirmHandoff POSTs a donor's confirm endpoint (idempotent).

@@ -340,6 +340,63 @@ func TestRemovalRetryKeepsItsReceiver(t *testing.T) {
 	}
 }
 
+// TestRemovalLostAckStaysWithReceiver: the first candidate applies the
+// donor's envelope and the connection drops before its 202 arrives. The
+// removal must not offer the envelope to the next candidate, which would
+// merge the donor's samples a second time; it fails, and its retry
+// redelivers to the same receiver, whose content-key dedupe answers 202
+// duplicate. The fleet total never moves.
+func TestRemovalLostAckStaysWithReceiver(t *testing.T) {
+	instances, rt := newTier(t, 64, "c0", "c1", "c2")
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	for i := 0; i < 30; i++ {
+		if got := submitVia(t, front.URL, fmt.Sprintf("lost/s%03d", i), synthShard(uint64(i)+1, 40)); got.status != http.StatusAccepted {
+			t.Fatalf("shard %d: status %d", i, got.status)
+		}
+	}
+	waitForMerge(t, instances, 30)
+	want := fleetCaptured(t, front.URL)
+
+	// c0, the first candidate for c1's envelope, sits behind a proxy that
+	// hands the first handoff to c0 and then drops the connection.
+	target, err := url.Parse(instances[0].ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httputil.NewSingleHostReverseProxy(target)
+	var dropped atomic.Bool
+	lossy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/handoff" && dropped.CompareAndSwap(false, true) {
+			proxy.ServeHTTP(httptest.NewRecorder(), r)
+			if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+				conn.Close()
+			}
+			return
+		}
+		proxy.ServeHTTP(w, r)
+	}))
+	defer lossy.Close()
+	rt.SetInstance("c0", lossy.URL)
+
+	var rep *migrationReport
+	for attempt := 1; rep == nil; attempt++ {
+		if rep, err = rt.removeInstance(context.Background(), "c1"); err != nil && attempt == 3 {
+			t.Fatalf("removal still failing after %d attempts: %v", attempt, err)
+		}
+	}
+	if !dropped.Load() {
+		t.Fatal("the proxy never dropped a handoff ack")
+	}
+	if got := fleetCaptured(t, front.URL); got != want {
+		t.Fatalf("fleet captured %d -> %d after a removal whose first ack was lost (receiver %s): the envelope merged twice",
+			want, got, rep.Receiver)
+	}
+	if rep.Receiver != "c0" {
+		t.Fatalf("removal landed at %s, want c0, the receiver that applied the envelope", rep.Receiver)
+	}
+}
+
 // TestWrongOwnerEpoch: a client that cached a /v1/resolve answer sends
 // its epoch with the submit; after a membership change that epoch is
 // stale and the router answers the typed wrong-owner 409 carrying the

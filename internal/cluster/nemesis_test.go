@@ -155,6 +155,7 @@ func overlap(a, b []string) int {
 // never learned), which would make exact fleet conservation
 // unfalsifiable. That fault class is pinned where its contract lives:
 // the same-instance retry in handleSubmit, the handoff dedupe tests,
+// TestRemovalLostAckStaysWithReceiver (a removal's lost handoff ack),
 // and netchaos's own tests.
 //
 // Failures print the seed; replay with PM_NEMESIS_SEED=<seed>.

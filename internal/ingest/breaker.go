@@ -6,32 +6,17 @@ import (
 	"time"
 )
 
-// BreakerState is a circuit breaker's position.
-type BreakerState int
-
+// A breaker's positions, named as /v1/stats spells them.
 const (
 	// breakerClosed: calls flow through; consecutive failures are counted.
-	breakerClosed BreakerState = iota
-	// BreakerOpen: calls are short-circuited with errBreakerOpen until the
+	breakerClosed = "closed"
+	// breakerOpen: calls are short-circuited with errBreakerOpen until the
 	// cooldown elapses.
-	BreakerOpen
+	breakerOpen = "open"
 	// breakerHalfOpen: the cooldown elapsed; exactly one probe call is let
 	// through. Success closes the breaker, failure re-opens it.
-	breakerHalfOpen
+	breakerHalfOpen = "half-open"
 )
-
-// String returns the conventional state name.
-func (s BreakerState) String() string {
-	switch s {
-	case breakerClosed:
-		return "closed"
-	case BreakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	}
-	return "unknown"
-}
 
 // errBreakerOpen reports a call short-circuited because the breaker is
 // open (or a half-open probe is already in flight).
@@ -46,14 +31,14 @@ type breakerStats struct {
 	Shorted   uint64 `json:"short_circuited"` // calls refused while open
 }
 
-// Breaker is a classic three-state circuit breaker guarding a flaky
+// breaker is a classic three-state circuit breaker guarding a flaky
 // dependency — here, checkpoint persistence: a full disk must not stall
 // the ingest hot path on every merge, so after `threshold` consecutive
 // failures writes are suspended for `cooldown`, then probed half-open.
 // The clock is injectable for deterministic tests.
-type Breaker struct {
+type breaker struct {
 	mu          sync.Mutex
-	state       BreakerState
+	state       string
 	consecFails int
 	probing     bool
 	openedAt    time.Time
@@ -67,22 +52,22 @@ type Breaker struct {
 
 // newBreaker builds a closed breaker that opens after threshold
 // consecutive failures and probes again after cooldown.
-func newBreaker(threshold int, cooldown time.Duration) *Breaker {
+func newBreaker(threshold int, cooldown time.Duration) *breaker {
 	if threshold < 1 {
 		threshold = 1
 	}
 	if cooldown <= 0 {
 		cooldown = 5 * time.Second
 	}
-	return &Breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
+	return &breaker{state: breakerClosed, threshold: threshold, cooldown: cooldown, now: time.Now}
 }
 
 // do runs f under the breaker's admission rules and returns f's error,
 // or errBreakerOpen when the call was short-circuited.
-func (b *Breaker) do(f func() error) error {
+func (b *breaker) do(f func() error) error {
 	b.mu.Lock()
 	switch b.state {
-	case BreakerOpen:
+	case breakerOpen:
 		if b.now().Sub(b.openedAt) < b.cooldown {
 			b.stats.Shorted++
 			b.mu.Unlock()
@@ -110,10 +95,10 @@ func (b *Breaker) do(f func() error) error {
 		b.stats.Failures++
 		b.consecFails++
 		if wasHalfOpen || b.consecFails >= b.threshold {
-			if b.state != BreakerOpen {
+			if b.state != breakerOpen {
 				b.stats.Trips++
 			}
-			b.state = BreakerOpen
+			b.state = breakerOpen
 			b.openedAt = b.now()
 		}
 		return err
@@ -127,20 +112,20 @@ func (b *Breaker) do(f func() error) error {
 // State returns the breaker's current position, promoting open to
 // half-open when the cooldown has elapsed (so readiness probes see the
 // recovering state without having to issue a write).
-func (b *Breaker) State() BreakerState {
+func (b *breaker) State() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == BreakerOpen && b.now().Sub(b.openedAt) >= b.cooldown {
+	if b.state == breakerOpen && b.now().Sub(b.openedAt) >= b.cooldown {
 		return breakerHalfOpen
 	}
 	return b.state
 }
 
 // snapshot returns a snapshot of the counters.
-func (b *Breaker) snapshot() breakerStats {
+func (b *breaker) snapshot() breakerStats {
 	b.mu.Lock()
 	st := b.stats
 	b.mu.Unlock()
-	st.State = b.State().String()
+	st.State = b.State()
 	return st
 }

@@ -14,7 +14,7 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 var errDisk = errors.New("disk on fire")
 
-func newTestBreaker(threshold int, cooldown time.Duration) (*Breaker, *fakeClock) {
+func newTestBreaker(threshold int, cooldown time.Duration) (*breaker, *fakeClock) {
 	b := newBreaker(threshold, cooldown)
 	c := &fakeClock{t: time.Unix(1000, 0)}
 	b.now = c.now
@@ -36,7 +36,7 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 	if err := b.do(fail); !errors.Is(err, errDisk) {
 		t.Fatal(err)
 	}
-	if st := b.State(); st != BreakerOpen {
+	if st := b.State(); st != breakerOpen {
 		t.Fatalf("state after threshold: %v", st)
 	}
 	// Short-circuited while open: the dependency is not called.
@@ -56,7 +56,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	if err := b.do(func() error { return errDisk }); !errors.Is(err, errDisk) {
 		t.Fatal(err)
 	}
-	if b.State() != BreakerOpen {
+	if b.State() != breakerOpen {
 		t.Fatal("breaker did not open")
 	}
 
@@ -68,7 +68,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	if err := b.do(func() error { return errDisk }); !errors.Is(err, errDisk) {
 		t.Fatal(err)
 	}
-	if b.State() != BreakerOpen {
+	if b.State() != breakerOpen {
 		t.Fatal("failed probe did not re-open the breaker")
 	}
 	if err := b.do(func() error { return nil }); !errors.Is(err, errBreakerOpen) {

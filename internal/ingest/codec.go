@@ -380,10 +380,10 @@ func handoffKey(from string, profileBytes []byte, shards []string) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// EncodeHandoff serializes a donor aggregate for shipment to its
+// encodeHandoff serializes a donor aggregate for shipment to its
 // receiver. save is the donor's serializer (SafeDB.Save) so the CRC
 // envelope is written under the aggregate's own lock.
-func EncodeHandoff(from string, save func(io.Writer) error, shards []string) ([]byte, error) {
+func encodeHandoff(from string, save func(io.Writer) error, shards []string) ([]byte, error) {
 	if from == "" {
 		return nil, fmt.Errorf("ingest: encode handoff: empty instance id: %w", errBadSubmit)
 	}

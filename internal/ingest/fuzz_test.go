@@ -44,7 +44,7 @@ func FuzzDecodeSubmit(f *testing.F) {
 	f.Add(noShard)
 	adopt, _ := json.Marshal(record{Kind: walKindAdopt, Shard: "x", From: "c1", Shards: []string{"x"}})
 	f.Add(adopt)
-	handoff, _ := EncodeHandoff("c0", db.Save, []string{"x"})
+	handoff, _ := encodeHandoff("c0", db.Save, []string{"x"})
 	f.Add(handoff)
 	admit, _ := encodeAdmitRecord(nil, Submission{Shard: "compress/s003", DB: db})
 	f.Add(admit)

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"sync"
@@ -20,7 +21,7 @@ func encodeDonor(t *testing.T) ([]byte, uint64, []string) {
 	}
 	donor.RecordLoss(7)
 	shards := []string{"donor/s1", "donor/s2", "donor/s3"}
-	body, err := EncodeHandoff("donor-1", donor.Save, shards)
+	body, err := encodeHandoff("donor-1", donor.Save, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestAdoptShards(t *testing.T) {
 	}
 }
 
-// TestSealRefusesWithoutLoss: after Seal, a NEW shard is refused with
+// TestSealRefusesWithoutLoss: after Export, a NEW shard is refused with
 // ZERO side effects (no loss accounting — the export snapshot must be
 // the final word on this instance's books), while a duplicate of an
 // already-admitted shard still answers honestly.
@@ -231,7 +232,9 @@ func TestSealRefusesWithoutLoss(t *testing.T) {
 	if err := svc.Submit(pre); err != nil {
 		t.Fatal(err)
 	}
-	svc.Seal()
+	if _, err := svc.Export(context.Background(), "donor"); err != nil {
+		t.Fatal(err)
+	}
 	if err := svc.Submit(sub("post-seal", 4, 30)); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-seal submit: err=%v, want ErrDraining", err)
 	}
@@ -258,6 +261,12 @@ func TestDrainingRefusesHandoff(t *testing.T) {
 	svc.BeginDrain()
 	if _, err := svc.AcceptHandoff(h); !errors.Is(err, ErrDraining) {
 		t.Fatalf("draining receiver: err=%v, want ErrDraining", err)
+	}
+	if err := svc.Retire(); !errors.Is(err, ErrNotExported) {
+		t.Fatalf("Retire before Export: %v, want ErrNotExported", err)
+	}
+	if _, err := svc.Export(context.Background(), "receiver"); err != nil {
+		t.Fatal(err)
 	}
 	if err := svc.Retire(); err != nil {
 		t.Fatal(err)

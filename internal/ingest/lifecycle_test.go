@@ -69,15 +69,20 @@ func TestWALlessRestartCountsRetriesOnce(t *testing.T) {
 // point, reaching each phase the way the daemon does and then calling
 // the earlier phases' entries again: the word never goes back down.
 func TestPhaseTable(t *testing.T) {
-	retire := func(t *testing.T, s *Service) {
-		s.Seal()
-		if err := s.Flush(context.Background()); err != nil {
+	export := func(t *testing.T, s *Service) {
+		if _, err := s.Export(context.Background(), "donor"); err != nil {
 			t.Fatal(err)
 		}
+	}
+	retire := func(t *testing.T, s *Service) {
+		if err := s.Retire(); !errors.Is(err, ErrNotExported) {
+			t.Fatalf("Retire before Export: %v, want ErrNotExported", err)
+		}
+		export(t, s)
 		if err := s.Retire(); err != nil {
 			t.Fatal(err)
 		}
-		s.Seal()
+		export(t, s)
 		s.BeginDrain()
 	}
 	for _, row := range []struct {
@@ -93,7 +98,7 @@ func TestPhaseTable(t *testing.T) {
 	}{
 		{"open", func(*testing.T, *Service) {}, nil, false, nil, nil, 2},
 		{"draining", func(_ *testing.T, s *Service) { s.BeginDrain() }, ErrDraining, true, ErrDraining, nil, 2},
-		{"sealed", func(_ *testing.T, s *Service) { s.Seal(); s.BeginDrain() }, ErrDraining, false, ErrDraining, ErrDraining, 2},
+		{"sealed", func(t *testing.T, s *Service) { export(t, s); s.BeginDrain() }, ErrDraining, false, ErrDraining, ErrDraining, 2},
 		{"retired", retire, ErrDraining, false, ErrHandedOff, ErrHandedOff, 0},
 	} {
 		t.Run(row.name, func(t *testing.T) {

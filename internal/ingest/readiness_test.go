@@ -97,9 +97,8 @@ func (tr *readinessTier) state(t *testing.T) string {
 	return r.Instances["c0"]
 }
 
-// submit posts one small shard straight to the instance and returns the
-// status and error kind; safe off the test goroutine.
-func (tr *readinessTier) submit(t *testing.T, shard string) (int, string) {
+// smallShard is eight retired samples over four PCs.
+func smallShard() *profile.DB {
 	db := profile.NewDB(16, 0, 4)
 	for i := 0; i < 8; i++ {
 		r := core.Record{PC: 0x400 + 8*uint64(i%4), LoadComplete: -1, Events: core.EvRetired}
@@ -110,7 +109,13 @@ func (tr *readinessTier) submit(t *testing.T, shard string) (int, string) {
 		r.StageCycle[core.StageRetire] = int64(i + 9)
 		db.Add(core.Sample{First: r})
 	}
-	body, err := ingest.EncodeSubmit(shard, db)
+	return db
+}
+
+// submit posts one small shard straight to the instance and returns the
+// status and error kind; safe off the test goroutine.
+func (tr *readinessTier) submit(t *testing.T, shard string) (int, string) {
+	body, err := ingest.EncodeSubmit(shard, smallShard())
 	if err != nil {
 		t.Errorf("encode: %v", err)
 		return 0, ""

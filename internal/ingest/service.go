@@ -42,6 +42,9 @@ var (
 	// submission was NOT acknowledged, so a retry against a healthy
 	// replica is safe (HTTP 503).
 	ErrWAL = errors.New("ingest: write-ahead log unavailable")
+	// ErrNotExported: Retire was called before any Export; nothing a
+	// receiver could hold exists, so the books stay here (HTTP 409).
+	ErrNotExported = errors.New("ingest: nothing to confirm: no handoff export was taken from this instance")
 )
 
 // Config parameterizes a Service. Zero values get usable defaults.
@@ -206,7 +209,7 @@ type phase int32
 // The zero phase is open.
 const (
 	phaseDraining phase = 1 + iota // BeginDrain: the backlog still merges; refusals book their loss
-	phaseSealed                    // Seal: a handoff export's snapshot is the last word on the books
+	phaseSealed                    // Export: its envelope is the last word on the books
 	phaseRetired                   // Retire: a receiver holds the books; nothing is written back
 )
 
@@ -220,7 +223,7 @@ type Service struct {
 	cfg Config
 	agg *profile.SafeDB
 	q   *queue
-	brk *Breaker
+	brk *breaker
 	led *ledger
 
 	wantS        float64
@@ -237,13 +240,14 @@ type Service struct {
 	// its whole encode. Lock order is handoffMu -> res -> the ledger's
 	// own lock; never acquire leftwards.
 	res sync.Mutex
-	// handoffMu serializes AcceptHandoff calls end to end, making the
-	// envelope dedupe check-then-apply atomic against a concurrent
-	// delivery of the same envelope (netchaos duplicates requests in the
-	// background, so this is a real interleaving, not a theoretical
-	// one). Handoffs are rare control-plane events; coarse serialization
-	// costs nothing.
+	// handoffMu serializes Export, Retire, AcceptHandoff and AdoptShards
+	// end to end, each deciding from the phase it reads under it: a
+	// handoff or adoption lands before the seal and ships in the envelope,
+	// or is refused, and a redelivered envelope's dedupe is atomic.
+	// Export waits for its flush under it; the aggregator never takes it.
+	// BeginDrain needs none: what lands after it is in the WAL already.
 	handoffMu sync.Mutex
+	exported  []byte // Export's envelope, guarded by handoffMu; nil until one succeeds
 
 	wal             *wal.Log // nil when disabled; has its own locking
 	walReplay       wal.ReplayInfo
@@ -373,15 +377,8 @@ func newService(cfg Config, ck *Checkpoint) (*Service, error) {
 // Aggregate returns the shared aggregate database.
 func (s *Service) Aggregate() *profile.SafeDB { return s.agg }
 
-// Breaker returns the persistence circuit breaker (readiness probes
-// inspect its state).
-func (s *Service) Breaker() *Breaker { return s.brk }
-
 // QueueDepth returns the current backlog (load-shedding input).
 func (s *Service) QueueDepth() int { return s.q.Len() }
-
-// Draining reports whether a drain has begun.
-func (s *Service) Draining() bool { return s.phase() >= phaseDraining }
 
 // phase reads the lifecycle word.
 func (s *Service) phase() phase { return phase(s.lifecycle.Load()) }
@@ -469,7 +466,7 @@ func (s *Service) Submit(sub Submission) error {
 		return err
 	}
 	sub.walPos = pos
-	if s.Draining() {
+	if s.phase() >= phaseDraining {
 		s.refuse(sub)
 		return ErrDraining
 	}
@@ -705,20 +702,37 @@ func (s *Service) walHead() wal.Pos {
 // SIGTERM arrives so readiness flips immediately.
 func (s *Service) BeginDrain() { s.enter(phaseDraining) }
 
-// Seal closes admission for a handoff export: new shards are refused
-// WITHOUT loss accounting (the export snapshot must be the final word
-// on this instance's books), while duplicates of already-admitted
-// shards keep answering honestly. The caller runs Flush next, then
-// serializes the aggregate; see the export endpoint. Sealing is
-// one-way — a donor whose removal aborts restarts its process to
-// resume admission, which is the rollback path the runbook documents.
-func (s *Service) Seal() { s.enter(phaseSealed) }
+// Export is the donor's half of a scale-in: seal admission (new shards
+// are refused WITHOUT loss accounting, duplicates still answer), flush
+// the backlog, and encode aggregate and ledger as instance's handoff
+// envelope, cached: a retry gets the IDENTICAL bytes, which the
+// receiver's content-digest dedupe needs. A flush cut short by ctx
+// caches nothing. Sealing is one-way; a donor whose removal aborts
+// restarts its process to resume admission (the runbook's rollback).
+func (s *Service) Export(ctx context.Context, instance string) ([]byte, error) {
+	s.handoffMu.Lock()
+	defer s.handoffMu.Unlock()
+	if s.exported == nil {
+		s.enter(phaseSealed)
+		if err := s.Flush(ctx); err != nil {
+			return nil, err
+		}
+		body, err := encodeHandoff(instance, s.agg.Save, s.led.view().Shards)
+		if err != nil {
+			return nil, err
+		}
+		c := s.agg.CountersSnapshot()
+		s.logf("handoff export sealed: %d bytes, %d samples (+%d lost)", len(body), c.Samples, c.Lost)
+		s.exported = body
+	}
+	return s.exported, nil
+}
 
 // Flush is the first half of the graceful-shutdown sequence: stop
 // admission and run the queued backlog through the aggregator, without
-// persisting. It is its own step because a handoff export flushes and
-// then serializes the aggregate instead of checkpointing it. A service
-// never started starts its aggregator here, so there is one merge loop.
+// persisting. It is its own step because Export flushes and then
+// serializes the aggregate instead of checkpointing it. A service never
+// started starts its aggregator here, so there is one merge loop.
 func (s *Service) Flush(ctx context.Context) error {
 	s.BeginDrain()
 	s.q.close()
@@ -847,6 +861,8 @@ func (s *Service) applyHandoff(h Handoff, captured uint64, pos wal.Pos) error {
 // must survive a crash). Returns how many ids were newly adopted;
 // already-admitted ids are skipped silently.
 func (s *Service) AdoptShards(from string, shards []string) (int, error) {
+	s.handoffMu.Lock()
+	defer s.handoffMu.Unlock()
 	switch p := s.phase(); {
 	case p == phaseRetired:
 		return 0, ErrHandedOff
@@ -874,16 +890,19 @@ func (s *Service) AdoptShards(from string, shards []string) (int, error) {
 }
 
 // Retire sets this instance's durable state aside once a receiver holds
-// its whole aggregate and ledger (the caller sealed and flushed: the
-// export did). The WAL is closed and its directory and the checkpoint
-// file are renamed *.handedoff — a restart over either would count the
-// migrated samples a second time — and from here FinalCheckpoint and the
-// periodic checkpoint are no-ops, so nothing writes them back. The only
-// way into phaseRetired; every step is idempotent, so a failed Retire is
-// simply called again.
+// its whole aggregate and ledger — the envelope Export returned; without
+// one it refuses with ErrNotExported. The WAL is closed and its
+// directory and the checkpoint file are renamed *.handedoff — a restart
+// over either would count the migrated samples a second time — and from
+// here FinalCheckpoint and the periodic checkpoint are no-ops, so nothing
+// writes them back. The only way into phaseRetired; every step is
+// idempotent, so a failed Retire is simply called again.
 func (s *Service) Retire() error {
-	s.handoffMu.Lock() // an AcceptHandoff in flight may still be checkpointing
+	s.handoffMu.Lock()
 	defer s.handoffMu.Unlock()
+	if s.exported == nil {
+		return ErrNotExported
+	}
 	s.enter(phaseRetired)
 	var errs []error
 	if s.wal != nil {

@@ -253,7 +253,7 @@ func TestExactTopRowsEpochStaleness(t *testing.T) {
 	if built.RowsEpoch != built.Epoch {
 		t.Fatalf("merge must rebuild rows: rows epoch %d, epoch %d", built.RowsEpoch, built.Epoch)
 	}
-	want := agg.HotPCsExact(3)
+	want, _ := agg.HotPCsExact(3)
 
 	agg.RecordLoss(2)
 	agg.ReverseLoss(1)

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"profileme/internal/core"
 )
 
 // SafeDB wraps a DB with an RWMutex for writers plus an epoch-based
@@ -244,25 +242,21 @@ func (s *SafeDB) EstimatedCount(pc uint64) float64 {
 	return s.db.EstimatedCount(pc)
 }
 
-// EstimatedEventCount estimates occurrences of ev at pc, loss-corrected
-// (read lock).
-func (s *SafeDB) EstimatedEventCount(pc uint64, ev core.Event) float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.db.EstimatedEventCount(pc, ev)
-}
-
-// Get returns a deep copy of the accumulator for pc; ok is false when the
-// PC has never been sampled (read lock). The copy shares no slices with
-// the live database and is safe to retain and mutate.
-func (s *SafeDB) Get(pc uint64) (PCAccum, bool) {
+// Get returns a deep copy of the accumulator for pc and the view of the
+// same instant, from one read lock: every write republishes the view
+// under the write lock, so the view loaded under the read lock is the
+// live database's, and an estimate built from the copy and the view's
+// S and LossCorr is one instant's. ok is false when the PC has never
+// been sampled. The copy shares no slices with the live database and is
+// safe to retain and mutate.
+func (s *SafeDB) Get(pc uint64) (PCAccum, *View, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	a := s.db.Get(pc)
 	if a == nil {
-		return PCAccum{}, false
+		return PCAccum{}, nil, false
 	}
-	return copyAccum(a), true
+	return copyAccum(a), s.View(), true
 }
 
 // HotPCs returns the n hottest accumulators, descending by sample count.
@@ -284,15 +278,17 @@ func (s *SafeDB) HotPCs(n int) []PCAccum {
 		}
 		return out
 	}
-	return s.HotPCsExact(n)
+	rows, _ := s.HotPCsExact(n)
+	return rows
 }
 
 // HotPCsExact returns deep copies of the n hottest accumulators from the
-// live database: the scan fallback, for when View.ExactTop cannot
-// certify an exact answer from published state. It takes the read lock
-// and pays an O(DB log n) selection over every accumulator plus n deep
-// copies — the cost the view-served paths exist to avoid.
-func (s *SafeDB) HotPCsExact(n int) []PCAccum {
+// live database, with the view of the same instant (see Get): the scan
+// fallback, for when View.ExactTop cannot certify an exact answer from
+// published state. It takes the read lock and pays an O(DB log n)
+// selection over every accumulator plus n deep copies — the cost the
+// view-served paths exist to avoid.
+func (s *SafeDB) HotPCsExact(n int) ([]PCAccum, *View) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	accs := s.db.HotPCs(n)
@@ -300,7 +296,7 @@ func (s *SafeDB) HotPCsExact(n int) []PCAccum {
 	for i, a := range accs {
 		out[i] = copyAccum(a)
 	}
-	return out
+	return out, s.View()
 }
 
 // WindowHotPCs answers "hot PCs in the last `window`" from the ring of

@@ -116,7 +116,7 @@ func TestSafeDBConcurrentMergeAndQuery(t *testing.T) {
 				}
 				for _, a := range agg.HotPCs(5) {
 					agg.EstimatedCount(a.PC)
-					agg.EstimatedEventCount(a.PC, core.EvDCacheMiss)
+					agg.Get(a.PC)
 				}
 				_ = agg.CountersSnapshot().LossRate
 				if r == 0 {
@@ -169,7 +169,7 @@ func TestSafeDBCopiesDoNotAlias(t *testing.T) {
 	base.Add(core.Sample{First: r})
 	agg := NewSafeDBWith(base, SketchConfig{})
 
-	got, ok := agg.Get(0x400)
+	got, _, ok := agg.Get(0x400)
 	if !ok || len(got.Addrs) != 1 {
 		t.Fatalf("accumulator not returned: ok=%v addrs=%v", ok, got.Addrs)
 	}

@@ -292,7 +292,7 @@ func TestSafeDBSketchMatchesExact(t *testing.T) {
 	}
 
 	sketch := agg.HotPCs(10)
-	exact := agg.HotPCsExact(10)
+	exact, _ := agg.HotPCsExact(10)
 	if len(sketch) != len(exact) {
 		t.Fatalf("len mismatch: sketch %d exact %d", len(sketch), len(exact))
 	}
@@ -328,7 +328,7 @@ func TestSafeDBSketchBoundsUnderOverflow(t *testing.T) {
 		t.Fatalf("floor %d exceeds N/K = %d", v.Floor, v.SketchN/uint64(v.TopKCap))
 	}
 	for _, hv := range v.TopK {
-		truth, _ := agg.Get(hv.Acc.PC)
+		truth, _, _ := agg.Get(hv.Acc.PC)
 		if hv.Est < truth.Samples || hv.Est-hv.MaxErr > truth.Samples {
 			t.Fatalf("pc %#x: est %d err %d true %d", hv.Acc.PC, hv.Est, hv.MaxErr, truth.Samples)
 		}

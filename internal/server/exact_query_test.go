@@ -51,7 +51,7 @@ func getExact(t *testing.T, h http.Handler, n int) exactReply {
 // EstimatedCount per row.
 func scanRowsJSON(t *testing.T, agg *profile.SafeDB, n int) []byte {
 	t.Helper()
-	accs := agg.HotPCsExact(n)
+	accs, _ := agg.HotPCsExact(n)
 	rows := make([]hotPC, 0, len(accs))
 	for i := range accs {
 		rows = append(rows, accRow(&accs[i], agg.EstimatedCount(accs[i].PC)))

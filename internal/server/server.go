@@ -89,14 +89,6 @@ type Server struct {
 
 	logMu sync.Mutex
 
-	// exportMu guards the cached handoff-export envelope. The cache is
-	// what makes export idempotent at the BYTE level: the receiver's
-	// envelope dedupe keys on a content digest, so a router retrying a
-	// lost export response must get the identical serialization back,
-	// not a fresh (differently-ordered, differently-keyed) encode.
-	exportMu   sync.Mutex
-	exportBody []byte
-
 	inFlight atomic.Int64 // queries currently being served: the admission gauge
 
 	// statsMu guards stats, whose four HTTP counters are the /v1/stats
@@ -349,43 +341,28 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, ack)
 }
 
-// handleHandoffExport is the scale-in donor's side of a migration: seal
-// admission (refusals stop recording loss — the envelope must be the
-// final word on this instance's books), flush the queued backlog through
-// the aggregator, and serialize aggregate + admission ledger as a
-// handoff envelope. The serialized bytes are cached so a retry after a
-// lost response returns the IDENTICAL envelope — the receiver dedupes
-// redeliveries by content digest, which only byte-equal bodies share.
-// Sealing is one-way; an aborted removal restarts the donor process to
-// resume admission (the runbook's rollback path).
+// handleHandoffExport is the scale-in donor's side of a migration:
+// Service.Export seals, flushes and serializes aggregate + admission
+// ledger as a handoff envelope, the same bytes on every retry. A flush
+// cut short by the request's context is a 503 the router retries.
 func (s *Server) handleHandoffExport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeErr(w, http.StatusMethodNotAllowed, "method", "POST only")
 		return
 	}
-	s.exportMu.Lock()
-	defer s.exportMu.Unlock()
-	if s.exportBody == nil {
-		s.svc.Seal()
-		if err := s.svc.Flush(r.Context()); err != nil {
-			// Seal stands (one-way), but nothing was cached: a retry
-			// re-flushes whatever remains and exports then.
-			s.logf("503 handoff export: flush: %v", err)
-			s.writeErr(w, http.StatusServiceUnavailable, "flush", err.Error())
-			return
-		}
-		body, err := ingest.EncodeHandoff(s.cfg.Instance, s.svc.Aggregate().Save, s.svc.Ledger().Shards)
-		if err != nil {
-			s.writeErr(w, http.StatusInternalServerError, "internal", err.Error())
-			return
-		}
-		s.exportBody = body
-		c := s.svc.Aggregate().CountersSnapshot()
-		s.logf("handoff export sealed: %d bytes, %d samples (+%d lost)", len(body), c.Samples, c.Lost)
+	body, err := s.svc.Export(r.Context(), s.cfg.Instance)
+	switch {
+	case err != nil && r.Context().Err() != nil:
+		s.logf("503 handoff export: flush: %v", err)
+		s.writeErr(w, http.StatusServiceUnavailable, "flush", err.Error())
+		return
+	case err != nil:
+		s.writeErr(w, http.StatusInternalServerError, "internal", err.Error())
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	w.Write(s.exportBody)
+	w.Write(body)
 }
 
 // handleHandoffConfirm completes a scale-in migration after the receiver
@@ -393,20 +370,18 @@ func (s *Server) handleHandoffExport(w http.ResponseWriter, r *http.Request) {
 // and further handoffs refuse, and the WAL directory and checkpoint file
 // are set aside as *.handedoff, because a restart over either would
 // count the migrated samples a second time. Idempotent: a confirm retry
-// finds nothing left to rename and answers 200 again.
+// finds nothing left to rename and answers 200 again; a confirm before
+// any export is a 409.
 func (s *Server) handleHandoffConfirm(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeErr(w, http.StatusMethodNotAllowed, "method", "POST only")
 		return
 	}
-	s.exportMu.Lock()
-	defer s.exportMu.Unlock()
-	if s.exportBody == nil {
-		s.writeErr(w, http.StatusConflict, "not-exported",
-			"nothing to confirm: no handoff export was taken from this instance")
+	switch err := s.svc.Retire(); {
+	case errors.Is(err, ingest.ErrNotExported):
+		s.writeErr(w, http.StatusConflict, "not-exported", err.Error())
 		return
-	}
-	if err := s.svc.Retire(); err != nil {
+	case err != nil:
 		// Retired already stands (refusing new work is correct either way);
 		// the removal does not commit until the files are out of a
 		// restart's way, so the router's retry comes back here.
@@ -623,12 +598,12 @@ func (s *Server) handleHotPCs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	accs := agg.HotPCsExact(n)
+	accs, v := agg.HotPCsExact(n) // v: the view of the instant the rows were read
 	rows := make([]hotPC, 0, len(accs))
 	for i := range accs {
-		rows = append(rows, accRow(&accs[i], agg.EstimatedCount(accs[i].PC)))
+		rows = append(rows, accRow(&accs[i], float64(accs[i].Samples)*v.S*v.LossCorr))
 	}
-	writeJSON(w, http.StatusOK, hotReply(agg.CountersSnapshot(), rows, false))
+	writeJSON(w, http.StatusOK, hotReply(v.Counters, rows, false))
 }
 
 // hotReply is what every /v1/hotpcs answer shares: the aggregate's
@@ -683,29 +658,23 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	agg := s.svc.Aggregate()
+	// acc and the view v that scales its estimates are one instant's:
+	// the view's own row, or Get's copy and view from one read lock.
 	var (
-		acc      profile.PCAccum
-		ok       bool
-		approx   bool
-		maxErr   uint64
-		estimed  float64
-		estEvent func(ev core.Event) float64
+		acc    profile.PCAccum
+		v      *profile.View
+		ok     bool
+		approx bool
+		maxErr uint64
 	)
 	if sketch {
-		v := agg.View()
+		v = agg.View()
 		if hv := v.Get(pc); hv != nil {
 			acc, ok, approx, maxErr = hv.Acc, true, true, hv.MaxErr
-			estimed = float64(acc.Samples) * v.S * v.LossCorr
-			a := hv.Acc // capture the epoch copy, not the loop state
-			estEvent = func(ev core.Event) float64 {
-				return float64(a.EventCount(ev)) * v.S * v.LossCorr
-			}
 		}
 	}
 	if !ok {
-		acc, ok = agg.Get(pc)
-		estimed = agg.EstimatedCount(pc)
-		estEvent = func(ev core.Event) float64 { return agg.EstimatedEventCount(pc, ev) }
+		acc, v, ok = agg.Get(pc)
 	}
 	if !ok {
 		s.writeErr(w, http.StatusNotFound, "unknown-pc", fmt.Sprintf("pc %#x has no samples", pc))
@@ -714,7 +683,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	resp := map[string]any{
 		"pc":        fmt.Sprintf("%#x", pc),
 		"samples":   acc.Samples,
-		"est_count": estimed,
+		"est_count": float64(acc.Samples) * v.S * v.LossCorr,
 		"approx":    approx,
 	}
 	if approx {
@@ -722,13 +691,13 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	if evName != "" {
 		resp["event"] = evName
-		resp["est_event_count"] = estEvent(queryEv)
+		resp["est_event_count"] = float64(acc.EventCount(queryEv)) * v.S * v.LossCorr
 		resp["event_rate"] = profile.RateEstimate(acc.EventCount(queryEv), acc.Samples)
 	} else {
 		events := make(map[string]float64)
 		for name, ev := range eventByName {
 			if c := acc.EventCount(ev); c > 0 {
-				events[name] = estEvent(ev)
+				events[name] = float64(c) * v.S * v.LossCorr
 			}
 		}
 		resp["est_event_counts"] = events
@@ -793,26 +762,26 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleReadyz flips to 503 the moment a drain begins or the persistence
 // breaker opens — load balancers stop routing new work while in-flight
-// requests finish.
+// requests finish. One Stats read decides, so the answer is one instant's.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	wal := s.svc.Stats().WAL // nil without a WAL
-	switch {
-	case s.svc.Draining():
+	st := s.svc.Stats()
+	switch { // st.WAL is nil without a WAL
+	case st.Draining:
 		s.writeErr(w, http.StatusServiceUnavailable, "draining", "shutting down: submissions refused, queue flushing")
-	case s.svc.Breaker().State() == ingest.BreakerOpen:
+	case st.Breaker.State == "open":
 		s.writeErr(w, http.StatusServiceUnavailable, "breaker-open", "checkpoint persistence suspended")
-	case wal != nil && wal.Wedged:
+	case st.WAL != nil && st.WAL.Wedged:
 		// A write or fsync failure wedged the durability log: every
 		// submission 503s until a restart replays what survived. Routers
 		// treat this like draining and steer submissions away.
 		s.writeErr(w, http.StatusServiceUnavailable, "wal-failed", "WAL wedged by a write/fsync failure; restart required")
-	case wal != nil && wal.Stalled:
+	case st.WAL != nil && st.WAL.Stalled:
 		// The durability log has records waiting on fsync for longer than
 		// the stall threshold — every 202 would block on a sick disk.
 		// Routers treat this like draining and steer submissions away.
 		s.writeErr(w, http.StatusServiceUnavailable, "wal-stalled", "WAL fsync is not keeping up; submissions would stall")
 	default:
-		writeJSON(w, http.StatusOK, map[string]any{"ready": true, "queue_depth": s.svc.QueueDepth()})
+		writeJSON(w, http.StatusOK, map[string]any{"ready": true, "queue_depth": st.Queue.Depth})
 	}
 }
 

@@ -462,7 +462,7 @@ func TestReadyzFlipsOnDrainAndBreaker(t *testing.T) {
 	postSubmit(t, h, "s", testShard(0, 5))
 	svc.Start()
 	deadline := time.Now().Add(5 * time.Second)
-	for svc.Breaker().State() != ingest.BreakerOpen {
+	for svc.Stats().Breaker.State != "open" {
 		if time.Now().After(deadline) {
 			t.Fatalf("breaker never opened: %+v", svc.Stats())
 		}

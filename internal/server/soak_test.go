@@ -312,7 +312,8 @@ func TestOverloadSoak(t *testing.T) {
 	// usual sampling tolerance.
 	var estDegraded, estBaseline float64
 	for _, pc := range baselineTop {
-		estDegraded += agg.EstimatedEventCount(pc, core.EvRetired)
+		acc, v, _ := agg.Get(pc)
+		estDegraded += float64(acc.EventCount(core.EvRetired)) * v.S * v.LossCorr
 		estBaseline += baseline.EstimatedEventCount(pc, core.EvRetired)
 	}
 	if rel := (estDegraded - estBaseline) / estBaseline; rel < -0.15 || rel > 0.15 {

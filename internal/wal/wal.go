@@ -179,12 +179,11 @@ func (t *Ticket) Wait() error {
 type Log struct {
 	cfg Config
 
-	mu       sync.Mutex
-	f        *os.File
-	seq      uint64 // active segment sequence
-	off      int64  // active segment size (bytes written, staged included)
-	segments int
-	cur      *batch // open batch collecting staged records (nil = none)
+	mu  sync.Mutex
+	f   *os.File
+	seq uint64 // active segment sequence
+	off int64  // active segment size (bytes written, staged included)
+	cur *batch // open batch collecting staged records (nil = none)
 	// syncing is the batch whose verdict is in flight (nil = none); it
 	// is older than cur, so Stats ages it first.
 	syncing *batch
