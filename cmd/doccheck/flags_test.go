@@ -111,16 +111,17 @@ func TestFlagTables(t *testing.T) {
 // for: the router places opaque bytes and the instance admits, logs and
 // merges profiles, so neither links the simulator or the traffic tooling.
 // The import graph enforces it: pmrouter reaches internal/cluster and
-// nothing else of this module; pmsimd reaches exactly the eight packages
-// under the ingest path.
+// the wire it shares with the instance, internal/api, and nothing else
+// of this module; pmsimd reaches exactly the eight packages under the
+// ingest path, and internal/api.
 func TestDaemonImportClosure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs go list")
 	}
 	const internal = "profileme/internal/"
 	want := map[string][]string{
-		"pmrouter": {"cluster"},
-		"pmsimd":   {"core", "frame", "ingest", "isa", "profile", "server", "stats", "wal"},
+		"pmrouter": {"api", "cluster"},
+		"pmsimd":   {"api", "core", "frame", "ingest", "isa", "profile", "server", "stats", "wal"},
 	}
 	for cmd, allowed := range want {
 		out, err := exec.Command("go", "list", "-deps", "profileme/cmd/"+cmd).CombinedOutput()

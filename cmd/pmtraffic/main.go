@@ -26,8 +26,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -42,6 +40,7 @@ import (
 	"syscall"
 	"time"
 
+	"profileme/internal/api"
 	"profileme/internal/ingest"
 	"profileme/internal/runner"
 	"profileme/internal/traffic"
@@ -425,23 +424,14 @@ func runRecord(args []string) int {
 // sees it. An undecodable body is forwarded untouched and not recorded:
 // the upstream's 400 is authoritative, and a trace must hold only
 // replayable records. The relay's own refusals (a body over maxBody, a
-// body that cannot be read) carry the collector's JSON error shape, so a
-// fleet behind the relay logs the same kind it would without it.
+// body that cannot be read) are api.ReadBody's, the collector's own, so
+// a fleet behind the relay logs the same kind it would without it.
 func relayHandler(target *url.URL, cw *traffic.CaptureWriter, maxBody int64) http.Handler {
 	proxy := httputil.NewSingleHostReverseProxy(target)
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost && r.URL.Path == "/v1/submit" {
-			body, err := io.ReadAll(http.MaxBytesReader(rw, r.Body, maxBody))
+			body, err := api.ReadBody(rw, r, "submission", maxBody, nil)
 			if err != nil {
-				status, kind, msg := http.StatusBadRequest, "body", err.Error()
-				var tooBig *http.MaxBytesError
-				if errors.As(err, &tooBig) {
-					status, kind = http.StatusRequestEntityTooLarge, "oversized"
-					msg = fmt.Sprintf("submission body exceeds %d bytes", maxBody)
-				}
-				rw.Header().Set("Content-Type", "application/json")
-				rw.WriteHeader(status)
-				json.NewEncoder(rw).Encode(map[string]string{"error": msg, "kind": kind})
 				return
 			}
 			if sub, err := ingest.DecodeSubmit(body); err == nil {

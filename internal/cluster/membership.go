@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+
+	"profileme/internal/api"
 )
 
 // Elastic membership: the router grows and shrinks the collector tier
@@ -421,7 +423,7 @@ func (rt *Router) confirmHandoff(ctx context.Context, base string) error {
 // progress.
 func (rt *Router) handleMembership(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		rt.writeErr(w, http.StatusMethodNotAllowed, "method", "GET only", nil)
+		api.WriteError(w, http.StatusMethodNotAllowed, "method", "GET only")
 		return
 	}
 	members, epoch := rt.members.view()
@@ -429,7 +431,7 @@ func (rt *Router) handleMembership(w http.ResponseWriter, r *http.Request) {
 	for _, m := range members {
 		instances[m.id] = map[string]any{"url": m.url, "state": m.state.String()}
 	}
-	rt.writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"epoch":     epoch,
 		"instances": instances,
 		"migration": rt.migration.snapshot(),
@@ -442,7 +444,7 @@ func (rt *Router) handleMembership(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleMembershipChange(run func(ctx context.Context, id, url string) (*migrationReport, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			rt.writeErr(w, http.StatusMethodNotAllowed, "method", "POST only", nil)
+			api.WriteError(w, http.StatusMethodNotAllowed, "method", "POST only")
 			return
 		}
 		var req struct {
@@ -450,15 +452,15 @@ func (rt *Router) handleMembershipChange(run func(ctx context.Context, id, url s
 			URL string `json:"url"`
 		}
 		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-			rt.writeErr(w, http.StatusBadRequest, "malformed", err.Error(), nil)
+			api.WriteError(w, http.StatusBadRequest, "malformed", err.Error())
 			return
 		}
 		rep, err := run(r.Context(), req.ID, req.URL)
 		if err != nil {
-			rt.writeErr(w, http.StatusServiceUnavailable, "migration-failed", err.Error(), nil)
+			api.WriteError(w, http.StatusServiceUnavailable, "migration-failed", err.Error())
 			return
 		}
-		rt.writeJSON(w, http.StatusOK, rep)
+		api.WriteJSON(w, http.StatusOK, rep)
 	}
 }
 
@@ -469,12 +471,12 @@ func (rt *Router) handleMembershipChange(run func(ctx context.Context, id, url s
 func (rt *Router) handleResolve(w http.ResponseWriter, r *http.Request) {
 	shard := r.URL.Query().Get("shard")
 	if shard == "" {
-		rt.writeErr(w, http.StatusBadRequest, "param", "shard parameter required", nil)
+		api.WriteError(w, http.StatusBadRequest, "param", "shard parameter required")
 		return
 	}
 	owner, pinned, epoch, ok := rt.members.resolve(shard)
 	if !ok {
-		rt.writeErr(w, http.StatusServiceUnavailable, "no-instances", "ring is empty", nil)
+		api.WriteError(w, http.StatusServiceUnavailable, "no-instances", "ring is empty")
 		return
 	}
 	resp := map[string]any{"shard": shard, "epoch": epoch, "instance": owner.id, "url": owner.url}
@@ -483,5 +485,5 @@ func (rt *Router) handleResolve(w http.ResponseWriter, r *http.Request) {
 		resp["pinned"] = true
 		resp["ring_owner"] = owner.id
 	}
-	rt.writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }

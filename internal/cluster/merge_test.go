@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"profileme/internal/api"
 )
 
 // cannedLeg is one fake instance's answer to every request: a status and
@@ -238,7 +240,7 @@ func TestMergeHotPCs(t *testing.T) {
 			"pcs":[{"pc":"a","samples":8,"est_count":128,"max_err":2}]}`},
 		{"no legs", 5, false, nil, `{"samples":0,"lost":0,"loss_rate":0,"approx":false,"pcs":[]}`},
 	} {
-		got := asJSON(t, mergeHotPCs(decodeAll[instanceHotPCs](t, c.legs...), c.n, c.windowed))
+		got := asJSON(t, mergeHotPCs(decodeAll[api.HotPCs](t, c.legs...), c.n, c.windowed))
 		if want := wantJSON(t, c.want); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s:\n got %v\nwant %v", c.name, got, want)
 		}
@@ -265,7 +267,7 @@ func TestMergeEstimate(t *testing.T) {
 			`{"samples":0,"approx":true,"event":"retired","mean_latencies":{"x":9}}`,
 		}, `{"pc":"0x400","samples":0,"est_count":0,"approx":true,"max_err":0,"event":"retired","est_event_count":0,"mean_latencies":{"x":0}}`},
 	} {
-		got := asJSON(t, mergeEstimate("0x400", decodeAll[instanceEstimate](t, c.legs...)))
+		got := asJSON(t, mergeEstimate("0x400", decodeAll[api.Estimate](t, c.legs...)))
 		if want := wantJSON(t, c.want); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s:\n got %v\nwant %v", c.name, got, want)
 		}

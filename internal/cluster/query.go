@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strconv"
 	"time"
+
+	"profileme/internal/api"
 )
 
 // Every fleet query is gather → decode → merge: fan the GET out to the
@@ -153,8 +155,7 @@ func decodeLegs[T any](f fanout, quiet int) decoded[T] {
 func askFleet[T any](rt *Router, w http.ResponseWriter, r *http.Request, pathAndQuery string, quiet int) (d decoded[T], ok bool) {
 	f := rt.gather(r.Context(), pathAndQuery)
 	if len(f.oks) == 0 {
-		rt.writeErr(w, http.StatusServiceUnavailable, "no-instances",
-			"no collector instance answered", map[string]any{"missing": f.missing})
+		writeMissing(w, http.StatusServiceUnavailable, "no-instances", "no collector instance answered", f.missing)
 		return d, false
 	}
 	d = decodeLegs[T](f, quiet)
@@ -167,33 +168,37 @@ func askFleet[T any](rt *Router, w http.ResponseWriter, r *http.Request, pathAnd
 	return d, true
 }
 
-// writeMerged serves a merged answer with the degradation contract:
-// "partial" is true when any member's data is not in it, and
-// "instances_missing" counts them. Members already known Down were not
-// asked and count too — a reader must be able to see that the fleet view
-// is incomplete.
-func (rt *Router) writeMerged(w http.ResponseWriter, resp map[string]any, missing, down []string) {
+// writeMissing refuses a fleet query, naming the members that did not
+// answer ("missing": null when none, as TestMergeWireCompat pins).
+func writeMissing(w http.ResponseWriter, status int, kind, msg string, missing []string) {
+	api.WriteJSON(w, status, struct {
+		api.Error
+		Missing []string `json:"missing"`
+	}{api.Error{Msg: msg, Kind: kind}, missing})
+}
+
+// degraded is a merged answer's degradation contract: "partial" is true
+// when any member's data is not in it, and "instances_missing" counts
+// them. Members already known Down were not asked and count too — a
+// reader must be able to see that the fleet view is incomplete.
+func (rt *Router) degraded(missing, down []string) *api.Degraded {
 	missing = append(missing, down...)
 	sort.Strings(missing)
-	resp["partial"] = len(missing) > 0
-	resp["instances_missing"] = len(missing)
 	if len(missing) > 0 {
 		rt.count(&rt.stats.PartialsServed)
-		resp["missing"] = missing
 	}
-	rt.writeJSON(w, http.StatusOK, resp)
+	return &api.Degraded{Partial: len(missing) > 0, InstancesMissing: len(missing), Missing: missing}
 }
 
 // handleHotPCs serves the fleet's top n. Each instance is asked for an
 // over-fetch (4× n, capped) so a PC hot fleet-wide but trailing locally
 // still surfaces; ?sketch= and ?window= pass through to the instances.
 func (rt *Router) handleHotPCs(w http.ResponseWriter, r *http.Request) {
-	n, perr := intQueryParam(r, "n", 10, 1, 1000)
-	if perr != "" {
-		rt.writeErr(w, http.StatusBadRequest, "param", perr, nil)
+	n, ok := api.TopN(w, r)
+	if !ok {
 		return
 	}
-	q := "/v1/hotpcs?n=" + strconv.Itoa(min(n*4, 1000))
+	q := "/v1/hotpcs?n=" + strconv.Itoa(min(n*4, api.MaxTopN))
 	if v := r.URL.Query().Get("sketch"); v != "" {
 		q += "&sketch=" + url.QueryEscape(v)
 	}
@@ -201,8 +206,10 @@ func (rt *Router) handleHotPCs(w http.ResponseWriter, r *http.Request) {
 	if window != "" {
 		q += "&window=" + url.QueryEscape(window)
 	}
-	if d, ok := askFleet[instanceHotPCs](rt, w, r, q, 0); ok {
-		rt.writeMerged(w, mergeHotPCs(d.legs, n, window != ""), d.missing, d.down)
+	if d, ok := askFleet[api.HotPCs](rt, w, r, q, 0); ok {
+		resp := mergeHotPCs(d.legs, n, window != "")
+		resp.Degraded = rt.degraded(d.missing, d.down)
+		api.WriteJSON(w, http.StatusOK, resp)
 	}
 }
 
@@ -211,20 +218,21 @@ func (rt *Router) handleHotPCs(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	pc := r.URL.Query().Get("pc")
 	if pc == "" {
-		rt.writeErr(w, http.StatusBadRequest, "param", "pc parameter required", nil)
+		api.WriteError(w, http.StatusBadRequest, "param", "pc parameter required")
 		return
 	}
-	d, ok := askFleet[instanceEstimate](rt, w, r, "/v1/estimate?"+r.URL.RawQuery, http.StatusNotFound)
+	d, ok := askFleet[api.Estimate](rt, w, r, "/v1/estimate?"+r.URL.RawQuery, http.StatusNotFound)
 	if !ok {
 		return
 	}
 	if len(d.legs) == 0 {
-		rt.writeErr(w, http.StatusNotFound, "unknown-pc",
-			fmt.Sprintf("pc %s has no samples on any reachable instance", pc),
-			map[string]any{"missing": d.missing})
+		writeMissing(w, http.StatusNotFound, "unknown-pc",
+			fmt.Sprintf("pc %s has no samples on any reachable instance", pc), d.missing)
 		return
 	}
-	rt.writeMerged(w, mergeEstimate(pc, d.legs), d.missing, d.down)
+	resp := mergeEstimate(pc, d.legs)
+	resp.Degraded = rt.degraded(d.missing, d.down)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleStats serves the fleet rollup plus the router's own counters. It
@@ -232,27 +240,11 @@ func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	f := rt.gather(r.Context(), "/v1/stats")
 	d := decodeLegs[instanceStats](f, 0)
-	resp := mergeStats(d.from, d.legs)
-	resp["router"] = rt.Stats()
-	resp["epoch"] = f.epoch
-	resp["migration"] = rt.migration.snapshot()
-	rt.writeMerged(w, resp, d.missing, d.down)
-}
-
-// intQueryParam parses an integer query parameter with an inclusive
-// range; a non-empty second return is the typed-400 message (matching
-// the collector's own parameter contract).
-func intQueryParam(r *http.Request, name string, def, lo, hi int) (int, string) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, ""
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Sprintf("parameter %q: %q is not an integer", name, v)
-	}
-	if n < lo || n > hi {
-		return 0, fmt.Sprintf("parameter %q: %d out of range [%d,%d]", name, n, lo, hi)
-	}
-	return n, ""
+	api.WriteJSON(w, http.StatusOK, struct {
+		fleetStats
+		Router    RouterStats     `json:"router"`
+		Epoch     uint64          `json:"epoch"`
+		Migration migrationStatus `json:"migration"`
+		*api.Degraded
+	}{mergeStats(d.from, d.legs), rt.Stats(), f.epoch, rt.migration.snapshot(), rt.degraded(d.missing, d.down)})
 }

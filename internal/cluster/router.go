@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"profileme/internal/api"
 )
 
 // Instance names one collector in the tier.
@@ -150,29 +152,10 @@ func (rt *Router) Handler() http.Handler {
 		func(ctx context.Context, id, _ string) (*migrationReport, error) { return rt.removeInstance(ctx, id) }))
 	mux.HandleFunc("/v1/resolve", rt.handleResolve)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		rt.writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+		api.WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
 	})
 	mux.HandleFunc("/readyz", rt.handleReadyz)
 	return mux
-}
-
-// writeJSON is how the router answers in its own voice. A 429 or 503,
-// its own or an instance's it relays, carries the Retry-After hint.
-func (rt *Router) writeJSON(w http.ResponseWriter, status int, v any) {
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func (rt *Router) writeErr(w http.ResponseWriter, status int, kind, msg string, extra map[string]any) {
-	body := map[string]any{"error": msg, "kind": kind}
-	for k, v := range extra {
-		body[k] = v
-	}
-	rt.writeJSON(w, status, body)
 }
 
 // submitCaptured pulls the acknowledged shard's captured-sample total
@@ -214,24 +197,17 @@ func submitShardID(body []byte) (string, error) {
 // auditing the fleet-wide conservation invariant).
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		rt.writeErr(w, http.StatusMethodNotAllowed, "method", "POST only", nil)
+		api.WriteError(w, http.StatusMethodNotAllowed, "method", "POST only")
 		return
 	}
 	rt.count(&rt.stats.Submits)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
+	body, err := api.ReadBody(w, r, "submission", rt.cfg.MaxBodyBytes, nil)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			rt.writeErr(w, http.StatusRequestEntityTooLarge, "oversized",
-				fmt.Sprintf("submission body exceeds %d bytes", rt.cfg.MaxBodyBytes), nil)
-			return
-		}
-		rt.writeErr(w, http.StatusBadRequest, "body", err.Error(), nil)
 		return
 	}
 	shard, err := submitShardID(body)
 	if err != nil {
-		rt.writeErr(w, http.StatusBadRequest, "malformed", err.Error(), nil)
+		api.WriteError(w, http.StatusBadRequest, "malformed", err.Error())
 		return
 	}
 	// One read of the table: where to offer the shard, and the epoch that
@@ -246,9 +222,10 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if hdr := r.Header.Get("X-Ring-Epoch"); hdr != "" {
 		if want, perr := strconv.ParseUint(hdr, 10, 64); perr != nil || want != epoch {
 			rt.count(&rt.stats.WrongOwnerConflicts)
-			rt.writeErr(w, http.StatusConflict, "wrong-owner",
-				fmt.Sprintf("ring epoch %q is stale (current %d): re-resolve and retry", hdr, epoch),
-				map[string]any{"epoch": epoch})
+			api.WriteJSON(w, http.StatusConflict, struct {
+				api.Error
+				Epoch uint64 `json:"epoch"`
+			}{api.Error{Msg: fmt.Sprintf("ring epoch %q is stale (current %d): re-resolve and retry", hdr, epoch), Kind: "wrong-owner"}, epoch})
 			return
 		}
 	}
@@ -297,9 +274,10 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	rt.writeErr(w, http.StatusServiceUnavailable, "no-instances",
-		fmt.Sprintf("no collector instance reachable for shard %s (%d tried)", shard, len(hops)),
-		map[string]any{"refused_by": refusedBy})
+	api.WriteJSON(w, http.StatusServiceUnavailable, struct {
+		api.Error
+		RefusedBy []string `json:"refused_by"`
+	}{api.Error{Msg: fmt.Sprintf("no collector instance reachable for shard %s (%d tried)", shard, len(hops)), Kind: "no-instances"}, refusedBy})
 }
 
 func (rt *Router) forwardSubmit(ctx context.Context, to hop, body []byte) (int, []byte, error) {
@@ -366,18 +344,7 @@ func (rt *Router) respondAugmented(w http.ResponseWriter, status int, body []byt
 	if len(refusedBy) > 0 {
 		m["refused_by"] = refusedBy
 	}
-	rt.writeJSON(w, status, m)
-}
-
-// errorKind extracts the "kind" of a JSON error body (best effort).
-func errorKind(raw []byte) string {
-	var e struct {
-		Kind string `json:"kind"`
-	}
-	if json.Unmarshal(raw, &e) != nil {
-		return ""
-	}
-	return e.Kind
+	api.WriteJSON(w, status, m)
 }
 
 // handleReadyz: the router is ready while at least one instance is not
@@ -393,11 +360,13 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if up == 0 {
-		rt.writeErr(w, http.StatusServiceUnavailable, "no-instances",
-			"every collector instance is down", map[string]any{"instances": byState})
+		api.WriteJSON(w, http.StatusServiceUnavailable, struct {
+			api.Error
+			Instances map[string]string `json:"instances"`
+		}{api.Error{Msg: "every collector instance is down", Kind: "no-instances"}, byState})
 		return
 	}
-	rt.writeJSON(w, http.StatusOK, map[string]any{
+	api.WriteJSON(w, http.StatusOK, map[string]any{
 		"ready": true, "instances": byState, "reachable": up,
 	})
 }

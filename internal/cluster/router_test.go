@@ -3,12 +3,15 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"profileme/internal/core"
@@ -453,4 +456,41 @@ func TestRoundTripCutBody(t *testing.T) {
 	if status, _, err := roundTrip(context.Background(), nil, http.MethodGet, srv.URL, nil, 0, 4096); status != 0 || err == nil {
 		t.Fatalf("no answer: status %d err %v, want 0 and an error", status, err)
 	}
+}
+
+// TestRouterBodyRefusals: the router reads a submission through the
+// same bounded reader as an instance — one byte over MaxBodyBytes is 413
+// "oversized", a body that cannot be read is 400 "body" — and a refused
+// body never reaches an instance.
+func TestRouterBodyRefusals(t *testing.T) {
+	var reached sync.Map
+	inst := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		reached.Store(r.URL.Path, true)
+		w.WriteHeader(http.StatusAccepted)
+	}))
+	defer inst.Close()
+	rt, err := NewRouter(RouterConfig{Instances: []Instance{{ID: "c0", BaseURL: inst.URL}}, MaxBodyBytes: 1024, HedgeDelay: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		body   io.Reader
+		status int
+		kind   string
+	}{
+		{"one byte over the bound", strings.NewReader(`{"shard":"x","profile":"` + strings.Repeat("A", 1024-25) + `"}`), http.StatusRequestEntityTooLarge, "oversized"},
+		{"a body cut short", io.MultiReader(strings.NewReader(`{"shard":"x",`), iotest.ErrReader(errors.New("connection reset"))), http.StatusBadRequest, "body"},
+	} {
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/submit", c.body))
+		var refusal struct{ Kind string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &refusal); err != nil || rec.Code != c.status || refusal.Kind != c.kind {
+			t.Errorf("%s: %d %s, want %d %q", c.name, rec.Code, rec.Body.Bytes(), c.status, c.kind)
+		}
+	}
+	reached.Range(func(path, _ any) bool {
+		t.Errorf("a refused body reached the instance at %s", path)
+		return true
+	})
 }

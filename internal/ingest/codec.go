@@ -382,11 +382,9 @@ func handoffKey(from string, profileBytes []byte, shards []string) string {
 
 // encodeHandoff serializes a donor aggregate for shipment to its
 // receiver. save is the donor's serializer (SafeDB.Save) so the CRC
-// envelope is written under the aggregate's own lock.
+// envelope is written under the aggregate's own lock; from is never
+// empty (Export refuses first).
 func encodeHandoff(from string, save func(io.Writer) error, shards []string) ([]byte, error) {
-	if from == "" {
-		return nil, fmt.Errorf("ingest: encode handoff: empty instance id: %w", errBadSubmit)
-	}
 	return encodeRecord(record{From: from, Shards: shards}, save)
 }
 

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"profileme/internal/api"
 	"profileme/internal/ingest"
 	"profileme/internal/profile"
 )
@@ -157,13 +158,10 @@ func (s *HTTPSink) submitTo(ctx context.Context, client *http.Client, baseURL st
 		return nil
 	}
 	se := &SubmitError{Status: resp.StatusCode}
-	var apiErr struct {
-		Error string `json:"error"`
-		Kind  string `json:"kind"`
-	}
 	if raw, err := io.ReadAll(io.LimitReader(resp.Body, 4096)); err == nil {
-		if json.Unmarshal(raw, &apiErr) == nil {
-			se.Kind, se.Msg = apiErr.Kind, apiErr.Error
+		var refusal api.Error
+		if json.Unmarshal(raw, &refusal) == nil {
+			se.Kind, se.Msg = refusal.Kind, refusal.Msg
 		} else {
 			se.Msg = strings.TrimSpace(string(raw))
 		}

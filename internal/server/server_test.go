@@ -365,6 +365,25 @@ func TestHandoffBodyBound(t *testing.T) {
 	}
 }
 
+// TestExportWithoutInstanceID: an envelope names its donor, so an
+// instance started without an id must refuse the export before sealing
+// — a typed 409, not a 500 — and keep admitting shards. Sealed first, it
+// would refuse every submission until a restart.
+func TestExportWithoutInstanceID(t *testing.T) {
+	svc := testService(t, nil)
+	h := New(Config{Instance: ""}, svc).Handler()
+	for i := 0; i < 2; i++ { // the retry a router makes answers the same
+		status, body := post(t, h, "/v1/handoff/export", nil)
+		if status != http.StatusConflict {
+			t.Fatalf("export %d without an instance id: %d %v, want 409", i, status, body)
+		}
+		wantKind(t, body, "no-instance")
+	}
+	if status, body := postSubmit(t, h, "after/s0", testShard(0, 5)); status != http.StatusAccepted {
+		t.Fatalf("submit after the refused export: %d %v, want 202", status, body)
+	}
+}
+
 func TestRetryAfterHeader(t *testing.T) {
 	svc := testService(t, func(c *ingest.Config) { c.QueueDepth = 1 })
 	srv := New(Config{}, svc)

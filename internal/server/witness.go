@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+
+	"profileme/internal/api"
 )
 
 // Witness replication is the tier's answer to total disk loss: the WAL
@@ -162,42 +164,42 @@ type witnessPut struct {
 
 func (s *Server) handleWitnessPut(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.writeErr(w, http.StatusMethodNotAllowed, "method", "POST only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "method", "POST only")
 		return
 	}
-	body, err := s.readBounded(w, r, "request", s.cfg.MaxBodyBytes*2, nil)
+	body, err := api.ReadBody(w, r, "request", s.cfg.MaxBodyBytes*2, nil)
 	if err != nil {
-		return // readBounded already replied
+		return // ReadBody already replied
 	}
 	var p witnessPut
 	if err := json.Unmarshal(body, &p); err != nil {
-		s.writeErr(w, http.StatusBadRequest, "malformed", err.Error())
+		api.WriteError(w, http.StatusBadRequest, "malformed", err.Error())
 		return
 	}
 	if p.Origin == "" || p.Shard == "" || len(p.Body) == 0 {
-		s.writeErr(w, http.StatusBadRequest, "malformed", "origin, shard and body are required")
+		api.WriteError(w, http.StatusBadRequest, "malformed", "origin, shard and body are required")
 		return
 	}
 	if err := s.witness.put(p.Origin, p.Shard, p.Body, p.Captured); err != nil {
-		s.writeErr(w, http.StatusTooManyRequests, "witness-full", err.Error())
+		api.WriteError(w, http.StatusTooManyRequests, "witness-full", err.Error())
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"origin": p.Origin, "shard": p.Shard})
+	api.WriteJSON(w, http.StatusAccepted, map[string]any{"origin": p.Origin, "shard": p.Shard})
 }
 
 func (s *Server) handleWitnessLedger(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"witness": s.witness.ledger()})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"witness": s.witness.ledger()})
 }
 
 func (s *Server) handleWitnessFetch(w http.ResponseWriter, r *http.Request) {
 	origin, shard := r.URL.Query().Get("origin"), r.URL.Query().Get("shard")
 	if origin == "" || shard == "" {
-		s.writeErr(w, http.StatusBadRequest, "param", "origin and shard parameters required")
+		api.WriteError(w, http.StatusBadRequest, "param", "origin and shard parameters required")
 		return
 	}
 	body, ok := s.witness.get(origin, shard)
 	if !ok {
-		s.writeErr(w, http.StatusNotFound, "unknown-witness", fmt.Sprintf("no witness copy for %s/%s", origin, shard))
+		api.WriteError(w, http.StatusNotFound, "unknown-witness", fmt.Sprintf("no witness copy for %s/%s", origin, shard))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -212,17 +214,17 @@ type witnessPrune struct {
 
 func (s *Server) handleWitnessPrune(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.writeErr(w, http.StatusMethodNotAllowed, "method", "POST only")
+		api.WriteError(w, http.StatusMethodNotAllowed, "method", "POST only")
 		return
 	}
-	body, err := s.readBounded(w, r, "request", s.cfg.MaxBodyBytes, nil)
+	body, err := api.ReadBody(w, r, "request", s.cfg.MaxBodyBytes, nil)
 	if err != nil {
 		return
 	}
 	var p witnessPrune
 	if err := json.Unmarshal(body, &p); err != nil || p.Origin == "" {
-		s.writeErr(w, http.StatusBadRequest, "malformed", "origin and shards required")
+		api.WriteError(w, http.StatusBadRequest, "malformed", "origin and shards required")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"pruned": s.witness.prune(p.Origin, p.Shards)})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"pruned": s.witness.prune(p.Origin, p.Shards)})
 }
