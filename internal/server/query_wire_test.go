@@ -23,8 +23,9 @@ type queryAnswer struct {
 
 // queryWireCases are the instance's query fixtures: on "skew" (one
 // steep-headed shard with loss through a 16-row sketch, so rows carry
-// max_err and a small exact top certifies) and on "flat" (every PC at
-// the floor of an 8-row sketch, so ?sketch=false falls back to the scan).
+// max_err and a small exact top certifies), on "flat" (every PC at the
+// floor of an 8-row sketch, so ?sketch=false falls back to the scan) and
+// on "bare" (one PC whose samples carry no event bit).
 // testdata/query_golden.json holds each answer as the commit before the
 // reply bodies were declared as types gave it (status, Retry-After,
 // body); TestQueryWireCompat holds today's handlers to those answers.
@@ -48,6 +49,7 @@ var queryWireCases = []struct{ name, inst, path string }{
 	{"param_pc_missing", "skew", "/v1/estimate"},
 	{"param_pc_garbage", "skew", "/v1/estimate?pc=zz"},
 	{"param_estimate_sketch_garbage", "skew", "/v1/estimate?pc=0x400&sketch=2.7"},
+	{"estimate_no_events", "bare", "/v1/estimate?pc=0x800"},
 }
 
 // wireShard is skewShard's placement (a steep head over 96 PCs and a
@@ -92,12 +94,19 @@ func wireInstances(t *testing.T) map[string]http.Handler {
 	for i := 0; i < 3*40; i++ {
 		flat.Add(core.Sample{First: retiredRecord(0x400+8*uint64(i%40), 0, 7)})
 	}
+	bare := profile.NewDB(16, 0, 4)
+	for i := 0; i < 5; i++ {
+		r := retiredRecord(0x800, int64(i), int64(i+6))
+		r.Events = 0
+		bare.Add(core.Sample{First: r})
+	}
 	shards := map[string]struct {
 		topK int
 		db   *profile.DB
 	}{
 		"skew": {16, wireShard()},
 		"flat": {8, flat},
+		"bare": {8, bare},
 	}
 	out := make(map[string]http.Handler)
 	for name, sh := range shards {
