@@ -133,7 +133,7 @@ func mergeEstimate(pc string, legs []api.Estimate) api.Estimate {
 		ev := value(one.OneEvent)
 		sum.Event, sum.EstEventCount = ev.Event, sum.EstEventCount+ev.EstEventCount
 		rateWS += float64(one.Samples) * value(ev.EventRate)
-		for k, v := range value(one.EventCounts).EstEventCounts {
+		for k, v := range one.EstEventCounts {
 			events[k] += v
 		}
 		for k, v := range one.MeanLatencies {
@@ -154,8 +154,8 @@ func mergeEstimate(pc string, legs []api.Estimate) api.Estimate {
 			sum.EventRate = &rate
 		}
 		out.OneEvent = &sum
-	} else if len(events) > 0 {
-		out.EventCounts = &api.EventCounts{EstEventCounts: events}
+	} else {
+		out.EstEventCounts = events
 	}
 	return out
 }
