@@ -3,7 +3,10 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -175,4 +178,51 @@ func TestWitnessDiskLossRebuild(t *testing.T) {
 
 func shardName(i int) string {
 	return "wit/s" + string(rune('a'+i/10)) + string(rune('0'+i%10))
+}
+
+// TestResubmitWholeWitnessCopy: under a submission bound above 8 MiB,
+// anti-entropy fetches a 9 MiB witness copy whole and the owner receives
+// every byte of it.
+func TestResubmitWholeWitnessCopy(t *testing.T) {
+	copyBody := bytes.Repeat([]byte("w"), 9<<20)
+	holder := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/witness/ledger":
+			io.WriteString(w, `{"witness":{"owner":[{"shard":"big","captured":1}]}}`)
+		case "/v1/witness/fetch":
+			w.Write(copyBody)
+		case "/v1/witness/prune":
+			io.WriteString(w, `{"pruned":1}`)
+		default:
+			io.WriteString(w, `{"shards":[]}`)
+		}
+	}))
+	defer holder.Close()
+	var received atomic.Int64
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/submit":
+			n, _ := io.Copy(io.Discard, r.Body)
+			received.Store(n)
+			w.WriteHeader(http.StatusAccepted)
+			io.WriteString(w, `{}`)
+		case "/v1/witness/ledger":
+			io.WriteString(w, `{"witness":{}}`)
+		default:
+			io.WriteString(w, `{"shards":[]}`)
+		}
+	}))
+	defer owner.Close()
+	rt, err := NewRouter(RouterConfig{
+		Instances:    []Instance{{ID: "holder", BaseURL: holder.URL}, {ID: "owner", BaseURL: owner.URL}},
+		MaxBodyBytes: 16 << 20,
+		HedgeDelay:   -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := rt.AntiEntropy(context.Background())
+	if got := received.Load(); got != int64(len(copyBody)) || rep.Resubmitted != 1 || rep.Errors != 0 {
+		t.Fatalf("owner received %d of the copy's %d bytes (report %+v); want all of them, resubmitted once", got, len(copyBody), rep)
+	}
 }
