@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 
+	"profileme/internal/api"
 	"profileme/internal/wal"
 )
 
@@ -186,25 +187,6 @@ type counters struct {
 	// AdoptedShards counts shard ids taken over via ledger adoption
 	// during membership changes — dedupe obligations, not samples.
 	AdoptedShards uint64 `json:"adopted_shards"`
-}
-
-// Ledger is one consistent read of the per-shard books. Together with
-// Stats.HandoffCaptured it is one side of the per-instance conservation
-// equation the nemesis audits:
-//
-//	Σ captured(Applied) + Σ Refused + HandoffCaptured == Samples + Lost
-type Ledger struct {
-	// Shards are the admitted ids (reserved, queued, applied or taken
-	// over from a donor), sorted: what a handoff export ships so the
-	// receiver keeps deduping this instance's shards.
-	Shards []string
-	// Applied are the ids the aggregator has resolved here, sorted.
-	Applied []string
-	// Refused maps ids under a standing refusal to the captured samples
-	// recorded as loss and not (yet) reversed.
-	Refused map[string]uint64
-	// AdoptedFrom maps ids admitted by handoff or adoption to their donor.
-	AdoptedFrom map[string]string
 }
 
 func newLedger() *ledger {
@@ -560,13 +542,13 @@ func (l *ledger) restore(ck *Checkpoint) {
 	maps.Copy(l.handoffSeen, ck.HandoffKeys)
 }
 
-// view is the one consistent read of the per-shard books.
-func (l *ledger) view() Ledger {
+// view is the one consistent read of the per-shard books (Service.Ledger).
+func (l *ledger) view() api.Ledger {
 	l.mu.Lock()
 	// The applied set is copied under the lock — a later fold may reuse
 	// its array — and only the fresh ids are sorted, after it.
 	applied, fresh := l.applied.set, slices.Clone(l.applied.fresh)
-	v := Ledger{
+	v := api.Ledger{
 		Shards:      make([]string, 0, len(l.shards)),
 		Applied:     append(make([]string, 0, len(applied)+len(fresh)), applied...),
 		Refused:     maps.Clone(l.refused),
@@ -583,6 +565,7 @@ func (l *ledger) view() Ledger {
 	l.mu.Unlock()
 	sort.Strings(v.Shards)
 	v.Applied = mergeBack(v.Applied, fresh, strings.Compare)
+	v.Count = len(v.Shards)
 	return v
 }
 

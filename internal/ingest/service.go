@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"profileme/internal/api"
 	"profileme/internal/profile"
 	"profileme/internal/wal"
 )
@@ -931,9 +932,17 @@ func setAside(path string) error {
 	return err
 }
 
-// Ledger returns one consistent read of the per-shard books: admitted
-// and applied ids, standing refusals, donor provenance.
-func (s *Service) Ledger() Ledger { return s.led.view() }
+// Ledger returns one consistent read of the per-shard books, the
+// /v1/ledger body less the instance id: the admitted ids (reserved,
+// queued, applied or taken over from a donor, sorted: what a handoff
+// export ships), those the aggregator resolved here (sorted), standing
+// refusals with the captured samples recorded as loss and not (yet)
+// reversed, and the donor of each id admitted by handoff or adoption.
+// Together with Stats.HandoffCaptured it is one side of the per-instance
+// conservation equation the nemesis audits:
+//
+//	Σ captured(Applied) + Σ Refused + HandoffCaptured == Samples + Lost
+func (s *Service) Ledger() api.Ledger { return s.led.view() }
 
 // Stats returns a snapshot of every counter the service keeps.
 func (s *Service) Stats() Stats {
