@@ -36,10 +36,10 @@ type Routed struct {
 }
 
 // Unplaced is the router's 503 when no instance took a submission;
-// RefusedBy is null when none refused with 503.
+// RefusedBy is absent when none refused with 503, as in Routed.
 type Unplaced struct {
 	Error
-	RefusedBy []string `json:"refused_by"`
+	RefusedBy []string `json:"refused_by,omitempty"`
 }
 
 // StaleEpoch is the router's 409 to a submission placed under an old
