@@ -154,7 +154,7 @@ func TestExportSurface(t *testing.T) {
 		"internal/experiments": {6, 0},
 		"internal/faultinject": {10, 0},
 		"internal/frame":       {27, 0},
-		"internal/ingest":      {47, 0},
+		"internal/ingest":      {44, 0},
 		"internal/isa":         {75, 0},
 		"internal/mem":         {15, 0},
 		"internal/netchaos":    {14, 0},

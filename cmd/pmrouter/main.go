@@ -49,8 +49,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -67,13 +69,13 @@ func main() { os.Exit(run()) }
 // parseInstances parses "id=url,id=url" into router instances.
 func parseInstances(s string) ([]cluster.Instance, error) {
 	if s == "" {
-		return nil, fmt.Errorf("pmrouter: -instances is required (id=url,id=url,...)")
+		return nil, errors.New("-instances is required (id=url,id=url,...)")
 	}
 	var out []cluster.Instance
 	for _, part := range strings.Split(s, ",") {
 		id, url, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok || id == "" || url == "" {
-			return nil, fmt.Errorf("pmrouter: bad instance %q (want id=url)", part)
+			return nil, fmt.Errorf("bad instance %q (want id=url)", part)
 		}
 		out = append(out, cluster.Instance{ID: id, BaseURL: strings.TrimRight(url, "/")})
 	}
@@ -94,9 +96,18 @@ func run() int {
 	)
 	flag.Parse()
 
+	// One JSON logger for the process; the router adds its component
+	// attribute to what it logs.
+	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
+	log := logger.With("component", "pmrouter")
+
+	// A command line that cannot run is refused before the port is bound.
 	ins, err := parseInstances(*instances)
+	if err == nil && *aeEach > 0 && !*witness {
+		err = errors.New("-anti-entropy-every requires -witness")
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		log.Error("invalid flags", "err", err)
 		return 2
 	}
 	rcfg := cluster.RouterConfig{
@@ -105,22 +116,22 @@ func run() int {
 		FailureThreshold: *failures,
 		MaxBodyBytes:     *maxBody,
 		Witness:          *witness,
-		Log:              os.Stderr,
+		Log:              logger,
 	}
 	rt, err := cluster.NewRouter(rcfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmrouter:", err)
+		log.Error("invalid flags", "err", err)
 		return 2
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmrouter:", err)
+		log.Error("listen failed", "err", err)
 		return 1
 	}
-	// Printed to stdout so scripts (and the smoke test) can scrape the
-	// bound port when -addr uses :0.
-	fmt.Printf("pmrouter: listening on %s (%d instances)\n", ln.Addr(), len(ins))
+	// The bound address, for scripts (and the smoke test) when -addr
+	// uses :0.
+	log.Info("listening", "addr", ln.Addr().String(), "instances", len(ins))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -142,10 +153,6 @@ func run() int {
 	}
 
 	if *aeEach > 0 {
-		if !*witness {
-			fmt.Fprintln(os.Stderr, "pmrouter: -anti-entropy-every requires -witness")
-			return 2
-		}
 		go func() {
 			ticker := time.NewTicker(*aeEach)
 			defer ticker.Stop()
@@ -156,8 +163,7 @@ func run() int {
 				case <-ticker.C:
 					rep := rt.AntiEntropy(ctx)
 					if rep.Resubmitted > 0 || rep.Errors > 0 {
-						fmt.Fprintf(os.Stderr, "pmrouter: anti-entropy: %d resubmitted, %d pruned, %d errors\n",
-							rep.Resubmitted, rep.Pruned, rep.Errors)
+						log.Info("anti-entropy sweep", "resubmitted", rep.Resubmitted, "pruned", rep.Pruned, "errors", rep.Errors)
 					}
 				}
 			}
@@ -171,21 +177,20 @@ func run() int {
 	select {
 	case <-ctx.Done():
 	case err := <-serveErr:
-		fmt.Fprintln(os.Stderr, "pmrouter:", err)
+		log.Error("serve failed", "err", err)
 		return 1
 	}
 	stop()
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "pmrouter: shutdown:", err)
+		log.Warn("shutdown failed", "err", err)
 	}
 	// Let any in-flight witness forwards land before reporting; copies
 	// that were still queued when the socket closed are the anti-entropy
 	// sweep's job next time the tier runs.
 	rt.WitnessFlush()
 	st := rt.Stats()
-	fmt.Printf("pmrouter: exiting: %d submissions routed, %d failovers, %d hedges, %d partial responses\n",
-		st.Submits, st.Failovers, st.Hedges, st.PartialsServed)
+	log.Info("stopped", "submits", st.Submits, "failovers", st.Failovers, "hedges", st.Hedges, "partials", st.PartialsServed)
 	return 0
 }

@@ -101,7 +101,7 @@ func TestFleetKillResumeAndRefusals(t *testing.T) {
 	}
 
 	if out, err := pmsimCmd(with("-checkpoint", camp, "-resume", "-save", got)...).CombinedOutput(); err != nil ||
-		!strings.Contains(string(out), "runner: resumed: ") {
+		!strings.Contains(string(out), "level=INFO msg=resumed component=runner ") {
 		t.Fatalf("resume after kill -9: %v\n%s", err, out)
 	}
 	a, _ := os.ReadFile(got)

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
@@ -140,7 +141,7 @@ func main() {
 			Seed:          *seed,
 			CheckpointDir: *checkpoint,
 			CPU:           ccfg,
-			Log:           os.Stderr,
+			Log:           slog.New(slog.NewTextHandler(os.Stderr, nil)),
 		}, fleetOptions{
 			benches:   benches,
 			genSeed:   *genSeed,

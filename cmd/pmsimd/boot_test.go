@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -43,8 +42,7 @@ func bootDaemon(t *testing.T, args ...string) (cmd *exec.Cmd, base string, waitE
 	t.Helper()
 	cmd = exec.Command(os.Args[0], "-test.run=TestPmsimdBootHelperProcess$")
 	cmd.Env = append(os.Environ(), bootHelperEnv+"=1", bootArgsEnv+"="+strings.Join(args, "\n"))
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
+	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,26 +50,12 @@ func bootDaemon(t *testing.T, args ...string) (cmd *exec.Cmd, base string, waitE
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cmd.Process.Kill() })
-	addrCh := make(chan string, 1) // the one banner line; closed at EOF
-	go func() {
-		defer close(addrCh)
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() { // keep draining after the banner so the daemon never blocks on stdout
-			if rest, ok := strings.CutPrefix(sc.Text(), "pmsimd: listening on "); ok {
-				addrCh <- rest
-			}
-		}
-	}()
-	select {
-	case addr, ok := <-addrCh:
-		if ok {
-			return cmd, "http://" + addr, nil
-		}
-		return cmd, "", cmd.Wait() // stdout closed without a banner: it exited
-	case <-time.After(15 * time.Second):
-		t.Fatal("daemon neither listened nor exited")
-		return nil, "", nil
+	// The reader keeps draining past the listening record so the daemon
+	// never blocks on stderr.
+	if addr := readLog(stderr).listening(t, 15*time.Second); addr != "" {
+		return cmd, "http://" + addr, nil
 	}
+	return cmd, "", cmd.Wait() // stderr ended without a listening record: it exited
 }
 
 func TestPmsimdBootMatrix(t *testing.T) {

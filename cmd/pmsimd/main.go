@@ -49,7 +49,7 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -86,10 +86,11 @@ func run() int {
 	)
 	flag.Parse()
 
-	// One mutex'd writer for every component's log lines: under a tier
-	// soak several instances share one stderr, and attribution requires
-	// whole, instance-tagged lines.
-	logw := ingest.NewSyncWriter(os.Stderr)
+	// One JSON logger for the process, every record tagged with this
+	// instance: under a tier soak several instances share one stderr.
+	// Each component adds its own component attribute.
+	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil)).With("instance", *instance)
+	log := logger.With("component", "pmsimd")
 
 	icfg := ingest.Config{
 		QueueDepth:      *queue,
@@ -102,7 +103,7 @@ func run() int {
 		WALSegmentBytes: *walSegSize,
 		WALStallAfter:   *walStall,
 		SketchTopK:      *sketchTopK,
-		Log:             logw,
+		Log:             logger,
 	}
 
 	// Recover owns the whole restart story, with or without -wal-dir: it
@@ -114,37 +115,47 @@ func run() int {
 	// and the admission ledger so post-crash retries dedupe.
 	svc, rinfo, err := ingest.Recover(icfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmsimd:", err)
+		log.Error("recover failed", "err", err)
 		return 1
 	}
-	if rinfo.CheckpointQuarantined {
-		fmt.Fprintf(os.Stderr, "pmsimd: checkpoint unusable; quarantined to %s.corrupt, recovering from the WAL alone\n", *ckpt)
-	}
 	st := svc.Stats()
-	fmt.Printf("pmsimd: recovered: checkpoint=%v, %d WAL records replayed in %s (%d segments, truncated=%v); aggregate %d samples, %d lost\n",
-		rinfo.CheckpointLoaded, rinfo.Replayed, rinfo.Replay.Duration.Round(time.Millisecond),
-		rinfo.Replay.Segments, rinfo.Replay.Truncated, st.Samples, st.Lost)
+	attrs := []any{
+		"checkpoint_loaded", rinfo.CheckpointLoaded,
+		"checkpoint_quarantined", rinfo.CheckpointQuarantined,
+		"wal_records", rinfo.Replay.Records,
+		"replayed", rinfo.Replayed,
+		"segments", rinfo.Replay.Segments,
+		"replay_ms", rinfo.Replay.Duration.Milliseconds(),
+		"truncated", rinfo.Replay.Truncated,
+		"samples", st.Samples,
+		"lost", st.Lost,
+	}
+	if rinfo.Replay.Truncated {
+		attrs = append(attrs, "truncated_at", rinfo.Replay.TruncatedAt.String(), "segments_quarantined", rinfo.Replay.Quarantined)
+	}
+	log.Info("recovered", attrs...)
 	svc.Start()
 
 	scfg := server.Config{
 		Instance:     *instance,
 		MaxBodyBytes: *maxBody,
-		Log:          logw,
+		Log:          logger,
 	}
 	srv := server.New(scfg, svc)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmsimd:", err)
+		log.Error("listen failed", "err", err)
 		return 1
 	}
-	// Signals are caught before the banner goes out: a script that scrapes
-	// it and SIGTERMs at once must get a drain, not the default action.
+	// Signals are caught before the address is logged: a script that
+	// reads it and SIGTERMs at once must get a drain, not the default
+	// action.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	// Printed to stdout so scripts (and the smoke test) can scrape the
-	// bound port when -addr uses :0.
-	fmt.Printf("pmsimd: listening on %s\n", ln.Addr())
+	// The bound address, for scripts (and the smoke test) when -addr
+	// uses :0.
+	log.Info("listening", "addr", ln.Addr().String())
 
 	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
 	serveErr := make(chan error, 1)
@@ -153,7 +164,7 @@ func run() int {
 	select {
 	case <-ctx.Done():
 	case err := <-serveErr:
-		fmt.Fprintln(os.Stderr, "pmsimd:", err)
+		log.Error("serve failed", "err", err)
 		return 1
 	}
 	stop()
@@ -162,30 +173,33 @@ func run() int {
 	// submissions are 503'd WITH loss accounting), let in-flight requests
 	// finish, flush the queue, write the final atomic checkpoint. A
 	// retired instance writes none: its books live at the receiver.
-	fmt.Fprintln(os.Stderr, "pmsimd: signal received, draining (stop accepting → flush queue → final checkpoint)")
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
 	svc.BeginDrain()
 	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "pmsimd: http shutdown:", err)
+		log.Warn("shutdown failed", "err", err)
 	}
 	if err := svc.Drain(drainCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "pmsimd:", err)
+		log.Error("drain failed", "err", err)
 		return 1
 	}
 	// A clean WAL close flushes any pending group commit; the log stays
 	// on disk — the next start replays anything past the final barrier.
 	if err := svc.CloseWAL(); err != nil {
-		fmt.Fprintln(os.Stderr, "pmsimd: wal close:", err)
+		log.Warn("wal close failed", "err", err)
 	}
 	st = svc.Stats()
-	fmt.Printf("pmsimd: drained cleanly: %d shards merged, %d rejected; %d samples aggregated, %d lost (%.1f%% loss)\n",
-		st.Merged, st.OverloadRejected, st.Samples, st.Lost, 100*st.LossRate)
-	switch {
-	case st.HandedOff:
-		fmt.Println("pmsimd: retired: the aggregate lives at its receiver; WAL and checkpoint left as *.handedoff")
-	case *ckpt != "":
-		fmt.Printf("pmsimd: final checkpoint at %s\n", *ckpt)
+	attrs = []any{
+		"merged", st.Merged,
+		"rejected", st.OverloadRejected,
+		"samples", st.Samples,
+		"lost", st.Lost,
+		"loss_rate", st.LossRate,
+		"retired", st.HandedOff,
 	}
+	if !st.HandedOff && *ckpt != "" {
+		attrs = append(attrs, "checkpoint", *ckpt)
+	}
+	log.Info("drained", attrs...)
 	return 0
 }

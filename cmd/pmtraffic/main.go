@@ -29,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httputil"
@@ -65,11 +66,14 @@ func run(args []string) int {
 		usage()
 		return 2
 	}
+	// Records for a person at a terminal: gen and replay log each record
+	// that fails delivery.
+	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	switch args[0] {
 	case "gen":
-		return runGen(args[1:])
+		return runGen(args[1:], log)
 	case "replay":
-		return runReplay(args[1:])
+		return runReplay(args[1:], log)
 	case "describe":
 		return runDescribe(args[1:])
 	case "record":
@@ -149,7 +153,7 @@ func printReport(rep *traffic.Report, elapsed time.Duration) {
 		rep.DistinctShards, rep.CapturedSum)
 }
 
-func runGen(args []string) int {
+func runGen(args []string, log *slog.Logger) int {
 	fs := flag.NewFlagSet("pmtraffic gen", flag.ExitOnError)
 	var (
 		specPath = fs.String("spec", "", "traffic spec JSON file (required)")
@@ -186,7 +190,7 @@ func runGen(args []string) int {
 	defer stop()
 	start := time.Now()
 	rep, err := traffic.Drive(ctx, sp, sinkFor(*submit), w,
-		traffic.Options{Speed: *speed, MaxAttempts: *attempts, Backoff: *backoff, Log: os.Stderr})
+		traffic.Options{Speed: *speed, MaxAttempts: *attempts, Backoff: *backoff, Log: log})
 	elapsed := time.Since(start)
 	if closer != nil {
 		if cerr := closer(); cerr != nil && err == nil {
@@ -207,7 +211,7 @@ func runGen(args []string) int {
 	return 0
 }
 
-func runReplay(args []string) int {
+func runReplay(args []string, log *slog.Logger) int {
 	fs := flag.NewFlagSet("pmtraffic replay", flag.ExitOnError)
 	var (
 		tracePath = fs.String("trace", "", "trace file to replay (required)")
@@ -243,7 +247,7 @@ func runReplay(args []string) int {
 	defer stop()
 	start := time.Now()
 	rep, err := traffic.Replay(ctx, recs, sinkFor(*submit),
-		traffic.Options{Speed: *speed, MaxAttempts: *attempts, Backoff: *backoff, Log: os.Stderr})
+		traffic.Options{Speed: *speed, MaxAttempts: *attempts, Backoff: *backoff, Log: log})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pmtraffic replay:", err)
 		return 1

@@ -7,6 +7,6 @@ package cluster
 // without the migration an add of a new id performs.
 func (rt *Router) SetInstance(id, baseURL string) {
 	if !rt.members.reregister(id, baseURL) {
-		rt.logf("set instance %s: not a member (add it through /v1/membership/add)", id)
+		rt.log.Warn("set instance: not a member", "instance", id)
 	}
 }

@@ -20,7 +20,7 @@ func (rt *Router) Probe(ctx context.Context) {
 		status, raw, err := roundTrip(ctx, rt.client, http.MethodGet, h.url+"/readyz", nil, 0, 4096)
 		if status == 0 {
 			if rt.members.failed(h.id) == stateDown {
-				rt.logf("probe: instance %s down (%v)", h.id, err)
+				rt.log.Warn("instance down", "instance", h.id, "err", err)
 			}
 			continue
 		}
@@ -31,14 +31,14 @@ func (rt *Router) Probe(ctx context.Context) {
 			rt.members.admits(h.id)
 		case kind == "draining":
 			rt.members.draining(h.id)
-			rt.logf("probe: instance %s draining", h.id)
+			rt.log.Info("instance draining", "instance", h.id)
 		case kind == "wal-stalled", kind == "wal-failed":
 			// A stalled WAL means every 202 would block on a sick disk, a
 			// failed one that none can be issued until a restart replays:
 			// treat like draining — steer new submissions to the ring
 			// successor while the instance still serves queries and dedupes.
 			rt.members.draining(h.id)
-			rt.logf("probe: instance %s degraded (%s)", h.id, kind)
+			rt.log.Warn("instance degraded", "instance", h.id, "kind", kind)
 		default:
 			// Not ready for another reason (e.g. breaker open): the
 			// instance still serves queries and dedupes submissions, so

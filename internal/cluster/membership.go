@@ -142,17 +142,17 @@ func (rt *Router) addInstanceLocked(ctx context.Context, id, baseURL string, old
 
 	rt.migration.phase("commit")
 	rep.Epoch = rt.members.commitAdd(id, baseURL)
-	rt.logf("membership: added %s at %s (epoch %d, %d shard ids adopted)", id, baseURL, rep.Epoch, adopted)
+	rt.log.Info("instance added", "instance", id, "url", baseURL, "epoch", rep.Epoch, "adopted", adopted)
 
 	// Post-commit sweep for the fetch-to-commit window. Failure here is
 	// logged, not fatal: the pins cover those shards' retries, and the
 	// next membership operation (or a manual adopt) closes the gap.
 	rt.migration.phase("sweep")
 	if _, n, err := rt.adoptMoved(ctx, oldRing, newRing, donors, urls); err != nil {
-		rt.logf("membership: post-commit adoption sweep for %s failed: %v (retries stay safe via placement pins)", id, err)
+		rt.log.Warn("adoption sweep failed", "instance", id, "err", err)
 	} else if n > 0 {
 		rep.Adopted += n
-		rt.logf("membership: post-commit sweep adopted %d more shard ids for %s", n, id)
+		rt.log.Info("adoption sweep", "instance", id, "adopted", n)
 	}
 	return rep, nil
 }
@@ -276,7 +276,7 @@ func (rt *Router) removeInstanceLocked(ctx context.Context, id string, newRing *
 			receiver, rep.Receiver, rep.CapturedMoved = cand, cand, captured
 			break
 		}
-		rt.logf("membership: handoff of %s to %s failed: %v", id, cand, err)
+		rt.log.Warn("handoff failed", "instance", id, "receiver", cand, "err", err)
 		if !refused {
 			rt.members.offered(id, cand)
 			return nil, fmt.Errorf("cluster: remove %s: deliver to %s: %w (it may hold the envelope; retry the removal, which redelivers there alone)", id, cand, err)
@@ -317,8 +317,8 @@ func (rt *Router) removeInstanceLocked(ctx context.Context, id string, newRing *
 	rt.migration.phase("commit")
 	var repointed int
 	rep.Epoch, repointed = rt.members.commitRemove(id, receiver)
-	rt.logf("membership: removed %s (epoch %d): %d captured samples migrated to %s, %d shard ids moved (%d adopted elsewhere, %d pins repointed)",
-		id, rep.Epoch, rep.CapturedMoved, receiver, rep.ShardsMoved, rep.Adopted, repointed)
+	rt.log.Info("instance removed", "instance", id, "epoch", rep.Epoch, "receiver", receiver,
+		"captured_moved", rep.CapturedMoved, "shards_moved", rep.ShardsMoved, "adopted", rep.Adopted, "repointed", repointed)
 	return rep, nil
 }
 

@@ -62,7 +62,7 @@ func (rt *Router) gather(ctx context.Context, pathAndQuery string) fanout {
 			// it a failure would let one impatient client mark the whole
 			// tier Down.
 			if ctx.Err() == nil && rt.members.failed(l.id) == stateDown {
-				rt.logf("gather %s: instance %s marked down (%v)", pathAndQuery, l.id, l.err)
+				rt.log.Warn("instance down", "instance", l.id, "path", pathAndQuery, "err", l.err)
 			}
 			f.missing = append(f.missing, l.id)
 			continue

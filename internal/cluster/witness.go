@@ -45,12 +45,12 @@ func (rt *Router) sendWitness(ctx context.Context, holder hop, c api.WitnessCopy
 	status, _, err := roundTrip(ctx, rt.client, http.MethodPost, holder.url+"/v1/witness?"+c.Query(), body, rt.cfg.submitDeadline, 4096)
 	if status == 0 {
 		rt.count(&rt.stats.WitnessFailed)
-		rt.logf("witness shard %s: holder %s unreachable (%v)", c.Shard, holder.id, err)
+		rt.log.Warn("witness forward failed", "shard", c.Shard, "holder", holder.id, "err", err)
 		return
 	}
 	if status != http.StatusAccepted {
 		rt.count(&rt.stats.WitnessFailed)
-		rt.logf("witness shard %s: holder %s refused (%d)", c.Shard, holder.id, status)
+		rt.log.Warn("witness forward failed", "shard", c.Shard, "holder", holder.id, "status", status)
 		return
 	}
 	rt.count(&rt.stats.WitnessSent)
@@ -111,7 +111,7 @@ func (rt *Router) AntiEntropy(ctx context.Context) AntiEntropyReport {
 				}
 				if err := rt.resubmitWitness(ctx, holder.url, ownerBase, api.WitnessCopy{Origin: origin, Shard: row.Shard}); err != nil {
 					rep.Errors++
-					rt.logf("anti-entropy: resubmit %s/%s to %s failed (%v)", origin, row.Shard, origin, err)
+					rt.log.Warn("witness resubmit failed", "instance", origin, "shard", row.Shard, "err", err)
 					continue
 				}
 				rep.Resubmitted++

@@ -65,7 +65,7 @@ func checkpointDir(dir string) error {
 // journal appends rec's outcome — with the shard image when the job
 // completed — and returns once the record is on disk.
 func (f *Fleet) journal(rec *jobRecord, shard *profile.DB) error {
-	if f.log == nil {
+	if f.wal == nil {
 		return nil
 	}
 	var buf bytes.Buffer
@@ -74,7 +74,7 @@ func (f *Fleet) journal(rec *jobRecord, shard *profile.DB) error {
 		err = shard.Save(&buf)
 	}
 	if err == nil {
-		_, err = f.log.Append(buf.Bytes())
+		_, err = f.wal.Append(buf.Bytes())
 	}
 	if err != nil {
 		return fmt.Errorf("runner: journal: %w", err)

@@ -230,15 +230,15 @@ func TestJournalMidRecordDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var log bytes.Buffer
-	cfg.Log = &log
+	var records func() []map[string]any
+	cfg.Log, records = recordLogger(t)
 	g, err := Resume(cfg, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := fmt.Sprintf("resumed: %d done, 0 dead, %d pending from %d journal records; journal damaged at 1:%d", k, len(jobs)-k, k, offs[k])
-	if rep := g.buildReport(); rep.Completed != k || !strings.Contains(log.String(), found) {
-		t.Fatalf("resume over damage in record %d kept %d jobs and logged %q, want %q", k, rep.Completed, log.String(), found)
+	resumed := []any{"done", k, "dead", 0, "pending", len(jobs) - k, "records", k, "damaged_at", fmt.Sprintf("1:%d", offs[k])}
+	if rep := g.buildReport(); rep.Completed != k || countRecords(records(), "resumed", resumed...) != 1 {
+		t.Fatalf("resume over damage in record %d kept %d jobs and logged %v, want one resumed record with %v", k, rep.Completed, records(), resumed)
 	}
 	cfg.Log = nil
 	finish(t, cfg, jobs, want, "damaged journal")

@@ -3,7 +3,9 @@ package runner
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -48,6 +50,42 @@ func stubArtifacts(interval float64, c int) *jobArtifacts {
 	r.Events |= core.EvRetired
 	db.Add(core.Sample{First: r})
 	return &jobArtifacts{db: db, res: cpu.Result{Retired: 100, Cycles: 50}}
+}
+
+// recordLogger returns a logger for Config.Log and a reader of every
+// record it has received, each one decoded from its JSON line.
+func recordLogger(t *testing.T) (*slog.Logger, func() []map[string]any) {
+	var buf bytes.Buffer // the handler writes each record whole, under its own lock
+	return slog.New(slog.NewJSONHandler(&buf, nil)), func() []map[string]any {
+		var recs []map[string]any
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("log line %q: %v", line, err)
+			}
+			recs = append(recs, rec)
+		}
+		return recs
+	}
+}
+
+// countRecords counts the records with message msg whose attributes
+// include each key/value pair of kv, values compared as fmt prints them.
+func countRecords(recs []map[string]any, msg string, kv ...any) int {
+	n := 0
+next:
+	for _, rec := range recs {
+		if rec["msg"] != msg {
+			continue
+		}
+		for i := 0; i+1 < len(kv); i += 2 {
+			if fmt.Sprint(rec[kv[i].(string)]) != fmt.Sprint(kv[i+1]) {
+				continue next
+			}
+		}
+		n++
+	}
+	return n
 }
 
 func mustRun(t *testing.T, f *Fleet) *Report {
@@ -178,9 +216,9 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 // merge has decided it — a shard that cannot merge (config drift) is
 // never announced "done" and then reported dead.
 func TestUnmergeableShardLoggedDeadNotDone(t *testing.T) {
-	var log bytes.Buffer
 	cfg := testConfig(1)
-	cfg.Log = &log
+	var records func() []map[string]any
+	cfg.Log, records = recordLogger(t)
 	cfg.execute = func(ctx context.Context, job Job, seed uint64) (*jobArtifacts, error) {
 		if job.ID == "drifted" {
 			return stubArtifacts(64, cpu.DefaultConfig().SustainedIssueWidth), nil
@@ -192,9 +230,10 @@ func TestUnmergeableShardLoggedDeadNotDone(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := mustRun(t, f)
+	recs := records()
 	if rep.Completed != 1 || rep.DeadLettered != 1 ||
-		strings.Contains(log.String(), "job drifted done") || !strings.Contains(log.String(), "job drifted dead-lettered") {
-		t.Fatalf("completed %d, dead %d, log:\n%s", rep.Completed, rep.DeadLettered, log.String())
+		countRecords(recs, "job done", "job", "drifted") != 0 || countRecords(recs, "job dead-lettered", "job", "drifted") != 1 {
+		t.Fatalf("completed %d, dead %d, log:\n%v", rep.Completed, rep.DeadLettered, recs)
 	}
 }
 

@@ -207,7 +207,7 @@ func (f *Fleet) submitShard(ctx context.Context, id string, db *profile.DB) erro
 		return fmt.Errorf("runner: encode shard %s: %w", id, err)
 	}
 	return SubmitWithRetry(ctx, f.cfg.Sink, id, body, f.cfg.maxAttempts, func(attempt int, err error) time.Duration {
-		f.logf("job %s shard submission attempt %d failed: %v", id, attempt, err)
+		f.log.Warn("submission attempt failed", "job", id, "attempt", attempt, "err", err)
 		return f.backoff(id+"#submit", attempt)
 	})
 }
