@@ -160,8 +160,8 @@ func TestExportSurface(t *testing.T) {
 		"internal/netchaos":    {14, 0},
 		"internal/pathprof":    {24, 0},
 		"internal/pgo":         {5, 0},
-		"internal/profile":     {89, 19},
-		"internal/runner":      {21, 1},
+		"internal/profile":     {89, 16},
+		"internal/runner":      {20, 0},
 		"internal/server":      {4, 0},
 		"internal/sim":         {22, 0},
 		"internal/stats":       {31, 0},

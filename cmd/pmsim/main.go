@@ -210,12 +210,8 @@ func main() {
 	db, res := sh.DB, sh.Result
 	printSummary(name, res, sh.Pipeline, sh.Stats)
 	// Report-time step, after the shard is made: scale this one run's
-	// estimates by its realized interval, computed over everything the
-	// hardware captured so loss-corrected estimates re-center on the truth.
-	// (Fleet shards keep the configured S instead, so they merge.)
-	if captured := sh.Stats.Captured(); captured > 0 {
-		db.S = float64(res.FetchedOnPath) / float64(captured)
-	}
+	// estimates by its realized interval.
+	db.Realize(res.FetchedOnPath)
 	if plan != nil {
 		printDegradation(plan, db, res, sh.Stats)
 	}

@@ -45,11 +45,7 @@ func main() {
 		log.Fatal(err)
 	}
 	db, res := sh.DB, sh.Result
-	// Realized interval: fetched instructions per sample the hardware
-	// captured (the database corrects for the samples it never received).
-	if captured := sh.Stats.Captured(); captured > 0 {
-		db.S = float64(res.FetchedOnPath) / float64(captured)
-	}
+	db.Realize(res.FetchedOnPath) // scale by the realized interval
 
 	var rows []row
 	for _, pc := range db.PCs() {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -194,14 +195,35 @@ func controlExchanges(t *testing.T) map[string]wireAnswer {
 	// that never answers, then the dead one alone.
 	drained := ct.instance("e0", 8)
 	drained.svc.BeginDrain()
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close()
-	ct.urls["e1"] = dead.URL
-	_, both := ct.router(RouterConfig{HedgeDelay: -1, Instances: []Instance{{ID: "e0", BaseURL: drained.ts.URL}, {ID: "e1", BaseURL: dead.URL}}})
+	dead := deadInstance(t)
+	ct.urls["e1"] = dead
+	_, both := ct.router(RouterConfig{HedgeDelay: -1, Instances: []Instance{{ID: "e0", BaseURL: drained.ts.URL}, {ID: "e1", BaseURL: dead}}})
 	ct.ask("router_submit_no_instances", http.MethodPost, both.URL+"/v1/submit", ct.submission("cw/s8", 13, 20))
-	_, alone := ct.router(RouterConfig{HedgeDelay: -1, Instances: []Instance{{ID: "e1", BaseURL: dead.URL}}})
+	_, alone := ct.router(RouterConfig{HedgeDelay: -1, Instances: []Instance{{ID: "e1", BaseURL: dead}}})
 	ct.ask("router_submit_no_instances_dead", http.MethodPost, alone.URL+"/v1/submit", ct.submission("cw/s8", 13, 20))
 	return ct.got
+}
+
+// deadInstance returns the URL of an instance that never answers: a port
+// held for the whole test that closes every connection it accepts. A
+// closed server's port would be free for another test's listener to take
+// and answer on.
+func deadInstance(t *testing.T) string {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			c.Close()
+		}
+	}()
+	return "http://" + ln.Addr().String()
 }
 
 // TestControlWireCompat holds every router↔instance body — the submit

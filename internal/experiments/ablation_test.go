@@ -50,16 +50,6 @@ func shard(prog *isa.Program, ccfg cpu.Config, ucfg core.Config, also func([]cor
 	return runner.RunShard(context.Background(), prog, ccfg, ucfg, nil, also)
 }
 
-// realizeS rescales the shard's database by the realized sampling
-// interval: fetched instructions per sample the hardware captured. The
-// database already scales by captured/delivered, so dividing by the
-// delivered count would correct for loss twice.
-func realizeS(sh runner.Shard) {
-	if n := sh.Stats.Captured(); n > 0 {
-		sh.DB.S = float64(sh.Result.FetchedOnPath) / float64(n)
-	}
-}
-
 // §4.1.1: counting predicted-path instructions wastes no sample on an empty
 // or bad-path fetch slot; counting fetch opportunities does.
 func ablateSelectionMode() (string, error) {
@@ -120,10 +110,10 @@ func ablateIntervalMode() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		realizeS(sh)
-		for _, st := range sh.Pipeline.PerPC() {
-			if st.Retired >= 1000 {
-				worst[i] = math.Max(worst[i], math.Abs(sh.DB.EstimatedCount(st.PC)/float64(st.Fetched)-1))
+		s := sh.DB.Realize(sh.Result.FetchedOnPath)
+		for _, r := range profile.Join(sh.DB, runner.Exact(sh.Pipeline), samples, s) {
+			if r.Truth >= 1000 {
+				worst[i] = math.Max(worst[i], math.Abs(r.Estimate/float64(r.Truth)-1))
 			}
 		}
 	}
@@ -206,15 +196,16 @@ func ablatePairWindow() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		realizeS(sh)
+		s := sh.DB.Realize(sh.Result.FetchedOnPath)
+		perPC := sh.Pipeline.PerPC() // useful slots have no accumulator slot
 		var est, truth float64
-		for _, st := range sh.Pipeline.PerPC() {
-			if st.Retired < 1000 {
+		for _, r := range profile.Join(sh.DB, runner.Exact(sh.Pipeline), (*profile.PCAccum).Retired, s) {
+			if r.Truth < 1000 {
 				continue
 			}
-			if _, _, u, ok := sh.DB.WastedSlots(st.PC); ok {
+			if _, _, u, ok := sh.DB.WastedSlots(r.PC); ok {
 				est += u
-				truth += float64(st.UsefulSlots)
+				truth += float64(perPC[r.PC/isa.InstBytes].UsefulSlots)
 			}
 		}
 		ratio[i] = est / truth
@@ -263,7 +254,7 @@ func ablateEdgeFrequency() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	realizeS(sh)
+	sh.DB.Realize(sh.Result.FetchedOnPath)
 	edges.S = sh.DB.S
 	k := edges.Observations(hot.from, hot.to)
 	est, n := edges.Estimate(hot.from, hot.to), float64(truth[hot])
@@ -283,11 +274,12 @@ func strictlyFalling(xs []float64) bool {
 	return true
 }
 
-// TestRealizeSOnLossyShard holds realizeS to one loss correction. A shard
-// whose swallowed interrupts lost more than a tenth of the captured samples
-// is rescaled; its per-PC estimates must then sum to the fetched count
-// within 1%. Dividing by the delivered count instead overshoots by
-// captured/delivered, here about 23%.
+// TestRealizeSOnLossyShard holds DB.Realize to one loss correction. A
+// shard whose swallowed interrupts lost more than a tenth of the captured
+// samples is rescaled; the join's per-PC estimates at the scale Realize
+// returns must then sum to the fetched count within 1%, and the exact
+// counts to it exactly. Dividing by the delivered count instead overshoots
+// by captured/delivered, here about 23%.
 func TestRealizeSOnLossyShard(t *testing.T) {
 	plan, err := faultinject.NewPlan(1, faultinject.Rates{DropInterrupt: 0.5})
 	if err != nil {
@@ -303,12 +295,21 @@ func TestRealizeSOnLossyShard(t *testing.T) {
 	if lost, captured := sh.Stats.Lost(), sh.Stats.Captured(); lost*10 < captured {
 		t.Fatalf("lost %d of %d captured samples, want at least 10%%", lost, captured)
 	}
-	realizeS(sh)
-	var sum float64
-	for _, pc := range sh.DB.PCs() {
-		sum += sh.DB.EstimatedCount(pc)
+	fetched := sh.Result.FetchedOnPath
+	var est float64
+	var truth uint64
+	for _, r := range profile.Join(sh.DB, runner.Exact(sh.Pipeline), samples, sh.DB.Realize(fetched)) {
+		est += r.Estimate
+		truth += r.Truth
 	}
-	if fetched := float64(sh.Result.FetchedOnPath); math.Abs(sum/fetched-1) > 0.01 {
-		t.Errorf("per-PC estimates sum to %.0f, fetched %.0f (%+.1f%%)", sum, fetched, 100*(sum/fetched-1))
+	if truth != fetched {
+		t.Errorf("exact counts sum to %d, fetched %d", truth, fetched)
+	}
+	if math.Abs(est/float64(fetched)-1) > 0.01 {
+		t.Errorf("per-PC estimates sum to %.0f, fetched %d (%+.1f%%)", est, fetched, 100*(est/float64(fetched)-1))
 	}
 }
+
+// samples reads an accumulator's sample count, the estimate of its
+// on-path fetches.
+func samples(a *profile.PCAccum) uint64 { return a.Samples }

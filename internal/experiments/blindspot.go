@@ -10,6 +10,7 @@ import (
 	"profileme/internal/counters"
 	"profileme/internal/cpu"
 	"profileme/internal/isa"
+	"profileme/internal/profile"
 	"profileme/internal/runner"
 	"profileme/internal/sim"
 )
@@ -133,17 +134,9 @@ func blindSpot(cfg blindSpotConfig) (*blindSpotResult, error) {
 	if _, err := pipe.Run(0); err != nil {
 		return nil, err
 	}
-	var palRetired, allRetired uint64
-	for _, st := range pipe.PerPC() {
-		allRetired += st.Retired
-		if inPal(st.PC) {
-			palRetired += st.Retired
-		}
-	}
-	if allRetired == 0 || ctrTotal == 0 {
+	if ctrTotal == 0 {
 		return nil, fmt.Errorf("blindspot: empty counter run")
 	}
-	res.TrueShare = float64(palRetired) / float64(allRetired)
 	res.CounterShare = float64(ctrIn) / float64(ctrTotal)
 	res.CounterAfterShare = float64(ctrAfter) / float64(ctrTotal)
 	res.CounterSamples = ctrTotal
@@ -156,17 +149,21 @@ func blindSpot(cfg blindSpotConfig) (*blindSpotResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pmIn, pmTotal uint64
-	for _, pc := range sh.DB.PCs() {
-		n := sh.DB.Get(pc).Retired()
-		pmTotal += n
-		if inPal(pc) {
-			pmIn += n
+	// The true share comes from this run's exact profile; retire counts
+	// are architectural, so the counter run's are the same.
+	var pmIn, pmTotal, palRetired, allRetired uint64
+	for _, r := range profile.Join(sh.DB, runner.Exact(sh.Pipeline), (*profile.PCAccum).Retired, 1) {
+		pmTotal += r.K
+		allRetired += r.Truth
+		if inPal(r.PC) {
+			pmIn += r.K
+			palRetired += r.Truth
 		}
 	}
 	if pmTotal == 0 {
 		return nil, fmt.Errorf("blindspot: no ProfileMe samples")
 	}
+	res.TrueShare = float64(palRetired) / float64(allRetired)
 	res.ProfileShare = float64(pmIn) / float64(pmTotal)
 	res.ProfileSamples = pmTotal
 	return res, nil

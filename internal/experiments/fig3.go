@@ -11,6 +11,7 @@ import (
 	"profileme/internal/cpu"
 	"profileme/internal/isa"
 	"profileme/internal/mem"
+	"profileme/internal/profile"
 	"profileme/internal/runner"
 	"profileme/internal/sim"
 	"profileme/internal/stats"
@@ -155,17 +156,14 @@ func figure3(cfg figure3Config) (*figure3Result, error) {
 	return &figure3Result{Series: series}, nil
 }
 
-type pcCounts struct {
-	executed      uint64
-	misses        uint64
-	sampled       uint64
-	sampledMisses uint64
-}
-
+// convergenceRun samples the functional instruction stream, filling the
+// join's rows itself: per static instruction, its executions and D-cache
+// misses are the truths, the sampled ones the counts.
 func convergenceRun(bench workload.Benchmark, scale int, interval float64, rng *stats.RNG) (figure3Series, error) {
 	prog := bench.Build(scale)
 	hier := mem.NewHierarchy(mem.DefaultConfig())
-	counts := make([]pcCounts, prog.Len())
+	retire := make([]profile.JoinRow, prog.Len()) // indexed by PC/4
+	misses := make([]profile.JoinRow, prog.Len())
 	m := sim.New(prog)
 	countdown := rng.Geometric(interval)
 
@@ -177,51 +175,32 @@ func convergenceRun(bench workload.Benchmark, scale int, interval float64, rng *
 		if !ok {
 			break
 		}
-		c := &counts[rec.PC/isa.InstBytes]
-		c.executed++
-		miss := false
-		if rec.Inst.Op.IsMem() {
-			miss = hier.Data(rec.EA).L1Miss
-		}
+		i := rec.PC / isa.InstBytes
+		retire[i].Truth++
+		miss := rec.Inst.Op.IsMem() && hier.Data(rec.EA).L1Miss
 		if miss {
-			c.misses++
+			misses[i].Truth++
 		}
 		countdown--
 		if countdown <= 0 {
 			countdown = rng.Geometric(interval)
-			c.sampled++
+			retire[i].K++
 			if miss {
-				c.sampledMisses++
+				misses[i].K++
 			}
 		}
 	}
-
-	series := figure3Series{Benchmark: bench.Name, Interval: interval}
-	for i := range counts {
-		c := &counts[i]
-		if c.executed == 0 {
-			continue
-		}
+	for i := range retire {
 		pc := uint64(i) * isa.InstBytes
-		if c.sampled > 0 {
-			series.Retire = append(series.Retire, figure3Point{
-				PC: pc, Samples: c.sampled,
-				Ratio: float64(c.sampled) * interval / float64(c.executed),
-			})
-		}
-		if c.misses > 0 && c.sampledMisses > 0 {
-			series.DMiss = append(series.DMiss, figure3Point{
-				PC: pc, Samples: c.sampledMisses,
-				Ratio: float64(c.sampledMisses) * interval / float64(c.misses),
-			})
-		}
+		retire[i].PC, retire[i].Estimate = pc, float64(retire[i].K)*interval
+		misses[i].PC, misses[i].Estimate = pc, float64(misses[i].K)*interval
 	}
-	return series, nil
+	return figure3Series{Benchmark: bench.Name, Interval: interval, Retire: figure3Points(retire), DMiss: figure3Points(misses)}, nil
 }
 
 // convergenceRunTiming is convergenceRun on the full timing pipeline with
 // the real ProfileMe hardware: per-PC sample counts come from delivered
-// records, actual counts from the pipeline's omniscient ground truth.
+// records, actual counts from the pipeline's exact profile.
 func convergenceRunTiming(bench workload.Benchmark, scale int, interval float64, seed uint64) (figure3Series, error) {
 	prog := bench.Build(scale)
 	ccfg := cpu.DefaultConfig()
@@ -243,42 +222,47 @@ func convergenceRunTiming(bench workload.Benchmark, scale int, interval float64,
 	if err != nil {
 		return figure3Series{}, err
 	}
-	sampled := func(pc uint64) uint64 {
-		if a := sh.DB.Get(pc); a != nil {
-			return a.Retired()
-		}
-		return 0
-	}
-	// Scale by the realized interval (retired samples per retired
-	// instruction), as the profiling software would.
-	var totalSamples uint64
-	for _, pc := range sh.DB.PCs() {
-		totalSamples += sampled(pc)
-	}
-	if totalSamples == 0 {
+	rows, s := retireJoin(sh)
+	if s == 0 {
 		return figure3Series{}, fmt.Errorf("no samples")
 	}
-	realizedS := float64(sh.Result.Retired) / float64(totalSamples)
+	// The exact profile has no D-cache-miss slot: the pipeline counts
+	// misses at retirement, the database on samples of any fate.
+	perPC := sh.Pipeline.PerPC()
+	misses := make([]profile.JoinRow, len(rows))
+	for i, r := range rows {
+		k := sampledMiss[r.PC]
+		misses[i] = profile.JoinRow{PC: r.PC, K: k, Estimate: float64(k) * s, Truth: perPC[r.PC/isa.InstBytes].DCacheMiss}
+	}
+	return figure3Series{Benchmark: bench.Name, Interval: interval, Retire: figure3Points(rows), DMiss: figure3Points(misses)}, nil
+}
 
-	series := figure3Series{Benchmark: bench.Name, Interval: interval}
-	for _, st := range sh.Pipeline.PerPC() {
-		if st.Retired == 0 {
-			continue
-		}
-		if k := sampled(st.PC); k > 0 {
-			series.Retire = append(series.Retire, figure3Point{
-				PC: st.PC, Samples: k,
-				Ratio: float64(k) * realizedS / float64(st.Retired),
-			})
-		}
-		if k := sampledMiss[st.PC]; k > 0 && st.DCacheMiss > 0 {
-			series.DMiss = append(series.DMiss, figure3Point{
-				PC: st.PC, Samples: k,
-				Ratio: float64(k) * realizedS / float64(st.DCacheMiss),
-			})
+// figure3Points keeps the rows with both samples and a truth as (samples,
+// estimate ÷ truth) points, the one ratio rule of both sampling modes.
+func figure3Points(rows []profile.JoinRow) []figure3Point {
+	var ps []figure3Point
+	for _, r := range rows {
+		if r.K > 0 && r.Truth > 0 {
+			ps = append(ps, figure3Point{PC: r.PC, Samples: r.K, Ratio: r.Estimate / float64(r.Truth)})
 		}
 	}
-	return series, nil
+	return ps
+}
+
+// retireJoin joins a shard's retired samples to its exact retirements at
+// the retire-share scale Σ truth ÷ Σ k, where the estimates sum to the
+// truth. The scale is 0 when nothing retired was sampled.
+func retireJoin(sh runner.Shard) ([]profile.JoinRow, float64) {
+	exact := runner.Exact(sh.Pipeline)
+	var k, truth uint64
+	for _, r := range profile.Join(sh.DB, exact, (*profile.PCAccum).Retired, 1) {
+		k, truth = k+r.K, truth+r.Truth
+	}
+	if k == 0 {
+		return nil, 0
+	}
+	s := float64(truth) / float64(k)
+	return profile.Join(sh.DB, exact, (*profile.PCAccum).Retired, s), s
 }
 
 // Check verifies the paper's claims: estimates are unbiased (mean ratio

@@ -8,6 +8,8 @@ import (
 
 	"profileme/internal/core"
 	"profileme/internal/cpu"
+	"profileme/internal/isa"
+	"profileme/internal/profile"
 	"profileme/internal/runner"
 	"profileme/internal/workload"
 )
@@ -69,27 +71,25 @@ func figure7(cfg figure7Config) (*figure7Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fig7: %w", err)
 	}
-	db, res, pipe := sh.DB, sh.Result, sh.Pipeline
-
 	// Scale estimates by the realized sampling interval rather than the
 	// nominal one: a pair occupies the hardware until both instructions
 	// complete, so at short nominal intervals the effective inter-pair
 	// interval is substantially longer. Profiling software knows the
 	// fetched-instruction count and the sample count (DCPI scaled its
-	// estimates the same way). The count is what the hardware captured,
-	// not what it delivered: the database already corrects for loss.
-	if captured := sh.Stats.Captured(); captured > 0 {
-		db.S = float64(res.FetchedOnPath) / float64(captured)
-	}
+	// estimates the same way).
+	db := sh.DB
+	s := db.Realize(sh.Result.FetchedOnPath)
+	exact := runner.Exact(sh.Pipeline)
+	perPC := sh.Pipeline.PerPC() // wasted slots have no accumulator slot
 
-	out := &figure7Result{Result: res}
-	for _, st := range pipe.PerPC() {
-		if st.Retired < uint64(cfg.Iters)/2 {
+	out := &figure7Result{Result: sh.Result}
+	for _, r := range profile.Join(db, exact, (*profile.PCAccum).Retired, s) {
+		if r.Truth < uint64(cfg.Iters)/2 {
 			continue // only loop-body instructions
 		}
 		loop := ""
 		for name, rng := range loops {
-			if st.PC >= rng[0] && st.PC < rng[1] {
+			if r.PC >= rng[0] && r.PC < rng[1] {
 				loop = name
 				break
 			}
@@ -98,10 +98,10 @@ func figure7(cfg figure7Config) (*figure7Result, error) {
 			continue
 		}
 		pt := figure7Point{
-			PC: st.PC, Loop: loop,
-			Latency: st.LatInProgress, Wasted: st.WastedSlots,
+			PC: r.PC, Loop: loop,
+			Latency: exact.Get(r.PC).InProgressSum, Wasted: perPC[r.PC/isa.InstBytes].WastedSlots,
 		}
-		if wasted, _, _, ok := db.WastedSlots(st.PC); ok {
+		if wasted, _, _, ok := db.WastedSlots(r.PC); ok {
 			pt.EstWasted, pt.EstOK = wasted, true
 		}
 		out.Points = append(out.Points, pt)

@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"profileme/internal/core"
 	"profileme/internal/cpu"
 	"profileme/internal/mem"
 	"profileme/internal/profile"
+	"profileme/internal/runner"
 	"profileme/internal/sim"
 	"profileme/internal/stats"
 	"profileme/internal/workload"
@@ -157,29 +159,16 @@ func multiprocess(cfg multiprocessConfig) (*multiprocessResult, error) {
 		res.InterferenceB = res.CoCPIB / res.SoloCPIB
 	}
 
-	// Validate A's demultiplexed profile against A's own ground truth.
-	if dbA.Samples() > 0 {
-		dbA.S = float64(coA.FetchedOnPath) / float64(dbA.Samples())
-	}
-	var totalRetired uint64
-	for _, st := range pipeA.PerPC() {
-		totalRetired += st.Retired
-	}
+	// Validate A's demultiplexed profile against A's own exact profile.
+	// The shared unit's losses cannot be split by process and A's database
+	// records none, so its realized interval is per sample of its own.
+	s := dbA.Realize(coA.FetchedOnPath)
+	rows := profile.Join(dbA, runner.Exact(pipeA), (*profile.PCAccum).Retired, s)
 	var devs []float64
-	for _, st := range pipeA.PerPC() {
-		if st.Retired*100 < totalRetired {
-			continue
+	for _, r := range rows {
+		if r.Truth*100 >= coA.Retired {
+			devs = append(devs, math.Abs(r.Estimate/float64(r.Truth)-1))
 		}
-		acc := dbA.Get(st.PC)
-		var k uint64
-		if acc != nil {
-			k = acc.Retired()
-		}
-		bias := profile.EstimateCount(k, dbA.S)/float64(st.Retired) - 1
-		if bias < 0 {
-			bias = -bias
-		}
-		devs = append(devs, bias)
 	}
 	res.BiasA = stats.Quantile(devs, 0.5)
 	return res, nil

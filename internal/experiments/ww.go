@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"profileme/internal/asm"
@@ -129,42 +130,6 @@ func ww(cfg wwConfig) (*wwResult, error) {
 	res.IIDSamples = iidTotal
 	res.IIDAbortVisible = 0 // discarded in hardware, by design
 
-	// Ground truth from the same run.
-	type truth struct{ pc, retired uint64 }
-	var hot []truth
-	var totalRetired uint64
-	for _, st := range pipe.PerPC() {
-		totalRetired += st.Retired
-	}
-	for _, st := range pipe.PerPC() {
-		if st.Retired*100 >= totalRetired { // >= 1% of retires
-			hot = append(hot, truth{st.PC, st.Retired})
-		}
-	}
-	if len(hot) == 0 {
-		return nil, fmt.Errorf("ww: no hot instructions")
-	}
-
-	// IID coverage and bias: scale by the realized rate (samples per
-	// retired instruction).
-	iidRate := float64(iidTotal) / float64(r1.Retired)
-	covered := 0
-	for _, h := range hot {
-		k := iidCounts[h.pc]
-		if k > 0 {
-			covered++
-		}
-		est := float64(k) / iidRate
-		bias := est/float64(h.retired) - 1
-		if bias < 0 {
-			bias = -bias
-		}
-		if bias > res.IIDWorstBias {
-			res.IIDWorstBias = bias
-		}
-	}
-	res.IIDCoverage = float64(covered) / float64(len(hot))
-
 	// Run 2: ProfileMe at a matched sample budget.
 	pmInterval := float64(r1.Retired) / float64(iidTotal)
 	if pmInterval < 2 {
@@ -179,40 +144,46 @@ func ww(cfg wwConfig) (*wwResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The hot instructions and their truth come from run 2's exact
+	// profile; retire counts are architectural, so run 1's are the same.
+	// Each sampler scales by its own realized rate.
+	rows, s := retireJoin(sh)
+	if s == 0 {
+		return nil, fmt.Errorf("ww: ProfileMe collected nothing")
+	}
+	var pmRetired uint64
+	for _, r := range rows {
+		pmRetired += r.K
+	}
 	// The database skips empty fetch slots, and an unpaired sample names
 	// one PC: every other sample it holds is an aborted instruction.
-	db := sh.DB
-	var pmRetired uint64
-	for _, pc := range db.PCs() {
-		a := db.Get(pc)
-		pmRetired += a.Retired()
-		res.PMSamples += a.Samples
-	}
-	if pmRetired == 0 {
-		return nil, fmt.Errorf("ww: ProfileMe collected nothing")
+	for _, pc := range sh.DB.PCs() {
+		res.PMSamples += sh.DB.Get(pc).Samples
 	}
 	res.PMAbortVisible = float64(res.PMSamples-pmRetired) / float64(res.PMSamples)
 
-	pmRate := float64(pmRetired) / float64(sh.Result.Retired)
-	covered = 0
-	for _, h := range hot {
-		var k uint64
-		if a := db.Get(h.pc); a != nil {
-			k = a.Retired()
+	iidRate := float64(iidTotal) / float64(r1.Retired)
+	var hot, iidCovered, pmCovered int
+	for _, r := range rows {
+		if r.Truth*100 < sh.Result.Retired { // < 1% of retires
+			continue
 		}
+		hot++
+		k := iidCounts[r.PC]
 		if k > 0 {
-			covered++
+			iidCovered++
 		}
-		est := float64(k) / pmRate
-		bias := est/float64(h.retired) - 1
-		if bias < 0 {
-			bias = -bias
+		if r.K > 0 {
+			pmCovered++
 		}
-		if bias > res.PMWorstBias {
-			res.PMWorstBias = bias
-		}
+		res.IIDWorstBias = math.Max(res.IIDWorstBias, math.Abs(float64(k)/iidRate/float64(r.Truth)-1))
+		res.PMWorstBias = math.Max(res.PMWorstBias, math.Abs(r.Estimate/float64(r.Truth)-1))
 	}
-	res.PMCoverage = float64(covered) / float64(len(hot))
+	if hot == 0 {
+		return nil, fmt.Errorf("ww: no hot instructions")
+	}
+	res.IIDCoverage = float64(iidCovered) / float64(hot)
+	res.PMCoverage = float64(pmCovered) / float64(hot)
 	return res, nil
 }
 

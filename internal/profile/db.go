@@ -366,7 +366,7 @@ func (db *DB) EstimatedCount(pc uint64) float64 {
 	if a == nil {
 		return 0
 	}
-	return EstimateCount(a.Samples, db.S) * db.lossCorrection()
+	return estimateCount(a.Samples, db.S) * db.lossCorrection()
 }
 
 // EstimatedEventCount estimates the number of occurrences of ev at pc,
@@ -376,7 +376,7 @@ func (db *DB) EstimatedEventCount(pc uint64, ev core.Event) float64 {
 	if a == nil {
 		return 0
 	}
-	return EstimateCount(a.EventCount(ev), db.S) * db.lossCorrection()
+	return estimateCount(a.EventCount(ev), db.S) * db.lossCorrection()
 }
 
 // WastedSlots computes the §5.2.3 wasted-issue-slot estimate for pc:

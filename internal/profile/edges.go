@@ -104,10 +104,10 @@ func (e *EdgeProfile) hot(n int) []edgeCount {
 	return out
 }
 
-// BranchBias estimates the taken fraction of the conditional branch at
+// branchBias estimates the taken fraction of the conditional branch at
 // pc from the two outgoing edges' observations. ok is false when the
 // branch was never observed at distance 1.
-func (e *EdgeProfile) BranchBias(pc, takenTarget uint64) (takenFrac float64, ok bool) {
+func (e *EdgeProfile) branchBias(pc, takenTarget uint64) (takenFrac float64, ok bool) {
 	taken := e.edges[edge{From: pc, To: takenTarget}]
 	fall := e.edges[edge{From: pc, To: pc + isa.InstBytes}]
 	if taken+fall == 0 {
@@ -116,18 +116,18 @@ func (e *EdgeProfile) BranchBias(pc, takenTarget uint64) (takenFrac float64, ok 
 	return float64(taken) / float64(taken+fall), true
 }
 
-// CallEdge is one estimated call-graph edge (§5.2: paired samples measure
+// callEdge is one estimated call-graph edge (§5.2: paired samples measure
 // "edge frequencies of a program's control-flow and call graphs").
-type CallEdge struct {
+type callEdge struct {
 	CallerProc string
 	CalleeProc string
 	Observed   uint64
 	Estimate   float64
 }
 
-// CallGraph aggregates the distance-1 edges whose destination is a
+// callGraph aggregates the distance-1 edges whose destination is a
 // procedure entry into caller-procedure -> callee-procedure counts.
-func (e *EdgeProfile) CallGraph(prog *isa.Program) []CallEdge {
+func (e *EdgeProfile) callGraph(prog *isa.Program) []callEdge {
 	agg := make(map[[2]string]uint64)
 	for edge, k := range e.edges {
 		callee := prog.ProcAt(edge.To)
@@ -144,9 +144,9 @@ func (e *EdgeProfile) CallGraph(prog *isa.Program) []CallEdge {
 		}
 		agg[[2]string{name, callee.Name}] += k
 	}
-	out := make([]CallEdge, 0, len(agg))
+	out := make([]callEdge, 0, len(agg))
 	for key, k := range agg {
-		out = append(out, CallEdge{
+		out = append(out, callEdge{
 			CallerProc: key[0], CalleeProc: key[1],
 			Observed: k, Estimate: float64(k) * e.S * float64(e.W),
 		})

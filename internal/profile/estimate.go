@@ -23,10 +23,10 @@ import (
 	"profileme/internal/core"
 )
 
-// EstimateCount scales a sample count to an estimated event count: with an
+// estimateCount scales a sample count to an estimated event count: with an
 // average sampling interval of S fetched instructions, k samples having a
 // property estimate k*S occurrences (§5.1: E[kS] = fN).
-func EstimateCount(k uint64, s float64) float64 { return float64(k) * s }
+func estimateCount(k uint64, s float64) float64 { return float64(k) * s }
 
 // relativeError returns the expected coefficient of variation of an
 // estimate built from k property-samples: ≈ sqrt(1/k) (§5.1). It returns
@@ -41,7 +41,7 @@ func relativeError(k uint64) float64 {
 // ConfidenceInterval returns the [lo, hi] interval around the estimate
 // kS at z standard deviations (z = 1 covers ≈ 68%, z = 1.96 ≈ 95%).
 func ConfidenceInterval(k uint64, s, z float64) (lo, hi float64) {
-	est := EstimateCount(k, s)
+	est := estimateCount(k, s)
 	if k == 0 {
 		return 0, z * s // zero samples still bound the count below ~zS
 	}

@@ -42,11 +42,11 @@ func TestEdgeProfileBasics(t *testing.T) {
 	if len(hot) != 2 || hot[0].Edge != (edge{0x10, 0x14}) {
 		t.Fatalf("hot = %+v", hot)
 	}
-	frac, ok := e.BranchBias(0x10, 0x40)
+	frac, ok := e.branchBias(0x10, 0x40)
 	if !ok || math.Abs(frac-1.0/3) > 1e-12 {
 		t.Fatalf("bias = %v, %v", frac, ok)
 	}
-	if _, ok := e.BranchBias(0x999, 0x40); ok {
+	if _, ok := e.branchBias(0x999, 0x40); ok {
 		t.Fatal("bias for unseen branch")
 	}
 	if out := e.Report(nil, 5); !strings.Contains(out, "distance 1") {
@@ -103,7 +103,7 @@ next:
 		}
 	}
 	rarePC, _ := prog.Label("rare")
-	frac, ok := edges.BranchBias(beqPC, rarePC)
+	frac, ok := edges.branchBias(beqPC, rarePC)
 	if !ok {
 		t.Fatal("branch never observed at distance 1")
 	}
@@ -282,7 +282,7 @@ mloop:
 		t.Fatal(err)
 	}
 
-	cg := edges.CallGraph(prog)
+	cg := edges.callGraph(prog)
 	if len(cg) == 0 {
 		t.Fatal("no call edges observed")
 	}

@@ -65,7 +65,7 @@ func byProc(db *DB, prog *isa.Program) []procAccum {
 	}
 	out := make([]procAccum, 0, len(accs))
 	for _, a := range accs {
-		a.EstRetired = EstimateCount(a.Retired, db.S)
+		a.EstRetired = estimateCount(a.Retired, db.S)
 		out = append(out, *a)
 	}
 	sort.Slice(out, func(i, j int) bool {

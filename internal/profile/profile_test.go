@@ -34,7 +34,7 @@ func TestEstimateCountUnbiased(t *testing.T) {
 				}
 			}
 		}
-		est := EstimateCount(k, s)
+		est := estimateCount(k, s)
 		if k == 0 {
 			return true
 		}
@@ -64,7 +64,7 @@ func TestConfidenceInterval(t *testing.T) {
 	if lo >= hi {
 		t.Fatal("degenerate interval")
 	}
-	est := EstimateCount(100, 10)
+	est := estimateCount(100, 10)
 	if est < lo || est > hi {
 		t.Fatal("estimate outside its own interval")
 	}

@@ -74,9 +74,9 @@ type HotView struct {
 }
 
 // Estimate is the loss-corrected estimate of an event's occurrences from
-// its k samples (§5): EstimateCount(k, S) * LossCorr, associated as in
+// its k samples (§5): estimateCount(k, S) * LossCorr, associated as in
 // DB.EstimatedCount, so the two give the same bits.
-func (v *View) Estimate(k uint64) float64 { return EstimateCount(k, v.S) * v.LossCorr }
+func (v *View) Estimate(k uint64) float64 { return estimateCount(k, v.S) * v.LossCorr }
 
 // Get returns the published row for pc, or nil when pc is not among the
 // view's top-K. The returned row is shared and read-only.

@@ -78,7 +78,7 @@ type Config struct {
 	// wall-clock deadline has to fire.
 	CPU cpu.Config
 	// Sink, when set, additionally delivers each completed shard to a
-	// remote collector (pmsim -submit wires an HTTPSink to a pmsimd
+	// remote collector (pmsim -submit wires NewHTTPSink to a pmsimd
 	// daemon). Delivery failures degrade to local-only aggregation; they
 	// never fail the job.
 	Sink Sink

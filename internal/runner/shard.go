@@ -22,6 +22,17 @@ type Shard struct {
 	Pipeline *cpu.Pipeline
 }
 
+// Exact builds pipe's exact profile (profile.NewExact) from its PerPC
+// truth on demand; RunShard never does. No other slot is filled: the
+// pipeline counts misses and taken branches at retirement only, a sampled
+// database on samples of any fate, and issue slots have no slot at all.
+func Exact(pipe *cpu.Pipeline) *profile.DB {
+	pcs := pipe.PerPC()
+	return profile.NewExact(len(pcs), func(i int) (uint64, uint64, uint64, int64) {
+		return pcs[i].PC, pcs[i].Fetched, pcs[i].Retired, pcs[i].LatInProgress
+	})
+}
+
 // dbParams derives a shard database's (S, W, C) from the two configurations
 // that produced it: S is the configured mean interval (never the realized
 // one — shards of one campaign must agree on it to merge), W the pairing

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"go/ast"
@@ -12,6 +13,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"profileme/internal/core"
+	"profileme/internal/cpu"
+	"profileme/internal/profile"
+	"profileme/internal/workload"
 )
 
 // TestOneShardPath keeps RunShard the one way a profiled run is made. In
@@ -156,6 +162,50 @@ func TestShardPinnedBytes(t *testing.T) {
 		sum := sha256.Sum256(image(t, runCampaign(t, Config{Seed: 1}, []Job{tc.job})))
 		if got := hex.EncodeToString(sum[:]); got != tc.want {
 			t.Errorf("shard %s moved: sha256 %s, pinned %s", tc.job.ID, got, tc.want)
+		}
+	}
+}
+
+// TestExactProfile holds Exact's mapping of the pipeline's ground truth to
+// the sampled database's slots, on every suite kernel: the exact retired
+// events sum to the run's retirements and the exact samples to its on-path
+// fetches; the sampled database holds every sample the unit captured
+// (Samples()+Lost(), what profile.DB.Realize divides by); and the exact
+// profile joined with itself at scale 1 estimates its truth on every row.
+func TestExactProfile(t *testing.T) {
+	names := workload.Names()
+	if len(names) != 11 {
+		t.Fatalf("%d suite kernels, want 11", len(names))
+	}
+	counts := map[string]func(*profile.PCAccum) uint64{
+		"retired": (*profile.PCAccum).Retired,
+		"samples": func(a *profile.PCAccum) uint64 { return a.Samples },
+	}
+	for _, name := range names {
+		b, _ := workload.ByName(name)
+		sh, err := RunShard(context.Background(), b.Build(20_000), cpu.DefaultConfig(), core.DefaultConfig(), nil, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		exact := Exact(sh.Pipeline)
+		var retired, fetched uint64
+		for _, pc := range exact.PCs() {
+			retired += exact.Get(pc).Retired()
+			fetched += exact.Get(pc).Samples
+		}
+		if retired != sh.Result.Retired || fetched != sh.Result.FetchedOnPath || exact.Samples() != fetched {
+			t.Errorf("%s: exact profile retires %d and fetches %d (%d samples), the run %d and %d",
+				name, retired, fetched, exact.Samples(), sh.Result.Retired, sh.Result.FetchedOnPath)
+		}
+		if got, want := sh.DB.Samples()+sh.DB.Lost(), sh.Stats.Captured(); got != want {
+			t.Errorf("%s: database holds %d samples and losses, the unit captured %d", name, got, want)
+		}
+		for what, count := range counts {
+			for _, r := range profile.Join(exact, exact, count, 1) {
+				if r.K != r.Truth || r.Estimate != float64(r.Truth) {
+					t.Errorf("%s: %s self-join at pc %#x: k %d, estimate %v, truth %d", name, what, r.PC, r.K, r.Estimate, r.Truth)
+				}
+			}
 		}
 	}
 }

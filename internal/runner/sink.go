@@ -70,7 +70,7 @@ func (e *SubmitError) Transient() bool {
 	}
 }
 
-// HTTPSink posts shard profiles to a collector's /v1/submit — a single
+// httpSink posts shard profiles to a collector's /v1/submit — a single
 // pmsimd, or a pmrouter fronting the sharded tier. Extra URLs are
 // transport-level fallbacks: when the current endpoint is unreachable
 // (the request never completes), Submit tries the next in the same call
@@ -82,12 +82,11 @@ func (e *SubmitError) Transient() bool {
 // Fallbacks must front the same admission-ledger domain (a second
 // router over the same tier, or a replica of the same collector):
 // endpoints with independent ledgers would merge a retried shard twice.
-type HTTPSink struct {
-	// BaseURLs are the collector roots in preference order, e.g.
+type httpSink struct {
+	// baseURLs are the collector roots in preference order, e.g.
 	// ["http://router-a:7000", "http://router-b:7000"].
-	BaseURLs []string
-	// Client defaults to a 30s-timeout client.
-	Client *http.Client
+	baseURLs []string
+	client   *http.Client
 
 	mu      sync.Mutex
 	current int // index of the endpoint that last worked
@@ -95,36 +94,26 @@ type HTTPSink struct {
 
 // NewHTTPSink builds a sink for the collector at baseURL, with optional
 // transport-failover fallbacks.
-func NewHTTPSink(baseURL string, fallbacks ...string) *HTTPSink {
+func NewHTTPSink(baseURL string, fallbacks ...string) Sink {
 	urls := []string{strings.TrimRight(baseURL, "/")}
 	for _, u := range fallbacks {
 		urls = append(urls, strings.TrimRight(u, "/"))
 	}
-	return &HTTPSink{
-		BaseURLs: urls,
-		Client:   &http.Client{Timeout: 30 * time.Second},
-	}
+	return &httpSink{baseURLs: urls, client: &http.Client{Timeout: 30 * time.Second}}
 }
 
 // Submit posts one shard's encoded body verbatim, failing over across
-// BaseURLs on transport errors. Non-202 responses come back as
+// baseURLs on transport errors. Non-202 responses come back as
 // *SubmitError with the collector's status and error kind.
-func (s *HTTPSink) Submit(ctx context.Context, shard string, body []byte) error {
-	client := s.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
+func (s *httpSink) Submit(ctx context.Context, shard string, body []byte) error {
 	s.mu.Lock()
 	start := s.current
 	s.mu.Unlock()
-	n := len(s.BaseURLs)
-	if n == 0 {
-		return fmt.Errorf("runner: sink has no collector URL")
-	}
+	n := len(s.baseURLs)
 	var lastErr error
 	for i := 0; i < n; i++ {
 		idx := (start + i) % n
-		err := s.submitTo(ctx, client, s.BaseURLs[idx], body)
+		err := s.submitTo(ctx, s.baseURLs[idx], body)
 		var se *SubmitError
 		if errors.As(err, &se) && se.Status == 0 && ctx.Err() == nil {
 			// Endpoint unreachable: try the next one now rather than
@@ -142,13 +131,13 @@ func (s *HTTPSink) Submit(ctx context.Context, shard string, body []byte) error 
 	return lastErr
 }
 
-func (s *HTTPSink) submitTo(ctx context.Context, client *http.Client, baseURL string, body []byte) error {
+func (s *httpSink) submitTo(ctx context.Context, baseURL string, body []byte) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/submit", bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("runner: shard submission request: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
+	resp, err := s.client.Do(req)
 	if err != nil {
 		return &SubmitError{Status: 0, Msg: err.Error()}
 	}

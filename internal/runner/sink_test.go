@@ -240,7 +240,7 @@ func TestHTTPSinkTransportFailover(t *testing.T) {
 	fallback := httptest.NewServer(accept(&fallbackHits))
 	defer fallback.Close()
 
-	sink := NewHTTPSink(deadURL, fallback.URL)
+	sink := NewHTTPSink(deadURL, fallback.URL).(*httpSink)
 	if err := sink.Submit(context.Background(), "a", body); err != nil {
 		t.Fatalf("submit with live fallback: %v", err)
 	}

@@ -1,7 +1,7 @@
 // Package traffic is the trace-driven load layer: it turns a declarative
 // JSON spec — cohorts of fleets with diurnal ramps and superimposed
 // bursts — into a deterministic schedule of shard submissions, drives
-// them at a collector through runner.HTTPSink, records every submission
+// them at a collector through runner.NewHTTPSink, records every submission
 // into a versioned CRC-framed trace file (DESIGN.md §15), and replays a
 // captured trace bit-for-bit, at recorded speed or time-warped.
 //
