@@ -8,5 +8,7 @@ package cluster
 func (rt *Router) SetInstance(id, baseURL string) {
 	if !rt.members.reregister(id, baseURL) {
 		rt.log.Warn("set instance: not a member", "instance", id)
+		return
 	}
+	rt.observe(id, sigAdmits, "path", "/v1/membership/add")
 }

@@ -19,30 +19,40 @@ func (rt *Router) Probe(ctx context.Context) {
 	for _, h := range append(live, down...) {
 		status, raw, err := roundTrip(ctx, rt.client, http.MethodGet, h.url+"/readyz", nil, 0, 4096)
 		if status == 0 {
-			if rt.members.failed(h.id) == stateDown {
-				rt.log.Warn("instance down", "instance", h.id, "err", err)
-			}
+			rt.observe(h.id, sigFailed, "err", err)
 			continue
 		}
 		var refusal api.Error
 		_ = json.Unmarshal(raw, &refusal) // best effort: a body that is not an error body has no kind
 		switch kind := refusal.Kind; {
 		case status == http.StatusOK:
-			rt.members.admits(h.id)
-		case kind == "draining":
-			rt.members.draining(h.id)
-			rt.log.Info("instance draining", "instance", h.id)
-		case kind == "wal-stalled", kind == "wal-failed":
-			// A stalled WAL means every 202 would block on a sick disk, a
-			// failed one that none can be issued until a restart replays:
-			// treat like draining — steer new submissions to the ring
-			// successor while the instance still serves queries and dedupes.
-			rt.members.draining(h.id)
-			rt.log.Warn("instance degraded", "instance", h.id, "kind", kind)
+			rt.observe(h.id, sigAdmits, "path", "/readyz")
+		case kind == "draining", kind == "wal-stalled", kind == "wal-failed":
+			// A stalled or failed WAL cannot issue a 202 soon: like a drain,
+			// steer submissions away; queries and dedupe still reach it.
+			rt.observe(h.id, sigDraining, "kind", kind, "path", "/readyz")
 		default:
-			// Not ready for another reason (e.g. breaker open): the
-			// instance still serves queries and dedupes submissions, so
-			// leave routing alone rather than guessing.
+			// Not ready otherwise (e.g. breaker open): it still serves
+			// queries and dedupes submissions, so routing is left alone.
 		}
+	}
+}
+
+// observe feeds one signal about id to the membership table and logs the
+// change of state it causes, if any. cause is the caller's attributes:
+// err, shard or path, and kind on entry to draining.
+func (rt *Router) observe(id string, sig signal, cause ...any) {
+	from, to, epoch, ok := rt.members.observe(id, sig)
+	if !ok || from == to {
+		return
+	}
+	attrs := append([]any{"instance", id, "from", from.String(), "epoch", epoch}, cause...)
+	switch to {
+	case stateDown:
+		rt.log.Warn("instance down", attrs...)
+	case stateDraining:
+		rt.log.Warn("instance draining", attrs...)
+	default:
+		rt.log.Info("instance healthy", attrs...)
 	}
 }

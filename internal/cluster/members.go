@@ -71,9 +71,9 @@ type memberView struct {
 // migration (see addInstance), and commitAdd is the one way in.
 //
 // Lifecycle of an id: (joining, outside the table) → commitAdd → healthy
-// ⇄ draining / down → delivered → commitRemove → gone. Signals that name
-// an id outside the table — a request leg finishing after its instance
-// was removed — are dropped.
+// ⇄ draining / down (observe, the one writer of state) → delivered →
+// commitRemove → gone. Signals that name an id outside the table — a
+// request leg finishing after its instance was removed — are dropped.
 type members struct {
 	mu        sync.Mutex
 	threshold int // consecutive failures that mark a member Down
@@ -137,13 +137,13 @@ func (ms *members) commitRemove(id, receiver string) (epoch uint64, repointed in
 }
 
 // reregister points a KNOWN id at a replacement process: same ring
-// position, new URL, Healthy, not delivered. False for a stranger.
+// position, new URL, not delivered. False for a stranger.
 func (ms *members) reregister(id, url string) bool {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	m := ms.byID[id]
 	if m != nil {
-		*m = member{url: url}
+		m.url, m.deliveredTo, m.offeredTo = url, "", ""
 	}
 	return m != nil
 }
@@ -177,54 +177,47 @@ func (ms *members) deliveredTo(id string) string {
 	return ""
 }
 
-// alive: id answered something (a query leg, a probe). Clears the failure
-// count and revives Down; says nothing about admission, so Draining stays.
-func (ms *members) alive(id string) {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if m := ms.byID[id]; m != nil {
-		m.fails = 0
-		if m.state == stateDown {
-			m.state = stateHealthy
-		}
-	}
-}
+// signal is one piece of evidence about a member's health.
+type signal int
 
-// admits: id showed it takes new submissions (a non-503 submit answer, a
-// 200 /readyz). Alive, and no longer Draining.
-func (ms *members) admits(id string) {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if m := ms.byID[id]; m != nil {
-		m.fails, m.state = 0, stateHealthy
-	}
-}
+const (
+	sigAnswered signal = iota // it answered something: a query leg
+	sigAdmits                 // it takes submissions: a non-503 submit answer, a 200 /readyz, a re-registration
+	sigFailed                 // a transport failure
+	sigDraining               // it refuses submissions: a 503 submit answer or /readyz, a removal's export
+)
 
-// failed counts one transport failure; crossing the threshold marks the
-// member Down. Returns the resulting state (Down for a non-member: a
-// removed instance takes no traffic).
-func (ms *members) failed(id string) instanceState {
+// observe is the one writer of a member's state: it applies sig to id and
+// returns the state before and after, and the epoch. Answered clears the
+// failure count and revives Down, but says nothing about admission, so
+// Draining stays; admits makes the member Healthy; the threshold-th
+// failure in a row marks it Down. ok is false for a non-member, which
+// takes no traffic and has no state to change.
+func (ms *members) observe(id string, sig signal) (from, to instanceState, epoch uint64, ok bool) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	m := ms.byID[id]
 	if m == nil {
-		return stateDown
+		return stateDown, stateDown, ms.ring.epoch, false
 	}
-	m.fails++
-	if m.fails >= ms.threshold {
-		m.state = stateDown
+	from, to = m.state, m.state
+	fails := 0
+	switch sig {
+	case sigAnswered:
+		if to == stateDown {
+			to = stateHealthy
+		}
+	case sigAdmits:
+		to = stateHealthy
+	case sigFailed:
+		if fails = m.fails + 1; fails >= ms.threshold {
+			to = stateDown
+		}
+	case sigDraining:
+		to = stateDraining
 	}
-	return m.state
-}
-
-// draining: id refused a submission with 503, its /readyz says so, or a
-// removal is exporting it.
-func (ms *members) draining(id string) {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if m := ms.byID[id]; m != nil {
-		m.fails, m.state = 0, stateDraining
-	}
+	m.fails, m.state = fails, to
+	return from, to, ms.ring.epoch, true
 }
 
 // pin records that member id acknowledged shard.

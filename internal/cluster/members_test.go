@@ -72,8 +72,9 @@ func hopIDs(hs []hop) []string {
 // router leans on: table == ring == model membership, the epoch moves
 // exactly on an effective add or remove, pins only name members, route()
 // offers only members and never a Down or an unpinned Draining/delivered
-// one, targets() is members − Down − delivered, signals for strangers and
-// removed ids change nothing, and alive never leaves Draining.
+// one, targets() is members − Down − delivered, observe returns the
+// transition it made, signals for strangers and removed ids change
+// nothing, and an answered signal never leaves Draining.
 func TestMembersProperty(t *testing.T) {
 	const (
 		seeds, steps   = 16, 400
@@ -147,7 +148,7 @@ func TestMembersProperty(t *testing.T) {
 					t.Fatalf("seed %d step %d %s: known=%v, want %v", seed, step, op, got, am != nil)
 				}
 				if am != nil {
-					*am = member{url: url}
+					am.url, am.deliveredTo, am.offeredTo = url, "", ""
 				}
 			case 3:
 				op = "delivered " + a
@@ -159,38 +160,35 @@ func TestMembersProperty(t *testing.T) {
 				if got := ms.deliveredTo(a); got != want {
 					t.Fatalf("seed %d step %d %s: deliveredTo %q, want %q", seed, step, op, got, want)
 				}
-			case 4:
-				op = "alive " + a
-				ms.alive(a)
+			case 4, 5, 6, 7, 8:
+				// observe one signal, failed twice as likely as each other;
+				// the model's rule for each is below.
+				sig := [...]signal{sigAnswered, sigAdmits, sigFailed, sigFailed, sigDraining}[rng.Intn(5)]
+				op = fmt.Sprintf("observe %s %d", a, sig)
+				from, to, epoch, ok := ms.observe(a, sig)
+				wantFrom, wantTo := stateDown, stateDown
 				if am != nil {
-					am.fails = 0
-					if am.state == stateDown {
+					wantFrom = am.state
+					fails := 0
+					switch sig {
+					case sigAnswered:
+						if am.state == stateDown {
+							am.state = stateHealthy
+						}
+					case sigAdmits:
 						am.state = stateHealthy
+					case sigFailed:
+						if fails = am.fails + 1; fails >= model.threshold {
+							am.state = stateDown
+						}
+					case sigDraining:
+						am.state = stateDraining
 					}
+					am.fails, wantTo = fails, am.state
 				}
-			case 5:
-				op = "admits " + a
-				ms.admits(a)
-				if am != nil {
-					am.fails, am.state = 0, stateHealthy
-				}
-			case 6, 7:
-				op = "failed " + a
-				want := stateDown
-				if am != nil {
-					if am.fails++; am.fails >= model.threshold {
-						am.state = stateDown
-					}
-					want = am.state
-				}
-				if got := ms.failed(a); got != want {
-					t.Fatalf("seed %d step %d %s: state %v, want %v", seed, step, op, got, want)
-				}
-			case 8:
-				op = "draining " + a
-				ms.draining(a)
-				if am != nil {
-					am.fails, am.state = 0, stateDraining
+				if from != wantFrom || to != wantTo || epoch != model.epoch || ok != (am != nil) {
+					t.Fatalf("seed %d step %d %s: (%v→%v @%d ok=%v), want (%v→%v @%d ok=%v)",
+						seed, step, op, from, to, epoch, ok, wantFrom, wantTo, model.epoch, am != nil)
 				}
 			case 9:
 				op = fmt.Sprintf("pin %s@%s", sh, a)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"sort"
@@ -71,9 +72,14 @@ func (m *migration) phase(p string) {
 	m.status.Phase = p
 }
 
-func (m *migration) end(err error) {
+// end closes the operation, logging a failure with its phase and epoch.
+func (m *migration) end(log *slog.Logger, epoch uint64, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if err != nil {
+		log.Warn("migration failed", "kind", m.status.Kind, "instance", m.status.Instance,
+			"phase", m.status.Phase, "epoch", epoch, "err", err)
+	}
 	m.status.Active = false
 	m.status.Phase = ""
 	if err != nil {
@@ -116,11 +122,12 @@ func (rt *Router) addInstance(ctx context.Context, id, baseURL string) (*api.Mig
 	defer rt.memMu.Unlock()
 	oldRing, urls := rt.members.plan()
 	if rt.members.reregister(id, baseURL) {
+		rt.observe(id, sigAdmits, "path", "/v1/membership/add")
 		return &api.MigrationReport{Kind: "add", Instance: id, Epoch: oldRing.epoch}, nil
 	}
 	rt.migration.begin("add", id)
 	rep, err := rt.addInstanceLocked(ctx, id, baseURL, oldRing, urls)
-	rt.migration.end(err)
+	rt.migration.end(rt.log, oldRing.epoch, err)
 	return rep, err
 }
 
@@ -233,8 +240,9 @@ func (rt *Router) removeInstance(ctx context.Context, id string) (*api.Migration
 		return nil, errors.New("cluster: refusing to remove the last instance")
 	}
 	rt.migration.begin("remove", id)
+	epoch := ring.epoch // removeInstanceLocked turns ring into the post-removal one
 	rep, err := rt.removeInstanceLocked(ctx, id, ring, urls)
-	rt.migration.end(err)
+	rt.migration.end(rt.log, epoch, err)
 	return rep, err
 }
 
@@ -245,7 +253,7 @@ func (rt *Router) removeInstanceLocked(ctx context.Context, id string, newRing *
 	rep := &api.MigrationReport{Kind: "remove", Instance: id}
 
 	rt.migration.phase("export")
-	rt.members.draining(id)
+	rt.observe(id, sigDraining, "kind", "removal", "path", "/v1/membership/remove")
 	envelope, err := rt.exportHandoff(ctx, urls[id])
 	if err != nil {
 		return nil, fmt.Errorf("cluster: remove %s: export: %w (donor unchanged, retry or restart it to roll back)", id, err)

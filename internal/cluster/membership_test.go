@@ -571,7 +571,7 @@ func TestGatherClientDisconnect(t *testing.T) {
 	}
 	// A real straggler (no client disconnect) still gets charged: the
 	// health machinery itself is intact.
-	rt.members.failed("slow")
+	rt.members.observe("slow", sigFailed)
 	if st := memberState(t, rt, "slow"); st != stateDown {
 		t.Fatalf("control: direct failure left state %v, want Down (threshold 1)", st)
 	}

@@ -61,13 +61,13 @@ func (rt *Router) gather(ctx context.Context, pathAndQuery string) fanout {
 			// context) says nothing about the instance's health — charging
 			// it a failure would let one impatient client mark the whole
 			// tier Down.
-			if ctx.Err() == nil && rt.members.failed(l.id) == stateDown {
-				rt.log.Warn("instance down", "instance", l.id, "path", pathAndQuery, "err", l.err)
+			if ctx.Err() == nil {
+				rt.observe(l.id, sigFailed, "path", pathAndQuery, "err", l.err)
 			}
 			f.missing = append(f.missing, l.id)
 			continue
 		}
-		rt.members.alive(l.id)
+		rt.observe(l.id, sigAnswered, "path", pathAndQuery)
 		f.oks = append(f.oks, l)
 	}
 	sort.Slice(f.oks, func(i, j int) bool { return f.oks[i].id < f.oks[j].id })

@@ -234,16 +234,13 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case err != nil:
 			rt.count(&rt.stats.LegsFailed)
-			if rt.members.failed(h.id) == stateDown {
-				rt.log.Warn("instance down", "instance", h.id, "shard", shard, "err", err)
-			} else {
-				rt.log.Warn("failing over", "instance", h.id, "shard", shard, "err", err)
-			}
+			rt.observe(h.id, sigFailed, "shard", shard, "err", err)
+			rt.log.Warn("failing over", "instance", h.id, "shard", shard, "err", err)
 			rt.count(&rt.stats.Failovers)
 		case status == http.StatusServiceUnavailable:
 			// Draining (or a drain raced admission): the refusal was
 			// loss-accounted there; fail over to the ring successor.
-			rt.members.draining(h.id)
+			rt.observe(h.id, sigDraining, "kind", "draining", "shard", shard)
 			refusedBy = append(refusedBy, h.id)
 			rt.count(&rt.stats.Failovers)
 			rt.log.Warn("failing over", "instance", h.id, "shard", shard, "reason", "draining")
@@ -251,7 +248,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// A 202; or 429 backpressure (retry the same owner later) or a
 			// permanent 4xx, which go back to the client untouched except
 			// provenance.
-			rt.members.admits(h.id)
+			rt.observe(h.id, sigAdmits, "shard", shard)
 			// One decode of the answer — an ack, an error body, or Raw
 			// when it is not JSON — and the provenance added to it.
 			var reply api.Routed

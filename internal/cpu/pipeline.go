@@ -606,9 +606,6 @@ func (p *Pipeline) fetchOne(pc uint64, rec *sim.Record) *uop {
 		}
 	} else {
 		p.res.FetchedOffPath++
-		if st := p.pcStats(pc); st != nil {
-			st.OffPath++
-		}
 		p.offPC = u.predNext
 	}
 
@@ -1000,9 +997,6 @@ func (p *Pipeline) resolveControl(u *uop) {
 		p.ctrs.Event(counters.EventBranchMispredict, p.cycle)
 	}
 	p.res.Mispredicts++
-	if st := p.pcStats(u.pc); st != nil {
-		st.Mispredicts++
-	}
 
 	p.squashYounger(u.seq, core.TrapBadPath)
 	// Restore front-end state: history as of just after this branch's
@@ -1055,9 +1049,6 @@ func (p *Pipeline) checkReplay(st *uop) {
 		return
 	}
 	p.res.ReplayTraps++
-	if s := p.pcStats(victim.pc); s != nil {
-		s.ReplayTraps++
-	}
 	victim.events |= core.EvReplayTrap
 	if p.prof != nil && victim.tag != core.NoTag {
 		p.prof.AddEvents(victim.tag, core.EvReplayTrap)
@@ -1140,9 +1131,6 @@ func (p *Pipeline) killUop(u *uop, reason core.TrapReason) {
 	}
 	u.state = stSquashed
 	u.trap = reason
-	if st := p.pcStats(u.pc); st != nil && u.onPath {
-		st.Aborted++
-	}
 	if p.prof != nil && u.tag != core.NoTag {
 		p.prof.Complete(u.tag, false, reason, p.cycle)
 		u.tag = core.NoTag
@@ -1216,12 +1204,6 @@ func (p *Pipeline) recordRetired(u *uop) {
 	st.LatFetchRetire += u.retireCyc - u.fetchCyc
 	if u.events.Has(core.EvDCacheMiss) {
 		st.DCacheMiss++
-	}
-	if u.events.Has(core.EvICacheMiss) {
-		st.ICacheMiss++
-	}
-	if u.events.Has(core.EvDTBMiss) {
-		st.DTBMiss++
 	}
 	if u.events.Has(core.EvTaken) {
 		st.Taken++

@@ -43,17 +43,11 @@ func (r Result) CPI() float64 {
 // truth, used to validate the sampled estimates (the estimators must
 // converge to these numbers).
 type PCStats struct {
-	PC          uint64
-	Fetched     uint64 // correct-path fetches
-	Retired     uint64
-	Aborted     uint64 // fetched on path but squashed (trap/drain)
-	OffPath     uint64 // fetched at this PC on a bad path
-	DCacheMiss  uint64
-	ICacheMiss  uint64
-	DTBMiss     uint64
-	Mispredicts uint64
-	Taken       uint64
-	ReplayTraps uint64
+	PC         uint64
+	Fetched    uint64 // correct-path fetches
+	Retired    uint64
+	DCacheMiss uint64
+	Taken      uint64
 	// LatInProgress sums the fetch -> retire-ready latency over retired
 	// executions (the X axis of Figure 7).
 	LatInProgress int64

@@ -13,8 +13,8 @@ const (
 	// breakerOpen: calls are short-circuited with errBreakerOpen until the
 	// cooldown elapses.
 	breakerOpen = "open"
-	// breakerHalfOpen: the cooldown elapsed; exactly one probe call is let
-	// through. Success closes the breaker, failure re-opens it.
+	// breakerHalfOpen: open, and the cooldown elapsed; exactly one probe
+	// call is let through. Success closes the breaker, failure re-opens it.
 	breakerHalfOpen = "half-open"
 )
 
@@ -63,50 +63,43 @@ func newBreaker(threshold int, cooldown time.Duration) *breaker {
 }
 
 // do runs f under the breaker's admission rules and returns f's error,
-// or errBreakerOpen when the call was short-circuited.
-func (b *breaker) do(f func() error) error {
+// or errBreakerOpen when the call was short-circuited. It is the one
+// writer of the breaker's position, closed or open (half-open is an open
+// breaker past its cooldown, whose one probe call is let through), and
+// returns the position its write found and the one it left.
+func (b *breaker) do(f func() error) (from, to string, err error) {
 	b.mu.Lock()
-	switch b.state {
-	case breakerOpen:
-		if b.now().Sub(b.openedAt) < b.cooldown {
-			b.stats.Shorted++
-			b.mu.Unlock()
-			return errBreakerOpen
-		}
-		b.state = breakerHalfOpen
-		b.probing = true
-	case breakerHalfOpen:
-		if b.probing {
-			b.stats.Shorted++
-			b.mu.Unlock()
-			return errBreakerOpen
-		}
-		b.probing = true
+	from = b.state
+	probe := from == breakerOpen
+	if probe && (b.probing || b.now().Sub(b.openedAt) < b.cooldown) {
+		b.stats.Shorted++
+		b.mu.Unlock()
+		return from, from, errBreakerOpen
 	}
-	wasHalfOpen := b.state == breakerHalfOpen
+	b.probing = probe
 	b.mu.Unlock()
 
-	err := f()
+	err = f()
 
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.probing = false
-	if err != nil {
+	from, to = b.state, b.state
+	if err == nil {
+		b.stats.Successes++
+		b.consecFails, to = 0, breakerClosed
+	} else {
 		b.stats.Failures++
 		b.consecFails++
-		if wasHalfOpen || b.consecFails >= b.threshold {
-			if b.state != breakerOpen {
-				b.stats.Trips++
+		if probe || b.consecFails >= b.threshold {
+			if probe || from != breakerOpen {
+				b.stats.Trips++ // a failed probe re-opens: a trip too
 			}
-			b.state = breakerOpen
-			b.openedAt = b.now()
+			to, b.openedAt = breakerOpen, b.now()
 		}
-		return err
 	}
-	b.stats.Successes++
-	b.consecFails = 0
-	b.state = breakerClosed
-	return nil
+	b.state = to
+	return from, to, err
 }
 
 // State returns the breaker's current position, promoting open to

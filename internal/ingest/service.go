@@ -367,6 +367,7 @@ func newService(cfg Config, ck *Checkpoint) (*Service, error) {
 			Dir:          cfg.WALDir,
 			SegmentBytes: cfg.WALSegmentBytes,
 			Fsync:        cfg.walFsync,
+			Log:          cfg.Log,
 		}, s.replayRecord)
 		if err != nil {
 			return nil, fmt.Errorf("ingest: wal: %w", err)
@@ -645,10 +646,15 @@ func (s *Service) checkpoint() {
 	if s.phase() == phaseRetired {
 		return // the books live at the receiver (see Retire)
 	}
-	err := s.brk.do(s.cfg.persist)
+	from, to, err := s.brk.do(s.cfg.persist)
 	s.led.checkpointed(err)
 	if err != nil && !errors.Is(err, errBreakerOpen) {
 		s.log.Warn("checkpoint failed", "err", err)
+	}
+	if from != to && to == breakerOpen {
+		s.log.Warn("breaker opened", "err", err)
+	} else if from != to {
+		s.log.Info("breaker closed")
 	}
 }
 

@@ -162,6 +162,40 @@ func TestByProcAggregation(t *testing.T) {
 	}
 }
 
+// TestByProcEstimateIsLossCorrected: on a database that recorded loss, a
+// procedure rollup's retired estimates sum to the per-PC retired
+// estimates, each S × the loss correction (EstimatedCount's rule).
+func TestByProcEstimateIsLossCorrected(t *testing.T) {
+	prog := asm.MustAssemble(`
+.proc main
+    add r20, ra, #0
+    jsr ra, leaf
+    ret (r20)
+.endp
+.proc leaf
+    add r2, r2, #1
+    ret (ra)
+.endp`)
+	db := NewDB(10, 0, 4)
+	leafPC, _ := prog.Label("leaf")
+	for i := 0; i < 3; i++ {
+		db.Add(core.Sample{First: rec(leafPC, true, 0, 1, 2, 3, 8, 9)})
+		db.Add(core.Sample{First: rec(4, true, 0, 1, 2, 3, 4, 5)})
+	}
+	db.Add(core.Sample{First: rec(0, false, 0, 1, 2)})
+	db.RecordLoss(5)
+	var want, got float64
+	for _, pc := range db.PCs() {
+		want += estimateCount(db.Get(pc).Retired(), db.S) * db.lossCorrection()
+	}
+	for _, a := range byProc(db, prog) {
+		got += a.EstRetired
+	}
+	if math.Abs(want-6*10*12.0/7) > 1e-9 || math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("procedures' retired estimates sum to %v, the per-PC estimates to %v (want 6 × S 10 × 12/7)", got, want)
+	}
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	db := NewDB(100, 80, 4)
 	r := rec(0x40, true, 0, 2, 3, 5, 9, 12)

@@ -23,7 +23,7 @@ type procAccum struct {
 	// procedure's sampled instructions.
 	InProgressSum   int64
 	InProgressCount uint64
-	// EstRetired scales the retired-sample count by the sampling interval.
+	// EstRetired is Retired × S × the loss correction, as per PC.
 	EstRetired float64
 }
 
@@ -65,7 +65,7 @@ func byProc(db *DB, prog *isa.Program) []procAccum {
 	}
 	out := make([]procAccum, 0, len(accs))
 	for _, a := range accs {
-		a.EstRetired = estimateCount(a.Retired, db.S)
+		a.EstRetired = estimateCount(a.Retired, db.S) * db.lossCorrection()
 		out = append(out, *a)
 	}
 	sort.Slice(out, func(i, j int) bool {

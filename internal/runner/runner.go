@@ -291,7 +291,7 @@ func (f *Fleet) Run(ctx context.Context) (*Report, error) {
 		return f.buildReport(), nil
 	}
 	if dir := f.cfg.CheckpointDir; dir != "" {
-		l, _, err := wal.Open(wal.Config{Dir: dir, Fsync: f.cfg.fsync}, nil)
+		l, _, err := wal.Open(wal.Config{Dir: dir, Fsync: f.cfg.fsync, Log: f.cfg.Log}, nil)
 		if err != nil {
 			return f.buildReport(), fmt.Errorf("runner: journal: %w", err)
 		}

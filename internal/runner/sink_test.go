@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -216,6 +217,28 @@ func TestHTTPSinkAgainstService(t *testing.T) {
 	}
 }
 
+// deadEndpoint returns the URL of a collector that never answers: a port
+// held for the whole test that closes every connection it accepts. A
+// closed server's port would be free for another test's listener to take
+// and answer on.
+func deadEndpoint(t *testing.T) string {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			c.Close()
+		}
+	}()
+	return "http://" + ln.Addr().String()
+}
+
 // TestHTTPSinkTransportFailover: only transport failures (the request
 // never completed) move the sink to the next BaseURL — within the same
 // Submit call, and sticky for the calls after it. Considered refusals
@@ -232,11 +255,9 @@ func TestHTTPSinkTransportFailover(t *testing.T) {
 		})
 	}
 
-	// Primary dies before the first submit; the fallback answers.
+	// The primary is dead from the first submit; the fallback answers.
 	var fallbackHits int
-	primary := httptest.NewServer(http.NotFoundHandler())
-	deadURL := primary.URL
-	primary.Close()
+	deadURL := deadEndpoint(t)
 	fallback := httptest.NewServer(accept(&fallbackHits))
 	defer fallback.Close()
 

@@ -28,6 +28,9 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -91,6 +94,8 @@ type Config struct {
 	// (*os.File).Sync). Tests inject fsync failures through it; leave it
 	// nil in production.
 	Fsync func(*os.File) error
+	// Log receives the wedge record, tagged component=wal (nil = discard).
+	Log *slog.Logger
 
 	now func() time.Time // test seam
 	// maxRecordBytes caps one record's payload (64 MiB; a test seam) so
@@ -117,6 +122,10 @@ func (c *Config) normalize() error {
 	if c.Fsync == nil {
 		c.Fsync = (*os.File).Sync
 	}
+	if c.Log == nil {
+		c.Log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
+	}
+	c.Log = c.Log.With("component", "wal")
 	return nil
 }
 
@@ -442,14 +451,14 @@ func (l *Log) Stage(payload []byte) (Pos, *Ticket, error) {
 	hdr := frame.RecordHeader(payload)
 	pos := Pos{Seg: l.seq, Off: l.off}
 	if _, err := l.f.Write(hdr[:]); err != nil {
-		l.wedged = err
+		l.wedge(err)
 		return Pos{}, nil, fmt.Errorf("wal: stage: %w", err)
 	}
 	if _, err := l.f.Write(payload); err != nil {
 		// A partial frame may now sit at l.off. Replay will truncate it
 		// as torn — which is only safe if nothing valid ever lands after
 		// it, so the log wedges rather than appending past damage.
-		l.wedged = err
+		l.wedge(err)
 		return Pos{}, nil, fmt.Errorf("wal: stage: %w", err)
 	}
 	n := int64(recHeaderBytes + len(payload))
@@ -551,9 +560,7 @@ func (l *Log) syncAll() error {
 	l.syncing = nil
 	if err != nil {
 		l.stats.SyncErrors++
-		if l.wedged == nil {
-			l.wedged = err
-		}
+		l.wedge(err)
 	} else {
 		l.lastSync = l.cfg.now()
 	}
@@ -565,6 +572,15 @@ func (l *Log) syncAll() error {
 		s.Close()
 	}
 	return err
+}
+
+// wedge is the one writer of the wedge latch: the first failure stays
+// and is logged once; a later one changes nothing. Caller holds l.mu.
+func (l *Log) wedge(err error) {
+	if l.wedged == nil {
+		l.wedged = err
+		l.cfg.Log.Error("wal wedged", "dir", l.cfg.Dir, "err", err)
+	}
 }
 
 // Head returns the position the NEXT record would be staged at. Every

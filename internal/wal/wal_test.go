@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -504,6 +506,37 @@ func TestFsyncFailureWedges(t *testing.T) {
 	}
 	if len(got) == 0 || got[0] != "before" {
 		t.Fatalf("acknowledged record lost: replayed %v", got)
+	}
+}
+
+// TestWedgeLoggedOnce: the wedge is one event. A failed fsync logs one
+// "wal wedged" record with its error; the hundred appends refused after
+// it, their verdicts and the Close log nothing more.
+func TestWedgeLoggedOnce(t *testing.T) {
+	var logs bytes.Buffer
+	var failing atomic.Bool
+	injected := errors.New("injected fsync EIO")
+	l, _, err := Open(Config{Dir: t.TempDir(), Log: slog.New(slog.NewJSONHandler(&logs, nil)), Fsync: func(f *os.File) error {
+		if failing.Load() {
+			return injected
+		}
+		return f.Sync()
+	}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failing.Store(true)
+	if _, err := l.Append([]byte("doomed")); !errors.Is(err, injected) {
+		t.Fatalf("append through failed fsync: err %v, want %v", err, injected)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := l.Append([]byte("after")); err == nil {
+			t.Fatal("wedged log accepted an append")
+		}
+	}
+	l.Close() // errors (wedged); it stops the syncer, so logs is ours to read
+	if got := strings.Count(logs.String(), `"msg":"wal wedged"`); got != 1 || !strings.Contains(logs.String(), `"err":"injected fsync EIO"`) {
+		t.Fatalf("logged %d \"wal wedged\" records, want 1 carrying the fsync error:\n%s", got, logs.String())
 	}
 }
 
