@@ -27,11 +27,11 @@ import (
 //
 // A declaration is reachable when a main function gets to it through
 // identifier references, or when its package is one no binary imports
-// (difftest, netchaos: test equipment, live as a whole). A method is also
-// reachable, and counts as used, when its receiver type is reachable and
-// the method belongs to an interface, declared or imported by the program,
-// that the type satisfies: String, Less and ServeHTTP are called through
-// the interface. An exported type is used outside its package when
+// (difftest, pgo: live as a whole). A method is also reachable, and
+// counts as used, when its receiver type is reachable and the method
+// belongs to an interface, declared or imported by the program, that the
+// type satisfies: String, Less and ServeHTTP are called through the
+// interface. An exported type is used outside its package when
 // another package holds a value of it, whether or not it spells the name.
 //
 // It asks one more thing of the options: every exported field of an

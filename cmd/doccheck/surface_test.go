@@ -157,9 +157,7 @@ func TestExportSurface(t *testing.T) {
 		"internal/ingest":      {44, 0},
 		"internal/isa":         {75, 0},
 		"internal/mem":         {15, 0},
-		"internal/netchaos":    {14, 0},
-		"internal/pathprof":    {24, 0},
-		"internal/pgo":         {5, 0},
+		"internal/pathprof":    {14, 0},
 		"internal/profile":     {89, 16},
 		"internal/runner":      {20, 0},
 		"internal/server":      {4, 0},
@@ -167,7 +165,7 @@ func TestExportSurface(t *testing.T) {
 		"internal/stats":       {31, 0},
 		"internal/traffic":     {25, 0},
 		"internal/wal":         {19, 0},
-		"internal/workload":    {20, 0},
+		"internal/workload":    {18, 0},
 	}
 	root := filepath.Join("..", "..")
 	s, err := loadSurface(root)

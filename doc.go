@@ -19,8 +19,11 @@
 //   - internal/experiments — one harness per table/figure of the paper.
 //
 // The executables are cmd/pmsim (run a workload under the profiler) and
-// cmd/figures (regenerate every table and figure). Runnable walkthroughs
-// live in examples/. `go test ./internal/experiments` runs every
+// cmd/figures (regenerate every table and figure). The walkthroughs are
+// Example tests whose printed output go test checks: ExampleRunShard and
+// ExampleRunShard_missAddresses (internal/runner), ExampleDB_WastedSlots
+// (internal/profile), and the package examples of internal/pathprof and
+// internal/pgo. `go test ./internal/experiments` runs every
 // experiment at its reduced configuration and asserts the DESIGN.md §5
 // ablations (TestAblations).
 //

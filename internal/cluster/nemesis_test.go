@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"profileme/internal/ingest"
-	"profileme/internal/netchaos"
 	"profileme/internal/profile"
 )
 
@@ -156,14 +155,14 @@ func overlap(a, b []string) int {
 // unfalsifiable. That fault class is pinned where its contract lives:
 // the same-instance retry in handleSubmit, the handoff dedupe tests,
 // TestRemovalLostAckStaysWithReceiver (a removal's lost handoff ack),
-// and netchaos's own tests.
+// and the fault plan's own tests (netchaos_check_test.go).
 //
 // Failures print the seed; replay with PM_NEMESIS_SEED=<seed>.
 func TestNemesisSoak(t *testing.T) {
 	seed := nemesisSeed(t)
-	rates := netchaos.Light()
+	rates := Light()
 	rates.ResetAfter = 0
-	plan := netchaos.MustNewPlan(seed, rates)
+	plan := MustNewPlan(seed, rates)
 	t.Cleanup(func() {
 		if t.Failed() {
 			t.Logf("nemesis: reproduce with PM_NEMESIS_SEED=%d; injected faults: %+v", seed, plan.Counts())
@@ -298,7 +297,7 @@ func TestNemesisSoak(t *testing.T) {
 		mustOp("/v1/membership/add", fmt.Sprintf(`{"id":%q,"url":%q}`, in.id, in.ts.URL))
 	}
 
-	phases := netchaos.Schedule(seed, []string{"router"}, ids, 8)
+	phases := Schedule(seed, []string{"router"}, ids, 8)
 	wave := func(i int) {
 		plan.ApplyPhase(phases[i])
 		time.Sleep(120 * time.Millisecond)

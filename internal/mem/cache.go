@@ -76,8 +76,7 @@ func newCache(cfg CacheConfig) *Cache {
 func (c *Cache) Config() CacheConfig { return c.cfg }
 
 func (c *Cache) set(addr uint64) ([]line, uint64) {
-	blk := addr >> c.lineShift
-	return c.sets[blk&c.setMask], blk
+	return c.sets[c.SetIndex(addr)], addr >> c.lineShift
 }
 
 // access looks up addr, filling the line on a miss (allocate-on-miss for
@@ -108,8 +107,9 @@ func (c *Cache) access(addr uint64) bool {
 	return false
 }
 
-// SetIndex returns the set number addr maps to, for conflict analysis
-// (the examples/memtuning scenario groups sampled miss addresses by set).
+// SetIndex returns the set number addr maps to: every lookup indexes
+// through it, and a conflict analysis groups sampled miss addresses by it
+// (runner's ExampleRunShard_missAddresses).
 func (c *Cache) SetIndex(addr uint64) uint64 {
 	return (addr >> c.lineShift) & c.setMask
 }

@@ -51,9 +51,9 @@ type pred struct {
 // instruction at To, in fetch order).
 type edge struct{ From, To uint64 }
 
-// CFG holds the static control-flow structure of a program plus observed
+// cfg holds the static control-flow structure of a program plus observed
 // dynamic edges for indirect transfers, preprocessed for backward walking.
-type CFG struct {
+type cfg struct {
 	prog *isa.Program
 	// preds[pc/4] lists dynamic-stream predecessors of each instruction,
 	// excluding interprocedural edges, which are resolved per mode.
@@ -68,10 +68,10 @@ type CFG struct {
 	edgeCount map[edge]uint64
 }
 
-// NewCFG builds the static CFG for prog.
-func NewCFG(prog *isa.Program) *CFG {
+// newCFG builds the static CFG for prog.
+func newCFG(prog *isa.Program) *cfg {
 	n := prog.Len()
-	g := &CFG{
+	g := &cfg{
 		prog:      prog,
 		preds:     make([][]pred, n),
 		callPreds: make([][]uint64, n),
@@ -139,7 +139,7 @@ func NewCFG(prog *isa.Program) *CFG {
 // would get these from relocation info or a BTB dump; the experiment
 // harvests them from the trace). Return edges are handled structurally and
 // must not be added here.
-func (g *CFG) addIndirectEdge(from, to uint64) {
+func (g *cfg) addIndirectEdge(from, to uint64) {
 	j := int(to / isa.InstBytes)
 	if j >= len(g.preds) {
 		return
@@ -154,18 +154,18 @@ func (g *CFG) addIndirectEdge(from, to uint64) {
 
 // addEdgeCount accumulates a dynamic edge execution count for the
 // execution-counts reconstruction scheme.
-func (g *CFG) addEdgeCount(from, to uint64, n uint64) {
+func (g *cfg) addEdgeCount(from, to uint64, n uint64) {
 	g.edgeCount[edge{From: from, To: to}] += n
 }
 
 // edgeCountOf returns the recorded dynamic count of an edge.
-func (g *CFG) edgeCountOf(from, to uint64) uint64 {
+func (g *cfg) edgeCountOf(from, to uint64) uint64 {
 	return g.edgeCount[edge{From: from, To: to}]
 }
 
 // predsOf returns the intraprocedural-stream predecessors of pc (falls,
 // conditional edges, direct jumps, observed indirect jumps).
-func (g *CFG) predsOf(pc uint64) []pred {
+func (g *cfg) predsOf(pc uint64) []pred {
 	i := int(pc / isa.InstBytes)
 	if i >= len(g.preds) {
 		return nil
@@ -174,7 +174,7 @@ func (g *CFG) predsOf(pc uint64) []pred {
 }
 
 // callPredsOf returns the call instructions targeting pc.
-func (g *CFG) callPredsOf(pc uint64) []uint64 {
+func (g *cfg) callPredsOf(pc uint64) []uint64 {
 	i := int(pc / isa.InstBytes)
 	if i >= len(g.callPreds) {
 		return nil
@@ -184,7 +184,7 @@ func (g *CFG) callPredsOf(pc uint64) []uint64 {
 
 // retPredsOf returns the return instructions that can dynamically precede pc
 // (pc is a return site).
-func (g *CFG) retPredsOf(pc uint64) []uint64 {
+func (g *cfg) retPredsOf(pc uint64) []uint64 {
 	i := int(pc / isa.InstBytes)
 	if i >= len(g.retPreds) {
 		return nil

@@ -52,7 +52,7 @@ type EvalConfig struct {
 	HistoryLens    []int  // history lengths to evaluate
 	Modes          []Mode
 	Seed           uint64
-	Limits         Limits
+	Limits         limits
 }
 
 // DefaultEvalConfig mirrors the paper's setup: pair distance 1-50,
@@ -63,9 +63,9 @@ func DefaultEvalConfig() EvalConfig {
 		SampleInterval: 500,
 		PairWindow:     50,
 		HistoryLens:    []int{1, 2, 4, 6, 8, 10, 12, 14, 16},
-		Modes:          []Mode{Intraproc, interproc},
+		Modes:          []Mode{intraproc, interproc},
 		Seed:           1,
-		Limits:         Limits{MaxPaths: 8, MaxSteps: 50_000, MaxLen: 4096},
+		Limits:         limits{MaxPaths: 8, MaxSteps: 50_000, MaxLen: 4096},
 	}
 }
 
@@ -103,7 +103,7 @@ func Evaluate(prog *isa.Program, cfg EvalConfig) ([]*ModeResult, error) {
 		}
 	}
 
-	g := NewCFG(prog)
+	g := newCFG(prog)
 	rng := stats.NewRNG(cfg.Seed)
 
 	// Pass 1: stream the trace once. Collect dynamic edge counts,
@@ -111,7 +111,7 @@ func Evaluate(prog *isa.Program, cfg EvalConfig) ([]*ModeResult, error) {
 	// ring of recent PCs for ground-truth paths.
 	ring := newPCRing(cfg.Limits.MaxLen * 4)
 	var samples []evalSample
-	var truth [][][]Path // per sample, per mode, per history length
+	var truth [][][]path // per sample, per mode, per history length
 
 	var hist uint64
 	var prevPC uint64
@@ -164,7 +164,7 @@ func Evaluate(prog *isa.Program, cfg EvalConfig) ([]*ModeResult, error) {
 				}
 			}
 			samples = append(samples, s)
-			perMode := make([][]Path, len(cfg.Modes))
+			perMode := make([][]path, len(cfg.Modes))
 			for mi, mode := range cfg.Modes {
 				perMode[mi] = actualPaths(prog, ring, rec.PC, cfg.HistoryLens, mode)
 			}
@@ -181,7 +181,7 @@ func Evaluate(prog *isa.Program, cfg EvalConfig) ([]*ModeResult, error) {
 		prevPC, prevValid, prevClass = rec.PC, true, rec.Inst.Op.Class()
 	}
 	// Pass 2: reconstruct.
-	rc := NewReconstructor(g, cfg.Limits)
+	rc := newReconstructor(g, cfg.Limits)
 	results := make([]*ModeResult, len(cfg.Modes))
 	for mi, mode := range cfg.Modes {
 		res := &ModeResult{Mode: mode, HistoryLens: cfg.HistoryLens}
@@ -206,7 +206,7 @@ func Evaluate(prog *isa.Program, cfg EvalConfig) ([]*ModeResult, error) {
 
 				// History bits (one enumeration serves both history
 				// schemes; the pair filter applies post hoc).
-				paths, truncated := rc.Consistent(s.pc, s.hist, hl, mode, nil)
+				paths, truncated := rc.consistent(s.pc, s.hist, hl, mode, nil)
 				res.Cells[SchemeHistory][li].Total++
 				if !truncated && len(paths) == 1 && paths[0].equal(want) {
 					res.Cells[SchemeHistory][li].Success++
@@ -216,7 +216,7 @@ func Evaluate(prog *isa.Program, cfg EvalConfig) ([]*ModeResult, error) {
 				if !truncated {
 					filtered := paths
 					if s.hasPartner && pairApplicable(prog, mode, s.pc, s.partnerPC) {
-						pair := &PairConstraint{PartnerPC: s.partnerPC, Distance: s.partnerDist}
+						pair := &pairConstraint{PartnerPC: s.partnerPC, Distance: s.partnerDist}
 						filtered = filterPair(paths, pair, mode)
 					}
 					if len(filtered) == 1 && filtered[0].equal(want) {
@@ -245,8 +245,8 @@ func pairApplicable(prog *isa.Program, mode Mode, samplePC, partnerPC uint64) bo
 // must appear at its exact fetch distance; in intraprocedural mode the
 // path is the procedure-projected stream, so containment is required
 // instead.
-func filterPair(paths []Path, pair *PairConstraint, mode Mode) []Path {
-	var out []Path
+func filterPair(paths []path, pair *pairConstraint, mode Mode) []path {
+	var out []path
 	for _, p := range paths {
 		if mode == interproc {
 			if pair.Distance < len(p) && p[pair.Distance] != pair.PartnerPC {
@@ -260,7 +260,7 @@ func filterPair(paths []Path, pair *PairConstraint, mode Mode) []Path {
 	return out
 }
 
-func contains(p Path, pc uint64) bool {
+func contains(p path, pc uint64) bool {
 	for _, x := range p {
 		if x == pc {
 			return true
@@ -273,8 +273,8 @@ func contains(p Path, pc uint64) bool {
 // length from the recent-PC ring, under the mode's stopping and
 // projection rules. Entries are nil when the ring does not reach far
 // enough.
-func actualPaths(prog *isa.Program, ring *pcRing, samplePC uint64, lens []int, mode Mode) []Path {
-	out := make([]Path, len(lens))
+func actualPaths(prog *isa.Program, ring *pcRing, samplePC uint64, lens []int, mode Mode) []path {
+	out := make([]path, len(lens))
 	maxLen := 0
 	for _, l := range lens {
 		if l > maxLen {
@@ -283,7 +283,7 @@ func actualPaths(prog *isa.Program, ring *pcRing, samplePC uint64, lens []int, m
 	}
 	proc := prog.ProcAt(samplePC)
 
-	path := Path{samplePC}
+	walk := path{samplePC}
 	bits := 0
 	// next result slot to fill, in ascending history-length order
 	done := make([]bool, len(lens))
@@ -293,7 +293,7 @@ func actualPaths(prog *isa.Program, ring *pcRing, samplePC uint64, lens []int, m
 				continue
 			}
 			if bits >= l {
-				out[i] = append(Path(nil), path...)
+				out[i] = append(path(nil), walk...)
 				done[i] = true
 			}
 		}
@@ -301,7 +301,7 @@ func actualPaths(prog *isa.Program, ring *pcRing, samplePC uint64, lens []int, m
 	fillEntry := func() {
 		for i := range lens {
 			if !done[i] {
-				out[i] = append(Path(nil), path...)
+				out[i] = append(path(nil), walk...)
 				done[i] = true
 			}
 		}
@@ -309,7 +309,7 @@ func actualPaths(prog *isa.Program, ring *pcRing, samplePC uint64, lens []int, m
 	fill()
 
 	for back := 0; ; back++ {
-		if mode == Intraproc && proc != nil && path[len(path)-1] == proc.Start {
+		if mode == intraproc && proc != nil && walk[len(walk)-1] == proc.Start {
 			fillEntry()
 			break
 		}
@@ -327,10 +327,10 @@ func actualPaths(prog *isa.Program, ring *pcRing, samplePC uint64, lens []int, m
 		if !ok {
 			break // ring exhausted: remaining lengths stay nil
 		}
-		if mode == Intraproc && (proc == nil || !proc.Contains(pc)) {
+		if mode == intraproc && (proc == nil || !proc.Contains(pc)) {
 			continue // project onto the sample's procedure
 		}
-		path = append(path, pc)
+		walk = append(walk, pc)
 		if in, ok := prog.At(pc); ok && in.Op.IsConditional() {
 			bits++
 		}

@@ -7,6 +7,11 @@ import (
 	"profileme/internal/isa"
 )
 
+// defaultLimits returns generous but safe search bounds.
+func defaultLimits() limits {
+	return limits{MaxPaths: 256, MaxSteps: 200_000, MaxLen: 4096}
+}
+
 // diamond is a classic if/else merge inside a loop:
 //
 //	loop:  beq r2, else_     ; cond A
@@ -32,7 +37,7 @@ merge:
 
 func TestCFGPreds(t *testing.T) {
 	prog := asm.MustAssemble(diamondSrc)
-	g := NewCFG(prog)
+	g := newCFG(prog)
 
 	mergePC, _ := prog.Label("merge")
 	preds := g.predsOf(mergePC)
@@ -74,7 +79,7 @@ func TestCFGCallRetEdges(t *testing.T) {
     add r3, r3, #1
     ret (ra)
 .endp`)
-	g := NewCFG(prog)
+	g := newCFG(prog)
 	sub1PC, _ := prog.Label("sub1")
 	calls := g.callPredsOf(sub1PC)
 	if len(calls) != 1 || calls[0] != 4 {
@@ -92,15 +97,15 @@ func TestCFGCallRetEdges(t *testing.T) {
 
 func TestConsistentDiamond(t *testing.T) {
 	prog := asm.MustAssemble(diamondSrc)
-	g := NewCFG(prog)
-	rc := NewReconstructor(g, DefaultLimits())
+	g := newCFG(prog)
+	rc := newReconstructor(g, defaultLimits())
 	mergePC, _ := prog.Label("merge")
 	elsePC, _ := prog.Label("else_")
 	loopPC, _ := prog.Label("loop")
 
 	// One history bit: the beq direction. Taken (bit=1) => path came
 	// through else_.
-	paths, trunc := rc.Consistent(mergePC, 1, 1, Intraproc, nil)
+	paths, trunc := rc.consistent(mergePC, 1, 1, intraproc, nil)
 	if trunc {
 		t.Fatal("truncated")
 	}
@@ -112,13 +117,13 @@ func TestConsistentDiamond(t *testing.T) {
 	}
 
 	// Not taken (bit=0) => through the then side (br merge).
-	paths, _ = rc.Consistent(mergePC, 0, 1, Intraproc, nil)
+	paths, _ = rc.consistent(mergePC, 0, 1, intraproc, nil)
 	if len(paths) != 1 || contains(paths[0], elsePC) {
 		t.Fatalf("not-taken reconstruction wrong: %v", paths)
 	}
 
 	// Zero history bits: complete immediately, single trivial path.
-	paths, _ = rc.Consistent(mergePC, 0, 0, Intraproc, nil)
+	paths, _ = rc.consistent(mergePC, 0, 0, intraproc, nil)
 	if len(paths) != 1 || len(paths[0]) != 1 {
 		t.Fatalf("zero-bit path = %v", paths)
 	}
@@ -128,7 +133,7 @@ func TestConsistentDiamond(t *testing.T) {
 	// Both complete — the entry path by the reached-routine-start rule —
 	// so the reconstruction is legitimately ambiguous: exactly the
 	// failure mode the paper's success metric penalizes.
-	paths, _ = rc.Consistent(loopPC, 0b11, 2, Intraproc, nil)
+	paths, _ = rc.consistent(loopPC, 0b11, 2, intraproc, nil)
 	if len(paths) != 2 {
 		t.Fatalf("loop 2-bit paths = %d, want 2 (iteration + entry)", len(paths))
 	}
@@ -146,11 +151,11 @@ func TestConsistentDiamond(t *testing.T) {
 
 func TestConsistentProcEntryStops(t *testing.T) {
 	prog := asm.MustAssemble(diamondSrc)
-	g := NewCFG(prog)
-	rc := NewReconstructor(g, DefaultLimits())
+	g := newCFG(prog)
+	rc := newReconstructor(g, defaultLimits())
 	// From the lda (PC 0, = proc entry), any history: the path is just
 	// the entry itself.
-	paths, _ := rc.Consistent(0, 0b1010, 4, Intraproc, nil)
+	paths, _ := rc.consistent(0, 0b1010, 4, intraproc, nil)
 	if len(paths) != 1 || len(paths[0]) != 1 {
 		t.Fatalf("entry paths = %v", paths)
 	}
@@ -171,10 +176,10 @@ target:
     bne r1, a
     ret
 .endp`)
-	g := NewCFG(prog)
-	rc := NewReconstructor(g, DefaultLimits())
+	g := newCFG(prog)
+	rc := newReconstructor(g, defaultLimits())
 	targetPC, _ := prog.Label("target")
-	paths, _ := rc.Consistent(targetPC, 1, 1, Intraproc, nil)
+	paths, _ := rc.consistent(targetPC, 1, 1, intraproc, nil)
 	if len(paths) < 2 {
 		t.Fatalf("expected ambiguity, got %d paths", len(paths))
 	}
@@ -193,15 +198,15 @@ target:
     bne r1, a
     ret
 .endp`)
-	g := NewCFG(prog)
-	rc := NewReconstructor(g, DefaultLimits())
+	g := newCFG(prog)
+	rc := newReconstructor(g, defaultLimits())
 	targetPC, _ := prog.Label("target")
 	aPC, _ := prog.Label("a")
 
 	// Partner at distance 1 is the `a` branch: only the a->target path
 	// survives.
-	pair := &PairConstraint{PartnerPC: aPC, Distance: 1}
-	paths, _ := rc.Consistent(targetPC, 1, 1, Intraproc, pair)
+	pair := &pairConstraint{PartnerPC: aPC, Distance: 1}
+	paths, _ := rc.consistent(targetPC, 1, 1, intraproc, pair)
 	if len(paths) != 1 {
 		t.Fatalf("pair-pruned paths = %d", len(paths))
 	}
@@ -212,7 +217,7 @@ target:
 
 func TestMostLikelyFollowsHotEdge(t *testing.T) {
 	prog := asm.MustAssemble(diamondSrc)
-	g := NewCFG(prog)
+	g := newCFG(prog)
 	mergePC, _ := prog.Label("merge")
 	elsePC, _ := prog.Label("else_")
 
@@ -221,13 +226,13 @@ func TestMostLikelyFollowsHotEdge(t *testing.T) {
 	brPC := elsePC - 4 // the br merge instruction
 	g.addEdgeCount(brPC, mergePC, 10)
 
-	rc := NewReconstructor(g, DefaultLimits())
-	path, ok := rc.mostLikely(mergePC, 1, Intraproc)
+	rc := newReconstructor(g, defaultLimits())
+	walk, ok := rc.mostLikely(mergePC, 1, intraproc)
 	if !ok {
 		t.Fatal("dead end")
 	}
-	if path[1] != elsePC {
-		t.Fatalf("greedy path took cold edge: %v", path)
+	if walk[1] != elsePC {
+		t.Fatalf("greedy path took cold edge: %v", walk)
 	}
 }
 
@@ -246,14 +251,14 @@ loop:
     add r2, r2, #1
     ret (ra)
 .endp`)
-	g := NewCFG(prog)
-	rc := NewReconstructor(g, DefaultLimits())
+	g := newCFG(prog)
+	rc := newReconstructor(g, defaultLimits())
 
 	// From the sub after the call, one bit (previous bne taken): the
 	// interprocedural path must route through the callee (ret, add,
 	// entry) back to the jsr and the bne before it.
 	subPC := uint64(12)
-	paths, trunc := rc.Consistent(subPC, 1, 1, interproc, nil)
+	paths, trunc := rc.consistent(subPC, 1, 1, interproc, nil)
 	if trunc {
 		t.Fatal("truncated")
 	}
@@ -268,7 +273,7 @@ loop:
 	// Intraprocedural: the call is opaque, so the path steps straight
 	// from sub over the jsr. Two candidates complete: through the taken
 	// bne (previous iteration) and straight back to the routine entry.
-	paths, _ = rc.Consistent(subPC, 1, 1, Intraproc, nil)
+	paths, _ = rc.consistent(subPC, 1, 1, intraproc, nil)
 	if len(paths) != 2 {
 		t.Fatalf("intraproc paths = %d", len(paths))
 	}
@@ -365,7 +370,7 @@ bottom:
 	cfg.MaxInst = 0
 	cfg.SampleInterval = 37
 	cfg.HistoryLens = []int{2, 4}
-	cfg.Modes = []Mode{Intraproc}
+	cfg.Modes = []Mode{intraproc}
 	results, err := Evaluate(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -388,7 +393,7 @@ func TestSchemeAndModeStrings(t *testing.T) {
 	if SchemeExecCounts.String() != "exec-counts" || SchemeHistoryPair.String() != "history+pair" {
 		t.Fatal("scheme names")
 	}
-	if Intraproc.String() == interproc.String() {
+	if intraproc.String() == interproc.String() {
 		t.Fatal("mode names")
 	}
 }
@@ -413,35 +418,35 @@ func TestPCRing(t *testing.T) {
 }
 
 func TestPathEqual(t *testing.T) {
-	if !(Path{1, 2}).equal(Path{1, 2}) {
+	if !(path{1, 2}).equal(path{1, 2}) {
 		t.Fatal("equal paths")
 	}
-	if (Path{1, 2}).equal(Path{1}) || (Path{1, 2}).equal(Path{1, 3}) {
+	if (path{1, 2}).equal(path{1}) || (path{1, 2}).equal(path{1, 3}) {
 		t.Fatal("unequal paths")
 	}
 }
 
 func TestLimitsTruncation(t *testing.T) {
 	prog := asm.MustAssemble(diamondSrc)
-	g := NewCFG(prog)
+	g := newCFG(prog)
 	mergePC, _ := prog.Label("merge")
 
 	// A step budget of 1 cannot finish anything: must report truncation.
-	rc := NewReconstructor(g, Limits{MaxPaths: 8, MaxSteps: 1, MaxLen: 4096})
-	_, trunc := rc.Consistent(mergePC, 1, 4, Intraproc, nil)
+	rc := newReconstructor(g, limits{MaxPaths: 8, MaxSteps: 1, MaxLen: 4096})
+	_, trunc := rc.consistent(mergePC, 1, 4, intraproc, nil)
 	if !trunc {
 		t.Fatal("step budget exhaustion not reported")
 	}
 
 	// MaxLen 2 dead-ends every path longer than two instructions.
-	rc = NewReconstructor(g, Limits{MaxPaths: 8, MaxSteps: 1000, MaxLen: 2})
-	paths, trunc := rc.Consistent(mergePC, 0b1111, 4, Intraproc, nil)
+	rc = newReconstructor(g, limits{MaxPaths: 8, MaxSteps: 1000, MaxLen: 2})
+	paths, trunc := rc.consistent(mergePC, 0b1111, 4, intraproc, nil)
 	if trunc || len(paths) != 0 {
 		t.Fatalf("short MaxLen: paths=%d trunc=%v", len(paths), trunc)
 	}
 
 	// mostLikely with a tiny budget dead-ends rather than spinning.
-	if _, ok := rc.mostLikely(mergePC, 8, Intraproc); ok {
+	if _, ok := rc.mostLikely(mergePC, 8, intraproc); ok {
 		t.Fatal("MostLikely ignored MaxLen")
 	}
 }
@@ -470,10 +475,10 @@ recurse:
     mul r2, r2, #2
     ret (ra)
 .endp`)
-	g := NewCFG(prog)
-	rc := NewReconstructor(g, Limits{MaxPaths: 16, MaxSteps: 5000, MaxLen: 256})
+	g := newCFG(prog)
+	rc := newReconstructor(g, limits{MaxPaths: 16, MaxSteps: 5000, MaxLen: 256})
 	factPC, _ := prog.Label("fact")
-	paths, _ := rc.Consistent(factPC+4, 0b10101010, 8, interproc, nil)
+	paths, _ := rc.consistent(factPC+4, 0b10101010, 8, interproc, nil)
 	// Any outcome is acceptable as long as it terminates; sanity-check
 	// path shapes when found.
 	for _, p := range paths {

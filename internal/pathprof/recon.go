@@ -9,9 +9,9 @@ import (
 type Mode uint8
 
 const (
-	// Intraproc stops at the enclosing procedure's entry and treats calls
+	// intraproc stops at the enclosing procedure's entry and treats calls
 	// as opaque sequential instructions (the trace-scheduling view).
-	Intraproc Mode = iota
+	intraproc Mode = iota
 	// interproc walks through call sites and callee returns; a path is
 	// complete only when it has consumed the full branch history.
 	interproc
@@ -19,31 +19,26 @@ const (
 
 // String returns the mode name.
 func (m Mode) String() string {
-	if m == Intraproc {
+	if m == intraproc {
 		return "intraprocedural"
 	}
 	return "interprocedural"
 }
 
-// Limits bounds the backward search.
-type Limits struct {
+// limits bounds the backward search.
+type limits struct {
 	MaxPaths int // stop enumerating after this many complete paths
 	MaxSteps int // total backward expansions before giving up
 	MaxLen   int // maximum path length in instructions
 }
 
-// DefaultLimits returns generous but safe search bounds.
-func DefaultLimits() Limits {
-	return Limits{MaxPaths: 256, MaxSteps: 200_000, MaxLen: 4096}
-}
-
-// Path is an execution path segment in backward order: Path[0] is the
-// sampled instruction, Path[1] the instruction fetched just before it, and
+// path is an execution path segment in backward order: path[0] is the
+// sampled instruction, path[1] the instruction fetched just before it, and
 // so on.
-type Path []uint64
+type path []uint64
 
 // equal reports whether two paths are identical.
-func (p Path) equal(q Path) bool {
+func (p path) equal(q path) bool {
 	if len(p) != len(q) {
 		return false
 	}
@@ -55,44 +50,44 @@ func (p Path) equal(q Path) bool {
 	return true
 }
 
-// PairConstraint carries the paired-sample pruning information: the
+// pairConstraint carries the paired-sample pruning information: the
 // partner instruction was fetched Distance instructions before the sampled
 // one.
-type PairConstraint struct {
+type pairConstraint struct {
 	PartnerPC uint64
 	Distance  int
 }
 
-// Reconstructor runs backward path searches over a CFG.
-type Reconstructor struct {
-	g   *CFG
-	lim Limits
+// reconstructor runs backward path searches over a CFG.
+type reconstructor struct {
+	g   *cfg
+	lim limits
 }
 
-// NewReconstructor returns a reconstructor with the given limits.
-func NewReconstructor(g *CFG, lim Limits) *Reconstructor {
-	return &Reconstructor{g: g, lim: lim}
+// newReconstructor returns a reconstructor with the given limits.
+func newReconstructor(g *cfg, lim limits) *reconstructor {
+	return &reconstructor{g: g, lim: lim}
 }
 
 // state is one node of the backward DFS.
 type state struct {
 	pc       uint64
 	bitsUsed int
-	path     Path
+	path     path
 }
 
-// Consistent enumerates the path segments ending at pc that are consistent
+// consistent enumerates the path segments ending at pc that are consistent
 // with the low histLen bits of hist (bit 0 = most recent branch). pair,
 // when non-nil, prunes paths whose instruction at the partner distance is
 // not the partner PC. truncated reports the search hit a limit.
 //
 // A path is complete when histLen conditional branches have been consumed,
-// or — in Intraproc mode — when the walk reaches the start of the
+// or — in intraproc mode — when the walk reaches the start of the
 // procedure containing pc.
-func (r *Reconstructor) Consistent(pc uint64, hist uint64, histLen int, mode Mode, pair *PairConstraint) (paths []Path, truncated bool) {
+func (r *reconstructor) consistent(pc uint64, hist uint64, histLen int, mode Mode, pair *pairConstraint) (paths []path, truncated bool) {
 	proc := r.g.prog.ProcAt(pc)
 	steps := 0
-	stack := []state{{pc: pc, path: Path{pc}}}
+	stack := []state{{pc: pc, path: path{pc}}}
 
 	for len(stack) > 0 {
 		if len(paths) >= r.lim.MaxPaths || steps >= r.lim.MaxSteps {
@@ -106,7 +101,7 @@ func (r *Reconstructor) Consistent(pc uint64, hist uint64, histLen int, mode Mod
 			paths = appendIfPairOK(paths, s.path, pair)
 			continue
 		}
-		if mode == Intraproc && proc != nil && s.pc == proc.Start {
+		if mode == intraproc && proc != nil && s.pc == proc.Start {
 			paths = appendIfPairOK(paths, s.path, pair)
 			continue
 		}
@@ -125,7 +120,7 @@ func (r *Reconstructor) Consistent(pc uint64, hist uint64, histLen int, mode Mod
 					continue
 				}
 			}
-			np := make(Path, len(s.path)+1)
+			np := make(path, len(s.path)+1)
 			copy(np, s.path)
 			np[len(s.path)] = pr.PC
 			nb := s.bitsUsed
@@ -139,7 +134,7 @@ func (r *Reconstructor) Consistent(pc uint64, hist uint64, histLen int, mode Mod
 }
 
 // expand lists the backward-step candidates of pc under the given mode.
-func (r *Reconstructor) expand(pc uint64, mode Mode, proc *isa.Proc) []pred {
+func (r *reconstructor) expand(pc uint64, mode Mode, proc *isa.Proc) []pred {
 	var out []pred
 	out = append(out, r.g.predsOf(pc)...)
 
@@ -152,7 +147,7 @@ func (r *Reconstructor) expand(pc uint64, mode Mode, proc *isa.Proc) []pred {
 	}
 
 	switch mode {
-	case Intraproc:
+	case intraproc:
 		// Calls are opaque: step straight back over the jsr.
 		if prevIsCall {
 			out = append(out, pred{PC: prevPC, Kind: predFall})
@@ -180,7 +175,7 @@ func (r *Reconstructor) expand(pc uint64, mode Mode, proc *isa.Proc) []pred {
 	return out
 }
 
-func appendIfPairOK(paths []Path, p Path, pair *PairConstraint) []Path {
+func appendIfPairOK(paths []path, p path, pair *pairConstraint) []path {
 	if pair != nil && pair.Distance >= 0 && pair.Distance < len(p) {
 		if p[pair.Distance] != pair.PartnerPC {
 			return paths
@@ -193,18 +188,18 @@ func appendIfPairOK(paths []Path, p Path, pair *PairConstraint) []Path {
 // following the highest-execution-count predecessor at every step,
 // ignoring history bits (Figure 6's "Execution counts" scheme). It stops
 // under the same completion rules (branch budget, or procedure entry in
-// Intraproc mode). ok is false when the walk dead-ends first.
-func (r *Reconstructor) mostLikely(pc uint64, histLen int, mode Mode) (Path, bool) {
+// intraproc mode). ok is false when the walk dead-ends first.
+func (r *reconstructor) mostLikely(pc uint64, histLen int, mode Mode) (path, bool) {
 	proc := r.g.prog.ProcAt(pc)
-	path := Path{pc}
+	walk := path{pc}
 	bits := 0
 	cur := pc
 	for bits < histLen {
-		if mode == Intraproc && proc != nil && cur == proc.Start {
-			return path, true
+		if mode == intraproc && proc != nil && cur == proc.Start {
+			return walk, true
 		}
-		if len(path) >= r.lim.MaxLen {
-			return path, false
+		if len(walk) >= r.lim.MaxLen {
+			return walk, false
 		}
 		var best *pred
 		var bestCount uint64
@@ -216,13 +211,13 @@ func (r *Reconstructor) mostLikely(pc uint64, histLen int, mode Mode) (Path, boo
 			}
 		}
 		if best == nil {
-			return path, false
+			return walk, false
 		}
 		if best.TakesBit {
 			bits++
 		}
-		path = append(path, best.PC)
+		walk = append(walk, best.PC)
 		cur = best.PC
 	}
-	return path, true
+	return walk, true
 }

@@ -20,8 +20,8 @@ import (
 	"profileme/internal/profile"
 )
 
-// Candidate is a load the analysis proposes to prefetch.
-type Candidate struct {
+// candidate is a load the analysis proposes to prefetch.
+type candidate struct {
 	PC       uint64
 	Samples  uint64
 	MissRate float64 // sampled D-cache miss fraction
@@ -36,11 +36,11 @@ const (
 	minMeanLat  = 20  // cycles; skip loads the cache already serves
 )
 
-// Analyze scans the profile database for miss-heavy strided loads. The
+// analyze scans the profile database for miss-heavy strided loads. The
 // database must have been collected with RetainAddrs > 1 so stride
 // detection has addresses to work with.
-func Analyze(db *profile.DB, prog *isa.Program) []Candidate {
-	var out []Candidate
+func analyze(db *profile.DB, prog *isa.Program) []candidate {
+	var out []candidate
 	for _, pc := range db.PCs() {
 		in, ok := prog.At(pc)
 		if !ok || in.Op != isa.OpLd {
@@ -56,7 +56,7 @@ func Analyze(db *profile.DB, prog *isa.Program) []Candidate {
 			continue
 		}
 		stride := detectStride(a.Addrs)
-		out = append(out, Candidate{
+		out = append(out, candidate{
 			PC: pc, Samples: a.Samples, MissRate: missRate, MeanLat: meanLat, Stride: stride,
 		})
 	}
@@ -117,33 +117,33 @@ func gcd(a, b int64) int64 {
 	return a
 }
 
-// Plan is one prefetch insertion: before the load at LoadPC, prefetch
+// plan is one prefetch insertion: before the load at LoadPC, prefetch
 // [base + LoadImm + Ahead] using the load's own base register.
-type Plan struct {
+type plan struct {
 	LoadPC uint64
 	Ahead  int64 // displacement added to the load's address
 }
 
-// PlanPrefetches turns candidates into insertion plans: the prefetch
+// planPrefetches turns candidates into insertion plans: the prefetch
 // reaches Distance executions ahead (Distance * stride bytes past the
 // current address). Candidates without a stride are skipped.
-func PlanPrefetches(cands []Candidate, distance int64) []Plan {
-	var out []Plan
+func planPrefetches(cands []candidate, distance int64) []plan {
+	var out []plan
 	for _, c := range cands {
 		if c.Stride == 0 {
 			continue
 		}
-		out = append(out, Plan{LoadPC: c.PC, Ahead: c.Stride * distance})
+		out = append(out, plan{LoadPC: c.PC, Ahead: c.Stride * distance})
 	}
 	return out
 }
 
-// InsertPrefetches rewrites prog with a pref instruction immediately
+// insertPrefetches rewrites prog with a pref instruction immediately
 // before each planned load, relocating all following instructions and
 // retargeting every direct branch, jump and call. Programs containing
 // indirect jumps are rejected: their targets (jump tables in data) cannot
 // be relocated safely. Returns the rewritten program.
-func InsertPrefetches(prog *isa.Program, plans []Plan) (*isa.Program, error) {
+func insertPrefetches(prog *isa.Program, plans []plan) (*isa.Program, error) {
 	if len(plans) == 0 {
 		return prog, nil
 	}

@@ -58,7 +58,7 @@ table:
 	}
 	loadPC := uint64(2) * isa.InstBytes
 
-	re, err := InsertPrefetches(prog, []Plan{{LoadPC: loadPC, Ahead: 128}})
+	re, err := insertPrefetches(prog, []plan{{LoadPC: loadPC, Ahead: 128}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,16 +103,16 @@ func TestInsertPrefetchesFuzzEquivalence(t *testing.T) {
 	for seed := uint64(300); seed < 308; seed++ {
 		cfg := workload.GenConfig{Procs: 3, BodyBlocks: 5, MainIters: 40, Seed: seed}
 		prog := workload.Generate(cfg)
-		var plans []Plan
+		var plans []plan
 		for i, in := range prog.Insts {
 			if in.Op == isa.OpLd {
-				plans = append(plans, Plan{LoadPC: uint64(i) * isa.InstBytes, Ahead: 64})
+				plans = append(plans, plan{LoadPC: uint64(i) * isa.InstBytes, Ahead: 64})
 			}
 		}
 		if len(plans) == 0 {
 			continue
 		}
-		re, err := InsertPrefetches(prog, plans)
+		re, err := insertPrefetches(prog, plans)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -169,14 +169,14 @@ func TestInsertPrefetchesRejectsIndirect(t *testing.T) {
 			break
 		}
 	}
-	if _, err := InsertPrefetches(prog, []Plan{{LoadPC: loadPC}}); err == nil {
+	if _, err := insertPrefetches(prog, []plan{{LoadPC: loadPC}}); err == nil {
 		t.Fatal("indirect-jump program accepted")
 	}
 }
 
 func TestInsertPrefetchesRejectsNonLoad(t *testing.T) {
 	prog := asm.MustAssemble(".proc main\n add r1, r1, #1\n ret\n.endp")
-	if _, err := InsertPrefetches(prog, []Plan{{LoadPC: 0}}); err == nil {
+	if _, err := insertPrefetches(prog, []plan{{LoadPC: 0}}); err == nil {
 		t.Fatal("non-load plan accepted")
 	}
 }
@@ -240,7 +240,7 @@ func TestEndToEndPrefetchSpeedup(t *testing.T) {
 	base := run(prog, db)
 
 	// 2. Analyze: the strided load must surface as the top candidate.
-	cands := Analyze(db, prog)
+	cands := analyze(db, prog)
 	if len(cands) == 0 {
 		t.Fatal("no candidates found")
 	}
@@ -253,7 +253,7 @@ func TestEndToEndPrefetchSpeedup(t *testing.T) {
 	}
 
 	// 3. Transform and re-run.
-	re, err := InsertPrefetches(prog, PlanPrefetches(cands, 8))
+	re, err := insertPrefetches(prog, planPrefetches(cands, 8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,10 +48,10 @@ func dbParams(ccfg cpu.Config, ucfg core.Config) (s float64, w, c int) {
 
 // RunShard is the one way a profiled run is made: pmsim's single run, every
 // fleet job, every pmtraffic gen payload, each ProfileMe run of the
-// experiments and examples. It runs prog on a ccfg pipeline with a ucfg
-// ProfileMe unit feeding a fresh database, under plan (nil = no fault
-// injection) attached to both unit and pipeline, until the program ends
-// or ctx is done. also, when non-nil, sees
+// experiments and of the Example tests. It runs prog on a ccfg pipeline
+// with a ucfg ProfileMe unit feeding a fresh database, under plan (nil =
+// no fault injection) attached to both unit and pipeline, until the
+// program ends or ctx is done. also, when non-nil, sees
 // each delivered sample batch after the database has; it is for what the
 // database does not keep, never for re-counting what it does. A run with
 // no ProfileMe unit is a plain cpu.New call. Outside this function only

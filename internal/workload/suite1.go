@@ -74,13 +74,13 @@ htab:
 	return p
 }
 
-// GCC is an expression-tree evaluator in the style of SPEC GCC's constant
+// gcc is an expression-tree evaluator in the style of SPEC GCC's constant
 // folding: recursive evaluation over binary trees stored in memory, with a
 // branchy operator dispatch at every inner node. Call-heavy, branchy, and
 // full of dependent pointer loads.
-func GCC(scale int) *isa.Program { return gccSeeded(scale, 0) }
+func gcc(scale int) *isa.Program { return gccSeeded(scale, 0) }
 
-// gccSeeded is GCC with an explicit tree-shape seed (0 = canonical).
+// gccSeeded is gcc with an explicit tree-shape seed (0 = canonical).
 func gccSeeded(scale int, dataSeed uint64) *isa.Program {
 	const (
 		nodeBase  = 0x30000

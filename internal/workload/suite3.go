@@ -75,13 +75,13 @@ spheres:
 	return p
 }
 
-// Vortex is a record-store kernel in the style of SPEC VORTEX: hashed
+// vortex is a record-store kernel in the style of SPEC VORTEX: hashed
 // lookups into a 256 KB open-addressed record table with bounded probing,
 // field updates on hit and insert-with-eviction on miss, behind a
 // procedure-call interface. The store-heavy member of the suite.
-func Vortex(scale int) *isa.Program { return vortexSeeded(scale, 0) }
+func vortex(scale int) *isa.Program { return vortexSeeded(scale, 0) }
 
-// vortexSeeded is Vortex with an explicit record-prefill seed
+// vortexSeeded is vortex with an explicit record-prefill seed
 // (0 = canonical).
 func vortexSeeded(scale int, dataSeed uint64) *isa.Program {
 	const (

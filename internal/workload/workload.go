@@ -45,13 +45,13 @@ type Benchmark struct {
 func Suite() []Benchmark {
 	return []Benchmark{
 		{"compress", "hash-table stream compression: data-dependent branches, table misses", Compress, compressSeeded},
-		{"gcc", "expression-tree evaluation: call-heavy, branchy, pointer loads", GCC, gccSeeded},
+		{"gcc", "expression-tree evaluation: call-heavy, branchy, pointer loads", gcc, gccSeeded},
 		{"go", "board scanning: irregular data-dependent branches", Go, goSeeded},
 		{"ijpeg", "dense block arithmetic: high ILP, regular memory", Ijpeg, ijpegSeeded},
 		{"li", "cons-cell list interpreter: serial pointer chasing", li, liSeeded},
 		{"perl", "bytecode interpreter: indirect-jump dispatch, stack traffic", Perl, perlSeeded},
 		{"povray", "ray-sphere arithmetic: FP-heavy with divides", povray, povraySeeded},
-		{"vortex", "record store: hashed lookups, stores, call chains", Vortex, vortexSeeded},
+		{"vortex", "record store: hashed lookups, stores, call chains", vortex, vortexSeeded},
 		{"m88ksim", "CPU-simulator interpreter: indirect dispatch over a memory register file", m88ksim, m88ksimSeeded},
 		{"swim", "shallow-water relaxation: 5-point FP stencil, regular strides", swim, swimSeeded},
 		{"eqntott", "truth-table term exchange: compare-driven swaps, mispredict-heavy", eqntott, eqntottSeeded},
