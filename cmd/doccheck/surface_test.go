@@ -149,7 +149,7 @@ func TestExportSurface(t *testing.T) {
 		"internal/cluster":     {16, 0},
 		"internal/core":        {75, 3},
 		"internal/counters":    {14, 0},
-		"internal/cpu":         {34, 1},
+		"internal/cpu":         {30, 1},
 		"internal/difftest":    {5, 5},
 		"internal/experiments": {6, 0},
 		"internal/faultinject": {10, 0},

@@ -451,7 +451,8 @@ func TestNemesisSoak(t *testing.T) {
 			lhs += uint64(loss.(float64))
 		}
 		lhs += in.svc.Stats().HandoffCaptured
-		rhs := in.svc.Aggregate().CountersSnapshot().Samples + in.svc.Aggregate().CountersSnapshot().Lost
+		c := in.svc.Aggregate().CountersSnapshot()
+		rhs := c.Samples + c.Lost
 		if lhs != rhs {
 			t.Fatalf("%s books do not balance: applied+refused+handoff %d, samples+lost %d", in.id, lhs, rhs)
 		}

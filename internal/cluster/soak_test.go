@@ -366,8 +366,9 @@ func TestTierSaturationSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gotC2.Bytes(), wantC2.Bytes()) {
+		c := c2rec.Aggregate().CountersSnapshot()
 		t.Fatalf("recovered c2 aggregate diverged from exact expectation: samples %d want %d, lost %d want %d",
-			c2rec.Aggregate().CountersSnapshot().Samples, expect.Samples(), c2rec.Aggregate().CountersSnapshot().Lost, expect.Lost())
+			c.Samples, expect.Samples(), c.Lost, expect.Lost())
 	}
 
 	// ---- c1 leaves the tier ----
@@ -415,8 +416,8 @@ func TestTierSaturationSoak(t *testing.T) {
 		}
 	}
 	mu.Unlock()
-	agg := byID["c0"].svc.Aggregate()
-	got := agg.CountersSnapshot().Samples + agg.CountersSnapshot().Lost + c2rec.Aggregate().CountersSnapshot().Samples + c2rec.Aggregate().CountersSnapshot().Lost
+	c0, c2 := byID["c0"].svc.Aggregate().CountersSnapshot(), c2rec.Aggregate().CountersSnapshot()
+	got := c0.Samples + c0.Lost + c2.Samples + c2.Lost
 	if got != wantSum {
 		t.Fatalf("fleet conservation violated: Samples+Lost (c0 + recovered c2) = %d, Σ captured over recorded (instance,shard) = %d",
 			got, wantSum)

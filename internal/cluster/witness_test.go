@@ -149,7 +149,8 @@ func TestWitnessDiskLossRebuild(t *testing.T) {
 			svc = freshSvc
 		}
 		flush(t, svc)
-		total += svc.Aggregate().CountersSnapshot().Samples + svc.Aggregate().CountersSnapshot().Lost
+		c := svc.Aggregate().CountersSnapshot()
+		total += c.Samples + c.Lost
 	}
 	if total != captured {
 		t.Fatalf("fleet conservation violated after rebuild: samples+lost %d, want %d", total, captured)

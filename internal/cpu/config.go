@@ -109,8 +109,6 @@ type Config struct {
 	// feed estimator validation, not the modelled hardware).
 	TrackPerPC       bool
 	TrackWastedSlots bool
-	TrackWindowedIPC bool
-	IPCWindowCycles  int // window size for windowed-IPC tracking (§6: 30)
 
 	Lat   latencies
 	Mem   mem.Config
@@ -138,7 +136,6 @@ func DefaultConfig() Config {
 		ReplayTraps:         true,
 		InterruptCost:       30,
 		WatchdogCycles:      DefaultWatchdogCycles,
-		IPCWindowCycles:     30,
 		TrackPerPC:          true,
 		Lat:                 defaultLatencies(),
 		Mem:                 mem.DefaultConfig(),
@@ -180,8 +177,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cpu: non-positive sustained issue width")
 	case c.Lat.IntALU < 1 || c.Lat.IntMul < 1 || c.Lat.FAdd < 1 || c.Lat.FDiv < 1 || c.Lat.Branch < 1 || c.Lat.Store < 1:
 		return fmt.Errorf("cpu: all latencies must be at least 1 cycle")
-	case c.TrackWindowedIPC && c.IPCWindowCycles < 1:
-		return fmt.Errorf("cpu: windowed IPC needs a positive window")
 	case c.MispredictPenalty < 0 || c.TakenBranchBubble < 0:
 		return fmt.Errorf("cpu: negative front-end penalty")
 	case c.InterruptCost < 0:

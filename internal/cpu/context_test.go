@@ -60,7 +60,7 @@ func TestRunContextDeadlinePartialResult(t *testing.T) {
 // context every ctxCheckCycles cycles, so a cancellation arriving mid-run
 // must stop the pipeline within two batches — ≤2048 cycles — no matter
 // where in a batch it lands. The cancel fires synchronously from the
-// retire hook, so the trigger cycle is exact.
+// leave observer, so the trigger cycle is exact.
 func TestRunContextCancellationLatency(t *testing.T) {
 	prog := workload.Compress(400000)
 	pipe, err := New(prog, sim.NewMachineSource(sim.New(prog), 0), DefaultConfig())
@@ -71,7 +71,10 @@ func TestRunContextCancellationLatency(t *testing.T) {
 	defer cancel()
 	cancelCycle := int64(-1)
 	var retired uint64
-	pipe.SetRetireHook(func(seq, pc uint64) {
+	pipe.Observe(func(l Leave) {
+		if !l.Retired {
+			return
+		}
 		retired++
 		if retired == 10_000 && cancelCycle < 0 {
 			cancelCycle = pipe.Cycle()

@@ -1,6 +1,6 @@
 package cpu
 
-import "sort"
+import "fmt"
 
 // This file holds the allocation-free machinery behind the per-cycle hot
 // path: a ring-buffer event scheduler (replacing map[int64][]*uop for
@@ -11,16 +11,13 @@ import "sort"
 // instruction). None of these change simulated behavior — the
 // differential golden suite in internal/difftest pins that.
 
-// eventRing schedules uops for future cycles. Nearly every event lands
-// within a bounded horizon — functional-unit latencies and worst-case
-// memory round trips are small config-derived constants — so the common
-// case is an array slot indexed by cycle&mask whose backing storage is
-// recycled forever. Events beyond the horizon (exotic configs) spill into
-// a map that is only consulted when non-empty.
+// eventRing schedules uops for future cycles. Every event lands within a
+// bounded horizon — functional-unit latencies and worst-case memory round
+// trips are small config-derived constants — so an event is an array slot
+// indexed by cycle&mask whose backing storage is recycled forever.
 type eventRing struct {
 	slots [][]*uop
 	mask  int64
-	far   map[int64][]*uop
 }
 
 // newEventRing sizes the ring to cover at least span cycles of lookahead
@@ -34,20 +31,28 @@ func newEventRing(span int) *eventRing {
 }
 
 // add schedules u for cycle cyc (now is the current cycle; cyc must be
-// >= now, which holds for all pipeline events — latencies are positive).
+// >= now, which holds for all pipeline events — latencies are positive —
+// and within the ring's span, which holds when the hierarchy was built
+// from the pipeline's cfg.Mem).
 // The entry pins u (see Pipeline.release) until completeStage has visited
 // it.
 func (r *eventRing) add(now, cyc int64, u *uop) {
-	u.pending++
 	if cyc-now >= int64(len(r.slots)) {
-		if r.far == nil {
-			r.far = make(map[int64][]*uop)
-		}
-		r.far[cyc] = append(r.far[cyc], u)
-		return
+		panic(beyondRing{now, cyc, len(r.slots)})
 	}
+	u.pending++
 	i := cyc & r.mask
 	r.slots[i] = append(r.slots[i], u)
+}
+
+// beyondRing is add's panic value: an event past the ring's span.
+type beyondRing struct {
+	now, cyc int64
+	size     int
+}
+
+func (e beyondRing) Error() string {
+	return fmt.Sprintf("cpu: event for cycle %d scheduled at cycle %d, beyond the %d-cycle ring", e.cyc, e.now, e.size)
 }
 
 // take returns the uops scheduled for cyc, in insertion order, and clears
@@ -58,12 +63,6 @@ func (r *eventRing) take(cyc int64) []*uop {
 	i := cyc & r.mask
 	s := r.slots[i]
 	r.slots[i] = s[:0]
-	if len(r.far) > 0 {
-		if f, ok := r.far[cyc]; ok {
-			delete(r.far, cyc)
-			s = append(s, f...)
-		}
-	}
 	return s
 }
 
@@ -79,19 +78,6 @@ func (r *eventRing) drainAscending(from int64, visit func(cyc int64, u *uop)) {
 			visit(cyc, u)
 		}
 		r.slots[i] = r.slots[i][:0]
-	}
-	if len(r.far) > 0 {
-		cycles := make([]int64, 0, len(r.far))
-		for c := range r.far {
-			cycles = append(cycles, c)
-		}
-		sort.Slice(cycles, func(i, j int) bool { return cycles[i] < cycles[j] })
-		for _, c := range cycles {
-			for _, u := range r.far[c] {
-				visit(c, u)
-			}
-		}
-		r.far = nil
 	}
 }
 
@@ -137,8 +123,8 @@ func (p *Pipeline) newUop() *uop {
 }
 
 // release recycles u once nothing can reach it. A *uop is held in exactly
-// four places — fetchBuf/rob, a ready list, and the two event rings (slots
-// and far) — so u is free at the last of two events: it reached a terminal
+// four places — fetchBuf/rob, a ready list, and the two event rings —
+// so u is free at the last of two events: it reached a terminal
 // state (retireStage pops it retired, killUop squashes it and its holders
 // drop it; a ready list holds only mapped uops) and completeStage has
 // visited its last ring entry. Each of those handlers updates its own

@@ -123,7 +123,7 @@ type Pipeline struct {
 	prof        *core.Unit
 	profHandler func([]core.Sample)
 	ctrs        *counters.Unit
-	retireHook  func(seq, pc uint64)
+	observe     func(Leave)
 
 	// Fault injection (delivery-side) and the retire-progress watchdog.
 	faults         FaultInjector
@@ -131,14 +131,11 @@ type Pipeline struct {
 	intHoldDecided bool
 	lastProgress   int64 // last cycle the ROB retired or went empty
 
-	iid *IIDSampler // optional Westcott & White baseline sampler (§8)
-
 	finished bool // finish() ran (guards double finalization)
 
 	res    Result
 	pcs    *perPC
 	wasted *wastedTracker
-	ipc    *ipcWindows
 }
 
 // New builds a pipeline for prog, consuming the correct-path stream src.
@@ -149,7 +146,8 @@ func New(prog *isa.Program, src sim.Source, cfg Config) (*Pipeline, error) {
 // NewWithHierarchy builds a pipeline that charges memory accesses against
 // an externally owned hierarchy (nil means a private one). Sharing a
 // hierarchy between pipelines models time-sliced processes contending for
-// the same caches and TLBs.
+// the same caches and TLBs. The hierarchy must be built from cfg.Mem: its
+// latencies bound how far ahead the pipeline schedules events.
 func NewWithHierarchy(prog *isa.Program, src sim.Source, cfg Config, hier *mem.Hierarchy) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -159,9 +157,7 @@ func NewWithHierarchy(prog *isa.Program, src sim.Source, cfg Config, hier *mem.H
 	}
 	// Ring span: the longest latency any event can be scheduled at — the
 	// slowest functional unit or a worst-case memory round trip (TLB fill
-	// plus a miss all the way to memory). Anything beyond it (exotic
-	// configs) spills to the ring's far map, so this is sizing, not a
-	// correctness bound.
+	// plus a miss all the way to memory).
 	span := cfg.Mem.TLBPenalty + cfg.Mem.DCache.HitLatency + cfg.Mem.L2Latency + cfg.Mem.MemLatency
 	for _, l := range [...]int{cfg.Lat.IntALU, cfg.Lat.IntMul, cfg.Lat.FAdd,
 		cfg.Lat.FDiv, cfg.Lat.Branch, cfg.Lat.Store, cfg.Mem.DCache.HitLatency} {
@@ -188,9 +184,6 @@ func NewWithHierarchy(prog *isa.Program, src sim.Source, cfg Config, hier *mem.H
 	if cfg.TrackWastedSlots {
 		p.wasted = newWastedTracker(cfg.SustainedIssueWidth, p.wastedSink)
 	}
-	if cfg.TrackWindowedIPC {
-		p.ipc = newIPCWindows(int64(cfg.IPCWindowCycles))
-	}
 	return p, nil
 }
 
@@ -211,12 +204,23 @@ func (p *Pipeline) AttachProfileMe(u *core.Unit, handler func([]core.Sample)) {
 // AttachCounters plugs baseline event-counter hardware into the pipeline.
 func (p *Pipeline) AttachCounters(u *counters.Unit) { p.ctrs = u }
 
-// SetRetireHook installs an observer called once per retired instruction,
-// in retirement order, with the instruction's correct-path sequence number
-// and PC. The differential test harness uses it to compare the pipeline's
-// architectural retirement stream against the functional simulator's
-// execution stream; nil detaches.
-func (p *Pipeline) SetRetireHook(fn func(seq, pc uint64)) { p.retireHook = fn }
+// Leave is one fetched instruction leaving the pipeline, retired or
+// squashed.
+type Leave struct {
+	RecSeq  uint64 // correct-path sequence number; valid when Retired
+	PC      uint64
+	Slot    int   // ROB slot it occupied; -1 if squashed before it was mapped
+	Cycle   int64 // the cycle it left
+	Retired bool
+}
+
+// Observe installs fn, called once for every fetched instruction, on the
+// correct path or the wrong one, when it leaves: retirements in program
+// order, squashes as they happen. Each ROB slot's occupants leave in the
+// order they were mapped into it. A run that drains reports every fetched
+// instruction; one stopped early leaves its in-flight ones unreported.
+// nil detaches.
+func (p *Pipeline) Observe(fn func(Leave)) { p.observe = fn }
 
 // FaultInjector is the delivery-side fault hook (internal/faultinject
 // implements it alongside core.FaultInjector). Methods must be
@@ -246,15 +250,6 @@ func (p *Pipeline) PerPC() []PCStats {
 		return nil
 	}
 	return p.pcs.stats
-}
-
-// IPCWindows returns per-window retire counts (nil unless
-// Config.TrackWindowedIPC).
-func (p *Pipeline) IPCWindows() []uint32 {
-	if p.ipc == nil {
-		return nil
-	}
-	return p.ipc.Windows()
 }
 
 // ErrCycleLimit reports that Run hit its cycle budget before the program
@@ -688,9 +683,6 @@ func (p *Pipeline) mapStage() {
 		if u.waiting == 0 {
 			l := p.readyList(u)
 			*l = append(*l, u)
-		}
-		if p.iid != nil {
-			p.iid.onMap(p.robSlot(p.robHead+p.robCount), u.seq)
 		}
 		p.robPush(u)
 		mapped++
@@ -1129,14 +1121,18 @@ func (p *Pipeline) killUop(u *uop, reason core.TrapReason) {
 	if u.state == stMapped {
 		p.leaveQueue(u)
 	}
+	if p.observe != nil {
+		slot := -1
+		if u.state != stFetched {
+			slot = int(u.robIdx)
+		}
+		p.observe(Leave{RecSeq: u.recSeq, PC: u.pc, Slot: slot, Cycle: p.cycle})
+	}
 	u.state = stSquashed
 	u.trap = reason
 	if p.prof != nil && u.tag != core.NoTag {
 		p.prof.Complete(u.tag, false, reason, p.cycle)
 		u.tag = core.NoTag
-	}
-	if p.iid != nil {
-		p.iid.onSquash(u.seq)
 	}
 	// Squashed entries remain in the event rings until their cycle
 	// arrives; state checks skip them, and release recycles u only once
@@ -1156,8 +1152,8 @@ func (p *Pipeline) retireStage() {
 		u.state = stRetired
 		u.retireCyc = p.cycle
 		p.ren.release(u.oldDst)
-		if p.retireHook != nil {
-			p.retireHook(u.recSeq, u.pc)
+		if p.observe != nil {
+			p.observe(Leave{RecSeq: u.recSeq, PC: u.pc, Slot: int(u.robIdx), Cycle: p.cycle, Retired: true})
 		}
 		p.res.Retired++
 		p.res.IssuedUseful++
@@ -1177,9 +1173,6 @@ func (p *Pipeline) retireStage() {
 		if p.ctrs != nil {
 			p.ctrs.Event(counters.EventRetired, p.cycle)
 		}
-		if p.iid != nil {
-			p.iid.onRetire(u.seq, u.pc)
-		}
 		p.recordRetired(u)
 		p.win.trim(u.recSeq + 1)
 		p.robPop()
@@ -1188,9 +1181,6 @@ func (p *Pipeline) retireStage() {
 }
 
 func (p *Pipeline) recordRetired(u *uop) {
-	if p.ipc != nil {
-		p.ipc.retire(p.cycle)
-	}
 	if p.wasted != nil {
 		p.wasted.usefulIssue(u.issueCyc)
 		p.wasted.window(u.pc, u.fetchCyc, u.completeCyc)

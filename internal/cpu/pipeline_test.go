@@ -277,24 +277,6 @@ loop:
 	}
 }
 
-func TestWindowedIPC(t *testing.T) {
-	prog := countedLoop(3000, "    add r2, r2, #1")
-	cfg := DefaultConfig()
-	cfg.TrackWindowedIPC = true
-	res, p := runProgram(t, prog, cfg)
-	wins := p.IPCWindows()
-	if len(wins) == 0 {
-		t.Fatal("no IPC windows")
-	}
-	var sum uint64
-	for _, w := range wins {
-		sum += uint64(w)
-	}
-	if sum != res.Retired {
-		t.Fatalf("window sum %d != retired %d", sum, res.Retired)
-	}
-}
-
 func TestCallReturnPipelined(t *testing.T) {
 	prog := asm.MustAssemble(`
 .proc main

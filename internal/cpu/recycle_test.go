@@ -21,8 +21,8 @@ const recycleScale = 2000
 
 // recycleVariants are the pipeline flavours whose uop lifetimes differ:
 // issue order, wrong-path fetch, replay squashes, tags that outlive
-// retirement, held interrupts, per-cycle attribution, and events beyond
-// the ring horizon.
+// retirement, held interrupts, per-cycle attribution, and a memory
+// latency far beyond the default.
 var recycleVariants = []struct {
 	name  string
 	build func(prog *isa.Program, src sim.Source) (*Pipeline, error)
@@ -73,12 +73,10 @@ var recycleVariants = []struct {
 		}
 		return p, err
 	}},
-	// The rings are sized from cfg.Mem; an external hierarchy slower than
-	// that is the only way production code schedules into eventRing.far.
 	{"slowhier", func(prog *isa.Program, src sim.Source) (*Pipeline, error) {
-		slow := mem.DefaultConfig()
-		slow.MemLatency = 400
-		return NewWithHierarchy(prog, src, DefaultConfig(), mem.NewHierarchy(slow))
+		cfg := DefaultConfig()
+		cfg.Mem.MemLatency = 400
+		return NewWithHierarchy(prog, src, cfg, mem.NewHierarchy(cfg.Mem))
 	}},
 }
 
@@ -122,13 +120,11 @@ func TestUopRecycleInvariant(t *testing.T) {
 				t.Fatalf("%s/%s: %v", b.Name, v.name, err)
 			}
 			var check recycleChecker
-			sawFar := false
 			for !p.done() {
 				if p.cycle > 1_000_000 {
 					t.Fatalf("%s/%s: not drained after %d cycles", b.Name, v.name, p.cycle)
 				}
 				p.step()
-				sawFar = sawFar || len(p.wakeups.far) > 0
 				if msg := check.violation(p); msg != "" {
 					t.Fatalf("%s/%s cycle %d: %s", b.Name, v.name, p.cycle, msg)
 				}
@@ -136,9 +132,6 @@ func TestUopRecycleInvariant(t *testing.T) {
 			res := p.Finish()
 			if got, want := [2]int64{res.Cycles, int64(res.Retired)}, recycleGolden[b.Name][vi]; got != want {
 				t.Errorf("%s/%s: {cycles, retired} = %v, parent commit had %v", b.Name, v.name, got, want)
-			}
-			if v.name == "slowhier" && !sawFar {
-				t.Errorf("%s/slowhier never scheduled beyond the ring horizon", b.Name)
 			}
 		}
 	}
@@ -158,7 +151,7 @@ type recycleChecker struct {
 
 // violation reports the first inconsistency, or "": the free list has no
 // duplicate and only releasable uops; no holder (ROB, fetch buffer, ready
-// lists, event-ring slots and far maps) reaches a free uop; the ROB's dead
+// lists, event-ring slots) reaches a free uop; the ROB's dead
 // region is nil and its live region holds nothing squashed; each
 // reachable uop's recycling state matches where it actually sits; and the
 // issue bookkeeping agrees with register readiness (see issueViolation).
@@ -223,11 +216,6 @@ func (c *recycleChecker) violation(p *Pipeline) string {
 	}
 	for _, r := range []*eventRing{p.completing, p.wakeups} {
 		for _, us := range r.slots {
-			if msg := ring(us); msg != "" {
-				return msg
-			}
-		}
-		for _, us := range r.far {
 			if msg := ring(us); msg != "" {
 				return msg
 			}

@@ -191,24 +191,3 @@ func (t *wastedTracker) finalize(w wastedWindow) {
 	}
 	t.sink(w.pc, w.from, w.to, useful)
 }
-
-// ipcWindows accumulates retired-instruction counts per fixed-size cycle
-// window for the §6 windowed-IPC statistics.
-type ipcWindows struct {
-	size   int64
-	counts []uint32
-}
-
-func newIPCWindows(size int64) *ipcWindows { return &ipcWindows{size: size} }
-
-func (w *ipcWindows) retire(cycle int64) {
-	idx := cycle / w.size
-	for int64(len(w.counts)) <= idx {
-		w.counts = append(w.counts, 0)
-	}
-	w.counts[idx]++
-}
-
-// Windows returns retire counts per window (the last, possibly partial,
-// window included).
-func (w *ipcWindows) Windows() []uint32 { return w.counts }

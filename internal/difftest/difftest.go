@@ -95,9 +95,9 @@ func Run(spec Spec) (Digest, error) {
 	}
 	finalState := stateDigest(ref)
 
-	// Timing run with a seeded ProfileMe unit and a retire-stream observer.
-	// It is wired here rather than through runner.RunShard: the retire hook
-	// goes on before the run, and the final-state check below reads the
+	// Timing run with a seeded ProfileMe unit and a leave observer. It is
+	// wired here rather than through runner.RunShard: the observer goes on
+	// before the run, and the final-state check below reads the
 	// machine that fed the pipeline. The database takes RunShard's
 	// (S, W, C): unpaired sampling, so W = 0.
 	ccfg := cpu.DefaultConfig()
@@ -121,12 +121,15 @@ func Run(spec Spec) (Digest, error) {
 	retHash := sha256.New()
 	var retired uint64
 	var streamErr error
-	pipe.SetRetireHook(func(seq, pc uint64) {
-		if streamErr == nil && seq != retired {
-			streamErr = fmt.Errorf("difftest: retirement out of order: got seq %d, want %d (pc %#x)",
-				seq, retired, pc)
+	pipe.Observe(func(l cpu.Leave) {
+		if !l.Retired {
+			return
 		}
-		hashSeqPC(retHash, seq, pc)
+		if streamErr == nil && l.RecSeq != retired {
+			streamErr = fmt.Errorf("difftest: retirement out of order: got seq %d, want %d (pc %#x)",
+				l.RecSeq, retired, l.PC)
+		}
+		hashSeqPC(retHash, l.RecSeq, l.PC)
 		retired++
 	})
 
@@ -138,7 +141,7 @@ func Run(spec Spec) (Digest, error) {
 		return Digest{}, streamErr
 	}
 	if retired != res.Retired {
-		return Digest{}, fmt.Errorf("difftest: retire hook saw %d instructions, result says %d",
+		return Digest{}, fmt.Errorf("difftest: observer saw %d retirements, result says %d",
 			retired, res.Retired)
 	}
 	if retired != refCount {

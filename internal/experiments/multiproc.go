@@ -104,7 +104,7 @@ func multiprocess(cfg multiprocessConfig) (*multiprocessResult, error) {
 	ccfgB := ccfgA
 	ccfgB.Context = asnB
 	ccfgB.PhysBase = 0x4000_0000 // disjoint physical pages for process B
-	hier := mem.NewHierarchy(mem.DefaultConfig())
+	hier := mem.NewHierarchy(ccfgA.Mem)
 	unit := core.MustNewUnit(core.Config{
 		MeanInterval: cfg.MeanInterval, Window: 80, BufferDepth: 16,
 		CountMode: core.CountInstructions, IntervalMode: core.IntervalGeometric, Seed: 12,

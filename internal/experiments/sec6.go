@@ -70,18 +70,24 @@ func section6(cfg section6Config) (*section6Result, error) {
 			return cellOut{}, fmt.Errorf("sec6: unknown benchmark %q", name)
 		}
 		prog := bench.Build(cfg.Scale)
-		ccfg := cpu.DefaultConfig()
-		ccfg.TrackWindowedIPC = true
-		ccfg.IPCWindowCycles = cfg.WindowCycles
-		pipe, err := cpu.New(prog, sim.NewMachineSource(sim.New(prog), 0), ccfg)
-		if err == nil {
-			_, err = pipe.Run(0)
-		}
+		pipe, err := cpu.New(prog, sim.NewMachineSource(sim.New(prog), 0), cpu.DefaultConfig())
 		if err != nil {
 			return cellOut{}, fmt.Errorf("sec6: %s: %w", name, err)
 		}
-
-		wins := pipe.IPCWindows()
+		var wins []uint32 // retirements per window
+		pipe.Observe(func(l cpu.Leave) {
+			if !l.Retired {
+				return
+			}
+			w := int(l.Cycle / int64(cfg.WindowCycles))
+			for len(wins) <= w {
+				wins = append(wins, 0)
+			}
+			wins[w]++
+		})
+		if _, err = pipe.Run(0); err != nil {
+			return cellOut{}, fmt.Errorf("sec6: %s: %w", name, err)
+		}
 		if len(wins) > 1 {
 			wins = wins[:len(wins)-1] // drop the final partial window
 		}

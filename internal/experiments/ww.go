@@ -18,7 +18,7 @@ import (
 // White's IID-restricted instruction sampling.
 type wwConfig struct {
 	Scale  int
-	Slot   int // profiled ROB slot for the IID sampler
+	Slot   int // profiled ROB slot (the IID)
 	Period int // IID log period (also sets the ProfileMe interval for parity)
 }
 
@@ -100,6 +100,13 @@ type wwResult struct {
 // two-phase workload (a regular loop plus a branchy one), ProfileMe
 // samples fetched instructions at a matched rate.
 //
+// Westcott & White's patent profiles an instruction only "when its
+// execution is assigned a particular internal instruction number (IID)"
+// and logs it at retirement, transparently discarding unretired ones. In
+// this pipeline the IID is the ROB slot: the log is every Period-th
+// occupant of cfg.Slot that retires, read off the leave stream. The
+// W&W hardware has no timing effect, so the log is exact.
+//
 // Unlike the other experiments, WW's two runs cannot fan out across the
 // worker pool: run 2's sampling interval is derived from run 1's realized
 // sample rate, so the runs are sequentially dependent by design.
@@ -108,21 +115,25 @@ func ww(cfg wwConfig) (*wwResult, error) {
 	res := &wwResult{}
 
 	// Run 1: IID sampling.
-	ccfg := cpu.DefaultConfig()
-	iid := cpu.NewIIDSampler(cfg.Slot, cfg.Period)
-	pipe, err := cpu.New(prog, sim.NewMachineSource(sim.New(prog), 0), ccfg)
+	pipe, err := cpu.New(prog, sim.NewMachineSource(sim.New(prog), 0), cpu.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
-	pipe.AttachIIDSampler(iid)
+	iidCounts := map[uint64]uint64{} // per-PC retired samples, all the log holds
+	var occupants, iidTotal uint64
+	pipe.Observe(func(l cpu.Leave) {
+		if l.Slot != cfg.Slot {
+			return
+		}
+		occupants++
+		if occupants%uint64(cfg.Period) == 0 && l.Retired {
+			iidCounts[l.PC]++
+			iidTotal++
+		}
+	})
 	r1, err := pipe.Run(0)
 	if err != nil {
 		return nil, err
-	}
-	iidCounts := iid.Retired()
-	var iidTotal uint64
-	for _, n := range iidCounts {
-		iidTotal += n
 	}
 	if iidTotal == 0 {
 		return nil, fmt.Errorf("ww: IID sampler logged nothing")

@@ -152,11 +152,10 @@ func runConservationTrial(t *testing.T, seed int64) {
 			want += shards[idx].Captured()
 		}
 	}
-	agg := svc.Aggregate()
-	got := agg.CountersSnapshot().Samples + agg.CountersSnapshot().Lost
-	if got != want {
+	c := svc.Aggregate().CountersSnapshot()
+	if got := c.Samples + c.Lost; got != want {
 		t.Fatalf("conservation violated: samples %d + lost %d = %d, want Σ captured over %d distinct shards = %d",
-			agg.CountersSnapshot().Samples, agg.CountersSnapshot().Lost, got, len(submitted), want)
+			c.Samples, c.Lost, got, len(submitted), want)
 	}
 
 	// Ledger cross-checks: the service-level loss counter covers exactly
@@ -164,8 +163,8 @@ func runConservationTrial(t *testing.T, seed int64) {
 	// loss is carried by Merge, not the refusal ledger), and reversals
 	// never exceed what was ever recorded.
 	st := svc.Stats()
-	if st.SamplesLost > agg.CountersSnapshot().Lost {
-		t.Fatalf("service loss ledger %d exceeds aggregate loss %d", st.SamplesLost, agg.CountersSnapshot().Lost)
+	if st.SamplesLost > c.Lost {
+		t.Fatalf("service loss ledger %d exceeds aggregate loss %d", st.SamplesLost, c.Lost)
 	}
 	if st.Merged+st.MergeFailed > uint64(len(submitted)) {
 		t.Fatalf("merged %d + merge-failed %d exceeds %d distinct shards",

@@ -183,8 +183,8 @@ func TestAdoptShards(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Fatalf("adopt: n=%d err=%v, want 2 nil", n, err)
 	}
-	if got := s1.Aggregate().CountersSnapshot().Samples + s1.Aggregate().CountersSnapshot().Lost; got != 0 {
-		t.Fatalf("adoption moved samples: %d captured appeared from nowhere", got)
+	if c := s1.Aggregate().CountersSnapshot(); c.Samples+c.Lost != 0 {
+		t.Fatalf("adoption moved samples: %d captured appeared from nowhere", c.Samples+c.Lost)
 	}
 	// A retry of a shard the old owner already merged dedupes here now.
 	if err := s1.Submit(sub("moved/a", 1, 10)); !errors.Is(err, ErrDuplicate) {
@@ -214,8 +214,8 @@ func TestAdoptShards(t *testing.T) {
 	if err := s2.Submit(sub("moved/b", 2, 10)); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("submit of adopted shard after recovery: err=%v, want ErrDuplicate", err)
 	}
-	if got := s2.Aggregate().CountersSnapshot().Samples + s2.Aggregate().CountersSnapshot().Lost; got != 0 {
-		t.Fatalf("recovery invented %d captured samples from an adopt record", got)
+	if c := s2.Aggregate().CountersSnapshot(); c.Samples+c.Lost != 0 {
+		t.Fatalf("recovery invented %d captured samples from an adopt record", c.Samples+c.Lost)
 	}
 }
 

@@ -33,10 +33,10 @@ func aggDigest(t *testing.T, s *Service) []byte {
 // Σ captured(distinct shards) == Samples + Lost.
 func conserve(t *testing.T, s *Service, want uint64, label string) {
 	t.Helper()
-	got := s.Aggregate().CountersSnapshot().Samples + s.Aggregate().CountersSnapshot().Lost
-	if got != want {
+	c := s.Aggregate().CountersSnapshot()
+	if got := c.Samples + c.Lost; got != want {
 		t.Fatalf("%s: conservation violated: samples %d + lost %d = %d, want %d",
-			label, s.Aggregate().CountersSnapshot().Samples, s.Aggregate().CountersSnapshot().Lost, got, want)
+			label, c.Samples, c.Lost, got, want)
 	}
 }
 

@@ -254,14 +254,14 @@ func TestServiceRetryAfterRefusalReversesLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	agg := svc.Aggregate()
+	c := svc.Aggregate().CountersSnapshot()
 	want := s1.Captured() + s2.Captured()
-	if got := agg.CountersSnapshot().Samples + agg.CountersSnapshot().Lost; got != want {
+	if got := c.Samples + c.Lost; got != want {
 		t.Fatalf("conservation violated: samples %d + lost %d = %d, distinct shards captured %d",
-			agg.CountersSnapshot().Samples, agg.CountersSnapshot().Lost, got, want)
+			c.Samples, c.Lost, got, want)
 	}
-	if agg.CountersSnapshot().Lost != 0 {
-		t.Fatalf("accepted retry left %d samples in the loss ledger", agg.CountersSnapshot().Lost)
+	if c.Lost != 0 {
+		t.Fatalf("accepted retry left %d samples in the loss ledger", c.Lost)
 	}
 	st := svc.Stats()
 	if st.SamplesLost != 0 || st.LossReversed != s2.Captured() || st.Merged != 2 {
@@ -297,10 +297,9 @@ func TestServiceDuplicateSubmission(t *testing.T) {
 	if err := svc.Submit(sub("s001", 1, 10)); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("post-drain duplicate: %v, want ErrDuplicate", err)
 	}
-	agg := svc.Aggregate()
-	if agg.CountersSnapshot().Samples != s1.Captured() || agg.CountersSnapshot().Lost != 0 {
-		t.Fatalf("duplicates changed accounting: samples %d lost %d, want %d/0",
-			agg.CountersSnapshot().Samples, agg.CountersSnapshot().Lost, s1.Captured())
+	c := svc.Aggregate().CountersSnapshot()
+	if c.Samples != s1.Captured() || c.Lost != 0 {
+		t.Fatalf("duplicates changed accounting: samples %d lost %d, want %d/0", c.Samples, c.Lost, s1.Captured())
 	}
 	if st := svc.Stats(); st.Duplicates != 2 || st.Merged != 1 {
 		t.Fatalf("stats %+v, want 2 duplicates / 1 merged", st)

@@ -40,7 +40,7 @@ func TestOneShardPath(t *testing.T) {
 	// The runs RunShard cannot make. An exception that no longer builds a
 	// unit fails the test: delete it.
 	exceptions := map[string]string{
-		"internal/difftest.Run": "installs a retire hook before the run and " +
+		"internal/difftest.Run": "installs a leave observer before the run and " +
 			"hashes the final state of the machine that fed the pipeline",
 		"internal/experiments.multiprocess": "one unit samples two time-sliced " +
 			"pipelines over a shared hierarchy, which is what §4.1.3 measures",

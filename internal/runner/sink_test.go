@@ -187,11 +187,10 @@ func TestHTTPSinkAgainstService(t *testing.T) {
 	if err := svc.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	agg := svc.Aggregate()
+	c := svc.Aggregate().CountersSnapshot()
 	local := f.Profile()
-	if agg.CountersSnapshot().Samples != local.Samples() || agg.CountersSnapshot().Lost != local.Lost() {
-		t.Fatalf("collector aggregate %d/%d, local %d/%d",
-			agg.CountersSnapshot().Samples, agg.CountersSnapshot().Lost, local.Samples(), local.Lost())
+	if c.Samples != local.Samples() || c.Lost != local.Lost() {
+		t.Fatalf("collector aggregate %d/%d, local %d/%d", c.Samples, c.Lost, local.Samples(), local.Lost())
 	}
 
 	// A sink pointed at a draining collector reports the refusal as a

@@ -189,7 +189,7 @@ func TestHotPCsExactServedFromViewEqualsScan(t *testing.T) {
 		if want := scanRowsJSON(t, agg, 5); !bytes.Equal(cert.PCs, want) {
 			t.Fatalf("merge %d: certified rows differ from the scan\nview %s\nscan %s", i, cert.PCs, want)
 		}
-		if cert.Samples != agg.CountersSnapshot().Samples || cert.Lost != agg.CountersSnapshot().Lost || cert.LossRate != agg.CountersSnapshot().LossRate {
+		if c := agg.CountersSnapshot(); cert.Samples != c.Samples || cert.Lost != c.Lost || cert.LossRate != c.LossRate {
 			t.Fatalf("merge %d: certified totals %+v differ from the aggregate", i, cert)
 		}
 

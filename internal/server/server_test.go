@@ -301,10 +301,9 @@ func TestSubmitDuplicateIdempotent(t *testing.T) {
 	if err := svc.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	agg := svc.Aggregate()
-	if agg.CountersSnapshot().Samples != db.Samples() || agg.CountersSnapshot().Lost != 0 {
-		t.Fatalf("duplicate double-merged: samples %d lost %d, want %d/0",
-			agg.CountersSnapshot().Samples, agg.CountersSnapshot().Lost, db.Samples())
+	c := svc.Aggregate().CountersSnapshot()
+	if c.Samples != db.Samples() || c.Lost != 0 {
+		t.Fatalf("duplicate double-merged: samples %d lost %d, want %d/0", c.Samples, c.Lost, db.Samples())
 	}
 }
 

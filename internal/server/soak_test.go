@@ -263,9 +263,10 @@ func TestOverloadSoak(t *testing.T) {
 	// retried-to-success shards count once (loss reversed), duplicates
 	// count once (deduped).
 	agg := svc.Aggregate()
-	if got := agg.CountersSnapshot().Samples + agg.CountersSnapshot().Lost; got != capturedAll {
+	c := agg.CountersSnapshot()
+	if got := c.Samples + c.Lost; got != capturedAll {
 		t.Fatalf("conservation violated: aggregate %d + lost = %d, distinct shards captured %d",
-			agg.CountersSnapshot().Samples, got, capturedAll)
+			c.Samples, got, capturedAll)
 	}
 	st := svc.Stats()
 	if st.MergeFailed != 0 {
@@ -277,9 +278,9 @@ func TestOverloadSoak(t *testing.T) {
 	if int(st.Merged) != mergedShards {
 		t.Fatalf("merged %d, accepted shards %d", st.Merged, mergedShards)
 	}
-	if st.SamplesLost != capturedLost || agg.CountersSnapshot().Lost != capturedLost {
+	if st.SamplesLost != capturedLost || c.Lost != capturedLost {
 		t.Fatalf("loss ledger %d (stats %d), finally-refused shards captured %d",
-			agg.CountersSnapshot().Lost, st.SamplesLost, capturedLost)
+			c.Lost, st.SamplesLost, capturedLost)
 	}
 	if st.LossReversed != reversedWant {
 		t.Fatalf("loss reversed %d, retried-to-success shards captured %d", st.LossReversed, reversedWant)
@@ -302,9 +303,9 @@ func TestOverloadSoak(t *testing.T) {
 		t.Fatalf("final checkpoint: %v", err)
 	}
 	loaded := ck.Aggregate()
-	if loaded.Samples() != agg.CountersSnapshot().Samples || loaded.Lost() != agg.CountersSnapshot().Lost {
+	if loaded.Samples() != c.Samples || loaded.Lost() != c.Lost {
 		t.Fatalf("checkpoint totals %d/%d, aggregate %d/%d",
-			loaded.Samples(), loaded.Lost(), agg.CountersSnapshot().Samples, agg.CountersSnapshot().Lost)
+			loaded.Samples(), loaded.Lost(), c.Samples, c.Lost)
 	}
 
 	// And the loss-corrected estimator still centres: total estimated

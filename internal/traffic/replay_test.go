@@ -116,9 +116,8 @@ func TestReplayDeterminism(t *testing.T) {
 	if err := c3.svc.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	agg := c3.svc.Aggregate()
-	got := agg.CountersSnapshot().Samples + agg.CountersSnapshot().Lost
-	if got != rep3.CapturedSum {
+	c := c3.svc.Aggregate().CountersSnapshot()
+	if got := c.Samples + c.Lost; got != rep3.CapturedSum {
 		t.Fatalf("aggregate captured %d != offered distinct-shard sum %d", got, rep3.CapturedSum)
 	}
 }
