@@ -68,7 +68,7 @@ func run() int {
 		addr      = flag.String("addr", "127.0.0.1:7070", "listen address")
 		queue     = flag.Int("queue", 64, "ingest queue depth (bounded admission)")
 		ckpt      = flag.String("checkpoint", "", "aggregate checkpoint file (atomic writes; reloaded on restart)")
-		ckptEvery = flag.Int("checkpoint-every", 8, "checkpoint after this many merged submissions")
+		ckptEvery = flag.Int("checkpoint-every", 8, "checkpoint after this many merged submissions; with -wal-dir, also not before the WAL has grown by the last checkpoint's size")
 		interval  = flag.Float64("interval", 512, "aggregate mean sampling interval (must match submitting shards)")
 		window    = flag.Int("window", 0, "aggregate paired-sampling window W")
 		width     = flag.Int("width", 4, "aggregate sustained issue width C")

@@ -72,7 +72,10 @@ type Config struct {
 	// aggregate ("" = in-memory only).
 	CheckpointPath string
 	// CheckpointEvery checkpoints after this many merged submissions
-	// (default 1: every merge, like the fleet supervisor).
+	// (default 1: every merge, like the fleet supervisor). With a WAL a
+	// checkpoint also waits until the log has grown by the last
+	// checkpoint's size since its barrier: writes stay within about 2x
+	// the log's bytes and replay debt within one checkpoint plus a record.
 	CheckpointEvery int
 	// BreakerThreshold consecutive checkpoint failures open the breaker
 	// (default 3); BreakerCooldown is the open period before a half-open
@@ -266,6 +269,12 @@ type Service struct {
 	// by res: the next checkpoint encodes into an array that size plus
 	// rowsSlack, one allocation however many ids the ledger holds.
 	rowsLen int
+	// ckBytes is the last checkpoint's size (rows + image), guarded by
+	// res: with a WAL the next one waits until the log has grown by as
+	// much (checkpointDue). Zero until this process writes one, so a
+	// recovered instance checkpoints its replayed tail on the first
+	// cadence.
+	ckBytes int64
 }
 
 // rowsSlack is the room a checkpoint's rows get beyond the last one's:
@@ -633,10 +642,18 @@ func (s *Service) resolve(sub Submission) (reversed uint64, err error) {
 }
 
 // checkpointDue adds merged aggregate changes to the ledger's tally and
-// reports whether the checkpoint cadence has come round. Called under
-// res, so two steps cannot both see the same cadence boundary.
+// reports whether the checkpoint cadence has come round: CheckpointEvery
+// changes, and with a WAL also as many log bytes since the last barrier
+// as the last checkpoint held. There the WAL is the durability and a
+// checkpoint only bounds replay, so amortised against log growth its
+// writes cost at most about the log's own bytes again, and replay debt
+// stays near one checkpoint. Called under res, so two steps cannot both
+// see the same cadence boundary.
 func (s *Service) checkpointDue(merged int) bool {
-	return s.cfg.CheckpointPath != "" && s.led.sinceCheckpoint(merged) >= s.cfg.CheckpointEvery
+	if s.cfg.CheckpointPath == "" || s.led.sinceCheckpoint(merged) < s.cfg.CheckpointEvery {
+		return false
+	}
+	return s.wal == nil || s.wal.Stats().BytesSinceBarrier >= s.ckBytes
 }
 
 // checkpoint persists the aggregate through the circuit breaker: an open
@@ -682,6 +699,7 @@ func (s *Service) persistCheckpoint() error {
 		ck.Profile = image.Bytes()
 		rows, err = appendRows(make([]byte, 0, s.rowsLen+rowsSlack), &ck)
 		s.rowsLen = len(rows)
+		s.ckBytes = int64(len(rows) + len(ck.Profile))
 	}
 	s.res.Unlock()
 	if err != nil {

@@ -310,10 +310,12 @@ func TestSubmitProceedsDuringSnapshot(t *testing.T) {
 	conserve(t, svc, s1.Captured()+s2.Captured(), "after drain")
 }
 
-// TestCrashRecoveryConservationProperty checkpoints after every merge
-// while concurrent clients submit, duplicate and retry 429s, "crashes"
-// the instance at a random
-// operation, and recovers from what is on disk. Each seed must show
+// TestCrashRecoveryConservationProperty checkpoints on the WAL cadence
+// (CheckpointEvery 1: whenever the log has grown by the last checkpoint's
+// size) while concurrent clients submit, duplicate and retry 429s,
+// "crashes" the instance at a random operation in the second half of the
+// run, once at least two checkpoints have been written and a WAL segment
+// reclaimed, and recovers from what is on disk. Each seed must show
 // exact conservation over every shard that reached the WAL, every
 // acknowledged shard accounted for exactly once, and a checkpoint barrier
 // that passed no record the checkpoint's own ledger does not cover.
@@ -364,8 +366,8 @@ func runCrashRecoveryTrial(t *testing.T, seed int64) {
 		WALDir:          filepath.Join(dir, "wal"),
 		CheckpointPath:  filepath.Join(dir, "ckpt.db"),
 		CheckpointEvery: 1,
-		// Small segments, so checkpoints really reclaim.
-		WALSegmentBytes: 4 << 10,
+		// Segments of a record or two, so checkpoints really reclaim.
+		WALSegmentBytes: 1 << 10,
 		persist: func() error {
 			ckpt.Lock()
 			defer ckpt.Unlock()
@@ -400,7 +402,7 @@ func runCrashRecoveryTrial(t *testing.T, seed int64) {
 		}
 		total += len(scripts[c])
 	}
-	crashAt := int64(1 + rng.Intn(total))
+	crashAt := int64(total/2 + 1 + rng.Intn(total-total/2))
 
 	var (
 		ops     atomic.Int64
@@ -440,6 +442,12 @@ func runCrashRecoveryTrial(t *testing.T, seed int64) {
 		}(script)
 	}
 	wg.Wait()
+	// The crash image must hold what the trial is about: a checkpoint
+	// barrier past earlier ones, and segments it reclaimed.
+	st := s1.Stats()
+	if reclaimed := 1 + int(st.WAL.Rotations) - st.WAL.Segments; st.Checkpoints < 2 || reclaimed < 1 {
+		t.Fatalf("at the crash: %d checkpoints and %d segments reclaimed, want >= 2 and >= 1", st.Checkpoints, reclaimed)
+	}
 	// Nothing survives the crash but the files. Recovery reads a copy, so
 	// the old instance can be let go and wound down afterwards.
 	if err := s1.CloseWAL(); err != nil {

@@ -270,40 +270,6 @@ func (q *quantileSketch) addN(v float64, n uint64) {
 	q.bkt[i] += n
 }
 
-// quantile returns the estimated q-quantile (q in [0,1]), within alpha
-// relative error of the exact quantile of the observed stream. With no
-// observations it returns 0.
-func (q *quantileSketch) quantile(p float64) float64 {
-	if q.count == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	rank := uint64(p * float64(q.count-1))
-	if rank < q.zero {
-		return 0
-	}
-	idxs := make([]int, 0, len(q.bkt))
-	for i := range q.bkt {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	cum := q.zero
-	for _, i := range idxs {
-		cum += q.bkt[i]
-		if rank < cum {
-			// Midpoint of (gamma^(i-1), gamma^i]: 2*gamma^i/(gamma+1).
-			return 2 * math.Pow(q.gamma, float64(i)) / (q.gamma + 1)
-		}
-	}
-	// Unreachable when counts are consistent; fall back to the top bucket.
-	return 2 * math.Pow(q.gamma, float64(idxs[len(idxs)-1])) / (q.gamma + 1)
-}
-
 // quantileSummary is the published form of one latency distribution:
 // fixed percentiles computed at view-publish time so readers never touch
 // the live sketch. RelError is the sketch's alpha: each percentile is
@@ -318,14 +284,48 @@ type quantileSummary struct {
 	RelError float64 `json:"rel_error"`
 }
 
-// summarize computes the published percentiles for one sketch.
+// summarize computes the published percentiles for one sketch, each
+// within alpha relative error of the exact quantile of the observed
+// stream (0 with no observations): the q-quantile is the bucket holding
+// rank q*(count-1). One sort of the bucket keys and one ascending walk
+// answer all three.
 func (q *quantileSketch) summarize(kind string) quantileSummary {
-	return quantileSummary{
-		Kind:     kind,
-		Count:    q.count,
-		P50:      q.quantile(0.50),
-		P90:      q.quantile(0.90),
-		P99:      q.quantile(0.99),
-		RelError: quantileAlpha,
+	s := quantileSummary{Kind: kind, Count: q.count, RelError: quantileAlpha}
+	if q.count == 0 {
+		return s
 	}
+	ps := [...]float64{0.50, 0.90, 0.99}
+	var v [len(ps)]float64
+	rank := func(k int) uint64 { return uint64(ps[k] * float64(q.count-1)) }
+	k := 0
+	for k < len(ps) && rank(k) < q.zero {
+		k++ // the zero bucket answers 0
+	}
+	idxs := make([]int, 0, len(q.bkt))
+	for i := range q.bkt {
+		idxs = append(idxs, i)
+	}
+	sort.Ints(idxs)
+	cum := q.zero
+	for _, i := range idxs {
+		if k == len(ps) {
+			break
+		}
+		cum += q.bkt[i]
+		for ; k < len(ps) && rank(k) < cum; k++ {
+			v[k] = q.midpoint(i)
+		}
+	}
+	// Unreachable when counts are consistent; fall back to the top bucket.
+	for ; k < len(ps); k++ {
+		v[k] = q.midpoint(idxs[len(idxs)-1])
+	}
+	s.P50, s.P90, s.P99 = v[0], v[1], v[2]
+	return s
+}
+
+// midpoint is bucket i's representative value, the midpoint of
+// (gamma^(i-1), gamma^i]: 2*gamma^i/(gamma+1).
+func (q *quantileSketch) midpoint(i int) float64 {
+	return 2 * math.Pow(q.gamma, float64(i)) / (q.gamma + 1)
 }

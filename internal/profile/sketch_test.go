@@ -176,9 +176,10 @@ func TestQuantileSketchRelativeError(t *testing.T) {
 			q.addN(v, 1)
 		}
 		sort.Float64s(vals)
-		for _, p := range []float64{0.5, 0.9, 0.99} {
+		sum := q.summarize("test")
+		for i, p := range []float64{0.5, 0.9, 0.99} {
 			exact := vals[int(p*float64(n-1))]
-			got := q.quantile(p)
+			got := []float64{sum.P50, sum.P90, sum.P99}[i]
 			if rel := math.Abs(got-exact) / exact; rel > quantileAlpha+1e-9 {
 				t.Errorf("seed %d: p%.0f = %g, exact %g, rel err %.4f > alpha %.4f",
 					seed, p*100, got, exact, rel, quantileAlpha)
@@ -189,6 +190,82 @@ func TestQuantileSketchRelativeError(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// quantileRef is the per-percentile lookup summarize replaced: rebuild
+// and sort the bucket keys, walk to the bucket holding rank p*(count-1).
+func quantileRef(q *quantileSketch, p float64) float64 {
+	if q.count == 0 {
+		return 0
+	}
+	rank := uint64(p * float64(q.count-1))
+	if rank < q.zero {
+		return 0
+	}
+	idxs := make([]int, 0, len(q.bkt))
+	for i := range q.bkt {
+		idxs = append(idxs, i)
+	}
+	sort.Ints(idxs)
+	cum := q.zero
+	for _, i := range idxs {
+		cum += q.bkt[i]
+		if rank < cum {
+			return 2 * math.Pow(q.gamma, float64(i)) / (q.gamma + 1)
+		}
+	}
+	return 2 * math.Pow(q.gamma, float64(idxs[len(idxs)-1])) / (q.gamma + 1)
+}
+
+// TestSummarizeMatchesQuantile holds summarize's one walk to three
+// separate lookups, bit for bit, on seeded sketches: empty ones, ones
+// wholly or mostly in the zero bucket, a single bucket, heavy weights.
+func TestSummarizeMatchesQuantile(t *testing.T) {
+	check := func(label string, q *quantileSketch) {
+		t.Helper()
+		got := q.summarize("k")
+		if got.Kind != "k" || got.Count != q.count || got.RelError != quantileAlpha {
+			t.Fatalf("%s: header %+v", label, got)
+		}
+		for i, p := range []float64{0.50, 0.90, 0.99} {
+			g, w := []float64{got.P50, got.P90, got.P99}[i], quantileRef(q, p)
+			if math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s (count %d, zero %d, %d buckets): p%.0f = %v, per-call lookup %v",
+					label, q.count, q.zero, len(q.bkt), p*100, g, w)
+			}
+		}
+	}
+	// A zero bucket ending just before, at or just after a percentile's
+	// rank, then two buckets.
+	for _, n := range []uint64{2, 11, 101, 1001} {
+		for _, p := range []float64{0.50, 0.90, 0.99} {
+			r := uint64(p * float64(n-1))
+			for z := r - min(r, 1); z <= r+1 && z < n; z++ {
+				q := newQuantileSketch()
+				q.addN(1, z)
+				q.addN(20, (n-z)/2)
+				q.addN(300, n-z-(n-z)/2)
+				check(fmt.Sprintf("n=%d zero=%d", n, z), q)
+			}
+		}
+	}
+	for seed := uint64(0); seed < 300; seed++ {
+		rng := stats.NewRNG(seed)
+		q := newQuantileSketch()
+		for j, n := 0, rng.IntRange(0, 200)*int(seed%4); j < n; j++ {
+			v := float64(rng.IntRange(0, 60))
+			switch {
+			case seed%5 == 1:
+				v = 1 // zero bucket only
+			case seed%5 == 2:
+				v = 37 // one bucket
+			case rng.Bool(0.1):
+				v *= float64(rng.IntRange(10, 1000))
+			}
+			q.addN(v, uint64(rng.IntRange(1, 1+int(seed%3)*500)))
+		}
+		check(fmt.Sprintf("seed %d", seed), q)
 	}
 }
 
