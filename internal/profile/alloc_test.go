@@ -3,9 +3,11 @@ package profile
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"profileme/internal/core"
 	"profileme/internal/stats"
@@ -161,4 +163,82 @@ func allocExcess(allocs, size uint64, want [2]uint64) string {
 		return fmt.Sprintf("%d bytes, want <= %d + 15%%", size, want[1])
 	}
 	return ""
+}
+
+// retainedBy returns the live heap a value built by build holds: the
+// smallest difference, over three builds, between the heap after two
+// full collections with the value alive and before it was built. Two
+// collections empty sync.Pool's victim cache too, and the smallest of
+// three discards another goroutine's allocation during one build.
+func retainedBy(build func() any) int64 {
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	best := int64(math.MaxInt64)
+	for try := 0; try < 3; try++ {
+		before := live()
+		v := build()
+		best = min(best, live()-before)
+		runtime.KeepAlive(v)
+	}
+	return best
+}
+
+// TestSketchFootprint holds the sketch layer to what it was fed. An
+// empty collector with the default geometry (K = 512, 60 one-second
+// window buckets) retained 1.14 MB while each of the ring's 60 sketches
+// pre-sized a Go map for K PCs; now each sketch grows with its PCs. One
+// merged 300-PC shard adds space in proportion to its 300 PCs (the
+// aggregate's rows, the top-K sketch and one window bucket), nowhere
+// near 60 × K counters. A full K = 512 sketch retains no more than it
+// did with a Go map index (34,464 B), and its index no more than that
+// map's 18,064 B.
+func TestSketchFootprint(t *testing.T) {
+	const emptyMax = 32 << 10
+	empty := retainedBy(func() any { return NewSafeDBWith(NewDB(64, 0, 4), SketchConfig{}) })
+	t.Logf("empty SafeDB retains %d B", empty)
+	if empty > emptyMax {
+		t.Errorf("an empty default SafeDB retains %d B, want <= %d", empty, emptyMax)
+	}
+
+	const shardPCs, perPC = 300, 1024
+	img := shardOf(t, 7, shardPCs, 4*shardPCs)
+	merged := retainedBy(func() any {
+		s := NewSafeDBWith(NewDB(64, 0, 4), SketchConfig{})
+		db, err := LoadDB(bytes.NewReader(img))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Merge(db); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	})
+	t.Logf("after one %d-PC shard: %d B (%d B per PC over empty)", shardPCs, merged, (merged-empty)/shardPCs)
+	if merged-empty > shardPCs*perPC {
+		t.Errorf("one %d-PC shard adds %d B, want <= %d B per PC", shardPCs, merged-empty, perPC)
+	}
+
+	const k, fullMax, indexMax = 512, 34464, 18064
+	fill := func() *spaceSaving {
+		sk := newSpaceSaving(k)
+		for i := uint64(0); i < 4*k; i++ {
+			sk.add(0x400000+4*i, i%7+1)
+		}
+		return sk
+	}
+	full := retainedBy(func() any { return fill() })
+	sk := fill()
+	index := int64(cap(sk.index.tab)) * int64(unsafe.Sizeof(pcEntry{}))
+	t.Logf("full K=%d sketch retains %d B, its index %d B", k, full, index)
+	if len(sk.slots) != k {
+		t.Fatalf("sketch holds %d PCs, want a full %d", len(sk.slots), k)
+	}
+	if full > fullMax || index > indexMax {
+		t.Errorf("full K=%d sketch retains %d B (want <= %d), its index %d B (want <= %d)", k, full, fullMax, index, indexMax)
+	}
 }

@@ -1,8 +1,10 @@
 package profile
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // This file holds the two streaming summaries the query path serves from:
@@ -41,27 +43,38 @@ type SSEntry struct {
 // time maintenance needs: a shard merge contributes each PC's whole
 // sample delta in one update.
 //
-// Entries live in stable slots. The min-heap orders slot ids and pos
-// says where each slot sits in it, so a sift step swaps two int32s and
-// the PC -> slot index is written only when a PC enters or leaves the
-// sketch, never inside siftUp/siftDown.
+// Storage follows what the sketch holds, not k: an empty sketch is its
+// header alone, and every array grows as PCs arrive. Entries live in
+// stable slots (PC and inherited error). The min-heap holds each entry's
+// count inline beside its slot id, so a sift compares heap entries
+// without chasing slots, and pos says where each slot sits in the heap.
+// The PC -> slot index (pcIndex) is written only when a PC enters or
+// leaves the sketch, never inside siftUp/siftDown. A full K = 512 sketch
+// is 30 KiB: 8 KiB each of heap and slots, 2 KiB of positions and the
+// 12 KiB index.
 type spaceSaving struct {
 	k     int
-	n     uint64           // total weight observed
-	slots []SSEntry        // one per tracked PC; an evicting PC takes over its victim's slot
-	heap  []int32          // slot ids, min-heap by Count (ties broken arbitrarily)
-	pos   []int32          // slot id -> heap position
-	index map[uint64]int32 // PC -> slot id
+	n     uint64    // total weight observed
+	slots []ssSlot  // one per tracked PC; an evicting PC takes over its victim's slot
+	heap  []ssCount // min-heap by count (ties broken arbitrarily)
+	pos   []int32   // slot id -> heap position
+	index pcIndex   // PC -> slot id
+}
+
+// ssSlot is what a tracked PC keeps outside the heap.
+type ssSlot struct{ pc, err uint64 }
+
+// ssCount is one heap entry: a tracked PC's count and its slot.
+type ssCount struct {
+	count uint64
+	slot  int32
 }
 
 // newSpaceSaving returns an empty sketch with k counters. Any item whose
 // true count exceeds N/k is guaranteed to be tracked; estimates overcount
 // by at most minCount() <= N/k.
 func newSpaceSaving(k int) *spaceSaving {
-	if k < 1 {
-		k = 1
-	}
-	return &spaceSaving{k: k, index: make(map[uint64]int32, k)}
+	return &spaceSaving{k: max(k, 1)}
 }
 
 // minCount returns the sketch floor: the smallest tracked count once the
@@ -72,7 +85,7 @@ func (s *spaceSaving) minCount() uint64 {
 	if len(s.slots) < s.k {
 		return 0
 	}
-	return s.slots[s.heap[0]].Count
+	return s.heap[0].count
 }
 
 // add folds weight w for pc into the sketch: O(log K). If the sketch is
@@ -83,32 +96,40 @@ func (s *spaceSaving) add(pc uint64, w uint64) {
 		return
 	}
 	s.n += w
-	if slot, ok := s.index[pc]; ok {
-		s.slots[slot].Count += w
-		s.siftDown(int(s.pos[slot]))
+	if slot, ok := s.index.get(pc); ok {
+		i := int(s.pos[slot])
+		s.heap[i].count += w
+		s.siftDown(i)
 		return
 	}
 	if len(s.slots) < s.k {
-		s.push(SSEntry{PC: pc, Count: w})
+		s.push(pc, w, 0)
 		s.siftUp(len(s.heap) - 1)
 		return
 	}
-	slot := s.heap[0]
-	evicted := s.slots[slot]
-	delete(s.index, evicted.PC)
-	s.slots[slot] = SSEntry{PC: pc, Count: evicted.Count + w, Err: evicted.Count}
-	s.index[pc] = slot
+	root := s.heap[0]
+	victim := &s.slots[root.slot]
+	s.index.del(victim.pc)
+	s.index.put(pc, root.slot)
+	*victim = ssSlot{pc: pc, err: root.count}
+	s.heap[0].count = root.count + w
 	s.siftDown(0)
 }
 
-// push appends e in a fresh slot at the end of the heap; the caller
+// push puts pc in a fresh slot at the end of the heap; the caller
 // restores the heap order.
-func (s *spaceSaving) push(e SSEntry) {
+func (s *spaceSaving) push(pc, count, err uint64) {
 	slot := int32(len(s.slots))
-	s.slots = append(s.slots, e)
-	s.heap = append(s.heap, slot)
+	s.slots = append(s.slots, ssSlot{pc: pc, err: err})
+	s.heap = append(s.heap, ssCount{count: count, slot: slot})
 	s.pos = append(s.pos, slot)
-	s.index[e.PC] = slot
+	s.index.put(pc, slot)
+}
+
+// entry is heap entry h as a row.
+func (s *spaceSaving) entry(h ssCount) SSEntry {
+	sl := s.slots[h.slot]
+	return SSEntry{PC: sl.pc, Count: h.count, Err: sl.err}
 }
 
 // items returns every tracked entry, descending by Count with PC as the
@@ -116,15 +137,21 @@ func (s *spaceSaving) push(e SSEntry) {
 // path agree whenever the sketch has seen fewer than K distinct PCs and
 // is therefore exact). The slice and entries are copies.
 func (s *spaceSaving) items() []SSEntry {
-	out := make([]SSEntry, len(s.slots))
-	copy(out, s.slots)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].PC < out[j].PC
-	})
+	out := make([]SSEntry, len(s.heap))
+	for i, h := range s.heap {
+		out[i] = s.entry(h)
+	}
+	slices.SortFunc(out, hotterEntry)
 	return out
+}
+
+// hotterEntry orders rows by Count descending, then PC ascending: a
+// total order over distinct PCs, so any sort gives the same rows.
+func hotterEntry(a, b SSEntry) int {
+	if c := cmp.Compare(b.Count, a.Count); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.PC, b.PC)
 }
 
 // mergeSketches returns a new sketch summarizing the union stream of a and b —
@@ -133,50 +160,45 @@ func (s *spaceSaving) items() []SSEntry {
 // seen it up to its floor times; that floor is added to both the count
 // and the error so the merged estimate keeps the never-undercount
 // guarantee. The merged floor (and so the error bound) is at most
-// floor(a) + floor(b).
+// floor(a) + floor(b). The result is sized once for the rows it keeps.
 func mergeSketches(a, b *spaceSaving) *spaceSaving {
-	k := a.k
-	if b.k < k {
-		k = b.k
-	}
-	type pair struct{ count, err uint64 }
-	union := make(map[uint64]pair, len(a.slots)+len(b.slots))
+	k := min(a.k, b.k)
 	fa, fb := a.minCount(), b.minCount()
-	for _, e := range a.slots {
-		union[e.PC] = pair{e.Count, e.Err}
-	}
-	for _, e := range b.slots {
-		p, ok := union[e.PC]
-		if ok {
-			union[e.PC] = pair{p.count + e.Count, p.err + e.Err}
+	entries := make([]SSEntry, 0, len(a.heap)+len(b.heap))
+	for _, h := range a.heap {
+		e := a.entry(h)
+		if slot, ok := b.index.get(e.PC); ok {
+			e.Count += b.heap[b.pos[slot]].count
+			e.Err += b.slots[slot].err
 		} else {
-			// Unseen by a: a may still have counted it up to fa times.
-			union[e.PC] = pair{e.Count + fa, e.Err + fa}
+			// Unseen by b: b may still have counted it up to fb times.
+			e.Count += fb
+			e.Err += fb
+		}
+		entries = append(entries, e)
+	}
+	for _, h := range b.heap {
+		e := b.entry(h)
+		if _, ok := a.index.get(e.PC); !ok {
+			e.Count += fa
+			e.Err += fa
+			entries = append(entries, e)
 		}
 	}
-	for _, e := range a.slots {
-		if _, tracked := b.index[e.PC]; !tracked {
-			p := union[e.PC]
-			union[e.PC] = pair{p.count + fb, p.err + fb}
-		}
-	}
-	entries := make([]SSEntry, 0, len(union))
-	for pc, p := range union {
-		entries = append(entries, SSEntry{PC: pc, Count: p.count, Err: p.err})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Count != entries[j].Count {
-			return entries[i].Count > entries[j].Count
-		}
-		return entries[i].PC < entries[j].PC
-	})
+	slices.SortFunc(entries, hotterEntry)
 	if len(entries) > k {
 		entries = entries[:k]
 	}
-	m := newSpaceSaving(k)
-	m.n = a.n + b.n
+	m := &spaceSaving{
+		k:     k,
+		n:     a.n + b.n,
+		slots: make([]ssSlot, 0, len(entries)),
+		heap:  make([]ssCount, 0, len(entries)),
+		pos:   make([]int32, 0, len(entries)),
+		index: newPCIndex(len(entries)),
+	}
 	for _, e := range entries {
-		m.push(e)
+		m.push(e.PC, e.Count, e.Err)
 	}
 	// Restore the min-heap invariant over the kept entries.
 	for i := len(m.heap)/2 - 1; i >= 0; i-- {
@@ -185,42 +207,158 @@ func mergeSketches(a, b *spaceSaving) *spaceSaving {
 	return m
 }
 
-func (s *spaceSaving) less(i, j int) bool {
-	return s.slots[s.heap[i]].Count < s.slots[s.heap[j]].Count
+// place puts heap entry h at position i.
+func (s *spaceSaving) place(i int, h ssCount) {
+	s.heap[i] = h
+	s.pos[h.slot] = int32(i)
 }
 
-func (s *spaceSaving) swap(i, j int) {
-	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-	s.pos[s.heap[i]] = int32(i)
-	s.pos[s.heap[j]] = int32(j)
-}
-
+// siftUp and siftDown move a hole rather than swapping: the entry being
+// sifted is written once, where it stops. Each makes the comparisons of
+// the swapping sift it replaced and leaves every entry where that one
+// did, so ties pick the same eviction victim.
 func (s *spaceSaving) siftUp(i int) {
+	x := s.heap[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			return
+		if x.count >= s.heap[parent].count {
+			break
 		}
-		s.swap(i, parent)
+		s.place(i, s.heap[parent])
 		i = parent
 	}
+	s.place(i, x)
 }
 
 func (s *spaceSaving) siftDown(i int) {
+	x := s.heap[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(s.heap) && s.less(l, min) {
-			min = l
+		c := 2*i + 1
+		if c >= len(s.heap) {
+			break
 		}
-		if r < len(s.heap) && s.less(r, min) {
-			min = r
+		if r := c + 1; r < len(s.heap) && s.heap[r].count < s.heap[c].count {
+			c = r
 		}
-		if min == i {
-			return
+		if s.heap[c].count >= x.count {
+			break
 		}
-		s.swap(i, min)
-		i = min
+		s.place(i, s.heap[c])
+		i = c
+	}
+	s.place(i, x)
+}
+
+// pcIndex maps each tracked PC to its slot: open addressing with linear
+// probing over a power-of-two table, kept at most half full. It has no
+// table until the first put and doubles from 16, so an index of n PCs
+// holds the smallest power of two >= 2n entries (at least 16) — for a
+// K = 512 sketch never more than 1024. A deletion shifts the rest of its
+// probe cluster back instead of leaving a tombstone, so churn never
+// lengthens a probe.
+type pcIndex struct {
+	tab   []pcEntry
+	n     int  // occupied entries
+	shift uint // 64 - log2(len(tab)): a hash's top bits pick the home entry
+}
+
+// pcEntry is one table entry, key and slot side by side. The PC is split
+// in two words so an entry takes 12 bytes, not 16; ref is slot+1, and 0
+// marks an empty entry (PC 0 is a valid key).
+type pcEntry struct {
+	lo, hi uint32
+	ref    int32
+}
+
+func (e *pcEntry) pc() uint64 { return uint64(e.hi)<<32 | uint64(e.lo) }
+
+// newPCIndex returns an index whose table already holds n PCs without
+// growing.
+func newPCIndex(n int) pcIndex {
+	var x pcIndex
+	if n > 0 {
+		x.resize(max(16, 1<<bits.Len(uint(2*n-1))))
+	}
+	return x
+}
+
+// home is pc's first probe position: Fibonacci hashing, so PCs that
+// differ only in low bits (strided code addresses) spread over the table.
+func (x *pcIndex) home(pc uint64) int {
+	return int((pc * 0x9e3779b97f4a7c15) >> x.shift)
+}
+
+// lookup returns pc's table position, or the empty position where a
+// probe for it stops. The table must exist.
+func (x *pcIndex) lookup(pc uint64) (int, bool) {
+	lo, hi := uint32(pc), uint32(pc>>32)
+	mask := len(x.tab) - 1
+	for i := x.home(pc); ; i = (i + 1) & mask {
+		e := &x.tab[i]
+		if e.ref == 0 {
+			return i, false
+		}
+		if e.lo == lo && e.hi == hi {
+			return i, true
+		}
+	}
+}
+
+func (x *pcIndex) get(pc uint64) (int32, bool) {
+	if x.n == 0 {
+		return 0, false
+	}
+	if i, ok := x.lookup(pc); ok {
+		return x.tab[i].ref - 1, true
+	}
+	return 0, false
+}
+
+// put maps pc, which the index does not hold, to slot, growing the
+// table first if one more PC would fill more than half of it.
+func (x *pcIndex) put(pc uint64, slot int32) {
+	if 2*(x.n+1) > len(x.tab) {
+		x.resize(max(16, 2*len(x.tab)))
+	}
+	i, _ := x.lookup(pc)
+	x.tab[i] = pcEntry{lo: uint32(pc), hi: uint32(pc >> 32), ref: slot + 1}
+	x.n++
+}
+
+// del unmaps pc. Each entry after it in the probe cluster moves back
+// into the hole unless its home lies cyclically in (hole, entry] — where
+// a probe for it would stop before reaching the hole.
+func (x *pcIndex) del(pc uint64) {
+	if x.n == 0 {
+		return
+	}
+	i, ok := x.lookup(pc)
+	if !ok {
+		return
+	}
+	mask := len(x.tab) - 1
+	for j := (i + 1) & mask; x.tab[j].ref != 0; j = (j + 1) & mask {
+		h := x.home(x.tab[j].pc())
+		if (i < j && (h <= i || h > j)) || (j < i && h <= i && h > j) {
+			x.tab[i] = x.tab[j]
+			i = j
+		}
+	}
+	x.tab[i] = pcEntry{}
+	x.n--
+}
+
+// resize rehashes every entry into a table of size entries, a power of
+// two.
+func (x *pcIndex) resize(size int) {
+	old := x.tab
+	x.tab = make([]pcEntry, size)
+	x.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for _, e := range old {
+		if e.ref != 0 {
+			i, _ := x.lookup(e.pc())
+			x.tab[i] = e
+		}
 	}
 }
 
@@ -235,6 +373,11 @@ const quantileAlpha = 0.05
 // the exact answer. Values in [0, 1] land in a dedicated zero bucket and
 // are reported as 0 (sub-cycle latencies do not exist in this domain).
 //
+// The buckets are a dense slice indexed by bucket number, grown on
+// demand to the highest bucket seen: latencies up to 1000 cycles reach
+// bucket 70, and the clamp at quantileMax caps the slice at 445
+// entries (3.5 KiB) whatever is fed.
+//
 // The sketch is deterministic and mergeable (bucket counts add); it is
 // NOT safe for concurrent use — SafeDB owns its sketches under the write
 // lock and publishes computed summaries into the read view.
@@ -243,30 +386,39 @@ type quantileSketch struct {
 	lgamma float64
 	zero   uint64
 	count  uint64
-	bkt    map[int]uint64
+	bkt    []uint64 // bkt[i] counts bucket i; bkt[0] stays 0 (values <= 1 go to zero)
 }
+
+// quantileMax is the largest value the sketch buckets apart: a per-PC
+// mean latency is a uint64 sum over a count, so it cannot exceed 2^64.
+// Larger values (+Inf included) count in its bucket, number 444.
+const quantileMax = 0x1p64
 
 // newQuantileSketch returns an empty sketch.
 func newQuantileSketch() *quantileSketch {
 	alpha := float64(quantileAlpha) // a variable: gamma is float64 arithmetic, not an exact constant
 	gamma := (1 + alpha) / (1 - alpha)
-	return &quantileSketch{gamma: gamma, lgamma: math.Log(gamma), bkt: make(map[int]uint64)}
+	return &quantileSketch{gamma: gamma, lgamma: math.Log(gamma)}
 }
 
 // addN folds n identical observations in one O(1) update: a merged shard
 // contributes a per-PC mean weighted by its contributing-sample count.
-// Values at or below 1 (and negative ones, which violate the latency
-// domain but must not corrupt the histogram) land in the zero bucket.
+// Values at or below 1 (and negative ones and NaN, which violate the
+// latency domain but must not corrupt the histogram) land in the zero
+// bucket; values above quantileMax land in its bucket.
 func (q *quantileSketch) addN(v float64, n uint64) {
 	if n == 0 {
 		return
 	}
 	q.count += n
-	if v <= 1 {
+	if !(v > 1) {
 		q.zero += n
 		return
 	}
-	i := int(math.Ceil(math.Log(v) / q.lgamma))
+	i := int(math.Ceil(math.Log(min(v, quantileMax)) / q.lgamma))
+	if i >= len(q.bkt) {
+		q.bkt = append(q.bkt, make([]uint64, i+1-len(q.bkt))...)
+	}
 	q.bkt[i] += n
 }
 
@@ -287,8 +439,7 @@ type quantileSummary struct {
 // summarize computes the published percentiles for one sketch, each
 // within alpha relative error of the exact quantile of the observed
 // stream (0 with no observations): the q-quantile is the bucket holding
-// rank q*(count-1). One sort of the bucket keys and one ascending walk
-// answer all three.
+// rank q*(count-1). One ascending walk of the buckets answers all three.
 func (q *quantileSketch) summarize(kind string) quantileSummary {
 	s := quantileSummary{Kind: kind, Count: q.count, RelError: quantileAlpha}
 	if q.count == 0 {
@@ -301,24 +452,19 @@ func (q *quantileSketch) summarize(kind string) quantileSummary {
 	for k < len(ps) && rank(k) < q.zero {
 		k++ // the zero bucket answers 0
 	}
-	idxs := make([]int, 0, len(q.bkt))
-	for i := range q.bkt {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
 	cum := q.zero
-	for _, i := range idxs {
+	for i, c := range q.bkt {
 		if k == len(ps) {
 			break
 		}
-		cum += q.bkt[i]
+		cum += c
 		for ; k < len(ps) && rank(k) < cum; k++ {
 			v[k] = q.midpoint(i)
 		}
 	}
 	// Unreachable when counts are consistent; fall back to the top bucket.
 	for ; k < len(ps); k++ {
-		v[k] = q.midpoint(idxs[len(idxs)-1])
+		v[k] = q.midpoint(len(q.bkt) - 1)
 	}
 	s.P50, s.P90, s.P99 = v[0], v[1], v[2]
 	return s

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
 	"slices"
 	"sort"
@@ -81,7 +82,7 @@ func TestSpaceSavingBounds(t *testing.T) {
 		}
 		for pc, tc := range truth {
 			if tc > floor {
-				if _, ok := sk.index[pc]; !ok {
+				if _, ok := sk.index.get(pc); !ok {
 					t.Errorf("seed %d: heavy hitter %#x (true %d > floor %d) untracked", seed, pc, tc, floor)
 					return false
 				}
@@ -815,5 +816,135 @@ func TestMergeIsDeterministic(t *testing.T) {
 				t.Fatalf("trial %d (decoded %v): windowed answer differs from the first merge's", trial, decoded)
 			}
 		}
+	}
+}
+
+// homeAt returns pc's home entry in a pcIndex table of size entries.
+func homeAt(pc uint64, size int) int {
+	x := pcIndex{shift: uint(64 - bits.TrailingZeros(uint(size)))}
+	return x.home(pc)
+}
+
+// pcsAt returns n PCs from from upward, in steps of 4, whose home in a
+// table of size entries is home.
+func pcsAt(from uint64, n, home, size int) []uint64 {
+	var out []uint64
+	for pc := from; len(out) < n; pc += 4 {
+		if homeAt(pc, size) == home {
+			out = append(out, pc)
+		}
+	}
+	return out
+}
+
+// TestPCIndexMatchesMap drives seeded put/get/del sequences through the
+// space-saving index and through a Go map, and after every step looks
+// every key of the stream up in both. The key pools hold PC 0, PCs that
+// share a home entry, and PCs homed on the last entries of the table,
+// whose probe clusters wrap past its end — the case a backward-shift
+// delete gets wrong if it forgets that the cluster continues at entry
+// 0. The last pool grows the index from empty to 1024 PCs (a 2048-entry
+// table, whose last entry eight of them call home) and deletes it back
+// to nothing in random order.
+func TestPCIndexMatchesMap(t *testing.T) {
+	check := func(t *testing.T, step string, x *pcIndex, want map[uint64]int32, pool []uint64) {
+		t.Helper()
+		if x.n != len(want) {
+			t.Fatalf("%s: index holds %d PCs, map %d", step, x.n, len(want))
+		}
+		if size := len(x.tab); size > 0 && (size < 16 || size&(size-1) != 0 || 2*x.n > size) {
+			t.Fatalf("%s: %d PCs in a %d-entry table, want a power of two >= 16, at most half full", step, x.n, size)
+		}
+		for _, pc := range pool {
+			got, ok := x.get(pc)
+			w, wok := want[pc]
+			if ok != wok || got != w {
+				t.Fatalf("%s: get(%#x) = %d, %v; map holds %d, %v", step, pc, got, ok, w, wok)
+			}
+		}
+	}
+	wrap16 := append(pcsAt(0x400000, 3, 15, 16), pcsAt(0x400000, 3, 14, 16)...)
+	pools := map[string][]uint64{
+		"zero+shared": append([]uint64{0}, append(pcsAt(0x400000, 5, 3, 16), pcsAt(0x400000, 4, 4, 16)...)...),
+		"wrap16":      append([]uint64{0}, append(wrap16, pcsAt(0x400000, 3, 0, 16)...)...),
+	}
+	for name, pool := range pools {
+		t.Run(name, func(t *testing.T) {
+			for seed := uint64(0); seed < 200; seed++ {
+				rng := stats.NewRNG(seed)
+				var x pcIndex
+				want := map[uint64]int32{}
+				for step := 0; step < 60; step++ {
+					// put takes only an absent PC, as the sketch calls it.
+					pc := pool[rng.Intn(len(pool))]
+					op := "del"
+					if _, held := want[pc]; !held && rng.Bool(0.7) {
+						op = "put"
+						slot := int32(rng.Intn(512))
+						x.put(pc, slot)
+						want[pc] = slot
+					} else {
+						x.del(pc)
+						delete(want, pc)
+					}
+					check(t, fmt.Sprintf("seed %d step %d (%s %#x)", seed, step, op, pc), &x, want, pool)
+				}
+			}
+		})
+	}
+	t.Run("grow", func(t *testing.T) {
+		rng := stats.NewRNG(5)
+		pool := append([]uint64{0}, pcsAt(0x400000, 8, 2047, 2048)...)
+		for pc := uint64(0x400004); len(pool) < 1024; pc += 4 * uint64(rng.IntRange(1, 3)) {
+			pool = append(pool, pc)
+		}
+		var x pcIndex
+		want := map[uint64]int32{}
+		for i, pc := range pool {
+			x.put(pc, int32(i))
+			want[pc] = int32(i)
+			check(t, fmt.Sprintf("put %d", i), &x, want, pool)
+		}
+		if len(x.tab) != 2048 {
+			t.Fatalf("1024 PCs in a %d-entry table, want 2048", len(x.tab))
+		}
+		for i, j := range rng.Perm(len(pool)) {
+			x.del(pool[j])
+			delete(want, pool[j])
+			check(t, fmt.Sprintf("del %d", i), &x, want, pool)
+		}
+	})
+}
+
+// TestQuantileAddNDomain feeds addN what a corrupt or overflowing mean
+// could be: NaN and -Inf count as zero latency, and +Inf, MaxFloat64
+// and 2^64 all land in the top bucket, so the bucket slice never grows
+// past that bucket whatever is fed.
+func TestQuantileAddNDomain(t *testing.T) {
+	q := newQuantileSketch()
+	for _, v := range []float64{math.NaN(), math.Inf(-1), -5} {
+		q.addN(v, 1)
+	}
+	if q.zero != 3 || len(q.bkt) != 0 {
+		t.Fatalf("NaN, -Inf and -5: zero bucket %d, %d buckets; want 3 and none", q.zero, len(q.bkt))
+	}
+	top := newQuantileSketch()
+	top.addN(float64(math.MaxUint64), 1)
+	for _, v := range []float64{math.Inf(1), math.MaxFloat64, float64(math.MaxUint64)} {
+		q.addN(v, 1)
+	}
+	if len(q.bkt) != len(top.bkt) || q.bkt[len(q.bkt)-1] != 3 {
+		t.Fatalf("+Inf, MaxFloat64, 2^64: %d buckets, top holds %d; want %d buckets, top holds 3",
+			len(q.bkt), q.bkt[len(q.bkt)-1], len(top.bkt))
+	}
+	if size := cap(q.bkt) * 8; size > 4<<10 {
+		t.Fatalf("bucket slice is %d B, want <= 4 KiB", size)
+	}
+	s := q.summarize("k")
+	if s.P50 != 0 || s.P99 < 0x1p64*(1-quantileAlpha) || s.P99 > 0x1p64*(1+quantileAlpha) {
+		t.Fatalf("summary %+v, want p50 0 and p99 within %v of 2^64", s, quantileAlpha)
+	}
+	if n := testing.AllocsPerRun(10, func() { q.addN(math.Inf(1), 1) }); n != 0 {
+		t.Fatalf("adding to an existing bucket allocates %v times", n)
 	}
 }
