@@ -7,9 +7,10 @@
 // and the sample buffer that amortizes interrupt delivery (§4.3).
 //
 // The pipeline in internal/cpu drives a Unit through a narrow hardware-ish
-// interface (fetch opportunities in, stage timestamps and events per tag,
-// completion per tag); profiling software in internal/profile drains
-// Samples from the buffer when the Unit raises its interrupt.
+// interface: fetch opportunities in, and one record at leave per tag, the
+// instruction's whole Record handed over once when it retires or aborts.
+// Profiling software in internal/profile drains Samples from the buffer
+// when the Unit raises its interrupt.
 package core
 
 import "fmt"

@@ -336,7 +336,9 @@ func (u *Unit) validTag(tag int) bool {
 	return tag >= 0 && tag < u.ways && u.live[tag]
 }
 
-// SetStage records the cycle the tagged instruction reached a stage.
+// SetStage records the cycle the tagged instruction reached a stage, for
+// a caller that fills the registers stage by stage and then calls
+// Complete. The pipeline hands over the whole record with Leave instead.
 func (u *Unit) SetStage(tag int, st Stage, cycle int64) {
 	if !u.validTag(tag) {
 		return
@@ -344,47 +346,36 @@ func (u *Unit) SetStage(tag int, st Stage, cycle int64) {
 	u.recs[tag].StageCycle[st] = cycle
 }
 
-// AddEvents ORs event bits into the tagged instruction's event register.
-func (u *Unit) AddEvents(tag int, ev Event) {
-	if !u.validTag(tag) {
-		return
-	}
-	u.recs[tag].Events |= ev
-}
-
-// SetAddr records the effective address (loads/stores) or indirect target.
-func (u *Unit) SetAddr(tag int, addr uint64) {
-	if !u.validTag(tag) {
-		return
-	}
-	u.recs[tag].Addr = addr
-	u.recs[tag].AddrValid = true
-}
-
-// SetLoadComplete records when a load's value arrived.
-func (u *Unit) SetLoadComplete(tag int, cycle int64) {
-	if !u.validTag(tag) {
-		return
-	}
-	u.recs[tag].LoadComplete = cycle
-}
-
-// Complete marks the tagged instruction finished: retired, or aborted with
-// a reason. When every selected instruction of the current sample is
-// finished, the sample moves to the buffer and, if the buffer has reached
-// BufferDepth, the interrupt line is raised.
+// Complete finishes the tagged instruction's record from what the
+// registers hold — the selection and any SetStage writes — retired, or
+// aborted with a reason at cycle, and hands it to Leave.
 func (u *Unit) Complete(tag int, retired bool, reason TrapReason, cycle int64) {
-	if !u.validTag(tag) || u.done[tag] {
+	if !u.validTag(tag) {
 		return
 	}
-	r := &u.recs[tag]
+	r := u.recs[tag]
 	r.StageCycle[StageRetire] = cycle
 	if retired {
 		r.Events |= EvRetired
-		r.Trap = TrapNone
-	} else {
-		r.Trap = reason
+		reason = TrapNone
 	}
+	r.Trap = reason
+	u.Leave(tag, &r)
+}
+
+// Leave latches the tagged instruction's whole record as it leaves the
+// pipeline, retired or aborted: one write of every Profile Register but
+// FetchSeq, which the unit assigned at selection. A tag already finished
+// is ignored. When every instruction selected for the current sample has
+// left, the sample moves to the buffer and, if the buffer has reached
+// BufferDepth, the interrupt line is raised.
+func (u *Unit) Leave(tag int, r *Record) {
+	if !u.validTag(tag) || u.done[tag] {
+		return
+	}
+	seq := u.recs[tag].FetchSeq
+	u.recs[tag] = *r
+	u.recs[tag].FetchSeq = seq
 	u.done[tag] = true
 
 	if u.sampleFinished() {

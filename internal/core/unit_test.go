@@ -80,14 +80,12 @@ func TestSampleContents(t *testing.T) {
 	if tag != 0 {
 		t.Fatalf("tag = %d", tag)
 	}
-	u.SetStage(tag, StageMap, 14)
-	u.SetStage(tag, StageDataReady, 15)
-	u.SetStage(tag, StageIssue, 16)
-	u.AddEvents(tag, EvDCacheMiss)
-	u.SetAddr(tag, 0xbeef)
-	u.SetLoadComplete(tag, 40)
-	u.SetStage(tag, StageRetireReady, 41)
-	u.Complete(tag, true, TrapNone, 45)
+	// The whole record arrives at leave; the unit keeps only its FetchSeq.
+	u.Leave(tag, &Record{
+		Context: 42, PC: 0x108, Addr: 0xbeef, AddrValid: true,
+		Events: EvRetired | EvDCacheMiss, History: 0b1011, HistoryBits: 12,
+		StageCycle: [NumStages]int64{12, 14, 15, 16, 41, 45}, LoadComplete: 40, FetchSeq: 99,
+	})
 
 	if !u.InterruptPending() {
 		t.Fatal("no interrupt after completed sample with depth 1")
@@ -97,7 +95,7 @@ func TestSampleContents(t *testing.T) {
 		t.Fatalf("%d samples", len(samples))
 	}
 	r := samples[0].First
-	if r.PC != 0x108 || r.Context != 42 || r.History != 0b1011 || r.HistoryBits != 12 {
+	if r.PC != 0x108 || r.Context != 42 || r.History != 0b1011 || r.HistoryBits != 12 || r.FetchSeq != 3 {
 		t.Fatalf("record = %+v", r)
 	}
 	if !r.Retired() || !r.Events.Has(EvDCacheMiss) {
@@ -380,7 +378,7 @@ func TestStaleTagIgnored(t *testing.T) {
 	drained := u.Drain()
 	// Stale writes after completion+capture must be ignored.
 	u.SetStage(tag, StageIssue, 99)
-	u.AddEvents(tag, EvDCacheMiss)
+	u.Leave(tag, &Record{Events: EvDCacheMiss})
 	u.Complete(tag, false, TrapReplay, 100)
 	if drained[0].First.Events.Has(EvDCacheMiss) {
 		t.Fatal("stale event write mutated captured sample")

@@ -78,12 +78,12 @@ type Config struct {
 	// reads the profile registers (per delivered interrupt).
 	InterruptCost int
 
-	// WatchdogCycles bounds how long the ROB may sit non-empty with no
-	// retirement before Run gives up with ErrLivelock instead of looping
-	// forever (0 disables the watchdog). It must exceed the longest
-	// legitimate stall — worst-case memory latency plus interrupt
-	// delivery — by a wide margin; DefaultWatchdogCycles is far above
-	// both.
+	// WatchdogCycles bounds how long the pipeline may go with no
+	// retirement, whatever the ROB holds, before Run gives up with
+	// ErrLivelock instead of looping forever (0 disables the watchdog). It
+	// must exceed the longest legitimate stall — worst-case memory latency
+	// plus interrupt delivery — by a wide margin; DefaultWatchdogCycles is
+	// far above both.
 	WatchdogCycles int
 
 	// UninterruptibleStart/End mark a PC range of high-priority code

@@ -72,7 +72,7 @@ func TestRunContextCancellationLatency(t *testing.T) {
 	cancelCycle := int64(-1)
 	var retired uint64
 	pipe.Observe(func(l Leave) {
-		if !l.Retired {
+		if !l.Retired() {
 			return
 		}
 		retired++

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"profileme/internal/core"
 	"profileme/internal/isa"
 	"profileme/internal/mem"
 	"profileme/internal/sim"
@@ -39,6 +40,7 @@ func randomConfig(r *stats.RNG) Config {
 // machine's stream in order, every fetched instruction leaves exactly
 // once, and each slot lies in [-1, ROBSize). An event scheduled beyond
 // the ring's span panics and fails the test with its configuration.
+// Each leave's record is checked too (checkLeaveRecord).
 func TestObserveContract(t *testing.T) {
 	const configs, scale = 200, 4000
 	suite := workload.Suite()
@@ -65,13 +67,19 @@ func TestObserveContract(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			var leaves, retired uint64
+			var leaves, retired, offPath uint64
 			p.Observe(func(l Leave) {
 				leaves++
 				if l.Slot < -1 || l.Slot >= cfg.ROBSize {
 					t.Fatalf("%s: slot %d outside [-1, %d)", name, l.Slot, cfg.ROBSize)
 				}
-				if !l.Retired {
+				if err := checkLeaveRecord(prog, want[k], &l); err != nil {
+					t.Fatalf("%s: leave of pc %#x: %v\n%+v", name, l.PC, err, l.Record)
+				}
+				if l.Events.Has(core.EvOffPath) {
+					offPath++
+				}
+				if !l.Retired() {
 					return
 				}
 				if w := want[k]; retired >= uint64(len(w)) || l.RecSeq != w[retired].Seq || l.PC != w[retired].PC {
@@ -89,6 +97,60 @@ func TestObserveContract(t *testing.T) {
 			if fetched := res.FetchedOnPath + res.FetchedOffPath; leaves != fetched {
 				t.Fatalf("%s: %d leaves for %d fetched instructions", name, leaves, fetched)
 			}
+			if offPath != res.FetchedOffPath {
+				t.Fatalf("%s: %d off-path leaves for %d wrong-path fetches", name, offPath, res.FetchedOffPath)
+			}
 		}()
 	}
+}
+
+// checkLeaveRecord holds one leave's record of a drained run to what the
+// pipeline did with its instruction. Its stages are non-decreasing where
+// set; a retired record has every stage and no trap, a squashed one a
+// bad-path or replay trap. The address is valid exactly for a memory op
+// that issued, and a load's value arrives at or after its issue. EvOffPath
+// marks a wrong-path instruction: one that is not the functional stream's
+// instruction at its sequence number, and never retires (the caller counts
+// the marks against the wrong-path fetches).
+func checkLeaveRecord(prog *isa.Program, stream []sim.Record, l *Leave) error {
+	last := int64(-1)
+	for st, c := range l.StageCycle {
+		if c < 0 {
+			if l.Retired() {
+				return fmt.Errorf("retired with stage %v unset", core.Stage(st))
+			}
+			continue
+		}
+		if c < last {
+			return fmt.Errorf("stage %v at cycle %d, before an earlier stage's %d", core.Stage(st), c, last)
+		}
+		last = c
+	}
+	switch {
+	case l.Retired() && l.Trap != core.TrapNone:
+		return fmt.Errorf("retired with trap %v", l.Trap)
+	case !l.Retired() && l.Trap != core.TrapBadPath && l.Trap != core.TrapReplay:
+		return fmt.Errorf("squashed with trap %v", l.Trap)
+	}
+	inst, _ := prog.At(l.PC)
+	issued := l.StageCycle[core.StageIssue] >= 0
+	if l.AddrValid != (inst.Op.IsMem() && issued) {
+		return fmt.Errorf("address valid %v for %v, issued %v", l.AddrValid, inst.Op, issued)
+	}
+	if l.LoadComplete >= 0 && (inst.Op.Class() != isa.ClassLoad || !issued || l.LoadComplete < l.StageCycle[core.StageIssue]) {
+		return fmt.Errorf("value of %v arrived at cycle %d, issued at %d", inst.Op, l.LoadComplete, l.StageCycle[core.StageIssue])
+	}
+	if l.Events.Has(core.EvOffPath) {
+		if l.Retired() {
+			return fmt.Errorf("an off-path instruction retired")
+		}
+		return nil
+	}
+	if l.RecSeq >= uint64(len(stream)) || stream[l.RecSeq].PC != l.PC {
+		return fmt.Errorf("on-path, but not the functional stream's instruction %d", l.RecSeq)
+	}
+	if l.AddrValid && l.Addr != stream[l.RecSeq].EA {
+		return fmt.Errorf("address %#x, functional %#x", l.Addr, stream[l.RecSeq].EA)
+	}
+	return nil
 }

@@ -60,7 +60,6 @@ type uop struct {
 
 	state  uopState
 	events core.Event
-	trap   core.TrapReason
 	fp     bool
 	ea     uint64
 	eaOK   bool
@@ -129,7 +128,7 @@ type Pipeline struct {
 	faults         FaultInjector
 	intHoldUntil   int64
 	intHoldDecided bool
-	lastProgress   int64 // last cycle the ROB retired or went empty
+	lastProgress   int64 // last cycle an instruction retired
 
 	finished bool // finish() ran (guards double finalization)
 
@@ -205,21 +204,23 @@ func (p *Pipeline) AttachProfileMe(u *core.Unit, handler func([]core.Sample)) {
 func (p *Pipeline) AttachCounters(u *counters.Unit) { p.ctrs = u }
 
 // Leave is one fetched instruction leaving the pipeline, retired or
-// squashed.
+// squashed. Its Record is the one record at leave that a ProfileMe tag on
+// the instruction delivers too, FetchSeq aside: the cycle it left is
+// StageCycle[core.StageRetire].
 type Leave struct {
-	RecSeq  uint64 // correct-path sequence number; valid when Retired
-	PC      uint64
-	Slot    int   // ROB slot it occupied; -1 if squashed before it was mapped
-	Cycle   int64 // the cycle it left
-	Retired bool
+	core.Record
+	RecSeq uint64 // correct-path sequence number; valid when Retired()
+	Slot   int    // ROB slot it occupied; -1 if squashed before it was mapped
 }
 
 // Observe installs fn, called once for every fetched instruction, on the
 // correct path or the wrong one, when it leaves: retirements in program
 // order, squashes as they happen. Each ROB slot's occupants leave in the
 // order they were mapped into it. A run that drains reports every fetched
-// instruction; one stopped early leaves its in-flight ones unreported.
-// nil detaches.
+// instruction; one stopped early leaves its in-flight ones unreported. A
+// load that retires before its value arrives is reported at retirement,
+// so its LoadComplete is unset (its tag's sample, delivered later, has
+// it). nil detaches.
 func (p *Pipeline) Observe(fn func(Leave)) { p.observe = fn }
 
 // FaultInjector is the delivery-side fault hook (internal/faultinject
@@ -256,11 +257,12 @@ func (p *Pipeline) PerPC() []PCStats {
 // drained.
 var ErrCycleLimit = errors.New("cpu: cycle limit reached")
 
-// ErrLivelock reports that the retire-progress watchdog fired: instructions
-// were in flight but none retired for Config.WatchdogCycles cycles. A
-// correct pipeline never livelocks, so this converts a would-be infinite
-// Run loop (a simulator bug, or a pathological injected-fault interaction)
-// into a typed error with the machine state finalized.
+// ErrLivelock reports that the retire-progress watchdog fired: no
+// instruction retired for Config.WatchdogCycles cycles, whether or not any
+// were in flight. A correct pipeline never livelocks, so this converts a
+// would-be infinite Run loop (a simulator bug, a pathological
+// injected-fault interaction, or a profiling-interrupt storm that keeps
+// fetch frozen) into a typed error with the machine state finalized.
 var ErrLivelock = errors.New("cpu: pipeline livelock")
 
 // ErrCanceled reports that RunContext's context was canceled or its
@@ -341,14 +343,11 @@ func (p *Pipeline) RunContext(ctx context.Context, maxCycles int64) (Result, err
 	return p.res, nil
 }
 
-// watchdog reports ErrLivelock when the ROB has been non-empty with no
-// retirement for longer than the configured bound.
+// watchdog reports ErrLivelock when nothing has retired for longer than
+// the configured bound. An empty ROB is no progress: fetch frozen by
+// back-to-back interrupt deliveries leaves it empty for good.
 func (p *Pipeline) watchdog() error {
 	if p.cfg.WatchdogCycles <= 0 {
-		return nil
-	}
-	if p.robCount == 0 {
-		p.lastProgress = p.cycle
 		return nil
 	}
 	if p.cycle-p.lastProgress > int64(p.cfg.WatchdogCycles) {
@@ -396,12 +395,19 @@ func (p *Pipeline) finish() {
 		// final flush so their records show the true retirement. The ring
 		// drains in ascending cycle order, so the flush is deterministic.
 		p.wakeups.drainAscending(p.cycle, func(cyc int64, u *uop) {
-			if u.state == stRetired && u.tag != core.NoTag {
-				p.prof.SetLoadComplete(u.tag, cyc)
-				p.prof.Complete(u.tag, true, core.TrapNone, u.retireCyc)
-				u.tag = core.NoTag
+			if u.state == stRetired {
+				u.valueCyc = cyc
+				p.tagLeave(u, core.TrapNone)
 			}
 		})
+		// A run stopped early still has tagged instructions in flight: their
+		// partial records are delivered as never done.
+		for i := 0; i < p.robCount; i++ {
+			p.tagLeave(p.rob[p.robSlot(p.robHead+i)], core.TrapNeverDone)
+		}
+		for _, u := range p.fetchBuf[p.fetchHead:] {
+			p.tagLeave(u, core.TrapNeverDone)
+		}
 		p.prof.FlushInFlight(p.cycle)
 		// Drain even a partially filled buffer: the tail samples of the
 		// run would otherwise never reach software.
@@ -523,7 +529,7 @@ func (p *Pipeline) fetchOne(pc uint64, rec *sim.Record) *uop {
 	}
 
 	// newUop's result is zeroed, so only non-zero fields are written — a
-	// composite literal here would build the 200-byte struct on the stack
+	// composite literal here would build the 240-byte struct on the stack
 	// and copy it over memory that is already zero.
 	u := p.newUop()
 	u.seq, u.pc, u.inst, u.class = p.seqCounter, pc, inst, inst.Op.Class()
@@ -546,9 +552,6 @@ func (p *Pipeline) fetchOne(pc uint64, rec *sim.Record) *uop {
 	if p.prof != nil {
 		u.tag = p.prof.OnFetch(p.cycle, pc, true, onPath, u.histAtFetch,
 			p.pred.HistoryBits(), p.cfg.Context)
-		if u.tag != core.NoTag && u.events != 0 {
-			p.prof.AddEvents(u.tag, u.events)
-		}
 	}
 
 	// Predict the next PC.
@@ -621,10 +624,10 @@ func (p *Pipeline) presentEmpty(n int) {
 	if p.prof == nil {
 		return
 	}
+	// Empty-slot samples complete inside the unit.
 	for i := 0; i < n; i++ {
-		tag := p.prof.OnFetch(p.cycle, 0, false, false, p.pred.History(),
+		p.prof.OnFetch(p.cycle, 0, false, false, p.pred.History(),
 			p.pred.HistoryBits(), p.cfg.Context)
-		_ = tag // empty-slot samples complete inside the unit
 	}
 }
 
@@ -640,12 +643,12 @@ func (p *Pipeline) mapStage() {
 			queued, qmax = &p.iqFPN, p.cfg.IQFP
 		}
 		if *queued >= qmax {
-			p.noteResourceStall(u)
+			u.events |= core.EvResourceStall
 			break
 		}
 		d, needsDst := u.inst.Dest()
 		if needsDst && p.ren.freeCount() == 0 {
-			p.noteResourceStall(u)
+			u.events |= core.EvResourceStall
 			break
 		}
 
@@ -670,9 +673,6 @@ func (p *Pipeline) mapStage() {
 
 		u.mapCyc = p.cycle
 		u.state = stMapped
-		if p.prof != nil && u.tag != core.NoTag {
-			p.prof.SetStage(u.tag, core.StageMap, p.cycle)
-		}
 
 		p.fetchHead++
 		if p.fetchHead == len(p.fetchBuf) {
@@ -686,15 +686,6 @@ func (p *Pipeline) mapStage() {
 		}
 		p.robPush(u)
 		mapped++
-	}
-}
-
-func (p *Pipeline) noteResourceStall(u *uop) {
-	if !u.events.Has(core.EvResourceStall) {
-		u.events |= core.EvResourceStall
-		if p.prof != nil && u.tag != core.NoTag {
-			p.prof.AddEvents(u.tag, core.EvResourceStall)
-		}
 	}
 }
 
@@ -783,9 +774,6 @@ func (p *Pipeline) tryIssue(u *uop, intAvail, memAvail, fpAvail *int) bool {
 				u.readyCyc = t
 			}
 		}
-		if p.prof != nil && u.tag != core.NoTag {
-			p.prof.SetStage(u.tag, core.StageDataReady, u.readyCyc)
-		}
 	}
 
 	var latency int
@@ -843,9 +831,6 @@ func (p *Pipeline) tryIssue(u *uop, intAvail, memAvail, fpAvail *int) bool {
 	u.issueCyc = p.cycle
 	u.state = stIssued
 	p.leaveQueue(u)
-	if p.prof != nil && u.tag != core.NoTag {
-		p.prof.SetStage(u.tag, core.StageIssue, p.cycle)
-	}
 	p.completing.add(p.cycle, p.cycle+int64(latency), u)
 	return true
 }
@@ -860,24 +845,14 @@ func (p *Pipeline) memAccess(u *uop) mem.Result {
 			p.ctrs.Event(counters.EventDCacheMiss, p.cycle)
 		}
 	}
-	var ev core.Event
 	if res.L1Miss {
-		ev |= core.EvDCacheMiss
+		u.events |= core.EvDCacheMiss
 	}
 	if res.L2Miss {
-		ev |= core.EvL2Miss
+		u.events |= core.EvL2Miss
 	}
 	if res.TLBMiss {
-		ev |= core.EvDTBMiss
-	}
-	if ev != 0 {
-		u.events |= ev
-		if p.prof != nil && u.tag != core.NoTag {
-			p.prof.AddEvents(u.tag, ev)
-		}
-	}
-	if p.prof != nil && u.tag != core.NoTag {
-		p.prof.SetAddr(u.tag, u.ea)
+		u.events |= core.EvDTBMiss
 	}
 	return res
 }
@@ -923,16 +898,12 @@ func (p *Pipeline) wakeLoad(u *uop) {
 	}
 	u.valueCyc = p.cycle
 	p.wake(p.ren.markReadyIfCurrent(u.dst, u.dstGen, p.cycle))
-	if p.prof != nil && u.tag != core.NoTag {
-		p.prof.SetLoadComplete(u.tag, p.cycle)
-		// A load that already retired (the Alpha lets loads retire before
-		// the value returns) could not finish its sample at retirement:
-		// the interrupt is delayed until all signals reach the Profile
-		// Registers (§4.1.4).
-		if u.state == stRetired {
-			p.prof.Complete(u.tag, true, core.TrapNone, u.retireCyc)
-			u.tag = core.NoTag
-		}
+	// A load that already retired (the Alpha lets loads retire before the
+	// value returns) could not finish its sample at retirement: the
+	// interrupt is delayed until all signals reach the Profile Registers
+	// (§4.1.4).
+	if u.state == stRetired {
+		p.tagLeave(u, core.TrapNone)
 	}
 }
 
@@ -943,9 +914,6 @@ func (p *Pipeline) completeUop(u *uop) {
 	}
 	u.state = stCompleted
 	u.completeCyc = p.cycle
-	if p.prof != nil && u.tag != core.NoTag {
-		p.prof.SetStage(u.tag, core.StageRetireReady, p.cycle)
-	}
 	if u.dst != noPreg && u.class != isa.ClassLoad {
 		p.wake(p.ren.markReady(u.dst, p.cycle))
 	}
@@ -967,9 +935,6 @@ func (p *Pipeline) resolveControl(u *uop) {
 		p.pred.UpdateCond(u.pc, actualTaken, u.histAtFetch)
 		if actualTaken {
 			u.events |= core.EvTaken
-			if p.prof != nil && u.tag != core.NoTag {
-				p.prof.AddEvents(u.tag, core.EvTaken)
-			}
 		}
 	}
 	if u.inst.Op.IsIndirect() {
@@ -982,9 +947,6 @@ func (p *Pipeline) resolveControl(u *uop) {
 
 	// Mispredict recovery.
 	u.events |= core.EvMispredict
-	if p.prof != nil && u.tag != core.NoTag {
-		p.prof.AddEvents(u.tag, core.EvMispredict)
-	}
 	if p.ctrs != nil {
 		p.ctrs.Event(counters.EventBranchMispredict, p.cycle)
 	}
@@ -1042,9 +1004,6 @@ func (p *Pipeline) checkReplay(st *uop) {
 	}
 	p.res.ReplayTraps++
 	victim.events |= core.EvReplayTrap
-	if p.prof != nil && victim.tag != core.NoTag {
-		p.prof.AddEvents(victim.tag, core.EvReplayTrap)
-	}
 	seq := victim.seq
 	recSeq := victim.recSeq
 	rasDepth := victim.rasAfter
@@ -1121,19 +1080,14 @@ func (p *Pipeline) killUop(u *uop, reason core.TrapReason) {
 	if u.state == stMapped {
 		p.leaveQueue(u)
 	}
-	if p.observe != nil {
+	if p.observe != nil || u.tag != core.NoTag {
 		slot := -1
 		if u.state != stFetched {
 			slot = int(u.robIdx)
 		}
-		p.observe(Leave{RecSeq: u.recSeq, PC: u.pc, Slot: slot, Cycle: p.cycle})
+		p.leave(u, reason, slot)
 	}
 	u.state = stSquashed
-	u.trap = reason
-	if p.prof != nil && u.tag != core.NoTag {
-		p.prof.Complete(u.tag, false, reason, p.cycle)
-		u.tag = core.NoTag
-	}
 	// Squashed entries remain in the event rings until their cycle
 	// arrives; state checks skip them, and release recycles u only once
 	// it has left them.
@@ -1152,24 +1106,14 @@ func (p *Pipeline) retireStage() {
 		u.state = stRetired
 		u.retireCyc = p.cycle
 		p.ren.release(u.oldDst)
-		if p.observe != nil {
-			p.observe(Leave{RecSeq: u.recSeq, PC: u.pc, Slot: int(u.robIdx), Cycle: p.cycle, Retired: true})
+		if p.observe != nil || u.tag != core.NoTag {
+			p.leave(u, core.TrapNone, int(u.robIdx))
 		}
 		p.res.Retired++
 		p.res.IssuedUseful++
 		p.lastProgress = p.cycle
 		retired++
 
-		if p.prof != nil && u.tag != core.NoTag {
-			// Loads whose value is still in flight keep their tag; the
-			// sample completes when the value arrives (wakeup above).
-			if u.class == isa.ClassLoad && u.valueCyc < 0 {
-				// deferred
-			} else {
-				p.prof.Complete(u.tag, true, core.TrapNone, p.cycle)
-				u.tag = core.NoTag
-			}
-		}
 		if p.ctrs != nil {
 			p.ctrs.Event(counters.EventRetired, p.cycle)
 		}
@@ -1178,6 +1122,58 @@ func (p *Pipeline) retireStage() {
 		p.robPop()
 		p.release(u)
 	}
+}
+
+// record is u's Profile Register contents as it leaves the pipeline:
+// retired, or aborted with trap at this cycle. It is built from the uop's
+// own fields, and is the one place that decides what a record holds; the
+// unit adds only FetchSeq. The address shows once a memory op has issued.
+func (p *Pipeline) record(u *uop, trap core.TrapReason) core.Record {
+	r := core.Record{
+		Context:      p.cfg.Context,
+		PC:           u.pc,
+		Events:       u.events,
+		Trap:         trap,
+		History:      u.histAtFetch,
+		HistoryBits:  p.pred.HistoryBits(),
+		StageCycle:   [core.NumStages]int64{u.fetchCyc, u.mapCyc, u.readyCyc, u.issueCyc, u.completeCyc, p.cycle},
+		LoadComplete: u.valueCyc,
+	}
+	if u.eaOK && u.issueCyc >= 0 {
+		r.Addr, r.AddrValid = u.ea, true
+	}
+	if !u.onPath {
+		r.Events |= core.EvOffPath
+	}
+	if u.state == stRetired {
+		r.Events |= core.EvRetired
+		r.StageCycle[core.StageRetire] = u.retireCyc
+	}
+	return r
+}
+
+// leave hands the record of u, retired or squashed with trap, to the leave
+// observer and to the ProfileMe unit. A retired load whose value is still
+// in flight keeps its tag: wakeLoad hands its record over when the value
+// arrives.
+func (p *Pipeline) leave(u *uop, trap core.TrapReason, slot int) {
+	if p.observe != nil {
+		p.observe(Leave{Record: p.record(u, trap), RecSeq: u.recSeq, Slot: slot})
+	}
+	if u.state != stRetired || u.class != isa.ClassLoad || u.valueCyc >= 0 {
+		p.tagLeave(u, trap)
+	}
+}
+
+// tagLeave hands u's record to the ProfileMe unit, if u is tagged, and
+// untags it.
+func (p *Pipeline) tagLeave(u *uop, trap core.TrapReason) {
+	if u.tag == core.NoTag {
+		return
+	}
+	r := p.record(u, trap)
+	p.prof.Leave(u.tag, &r)
+	u.tag = core.NoTag
 }
 
 func (p *Pipeline) recordRetired(u *uop) {

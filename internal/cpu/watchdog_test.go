@@ -1,9 +1,12 @@
 package cpu
 
 import (
+	"context"
 	"errors"
 	"testing"
+	"time"
 
+	"profileme/internal/core"
 	"profileme/internal/sim"
 	"profileme/internal/workload"
 )
@@ -76,5 +79,33 @@ func TestValidateRejectsDegenerateShapes(t *testing.T) {
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config rejected: %v", err)
+	}
+}
+
+// TestWatchdogTripsOnInterruptStorm runs a profiling-interrupt storm: in
+// opportunity mode at a mean interval of 8 with an interrupt per sample,
+// the empty slots of each delivery's fetch freeze are selected in turn, so
+// the buffer refills before the freeze ends and the ROB stays empty. No
+// instruction retires, so the watchdog must end the run with ErrLivelock;
+// the context deadline only guards against a hang.
+func TestWatchdogTripsOnInterruptStorm(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.WatchdogCycles = 100_000
+	prog := workload.Compress(2000)
+	pipe, err := New(prog, sim.NewMachineSource(sim.New(prog), 0), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ucfg := core.DefaultConfig()
+	ucfg.MeanInterval, ucfg.CountMode, ucfg.BufferDepth = 8, core.CountFetchOpportunities, 1
+	pipe.AttachProfileMe(core.MustNewUnit(ucfg), nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, err := pipe.RunContext(ctx, 0)
+	if !errors.Is(err, ErrLivelock) {
+		t.Fatalf("storm run ended with %v after %d cycles, %d retired; want ErrLivelock", err, res.Cycles, res.Retired)
+	}
+	if res.Cycles > 2*int64(cfg.WatchdogCycles) {
+		t.Fatalf("watchdog of %d cycles fired at cycle %d", cfg.WatchdogCycles, res.Cycles)
 	}
 }

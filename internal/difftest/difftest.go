@@ -122,7 +122,7 @@ func Run(spec Spec) (Digest, error) {
 	var retired uint64
 	var streamErr error
 	pipe.Observe(func(l cpu.Leave) {
-		if !l.Retired {
+		if !l.Retired() {
 			return
 		}
 		if streamErr == nil && l.RecSeq != retired {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"profileme/internal/core"
 	"profileme/internal/cpu"
 	"profileme/internal/runner"
 	"profileme/internal/sim"
@@ -76,10 +77,10 @@ func section6(cfg section6Config) (*section6Result, error) {
 		}
 		var wins []uint32 // retirements per window
 		pipe.Observe(func(l cpu.Leave) {
-			if !l.Retired {
+			if !l.Retired() {
 				return
 			}
-			w := int(l.Cycle / int64(cfg.WindowCycles))
+			w := int(l.StageCycle[core.StageRetire] / int64(cfg.WindowCycles))
 			for len(wins) <= w {
 				wins = append(wins, 0)
 			}

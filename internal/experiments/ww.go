@@ -126,7 +126,7 @@ func ww(cfg wwConfig) (*wwResult, error) {
 			return
 		}
 		occupants++
-		if occupants%uint64(cfg.Period) == 0 && l.Retired {
+		if occupants%uint64(cfg.Period) == 0 && l.Retired() {
 			iidCounts[l.PC]++
 			iidTotal++
 		}
