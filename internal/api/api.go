@@ -20,8 +20,10 @@ type HotPCs struct {
 	LossRate float64 `json:"loss_rate"`
 	PCs      []HotPC `json:"pcs"`
 	Approx   bool    `json:"approx"`
-	// ErrorBound, on approximate answers only, is the sketch floor: the
-	// most any unlisted PC was seen (merged: the sum of the floors).
+	// ErrorBound, on approximate answers only, is the most any PC not
+	// in PCs was seen, those cut to n included: the sketch floor, or the
+	// first cut row's estimate when higher (merged: the sum of the legs'
+	// bounds, or a cut merged row's samples + max_err when higher).
 	ErrorBound *uint64 `json:"error_bound,omitempty"`
 	// Certified marks an exact answer served from the view; Epoch is
 	// the view epoch of a sketch or certified answer's rows.

@@ -19,32 +19,33 @@ import (
 //
 // Sketch answers merge because space-saving partials merge: estimates
 // add where a PC is present; where an instance omitted the PC, that
-// instance may still have counted it up to its error_bound (floor), so
-// the merged row's max_err gains the absent instances' floors. The
-// fleet error_bound is the sum of floors — the maximum true fleet-wide
-// count of any PC NOT listed. Windowed rows carry sketch estimates only,
-// no rates.
+// instance may still have counted it up to its error_bound, so the
+// merged row's max_err gains the absent instances' bounds. The fleet
+// error_bound bounds the true fleet-wide count of every PC NOT listed:
+// a PC no leg listed is within the sum of the legs' bounds, and a merged
+// row cut to n within its samples + max_err, so the bound is the larger
+// of the two. Windowed rows carry sketch estimates only, no rates.
 func mergeHotPCs(legs []api.HotPCs, n int, windowed bool) api.HotPCs {
 	type mergedPC struct {
 		samples, maxErr uint64
-		// floorsIn sums the floors of the legs that DID list the PC; every
-		// other leg's floor is owed to the row's max_err.
-		floorsIn                           uint64
+		// boundsIn sums the bounds of the legs that DID list the PC; every
+		// other leg's bound is owed to the row's max_err.
+		boundsIn                           uint64
 		est                                float64
 		retired, dmiss, mispredict, inprog float64 // sample-weighted sums
 	}
 	merged := make(map[string]*mergedPC)
 	var (
-		out        api.HotPCs
-		win        api.Window
-		errorBound uint64
+		out       api.HotPCs
+		win       api.Window
+		legBounds uint64 // the sum of the legs' error bounds
 	)
 	for _, one := range legs {
 		out.Samples += one.Samples
 		out.Lost += one.Lost
 		out.Approx = out.Approx || one.Approx
-		floor := value(one.ErrorBound)
-		errorBound += floor
+		bound := value(one.ErrorBound)
+		legBounds += bound
 		if w := one.Window; w != nil {
 			win.Samples += w.Samples
 			win.Clamped = win.Clamped || w.Clamped
@@ -58,7 +59,7 @@ func mergeHotPCs(legs []api.HotPCs, n int, windowed bool) api.HotPCs {
 			}
 			m.samples += row.Samples
 			m.maxErr += value(row.MaxErr)
-			m.floorsIn += floor
+			m.boundsIn += bound
 			m.est += row.EstCount
 			if r := row.Rates; r != nil {
 				ws := float64(row.Samples)
@@ -80,14 +81,22 @@ func mergeHotPCs(legs []api.HotPCs, n int, windowed bool) api.HotPCs {
 		}
 		return pcs[i] < pcs[j]
 	})
+	// rowErr is a merged row's max_err: its legs' own plus the bounds of
+	// the legs that omitted it.
+	rowErr := func(m *mergedPC) uint64 { return m.maxErr + legBounds - m.boundsIn }
+	errorBound := legBounds
 	if len(pcs) > n {
+		for _, pc := range pcs[n:] {
+			m := merged[pc]
+			errorBound = max(errorBound, m.samples+rowErr(m))
+		}
 		pcs = pcs[:n]
 	}
 	out.PCs = make([]api.HotPC, 0, len(pcs))
 	for _, pc := range pcs {
 		m := merged[pc]
 		row := api.HotPC{PCCount: api.PCCount{PC: pc, Samples: m.samples, EstCount: m.est}}
-		if maxErr := m.maxErr + errorBound - m.floorsIn; maxErr > 0 {
+		if maxErr := rowErr(m); maxErr > 0 {
 			row.MaxErr = &maxErr
 		}
 		if ws := float64(m.samples); ws > 0 && !windowed {

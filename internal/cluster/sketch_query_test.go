@@ -2,16 +2,26 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"testing"
+
+	"profileme/internal/api"
+	"profileme/internal/core"
+	"profileme/internal/ingest"
+	"profileme/internal/profile"
+	"profileme/internal/stats"
 )
 
 // TestRouterSketchQueryMerge pins the fleet sketch contract: the router
 // scatter-gathers per-instance sketch answers and merges them so that
 // (a) exact counters still obey conservation (fleet samples = Σ shard
 // samples), (b) the merged answer declares "approx" with a fleet
-// error_bound equal to the sum of instance floors, (c) windowed queries
+// error_bound that bounds every PC it does not list, (c) windowed queries
 // pass through and aggregate, and (d) malformed parameters come back as
 // typed 400s from the router itself.
 func TestRouterSketchQueryMerge(t *testing.T) {
@@ -43,10 +53,13 @@ func TestRouterSketchQueryMerge(t *testing.T) {
 	if body["approx"] != true {
 		t.Fatalf("sketch answer not marked approx: %v", body["approx"])
 	}
-	// Few distinct PCs (< K) on every instance: floors are 0, so the
-	// fleet bound is 0 and the answer is exact despite approx=true.
-	if eb := body["error_bound"].(float64); eb != 0 {
-		t.Fatalf("error_bound = %v, want 0 for under-capacity sketches", eb)
+	// Few distinct PCs (< K) on every instance: floors are 0, and every
+	// leg lists all it tracks, so the rows are exact despite approx=true
+	// and the fleet bound is the first cut row's count, the 11th PC's.
+	_, ex11 := getJSON(t, front.URL+"/v1/hotpcs?n=11&sketch=false")
+	eleventh := ex11["pcs"].([]any)[10].(map[string]any)["samples"]
+	if body["error_bound"] != eleventh {
+		t.Fatalf("error_bound = %v, want the 11th PC's %v samples for under-capacity sketches", body["error_bound"], eleventh)
 	}
 	rows := body["pcs"].([]any)
 	if len(rows) != 10 {
@@ -170,4 +183,95 @@ func TestRouterExactQueryOverCertifiedLegs(t *testing.T) {
 			t.Fatalf("exact row %d carries max_err: %v", i, row)
 		}
 	}
+}
+
+// TestRouterHotPCsBoundCoversUnlisted: through a 3-instance router,
+// every merged sketch row satisfies samples <= true <= samples + max_err
+// and every PC the fleet answer does not list is within its error_bound,
+// those cut from the merged top n and those a leg cut from its own
+// included. Random zipf aggregates spread over the three instances as
+// whole shards, K from 8 to 64 over K/2 to 4K PCs, n in {1, K/2, K,
+// K+1}.
+func TestRouterHotPCsBoundCoversUnlisted(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := stats.NewRNG(seed)
+		k := rng.IntRange(8, 64)
+		distinct := rng.IntRange(k/2, 4*k)
+		instances := make([]*tierInstance, 3)
+		for i := range instances {
+			svc, err := ingest.NewService(ingest.Config{QueueDepth: 64, Interval: 16, Width: 4, SketchTopK: k}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc.Start()
+			instances[i] = serveInstance(t, fmt.Sprintf("c%d", i), svc)
+		}
+		front := httptest.NewServer(routerOver(t, instances...).Handler())
+		truth := make(map[uint64]uint64)
+		for s := 0; s < 9; s++ {
+			// Each shard ranks the PCs from its own offset, so a PC one
+			// leg cuts may be another leg's hottest.
+			db, offset := profile.NewDB(16, 0, 4), uint64(rng.Intn(distinct))
+			for i, rank := range zipfPCs(rng, distinct, rng.IntRange(distinct, 10*distinct)) {
+				pc := 0x400 + 8*((rank+offset)%uint64(distinct))
+				r := core.Record{PC: pc, LoadComplete: -1, Events: core.EvRetired}
+				for j := range r.StageCycle {
+					r.StageCycle[j] = -1
+				}
+				r.StageCycle[core.StageFetch], r.StageCycle[core.StageRetire] = int64(i), int64(i+9)
+				db.Add(core.Sample{First: r})
+				truth[pc]++
+			}
+			if res := submitVia(t, front.URL, fmt.Sprintf("zipf/s%d", s), db); res.status != http.StatusAccepted {
+				t.Fatalf("seed %d: submit %d: %+v", seed, s, res)
+			}
+		}
+		for _, in := range instances {
+			if err := in.svc.Flush(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, n := range []int{1, k / 2, k, k + 1} {
+			resp, err := http.Get(fmt.Sprintf("%s/v1/hotpcs?n=%d", front.URL, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reply api.HotPCs
+			err = json.NewDecoder(resp.Body).Decode(&reply)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK || reply.ErrorBound == nil {
+				t.Fatalf("seed %d n=%d: %d %v %+v", seed, n, resp.StatusCode, err, reply)
+			}
+			listed := make(map[uint64]bool, len(reply.PCs))
+			for _, row := range reply.PCs {
+				pc, _ := strconv.ParseUint(row.PC, 0, 64)
+				listed[pc] = true
+				hi := row.Samples + value(row.MaxErr)
+				if tc := truth[pc]; tc < row.Samples || tc > hi {
+					t.Errorf("seed %d K=%d n=%d: row %s has %d samples, max_err %d, true count %d", seed, k, n, row.PC, row.Samples, value(row.MaxErr), tc)
+				}
+			}
+			for pc, tc := range truth {
+				if !listed[pc] && tc > *reply.ErrorBound {
+					t.Errorf("seed %d K=%d n=%d: unlisted pc %#x was seen %d times, above error_bound %d", seed, k, n, pc, tc, *reply.ErrorBound)
+				}
+			}
+		}
+		front.Close()
+	}
+}
+
+// zipfPCs draws count ranks below distinct, rank r weighted 1/(r+1).
+func zipfPCs(rng *stats.RNG, distinct, count int) []uint64 {
+	cum := make([]float64, distinct)
+	total := 0.0
+	for i := range cum {
+		total += 1 / float64(i+1)
+		cum[i] = total
+	}
+	out := make([]uint64, count)
+	for i := range out {
+		out[i] = uint64(min(sort.SearchFloat64s(cum, rng.Float64()*total), distinct-1))
+	}
+	return out
 }

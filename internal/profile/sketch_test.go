@@ -320,6 +320,57 @@ func TestWindowRing(t *testing.T) {
 	}
 }
 
+// TestWindowAnswerBoundsCutPCs is the windowed answer's bound property:
+// on random zipf aggregates (K from 8 to 64, K/2 to 4K PCs, merged as
+// shards into several one-second buckets), an answer cut to n in {1,
+// K/2, K, K+1} keeps every row within est-err <= true <= est, and every
+// PC it does not list within its Floor, the cut rows' PCs included.
+func TestWindowAnswerBoundsCutPCs(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := stats.NewRNG(seed)
+		k := rng.IntRange(8, 64)
+		distinct := rng.IntRange(k/2, 4*k)
+		base := time.Unix(1000, 0)
+		now := base
+		agg := NewSafeDBWith(NewDB(16, 0, 4), SketchConfig{
+			TopK: k, WindowBuckets: 8, BucketDur: time.Second, now: func() time.Time { return now },
+		})
+		truth := make(map[uint64]uint64)
+		for shard := 0; shard < rng.IntRange(1, 6); shard++ {
+			now = base.Add(time.Duration(shard) * time.Second)
+			db := NewDB(16, 0, 4)
+			for i, pc := range zipfStream(rng, distinct, rng.IntRange(distinct, 20*distinct)) {
+				db.Add(core.Sample{First: latRecord(pc, i)})
+				truth[pc]++
+			}
+			if err := agg.Merge(db); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, n := range []int{1, k / 2, k, k + 1} {
+			res := agg.WindowHotPCs(8*time.Second, n)
+			listed := make(map[uint64]bool, len(res.Rows))
+			for _, e := range res.Rows {
+				listed[e.PC] = true
+				if tc := truth[e.PC]; e.Count < tc || e.Count-e.Err > tc {
+					t.Errorf("seed %d K=%d n=%d: pc %#x est %d err %d true %d", seed, k, n, e.PC, e.Count, e.Err, tc)
+					return false
+				}
+			}
+			for pc, tc := range truth {
+				if !listed[pc] && tc > res.Floor {
+					t.Errorf("seed %d K=%d n=%d: unlisted pc %#x was seen %d times, above the answer's bound %d", seed, k, n, pc, tc, res.Floor)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestMergeWalkFeedsWindowRing: the one merge walk leaves SafeDB's ring
 // exactly where one write per PC would (same buckets, samples and rows),
 // across a bucket boundary, and invalidates a cached answer once.

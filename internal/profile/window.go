@@ -125,8 +125,7 @@ func (r *windowRing) advanceLocked(now time.Time) {
 
 // WindowResult is one windowed hot-PC answer. Rows carry sketch
 // estimates only (per-bucket rings keep no per-PC accumulators); Floor
-// bounds the estimate error exactly like spaceSaving.minCount, summed
-// over the merged buckets.
+// bounds every PC the answer does not list.
 type WindowResult struct {
 	// Window is the lookback actually served; Clamped is true when the
 	// request exceeded the ring horizon and was clamped to it.
@@ -138,9 +137,10 @@ type WindowResult struct {
 	Samples uint64
 	// Rows are the estimated hottest PCs in the window, descending.
 	Rows []SSEntry
-	// Floor is the merged sketch floor: any PC absent from Rows was seen
-	// at most Floor times in the window, and no row overcounts by more
-	// than its own Err.
+	// Floor bounds every PC absent from Rows: it was seen at most Floor
+	// times in the window. It is the merged sketch floor, or the first
+	// cut row's estimate when the answer was cut to n and that is
+	// higher. No row overcounts by more than its own Err.
 	Floor uint64
 }
 
@@ -200,13 +200,14 @@ func (r *windowRing) query(now time.Time, window time.Duration, n int) WindowRes
 		r.cache.Store(m)
 	}
 	rows := m.rows
+	res.Floor = m.floor
 	if n > 0 && len(rows) > n {
+		res.Floor = max(res.Floor, rows[n].Count) // the rows cut: estimates never undercount
 		rows = rows[:n]
 	}
 	res.Buckets = m.buckets
 	res.Samples = m.samples
 	res.Rows = append([]SSEntry(nil), rows...)
-	res.Floor = m.floor
 	return res
 }
 

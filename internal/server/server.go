@@ -434,13 +434,15 @@ func accRow(a *profile.PCAccum, estCount float64, maxErr uint64) api.HotPC {
 // state wherever that state can answer:
 //
 //   - default: O(n) from the aggregate's published sketch view — no
-//     lock, "approx": true, with "error_bound" (the sketch floor: the
-//     maximum true count of any PC NOT listed) and per-row "max_err"
-//     (the row estimate's maximum overcount; 0 whenever the aggregate
-//     has fewer distinct PCs than the sketch capacity, in which case
-//     the answer equals the exact one)
+//     lock, "approx": true, with "error_bound" (the maximum true count
+//     of any PC NOT listed: the sketch floor, or the first cut row's
+//     estimate when higher) and per-row "max_err" (the row estimate's
+//     maximum overcount; 0 whenever the aggregate has fewer distinct
+//     PCs than the sketch capacity, in which case the rows are the
+//     exact ones)
 //   - ?window=30s: from the time-bucketed ring — only samples merged in
-//     the last 30s count; always approximate, and the rows carry no
+//     the last 30s count; always approximate, with the same bound over
+//     the merged buckets, and the rows carry no
 //     rates: the ring keeps counts, not accumulators. The ring keeps
 //     its last merge, so a poll pays the O(K * buckets) merge only
 //     after a write or a bucket boundary
@@ -495,7 +497,11 @@ func (s *Server) handleHotPCs(w http.ResponseWriter, r *http.Request) {
 		for i := range topk {
 			reply.PCs = append(reply.PCs, accRow(&topk[i].Acc, v.Estimate(topk[i].Acc.Samples), topk[i].MaxErr))
 		}
-		reply.Approx, reply.ErrorBound, reply.Epoch = true, &v.Floor, &v.Epoch
+		bound := v.Floor
+		if len(v.TopK) > n {
+			bound = max(bound, v.TopK[n].Est) // the rows cut: estimates never undercount
+		}
+		reply.Approx, reply.ErrorBound, reply.Epoch = true, &bound, &v.Epoch
 	default:
 		v = agg.View()
 		if top, ok := v.ExactTop(n); ok {

@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -15,20 +17,65 @@ import (
 // to total disk loss (the router's half is internal/cluster/witness.go,
 // the design DESIGN.md §12): a store of submission bodies keyed by the
 // instance that acknowledged each (its origin) and the shard, held
-// verbatim so anti-entropy can resubmit them bit-identically. The store
-// is in-memory and bounded, and a full one refuses new copies rather
-// than evicting old ones: a copy is redundancy, and the origin's WAL is
-// the system of record. api.WitnessCopy and its neighbours declare:
+// deflated and inflated on fetch to the bit-identical original, so
+// anti-entropy resubmits exactly what the origin accepted. Every body
+// takes the one path, whatever it holds. The store is in-memory and
+// bounded, and a full one refuses new copies rather than evicting old
+// ones: a copy is redundancy, and the origin's WAL is the system of
+// record. api.WitnessCopy and its neighbours declare:
 //
 //	POST /v1/witness         store a copy: ?origin=&shard=&captured=, the submission as body
 //	GET  /v1/witness/ledger  the copies held, origin -> [{shard, captured}]
 //	GET  /v1/witness/fetch   one copy's bytes (?origin=&shard=)
 //	POST /v1/witness/prune   drop copies their origin holds {origin, shards}
 
-// witnessEntry is one held submission body.
+// witnessEntry is one held submission body: z is the body deflated,
+// n its length before.
 type witnessEntry struct {
-	body     []byte
+	z        []byte
+	n        int
 	captured uint64
+}
+
+// deflater is a flate writer with the buffer it writes into. A
+// BestSpeed writer is about 1.1 MB, so writers live in a pool, which two
+// GCs empty, rather than in the store, which would pin one for good.
+type deflater struct {
+	zw  *flate.Writer
+	buf bytes.Buffer
+}
+
+var deflaters = sync.Pool{New: func() any {
+	zw, _ := flate.NewWriter(nil, flate.BestSpeed) // fails only for an invalid level
+	return &deflater{zw: zw}
+}}
+
+// deflate returns body compressed, at its own size: the pooled buffer
+// has slack.
+func deflate(body []byte) []byte {
+	d := deflaters.Get().(*deflater)
+	defer deflaters.Put(d)
+	d.buf.Reset()
+	d.zw.Reset(&d.buf)
+	d.zw.Write(body) // writes into a bytes.Buffer, which does not fail
+	d.zw.Close()
+	return bytes.Clone(d.buf.Bytes())
+}
+
+// inflate returns the body e holds, or an error when its bytes do not
+// inflate to exactly e.n of them.
+func inflate(e witnessEntry) ([]byte, error) {
+	zr := flate.NewReader(bytes.NewReader(e.z))
+	defer zr.Close()
+	body := make([]byte, e.n)
+	if _, err := io.ReadFull(zr, body); err != nil {
+		return nil, fmt.Errorf("server: witness copy of %d bytes: %w", e.n, err)
+	}
+	var extra [1]byte
+	if n, err := zr.Read(extra[:]); n != 0 || err != io.EOF {
+		return nil, fmt.Errorf("server: witness copy longer than its %d bytes", e.n)
+	}
+	return body, nil
 }
 
 // witnessStore holds witness copies keyed by (origin instance, shard).
@@ -44,11 +91,12 @@ func newWitnessStore(cap int) *witnessStore {
 	return &witnessStore{cap: cap, byOrig: make(map[string]map[string]witnessEntry)}
 }
 
-// put stores a copy of body, idempotently per (origin, shard): a
-// replacement body for a known key overwrites (the newest accepted copy
-// wins) without consuming new capacity. The copy is the body's size; the
-// buffer it was read into has slack.
+// put stores a deflated copy of body, idempotently per (origin, shard):
+// a replacement body for a known key overwrites (the newest accepted
+// copy wins) without consuming new capacity. It deflates before taking
+// the lock.
 func (ws *witnessStore) put(c api.WitnessCopy, body []byte) error {
+	e := witnessEntry{z: deflate(body), n: len(body), captured: c.Captured}
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	m := ws.byOrig[c.Origin]
@@ -63,17 +111,22 @@ func (ws *witnessStore) put(c api.WitnessCopy, body []byte) error {
 		}
 		ws.st.Entries++
 	}
-	m[c.Shard] = witnessEntry{body: bytes.Clone(body), captured: c.Captured}
+	m[c.Shard] = e
 	ws.st.Stored++
 	return nil
 }
 
-// get returns one stored body, which the caller must not write.
-func (ws *witnessStore) get(c api.WitnessCopy) ([]byte, bool) {
+// get returns one stored body, inflated outside the lock; ok is false
+// when no copy is held, err non-nil when the held one does not inflate.
+func (ws *witnessStore) get(c api.WitnessCopy) (body []byte, ok bool, err error) {
 	ws.mu.Lock()
-	defer ws.mu.Unlock()
 	e, ok := ws.byOrig[c.Origin][c.Shard]
-	return e.body, ok
+	ws.mu.Unlock()
+	if !ok {
+		return nil, false, nil
+	}
+	body, err = inflate(e)
+	return body, true, err
 }
 
 // ledger snapshots the full witness ledger, origin -> sorted rows.
@@ -158,9 +211,13 @@ func (s *Server) handleWitnessFetch(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusBadRequest, "param", err.Error())
 		return
 	}
-	body, ok := s.witness.get(c)
+	body, ok, err := s.witness.get(c)
 	if !ok {
 		api.WriteError(w, http.StatusNotFound, "unknown-witness", fmt.Sprintf("no witness copy for %s/%s", c.Origin, c.Shard))
+		return
+	}
+	if err != nil {
+		api.WriteError(w, http.StatusInternalServerError, "internal", err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
