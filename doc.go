@@ -16,7 +16,8 @@
 //   - internal/counters — the baseline event-counter hardware (§2.2).
 //   - internal/workload — the synthetic SPECint95-flavoured benchmark
 //     suite and the per-figure microbenchmarks.
-//   - internal/experiments — one harness per table/figure of the paper.
+//   - internal/experiments — one harness per table, figure and claim of
+//     the paper.
 //
 // The executables are cmd/pmsim (run a workload under the profiler) and
 // cmd/figures (regenerate every table and figure). The walkthroughs are
@@ -24,8 +25,8 @@
 // ExampleRunShard_missAddresses (internal/runner), ExampleDB_WastedSlots
 // (internal/profile), and the package examples of internal/pathprof and
 // internal/pgo. `go test ./internal/experiments` runs every
-// experiment at its reduced configuration and asserts the DESIGN.md §5
-// ablations (TestAblations).
+// experiment at its reduced configuration and asserts its shape check,
+// the DESIGN.md §5 ablations included.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.

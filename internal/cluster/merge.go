@@ -24,7 +24,11 @@ import (
 // error_bound bounds the true fleet-wide count of every PC NOT listed:
 // a PC no leg listed is within the sum of the legs' bounds, and a merged
 // row cut to n within its samples + max_err, so the bound is the larger
-// of the two. Windowed rows carry sketch estimates only, no rates.
+// of the two. An exact leg that filled its over-fetch (legTopN) may have
+// cut PCs, each seen there at most as often as its last listed row, so
+// that row's samples is the leg's bound, and the merged answer is
+// approximate whenever any leg's bound is above 0. Windowed rows carry
+// sketch estimates only, no rates.
 func mergeHotPCs(legs []api.HotPCs, n int, windowed bool) api.HotPCs {
 	type mergedPC struct {
 		samples, maxErr uint64
@@ -45,6 +49,9 @@ func mergeHotPCs(legs []api.HotPCs, n int, windowed bool) api.HotPCs {
 		out.Lost += one.Lost
 		out.Approx = out.Approx || one.Approx
 		bound := value(one.ErrorBound)
+		if rows := one.PCs; !one.Approx && len(rows) >= legTopN(n) {
+			bound = rows[len(rows)-1].Samples
+		}
 		legBounds += bound
 		if w := one.Window; w != nil {
 			win.Samples += w.Samples
@@ -109,7 +116,7 @@ func mergeHotPCs(legs []api.HotPCs, n int, windowed bool) api.HotPCs {
 		}
 		out.PCs = append(out.PCs, row)
 	}
-	if out.Approx {
+	if out.Approx = out.Approx || legBounds > 0; out.Approx {
 		out.ErrorBound = &errorBound
 	}
 	if windowed {
@@ -120,6 +127,11 @@ func mergeHotPCs(legs []api.HotPCs, n int, windowed bool) api.HotPCs {
 	}
 	return out
 }
+
+// legTopN is how many rows the router asks each instance for when the
+// fleet wants n: an over-fetch, so a PC hot fleet-wide but trailing
+// locally still surfaces.
+func legTopN(n int) int { return min(n*4, api.MaxTopN) }
 
 // mergeEstimate merges one PC's estimator rollups: counts sum, rates and
 // mean latencies re-weight by contributing samples (an approximation

@@ -190,15 +190,15 @@ func (rt *Router) degraded(missing, down []string) *api.Degraded {
 	return &api.Degraded{Partial: len(missing) > 0, InstancesMissing: len(missing), Missing: missing}
 }
 
-// handleHotPCs serves the fleet's top n. Each instance is asked for an
-// over-fetch (4× n, capped) so a PC hot fleet-wide but trailing locally
-// still surfaces; ?sketch= and ?window= pass through to the instances.
+// handleHotPCs serves the fleet's top n. Each instance is asked for
+// legTopN(n) rows (4× n, capped); ?sketch= and ?window= pass through to
+// the instances.
 func (rt *Router) handleHotPCs(w http.ResponseWriter, r *http.Request) {
 	n, ok := api.TopN(w, r)
 	if !ok {
 		return
 	}
-	q := "/v1/hotpcs?n=" + strconv.Itoa(min(n*4, api.MaxTopN))
+	q := "/v1/hotpcs?n=" + strconv.Itoa(legTopN(n))
 	if v := r.URL.Query().Get("sketch"); v != "" {
 		q += "&sketch=" + url.QueryEscape(v)
 	}

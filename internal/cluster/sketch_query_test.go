@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -186,10 +187,11 @@ func TestRouterExactQueryOverCertifiedLegs(t *testing.T) {
 }
 
 // TestRouterHotPCsBoundCoversUnlisted: through a 3-instance router,
-// every merged sketch row satisfies samples <= true <= samples + max_err
-// and every PC the fleet answer does not list is within its error_bound,
-// those cut from the merged top n and those a leg cut from its own
-// included. Random zipf aggregates spread over the three instances as
+// every merged row, sketch or exact (sketch=false), satisfies samples <=
+// true <= samples + max_err and every PC the fleet answer does not list
+// is within its error_bound, those cut from the merged top n and those a
+// leg cut from its own included. An exact answer with no bound is the
+// exact top n. Random zipf aggregates spread over the three instances as
 // whole shards, K from 8 to 64 over K/2 to 4K PCs, n in {1, K/2, K,
 // K+1}.
 func TestRouterHotPCsBoundCoversUnlisted(t *testing.T) {
@@ -231,29 +233,42 @@ func TestRouterHotPCsBoundCoversUnlisted(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, n := range []int{1, k / 2, k, k + 1} {
-			resp, err := http.Get(fmt.Sprintf("%s/v1/hotpcs?n=%d", front.URL, n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var reply api.HotPCs
-			err = json.NewDecoder(resp.Body).Decode(&reply)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK || reply.ErrorBound == nil {
-				t.Fatalf("seed %d n=%d: %d %v %+v", seed, n, resp.StatusCode, err, reply)
-			}
-			listed := make(map[uint64]bool, len(reply.PCs))
-			for _, row := range reply.PCs {
-				pc, _ := strconv.ParseUint(row.PC, 0, 64)
-				listed[pc] = true
-				hi := row.Samples + value(row.MaxErr)
-				if tc := truth[pc]; tc < row.Samples || tc > hi {
-					t.Errorf("seed %d K=%d n=%d: row %s has %d samples, max_err %d, true count %d", seed, k, n, row.PC, row.Samples, value(row.MaxErr), tc)
+		for _, q := range []string{"", "&sketch=false"} {
+			for _, n := range []int{1, k / 2, k, k + 1} {
+				resp, err := http.Get(fmt.Sprintf("%s/v1/hotpcs?n=%d%s", front.URL, n, q))
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			for pc, tc := range truth {
-				if !listed[pc] && tc > *reply.ErrorBound {
-					t.Errorf("seed %d K=%d n=%d: unlisted pc %#x was seen %d times, above error_bound %d", seed, k, n, pc, tc, *reply.ErrorBound)
+				var reply api.HotPCs
+				err = json.NewDecoder(resp.Body).Decode(&reply)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || q == "" && reply.ErrorBound == nil {
+					t.Fatalf("seed %d n=%d%s: %d %v %+v", seed, n, q, resp.StatusCode, err, reply)
+				}
+				// Without a bound, nothing unlisted was seen more often
+				// than the last listed row.
+				bound := uint64(math.MaxUint64)
+				if reply.ErrorBound != nil {
+					bound = *reply.ErrorBound
+				} else if len(reply.PCs) > 0 {
+					bound = reply.PCs[len(reply.PCs)-1].Samples
+				}
+				if reply.ErrorBound == nil && (reply.Approx || len(reply.PCs) != min(n, len(truth))) {
+					t.Errorf("seed %d K=%d n=%d%s: unbounded answer with approx %v and %d of %d PCs", seed, k, n, q, reply.Approx, len(reply.PCs), len(truth))
+				}
+				listed := make(map[uint64]bool, len(reply.PCs))
+				for _, row := range reply.PCs {
+					pc, _ := strconv.ParseUint(row.PC, 0, 64)
+					listed[pc] = true
+					hi := row.Samples + value(row.MaxErr)
+					if tc := truth[pc]; tc < row.Samples || tc > hi {
+						t.Errorf("seed %d K=%d n=%d%s: row %s has %d samples, max_err %d, true count %d", seed, k, n, q, row.PC, row.Samples, value(row.MaxErr), tc)
+					}
+				}
+				for pc, tc := range truth {
+					if !listed[pc] && tc > bound {
+						t.Errorf("seed %d K=%d n=%d%s: unlisted pc %#x was seen %d times, above bound %d (error_bound %v)", seed, k, n, q, pc, tc, bound, reply.ErrorBound != nil)
+					}
 				}
 			}
 		}

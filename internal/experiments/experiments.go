@@ -1,10 +1,10 @@
-// Package experiments implements one self-contained harness per table and
-// figure of the paper's evaluation, declared once in All: cmd/figures runs
-// that list and TestExperiments runs the same list at the reduced
-// configurations. Every experiment returns a structured result plus a text
-// rendering of the paper's rows/series, and — where the paper's claim is a
-// shape rather than a number — a Check method that verifies the shape
-// holds.
+// Package experiments implements one self-contained harness per table,
+// figure and claim of the paper's evaluation (DESIGN.md §5's ablations
+// included), declared once in All: cmd/figures runs that list and
+// TestExperiments runs the same list at the reduced configurations.
+// Every experiment returns a structured result plus a text rendering of
+// the paper's rows/series, and — where the paper's claim is a shape
+// rather than a number — a Check method that verifies the shape holds.
 package experiments
 
 import "fmt"
@@ -26,7 +26,8 @@ type Experiment struct {
 	About string // one line for the usage text
 	// Run runs the experiment at its default configuration or, with
 	// quick, at the reduced one declared beside the default (~10x
-	// faster; EXPERIMENTS.md quotes these runs).
+	// faster; EXPERIMENTS.md quotes these runs). An experiment with one
+	// configuration runs it either way.
 	Run func(quick bool) (Result, error)
 }
 
@@ -41,6 +42,9 @@ var All = []Experiment{
 	{"blindspot", "§2.2 counter blind spots vs ProfileMe", entry(defaultBlindSpotConfig, blindSpot)},
 	{"ww", "§8 Westcott & White IID-restricted sampling", entry(defaultWWConfig, ww)},
 	{"multiproc", "§4.1.3 context register under time-slicing", entry(defaultMultiprocessConfig, multiprocess)},
+	{"ablations", "DESIGN.md §5 design choices vs their alternatives", ablations},
+	{"edges", "§5.2 CFG and call-graph edge frequencies", edgeFrequencies},
+	{"pipestate", "§5.2 pipeline state around an instruction", pipelineState},
 }
 
 // entry binds an experiment to its configuration.

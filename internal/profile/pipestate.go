@@ -18,7 +18,7 @@ const (
 	PhaseQueue                           // map -> issue (rename + operand wait)
 	PhaseExecute                         // issue -> retire-ready
 	PhaseWaitRetire                      // retire-ready -> retire
-	NumPhases       = iota
+	numPhases       = iota
 )
 
 var phaseNames = [...]string{"front-end", "queue", "execute", "wait-retire"}
@@ -32,7 +32,7 @@ func (p PipelinePhase) String() string {
 }
 
 // phaseBounds maps a phase to its bounding stages.
-var phaseBounds = [NumPhases][2]core.Stage{
+var phaseBounds = [numPhases][2]core.Stage{
 	{core.StageFetch, core.StageMap},
 	{core.StageMap, core.StageIssue},
 	{core.StageIssue, core.StageRetireReady},
@@ -56,7 +56,7 @@ type PipelineProfile struct {
 	// to the target's fetch).
 	MinDelta, MaxDelta int64
 
-	counts [][NumPhases]uint64 // per delta bucket
+	counts [][numPhases]uint64 // per delta bucket
 	pairs  uint64              // pair-views of the target
 }
 
@@ -67,13 +67,13 @@ func NewPipelineProfile(targetPC uint64, w int, minDelta, maxDelta int64) *Pipel
 	}
 	return &PipelineProfile{
 		TargetPC: targetPC, W: w, MinDelta: minDelta, MaxDelta: maxDelta,
-		counts: make([][NumPhases]uint64, maxDelta-minDelta+1),
+		counts: make([][numPhases]uint64, maxDelta-minDelta+1),
 	}
 }
 
-// Add folds one sample: if either record is the target, the partner's
+// add folds one sample: if either record is the target, the partner's
 // phase residency is accumulated relative to the target's fetch cycle.
-func (pp *PipelineProfile) Add(s core.Sample) {
+func (pp *PipelineProfile) add(s core.Sample) {
 	if !s.Paired {
 		return
 	}
@@ -89,7 +89,7 @@ func (pp *PipelineProfile) Add(s core.Sample) {
 func (pp *PipelineProfile) Handler() func([]core.Sample) {
 	return func(ss []core.Sample) {
 		for _, s := range ss {
-			pp.Add(s)
+			pp.add(s)
 		}
 	}
 }
@@ -100,7 +100,7 @@ func (pp *PipelineProfile) addView(target, partner *core.Record) {
 		return
 	}
 	pp.pairs++
-	for ph := 0; ph < NumPhases; ph++ {
+	for ph := 0; ph < numPhases; ph++ {
 		from := partner.StageCycle[phaseBounds[ph][0]]
 		to := partner.StageCycle[phaseBounds[ph][1]]
 		if from < 0 || to < 0 {
@@ -126,25 +126,11 @@ func (pp *PipelineProfile) Pairs() uint64 { return pp.pairs }
 // instructions in the given phase at cycle offset delta from the target's
 // fetch. ok is false when delta is out of range or no pairs were seen.
 func (pp *PipelineProfile) Occupancy(delta int64, ph PipelinePhase) (float64, bool) {
-	if pp.pairs == 0 || delta < pp.MinDelta || delta > pp.MaxDelta || ph < 0 || int(ph) >= NumPhases {
+	if pp.pairs == 0 || delta < pp.MinDelta || delta > pp.MaxDelta || ph < 0 || int(ph) >= numPhases {
 		return 0, false
 	}
 	k := pp.counts[delta-pp.MinDelta][ph]
 	return float64(k) * float64(pp.W) / float64(pp.pairs), true
-}
-
-// TotalOccupancy sums all phases at delta: the expected number of
-// in-flight neighbors at that moment.
-func (pp *PipelineProfile) TotalOccupancy(delta int64) (float64, bool) {
-	var sum float64
-	for ph := PipelinePhase(0); ph < NumPhases; ph++ {
-		v, ok := pp.Occupancy(delta, ph)
-		if !ok {
-			return 0, false
-		}
-		sum += v
-	}
-	return sum, true
 }
 
 // Render prints occupancy rows sampled every step cycles.
@@ -156,14 +142,14 @@ func (pp *PipelineProfile) Render(step int64) string {
 	fmt.Fprintf(&b, "pipeline state around pc %#x (%d pair views, scale W=%d)\n",
 		pp.TargetPC, pp.pairs, pp.W)
 	fmt.Fprintf(&b, "%8s", "delta")
-	for ph := PipelinePhase(0); ph < NumPhases; ph++ {
+	for ph := PipelinePhase(0); ph < numPhases; ph++ {
 		fmt.Fprintf(&b, " %12s", ph)
 	}
 	fmt.Fprintf(&b, " %12s\n", "total")
 	for d := pp.MinDelta; d <= pp.MaxDelta; d += step {
 		fmt.Fprintf(&b, "%8d", d)
 		var total float64
-		for ph := PipelinePhase(0); ph < NumPhases; ph++ {
+		for ph := PipelinePhase(0); ph < numPhases; ph++ {
 			v, _ := pp.Occupancy(d, ph)
 			total += v
 			fmt.Fprintf(&b, " %12.1f", v)

@@ -5,9 +5,6 @@ import (
 	"testing"
 
 	"profileme/internal/core"
-	"profileme/internal/cpu"
-	"profileme/internal/sim"
-	"profileme/internal/workload"
 )
 
 func TestPipelineProfileSynthetic(t *testing.T) {
@@ -16,7 +13,7 @@ func TestPipelineProfileSynthetic(t *testing.T) {
 	// retire-ready 110, retire 112.
 	target := rec(0x10, true, 100, 101, 102, 103, 120, 125)
 	partner := rec(0x20, true, 102, 104, 106, 108, 110, 112)
-	pp.Add(core.Sample{First: target, Second: partner, Paired: true})
+	pp.add(core.Sample{First: target, Second: partner, Paired: true})
 
 	if pp.Pairs() != 1 {
 		t.Fatalf("pairs = %d", pp.Pairs())
@@ -42,9 +39,6 @@ func TestPipelineProfileSynthetic(t *testing.T) {
 	if v, _ := pp.Occupancy(-3, PhaseQueue); v != 0 {
 		t.Fatalf("early occupancy = %v", v)
 	}
-	if v, _ := pp.TotalOccupancy(6); v != 40 {
-		t.Fatalf("total = %v", v)
-	}
 	if _, ok := pp.Occupancy(999, PhaseQueue); ok {
 		t.Fatal("out-of-range delta accepted")
 	}
@@ -58,61 +52,12 @@ func TestPipelineProfileBothDirections(t *testing.T) {
 	// Target as Second: partner fetched before it.
 	partner := rec(0x20, true, 90, 91, 92, 93, 94, 95)
 	target := rec(0x10, true, 100, 101, 102, 103, 104, 105)
-	pp.Add(core.Sample{First: partner, Second: target, Paired: true})
+	pp.add(core.Sample{First: partner, Second: target, Paired: true})
 	if pp.Pairs() != 1 {
 		t.Fatalf("pairs = %d", pp.Pairs())
 	}
 	// Partner executed at cycle 93 = delta -7.
 	if v, _ := pp.Occupancy(-7, PhaseExecute); v != 40 {
 		t.Fatalf("backward-view occupancy = %v", v)
-	}
-}
-
-func TestPipelineProfileOnFigure7Loops(t *testing.T) {
-	// Around a serial-loop instruction the machine is nearly empty of
-	// *executing* neighbors; around the high-ILP loop's instruction the
-	// occupancy is much higher.
-	prog := workload.Figure7Program(2500)
-	loops := workload.Figure7Loops(prog)
-
-	profileAt := func(pc uint64) *PipelineProfile {
-		pp := NewPipelineProfile(pc, 80, 0, 1)
-		unit := core.MustNewUnit(core.Config{
-			Paired: true, MeanInterval: 30, Window: 80, BufferDepth: 64,
-			CountMode: core.CountInstructions, IntervalMode: core.IntervalGeometric, Seed: 13,
-		})
-		ccfg := cpu.DefaultConfig()
-		ccfg.InterruptCost = 0
-		src := sim.NewMachineSource(sim.New(prog), 0)
-		pipe, err := cpu.New(prog, src, ccfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pipe.AttachProfileMe(unit, pp.Handler())
-		if _, err := pipe.Run(0); err != nil {
-			t.Fatal(err)
-		}
-		return pp
-	}
-
-	serialPC := loops["A-serial"][0]
-	parallelPC := loops["C-parallel"][0] + 3*4 // an add amid the parallel work
-	ppA := profileAt(serialPC)
-	ppC := profileAt(parallelPC)
-	if ppA.Pairs() < 20 || ppC.Pairs() < 20 {
-		t.Fatalf("too few pair views: %d / %d", ppA.Pairs(), ppC.Pairs())
-	}
-	// The reconstructed state composition is the signal: around the
-	// serial-loop instruction the issue queue is clogged with neighbors
-	// waiting on the dependence chain, while around the high-ILP
-	// instruction operands are ready and the queue stays nearly empty.
-	qA, _ := ppA.Occupancy(0, PhaseQueue)
-	eA, _ := ppA.Occupancy(0, PhaseExecute)
-	qC, _ := ppC.Occupancy(0, PhaseQueue)
-	if qA < 3*eA {
-		t.Fatalf("serial loop state not queue-dominated: queue %.1f, execute %.1f", qA, eA)
-	}
-	if qA < 2.5*qC+1 {
-		t.Fatalf("serial loop queue occupancy %.1f not well above parallel %.1f", qA, qC)
 	}
 }
