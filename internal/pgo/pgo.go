@@ -55,7 +55,7 @@ func analyze(db *profile.DB, prog *isa.Program) []candidate {
 		if missRate < minMissRate || meanLat < minMeanLat {
 			continue
 		}
-		stride := detectStride(a.Addrs)
+		stride := detectStride(db.Addrs(pc))
 		out = append(out, candidate{
 			PC: pc, Samples: a.Samples, MissRate: missRate, MeanLat: meanLat, Stride: stride,
 		})

@@ -36,8 +36,8 @@ var submitAlloc = []struct {
 	aggPCs, shardPC int
 	want, race      [2]uint64
 }{
-	{"wide", wideAggPCs, wideShardPCs, [2]uint64{24, 253784}, [2]uint64{34, 925728}},
-	{"narrow", 64, 32, [2]uint64{24, 25304}, [2]uint64{28, 38056}},
+	{"wide", wideAggPCs, wideShardPCs, [2]uint64{14, 236440}, [2]uint64{18, 818056}},
+	{"narrow", 64, 32, [2]uint64{14, 22296}, [2]uint64{18, 31880}},
 }
 
 // latRecord is one retired sample at pc with a latency that varies with
@@ -62,7 +62,7 @@ func shardOf(t testing.TB, seed uint64, pcs, popPCs int) []byte {
 	t.Helper()
 	rng := stats.NewRNG(seed)
 	db := NewDB(64, 0, 4)
-	for draw := 0; len(db.byPC) < pcs; draw++ {
+	for draw := 0; db.n < pcs; draw++ {
 		// Squaring a uniform draw skews it toward the low PCs.
 		u := rng.Float64()
 		db.Add(core.Sample{First: latRecord(0x400000+4*uint64(u*u*float64(popPCs)), draw)})
@@ -77,8 +77,8 @@ func shardOf(t testing.TB, seed uint64, pcs, popPCs int) []byte {
 // TestWideMergeAlloc is the allocation gate of the collector's merge
 // path (a table, in the style of TestPipelineSteadyStateAlloc), plus the
 // property that keeps a decoded image cheap: LoadDB allocates a constant
-// number of times whatever the image's size — the rows are one slice the
-// database points into, not one allocation per PC.
+// number of times whatever the image's size — the rows are one slice and
+// the PC index one table of slots, not one allocation per PC.
 func TestWideMergeAlloc(t *testing.T) {
 	// One P: a buffer sync.Pool holds in one P's private slot is not
 	// seen from another, so a goroutine that migrates would count a
@@ -131,8 +131,8 @@ func TestWideMergeAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows := len(db.byPC)
-			index := testing.AllocsPerRun(5, func() { _ = make(map[uint64]*PCAccum, rows) })
+			rows := db.n
+			index := testing.AllocsPerRun(5, func() { _ = make([]uint32, indexSize(rows)) })
 			load := testing.AllocsPerRun(5, func() {
 				if _, err := LoadDB(bytes.NewReader(img)); err != nil {
 					t.Fatal(err)
@@ -146,7 +146,7 @@ func TestWideMergeAlloc(t *testing.T) {
 	}
 }
 
-// maxLoadAllocs bounds what LoadDB allocates besides the byPC index for
+// maxLoadAllocs bounds what LoadDB allocates besides its PC index for
 // an image without pair metrics or retained addresses, whatever its row
 // count: the framing reads, the payload, the rows, the database — 8, or
 // 10 under the race detector.

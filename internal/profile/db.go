@@ -48,10 +48,11 @@ var eventKinds = [numEventKinds]core.Event{
 // PCAccum aggregates every sample seen for one static instruction:
 // the DCPI-style compact representation (counts and sums, no raw samples).
 //
-// Copy-vs-alias: PCAccum is mostly a value type, but Addrs is a slice —
-// a shallow copy of a live accumulator still shares it with the
-// database. DB.Get and DB.HotPCs return live pointers (aliases);
-// SafeDB.Get and SafeDB.HotPCs return deep copies that share nothing.
+// It is a plain value with no pointers (the sampled addresses a database
+// keeps are beside its rows: DB.Addrs), so a copy shares nothing. DB.Get
+// and DB.HotPCs return pointers into the database's rows, valid until
+// its next write that adds a PC; SafeDB.Get and SafeDB.HotPCs return
+// copies.
 type PCAccum struct {
 	PC      uint64
 	Samples uint64 // samples naming this PC (first or second of a pair)
@@ -79,12 +80,6 @@ type PCAccum struct {
 	// RetiredNear counts pair-partners that retired within the database's
 	// TNear cycles of this instruction (§5.2.4 neighborhood IPC).
 	RetiredNear uint64
-
-	// Addrs retains up to DB.RetainAddrs sampled effective addresses in
-	// arrival order — the raw material for the §7 reference-pattern
-	// feedback (stride detection for prefetching, page-conflict
-	// analysis).
-	Addrs []uint64
 }
 
 // Retired returns the count of samples that retired.
@@ -133,16 +128,29 @@ type DB struct {
 	// (§5.2.4); defaultTNear unless changed before adding samples.
 	TNear int64
 	// RetainAddrs caps how many sampled effective addresses are kept per
-	// PC (0 = none). Memory-feedback analyses (§7) need a handful.
+	// PC (0 = none), in arrival order (DB.Addrs) — the raw material for
+	// the §7 reference-pattern feedback (stride detection for
+	// prefetching, page-conflict analysis), which needs a handful.
 	RetainAddrs int
 
-	byPC map[uint64]*PCAccum
-	// rows is the row slice loadRows decoded, in ascending PC order; byPC
-	// points into it. It is the walk order while len(rows) == len(byPC).
-	// pooled says both go back to LoadDB's pool when a merge consumes
-	// the database (recycle).
-	rows    []PCAccum
-	pooled  bool
+	// The per-PC rows, addressed by slot (rows.go): a decoded image's
+	// slab, then the chunks of rows added since; n rows in all.
+	base   []PCAccum
+	chunks [][]PCAccum
+	n      int
+	// index maps a PC to its slot (rows.go); shift picks a hash's home
+	// entry in it.
+	index []uint32
+	shift uint
+	// addrs holds each slot's kept addresses; nil until one is kept.
+	addrs [][]uint64
+	// unsorted says the slot order is not ascending PC order: some PC
+	// arrived after a higher one.
+	unsorted bool
+	// pooled says base and index go back to LoadDB's pool when a merge
+	// consumes the database (recycle); consumed says one has.
+	pooled, consumed bool
+
 	samples uint64
 	pairs   uint64
 
@@ -162,7 +170,7 @@ const defaultTNear = 30
 
 // NewDB returns an empty database for a sampling configuration.
 func NewDB(s float64, w, c int) *DB {
-	return &DB{S: s, W: w, C: c, TNear: defaultTNear, byPC: make(map[uint64]*PCAccum)}
+	return &DB{S: s, W: w, C: c, TNear: defaultTNear}
 }
 
 // Handler adapts the database to a Pipeline.AttachProfileMe interrupt
@@ -294,20 +302,11 @@ func recordSane(r *core.Record) bool {
 	return true
 }
 
-func (db *DB) acc(pc uint64) *PCAccum {
-	a, ok := db.byPC[pc]
-	if !ok {
-		a = &PCAccum{PC: pc}
-		db.byPC[pc] = a
-	}
-	return a
-}
-
 func (db *DB) addRecord(r *core.Record, partner *core.Record) {
 	if r.Events.Has(core.EvNoInstruction) {
 		return // empty fetch slot: no PC to attribute
 	}
-	a := db.acc(r.PC)
+	slot, a := db.slotOf(r.PC)
 	a.Samples++
 	for i, kind := range eventKinds {
 		if r.Events.Has(kind) {
@@ -328,8 +327,8 @@ func (db *DB) addRecord(r *core.Record, partner *core.Record) {
 		a.InProgressSum += to - from
 		a.InProgressCount++
 	}
-	if r.AddrValid && len(a.Addrs) < db.RetainAddrs {
-		a.Addrs = append(a.Addrs, r.Addr)
+	if r.AddrValid && db.RetainAddrs > 0 {
+		db.keepAddrs(slot, r.Addr)
 	}
 	if partner != nil {
 		a.PairSamples++
@@ -342,52 +341,76 @@ func (db *DB) addRecord(r *core.Record, partner *core.Record) {
 	}
 }
 
-// Get returns the accumulator for pc, or nil. The pointer ALIASES live
-// database state — later Adds mutate it in place. Callers that retain
-// results across writes (or hand them to another goroutine) must copy,
-// or go through SafeDB.Get, which does.
-func (db *DB) Get(pc uint64) *PCAccum { return db.byPC[pc] }
+// Get returns the accumulator for pc, or nil. The pointer is into the
+// database's rows: later Adds change it in place, and a write that adds
+// a PC may move the rows, after which the pointer is stale. Callers that
+// keep a result across writes (or hand it to another goroutine) copy
+// the value, or go through SafeDB.Get, which does.
+func (db *DB) Get(pc uint64) *PCAccum {
+	_, a, _ := db.find(pc)
+	return a
+}
 
 // PCs returns all profiled PCs in ascending order.
 func (db *DB) PCs() []uint64 {
-	pcs := make([]uint64, 0, len(db.byPC))
-	for pc := range db.byPC {
-		pcs = append(pcs, pc)
+	pcs := make([]uint64, 0, db.n)
+	db.each(func(_ int32, a *PCAccum) { pcs = append(pcs, a.PC) })
+	if db.unsorted {
+		slices.Sort(pcs)
 	}
-	slices.Sort(pcs)
 	return pcs
 }
 
+// recordInterval is the sampling interval one delivered record stands
+// for. Each sample stands for S fetched instructions, and a paired one
+// holds two records, both of which Add folds into the PCs' Samples: a
+// database of paired samples scales a record by S/2, an unpaired one by
+// S, and a mix (a pair whose partner never arrived is one record) by S
+// times samples per record. Every count estimate scales by it, times
+// the loss correction: EstimatedCount, EstimatedEventCount, WastedSlots,
+// Report, the per-procedure rollup, Realize, and the published view's
+// Estimate (View.RecordS), which /v1/estimate and /v1/hotpcs serve.
+func (db *DB) recordInterval() float64 {
+	switch db.pairs {
+	case 0:
+		return db.S
+	case db.samples:
+		return db.S / 2
+	}
+	return db.S * float64(db.samples) / float64(db.samples+db.pairs)
+}
+
 // EstimatedCount estimates how many times pc was fetched (on the predicted
-// path) over the run: samples * S, scaled up by the observed loss rate
-// when RecordLoss has reported upstream sample loss.
+// path) over the run: samples * recordInterval, scaled up by the observed
+// loss rate when RecordLoss has reported upstream sample loss.
 func (db *DB) EstimatedCount(pc uint64) float64 {
-	a := db.byPC[pc]
+	a := db.Get(pc)
 	if a == nil {
 		return 0
 	}
-	return estimateCount(a.Samples, db.S) * db.lossCorrection()
+	return estimateCount(a.Samples, db.recordInterval()) * db.lossCorrection()
 }
 
 // EstimatedEventCount estimates the number of occurrences of ev at pc,
-// loss-corrected like EstimatedCount.
+// scaled like EstimatedCount.
 func (db *DB) EstimatedEventCount(pc uint64, ev core.Event) float64 {
-	a := db.byPC[pc]
+	a := db.Get(pc)
 	if a == nil {
 		return 0
 	}
-	return estimateCount(a.EventCount(ev), db.S) * db.lossCorrection()
+	return estimateCount(a.EventCount(ev), db.recordInterval()) * db.lossCorrection()
 }
 
-// WastedSlots computes the §5.2.3 wasted-issue-slot estimate for pc:
+// WastedSlots computes the §5.2.3 wasted-issue-slot estimate for pc,
+// where S/2 is a paired database's recordInterval:
 //
 //	total slots  ≈ L_I * C * S / 2
-//	useful       ≈ U_I * W * S
+//	useful       ≈ U_I * 2W * S / 2
 //	wasted       = total - useful (clamped at 0)
 //
 // ok is false when the database has no paired samples for pc.
 func (db *DB) WastedSlots(pc uint64) (wasted, total, useful float64, ok bool) {
-	a := db.byPC[pc]
+	a := db.Get(pc)
 	if a == nil || a.PairSamples == 0 {
 		return 0, 0, 0, false
 	}
@@ -395,8 +418,8 @@ func (db *DB) WastedSlots(pc uint64) (wasted, total, useful float64, ok bool) {
 	// scales them identically; their ratio (and NeighborhoodIPC, a pure
 	// ratio) needs no correction at all.
 	corr := db.lossCorrection()
-	total = float64(a.InProgressSum) * float64(db.C) * db.S / 2 * corr
-	useful = float64(a.UsefulOverlap) * float64(db.W) * db.S * corr
+	total = float64(a.InProgressSum) * float64(db.C) * db.recordInterval() * corr
+	useful = float64(a.UsefulOverlap) * float64(2*db.W) * db.recordInterval() * corr
 	wasted = total - useful
 	if wasted < 0 {
 		wasted = 0
@@ -410,7 +433,7 @@ func (db *DB) WastedSlots(pc uint64) (wasted, total, useful float64, ok bool) {
 // scaled to instructions per cycle: W * fraction / TNear. ok is false
 // without paired samples.
 func (db *DB) NeighborhoodIPC(pc uint64) (ipc float64, ok bool) {
-	a := db.byPC[pc]
+	a := db.Get(pc)
 	if a == nil || a.PairSamples == 0 || db.TNear == 0 {
 		return 0, false
 	}
@@ -469,19 +492,18 @@ func (t *topAccums) sorted() []*PCAccum {
 }
 
 // HotPCs returns the n PCs with the most samples, descending (ties
-// break toward the lower PC); n <= 0 means all of them. It walks the
-// whole per-PC map but keeps only the best n in a bounded heap:
-// O(DB log n), the exact scan. The returned pointers ALIAS live
-// database state, like Get; SafeDB.HotPCs serves the same question from
-// its published sketch view in O(n) with deep-copied rows.
+// break toward the lower PC); n <= 0 means all of them. It walks every
+// row but keeps only the best n in a bounded heap: O(DB log n), the
+// exact scan. The returned pointers are into the database's rows, valid
+// until its next write that adds a PC, like Get's; SafeDB.HotPCs serves
+// the same question from its published sketch view in O(n) with copied
+// rows.
 func (db *DB) HotPCs(n int) []*PCAccum {
-	if n <= 0 || n > len(db.byPC) {
-		n = len(db.byPC)
+	if n <= 0 || n > db.n {
+		n = db.n
 	}
 	top := topAccums{n: n, heap: make(coldestFirst, 0, n)}
-	for _, a := range db.byPC {
-		top.offer(a)
-	}
+	db.each(func(_ int32, a *PCAccum) { top.offer(a) })
 	return top.sorted()
 }
 
@@ -509,7 +531,7 @@ func (db *DB) Report(prog *isa.Program, n int) string {
 		if a.InProgressCount > 0 {
 			lat = float64(a.InProgressSum) / float64(a.InProgressCount)
 		}
-		lo, hi := ConfidenceInterval(a.Samples, db.S*db.lossCorrection(), 1.96)
+		lo, hi := ConfidenceInterval(a.Samples, db.recordInterval()*db.lossCorrection(), 1.96)
 		fmt.Fprintf(&b, "%-10s %-24s %8d %8.0f±%-5.0f %6.1f%% %6.1f%% %6.1f%% %9.1f\n",
 			name, dis, a.Samples, db.EstimatedCount(a.PC), (hi-lo)/2,
 			100*RateEstimate(a.Retired(), a.Samples),

@@ -7,7 +7,7 @@
 //
 // Two layers share the work. DB is the single-owner aggregation core:
 // exact, not concurrency-safe, and its accessors (Get, HotPCs) return
-// pointers that alias live state. SafeDB is the concurrent serving
+// pointers into its rows, valid until its next write that adds a PC. SafeDB is the concurrent serving
 // layer: writers go through its lock while readers get immutable,
 // atomically-published snapshots (View) backed by streaming summaries —
 // a space-saving top-K sketch (spaceSaving), log-bucketed quantile

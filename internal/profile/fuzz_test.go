@@ -48,10 +48,12 @@ func FuzzLoadDB(f *testing.F) {
 	lo := &PCAccum{PC: 0x40}
 	negative := NewDB(100, 80, 4)
 	negative.W = -80
+	misfit := NewDB(100, 80, 4)
+	misfit.addrs = [][]uint64{{1, 2, 3}}
 	for _, img := range [][]byte{
 		rowImage(f, NewDB(100, 80, 4), lo, lo),
 		pairMetricImage(f, 0, nil, 3),
-		rowImage(f, NewDB(100, 80, 4), &PCAccum{PC: 0x40, Addrs: []uint64{1, 2, 3}}),
+		rowImage(f, misfit, lo),
 		rowImage(f, negative, lo),
 	} {
 		f.Add(img[headerBytes : len(img)-4])
@@ -110,11 +112,11 @@ func mergesIntoAggregate(t *testing.T, shard *DB) {
 	// One address more than the shard retains, unless that overflows.
 	agg.TNear, agg.RetainAddrs = shard.TNear, max(shard.RetainAddrs, shard.RetainAddrs+1)
 	for _, pc := range shard.PCs() {
-		row, a := shard.Get(pc), agg.acc(pc)
+		slot, a := agg.slotOf(pc)
 		a.Samples, a.Events[0] = 1, 1
 		agg.samples++
-		if len(row.Addrs) == 0 {
-			a.Addrs = []uint64{pc}
+		if len(shard.Addrs(pc)) == 0 {
+			agg.keepAddrs(slot, pc)
 		}
 	}
 	agg.RecordLoss(2)
@@ -128,9 +130,9 @@ func mergesIntoAggregate(t *testing.T, shard *DB) {
 		t.Fatalf("Samples+Lost %d+%d -> %d+%d, want growth by the shard's %d",
 			before.Samples, before.Lost, after.Samples, after.Lost, captured)
 	}
-	for pc, a := range agg.byPC {
-		if len(a.Addrs) > agg.RetainAddrs {
-			t.Fatalf("merged row %#x holds %d addresses; the aggregate retains %d", pc, len(a.Addrs), agg.RetainAddrs)
+	for _, pc := range agg.PCs() {
+		if kept := len(agg.Addrs(pc)); kept > agg.RetainAddrs {
+			t.Fatalf("merged row %#x holds %d addresses; the aggregate retains %d", pc, kept, agg.RetainAddrs)
 		}
 	}
 }

@@ -60,36 +60,25 @@ const (
 
 // Save writes the database as a versioned, checksummed envelope.
 func (db *DB) Save(w io.Writer) error {
-	return db.save(w, db.sortedAccums())
+	return db.save(w, db.ascendingSlots())
 }
 
-// sortedAccums returns the accumulators in ascending PC order, the order
-// the image lists them in.
-func (db *DB) sortedAccums() []*PCAccum {
-	pcs := db.PCs()
-	accs := make([]*PCAccum, len(pcs))
-	for i, pc := range pcs {
-		accs[i] = db.byPC[pc]
-	}
-	return accs
-}
-
-// save is Save given sortedAccums, for a caller that keeps the list
-// between saves of the same database (SafeDB). Each row is appended
-// straight into the envelope's buffer, grown once first: a caller that
-// keeps a saved image (a shard body, a trace record) keeps the buffer's
-// spare capacity with it, which doubling growth would leave at up to
-// the image's own size.
-func (db *DB) save(w io.Writer, accs []*PCAccum) error {
+// save is Save given ascendingSlots, for a caller that keeps the list
+// between saves of the same database (SafeDB). Each row is
+// appended straight into the envelope's buffer, grown once first: a
+// caller that keeps a saved image (a shard body, a trace record) keeps
+// the buffer's spare capacity with it, which doubling growth would leave
+// at up to the image's own size.
+func (db *DB) save(w io.Writer, order []int32) error {
 	if err := frame.WriteEnvelope(w, dbMagic, dbVersion, func(p io.Writer) error {
 		buf := p.(*bytes.Buffer)
-		buf.Grow(256 + 40*len(accs)) // a row of small counts takes 32 bytes
-		buf.Write(db.appendHead(buf.AvailableBuffer(), len(accs)))
+		buf.Grow(256 + 40*db.n) // a row of small counts takes 32 bytes
+		buf.Write(db.appendHead(buf.AvailableBuffer(), db.n))
 		var prev uint64
-		for _, a := range accs {
-			buf.Write(appendRow(buf.AvailableBuffer(), a, a.PC-prev))
+		db.eachInOrder(order, func(slot int32, a *PCAccum) {
+			buf.Write(appendRow(buf.AvailableBuffer(), a, a.PC-prev, db.addrsAt(slot)))
 			prev = a.PC
-		}
+		})
 		return nil
 	}); err != nil {
 		return fmt.Errorf("profile: save: %w", err)
@@ -110,8 +99,9 @@ func (db *DB) appendHead(b []byte, rows int) []byte {
 	return binary.AppendUvarint(b, uint64(rows))
 }
 
-// appendRow appends one accumulator's row, its PC given as delta.
-func appendRow(b []byte, a *PCAccum, delta uint64) []byte {
+// appendRow appends one accumulator's row, its PC given as delta, with
+// the addresses the database kept for it.
+func appendRow(b []byte, a *PCAccum, delta uint64, addrs []uint64) []byte {
 	b = binary.AppendUvarint(b, delta)
 	b = binary.AppendUvarint(b, a.Samples)
 	// Indexed, not ranged by value: a range over an array field copies
@@ -133,8 +123,8 @@ func appendRow(b []byte, a *PCAccum, delta uint64) []byte {
 	b = binary.AppendUvarint(b, a.PairSamples)
 	b = binary.AppendUvarint(b, a.RetiredNear)
 	b = append(b, 0) // no pair metrics
-	b = binary.AppendUvarint(b, uint64(len(a.Addrs)))
-	for _, v := range a.Addrs {
+	b = binary.AppendUvarint(b, uint64(len(addrs)))
+	for _, v := range addrs {
 		b = binary.AppendUvarint(b, v)
 	}
 	return b
@@ -170,27 +160,32 @@ func LoadDB(r io.Reader) (*DB, error) {
 const maxPooledRows = 1 << 13
 
 // rowSlab is a decoded database's storage as the pool holds it: its
-// rows and the PC index that pointed into them.
+// rows and its PC index's table.
 type rowSlab struct {
-	rows []PCAccum
-	byPC map[uint64]*PCAccum
+	rows  []PCAccum
+	index []uint32
 }
 
 var slabs sync.Pool // *rowSlab
 
-// takeSlab returns n <= maxPooledRows rows and an empty index. A
-// recycled slab's rows still hold its last shard's values: the caller
-// writes every field of every row.
-func takeSlab(n int) ([]PCAccum, map[uint64]*PCAccum) {
-	sl, _ := slabs.Get().(*rowSlab)
-	if sl == nil {
-		return make([]PCAccum, n), make(map[uint64]*PCAccum, n)
+// takeSlab returns n <= maxPooledRows rows and a zeroed index table of
+// indexSize(n) entries. A recycled slab's rows still hold its last
+// shard's values: the caller writes every field of every row.
+func takeSlab(n int) ([]PCAccum, []uint32) {
+	var sl rowSlab
+	if p, ok := slabs.Get().(*rowSlab); ok {
+		sl = *p
 	}
-	clear(sl.byPC)
+	size := indexSize(n)
 	if cap(sl.rows) < n {
-		return make([]PCAccum, n), sl.byPC
+		sl.rows = make([]PCAccum, n)
 	}
-	return sl.rows[:n], sl.byPC
+	if cap(sl.index) < size {
+		sl.index = make([]uint32, size)
+	}
+	index := sl.index[:size]
+	clear(index)
+	return sl.rows[:n], index
 }
 
 // recycle hands a decoded database's rows and index back to the pool.
@@ -201,8 +196,9 @@ func (db *DB) recycle() {
 	if !db.pooled {
 		return
 	}
-	slabs.Put(&rowSlab{rows: db.rows, byPC: db.byPC})
-	db.pooled, db.rows, db.byPC = false, nil, nil
+	slabs.Put(&rowSlab{rows: db.base, index: db.index})
+	db.pooled, db.consumed = false, true
+	db.base, db.chunks, db.n, db.index, db.addrs = nil, nil, 0, nil, nil
 }
 
 // rowFits is loadRows's per-row check: a row has no pair metrics and
@@ -213,9 +209,10 @@ func (db *DB) rowFits(pairMetrics, addrs int) bool {
 
 // loadRows decodes the payload with the one row decoder (frame.Rows).
 // Every length is checked against the bytes left before anything is
-// allocated for it, and all rows live in one slice that byPC points into
-// and the database keeps as its PC order (DB.rows) — a pooled slab's
-// unless the image has more than maxPooledRows rows.
+// allocated for it, and all rows live in one exact-size slice, the
+// database's base slab, in the image's ascending PC order — a pooled
+// slab's unless the image has more than maxPooledRows rows. The PC
+// index is entered once the rows are in.
 func loadRows(payload []byte) (*DB, error) {
 	if len(payload) < 8 {
 		return nil, fmt.Errorf("header: %w", ErrCorrupt)
@@ -235,11 +232,13 @@ func loadRows(payload []byte) (*DB, error) {
 		return nil, fmt.Errorf("impossible configuration: %w", ErrCorrupt)
 	}
 	var accs []PCAccum
+	var index []uint32
 	if db.pooled = rows <= maxPooledRows; db.pooled {
-		accs, db.byPC = takeSlab(rows)
+		accs, index = takeSlab(rows)
 	} else {
-		accs, db.byPC = make([]PCAccum, rows), make(map[uint64]*PCAccum, rows)
+		accs, index = make([]PCAccum, rows), make([]uint32, indexSize(rows))
 	}
+	db.base, db.n = accs, rows
 	var pc uint64
 	for i := range accs {
 		a := &accs[i]
@@ -262,24 +261,24 @@ func loadRows(payload []byte) (*DB, error) {
 		a.MemLatSum, a.MemLatCount = d.Varint(), d.Uvarint()
 		a.InProgressSum, a.InProgressCount = d.Varint(), d.Uvarint()
 		a.UsefulOverlap, a.PairSamples, a.RetiredNear = d.Uvarint(), d.Uvarint(), d.Uvarint()
-		// A pooled row still holds its last shard's addresses.
-		a.Addrs = nil
 		metrics, addrs := d.Count(1), d.Count(1)
 		if !db.rowFits(metrics, addrs) {
 			return nil, fmt.Errorf("row %d (PC %#x): %d pair metrics, %d addresses: %w", i, pc, metrics, addrs, ErrCorrupt)
 		}
 		if addrs > 0 {
-			a.Addrs = d.Uvarints(addrs)
+			if db.addrs == nil {
+				db.addrs = make([][]uint64, rows)
+			}
+			db.addrs[i] = d.Uvarints(addrs)
 		}
 		if err := d.Err(); err != nil {
 			return nil, fmt.Errorf("row %d: %w", i, err)
 		}
-		db.byPC[pc] = a
 	}
 	if d.Left() > 0 {
 		return nil, fmt.Errorf("%d bytes after the last row: %w", d.Left(), ErrCorrupt)
 	}
-	db.rows = accs
+	db.setIndex(index)
 	return db, nil
 }
 
@@ -297,12 +296,12 @@ func (db *DB) Merge(other *DB) error {
 // a distinct database with the same sampling configuration.
 func (db *DB) mergeable(other *DB) error {
 	if db == other {
-		// Iterating other.byPC while acc() mutates the same map is
-		// undefined; a fleet bug that hands the aggregate to itself must
-		// fail loudly, not double-count or corrupt the map.
+		// Walking other's rows while slotOf adds to the same table
+		// would fold rows into themselves; a fleet bug that hands the
+		// aggregate to itself must fail loudly, not double-count.
 		return fmt.Errorf("profile: merge: cannot merge a database into itself")
 	}
-	if other.byPC == nil {
+	if other.consumed {
 		return fmt.Errorf("profile: merge: the database was already consumed by a SafeDB merge")
 	}
 	if db.S != other.S || db.W != other.W || db.C != other.C || db.TNear != other.TNear {
@@ -318,29 +317,33 @@ func (db *DB) mergeable(other *DB) error {
 // database (SafeDB's sketches and window ring) update in the same pass.
 // Those summaries depend on the order they see PCs in, so a visited walk
 // goes in ascending PC order (eachAscending) and ends in the same state
-// every time; db's own sums do not, so an unvisited walk takes the map's
+// every time; db's own sums do not, so an unvisited walk takes the slot
 // order and never sorts.
 func (db *DB) mergeWalk(other *DB, visit func(delta *PCAccum)) {
 	db.samples += other.samples
 	db.pairs += other.pairs
 	db.lost += other.lost
 	db.corruptRejected += other.corruptRejected
-	if visit == nil {
-		for pc, src := range other.byPC {
-			// The PC comes from the map's key, not from src, so the
-			// lookup of dst need not wait for src to arrive from memory.
-			db.fold(db.acc(pc), src)
+	merge := func(slot int32, src *PCAccum) {
+		dst, a := db.slotOf(src.PC)
+		db.fold(a, src)
+		if addrs := other.addrsAt(slot); len(addrs) > 0 {
+			db.keepAddrs(dst, addrs...)
 		}
+	}
+	if visit == nil {
+		other.each(merge)
 		return
 	}
-	other.eachAscending(func(src *PCAccum) {
-		db.fold(db.acc(src.PC), src)
+	other.eachAscending(func(slot int32, src *PCAccum) {
+		merge(slot, src)
 		visit(src)
 	})
 }
 
 // fold adds src, another database's accumulator, into dst, db's
-// accumulator for the same PC.
+// accumulator for the same PC. The addresses are mergeWalk's: they are
+// beside the rows.
 func (db *DB) fold(dst, src *PCAccum) {
 	dst.Samples += src.Samples
 	for i := range dst.Events {
@@ -357,32 +360,23 @@ func (db *DB) fold(dst, src *PCAccum) {
 	dst.UsefulOverlap += src.UsefulOverlap
 	dst.PairSamples += src.PairSamples
 	dst.RetiredNear += src.RetiredNear
-	if room := db.RetainAddrs - len(dst.Addrs); room > 0 && len(src.Addrs) > 0 {
-		// Copy before appending: the slice must not share the source
-		// database's backing array, or mutating one profile after a
-		// merge would silently rewrite the other.
-		take := src.Addrs
-		if len(take) > room {
-			take = take[:room]
-		}
-		buf := make([]uint64, len(take))
-		copy(buf, take)
-		dst.Addrs = append(dst.Addrs, buf...)
-	}
 }
 
-// eachAscending calls f on every accumulator in ascending PC order. A
-// database loaded from an image walks the image's row slice for
-// as long as it holds no PC the image lacked — a DB only ever gains PCs,
-// so equal lengths mean the same set; any other database sorts its PCs.
-func (db *DB) eachAscending(f func(*PCAccum)) {
-	if len(db.rows) == len(db.byPC) {
-		for i := range db.rows {
-			f(&db.rows[i])
-		}
+// eachAscending calls f on every accumulator in ascending PC order: in
+// slot order while the PCs arrived ascending (a decoded image that
+// gained no lower PC, say), else in a sorted slot order.
+func (db *DB) eachAscending(f func(slot int32, a *PCAccum)) {
+	db.eachInOrder(db.ascendingSlots(), f)
+}
+
+// eachInOrder calls f on every accumulator in the slot order given, or
+// in slot order when order is nil.
+func (db *DB) eachInOrder(order []int32, f func(slot int32, a *PCAccum)) {
+	if order == nil {
+		db.each(f)
 		return
 	}
-	for _, a := range db.sortedAccums() {
-		f(a)
+	for _, slot := range order {
+		f(slot, db.row(slot))
 	}
 }

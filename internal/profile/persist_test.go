@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
-	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"profileme/internal/core"
@@ -151,12 +152,21 @@ func envelope(t testing.TB, version uint32, payload []byte) []byte {
 	return buf.Bytes()
 }
 
-// rowImage is db saved with accs as its row list, in that order — what
-// no Save of a real database writes when accs repeats or reorders PCs.
+// rowImage is db's header saved with accs as its row list, in that
+// order, and db's kept addresses, if any, as theirs — what no Save of a
+// real database writes when accs repeats or reorders PCs, or a row
+// keeps more addresses than the database retains.
 func rowImage(t testing.TB, db *DB, accs ...*PCAccum) []byte {
 	t.Helper()
+	img := *db
+	img.base, img.chunks, img.n = nil, nil, len(accs)
+	order := make([]int32, len(accs))
+	for i, a := range accs {
+		img.base = append(img.base, *a)
+		order[i] = int32(i)
+	}
 	var buf bytes.Buffer
-	if err := db.save(&buf, accs); err != nil {
+	if err := img.save(&buf, order); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -179,7 +189,7 @@ func pairMetricImage(t testing.TB, retain int, names []string, metrics int, addr
 		b = append(b, name...)
 	}
 	b = binary.AppendUvarint(b, 1)
-	row := appendRow(nil, &PCAccum{PC: 0x40}, 0x40)
+	row := appendRow(nil, &PCAccum{PC: 0x40}, 0x40, nil)
 	b = append(b, row[:len(row)-2]...) // less the zero metric and address lengths
 	b = binary.AppendUvarint(b, uint64(metrics))
 	b = append(b, make([]byte, metrics)...) // zero counts
@@ -296,10 +306,10 @@ func randomDB(rng *stats.RNG) *DB {
 	i64 := func() int64 { return int64(u64()) }
 	db.samples, db.pairs, db.lost, db.corruptRejected = u64(), u64(), u64(), u64()
 	for i := rng.Intn(40); i > 0; i-- {
-		pc := u64()
-		a := &PCAccum{PC: pc, Samples: u64(), MemLatSum: i64(), MemLatCount: u64(),
-			InProgressSum: i64(), InProgressCount: u64(), UsefulOverlap: u64(),
-			PairSamples: u64(), RetiredNear: u64()}
+		slot, a := db.slotOf(u64())
+		a.Samples, a.MemLatSum, a.MemLatCount = u64(), i64(), u64()
+		a.InProgressSum, a.InProgressCount = i64(), u64()
+		a.UsefulOverlap, a.PairSamples, a.RetiredNear = u64(), u64(), u64()
 		for j := range a.Events {
 			a.Events[j] = u64()
 		}
@@ -307,15 +317,38 @@ func randomDB(rng *stats.RNG) *DB {
 			a.LatSum[j], a.LatCount[j] = i64(), u64()
 		}
 		for j := rng.Intn(db.RetainAddrs + 1); j > 0; j-- {
-			a.Addrs = append(a.Addrs, u64())
+			db.keepAddrs(slot, u64())
 		}
-		db.byPC[pc] = a
 	}
 	return db
 }
 
-// TestSaveLoadRoundTripProperty: LoadDB(Save(db)) deep-equals db, and
-// Save is deterministic — twice, and again after the round trip.
+// sameContents reports how got differs from want, a database with the
+// same configuration and totals and, for every PC, the same
+// accumulator and kept addresses; "" when it does not.
+func sameContents(got, want *DB) string {
+	switch {
+	case got.S != want.S, got.W != want.W, got.C != want.C, got.TNear != want.TNear, got.RetainAddrs != want.RetainAddrs:
+		return "configuration"
+	case got.samples != want.samples, got.pairs != want.pairs, got.lost != want.lost, got.corruptRejected != want.corruptRejected:
+		return "totals"
+	case !slices.Equal(got.PCs(), want.PCs()):
+		return "PC set"
+	}
+	for _, pc := range want.PCs() {
+		if *got.Get(pc) != *want.Get(pc) {
+			return fmt.Sprintf("row %#x: %+v, want %+v", pc, *got.Get(pc), *want.Get(pc))
+		}
+		if g, w := got.Addrs(pc), want.Addrs(pc); !slices.Equal(g, w) {
+			return fmt.Sprintf("row %#x: addresses %v, want %v", pc, g, w)
+		}
+	}
+	return ""
+}
+
+// TestSaveLoadRoundTripProperty: LoadDB(Save(db)) holds db's
+// configuration, totals, rows and kept addresses, and Save is
+// deterministic — twice, and again after the round trip.
 func TestSaveLoadRoundTripProperty(t *testing.T) {
 	rng := stats.NewRNG(34)
 	for i := 0; i < 300; i++ {
@@ -331,22 +364,19 @@ func TestSaveLoadRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("db %d: %v", i, err)
 		}
-		// A decoded database also keeps its rows as its walk order
-		// (DB.rows): exactly its accumulators, in ascending PC order, in
-		// a pooled slab (DB.pooled). db was built in process and has
-		// neither, so the order is checked here and both are left out of
-		// the comparison.
-		if len(got.rows) != len(got.byPC) {
-			t.Fatalf("db %d: %d rows for %d PCs", i, len(got.rows), len(got.byPC))
+		// A decoded database keeps its rows in one slab (DB.base), in
+		// ascending PC order, so it walks them in slot order: each slot
+		// is the index's answer for its PC.
+		if len(got.base) != got.n || got.unsorted {
+			t.Fatalf("db %d: %d rows in the slab of %d, unsorted %v", i, len(got.base), got.n, got.unsorted)
 		}
-		for j := range got.rows {
-			if a := &got.rows[j]; got.byPC[a.PC] != a || j > 0 && a.PC <= got.rows[j-1].PC {
+		for j := range got.base {
+			if a := &got.base[j]; got.Get(a.PC) != a || j > 0 && a.PC <= got.base[j-1].PC {
 				t.Fatalf("db %d: row %d (PC %#x) is not the PC index's accumulator in ascending order", i, j, a.PC)
 			}
 		}
-		got.rows, got.pooled = nil, false
-		if !reflect.DeepEqual(got, db) {
-			t.Fatalf("db %d: round trip changed it:\n got %+v\nwant %+v", i, got, db)
+		if diff := sameContents(got, db); diff != "" {
+			t.Fatalf("db %d: round trip changed its %s", i, diff)
 		}
 		if err := got.Save(&again); err != nil {
 			t.Fatal(err)
@@ -357,9 +387,10 @@ func TestSaveLoadRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestMergeDoesNotAliasSource is the regression test for the Addrs slice
+// TestMergeDoesNotAliasSource is the regression test for the address
 // sharing hazard: after a merge, mutating the source database's retained
-// addresses must not change the destination's (and vice versa).
+// addresses (its side table, DB.Addrs) must not change the
+// destination's (and vice versa).
 func TestMergeDoesNotAliasSource(t *testing.T) {
 	mk := func(addr uint64) *DB {
 		db := NewDB(100, 80, 4)
@@ -374,17 +405,17 @@ func TestMergeDoesNotAliasSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []uint64{0x100, 0x200}
-	got := dst.Get(0x40).Addrs
+	got := dst.Addrs(0x40)
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("merged addrs = %v, want %v", got, want)
 	}
 
-	src.Get(0x40).Addrs[0] = 0xdead // mutate source after merge
-	if got := dst.Get(0x40).Addrs; got[1] != 0x200 {
+	src.Addrs(0x40)[0] = 0xdead // mutate source after merge
+	if got := dst.Addrs(0x40); got[1] != 0x200 {
 		t.Fatalf("destination aliases source: %v", got)
 	}
-	dst.Get(0x40).Addrs[1] = 0xbeef // and the other direction
-	if got := src.Get(0x40).Addrs; got[0] != 0xdead {
+	dst.Addrs(0x40)[1] = 0xbeef // and the other direction
+	if got := src.Addrs(0x40); got[0] != 0xdead {
 		t.Fatalf("source aliases destination: %v", got)
 	}
 }

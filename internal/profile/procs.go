@@ -65,7 +65,7 @@ func byProc(db *DB, prog *isa.Program) []procAccum {
 	}
 	out := make([]procAccum, 0, len(accs))
 	for _, a := range accs {
-		a.EstRetired = estimateCount(a.Retired, db.S) * db.lossCorrection()
+		a.EstRetired = estimateCount(a.Retired, db.recordInterval()) * db.lossCorrection()
 		out = append(out, *a)
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -21,10 +21,8 @@ import (
 // selection — collect every accumulator, sort them all, truncate — kept
 // as the reference the selection is checked against.
 func hotPCsByFullSort(db *DB, n int) []*PCAccum {
-	accs := make([]*PCAccum, 0, len(db.byPC))
-	for _, a := range db.byPC {
-		accs = append(accs, a)
-	}
+	accs := make([]*PCAccum, 0, db.n)
+	db.each(func(_ int32, a *PCAccum) { accs = append(accs, a) })
 	sort.Slice(accs, func(i, j int) bool {
 		if accs[i].Samples != accs[j].Samples {
 			return accs[i].Samples > accs[j].Samples
@@ -66,7 +64,7 @@ func TestHotPCsSelectionMatchesFullSort(t *testing.T) {
 				db.Add(core.Sample{First: rec(pc, true, 0, 1, 2, 3, 5, 9)})
 			}
 		}
-		size := len(db.byPC)
+		size := db.n
 		for _, n := range []int{-1, 0, 1, 2, rng.IntRange(1, size+1), size - 1, size, size + 1, 10 * (size + 1)} {
 			if got, want := db.HotPCs(n), hotPCsByFullSort(db, n); !samePointers(got, want) {
 				t.Errorf("seed %d: HotPCs(%d) over %d PCs differs from the full sort", seed, n, size)

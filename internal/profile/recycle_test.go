@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -49,13 +50,14 @@ func recycleShard(rng *stats.RNG, paired bool, retain int) *DB {
 const recycleRetain = 8
 
 // TestRecycledSlabCarriesNothing: a shard decoded into a recycled slab
-// holds exactly what its image says. Paired shards and unpaired ones,
-// with and without retained addresses, are
-// decoded concurrently and merged in order into two SafeDBs, each
+// (its rows and its PC index's table) holds exactly what its image says.
+// Paired shards and unpaired ones, with and without retained addresses,
+// are decoded concurrently and merged in order into two SafeDBs, each
 // merge handing its shard's slab back for a later decode of the other
-// shape. Each aggregate's Save bytes must equal a plain DB.Merge of
-// fresh decodes of the same images. A row that kept its last shard's
-// addresses changes those bytes.
+// shape. Every decoded shard's index holds its rows and nothing else,
+// and each aggregate's Save bytes must equal a plain DB.Merge of fresh
+// decodes of the same images. An index entry left from the slab's last
+// shard fails the first; a row value left from it, the second.
 func TestRecycledSlabCarriesNothing(t *testing.T) {
 	const rounds, kinds, inFlight, workers = 8, 8, 2, 3
 	rng := stats.NewRNG(39)
@@ -103,6 +105,9 @@ func TestRecycledSlabCarriesNothing(t *testing.T) {
 		if last = <-ready[i]; last == nil {
 			t.FailNow()
 		}
+		if msg := indexHoldsRows(last); msg != "" {
+			t.Fatalf("decode %d (image %d): %s", i, i%kinds, msg)
+		}
 		if err := aggs[i%kinds%2].Merge(last); err != nil {
 			t.Fatal(err)
 		}
@@ -141,4 +146,25 @@ func TestRecycledSlabCarriesNothing(t *testing.T) {
 				i, i == 0, got.Len(), exp.Len())
 		}
 	}
+}
+
+// indexHoldsRows reports how db's PC index differs from its rows: it
+// must hold one entry per row, each row's PC finding that row.
+func indexHoldsRows(db *DB) string {
+	entries := 0
+	for _, ref := range db.index {
+		if ref != 0 {
+			entries++
+		}
+	}
+	if entries != db.n {
+		return fmt.Sprintf("%d index entries for %d rows", entries, db.n)
+	}
+	msg := ""
+	db.each(func(slot int32, a *PCAccum) {
+		if got, row, _ := db.find(a.PC); msg == "" && (row != a || got != slot) {
+			msg = fmt.Sprintf("PC %#x in slot %d finds slot %d (row %p, want %p)", a.PC, slot, got, row, a)
+		}
+	})
+	return msg
 }

@@ -15,7 +15,7 @@ import (
 // takes NO lock that contends with the merge loop, and an exact top-N
 // is lock-free too whenever the view can certify it (View.ExactTop);
 // only the scan fallbacks (HotPCsExact, Get, Save, per-PC
-// estimators) still take the read lock and pay the deep-copy cost.
+// estimators) still take the read lock and pay the copy cost.
 //
 // It is the concurrency boundary the pmsimd service builds on: a plain
 // DB stays single-owner (see the DB doc comment), and the moment two
@@ -23,10 +23,10 @@ import (
 //
 // Copy-vs-alias semantics: reader methods never leak interior pointers
 // into the live database. Exact-path results (Get, HotPCsExact) are
-// returned by value with slices deep-copied; View() returns a shared
-// IMMUTABLE snapshot that callers must treat as read-only but may retain
-// forever; HotPCs copies rows out of the view before returning them, so
-// its results are safe to mutate.
+// returned by value (an accumulator holds no pointer, so a copy shares
+// nothing); View() returns a shared IMMUTABLE snapshot that callers must
+// treat as read-only but may retain forever; HotPCs copies rows out of
+// the view before returning them, so its results are safe to mutate.
 type SafeDB struct {
 	mu sync.RWMutex
 	db *DB
@@ -39,9 +39,10 @@ type SafeDB struct {
 
 	epoch     uint64
 	publishes atomic.Uint64 // read lock-free by SketchStats
-	// saveOrder is Save's sorted accumulator list, kept between calls
-	// (atomic: Saves share the read lock).
-	saveOrder atomic.Pointer[[]*PCAccum]
+	// saveOrder is Save's slots in ascending PC order, kept between
+	// calls while the database's slot order is not ascending (atomic:
+	// Saves share the read lock).
+	saveOrder atomic.Pointer[[]int32]
 	view      atomic.Pointer[View]
 }
 
@@ -63,7 +64,7 @@ func NewSafeDBWith(db *DB, cfg SketchConfig) *SafeDB {
 	for i := range s.lat {
 		s.lat[i] = newQuantileSketch()
 	}
-	db.eachAscending(s.sketch)
+	db.eachAscending(func(_ int32, a *PCAccum) { s.sketch(a) })
 	s.mu.Lock()
 	s.publishLocked(true)
 	s.mu.Unlock()
@@ -93,7 +94,7 @@ func (s *SafeDB) View() *View { return s.view.Load() }
 // publishLocked builds and installs a new view. Caller holds mu (write).
 // rows=false is the cheap counter-only republish: the previous view's
 // row and latency slices are shared (they are immutable), so it is O(1).
-// rows=true rebuilds the top-K rows (O(K log K) plus K accumulator deep
+// rows=true rebuilds the top-K rows (O(K log K) plus K accumulator
 // copies) and the latency summaries.
 func (s *SafeDB) publishLocked(rows bool) {
 	s.epoch++
@@ -107,7 +108,7 @@ func (s *SafeDB) publishLocked(rows bool) {
 			CorruptRejected: s.db.CorruptRejected(),
 			LossRate:        s.db.LossRate(),
 		},
-		S:        s.db.S,
+		RecordS:  s.db.recordInterval(),
 		LossCorr: s.db.lossCorrection(),
 		TopKCap:  s.cfg.TopK,
 		SketchN:  s.topk.n,
@@ -126,8 +127,8 @@ func (s *SafeDB) publishLocked(rows bool) {
 		v.byPC = make(map[uint64]*HotView, len(items))
 		for _, e := range items {
 			hv := HotView{Est: e.Count, MaxErr: e.Err}
-			if a := s.db.byPC[e.PC]; a != nil {
-				hv.Acc = copyAccum(a)
+			if a := s.db.Get(e.PC); a != nil {
+				hv.Acc = *a
 			} else {
 				hv.Acc = PCAccum{PC: e.PC}
 			}
@@ -235,19 +236,19 @@ func (s *SafeDB) SketchStats(v *View) SketchStats {
 }
 
 // EstimatedCount estimates how many times pc was fetched, loss-corrected
-// (read lock: per-PC map access on the live database).
+// (read lock: a per-PC lookup on the live database).
 func (s *SafeDB) EstimatedCount(pc uint64) float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.db.EstimatedCount(pc)
 }
 
-// Get returns a deep copy of the accumulator for pc and the view of the
+// Get returns a copy of the accumulator for pc and the view of the
 // same instant, from one read lock: every write republishes the view
 // under the write lock, so the view loaded under the read lock is the
 // live database's, and an estimate built from the copy and the view's
 // S and LossCorr is one instant's. ok is false when the PC has never
-// been sampled. The copy shares no slices with the live database and is
+// been sampled. The copy shares nothing with the live database and is
 // safe to retain and mutate.
 func (s *SafeDB) Get(pc uint64) (PCAccum, *View, bool) {
 	s.mu.RLock()
@@ -256,7 +257,7 @@ func (s *SafeDB) Get(pc uint64) (PCAccum, *View, bool) {
 	if a == nil {
 		return PCAccum{}, nil, false
 	}
-	return copyAccum(a), s.View(), true
+	return *a, s.View(), true
 }
 
 // HotPCs returns the n hottest accumulators, descending by sample count.
@@ -264,7 +265,7 @@ func (s *SafeDB) Get(pc uint64) (PCAccum, *View, bool) {
 // view — sketch-backed: membership and order are approximate with the
 // space-saving bounds (exact whenever the aggregate has at most K
 // distinct PCs), and contents are exact as of the view epoch. Larger n
-// falls back to HotPCsExact. Results are deep copies, safe to mutate.
+// falls back to HotPCsExact. Results are copies, safe to mutate.
 func (s *SafeDB) HotPCs(n int) []PCAccum {
 	if n > 0 && n <= s.cfg.TopK {
 		v := s.View()
@@ -274,7 +275,7 @@ func (s *SafeDB) HotPCs(n int) []PCAccum {
 		}
 		out := make([]PCAccum, len(rows))
 		for i := range rows {
-			out[i] = copyAccum(&rows[i].Acc)
+			out[i] = rows[i].Acc
 		}
 		return out
 	}
@@ -282,11 +283,11 @@ func (s *SafeDB) HotPCs(n int) []PCAccum {
 	return rows
 }
 
-// HotPCsExact returns deep copies of the n hottest accumulators from the
+// HotPCsExact returns copies of the n hottest accumulators from the
 // live database, with the view of the same instant (see Get): the scan
 // fallback, for when View.ExactTop cannot certify an exact answer from
 // published state. It takes the read lock and pays an O(DB log n)
-// selection over every accumulator plus n deep copies — the cost the
+// selection over every accumulator plus n copies — the cost the
 // view-served paths exist to avoid.
 func (s *SafeDB) HotPCsExact(n int) ([]PCAccum, *View) {
 	s.mu.RLock()
@@ -294,7 +295,7 @@ func (s *SafeDB) HotPCsExact(n int) ([]PCAccum, *View) {
 	accs := s.db.HotPCs(n)
 	out := make([]PCAccum, len(accs))
 	for i, a := range accs {
-		out[i] = copyAccum(a)
+		out[i] = *a
 	}
 	return out, s.View()
 }
@@ -314,28 +315,23 @@ func (s *SafeDB) WindowHotPCs(window time.Duration, n int) WindowResult {
 // lock: serialization does not mutate the database). Sketch state is
 // derived and NOT persisted; a reload reseeds it (NewSafeDBWith).
 //
-// Repeated saves of a large aggregate (the collector's checkpoints) keep
-// the sorted accumulator list between them: a DB only ever gains PCs and
-// an accumulator never moves, so a list as long as the database is still
-// the right list.
+// A database whose slots are in ascending PC order (a decoded
+// checkpoint that gained no PC out of order) is saved in slot order.
+// Otherwise repeated saves of a large aggregate (the collector's
+// checkpoints) keep the sorted slot list between them: a DB only ever
+// gains PCs and a slot never changes, so a list as long as the database
+// is still the right list.
 func (s *SafeDB) Save(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	accs := s.saveOrder.Load()
-	if accs == nil || len(*accs) != len(s.db.byPC) {
-		fresh := s.db.sortedAccums()
-		accs = &fresh
-		s.saveOrder.Store(accs)
+	if !s.db.unsorted {
+		return s.db.save(w, nil)
 	}
-	return s.db.save(w, *accs)
-}
-
-// copyAccum deep-copies an accumulator so the result shares no slices
-// with the source.
-func copyAccum(a *PCAccum) PCAccum {
-	out := *a
-	if a.Addrs != nil {
-		out.Addrs = append([]uint64(nil), a.Addrs...)
+	order := s.saveOrder.Load()
+	if order == nil || len(*order) != s.db.n {
+		fresh := s.db.ascendingSlots()
+		order = &fresh
+		s.saveOrder.Store(order)
 	}
-	return out
+	return s.db.save(w, *order)
 }

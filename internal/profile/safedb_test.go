@@ -159,31 +159,29 @@ func TestSafeDBConcurrentMergeAndQuery(t *testing.T) {
 	}
 }
 
-// TestSafeDBCopiesDoNotAlias verifies reader results are deep copies: a
-// merge after the read must not mutate the slices a caller holds.
+// TestSafeDBCopiesDoNotAlias verifies reader results are copies: a
+// merge after the read must not change the accumulator a caller holds.
+// An accumulator holds no pointer (TestPCAccumHasNoPointers), so a copy
+// shares nothing; the addresses are the database's (DB.Addrs).
 func TestSafeDBCopiesDoNotAlias(t *testing.T) {
 	base := NewDB(16, 0, 4)
-	base.RetainAddrs = 4
-	r := rec(0x400, true, 0, 1, 2, 3, 5, 9)
-	r.Addr, r.AddrValid = 0x1000, true
-	base.Add(core.Sample{First: r})
+	base.Add(core.Sample{First: rec(0x400, true, 0, 1, 2, 3, 5, 9)})
 	agg := NewSafeDBWith(base, SketchConfig{})
 
 	got, _, ok := agg.Get(0x400)
-	if !ok || len(got.Addrs) != 1 {
-		t.Fatalf("accumulator not returned: ok=%v addrs=%v", ok, got.Addrs)
+	hot := agg.HotPCs(1)
+	if !ok || got.Samples != 1 || len(hot) != 1 || hot[0].Samples != 1 {
+		t.Fatalf("accumulator not returned: ok=%v %+v %+v", ok, got, hot)
 	}
 
 	shard := NewDB(16, 0, 4)
-	shard.RetainAddrs = 4
-	r2 := rec(0x400, true, 0, 1, 2, 3, 5, 9)
-	r2.Addr, r2.AddrValid = 0x2000, true
-	shard.Add(core.Sample{First: r2})
+	shard.Add(core.Sample{First: rec(0x400, true, 0, 1, 2, 3, 5, 9)})
 	if err := agg.Merge(shard); err != nil {
 		t.Fatal(err)
 	}
 
-	if len(got.Addrs) != 1 || got.Addrs[0] != 0x1000 {
-		t.Fatalf("held copy mutated by a later merge: %v", got.Addrs)
+	if now, _, _ := agg.Get(0x400); got.Samples != 1 || hot[0].Samples != 1 || now.Samples != 2 {
+		t.Fatalf("held copies %d and %d samples after a merge that took the PC to %d; want 1, 1 and 2",
+			got.Samples, hot[0].Samples, now.Samples)
 	}
 }

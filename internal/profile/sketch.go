@@ -12,9 +12,9 @@ import (
 // a DDSketch-style log-bucketed quantile sketch (latency percentiles with
 // a bounded relative error). Both are mergeable and maintained
 // incrementally at merge time, so a query never has to walk the O(DB)
-// per-PC map. Both are deterministic: the space-saving state depends on
+// per-PC rows. Both are deterministic: the space-saving state depends on
 // the order updates arrive in, and a merge feeds them a shard's PCs in
-// ascending PC order (DB.eachAscending), never in map order, so the
+// ascending PC order (DB.eachAscending), never in arrival order, so the
 // same shards merged in the same order give the same rows and floor.
 // The property tests in sketch_test.go pin the error bounds stated here
 // against exact answers.

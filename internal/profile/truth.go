@@ -11,7 +11,7 @@ func NewExact(n int, row func(i int) (pc, fetched, retired uint64, inProgress in
 	db := NewDB(1, 0, 0)
 	for i := 0; i < n; i++ {
 		if pc, fetched, retired, inProgress := row(i); fetched > 0 {
-			a := db.acc(pc)
+			_, a := db.slotOf(pc)
 			a.Samples, a.InProgressSum, a.InProgressCount = fetched, inProgress, retired
 			a.Events[0] = retired // eventKinds[0] is EvRetired
 			db.samples += fetched
@@ -22,15 +22,16 @@ func NewExact(n int, row func(i int) (pc, fetched, retired uint64, inProgress in
 
 // Realize sets S to the realized interval, fetched on-path instructions
 // per sample captured (Samples()+Lost(), so the estimators correct a loss
-// once), and returns what one delivered sample then stands for: S times
-// the loss correction, the scale at which Join estimates what
+// once), and returns what one delivered record then stands for: its
+// interval (S, or S/2 in a paired database: recordInterval) times the
+// loss correction, the scale at which Join estimates what
 // EstimatedCount does. With nothing captured S stays. Fleet shards keep
 // the configured S, which they must agree on to merge.
 func (db *DB) Realize(fetched uint64) float64 {
 	if captured := db.samples + db.Lost(); captured > 0 {
 		db.S = float64(fetched) / float64(captured)
 	}
-	return db.S * db.lossCorrection()
+	return db.recordInterval() * db.lossCorrection()
 }
 
 // JoinRow is one static instruction of a sampled profile beside the exact
@@ -50,10 +51,10 @@ func Join(sampled, exact *DB, count func(*PCAccum) uint64, scale float64) []Join
 	var rows []JoinRow
 	for _, pc := range slices.Compact(pcs) {
 		r := JoinRow{PC: pc}
-		if a := sampled.byPC[pc]; a != nil {
+		if a := sampled.Get(pc); a != nil {
 			r.K = count(a)
 		}
-		if a := exact.byPC[pc]; a != nil {
+		if a := exact.Get(pc); a != nil {
 			r.Truth = count(a)
 		}
 		if r.K > 0 || r.Truth > 0 {

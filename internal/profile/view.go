@@ -31,15 +31,16 @@ type View struct {
 	// sketched).
 	Counters Counters
 
-	// S and LossCorr snapshot the sampling interval and loss-correction
-	// factor, so estimate math (count ~ samples * S * LossCorr) needs no
-	// database access.
-	S        float64
+	// RecordS and LossCorr snapshot what one record stands for (the
+	// sampling interval, halved in a paired database, whose samples hold
+	// two records) and the loss-correction factor, so estimate math
+	// (count ~ samples * RecordS * LossCorr) needs no database access.
+	RecordS  float64
 	LossCorr float64
 
 	// TopK holds the sketch's hottest PCs in descending estimate order.
-	// Row contents (Acc) are exact deep copies as of the epoch the rows
-	// were last rebuilt; membership and order are approximate with the
+	// Row contents (Acc) are exact copies as of the epoch the rows were
+	// last rebuilt; membership and order are approximate with the
 	// bounds in HotView. TopKCap is the sketch capacity K.
 	TopK    []HotView
 	TopKCap int
@@ -59,12 +60,12 @@ type View struct {
 }
 
 // HotView is one published hot-PC row: the sketch estimate with its
-// error bound, plus an exact deep copy of the accumulator taken at
-// publish time. Est >= Acc.Samples always (the sketch never
+// error bound, plus an exact copy of the accumulator taken at publish
+// time. Est >= Acc.Samples always (the sketch never
 // undercounts); Est - MaxErr is a guaranteed lower bound on the true
 // count.
 type HotView struct {
-	// Acc is a deep copy of the PC's accumulator as of the view epoch.
+	// Acc is a copy of the PC's accumulator as of the view epoch.
 	// Read-only: shared by every reader of the view.
 	Acc PCAccum
 	// Est is the sketch's count estimate and MaxErr its worst-case
@@ -74,9 +75,9 @@ type HotView struct {
 }
 
 // Estimate is the loss-corrected estimate of an event's occurrences from
-// its k samples (§5): estimateCount(k, S) * LossCorr, associated as in
-// DB.EstimatedCount, so the two give the same bits.
-func (v *View) Estimate(k uint64) float64 { return estimateCount(k, v.S) * v.LossCorr }
+// its k samples (§5): estimateCount(k, RecordS) * LossCorr, associated
+// as in DB.EstimatedCount, so the two give the same bits.
+func (v *View) Estimate(k uint64) float64 { return estimateCount(k, v.RecordS) * v.LossCorr }
 
 // Get returns the published row for pc, or nil when pc is not among the
 // view's top-K. The returned row is shared and read-only.

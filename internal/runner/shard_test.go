@@ -8,6 +8,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -162,6 +163,49 @@ func TestShardPinnedBytes(t *testing.T) {
 		sum := sha256.Sum256(image(t, runCampaign(t, Config{Seed: 1}, []Job{tc.job})))
 		if got := hex.EncodeToString(sum[:]); got != tc.want {
 			t.Errorf("shard %s moved: sha256 %s, pinned %s", tc.job.ID, got, tc.want)
+		}
+	}
+}
+
+// TestCountEstimatesSumToFetches holds every count estimate to one scale
+// per record: at the realized interval (profile.DB.Realize), the per-PC
+// fetch estimates of a run sum to its on-path fetches within 1%, with
+// single and with paired sampling, on every suite kernel — from the
+// database (EstimatedCount) and from the view a collector publishes
+// (View.Estimate). A paired sample holds two records, so a paired
+// database that scaled each by S alone would read 2.00.
+func TestCountEstimatesSumToFetches(t *testing.T) {
+	for _, name := range workload.Names() {
+		b, _ := workload.ByName(name)
+		for _, paired := range []bool{false, true} {
+			ucfg := core.DefaultConfig()
+			ucfg.MeanInterval, ucfg.Paired, ucfg.BufferDepth = 512, paired, 64
+			sh, err := RunShard(context.Background(), b.Build(200_000), cpu.DefaultConfig(), ucfg, nil, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			db := sh.DB
+			db.Realize(sh.Result.FetchedOnPath)
+			var fromDB, fromView float64
+			var samples []uint64
+			for _, pc := range db.PCs() {
+				fromDB += db.EstimatedCount(pc)
+				samples = append(samples, db.Get(pc).Samples)
+			}
+			v := profile.NewSafeDBWith(db, profile.SketchConfig{}).View()
+			for _, k := range samples {
+				fromView += v.Estimate(k)
+			}
+			fetched := float64(sh.Result.FetchedOnPath)
+			if db.Samples() < 100 || (db.Pairs() > 0) != paired {
+				t.Fatalf("%s (paired %v): %d samples, %d pairs", name, paired, db.Samples(), db.Pairs())
+			}
+			for what, sum := range map[string]float64{"database": fromDB, "view": fromView} {
+				if r := sum / fetched; math.Abs(r-1) > 0.01 {
+					t.Errorf("%s (paired %v): the %s's estimates sum to %.0f, %.3f x the %d on-path fetches",
+						name, paired, what, sum, r, sh.Result.FetchedOnPath)
+				}
+			}
 		}
 	}
 }

@@ -27,8 +27,8 @@ var handlerAlloc = []struct {
 	pcs        int
 	want, race [2]uint64
 }{
-	{"wide", 2048, [2]uint64{47, 328621}, [2]uint64{67, 1258032}},
-	{"narrow", 32, [2]uint64{44, 16630}, [2]uint64{57, 33234}},
+	{"wide", 2048, [2]uint64{47, 311638}, [2]uint64{67, 1258032}},
+	{"narrow", 32, [2]uint64{44, 14766}, [2]uint64{57, 33234}},
 }
 
 // spreadShard holds pcs distinct PCs, one to three samples each.

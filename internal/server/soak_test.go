@@ -314,7 +314,7 @@ func TestOverloadSoak(t *testing.T) {
 	var estDegraded, estBaseline float64
 	for _, pc := range baselineTop {
 		acc, v, _ := agg.Get(pc)
-		estDegraded += float64(acc.EventCount(core.EvRetired)) * v.S * v.LossCorr
+		estDegraded += float64(acc.EventCount(core.EvRetired)) * v.RecordS * v.LossCorr
 		estBaseline += baseline.EstimatedEventCount(pc, core.EvRetired)
 	}
 	if rel := (estDegraded - estBaseline) / estBaseline; rel < -0.15 || rel > 0.15 {
